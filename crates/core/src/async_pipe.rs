@@ -126,12 +126,7 @@ impl DistributedHashMap {
         batch_size: usize,
         threads: usize,
     ) -> Result<OverlapReport, InsertError> {
-        assert!(batch_size > 0 && threads > 0);
-        let mut cascades = Vec::new();
-        for chunk in pairs.chunks(batch_size) {
-            cascades.push(self.insert_from_host(chunk)?);
-        }
-        Ok(self.overlay(cascades, pairs.len() as u64, threads, 1.0))
+        self.insert_overlapped_scaled(pairs, batch_size, threads, 1.0)
     }
 
     /// [`DistributedHashMap::insert_overlapped`] with each batch's stage
@@ -168,18 +163,7 @@ impl DistributedHashMap {
         batch_size: usize,
         threads: usize,
     ) -> (Vec<Option<u32>>, OverlapReport) {
-        assert!(batch_size > 0 && threads > 0);
-        let mut cascades = Vec::new();
-        let mut results = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(batch_size) {
-            let (r, rep) = self
-                .retrieve_from_host_impl(chunk)
-                .expect("scratch for overlapped retrieve");
-            results.extend(r);
-            cascades.push(rep);
-        }
-        let report = self.overlay(cascades, keys.len() as u64, threads, 1.0);
-        (results, report)
+        self.retrieve_overlapped_scaled(keys, batch_size, threads, 1.0)
     }
 
     /// [`DistributedHashMap::retrieve_overlapped`] at modeled scale

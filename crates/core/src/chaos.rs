@@ -14,8 +14,9 @@
 //! it (composable with the `WD_SCHED_*` scheduler hints — see
 //! [`gpu_sim::FaultPlan::replay_hint_with`]).
 
-use gpu_sim::FaultPlan;
+use gpu_sim::{FaultPlan, RetryPolicy};
 use hashes::PartitionFn;
+use interconnect::{FaultedTransfer, TransferError};
 
 /// Launch-site tags distinguishing the fault rolls of the cascades'
 /// kernel families (transfer sites live in [`gpu_sim::fault::site`]).
@@ -129,6 +130,76 @@ impl ChaosState {
             plan,
             mask: 0,
             stats: crate::stats::DegradedStats::default(),
+        }
+    }
+}
+
+/// Fault accounting of one step (a cascade round, a PCIe phase, a sharded
+/// operation): what its retries cost, booked into
+/// [`crate::DegradedStats`] and billed as backoff when the step ends.
+#[derive(Debug, Default)]
+pub(crate) struct ChaosTally {
+    pub launch_retries: u64,
+    pub transfer_retries: u64,
+    pub backoff: f64,
+}
+
+impl ChaosTally {
+    /// The crate's one retry gate: rolls the transient launch-failure
+    /// dice for one kernel site, billing exponential backoff between
+    /// retried failures. `Err(device)` once the retry budget is exhausted.
+    pub fn gate_launch(
+        &mut self,
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+        device: usize,
+        site: u64,
+    ) -> Result<(), usize> {
+        let mut attempt = 0u32;
+        let mut spent = 0.0f64;
+        while plan.launch_fails(device, site, attempt) {
+            attempt += 1;
+            if !policy.may_retry(attempt, spent) {
+                self.backoff += spent;
+                return Err(device);
+            }
+            spent += policy.backoff_before(attempt);
+            self.launch_retries += 1;
+        }
+        self.backoff += spent;
+        Ok(())
+    }
+
+    /// Books a fault-aware transfer phase. A budget-exhausted edge made
+    /// `attempts - 1` retries with backoff before each — that work
+    /// happened even though the phase then failed — and condemns a
+    /// device, returned as `Err`: the source if the plan has killed it,
+    /// otherwise the destination (a host-link failure has `src == dst`,
+    /// so the distinction only matters for NVLink edges).
+    pub fn settle(
+        &mut self,
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+        phase: Result<FaultedTransfer, TransferError>,
+    ) -> Result<FaultedTransfer, usize> {
+        match phase {
+            Ok(t) => {
+                self.transfer_retries += u64::from(t.retries);
+                self.backoff += t.backoff;
+                Ok(t)
+            }
+            Err(e) => {
+                let retries = e.attempts.saturating_sub(1);
+                self.transfer_retries += u64::from(retries);
+                for a in 1..=retries {
+                    self.backoff += policy.backoff_before(a);
+                }
+                Err(if plan.device_lost(e.src) {
+                    e.src
+                } else {
+                    e.dst
+                })
+            }
         }
     }
 }

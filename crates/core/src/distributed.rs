@@ -4,10 +4,13 @@
 //! Each of the `m` devices owns an independent [`GpuHashMap`] holding
 //! exactly the keys with `p(k) = i` for the partition hash `p`. Insertion
 //! runs the cascade **multisplit → transposition → insert**; retrieval
-//! runs **multisplit → transposition → query → transposition (back) →
-//! scatter**. Phases are separated by global barriers, so a cascade's
-//! time is the sum of per-phase maxima — exactly how the paper accounts
-//! Fig. 9–11.
+//! and erasure run **multisplit → transposition → query → transposition
+//! (back) → scatter** — all three through the one driver in
+//! [`crate::cascade`], bracketed by PCIe in [`crate::host_ops`]. Phases
+//! are separated by global barriers, so a cascade's time is the sum of
+//! per-phase maxima — exactly how the paper accounts Fig. 9–11. This
+//! module holds the map itself: construction, sizing, resizing, and the
+//! chaos state with its quarantine-and-migrate step.
 //!
 //! Functional data movement between simulated devices is host-mediated
 //! (there is only one address space underneath), but it is *billed*
@@ -30,99 +33,28 @@
 //! path, billed counter and reported time is byte-identical to the
 //! pre-chaos implementation.
 
-use crate::chaos::{launch_site, straggled, ChaosState, Router};
+use crate::chaos::{ChaosState, ChaosTally, Router};
 use crate::config::Config;
-use crate::entry::{key_of, pack, value_of, EMPTY};
 use crate::errors::{BuildError, InsertError};
 use crate::history::{OpKind, OpResponse};
 use crate::map::GpuHashMap;
-use crate::service::{OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse, PutResponse};
-use crate::stats::{CascadeReport, CascadeStage, DegradedStats};
-use gpu_sim::{Device, FaultPlan, GroupSize, LaunchOptions, RetryPolicy};
+use crate::service::{OpError, OpReport, PutResponse};
+use crate::stats::DegradedStats;
+use gpu_sim::{Device, FaultPlan, RetryPolicy};
 use hashes::PartitionFn;
-use interconnect::{alltoall_time_faulted, Topology, TransferError};
-use multisplit::{device_multisplit, PartitionTable, SplitResult};
+use interconnect::Topology;
 use parking_lot::RwLock;
 use std::sync::Arc;
-
-/// Per-GPU retrieval results (in the original per-GPU order) plus the
-/// cascade's timing report.
-type PerGpuRetrieve = (Vec<Vec<Option<u32>>>, CascadeReport);
 
 /// A hash map distributed over the GPUs of one node.
 #[derive(Debug)]
 pub struct DistributedHashMap {
-    devices: Vec<Arc<Device>>,
     maps: Vec<GpuHashMap>,
     topo: Topology,
     part: PartitionFn,
     fallback: PartitionFn,
     cfg: Config,
     chaos: RwLock<ChaosState>,
-}
-
-/// Per-GPU data prepared for a cascade (device-resident words).
-struct SplitPhase<'g> {
-    /// Scratch guards keeping the buffers alive.
-    _guards: Vec<gpu_sim::ScratchGuard<'g>>,
-    /// Partition-ordered buffers, one per source GPU.
-    splits: Vec<SplitResult>,
-    /// The m×m partition table.
-    table: PartitionTable,
-    /// Phase time (max over GPUs).
-    time: f64,
-}
-
-/// Why a cascade round stopped early.
-enum Abort {
-    /// `device` exhausted its retry budget: quarantine it and restart.
-    Lost(usize),
-    /// Unrecoverable (probing exhaustion, scratch OOM): propagate.
-    Fatal(InsertError),
-}
-
-/// Per-round fault accounting, merged into [`DegradedStats`] at round end.
-#[derive(Default)]
-struct ChaosTally {
-    launch_retries: u64,
-    transfer_retries: u64,
-    backoff: f64,
-}
-
-/// Books the attempts of a budget-exhausted transfer into the tally: the
-/// failing edge made `attempts - 1` retries with backoff before each, and
-/// that work happened even though the phase then aborted.
-fn tally_exhausted_transfer(tally: &mut ChaosTally, policy: &RetryPolicy, e: TransferError) {
-    let r = e.attempts.saturating_sub(1);
-    tally.transfer_retries += u64::from(r);
-    for a in 1..=r {
-        tally.backoff += policy.backoff_before(a);
-    }
-}
-
-/// Rolls the transient launch-failure dice for one kernel site, billing
-/// exponential backoff between retried failures into `tally`. `Err` once
-/// the retry budget is exhausted.
-fn gate_launch(
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    device: usize,
-    site: u64,
-    tally: &mut ChaosTally,
-) -> Result<(), usize> {
-    let mut attempt = 0u32;
-    let mut spent = 0.0f64;
-    while plan.launch_fails(device, site, attempt) {
-        attempt += 1;
-        if !policy.may_retry(attempt, spent) {
-            tally.backoff += spent;
-            return Err(device);
-        }
-        spent += policy.backoff_before(attempt);
-        tally.launch_retries += 1;
-    }
-    tally.backoff += spent;
-    Ok(())
 }
 
 impl DistributedHashMap {
@@ -150,11 +82,10 @@ impl DistributedHashMap {
             .iter()
             .map(|d| GpuHashMap::new(Arc::clone(d), capacity_per_gpu, cfg))
             .collect::<Result<Vec<_>, _>>()?;
-        let part = PartitionFn::new(devices.len() as u32, cfg.seed ^ 0x9e37_79b9);
-        let fallback = PartitionFn::new(devices.len() as u32, cfg.seed ^ 0x51f7_ba11);
+        let part = PartitionFn::new(maps.len() as u32, cfg.seed ^ 0x9e37_79b9);
+        let fallback = PartitionFn::new(maps.len() as u32, cfg.seed ^ 0x51f7_ba11);
         let chaos = RwLock::new(ChaosState::new(cfg.fault));
         Ok(Self {
-            devices,
             maps,
             topo,
             part,
@@ -167,7 +98,7 @@ impl DistributedHashMap {
     /// Number of GPUs.
     #[must_use]
     pub fn num_gpus(&self) -> usize {
-        self.devices.len()
+        self.maps.len()
     }
 
     /// The per-GPU maps (read access for stats/verification). Note that a
@@ -367,31 +298,21 @@ impl DistributedHashMap {
         (st.plan, st.mask)
     }
 
-    /// Books `retries`/`backoff` from a host-link transfer into the
-    /// degraded-mode counters (no-op when both are zero).
-    pub(crate) fn note_transfer_chaos(&self, retries: u32, backoff: f64) {
-        self.note_chaos(&ChaosTally {
-            launch_retries: 0,
-            transfer_retries: u64::from(retries),
-            backoff,
-        });
+    pub(crate) fn device(&self, i: usize) -> &Arc<Device> {
+        self.maps[i].device()
     }
 
-    /// Quarantines the device a failed transfer condemns (see
-    /// [`Self::blame`]).
-    pub(crate) fn quarantine_blamed(
-        &self,
-        plan: &FaultPlan,
-        e: TransferError,
-    ) -> Result<(), InsertError> {
-        self.quarantine(Self::blame(plan, e))
+    pub(crate) fn cfg(&self) -> &Config {
+        &self.cfg
     }
 
-    fn router_for(&self, mask: u32) -> Router {
+    pub(crate) fn router_for(&self, mask: u32) -> Router {
         Router::new(self.part, self.fallback, mask)
     }
 
-    fn note_chaos(&self, t: &ChaosTally) {
+    /// Books a step's retries and backoff into the degraded-mode
+    /// counters (no-op on an all-zero tally).
+    pub(crate) fn note_chaos(&self, t: &ChaosTally) {
         if t.launch_retries == 0 && t.transfer_retries == 0 && t.backoff == 0.0 {
             return;
         }
@@ -399,17 +320,6 @@ impl DistributedHashMap {
         st.stats.launch_retries += t.launch_retries;
         st.stats.transfer_retries += t.transfer_retries;
         st.stats.backoff_time += t.backoff;
-    }
-
-    /// Which device a failed transfer condemns: the source if the plan
-    /// has killed it, otherwise the destination (a host-link failure has
-    /// `src == dst`, so the distinction only matters for NVLink edges).
-    fn blame(plan: &FaultPlan, e: TransferError) -> usize {
-        if plan.device_lost(e.src) {
-            e.src
-        } else {
-            e.dst
-        }
     }
 
     /// Quarantines GPU `j`: marks it dead and re-splits its partition
@@ -422,7 +332,7 @@ impl DistributedHashMap {
     /// [`InsertError::DeviceLost`] if no survivor remains, and migration
     /// insert failures (e.g. probing exhaustion on an overloaded
     /// survivor).
-    fn quarantine(&self, j: usize) -> Result<(), InsertError> {
+    pub(crate) fn quarantine(&self, j: usize) -> Result<(), InsertError> {
         {
             let mut st = self.chaos.write();
             if st.mask & (1 << j) != 0 {
@@ -470,786 +380,6 @@ impl DistributedHashMap {
         }
         self.chaos.write().stats.migrated_keys += migrated;
         Ok(())
-    }
-
-    /// Re-spreads words assigned to quarantined GPUs round-robin over the
-    /// live ones (a dead GPU cannot host its cascade input).
-    fn respread_words(&self, per_gpu: &[Vec<u64>], mask: u32) -> Vec<Vec<u64>> {
-        let m = self.num_gpus();
-        let live: Vec<usize> = (0..m).filter(|&g| mask & (1 << g) == 0).collect();
-        let mut out: Vec<Vec<u64>> = vec![Vec::new(); m];
-        let mut rr = 0usize;
-        for (i, words) in per_gpu.iter().enumerate() {
-            if mask & (1 << i) == 0 {
-                out[i].extend_from_slice(words);
-            } else {
-                for &w in words {
-                    out[live[rr % live.len()]].push(w);
-                    rr += 1;
-                }
-            }
-        }
-        out
-    }
-
-    /// [`Self::respread_words`] for retrieval keys, tracking each
-    /// effective slot's `(origin GPU, origin index)` so results return in
-    /// the caller's order.
-    #[allow(clippy::type_complexity)]
-    fn respread_keys(
-        &self,
-        per_gpu_keys: &[Vec<u32>],
-        mask: u32,
-    ) -> (Vec<Vec<u32>>, Vec<Vec<(usize, usize)>>) {
-        let m = self.num_gpus();
-        let live: Vec<usize> = (0..m).filter(|&g| mask & (1 << g) == 0).collect();
-        let mut eff: Vec<Vec<u32>> = vec![Vec::new(); m];
-        let mut origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); m];
-        let mut rr = 0usize;
-        for (i, keys) in per_gpu_keys.iter().enumerate() {
-            for (idx, &k) in keys.iter().enumerate() {
-                let g = if mask & (1 << i) == 0 {
-                    i
-                } else {
-                    let g = live[rr % live.len()];
-                    rr += 1;
-                    g
-                };
-                eff[g].push(k);
-                origin[g].push((i, idx));
-            }
-        }
-        (eff, origin)
-    }
-
-    // ---- cascades ---------------------------------------------------------
-
-    /// Device-sided insertion cascade: `per_gpu_words[i]` are packed pairs
-    /// already resident on GPU `i` (the paper's in-toolchain case where
-    /// PCIe is bypassed). Returns the per-phase timing report.
-    ///
-    /// Under an armed fault plan the cascade retries transient failures
-    /// with backoff, quarantines GPUs that exhaust their budget (their
-    /// input re-spreads over the survivors) and restarts; wasted attempts
-    /// stay billed in the report, with backoff in its own
-    /// [`CascadeStage::Backoff`] stage.
-    ///
-    /// # Errors
-    /// Aggregated probing exhaustion across GPUs; scratch OOM;
-    /// [`InsertError::DeviceLost`] once no survivor remains.
-    pub fn insert_device_sided(
-        &self,
-        per_gpu_words: &[Vec<u64>],
-    ) -> Result<CascadeReport, InsertError> {
-        assert_eq!(per_gpu_words.len(), self.num_gpus(), "one batch per GPU");
-        let n_total: u64 = per_gpu_words.iter().map(|v| v.len() as u64).sum();
-        let mut report = CascadeReport::new(n_total);
-        let policy = self.cfg.retry;
-        for _round in 0..=self.num_gpus() {
-            let (plan, mask) = self.chaos_snapshot();
-            let respread;
-            let words: &[Vec<u64>] = if mask == 0 {
-                per_gpu_words
-            } else {
-                respread = self.respread_words(per_gpu_words, mask);
-                &respread
-            };
-            let router = self.router_for(mask);
-            match self.insert_cascade_once(words, &router, &plan, &policy, &mut report) {
-                Ok(()) => return Ok(report),
-                Err(Abort::Lost(j)) => self.quarantine(j)?,
-                Err(Abort::Fatal(e)) => return Err(e),
-            }
-        }
-        Err(InsertError::Internal {
-            detail: "every failed round quarantines one GPU; at most m rounds",
-        })
-    }
-
-    /// One insertion round under a fixed router/plan snapshot.
-    fn insert_cascade_once(
-        &self,
-        per_gpu_words: &[Vec<u64>],
-        router: &Router,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        report: &mut CascadeReport,
-    ) -> Result<(), Abort> {
-        let oh = self.devices[0].spec().launch_overhead;
-        let mut tally = ChaosTally::default();
-        let res = self.insert_round(per_gpu_words, router, plan, policy, report, oh, &mut tally);
-        if tally.backoff > 0.0 {
-            report.push(CascadeStage::Backoff, tally.backoff, 0);
-        }
-        self.note_chaos(&tally);
-        res
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn insert_round(
-        &self,
-        per_gpu_words: &[Vec<u64>],
-        router: &Router,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        report: &mut CascadeReport,
-        oh: f64,
-        tally: &mut ChaosTally,
-    ) -> Result<(), Abort> {
-        // Phase 1+2: multisplit and transposition
-        let split = self.multisplit_phase(per_gpu_words, router, plan, policy, tally)?;
-        // each GPU runs m sequential compaction passes → m launches
-        report.push_with_overhead(
-            CascadeStage::Multisplit,
-            split.time,
-            0,
-            oh * self.num_gpus() as f64,
-        );
-        let transpose = alltoall_time_faulted(&self.topo, &split.table.byte_matrix(8), plan, policy)
-            .map_err(|e| {
-                tally_exhausted_transfer(tally, policy, e);
-                Abort::Lost(Self::blame(plan, e))
-            })?;
-        tally.transfer_retries += u64::from(transpose.retries);
-        tally.backoff += transpose.backoff;
-        let (recv, recv_guards) = self.transpose_move(&split).map_err(Abort::Fatal)?;
-        report.push(CascadeStage::Transpose, transpose.time, transpose.bytes);
-
-        // Phase 3: local insertion (global barrier → max over GPUs)
-        let mut failed = 0u64;
-        let mut worst = 0.0f64;
-        for (j, words) in recv.iter().enumerate() {
-            if words.is_empty() {
-                continue;
-            }
-            // transient launch-failure gate (inlined so the
-            // premature-failover mutation double can hook the retry path)
-            let mut attempt = 0u32;
-            let mut spent = 0.0f64;
-            while plan.launch_fails(j, launch_site::INSERT, attempt) {
-                attempt += 1;
-                if !policy.may_retry(attempt, spent) {
-                    tally.backoff += spent;
-                    return Err(Abort::Lost(j));
-                }
-                spent += policy.backoff_before(attempt);
-                tally.launch_retries += 1;
-                if self.cfg.broken_double_apply_on_retry && attempt == 1 {
-                    // BROKEN (mutation double): premature failover without
-                    // the idempotence guard — the sub-batch is applied to
-                    // its failover targets although the primary is still
-                    // being retried (and will succeed), duplicating keys.
-                    self.double_apply(words, j, router);
-                }
-            }
-            tally.backoff += spent;
-            let buf = recv_guards[j].slice().sub(0, words.len());
-            match self.maps[j].insert_device(buf, words.len()) {
-                Ok(outcome) => {
-                    worst = worst.max(straggled(plan, j, outcome.stats.sim_time));
-                }
-                Err(InsertError::ProbingExhausted { failed: f }) => failed += f,
-                Err(e) => return Err(Abort::Fatal(e)),
-            }
-        }
-        report.push_with_overhead(CascadeStage::Insert, worst, 0, oh);
-        if failed > 0 {
-            return Err(Abort::Fatal(InsertError::ProbingExhausted { failed }));
-        }
-        Ok(())
-    }
-
-    /// The premature-failover body of the `broken_double_apply_on_retry`
-    /// mutation double.
-    fn double_apply(&self, words: &[u64], j: usize, router: &Router) {
-        let Some(fb) = router.also_masking(j) else {
-            return;
-        };
-        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.num_gpus()];
-        for &w in words {
-            buckets[fb.route(key_of(w)) as usize].push((key_of(w), value_of(w)));
-        }
-        for (t, bucket) in buckets.iter().enumerate() {
-            if !bucket.is_empty() {
-                let _ = self.maps[t].insert_pairs(bucket);
-            }
-        }
-    }
-
-    /// Device-sided retrieval cascade. `per_gpu_keys[i]` are the queried
-    /// keys resident on GPU `i`; returns per-GPU results *in the original
-    /// per-GPU order* plus the timing report.
-    ///
-    /// # Panics
-    /// Panics (with the replay hint) if fault injection exhausts every
-    /// failover avenue; use
-    /// [`DistributedHashMap::try_retrieve_device_sided`] for the typed
-    /// error.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve_device_sided` — typed `PerGpuGetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve_device_sided(
-        &self,
-        per_gpu_keys: &[Vec<u32>],
-    ) -> (Vec<Vec<Option<u32>>>, CascadeReport) {
-        match self.retrieve_device_sided_impl(per_gpu_keys) {
-            Ok(out) => out,
-            Err(e) => panic!("retrieve failed: {e}; replay: {}", self.replay_hint()),
-        }
-    }
-
-    /// Device-sided retrieval with typed fault errors, returning the
-    /// per-GPU results *in the original per-GPU order* plus a unified
-    /// [`OpReport`]. Retrieval is pure, so fault recovery restarts the
-    /// whole cascade after quarantining the culprit; queries addressed to
-    /// quarantined GPUs re-spread over the survivors with their origin
-    /// tracked, so result order is unaffected.
-    ///
-    /// # Errors
-    /// [`OpError`] once every failover avenue is exhausted.
-    pub fn try_retrieve_device_sided(
-        &self,
-        per_gpu_keys: &[Vec<u32>],
-    ) -> Result<PerGpuGetResponse, OpError> {
-        let (values, report) = self.retrieve_device_sided_impl(per_gpu_keys)?;
-        Ok(PerGpuGetResponse {
-            values,
-            report: OpReport::from_cascade(&report),
-        })
-    }
-
-    pub(crate) fn retrieve_device_sided_impl(
-        &self,
-        per_gpu_keys: &[Vec<u32>],
-    ) -> Result<PerGpuRetrieve, OpError> {
-        assert_eq!(per_gpu_keys.len(), self.num_gpus(), "one batch per GPU");
-        let n_total: u64 = per_gpu_keys.iter().map(|v| v.len() as u64).sum();
-        let mut report = CascadeReport::new(n_total);
-        let policy = self.cfg.retry;
-        for _round in 0..=self.num_gpus() {
-            let (plan, mask) = self.chaos_snapshot();
-            let (eff, origin) = self.respread_keys(per_gpu_keys, mask);
-            let router = self.router_for(mask);
-            match self.retrieve_cascade_once(&eff, &router, &plan, &policy, &mut report) {
-                Ok(eff_results) => {
-                    let mut out: Vec<Vec<Option<u32>>> =
-                        per_gpu_keys.iter().map(|k| vec![None; k.len()]).collect();
-                    for (g, res) in eff_results.into_iter().enumerate() {
-                        for (idx, r) in res.into_iter().enumerate() {
-                            let (oi, oidx) = origin[g][idx];
-                            out[oi][oidx] = r;
-                        }
-                    }
-                    return Ok((out, report));
-                }
-                Err(Abort::Lost(j)) => self.quarantine(j)?,
-                Err(Abort::Fatal(e)) => return Err(e.into()),
-            }
-        }
-        Err(OpError::Internal {
-            detail: "every failed round quarantines one GPU; at most m rounds",
-        })
-    }
-
-    /// One retrieval round; results are in effective (re-spread) order.
-    fn retrieve_cascade_once(
-        &self,
-        per_gpu_keys: &[Vec<u32>],
-        router: &Router,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        report: &mut CascadeReport,
-    ) -> Result<Vec<Vec<Option<u32>>>, Abort> {
-        let mut tally = ChaosTally::default();
-        let res =
-            self.retrieve_round(per_gpu_keys, router, plan, policy, report, &mut tally);
-        if tally.backoff > 0.0 {
-            report.push(CascadeStage::Backoff, tally.backoff, 0);
-        }
-        self.note_chaos(&tally);
-        res
-    }
-
-    fn retrieve_round(
-        &self,
-        per_gpu_keys: &[Vec<u32>],
-        router: &Router,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        report: &mut CascadeReport,
-        tally: &mut ChaosTally,
-    ) -> Result<Vec<Vec<Option<u32>>>, Abort> {
-        // query words carry the origin index in the low 32 bits
-        let query_words: Vec<Vec<u64>> = per_gpu_keys
-            .iter()
-            .map(|keys| {
-                keys.iter()
-                    .enumerate()
-                    .map(|(i, &k)| pack(k, i as u32))
-                    .collect()
-            })
-            .collect();
-
-        let oh = self.devices[0].spec().launch_overhead;
-        let split = self.multisplit_phase(&query_words, router, plan, policy, tally)?;
-        report.push_with_overhead(
-            CascadeStage::Multisplit,
-            split.time,
-            0,
-            oh * self.num_gpus() as f64,
-        );
-        let transpose = alltoall_time_faulted(&self.topo, &split.table.byte_matrix(8), plan, policy)
-            .map_err(|e| {
-                tally_exhausted_transfer(tally, policy, e);
-                Abort::Lost(Self::blame(plan, e))
-            })?;
-        tally.transfer_retries += u64::from(transpose.retries);
-        tally.backoff += transpose.backoff;
-        let (recv, recv_guards) = self.transpose_move(&split).map_err(Abort::Fatal)?;
-        report.push(CascadeStage::Transpose, transpose.time, transpose.bytes);
-
-        // local queries (positional: results[r] answers recv[j][r])
-        let mut results: Vec<Vec<u64>> = Vec::with_capacity(self.num_gpus());
-        let mut worst = 0.0f64;
-        for (j, words) in recv.iter().enumerate() {
-            if words.is_empty() {
-                results.push(Vec::new());
-                continue;
-            }
-            gate_launch(plan, policy, j, launch_site::QUERY, tally).map_err(Abort::Lost)?;
-            let dev = &self.devices[j];
-            let inp = recv_guards[j].slice().sub(0, words.len());
-            let out_guard = dev
-                .alloc_scratch(words.len())
-                .expect("query output scratch");
-            let out = out_guard.slice();
-            let stats = self.maps[j].retrieve_device(inp, out, words.len());
-            worst = worst.max(straggled(plan, j, stats.sim_time));
-            results.push(dev.mem().d2h(out));
-        }
-        report.push_with_overhead(CascadeStage::Query, worst, 0, oh);
-
-        // transpose back: chunk sizes mirror the forward phase
-        let back = alltoall_time_faulted(
-            &self.topo,
-            &split.table.transposed().byte_matrix(8),
-            plan,
-            policy,
-        )
-        .map_err(|e| {
-            tally_exhausted_transfer(tally, policy, e);
-            Abort::Lost(Self::blame(plan, e))
-        })?;
-        tally.transfer_retries += u64::from(back.retries);
-        tally.backoff += back.backoff;
-        report.push(CascadeStage::TransposeBack, back.time, back.bytes);
-
-        // scatter into origin order, billed as one irregular-store kernel
-        // per origin GPU
-        let mut out: Vec<Vec<Option<u32>>> =
-            per_gpu_keys.iter().map(|k| vec![None; k.len()]).collect();
-        let recv_offsets = split.table.recv_offsets();
-        let mut scatter_worst = 0.0f64;
-        for i in 0..self.num_gpus() {
-            let mut writes = 0u64;
-            // walk GPU i's partition-ordered send buffer class by class,
-            // zipping with the results that came back from each target
-            for j in 0..self.num_gpus() {
-                let send_off = split.splits[i].offsets[j] as usize;
-                let count = split.splits[i].counts[j] as usize;
-                let sent = self.devices[i]
-                    .mem()
-                    .d2h(split.splits[i].out.sub(send_off, count));
-                let recv_off = recv_offsets[i][j] as usize;
-                for (r, &qword) in sent.iter().enumerate() {
-                    let origin = value_of(qword) as usize;
-                    let resp = results[j][recv_off + r];
-                    out[i][origin] = if resp == EMPTY {
-                        None
-                    } else {
-                        debug_assert_eq!(key_of(resp), key_of(qword));
-                        Some(value_of(resp))
-                    };
-                    writes += 1;
-                }
-            }
-            if writes > 0 {
-                let stats = self.devices[i].launch(
-                    "result_scatter",
-                    (writes as usize).div_ceil(32),
-                    GroupSize::WARP,
-                    LaunchOptions::default(),
-                    |ctx| {
-                        // 32 streaming reads of (qword, result) pairs; the
-                        // stores land in near-origin order (compaction is
-                        // order-preserving within a class chunk), so they
-                        // are sector-coalesced up to chunk boundaries
-                        ctx.bill_stream_bytes(32 * (16 + 8));
-                        ctx.bill_transactions(4);
-                    },
-                );
-                scatter_worst = scatter_worst.max(straggled(plan, i, stats.sim_time));
-            }
-        }
-        report.push_with_overhead(CascadeStage::Scatter, scatter_worst, 0, oh);
-        Ok(out)
-    }
-
-    /// Device-sided erase cascade: multisplit → transposition → erase.
-    ///
-    /// Takes `&mut self` — deletions require the global barrier of §IV-A
-    /// on every local map, and exclusive access makes that a compile-time
-    /// fact, exactly as in [`GpuHashMap::erase`]. Erase is naturally
-    /// idempotent (tombstoning a tombstone is a no-op), so fault recovery
-    /// restarts the cascade without double counting.
-    ///
-    /// Returns the number of keys found and tombstoned, plus the timing
-    /// report.
-    ///
-    /// # Panics
-    /// Panics (with the replay hint) if fault injection exhausts every
-    /// failover avenue.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_erase_device_sided` — typed `PerGpuDeleteResponse` with per-key hits"
-    )]
-    pub fn erase_device_sided(&mut self, per_gpu_keys: &[Vec<u32>]) -> (u64, CascadeReport) {
-        match self.erase_device_sided_impl(per_gpu_keys) {
-            Ok((_, erased, report)) => (erased, report),
-            Err(e) => panic!("erase failed: {e}; replay: {}", self.replay_hint()),
-        }
-    }
-
-    /// Device-sided erase with typed fault errors, returning the per-key
-    /// hit flags *in the original per-GPU order* alongside the tombstoned
-    /// count and a unified [`OpReport`]. Hit flags ride the same
-    /// origin-packing convention as retrieval (origin index in the low
-    /// half of the query word) and survive quarantine restarts: a key
-    /// tombstoned in an aborted round stays reported as a hit even though
-    /// the retried round no longer observes it.
-    ///
-    /// # Errors
-    /// [`OpError`] once every failover avenue is exhausted.
-    pub fn try_erase_device_sided(
-        &mut self,
-        per_gpu_keys: &[Vec<u32>],
-    ) -> Result<PerGpuDeleteResponse, OpError> {
-        let (hits, erased, report) = self.erase_device_sided_impl(per_gpu_keys)?;
-        Ok(PerGpuDeleteResponse {
-            hits,
-            erased,
-            report: OpReport::from_cascade(&report),
-        })
-    }
-
-    pub(crate) fn erase_device_sided_impl(
-        &mut self,
-        per_gpu_keys: &[Vec<u32>],
-    ) -> Result<(Vec<Vec<bool>>, u64, CascadeReport), OpError> {
-        assert_eq!(per_gpu_keys.len(), self.num_gpus(), "one batch per GPU");
-        let n_total: u64 = per_gpu_keys.iter().map(|v| v.len() as u64).sum();
-        let mut report = CascadeReport::new(n_total);
-        let mut erased = 0u64;
-        let mut hits: Vec<Vec<bool>> = per_gpu_keys.iter().map(|k| vec![false; k.len()]).collect();
-        let policy = self.cfg.retry;
-        for _round in 0..=self.num_gpus() {
-            let (plan, mask) = self.chaos_snapshot();
-            let (eff, origin) = self.respread_keys(per_gpu_keys, mask);
-            let router = self.router_for(mask);
-            match self.erase_cascade_once(
-                &eff,
-                &origin,
-                &router,
-                &plan,
-                &policy,
-                &mut report,
-                &mut erased,
-                &mut hits,
-            ) {
-                Ok(()) => return Ok((hits, erased, report)),
-                Err(Abort::Lost(j)) => self.quarantine(j)?,
-                Err(Abort::Fatal(e)) => return Err(e.into()),
-            }
-        }
-        Err(OpError::Internal {
-            detail: "every failed round quarantines one GPU; at most m rounds",
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn erase_cascade_once(
-        &self,
-        per_gpu_keys: &[Vec<u32>],
-        origin: &[Vec<(usize, usize)>],
-        router: &Router,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        report: &mut CascadeReport,
-        erased: &mut u64,
-        hits_out: &mut [Vec<bool>],
-    ) -> Result<(), Abort> {
-        // erase query words carry the (effective) origin index in the low
-        // 32 bits, exactly like retrieval — the erase kernel only reads
-        // `key_of`, so the payload half is free for routing metadata
-        let query_words: Vec<Vec<u64>> = per_gpu_keys
-            .iter()
-            .map(|keys| {
-                keys.iter()
-                    .enumerate()
-                    .map(|(i, &k)| pack(k, i as u32))
-                    .collect()
-            })
-            .collect();
-        let oh = self.devices[0].spec().launch_overhead;
-        let mut tally = ChaosTally::default();
-        let res = (|| {
-            let split = self.multisplit_phase(&query_words, router, plan, policy, &mut tally)?;
-            report.push_with_overhead(
-                CascadeStage::Multisplit,
-                split.time,
-                0,
-                oh * self.num_gpus() as f64,
-            );
-            let transpose =
-                alltoall_time_faulted(&self.topo, &split.table.byte_matrix(8), plan, policy)
-                    .map_err(|e| {
-                        tally_exhausted_transfer(&mut tally, policy, e);
-                        Abort::Lost(Self::blame(plan, e))
-                    })?;
-            tally.transfer_retries += u64::from(transpose.retries);
-            tally.backoff += transpose.backoff;
-            let (recv, recv_guards) = self.transpose_move(&split).map_err(Abort::Fatal)?;
-            report.push(CascadeStage::Transpose, transpose.time, transpose.bytes);
-
-            let mut worst = 0.0f64;
-            let mut hit_vecs: Vec<Vec<bool>> = vec![Vec::new(); self.num_gpus()];
-            let mut aborted: Option<Abort> = None;
-            for (j, words) in recv.iter().enumerate() {
-                if words.is_empty() {
-                    continue;
-                }
-                if let Err(lost) = gate_launch(plan, policy, j, launch_site::ERASE, &mut tally) {
-                    aborted = Some(Abort::Lost(lost));
-                    break;
-                }
-                let buf = recv_guards[j].slice().sub(0, words.len());
-                let out = self.maps[j].erase_device_shared(buf, words.len());
-                *erased += out.erased;
-                hit_vecs[j] = out.hits;
-                worst = worst.max(straggled(plan, j, out.stats.sim_time));
-            }
-
-            // harvest per-key hits for every target that completed — even
-            // when the round aborts: those tombstones landed, and the
-            // restarted round will no longer observe the keys (this is
-            // the same accumulate-across-rounds rule `erased` follows)
-            let recv_offsets = split.table.recv_offsets();
-            for i in 0..self.num_gpus() {
-                for j in 0..self.num_gpus() {
-                    if hit_vecs[j].is_empty() {
-                        continue;
-                    }
-                    let send_off = split.splits[i].offsets[j] as usize;
-                    let count = split.splits[i].counts[j] as usize;
-                    let sent = self.devices[i]
-                        .mem()
-                        .d2h(split.splits[i].out.sub(send_off, count));
-                    let recv_off = recv_offsets[i][j] as usize;
-                    for (r, &qword) in sent.iter().enumerate() {
-                        if hit_vecs[j][recv_off + r] {
-                            let (oi, oidx) = origin[i][value_of(qword) as usize];
-                            hits_out[oi][oidx] = true;
-                        }
-                    }
-                }
-            }
-            if let Some(a) = aborted {
-                return Err(a);
-            }
-            report.push_with_overhead(CascadeStage::Query, worst, 0, oh);
-
-            // return trip: one status byte per key mirrors the forward
-            // chunking, then an irregular-store scatter per origin GPU
-            let back = alltoall_time_faulted(
-                &self.topo,
-                &split.table.transposed().byte_matrix(1),
-                plan,
-                policy,
-            )
-            .map_err(|e| {
-                tally_exhausted_transfer(&mut tally, policy, e);
-                Abort::Lost(Self::blame(plan, e))
-            })?;
-            tally.transfer_retries += u64::from(back.retries);
-            tally.backoff += back.backoff;
-            report.push(CascadeStage::TransposeBack, back.time, back.bytes);
-
-            let mut scatter_worst = 0.0f64;
-            for i in 0..self.num_gpus() {
-                let writes: u64 = split.splits[i].counts.iter().sum();
-                if writes > 0 {
-                    let stats = self.devices[i].launch(
-                        "erase_hit_scatter",
-                        (writes as usize).div_ceil(32),
-                        GroupSize::WARP,
-                        LaunchOptions::default(),
-                        |ctx| {
-                            // 32 streaming reads of (qword, status) pairs;
-                            // single-byte statuses store near-coalesced
-                            ctx.bill_stream_bytes(32 * (8 + 1));
-                            ctx.bill_transactions(2);
-                        },
-                    );
-                    scatter_worst = scatter_worst.max(straggled(plan, i, stats.sim_time));
-                }
-            }
-            report.push_with_overhead(CascadeStage::Scatter, scatter_worst, 0, oh);
-            Ok(())
-        })();
-        if tally.backoff > 0.0 {
-            report.push(CascadeStage::Backoff, tally.backoff, 0);
-        }
-        self.note_chaos(&tally);
-        res
-    }
-
-    /// Host-sided erase: keys travel over PCIe, then the device cascade
-    /// runs. Returns the tombstoned count.
-    ///
-    /// # Panics
-    /// Panics (with the replay hint) if fault injection exhausts every
-    /// failover avenue.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_erase_from_host` — typed `DeleteResponse` with per-key hits"
-    )]
-    pub fn erase_from_host(&mut self, keys: &[u32]) -> (u64, CascadeReport) {
-        match self.erase_from_host_impl(keys) {
-            Ok((_, erased, report)) => (erased, report),
-            Err(e) => panic!("erase failed: {e}; replay: {}", self.replay_hint()),
-        }
-    }
-
-    /// Host-sided erase with typed fault errors: keys travel over PCIe,
-    /// the device cascade runs, and per-key hit flags come back in the
-    /// original input order.
-    ///
-    /// # Errors
-    /// [`OpError`] once every failover avenue is exhausted.
-    pub fn try_erase_from_host(
-        &mut self,
-        keys: &[u32],
-    ) -> Result<crate::service::DeleteResponse, OpError> {
-        let (hits, erased, report) = self.erase_from_host_impl(keys)?;
-        Ok(crate::service::DeleteResponse {
-            hits,
-            erased,
-            report: OpReport::from_cascade(&report),
-        })
-    }
-
-    fn erase_from_host_impl(
-        &mut self,
-        keys: &[u32],
-    ) -> Result<(Vec<bool>, u64, CascadeReport), OpError> {
-        let m = self.num_gpus();
-        let per = keys.len().div_ceil(m.max(1)).max(1);
-        let mut per_gpu: Vec<Vec<u32>> = keys.chunks(per).map(<[u32]>::to_vec).collect();
-        per_gpu.resize(m, Vec::new());
-        let bytes: Vec<u64> = per_gpu.iter().map(|c| c.len() as u64 * 8).collect();
-        let t_h2d = interconnect::h2d_time(&self.topo, &bytes);
-        let (hits, erased, device) = self.erase_device_sided_impl(&per_gpu)?;
-        let mut report = CascadeReport::new(keys.len() as u64);
-        report.push(CascadeStage::H2D, t_h2d, bytes.iter().sum());
-        report.absorb(&CascadeReport {
-            stages: device.stages,
-            elements: 0,
-        });
-        // chunks are contiguous, so flattening restores input order
-        Ok((hits.into_iter().flatten().collect(), erased, report))
-    }
-
-    // ---- phases -----------------------------------------------------------
-
-    /// Uploads each GPU's words and multisplits them by the router's
-    /// fault-aware partition assignment, gating each non-empty GPU's
-    /// launches on the fault plan.
-    fn multisplit_phase(
-        &self,
-        per_gpu_words: &[Vec<u64>],
-        router: &Router,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        tally: &mut ChaosTally,
-    ) -> Result<SplitPhase<'_>, Abort> {
-        let m = self.num_gpus();
-        let mut guards = Vec::new();
-        let mut splits = Vec::with_capacity(m);
-        let mut worst = 0.0f64;
-        for (i, words) in per_gpu_words.iter().enumerate() {
-            let dev = &self.devices[i];
-            let n = words.len();
-            if n > 0 {
-                gate_launch(plan, policy, i, launch_site::MULTISPLIT, tally)
-                    .map_err(Abort::Lost)?;
-            }
-            // double buffer (Fig. 4: "out-of-place using one double buffer
-            // per GPU") plus the aggregation counter
-            let guard = dev
-                .alloc_scratch(2 * n.max(1) + 1)
-                .map_err(|e| Abort::Fatal(e.into()))?;
-            let input = guard.slice().sub(0, n);
-            let output = guard.slice().sub(n.max(1), n.max(1));
-            let scratch = guard.slice().sub(2 * n.max(1), 1);
-            dev.mem().h2d(input, words);
-            let classifier = router.clone();
-            let res = device_multisplit(dev, input, output, scratch, m, move |w| {
-                classifier.route(key_of(w))
-            });
-            worst = worst.max(straggled(plan, i, res.stats.sim_time));
-            splits.push(res);
-            guards.push(guard);
-        }
-        let table = PartitionTable::new(splits.iter().map(|s| s.counts.clone()).collect());
-        Ok(SplitPhase {
-            _guards: guards,
-            splits,
-            table,
-            time: worst,
-        })
-    }
-
-    /// Moves every off-diagonal partition to its target GPU (functional
-    /// movement only — the transfer itself is billed by the caller via
-    /// the all-to-all model, faulted or healthy).
-    #[allow(clippy::type_complexity)]
-    fn transpose_move<'s>(
-        &'s self,
-        split: &SplitPhase<'_>,
-    ) -> Result<(Vec<Vec<u64>>, Vec<gpu_sim::ScratchGuard<'s>>), InsertError> {
-        let m = self.num_gpus();
-        let mut recv: Vec<Vec<u64>> = vec![Vec::new(); m];
-        #[allow(clippy::needless_range_loop)] // (i, j) walks the square count matrix
-        for i in 0..m {
-            for j in 0..m {
-                let off = split.splits[i].offsets[j] as usize;
-                let cnt = split.splits[i].counts[j] as usize;
-                let chunk = self.devices[i].mem().d2h(split.splits[i].out.sub(off, cnt));
-                recv[j].extend(chunk);
-            }
-        }
-        // land the received words in device memory on their targets
-        let mut guards = Vec::with_capacity(m);
-        for (j, words) in recv.iter().enumerate() {
-            let guard = self.devices[j].alloc_scratch(words.len().max(1))?;
-            self.devices[j]
-                .mem()
-                .h2d(guard.slice().sub(0, words.len()), words);
-            guards.push(guard);
-        }
-        Ok((recv, guards))
     }
 }
 
@@ -1305,7 +435,7 @@ impl crate::service::MapService for DistributedHashMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::Device;
+    use crate::{pack, CascadeStage};
 
     fn node(m: usize, words_per_dev: usize) -> DistributedHashMap {
         let devices: Vec<Arc<Device>> = (0..m)
@@ -1413,7 +543,7 @@ mod tests {
 #[cfg(test)]
 mod erase_tests {
     use super::*;
-    use gpu_sim::Device;
+    use crate::CascadeStage;
 
     fn node(m: usize) -> DistributedHashMap {
         let devices: Vec<Arc<Device>> = (0..m)
@@ -1480,7 +610,7 @@ mod erase_tests {
 #[cfg(test)]
 mod chaos_tests {
     use super::*;
-    use gpu_sim::Device;
+    use crate::{pack, CascadeStage};
     use std::collections::BTreeMap;
 
     fn node_with(cfg: Config, m: usize) -> DistributedHashMap {

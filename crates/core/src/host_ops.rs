@@ -7,126 +7,98 @@
 //! host-side reordering (which the paper rules out as "almost as
 //! expensive as CPU-based hash map construction").
 
+use crate::cascade::Abort;
 use crate::distributed::DistributedHashMap;
 use crate::entry::pack;
 use crate::errors::InsertError;
-use crate::service::{GetResponse, OpError, OpReport};
+use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
 use crate::stats::{CascadeReport, CascadeStage};
 use interconnect::{d2h_time_faulted, h2d_time_faulted};
 
-/// Splits a slice into `m` near-equal contiguous chunks.
-fn chunks<T: Copy>(items: &[T], m: usize) -> Vec<Vec<T>> {
-    let per = items.len().div_ceil(m.max(1)).max(1);
-    let mut out: Vec<Vec<T>> = items.chunks(per).map(<[T]>::to_vec).collect();
-    out.resize(m, Vec::new());
-    out
-}
-
-/// [`chunks`] restricted to the live GPUs of a quarantine `mask`: dead
-/// GPUs receive empty chunks (they cannot accept PCIe traffic), the
-/// items spread contiguously over the survivors in ascending GPU order
-/// (so flattening still restores the original order). With an empty mask
-/// this *is* [`chunks`] — the healthy path is unchanged.
-fn live_chunks<T: Copy>(items: &[T], m: usize, mask: u32) -> Vec<Vec<T>> {
-    if mask == 0 {
-        return chunks(items, m);
-    }
-    let live: Vec<usize> = (0..m).filter(|&g| mask & (1 << g) == 0).collect();
-    let inner = chunks(items, live.len());
-    let mut out: Vec<Vec<T>> = vec![Vec::new(); m];
-    for (&slot, chunk) in live.iter().zip(inner) {
-        out[slot] = chunk;
-    }
-    out
+/// Splits `items` into one contiguous chunk per GPU: near-equal over the
+/// live GPUs of a quarantine `mask` in ascending order, empty for the
+/// dead ones (they cannot accept PCIe traffic). Flattening the chunks
+/// restores the original order.
+fn live_chunks<T>(items: &[T], m: usize, mask: u32) -> Vec<&[T]> {
+    let live = (0..m).filter(|&g| mask & (1 << g) == 0).count();
+    let mut chunks = items.chunks(items.len().div_ceil(live.max(1)).max(1));
+    (0..m)
+        .map(|g| match mask & (1 << g) {
+            0 => chunks.next().unwrap_or_default(),
+            _ => &[],
+        })
+        .collect()
 }
 
 impl DistributedHashMap {
-    /// Host-sided insertion: transfer the packed pairs over PCIe
-    /// (unstructured equal spread over the live GPUs), then run the
-    /// device cascade. Dropped PCIe transfers are retried with backoff; a
-    /// host link whose budget is exhausted quarantines its GPU and the
-    /// transfer re-spreads over the survivors.
-    ///
-    /// # Errors
-    /// Propagates the device cascade's errors; [`InsertError::Transfer`]
-    /// or [`InsertError::DeviceLost`] once no failover remains.
-    pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, InsertError> {
+    /// The one host bracket: `items` travel up over PCIe as 8-byte words
+    /// (`word(i, item)` for the `i`-th item of a GPU's chunk), the
+    /// `device` cascade runs on them, and — for an operation whose
+    /// answers the host reads — 8 bytes per item travel back `down`.
+    /// Dropped PCIe transfers are retried with backoff; a host link whose
+    /// budget is exhausted quarantines its GPU and the transfer
+    /// re-spreads over the survivors.
+    fn host_bracket<T: Copy, O>(
+        &self,
+        items: &[T],
+        word: impl Fn(usize, T) -> u64,
+        down: bool,
+        device: impl FnOnce(&[Vec<u64>], &mut CascadeReport) -> Result<O, InsertError>,
+    ) -> Result<(O, CascadeReport), InsertError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
-        let mut report = CascadeReport::new(pairs.len() as u64);
-        for _round in 0..=m {
-            let (plan, mask) = self.chaos_snapshot();
-            let per_gpu: Vec<Vec<u64>> = live_chunks(pairs, m, mask)
+        let mut report = CascadeReport::new(items.len() as u64);
+        let per_gpu = self.with_failover(&mut report, |plan, mask, report, tally| {
+            let per_gpu: Vec<Vec<u64>> = live_chunks(items, m, mask)
                 .into_iter()
-                .map(|c| c.into_iter().map(|(k, v)| pack(k, v)).collect())
+                .map(|c| c.iter().enumerate().map(|(i, &x)| word(i, x)).collect())
                 .collect();
             let bytes: Vec<u64> = per_gpu.iter().map(|c| c.len() as u64 * 8).collect();
-            match h2d_time_faulted(self.topology(), &bytes, &plan, &policy) {
-                Ok(t) => {
-                    report.push(CascadeStage::H2D, t.time, bytes.iter().sum());
-                    if t.backoff > 0.0 {
-                        report.push(CascadeStage::Backoff, t.backoff, 0);
-                    }
-                    self.note_transfer_chaos(t.retries, t.backoff);
-                    let device = self.insert_device_sided(&per_gpu)?;
-                    report.absorb(&CascadeReport {
-                        stages: device.stages,
-                        elements: 0, // already counted
-                    });
-                    return Ok(report);
-                }
-                Err(e) => {
-                    self.bill_exhausted_transfer(&mut report, &policy, e);
-                    self.quarantine_blamed(&plan, e)?;
-                }
-            }
+            let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
+            let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
+            report.push(CascadeStage::H2D, up.time, up.bytes);
+            Ok(per_gpu)
+        })?;
+        let out = device(&per_gpu, &mut report)?;
+        if down {
+            self.with_failover(&mut report, |plan, mask, report, tally| {
+                // the cascade may have quarantined GPUs mid-flight; their
+                // answers physically came from survivors, so the dead
+                // links carry no bytes
+                let bytes: Vec<u64> = (0..m)
+                    .map(|g| match mask & (1 << g) {
+                        0 => per_gpu[g].len() as u64 * 8,
+                        _ => 0,
+                    })
+                    .collect();
+                let down = d2h_time_faulted(self.topology(), &bytes, plan, &policy);
+                let down = tally.settle(plan, &policy, down).map_err(Abort::Lost)?;
+                report.push(CascadeStage::D2H, down.time, down.bytes);
+                Ok(())
+            })?;
         }
-        Err(InsertError::Internal {
-            detail: "every failed round quarantines one GPU; at most m rounds",
-        })
+        Ok((out, report))
     }
 
-    /// Books a budget-exhausted PCIe transfer's retries and backoff into
-    /// the degraded stats and the report (the work happened before the
-    /// link gave up).
-    fn bill_exhausted_transfer(
-        &self,
-        report: &mut CascadeReport,
-        policy: &gpu_sim::RetryPolicy,
-        e: interconnect::TransferError,
-    ) {
-        let r = e.attempts.saturating_sub(1);
-        let b: f64 = (1..=r).map(|a| policy.backoff_before(a)).sum();
-        self.note_transfer_chaos(r, b);
-        if b > 0.0 {
-            report.push(CascadeStage::Backoff, b, 0);
-        }
-    }
-
-    /// Host-sided retrieval: query words up over PCIe (8 bytes each —
-    /// the device cascade routes them with their origin index packed in
-    /// the low half), device cascade, packed key-value results down
-    /// (8 bytes each). Returns the results in the original key order.
+    /// Host-sided insertion: transfer the packed pairs over PCIe
+    /// (unstructured equal spread over the live GPUs), then run the
+    /// device cascade.
     ///
-    /// # Panics
-    /// Panics (with the replay hint) if fault injection exhausts every
-    /// failover avenue; use
-    /// [`DistributedHashMap::try_retrieve_from_host`] for the typed
-    /// error.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve_from_host` — typed `GetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve_from_host(&self, keys: &[u32]) -> (Vec<Option<u32>>, CascadeReport) {
-        match self.retrieve_from_host_impl(keys) {
-            Ok(out) => out,
-            Err(e) => panic!("retrieve failed: {e}; replay: {}", self.replay_hint()),
-        }
+    /// # Errors
+    /// Propagates the device cascade's errors;
+    /// [`InsertError::DeviceLost`] once no failover remains.
+    pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, InsertError> {
+        let device =
+            |words: &[Vec<u64>], report: &mut CascadeReport| self.insert_words(words, report);
+        let ((), report) = self.host_bracket(pairs, |_, (k, v)| pack(k, v), false, device)?;
+        Ok(report)
     }
 
-    /// Host-sided retrieval with typed fault errors, returning the
-    /// results in the original key order with a unified [`OpReport`].
+    /// Host-sided retrieval with typed fault errors: query words up over
+    /// PCIe (8 bytes each — the key with its per-GPU index packed in the
+    /// low half), device cascade, packed key-value results down (8 bytes
+    /// each). Returns the results in the original key order with a
+    /// unified [`OpReport`].
     ///
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
@@ -150,77 +122,30 @@ impl DistributedHashMap {
     pub(crate) fn retrieve_from_host_impl(
         &self,
         keys: &[u32],
-    ) -> Result<(Vec<Option<u32>>, CascadeReport), OpError> {
-        let m = self.num_gpus();
-        let policy = self.retry_policy();
-        let mut report = CascadeReport::new(keys.len() as u64);
+    ) -> Result<(Vec<Option<u32>>, CascadeReport), InsertError> {
+        let device =
+            |words: &[Vec<u64>], report: &mut CascadeReport| self.query_words(words, report);
+        let (values, report) = self.host_bracket(keys, |i, k| pack(k, i as u32), true, device)?;
+        // chunks are contiguous, so flattening restores input order
+        Ok((values.into_iter().flatten().collect(), report))
+    }
 
-        // keys up over PCIe (retrying; a dead host link quarantines)
-        let mut upload = None;
-        for _round in 0..=m {
-            let (plan, mask) = self.chaos_snapshot();
-            let per_gpu = live_chunks(keys, m, mask);
-            let up_bytes: Vec<u64> = per_gpu.iter().map(|c| c.len() as u64 * 8).collect();
-            match h2d_time_faulted(self.topology(), &up_bytes, &plan, &policy) {
-                Ok(t) => {
-                    report.push(CascadeStage::H2D, t.time, up_bytes.iter().sum());
-                    if t.backoff > 0.0 {
-                        report.push(CascadeStage::Backoff, t.backoff, 0);
-                    }
-                    self.note_transfer_chaos(t.retries, t.backoff);
-                    upload = Some(per_gpu);
-                    break;
-                }
-                Err(e) => {
-                    self.bill_exhausted_transfer(&mut report, &policy, e);
-                    self.quarantine_blamed(&plan, e)?;
-                }
-            }
-        }
-        let per_gpu = upload.ok_or(OpError::Internal {
-            detail: "every failed round quarantines one GPU; at most m rounds",
-        })?;
-
-        let (per_gpu_results, device) = self.retrieve_device_sided_impl(&per_gpu)?;
-        report.absorb(&CascadeReport {
-            stages: device.stages,
-            elements: 0,
-        });
-
-        // results down over PCIe. The cascade may have quarantined GPUs
-        // mid-flight; their answers physically came from survivors, so
-        // the dead links carry no bytes.
-        for _round in 0..=m {
-            let (plan, mask) = self.chaos_snapshot();
-            let down_bytes: Vec<u64> = per_gpu
-                .iter()
-                .enumerate()
-                .map(|(g, c)| {
-                    if mask & (1 << g) == 0 {
-                        c.len() as u64 * 8
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            match d2h_time_faulted(self.topology(), &down_bytes, &plan, &policy) {
-                Ok(t) => {
-                    report.push(CascadeStage::D2H, t.time, down_bytes.iter().sum());
-                    if t.backoff > 0.0 {
-                        report.push(CascadeStage::Backoff, t.backoff, 0);
-                    }
-                    self.note_transfer_chaos(t.retries, t.backoff);
-                    let results = per_gpu_results.into_iter().flatten().collect();
-                    return Ok((results, report));
-                }
-                Err(e) => {
-                    self.bill_exhausted_transfer(&mut report, &policy, e);
-                    self.quarantine_blamed(&plan, e)?;
-                }
-            }
-        }
-        Err(OpError::Internal {
-            detail: "every failed round quarantines one GPU; at most m rounds",
+    /// Host-sided erase with typed fault errors: keys travel over PCIe
+    /// under the same retry-and-quarantine contract as insertion, the
+    /// device cascade runs, and per-key hit flags come back in the
+    /// original input order.
+    ///
+    /// # Errors
+    /// [`OpError`] once every failover avenue is exhausted.
+    pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
+        let device =
+            |words: &[Vec<u64>], report: &mut CascadeReport| self.erase_words(words, report);
+        let ((hits, erased), report) =
+            self.host_bracket(keys, |i, k| pack(k, i as u32), false, device)?;
+        Ok(DeleteResponse {
+            hits: hits.into_iter().flatten().collect(),
+            erased,
+            report: OpReport::from_cascade(&report),
         })
     }
 }
@@ -291,11 +216,12 @@ mod tests {
 
     #[test]
     fn chunking_covers_and_pads() {
-        let c = chunks(&[1, 2, 3, 4, 5], 3);
-        assert_eq!(c.len(), 3);
-        let flat: Vec<i32> = c.iter().flatten().copied().collect();
-        assert_eq!(flat, vec![1, 2, 3, 4, 5]);
-        let c = chunks::<i32>(&[], 2);
-        assert_eq!(c, vec![Vec::<i32>::new(), Vec::new()]);
+        let c = live_chunks(&[1, 2, 3, 4, 5], 3, 0);
+        assert_eq!(c, [&[1, 2][..], &[3, 4], &[5]]);
+        let c = live_chunks::<i32>(&[], 2, 0);
+        assert_eq!(c, [&[][..], &[]]);
+        // quarantined GPUs get nothing; the survivors share in order
+        let c = live_chunks(&[1, 2, 3, 4, 5], 4, 0b0101);
+        assert_eq!(c, [&[][..], &[1, 2, 3], &[], &[4, 5]]);
     }
 }

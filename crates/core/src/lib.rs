@@ -42,6 +42,7 @@
 pub mod adaptive;
 pub mod async_pipe;
 pub mod cache;
+pub mod cascade;
 pub mod chaos;
 pub mod config;
 pub mod delete;

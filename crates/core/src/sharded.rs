@@ -14,7 +14,7 @@
 //! pass per bulk operation (billed as streaming traffic), so sharding
 //! only pays off once the monolithic table is actually degraded.
 
-use crate::chaos::launch_site;
+use crate::chaos::{launch_site, ChaosTally};
 use crate::config::Config;
 use crate::errors::{BuildError, InsertError};
 use crate::insert::InsertOutcome;
@@ -99,6 +99,15 @@ impl ShardedHashMap {
         self.len() as f64 / cap as f64
     }
 
+    /// Rolls shard `s`'s transient launch failures at the shard-routing
+    /// site; retry backoff accumulates in `tally`. One device hosts every
+    /// shard, so an exhausted budget has no failover target.
+    fn gate(&self, s: usize, tally: &mut ChaosTally) -> Result<(), InsertError> {
+        tally
+            .gate_launch(&self.fault, &self.retry, s, launch_site::SHARD)
+            .map_err(|device| InsertError::DeviceLost { device })
+    }
+
     /// Bills the on-device routing pass (read every pair, bucket it) and
     /// returns per-shard buckets.
     fn route(&self, pairs: &[(u32, u32)]) -> (Vec<Vec<(u32, u32)>>, KernelStats) {
@@ -138,21 +147,12 @@ impl ShardedHashMap {
         let (buckets, route_stats) = self.route(pairs);
         let mut merged: Option<InsertOutcome> = None;
         let mut failed = 0u64;
-        let mut backoff = 0.0f64;
+        let mut tally = ChaosTally::default();
         for (s, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
-            let mut attempt = 0u32;
-            let mut spent = 0.0f64;
-            while self.fault.launch_fails(s, launch_site::SHARD, attempt) {
-                attempt += 1;
-                if !self.retry.may_retry(attempt, spent) {
-                    return Err(InsertError::DeviceLost { device: s });
-                }
-                spent += self.retry.backoff_before(attempt);
-            }
-            backoff += spent;
+            self.gate(s, &mut tally)?;
             match self.shards[s].insert_pairs(bucket) {
                 Ok(o) => {
                     merged = Some(match merged {
@@ -179,10 +179,10 @@ impl ShardedHashMap {
         });
         outcome.stats = outcome.stats.merged(&route_stats);
         outcome.failed = failed;
-        if backoff > 0.0 {
+        if tally.backoff > 0.0 {
             // fault-injection waits are real wall time; the fault-off
             // path never reaches this addition, keeping it bit-identical
-            outcome.stats.sim_time += backoff;
+            outcome.stats.sim_time += tally.backoff;
         }
         if failed > 0 {
             return Err(InsertError::ProbingExhausted { failed });
@@ -213,21 +213,12 @@ impl ShardedHashMap {
         let mut out = vec![None; keys.len()];
         let mut stats = route;
         let mut launches = 1u64;
-        let mut backoff = 0.0f64;
+        let mut tally = ChaosTally::default();
         for (s, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
-            let mut attempt = 0u32;
-            let mut spent = 0.0f64;
-            while self.fault.launch_fails(s, launch_site::SHARD, attempt) {
-                attempt += 1;
-                if !self.retry.may_retry(attempt, spent) {
-                    return Err(OpError::DeviceLost { device: s });
-                }
-                spent += self.retry.backoff_before(attempt);
-            }
-            backoff += spent;
+            self.gate(s, &mut tally)?;
             let shard_keys: Vec<u32> = bucket.iter().map(|b| b.1).collect();
             let (res, s_stats) = self.shards[s].retrieve_impl(&shard_keys)?;
             stats = stats.merged(&s_stats);
@@ -236,7 +227,7 @@ impl ShardedHashMap {
                 out[*origin] = r;
             }
         }
-        Ok((out, stats, launches, backoff))
+        Ok((out, stats, launches, tally.backoff))
     }
 
     /// Bulk retrieval in input order, with a typed [`OpReport`]. Under
@@ -294,21 +285,12 @@ impl ShardedHashMap {
         let mut stats = route;
         let mut launches = 1u64;
         let mut erased = 0u64;
-        let mut backoff = 0.0f64;
+        let mut tally = ChaosTally::default();
         for (s, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
-            let mut attempt = 0u32;
-            let mut spent = 0.0f64;
-            while self.fault.launch_fails(s, launch_site::SHARD, attempt) {
-                attempt += 1;
-                if !self.retry.may_retry(attempt, spent) {
-                    return Err(OpError::DeviceLost { device: s });
-                }
-                spent += self.retry.backoff_before(attempt);
-            }
-            backoff += spent;
+            self.gate(s, &mut tally)?;
             let shard_keys: Vec<u32> = bucket.iter().map(|b| b.1).collect();
             let out = self.shards[s].erase_impl(&shard_keys)?;
             stats = stats.merged(&out.stats);
@@ -320,8 +302,8 @@ impl ShardedHashMap {
         }
         let mut report = OpReport::from_kernel(&stats, keys.len() as u64);
         report.launches = launches;
-        report.backoff_time = backoff;
-        report.time += backoff;
+        report.backoff_time = tally.backoff;
+        report.time += tally.backoff;
         Ok(DeleteResponse {
             hits,
             erased,

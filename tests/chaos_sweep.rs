@@ -392,3 +392,88 @@ fn broken_forget_quarantined_partition_is_caught_by_round_trip() {
     });
     println!("forget-partition mutant caught by degraded round trip at seed {seed}");
 }
+
+// Host-sided erase runs inside the same PCIe bracket as insert and
+// retrieve. (Its disarmed report is pinned bit for bit by
+// `tests/cascade_golden.rs`.)
+
+/// A node holding `key(0..n)`, loaded before `plan` is armed.
+fn preloaded(m: usize, n: u32, plan: FaultPlan) -> (DistributedHashMap, Vec<u32>) {
+    let d = node(m, Config::default().with_fault(FaultPlan::default()));
+    let pairs: Vec<(u32, u32)> = (0..n).map(|i| (i * 7 + 3, i)).collect();
+    d.insert_from_host(&pairs).unwrap();
+    d.set_fault_plan(plan);
+    (d, pairs.iter().map(|p| p.0).collect())
+}
+
+/// Dropped host-link transfers of an erase are retried with backoff, and
+/// the retries are booked: `transfer_retries`, and a `Backoff` stage
+/// right behind the H2D it delayed. On a 1-GPU node the all-to-all moves
+/// nothing, so every transfer retry is the host link's.
+#[test]
+fn erase_from_host_retries_dropped_host_link_transfers() {
+    let mut retried = 0;
+    for seed in 0..16 {
+        let plan = FaultPlan::default().with_seed(seed).with_transfer_drop(0.5);
+        let (mut d, keys) = preloaded(1, 600, plan);
+        let del = match d.try_erase_from_host(&keys) {
+            Ok(del) => del,
+            // the only link gave up and there is no survivor to fail over to
+            Err(e) => {
+                assert!(matches!(e, warpdrive::OpError::DeviceLost { device: 0 }), "{e:?}");
+                continue;
+            }
+        };
+        assert!(del.hits.iter().all(|&h| h), "{}", d.replay_hint());
+        let stats = d.degraded_stats();
+        let stages: Vec<CascadeStage> = del.report.stages.iter().map(|s| s.stage).collect();
+        assert_eq!(stages[0], CascadeStage::H2D);
+        if stats.transfer_retries > 0 {
+            retried += 1;
+            assert_eq!(stages[1], CascadeStage::Backoff, "{}", d.replay_hint());
+            assert_eq!(del.report.backoff_time.to_bits(), stats.backoff_time.to_bits());
+        } else {
+            assert!(!stages.contains(&CascadeStage::Backoff));
+        }
+    }
+    assert!(retried > 0, "no seed dropped a host-link transfer at 50 %");
+}
+
+/// A host link that exhausts its budget during an erase quarantines its
+/// GPU then and there: the PCIe phase condemns it (transfer retries, no
+/// launch retries), its keys migrate, and the erase still finds them all.
+#[test]
+fn erase_from_host_quarantines_an_exhausted_host_link() {
+    let (mut d, keys) = preloaded(4, 1200, FaultPlan::default().with_kill(1));
+    let del = d.try_erase_from_host(&keys).unwrap();
+    assert_eq!(del.erased, 1200);
+    assert!(del.hits.iter().all(|&h| h));
+    assert_eq!(d.quarantined(), vec![1]);
+    let stats = d.degraded_stats();
+    assert_eq!(stats.transfer_retries, u64::from(d.retry_policy().max_attempts) - 1);
+    assert_eq!(stats.launch_retries, 0, "the host link failed before any launch");
+    assert!(stats.migrated_keys > 0);
+    // the failed upload's backoff is billed ahead of the one that went through
+    let stages: Vec<CascadeStage> = del.report.stages.iter().map(|s| s.stage).collect();
+    assert_eq!(stages[..2], [CascadeStage::Backoff, CascadeStage::H2D]);
+}
+
+/// Once a GPU is quarantined, an erase uploads nothing to it: the keys
+/// spread over the survivors' host links only.
+#[test]
+fn erase_from_host_sends_no_pcie_bytes_to_quarantined_gpus() {
+    let (mut d, keys) = preloaded(4, 1200, FaultPlan::default().with_kill(3));
+    // any upload that reaches GPU 3 finds its host link dead
+    d.insert_from_host(&[(1, 1), (2, 2), (4, 4), (5, 5)]).unwrap();
+    assert_eq!(d.quarantined(), vec![3]);
+    let del = d.try_erase_from_host(&keys[..900]).unwrap();
+    assert_eq!(del.erased, 900);
+    let h2d = del.report.stages[0];
+    assert_eq!(h2d.stage, CascadeStage::H2D);
+    assert_eq!(h2d.bytes, 900 * 8);
+    let topo = Topology::p100_quad(4);
+    let over_survivors = interconnect::h2d_time(&topo, &[2400, 2400, 2400, 0]);
+    let over_everyone = interconnect::h2d_time(&topo, &[1800; 4]);
+    assert_ne!(over_survivors.to_bits(), over_everyone.to_bits());
+    assert_eq!(h2d.time.to_bits(), over_survivors.to_bits());
+}

@@ -104,3 +104,34 @@ fn paper_scale_capacity_arithmetic() {
     // but fine across four devices
     assert!(big / 4 < spec.vram_bytes);
 }
+
+/// The retrieval cascade stages its answers in scratch on every target
+/// GPU. A target whose VRAM holds the received queries but not the
+/// answers beside them fails the operation with a typed OOM — like the
+/// multisplit and transposition phases before it — and frees what it
+/// held.
+#[test]
+fn starved_query_output_scratch_is_a_typed_error() {
+    let words = |i| if i == 1 { 1024 + 700 } else { 1 << 14 };
+    let devices: Vec<_> = (0..2)
+        .map(|i| Arc::new(gpu_sim::Device::with_words(i, words(i))))
+        .collect();
+    let starved = Arc::clone(&devices[1]);
+    let dmap =
+        DistributedHashMap::new(devices, 1024, Config::default(), Topology::p100_quad(2)).unwrap();
+    let free_before = starved.mem().available_words();
+    // 500 queries resident on GPU 0, all owned by GPU 1: its 700 free
+    // words take the 500 received words, not 500 answers as well
+    let keys: Vec<u32> = (1..)
+        .filter(|&k| dmap.partition().part(k) == 1)
+        .take(500)
+        .collect();
+    let err = dmap
+        .try_retrieve_device_sided(&[keys, Vec::new()])
+        .unwrap_err();
+    assert!(matches!(err, warpdrive::OpError::OutOfMemory(_)), "{err:?}");
+    assert_eq!(starved.mem().available_words(), free_before, "scratch leaked");
+    // the map remains usable at a size that fits
+    dmap.insert_from_host(&[(5, 50)]).unwrap();
+    assert_eq!(dmap.get(5), Some(50));
+}
