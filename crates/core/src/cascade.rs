@@ -347,17 +347,9 @@ impl DistributedHashMap {
     /// The premature-failover body of the `broken_double_apply_on_retry`
     /// mutation double.
     fn double_apply(&self, words: &[u64], j: usize, router: &Router) {
-        let Some(fb) = router.also_masking(j) else {
-            return;
-        };
-        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.num_gpus()];
-        for &w in words {
-            buckets[fb.route(key_of(w)) as usize].push((key_of(w), value_of(w)));
-        }
-        for (t, bucket) in buckets.iter().enumerate() {
-            if !bucket.is_empty() {
-                let _ = self.maps()[t].insert_pairs(bucket);
-            }
+        if let Some(failover) = router.also_masking(j) {
+            let pairs = words.iter().map(|&w| (key_of(w), value_of(w)));
+            let _ = self.insert_routed(&failover, pairs);
         }
     }
 

@@ -80,12 +80,6 @@ impl Router {
         }
     }
 
-    /// The quarantine mask this router was built with.
-    #[must_use]
-    pub fn mask(&self) -> u32 {
-        self.mask
-    }
-
     /// Number of live GPUs.
     #[must_use]
     pub fn num_live(&self) -> usize {

@@ -143,16 +143,17 @@ impl DistributedHashMap {
         }
     }
 
+    /// The local maps of the live (non-quarantined) GPUs.
+    fn live_maps(&self) -> impl Iterator<Item = &GpuHashMap> {
+        let mask = self.chaos.read().mask;
+        let live = move |&(i, _): &(usize, &GpuHashMap)| mask & (1 << i) == 0;
+        self.maps.iter().enumerate().filter(live).map(|(_, map)| map)
+    }
+
     /// Total live entries over all non-quarantined GPUs.
     #[must_use]
     pub fn len(&self) -> u64 {
-        let mask = self.chaos.read().mask;
-        self.maps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) == 0)
-            .map(|(_, m)| m.len())
-            .sum()
+        self.live_maps().map(GpuHashMap::len).sum()
     }
 
     /// Whether no live GPU holds any entry.
@@ -164,14 +165,7 @@ impl DistributedHashMap {
     /// Aggregate load factor over the live GPUs.
     #[must_use]
     pub fn load_factor(&self) -> f64 {
-        let mask = self.chaos.read().mask;
-        let cap: usize = self
-            .maps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) == 0)
-            .map(|(_, m)| m.capacity())
-            .sum();
+        let cap: usize = self.live_maps().map(GpuHashMap::capacity).sum();
         self.len() as f64 / cap as f64
     }
 
@@ -223,19 +217,7 @@ impl DistributedHashMap {
     /// Aggregate slot occupancy over the live (non-quarantined) GPUs.
     #[must_use]
     pub fn occupancy_split(&self) -> crate::Occupancy {
-        let mask = self.chaos.read().mask;
-        self.maps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) == 0)
-            .fold(crate::Occupancy::default(), |acc, (_, m)| {
-                let o = m.occupancy_split();
-                crate::Occupancy {
-                    live: acc.live + o.live,
-                    tombstones: acc.tombstones + o.tombstones,
-                    capacity: acc.capacity + o.capacity,
-                }
-            })
+        self.live_maps().map(GpuHashMap::occupancy_split).sum()
     }
 
     // ---- chaos control ----------------------------------------------------
@@ -245,12 +227,6 @@ impl DistributedHashMap {
     /// plan changes.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.chaos.write().plan = plan;
-    }
-
-    /// The active fault plan.
-    #[must_use]
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.chaos.read().plan
     }
 
     /// The retry/backoff policy governing fault recovery.
@@ -276,13 +252,7 @@ impl DistributedHashMap {
     /// Host-side snapshot of every live (non-quarantined) GPU's entries.
     #[must_use]
     pub fn live_snapshot(&self) -> Vec<(u32, u32)> {
-        let mask = self.chaos.read().mask;
-        self.maps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) == 0)
-            .flat_map(|(_, m)| m.snapshot())
-            .collect()
+        self.live_maps().flat_map(GpuHashMap::snapshot).collect()
     }
 
     /// Replay string reproducing this map's fault decisions and kernel
@@ -320,6 +290,27 @@ impl DistributedHashMap {
         st.stats.launch_retries += t.launch_retries;
         st.stats.transfer_retries += t.transfer_retries;
         st.stats.backoff_time += t.backoff;
+    }
+
+    /// Inserts `pairs` into the local maps `router` assigns them to,
+    /// bypassing the cascade; returns how many it placed.
+    pub(crate) fn insert_routed(
+        &self,
+        router: &Router,
+        pairs: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Result<u64, InsertError> {
+        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.num_gpus()];
+        for (k, v) in pairs {
+            buckets[router.route(k) as usize].push((k, v));
+        }
+        let mut placed = 0u64;
+        for (t, bucket) in buckets.iter().enumerate() {
+            if !bucket.is_empty() {
+                self.maps[t].insert_pairs(bucket)?;
+                placed += bucket.len() as u64;
+            }
+        }
+        Ok(placed)
     }
 
     /// Quarantines GPU `j`: marks it dead and re-splits its partition
@@ -365,19 +356,7 @@ impl DistributedHashMap {
                 rec.complete(k, OpKind::Erase, OpResponse::Erased { hit: true }, t);
             }
         }
-        let router = self.router();
-        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.num_gpus()];
-        for (k, v) in pairs {
-            buckets[router.route(k) as usize].push((k, v));
-        }
-        let mut migrated = 0u64;
-        for (t, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            self.maps[t].insert_pairs(bucket)?;
-            migrated += bucket.len() as u64;
-        }
+        let migrated = self.insert_routed(&self.router(), pairs)?;
         self.chaos.write().stats.migrated_keys += migrated;
         Ok(())
     }

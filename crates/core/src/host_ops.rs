@@ -33,7 +33,7 @@ fn live_chunks<T>(items: &[T], m: usize, mask: u32) -> Vec<&[T]> {
 impl DistributedHashMap {
     /// The one host bracket: `items` travel up over PCIe as 8-byte words
     /// (`word(i, item)` for the `i`-th item of a GPU's chunk), the
-    /// `device` cascade runs on them, and — for an operation whose
+    /// `device` cascade of this map runs on them, and — for an operation whose
     /// answers the host reads — 8 bytes per item travel back `down`.
     /// Dropped PCIe transfers are retried with backoff; a host link whose
     /// budget is exhausted quarantines its GPU and the transfer
@@ -43,7 +43,7 @@ impl DistributedHashMap {
         items: &[T],
         word: impl Fn(usize, T) -> u64,
         down: bool,
-        device: impl FnOnce(&[Vec<u64>], &mut CascadeReport) -> Result<O, InsertError>,
+        device: impl FnOnce(&Self, &[Vec<u64>], &mut CascadeReport) -> Result<O, InsertError>,
     ) -> Result<(O, CascadeReport), InsertError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
@@ -59,7 +59,7 @@ impl DistributedHashMap {
             report.push(CascadeStage::H2D, up.time, up.bytes);
             Ok(per_gpu)
         })?;
-        let out = device(&per_gpu, &mut report)?;
+        let out = device(self, &per_gpu, &mut report)?;
         if down {
             self.with_failover(&mut report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
@@ -88,9 +88,8 @@ impl DistributedHashMap {
     /// Propagates the device cascade's errors;
     /// [`InsertError::DeviceLost`] once no failover remains.
     pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, InsertError> {
-        let device =
-            |words: &[Vec<u64>], report: &mut CascadeReport| self.insert_words(words, report);
-        let ((), report) = self.host_bracket(pairs, |_, (k, v)| pack(k, v), false, device)?;
+        let word = |_, (k, v)| pack(k, v);
+        let ((), report) = self.host_bracket(pairs, word, false, Self::insert_words)?;
         Ok(report)
     }
 
@@ -123,9 +122,8 @@ impl DistributedHashMap {
         &self,
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, CascadeReport), InsertError> {
-        let device =
-            |words: &[Vec<u64>], report: &mut CascadeReport| self.query_words(words, report);
-        let (values, report) = self.host_bracket(keys, |i, k| pack(k, i as u32), true, device)?;
+        let word = |i, k| pack(k, i as u32);
+        let (values, report) = self.host_bracket(keys, word, true, Self::query_words)?;
         // chunks are contiguous, so flattening restores input order
         Ok((values.into_iter().flatten().collect(), report))
     }
@@ -138,10 +136,8 @@ impl DistributedHashMap {
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let device =
-            |words: &[Vec<u64>], report: &mut CascadeReport| self.erase_words(words, report);
-        let ((hits, erased), report) =
-            self.host_bracket(keys, |i, k| pack(k, i as u32), false, device)?;
+        let word = |i, k| pack(k, i as u32);
+        let ((hits, erased), report) = self.host_bracket(keys, word, false, Self::erase_words)?;
         Ok(DeleteResponse {
             hits: hits.into_iter().flatten().collect(),
             erased,

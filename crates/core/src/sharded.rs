@@ -379,17 +379,7 @@ impl crate::service::MapService for ShardedHashMap {
     }
 
     fn occupancy_split(&self) -> crate::Occupancy {
-        self.shards.iter().fold(
-            crate::Occupancy::default(),
-            |acc, s| {
-                let o = s.occupancy_split();
-                crate::Occupancy {
-                    live: acc.live + o.live,
-                    tombstones: acc.tombstones + o.tombstones,
-                    capacity: acc.capacity + o.capacity,
-                }
-            },
-        )
+        self.shards.iter().map(GpuHashMap::occupancy_split).sum()
     }
 
     fn resize_state(&self) -> crate::ResizeState {

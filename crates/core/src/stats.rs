@@ -217,6 +217,17 @@ impl Occupancy {
     }
 }
 
+impl std::iter::Sum for Occupancy {
+    /// Aggregate occupancy of several tables (shards, per-GPU locals).
+    fn sum<I: Iterator<Item = Self>>(tables: I) -> Self {
+        tables.fold(Self::default(), |acc, o| Self {
+            live: acc.live + o.live,
+            tombstones: acc.tombstones + o.tombstones,
+            capacity: acc.capacity + o.capacity,
+        })
+    }
+}
+
 /// Degraded-mode counters of a [`crate::DistributedHashMap`]: what fault
 /// injection cost and what graceful degradation did about it. All-zero
 /// on healthy runs.
