@@ -10,11 +10,18 @@
 //!    the value (AOS) or overwrite the value word (SOA, see
 //!    [`insert_one_soa`] for the sentinel protocol that keeps the
 //!    split-word layout linearizable);
-//! 4. ballot for vacant slots (`∅` or tombstone); the *leader* (lowest
+//! 4. ballot for vacant slots (`∅` or tombstone); in a window holding
+//!    `∅` — where the probe for the key ends — the *leader* (lowest
 //!    active lane, `__ffs`) attempts the CAS; on success every member
 //!    exits (`g.any`), on failure the window is reloaded and the ballot
 //!    repeated until the window is exhausted;
-//! 5. after `p_max` spans, raise an insertion error.
+//! 5. a tombstone does not end the probe (the key may have been placed
+//!    beyond it before the slot was deleted), so the first one met is
+//!    only remembered, and claimed once the probe has ended without
+//!    finding the key; a failed claim rescans from the tombstone's
+//!    window, so racing inserts of one key still converge on one slot;
+//! 6. after `p_max` spans without `∅` or a tombstone, raise an insertion
+//!    error.
 //!
 //! The reload in step 4 is load-bearing: a failed claim CAS means another
 //! group changed the window — possibly by inserting *our* key — so both
@@ -144,8 +151,13 @@ fn insert_one_aos(
     let g = ctx.size().get();
     let cap = table.capacity;
     let data = table.aos_slice();
-    for p in 0..p_max {
-        for q in 0..ctx.size().windows_per_warp() {
+    let windows = u64::from(ctx.size().windows_per_warp());
+    let mut w = 0u64;
+    loop {
+        // first tombstone of this scan: (window, slot, word seen)
+        let mut tomb: Option<(u64, usize, u64)> = None;
+        'scan: while w < u64::from(p_max) * windows {
+            let (p, q) = ((w / windows) as u32, (w % windows) as u32);
             let base = prober.window_base(key, p, q, g) as usize;
             let mut window = ctx.read_window(data, base);
             // lanes already CAS-failed since the last reload (only ever
@@ -163,13 +175,21 @@ fn insert_one_aos(
                     tried = 0;
                     continue;
                 }
-                // claim path: leader CASes the leftmost vacant slot
                 let mask = ctx.ballot(|r| is_vacant(window.lane(r))) & !tried;
+                let ends = ctx.any(|r| is_empty_slot(window.lane(r)));
+                if ends && tomb.is_some() {
+                    break 'scan;
+                }
                 let Some(r) = GroupCtx::ffs(mask) else {
                     break; // window exhausted → next window
                 };
                 let idx = crate::probing::wrap_slot(base, r as usize, cap);
                 let expected = window.lane(r);
+                if !ends {
+                    tomb.get_or_insert((w, idx, expected));
+                    break;
+                }
+                // claim path: leader CASes the leftmost vacant slot
                 if ctx.cas(data, idx, expected, word).is_ok() {
                     // g.any(success) — all members exit
                     return GroupResult::NewSlot {
@@ -196,9 +216,19 @@ fn insert_one_aos(
                 // lost the race: reload and re-ballot (Fig. 3 lines 19–21)
                 window = ctx.reload_window(data, base);
             }
+            w += 1;
         }
+        // the probe ended without our key: its first vacant slot was the
+        // remembered tombstone
+        let Some((at, idx, expected)) = tomb else {
+            return GroupResult::Failed;
+        };
+        if ctx.cas(data, idx, expected, word).is_ok() {
+            return GroupResult::NewSlot { reclaimed: true };
+        }
+        // lost it to a racing insert, possibly of our own key: rescan
+        w = at;
     }
-    GroupResult::Failed
 }
 
 /// SOA insertion: CAS claims the key word, then the value word is
@@ -225,8 +255,13 @@ fn insert_one_soa(
     let cap = table.capacity;
     let keys = table.soa_keys();
     let values = table.soa_values();
-    for p in 0..p_max {
-        for q in 0..ctx.size().windows_per_warp() {
+    let windows = u64::from(ctx.size().windows_per_warp());
+    let mut w = 0u64;
+    loop {
+        // first tombstone of this scan — see the AOS variant above
+        let mut tomb: Option<(u64, usize, u64)> = None;
+        'scan: while w < u64::from(p_max) * windows {
+            let (p, q) = ((w / windows) as u32, (w % windows) as u32);
             let base = prober.window_base(key, p, q, g) as usize;
             let mut window = ctx.read_window(keys, base);
             let mut tried: u32 = 0;
@@ -241,11 +276,19 @@ fn insert_one_soa(
                     return GroupResult::Updated;
                 }
                 let mask = ctx.ballot(|r| is_vacant(window.lane(r))) & !tried;
+                let ends = ctx.any(|r| is_empty_slot(window.lane(r)));
+                if ends && tomb.is_some() {
+                    break 'scan;
+                }
                 let Some(r) = GroupCtx::ffs(mask) else {
                     break;
                 };
                 let idx = crate::probing::wrap_slot(base, r as usize, cap);
                 let expected = window.lane(r);
+                if !ends {
+                    tomb.get_or_insert((w, idx, expected));
+                    break;
+                }
                 if ctx.cas(keys, idx, expected, u64::from(key)).is_ok() {
                     if muts.publish_plain_store {
                         // MUTATION DOUBLE: publish with a plain store —
@@ -271,9 +314,17 @@ fn insert_one_soa(
                 }
                 window = ctx.reload_window(keys, base);
             }
+            w += 1;
         }
+        let Some((at, idx, expected)) = tomb else {
+            return GroupResult::Failed;
+        };
+        if ctx.cas(keys, idx, expected, u64::from(key)).is_ok() {
+            let _ = ctx.cas(values, idx, EMPTY, u64::from(value));
+            return GroupResult::NewSlot { reclaimed: true };
+        }
+        w = at;
     }
-    GroupResult::Failed
 }
 
 /// Key stored in an SOA key word, if the slot is occupied.

@@ -140,3 +140,61 @@ proptest! {
         prop_assert!(map.tombstones() as usize <= n);
     }
 }
+
+/// 2 000 single-op put / delete / get batches over 160 keys on 256 slots,
+/// every response checked against a `HashMap`, then a snapshot check that
+/// no key occupies two slots. Deleted slots soon lie in front of live
+/// keys on their probe paths; an insert that claimed the first tombstone
+/// it met, without finishing the probe for its key, stored such a key a
+/// second time, and a later delete left the stale copy readable.
+fn churn_matches_a_hash_map<S: warpdrive::MapService>(
+    mut s: S,
+    snapshot: impl Fn(&S) -> Vec<(u32, u32)>,
+) {
+    let mut model: HashMap<u32, u32> = HashMap::new();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for step in 0..2000u32 {
+        // SplitMix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let key = (z >> 32) as u32 % 160 * 13 + 1;
+        match z % 4 {
+            0 | 1 => {
+                s.put_batch(&[(key, step)]).unwrap();
+                model.insert(key, step);
+            }
+            2 => {
+                let hit = s.delete_batch(&[key]).unwrap().hits[0];
+                assert_eq!(hit, model.remove(&key).is_some(), "step {step}: delete {key}");
+            }
+            _ => {
+                let got = s.get_batch(&[key]).unwrap().values[0];
+                assert_eq!(got, model.get(&key).copied(), "step {step}: get {key}");
+            }
+        }
+    }
+    let mut stored = snapshot(&s);
+    stored.sort_unstable();
+    let mut want: Vec<(u32, u32)> = model.into_iter().collect();
+    want.sort_unstable();
+    assert_eq!(stored, want, "a key occupies two slots, or one went missing");
+}
+
+#[test]
+fn reinsert_beyond_a_tombstone_never_stores_a_key_twice() {
+    for layout in [Layout::Aos, Layout::Soa] {
+        churn_matches_a_hash_map(map_with(layout, 4, 256), GpuHashMap::snapshot);
+        let devices: Vec<_> = (0..4)
+            .map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 12)))
+            .collect();
+        let cfg = Config::default()
+            .with_layout(layout)
+            .with_fault(warpdrive::FaultPlan::default());
+        let topo = interconnect::Topology::p100_quad(4);
+        let node = warpdrive::DistributedHashMap::new(devices, 64, cfg, topo).unwrap();
+        churn_matches_a_hash_map(node, warpdrive::DistributedHashMap::live_snapshot);
+    }
+}
