@@ -202,7 +202,8 @@ impl DistributedHashMap {
                 words,
                 origin,
                 &router,
-                (plan, &policy),
+                plan,
+                &policy,
                 report,
                 tally,
                 &mut kernel,
@@ -219,7 +220,8 @@ impl DistributedHashMap {
         per_gpu_words: &[Vec<u64>],
         origin: Option<&[Vec<(usize, usize)>]>,
         router: &Router,
-        (plan, policy): (&FaultPlan, &RetryPolicy),
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
         report: &mut CascadeReport,
         tally: &mut ChaosTally,
         kernel: &mut impl FnMut(usize, DevSlice, usize) -> Result<(f64, Vec<A>), InsertError>,
@@ -257,7 +259,10 @@ impl DistributedHashMap {
                 // the idempotence guard — the sub-batch is applied to
                 // its failover targets although the primary is still
                 // being retried (and will succeed), duplicating keys.
-                self.double_apply(words, j, router);
+                if let Some(failover) = router.also_masking(j) {
+                    let pairs = words.iter().map(|&w| (key_of(w), value_of(w)));
+                    let _ = self.insert_routed(&failover, pairs);
+                }
             }
             gate.map_err(Abort::Lost)?;
             let buf = recv_guards[j].slice().sub(0, words.len());
@@ -334,7 +339,7 @@ impl DistributedHashMap {
                     i
                 } else {
                     rr += 1;
-                    live[(rr - 1) % live.len()]
+                    live[(rr - 1) % live.len()] // round-robin over the survivors
                 };
                 let slot = eff[g].len() as u32;
                 eff[g].push(if indexed { pack(key_of(w), slot) } else { w });
@@ -342,15 +347,6 @@ impl DistributedHashMap {
             }
         }
         (eff, origin)
-    }
-
-    /// The premature-failover body of the `broken_double_apply_on_retry`
-    /// mutation double.
-    fn double_apply(&self, words: &[u64], j: usize, router: &Router) {
-        if let Some(failover) = router.also_masking(j) {
-            let pairs = words.iter().map(|&w| (key_of(w), value_of(w)));
-            let _ = self.insert_routed(&failover, pairs);
-        }
     }
 
     // ---- phases -----------------------------------------------------------
