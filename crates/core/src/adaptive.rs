@@ -121,19 +121,6 @@ impl AdaptiveHashMap {
         self.inner.try_retrieve(keys)
     }
 
-    /// Retrieves with the recommended group size.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve` — typed `GetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve(&mut self, keys: &[u32]) -> (Vec<Option<u32>>, gpu_sim::KernelStats) {
-        let g = self.current_group_size();
-        self.inner.set_group_size(g);
-        #[allow(deprecated)]
-        self.inner.retrieve(keys)
-    }
-
     /// The wrapped map (read access).
     #[must_use]
     pub fn inner(&self) -> &GpuHashMap {
@@ -187,6 +174,25 @@ mod tests {
         // and tightened as the table filled (monotone non-decreasing
         // confidence is not required, but the first and last must be sane)
         assert_eq!(*sizes.last().unwrap(), 4);
+    }
+
+    /// The heuristic reads α from the map's one occupancy split, so a
+    /// migration whose `&self` puts never finalize cannot show it keys of
+    /// two tables over the slots of one (α > 1 before `Table`).
+    #[test]
+    fn recommendation_never_sees_overfull_load_during_a_migration() {
+        let dev = Arc::new(gpu_sim::Device::with_words(0, 1 << 16));
+        let mut map = AdaptiveHashMap::new(dev, 1024, Config::default()).unwrap();
+        let pairs = Distribution::Unique.generate(1800, 5);
+        map.insert_pairs(&pairs[..800]).unwrap();
+        assert!(map.inner.request_grow().unwrap());
+        for chunk in pairs[800..].chunks(100) {
+            map.insert_pairs(chunk).unwrap();
+            let alpha = map.inner().load_factor();
+            assert!(alpha <= 1.0, "α = {alpha} mid-migration");
+            assert_eq!(map.current_group_size(), recommend_group_size(alpha));
+        }
+        assert!((map.inner().load_factor() - 1800.0 / 2048.0).abs() < 1e-12);
     }
 
     #[test]

@@ -556,7 +556,7 @@ impl DistributedHashMap {
     ///
     /// Takes `&mut self` — deletions require the global barrier of §IV-A
     /// on every local map, and exclusive access makes that a compile-time
-    /// fact, exactly as in [`crate::GpuHashMap::erase`]. Hit flags survive
+    /// fact, exactly as in [`crate::GpuHashMap::try_erase`]. Hit flags survive
     /// quarantine restarts: a key tombstoned in an aborted round stays
     /// reported as a hit even though the retried round no longer observes
     /// it.

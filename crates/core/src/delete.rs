@@ -4,16 +4,15 @@
 //! §IV-A's safety rule applies: insertions and queries may be issued
 //! concurrently with each other, but deletions must be separated from
 //! them by a global barrier — [`crate::GpuHashMap`] enforces this by
-//! taking `&mut self` for [`crate::GpuHashMap::erase`], making the barrier
+//! taking `&mut self` for [`crate::GpuHashMap::try_erase`], making the barrier
 //! a compile-time fact (exclusive access ⇒ no concurrent kernel).
 
 use crate::config::Layout;
 use crate::entry::{is_empty_slot, key_of, EMPTY, TOMBSTONE};
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::insert::{soa_is_empty, soa_key_of};
-use crate::map::TableRef;
-use crate::probing::Prober;
-use gpu_sim::{DevSlice, Device, GroupCtx, KernelStats, LaunchOptions};
+use crate::table::Table;
+use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 /// Result of a bulk erase.
@@ -28,40 +27,32 @@ pub struct EraseOutcome {
     pub hits: Vec<bool>,
 }
 
-#[allow(clippy::too_many_arguments)] // kernel ABI: device + table + knobs
+/// Launches the deletion kernel for the `n` query words in `input`, one
+/// group of `g` lanes per key.
 pub(crate) fn erase_kernel(
-    dev: &Device,
-    table: &TableRef,
+    table: &Table,
+    g: GroupSize,
     input: DevSlice,
     n: usize,
-    prober: &Prober,
-    p_max: u32,
-    opts: LaunchOptions,
     recorder: Option<&HistoryRecorder>,
 ) -> EraseOutcome {
     let erased = AtomicU64::new(0);
     let hits: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let stats = dev.launch(
-        "warpdrive_erase",
-        n,
-        table.group_size,
-        opts,
-        |ctx: &GroupCtx| {
-            let invoked = recorder.map(HistoryRecorder::invoke);
-            let key = key_of(ctx.read_stream(input, ctx.group_id()));
-            let hit = match table.layout {
-                Layout::Aos => erase_one_aos(ctx, table, prober, p_max, key),
-                Layout::Soa => erase_one_soa(ctx, table, prober, p_max, key),
-            };
-            if hit {
-                erased.fetch_add(1, Relaxed);
-                hits[ctx.group_id()].store(true, Relaxed);
-            }
-            if let (Some(rec), Some(invoked)) = (recorder, invoked) {
-                rec.complete(key, OpKind::Erase, OpResponse::Erased { hit }, invoked);
-            }
-        },
-    );
+    let stats = table.launch("warpdrive_erase", n, g, |ctx: &GroupCtx| {
+        let invoked = recorder.map(HistoryRecorder::invoke);
+        let key = key_of(ctx.read_stream(input, ctx.group_id()));
+        let hit = match table.layout() {
+            Layout::Aos => erase_one_aos(ctx, table, key),
+            Layout::Soa => erase_one_soa(ctx, table, key),
+        };
+        if hit {
+            erased.fetch_add(1, Relaxed);
+            hits[ctx.group_id()].store(true, Relaxed);
+        }
+        if let (Some(rec), Some(invoked)) = (recorder, invoked) {
+            rec.complete(key, OpKind::Erase, OpResponse::Erased { hit }, invoked);
+        }
+    });
     EraseOutcome {
         stats,
         erased: erased.load(Relaxed),
@@ -69,10 +60,10 @@ pub(crate) fn erase_kernel(
     }
 }
 
-fn erase_one_aos(ctx: &GroupCtx, table: &TableRef, prober: &Prober, p_max: u32, key: u32) -> bool {
+fn erase_one_aos(ctx: &GroupCtx, table: &Table, key: u32) -> bool {
+    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
     let g = ctx.size().get();
-    let cap = table.capacity;
-    let data = table.aos_slice();
+    let data = table.keys();
     for p in 0..p_max {
         for q in 0..ctx.size().windows_per_warp() {
             let base = prober.window_base(key, p, q, g) as usize;
@@ -98,10 +89,10 @@ fn erase_one_aos(ctx: &GroupCtx, table: &TableRef, prober: &Prober, p_max: u32, 
     false
 }
 
-fn erase_one_soa(ctx: &GroupCtx, table: &TableRef, prober: &Prober, p_max: u32, key: u32) -> bool {
+fn erase_one_soa(ctx: &GroupCtx, table: &Table, key: u32) -> bool {
+    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
     let g = ctx.size().get();
-    let cap = table.capacity;
-    let keys = table.soa_keys();
+    let keys = table.keys();
     for p in 0..p_max {
         for q in 0..ctx.size().windows_per_warp() {
             let base = prober.window_base(key, p, q, g) as usize;

@@ -30,14 +30,13 @@
 //! linearizability harness can prove it catches the resulting
 //! duplicate-slot anomaly.
 
-use crate::config::{Layout, Mutations};
+use crate::config::Layout;
 use crate::entry::{
     is_empty_slot, is_tombstone, is_vacant, key_of, pack, value_of, EMPTY, RESERVED_KEY,
 };
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
-use crate::map::TableRef;
-use crate::probing::Prober;
-use gpu_sim::{DevSlice, Device, GroupCtx, KernelStats, LaunchOptions};
+use crate::table::Table;
+use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Result of a bulk-insert launch.
@@ -66,17 +65,13 @@ enum GroupResult {
     Failed,
 }
 
-/// Launches the insertion kernel for the packed pairs in `input[..n]`.
-#[allow(clippy::too_many_arguments)] // kernel ABI: device + table + knobs
+/// Launches the insertion kernel for the packed pairs in `input[..n]`,
+/// one group of `g` lanes per pair.
 pub(crate) fn insert_kernel(
-    dev: &Device,
-    table: &TableRef,
+    table: &Table,
+    g: GroupSize,
     input: DevSlice,
     n: usize,
-    prober: &Prober,
-    p_max: u32,
-    opts: LaunchOptions,
-    muts: Mutations,
     recorder: Option<&HistoryRecorder>,
 ) -> InsertOutcome {
     // Bookkeeping lives host-side (captured atomics): the real kernel
@@ -86,49 +81,43 @@ pub(crate) fn insert_kernel(
     let updates = AtomicU64::new(0);
     let reclaimed = AtomicU64::new(0);
 
-    let stats = dev.launch(
-        "warpdrive_insert",
-        n,
-        table.group_size,
-        opts,
-        |ctx: &GroupCtx| {
-            let invoked = recorder.map(HistoryRecorder::invoke);
-            let word = ctx.read_stream(input, ctx.group_id());
-            let r = match table.layout {
-                Layout::Aos => insert_one_aos(ctx, table, prober, p_max, word, muts),
-                Layout::Soa => insert_one_soa(ctx, table, prober, p_max, word, muts),
+    let stats = table.launch("warpdrive_insert", n, g, |ctx: &GroupCtx| {
+        let invoked = recorder.map(HistoryRecorder::invoke);
+        let word = ctx.read_stream(input, ctx.group_id());
+        let r = match table.layout() {
+            Layout::Aos => insert_one_aos(ctx, table, word),
+            Layout::Soa => insert_one_soa(ctx, table, word),
+        };
+        match r {
+            GroupResult::NewSlot { reclaimed: tomb } => {
+                new_slots.fetch_add(1, Relaxed);
+                if tomb {
+                    reclaimed.fetch_add(1, Relaxed);
+                }
+            }
+            GroupResult::Updated => {
+                updates.fetch_add(1, Relaxed);
+            }
+            GroupResult::Failed => {
+                failed.fetch_add(1, Relaxed);
+            }
+        }
+        if let (Some(rec), Some(invoked)) = (recorder, invoked) {
+            let response = match r {
+                GroupResult::NewSlot { .. } => OpResponse::Inserted { new_slot: true },
+                GroupResult::Updated => OpResponse::Inserted { new_slot: false },
+                GroupResult::Failed => OpResponse::InsertFailed,
             };
-            match r {
-                GroupResult::NewSlot { reclaimed: tomb } => {
-                    new_slots.fetch_add(1, Relaxed);
-                    if tomb {
-                        reclaimed.fetch_add(1, Relaxed);
-                    }
-                }
-                GroupResult::Updated => {
-                    updates.fetch_add(1, Relaxed);
-                }
-                GroupResult::Failed => {
-                    failed.fetch_add(1, Relaxed);
-                }
-            }
-            if let (Some(rec), Some(invoked)) = (recorder, invoked) {
-                let response = match r {
-                    GroupResult::NewSlot { .. } => OpResponse::Inserted { new_slot: true },
-                    GroupResult::Updated => OpResponse::Inserted { new_slot: false },
-                    GroupResult::Failed => OpResponse::InsertFailed,
-                };
-                rec.complete(
-                    key_of(word),
-                    OpKind::Insert {
-                        value: value_of(word),
-                    },
-                    response,
-                    invoked,
-                );
-            }
-        },
-    );
+            rec.complete(
+                key_of(word),
+                OpKind::Insert {
+                    value: value_of(word),
+                },
+                response,
+                invoked,
+            );
+        }
+    });
     InsertOutcome {
         stats,
         failed: failed.load(Relaxed),
@@ -139,18 +128,12 @@ pub(crate) fn insert_kernel(
 }
 
 /// AOS insertion of one packed pair by one coalesced group.
-fn insert_one_aos(
-    ctx: &GroupCtx,
-    table: &TableRef,
-    prober: &Prober,
-    p_max: u32,
-    word: u64,
-    muts: Mutations,
-) -> GroupResult {
+fn insert_one_aos(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
+    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
+    let muts = table.muts();
     let key = key_of(word);
     let g = ctx.size().get();
-    let cap = table.capacity;
-    let data = table.aos_slice();
+    let data = table.keys();
     let windows = u64::from(ctx.size().windows_per_warp());
     let mut w = 0u64;
     loop {
@@ -241,19 +224,13 @@ fn insert_one_aos(
 /// (The schedule-sweep harness found exactly that lost-update anomaly in
 /// the original plain-store variant.) Erase restores the sentinel, so
 /// tombstone reclaim re-enters the same protocol.
-fn insert_one_soa(
-    ctx: &GroupCtx,
-    table: &TableRef,
-    prober: &Prober,
-    p_max: u32,
-    word: u64,
-    muts: Mutations,
-) -> GroupResult {
+fn insert_one_soa(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
+    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
+    let muts = table.muts();
     let key = key_of(word);
     let value = value_of(word);
     let g = ctx.size().get();
-    let cap = table.capacity;
-    let keys = table.soa_keys();
+    let keys = table.keys();
     let values = table.soa_values();
     let windows = u64::from(ctx.size().windows_per_warp());
     let mut w = 0u64;

@@ -61,6 +61,7 @@ pub mod retrieve;
 pub mod service;
 pub mod sharded;
 pub mod stats;
+mod table;
 
 pub use adaptive::{recommend_group_size, AdaptiveHashMap};
 pub use cache::{CachePolicy, CacheStats, CachedMap};
@@ -68,7 +69,7 @@ pub use chaos::Router;
 pub use config::{Config, Layout, ProbingScheme};
 pub use distributed::DistributedHashMap;
 pub use entry::{key_of, pack, value_of, EMPTY, RESERVED_KEY, TOMBSTONE};
-pub use errors::{BuildError, InsertError, RetrieveError};
+pub use errors::{BuildError, InsertError};
 pub use history::{HistoryRecorder, OpEvent, OpKind, OpResponse};
 pub use linearize::{
     check_linearizable, check_linearizable_multi, check_linearizable_multi_serial,

@@ -1,51 +1,15 @@
 //! The single-GPU hash map — WarpDrive's core data structure.
 
-use crate::config::{Config, Layout};
-use crate::delete::{erase_kernel, EraseOutcome};
-use crate::entry::{is_occupied, key_of, pack, value_of, EMPTY, RESERVED_KEY, TOMBSTONE};
+use crate::config::Config;
+use crate::delete::EraseOutcome;
+use crate::entry::{value_of, EMPTY};
 use crate::errors::{BuildError, InsertError};
 use crate::history::HistoryRecorder;
-use crate::insert::{insert_kernel, InsertOutcome};
-use crate::probing::Prober;
-use crate::retrieve::retrieve_kernel;
+use crate::insert::InsertOutcome;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
-use gpu_sim::{DevSlice, Device, GroupSize, KernelStats, LaunchOptions};
-use hashes::DoubleHash;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use crate::table::Table;
+use gpu_sim::{DevSlice, Device, GroupSize, KernelStats};
 use std::sync::Arc;
-
-/// Everything a kernel needs to address the table (copied into launches).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TableRef {
-    /// Backing storage: `capacity` words (AOS) or `2·capacity` (SOA).
-    pub data: DevSlice,
-    /// Number of slots.
-    pub capacity: usize,
-    /// Memory layout.
-    pub layout: Layout,
-    /// Coalesced-group size of the owning map.
-    pub group_size: GroupSize,
-}
-
-impl TableRef {
-    /// The packed-pair array (AOS layout).
-    pub fn aos_slice(&self) -> DevSlice {
-        debug_assert_eq!(self.layout, Layout::Aos);
-        self.data.sub(0, self.capacity)
-    }
-
-    /// The key array (SOA layout).
-    pub fn soa_keys(&self) -> DevSlice {
-        debug_assert_eq!(self.layout, Layout::Soa);
-        self.data.sub(0, self.capacity)
-    }
-
-    /// The value array (SOA layout).
-    pub fn soa_values(&self) -> DevSlice {
-        debug_assert_eq!(self.layout, Layout::Soa);
-        self.data.sub(self.capacity, self.capacity)
-    }
-}
 
 /// An open-addressing hash map in (simulated) GPU global memory with
 /// subwarp-cooperative probing.
@@ -61,19 +25,23 @@ impl TableRef {
 /// See the crate docs for a usage example.
 #[derive(Debug)]
 pub struct GpuHashMap {
-    pub(crate) dev: Arc<Device>,
-    pub(crate) table: TableRef,
+    /// The primary table: slots, hash member and counters.
+    pub(crate) table: Table,
+    /// `seed` mirrors the primary table's hash member; `group_size` is
+    /// read by every launch on either table of a migration.
     pub(crate) cfg: Config,
-    pub(crate) dh: DoubleHash,
-    /// Live (non-tombstone) entries in the primary table.
-    pub(crate) occupied: AtomicU64,
-    /// Tombstoned slots (they still lengthen probe chains until rebuild,
-    /// compaction, or until an insertion reclaims them).
-    pub(crate) tombstones: AtomicU64,
     /// Optional per-operation history recorder (linearizability testing).
     pub(crate) recorder: Option<Arc<HistoryRecorder>>,
     /// Incremental-resize control block (see [`crate::resize`]).
     pub(crate) resize: parking_lot::Mutex<crate::resize::ResizeCtl>,
+}
+
+/// Probing exhaustion is an error even though the other pairs landed.
+pub(crate) fn placed(outcome: InsertOutcome) -> Result<InsertOutcome, InsertError> {
+    match outcome.failed {
+        0 => Ok(outcome),
+        failed => Err(InsertError::ProbingExhausted { failed }),
+    }
 }
 
 impl GpuHashMap {
@@ -85,46 +53,18 @@ impl GpuHashMap {
     /// remaining VRAM — the single-GPU limitation the distributed map
     /// removes.
     pub fn new(dev: Arc<Device>, capacity: usize, cfg: Config) -> Result<Self, BuildError> {
-        if capacity == 0 {
-            return Err(BuildError::ZeroCapacity);
-        }
-        // round up to a whole number of 32-slot spans so aligned spans
-        // survive the modulo (see `probing::Prober::span_base`)
-        let capacity = capacity.div_ceil(32) * 32;
-        let words = match cfg.layout {
-            Layout::Aos => capacity,
-            Layout::Soa => 2 * capacity,
-        };
-        let data = dev.alloc(words)?;
-        if cfg.broken_skip_fill {
-            // MUTATION DOUBLE: skip the EMPTY-sentinel fill — the
-            // forgotten-cudaMemset bug wd-sanitizer's initcheck exists to
-            // catch. See `Config::broken_skip_fill`.
-        } else {
-            dev.mem().fill(data, EMPTY);
-        }
-        let table = TableRef {
-            data,
-            capacity,
-            layout: cfg.layout,
-            group_size: cfg.group_size,
-        };
         Ok(Self {
-            dev,
-            table,
+            table: Table::alloc(dev, capacity, &cfg, cfg.seed)?,
             cfg,
-            dh: DoubleHash::from_seed(cfg.seed),
-            occupied: AtomicU64::new(0),
-            tombstones: AtomicU64::new(0),
             recorder: None,
             resize: parking_lot::Mutex::new(crate::resize::ResizeCtl::default()),
         })
     }
 
-    /// Number of slots.
+    /// Number of slots of the primary table (the one a migration drains).
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.table.capacity
+        self.table.capacity()
     }
 
     /// Live entries (exact after quiescence; approximate while kernels for
@@ -141,10 +81,13 @@ impl GpuHashMap {
         self.len() == 0
     }
 
-    /// Current true load factor α = live entries / capacity.
+    /// Current true load factor α = live entries / capacity, both taken
+    /// from one [`GpuHashMap::occupancy_split`]: during a migration the
+    /// capacity is the one writes land in, so α never counts keys of two
+    /// tables against the slots of one.
     #[must_use]
     pub fn load_factor(&self) -> f64 {
-        self.len() as f64 / self.table.capacity as f64
+        self.occupancy_split().live_fraction()
     }
 
     /// Tombstoned slots awaiting a rebuild or compaction. During a resize
@@ -159,7 +102,7 @@ impl GpuHashMap {
     /// The device this map lives on.
     #[must_use]
     pub fn device(&self) -> &Arc<Device> {
-        &self.dev
+        self.table.dev()
     }
 
     /// The map's configuration.
@@ -168,20 +111,18 @@ impl GpuHashMap {
         &self.cfg
     }
 
-    /// Changes the coalesced-group size for subsequent launches. Safe at
-    /// any quiescent point: the probing slot sequence is group-size
+    /// Changes the coalesced-group size for subsequent launches, on the
+    /// primary table and on a migration target alike. Safe at any
+    /// quiescent point: the probing slot sequence is group-size
     /// independent (§IV-A), so existing entries remain reachable.
     pub fn set_group_size(&mut self, g: GroupSize) {
         self.cfg.group_size = g;
-        self.table.group_size = g;
     }
 
     /// Bytes billed as the CAS working set (modeled capacity if set).
     #[must_use]
     pub fn working_set(&self) -> u64 {
-        self.cfg
-            .modeled_capacity_bytes
-            .unwrap_or_else(|| self.table.data.bytes())
+        self.table.working_set()
     }
 
     /// Attaches (or detaches, with `None`) a history recorder: every
@@ -198,20 +139,6 @@ impl GpuHashMap {
         self.recorder.as_ref()
     }
 
-    fn prober(&self) -> Prober {
-        Prober::new(self.dh, self.cfg.probing, self.table.capacity)
-    }
-
-    /// Launch options shared by this map's kernels: billed working set
-    /// plus the configured group schedule.
-    fn launch_opts(&self) -> LaunchOptions {
-        self.cfg.apply_dispatch(
-            LaunchOptions::default()
-                .with_working_set(self.working_set())
-                .with_schedule(self.cfg.schedule),
-        )
-    }
-
     // ---- device-sided operations ----------------------------------------
 
     /// Inserts the `n` packed pairs in `input` (device-resident, key in
@@ -223,44 +150,15 @@ impl GpuHashMap {
     /// attempts — the map should then be
     /// [rebuilt](GpuHashMap::rebuild_with_fresh_hash).
     pub fn insert_device(&self, input: DevSlice, n: usize) -> Result<InsertOutcome, InsertError> {
-        let outcome = insert_kernel(
-            &self.dev,
-            &self.table,
-            input,
-            n,
-            &self.prober(),
-            self.cfg.p_max,
-            self.launch_opts(),
-            self.cfg.mutations(),
-            self.recorder.as_deref(),
-        );
-        self.occupied.fetch_add(outcome.new_slots, Relaxed);
-        // claims over TOMBSTONE words shorten the pending-rebuild debt
-        self.tombstones.fetch_sub(outcome.reclaimed, Relaxed);
-        if outcome.failed > 0 {
-            return Err(InsertError::ProbingExhausted {
-                failed: outcome.failed,
-            });
-        }
-        Ok(outcome)
+        placed(self.table.insert(self.cfg.group_size, input, n, self.recorder.as_deref()))
     }
 
     /// Retrieves the `n` query words of `input` into `out` (both
     /// device-resident): `out[i] = pack(key, value)` on a hit, `EMPTY` on
     /// a miss. Query words carry the key in their high 32 bits.
     pub fn retrieve_device(&self, input: DevSlice, out: DevSlice, n: usize) -> KernelStats {
-        retrieve_kernel(
-            &self.dev,
-            &self.table,
-            input,
-            out,
-            n,
-            &self.prober(),
-            self.cfg.p_max,
-            self.launch_opts(),
-            self.cfg.mutations(),
-            self.recorder.as_deref(),
-        )
+        self.table
+            .retrieve(self.cfg.group_size, input, out, n, self.recorder.as_deref())
     }
 
     /// Tombstones the `n` keys in `input` (device-resident query words).
@@ -275,19 +173,8 @@ impl GpuHashMap {
     /// map. Not public: callers outside the crate must go through the
     /// `&mut` API.
     pub(crate) fn erase_device_shared(&self, input: DevSlice, n: usize) -> EraseOutcome {
-        let outcome = erase_kernel(
-            &self.dev,
-            &self.table,
-            input,
-            n,
-            &self.prober(),
-            self.cfg.p_max,
-            self.launch_opts(),
-            self.recorder.as_deref(),
-        );
-        self.occupied.fetch_sub(outcome.erased, Relaxed);
-        self.tombstones.fetch_add(outcome.erased, Relaxed);
-        outcome
+        self.table
+            .erase(self.cfg.group_size, input, n, self.recorder.as_deref())
     }
 
     // ---- host-sided conveniences -----------------------------------------
@@ -305,15 +192,16 @@ impl GpuHashMap {
     /// # Errors
     /// Propagates probing exhaustion and scratch OOM.
     pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, InsertError> {
-        if self.resize_engaged(pairs.len()) {
-            return self.migrating_insert_pairs(pairs);
+        let mut ctl = self.resize.lock();
+        self.trigger_resize(&mut ctl, pairs.len());
+        if let Some((m, policy)) = ctl.migrating() {
+            return self.migrating_insert_pairs(m, policy, pairs);
         }
-        let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
-        let staging = self.dev.alloc_scratch(words.len().max(1))?;
-        self.dev
-            .mem()
-            .h2d(staging.slice().sub(0, words.len()), &words);
-        self.insert_device(staging.slice().sub(0, words.len()), words.len())
+        drop(ctl);
+        placed(
+            self.table
+                .insert_pairs(self.cfg.group_size, pairs, self.recorder.as_deref())?,
+        )
     }
 
     /// Shared body of the host-resident query paths: stage, launch,
@@ -322,20 +210,15 @@ impl GpuHashMap {
         &self,
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
-        if self.resize_active() {
-            return self.migrating_retrieve(keys);
+        let mut ctl = self.resize.lock();
+        if let Some((m, policy)) = ctl.migrating() {
+            return self.migrating_retrieve(m, policy, keys);
         }
-        let words: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 32).collect();
-        let n = words.len();
-        let staging = self.dev.alloc_scratch(2 * n.max(1))?;
-        let input = staging.slice().sub(0, n.max(1)).sub(0, n);
-        let out = staging.slice().sub(n.max(1), n);
-        self.dev.mem().h2d(input, &words);
-        let stats = self.retrieve_device(input, out, n);
-        let results = self
-            .dev
-            .mem()
-            .d2h(out)
+        drop(ctl);
+        let (found, stats) =
+            self.table
+                .retrieve_keys(self.cfg.group_size, keys, self.recorder.as_deref())?;
+        let results = found
             .into_iter()
             .map(|w| if w == EMPTY { None } else { Some(value_of(w)) })
             .collect();
@@ -355,20 +238,6 @@ impl GpuHashMap {
         })
     }
 
-    /// Queries host-resident keys, returning per-key results in order.
-    ///
-    /// # Panics
-    /// Panics when staging scratch is unavailable — use
-    /// [`GpuHashMap::try_retrieve`] for the typed error.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve` — typed `GetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve(&self, keys: &[u32]) -> (Vec<Option<u32>>, KernelStats) {
-        self.retrieve_impl(keys).expect("scratch for retrieve")
-    }
-
     /// Convenience single-key lookup (bulk APIs are the fast path).
     /// Launches the same retrieval kernel as the batched path, so the
     /// device's [`gpu_sim::LifetimeStats`] count it identically —
@@ -380,15 +249,14 @@ impl GpuHashMap {
 
     /// Shared body of the host-resident erase paths.
     pub(crate) fn erase_impl(&mut self, keys: &[u32]) -> Result<EraseOutcome, OpError> {
-        if self.resize_active() {
-            return self.migrating_erase(keys);
+        let mut ctl = self.resize.lock();
+        if let Some((m, policy)) = ctl.migrating() {
+            return self.migrating_erase(m, policy, keys);
         }
-        let words: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 32).collect();
-        let dev = Arc::clone(&self.dev);
-        let staging = dev.alloc_scratch(words.len().max(1))?;
-        let input = staging.slice().sub(0, words.len());
-        dev.mem().h2d(input, &words);
-        Ok(self.erase_device(input, words.len()))
+        drop(ctl);
+        Ok(self
+            .table
+            .erase_keys(self.cfg.group_size, keys, self.recorder.as_deref())?)
     }
 
     /// Tombstones host-resident keys, returning per-key hits in input
@@ -403,19 +271,6 @@ impl GpuHashMap {
             hits: outcome.hits,
             erased: outcome.erased,
         })
-    }
-
-    /// Tombstones host-resident keys; returns how many were found.
-    ///
-    /// # Panics
-    /// Panics when staging scratch is unavailable — use
-    /// [`GpuHashMap::try_erase`] for the typed error.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_erase` — typed `DeleteResponse` carrying an `OpReport`"
-    )]
-    pub fn erase(&mut self, keys: &[u32]) -> EraseOutcome {
-        self.erase_impl(keys).expect("scratch for erase")
     }
 
     // ---- maintenance ------------------------------------------------------
@@ -433,43 +288,14 @@ impl GpuHashMap {
         // migration to completion first so there is one table to rebuild
         self.drive_migration_to_end()?;
         // extract live entries (billed as one streaming table scan)
-        let live: Vec<u64> = self
-            .dev
-            .mem()
-            .d2h(self.table.data)
-            .into_iter()
-            .take(self.table.capacity) // AOS words / SOA key words
-            .enumerate()
-            .filter_map(|(i, w)| match self.cfg.layout {
-                Layout::Aos => is_occupied(w).then_some(w),
-                Layout::Soa => crate::insert::soa_key_of(w).map(|k| {
-                    let v = self.dev.mem().d2h(self.table.soa_values().sub(i, 1))[0];
-                    pack(k, v as u32)
-                }),
-            })
-            .collect();
-        let scan_bytes = self.table.data.bytes();
-        let scan = self.dev.launch(
-            "rebuild_scan",
-            self.table.capacity.div_ceil(32),
-            GroupSize::WARP,
-            gpu_sim::LaunchOptions::default(),
-            |ctx| ctx.bill_stream_bytes(32 * 8),
-        );
-        debug_assert!(scan.counters.stream_bytes >= scan_bytes / 2);
-
-        // fresh hash family member, clean table
-        self.cfg.seed = self.cfg.seed.wrapping_add(1);
-        self.dh = DoubleHash::from_seed(self.cfg.seed);
-        self.dev.mem().fill(self.table.data, EMPTY);
-        self.occupied.store(0, Relaxed);
-        self.tombstones.store(0, Relaxed);
-
-        // re-insert
-        let staging = self.dev.alloc_scratch(live.len().max(1))?;
-        let input = staging.slice().sub(0, live.len());
-        self.dev.mem().h2d(input, &live);
-        let mut outcome = self.insert_device(input, live.len())?;
+        let live = self.table.live_pairs();
+        let scan = self.table.bill_scan("rebuild_scan", self.table.capacity());
+        self.table.clear_with_next_member();
+        self.cfg.seed = self.table.seed();
+        let reinserted =
+            self.table
+                .insert_pairs(self.cfg.group_size, &live, self.recorder.as_deref())?;
+        let mut outcome = placed(reinserted)?;
         outcome.stats = outcome.stats.merged(&scan);
         Ok(outcome)
     }
@@ -480,33 +306,11 @@ impl GpuHashMap {
     /// union duplicate-free.
     #[must_use]
     pub fn snapshot(&self) -> Vec<(u32, u32)> {
-        let mut out = self.snapshot_table(&self.table);
+        let mut out = self.table.live_pairs();
         if let Some(m) = self.resize.lock().migration.as_ref() {
-            out.extend(self.snapshot_table(&m.table));
+            out.extend(m.table.live_pairs());
         }
         out
-    }
-
-    fn snapshot_table(&self, table: &TableRef) -> Vec<(u32, u32)> {
-        let words = self.dev.mem().d2h(table.data);
-        match table.layout {
-            Layout::Aos => words
-                .into_iter()
-                .filter(|&w| is_occupied(w))
-                .map(|w| (key_of(w), value_of(w)))
-                .collect(),
-            Layout::Soa => {
-                let (keys, values) = words.split_at(table.capacity);
-                keys.iter()
-                    .zip(values)
-                    .filter(|&(&k, _)| k != EMPTY && k != TOMBSTONE)
-                    .map(|(&k, &v)| {
-                        debug_assert!(k < u64::from(RESERVED_KEY));
-                        (k as u32, v as u32)
-                    })
-                    .collect()
-            }
-        }
     }
 }
 
@@ -539,7 +343,7 @@ impl crate::service::MapService for GpuHashMap {
     fn slot_capacity(&self) -> u64 {
         // during a migration, admission control must project against the
         // capacity writes actually land in
-        self.effective_capacity() as u64
+        self.occupancy_split().capacity
     }
 
     fn occupancy_split(&self) -> crate::Occupancy {
@@ -562,7 +366,7 @@ impl crate::service::MapService for GpuHashMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProbingScheme;
+    use crate::config::{Layout, ProbingScheme};
     use proptest::prelude::*;
 
     fn device(words: usize) -> Arc<Device> {
@@ -721,26 +525,6 @@ mod tests {
         let del = m.try_erase(&[pairs[1].0]).unwrap();
         assert_eq!((del.erased, del.hits), (1, vec![true]));
         assert_eq!(m.get(pairs[1].0), None);
-    }
-
-    /// Regression cover for the deprecated tuple shims: they must agree
-    /// with the typed API until they are removed next release.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_typed_api() {
-        let mut m = map_with(512, Config::default());
-        let pairs: Vec<(u32, u32)> = (0..300u32).map(|i| (i * 3 + 2, i)).collect();
-        m.insert_pairs(&pairs).unwrap();
-        let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([7]).collect();
-        let (shim_res, shim_stats) = m.retrieve(&keys);
-        let typed = m.try_retrieve(&keys).unwrap();
-        assert_eq!(shim_res, typed.values);
-        assert_eq!(shim_stats.counters, typed.report.counters);
-        let shim_erase = m.erase(&keys[..100]);
-        assert_eq!(shim_erase.erased, 100);
-        let typed_erase = m.try_erase(&keys[..100]).unwrap();
-        assert_eq!(typed_erase.erased, 0, "already tombstoned");
-        assert!(typed_erase.hits.iter().all(|&h| !h));
     }
 
     #[test]

@@ -69,6 +69,14 @@ impl Prober {
         }
     }
 
+    /// The same scheme over the same capacity under another member of
+    /// the hash family (a rebuild's "distinct hash function", §II).
+    #[must_use]
+    pub(crate) fn with_member(mut self, dh: DoubleHash) -> Self {
+        self.dh = dh;
+        self
+    }
+
     /// Base slot of outer attempt `p` for `key`, reduced mod capacity and
     /// **aligned down to a 4-slot (32-byte sector) boundary**. Sector
     /// alignment is what gives the coalesced window load its minimal

@@ -45,20 +45,17 @@
 //! the scratch discipline real deployments use). Size devices for old +
 //! new + scratch when arming a policy.
 
-use crate::config::Layout;
-use crate::delete::erase_kernel;
-use crate::entry::{live_pair, pack, EMPTY, TOMBSTONE};
+use crate::delete::EraseOutcome;
+use crate::entry::{live_pair, value_of, EMPTY};
 use crate::errors::{BuildError, InsertError};
-use crate::insert::{insert_kernel, soa_key_of, InsertOutcome};
-use crate::map::{GpuHashMap, TableRef};
-use crate::probing::Prober;
-use crate::retrieve::retrieve_kernel;
+use crate::insert::InsertOutcome;
+use crate::map::{placed, GpuHashMap};
 use crate::service::OpError;
-use gpu_sim::{GroupSize, KernelStats, LaunchOptions};
-use hashes::DoubleHash;
+use crate::table::{pair_words, query_words, Table};
+use gpu_sim::{KernelStats, LaunchOptions};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 
 /// When and how a map resizes itself. Armed via
 /// [`crate::GpuHashMap::set_resize_policy`] (or the sharded wrapper's
@@ -178,22 +175,17 @@ pub enum ResizeState {
     },
 }
 
-/// An in-flight migration: the target table plus its own hash member and
-/// counters. The source table and its counters stay on the owning map
-/// until the finalize swap.
+/// An in-flight migration: the table being filled (with its own hash
+/// member and counters, like any [`Table`]) and how far the source has
+/// been drained. The source stays the owning map's primary table until
+/// the finalize moves this one into its place.
 #[derive(Debug)]
 pub(crate) struct Migration {
-    pub(crate) table: TableRef,
-    pub(crate) dh: DoubleHash,
-    pub(crate) seed: u32,
+    pub(crate) table: Table,
     pub(crate) mode: ResizeMode,
     /// Source slots `[0, cursor)` have been migrated.
     pub(crate) cursor: usize,
-    /// Live entries in the target table.
-    pub(crate) occupied: u64,
-    /// Tombstones in the target table (deletes during migration).
-    pub(crate) tombstones: u64,
-    /// Source-table snapshot taken at `begin` — populated **only** under
+    /// Source-table image taken at `begin` — populated **only** under
     /// the `broken_migrate_skips_tombstone_check` mutation double, whose
     /// chunk step replays this stale image instead of scanning the live
     /// table.
@@ -201,7 +193,8 @@ pub(crate) struct Migration {
 }
 
 /// Resize control block of a [`GpuHashMap`], behind a mutex because the
-/// insert/retrieve fast paths take `&self`.
+/// insert/retrieve fast paths take `&self`. A routed operation holds the
+/// lock from its routing decision to its last launch.
 #[derive(Debug, Default)]
 pub(crate) struct ResizeCtl {
     pub(crate) policy: Option<ResizePolicy>,
@@ -211,12 +204,25 @@ pub(crate) struct ResizeCtl {
     pub(crate) blocked: bool,
 }
 
-/// Accumulates kernel stats across the several launches of a routed op.
-fn merge_stats(acc: &mut Option<KernelStats>, s: KernelStats) {
-    *acc = Some(match acc.take() {
+impl ResizeCtl {
+    /// The in-flight migration, if any, with the policy that paces it.
+    pub(crate) fn migrating(&mut self) -> Option<(&mut Migration, ResizePolicy)> {
+        let policy = self.policy.unwrap_or_default();
+        self.migration.as_mut().map(|m| (m, policy))
+    }
+}
+
+/// `s` merged onto the stats of the launches that ran before it, if any.
+fn merged_onto(earlier: Option<KernelStats>, s: KernelStats) -> KernelStats {
+    match earlier {
         Some(prev) => prev.merged(&s),
         None => s,
-    });
+    }
+}
+
+/// Accumulates kernel stats across the several launches of a routed op.
+fn merge_stats(acc: &mut Option<KernelStats>, s: KernelStats) {
+    *acc = Some(merged_onto(acc.take(), s));
 }
 
 /// Splits `pairs` into maximal duplicate-key-free segments (same rule as
@@ -265,8 +271,8 @@ impl GpuHashMap {
             Some(m) => ResizeState::Migrating {
                 mode: m.mode,
                 cursor: m.cursor,
-                source_capacity: self.table.capacity,
-                target_capacity: m.table.capacity,
+                source_capacity: self.table.capacity(),
+                target_capacity: m.table.capacity(),
             },
         }
     }
@@ -275,11 +281,7 @@ impl GpuHashMap {
     /// target's during a resize, the table's otherwise.
     #[must_use]
     pub fn effective_capacity(&self) -> usize {
-        self.resize
-            .lock()
-            .migration
-            .as_ref()
-            .map_or(self.table.capacity, |m| m.table.capacity)
+        self.occupancy_split().capacity as usize
     }
 
     /// Slot occupancy split into live entries and tombstones (see
@@ -290,17 +292,16 @@ impl GpuHashMap {
     #[must_use]
     pub fn occupancy_split(&self) -> crate::Occupancy {
         let ctl = self.resize.lock();
+        let source = self.table.occupancy();
         match &ctl.migration {
-            None => crate::Occupancy {
-                live: self.occupied.load(Relaxed),
-                tombstones: self.tombstones.load(Relaxed),
-                capacity: self.table.capacity as u64,
-            },
-            Some(m) => crate::Occupancy {
-                live: self.occupied.load(Relaxed) + m.occupied,
-                tombstones: m.tombstones,
-                capacity: m.table.capacity as u64,
-            },
+            None => source,
+            Some(m) => {
+                let target = m.table.occupancy();
+                crate::Occupancy {
+                    live: source.live + target.live,
+                    ..target
+                }
+            }
         }
     }
 
@@ -333,32 +334,23 @@ impl GpuHashMap {
         if ctl.migration.is_some() {
             return Ok(false);
         }
-        self.begin_locked(&mut ctl, mode)?;
+        self.begin(&mut ctl, mode)?;
         Ok(true)
     }
 
-    /// Swaps a *fully scanned* migration in as the primary table.
-    /// Returns whether a swap happened. Called automatically at every
-    /// [`crate::MapService`] batch entry point; also public for callers
-    /// driving the `&self` APIs directly.
+    /// Moves a *fully scanned* migration's table in as the primary one
+    /// (the drained old table is dropped). Returns whether that
+    /// happened. Called automatically at every [`crate::MapService`]
+    /// batch entry point; also public for callers driving the `&self`
+    /// APIs directly.
     pub fn maybe_finalize_resize(&mut self) -> bool {
-        let source_capacity = self.table.capacity;
-        let ctl = self.resize.get_mut();
-        let done = ctl
-            .migration
-            .as_ref()
-            .is_some_and(|m| m.cursor >= source_capacity);
-        if !done {
-            return false;
-        }
-        let Some(m) = ctl.migration.take() else {
+        let source_capacity = self.table.capacity();
+        let scanned = self.resize.get_mut().migration.take_if(|m| m.cursor >= source_capacity);
+        let Some(m) = scanned else {
             return false;
         };
         self.table = m.table;
-        self.dh = m.dh;
-        self.cfg.seed = m.seed;
-        *self.occupied.get_mut() = m.occupied;
-        *self.tombstones.get_mut() = m.tombstones;
+        self.cfg.seed = self.table.seed();
         true
     }
 
@@ -383,136 +375,68 @@ impl GpuHashMap {
                 continue;
             }
             let mut ctl = self.resize.lock();
-            if ctl.migration.is_none() {
+            let Some((m, policy)) = ctl.migrating() else {
                 return Ok(finished);
-            }
-            self.advance_locked(&mut ctl, usize::MAX)?;
-            drop(ctl);
+            };
+            self.advance(m, policy, usize::MAX)?;
         }
     }
 
-    // ---- trigger & routing (called from the map's host-side paths) -------
+    // ---- trigger (called from the put path; reads and deletes never
+    //      *start* a resize — neither raises effective load) --------------
 
-    /// Whether a migration is in flight (route-only check: reads and
-    /// deletes never *start* a resize — neither raises effective load).
-    pub(crate) fn resize_active(&self) -> bool {
-        self.resize.lock().migration.is_some()
-    }
-
-    /// Locks the control block, fires the watermark trigger if armed,
-    /// and reports whether ops must route through the migration paths.
-    pub(crate) fn resize_engaged(&self, incoming: usize) -> bool {
-        let mut ctl = self.resize.lock();
-        if ctl.migration.is_some() {
-            return true;
-        }
+    /// Fires the watermark trigger if a policy is armed, the map is
+    /// stable and `incoming` more entries would cross it.
+    pub(crate) fn trigger_resize(&self, ctl: &mut ResizeCtl, incoming: usize) {
         let Some(policy) = ctl.policy else {
-            return false;
+            return;
         };
-        if ctl.blocked {
-            return false;
+        if ctl.migration.is_some() || ctl.blocked {
+            return;
         }
-        let live = self.occupied.load(Relaxed);
-        let tombs = self.tombstones.load(Relaxed);
-        let projected = (live + tombs + incoming as u64) as f64 / self.table.capacity as f64;
-        if projected < policy.watermark {
-            return false;
+        let now = self.table.occupancy();
+        let projected = crate::Occupancy {
+            live: now.live + incoming as u64,
+            ..now
+        };
+        if projected.effective_fraction() < policy.watermark {
+            return;
         }
-        let mode = if tombs >= live && tombs > 0 {
+        let mode = if now.tombstones >= now.live && now.tombstones > 0 {
             ResizeMode::Compact
         } else {
             ResizeMode::Grow
         };
-        match self.begin_locked(&mut ctl, mode) {
-            Ok(()) => true,
-            Err(_) => {
-                // target table does not fit: fall back to fixed-capacity
-                // behaviour instead of failing the foreground op, and
-                // stop re-trying the allocation on every insert
-                ctl.blocked = true;
-                false
-            }
-        }
+        // a target that does not fit: fall back to fixed-capacity
+        // behaviour instead of failing the foreground op, and stop
+        // re-trying the allocation on every insert
+        ctl.blocked = self.begin(ctl, mode).is_err();
     }
 
     // ---- migration machinery ---------------------------------------------
 
-    /// Allocates and installs the migration target.
-    fn begin_locked(&self, ctl: &mut ResizeCtl, mode: ResizeMode) -> Result<(), BuildError> {
-        let policy = ctl.policy.unwrap_or_default();
+    /// Allocates and installs the migration target: the next hash member
+    /// over the grown (or, compacting, the same) capacity.
+    fn begin(&self, ctl: &mut ResizeCtl, mode: ResizeMode) -> Result<(), BuildError> {
         let capacity = match mode {
-            ResizeMode::Grow => self.table.capacity * policy.growth_factor.max(2),
-            ResizeMode::Compact => self.table.capacity,
+            ResizeMode::Grow => {
+                self.table.capacity() * ctl.policy.unwrap_or_default().growth_factor.max(2)
+            }
+            ResizeMode::Compact => self.table.capacity(),
         };
-        let words = match self.cfg.layout {
-            Layout::Aos => capacity,
-            Layout::Soa => 2 * capacity,
-        };
-        let data = self.dev.alloc(words)?;
-        self.dev.mem().fill(data, EMPTY);
-        let seed = self.cfg.seed.wrapping_add(1);
+        let seed = self.table.seed().wrapping_add(1);
+        let table = Table::alloc(Arc::clone(self.table.dev()), capacity, &self.cfg, seed)?;
         let stale = self
             .cfg
             .broken_migrate_skips_tombstone_check
-            .then(|| self.packed_table_words());
+            .then(|| self.table.scan(0..self.table.capacity()));
         ctl.migration = Some(Migration {
-            table: TableRef {
-                data,
-                capacity,
-                layout: self.cfg.layout,
-                group_size: self.cfg.group_size,
-            },
-            dh: DoubleHash::from_seed(seed),
-            seed,
+            table,
             mode,
             cursor: 0,
-            occupied: 0,
-            tombstones: 0,
             stale,
         });
         Ok(())
-    }
-
-    /// The whole source table as packed AOS-style words (sentinels
-    /// preserved) — the stale image the
-    /// `broken_migrate_skips_tombstone_check` double replays.
-    fn packed_table_words(&self) -> Vec<u64> {
-        match self.cfg.layout {
-            Layout::Aos => self.dev.mem().d2h(self.table.data),
-            Layout::Soa => {
-                let keys = self.dev.mem().d2h(self.table.soa_keys());
-                let values = self.dev.mem().d2h(self.table.soa_values());
-                keys.iter()
-                    .zip(&values)
-                    .map(|(&k, &v)| match soa_key_of(k) {
-                        Some(key) => pack(key, v as u32),
-                        None => k, // EMPTY or TOMBSTONE key word
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Launch options for kernels against an arbitrary table (the
-    /// migration target bills its own working set).
-    fn opts_for(&self, table: &TableRef) -> LaunchOptions {
-        let ws = self
-            .cfg
-            .modeled_capacity_bytes
-            .unwrap_or_else(|| table.data.bytes());
-        self.cfg.apply_dispatch(
-            LaunchOptions::default()
-                .with_working_set(ws)
-                .with_schedule(self.cfg.schedule),
-        )
-    }
-
-    fn prober_for(&self, m: &Migration) -> Prober {
-        Prober::new(m.dh, self.cfg.probing, m.table.capacity)
-    }
-
-    fn source_prober(&self) -> Prober {
-        Prober::new(self.dh, self.cfg.probing, self.table.capacity)
     }
 
     /// Advances the migration by up to `chunks` chunk steps (stops at the
@@ -524,122 +448,42 @@ impl GpuHashMap {
     /// into the target, *then* tombstone the source slots — a key is
     /// never in neither table at an op boundary — and record each move
     /// as an erase→insert history pair.
-    fn advance_locked(
+    fn advance(
         &self,
-        ctl: &mut ResizeCtl,
+        m: &mut Migration,
+        policy: ResizePolicy,
         chunks: usize,
     ) -> Result<Option<KernelStats>, InsertError> {
-        let chunk_slots = ctl.policy.unwrap_or_default().chunk.max(1);
-        let Some(m) = ctl.migration.as_mut() else {
-            return Ok(None);
-        };
+        let source = &self.table;
         let mut acc: Option<KernelStats> = None;
         for _ in 0..chunks {
-            if m.cursor >= self.table.capacity {
+            if m.cursor >= source.capacity() {
                 break;
             }
-            let len = chunk_slots.min(self.table.capacity - m.cursor);
-            let cursor = m.cursor;
-
-            // -- scan the chunk (host-side image; billed as a streaming
-            //    launch over the spans, like rebuild_scan)
-            let (mut key_words, values) = match self.cfg.layout {
-                Layout::Aos => (self.dev.mem().d2h(self.table.data.sub(cursor, len)), None),
-                Layout::Soa => (
-                    self.dev.mem().d2h(self.table.soa_keys().sub(cursor, len)),
-                    Some(self.dev.mem().d2h(self.table.soa_values().sub(cursor, len))),
-                ),
-            };
-            let live_at = |i: usize, w: u64| -> Option<(u32, u32)> {
-                match self.cfg.layout {
-                    Layout::Aos => live_pair(w),
-                    Layout::Soa => soa_key_of(w).map(|k| {
-                        let v = values.as_ref().map_or(0, |vs| vs[i]);
-                        (k, v as u32)
-                    }),
-                }
-            };
-            let moved: Vec<(usize, (u32, u32))> = key_words
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &w)| live_at(i, w).map(|kv| (i, kv)))
+            let chunk = m.cursor..source.capacity().min(m.cursor + policy.chunk.max(1));
+            let moved: Vec<(usize, (u32, u32))> = (chunk.clone())
+                .zip(source.scan(chunk.clone()))
+                .filter_map(|(slot, w)| live_pair(w).map(|kv| (slot, kv)))
                 .collect();
             // MUTATION DOUBLE (`broken_migrate_skips_tombstone_check`):
-            // replay the begin-time snapshot of this chunk instead of the
+            // replay the begin-time image of this chunk instead of the
             // live scan — a key deleted (or updated) since the migration
             // began is migrated back to life with its stale value.
             let inserted: Vec<(u32, u32)> = match &m.stale {
-                Some(snapshot) => snapshot[cursor..cursor + len]
-                    .iter()
-                    .filter_map(|&w| live_pair(w))
-                    .collect(),
+                Some(image) => image[chunk.clone()].iter().filter_map(|&w| live_pair(w)).collect(),
                 None => moved.iter().map(|&(_, kv)| kv).collect(),
             };
-            let scan = self.dev.launch(
-                "resize_scan",
-                len.div_ceil(32),
-                GroupSize::WARP,
-                LaunchOptions::default(),
-                |ctx| ctx.bill_stream_bytes(32 * 8),
-            );
-            merge_stats(&mut acc, scan);
+            merge_stats(&mut acc, source.bill_scan("resize_scan", chunk.len()));
 
             // -- insert into the target first (a key is never lost if the
             //    insert errors — the source slots are still intact)
             if !inserted.is_empty() {
-                let words: Vec<u64> = inserted.iter().map(|&(k, v)| pack(k, v)).collect();
-                let staging = self.dev.alloc_scratch(words.len())?;
-                let input = staging.slice().sub(0, words.len());
-                self.dev.mem().h2d(input, &words);
-                let outcome = insert_kernel(
-                    &self.dev,
-                    &m.table,
-                    input,
-                    words.len(),
-                    &self.prober_for(m),
-                    self.cfg.p_max,
-                    self.opts_for(&m.table),
-                    self.cfg.mutations(),
-                    None,
-                );
-                if outcome.failed > 0 {
-                    merge_stats(&mut acc, outcome.stats);
-                    return Err(InsertError::ProbingExhausted {
-                        failed: outcome.failed,
-                    });
-                }
-                m.occupied += outcome.new_slots;
-                m.tombstones -= outcome.reclaimed.min(m.tombstones);
+                let outcome = placed(m.table.insert_pairs(self.cfg.group_size, &inserted, None)?)?;
                 merge_stats(&mut acc, outcome.stats);
             }
-
             // -- tombstone the moved source slots (EMPTY slots stay EMPTY
             //    so probe sequences on the source keep terminating early)
-            if !moved.is_empty() {
-                for &(i, _) in &moved {
-                    key_words[i] = TOMBSTONE;
-                }
-                match self.cfg.layout {
-                    Layout::Aos => {
-                        self.dev
-                            .mem()
-                            .h2d(self.table.data.sub(cursor, len), &key_words);
-                    }
-                    Layout::Soa => {
-                        self.dev
-                            .mem()
-                            .h2d(self.table.soa_keys().sub(cursor, len), &key_words);
-                        if let Some(mut vs) = values {
-                            for &(i, _) in &moved {
-                                vs[i] = EMPTY;
-                            }
-                            self.dev.mem().h2d(self.table.soa_values().sub(cursor, len), &vs);
-                        }
-                    }
-                }
-                self.occupied.fetch_sub(moved.len() as u64, Relaxed);
-                self.tombstones.fetch_add(moved.len() as u64, Relaxed);
-            }
+            source.tombstone(moved.iter().map(|&(slot, _)| slot));
 
             // -- history: each migrated key is a legal erase→insert pair
             if let Some(rec) = self.recorder.as_deref() {
@@ -647,30 +491,29 @@ impl GpuHashMap {
                     rec.record_migration_pair(k, v, true);
                 }
             }
-            m.cursor += len;
+            m.cursor = chunk.end;
         }
         Ok(acc)
     }
 
     // ---- routed foreground ops (active while Migrating) -------------------
+    //
+    // Each is a composition of the two tables' operations over one staged
+    // upload. The kernels run unrecorded — kernel-level events would claim
+    // a false erase/miss on whichever table doesn't hold the key — and the
+    // per-key history is recorded here instead.
 
     /// Put during migration: tombstone in the source, insert into the
-    /// target, with per-key history recorded manually (the kernels run
-    /// unrecorded — kernel-level events would claim a false erase/miss
-    /// on whichever table doesn't hold the key).
+    /// target; a pair is new iff its key was in neither table.
     pub(crate) fn migrating_insert_pairs(
         &self,
+        m: &mut Migration,
+        policy: ResizePolicy,
         pairs: &[(u32, u32)],
     ) -> Result<InsertOutcome, InsertError> {
-        let mut ctl = self.resize.lock();
-        let chunks = ctl.policy.unwrap_or_default().chunks_per_op.max(1);
-        let mut acc = self.advance_locked(&mut ctl, chunks)?;
-        let Some(m) = ctl.migration.as_mut() else {
-            // the advance finished the scan and a racing &mut path
-            // finalized — fall through to the stable path
-            drop(ctl);
-            return self.insert_pairs(pairs);
-        };
+        let g = self.cfg.group_size;
+        let mut acc = self.advance(m, policy, policy.chunks_per_op.max(1))?;
+        let (source, target) = (&self.table, &m.table);
 
         let mut new_slots = 0u64;
         let mut updates = 0u64;
@@ -681,79 +524,22 @@ impl GpuHashMap {
                 continue;
             }
             let n = seg_pairs.len();
-            let key_queries: Vec<u64> = seg_pairs.iter().map(|&(k, _)| u64::from(k) << 32).collect();
-            let packed: Vec<u64> = seg_pairs.iter().map(|&(k, v)| pack(k, v)).collect();
-
-            // scratch: erase input (n) + retrieve in/out (2n) + insert (n)
-            let staging = self.dev.alloc_scratch(4 * n)?;
-            let erase_in = staging.slice().sub(0, n);
-            let probe_in = staging.slice().sub(n, n);
-            let probe_out = staging.slice().sub(2 * n, n);
-            let insert_in = staging.slice().sub(3 * n, n);
-
-            // 1. tombstone in the source (per-key hits tell us who was
-            //    present there)
-            self.dev.mem().h2d(erase_in, &key_queries);
-            let erase = erase_kernel(
-                &self.dev,
-                &self.table,
-                erase_in,
+            let (_scratch, [queries, packed], probed) = source.stage(
+                [&query_words(seg_pairs.iter().map(|p| p.0)), &pair_words(seg_pairs)],
                 n,
-                &self.source_prober(),
-                self.cfg.p_max,
-                self.opts_for(&self.table),
-                None,
-            );
-            self.occupied.fetch_sub(erase.erased, Relaxed);
-            self.tombstones.fetch_add(erase.erased, Relaxed);
-
-            // 2. unrecorded probe of the target: who is already there
-            self.dev.mem().h2d(probe_in, &key_queries);
-            let probe = retrieve_kernel(
-                &self.dev,
-                &m.table,
-                probe_in,
-                probe_out,
-                n,
-                &self.prober_for(m),
-                self.cfg.p_max,
-                self.opts_for(&m.table),
-                self.cfg.mutations(),
-                None,
-            );
-            let found_target: Vec<bool> = self
-                .dev
-                .mem()
-                .d2h(probe_out)
-                .into_iter()
-                .map(|w| w != EMPTY)
-                .collect();
-
-            // 3. insert into the target
-            self.dev.mem().h2d(insert_in, &packed);
-            let outcome = insert_kernel(
-                &self.dev,
-                &m.table,
-                insert_in,
-                n,
-                &self.prober_for(m),
-                self.cfg.p_max,
-                self.opts_for(&m.table),
-                self.cfg.mutations(),
-                None,
-            );
-            m.occupied += outcome.new_slots;
-            m.tombstones -= outcome.reclaimed.min(m.tombstones);
-            let failed = outcome.failed;
+            )?;
+            // per-key hits tell who was present in the source …
+            let erase = source.erase(g, queries, n, None);
+            // … and an unrecorded probe who is already in the target
+            let probe = target.retrieve(g, queries, probed, n, None);
+            let in_target = source.dev().mem().d2h(probed);
+            let outcome = target.insert(g, packed, n, None);
             merge_stats(&mut acc, erase.stats);
             merge_stats(&mut acc, probe.merged(&outcome.stats));
-            if failed > 0 {
-                return Err(InsertError::ProbingExhausted { failed });
-            }
+            let outcome = placed(outcome)?;
 
-            // 4. per-key logical outcome: new iff present in neither table
             for (i, &(k, v)) in seg_pairs.iter().enumerate() {
-                let new_slot = !erase.hits[i] && !found_target[i];
+                let new_slot = !erase.hits[i] && in_target[i] == EMPTY;
                 if new_slot {
                     new_slots += 1;
                 } else {
@@ -772,16 +558,10 @@ impl GpuHashMap {
             reclaimed += outcome.reclaimed;
         }
         // empty batch against a fully-scanned migration: nothing launched
-        let stats = match acc {
-            Some(s) => s,
-            None => self.dev.launch(
-                "warpdrive_insert",
-                0,
-                self.table.group_size,
-                LaunchOptions::default(),
-                |_ctx| {},
-            ),
-        };
+        let stats = acc.unwrap_or_else(|| {
+            let idle = |_: &gpu_sim::GroupCtx| {};
+            source.dev().launch("warpdrive_insert", 0, g, LaunchOptions::default(), idle)
+        });
         Ok(InsertOutcome {
             stats,
             failed: 0,
@@ -795,58 +575,24 @@ impl GpuHashMap {
     /// disjointness invariant means at most one hits.
     pub(crate) fn migrating_retrieve(
         &self,
+        m: &mut Migration,
+        policy: ResizePolicy,
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
-        let mut ctl = self.resize.lock();
-        let chunks = ctl.policy.unwrap_or_default().chunks_per_op.max(1);
-        let cursor_before = ctl.migration.as_ref().map_or(0, |m| m.cursor);
-        let mut acc = self.advance_locked(&mut ctl, chunks).map_err(OpError::from)?;
-        let Some(m) = ctl.migration.as_ref() else {
-            drop(ctl);
-            return self.retrieve_impl(keys);
-        };
+        let g = self.cfg.group_size;
+        let cursor_before = m.cursor;
+        let steps = self.advance(m, policy, policy.chunks_per_op.max(1))?;
+        let (source, target) = (&self.table, &m.table);
 
         let n = keys.len();
-        let cell = n.max(1);
-        let words: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 32).collect();
-        let staging = self.dev.alloc_scratch(4 * cell)?;
-        let src_in = staging.slice().sub(0, n);
-        let src_out = staging.slice().sub(cell, n);
-        let tgt_in = staging.slice().sub(2 * cell, n);
-        let tgt_out = staging.slice().sub(3 * cell, n);
+        let (_scratch, [queries], out) = source.stage([&query_words(keys.iter().copied())], 2 * n)?;
+        let (source_out, target_out) = (out.sub(0, n), out.sub(n, n));
+        let in_source = source.retrieve(g, queries, source_out, n, None);
+        let in_target = target.retrieve(g, queries, target_out, n, None);
+        let stats = merged_onto(steps, in_source.merged(&in_target));
 
-        self.dev.mem().h2d(src_in, &words);
-        let s1 = retrieve_kernel(
-            &self.dev,
-            &self.table,
-            src_in,
-            src_out,
-            n,
-            &self.source_prober(),
-            self.cfg.p_max,
-            self.opts_for(&self.table),
-            self.cfg.mutations(),
-            None,
-        );
-        self.dev.mem().h2d(tgt_in, &words);
-        let s2 = retrieve_kernel(
-            &self.dev,
-            &m.table,
-            tgt_in,
-            tgt_out,
-            n,
-            &self.prober_for(m),
-            self.cfg.p_max,
-            self.opts_for(&m.table),
-            self.cfg.mutations(),
-            None,
-        );
-        merge_stats(&mut acc, s1.merged(&s2));
-
-        let src_res = self.dev.mem().d2h(src_out);
-        let tgt_res = self.dev.mem().d2h(tgt_out);
+        let found = source.dev().mem().d2h(out);
         let migrated_window = cursor_before..m.cursor;
-        let src_prober = self.source_prober();
         let values: Vec<Option<u32>> = keys
             .iter()
             .enumerate()
@@ -857,34 +603,25 @@ impl GpuHashMap {
                 // cleared and the target not yet visible, reporting a
                 // miss for a live key.
                 if self.cfg.broken_read_misses_migrating_window
-                    && migrated_window.contains(&(src_prober.span_base(k, 0) as usize))
+                    && migrated_window.contains(&(source.prober().span_base(k, 0) as usize))
                 {
                     return None;
                 }
-                let hit = if src_res[i] != EMPTY {
-                    src_res[i]
-                } else {
-                    tgt_res[i]
-                };
-                (hit != EMPTY).then(|| crate::entry::value_of(hit))
+                let hit = if found[i] != EMPTY { found[i] } else { found[n + i] };
+                (hit != EMPTY).then(|| value_of(hit))
             })
             .collect();
 
         if let Some(rec) = self.recorder.as_deref() {
-            for (i, &k) in keys.iter().enumerate() {
+            for (&k, &value) in keys.iter().zip(&values) {
                 let invoked = rec.invoke();
-                let response = match values[i] {
+                let response = match value {
                     Some(value) => crate::OpResponse::Found { value },
                     None => crate::OpResponse::NotFound,
                 };
                 rec.complete(k, crate::OpKind::Retrieve, response, invoked);
             }
         }
-        let Some(stats) = acc else {
-            return Err(OpError::Internal {
-                detail: "migrating get produced no kernel launch",
-            });
-        };
         Ok((values, stats))
     }
 
@@ -892,80 +629,33 @@ impl GpuHashMap {
     /// at most one, so the per-key hit is the OR.
     pub(crate) fn migrating_erase(
         &self,
+        m: &mut Migration,
+        policy: ResizePolicy,
         keys: &[u32],
-    ) -> Result<crate::delete::EraseOutcome, OpError> {
-        let mut ctl = self.resize.lock();
-        let chunks = ctl.policy.unwrap_or_default().chunks_per_op.max(1);
-        let mut acc = self.advance_locked(&mut ctl, chunks).map_err(OpError::from)?;
-        let Some(m) = ctl.migration.as_mut() else {
-            drop(ctl);
-            let words: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 32).collect();
-            let staging = self.dev.alloc_scratch(words.len().max(1))?;
-            let input = staging.slice().sub(0, words.len());
-            self.dev.mem().h2d(input, &words);
-            return Ok(self.erase_device_shared(input, words.len()));
-        };
+    ) -> Result<EraseOutcome, OpError> {
+        let g = self.cfg.group_size;
+        let steps = self.advance(m, policy, policy.chunks_per_op.max(1))?;
 
         let n = keys.len();
-        let cell = n.max(1);
-        let words: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 32).collect();
-        let staging = self.dev.alloc_scratch(2 * cell)?;
-        let src_in = staging.slice().sub(0, n);
-        let tgt_in = staging.slice().sub(cell, n);
+        let (_scratch, [queries], _) = self.table.stage([&query_words(keys.iter().copied())], 0)?;
+        let source = self.table.erase(g, queries, n, None);
+        let target = m.table.erase(g, queries, n, None);
+        let stats = merged_onto(steps, source.stats.merged(&target.stats));
 
-        self.dev.mem().h2d(src_in, &words);
-        let src = erase_kernel(
-            &self.dev,
-            &self.table,
-            src_in,
-            n,
-            &self.source_prober(),
-            self.cfg.p_max,
-            self.opts_for(&self.table),
-            None,
-        );
-        self.occupied.fetch_sub(src.erased, Relaxed);
-        self.tombstones.fetch_add(src.erased, Relaxed);
-
-        self.dev.mem().h2d(tgt_in, &words);
-        let tgt = erase_kernel(
-            &self.dev,
-            &m.table,
-            tgt_in,
-            n,
-            &self.prober_for(m),
-            self.cfg.p_max,
-            self.opts_for(&m.table),
-            None,
-        );
-        m.occupied -= tgt.erased.min(m.occupied);
-        m.tombstones += tgt.erased;
-        merge_stats(&mut acc, src.stats.clone().merged(&tgt.stats));
-
-        let hits: Vec<bool> = src
+        let hits: Vec<bool> = source
             .hits
             .iter()
-            .zip(&tgt.hits)
+            .zip(&target.hits)
             .map(|(&a, &b)| a || b)
             .collect();
         if let Some(rec) = self.recorder.as_deref() {
-            for (i, &k) in keys.iter().enumerate() {
+            for (&k, &hit) in keys.iter().zip(&hits) {
                 let invoked = rec.invoke();
-                rec.complete(
-                    k,
-                    crate::OpKind::Erase,
-                    crate::OpResponse::Erased { hit: hits[i] },
-                    invoked,
-                );
+                rec.complete(k, crate::OpKind::Erase, crate::OpResponse::Erased { hit }, invoked);
             }
         }
-        let Some(stats) = acc else {
-            return Err(OpError::Internal {
-                detail: "migrating delete produced no kernel launch",
-            });
-        };
         let erased = hits.iter().filter(|&&h| h).count() as u64;
-        Ok(crate::delete::EraseOutcome {
+        Ok(EraseOutcome {
             stats,
             erased,
             hits,
@@ -1107,6 +797,79 @@ mod tests {
         m.finish_resize().unwrap();
         let o = m.occupancy_split();
         assert_eq!((o.live, o.capacity), (100, 512));
+    }
+
+    /// The group size is one value of the map: set while a migration is
+    /// in flight, it must survive the finalize. (Fails before `Table`:
+    /// the target table froze |g| at `begin`, and the finalize swap
+    /// reinstated it — config said 16, launches ran with 4.)
+    #[test]
+    fn group_size_set_mid_migration_survives_the_finalize() {
+        let cfg = Config::default().with_schedule(gpu_sim::Schedule::Sequential);
+        let pairs: Vec<(u32, u32)> = (0..50u32).map(|i| (i * 7 + 3, i)).collect();
+        let probe: Vec<u32> = pairs[..4].iter().map(|p| p.0).collect();
+
+        let mut m = map(512, cfg);
+        m.insert_pairs(&pairs).unwrap();
+        assert!(m.request_grow().unwrap());
+        m.set_group_size(gpu_sim::GroupSize::new(16));
+        m.finish_resize().unwrap();
+        assert_eq!(m.config().group_size.get(), 16);
+        let got = m.try_retrieve(&probe).unwrap().report;
+
+        let fresh_cfg = cfg.with_group_size(16).with_seed(m.config().seed);
+        let fresh = map(m.capacity(), fresh_cfg);
+        fresh.insert_pairs(&pairs).unwrap();
+        let want = fresh.try_retrieve(&probe).unwrap().report;
+        assert_eq!(got.counters, want.counters);
+        assert_eq!(got.time.to_bits(), want.time.to_bits());
+        // four hits in their first 16-slot window: four sectors each
+        assert_eq!(got.counters.transactions, 16);
+    }
+
+    /// `load_factor`, `len`, `tombstones`, `effective_capacity` and the
+    /// service's `occupancy`/`slot_capacity` all read one
+    /// `occupancy_split`. (Fails before `Table`: `load_factor` divided
+    /// keys of both tables by the source capacity — 1.7578 here.)
+    #[test]
+    fn load_factor_agrees_with_service_occupancy_through_grow_and_compact() {
+        use crate::MapService;
+        fn check(m: &GpuHashMap, at: &str) {
+            let o = m.occupancy_split();
+            assert_eq!(m.load_factor().to_bits(), m.occupancy().to_bits(), "{at}");
+            assert!(m.load_factor() <= 1.0, "{at}: α = {}", m.load_factor());
+            assert_eq!((m.len(), m.tombstones()), (o.live, o.tombstones), "{at}");
+            assert_eq!(m.effective_capacity() as u64, o.capacity, "{at}");
+            assert_eq!(m.slot_capacity(), o.capacity, "{at}");
+        }
+        let mut m = map(1024, Config::default());
+        m.set_resize_policy(Some(ResizePolicy::default().with_watermark(0.99).with_chunk(64)));
+        m.insert_pairs(&(0..800u32).map(|i| (i + 1, i)).collect::<Vec<_>>())
+            .unwrap();
+        check(&m, "stable");
+        assert!(m.request_grow().unwrap());
+        for step in 0..10u32 {
+            // `&self` puts never finalize: both tables stay populated
+            let batch: Vec<(u32, u32)> = (0..100).map(|i| (1000 + step * 100 + i, i)).collect();
+            m.insert_pairs(&batch).unwrap();
+            check(&m, &format!("grow step {step}"));
+        }
+        assert_eq!(m.effective_capacity(), 2048);
+        assert!((m.load_factor() - 1800.0 / 2048.0).abs() < 1e-12);
+        m.finish_resize().unwrap();
+        check(&m, "grown");
+
+        m.try_erase(&(1..=900).collect::<Vec<u32>>()).unwrap();
+        check(&m, "tombstoned");
+        assert!(m.request_compact().unwrap());
+        for step in 0..10u32 {
+            m.try_erase(&[1000 + step]).unwrap();
+            m.insert_pairs(&[(5000 + step, step)]).unwrap();
+            check(&m, &format!("compact step {step}"));
+        }
+        m.finish_resize().unwrap();
+        check(&m, "compacted");
+        assert_eq!(m.tombstones(), 0);
     }
 
     #[test]

@@ -12,74 +12,58 @@
 //! low bits are caller payload (the distributed cascade routes origin
 //! indices through them) and are ignored here.
 
-use crate::config::{Layout, Mutations};
+use crate::config::Layout;
 use crate::entry::{is_empty_slot, key_of, value_of, EMPTY};
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::insert::{soa_hit, soa_is_empty, soa_key_of};
-use crate::map::TableRef;
-use crate::probing::Prober;
-use gpu_sim::{DevSlice, Device, GroupCtx, KernelStats, LaunchOptions};
+use crate::table::Table;
+use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
 
 /// Launches the retrieval kernel for the `n` query words in `input`,
-/// writing one result word per query to `out`.
-#[allow(clippy::too_many_arguments)] // kernel ABI: device + table + knobs
+/// one group of `g` lanes per query, writing one result word per query
+/// to `out`.
 pub(crate) fn retrieve_kernel(
-    dev: &Device,
-    table: &TableRef,
+    table: &Table,
+    g: GroupSize,
     input: DevSlice,
     out: DevSlice,
     n: usize,
-    prober: &Prober,
-    p_max: u32,
-    opts: LaunchOptions,
-    muts: Mutations,
     recorder: Option<&HistoryRecorder>,
 ) -> KernelStats {
-    dev.launch(
-        "warpdrive_retrieve",
-        n,
-        table.group_size,
-        opts,
-        |ctx: &GroupCtx| {
-            let invoked = recorder.map(HistoryRecorder::invoke);
-            // MUTATION DOUBLE (`broken_window_overrun`): read the query
-            // one group past our own — the last group runs off the end of
-            // the input buffer, which memcheck reports and contains.
-            let qidx = if muts.window_overrun {
-                ctx.group_id() + 1
+    table.launch("warpdrive_retrieve", n, g, |ctx: &GroupCtx| {
+        let invoked = recorder.map(HistoryRecorder::invoke);
+        // MUTATION DOUBLE (`broken_window_overrun`): read the query
+        // one group past our own — the last group runs off the end of
+        // the input buffer, which memcheck reports and contains.
+        let qidx = if table.muts().window_overrun {
+            ctx.group_id() + 1
+        } else {
+            ctx.group_id()
+        };
+        let query = ctx.read_stream(input, qidx);
+        let key = key_of(query);
+        let result = match table.layout() {
+            Layout::Aos => retrieve_one_aos(ctx, table, key),
+            Layout::Soa => retrieve_one_soa(ctx, table, key),
+        };
+        if let (Some(rec), Some(invoked)) = (recorder, invoked) {
+            let response = if result == EMPTY {
+                OpResponse::NotFound
             } else {
-                ctx.group_id()
+                OpResponse::Found {
+                    value: value_of(result),
+                }
             };
-            let query = ctx.read_stream(input, qidx);
-            let key = key_of(query);
-            let result = match table.layout {
-                Layout::Aos => retrieve_one_aos(ctx, table, prober, p_max, key),
-                Layout::Soa => retrieve_one_soa(ctx, table, prober, p_max, key),
-            };
-            if let (Some(rec), Some(invoked)) = (recorder, invoked) {
-                let response = if result == EMPTY {
-                    OpResponse::NotFound
-                } else {
-                    OpResponse::Found {
-                        value: value_of(result),
-                    }
-                };
-                rec.complete(key, OpKind::Retrieve, response, invoked);
-            }
-            ctx.write_stream(out, ctx.group_id(), result);
-        },
-    )
+            rec.complete(key, OpKind::Retrieve, response, invoked);
+        }
+        ctx.write_stream(out, ctx.group_id(), result);
+    })
 }
 
-fn retrieve_one_aos(
-    ctx: &GroupCtx,
-    table: &TableRef,
-    prober: &Prober,
-    p_max: u32,
-    key: u32,
-) -> u64 {
+fn retrieve_one_aos(ctx: &GroupCtx, table: &Table, key: u32) -> u64 {
+    let (prober, p_max) = (table.prober(), table.p_max());
     let g = ctx.size().get();
-    let data = table.aos_slice();
+    let data = table.keys();
     for p in 0..p_max {
         for q in 0..ctx.size().windows_per_warp() {
             let base = prober.window_base(key, p, q, g) as usize;
@@ -98,17 +82,11 @@ fn retrieve_one_aos(
     EMPTY // probing exhausted: definitively absent under p_max
 }
 
-fn retrieve_one_soa(
-    ctx: &GroupCtx,
-    table: &TableRef,
-    prober: &Prober,
-    p_max: u32,
-    key: u32,
-) -> u64 {
+fn retrieve_one_soa(ctx: &GroupCtx, table: &Table, key: u32) -> u64 {
+    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
     let g = ctx.size().get();
-    let keys = table.soa_keys();
+    let keys = table.keys();
     let values = table.soa_values();
-    let cap = table.capacity;
     for p in 0..p_max {
         for q in 0..ctx.size().windows_per_warp() {
             let base = prober.window_base(key, p, q, g) as usize;

@@ -66,12 +66,20 @@ fn run_pass(schedule: Schedule) -> (Fingerprint, Fingerprint) {
     let map = GpuHashMap::new(dev, CAPACITY, Config::default().with_schedule(schedule)).unwrap();
     let ins = map.insert_pairs(&pairs).unwrap();
     let keys: Vec<u32> = pairs.iter().map(|&(k, _)| k).collect();
-    // Deliberately exercises the deprecated tuple shim: the fingerprint
-    // needs the raw `KernelStats.breakdown`, which the typed `OpReport`
-    // abstracts away — this doubles as shim regression coverage.
-    #[allow(deprecated)]
-    let (_, ret) = map.retrieve(&keys);
-    (Fingerprint::of(&ins.stats), Fingerprint::of(&ret))
+    (Fingerprint::of(&ins.stats), Fingerprint::of(&retrieve_stats(&map, &keys)))
+}
+
+/// One retrieve launch's raw stats. The fingerprint needs
+/// `KernelStats.breakdown`, which the typed `OpReport` of `try_retrieve`
+/// abstracts away, so the queries are staged by hand for the
+/// device-sided call.
+fn retrieve_stats(map: &GpuHashMap, keys: &[u32]) -> KernelStats {
+    let queries: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 32).collect();
+    let staging = map.device().alloc_scratch(2 * keys.len()).unwrap();
+    let input = staging.slice().sub(0, keys.len());
+    let out = staging.slice().sub(keys.len(), keys.len());
+    map.device().mem().h2d(input, &queries);
+    map.retrieve_device(input, out, keys.len())
 }
 
 #[test]
@@ -122,9 +130,7 @@ fn modeled_results_are_bit_equal_across_worker_counts() {
     let mut baseline = None;
     for workers in sweeps {
         std::env::set_var("RAYON_NUM_THREADS", workers);
-        #[allow(deprecated)]
-        let (_, stats) = map.retrieve(&keys);
-        let got = Fingerprint::of(&stats);
+        let got = Fingerprint::of(&retrieve_stats(&map, &keys));
         match &baseline {
             None => baseline = Some(got),
             Some(want) => assert_eq!(
