@@ -196,16 +196,6 @@ impl CuckooHash {
         })
     }
 
-    /// Bulk retrieval: probes the ≤ 4 candidate slots, then the stash.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve` — typed `GetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve(&self, keys: &[u32]) -> (Vec<Option<u32>>, KernelStats) {
-        self.retrieve_impl(keys).expect("cuckoo staging")
-    }
-
     fn retrieve_impl(
         &self,
         keys: &[u32],

@@ -173,16 +173,6 @@ impl RobinHoodMap {
         })
     }
 
-    /// Bulk retrieval: linear probe from the home slot; EMPTY terminates.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve` — typed `GetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve(&self, keys: &[u32]) -> (Vec<Option<u32>>, KernelStats) {
-        self.retrieve_impl(keys).expect("rh staging")
-    }
-
     fn retrieve_impl(
         &self,
         keys: &[u32],

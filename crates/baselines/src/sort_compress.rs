@@ -118,17 +118,6 @@ impl SortCompressStore {
         })
     }
 
-    /// Binary-search queries: returns the value of the first matching run
-    /// element per key (like the single-value hash map contract).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve` — typed `GetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve(&self, keys: &[u32]) -> (Vec<Option<u32>>, KernelStats) {
-        self.retrieve_impl(keys).expect("sc staging")
-    }
-
     fn retrieve_impl(
         &self,
         keys: &[u32],

@@ -192,17 +192,6 @@ impl StadiumHash {
         Ok(warpdrive::GetResponse { values, report })
     }
 
-    /// Bulk retrieval: the ticket board screens absent slots; the table is
-    /// touched only for occupied slots on the probe path.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve` — typed `GetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve(&self, keys: &[u32]) -> (Vec<Option<u32>>, StadiumStats) {
-        self.retrieve_impl(keys).expect("stadium staging")
-    }
-
     fn retrieve_impl(
         &self,
         keys: &[u32],

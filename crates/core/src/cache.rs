@@ -359,63 +359,8 @@ impl<S: MapService> MapService for CachedMap<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{Op, OpReport};
-
-    /// In-memory reference backend (mirrors the one in `service::tests`).
-    #[derive(Default)]
-    struct ModelService {
-        map: std::collections::BTreeMap<u32, u32>,
-        gets: usize,
-        fail_puts: bool,
-    }
-
-    impl MapService for ModelService {
-        fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
-            if self.fail_puts {
-                return Err(OpError::ProbingExhausted {
-                    failed: pairs.len() as u64,
-                });
-            }
-            let mut new_slots = 0;
-            for &(k, v) in pairs {
-                if self.map.insert(k, v).is_none() {
-                    new_slots += 1;
-                }
-            }
-            Ok(PutResponse {
-                new_slots,
-                updates: pairs.len() as u64 - new_slots,
-                reclaimed: 0,
-                report: OpReport::default(),
-            })
-        }
-
-        fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
-            self.gets += keys.len();
-            Ok(GetResponse {
-                values: keys.iter().map(|k| self.map.get(k).copied()).collect(),
-                report: OpReport::default(),
-            })
-        }
-
-        fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-            let hits: Vec<bool> = keys.iter().map(|k| self.map.remove(k).is_some()).collect();
-            let erased = hits.iter().filter(|&&h| h).count() as u64;
-            Ok(DeleteResponse {
-                hits,
-                erased,
-                report: OpReport::default(),
-            })
-        }
-
-        fn live_len(&self) -> u64 {
-            self.map.len() as u64
-        }
-
-        fn slot_capacity(&self) -> u64 {
-            1 << 20
-        }
-    }
+    use crate::service::model::ModelService;
+    use crate::service::Op;
 
     fn warmed(capacity: usize, policy: CachePolicy) -> CachedMap<ModelService> {
         let mut c = CachedMap::new(ModelService::default(), capacity, policy);

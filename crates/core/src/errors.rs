@@ -108,57 +108,6 @@ impl From<TransferError> for InsertError {
     }
 }
 
-/// Errors during fault-aware retrieval (see
-/// [`crate::DistributedHashMap::try_retrieve_device_sided`]). Healthy
-/// retrieval is infallible; these arise only under an armed
-/// [`gpu_sim::FaultPlan`] once every failover avenue is exhausted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrieveError {
-    /// An interconnect transfer exhausted its retry budget with no
-    /// survivor to quarantine the failing endpoint onto.
-    Transfer(TransferError),
-    /// A GPU exhausted its launch retry budget and no survivor remained.
-    DeviceLost {
-        /// The lost device's index.
-        device: usize,
-    },
-    /// Re-inserting a quarantined GPU's partition into the survivors
-    /// failed (e.g. probing exhaustion on an overloaded survivor).
-    Migration(InsertError),
-}
-
-impl std::fmt::Display for RetrieveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RetrieveError::Transfer(e) => write!(f, "unrecoverable transfer failure: {e}"),
-            RetrieveError::DeviceLost { device } => {
-                write!(f, "GPU {device} lost: launch retry budget exhausted, no failover target")
-            }
-            RetrieveError::Migration(e) => write!(f, "partition migration failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RetrieveError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RetrieveError::Transfer(e) => Some(e),
-            RetrieveError::Migration(e) => Some(e),
-            RetrieveError::DeviceLost { .. } => None,
-        }
-    }
-}
-
-impl From<InsertError> for RetrieveError {
-    fn from(e: InsertError) -> Self {
-        match e {
-            InsertError::Transfer(t) => RetrieveError::Transfer(t),
-            InsertError::DeviceLost { device } => RetrieveError::DeviceLost { device },
-            other => RetrieveError::Migration(other),
-        }
-    }
-}
-
 impl From<OutOfMemory> for InsertError {
     fn from(e: OutOfMemory) -> Self {
         InsertError::OutOfMemory(e)
@@ -186,12 +135,7 @@ mod tests {
         };
         let i: InsertError = t.into();
         assert!(i.to_string().contains("transfer"));
-        let r: RetrieveError = i.into();
-        assert_eq!(r, RetrieveError::Transfer(t));
-        let r: RetrieveError = InsertError::DeviceLost { device: 3 }.into();
-        assert!(r.to_string().contains("GPU 3"));
-        let r: RetrieveError = InsertError::ProbingExhausted { failed: 2 }.into();
-        assert!(matches!(r, RetrieveError::Migration(_)));
+        assert!(InsertError::DeviceLost { device: 3 }.to_string().contains("GPU 3"));
     }
 
     #[test]

@@ -181,17 +181,6 @@ impl GpuMultiMap {
         Ok(crate::GetAllResponse { values, report })
     }
 
-    /// Retrieves **all** values stored under each key. Results are
-    /// per-key value vectors (order across racing inserts unspecified).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve_all` — typed `GetAllResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve_all(&self, keys: &[u32]) -> (Vec<Vec<u32>>, KernelStats) {
-        self.retrieve_all_impl(keys).expect("multimap scratch")
-    }
-
     fn retrieve_all_impl(
         &self,
         keys: &[u32],

@@ -11,8 +11,8 @@
 //!   deletes, whatever the backend;
 //! * [`OpReport`] — one cost report subsuming both [`KernelStats`]
 //!   (single-GPU launches) and [`CascadeReport`] (multi-GPU cascades);
-//! * [`OpError`] — one error type unifying [`InsertError`] and
-//!   [`RetrieveError`], so fault-mode callers never hit a panic;
+//! * [`OpError`] — one error type for every operation ([`InsertError`]
+//!   converts into it), so fault-mode callers never hit a panic;
 //! * [`MapService`] — the trait the wd-serve coalescer is generic over,
 //!   implemented by [`crate::GpuHashMap`], [`crate::ShardedHashMap`] and
 //!   [`crate::DistributedHashMap`].
@@ -30,7 +30,7 @@
 //! do not interfere. The wd-serve equivalence suite proves this across
 //! seeds × schedules × fault plans.
 
-use crate::errors::{InsertError, RetrieveError};
+use crate::errors::InsertError;
 use crate::stats::{CascadeReport, CascadeStage, DegradedStats, StageTiming};
 use gpu_sim::{CounterSnapshot, KernelStats, OutOfMemory};
 use interconnect::TransferError;
@@ -222,8 +222,6 @@ pub enum OpError {
         /// The lost device's index.
         device: usize,
     },
-    /// Re-homing a quarantined GPU's partition failed.
-    Migration(InsertError),
     /// A cascade invariant broke (a WarpDrive bug, not an
     /// environmental failure). Typed so a serving process can fail the
     /// one op and keep serving instead of panicking.
@@ -244,7 +242,6 @@ impl std::fmt::Display for OpError {
             OpError::DeviceLost { device } => {
                 write!(f, "GPU {device} lost: launch retry budget exhausted, no failover target")
             }
-            OpError::Migration(e) => write!(f, "partition migration failed: {e}"),
             OpError::Internal { detail } => write!(f, "internal invariant violated: {detail}"),
         }
     }
@@ -254,7 +251,6 @@ impl std::error::Error for OpError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             OpError::Transfer(e) => Some(e),
-            OpError::Migration(e) => Some(e),
             _ => None,
         }
     }
@@ -268,16 +264,6 @@ impl From<InsertError> for OpError {
             InsertError::Transfer(t) => OpError::Transfer(t),
             InsertError::DeviceLost { device } => OpError::DeviceLost { device },
             InsertError::Internal { detail } => OpError::Internal { detail },
-        }
-    }
-}
-
-impl From<RetrieveError> for OpError {
-    fn from(e: RetrieveError) -> Self {
-        match e {
-            RetrieveError::Transfer(t) => OpError::Transfer(t),
-            RetrieveError::DeviceLost { device } => OpError::DeviceLost { device },
-            RetrieveError::Migration(i) => OpError::Migration(i),
         }
     }
 }
@@ -550,8 +536,86 @@ pub fn lower_mixed(ops: &[workloads::ycsb::MixedOp]) -> Vec<Op> {
     out
 }
 
+/// The one in-memory reference [`MapService`] of the crate's unit tests:
+/// a `BTreeMap` behind the trait, with probes for what reached it.
+#[cfg(test)]
+pub(crate) mod model {
+    use super::*;
+
+    /// Reference backend; every field is a test probe.
+    #[derive(Default)]
+    pub(crate) struct ModelService {
+        pub(crate) map: std::collections::BTreeMap<u32, u32>,
+        /// `(kind, len)` of every batch call, in order (`'p'`/`'g'`/`'d'`).
+        pub(crate) batches: Vec<(char, usize)>,
+        /// Keys looked up so far.
+        pub(crate) gets: usize,
+        /// Makes every put batch fail with `ProbingExhausted`.
+        pub(crate) fail_puts: bool,
+    }
+
+    fn report(elements: usize) -> OpReport {
+        OpReport {
+            elements: elements as u64,
+            ..OpReport::default()
+        }
+    }
+
+    impl MapService for ModelService {
+        fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
+            self.batches.push(('p', pairs.len()));
+            if self.fail_puts {
+                return Err(OpError::ProbingExhausted {
+                    failed: pairs.len() as u64,
+                });
+            }
+            let mut new_slots = 0;
+            for &(k, v) in pairs {
+                if self.map.insert(k, v).is_none() {
+                    new_slots += 1;
+                }
+            }
+            Ok(PutResponse {
+                new_slots,
+                updates: pairs.len() as u64 - new_slots,
+                reclaimed: 0,
+                report: report(pairs.len()),
+            })
+        }
+
+        fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
+            self.batches.push(('g', keys.len()));
+            self.gets += keys.len();
+            Ok(GetResponse {
+                values: keys.iter().map(|k| self.map.get(k).copied()).collect(),
+                report: report(keys.len()),
+            })
+        }
+
+        fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
+            self.batches.push(('d', keys.len()));
+            let hits: Vec<bool> = keys.iter().map(|k| self.map.remove(k).is_some()).collect();
+            let erased = hits.iter().filter(|&&h| h).count() as u64;
+            Ok(DeleteResponse {
+                hits,
+                erased,
+                report: report(keys.len()),
+            })
+        }
+
+        fn live_len(&self) -> u64 {
+            self.map.len() as u64
+        }
+
+        fn slot_capacity(&self) -> u64 {
+            1 << 20
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::model::ModelService;
     use super::*;
 
     #[test]
@@ -608,73 +672,10 @@ mod tests {
             dst: 1,
             attempts: 2,
         };
-        let e: OpError = RetrieveError::Transfer(t).into();
+        let e: OpError = InsertError::Transfer(t).into();
         assert_eq!(e, OpError::Transfer(t));
-        let e: OpError = RetrieveError::Migration(InsertError::DeviceLost { device: 1 }).into();
-        assert!(matches!(e, OpError::Migration(_)));
-        assert!(e.to_string().contains("migration"));
-    }
-
-    /// A trivial in-memory MapService used to pin down `execute`'s
-    /// segmentation behavior independent of the GPU backends.
-    #[derive(Default)]
-    struct ModelService {
-        map: std::collections::HashMap<u32, u32>,
-        batches: Vec<(char, usize)>,
-    }
-
-    impl MapService for ModelService {
-        fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
-            self.batches.push(('p', pairs.len()));
-            let mut new_slots = 0;
-            for &(k, v) in pairs {
-                if self.map.insert(k, v).is_none() {
-                    new_slots += 1;
-                }
-            }
-            Ok(PutResponse {
-                new_slots,
-                updates: pairs.len() as u64 - new_slots,
-                reclaimed: 0,
-                report: OpReport {
-                    elements: pairs.len() as u64,
-                    ..OpReport::default()
-                },
-            })
-        }
-
-        fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
-            self.batches.push(('g', keys.len()));
-            Ok(GetResponse {
-                values: keys.iter().map(|k| self.map.get(k).copied()).collect(),
-                report: OpReport {
-                    elements: keys.len() as u64,
-                    ..OpReport::default()
-                },
-            })
-        }
-
-        fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-            self.batches.push(('d', keys.len()));
-            let hits: Vec<bool> = keys.iter().map(|k| self.map.remove(k).is_some()).collect();
-            let erased = hits.iter().filter(|&&h| h).count() as u64;
-            Ok(DeleteResponse {
-                hits,
-                erased,
-                report: OpReport {
-                    elements: keys.len() as u64,
-                    ..OpReport::default()
-                },
-            })
-        }
-
-        fn live_len(&self) -> u64 {
-            self.map.len() as u64
-        }
-
-        fn slot_capacity(&self) -> u64 {
-            1 << 20
-        }
+        let e: OpError = InsertError::DeviceLost { device: 1 }.into();
+        assert_eq!(e, OpError::DeviceLost { device: 1 });
     }
 
     #[test]

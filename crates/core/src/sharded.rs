@@ -248,27 +248,11 @@ impl ShardedHashMap {
         Ok(GetResponse { values, report })
     }
 
-    /// Bulk retrieval in input order.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_retrieve` — typed `GetResponse` carrying an `OpReport`"
-    )]
-    #[must_use]
-    pub fn retrieve(&self, keys: &[u32]) -> (Vec<Option<u32>>, KernelStats) {
-        let (values, mut stats, _, backoff) = self.retrieve_impl(keys).expect("scratch for retrieve");
-        if backoff > 0.0 {
-            // fault-injection waits are real wall time; the fault-off
-            // path never reaches this addition, keeping it bit-identical
-            stats.sim_time += backoff;
-        }
-        (values, stats)
-    }
-
     /// Bulk erase in input order: route, erase shard by shard, scatter
     /// the per-key hit flags back to input positions.
     ///
     /// Takes `&mut self` for the same §IV-A reason as
-    /// [`GpuHashMap::erase`]: deletions must be separated from
+    /// [`GpuHashMap::try_erase`]: deletions must be separated from
     /// insertions and queries by a global barrier.
     ///
     /// Under an armed [`Config::fault`] plan each shard's erase rolls

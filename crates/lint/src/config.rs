@@ -54,7 +54,6 @@ impl Default for Config {
                 "TransferError".to_string(),
                 "ServeError".to_string(),
                 "InsertError".to_string(),
-                "RetrieveError".to_string(),
             ],
             allow: BTreeMap::new(),
             baseline: "wd-lint.baseline".to_string(),
