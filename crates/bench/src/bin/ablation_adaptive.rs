@@ -18,7 +18,7 @@ fn main() {
     let capacity = (n as f64 / 0.97).ceil() as usize;
     let batches = 16;
     let batch = n / batches;
-    let oh = gpu_sim::DeviceSpec::p100().launch_overhead;
+    let p100 = gpu_sim::DeviceSpec::p100();
     println!(
         "Ablation A6: adaptive |g| vs fixed, filling to alpha = 0.97 in {batches} batches (n = {n})\n"
     );
@@ -39,7 +39,7 @@ fn main() {
         let map = GpuHashMap::new(dev, capacity, Config::default().with_group_size(g)).unwrap();
         let mut total = 0.0;
         for chunk in pairs.chunks(batch) {
-            total += map.insert_pairs(chunk).unwrap().stats.sim_time - oh;
+            total += p100.net_of_launches(map.insert_pairs(chunk).unwrap().stats.sim_time, 1);
         }
         t.row(vec![
             format!("fixed |g| = {g}"),
@@ -53,7 +53,7 @@ fn main() {
         let mut switches = Vec::new();
         for chunk in pairs.chunks(batch) {
             switches.push(map.current_group_size().get());
-            total += map.insert_pairs(chunk).unwrap().stats.sim_time - oh;
+            total += p100.net_of_launches(map.insert_pairs(chunk).unwrap().stats.sim_time, 1);
         }
         t.row(vec![
             format!("adaptive ({switches:?})"),

@@ -52,7 +52,6 @@ fn main() {
     ]);
     let load = 0.95;
     let capacity = (n as f64 / load).ceil() as usize;
-    let oh = gpu_sim::DeviceSpec::p100().launch_overhead;
     let sequential: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, i ^ 0x5555)).collect();
     let strided: Vec<(u32, u32)> = (0..n as u32)
         .map(|i| (i.wrapping_mul(1 << 12).wrapping_add(5), i))
@@ -79,7 +78,7 @@ fn main() {
             Ok(ins) => {
                 t.row(vec![
                     label.to_owned(),
-                    gops(scaled_rate(ins.stats.sim_time, oh, n, opts.modeled_n)),
+                    gops(scaled_rate(ins.stats.sim_time, n, opts.modeled_n)),
                     format!("{:.2}", ins.stats.counters.steps_per_group()),
                     "0".to_owned(),
                 ]);

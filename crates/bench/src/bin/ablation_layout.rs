@@ -22,7 +22,6 @@ fn main() {
         "retrieve G/s",
         "table words",
     ]);
-    let oh = gpu_sim::DeviceSpec::p100().launch_overhead;
     for &load in &[0.5, 0.8, 0.95] {
         let capacity = (n as f64 / load).ceil() as usize;
         for (layout, label) in [(Layout::Aos, "AOS"), (Layout::Soa, "SOA")] {
@@ -41,8 +40,8 @@ fn main() {
             t.row(vec![
                 format!("{load:.2}"),
                 label.to_owned(),
-                gops(scaled_rate(ins.stats.sim_time, oh, n, opts.modeled_n)),
-                gops(scaled_rate(ret.report.time, oh, n, opts.modeled_n)),
+                gops(scaled_rate(ins.stats.sim_time, n, opts.modeled_n)),
+                gops(scaled_rate(ret.report.time, n, opts.modeled_n)),
                 words.to_string(),
             ]);
         }

@@ -23,7 +23,6 @@ fn main() {
         "retrieve G/s",
         "probe steps/op",
     ]);
-    let oh = gpu_sim::DeviceSpec::p100().launch_overhead;
     for &load in &[0.5, 0.8, 0.95, 0.99] {
         let capacity = (n as f64 / load).ceil() as usize;
         for (scheme, label) in [
@@ -53,8 +52,8 @@ fn main() {
             t.row(vec![
                 format!("{load:.2}"),
                 label.to_owned(),
-                gops(scaled_rate(ins.stats.sim_time, oh, n, opts.modeled_n)),
-                gops(scaled_rate(ret.time, oh, n, opts.modeled_n)),
+                gops(scaled_rate(ins.stats.sim_time, n, opts.modeled_n)),
+                gops(scaled_rate(ret.time, n, opts.modeled_n)),
                 format!("{:.2}", ins.stats.counters.steps_per_group()),
             ]);
         }

@@ -17,7 +17,9 @@ fn main() {
     let n = opts.n;
     let load = 0.9;
     let capacity = (n as f64 / load).ceil() as usize;
-    let oh = gpu_sim::DeviceSpec::p100().launch_overhead;
+    let p100 = gpu_sim::DeviceSpec::p100();
+    // sharded issues 1 routing + 4 shard launches where monolithic issues 1
+    let shard_time = |t: f64| p100.net_of_launches(t, 4);
     println!("Ablation A7: monolithic vs sharded tables, alpha = {load} (n = {n})\n");
 
     let pairs = Distribution::Unique.generate(n, opts.seed);
@@ -55,16 +57,15 @@ fn main() {
         let si = shard.insert_pairs(&pairs).unwrap();
         let sr = shard.try_retrieve(&keys).unwrap().report;
 
-        let mono_ins = scaled_rate(mi.stats.sim_time, oh, n, opts.modeled_n);
-        // sharded issues 1 routing + 4 shard launches
-        let shard_ins = scaled_rate(si.stats.sim_time - 4.0 * oh, oh, n, opts.modeled_n);
+        let mono_ins = scaled_rate(mi.stats.sim_time, n, opts.modeled_n);
+        let shard_ins = scaled_rate(shard_time(si.stats.sim_time), n, opts.modeled_n);
         t.row(vec![
             format!("{gib} GiB"),
             gops(mono_ins),
             gops(shard_ins),
             format!("{:.2}x", shard_ins / mono_ins),
-            gops(scaled_rate(mr.time, oh, n, opts.modeled_n)),
-            gops(scaled_rate(sr.time - 4.0 * oh, oh, n, opts.modeled_n)),
+            gops(scaled_rate(mr.time, n, opts.modeled_n)),
+            gops(scaled_rate(shard_time(sr.time), n, opts.modeled_n)),
         ]);
     }
     t.print();

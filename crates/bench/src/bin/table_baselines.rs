@@ -34,8 +34,7 @@ fn main() {
         "notes",
     ]);
 
-    let oh = gpu_sim::DeviceSpec::p100().launch_overhead;
-    let rate = |sim: f64| scaled_rate(sim, oh, n, opts.modeled_n);
+    let rate = |sim: f64| scaled_rate(sim, n, opts.modeled_n);
 
     // WarpDrive reference
     {

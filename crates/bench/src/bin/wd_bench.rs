@@ -158,13 +158,12 @@ fn resize_scenario(quick: bool, seed: u64) -> Json {
         assert_eq!(out.failed, 0, "fixed fill must not exhaust probing");
     }
 
-    let overhead = managed.device().spec().launch_overhead;
     let steady = |map: &GpuHashMap| -> (f64, f64) {
         let ret = map.try_retrieve(&query_keys).expect("steady retrieve");
         let ins = map.insert_pairs(fresh).expect("steady insert");
         (
-            scaled_rate(ins.stats.sim_time, overhead, batch, PAPER_N_SINGLE),
-            scaled_rate(ret.report.time, overhead, batch, PAPER_N_SINGLE),
+            scaled_rate(ins.stats.sim_time, batch, PAPER_N_SINGLE),
+            scaled_rate(ret.report.time, batch, PAPER_N_SINGLE),
         )
     };
     let (managed_ins, managed_ret) = steady(&managed);

@@ -153,12 +153,11 @@ impl SingleGpuBench {
         let ret = map.retrieve_device(q_slice, out_slice, n);
         let host_wall_s = wall.elapsed().as_secs_f64();
 
-        let overhead = self.dev.spec().launch_overhead;
         SingleGpuMeasurement {
             load,
             group_size,
-            insert_rate: scaled_rate(ins.stats.sim_time, overhead, n, modeled_n),
-            retrieve_rate: scaled_rate(ret.sim_time, overhead, n, modeled_n),
+            insert_rate: scaled_rate(ins.stats.sim_time, n, modeled_n),
+            retrieve_rate: scaled_rate(ret.sim_time, n, modeled_n),
             insert_steps: ins.stats.counters.steps_per_group(),
             retrieve_steps: ret.counters.steps_per_group(),
             insert_sim_s: ins.stats.sim_time,
@@ -193,11 +192,10 @@ impl SingleGpuBench {
         let ret = table.try_retrieve(&keys).unwrap().report;
         let host_wall_s = wall.elapsed().as_secs_f64();
 
-        let overhead = self.dev.spec().launch_overhead;
         CuckooMeasurement {
             load,
-            insert_rate: scaled_rate(ins.stats.sim_time, overhead, n, modeled_n),
-            retrieve_rate: scaled_rate(ret.time, overhead, n, modeled_n),
+            insert_rate: scaled_rate(ins.stats.sim_time, n, modeled_n),
+            retrieve_rate: scaled_rate(ret.time, n, modeled_n),
             insert_steps: ins.stats.counters.steps_per_group(),
             failed: ins.failed,
             host_wall_s,
@@ -229,9 +227,10 @@ pub fn single_gpu_insert_retrieve(
 /// at the paper's 2²⁷ elements it is invisible, so it must not be charged
 /// `modeled_n / n` times by a scaled-down run.
 #[must_use]
-pub fn scaled_rate(sim_time: f64, launch_overhead: f64, n: usize, modeled_n: u64) -> f64 {
-    let per_element = (sim_time - launch_overhead).max(0.0) / n as f64;
-    let modeled_time = per_element * modeled_n as f64 + launch_overhead;
+pub fn scaled_rate(sim_time: f64, n: usize, modeled_n: u64) -> f64 {
+    let p100 = gpu_sim::DeviceSpec::p100();
+    let per_element = p100.net_of_launches(sim_time, 1).max(0.0) / n as f64;
+    let modeled_time = per_element * modeled_n as f64 + p100.launch_overhead;
     modeled_n as f64 / modeled_time
 }
 

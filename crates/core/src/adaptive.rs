@@ -23,7 +23,7 @@
 //! windows only pay off beyond α ≈ 0.99. The Fig. 7 measurements agree.
 
 use crate::config::Config;
-use crate::errors::InsertError;
+use crate::service::OpError;
 use crate::insert::InsertOutcome;
 use crate::map::GpuHashMap;
 use gpu_sim::GroupSize;
@@ -101,7 +101,7 @@ impl AdaptiveHashMap {
     ///
     /// # Errors
     /// Same as [`GpuHashMap::insert_pairs`].
-    pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, InsertError> {
+    pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, OpError> {
         let g = self.current_group_size();
         self.inner.set_group_size(g);
         self.inner.insert_pairs(pairs)
@@ -199,20 +199,21 @@ mod tests {
     fn adaptive_never_loses_to_worst_fixed_choice() {
         // compare net of the fixed launch overheads: adaptive issues one
         // launch per batch, which at paper scale is invisible
-        let oh = gpu_sim::DeviceSpec::p100().launch_overhead;
+        let p100 = gpu_sim::DeviceSpec::p100();
         let n = 3000;
         let pairs = Distribution::Unique.generate(n, 9);
         let run_fixed = |g: u32| {
             let dev = Arc::new(gpu_sim::Device::with_words(0, 1 << 16));
             let cfg = Config::default().with_group_size(g);
             let map = GpuHashMap::new(dev, 4096, cfg).unwrap();
-            map.insert_pairs(&pairs).unwrap().stats.sim_time - oh
+            p100.net_of_launches(map.insert_pairs(&pairs).unwrap().stats.sim_time, 1)
         };
         let dev = Arc::new(gpu_sim::Device::with_words(0, 1 << 16));
         let mut adaptive = AdaptiveHashMap::new(dev, 4096, Config::default()).unwrap();
         let mut t_adaptive = 0.0;
         for chunk in pairs.chunks(512) {
-            t_adaptive += adaptive.insert_pairs(chunk).unwrap().stats.sim_time - oh;
+            let t = adaptive.insert_pairs(chunk).unwrap().stats.sim_time;
+            t_adaptive += p100.net_of_launches(t, 1);
         }
         let worst = run_fixed(32).max(run_fixed(1));
         assert!(

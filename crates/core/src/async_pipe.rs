@@ -13,7 +13,7 @@
 //! simulated resource timelines by [`interconnect::PipelineSim`].
 
 use crate::distributed::DistributedHashMap;
-use crate::errors::InsertError;
+use crate::service::OpError;
 use crate::stats::{CascadeReport, CascadeStage};
 use interconnect::{PipelineSim, Stage};
 
@@ -125,7 +125,7 @@ impl DistributedHashMap {
         pairs: &[(u32, u32)],
         batch_size: usize,
         threads: usize,
-    ) -> Result<OverlapReport, InsertError> {
+    ) -> Result<OverlapReport, OpError> {
         self.insert_overlapped_scaled(pairs, batch_size, threads, 1.0)
     }
 
@@ -142,7 +142,7 @@ impl DistributedHashMap {
         batch_size: usize,
         threads: usize,
         scale: f64,
-    ) -> Result<OverlapReport, InsertError> {
+    ) -> Result<OverlapReport, OpError> {
         assert!(batch_size > 0 && threads > 0);
         let mut cascades = Vec::new();
         for chunk in pairs.chunks(batch_size) {

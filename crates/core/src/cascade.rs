@@ -24,9 +24,9 @@
 //! though the restarted round no longer sees it).
 
 use crate::chaos::{launch_site, straggled, ChaosTally, Router};
+use crate::config::Mutation;
 use crate::distributed::DistributedHashMap;
 use crate::entry::{key_of, pack, value_of, EMPTY};
-use crate::errors::InsertError;
 use crate::service::{OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse};
 use crate::stats::{CascadeReport, CascadeStage};
 use gpu_sim::{DevSlice, FaultPlan, GroupSize, LaunchOptions, RetryPolicy, ScratchGuard};
@@ -95,7 +95,7 @@ pub(crate) enum Abort {
     /// This device exhausted its retry budget: quarantine it and re-run.
     Lost(usize),
     /// Unrecoverable (probing exhaustion, scratch OOM): propagate.
-    Fatal(InsertError),
+    Fatal(OpError),
 }
 
 /// Per-GPU data prepared for a cascade (device-resident words).
@@ -136,13 +136,13 @@ impl DistributedHashMap {
     /// partition re-splits over the survivors) before the next run.
     ///
     /// # Errors
-    /// A step's fatal error; [`InsertError::DeviceLost`] and migration
+    /// A step's fatal error; [`OpError::DeviceLost`] and migration
     /// failures from the quarantine once no survivor remains.
     pub(crate) fn with_failover<O>(
         &self,
         report: &mut CascadeReport,
         mut step: impl FnMut(&FaultPlan, u32, &mut CascadeReport, &mut ChaosTally) -> Result<O, Abort>,
-    ) -> Result<O, InsertError> {
+    ) -> Result<O, OpError> {
         for _run in 0..=self.num_gpus() {
             let (plan, mask) = self.chaos_snapshot();
             let mut tally = ChaosTally::default();
@@ -157,7 +157,7 @@ impl DistributedHashMap {
                 Err(Abort::Fatal(e)) => return Err(e),
             }
         }
-        Err(InsertError::Internal {
+        Err(OpError::Internal {
             detail: "every failed round quarantines one GPU; at most m rounds",
         })
     }
@@ -183,9 +183,9 @@ impl DistributedHashMap {
         op: &CascadeOp,
         per_gpu_words: &[Vec<u64>],
         report: &mut CascadeReport,
-        mut kernel: impl FnMut(usize, DevSlice, usize) -> Result<(f64, Vec<A>), InsertError>,
+        mut kernel: impl FnMut(usize, DevSlice, usize) -> Result<(f64, Vec<A>), OpError>,
         mut answer: impl FnMut((usize, usize), u64, &A),
-    ) -> Result<(), InsertError> {
+    ) -> Result<(), OpError> {
         assert_eq!(per_gpu_words.len(), self.num_gpus(), "one batch per GPU");
         let policy = self.retry_policy();
         self.with_failover(report, |plan, mask, report, tally| {
@@ -224,7 +224,7 @@ impl DistributedHashMap {
         policy: &RetryPolicy,
         report: &mut CascadeReport,
         tally: &mut ChaosTally,
-        kernel: &mut impl FnMut(usize, DevSlice, usize) -> Result<(f64, Vec<A>), InsertError>,
+        kernel: &mut impl FnMut(usize, DevSlice, usize) -> Result<(f64, Vec<A>), OpError>,
         answer: &mut impl FnMut((usize, usize), u64, &A),
     ) -> Result<(), Abort> {
         let m = self.num_gpus();
@@ -251,7 +251,7 @@ impl DistributedHashMap {
             }
             let retried = tally.launch_retries;
             let gate = tally.gate_launch(plan, policy, j, op.site);
-            if self.cfg().broken_double_apply_on_retry
+            if self.cfg().mutation == Some(Mutation::DoubleApplyOnRetry)
                 && op.site == launch_site::INSERT
                 && tally.launch_retries > retried
             {
@@ -280,13 +280,13 @@ impl DistributedHashMap {
                     }
                 }
                 // the other GPUs still run: report the aggregate
-                Err(InsertError::ProbingExhausted { failed: f }) => failed += f,
+                Err(OpError::ProbingExhausted { failed: f }) => failed += f,
                 Err(e) => return Err(Abort::Fatal(e)),
             }
         }
         report.push_with_overhead(op.stage, worst, 0, oh);
         if failed > 0 {
-            return Err(Abort::Fatal(InsertError::ProbingExhausted { failed }));
+            return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
         }
 
         // Phases 4+5: the return trip
@@ -407,7 +407,7 @@ impl DistributedHashMap {
     fn transpose_move<'s>(
         &'s self,
         split: &SplitPhase<'_>,
-    ) -> Result<(Vec<Vec<u64>>, Vec<ScratchGuard<'s>>), InsertError> {
+    ) -> Result<(Vec<Vec<u64>>, Vec<ScratchGuard<'s>>), OpError> {
         let m = self.num_gpus();
         let mut recv: Vec<Vec<u64>> = vec![Vec::new(); m];
         #[allow(clippy::needless_range_loop)] // (i, j) walks the square count matrix
@@ -438,7 +438,7 @@ impl DistributedHashMap {
         &self,
         per_gpu_words: &[Vec<u64>],
         report: &mut CascadeReport,
-    ) -> Result<(), InsertError> {
+    ) -> Result<(), OpError> {
         self.cascade(
             &INSERT,
             per_gpu_words,
@@ -458,7 +458,7 @@ impl DistributedHashMap {
         &self,
         per_gpu_words: &[Vec<u64>],
         report: &mut CascadeReport,
-    ) -> Result<Vec<Vec<Option<u32>>>, InsertError> {
+    ) -> Result<Vec<Vec<Option<u32>>>, OpError> {
         let mut values: Vec<Vec<Option<u32>>> =
             per_gpu_words.iter().map(|w| vec![None; w.len()]).collect();
         self.cascade(
@@ -488,7 +488,7 @@ impl DistributedHashMap {
         &self,
         per_gpu_words: &[Vec<u64>],
         report: &mut CascadeReport,
-    ) -> Result<(Vec<Vec<bool>>, u64), InsertError> {
+    ) -> Result<(Vec<Vec<bool>>, u64), OpError> {
         let mut hits: Vec<Vec<bool>> = per_gpu_words.iter().map(|w| vec![false; w.len()]).collect();
         let mut erased = 0u64;
         self.cascade(
@@ -517,11 +517,11 @@ impl DistributedHashMap {
     ///
     /// # Errors
     /// Aggregated probing exhaustion across GPUs; scratch OOM;
-    /// [`InsertError::DeviceLost`] once no survivor remains.
+    /// [`OpError::DeviceLost`] once no survivor remains.
     pub fn insert_device_sided(
         &self,
         per_gpu_words: &[Vec<u64>],
-    ) -> Result<CascadeReport, InsertError> {
+    ) -> Result<CascadeReport, OpError> {
         let mut report = new_report(per_gpu_words);
         self.insert_words(per_gpu_words, &mut report)?;
         Ok(report)

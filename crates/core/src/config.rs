@@ -1,6 +1,6 @@
 //! Hash-map configuration.
 
-use gpu_sim::{FaultPlan, GroupSize, RetryPolicy, Schedule};
+use gpu_sim::{FaultPlan, GroupSize, Schedule};
 use serde::{Deserialize, Serialize};
 
 /// Table memory layout (paper Fig. 1; ablation A1).
@@ -34,11 +34,65 @@ pub enum ProbingScheme {
     Quadratic,
 }
 
+/// A deliberately broken variant of one code path — a *mutation double*
+/// — that a test arms through [`Config::with_mutation`] to prove the
+/// suite built to catch that class of bug can fail. At most one is armed
+/// per map. Never arm one outside tests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Mutation {
+    /// Insertion skips the Fig. 3 window-reload/re-ballot after a failed
+    /// claim CAS and retries the next vacant slot of the *stale* window
+    /// instead, which can store one key in two slots. The linearizability
+    /// harness exists to catch exactly this.
+    CasRecheck,
+    /// The SOA insert path publishes the value word with a *plain store*
+    /// instead of the sentinel-CAS of the publication protocol, losing
+    /// the release/acquire edge that orders it against concurrent
+    /// updaters. The end state often still looks right; `wd-sanitizer`'s
+    /// racecheck exists to catch exactly this.
+    PublishPlainStore,
+    /// Table construction skips the EMPTY-sentinel fill, leaving every
+    /// slot word undefined — the classic forgotten-`cudaMemset` bug
+    /// initcheck exists to catch.
+    SkipFill,
+    /// The retrieve kernel reads its input query one group past its own,
+    /// running the last group off the end of the input buffer — the
+    /// off-by-one memcheck exists to catch.
+    WindowOverrun,
+    /// The AOS insert path re-ballots after a failed claim CAS with the
+    /// failing lane masked out of the participation mask — lockstep
+    /// divergence synccheck exists to catch.
+    DivergentBallot,
+    /// A transiently failed insert launch is *also* applied to its
+    /// failover targets while the primary GPU is still being retried —
+    /// premature failover without the idempotence guard, leaving the same
+    /// key live on two GPUs. The chaos suite's multiset-conservation and
+    /// linearizability checks exist to catch exactly this.
+    DoubleApplyOnRetry,
+    /// Quarantining a GPU skips the re-split of its partition across the
+    /// survivors, silently dropping the quarantined shard's keys. The
+    /// chaos suite's degraded-mode round-trip exists to catch exactly
+    /// this.
+    ForgetQuarantinedPartition,
+    /// The incremental resize's migration scan skips the live-entry check
+    /// and replays the table contents *snapshotted at migration start*,
+    /// so a key deleted after the resize began is migrated back to life
+    /// in the new table — the classic stale-scan bug of online migration.
+    /// The resize sweeps' conservation and linearizability checks exist
+    /// to catch exactly this.
+    MigrateSkipsTombstoneCheck,
+    /// A read issued during migration ignores old-table hits for keys
+    /// whose home window lies inside the chunk currently being moved —
+    /// the read races the in-flight chunk and reports `NotFound` for a
+    /// live key. The resize sweeps' full-retrieval and linearizability
+    /// checks exist to catch exactly this.
+    ReadMissesMigratingWindow,
+}
+
 /// Configuration of a [`crate::GpuHashMap`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Config {
     /// Coalesced-group size `|g|` (the central tuning knob of Figs. 7–8).
-    #[serde(with = "group_size_serde")]
     pub group_size: GroupSize,
     /// Probing scheme.
     pub probing: ProbingScheme,
@@ -63,16 +117,13 @@ pub struct Config {
     /// [`gpu_sim::Schedule::from_env`]), so any test can be replayed
     /// under a recorded schedule without code changes.
     pub schedule: Schedule,
-    /// Forces per-op stepwise dispatch (`Some(true)`) or chunked lane
-    /// dispatch (`Some(false)`) for this map's kernel launches. `None`
-    /// (the default) defers to the process-wide `WD_SCHED_CHUNK`
-    /// environment knob (see [`gpu_sim::chunked_dispatch_default`]),
-    /// which defaults to chunked. Only meaningful under a stepwise
-    /// [`Schedule`]; pool mode ignores it. The two paths produce
-    /// bit-identical modeled counters and schedule decisions — this knob
-    /// exists for differential testing and for replaying per-op traces.
-    #[serde(default)]
-    pub per_op_dispatch: Option<bool>,
+    /// Per-op stepwise dispatch (`true`) instead of chunked lane dispatch
+    /// (`false`, the default) for this map's kernel launches. Only
+    /// meaningful under a stepwise [`Schedule`]; pool mode ignores it.
+    /// The two paths produce bit-identical modeled counters and schedule
+    /// decisions — the per-op path is the reference for differential
+    /// testing and for replaying per-op traces.
+    pub per_op_dispatch: bool,
     /// Deterministic fault-injection plan for the multi-GPU cascades:
     /// link degradation, transfer drops, transient launch failures,
     /// stragglers and killed devices. `Config::default()` honors the
@@ -83,79 +134,8 @@ pub struct Config {
     /// behaviour. Override per map with
     /// [`crate::DistributedHashMap::set_fault_plan`].
     pub fault: FaultPlan,
-    /// Retry/backoff/timeout budgets governing how cascades respond to
-    /// injected faults: idempotent retries with exponential backoff up
-    /// to `max_attempts` per site within a per-operation time budget,
-    /// after which the offending GPU is quarantined and its partition
-    /// re-split across the survivors.
-    pub retry: RetryPolicy,
-    /// **Mutation double — test-only.** When `true`, insertion skips the
-    /// Fig. 3 window-reload/re-ballot after a failed claim CAS and retries
-    /// the next vacant slot of the *stale* window instead. This is a
-    /// deliberately broken probing variant that can store one key in two
-    /// slots; it exists so the linearizability harness can prove it
-    /// catches exactly this class of bug. Never enable outside tests.
-    pub broken_cas_recheck: bool,
-    /// **Mutation double — test-only.** When `true`, the SOA insert path
-    /// publishes the value word with a *plain store* instead of the
-    /// sentinel-CAS of the publication protocol, losing the
-    /// release/acquire edge that orders it against concurrent updaters.
-    /// The end state often still looks right; `wd-sanitizer`'s racecheck
-    /// exists to catch exactly this. Never enable outside tests.
-    pub broken_publish_plain_store: bool,
-    /// **Mutation double — test-only.** When `true`, table construction
-    /// skips the EMPTY-sentinel fill, leaving every slot word undefined —
-    /// the classic forgotten-`cudaMemset` bug initcheck exists to catch.
-    /// Never enable outside tests.
-    pub broken_skip_fill: bool,
-    /// **Mutation double — test-only.** When `true`, the retrieve kernel
-    /// reads its input query one group past its own, running the last
-    /// group off the end of the input buffer — the off-by-one memcheck
-    /// exists to catch. Never enable outside tests.
-    pub broken_window_overrun: bool,
-    /// **Mutation double — test-only.** When `true`, the AOS insert path
-    /// re-ballots after a failed claim CAS with the failing lane masked
-    /// out of the participation mask — lockstep divergence synccheck
-    /// exists to catch. Never enable outside tests.
-    pub broken_divergent_ballot: bool,
-    /// **Mutation double — test-only.** When `true`, a transiently
-    /// failed insert launch is *also* applied to its failover targets
-    /// while the primary GPU is still being retried — premature failover
-    /// without the idempotence guard, leaving the same key live on two
-    /// GPUs. The chaos suite's multiset-conservation and linearizability
-    /// checks exist to catch exactly this. Never enable outside tests.
-    pub broken_double_apply_on_retry: bool,
-    /// **Mutation double — test-only.** When `true`, quarantining a GPU
-    /// skips the re-split of its partition across the survivors, silently
-    /// dropping the quarantined shard's keys. The chaos suite's
-    /// degraded-mode round-trip exists to catch exactly this. Never
-    /// enable outside tests.
-    pub broken_forget_quarantined_partition: bool,
-    /// **Mutation double — test-only.** When `true`, the incremental
-    /// resize's migration scan skips the live-entry check and replays the
-    /// table contents *snapshotted at migration start*, so a key deleted
-    /// after the resize began is migrated back to life in the new table —
-    /// the classic stale-scan bug of online migration. The resize sweeps'
-    /// conservation and linearizability checks exist to catch exactly
-    /// this. Never enable outside tests.
-    pub broken_migrate_skips_tombstone_check: bool,
-    /// **Mutation double — test-only.** When `true`, a read issued during
-    /// migration ignores old-table hits for keys whose home window lies
-    /// inside the chunk currently being moved — the read races the
-    /// in-flight chunk and reports `NotFound` for a live key. The resize
-    /// sweeps' full-retrieval and linearizability checks exist to catch
-    /// exactly this. Never enable outside tests.
-    pub broken_read_misses_migrating_window: bool,
-}
-
-/// The full set of mutation-double switches, bundled so kernel entry
-/// points take one parameter instead of one `bool` per double.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Mutations {
-    pub cas_recheck: bool,
-    pub publish_plain_store: bool,
-    pub window_overrun: bool,
-    pub divergent_ballot: bool,
+    /// **Test-only.** The [`Mutation`] double armed on this map, if any.
+    pub mutation: Option<Mutation>,
 }
 
 impl Default for Config {
@@ -170,18 +150,9 @@ impl Default for Config {
             seed: 0,
             modeled_capacity_bytes: None,
             schedule: Schedule::from_env(),
-            per_op_dispatch: None,
+            per_op_dispatch: false,
             fault: FaultPlan::from_env(),
-            retry: RetryPolicy::default(),
-            broken_cas_recheck: false,
-            broken_publish_plain_store: false,
-            broken_skip_fill: false,
-            broken_window_overrun: false,
-            broken_divergent_ballot: false,
-            broken_double_apply_on_retry: false,
-            broken_forget_quarantined_partition: false,
-            broken_migrate_skips_tombstone_check: false,
-            broken_read_misses_migrating_window: false,
+            mutation: None,
         }
     }
 }
@@ -229,21 +200,12 @@ impl Config {
         self
     }
 
-    /// Forces per-op (`true`) or chunked (`false`) stepwise dispatch for
+    /// Selects per-op (`true`) or chunked (`false`) stepwise dispatch for
     /// this map's kernel launches (see [`Config::per_op_dispatch`]).
     #[must_use]
     pub fn with_per_op_dispatch(mut self, per_op: bool) -> Self {
-        self.per_op_dispatch = Some(per_op);
+        self.per_op_dispatch = per_op;
         self
-    }
-
-    /// Applies the dispatch override (if any) to a built
-    /// [`gpu_sim::LaunchOptions`].
-    pub(crate) fn apply_dispatch(&self, opts: gpu_sim::LaunchOptions) -> gpu_sim::LaunchOptions {
-        match self.per_op_dispatch {
-            Some(per_op) => opts.with_per_op_dispatch(per_op),
-            None => opts,
-        }
     }
 
     /// Sets the fault-injection plan (see [`Config::fault`]).
@@ -253,116 +215,11 @@ impl Config {
         self
     }
 
-    /// Sets the retry/backoff policy (see [`Config::retry`]).
+    /// Arms one mutation double (test-only; see [`Mutation`]).
     #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
+    pub fn with_mutation(mut self, m: Mutation) -> Self {
+        self.mutation = Some(m);
         self
-    }
-
-    /// Enables the broken-probing mutation double (test-only; see the
-    /// field docs on [`Config::broken_cas_recheck`]).
-    #[must_use]
-    pub fn with_broken_cas_recheck(mut self) -> Self {
-        self.broken_cas_recheck = true;
-        self
-    }
-
-    /// Enables the plain-store publication mutation double (test-only;
-    /// see [`Config::broken_publish_plain_store`]).
-    #[must_use]
-    pub fn with_broken_publish_plain_store(mut self) -> Self {
-        self.broken_publish_plain_store = true;
-        self
-    }
-
-    /// Enables the skipped-fill mutation double (test-only; see
-    /// [`Config::broken_skip_fill`]).
-    #[must_use]
-    pub fn with_broken_skip_fill(mut self) -> Self {
-        self.broken_skip_fill = true;
-        self
-    }
-
-    /// Enables the input-overrun mutation double (test-only; see
-    /// [`Config::broken_window_overrun`]).
-    #[must_use]
-    pub fn with_broken_window_overrun(mut self) -> Self {
-        self.broken_window_overrun = true;
-        self
-    }
-
-    /// Enables the divergent-ballot mutation double (test-only; see
-    /// [`Config::broken_divergent_ballot`]).
-    #[must_use]
-    pub fn with_broken_divergent_ballot(mut self) -> Self {
-        self.broken_divergent_ballot = true;
-        self
-    }
-
-    /// Enables the premature-failover mutation double (test-only; see
-    /// [`Config::broken_double_apply_on_retry`]).
-    #[must_use]
-    pub fn with_broken_double_apply_on_retry(mut self) -> Self {
-        self.broken_double_apply_on_retry = true;
-        self
-    }
-
-    /// Enables the dropped-shard mutation double (test-only; see
-    /// [`Config::broken_forget_quarantined_partition`]).
-    #[must_use]
-    pub fn with_broken_forget_quarantined_partition(mut self) -> Self {
-        self.broken_forget_quarantined_partition = true;
-        self
-    }
-
-    /// Enables the stale-migration-scan mutation double (test-only; see
-    /// [`Config::broken_migrate_skips_tombstone_check`]).
-    #[must_use]
-    pub fn with_broken_migrate_skips_tombstone_check(mut self) -> Self {
-        self.broken_migrate_skips_tombstone_check = true;
-        self
-    }
-
-    /// Enables the migrating-window read-race mutation double (test-only;
-    /// see [`Config::broken_read_misses_migrating_window`]).
-    #[must_use]
-    pub fn with_broken_read_misses_migrating_window(mut self) -> Self {
-        self.broken_read_misses_migrating_window = true;
-        self
-    }
-
-    /// Bundles the mutation-double switches for kernel entry points.
-    pub(crate) fn mutations(&self) -> Mutations {
-        Mutations {
-            cas_recheck: self.broken_cas_recheck,
-            publish_plain_store: self.broken_publish_plain_store,
-            window_overrun: self.broken_window_overrun,
-            divergent_ballot: self.broken_divergent_ballot,
-        }
-    }
-}
-
-// With the offline serde stand-in the derives are no-ops, so nothing
-// references these helpers; they stay for when real serde returns.
-#[allow(dead_code)]
-mod group_size_serde {
-    use gpu_sim::GroupSize;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(g: &GroupSize, s: S) -> Result<S::Ok, S::Error> {
-        g.get().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<GroupSize, D::Error> {
-        let n = u32::deserialize(d)?;
-        if matches!(n, 1 | 2 | 4 | 8 | 16 | 32) {
-            Ok(GroupSize::new(n))
-        } else {
-            Err(serde::de::Error::custom(format!(
-                "invalid group size {n}: must be one of 1, 2, 4, 8, 16, 32"
-            )))
-        }
     }
 }
 

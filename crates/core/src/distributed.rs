@@ -34,8 +34,8 @@
 //! pre-chaos implementation.
 
 use crate::chaos::{ChaosState, ChaosTally, Router};
-use crate::config::Config;
-use crate::errors::{BuildError, InsertError};
+use crate::config::{Config, Mutation};
+use crate::errors::BuildError;
 use crate::history::{OpKind, OpResponse};
 use crate::map::GpuHashMap;
 use crate::service::{OpError, OpReport, PutResponse};
@@ -232,7 +232,7 @@ impl DistributedHashMap {
     /// The retry/backoff policy governing fault recovery.
     #[must_use]
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.cfg.retry
+        RetryPolicy::default()
     }
 
     /// Indices of quarantined GPUs, ascending.
@@ -298,7 +298,7 @@ impl DistributedHashMap {
         &self,
         router: &Router,
         pairs: impl IntoIterator<Item = (u32, u32)>,
-    ) -> Result<u64, InsertError> {
+    ) -> Result<u64, OpError> {
         let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.num_gpus()];
         for (k, v) in pairs {
             buckets[router.route(k) as usize].push((k, v));
@@ -315,15 +315,15 @@ impl DistributedHashMap {
 
     /// Quarantines GPU `j`: marks it dead and re-splits its partition
     /// across the survivors via the fallback hash (graceful degradation).
-    /// With the `broken_forget_quarantined_partition` mutation double the
+    /// With the [`Mutation::ForgetQuarantinedPartition`] double the
     /// re-split is skipped, losing the shard — the chaos suite proves it
     /// catches that.
     ///
     /// # Errors
-    /// [`InsertError::DeviceLost`] if no survivor remains, and migration
+    /// [`OpError::DeviceLost`] if no survivor remains, and migration
     /// insert failures (e.g. probing exhaustion on an overloaded
     /// survivor).
-    pub(crate) fn quarantine(&self, j: usize) -> Result<(), InsertError> {
+    pub(crate) fn quarantine(&self, j: usize) -> Result<(), OpError> {
         {
             let mut st = self.chaos.write();
             if st.mask & (1 << j) != 0 {
@@ -332,13 +332,13 @@ impl DistributedHashMap {
             let any_survivor = (0..self.num_gpus())
                 .any(|g| g != j && st.mask & (1 << g) == 0);
             if !any_survivor {
-                return Err(InsertError::DeviceLost { device: j });
+                return Err(OpError::DeviceLost { device: j });
             }
             st.mask |= 1 << j;
             st.stats.quarantined += 1;
             st.stats.repartitions += 1;
         }
-        if self.cfg.broken_forget_quarantined_partition {
+        if self.cfg.mutation == Some(Mutation::ForgetQuarantinedPartition) {
             // BROKEN (mutation double): the quarantined shard is dropped.
             return Ok(());
         }
@@ -689,7 +689,7 @@ mod chaos_tests {
         // has no survivor left
         let err = d.insert_from_host(&[(3, 30)]).unwrap_err();
         assert!(
-            matches!(err, InsertError::DeviceLost { .. }),
+            matches!(err, OpError::DeviceLost { .. }),
             "unexpected {err:?}"
         );
     }

@@ -10,7 +10,6 @@
 use crate::cascade::Abort;
 use crate::distributed::DistributedHashMap;
 use crate::entry::pack;
-use crate::errors::InsertError;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
 use crate::stats::{CascadeReport, CascadeStage};
 use interconnect::{d2h_time_faulted, h2d_time_faulted};
@@ -43,8 +42,8 @@ impl DistributedHashMap {
         items: &[T],
         word: impl Fn(usize, T) -> u64,
         down: bool,
-        device: impl FnOnce(&Self, &[Vec<u64>], &mut CascadeReport) -> Result<O, InsertError>,
-    ) -> Result<(O, CascadeReport), InsertError> {
+        device: impl FnOnce(&Self, &[Vec<u64>], &mut CascadeReport) -> Result<O, OpError>,
+    ) -> Result<(O, CascadeReport), OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
         let mut report = CascadeReport::new(items.len() as u64);
@@ -86,8 +85,8 @@ impl DistributedHashMap {
     ///
     /// # Errors
     /// Propagates the device cascade's errors;
-    /// [`InsertError::DeviceLost`] once no failover remains.
-    pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, InsertError> {
+    /// [`OpError::DeviceLost`] once no failover remains.
+    pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, OpError> {
         let word = |_, (k, v)| pack(k, v);
         let ((), report) = self.host_bracket(pairs, word, false, Self::insert_words)?;
         Ok(report)
@@ -121,7 +120,7 @@ impl DistributedHashMap {
     pub(crate) fn retrieve_from_host_impl(
         &self,
         keys: &[u32],
-    ) -> Result<(Vec<Option<u32>>, CascadeReport), InsertError> {
+    ) -> Result<(Vec<Option<u32>>, CascadeReport), OpError> {
         let word = |i, k| pack(k, i as u32);
         let (values, report) = self.host_bracket(keys, word, true, Self::query_words)?;
         // chunks are contiguous, so flattening restores input order

@@ -25,12 +25,12 @@
 //!
 //! The reload in step 4 is load-bearing: a failed claim CAS means another
 //! group changed the window — possibly by inserting *our* key — so both
-//! ballots must rerun against fresh data. [`crate::Config`]'s
-//! `broken_cas_recheck` mutation double skips exactly that reload so the
+//! ballots must rerun against fresh data. The
+//! [`Mutation::CasRecheck`] double skips exactly that reload so the
 //! linearizability harness can prove it catches the resulting
 //! duplicate-slot anomaly.
 
-use crate::config::Layout;
+use crate::config::{Layout, Mutation};
 use crate::entry::{
     is_empty_slot, is_tombstone, is_vacant, key_of, pack, value_of, EMPTY, RESERVED_KEY,
 };
@@ -130,7 +130,7 @@ pub(crate) fn insert_kernel(
 /// AOS insertion of one packed pair by one coalesced group.
 fn insert_one_aos(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
     let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
-    let muts = table.muts();
+    let mutation = table.mutation();
     let key = key_of(word);
     let g = ctx.size().get();
     let data = table.keys();
@@ -179,15 +179,15 @@ fn insert_one_aos(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
                         reclaimed: is_tombstone(expected),
                     };
                 }
-                if muts.cas_recheck {
+                if mutation == Some(Mutation::CasRecheck) {
                     // MUTATION DOUBLE: keep the stale window and move on to
                     // its next vacant slot without re-running the ballots —
                     // misses a racing insert of our own key, so the key can
-                    // end up in two slots. See `Config::broken_cas_recheck`.
+                    // end up in two slots.
                     tried |= 1 << r;
                     continue;
                 }
-                if muts.divergent_ballot {
+                if mutation == Some(Mutation::DivergentBallot) {
                     // MUTATION DOUBLE: re-ballot with the CAS-losing lane
                     // dropped from the participation mask — the "one lane
                     // exited the loop early" lockstep-divergence bug
@@ -226,7 +226,7 @@ fn insert_one_aos(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
 /// tombstone reclaim re-enters the same protocol.
 fn insert_one_soa(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
     let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
-    let muts = table.muts();
+    let mutation = table.mutation();
     let key = key_of(word);
     let value = value_of(word);
     let g = ctx.size().get();
@@ -267,12 +267,12 @@ fn insert_one_soa(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
                     break;
                 }
                 if ctx.cas(keys, idx, expected, u64::from(key)).is_ok() {
-                    if muts.publish_plain_store {
+                    if mutation == Some(Mutation::PublishPlainStore) {
                         // MUTATION DOUBLE: publish with a plain store —
                         // the lost release edge lets a racing updater's
                         // shared write interleave unordered, which
                         // racecheck flags even when the end state looks
-                        // right. See `Config::broken_publish_plain_store`.
+                        // right.
                         ctx.write(values, idx, u64::from(value));
                     } else {
                         // publish the value only if no racing update of
@@ -284,7 +284,7 @@ fn insert_one_soa(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
                         reclaimed: is_tombstone(expected),
                     };
                 }
-                if muts.cas_recheck {
+                if mutation == Some(Mutation::CasRecheck) {
                     // MUTATION DOUBLE — see the AOS variant above
                     tried |= 1 << r;
                     continue;

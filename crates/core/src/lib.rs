@@ -66,10 +66,10 @@ mod table;
 pub use adaptive::{recommend_group_size, AdaptiveHashMap};
 pub use cache::{CachePolicy, CacheStats, CachedMap};
 pub use chaos::Router;
-pub use config::{Config, Layout, ProbingScheme};
+pub use config::{Config, Layout, Mutation, ProbingScheme};
 pub use distributed::DistributedHashMap;
 pub use entry::{key_of, pack, value_of, EMPTY, RESERVED_KEY, TOMBSTONE};
-pub use errors::{BuildError, InsertError};
+pub use errors::BuildError;
 pub use history::{HistoryRecorder, OpEvent, OpKind, OpResponse};
 pub use linearize::{
     check_linearizable, check_linearizable_multi, check_linearizable_multi_serial,
@@ -93,7 +93,7 @@ pub use gpu_sim::GroupSize;
 pub use gpu_sim::FaultPlan;
 
 /// Re-export of the retry/backoff policy governing fault recovery (see
-/// [`Config::retry`]).
+/// [`DistributedHashMap::retry_policy`]).
 pub use gpu_sim::RetryPolicy;
 
 /// Re-export of the typed transfer-failure error surfaced by the

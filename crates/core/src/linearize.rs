@@ -40,7 +40,7 @@
 
 use crate::history::{OpEvent, OpKind, OpResponse};
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 
@@ -167,14 +167,13 @@ where
     S: Clone + Eq + Hash + Send + Sync,
     F: Fn(&S, &OpEvent) -> Option<S> + Sync,
 {
-    let mut per_key: HashMap<u32, Vec<OpEvent>> = HashMap::new();
+    // key-ordered: the smallest offending key is the deterministic
+    // violation choice on both the serial and the parallel path
+    let mut per_key: BTreeMap<u32, Vec<OpEvent>> = BTreeMap::new();
     for ev in history {
         per_key.entry(ev.key).or_default().push(ev.clone());
     }
-    // sorted keys: the smallest offending key is the deterministic
-    // violation choice on both the serial and the parallel path
     let mut buckets: Vec<(u32, Vec<OpEvent>)> = per_key.into_iter().collect();
-    buckets.sort_unstable_by_key(|(key, _)| *key);
     for (key, ops) in &mut buckets {
         ops.sort_by_key(|op| op.invoked);
         assert!(

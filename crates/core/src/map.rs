@@ -3,7 +3,7 @@
 use crate::config::Config;
 use crate::delete::EraseOutcome;
 use crate::entry::{value_of, EMPTY};
-use crate::errors::{BuildError, InsertError};
+use crate::errors::BuildError;
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
@@ -37,10 +37,10 @@ pub struct GpuHashMap {
 }
 
 /// Probing exhaustion is an error even though the other pairs landed.
-pub(crate) fn placed(outcome: InsertOutcome) -> Result<InsertOutcome, InsertError> {
+pub(crate) fn placed(outcome: InsertOutcome) -> Result<InsertOutcome, OpError> {
     match outcome.failed {
         0 => Ok(outcome),
-        failed => Err(InsertError::ProbingExhausted { failed }),
+        failed => Err(OpError::ProbingExhausted { failed }),
     }
 }
 
@@ -146,10 +146,10 @@ impl GpuHashMap {
     /// last-writer-wins on the kernel's event horizon.
     ///
     /// # Errors
-    /// [`InsertError::ProbingExhausted`] if any pair ran out of probing
+    /// [`OpError::ProbingExhausted`] if any pair ran out of probing
     /// attempts — the map should then be
     /// [rebuilt](GpuHashMap::rebuild_with_fresh_hash).
-    pub fn insert_device(&self, input: DevSlice, n: usize) -> Result<InsertOutcome, InsertError> {
+    pub fn insert_device(&self, input: DevSlice, n: usize) -> Result<InsertOutcome, OpError> {
         placed(self.table.insert(self.cfg.group_size, input, n, self.recorder.as_deref()))
     }
 
@@ -191,7 +191,7 @@ impl GpuHashMap {
     ///
     /// # Errors
     /// Propagates probing exhaustion and scratch OOM.
-    pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, InsertError> {
+    pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, OpError> {
         let mut ctl = self.resize.lock();
         self.trigger_resize(&mut ctl, pairs.len());
         if let Some((m, policy)) = ctl.migrating() {
@@ -283,10 +283,10 @@ impl GpuHashMap {
     /// # Errors
     /// Probing exhaustion can recur (retry with another seed) and scratch
     /// may be unavailable.
-    pub fn rebuild_with_fresh_hash(&mut self) -> Result<InsertOutcome, InsertError> {
+    pub fn rebuild_with_fresh_hash(&mut self) -> Result<InsertOutcome, OpError> {
         // a rebuild is a whole-table operation: drive any in-flight
         // migration to completion first so there is one table to rebuild
-        self.drive_migration_to_end()?;
+        self.finish_resize()?;
         // extract live entries (billed as one streaming table scan)
         let live = self.table.live_pairs();
         let scan = self.table.bill_scan("rebuild_scan", self.table.capacity());
@@ -568,7 +568,7 @@ mod tests {
         let m = map_with(64, Config::default());
         let pairs: Vec<(u32, u32)> = (0..80u32).map(|i| (i + 1, i)).collect();
         let err = m.insert_pairs(&pairs).unwrap_err();
-        assert!(matches!(err, InsertError::ProbingExhausted { failed } if failed >= 16));
+        assert!(matches!(err, OpError::ProbingExhausted { failed } if failed >= 16));
         // the 64 placed entries are still retrievable
         assert_eq!(m.len(), 64);
     }

@@ -11,7 +11,8 @@
 
 use crate::config::Config;
 use crate::entry::{is_empty_slot, is_occupied, is_vacant, key_of, pack, value_of, EMPTY};
-use crate::errors::{BuildError, InsertError};
+use crate::errors::BuildError;
+use crate::service::OpError;
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::probing::Prober;
 use gpu_sim::{DevSlice, Device, GroupCtx, KernelStats, LaunchOptions};
@@ -89,9 +90,9 @@ impl GpuMultiMap {
     /// Inserts pairs; duplicates accumulate instead of updating.
     ///
     /// # Errors
-    /// [`InsertError::ProbingExhausted`] when slots run out along a
+    /// [`OpError::ProbingExhausted`] when slots run out along a
     /// probing sequence.
-    pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<KernelStats, InsertError> {
+    pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<KernelStats, OpError> {
         let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
         let staging = self.dev.alloc_scratch(words.len().max(1))?;
         let input = staging.slice().sub(0, words.len());
@@ -108,11 +109,10 @@ impl GpuMultiMap {
             "multimap_insert",
             words.len(),
             self.cfg.group_size,
-            self.cfg.apply_dispatch(
-                LaunchOptions::default()
-                    .with_working_set(table.bytes())
-                    .with_schedule(self.cfg.schedule),
-            ),
+            LaunchOptions::default()
+                .with_working_set(table.bytes())
+                .with_schedule(self.cfg.schedule)
+                .with_per_op_dispatch(self.cfg.per_op_dispatch),
             |ctx: &GroupCtx| {
                 let invoked = recorder.map(HistoryRecorder::invoke);
                 let word = ctx.read_stream(input, ctx.group_id());
@@ -160,7 +160,7 @@ impl GpuMultiMap {
         self.occupied.fetch_add(inserted.load(Relaxed), Relaxed);
         let f = failed.load(Relaxed);
         if f > 0 {
-            return Err(InsertError::ProbingExhausted { failed: f });
+            return Err(OpError::ProbingExhausted { failed: f });
         }
         Ok(stats)
     }
@@ -199,11 +199,10 @@ impl GpuMultiMap {
             "multimap_retrieve_all",
             words.len(),
             self.cfg.group_size,
-            self.cfg.apply_dispatch(
-                LaunchOptions::default()
-                    .with_working_set(table.bytes())
-                    .with_schedule(self.cfg.schedule),
-            ),
+            LaunchOptions::default()
+                .with_working_set(table.bytes())
+                .with_schedule(self.cfg.schedule)
+                .with_per_op_dispatch(self.cfg.per_op_dispatch),
             |ctx: &GroupCtx| {
                 let invoked = recorder.map(HistoryRecorder::invoke);
                 let gid = ctx.group_id();
@@ -320,7 +319,7 @@ mod tests {
         let pairs: Vec<(u32, u32)> = (0..100).map(|i| (1, i)).collect();
         let err = m.insert_pairs(&pairs).unwrap_err();
         match err {
-            InsertError::ProbingExhausted { failed } => assert!(failed >= 36),
+            OpError::ProbingExhausted { failed } => assert!(failed >= 36),
             e => panic!("unexpected error {e}"),
         }
     }

@@ -45,9 +45,10 @@
 //! the scratch discipline real deployments use). Size devices for old +
 //! new + scratch when arming a policy.
 
+use crate::config::Mutation;
 use crate::delete::EraseOutcome;
 use crate::entry::{live_pair, value_of, EMPTY};
-use crate::errors::{BuildError, InsertError};
+use crate::errors::BuildError;
 use crate::insert::InsertOutcome;
 use crate::map::{placed, GpuHashMap};
 use crate::service::OpError;
@@ -186,7 +187,7 @@ pub(crate) struct Migration {
     /// Source slots `[0, cursor)` have been migrated.
     pub(crate) cursor: usize,
     /// Source-table image taken at `begin` — populated **only** under
-    /// the `broken_migrate_skips_tombstone_check` mutation double, whose
+    /// the [`Mutation::MigrateSkipsTombstoneCheck`] double, whose
     /// chunk step replays this stale image instead of scanning the live
     /// table.
     stale: Option<Vec<u64>>,
@@ -362,12 +363,6 @@ impl GpuHashMap {
     /// adversarial hash member) and scratch can run out; the migration
     /// stays resumable after an error.
     pub fn finish_resize(&mut self) -> Result<bool, OpError> {
-        self.drive_migration_to_end().map_err(OpError::from)
-    }
-
-    /// [`GpuHashMap::finish_resize`] with the narrower error type the
-    /// maintenance paths (rebuild) need.
-    pub(crate) fn drive_migration_to_end(&mut self) -> Result<bool, InsertError> {
         let mut finished = false;
         loop {
             if self.maybe_finalize_resize() {
@@ -426,9 +421,7 @@ impl GpuHashMap {
         };
         let seed = self.table.seed().wrapping_add(1);
         let table = Table::alloc(Arc::clone(self.table.dev()), capacity, &self.cfg, seed)?;
-        let stale = self
-            .cfg
-            .broken_migrate_skips_tombstone_check
+        let stale = (self.cfg.mutation == Some(Mutation::MigrateSkipsTombstoneCheck))
             .then(|| self.table.scan(0..self.table.capacity()));
         ctl.migration = Some(Migration {
             table,
@@ -453,7 +446,7 @@ impl GpuHashMap {
         m: &mut Migration,
         policy: ResizePolicy,
         chunks: usize,
-    ) -> Result<Option<KernelStats>, InsertError> {
+    ) -> Result<Option<KernelStats>, OpError> {
         let source = &self.table;
         let mut acc: Option<KernelStats> = None;
         for _ in 0..chunks {
@@ -465,7 +458,7 @@ impl GpuHashMap {
                 .zip(source.scan(chunk.clone()))
                 .filter_map(|(slot, w)| live_pair(w).map(|kv| (slot, kv)))
                 .collect();
-            // MUTATION DOUBLE (`broken_migrate_skips_tombstone_check`):
+            // MUTATION DOUBLE (`Mutation::MigrateSkipsTombstoneCheck`):
             // replay the begin-time image of this chunk instead of the
             // live scan — a key deleted (or updated) since the migration
             // began is migrated back to life with its stale value.
@@ -510,7 +503,7 @@ impl GpuHashMap {
         m: &mut Migration,
         policy: ResizePolicy,
         pairs: &[(u32, u32)],
-    ) -> Result<InsertOutcome, InsertError> {
+    ) -> Result<InsertOutcome, OpError> {
         let g = self.cfg.group_size;
         let mut acc = self.advance(m, policy, policy.chunks_per_op.max(1))?;
         let (source, target) = (&self.table, &m.table);
@@ -597,12 +590,12 @@ impl GpuHashMap {
             .iter()
             .enumerate()
             .map(|(i, &k)| {
-                // MUTATION DOUBLE (`broken_read_misses_migrating_window`):
+                // MUTATION DOUBLE (`Mutation::ReadMissesMigratingWindow`):
                 // a read whose home span lies in the chunk that just
                 // moved races the movement — it sees the source already
                 // cleared and the target not yet visible, reporting a
                 // miss for a live key.
-                if self.cfg.broken_read_misses_migrating_window
+                if self.cfg.mutation == Some(Mutation::ReadMissesMigratingWindow)
                     && migrated_window.contains(&(source.prober().span_base(k, 0) as usize))
                 {
                     return None;

@@ -12,7 +12,7 @@
 //! low bits are caller payload (the distributed cascade routes origin
 //! indices through them) and are ignored here.
 
-use crate::config::Layout;
+use crate::config::{Layout, Mutation};
 use crate::entry::{is_empty_slot, key_of, value_of, EMPTY};
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::insert::{soa_hit, soa_is_empty, soa_key_of};
@@ -32,10 +32,10 @@ pub(crate) fn retrieve_kernel(
 ) -> KernelStats {
     table.launch("warpdrive_retrieve", n, g, |ctx: &GroupCtx| {
         let invoked = recorder.map(HistoryRecorder::invoke);
-        // MUTATION DOUBLE (`broken_window_overrun`): read the query
+        // MUTATION DOUBLE (`Mutation::WindowOverrun`): read the query
         // one group past our own — the last group runs off the end of
         // the input buffer, which memcheck reports and contains.
-        let qidx = if table.muts().window_overrun {
+        let qidx = if table.mutation() == Some(Mutation::WindowOverrun) {
             ctx.group_id() + 1
         } else {
             ctx.group_id()

@@ -2,7 +2,7 @@
 //! map backend.
 //!
 //! Historically each backend spoke its own dialect: `insert_pairs`
-//! returned `Result<InsertOutcome, InsertError>`, `retrieve` a bare
+//! returned its own error type, `retrieve` a bare
 //! `(Vec<Option<u32>>, KernelStats)` tuple, the host-sided cascades
 //! `(_, CascadeReport)` tuples, and erase panicked on fault exhaustion.
 //! This module defines the single vocabulary that replaces all of them:
@@ -11,8 +11,8 @@
 //!   deletes, whatever the backend;
 //! * [`OpReport`] — one cost report subsuming both [`KernelStats`]
 //!   (single-GPU launches) and [`CascadeReport`] (multi-GPU cascades);
-//! * [`OpError`] — one error type for every operation ([`InsertError`]
-//!   converts into it), so fault-mode callers never hit a panic;
+//! * [`OpError`] — one error type for every operation, bulk insertion
+//!   included, so fault-mode callers never hit a panic;
 //! * [`MapService`] — the trait the wd-serve coalescer is generic over,
 //!   implemented by [`crate::GpuHashMap`], [`crate::ShardedHashMap`] and
 //!   [`crate::DistributedHashMap`].
@@ -30,7 +30,6 @@
 //! do not interfere. The wd-serve equivalence suite proves this across
 //! seeds × schedules × fault plans.
 
-use crate::errors::InsertError;
 use crate::stats::{CascadeReport, CascadeStage, DegradedStats, StageTiming};
 use gpu_sim::{CounterSnapshot, KernelStats, OutOfMemory};
 use interconnect::TransferError;
@@ -205,8 +204,12 @@ impl OpReport {
 /// backend, typed. No front-door path panics under an armed fault plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpError {
-    /// One or more pairs exhausted the probing scheme — rebuild with a
-    /// fresh hash function.
+    /// One or more pairs exhausted `p_max` probing attempts (Fig. 3,
+    /// line 26). The paper's remedy is reconstruction with a distinct
+    /// hash function — see [`crate::GpuHashMap::rebuild_with_fresh_hash`].
+    /// With a [`crate::ResizePolicy`] armed the load-factor watermark
+    /// normally grows or compacts the table before probing can saturate,
+    /// so this marks a disabled policy or a failed growth allocation.
     ProbingExhausted {
         /// Number of pairs that could not be placed.
         failed: u64,
@@ -256,15 +259,9 @@ impl std::error::Error for OpError {
     }
 }
 
-impl From<InsertError> for OpError {
-    fn from(e: InsertError) -> Self {
-        match e {
-            InsertError::ProbingExhausted { failed } => OpError::ProbingExhausted { failed },
-            InsertError::OutOfMemory(o) => OpError::OutOfMemory(o),
-            InsertError::Transfer(t) => OpError::Transfer(t),
-            InsertError::DeviceLost { device } => OpError::DeviceLost { device },
-            InsertError::Internal { detail } => OpError::Internal { detail },
-        }
+impl From<TransferError> for OpError {
+    fn from(e: TransferError) -> Self {
+        OpError::Transfer(e)
     }
 }
 
@@ -468,13 +465,13 @@ pub trait MapService {
             }
             match seg[0] {
                 Op::Put { .. } => {
-                    let pairs: Vec<(u32, u32)> = seg
-                        .iter()
-                        .map(|op| match *op {
-                            Op::Put { key, value } => (key, value),
-                            _ => unreachable!("segments are same-kind"),
-                        })
-                        .collect();
+                    // segments are same-kind: every op of this one is a put
+                    let mut pairs = Vec::with_capacity(seg.len());
+                    for op in seg {
+                        if let Op::Put { key, value } = *op {
+                            pairs.push((key, value));
+                        }
+                    }
                     let r = svc.put_batch(&pairs)?;
                     responses.extend(std::iter::repeat_n(Response::Put, pairs.len()));
                     report.merge(&r.report);
@@ -665,17 +662,21 @@ mod tests {
 
     #[test]
     fn op_error_conversions_cover_every_variant() {
-        let e: OpError = InsertError::ProbingExhausted { failed: 3 }.into();
-        assert!(matches!(e, OpError::ProbingExhausted { failed: 3 }));
         let t = TransferError {
             src: 0,
             dst: 1,
             attempts: 2,
         };
-        let e: OpError = InsertError::Transfer(t).into();
-        assert_eq!(e, OpError::Transfer(t));
-        let e: OpError = InsertError::DeviceLost { device: 1 }.into();
-        assert_eq!(e, OpError::DeviceLost { device: 1 });
+        assert_eq!(OpError::from(t), OpError::Transfer(t));
+        let oom = OutOfMemory {
+            requested_words: 2,
+            available_words: 1,
+        };
+        assert_eq!(OpError::from(oom), OpError::OutOfMemory(oom));
+        let e: OpError = crate::errors::BuildError::OutOfMemory(oom).into();
+        assert_eq!(e, OpError::OutOfMemory(oom));
+        let e: OpError = crate::errors::BuildError::ZeroCapacity.into();
+        assert!(matches!(e, OpError::Internal { .. }));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::chaos::{launch_site, ChaosTally};
 use crate::config::Config;
-use crate::errors::{BuildError, InsertError};
+use crate::errors::BuildError;
 use crate::insert::InsertOutcome;
 use crate::map::GpuHashMap;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport, PutResponse};
@@ -35,7 +35,6 @@ pub struct ShardedHashMap {
     shards: Vec<GpuHashMap>,
     part: PartitionFn,
     fault: FaultPlan,
-    retry: RetryPolicy,
 }
 
 impl ShardedHashMap {
@@ -70,7 +69,6 @@ impl ShardedHashMap {
             shards,
             part,
             fault: cfg.fault,
-            retry: cfg.retry,
         })
     }
 
@@ -102,10 +100,10 @@ impl ShardedHashMap {
     /// Rolls shard `s`'s transient launch failures at the shard-routing
     /// site; retry backoff accumulates in `tally`. One device hosts every
     /// shard, so an exhausted budget has no failover target.
-    fn gate(&self, s: usize, tally: &mut ChaosTally) -> Result<(), InsertError> {
+    fn gate(&self, s: usize, tally: &mut ChaosTally) -> Result<(), OpError> {
         tally
-            .gate_launch(&self.fault, &self.retry, s, launch_site::SHARD)
-            .map_err(|device| InsertError::DeviceLost { device })
+            .gate_launch(&self.fault, &RetryPolicy::default(), s, launch_site::SHARD)
+            .map_err(|device| OpError::DeviceLost { device })
     }
 
     /// Bills the on-device routing pass (read every pair, bucket it) and
@@ -140,19 +138,31 @@ impl ShardedHashMap {
     ///
     /// # Errors
     /// Aggregated probing exhaustion; scratch OOM;
-    /// [`InsertError::DeviceLost`] if a shard exhausts its launch retry
+    /// [`OpError::DeviceLost`] if a shard exhausts its launch retry
     /// budget (one device hosts every shard — there is no failover
     /// target).
-    pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, InsertError> {
+    pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, OpError> {
+        let (mut outcome, _, backoff) = self.insert_impl(pairs)?;
+        // fault-injection waits are real wall time; a fault-off run adds
+        // its 0.0, which leaves the time bit-identical
+        outcome.stats.sim_time += backoff;
+        Ok(outcome)
+    }
+
+    /// [`Self::insert_pairs`] with the launch count and the retry
+    /// backoff kept apart from the merged kernel stats.
+    fn insert_impl(&self, pairs: &[(u32, u32)]) -> Result<(InsertOutcome, u64, f64), OpError> {
         let (buckets, route_stats) = self.route(pairs);
         let mut merged: Option<InsertOutcome> = None;
         let mut failed = 0u64;
+        let mut launches = 1u64;
         let mut tally = ChaosTally::default();
         for (s, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
             self.gate(s, &mut tally)?;
+            launches += 1;
             match self.shards[s].insert_pairs(bucket) {
                 Ok(o) => {
                     merged = Some(match merged {
@@ -166,7 +176,7 @@ impl ShardedHashMap {
                         }
                     });
                 }
-                Err(InsertError::ProbingExhausted { failed: f }) => failed += f,
+                Err(OpError::ProbingExhausted { failed: f }) => failed += f,
                 Err(e) => return Err(e),
             }
         }
@@ -179,15 +189,21 @@ impl ShardedHashMap {
         });
         outcome.stats = outcome.stats.merged(&route_stats);
         outcome.failed = failed;
-        if tally.backoff > 0.0 {
-            // fault-injection waits are real wall time; the fault-off
-            // path never reaches this addition, keeping it bit-identical
-            outcome.stats.sim_time += tally.backoff;
-        }
         if failed > 0 {
-            return Err(InsertError::ProbingExhausted { failed });
+            return Err(OpError::ProbingExhausted { failed });
         }
-        Ok(outcome)
+        Ok((outcome, launches, tally.backoff))
+    }
+
+    /// The report of one routed operation: the routing launch plus one
+    /// per non-empty shard, with retry backoff booked on top of the
+    /// merged kernel time.
+    fn routed_report(stats: &KernelStats, elements: usize, launches: u64, backoff: f64) -> OpReport {
+        let mut report = OpReport::from_kernel(stats, elements as u64);
+        report.launches = launches;
+        report.backoff_time = backoff;
+        report.time += backoff;
+        report
     }
 
     /// Buckets `keys` by shard (with origin indices) and bills the
@@ -241,10 +257,7 @@ impl ShardedHashMap {
     /// budget (one device hosts every shard — there is no failover).
     pub fn try_retrieve(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
         let (values, stats, launches, backoff) = self.retrieve_impl(keys)?;
-        let mut report = OpReport::from_kernel(&stats, keys.len() as u64);
-        report.launches = launches;
-        report.backoff_time = backoff;
-        report.time += backoff;
+        let report = Self::routed_report(&stats, keys.len(), launches, backoff);
         Ok(GetResponse { values, report })
     }
 
@@ -284,10 +297,7 @@ impl ShardedHashMap {
                 hits[*origin] = h;
             }
         }
-        let mut report = OpReport::from_kernel(&stats, keys.len() as u64);
-        report.launches = launches;
-        report.backoff_time = tally.backoff;
-        report.time += tally.backoff;
+        let report = Self::routed_report(&stats, keys.len(), launches, tally.backoff);
         Ok(DeleteResponse {
             hits,
             erased,
@@ -332,12 +342,12 @@ impl ShardedHashMap {
 impl crate::service::MapService for ShardedHashMap {
     fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
         self.finalize_shards();
-        let o = self.insert_pairs(pairs)?;
+        let (o, launches, backoff) = self.insert_impl(pairs)?;
         Ok(PutResponse {
             new_slots: o.new_slots,
             updates: o.updates,
             reclaimed: o.reclaimed,
-            report: OpReport::from_kernel(&o.stats, pairs.len() as u64),
+            report: Self::routed_report(&o.stats, pairs.len(), launches, backoff),
         })
     }
 
@@ -480,9 +490,9 @@ mod tests {
         // compare net of fixed launch overheads (1 launch monolithic,
         // 1 routing + 4 shard launches sharded): at paper scale they
         // vanish, at test scale they would swamp the comparison
-        let oh = gpu_sim::DeviceSpec::p100().launch_overhead;
-        let t_mono = mono.insert_pairs(&pairs).unwrap().stats.sim_time - oh;
-        let t_shard = sharded.insert_pairs(&pairs).unwrap().stats.sim_time - 5.0 * oh;
+        let p100 = gpu_sim::DeviceSpec::p100();
+        let t_mono = p100.net_of_launches(mono.insert_pairs(&pairs).unwrap().stats.sim_time, 1);
+        let t_shard = p100.net_of_launches(sharded.insert_pairs(&pairs).unwrap().stats.sim_time, 5);
         assert!(
             t_shard < t_mono,
             "sharding should dodge CAS degradation: {t_shard:.3e} vs {t_mono:.3e}"
@@ -507,12 +517,38 @@ mod tests {
     }
 
     #[test]
+    fn put_reports_launches_and_backoff_like_get_and_delete() {
+        use crate::service::MapService;
+        let pairs: Vec<(u32, u32)> = (0..2000u32).map(|i| (i * 9 + 1, i)).collect();
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        // 2000 keys leave none of 4 shards empty: routing + 4 launches
+        let mut m = map(4, 1024);
+        assert_eq!(m.put_batch(&pairs).unwrap().report.launches, 5);
+        assert_eq!(m.get_batch(&keys).unwrap().report.launches, 5);
+        assert_eq!(m.delete_batch(&keys).unwrap().report.launches, 5);
+        // one key reaches one shard
+        assert_eq!(m.put_batch(&pairs[..1]).unwrap().report.launches, 2);
+        assert_eq!(m.get_batch(&keys[..1]).unwrap().report.launches, 2);
+        assert_eq!(m.delete_batch(&keys[..1]).unwrap().report.launches, 2);
+
+        let dev = Arc::new(Device::with_words(0, 1 << 16));
+        let cfg = Config::default()
+            .with_fault(FaultPlan::default().with_seed(5).with_launch_fail(0.4));
+        let mut m = ShardedHashMap::new(dev, 1024, 4, cfg).unwrap();
+        let report = m.put_batch(&pairs).unwrap().report;
+        assert!(
+            0.0 < report.backoff_time && report.backoff_time <= report.time,
+            "seed 5 @ 0.4 rolls a failure, booked inside time: {report:?}"
+        );
+    }
+
+    #[test]
     fn permanent_shard_failure_is_device_lost() {
         let dev = Arc::new(Device::with_words(0, 1 << 16));
         let cfg = Config::default().with_fault(FaultPlan::default().with_launch_fail(1.0));
         let m = ShardedHashMap::new(dev, 1024, 2, cfg).unwrap();
         let err = m.insert_pairs(&[(1, 10), (2, 20)]).unwrap_err();
-        assert!(matches!(err, InsertError::DeviceLost { .. }), "{err:?}");
+        assert!(matches!(err, OpError::DeviceLost { .. }), "{err:?}");
     }
 
     #[test]

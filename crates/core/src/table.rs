@@ -12,7 +12,7 @@
 //! coalesced-group size: the slot sequence does not depend on it (§IV-A),
 //! so it is one value of the map that both tables of a migration read.
 
-use crate::config::{Config, Layout, Mutations};
+use crate::config::{Config, Layout, Mutation};
 use crate::delete::{erase_kernel, EraseOutcome};
 use crate::entry::{live_pair, pack, EMPTY, TOMBSTONE};
 use crate::errors::BuildError;
@@ -54,7 +54,7 @@ pub(crate) struct Table {
     seed: u32,
     prober: Prober,
     p_max: u32,
-    muts: Mutations,
+    mutation: Option<Mutation>,
     /// Working set, schedule and dispatch of every launch on this table.
     opts: LaunchOptions,
     /// Live (non-tombstone) entries.
@@ -83,11 +83,9 @@ impl Table {
             Layout::Aos => capacity,
             Layout::Soa => 2 * capacity,
         })?;
-        if cfg.broken_skip_fill {
-            // MUTATION DOUBLE: skip the EMPTY-sentinel fill — the
-            // forgotten-cudaMemset bug wd-sanitizer's initcheck exists to
-            // catch. See `Config::broken_skip_fill`.
-        } else {
+        // MUTATION DOUBLE (`Mutation::SkipFill`): skip the EMPTY-sentinel
+        // fill — the forgotten-cudaMemset bug initcheck exists to catch.
+        if cfg.mutation != Some(Mutation::SkipFill) {
             dev.mem().fill(data, EMPTY);
         }
         let working_set = cfg.modeled_capacity_bytes.unwrap_or_else(|| data.bytes());
@@ -99,12 +97,11 @@ impl Table {
             seed,
             prober: Prober::new(DoubleHash::from_seed(seed), cfg.probing, capacity),
             p_max: cfg.p_max,
-            muts: cfg.mutations(),
-            opts: cfg.apply_dispatch(
-                LaunchOptions::default()
-                    .with_working_set(working_set)
-                    .with_schedule(cfg.schedule),
-            ),
+            mutation: cfg.mutation,
+            opts: LaunchOptions::default()
+                .with_working_set(working_set)
+                .with_schedule(cfg.schedule)
+                .with_per_op_dispatch(cfg.per_op_dispatch),
             occupied: AtomicU64::new(0),
             tombstones: AtomicU64::new(0),
         })
@@ -140,9 +137,9 @@ impl Table {
         self.p_max
     }
 
-    /// The kernel-level mutation doubles in force.
-    pub(crate) fn muts(&self) -> Mutations {
-        self.muts
+    /// The mutation double armed on this table, if any.
+    pub(crate) fn mutation(&self) -> Option<Mutation> {
+        self.mutation
     }
 
     /// Bytes billed as the CAS working set of this table's launches.

@@ -5,7 +5,7 @@
 use interconnect::Topology;
 use std::sync::Arc;
 use warpdrive::{
-    pack, Config, DistributedHashMap, GpuHashMap, GpuMultiMap, InsertError, Layout, ShardedHashMap,
+    pack, Config, DistributedHashMap, GpuHashMap, GpuMultiMap, OpError, Layout, ShardedHashMap,
 };
 
 fn device(words: usize) -> Arc<gpu_sim::Device> {
@@ -61,7 +61,7 @@ fn tiny_p_max_fails_fast_and_recovers() {
     let pairs: Vec<(u32, u32)> = (0..96u32).map(|i| (i + 1, i)).collect();
     match map.insert_pairs(&pairs) {
         Ok(_) => { /* possible if hashing spread perfectly */ }
-        Err(InsertError::ProbingExhausted { failed }) => {
+        Err(OpError::ProbingExhausted { failed }) => {
             assert!(failed > 0);
             // the placed subset is still fully retrievable
             let placed = map.len();

@@ -18,11 +18,6 @@ pub struct LaunchOptions {
     /// functionally scaled down, pass the full-scale footprint here.
     /// `None` means "use the actual footprint is unknown; no degradation".
     pub modeled_working_set: Option<u64>,
-    /// Run groups sequentially on the calling thread (deterministic order
-    /// for tests; production launches use the Rayon pool). Equivalent to
-    /// `schedule = Schedule::Sequential` and kept for compatibility; it
-    /// wins over `schedule` when set.
-    pub sequential: bool,
     /// How groups interleave: the racing pool (default), sequential, or
     /// one of the deterministic stepwise schedules (see
     /// [`crate::sched`]).
@@ -39,13 +34,12 @@ pub struct LaunchOptions {
     /// Transient launch *failures* are decided by the orchestration layer
     /// before any kernel runs, so `launch` itself never fails.
     pub fault: Option<FaultPlan>,
-    /// Force per-op dispatch (`Some(true)`) or chunked dispatch
-    /// (`Some(false)`) for stepwise schedules on this launch. `None`
-    /// falls back to the process default (`WD_SCHED_CHUNK`, chunked
-    /// unless set to `0`). Both modes produce bit-identical
-    /// interleavings, counters and reports; the knob exists so
-    /// equivalence tests can A/B them within one process.
-    pub per_op_dispatch: Option<bool>,
+    /// Per-op dispatch (`true`) instead of chunked dispatch (`false`,
+    /// the default) for stepwise schedules on this launch. Both modes
+    /// produce bit-identical interleavings, counters and reports; the
+    /// per-op path is the reference the equivalence tests A/B the
+    /// chunked one against within one process.
+    pub per_op_dispatch: bool,
 }
 
 impl LaunchOptions {
@@ -53,13 +47,6 @@ impl LaunchOptions {
     #[must_use]
     pub fn with_working_set(mut self, bytes: u64) -> Self {
         self.modeled_working_set = Some(bytes);
-        self
-    }
-
-    /// Forces deterministic sequential execution.
-    #[must_use]
-    pub fn sequential(mut self) -> Self {
-        self.sequential = true;
         self
     }
 
@@ -86,23 +73,13 @@ impl LaunchOptions {
         self
     }
 
-    /// Forces a scheduling decision at every counted op for stepwise
-    /// schedules (see the field docs on
-    /// [`LaunchOptions::per_op_dispatch`]).
+    /// Selects a scheduling decision at every counted op (`true`) or
+    /// chunked leases (`false`) for stepwise schedules (see the field
+    /// docs on [`LaunchOptions::per_op_dispatch`]).
     #[must_use]
     pub fn with_per_op_dispatch(mut self, per_op: bool) -> Self {
-        self.per_op_dispatch = Some(per_op);
+        self.per_op_dispatch = per_op;
         self
-    }
-
-    /// The schedule this launch will actually use (`sequential` wins).
-    #[must_use]
-    pub fn effective_schedule(&self) -> Schedule {
-        if self.sequential {
-            Schedule::Sequential
-        } else {
-            self.schedule
-        }
     }
 }
 
@@ -331,9 +308,9 @@ impl Device {
     /// Launches `num_groups` coalesced groups of size `group_size` running
     /// `kernel`, returning measured counters and modeled time.
     ///
-    /// Groups execute concurrently on the Rayon pool (or sequentially with
-    /// [`LaunchOptions::sequential`]); every inter-group interleaving is a
-    /// legal schedule of the corresponding CUDA grid.
+    /// Groups execute concurrently on the Rayon pool (or as
+    /// [`LaunchOptions::schedule`] says); every inter-group interleaving
+    /// is a legal schedule of the corresponding CUDA grid.
     pub fn launch<F>(
         &self,
         name: &str,
@@ -346,7 +323,7 @@ impl Device {
         F: Fn(&GroupCtx) + Sync,
     {
         let counters = KernelCounters::new();
-        let schedule = opts.effective_schedule();
+        let schedule = opts.schedule;
         // Launch-effective detector set: whatever is attached to the
         // device, plus this launch's request. A launch-only request
         // attaches lazily with pre-existing memory assumed initialised
@@ -402,9 +379,7 @@ impl Device {
                 });
             }
             stepwise => {
-                let chunked = opts
-                    .per_op_dispatch
-                    .map_or_else(sched::chunked_dispatch_default, |per_op| !per_op);
+                let chunked = !opts.per_op_dispatch;
                 sched::run_stepwise(stepwise, num_groups, chunked, |gid, step, lease| {
                     let local = LocalCounters::new();
                     let ctx = GroupCtx::new_stepped(
@@ -502,7 +477,7 @@ mod tests {
             "seq",
             16,
             GroupSize::new(1),
-            LaunchOptions::default().sequential(),
+            LaunchOptions::default().with_schedule(Schedule::Sequential),
             |ctx| order.lock().unwrap().push(ctx.group_id()),
         );
         let order = order.into_inner().unwrap();
@@ -561,7 +536,7 @@ mod tests {
                 1,
                 GroupSize::new(1),
                 LaunchOptions::default()
-                    .sequential()
+                    .with_schedule(Schedule::Sequential)
                     .sanitize(SanitizerSet::INIT),
                 |_| {},
             );
@@ -571,7 +546,7 @@ mod tests {
                 1,
                 GroupSize::new(1),
                 LaunchOptions::default()
-                    .sequential()
+                    .with_schedule(Schedule::Sequential)
                     .sanitize(SanitizerSet::INIT),
                 |ctx| {
                     let _ = ctx.read(fresh, 0);
@@ -601,7 +576,7 @@ mod tests {
                 "uninit_read",
                 1,
                 GroupSize::new(1),
-                LaunchOptions::default().sequential(),
+                LaunchOptions::default().with_schedule(Schedule::Sequential),
                 |ctx| {
                     let _ = ctx.read(buf, 0);
                 },
@@ -633,7 +608,7 @@ mod tests {
             "clean",
             4,
             GroupSize::new(1),
-            LaunchOptions::default().sequential(),
+            LaunchOptions::default().with_schedule(Schedule::Sequential),
             |ctx| {
                 let _ = ctx.read(buf, ctx.group_id());
             },
@@ -672,7 +647,7 @@ mod tests {
             let dev = Device::with_words(0, 1024);
             let buf = dev.alloc(512).unwrap();
             dev.mem().fill(buf, 0);
-            let mut opts = LaunchOptions::default().sequential();
+            let mut opts = LaunchOptions::default().with_schedule(Schedule::Sequential);
             if let Some(p) = fault {
                 opts = opts.with_fault(p);
             }

@@ -693,7 +693,7 @@ mod tests {
 
     #[test]
     fn unsynchronized_plain_publish_vs_shared_update_races() {
-        // The broken_publish_plain_store shape: claimer plain-stores the
+        // The `Mutation::PublishPlainStore` shape: claimer plain-stores the
         // value word; a racing updater shared-writes it. The updater only
         // saw the *key* word (relaxed), so there is no HB edge.
         let rs = RaceState::new();

@@ -48,8 +48,8 @@
 //! every modeled counter and replay hint — is **bit-identical** to
 //! per-op dispatch (asserted by the equivalence tests below). A group
 //! retiring mid-lease rewinds its unused pre-drawn decisions, keeping
-//! the RNG stream aligned. `WD_SCHED_CHUNK=0` forces the per-op path
-//! (the default is chunked).
+//! the RNG stream aligned. `LaunchOptions::with_per_op_dispatch(true)`
+//! selects the per-op path (the default is chunked).
 
 use std::sync::{Condvar, Mutex};
 
@@ -529,15 +529,6 @@ impl StepSched {
         self.cv.notify_all();
         claimed
     }
-}
-
-/// Whether stepwise launches default to chunked dispatch. `WD_SCHED_CHUNK=0`
-/// forces per-op dispatch process-wide; anything else (including unset)
-/// keeps chunking on. Per-launch overrides go through
-/// `LaunchOptions::with_per_op_dispatch`.
-#[must_use]
-pub fn chunked_dispatch_default() -> bool {
-    env_u64("WD_SCHED_CHUNK") != Some(0)
 }
 
 /// Runs `body(gid, sched, lease)` for every group id in `0..num_groups`

@@ -103,6 +103,14 @@ impl DeviceSpec {
         self.mem_bandwidth * self.random_efficiency
     }
 
+    /// `time` net of the fixed overhead of `launches` kernel launches.
+    /// At the paper's 2²⁷ elements that overhead is invisible, so runs
+    /// scaled down functionally compare and extrapolate without it.
+    #[must_use]
+    pub fn net_of_launches(&self, time: f64, launches: u32) -> f64 {
+        time - f64::from(launches) * self.launch_overhead
+    }
+
     /// CAS throughput for a kernel whose hot working set spans
     /// `working_set` bytes.
     ///

@@ -1,7 +1,7 @@
 //! Behavioural tests of the simulated device beyond the per-module units:
 //! allocator alignment, launch edge cases, counter/timing consistency.
 
-use gpu_sim::{Device, DeviceSpec, GroupSize, LaunchOptions, TimingModel};
+use gpu_sim::{Device, DeviceSpec, GroupSize, LaunchOptions, Schedule, TimingModel};
 use proptest::prelude::*;
 
 #[test]
@@ -21,7 +21,7 @@ fn allocations_are_sector_aligned() {
             "probe",
             1,
             GroupSize::new(8),
-            LaunchOptions::default().sequential(),
+            LaunchOptions::default().with_schedule(Schedule::Sequential),
             |ctx| {
                 let _ = ctx.read_window(slice, 0);
             },
@@ -52,7 +52,7 @@ fn sequential_and_parallel_launches_agree_on_counters() {
     dev.mem().fill(buf, 0);
     let run = |sequential: bool| {
         let opts = if sequential {
-            LaunchOptions::default().sequential()
+            LaunchOptions::default().with_schedule(Schedule::Sequential)
         } else {
             LaunchOptions::default()
         };
@@ -157,7 +157,7 @@ proptest! {
             "w",
             1,
             GroupSize::new(g),
-            LaunchOptions::default().sequential(),
+            LaunchOptions::default().with_schedule(Schedule::Sequential),
             |ctx| {
                 let _ = ctx.read_window(slice, base);
             },

@@ -1,5 +1,5 @@
 //! Positive fixture: WD-K001 (divergent collective), both triggers.
-//! Mirrors `Config::broken_divergent_ballot`: the CAS-losing lane is
+//! Mirrors `Mutation::DivergentBallot`: the CAS-losing lane is
 //! dropped from the participation mask before re-balloting.
 
 fn kernel_masked(ctx: &GroupCtx, window: &Window, r: u32) {

@@ -1,5 +1,5 @@
 //! Positive fixture: WD-K002 (plain store publishes a CAS-claimed
-//! slot). Mirrors `Config::broken_publish_plain_store`: the value word
+//! slot). Mirrors `Mutation::PublishPlainStore`: the value word
 //! is published with a plain store, dropping the release edge.
 
 fn publish(ctx: &GroupCtx, keys: DevSlice, values: DevSlice, idx: usize) {

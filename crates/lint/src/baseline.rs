@@ -73,11 +73,13 @@ impl Baseline {
         }
     }
 
-    /// Split `findings` into (surfaced, suppressed): each (rule, file,
-    /// fn) bucket suppresses up to its baselined count, oldest (lowest
-    /// line) first, so a *new* finding in a grandfathered function
-    /// still surfaces once the count is exceeded.
-    pub fn apply(&self, mut findings: Vec<Finding>) -> (Vec<Finding>, Vec<Finding>) {
+    /// Split `findings` into (surfaced, suppressed, stale): each (rule,
+    /// file, fn) bucket suppresses up to its baselined count, oldest
+    /// (lowest line) first, so a *new* finding in a grandfathered
+    /// function still surfaces once the count is exceeded. `stale` names
+    /// every entry whose count no finding used up — the code it
+    /// grandfathered is gone, so the entry must go too.
+    pub fn apply(&self, mut findings: Vec<Finding>) -> (Vec<Finding>, Vec<Finding>, Vec<String>) {
         findings.sort_by(|a, b| {
             (&a.file, &a.rule, a.line).cmp(&(&b.file, &b.rule, b.line))
         });
@@ -94,17 +96,12 @@ impl Baseline {
                 _ => surfaced.push(f),
             }
         }
-        (surfaced, suppressed)
-    }
-
-    /// Number of entries (for `--stats`).
-    pub fn len(&self) -> usize {
-        self.entries.values().sum()
-    }
-
-    /// True when the baseline has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        let stale = budget
+            .into_iter()
+            .filter(|&(_, unused)| unused > 0)
+            .map(|((rule, file, func), _)| format!("{rule} {file} {func}"))
+            .collect();
+        (surfaced, suppressed, stale)
     }
 }
 
@@ -128,17 +125,28 @@ mod tests {
             "WD-F001 a.rs f count=2  # legacy\nWD-F001 a.rs g  # one-off\n",
         )
         .unwrap();
-        assert_eq!(b.len(), 3);
         let fs = vec![
             finding("WD-F001", "a.rs", "f", 1),
             finding("WD-F001", "a.rs", "f", 2),
             finding("WD-F001", "a.rs", "f", 3),
             finding("WD-F001", "a.rs", "g", 9),
         ];
-        let (surfaced, suppressed) = b.apply(fs);
+        let (surfaced, suppressed, stale) = b.apply(fs);
         assert_eq!(suppressed.len(), 3);
         assert_eq!(surfaced.len(), 1);
         assert_eq!(surfaced[0].line, 3); // the newest one overflows
+        assert!(stale.is_empty());
+    }
+
+    #[test]
+    fn unused_entries_are_stale() {
+        let b = Baseline::parse("WD-F001 a.rs f count=2  # legacy\nWD-K002 b.rs g  # gone\n")
+            .unwrap();
+        let (surfaced, suppressed, stale) = b.apply(vec![finding("WD-F001", "a.rs", "f", 1)]);
+        assert!(surfaced.is_empty());
+        assert_eq!(suppressed.len(), 1);
+        // a half-used count is as stale as an unused entry
+        assert_eq!(stale, ["WD-F001 a.rs f", "WD-K002 b.rs g"]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! focused runs use.
 //!
 //! Exit codes: 0 = clean (or findings without `--deny`), 1 = findings
-//! under `--deny`, 2 = usage/config/IO error.
+//! or stale baseline entries under `--deny`, 2 = usage/config/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -90,7 +90,7 @@ fn main() -> ExitCode {
         cfg.baseline = String::new();
     }
 
-    let findings = if args.files.is_empty() {
+    let (findings, stale) = if args.files.is_empty() {
         match lint_workspace(&args.root, &cfg) {
             Ok(report) => {
                 eprintln!(
@@ -99,7 +99,7 @@ fn main() -> ExitCode {
                     report.surfaced.len(),
                     report.suppressed.len()
                 );
-                report.surfaced
+                (report.surfaced, report.stale)
             }
             Err(msg) => {
                 eprintln!("wd-lint: {msg}");
@@ -117,19 +117,27 @@ fn main() -> ExitCode {
                 }
             }
         }
-        all
+        (all, Vec::new())
     };
 
     for f in &findings {
         println!("{f}");
     }
-    if findings.is_empty() {
+    for entry in &stale {
+        println!("{}: stale entry `{entry}` matches no finding — delete it", cfg.baseline);
+    }
+    let problems = findings.len() + stale.len();
+    if problems == 0 {
         ExitCode::SUCCESS
     } else if args.deny {
-        eprintln!("wd-lint: {} finding(s), failing (--deny)", findings.len());
+        eprintln!(
+            "wd-lint: {} finding(s), {} stale baseline line(s), failing (--deny)",
+            findings.len(),
+            stale.len()
+        );
         ExitCode::from(1)
     } else {
-        eprintln!("wd-lint: {} finding(s) (advisory; use --deny to fail)", findings.len());
+        eprintln!("wd-lint: {problems} problem(s) (advisory; use --deny to fail)");
         ExitCode::SUCCESS
     }
 }

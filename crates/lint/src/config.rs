@@ -53,7 +53,6 @@ impl Default for Config {
                 "OpError".to_string(),
                 "TransferError".to_string(),
                 "ServeError".to_string(),
-                "InsertError".to_string(),
             ],
             allow: BTreeMap::new(),
             baseline: "wd-lint.baseline".to_string(),

@@ -21,7 +21,8 @@
 //! Findings are suppressed either by a per-rule path allowlist in
 //! `wd-lint.toml` or by the checked-in [`baseline`] of grandfathered
 //! findings (each with a mandatory one-line justification). CI runs
-//! `wd-lint --deny`, so a new finding is a build break.
+//! `wd-lint --deny`, so a new finding is a build break — and so is a
+//! baseline entry that no longer matches one.
 
 pub mod baseline;
 pub mod config;
@@ -150,6 +151,8 @@ pub struct WorkspaceReport {
     pub surfaced: Vec<Finding>,
     /// Findings eaten by the baseline.
     pub suppressed: Vec<Finding>,
+    /// Baseline entries (`RULE file fn`) that no finding used up.
+    pub stale: Vec<String>,
     /// Files scanned.
     pub files: usize,
 }
@@ -184,11 +187,12 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<WorkspaceReport, Stri
     } else {
         Baseline::load(&root.join(&cfg.baseline))?
     };
-    let (mut surfaced, suppressed) = baseline.apply(findings);
+    let (mut surfaced, suppressed, stale) = baseline.apply(findings);
     surfaced.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     Ok(WorkspaceReport {
         surfaced,
         suppressed,
+        stale,
         files,
     })
 }

@@ -257,7 +257,7 @@ fn k001_divergent_collectives(
 /// WD-K002: plain `write` inside the success arm of a CAS claim. The
 /// claim's CAS orders the *key* word only; publishing the value word
 /// with a plain store drops the release edge racecheck relies on (the
-/// `broken_publish_plain_store` shape).
+/// `Mutation::PublishPlainStore` shape).
 fn k002_plain_store_publish(
     toks: &[SpannedTok],
     scopes: &Scopes,
@@ -288,7 +288,7 @@ fn k002_plain_store_publish(
                 "WD-K002",
                 format!(
                     "plain `write` publishes a slot claimed by `{}` — a plain store after a CAS \
-                     claim has no release edge (racecheck's broken_publish_plain_store shape); \
+                     claim has no release edge (racecheck's Mutation::PublishPlainStore shape); \
                      publish with a cas from the sentinel, exchange, or write_shared",
                     truncate(claim, 60)
                 ),

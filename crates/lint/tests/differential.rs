@@ -37,16 +37,16 @@ fn lint_insert_rs() -> (String, Vec<wd_lint::Finding>) {
     (src, findings)
 }
 
-/// synccheck's double (`Config::broken_divergent_ballot`): the ballot
-/// over `full_mask() & !(1 << r)` is flagged by WD-K001 on the exact
-/// line synccheck traps at runtime.
+/// synccheck's double (`Mutation::DivergentBallot`): the ballot over
+/// `full_mask() & !(1 << r)` is flagged by WD-K001 on the exact line
+/// synccheck traps at runtime.
 #[test]
 fn divergent_ballot_double_is_flagged_statically() {
     let (src, findings) = lint_insert_rs();
     // The double must still exist in the shipped source; if it is ever
     // removed, both this test and the sanitizer differential go stale
     // together.
-    assert!(src.contains("divergent_ballot"));
+    assert!(src.contains("Mutation::DivergentBallot"));
     let line = line_of(&src, "ballot_where(active");
     let hit = findings
         .iter()
@@ -57,13 +57,13 @@ fn divergent_ballot_double_is_flagged_statically() {
     assert!(hit.message.contains("full_mask"), "{hit}");
 }
 
-/// racecheck's double (`Config::broken_publish_plain_store`): the
-/// plain value store inside the CAS-success arm is flagged by WD-K002
-/// on the line racecheck reports as the lost release edge.
+/// racecheck's double (`Mutation::PublishPlainStore`): the plain value
+/// store inside the CAS-success arm is flagged by WD-K002 on the line
+/// racecheck reports as the lost release edge.
 #[test]
 fn plain_store_publish_double_is_flagged_statically() {
     let (src, findings) = lint_insert_rs();
-    assert!(src.contains("publish_plain_store"));
+    assert!(src.contains("Mutation::PublishPlainStore"));
     let line = line_of(&src, "ctx.write(values, idx, u64::from(value))");
     let hit = findings
         .iter()

@@ -180,6 +180,35 @@ fn clippy_drift_rule() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// `--deny` keeps the baseline honest: a live entry still suppresses
+/// its finding, but an entry whose finding is gone fails the run until
+/// the line is deleted.
+#[test]
+fn deny_fails_on_a_stale_baseline_entry() {
+    let bin = env!("CARGO_BIN_EXE_wd-lint");
+    let root = std::env::temp_dir().join(format!("wd-lint-stale-{}", std::process::id()));
+    let src = root.join("crates/serve/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::copy(fixtures_dir().join("wd-f002/pos.rs"), src.join("lib.rs")).unwrap();
+    std::fs::write(root.join("wd-lint.toml"), "[clippy]\ncanonical = \"\"\n").unwrap();
+    let live = "WD-F002 crates/serve/src/lib.rs submit_at  # fixture\n";
+    let gone = "WD-K002 crates/serve/src/lib.rs publish  # its code was deleted\n";
+    let run = |baseline: &str| {
+        std::fs::write(root.join("wd-lint.baseline"), baseline).unwrap();
+        Command::new(bin).arg("--deny").arg("--root").arg(&root).output().unwrap()
+    };
+
+    let stale = run(&format!("{live}{gone}"));
+    assert_eq!(stale.status.code(), Some(1), "a stale entry must fail --deny");
+    let stdout = String::from_utf8_lossy(&stale.stdout);
+    assert!(stdout.contains("stale entry `WD-K002 crates/serve/src/lib.rs publish`"), "{stdout}");
+    assert!(!stdout.contains("WD-F002"), "the live entry still suppresses:\n{stdout}");
+
+    assert_eq!(run(live).status.code(), Some(0), "only live entries: clean");
+
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// Rule ids are unique and well-formed (`WD-<family><3 digits>`).
 #[test]
 fn rule_ids_are_stable_and_unique() {

@@ -37,7 +37,7 @@ fn workspace_is_clean_under_deny() {
     // The grandfathered doubles and justified findings are suppressed
     // by the baseline, not silently absent.
     assert!(
-        report.suppressed.len() >= 4,
+        report.suppressed.len() >= 3,
         "baseline suppressed only {} finding(s) — stale baseline?",
         report.suppressed.len()
     );
@@ -52,14 +52,10 @@ fn baseline_entries_all_match_a_real_finding() {
     let root = workspace_root();
     let cfg = Config::load(&root).unwrap();
     let report = lint_workspace(&root, &cfg).unwrap();
-    let baseline =
-        wd_lint::baseline::Baseline::load(&root.join(&cfg.baseline)).expect("baseline");
-    assert_eq!(
-        report.suppressed.len(),
-        baseline.len(),
-        "baseline allows {} finding(s) but only {} matched — prune stale entries",
-        baseline.len(),
-        report.suppressed.len()
+    assert!(
+        report.stale.is_empty(),
+        "baseline entries match no finding — prune them: {:?}",
+        report.stale
     );
 }
 

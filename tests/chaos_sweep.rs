@@ -19,9 +19,9 @@
 //! 4. **Off mode** — a disarmed plan bills byte-identical counters and
 //!    times: no `Backoff` stage, all-zero degraded stats, bitwise-equal
 //!    reports (mirrors the sanitizer's off-mode guarantee).
-//! 5. **Mutation doubles** — `Config::broken_double_apply_on_retry`
+//! 5. **Mutation doubles** — `Mutation::DoubleApplyOnRetry`
 //!    (retry without the idempotence guard) and
-//!    `Config::broken_forget_quarantined_partition` (repartition loses
+//!    `Mutation::ForgetQuarantinedPartition` (repartition loses
 //!    the shard) are provably caught within `WD_MUTATION_SEEDS`, while
 //!    the correct implementation stays clean on every hunted seed.
 
@@ -30,7 +30,7 @@ use interconnect::Topology;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use warpdrive::{CascadeStage, Config, DistributedHashMap};
+use warpdrive::{CascadeStage, Config, DistributedHashMap, Mutation};
 use wd_apps::{mutation_seeds, scaled};
 
 fn node(m: usize, cfg: Config) -> DistributedHashMap {
@@ -328,7 +328,7 @@ fn broken_double_apply_on_retry_is_caught_by_conservation() {
         let plan = FaultPlan::default().with_seed(seed).with_launch_fail(0.3);
         let mut cfg = Config::default().with_fault(plan);
         if broken {
-            cfg = cfg.with_broken_double_apply_on_retry();
+            cfg = cfg.with_mutation(Mutation::DoubleApplyOnRetry);
         }
         let d = node(4, cfg);
         d.insert_from_host(&pairs).ok()?;
@@ -363,7 +363,7 @@ fn broken_forget_quarantined_partition_is_caught_by_round_trip() {
     let run = |seed: u64, broken: bool| -> usize {
         let mut cfg = Config::default();
         if broken {
-            cfg = cfg.with_broken_forget_quarantined_partition();
+            cfg = cfg.with_mutation(Mutation::ForgetQuarantinedPartition);
         }
         let d = node(4, cfg);
         // data varies with the seed so each hunted seed is a fresh case

@@ -6,9 +6,9 @@
 //! Three families of proof:
 //!
 //! 1. **Sanitizer doubles.** Every PR 3 mutation double
-//!    (`broken_publish_plain_store`, `broken_skip_fill`,
-//!    `broken_window_overrun`, `broken_divergent_ballot`) is hunted under
-//!    both per-op and chunked dispatch on the same seeds; the *full
+//!    (`Mutation::PublishPlainStore`, `Mutation::SkipFill`,
+//!    `Mutation::WindowOverrun`, `Mutation::DivergentBallot`) is hunted
+//!    under both per-op and chunked dispatch on the same seeds; the *full
 //!    report signature set* (detector + message, which embeds group,
 //!    lane, address, and the schedule replay hint) must be identical, the
 //!    double must still be caught, and the correct kernel must stay clean
@@ -16,21 +16,21 @@
 //! 2. **Modeled counters.** Correct kernels bill bit-identical counter
 //!    snapshots under per-op and chunked dispatch — the timing model
 //!    cannot tell the dispatch strategies apart.
-//! 3. **Chaos doubles.** The PR 4 doubles (`broken_double_apply_on_retry`,
-//!    `broken_forget_quarantined_partition`) are hunted under a stepwise
+//! 3. **Chaos doubles.** The PR 4 doubles (`Mutation::DoubleApplyOnRetry`,
+//!    `Mutation::ForgetQuarantinedPartition`) are hunted under a stepwise
 //!    seeded schedule in both dispatch modes; per-seed verdicts of the
 //!    conservation / round-trip checks must agree, and the doubles must
 //!    still be caught.
 //!
 //! Failure messages carry the seed: replay with `WD_SCHED_MODE=seeded
-//! WD_SCHED_SEED=<seed>` (add `WD_SCHED_CHUNK=0` for the per-op path).
+//! WD_SCHED_SEED=<seed>` (per-op path: `Config::with_per_op_dispatch(true)`).
 
 use gpu_sim::{Detector, Device, FaultPlan, SanitizerSet, Schedule};
 use interconnect::Topology;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use warpdrive::{Config, DistributedHashMap, GpuHashMap, Layout};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, Layout, Mutation};
 use wd_apps::mutation_seeds;
 
 /// Everything a sanitized run can tell us, normalized for comparison
@@ -139,7 +139,7 @@ fn racecheck_double_equivalent_across_dispatch() {
                 .with_group_size(4)
                 .with_schedule(Schedule::Seeded(seed));
             if broken {
-                c.with_broken_publish_plain_store()
+                c.with_mutation(Mutation::PublishPlainStore)
             } else {
                 c
             }
@@ -160,7 +160,7 @@ fn initcheck_double_equivalent_across_dispatch() {
             }
             .with_schedule(Schedule::Seeded(seed));
             if broken {
-                c.with_broken_skip_fill()
+                c.with_mutation(Mutation::SkipFill)
             } else {
                 c
             }
@@ -179,7 +179,7 @@ fn memcheck_double_equivalent_across_dispatch() {
         |seed, broken| {
             let c = Config::default().with_schedule(Schedule::Seeded(seed));
             if broken {
-                c.with_broken_window_overrun()
+                c.with_mutation(Mutation::WindowOverrun)
             } else {
                 c
             }
@@ -201,7 +201,7 @@ fn synccheck_double_equivalent_across_dispatch() {
                 .with_group_size(4)
                 .with_schedule(Schedule::Seeded(seed));
             if broken {
-                c.with_broken_divergent_ballot()
+                c.with_mutation(Mutation::DivergentBallot)
             } else {
                 c
             }
@@ -271,7 +271,7 @@ fn chaos_double_apply_equivalent_across_dispatch() {
             .with_per_op_dispatch(per_op)
             .with_fault(plan);
         if broken {
-            cfg = cfg.with_broken_double_apply_on_retry();
+            cfg = cfg.with_mutation(Mutation::DoubleApplyOnRetry);
         }
         let d = quad(cfg);
         d.insert_from_host(&pairs).ok()?;
@@ -312,7 +312,7 @@ fn chaos_forget_quarantine_equivalent_across_dispatch() {
             .with_schedule(Schedule::Seeded(seed))
             .with_per_op_dispatch(per_op);
         if broken {
-            cfg = cfg.with_broken_forget_quarantined_partition();
+            cfg = cfg.with_mutation(Mutation::ForgetQuarantinedPartition);
         }
         let d = quad(cfg);
         let base = (seed as u32) * 10_007 + 1;

@@ -9,7 +9,7 @@
 //!    yields linearizable histories under every swept seed, group size
 //!    and layout.
 //! 2. **Power of the checker** — the deliberately broken probing variant
-//!    (`Config::broken_cas_recheck`, which skips the Fig. 3 reload after
+//!    (`Mutation::CasRecheck`, which skips the Fig. 3 reload after
 //!    a failed claim CAS) is flagged non-linearizable within the seed
 //!    budget (`WD_MUTATION_SEEDS`, default = `WD_SWEEP_SEEDS`).
 //!
@@ -21,7 +21,7 @@ use interconnect::Topology;
 use std::sync::Arc;
 use warpdrive::{
     check_linearizable, check_linearizable_multi, Config, DistributedHashMap, GpuHashMap,
-    GpuMultiMap, HistoryRecorder, Layout,
+    GpuMultiMap, HistoryRecorder, Layout, Mutation,
 };
 use wd_apps::{mutation_seeds, sweep_seeds};
 
@@ -184,7 +184,7 @@ fn broken_double_apply_is_flagged_non_linearizable() {
             .collect();
         let mut cfg = Config::default().with_fault(plan);
         if broken {
-            cfg = cfg.with_broken_double_apply_on_retry();
+            cfg = cfg.with_mutation(Mutation::DoubleApplyOnRetry);
         }
         let mut d = DistributedHashMap::new(devices, 256, cfg, Topology::p100_quad(4)).unwrap();
         let rec = Arc::new(HistoryRecorder::new());
@@ -223,7 +223,7 @@ fn broken_cas_recheck_is_flagged_non_linearizable() {
             .with_group_size(4)
             .with_schedule(Schedule::Seeded(seed));
         if broken {
-            cfg = cfg.with_broken_cas_recheck();
+            cfg = cfg.with_mutation(Mutation::CasRecheck);
         }
         let mut map = GpuHashMap::new(dev, 64, cfg).unwrap();
         let rec = Arc::new(HistoryRecorder::new());

@@ -64,7 +64,7 @@ fn oversized_staging_fails_cleanly() {
     // staging for 4096 pairs cannot fit beside a ~4k-word table
     let pairs: Vec<(u32, u32)> = (0..4096u32).map(|i| (i + 1, i)).collect();
     let err = map.insert_pairs(&pairs).unwrap_err();
-    assert!(matches!(err, warpdrive::InsertError::OutOfMemory(_)));
+    assert!(matches!(err, warpdrive::OpError::OutOfMemory(_)));
     // the map remains usable
     map.insert_pairs(&[(5, 50)]).unwrap();
     assert_eq!(map.get(5), Some(50));

@@ -15,8 +15,8 @@
 //!    migration erase→insert pairs, passes the Wing–Gong checker.
 //!
 //! The lab also proves the checker has teeth: the two resize mutation
-//! doubles (`Config::broken_migrate_skips_tombstone_check`,
-//! `Config::broken_read_misses_migrating_window`) must each be caught
+//! doubles (`Mutation::MigrateSkipsTombstoneCheck`,
+//! `Mutation::ReadMissesMigratingWindow`) must each be caught
 //! within the `WD_MUTATION_SEEDS` budget while the correct code stays
 //! clean on the same seeds.
 //!
@@ -27,7 +27,8 @@ use gpu_sim::{Device, Schedule};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use warpdrive::{
-    check_linearizable, Config, GpuHashMap, HistoryRecorder, Layout, ResizePolicy, ResizeState,
+    check_linearizable, Config, GpuHashMap, HistoryRecorder, Layout, Mutation, ResizePolicy,
+    ResizeState,
 };
 use wd_apps::{mutation_seeds, sweep_seeds};
 
@@ -374,7 +375,7 @@ fn hunt(name: &str, mutate: impl Fn(Config) -> Config) {
 #[test]
 fn broken_migrate_skips_tombstone_check_is_caught() {
     hunt("stale-migration-scan", |c| {
-        c.with_broken_migrate_skips_tombstone_check()
+        c.with_mutation(Mutation::MigrateSkipsTombstoneCheck)
     });
 }
 
@@ -385,6 +386,6 @@ fn broken_migrate_skips_tombstone_check_is_caught() {
 #[test]
 fn broken_read_misses_migrating_window_is_caught() {
     hunt("migrating-window-read-race", |c| {
-        c.with_broken_read_misses_migrating_window()
+        c.with_mutation(Mutation::ReadMissesMigratingWindow)
     });
 }

@@ -4,10 +4,10 @@
 //!
 //! | mutation double               | detector  | bug class               |
 //! |-------------------------------|-----------|-------------------------|
-//! | `broken_publish_plain_store`  | racecheck | lost release edge       |
-//! | `broken_skip_fill`            | initcheck | read of unwritten VRAM  |
-//! | `broken_window_overrun`       | memcheck  | off-by-one slice read   |
-//! | `broken_divergent_ballot`     | synccheck | divergent collective    |
+//! | `Mutation::PublishPlainStore` | racecheck | lost release edge       |
+//! | `Mutation::SkipFill`          | initcheck | read of unwritten VRAM  |
+//! | `Mutation::WindowOverrun`     | memcheck  | off-by-one slice read   |
+//! | `Mutation::DivergentBallot`   | synccheck | divergent collective    |
 //!
 //! Each test runs on a device attached with a *collecting* sanitizer, so
 //! detections land in [`gpu_sim::Report`]s we can inspect. When the whole
@@ -22,7 +22,7 @@
 use gpu_sim::{Detector, Device, SanitizerSet, Schedule};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use warpdrive::{Config, GpuHashMap, Layout};
+use warpdrive::{Config, GpuHashMap, Layout, Mutation};
 use wd_apps::mutation_seeds;
 
 const ALL_DETECTORS: [Detector; 4] =
@@ -111,7 +111,7 @@ fn racecheck_catches_plain_store_publish() {
                 .with_group_size(4)
                 .with_schedule(Schedule::Seeded(seed));
             if broken {
-                c.with_broken_publish_plain_store()
+                c.with_mutation(Mutation::PublishPlainStore)
             } else {
                 c
             }
@@ -134,7 +134,7 @@ fn initcheck_catches_skipped_table_fill() {
             }
             .with_schedule(Schedule::Seeded(seed));
             if broken {
-                c.with_broken_skip_fill()
+                c.with_mutation(Mutation::SkipFill)
             } else {
                 c
             }
@@ -154,7 +154,7 @@ fn memcheck_catches_window_overrun() {
         |seed, broken| {
             let c = Config::default().with_schedule(Schedule::Seeded(seed));
             if broken {
-                c.with_broken_window_overrun()
+                c.with_mutation(Mutation::WindowOverrun)
             } else {
                 c
             }
@@ -178,7 +178,7 @@ fn synccheck_catches_divergent_ballot() {
                 .with_group_size(4)
                 .with_schedule(Schedule::Seeded(seed));
             if broken {
-                c.with_broken_divergent_ballot()
+                c.with_mutation(Mutation::DivergentBallot)
             } else {
                 c
             }
