@@ -37,7 +37,14 @@
 //! own equivalence suites prove it), so they cannot invalidate the
 //! shadow either. Duplicate keys inside one put batch are the one
 //! genuinely racy case (last writer wins on the kernel's event horizon,
-//! not slice order), so those keys are invalidated rather than updated.
+//! not slice order), so those keys are invalidated rather than updated;
+//! only a direct `put_batch` caller can send them —
+//! [`MapService::execute`] sends each key's last write alone, and
+//! answers same-key reads after it without consulting backend or shadow.
+//! When a batch of an `execute` fails, an unspecified subset of the
+//! call's final writes may have been applied; the failed batch
+//! invalidates every key it mentions and the batches after it never ran,
+//! so the shadow still holds no value the backend does not.
 //! The wd-serve `cache_equivalence` suite checks all of this end to end
 //! across seeds × schedules × fault plans, including mid-trace resizes
 //! and kill-plan migration traffic.
@@ -323,6 +330,10 @@ impl<S: MapService> MapService for CachedMap<S> {
             self.invalidate(k);
         }
         result
+    }
+
+    fn mutation(&self) -> Option<crate::Mutation> {
+        self.backend.mutation()
     }
 
     fn live_len(&self) -> u64 {

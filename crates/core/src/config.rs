@@ -87,6 +87,13 @@ pub enum Mutation {
     /// live key. The resize sweeps' full-retrieval and linearizability
     /// checks exist to catch exactly this.
     ReadMissesMigratingWindow,
+    /// [`crate::MapService::execute`] skips its store-to-load forwarding:
+    /// a get that follows a write of the same key in the call is answered
+    /// from the pre-call read instead of the written value — the classic
+    /// stale read of a batcher that reorders reads before writes. The
+    /// wd-serve equivalence suite (coalesced ≡ one op at a time) exists
+    /// to catch exactly this.
+    ForwardStaleRead,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

@@ -386,6 +386,10 @@ impl crate::service::MapService for DistributedHashMap {
         self.try_erase_from_host(keys)
     }
 
+    fn mutation(&self) -> Option<crate::Mutation> {
+        self.cfg.mutation
+    }
+
     fn live_len(&self) -> u64 {
         self.len()
     }

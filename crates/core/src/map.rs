@@ -336,6 +336,10 @@ impl crate::service::MapService for GpuHashMap {
         self.try_erase(keys)
     }
 
+    fn mutation(&self) -> Option<crate::Mutation> {
+        self.cfg.mutation
+    }
+
     fn live_len(&self) -> u64 {
         self.len()
     }

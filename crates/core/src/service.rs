@@ -19,21 +19,43 @@
 //!
 //! ## Coalescing contract
 //!
-//! [`MapService::execute`] turns a mixed op stream into batched kernel
-//! launches while staying *response-identical* to sequential execution:
-//! it cuts the stream into maximal same-kind segments and additionally
-//! splits a put or delete segment before a duplicate key. Within such a
-//! segment the batched kernels are per-key independent (distinct keys
-//! probe disjoint logical slots; §IV-A lets inserts and queries of
-//! different keys race freely), so the batched responses equal the
-//! sequential ones bit for bit. Duplicate gets coalesce freely — reads
-//! do not interfere. The wd-serve equivalence suite proves this across
-//! seeds × schedules × fault plans.
+//! [`MapService::execute`] answers a mixed op stream exactly as
+//! one-op-at-a-time execution would, in **at most three batch calls
+//! whatever the mix**: one `get_batch`, then one `put_batch`, then one
+//! `delete_batch`, each over distinct keys in ascending key order (never
+//! hash-iteration order, so a call replays bit for bit).
+//!
+//! Ops on distinct keys commute (§IV-A lets them race freely); only the
+//! ops of one key depend on each other, and that dependency is resolved
+//! on the host. Walking a key's ops in submission order, the call knows
+//! the key's state after its first write — *pre-call state* →
+//! `present(v)` → `absent` — so:
+//!
+//! * a get or delete that follows a write of the same key in the call is
+//!   answered by store-to-load forwarding and never reaches the table;
+//! * every write of a key but its last is dead: the table sees one final
+//!   put *or* one final erase per written key;
+//! * the pre-call state is read once, and only for a key whose first op
+//!   is a get, or a delete whose key the call later puts back (a
+//!   delete-first key that ends erased takes its hit from the erase).
+//!
+//! Erases keep a launch of their own because §IV-A's barrier is real
+//! here: the SOA erase tombstones the key word and *then* resets the
+//! value sentinel, so an insert reclaiming that slot in the same launch
+//! could lose its value. The wd-serve equivalence suite proves response
+//! identity across seeds × schedules × fault plans, and its
+//! [`crate::Mutation::ForwardStaleRead`] case proves the suite can fail.
+//!
+//! On `Err` nothing is answered and an unspecified subset of the call's
+//! final writes may have been applied (what `put_batch` already says of
+//! probing exhaustion): a failed `get_batch` leaves the table untouched,
+//! a failed `put_batch` may have placed some of its pairs, and a failed
+//! `delete_batch` comes after every final put was applied.
 
+use crate::config::Mutation;
 use crate::stats::{CascadeReport, CascadeStage, DegradedStats, StageTiming};
 use gpu_sim::{CounterSnapshot, KernelStats, OutOfMemory};
 use interconnect::TransferError;
-use std::collections::HashSet;
 
 /// One small request against a map service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -360,7 +382,7 @@ pub struct PerGpuDeleteResponse {
 pub trait MapService {
     /// Applies a batch of puts. Duplicate keys within one batch race
     /// (last writer wins on the kernel's event horizon) — callers that
-    /// need sequential semantics split batches, as
+    /// need sequential semantics send each key once, as
     /// [`MapService::execute`] does.
     ///
     /// # Errors
@@ -438,84 +460,153 @@ pub trait MapService {
         Ok(false)
     }
 
+    /// **Test-only.** The [`Mutation`] double armed on the backend's
+    /// [`crate::Config`], if any; [`MapService::execute`] consults it for
+    /// [`Mutation::ForwardStaleRead`].
+    #[doc(hidden)]
+    fn mutation(&self) -> Option<Mutation> {
+        None
+    }
+
     /// Executes a mixed op stream, returning one response per op in
-    /// submission order plus the merged cost report.
+    /// submission order plus the merged cost report, whose `elements`
+    /// is `ops.len()` — a forwarded op is an answered op.
     ///
-    /// Coalesces maximal same-kind segments into single batches, but
-    /// cuts a put or delete segment before a duplicate key so batched
-    /// execution stays response-identical to sequential execution (see
-    /// the module docs for the argument). Gets coalesce unconditionally.
+    /// Response-identical to executing the ops one at a time, in at most
+    /// one `get_batch`, one `put_batch` and one `delete_batch` (in that
+    /// order, distinct ascending keys in each): same-key dependencies
+    /// are resolved on the host, see the module docs.
     ///
     /// # Errors
-    /// Propagates the first failing batch's [`OpError`]; earlier
-    /// segments stay applied (same as a sequential caller stopping at
-    /// the first error).
+    /// The first failing batch's [`OpError`]. No op is answered, and an
+    /// unspecified subset of the call's final writes may have been
+    /// applied: none if the read failed, some of the puts if the put
+    /// batch failed, every put and some of the erases if the delete
+    /// batch failed. [`OpError::Internal`] if the call carries more than
+    /// `u32::MAX` ops or a backend answers a batch with the wrong number
+    /// of results.
     fn execute(&mut self, ops: &[Op]) -> Result<(Vec<Response>, OpReport), OpError> {
-        let mut responses = Vec::with_capacity(ops.len());
-        let mut report = OpReport::default();
-        let mut start = 0usize;
-        let mut seen: HashSet<u32> = HashSet::new();
-        let flush = |svc: &mut Self,
-                     seg: &[Op],
-                     responses: &mut Vec<Response>,
-                     report: &mut OpReport|
-         -> Result<(), OpError> {
-            if seg.is_empty() {
-                return Ok(());
-            }
-            match seg[0] {
-                Op::Put { .. } => {
-                    // segments are same-kind: every op of this one is a put
-                    let mut pairs = Vec::with_capacity(seg.len());
-                    for op in seg {
-                        if let Op::Put { key, value } = *op {
-                            pairs.push((key, value));
-                        }
-                    }
-                    let r = svc.put_batch(&pairs)?;
-                    responses.extend(std::iter::repeat_n(Response::Put, pairs.len()));
-                    report.merge(&r.report);
-                }
-                Op::Get { .. } => {
-                    let keys: Vec<u32> = seg.iter().map(Op::key).collect();
-                    let r = svc.get_batch(&keys)?;
-                    responses.extend(r.values.into_iter().map(|value| Response::Get { value }));
-                    report.merge(&r.report);
-                }
-                Op::Delete { .. } => {
-                    let keys: Vec<u32> = seg.iter().map(Op::key).collect();
-                    let r = svc.delete_batch(&keys)?;
-                    responses.extend(r.hits.into_iter().map(|hit| Response::Delete { hit }));
-                    report.merge(&r.report);
-                }
-            }
-            Ok(())
+        if u32::try_from(ops.len()).is_err() {
+            return Err(OpError::Internal {
+                detail: "execute: one call carries at most u32::MAX ops",
+            });
+        }
+        // `key << 32 | index`, sorted: each key's ops, contiguous and in
+        // submission order, keys ascending
+        let mut by_key: Vec<u64> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| u64::from(op.key()) << 32 | i as u64)
+            .collect();
+        by_key.sort_unstable();
+        let index = |entry: u64| (entry & 0xffff_ffff) as usize;
+        // per key: whether its pre-call state must be read — its first
+        // op is a get, or a delete whose hit no final erase will report
+        // because the call puts the key back — and its last write, the
+        // only one the table must see
+        let plan = |group: &[u64]| {
+            let last_write = group
+                .iter()
+                .rev()
+                .map(|&e| ops[index(e)])
+                .find(Op::is_write);
+            let read = match ops[index(group[0])] {
+                Op::Put { .. } => false,
+                Op::Get { .. } => true,
+                Op::Delete { .. } => matches!(last_write, Some(Op::Put { .. })),
+            };
+            (read, last_write)
         };
-        for (i, op) in ops.iter().enumerate() {
-            let kind_changed = i > start
-                && std::mem::discriminant(op) != std::mem::discriminant(&ops[start]);
-            let dup_write = op.is_write() && !kind_changed && i > start && seen.contains(&op.key());
-            if kind_changed || dup_write {
-                flush(self, &ops[start..i], &mut responses, &mut report)?;
-                start = i;
-                seen.clear();
+
+        let mut reads = Vec::new();
+        let mut puts = Vec::new();
+        let mut erases = Vec::new();
+        for group in by_key.chunk_by(same_key) {
+            let (read, last_write) = plan(group);
+            if read {
+                reads.push((group[0] >> 32) as u32);
             }
-            if op.is_write() {
-                seen.insert(op.key());
+            match last_write {
+                Some(Op::Put { key, value }) => puts.push((key, value)),
+                Some(Op::Delete { key }) => erases.push(key),
+                _ => {}
             }
         }
-        flush(self, &ops[start..], &mut responses, &mut report)?;
+
+        let answered = |asked: usize, got: usize| {
+            if asked == got {
+                Ok(())
+            } else {
+                Err(OpError::Internal {
+                    detail: "execute: a backend answered a batch with the wrong number of results",
+                })
+            }
+        };
+        let mut report = OpReport::default();
+        let mut values = Vec::new();
+        if !reads.is_empty() {
+            let r = self.get_batch(&reads)?;
+            answered(reads.len(), r.values.len())?;
+            report.merge(&r.report);
+            values = r.values;
+        }
+        if !puts.is_empty() {
+            report.merge(&self.put_batch(&puts)?.report);
+        }
+        let mut hits = Vec::new();
+        if !erases.is_empty() {
+            let r = self.delete_batch(&erases)?;
+            answered(erases.len(), r.hits.len())?;
+            report.merge(&r.report);
+            hits = r.hits;
+        }
+        report.elements = ops.len() as u64;
+
+        // answer each key's ops in submission order, carrying its state
+        let stale_reads = self.mutation() == Some(Mutation::ForwardStaleRead);
+        let mut responses = vec![Response::Put; ops.len()];
+        let (mut values, mut hits) = (values.into_iter(), hits.into_iter());
+        for group in by_key.chunk_by(same_key) {
+            let (read, last_write) = plan(group);
+            let pre = if read { values.next().flatten() } else { None };
+            let erased = matches!(last_write, Some(Op::Delete { .. })) && hits.next() == Some(true);
+            // an unread key starts with a put, which looks at neither, or
+            // with a delete and ends erased: the erase reports its presence
+            let (mut value, mut present) = (pre, if read { pre.is_some() } else { erased });
+            for i in group.iter().map(|&e| index(e)) {
+                responses[i] = match ops[i] {
+                    Op::Put { value: v, .. } => {
+                        (value, present) = (Some(v), true);
+                        Response::Put
+                    }
+                    // MUTATION DOUBLE (`Mutation::ForwardStaleRead`): no
+                    // forwarding — every get sees the pre-call state
+                    Op::Get { .. } if stale_reads => Response::Get { value: pre },
+                    Op::Get { .. } => Response::Get { value },
+                    Op::Delete { .. } => {
+                        let hit = present;
+                        (value, present) = (None, false);
+                        Response::Delete { hit }
+                    }
+                };
+            }
+        }
         Ok((responses, report))
     }
+}
+
+/// Whether two `key << 32 | index` entries address the same key.
+fn same_key(a: &u64, b: &u64) -> bool {
+    a >> 32 == b >> 32
 }
 
 /// Lowers a YCSB-style mixed stream onto front-door [`Op`]s: reads
 /// become gets, updates become puts, and each read-modify-write expands
 /// into a get immediately followed by a put of the same key (the
 /// dependent pair YCSB F models). The output is therefore up to twice as
-/// long as the input; feed it to [`MapService::execute`], whose
-/// duplicate-key segmentation keeps the expansion response-identical to
-/// sequential execution.
+/// long as the input; feed it to [`MapService::execute`], which answers
+/// the pair as sequential execution would: the get from the pre-call
+/// read, the put as the key's final write.
 #[must_use]
 pub fn lower_mixed(ops: &[workloads::ycsb::MixedOp]) -> Vec<Op> {
     use workloads::ycsb::MixedOp;
@@ -543,12 +634,14 @@ pub(crate) mod model {
     #[derive(Default)]
     pub(crate) struct ModelService {
         pub(crate) map: std::collections::BTreeMap<u32, u32>,
-        /// `(kind, len)` of every batch call, in order (`'p'`/`'g'`/`'d'`).
-        pub(crate) batches: Vec<(char, usize)>,
+        /// Kind (`'p'`/`'g'`/`'d'`) and keys of every batch call, in order.
+        pub(crate) batches: Vec<(char, Vec<u32>)>,
         /// Keys looked up so far.
         pub(crate) gets: usize,
         /// Makes every put batch fail with `ProbingExhausted`.
         pub(crate) fail_puts: bool,
+        /// The double `execute` runs with.
+        pub(crate) mutation: Option<Mutation>,
     }
 
     fn report(elements: usize) -> OpReport {
@@ -560,7 +653,8 @@ pub(crate) mod model {
 
     impl MapService for ModelService {
         fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
-            self.batches.push(('p', pairs.len()));
+            self.batches
+                .push(('p', pairs.iter().map(|p| p.0).collect()));
             if self.fail_puts {
                 return Err(OpError::ProbingExhausted {
                     failed: pairs.len() as u64,
@@ -581,7 +675,7 @@ pub(crate) mod model {
         }
 
         fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
-            self.batches.push(('g', keys.len()));
+            self.batches.push(('g', keys.to_vec()));
             self.gets += keys.len();
             Ok(GetResponse {
                 values: keys.iter().map(|k| self.map.get(k).copied()).collect(),
@@ -590,7 +684,7 @@ pub(crate) mod model {
         }
 
         fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-            self.batches.push(('d', keys.len()));
+            self.batches.push(('d', keys.to_vec()));
             let hits: Vec<bool> = keys.iter().map(|k| self.map.remove(k).is_some()).collect();
             let erased = hits.iter().filter(|&&h| h).count() as u64;
             Ok(DeleteResponse {
@@ -598,6 +692,10 @@ pub(crate) mod model {
                 erased,
                 report: report(keys.len()),
             })
+        }
+
+        fn mutation(&self) -> Option<Mutation> {
+            self.mutation
         }
 
         fn live_len(&self) -> u64 {
@@ -679,71 +777,227 @@ mod tests {
         assert!(matches!(e, OpError::Internal { .. }));
     }
 
-    #[test]
-    fn execute_coalesces_same_kind_runs() {
-        let mut svc = ModelService::default();
-        let ops = vec![
-            Op::Put { key: 1, value: 10 },
-            Op::Put { key: 2, value: 20 },
+    /// A mixed stream with every dependency shape on six keys.
+    fn mixed_stream() -> Vec<Op> {
+        vec![
             Op::Get { key: 1 },
-            Op::Get { key: 9 },
-            Op::Delete { key: 1 },
+            Op::Put { key: 2, value: 20 },
+            Op::Delete { key: 3 },
+            Op::Put { key: 1, value: 11 },
+            Op::Get { key: 2 },
+            Op::Get { key: 1 },
             Op::Delete { key: 2 },
-        ];
-        let (resp, report) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('p', 2), ('g', 2), ('d', 2)]);
-        assert_eq!(
-            resp,
-            vec![
-                Response::Put,
-                Response::Put,
-                Response::Get { value: Some(10) },
-                Response::Get { value: None },
-                Response::Delete { hit: true },
-                Response::Delete { hit: true },
-            ]
-        );
-        assert_eq!(report.elements, 6);
+            Op::Put { key: 3, value: 31 },
+            Op::Put { key: 2, value: 22 },
+            Op::Get { key: 4 },
+            Op::Delete { key: 5 },
+            Op::Get { key: 4 },
+            Op::Delete { key: 5 },
+            Op::Put { key: 6, value: 60 },
+            Op::Delete { key: 6 },
+        ]
     }
 
     #[test]
-    fn execute_splits_put_segments_on_duplicate_keys() {
+    fn execute_makes_at_most_three_batch_calls_get_put_delete() {
+        let mut svc = ModelService::default();
+        svc.map.extend([(1, 10), (3, 30), (5, 50)]);
+        let ops = mixed_stream();
+        let (resp, report) = svc.execute(&ops).unwrap();
+        // one call per kind, in get → put → delete order, distinct
+        // ascending keys in each: only what the call cannot know itself
+        assert_eq!(
+            svc.batches,
+            vec![
+                ('g', vec![1, 3, 4]),
+                ('p', vec![1, 2, 3]),
+                ('d', vec![5, 6]),
+            ]
+        );
+        assert_eq!(
+            resp,
+            vec![
+                Response::Get { value: Some(10) },
+                Response::Put,
+                Response::Delete { hit: true },
+                Response::Put,
+                Response::Get { value: Some(20) },
+                Response::Get { value: Some(11) },
+                Response::Delete { hit: true },
+                Response::Put,
+                Response::Put,
+                Response::Get { value: None },
+                Response::Delete { hit: true },
+                Response::Get { value: None },
+                Response::Delete { hit: false },
+                Response::Put,
+                Response::Delete { hit: true },
+            ]
+        );
+        // forwarded ops are answered ops
+        assert_eq!(report.elements, ops.len() as u64);
+        let want = [(1, 11), (2, 22), (3, 31)].into_iter().collect();
+        assert_eq!(svc.map, want);
+    }
+
+    #[test]
+    fn execute_sends_only_a_keys_last_write() {
         let mut svc = ModelService::default();
         let ops = vec![
             Op::Put { key: 7, value: 1 },
             Op::Put { key: 8, value: 2 },
-            Op::Put { key: 7, value: 3 }, // duplicate → new batch
+            Op::Delete { key: 7 },
+            Op::Put { key: 7, value: 3 },
             Op::Get { key: 7 },
         ];
-        let (resp, _) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('p', 2), ('p', 1), ('g', 1)]);
-        // sequential semantics: the later put wins
-        assert_eq!(resp[3], Response::Get { value: Some(3) });
+        let (resp, report) = svc.execute(&ops).unwrap();
+        // put → delete → put of key 7 leaves one put; the get and the
+        // delete are forwarded, so nothing is read and nothing erased
+        assert_eq!(svc.batches, vec![('p', vec![7, 8])]);
+        assert_eq!(svc.gets, 0);
+        assert_eq!(resp[2], Response::Delete { hit: true });
+        assert_eq!(resp[4], Response::Get { value: Some(3) });
+        assert_eq!(svc.map.get(&7), Some(&3));
+        assert_eq!(report.elements, 5);
     }
 
     #[test]
-    fn execute_keeps_duplicate_gets_in_one_batch() {
+    fn execute_reads_a_key_once_and_forwards_after_a_write() {
         let mut svc = ModelService::default();
         svc.map.insert(5, 50);
-        let ops = vec![Op::Get { key: 5 }, Op::Get { key: 5 }, Op::Get { key: 5 }];
-        let (resp, _) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('g', 3)]);
-        assert!(resp
-            .iter()
-            .all(|r| *r == Response::Get { value: Some(50) }));
+        let ops = vec![
+            Op::Get { key: 5 },
+            Op::Get { key: 5 },
+            Op::Put { key: 5, value: 51 },
+            Op::Get { key: 5 },
+        ];
+        let (resp, report) = svc.execute(&ops).unwrap();
+        assert_eq!(svc.batches, vec![('g', vec![5]), ('p', vec![5])]);
+        assert_eq!(
+            svc.gets, 1,
+            "duplicate and forwarded gets stay off the backend"
+        );
+        assert_eq!(
+            resp,
+            vec![
+                Response::Get { value: Some(50) },
+                Response::Get { value: Some(50) },
+                Response::Put,
+                Response::Get { value: Some(51) },
+            ]
+        );
+        assert_eq!(report.elements, 4);
     }
 
     #[test]
-    fn execute_splits_delete_segments_on_duplicate_keys() {
+    fn execute_delete_first_key_reports_pre_call_presence() {
         let mut svc = ModelService::default();
-        svc.map.insert(3, 30);
-        let ops = vec![Op::Delete { key: 3 }, Op::Delete { key: 3 }];
+        svc.map.extend([(3, 30), (4, 40)]);
+        let ops = vec![
+            Op::Delete { key: 3 },
+            Op::Delete { key: 3 },
+            Op::Delete { key: 4 },
+            Op::Put { key: 4, value: 41 },
+            Op::Delete { key: 9 },
+            Op::Put { key: 9, value: 91 },
+        ];
         let (resp, _) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('d', 1), ('d', 1)]);
+        // key 3 ends erased: the erase itself reports the hit. Keys 4 and
+        // 9 are put back, so their presence has to be read first.
+        assert_eq!(
+            svc.batches,
+            vec![('g', vec![4, 9]), ('p', vec![4, 9]), ('d', vec![3])]
+        );
         assert_eq!(
             resp,
-            vec![Response::Delete { hit: true }, Response::Delete { hit: false }]
+            vec![
+                Response::Delete { hit: true },
+                Response::Delete { hit: false },
+                Response::Delete { hit: true },
+                Response::Put,
+                Response::Delete { hit: false },
+                Response::Put,
+            ]
         );
+    }
+
+    #[test]
+    fn execute_forward_stale_read_double_answers_from_the_pre_call_read() {
+        let mut svc = ModelService {
+            mutation: Some(Mutation::ForwardStaleRead),
+            ..ModelService::default()
+        };
+        svc.map.insert(1, 10);
+        let ops = [
+            Op::Get { key: 1 },
+            Op::Put { key: 1, value: 11 },
+            Op::Get { key: 1 },
+        ];
+        let (resp, _) = svc.execute(&ops).unwrap();
+        assert_eq!(resp[2], Response::Get { value: Some(10) });
+    }
+
+    #[test]
+    fn execute_error_answers_nothing_and_may_leave_writes_behind() {
+        let mut svc = ModelService {
+            fail_puts: true,
+            ..ModelService::default()
+        };
+        svc.map.insert(1, 10);
+        let ops = [
+            Op::Get { key: 1 },
+            Op::Put { key: 2, value: 20 },
+            Op::Delete { key: 1 },
+        ];
+        assert_eq!(
+            svc.execute(&ops).unwrap_err(),
+            OpError::ProbingExhausted { failed: 1 }
+        );
+        // the read ran, the put failed, the erase was never sent
+        assert_eq!(svc.batches, vec![('g', vec![1]), ('p', vec![2])]);
+        assert_eq!(svc.map.get(&1), Some(&10));
+    }
+
+    proptest::proptest! {
+        /// The differential: one `execute` over the stream answers, and
+        /// leaves the map, exactly as one `execute` per op does. At most
+        /// 16 keys, so that same-key chains run deep.
+        #[test]
+        fn execute_equals_one_op_at_a_time(
+            preload in proptest::collection::vec((0u32..16, proptest::prelude::any::<u32>()), 0..12),
+            stream in proptest::collection::vec(
+                (0u32..3, 0u32..16, proptest::prelude::any::<u32>()), 0..200),
+        ) {
+            let ops: Vec<Op> = stream
+                .iter()
+                .map(|&(kind, key, value)| match kind {
+                    0 => Op::Put { key, value },
+                    1 => Op::Get { key },
+                    _ => Op::Delete { key },
+                })
+                .collect();
+            let mut batched = ModelService::default();
+            batched.map.extend(preload.iter().copied());
+            let mut single = ModelService::default();
+            single.map.extend(preload.iter().copied());
+
+            let (got, report) = batched.execute(&ops).unwrap();
+            let want: Vec<Response> = ops
+                .iter()
+                .map(|op| single.execute(std::slice::from_ref(op)).unwrap().0[0])
+                .collect();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(&batched.map, &single.map);
+            proptest::prop_assert_eq!(report.elements, ops.len() as u64);
+
+            // at most one call per kind, get → put → delete, each over
+            // distinct ascending keys
+            let kinds: String = batched.batches.iter().map(|b| b.0).collect();
+            proptest::prop_assert!(["", "g", "p", "d", "gp", "gd", "pd", "gpd"].contains(&kinds.as_str()));
+            for (_, keys) in &batched.batches {
+                proptest::prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
     }
 
     #[test]

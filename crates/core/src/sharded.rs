@@ -361,6 +361,10 @@ impl crate::service::MapService for ShardedHashMap {
         self.try_erase(keys)
     }
 
+    fn mutation(&self) -> Option<crate::Mutation> {
+        self.shards[0].cfg.mutation
+    }
+
     fn live_len(&self) -> u64 {
         self.len()
     }

@@ -36,11 +36,10 @@ pub enum ServeError {
     },
     /// Puts are being shed while the backend reports quarantined GPUs.
     Degraded,
-    /// A flush failed with a typed backend error. Ops of the failing
-    /// batch may be partially applied (earlier coalesced segments stay
-    /// applied, exactly as a sequential caller stopping at the first
-    /// error); the shadow model keeps the *intended* state, which is the
-    /// conservative side for admission.
+    /// A flush failed with a typed backend error. None of its ops
+    /// completes, while an unspecified subset of its final writes may
+    /// have been applied; the shadow model keeps the *intended* state,
+    /// which is the conservative side for admission.
     Backend(OpError),
 }
 

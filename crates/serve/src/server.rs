@@ -279,9 +279,10 @@ impl<S: MapService> Server<S> {
     /// Drains the pending queue through one coalesced backend execution.
     ///
     /// # Errors
-    /// [`ServeError::Backend`] if a batch fails; the failing batch's ops
-    /// are dropped (earlier coalesced segments stay applied, as with a
-    /// sequential caller stopping at the first error).
+    /// [`ServeError::Backend`] if a batch of the backend's
+    /// [`MapService::execute`] fails. The whole flush is dropped — none
+    /// of its ops completes — while an unspecified subset of its final
+    /// writes may have been applied (see `execute`'s `# Errors`).
     pub fn flush(&mut self) -> Result<Vec<Completion>, ServeError> {
         if self.pending.is_empty() {
             return Ok(Vec::new());

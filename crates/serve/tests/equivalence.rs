@@ -3,13 +3,16 @@
 //!
 //! The service's whole value proposition — batch aggressively for
 //! throughput without changing a single answer — rests on the
-//! [`warpdrive::MapService::execute`] segmentation contract plus the
-//! determinism of admission on the host shadow model. These properties
-//! drive the same seeded trace through `max_batch = 1` (the sequential
-//! reference) and larger coalescing windows and demand byte-identical
-//! responses *and* rejections, across backends, schedules, and transient
-//! fault plans. Per-tenant Wing–Gong linearizability is checked with the
-//! core history checker.
+//! [`warpdrive::MapService::execute`] coalescing contract (same-key
+//! dependencies resolved on the host, at most three launches per call)
+//! plus the determinism of admission on the host shadow model. These
+//! properties drive the same seeded trace through `max_batch = 1` (the
+//! sequential reference) and larger coalescing windows and demand
+//! byte-identical responses *and* rejections, across backends,
+//! schedules, and transient fault plans. Per-tenant Wing–Gong linearizability is checked with the
+//! core history checker. The `Mutation::ForwardStaleRead` double — an
+//! `execute` that answers a get from the pre-call read although the call
+//! wrote the key before it — must be caught within `WD_MUTATION_SEEDS`.
 
 use gpu_sim::{Device, FaultPlan, Schedule};
 use interconnect::Topology;
@@ -17,7 +20,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use warpdrive::{
-    check_linearizable, Config, DistributedHashMap, GpuHashMap, MapService, Op, Response,
+    check_linearizable, Config, DistributedHashMap, GpuHashMap, MapService, Mutation, Op, Response,
     ShardedHashMap,
 };
 use wd_serve::{generate, Completion, ServeConfig, ServeError, Server, TraceConfig};
@@ -238,6 +241,58 @@ fn coalesced_equals_sequential_multi_gpu() {
         "cascade stage timings must reach service telemetry"
     );
     assert!(coalesced.telemetry().flushes < reference.telemetry().flushes);
+}
+
+/// Mutation double: `execute` without store-to-load forwarding. A get
+/// that follows a put of its key inside one flush reads the pre-call
+/// state, so the coalesced run answers differently from the one-op-a-call
+/// reference — caught within the seed budget (`WD_MUTATION_SEEDS`,
+/// default `WD_SWEEP_SEEDS`, default 32), while the shipped resolver
+/// stays equivalent on every hunted seed.
+#[test]
+fn broken_forward_stale_read_is_caught_by_equivalence() {
+    let env = |name: &str| {
+        std::env::var(name)
+            .ok()
+            .and_then(|v| v.trim().parse::<u32>().ok())
+    };
+    let budget = scaled_cases(
+        env("WD_MUTATION_SEEDS")
+            .or(env("WD_SWEEP_SEEDS"))
+            .unwrap_or(32),
+    );
+    let trace_cfg = TraceConfig {
+        ops: 300,
+        key_space: 64,
+        ..TraceConfig::default()
+    };
+    let run = |seed: u64, max_batch: usize, broken: bool| -> Observable {
+        let mut cfg = Config::default();
+        if broken {
+            cfg = cfg.with_mutation(Mutation::ForwardStaleRead);
+        }
+        let serve = ServeConfig::default()
+            .with_max_delay(f64::INFINITY)
+            .with_max_batch(max_batch);
+        let run = Server::new(single_gpu(4096, cfg), serve).run_trace(&generate(&trace_cfg, seed));
+        observable(&run.completions, &run.rejects)
+    };
+    let mut caught = None;
+    for seed in 0..u64::from(budget) {
+        let want = run(seed, 1, false);
+        assert_eq!(
+            run(seed, 64, false),
+            want,
+            "false positive: the shipped resolver diverged at seed {seed}"
+        );
+        if caught.is_none() && run(seed, 64, true) != want {
+            caught = Some(seed);
+        }
+    }
+    let seed = caught.unwrap_or_else(|| {
+        panic!("stale-read mutant survived {budget} seeds — suite has no teeth")
+    });
+    println!("stale-read mutant caught by coalesced ≡ sequential at seed {seed}");
 }
 
 /// Transient faults surface in telemetry (backoff time, retries) while

@@ -10,6 +10,10 @@
 //! regenerated once, when erase gained the host-link retry contract of its
 //! two siblings.
 //!
+//! The `op=execute` rows pin [`MapService::execute`] through the same
+//! cascades: a mixed stream of duplicate keys, put → delete → put,
+//! delete-first keys and get-only duplicates, host-sided, m × plan.
+//!
 //! Every case starts from a fresh node pre-loaded under a disarmed plan,
 //! arms the plan, runs the operation (mid-flight quarantine and restart)
 //! and runs it once more on other keys (steady state under the resulting
@@ -23,7 +27,7 @@ use interconnect::Topology;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use warpdrive::stats::StageTiming;
-use warpdrive::{pack, Config, DistributedHashMap};
+use warpdrive::{pack, Config, DistributedHashMap, MapService, Op, Response};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/cascade_golden.txt");
 const PRELOAD: u32 = 1500;
@@ -94,6 +98,35 @@ fn stages(out: &mut String, stages: &[StageTiming]) {
     }
 }
 
+/// A mixed stream over `keys`: each key runs one of eight same-key
+/// chains, dealt out round by round so a key's ops lie far apart.
+fn mixed_stream(keys: &[u32]) -> Vec<Op> {
+    let chains: Vec<Vec<Op>> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &key)| {
+            let put = |salt: u32| Op::Put {
+                key,
+                value: key ^ salt,
+            };
+            let (get, delete) = (Op::Get { key }, Op::Delete { key });
+            match i % 8 {
+                0 => vec![get, get, get],
+                1 => vec![put(1), delete, put(2)],
+                2 => vec![delete, delete],
+                3 => vec![delete, put(3), get],
+                4 => vec![get, put(4), get],
+                5 => vec![put(5), put(6)],
+                6 => vec![put(7), get, delete, get],
+                _ => vec![get],
+            }
+        })
+        .collect();
+    (0..4)
+        .flat_map(|round| chains.iter().filter_map(move |c| c.get(round).copied()))
+        .collect()
+}
+
 /// Runs one operation and renders its outcome plus the node's state.
 fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u32, hi: u32) {
     let m = d.num_gpus();
@@ -152,6 +185,18 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
                 Err(e) => writeln!(out, " error {e:?}").unwrap(),
             }
         }
+        "execute" => match d.execute(&mixed_stream(&keys)) {
+            Ok((responses, r)) => {
+                let answers = digest(responses.iter().map(|r| match *r {
+                    Response::Put => 0,
+                    Response::Get { value } => value.map_or(1 << 32, |v| 2 << 32 | u64::from(v)),
+                    Response::Delete { hit } => 3 << 32 | u64::from(hit),
+                }));
+                writeln!(out, " ok elements={} answers={answers:016x}", r.elements).unwrap();
+                stages(out, &r.stages);
+            }
+            Err(e) => writeln!(out, " error {e:?}").unwrap(),
+        },
         _ => unreachable!("unknown op {op}"),
     }
     let s = d.degraded_stats();
@@ -188,6 +233,20 @@ fn render() -> String {
                     write!(out, "m={m} plan={plan_name} side={side} op={op} call=2:").unwrap();
                     run(&mut out, &mut d, op, host, 100, 900);
                 }
+            }
+        }
+    }
+    // after the 180 cascade cases, so that their rows keep their place
+    for m in [1usize, 2, 4] {
+        for (plan_name, plan) in plans(m) {
+            let mut d = node(m, plan);
+            for (call, lo, hi) in [(1, PRELOAD - 600, PRELOAD + 400), (2, 100, 900)] {
+                write!(
+                    out,
+                    "m={m} plan={plan_name} side=host op=execute call={call}:"
+                )
+                .unwrap();
+                run(&mut out, &mut d, "execute", true, lo, hi);
             }
         }
     }
