@@ -200,10 +200,12 @@ fn resize_scenario(quick: bool, seed: u64) -> Json {
 /// read-update, B 95/5, C read-only, F read-modify-write) lowered onto a
 /// single-GPU map through `lower_mixed` + `MapService::execute` in
 /// 128-op calls, each over the same Zipf-1.1 key popularity. Reports
-/// modeled ops/s per mix — deterministic, so mix-relative ordering (C
-/// fastest: a read-only call is one launch, every other mix pays a get
-/// *and* a put launch per call) is a stable signal — with the host wall
-/// time of the whole block riding along.
+/// modeled ops/s per mix — deterministic, so mix-relative ordering (every
+/// call is one launch, the reads and puts of a mixed one fused, so A, B
+/// and C run at the launch rate and F, which lowers each
+/// read-modify-write to two ops of one upsert group, at two thirds of
+/// it per generated op) is a stable signal — with the host wall time of
+/// the whole block riding along.
 fn ycsb_scenario(quick: bool, seed: u64) -> Json {
     use std::sync::Arc;
     use warpdrive::{lower_mixed, Config, GpuHashMap, MapService};

@@ -3,10 +3,9 @@
 //! GPU lookups are throughput devices: even a coalesced retrieve costs a
 //! kernel launch plus PCIe/NVLink round trips. Under Zipfian traffic a
 //! tiny host-resident shadow of the hottest keys absorbs most reads
-//! before they reach the device — the ROADMAP's "hot-key cache tier"
-//! (item 4). [`CachedMap`] wraps a backend behind the same [`MapService`]
-//! trait, so the wd-serve front door can stack it under a [`Server`]
-//! without code changes.
+//! before they reach the device. [`CachedMap`] wraps a backend behind the
+//! same [`MapService`] trait, so the wd-serve front door can stack it
+//! under a [`Server`] without code changes.
 //!
 //! ## Design
 //!
@@ -43,8 +42,10 @@
 //! answers same-key reads after it without consulting backend or shadow.
 //! When a batch of an `execute` fails, an unspecified subset of the
 //! call's final writes may have been applied; the failed batch
-//! invalidates every key it mentions and the batches after it never ran,
-//! so the shadow still holds no value the backend does not.
+//! invalidates every key it writes (a failed
+//! [`MapService::get_put_batch`] admits none of its answers either) and
+//! the batches after it never ran, so the shadow still holds no value
+//! the backend does not.
 //! The wd-serve `cache_equivalence` suite checks all of this end to end
 //! across seeds × schedules × fault plans, including mid-trace resizes
 //! and kill-plan migration traffic.
@@ -250,43 +251,11 @@ impl<S: MapService> CachedMap<S> {
             self.stats.invalidations += 1;
         }
     }
-}
 
-impl<S: MapService> MapService for CachedMap<S> {
-    fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
-        // backend first: on error the batch may be partially applied, so
-        // the shadow must forget every key the batch mentions
-        match self.backend.put_batch(pairs) {
-            Ok(resp) => {
-                let mut dup_count: BTreeMap<u32, u32> = BTreeMap::new();
-                for &(k, _) in pairs {
-                    *dup_count.entry(k).or_default() += 1;
-                }
-                for &(k, v) in pairs {
-                    if dup_count.get(&k).copied().unwrap_or(0) > 1 {
-                        // duplicate keys race in the kernel (last writer
-                        // on the event horizon, not slice order) — the
-                        // shadow must not guess the winner
-                        self.invalidate(k);
-                    } else if self.entries.contains_key(&k) {
-                        if let Some(entry) = self.entries.get_mut(&k) {
-                            entry.value = v;
-                        }
-                        self.stats.write_updates += 1;
-                    }
-                }
-                Ok(resp)
-            }
-            Err(e) => {
-                for &(k, _) in pairs {
-                    self.invalidate(k);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
+    /// Answers `keys` from the shadow: the per-key answers (`None` where
+    /// the shadow has nothing) and the misses, as positions in `keys` and
+    /// as the keys themselves.
+    fn lookup(&mut self, keys: &[u32]) -> (Vec<Option<u32>>, Vec<usize>, Vec<u32>) {
         let mut values: Vec<Option<u32>> = Vec::with_capacity(keys.len());
         let mut miss_slots: Vec<usize> = Vec::new();
         let mut miss_keys: Vec<u32> = Vec::new();
@@ -302,6 +271,75 @@ impl<S: MapService> MapService for CachedMap<S> {
                 self.stats.misses += 1;
             }
         }
+        (values, miss_slots, miss_keys)
+    }
+
+    /// Fills the backend's `answers` for the misses of `keys` into
+    /// `values`, admitting every hit.
+    fn admit_answers(
+        &mut self,
+        keys: &[u32],
+        miss_slots: &[usize],
+        answers: &[Option<u32>],
+        values: &mut [Option<u32>],
+    ) {
+        for (&slot, &value) in miss_slots.iter().zip(answers) {
+            values[slot] = value;
+            if let Some(v) = value {
+                self.admit(keys[slot], v);
+            }
+        }
+    }
+
+    /// Write-through after the backend applied `pairs`: a cached key
+    /// takes its new value, a key the batch wrote twice is dropped.
+    fn note_puts(&mut self, pairs: &[(u32, u32)]) {
+        let mut dup_count: BTreeMap<u32, u32> = BTreeMap::new();
+        for &(k, _) in pairs {
+            *dup_count.entry(k).or_default() += 1;
+        }
+        for &(k, v) in pairs {
+            if dup_count.get(&k).copied().unwrap_or(0) > 1 {
+                // duplicate keys race in the kernel (last writer
+                // on the event horizon, not slice order) — the
+                // shadow must not guess the winner
+                self.invalidate(k);
+            } else if self.entries.contains_key(&k) {
+                if let Some(entry) = self.entries.get_mut(&k) {
+                    entry.value = v;
+                }
+                self.stats.write_updates += 1;
+            }
+        }
+    }
+
+    /// After a failed write the batch may be partially applied: the
+    /// shadow forgets every key it mentions.
+    fn forget_puts(&mut self, pairs: &[(u32, u32)]) {
+        for &(k, _) in pairs {
+            self.invalidate(k);
+        }
+    }
+}
+
+impl<S: MapService> MapService for CachedMap<S> {
+    fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
+        // backend first: on error the batch may be partially applied, so
+        // the shadow must forget every key the batch mentions
+        match self.backend.put_batch(pairs) {
+            Ok(resp) => {
+                self.note_puts(pairs);
+                Ok(resp)
+            }
+            Err(e) => {
+                self.forget_puts(pairs);
+                Err(e)
+            }
+        }
+    }
+
+    fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
+        let (mut values, miss_slots, miss_keys) = self.lookup(keys);
         if miss_keys.is_empty() {
             // fully absorbed: no kernel launch, zero modeled device time
             return Ok(GetResponse {
@@ -310,16 +348,43 @@ impl<S: MapService> MapService for CachedMap<S> {
             });
         }
         let resp = self.backend.get_batch(&miss_keys)?;
-        for (slot_idx, value) in miss_slots.iter().zip(resp.values.iter()) {
-            values[*slot_idx] = *value;
-            if let Some(v) = *value {
-                self.admit(keys[*slot_idx], v);
-            }
-        }
+        self.admit_answers(keys, &miss_slots, &resp.values, &mut values);
         Ok(GetResponse {
             values,
             report: resp.report,
         })
+    }
+
+    /// The shadow answers what it can; the misses and the puts reach the
+    /// backend in **one** call (the puts alone when every read hit).
+    /// Answers are admitted before the write-through, so a key read and
+    /// written in one call enters with its old value and is then updated
+    /// — the shadow ends exactly where a `get_batch` followed by a
+    /// `put_batch` leaves it.
+    fn get_put_batch(
+        &mut self,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+    ) -> Result<GetResponse, OpError> {
+        let (mut values, miss_slots, miss_keys) = self.lookup(reads);
+        let result = if miss_keys.is_empty() {
+            self.backend.put_batch(puts).map(|r| (Vec::new(), r.report))
+        } else {
+            self.backend
+                .get_put_batch(&miss_keys, puts)
+                .map(|r| (r.values, r.report))
+        };
+        match result {
+            Ok((answers, report)) => {
+                self.admit_answers(reads, &miss_slots, &answers, &mut values);
+                self.note_puts(puts);
+                Ok(GetResponse { values, report })
+            }
+            Err(e) => {
+                self.forget_puts(puts);
+                Err(e)
+            }
+        }
     }
 
     fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
@@ -484,6 +549,79 @@ mod tests {
             resp.values,
             vec![Some(10), Some(20), None, Some(30), Some(20)]
         );
+    }
+
+    /// A cache over a backend that takes `get_put_batch` as one call,
+    /// keys 1..=4 stored and key 1 cached.
+    fn warmed_over_fusing_backend() -> CachedMap<ModelService> {
+        let backend = ModelService {
+            fused: true,
+            ..ModelService::default()
+        };
+        let mut c = CachedMap::new(backend, 8, CachePolicy::Lru);
+        c.put_batch(&[(1, 10), (2, 20), (3, 30), (4, 40)]).unwrap();
+        c.get_batch(&[1]).unwrap();
+        c.backend_mut().batches.clear();
+        c
+    }
+
+    #[test]
+    fn mixed_call_reaches_the_backend_once_with_the_misses_and_the_puts() {
+        let mut c = warmed_over_fusing_backend();
+        let ops = [
+            Op::Get { key: 1 },
+            Op::Get { key: 2 },
+            Op::Put { key: 3, value: 33 },
+            Op::Get { key: 9 },
+        ];
+        let (resp, _) = c.execute(&ops).unwrap();
+        // key 1 is answered by the shadow: reads 2 and 9, then put 3
+        assert_eq!(c.backend().batches, vec![('m', vec![2, 9, 3])]);
+        assert_eq!(resp[0], crate::Response::Get { value: Some(10) });
+        assert_eq!(resp[1], crate::Response::Get { value: Some(20) });
+        assert_eq!(resp[3], crate::Response::Get { value: None });
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 3));
+    }
+
+    #[test]
+    fn mixed_call_whose_reads_all_hit_sends_the_puts_alone() {
+        let mut c = warmed_over_fusing_backend();
+        let ops = [Op::Get { key: 1 }, Op::Put { key: 3, value: 33 }];
+        let (resp, _) = c.execute(&ops).unwrap();
+        assert_eq!(c.backend().batches, vec![('p', vec![3])]);
+        assert_eq!(resp[0], crate::Response::Get { value: Some(10) });
+        assert_eq!(c.backend().map.get(&3), Some(&33));
+    }
+
+    #[test]
+    fn key_read_and_written_in_one_call_is_admitted_old_then_updated() {
+        let mut c = warmed_over_fusing_backend();
+        let before = c.stats();
+        let ops = [Op::Get { key: 2 }, Op::Put { key: 2, value: 22 }];
+        let (resp, _) = c.execute(&ops).unwrap();
+        assert_eq!(c.backend().batches, vec![('m', vec![2, 2])]);
+        assert_eq!(resp[0], crate::Response::Get { value: Some(20) });
+        let after = c.stats();
+        assert_eq!(after.admissions, before.admissions + 1);
+        assert_eq!(after.write_updates, before.write_updates + 1);
+        assert_eq!(after.invalidations, before.invalidations);
+        // the shadow holds the new value: no backend call for the re-read
+        assert_eq!(c.get_batch(&[2]).unwrap().values, vec![Some(22)]);
+        assert_eq!(c.backend().batches.len(), 1);
+    }
+
+    #[test]
+    fn failed_mixed_call_invalidates_every_put_key() {
+        let mut c = warmed_over_fusing_backend();
+        c.get_batch(&[2]).unwrap();
+        c.backend_mut().fail_puts = true;
+        let ops = [
+            Op::Get { key: 9 },
+            Op::Put { key: 1, value: 11 },
+            Op::Put { key: 2, value: 22 },
+        ];
+        assert!(c.execute(&ops).is_err());
+        assert_eq!(c.cached_len(), 0, "error path must not trust the shadow");
     }
 
     #[test]

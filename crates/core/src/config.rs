@@ -94,6 +94,13 @@ pub enum Mutation {
     /// wd-serve equivalence suite (coalesced ≡ one op at a time) exists
     /// to catch exactly this.
     ForwardStaleRead,
+    /// An upsert group of the fused get + put launch
+    /// ([`crate::MapService::get_put_batch`]) answers with the value it
+    /// *wrote* instead of the one it replaced — the classic
+    /// fetch-and-store that returns the wrong side of the exchange, so a
+    /// get followed by a put of its key in one call reads the put. The
+    /// wd-serve equivalence suite exists to catch exactly this.
+    UpsertReturnsNew,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

@@ -55,14 +55,72 @@ pub struct InsertOutcome {
     pub reclaimed: u64,
 }
 
-/// Per-group insertion outcome (internal).
-enum GroupResult {
+/// What one group's insertion did.
+#[derive(Clone, Copy)]
+pub(crate) enum GroupResult {
     NewSlot {
         /// The claimed slot held a TOMBSTONE (not EMPTY).
         reclaimed: bool,
     },
-    Updated,
+    Updated {
+        /// The `pack(key, value)` the update replaced. AOS always knows
+        /// it (the expected word of the CAS that succeeded); SOA reads
+        /// the value word only for a caller that asked ([`insert_one`]).
+        old: Option<u64>,
+    },
     Failed,
+}
+
+/// Per-launch insertion bookkeeping. It lives host-side (captured
+/// atomics): the real kernel tracks only the error flag, so none of it
+/// costs modeled traffic.
+#[derive(Default)]
+pub(crate) struct InsertTally {
+    failed: AtomicU64,
+    new_slots: AtomicU64,
+    updates: AtomicU64,
+    reclaimed: AtomicU64,
+}
+
+impl InsertTally {
+    /// Counts one group's result and, with a recorder attached, logs the
+    /// insert of `word` it answers.
+    pub(crate) fn note(&self, word: u64, r: GroupResult, history: Option<(&HistoryRecorder, u64)>) {
+        let response = match r {
+            GroupResult::NewSlot { reclaimed } => {
+                self.new_slots.fetch_add(1, Relaxed);
+                if reclaimed {
+                    self.reclaimed.fetch_add(1, Relaxed);
+                }
+                OpResponse::Inserted { new_slot: true }
+            }
+            GroupResult::Updated { .. } => {
+                self.updates.fetch_add(1, Relaxed);
+                OpResponse::Inserted { new_slot: false }
+            }
+            GroupResult::Failed => {
+                self.failed.fetch_add(1, Relaxed);
+                OpResponse::InsertFailed
+            }
+        };
+        if let Some((rec, invoked)) = history {
+            let kind = OpKind::Insert {
+                value: value_of(word),
+            };
+            rec.complete(key_of(word), kind, response, invoked);
+        }
+    }
+
+    /// The launch's outcome.
+    pub(crate) fn outcome(self, stats: KernelStats) -> InsertOutcome {
+        InsertOutcome {
+            stats,
+            failed: self.failed.into_inner(),
+            new_slots: self.new_slots.into_inner(),
+            updates: self.updates.into_inner(),
+            reclaimed: self.reclaimed.into_inner(),
+        }
+    }
 }
 
 /// Launches the insertion kernel for the packed pairs in `input[..n]`,
@@ -74,56 +132,24 @@ pub(crate) fn insert_kernel(
     n: usize,
     recorder: Option<&HistoryRecorder>,
 ) -> InsertOutcome {
-    // Bookkeeping lives host-side (captured atomics): the real kernel
-    // tracks only the error flag, so none of these cost modeled traffic.
-    let failed = AtomicU64::new(0);
-    let new_slots = AtomicU64::new(0);
-    let updates = AtomicU64::new(0);
-    let reclaimed = AtomicU64::new(0);
-
+    let tally = InsertTally::default();
     let stats = table.launch("warpdrive_insert", n, g, |ctx: &GroupCtx| {
         let invoked = recorder.map(HistoryRecorder::invoke);
         let word = ctx.read_stream(input, ctx.group_id());
-        let r = match table.layout() {
-            Layout::Aos => insert_one_aos(ctx, table, word),
-            Layout::Soa => insert_one_soa(ctx, table, word),
-        };
-        match r {
-            GroupResult::NewSlot { reclaimed: tomb } => {
-                new_slots.fetch_add(1, Relaxed);
-                if tomb {
-                    reclaimed.fetch_add(1, Relaxed);
-                }
-            }
-            GroupResult::Updated => {
-                updates.fetch_add(1, Relaxed);
-            }
-            GroupResult::Failed => {
-                failed.fetch_add(1, Relaxed);
-            }
-        }
-        if let (Some(rec), Some(invoked)) = (recorder, invoked) {
-            let response = match r {
-                GroupResult::NewSlot { .. } => OpResponse::Inserted { new_slot: true },
-                GroupResult::Updated => OpResponse::Inserted { new_slot: false },
-                GroupResult::Failed => OpResponse::InsertFailed,
-            };
-            rec.complete(
-                key_of(word),
-                OpKind::Insert {
-                    value: value_of(word),
-                },
-                response,
-                invoked,
-            );
-        }
+        let r = insert_one(ctx, table, word, false);
+        tally.note(word, r, recorder.zip(invoked));
     });
-    InsertOutcome {
-        stats,
-        failed: failed.load(Relaxed),
-        new_slots: new_slots.load(Relaxed),
-        updates: updates.load(Relaxed),
-        reclaimed: reclaimed.load(Relaxed),
+    tally.outcome(stats)
+}
+
+/// Inserts one packed pair by one coalesced group, in the table's
+/// layout. `want_old` asks an update for the pair it replaced — free in
+/// AOS, one more read of the value word in SOA, which a plain put
+/// therefore does not ask for.
+pub(crate) fn insert_one(ctx: &GroupCtx, table: &Table, word: u64, want_old: bool) -> GroupResult {
+    match table.layout() {
+        Layout::Aos => insert_one_aos(ctx, table, word),
+        Layout::Soa => insert_one_soa(ctx, table, word, want_old),
     }
 }
 
@@ -151,8 +177,9 @@ fn insert_one_aos(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
                 let dup = ctx.ballot(|r| key_of(window.lane(r)) == key);
                 if let Some(r) = GroupCtx::ffs(dup) {
                     let idx = crate::probing::wrap_slot(base, r as usize, cap);
-                    if ctx.cas(data, idx, window.lane(r), word).is_ok() {
-                        return GroupResult::Updated;
+                    let old = window.lane(r);
+                    if ctx.cas(data, idx, old, word).is_ok() {
+                        return GroupResult::Updated { old: Some(old) };
                     }
                     window = ctx.reload_window(data, base);
                     tried = 0;
@@ -224,7 +251,7 @@ fn insert_one_aos(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
 /// (The schedule-sweep harness found exactly that lost-update anomaly in
 /// the original plain-store variant.) Erase restores the sentinel, so
 /// tombstone reclaim re-enters the same protocol.
-fn insert_one_soa(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
+fn insert_one_soa(ctx: &GroupCtx, table: &Table, word: u64, want_old: bool) -> GroupResult {
     let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
     let mutation = table.mutation();
     let key = key_of(word);
@@ -246,11 +273,13 @@ fn insert_one_soa(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
                 let dup = ctx.ballot(|r| soa_key_of(window.lane(r)) == Some(key));
                 if let Some(r) = GroupCtx::ffs(dup) {
                     let idx = crate::probing::wrap_slot(base, r as usize, cap);
+                    // what a retrieve of the key would have fetched
+                    let old = want_old.then(|| soa_hit(key, ctx.read_shared(values, idx)));
                     // relaxed value overwrite: last writer wins, but two
                     // racing updaters may interleave with readers — the
                     // shared annotation tells racecheck this is by design
                     ctx.write_shared(values, idx, u64::from(value));
-                    return GroupResult::Updated;
+                    return GroupResult::Updated { old };
                 }
                 let mask = ctx.ballot(|r| is_vacant(window.lane(r))) & !tried;
                 let ends = ctx.any(|r| is_empty_slot(window.lane(r)));

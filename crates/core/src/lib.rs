@@ -49,6 +49,7 @@ pub mod delete;
 pub mod distributed;
 pub mod entry;
 pub mod errors;
+mod get_put;
 pub mod history;
 pub mod host_ops;
 pub mod insert;

@@ -336,6 +336,36 @@ impl crate::service::MapService for GpuHashMap {
         self.try_erase(keys)
     }
 
+    /// One launch of the fused get + upsert kernel while the table is
+    /// stable. During a migration the two routed batches run instead
+    /// (each is a composition over both tables), as they do for lists
+    /// that are not distinct ascending keys, where one key could end up
+    /// in two racing groups.
+    fn get_put_batch(
+        &mut self,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+    ) -> Result<GetResponse, OpError> {
+        self.maybe_finalize_resize();
+        let mut ctl = self.resize.lock();
+        self.trigger_resize(&mut ctl, puts.len());
+        let fused = ctl.migration.is_none()
+            && reads.is_sorted_by(|a, b| a < b)
+            && puts.is_sorted_by(|a, b| a.0 < b.0);
+        drop(ctl);
+        if !fused {
+            return crate::service::get_then_put(self, reads, puts);
+        }
+        let (values, outcome) =
+            self.table
+                .get_put_pairs(self.cfg.group_size, reads, puts, self.recorder.as_deref())?;
+        let outcome = placed(outcome)?;
+        Ok(GetResponse {
+            values,
+            report: OpReport::from_kernel(&outcome.stats, (reads.len() + puts.len()) as u64),
+        })
+    }
+
     fn mutation(&self) -> Option<crate::Mutation> {
         self.cfg.mutation
     }

@@ -226,10 +226,11 @@ fn merge_stats(acc: &mut Option<KernelStats>, s: KernelStats) {
     *acc = Some(merged_onto(acc.take(), s));
 }
 
-/// Splits `pairs` into maximal duplicate-key-free segments (same rule as
-/// [`crate::MapService::execute`]). The routed put records per-key
-/// events manually, so a batch must not contain two writes of one key —
-/// the kernels' race winner could contradict the recorded order.
+/// Splits `pairs` into maximal duplicate-key-free segments. The routed
+/// put records per-key events manually, so a batch must not contain two
+/// writes of one key — the kernels' race winner could contradict the
+/// recorded order. ([`crate::MapService::execute`] sends each key once;
+/// only a direct `put_batch` / `insert_pairs` caller can send more.)
 fn dup_free_segments(pairs: &[(u32, u32)]) -> Vec<std::ops::Range<usize>> {
     let mut segs = Vec::new();
     let mut start = 0usize;
@@ -681,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn dup_free_segments_split_exactly_like_execute() {
+    fn dup_free_segments_cut_before_each_repeated_key() {
         let pairs = [(1, 0), (2, 0), (1, 1), (1, 2), (3, 0)];
         let segs = dup_free_segments(&pairs);
         assert_eq!(segs, vec![0..2, 2..3, 3..5]);

@@ -40,24 +40,35 @@ pub(crate) fn retrieve_kernel(
         } else {
             ctx.group_id()
         };
-        let query = ctx.read_stream(input, qidx);
-        let key = key_of(query);
-        let result = match table.layout() {
-            Layout::Aos => retrieve_one_aos(ctx, table, key),
-            Layout::Soa => retrieve_one_soa(ctx, table, key),
-        };
-        if let (Some(rec), Some(invoked)) = (recorder, invoked) {
-            let response = if result == EMPTY {
-                OpResponse::NotFound
-            } else {
-                OpResponse::Found {
-                    value: value_of(result),
-                }
-            };
-            rec.complete(key, OpKind::Retrieve, response, invoked);
-        }
+        let key = key_of(ctx.read_stream(input, qidx));
+        let result = retrieve_one(ctx, table, key);
+        record_retrieve(recorder.zip(invoked), key, result);
         ctx.write_stream(out, ctx.group_id(), result);
     })
+}
+
+/// Retrieves one key by one coalesced group, in the table's layout:
+/// `pack(key, value)` on a hit, [`EMPTY`] on a miss.
+pub(crate) fn retrieve_one(ctx: &GroupCtx, table: &Table, key: u32) -> u64 {
+    match table.layout() {
+        Layout::Aos => retrieve_one_aos(ctx, table, key),
+        Layout::Soa => retrieve_one_soa(ctx, table, key),
+    }
+}
+
+/// With a recorder attached, logs the retrieve of `key` that `result`
+/// (the kernel's output word) answers.
+pub(crate) fn record_retrieve(history: Option<(&HistoryRecorder, u64)>, key: u32, result: u64) {
+    if let Some((rec, invoked)) = history {
+        let response = if result == EMPTY {
+            OpResponse::NotFound
+        } else {
+            OpResponse::Found {
+                value: value_of(result),
+            }
+        };
+        rec.complete(key, OpKind::Retrieve, response, invoked);
+    }
 }
 
 fn retrieve_one_aos(ctx: &GroupCtx, table: &Table, key: u32) -> u64 {

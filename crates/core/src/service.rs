@@ -20,10 +20,13 @@
 //! ## Coalescing contract
 //!
 //! [`MapService::execute`] answers a mixed op stream exactly as
-//! one-op-at-a-time execution would, in **at most three batch calls
-//! whatever the mix**: one `get_batch`, then one `put_batch`, then one
-//! `delete_batch`, each over distinct keys in ascending key order (never
-//! hash-iteration order, so a call replays bit for bit).
+//! one-op-at-a-time execution would, in **one read/write call plus one
+//! erase call, whatever the mix**: the call's reads and final puts go out
+//! together in one [`MapService::get_put_batch`] (one `get_batch` or one
+//! `put_batch` when the call has only the one kind), then the final
+//! erases in one `delete_batch`, each list over distinct keys in
+//! ascending key order (never hash-iteration order, so a call replays bit
+//! for bit).
 //!
 //! Ops on distinct keys commute (§IV-A lets them race freely); only the
 //! ops of one key depend on each other, and that dependency is resolved
@@ -39,18 +42,29 @@
 //!   is a get, or a delete whose key the call later puts back (a
 //!   delete-first key that ends erased takes its hit from the erase).
 //!
+//! A key the call both reads and puts is in both lists of the
+//! `get_put_batch`, whose answers are the *pre-call* values. What a
+//! backend makes of that call is its own business: [`crate::GpuHashMap`]
+//! runs it as **one launch** of the fused get + upsert kernel (a key in
+//! both lists is one upsert group, one table visit), so a put/get call
+//! pays one launch overhead instead of two; [`crate::CachedMap`] answers
+//! what it can from its shadow and sends the misses and the puts on in
+//! one call; [`crate::ShardedHashMap`] and [`crate::DistributedHashMap`]
+//! keep the provided body, a `get_batch` followed by a `put_batch`.
+//!
 //! Erases keep a launch of their own because §IV-A's barrier is real
 //! here: the SOA erase tombstones the key word and *then* resets the
 //! value sentinel, so an insert reclaiming that slot in the same launch
 //! could lose its value. The wd-serve equivalence suite proves response
 //! identity across seeds × schedules × fault plans, and its
-//! [`crate::Mutation::ForwardStaleRead`] case proves the suite can fail.
+//! [`crate::Mutation::ForwardStaleRead`] and
+//! [`crate::Mutation::UpsertReturnsNew`] cases prove the suite can fail.
 //!
 //! On `Err` nothing is answered and an unspecified subset of the call's
 //! final writes may have been applied (what `put_batch` already says of
-//! probing exhaustion): a failed `get_batch` leaves the table untouched,
-//! a failed `put_batch` may have placed some of its pairs, and a failed
-//! `delete_batch` comes after every final put was applied.
+//! probing exhaustion): a failed read/write call may have placed some of
+//! its pairs — none if it had no puts — and a failed `delete_batch` comes
+//! after every final put was applied.
 
 use crate::config::Mutation;
 use crate::stats::{CascadeReport, CascadeStage, DegradedStats, StageTiming};
@@ -402,6 +416,27 @@ pub trait MapService {
     /// Fault-mode failures once every failover avenue is exhausted.
     fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError>;
 
+    /// Looks up `reads` and applies `puts` in one call: `values[i]` is
+    /// what `reads[i]` held **before** the call, whether or not `puts`
+    /// writes it too. Each list holds distinct keys in ascending order (a
+    /// key may be in both) — how [`MapService::execute`] sends the reads
+    /// and the final puts of a call that has both.
+    ///
+    /// The provided body is a `get_batch` followed by a `put_batch`,
+    /// reports merged in that order. A backend that can do better
+    /// overrides it: [`crate::GpuHashMap`] makes one fused launch.
+    ///
+    /// # Errors
+    /// As [`MapService::get_batch`] and [`MapService::put_batch`]; some
+    /// of the pairs may have been applied.
+    fn get_put_batch(
+        &mut self,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+    ) -> Result<GetResponse, OpError> {
+        get_then_put(self, reads, puts)
+    }
+
     /// Live (non-tombstone) entries.
     fn live_len(&self) -> u64;
 
@@ -473,18 +508,20 @@ pub trait MapService {
     /// is `ops.len()` — a forwarded op is an answered op.
     ///
     /// Response-identical to executing the ops one at a time, in at most
-    /// one `get_batch`, one `put_batch` and one `delete_batch` (in that
-    /// order, distinct ascending keys in each): same-key dependencies
-    /// are resolved on the host, see the module docs.
+    /// one read/write call — a [`MapService::get_put_batch`] when the
+    /// call has both reads and puts, else one `get_batch` or one
+    /// `put_batch` — followed by at most one `delete_batch`, distinct
+    /// ascending keys in each list: same-key dependencies are resolved on
+    /// the host, see the module docs.
     ///
     /// # Errors
     /// The first failing batch's [`OpError`]. No op is answered, and an
     /// unspecified subset of the call's final writes may have been
-    /// applied: none if the read failed, some of the puts if the put
-    /// batch failed, every put and some of the erases if the delete
-    /// batch failed. [`OpError::Internal`] if the call carries more than
-    /// `u32::MAX` ops or a backend answers a batch with the wrong number
-    /// of results.
+    /// applied: some of the puts (none, if the call has no put) if the
+    /// read/write call failed, every put and some of the erases if the
+    /// delete batch failed. [`OpError::Internal`] if the call carries
+    /// more than `u32::MAX` ops or a backend answers a batch with the
+    /// wrong number of results.
     fn execute(&mut self, ops: &[Op]) -> Result<(Vec<Response>, OpReport), OpError> {
         if u32::try_from(ops.len()).is_err() {
             return Err(OpError::Internal {
@@ -518,9 +555,21 @@ pub trait MapService {
             (read, last_write)
         };
 
-        let mut reads = Vec::new();
-        let mut puts = Vec::new();
-        let mut erases = Vec::new();
+        // sized by a counting pass: a list that stays empty allocates
+        // nothing, and none of them grows
+        let (mut n_reads, mut n_puts, mut n_erases) = (0, 0, 0);
+        for group in by_key.chunk_by(same_key) {
+            let (read, last_write) = plan(group);
+            n_reads += usize::from(read);
+            match last_write {
+                Some(Op::Put { .. }) => n_puts += 1,
+                Some(Op::Delete { .. }) => n_erases += 1,
+                _ => {}
+            }
+        }
+        let mut reads = Vec::with_capacity(n_reads);
+        let mut puts = Vec::with_capacity(n_puts);
+        let mut erases = Vec::with_capacity(n_erases);
         for group in by_key.chunk_by(same_key) {
             let (read, last_write) = plan(group);
             if read {
@@ -545,13 +594,15 @@ pub trait MapService {
         let mut report = OpReport::default();
         let mut values = Vec::new();
         if !reads.is_empty() {
-            let r = self.get_batch(&reads)?;
+            let r = if puts.is_empty() {
+                self.get_batch(&reads)?
+            } else {
+                self.get_put_batch(&reads, &puts)?
+            };
             answered(reads.len(), r.values.len())?;
-            report.merge(&r.report);
-            values = r.values;
-        }
-        if !puts.is_empty() {
-            report.merge(&self.put_batch(&puts)?.report);
+            (values, report) = (r.values, r.report);
+        } else if !puts.is_empty() {
+            report = self.put_batch(&puts)?.report;
         }
         let mut hits = Vec::new();
         if !erases.is_empty() {
@@ -593,6 +644,18 @@ pub trait MapService {
         }
         Ok((responses, report))
     }
+}
+
+/// The provided body of [`MapService::get_put_batch`], also what an
+/// overriding backend falls back to: the reads, then the puts.
+pub(crate) fn get_then_put<S: MapService + ?Sized>(
+    service: &mut S,
+    reads: &[u32],
+    puts: &[(u32, u32)],
+) -> Result<GetResponse, OpError> {
+    let mut got = service.get_batch(reads)?;
+    got.report.merge(&service.put_batch(puts)?.report);
+    Ok(got)
 }
 
 /// Whether two `key << 32 | index` entries address the same key.
@@ -640,6 +703,10 @@ pub(crate) mod model {
         pub(crate) gets: usize,
         /// Makes every put batch fail with `ProbingExhausted`.
         pub(crate) fail_puts: bool,
+        /// Overrides `get_put_batch` with one call of its own, recorded
+        /// as `'m'` with the read keys followed by the put keys; unset,
+        /// the provided body runs (a `'g'` and a `'p'`).
+        pub(crate) fused: bool,
         /// The double `execute` runs with.
         pub(crate) mutation: Option<Mutation>,
     }
@@ -680,6 +747,30 @@ pub(crate) mod model {
             Ok(GetResponse {
                 values: keys.iter().map(|k| self.map.get(k).copied()).collect(),
                 report: report(keys.len()),
+            })
+        }
+
+        fn get_put_batch(
+            &mut self,
+            reads: &[u32],
+            puts: &[(u32, u32)],
+        ) -> Result<GetResponse, OpError> {
+            if !self.fused {
+                return get_then_put(self, reads, puts);
+            }
+            let keys = reads.iter().copied().chain(puts.iter().map(|p| p.0));
+            self.batches.push(('m', keys.collect()));
+            self.gets += reads.len();
+            if self.fail_puts {
+                return Err(OpError::ProbingExhausted {
+                    failed: puts.len() as u64,
+                });
+            }
+            let values = reads.iter().map(|k| self.map.get(k).copied()).collect();
+            self.map.extend(puts.iter().copied());
+            Ok(GetResponse {
+                values,
+                report: report(reads.len() + puts.len()),
             })
         }
 
@@ -841,6 +932,46 @@ mod tests {
     }
 
     #[test]
+    fn execute_sends_reads_and_puts_together_to_a_backend_that_fuses() {
+        let mut plain = ModelService::default();
+        let mut svc = ModelService {
+            fused: true,
+            ..ModelService::default()
+        };
+        for m in [&mut plain, &mut svc] {
+            m.map.extend([(1, 10), (3, 30), (5, 50)]);
+        }
+        let ops = mixed_stream();
+        let (resp, report) = svc.execute(&ops).unwrap();
+        // one read/write call — reads 1, 3, 4, then puts 1, 2, 3: distinct
+        // ascending keys in each list, keys 1 (get → put) and 3 (delete →
+        // put) in both — and the erases in a call of their own
+        assert_eq!(
+            svc.batches,
+            vec![('m', vec![1, 3, 4, 1, 2, 3]), ('d', vec![5, 6])]
+        );
+        assert_eq!(svc.gets, 3);
+        let (want, _) = plain.execute(&ops).unwrap();
+        assert_eq!(resp, want);
+        assert_eq!(svc.map, plain.map);
+        assert_eq!(report.elements, ops.len() as u64);
+    }
+
+    #[test]
+    fn execute_with_one_kind_of_read_write_work_stays_on_the_single_kind_calls() {
+        let mut svc = ModelService {
+            fused: true,
+            ..ModelService::default()
+        };
+        svc.execute(&[Op::Get { key: 1 }, Op::Delete { key: 2 }])
+            .unwrap();
+        svc.execute(&[Op::Put { key: 1, value: 1 }, Op::Delete { key: 2 }])
+            .unwrap();
+        let kinds: String = svc.batches.iter().map(|b| b.0).collect();
+        assert_eq!(kinds, "gdpd");
+    }
+
+    #[test]
     fn execute_sends_only_a_keys_last_write() {
         let mut svc = ModelService::default();
         let ops = vec![
@@ -956,6 +1087,21 @@ mod tests {
         // the read ran, the put failed, the erase was never sent
         assert_eq!(svc.batches, vec![('g', vec![1]), ('p', vec![2])]);
         assert_eq!(svc.map.get(&1), Some(&10));
+
+        // the same through a backend that fuses: its one read/write call
+        // failed, so no op is answered and the erase was never sent
+        let mut svc = ModelService {
+            fail_puts: true,
+            fused: true,
+            ..ModelService::default()
+        };
+        svc.map.insert(1, 10);
+        assert_eq!(
+            svc.execute(&ops).unwrap_err(),
+            OpError::ProbingExhausted { failed: 1 }
+        );
+        assert_eq!(svc.batches, vec![('m', vec![1, 2])]);
+        assert_eq!(svc.map.get(&1), Some(&10));
     }
 
     proptest::proptest! {
@@ -980,6 +1126,8 @@ mod tests {
             batched.map.extend(preload.iter().copied());
             let mut single = ModelService::default();
             single.map.extend(preload.iter().copied());
+            let mut fused = ModelService { fused: true, ..ModelService::default() };
+            fused.map.extend(preload.iter().copied());
 
             let (got, report) = batched.execute(&ops).unwrap();
             let want: Vec<Response> = ops
@@ -997,6 +1145,14 @@ mod tests {
             for (_, keys) in &batched.batches {
                 proptest::prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
             }
+
+            // a backend that fuses gets the reads and the puts in one
+            // call whenever the call has both, and answers the same
+            let (got, _) = fused.execute(&ops).unwrap();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(&fused.map, &single.map);
+            let kinds: String = fused.batches.iter().map(|b| b.0).collect();
+            proptest::prop_assert!(["", "g", "p", "d", "m", "gd", "pd", "md"].contains(&kinds.as_str()));
         }
     }
 

@@ -14,8 +14,9 @@
 
 use crate::config::{Config, Layout, Mutation};
 use crate::delete::{erase_kernel, EraseOutcome};
-use crate::entry::{live_pair, pack, EMPTY, TOMBSTONE};
+use crate::entry::{live_pair, pack, value_of, EMPTY, TOMBSTONE};
 use crate::errors::BuildError;
+use crate::get_put::get_put_kernel;
 use crate::history::HistoryRecorder;
 use crate::insert::{insert_kernel, soa_key_of, InsertOutcome};
 use crate::probing::Prober;
@@ -29,15 +30,46 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Query words for `keys`: the key in the high 32 bits (the kernels'
-/// input convention for retrieval and erase).
+/// Query word for `key`: the key in the high 32 bits (the kernels' input
+/// convention for retrieval and erase).
+fn query_word(key: u32) -> u64 {
+    u64::from(key) << 32
+}
+
+/// Query words for `keys`.
 pub(crate) fn query_words(keys: impl IntoIterator<Item = u32>) -> Vec<u64> {
-    keys.into_iter().map(|k| u64::from(k) << 32).collect()
+    keys.into_iter().map(query_word).collect()
 }
 
 /// Packed words for `pairs` (the insertion kernel's input convention).
 pub(crate) fn pair_words(pairs: &[(u32, u32)]) -> Vec<u64> {
     pairs.iter().map(|&(k, v)| pack(k, v)).collect()
+}
+
+/// One key of a fused get + put launch.
+enum Fused {
+    /// Looked up only.
+    Get(u32),
+    /// Looked up and written: one upsert group.
+    Upsert(u32, u32),
+    /// Written only.
+    Put(u32, u32),
+}
+
+/// The keys of `reads` and `puts` (each distinct and ascending) in one
+/// ascending sequence, a key in both lists merged into one upsert.
+fn fused_order<'a>(reads: &'a [u32], puts: &'a [(u32, u32)]) -> impl Iterator<Item = Fused> + 'a {
+    let (mut reads, mut puts) = (reads.iter().peekable(), puts.iter().peekable());
+    std::iter::from_fn(move || match (reads.peek(), puts.peek()) {
+        (Some(&&k), Some(&&(pk, _))) if k < pk => reads.next().map(|_| Fused::Get(k)),
+        (Some(&&k), Some(&&(pk, v))) if k == pk => {
+            reads.next();
+            puts.next().map(|_| Fused::Upsert(k, v))
+        }
+        (_, Some(_)) => puts.next().map(|&(k, v)| Fused::Put(k, v)),
+        (Some(_), None) => reads.next().map(|&k| Fused::Get(k)),
+        (None, None) => None,
+    })
 }
 
 /// The slots of one hash table in device memory, the hash-family member
@@ -194,10 +226,14 @@ impl Table {
         recorder: Option<&HistoryRecorder>,
     ) -> InsertOutcome {
         let outcome = insert_kernel(self, g, input, n, recorder);
+        self.note_inserted(&outcome);
+        outcome
+    }
+
+    fn note_inserted(&self, outcome: &InsertOutcome) {
         self.occupied.fetch_add(outcome.new_slots, Relaxed);
         // claims over TOMBSTONE words shorten the pending-rebuild debt
         self.tombstones.fetch_sub(outcome.reclaimed, Relaxed);
-        outcome
     }
 
     /// Answers the `n` query words of `input` into `out`: `pack(key,
@@ -279,6 +315,55 @@ impl Table {
         let (_scratch, [input], out) = self.stage([&queries], keys.len())?;
         let stats = self.retrieve(g, input, out, keys.len(), recorder);
         Ok((self.dev.mem().d2h(out), stats))
+    }
+
+    /// Looks up `reads` and applies `puts` in **one** launch of the
+    /// fused kernel ([`crate::get_put`]): both lists hold distinct keys
+    /// in ascending order, and a key in both runs once, as an upsert.
+    /// Returns the value each key of `reads` held before the launch, in
+    /// `reads` order, and the insertion outcome, whose stats cover the
+    /// whole launch.
+    pub(crate) fn get_put_pairs(
+        &self,
+        g: GroupSize,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+        recorder: Option<&HistoryRecorder>,
+    ) -> Result<(Vec<Option<u32>>, InsertOutcome), OutOfMemory> {
+        let upserts = fused_order(reads, puts)
+            .filter(|k| matches!(k, Fused::Upsert(..)))
+            .count();
+        let gets = reads.len() - upserts;
+        // the kernel's three sections: get-only keys, upserts, put-only keys
+        let mut words = vec![0; gets + puts.len()];
+        let (mut get_at, mut upsert_at, mut put_at) = (0, gets, reads.len());
+        for key in fused_order(reads, puts) {
+            let (at, word) = match key {
+                Fused::Get(k) => (&mut get_at, query_word(k)),
+                Fused::Upsert(k, v) => (&mut upsert_at, pack(k, v)),
+                Fused::Put(k, v) => (&mut put_at, pack(k, v)),
+            };
+            words[*at] = word;
+            *at += 1;
+        }
+        let (_scratch, [input], out) = self.stage([&words], reads.len())?;
+        let outcome = get_put_kernel(self, g, input, out, gets, recorder);
+        self.note_inserted(&outcome);
+        // answers come back section by section; hand them out key by key
+        let found = self.dev.mem().d2h(out);
+        let (mut get_at, mut upsert_at) = (0, gets);
+        let mut values = Vec::with_capacity(reads.len());
+        for key in fused_order(reads, puts) {
+            let at = match key {
+                Fused::Get(_) => &mut get_at,
+                Fused::Upsert(..) => &mut upsert_at,
+                Fused::Put(..) => continue,
+            };
+            let word = found[*at];
+            *at += 1;
+            values.push((word != EMPTY).then(|| value_of(word)));
+        }
+        Ok((values, outcome))
     }
 
     /// [`Table::erase`] of host-resident keys.

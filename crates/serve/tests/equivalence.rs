@@ -4,15 +4,19 @@
 //! The service's whole value proposition — batch aggressively for
 //! throughput without changing a single answer — rests on the
 //! [`warpdrive::MapService::execute`] coalescing contract (same-key
-//! dependencies resolved on the host, at most three launches per call)
-//! plus the determinism of admission on the host shadow model. These
-//! properties drive the same seeded trace through `max_batch = 1` (the
-//! sequential reference) and larger coalescing windows and demand
+//! dependencies resolved on the host; one read/write call, which the
+//! single-GPU map runs as one fused get + upsert launch, plus one erase
+//! call) plus the determinism of admission on the host shadow model.
+//! These properties drive the same seeded trace through `max_batch = 1`
+//! (the sequential reference) and larger coalescing windows and demand
 //! byte-identical responses *and* rejections, across backends,
-//! schedules, and transient fault plans. Per-tenant Wing–Gong linearizability is checked with the
-//! core history checker. The `Mutation::ForwardStaleRead` double — an
-//! `execute` that answers a get from the pre-call read although the call
-//! wrote the key before it — must be caught within `WD_MUTATION_SEEDS`.
+//! schedules, and transient fault plans. Per-tenant Wing–Gong
+//! linearizability is checked with the core history checker. Two
+//! doubles must be caught within `WD_MUTATION_SEEDS`:
+//! `Mutation::ForwardStaleRead` — an `execute` that answers a get from
+//! the pre-call read although the call wrote the key before it — and
+//! `Mutation::UpsertReturnsNew` — a fused launch whose upsert groups
+//! answer with the value they wrote instead of the one they replaced.
 
 use gpu_sim::{Device, FaultPlan, Schedule};
 use interconnect::Topology;
@@ -243,14 +247,12 @@ fn coalesced_equals_sequential_multi_gpu() {
     assert!(coalesced.telemetry().flushes < reference.telemetry().flushes);
 }
 
-/// Mutation double: `execute` without store-to-load forwarding. A get
-/// that follows a put of its key inside one flush reads the pre-call
-/// state, so the coalesced run answers differently from the one-op-a-call
-/// reference — caught within the seed budget (`WD_MUTATION_SEEDS`,
-/// default `WD_SWEEP_SEEDS`, default 32), while the shipped resolver
-/// stays equivalent on every hunted seed.
-#[test]
-fn broken_forward_stale_read_is_caught_by_equivalence() {
+/// Hunts one `Mutation` double of the front door with the coalesced ≡
+/// sequential property: the coalesced run of the broken backend must
+/// answer differently from the one-op-a-call reference within the seed
+/// budget (`WD_MUTATION_SEEDS`, default `WD_SWEEP_SEEDS`, default 32),
+/// while the shipped code stays equivalent on every hunted seed.
+fn mutant_is_caught_by_equivalence(mutation: Mutation, name: &str) {
     let env = |name: &str| {
         std::env::var(name)
             .ok()
@@ -269,7 +271,7 @@ fn broken_forward_stale_read_is_caught_by_equivalence() {
     let run = |seed: u64, max_batch: usize, broken: bool| -> Observable {
         let mut cfg = Config::default();
         if broken {
-            cfg = cfg.with_mutation(Mutation::ForwardStaleRead);
+            cfg = cfg.with_mutation(mutation);
         }
         let serve = ServeConfig::default()
             .with_max_delay(f64::INFINITY)
@@ -283,16 +285,31 @@ fn broken_forward_stale_read_is_caught_by_equivalence() {
         assert_eq!(
             run(seed, 64, false),
             want,
-            "false positive: the shipped resolver diverged at seed {seed}"
+            "false positive: the shipped code diverged at seed {seed}"
         );
         if caught.is_none() && run(seed, 64, true) != want {
             caught = Some(seed);
         }
     }
-    let seed = caught.unwrap_or_else(|| {
-        panic!("stale-read mutant survived {budget} seeds — suite has no teeth")
-    });
-    println!("stale-read mutant caught by coalesced ≡ sequential at seed {seed}");
+    let seed = caught
+        .unwrap_or_else(|| panic!("{name} mutant survived {budget} seeds — suite has no teeth"));
+    println!("{name} mutant caught by coalesced ≡ sequential at seed {seed}");
+}
+
+/// Mutation double: `execute` without store-to-load forwarding. A get
+/// that follows a put of its key inside one flush reads the pre-call
+/// state.
+#[test]
+fn broken_forward_stale_read_is_caught_by_equivalence() {
+    mutant_is_caught_by_equivalence(Mutation::ForwardStaleRead, "stale-read");
+}
+
+/// Mutation double: an upsert group of the fused get + put launch that
+/// answers with the value it wrote. A get followed by a put of its key
+/// inside one flush — one table visit — reads the put.
+#[test]
+fn broken_upsert_returns_new_is_caught_by_equivalence() {
+    mutant_is_caught_by_equivalence(Mutation::UpsertReturnsNew, "upsert-returns-new");
 }
 
 /// Transient faults surface in telemetry (backoff time, retries) while

@@ -21,7 +21,7 @@ use interconnect::Topology;
 use std::sync::Arc;
 use warpdrive::{
     check_linearizable, check_linearizable_multi, Config, DistributedHashMap, GpuHashMap,
-    GpuMultiMap, HistoryRecorder, Layout, Mutation,
+    GpuMultiMap, HistoryRecorder, Layout, MapService, Mutation, OpKind, OpResponse,
 };
 use wd_apps::{mutation_seeds, sweep_seeds};
 
@@ -57,6 +57,60 @@ fn map_histories_are_linearizable_across_the_sweep() {
                 assert!(!history.is_empty(), "{cell}: recorder captured nothing");
                 check_linearizable(&history)
                     .unwrap_or_else(|v| panic!("{cell}: {v}"));
+            }
+        }
+    }
+}
+
+/// The fused get + put launch: every group logs what its own kernel
+/// would have, and an upsert group — a key both looked up and written,
+/// one table visit — logs the lookup (the value it replaced) and the
+/// write, so the history checks like that of the two launches.
+#[test]
+fn fused_launch_histories_are_linearizable_and_an_upsert_logs_both_its_ops() {
+    let seeds = sweep_seeds().min(8);
+    for layout in [Layout::Aos, Layout::Soa] {
+        for g in [1u32, 4, 32] {
+            for seed in 0..seeds {
+                let cell = format!("layout {layout:?}, |g|={g}, seed {seed}");
+                let dev = Arc::new(Device::with_words(0, 1 << 12));
+                let cfg = Config::default()
+                    .with_layout(layout)
+                    .with_group_size(g)
+                    .with_schedule(Schedule::Seeded(seed));
+                let mut map = GpuHashMap::new(dev, 64, cfg).unwrap();
+                let rec = Arc::new(HistoryRecorder::new());
+                map.set_recorder(Some(Arc::clone(&rec)));
+                map.put_batch(&[(1, 10), (2, 20), (3, 30), (4, 40)]).unwrap();
+                map.delete_batch(&[4]).unwrap();
+                // key 2 is present, key 4 erased, key 6 was never there
+                let got = map
+                    .get_put_batch(&[1, 2, 4, 5, 6], &[(2, 21), (3, 31), (4, 41), (6, 61)])
+                    .unwrap();
+                assert_eq!(got.values, vec![Some(10), Some(20), None, None, None], "{cell}");
+                let _ = map.get_batch(&[1, 2, 3, 4, 5, 6]).unwrap();
+
+                let history = rec.events();
+                for (key, old, new) in [(2, Some(20), 21), (4, None, 41), (6, None, 61)] {
+                    let lookup = match old {
+                        Some(value) => OpResponse::Found { value },
+                        None => OpResponse::NotFound,
+                    };
+                    let logged = |kind: OpKind, response: &OpResponse| {
+                        history
+                            .iter()
+                            .filter(|e| e.key == key && e.kind == kind && e.response == *response)
+                            .count()
+                    };
+                    assert_eq!(logged(OpKind::Retrieve, &lookup), 1, "{cell}: key {key} lookup");
+                    let written = OpResponse::Inserted { new_slot: old.is_none() };
+                    assert_eq!(
+                        logged(OpKind::Insert { value: new }, &written),
+                        1,
+                        "{cell}: key {key} write"
+                    );
+                }
+                check_linearizable(&history).unwrap_or_else(|v| panic!("{cell}: {v}"));
             }
         }
     }

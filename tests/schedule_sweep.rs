@@ -18,7 +18,7 @@ use gpu_sim::{AdversarialMode, CounterSnapshot, Device, GroupSize, Schedule};
 use interconnect::Topology;
 use std::collections::HashMap;
 use std::sync::Arc;
-use warpdrive::{Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Layout};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Layout, MapService};
 use wd_apps::{scaled, sweep_seeds};
 
 /// One deterministic workload: 24 pairs over 8 distinct keys (3-way
@@ -204,5 +204,156 @@ fn distributed_sweep_is_deterministic_and_complete() {
         want.sort_unstable();
         assert_eq!(content, want, "{schedule}: content mismatch");
         assert_eq!((len, content), run(schedule), "{schedule}: replay diverged");
+    }
+}
+
+// ---- the fused get + put launch against its two-launch twin ---------------
+
+/// A 256-slot table holding keys 1..=96 (value 7·key) of which 41..=56
+/// were then erased, so probe chains run through tombstones.
+fn preloaded(layout: Layout, g: GroupSize, schedule: Schedule) -> GpuHashMap {
+    let dev = Arc::new(Device::with_words(0, 1 << 12));
+    let cfg = Config::default()
+        .with_layout(layout)
+        .with_group_size(g.get())
+        .with_schedule(schedule);
+    let mut map = GpuHashMap::new(dev, 256, cfg).unwrap();
+    let pairs: Vec<(u32, u32)> = (1..=96u32).map(|k| (k, 7 * k)).collect();
+    map.put_batch(&pairs).unwrap();
+    map.delete_batch(&(41..=56u32).collect::<Vec<_>>()).unwrap();
+    map
+}
+
+fn contents(map: &GpuHashMap) -> Vec<(u32, u32)> {
+    let mut pairs = map.snapshot();
+    pairs.sort_unstable();
+    pairs
+}
+
+/// What the preload left under `key`.
+fn preloaded_value(key: u32) -> Option<u32> {
+    ((1..=40).contains(&key) || (57..=96).contains(&key)).then_some(7 * key)
+}
+
+/// Present, erased and absent keys.
+fn fused_reads() -> Vec<u32> {
+    vec![1, 2, 3, 30, 41, 42, 60, 61, 500, 501]
+}
+
+/// Updates, re-inserts of erased keys and new keys, none of them read by
+/// [`fused_reads`].
+fn disjoint_puts() -> Vec<(u32, u32)> {
+    [4, 5, 31, 43, 44, 45, 62, 600, 601]
+        .iter()
+        .map(|&k| (k, k + 1000))
+        .collect()
+}
+
+/// The same with keys 2, 30 (present), 41 (erased) and 500 (absent) also
+/// read by [`fused_reads`].
+fn overlapping_puts() -> Vec<(u32, u32)> {
+    [2, 4, 30, 41, 43, 62, 500, 600]
+        .iter()
+        .map(|&k| (k, k + 1000))
+        .collect()
+}
+
+const FUSED_GROUPS: [u32; 3] = [1, 4, 32];
+
+#[test]
+fn fused_launch_bills_the_get_launch_plus_the_put_launch() {
+    for layout in [Layout::Aos, Layout::Soa] {
+        for g in FUSED_GROUPS.map(GroupSize::new) {
+            let cell = format!("layout {layout:?}, |g|={}", g.get());
+            let (reads, puts) = (fused_reads(), disjoint_puts());
+            let mut two = preloaded(layout, g, Schedule::Sequential);
+            let get = two.get_batch(&reads).unwrap();
+            let put = two.put_batch(&puts).unwrap();
+            let mut one = preloaded(layout, g, Schedule::Sequential);
+            let fused = one.get_put_batch(&reads, &puts).unwrap();
+
+            assert_eq!(fused.values, get.values, "{cell}: answers");
+            assert_eq!(fused.report.launches, 1, "{cell}: launches");
+            // disjoint lists: every group runs the body it runs in its
+            // own kernel, so the fused launch may neither under- nor
+            // over-bill a single counter
+            assert_eq!(
+                fused.report.counters,
+                get.report.counters.merged(put.report.counters),
+                "{cell}: counters"
+            );
+            // and what it saves is one launch overhead, at least
+            let overhead = one.device().spec().launch_overhead;
+            let separate = get.report.time + put.report.time;
+            assert!(
+                fused.report.time <= (separate - overhead) * (1.0 + 1e-12),
+                "{cell}: fused {} s against {separate} s in two launches",
+                fused.report.time
+            );
+            assert_eq!(contents(&one), contents(&two), "{cell}: contents");
+            // the re-inserted keys reclaimed tombstones in both twins
+            assert_eq!(one.occupancy_split(), two.occupancy_split(), "{cell}: occupancy");
+            assert!(one.tombstones() < 16, "{cell}: no tombstone reclaimed");
+        }
+    }
+}
+
+#[test]
+fn fused_launch_visits_a_key_in_both_lists_once_and_answers_its_old_value() {
+    for layout in [Layout::Aos, Layout::Soa] {
+        for g in FUSED_GROUPS.map(GroupSize::new) {
+            let cell = format!("layout {layout:?}, |g|={}", g.get());
+            let (reads, puts) = (fused_reads(), overlapping_puts());
+            let mut two = preloaded(layout, g, Schedule::Sequential);
+            let get = two.get_batch(&reads).unwrap();
+            let put = two.put_batch(&puts).unwrap();
+            let mut one = preloaded(layout, g, Schedule::Sequential);
+            let fused = one.get_put_batch(&reads, &puts).unwrap();
+
+            let want: Vec<Option<u32>> = reads.iter().map(|&k| preloaded_value(k)).collect();
+            assert_eq!(fused.values, want, "{cell}: answers are the pre-call values");
+            assert_eq!(get.values, want, "{cell}: twin answers");
+            let separate = get.report.counters.merged(put.report.counters);
+            assert!(
+                fused.report.counters.transactions < separate.transactions,
+                "{cell}: four keys visited once instead of twice must save transactions"
+            );
+            assert_eq!(fused.report.counters.groups + 4, separate.groups, "{cell}: groups");
+            assert_eq!(fused.report.counters.cas_ops, separate.cas_ops, "{cell}: CAS");
+            assert_eq!(contents(&one), contents(&two), "{cell}: contents");
+            assert_eq!(one.occupancy_split(), two.occupancy_split(), "{cell}: occupancy");
+        }
+    }
+}
+
+#[test]
+fn fused_launch_answers_and_contents_do_not_depend_on_the_schedule() {
+    let seeds = scaled(sweep_seeds().min(8));
+    let (reads, puts) = (fused_reads(), overlapping_puts());
+    let run = |layout, g, schedule| {
+        let mut map = preloaded(layout, g, schedule);
+        let fused = map.get_put_batch(&reads, &puts).unwrap();
+        (fused.values, contents(&map), map.occupancy_split())
+    };
+    for layout in [Layout::Aos, Layout::Soa] {
+        for g in FUSED_GROUPS.map(GroupSize::new) {
+            let want = run(layout, g, Schedule::Sequential);
+            let adversarial = [
+                AdversarialMode::Reverse,
+                AdversarialMode::DelayOne,
+                AdversarialMode::RoundRobin { quantum: 1 },
+            ]
+            .map(|mode| Schedule::Adversarial { mode, seed: 1 });
+            for schedule in (0..seeds).map(Schedule::Seeded).chain(adversarial) {
+                // each key is in exactly one group, so no interleaving of
+                // the groups may show in what they answer or leave behind
+                assert_eq!(
+                    run(layout, g, schedule),
+                    want,
+                    "layout {layout:?}, |g|={}, {schedule}: diverged from the sequential run",
+                    g.get()
+                );
+            }
+        }
     }
 }
