@@ -3,14 +3,29 @@
 //!
 //! §IV-B's scheme is a single pipeline — multisplit → transposition →
 //! per-GPU kernel, optionally → transposition back → scatter — and so is
-//! this module. Insertion, retrieval and erasure are three [`CascadeOp`]
-//! descriptions plus a per-GPU kernel call each:
+//! this module. Insertion, retrieval, erasure and the mixed get + put
+//! round are four [`CascadeOp`] descriptions plus a per-GPU kernel call
+//! each:
 //!
-//! | operation | launch site | stage    | return trip | scatter kernel (per warp)                     |
-//! |-----------|-------------|----------|-------------|-----------------------------------------------|
-//! | insert    | `INSERT`    | `Insert` | none        | —                                             |
-//! | retrieve  | `QUERY`     | `Query`  | 8 B / key   | `result_scatter`: 32·(16+8) B, 4 transactions |
-//! | erase     | `ERASE`     | `Query`  | 1 B / key   | `erase_hit_scatter`: 32·(8+1) B, 2 transactions |
+//! | operation | segments | launch site | stage    | return trip | scatter kernel (per warp)                     |
+//! |-----------|----------|-------------|----------|-------------|-----------------------------------------------|
+//! | insert    | 1        | `INSERT`    | `Insert` | none        | —                                             |
+//! | retrieve  | 1        | `QUERY`     | `Query`  | 8 B / key   | `result_scatter`: 32·(16+8) B, 4 transactions |
+//! | erase     | 1        | `ERASE`     | `Query`  | 1 B / key   | `erase_hit_scatter`: 32·(8+1) B, 2 transactions |
+//! | get + put | 3        | `GET_PUT`, late puts `INSERT` | `Query`, late puts `Insert` | 8 B / read key | `result_scatter`, over the read keys |
+//!
+//! A GPU's words are cut into the operation's **segments**, which share
+//! the round — one upload, the `m` launches of one multisplit
+//! ([`multisplit::device_multisplit_segments`]), one all-to-all billed on
+//! the summed byte matrix — while each is split and transposed on its
+//! own, so a target receives segment after segment, each in source
+//! order. The mixed round's are `[query words | pairs of keys not read |
+//! pairs of keys also read]`: what arrives is already the input of one
+//! fused get + put launch over the first two (distinct keys race freely,
+//! §IV-A) and of a late insert launch over the third, which only a target
+//! that received any makes — so a key both read and written is read
+//! first, and a query word and a pair stay the 64-bit words they are.
+//! The return trip carries segment 0 alone.
 //!
 //! Fault handling is woven through once. [`DistributedHashMap::with_failover`]
 //! runs a step (a device round here, a PCIe phase in [`crate::host_ops`])
@@ -20,8 +35,10 @@
 //! Re-running is safe because table mutations come last in a round and
 //! are idempotent: duplicate inserts update in place, tombstoning a
 //! tombstone is a no-op, queries are pure. Answers of targets that
-//! completed before a round aborted stand (an erased key is a hit even
-//! though the restarted round no longer sees it).
+//! completed before a round aborted stand: an erased key is a hit even
+//! though the restarted round no longer sees it, and a key the mixed
+//! round read keeps its first answer — the re-run would read what the
+//! aborted round already wrote.
 
 use crate::chaos::{launch_site, straggled, ChaosTally, Router};
 use crate::config::Mutation;
@@ -31,7 +48,24 @@ use crate::service::{OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse}
 use crate::stats::{CascadeReport, CascadeStage};
 use gpu_sim::{DevSlice, FaultPlan, GroupSize, LaunchOptions, RetryPolicy, ScratchGuard};
 use interconnect::alltoall_time_faulted;
-use multisplit::{device_multisplit, PartitionTable, SplitResult};
+use multisplit::{device_multisplit_segments, PartitionTable, SegmentedSplit};
+
+/// Most segments a cascade cuts a GPU's words into (the mixed round's).
+pub(crate) const MAX_SEGMENTS: usize = 3;
+
+/// Lengths of the segments of one GPU's words, which lie back to back in
+/// this order; an operation with fewer segments leaves the rest zero.
+pub(crate) type Cuts = [usize; MAX_SEGMENTS];
+
+/// Every GPU's words as one segment.
+pub(crate) fn uncut(per_gpu_words: &[Vec<u64>]) -> Vec<Cuts> {
+    per_gpu_words.iter().map(|w| [w.len(), 0, 0]).collect()
+}
+
+/// Segment `s` of one GPU's `words`.
+fn segment<'w>(words: &'w [u64], cuts: &Cuts, s: usize) -> &'w [u64] {
+    &words[cuts[..s].iter().sum()..][..cuts[s]]
+}
 
 /// What distinguishes one cascade from another, besides its kernel call.
 pub(crate) struct CascadeOp {
@@ -39,9 +73,19 @@ pub(crate) struct CascadeOp {
     site: u64,
     /// Stage the kernel step reports under.
     stage: CascadeStage,
-    /// Present iff the operation answers per key: its words then carry
-    /// their per-GPU index in the low half (the kernels only read
-    /// `key_of`), and the answers travel back and scatter into that order.
+    /// Segments each GPU's words are cut into. Each is split and
+    /// transposed on its own inside the one multisplit and the one
+    /// all-to-all, so a target receives segment after segment, each in
+    /// source order; the kernel sees the received [`Cuts`].
+    segments: usize,
+    /// Whether the last segment holds pairs that must not race the
+    /// kernel: a target that received any inserts them in a launch of
+    /// their own after it ([`launch_site::INSERT`], an `Insert` stage).
+    late_puts: bool,
+    /// Present iff the operation answers per key: the words of segment 0
+    /// then carry their per-GPU index in the low half (the kernels only
+    /// read `key_of`), and their answers travel back and scatter into
+    /// that order.
     back: Option<ReturnTrip>,
 }
 
@@ -62,32 +106,52 @@ struct ReturnTrip {
     transactions: u64,
 }
 
+/// Packed key-value results: the return trip of every operation that
+/// reads values.
+const RESULTS: ReturnTrip = ReturnTrip {
+    bytes: 8,
+    scatter: "result_scatter",
+    stream_bytes: 32 * (16 + 8),
+    transactions: 4,
+};
+
 const INSERT: CascadeOp = CascadeOp {
     site: launch_site::INSERT,
     stage: CascadeStage::Insert,
+    segments: 1,
+    late_puts: false,
     back: None,
 };
 
 const RETRIEVE: CascadeOp = CascadeOp {
     site: launch_site::QUERY,
     stage: CascadeStage::Query,
-    back: Some(ReturnTrip {
-        bytes: 8,
-        scatter: "result_scatter",
-        stream_bytes: 32 * (16 + 8),
-        transactions: 4,
-    }),
+    segments: 1,
+    late_puts: false,
+    back: Some(RESULTS),
 };
 
 const ERASE: CascadeOp = CascadeOp {
     site: launch_site::ERASE,
     stage: CascadeStage::Query,
+    segments: 1,
+    late_puts: false,
     back: Some(ReturnTrip {
         bytes: 1,
         scatter: "erase_hit_scatter",
         stream_bytes: 32 * (8 + 1),
         transactions: 2,
     }),
+};
+
+/// The mixed round: `[indexed query words | pairs of keys not read |
+/// pairs of keys the call also reads]`.
+const GET_PUT: CascadeOp = CascadeOp {
+    site: launch_site::GET_PUT,
+    stage: CascadeStage::Query,
+    segments: 3,
+    late_puts: true,
+    back: Some(RESULTS),
 };
 
 /// Why a step stopped early.
@@ -98,16 +162,53 @@ pub(crate) enum Abort {
     Fatal(OpError),
 }
 
+/// A kernel step's probing exhaustion is summed into `failed` — the other
+/// GPUs still run, the round reports the aggregate — and `None`; any
+/// other error ends the round.
+fn unless_exhausted<T>(res: Result<T, OpError>, failed: &mut u64) -> Result<Option<T>, Abort> {
+    match res {
+        Ok(out) => Ok(Some(out)),
+        Err(OpError::ProbingExhausted { failed: f }) => {
+            *failed += f;
+            Ok(None)
+        }
+        Err(e) => Err(Abort::Fatal(e)),
+    }
+}
+
 /// Per-GPU data prepared for a cascade (device-resident words).
 struct SplitPhase<'g> {
     /// Scratch guards keeping the buffers alive.
     _guards: Vec<ScratchGuard<'g>>,
-    /// Partition-ordered buffers, one per source GPU.
-    splits: Vec<SplitResult>,
-    /// The m×m partition table.
+    /// What each source GPU sends.
+    sent: Vec<Sent>,
+    /// The m×m partition table over all segments.
     table: PartitionTable,
     /// Phase time (max over GPUs).
     time: f64,
+}
+
+/// One source GPU's multisplit.
+struct Sent {
+    /// Its output buffer: the segments back to back, each
+    /// partition-ordered.
+    out: DevSlice,
+    /// Per segment, the counts and offsets of the classes — the targets.
+    classes: SegmentedSplit,
+}
+
+/// The m×m partition table of the first `segments` segments together.
+fn partition_table(sent: &[Sent], segments: usize) -> PartitionTable {
+    let row = |classes: &SegmentedSplit| {
+        let mut row = classes.counts(0).to_vec();
+        for s in 1..segments {
+            for (sum, n) in row.iter_mut().zip(classes.counts(s)) {
+                *sum += n;
+            }
+        }
+        row
+    };
+    PartitionTable::new(sent.iter().map(|sent| row(&sent.classes)).collect())
 }
 
 /// Query words for keys resident per GPU: the key with its per-GPU index
@@ -122,6 +223,15 @@ fn indexed(per_gpu_keys: &[Vec<u32>]) -> Vec<Vec<u64>> {
                 .collect()
         })
         .collect()
+}
+
+/// The value a query kernel found for query `word`: `found` is the
+/// key's packed pair, or `EMPTY`.
+fn found_value(word: u64, found: u64) -> Option<u32> {
+    (found != EMPTY).then(|| {
+        debug_assert_eq!(key_of(found), key_of(word));
+        value_of(found)
+    })
 }
 
 fn new_report(per_gpu_words: &[Vec<u64>]) -> CascadeReport {
@@ -163,11 +273,13 @@ impl DistributedHashMap {
     }
 
     /// The device-sided cascade of `op` over `per_gpu_words` (words
-    /// already resident on their GPU), appending its stages to `report`.
+    /// already resident on their GPU, cut into the operation's segments by
+    /// `cuts`), appending its stages to `report`.
     ///
-    /// `kernel(j, buf, n)` runs the operation's kernel on GPU `j` over
-    /// the `n` words it received and returns its simulated time plus one
-    /// answer per word (none for an operation without return trip);
+    /// `kernel(j, buf, cuts)` runs the operation's kernel on GPU `j` over
+    /// the words it received — segment after segment, `cuts` long — and
+    /// returns its simulated time plus one answer per word of segment 0
+    /// (none for an operation without return trip);
     /// `answer((g, i), word, a)` receives the answer to the caller's
     /// `per_gpu_words[g][i]`. Under an armed fault plan rounds may run
     /// more than once: input addressed to quarantined GPUs re-spreads
@@ -182,24 +294,25 @@ impl DistributedHashMap {
         &self,
         op: &CascadeOp,
         per_gpu_words: &[Vec<u64>],
+        cuts: &[Cuts],
         report: &mut CascadeReport,
-        mut kernel: impl FnMut(usize, DevSlice, usize) -> Result<(f64, Vec<A>), OpError>,
+        mut kernel: impl FnMut(usize, DevSlice, &Cuts) -> Result<(f64, Vec<A>), OpError>,
         mut answer: impl FnMut((usize, usize), u64, &A),
     ) -> Result<(), OpError> {
         assert_eq!(per_gpu_words.len(), self.num_gpus(), "one batch per GPU");
         let policy = self.retry_policy();
         self.with_failover(report, |plan, mask, report, tally| {
             // the healthy path borrows the caller's words as they are
-            let respread =
-                (mask != 0).then(|| self.respread(per_gpu_words, mask, op.back.is_some()));
-            let (words, origin) = match &respread {
-                Some((words, origin)) => (words.as_slice(), Some(origin.as_slice())),
-                None => (per_gpu_words, None),
+            let respread = (mask != 0).then(|| self.respread(op, per_gpu_words, cuts, mask));
+            let (words, cuts, origin) = match &respread {
+                Some((words, cuts, origin)) => (&words[..], &cuts[..], Some(&origin[..])),
+                None => (per_gpu_words, cuts, None),
             };
             let router = self.router_for(mask);
             self.round(
                 op,
                 words,
+                cuts,
                 origin,
                 &router,
                 plan,
@@ -218,13 +331,14 @@ impl DistributedHashMap {
         &self,
         op: &CascadeOp,
         per_gpu_words: &[Vec<u64>],
+        cuts: &[Cuts],
         origin: Option<&[Vec<(usize, usize)>]>,
         router: &Router,
         plan: &FaultPlan,
         policy: &RetryPolicy,
         report: &mut CascadeReport,
         tally: &mut ChaosTally,
-        kernel: &mut impl FnMut(usize, DevSlice, usize) -> Result<(f64, Vec<A>), OpError>,
+        kernel: &mut impl FnMut(usize, DevSlice, &Cuts) -> Result<(f64, Vec<A>), OpError>,
         answer: &mut impl FnMut((usize, usize), u64, &A),
     ) -> Result<(), Abort> {
         let m = self.num_gpus();
@@ -235,15 +349,17 @@ impl DistributedHashMap {
         };
 
         // Phases 1+2: multisplit and transposition
-        let split = self.multisplit_phase(per_gpu_words, router, plan, policy, tally)?;
+        let split = self.multisplit_phase(op, per_gpu_words, cuts, router, plan, policy, tally)?;
         // each GPU runs m sequential compaction passes → m launches
         report.push_with_overhead(CascadeStage::Multisplit, split.time, 0, oh * m as f64);
         let transpose = alltoall(split.table.byte_matrix(8), tally)?;
-        let (recv, recv_guards) = self.transpose_move(&split).map_err(Abort::Fatal)?;
+        let (recv, recv_cuts, recv_guards) =
+            self.transpose_move(op, &split).map_err(Abort::Fatal)?;
         report.push(CascadeStage::Transpose, transpose.time, transpose.bytes);
 
         // Phase 3: the local kernels (global barrier → max over GPUs)
         let mut worst = 0.0f64;
+        let mut late_worst = None;
         let mut failed = 0u64;
         for (j, words) in recv.iter().enumerate() {
             if words.is_empty() {
@@ -266,38 +382,58 @@ impl DistributedHashMap {
             }
             gate.map_err(Abort::Lost)?;
             let buf = recv_guards[j].slice().sub(0, words.len());
-            match kernel(j, buf, words.len()) {
-                Ok((time, answers)) => {
-                    worst = worst.max(straggled(plan, j, time));
-                    // `words` is every source GPU's chunk for `j` in GPU
-                    // order; hand the answers out now, so they stand
-                    // even if a later target aborts the round
-                    let sources = (0..m)
-                        .flat_map(|i| std::iter::repeat_n(i, split.splits[i].counts[j] as usize));
-                    for ((i, &word), a) in sources.zip(words).zip(&answers) {
-                        let slot = value_of(word) as usize;
-                        answer(origin.map_or((i, slot), |o| o[i][slot]), word, a);
-                    }
+            if let Some((time, answers)) =
+                unless_exhausted(kernel(j, buf, &recv_cuts[j]), &mut failed)?
+            {
+                worst = worst.max(straggled(plan, j, time));
+                // segment 0 of `words` is every source GPU's chunk for
+                // `j` in GPU order; hand the answers out now, so they
+                // stand even if a later target aborts the round
+                let sources = (0..m).flat_map(|i| {
+                    std::iter::repeat_n(i, split.sent[i].classes.counts(0)[j] as usize)
+                });
+                for ((i, &word), a) in sources.zip(words).zip(&answers) {
+                    let slot = value_of(word) as usize;
+                    answer(origin.map_or((i, slot), |o| o[i][slot]), word, a);
                 }
-                // the other GPUs still run: report the aggregate
-                Err(OpError::ProbingExhausted { failed: f }) => failed += f,
-                Err(e) => return Err(Abort::Fatal(e)),
+            }
+            let late = match op.late_puts {
+                true => recv_cuts[j][op.segments - 1],
+                false => 0,
+            };
+            if late > 0 {
+                // after the kernel on this target, so that a key it both
+                // read and wrote was read first
+                tally
+                    .gate_launch(plan, policy, j, launch_site::INSERT)
+                    .map_err(Abort::Lost)?;
+                let pairs = buf.sub(words.len() - late, late);
+                let inserted = self.maps()[j].insert_device(pairs, late);
+                if let Some(outcome) = unless_exhausted(inserted, &mut failed)? {
+                    let time = straggled(plan, j, outcome.stats.sim_time);
+                    late_worst = Some(late_worst.unwrap_or(0.0f64).max(time));
+                }
             }
         }
         report.push_with_overhead(op.stage, worst, 0, oh);
+        if let Some(worst) = late_worst {
+            report.push_with_overhead(CascadeStage::Insert, worst, 0, oh);
+        }
         if failed > 0 {
             return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
         }
 
-        // Phases 4+5: the return trip
+        // Phases 4+5: the return trip, of segment 0
         let Some(back) = &op.back else {
             return Ok(());
         };
-        let transpose = alltoall(split.table.transposed().byte_matrix(back.bytes), tally)?;
+        let answered = (op.segments > 1).then(|| partition_table(&split.sent, 1));
+        let answered = answered.as_ref().unwrap_or(&split.table);
+        let transpose = alltoall(answered.transposed().byte_matrix(back.bytes), tally)?;
         report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes);
         let mut worst = 0.0f64;
-        for (i, sent) in split.splits.iter().enumerate() {
-            let writes: u64 = sent.counts.iter().sum();
+        for (i, sent) in split.sent.iter().enumerate() {
+            let writes: u64 = sent.classes.counts(0).iter().sum();
             if writes > 0 {
                 let stats = self.device(i).launch(
                     back.scatter,
@@ -317,46 +453,59 @@ impl DistributedHashMap {
     }
 
     /// Re-spreads words addressed to quarantined GPUs round-robin over
-    /// the live ones (a dead GPU cannot host its cascade input), tracking
-    /// each effective slot's `(origin GPU, origin index)` so answers
-    /// return in the caller's order. `indexed` words have their low half
-    /// rewritten to the effective slot.
+    /// the live ones (a dead GPU cannot host its cascade input), segment
+    /// by segment, tracking for segment 0 each effective slot's `(origin
+    /// GPU, origin index)` so answers return in the caller's order. The
+    /// words of an answered segment 0 have their low half rewritten to
+    /// the effective slot.
     #[allow(clippy::type_complexity)]
     fn respread(
         &self,
+        op: &CascadeOp,
         per_gpu_words: &[Vec<u64>],
+        cuts: &[Cuts],
         mask: u32,
-        indexed: bool,
-    ) -> (Vec<Vec<u64>>, Vec<Vec<(usize, usize)>>) {
+    ) -> (Vec<Vec<u64>>, Vec<Cuts>, Vec<Vec<(usize, usize)>>) {
         let m = self.num_gpus();
         let live: Vec<usize> = (0..m).filter(|&g| mask & (1 << g) == 0).collect();
         let mut eff: Vec<Vec<u64>> = vec![Vec::new(); m];
+        let mut eff_cuts: Vec<Cuts> = vec![[0; MAX_SEGMENTS]; m];
         let mut origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); m];
         let mut rr = 0usize;
-        for (i, words) in per_gpu_words.iter().enumerate() {
-            for (idx, &w) in words.iter().enumerate() {
-                let g = if mask & (1 << i) == 0 {
-                    i
-                } else {
-                    rr += 1;
-                    live[(rr - 1) % live.len()] // round-robin over the survivors
-                };
-                let slot = eff[g].len() as u32;
-                eff[g].push(if indexed { pack(key_of(w), slot) } else { w });
-                origin[g].push((i, idx));
+        #[allow(clippy::needless_range_loop)] // `s` names a segment on both sides
+        for s in 0..op.segments {
+            let indexed = s == 0 && op.back.is_some();
+            for (i, words) in per_gpu_words.iter().enumerate() {
+                for (idx, &w) in segment(words, &cuts[i], s).iter().enumerate() {
+                    let g = if mask & (1 << i) == 0 {
+                        i
+                    } else {
+                        rr += 1;
+                        live[(rr - 1) % live.len()] // round-robin over the survivors
+                    };
+                    if s == 0 {
+                        origin[g].push((i, idx));
+                    }
+                    let slot = eff_cuts[g][s] as u32;
+                    eff[g].push(if indexed { pack(key_of(w), slot) } else { w });
+                    eff_cuts[g][s] += 1;
+                }
             }
         }
-        (eff, origin)
+        (eff, eff_cuts, origin)
     }
 
     // ---- phases -----------------------------------------------------------
 
-    /// Uploads each GPU's words and multisplits them by the router's
-    /// fault-aware partition assignment, gating each non-empty GPU's
-    /// launches on the fault plan.
+    /// Uploads each GPU's words and multisplits them, every segment on its
+    /// own in the same launches, by the router's fault-aware partition
+    /// assignment, gating each non-empty GPU's launches on the fault plan.
+    #[allow(clippy::too_many_arguments)]
     fn multisplit_phase(
         &self,
+        op: &CascadeOp,
         per_gpu_words: &[Vec<u64>],
+        cuts: &[Cuts],
         router: &Router,
         plan: &FaultPlan,
         policy: &RetryPolicy,
@@ -364,59 +513,91 @@ impl DistributedHashMap {
     ) -> Result<SplitPhase<'_>, Abort> {
         let m = self.num_gpus();
         let mut guards = Vec::new();
-        let mut splits = Vec::with_capacity(m);
+        let mut sent = Vec::with_capacity(m);
         let mut worst = 0.0f64;
         for (i, words) in per_gpu_words.iter().enumerate() {
             let dev = self.device(i);
             let n = words.len();
+            debug_assert_eq!(cuts[i].iter().sum::<usize>(), n, "cuts cover the words");
             if n > 0 {
                 tally
                     .gate_launch(plan, policy, i, launch_site::MULTISPLIT)
                     .map_err(Abort::Lost)?;
             }
             // double buffer (Fig. 4: "out-of-place using one double buffer
-            // per GPU") plus the aggregation counter
+            // per GPU") plus one aggregation counter per segment
             let guard = dev
-                .alloc_scratch(2 * n.max(1) + 1)
+                .alloc_scratch(2 * n.max(1) + op.segments)
                 .map_err(|e| Abort::Fatal(e.into()))?;
             let input = guard.slice().sub(0, n);
-            let output = guard.slice().sub(n.max(1), n.max(1));
-            let scratch = guard.slice().sub(2 * n.max(1), 1);
+            let output = guard.slice().sub(n.max(1), n);
+            let counters = guard.slice().sub(2 * n.max(1), op.segments);
             dev.mem().h2d(input, words);
-            let classifier = router.clone();
-            let res = device_multisplit(dev, input, output, scratch, m, move |w| {
-                classifier.route(key_of(w))
+            // a segment is split in place: the same range of both buffers
+            let mut parts = [(input, output); MAX_SEGMENTS];
+            let mut at = 0;
+            for (part, &len) in parts.iter_mut().zip(&cuts[i]) {
+                *part = (input.sub(at, len), output.sub(at, len));
+                at += len;
+            }
+            let classes =
+                device_multisplit_segments(dev, &parts[..op.segments], counters, m, |w| {
+                    router.route(key_of(w))
+                });
+            worst = worst.max(straggled(plan, i, classes.stats.sim_time));
+            sent.push(Sent {
+                out: output,
+                classes,
             });
-            worst = worst.max(straggled(plan, i, res.stats.sim_time));
-            splits.push(res);
             guards.push(guard);
         }
-        let table = PartitionTable::new(splits.iter().map(|s| s.counts.clone()).collect());
         Ok(SplitPhase {
             _guards: guards,
-            splits,
-            table,
+            table: partition_table(&sent, op.segments),
+            sent,
             time: worst,
         })
     }
 
-    /// Moves every off-diagonal partition to its target GPU (functional
-    /// movement only — the transfer itself is billed by the caller via
-    /// the all-to-all model, faulted or healthy).
+    /// Moves every partition to its target GPU (functional movement only
+    /// — the transfer itself is billed by the caller via the all-to-all
+    /// model, faulted or healthy): a target's buffer is segment after
+    /// segment, each every source's chunk in GPU order, as its returned
+    /// [`Cuts`] say.
     #[allow(clippy::type_complexity)]
     fn transpose_move<'s>(
         &'s self,
+        op: &CascadeOp,
         split: &SplitPhase<'_>,
-    ) -> Result<(Vec<Vec<u64>>, Vec<ScratchGuard<'s>>), OpError> {
+    ) -> Result<(Vec<Vec<u64>>, Vec<Cuts>, Vec<ScratchGuard<'s>>), OpError> {
         let m = self.num_gpus();
-        let mut recv: Vec<Vec<u64>> = vec![Vec::new(); m];
-        #[allow(clippy::needless_range_loop)] // (i, j) walks the square count matrix
-        for i in 0..m {
-            for j in 0..m {
-                let off = split.splits[i].offsets[j] as usize;
-                let cnt = split.splits[i].counts[j] as usize;
-                let chunk = self.device(i).mem().d2h(split.splits[i].out.sub(off, cnt));
-                recv[j].extend(chunk);
+        let mut cuts: Vec<Cuts> = vec![[0; MAX_SEGMENTS]; m];
+        for sent in &split.sent {
+            #[allow(clippy::needless_range_loop)] // (s, j) walks a source's count table
+            for s in 0..op.segments {
+                for (j, &n) in sent.classes.counts(s).iter().enumerate() {
+                    cuts[j][s] += n as usize;
+                }
+            }
+        }
+        let mut recv: Vec<Vec<u64>> = cuts.iter().map(|c| vec![0; c.iter().sum()]).collect();
+        // where the next chunk of each segment lands in its target's buffer
+        let mut at: Vec<Cuts> = cuts
+            .iter()
+            .map(|c| std::array::from_fn(|s| c[..s].iter().sum()))
+            .collect();
+        for (i, Sent { out, classes }) in split.sent.iter().enumerate() {
+            // one download per source, not one per (source, target) cell
+            let words = self.device(i).mem().d2h(*out);
+            let mut start = 0;
+            for s in 0..op.segments {
+                let (offsets, counts) = (classes.offsets(s), classes.counts(s));
+                for (j, (&off, &cnt)) in offsets.iter().zip(counts).enumerate() {
+                    let chunk = &words[start + off as usize..][..cnt as usize];
+                    recv[j][at[j][s]..][..chunk.len()].copy_from_slice(chunk);
+                    at[j][s] += chunk.len();
+                }
+                start += counts.iter().sum::<u64>() as usize;
             }
         }
         // land the received words in device memory on their targets
@@ -428,22 +609,24 @@ impl DistributedHashMap {
                 .h2d(guard.slice().sub(0, words.len()), words);
             guards.push(guard);
         }
-        Ok((recv, guards))
+        Ok((recv, cuts, guards))
     }
 
-    // ---- the three operations ---------------------------------------------
+    // ---- the operations ---------------------------------------------------
 
     /// Insertion of packed pairs: multisplit → transposition → insert.
     pub(crate) fn insert_words(
         &self,
         per_gpu_words: &[Vec<u64>],
+        cuts: &[Cuts],
         report: &mut CascadeReport,
     ) -> Result<(), OpError> {
         self.cascade(
             &INSERT,
             per_gpu_words,
+            cuts,
             report,
-            |j, buf, n| {
+            |j, buf, &[n, ..]| {
                 let outcome = self.maps()[j].insert_device(buf, n)?;
                 Ok((outcome.stats.sim_time, Vec::new()))
             },
@@ -457,6 +640,7 @@ impl DistributedHashMap {
     pub(crate) fn query_words(
         &self,
         per_gpu_words: &[Vec<u64>],
+        cuts: &[Cuts],
         report: &mut CascadeReport,
     ) -> Result<Vec<Vec<Option<u32>>>, OpError> {
         let mut values: Vec<Vec<Option<u32>>> =
@@ -464,19 +648,15 @@ impl DistributedHashMap {
         self.cascade(
             &RETRIEVE,
             per_gpu_words,
+            cuts,
             report,
-            |j, input, n| {
+            |j, input, &[n, ..]| {
                 let dev = self.device(j);
                 let out = dev.alloc_scratch(n)?;
                 let stats = self.maps()[j].retrieve_device(input, out.slice(), n);
                 Ok((stats.sim_time, dev.mem().d2h(out.slice())))
             },
-            |(g, i), word, &found| {
-                values[g][i] = (found != EMPTY).then(|| {
-                    debug_assert_eq!(key_of(found), key_of(word));
-                    value_of(found)
-                });
-            },
+            |(g, i), word, &found| values[g][i] = found_value(word, found),
         )?;
         Ok(values)
     }
@@ -487,6 +667,7 @@ impl DistributedHashMap {
     pub(crate) fn erase_words(
         &self,
         per_gpu_words: &[Vec<u64>],
+        cuts: &[Cuts],
         report: &mut CascadeReport,
     ) -> Result<(Vec<Vec<bool>>, u64), OpError> {
         let mut hits: Vec<Vec<bool>> = per_gpu_words.iter().map(|w| vec![false; w.len()]).collect();
@@ -494,8 +675,9 @@ impl DistributedHashMap {
         self.cascade(
             &ERASE,
             per_gpu_words,
+            cuts,
             report,
-            |j, buf, n| {
+            |j, buf, &[n, ..]| {
                 let out = self.maps()[j].erase_device_shared(buf, n);
                 erased += out.erased;
                 Ok((out.stats.sim_time, out.hits))
@@ -503,6 +685,45 @@ impl DistributedHashMap {
             |(g, i), _, &hit| hits[g][i] |= hit,
         )?;
         Ok((hits, erased))
+    }
+
+    /// The mixed round over per-GPU `[indexed query words | pairs of keys
+    /// not queried | pairs of queried keys]`, all keys of a kind distinct:
+    /// … → one fused get + put launch over the first two segments (their
+    /// keys are distinct, so they race freely, §IV-A), then on a target
+    /// that received any the pairs of the third in an insert launch of
+    /// their own → transposition back → scatter, of the query words alone.
+    /// Returns what each queried key held **before** the call; every
+    /// entry is `Some` on `Ok`.
+    ///
+    /// The first answer a key gets stands: a round re-run after a lost
+    /// device would read what the aborted one already wrote.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn get_put_words(
+        &self,
+        per_gpu_words: &[Vec<u64>],
+        cuts: &[Cuts],
+        report: &mut CascadeReport,
+    ) -> Result<Vec<Vec<Option<Option<u32>>>>, OpError> {
+        let mut values: Vec<Vec<Option<Option<u32>>>> =
+            cuts.iter().map(|&[gets, ..]| vec![None; gets]).collect();
+        self.cascade(
+            &GET_PUT,
+            per_gpu_words,
+            cuts,
+            report,
+            |j, buf, &[gets, puts, _]| {
+                let dev = self.device(j);
+                let out = dev.alloc_scratch(gets)?;
+                let fused = buf.sub(0, gets + puts);
+                let outcome = self.maps()[j].get_put_device(fused, out.slice(), gets)?;
+                Ok((outcome.stats.sim_time, dev.mem().d2h(out.slice())))
+            },
+            |(g, i), word, &found| {
+                values[g][i].get_or_insert(found_value(word, found));
+            },
+        )?;
+        Ok(values)
     }
 
     /// Device-sided insertion cascade: `per_gpu_words[i]` are packed pairs
@@ -523,7 +744,7 @@ impl DistributedHashMap {
         per_gpu_words: &[Vec<u64>],
     ) -> Result<CascadeReport, OpError> {
         let mut report = new_report(per_gpu_words);
-        self.insert_words(per_gpu_words, &mut report)?;
+        self.insert_words(per_gpu_words, &uncut(per_gpu_words), &mut report)?;
         Ok(report)
     }
 
@@ -543,7 +764,7 @@ impl DistributedHashMap {
     ) -> Result<PerGpuGetResponse, OpError> {
         let words = indexed(per_gpu_keys);
         let mut report = new_report(&words);
-        let values = self.query_words(&words, &mut report)?;
+        let values = self.query_words(&words, &uncut(&words), &mut report)?;
         Ok(PerGpuGetResponse {
             values,
             report: OpReport::from_cascade(&report),
@@ -569,7 +790,7 @@ impl DistributedHashMap {
     ) -> Result<PerGpuDeleteResponse, OpError> {
         let words = indexed(per_gpu_keys);
         let mut report = new_report(&words);
-        let (hits, erased) = self.erase_words(&words, &mut report)?;
+        let (hits, erased) = self.erase_words(&words, &uncut(&words), &mut report)?;
         Ok(PerGpuDeleteResponse {
             hits,
             erased,

@@ -31,6 +31,8 @@ pub mod launch_site {
     pub const ERASE: u64 = 0x00c0_de04;
     /// Sharded-map routing + shard kernels.
     pub const SHARD: u64 = 0x00c0_de05;
+    /// Fused get + put kernels of the mixed cascade round.
+    pub const GET_PUT: u64 = 0x00c0_de06;
 }
 
 /// Fault-aware key router: primary partition function plus a

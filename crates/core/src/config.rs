@@ -101,6 +101,14 @@ pub enum Mutation {
     /// get followed by a put of its key in one call reads the put. The
     /// wd-serve equivalence suite exists to catch exactly this.
     UpsertReturnsNew,
+    /// The mixed cascade round of
+    /// [`crate::DistributedHashMap`]'s `get_put_batch` sends the put of a
+    /// key the call also reads with the other puts, into the fused launch,
+    /// instead of the late launch behind it — so the key's get races its
+    /// own put and may read the value the call wrote. In `group_id` order
+    /// the gets run first and nothing shows; the wd-serve equivalence
+    /// suite under a seeded schedule exists to catch exactly this.
+    LatePutsJoinFirstLaunch,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

@@ -5,7 +5,9 @@
 //! exactly the keys with `p(k) = i` for the partition hash `p`. Insertion
 //! runs the cascade **multisplit → transposition → insert**; retrieval
 //! and erasure run **multisplit → transposition → query → transposition
-//! (back) → scatter** — all three through the one driver in
+//! (back) → scatter**, and a lookup of some keys with an insertion of
+//! others ([`crate::MapService::get_put_batch`]) is one such round over
+//! both — all four through the one driver in
 //! [`crate::cascade`], bracketed by PCIe in [`crate::host_ops`]. Phases
 //! are separated by global barriers, so a cascade's time is the sum of
 //! per-phase maxima — exactly how the paper accounts Fig. 9–11. This
@@ -386,6 +388,23 @@ impl crate::service::MapService for DistributedHashMap {
         self.try_erase_from_host(keys)
     }
 
+    /// One cascade round ([`crate::host_ops`]): one H2D, one multisplit,
+    /// one all-to-all and one fused launch per GPU for both lists, the
+    /// answers alone on the return trip. Lists that are not distinct
+    /// ascending keys — where one key could end up in two racing groups —
+    /// run as the two cascades of the provided body.
+    fn get_put_batch(
+        &mut self,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+    ) -> Result<crate::service::GetResponse, OpError> {
+        if reads.is_sorted_by(|a, b| a < b) && puts.is_sorted_by(|a, b| a.0 < b.0) {
+            self.get_put_from_host(reads, puts)
+        } else {
+            crate::service::get_then_put(self, reads, puts)
+        }
+    }
+
     fn mutation(&self) -> Option<crate::Mutation> {
         self.cfg.mutation
     }
@@ -617,8 +636,10 @@ mod chaos_tests {
         let spread: Vec<Vec<u64>> = vec![pairs.iter().map(|&(k, v)| pack(k, v)).collect()];
         let mk = || {
             let devices = vec![Arc::new(Device::with_words(0, 1 << 17))];
-            DistributedHashMap::new(devices, 1 << 13, Config::default(), Topology::p100_quad(1))
-                .unwrap()
+            // 2 000 insert groups are two chunks of the pool, whose race
+            // moves the CAS counts; what is compared here is the driver
+            let cfg = Config::default().with_schedule(crate::Schedule::Sequential);
+            DistributedHashMap::new(devices, 1 << 13, cfg, Topology::p100_quad(1)).unwrap()
         };
         let a = mk().insert_device_sided(&spread).unwrap();
         let b = mk().insert_device_sided(&spread).unwrap();
@@ -729,6 +750,59 @@ mod chaos_tests {
             h_rep.total_time()
         );
         assert_eq!(multiset(pairs), multiset(slow.live_snapshot()));
+    }
+
+    #[test]
+    fn answers_of_an_aborted_mixed_round_stand() {
+        use crate::chaos::launch_site::{GET_PUT, INSERT, MULTISPLIT};
+        use crate::service::MapService;
+        // a fault plan is a stateless function of its seed: find one
+        // under which GPU 3 exhausts its retry budget at the fused launch
+        // and nothing else is lost — GPUs 0–2 have by then answered,
+        // and run their late launch, before the round aborts
+        let attempts = RetryPolicy::default().max_attempts;
+        let exhausts = |plan: &FaultPlan, gpu, site| {
+            (0..attempts).all(|attempt| plan.launch_fails(gpu, site, attempt))
+        };
+        let plan = (0..10_000)
+            .map(|seed| FaultPlan::default().with_seed(seed).with_launch_fail(0.5))
+            .find(|plan| {
+                exhausts(plan, 3, GET_PUT)
+                    && !(0..4).any(|gpu| exhausts(plan, gpu, MULTISPLIT))
+                    && !(0..3)
+                        .any(|gpu| exhausts(plan, gpu, GET_PUT) || exhausts(plan, gpu, INSERT))
+            })
+            .expect("one seed in 10 000 loses GPU 3 at the fused launch and nothing else");
+
+        let pairs: Vec<(u32, u32)> = (1..=600u32).map(|k| (k, k)).collect();
+        let reads: Vec<u32> = (1..=600).filter(|k| k % 3 == 0).collect();
+        let puts: Vec<(u32, u32)> = (1..=600)
+            .filter(|k| k % 2 == 0)
+            .map(|k| (k, k + 1000))
+            .collect();
+        let run = |plan: FaultPlan| {
+            let mut d = node_with(Config::default(), 4);
+            d.insert_from_host(&pairs).unwrap();
+            d.set_fault_plan(plan);
+            let values = d.get_put_batch(&reads, &puts).unwrap().values;
+            let mut contents = d.live_snapshot();
+            contents.sort_unstable();
+            (d, values, contents)
+        };
+        let (d, values, contents) = run(plan);
+        assert_eq!(d.quarantined(), vec![3], "{}", d.replay_hint());
+        // GPU 0 owns a key the call reads and writes: its late put landed
+        // before the round aborted, and the re-run read it back
+        let owned = reads
+            .iter()
+            .position(|&k| k % 2 == 0 && d.partition().part(k) == 0)
+            .expect("GPU 0 owns a read-and-written key");
+        assert_eq!(values[owned], Some(reads[owned]), "the pre-call value");
+        let pre_call: Vec<Option<u32>> = reads.iter().map(|&k| Some(k)).collect();
+        assert_eq!(values, pre_call);
+        let (_, healthy_values, healthy_contents) = run(FaultPlan::default());
+        assert_eq!(values, healthy_values);
+        assert_eq!(contents, healthy_contents);
     }
 
     #[test]

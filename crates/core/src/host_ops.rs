@@ -6,8 +6,14 @@
 //! *unstructured distribution* of §IV-B — equal contiguous chunks, no
 //! host-side reordering (which the paper rules out as "almost as
 //! expensive as CPU-based hash map construction").
+//!
+//! The mixed get + put round ([`crate::MapService::get_put_batch`] of the
+//! node) goes through the same bracket: each list is spread on its own,
+//! a GPU's chunks travel up back to back in one transfer as the segments
+//! of one cascade round, and only the answers travel down.
 
-use crate::cascade::Abort;
+use crate::cascade::{Abort, Cuts};
+use crate::config::Mutation;
 use crate::distributed::DistributedHashMap;
 use crate::entry::pack;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
@@ -29,36 +35,37 @@ fn live_chunks<T>(items: &[T], m: usize, mask: u32) -> Vec<&[T]> {
         .collect()
 }
 
+/// Each GPU's words for a cascade, with the cuts between its segments.
+type Spread = (Vec<Vec<u64>>, Vec<Cuts>);
+
 impl DistributedHashMap {
-    /// The one host bracket: `items` travel up over PCIe as 8-byte words
-    /// (`word(i, item)` for the `i`-th item of a GPU's chunk), the
-    /// `device` cascade of this map runs on them, and — for an operation whose
-    /// answers the host reads — 8 bytes per item travel back `down`.
-    /// Dropped PCIe transfers are retried with backoff; a host link whose
-    /// budget is exhausted quarantines its GPU and the transfer
-    /// re-spreads over the survivors.
-    fn host_bracket<T: Copy, O>(
+    /// The one host bracket: the words `spread(mask)` gives each GPU under
+    /// a quarantine mask travel up over PCIe (8 bytes each, one transfer
+    /// whatever the segments), the `device` cascade of this map runs on
+    /// them, and — for an operation whose answers the host reads —
+    /// 8 bytes per word of segment 0 travel back `down`. Dropped PCIe
+    /// transfers are retried with backoff; a host link whose budget is
+    /// exhausted quarantines its GPU and the transfer re-spreads over the
+    /// survivors.
+    fn host_bracket<O>(
         &self,
-        items: &[T],
-        word: impl Fn(usize, T) -> u64,
+        elements: usize,
+        spread: impl Fn(u32) -> Spread,
         down: bool,
-        device: impl FnOnce(&Self, &[Vec<u64>], &mut CascadeReport) -> Result<O, OpError>,
+        device: impl FnOnce(&Self, &[Vec<u64>], &[Cuts], &mut CascadeReport) -> Result<O, OpError>,
     ) -> Result<(O, CascadeReport), OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
-        let mut report = CascadeReport::new(items.len() as u64);
-        let per_gpu = self.with_failover(&mut report, |plan, mask, report, tally| {
-            let per_gpu: Vec<Vec<u64>> = live_chunks(items, m, mask)
-                .into_iter()
-                .map(|c| c.iter().enumerate().map(|(i, &x)| word(i, x)).collect())
-                .collect();
+        let mut report = CascadeReport::new(elements as u64);
+        let (per_gpu, cuts) = self.with_failover(&mut report, |plan, mask, report, tally| {
+            let (per_gpu, cuts) = spread(mask);
             let bytes: Vec<u64> = per_gpu.iter().map(|c| c.len() as u64 * 8).collect();
             let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
             let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
             report.push(CascadeStage::H2D, up.time, up.bytes);
-            Ok(per_gpu)
+            Ok((per_gpu, cuts))
         })?;
-        let out = device(self, &per_gpu, &mut report)?;
+        let out = device(self, &per_gpu, &cuts, &mut report)?;
         if down {
             self.with_failover(&mut report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
@@ -66,7 +73,7 @@ impl DistributedHashMap {
                 // links carry no bytes
                 let bytes: Vec<u64> = (0..m)
                     .map(|g| match mask & (1 << g) {
-                        0 => per_gpu[g].len() as u64 * 8,
+                        0 => cuts[g][0] as u64 * 8,
                         _ => 0,
                     })
                     .collect();
@@ -79,6 +86,24 @@ impl DistributedHashMap {
         Ok((out, report))
     }
 
+    /// `items` as a one-segment cascade input: the unstructured equal
+    /// spread over the live GPUs, `word(i, item)` for the `i`-th item of a
+    /// GPU's chunk.
+    fn spread_one<T: Copy>(
+        &self,
+        items: &[T],
+        mask: u32,
+        word: impl Fn(usize, T) -> u64,
+    ) -> Spread {
+        live_chunks(items, self.num_gpus(), mask)
+            .into_iter()
+            .map(|c| {
+                let words = c.iter().enumerate().map(|(i, &x)| word(i, x)).collect();
+                (words, [c.len(), 0, 0])
+            })
+            .unzip()
+    }
+
     /// Host-sided insertion: transfer the packed pairs over PCIe
     /// (unstructured equal spread over the live GPUs), then run the
     /// device cascade.
@@ -87,8 +112,8 @@ impl DistributedHashMap {
     /// Propagates the device cascade's errors;
     /// [`OpError::DeviceLost`] once no failover remains.
     pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, OpError> {
-        let word = |_, (k, v)| pack(k, v);
-        let ((), report) = self.host_bracket(pairs, word, false, Self::insert_words)?;
+        let spread = |mask| self.spread_one(pairs, mask, |_, (k, v)| pack(k, v));
+        let ((), report) = self.host_bracket(pairs.len(), spread, false, Self::insert_words)?;
         Ok(report)
     }
 
@@ -121,8 +146,8 @@ impl DistributedHashMap {
         &self,
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, CascadeReport), OpError> {
-        let word = |i, k| pack(k, i as u32);
-        let (values, report) = self.host_bracket(keys, word, true, Self::query_words)?;
+        let spread = |mask| self.spread_one(keys, mask, |i, k| pack(k, i as u32));
+        let (values, report) = self.host_bracket(keys.len(), spread, true, Self::query_words)?;
         // chunks are contiguous, so flattening restores input order
         Ok((values.into_iter().flatten().collect(), report))
     }
@@ -135,11 +160,58 @@ impl DistributedHashMap {
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let word = |i, k| pack(k, i as u32);
-        let ((hits, erased), report) = self.host_bracket(keys, word, false, Self::erase_words)?;
+        let spread = |mask| self.spread_one(keys, mask, |i, k| pack(k, i as u32));
+        let ((hits, erased), report) =
+            self.host_bracket(keys.len(), spread, false, Self::erase_words)?;
         Ok(DeleteResponse {
             hits: hits.into_iter().flatten().collect(),
             erased,
+            report: OpReport::from_cascade(&report),
+        })
+    }
+
+    /// Host-sided lookup of `reads` and insertion of `puts` in **one**
+    /// cascade round (each list distinct ascending keys; a key may be in
+    /// both): one H2D carries each GPU's chunk of the query words, of the
+    /// pairs of keys not read and of the pairs of keys also read, one
+    /// multisplit and one all-to-all move all three, the owning GPU
+    /// answers and inserts in one fused launch — the put of a key that is
+    /// also read waits for a late launch behind it, so the answers are
+    /// the values **before** the call — and the answers alone travel
+    /// back, in `reads` order.
+    ///
+    /// # Errors
+    /// As [`Self::try_retrieve_from_host`] and [`Self::insert_from_host`];
+    /// some of the pairs may have been applied.
+    pub(crate) fn get_put_from_host(
+        &self,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+    ) -> Result<GetResponse, OpError> {
+        // MUTATION DOUBLE (`Mutation::LatePutsJoinFirstLaunch`): no put is
+        // late, so a key's get races its own put in the fused launch.
+        let races = self.cfg().mutation == Some(Mutation::LatePutsJoinFirstLaunch);
+        let (late, first): (Vec<_>, Vec<_>) = puts
+            .iter()
+            .partition(|&&(k, _)| !races && reads.binary_search(&k).is_ok());
+        let spread = |mask| {
+            let m = self.num_gpus();
+            let gets = live_chunks(reads, m, mask);
+            let (first, late) = (live_chunks(&first, m, mask), live_chunks(&late, m, mask));
+            (0..m)
+                .map(|g| {
+                    let gets = gets[g].iter().enumerate().map(|(i, &k)| pack(k, i as u32));
+                    let pairs = first[g].iter().chain(late[g]).map(|&(k, v)| pack(k, v));
+                    let cuts = [gets.len(), first[g].len(), late[g].len()];
+                    (gets.chain(pairs).collect(), cuts)
+                })
+                .unzip()
+        };
+        let elements = reads.len() + puts.len();
+        let (values, report) = self.host_bracket(elements, spread, true, Self::get_put_words)?;
+        Ok(GetResponse {
+            // chunks are contiguous, so flattening restores input order
+            values: values.into_iter().flatten().map(Option::flatten).collect(),
             report: OpReport::from_cascade(&report),
         })
     }
@@ -207,6 +279,132 @@ mod tests {
             "h2d {h2d:.3e} of {:.3e}",
             rep.total_time()
         );
+    }
+
+    fn stages_of(report: &OpReport) -> Vec<CascadeStage> {
+        report.stages.iter().map(|s| s.stage).collect()
+    }
+
+    fn bytes_of(report: &OpReport, stage: CascadeStage) -> u64 {
+        let of_stage = report.stages.iter().filter(|s| s.stage == stage);
+        of_stage.map(|s| s.bytes).sum()
+    }
+
+    fn launches(d: &DistributedHashMap) -> u64 {
+        d.maps()
+            .iter()
+            .map(|map| map.device().lifetime_stats().launches)
+            .sum()
+    }
+
+    #[test]
+    fn get_put_is_one_round_answering_the_pre_call_values() {
+        use crate::service::{get_then_put, MapService};
+        use CascadeStage::{
+            Insert, Multisplit, Query, Scatter, Transpose, TransposeBack, D2H, H2D,
+        };
+        let pairs: Vec<(u32, u32)> = (1..=1000u32).map(|k| (k, k)).collect();
+        // a third of the keys read (and ten absent ones), half written
+        // (and ten new ones): every sixth both
+        let reads: Vec<u32> = (1..=1010).filter(|k| k % 3 == 0 || *k > 1000).collect();
+        let puts: Vec<(u32, u32)> = (1..=1000)
+            .filter(|k| k % 2 == 0)
+            .chain(2001..=2010)
+            .map(|k| (k, k + 7))
+            .collect();
+        let (mut d, mut twin) = (node(4), node(4));
+        d.insert_from_host(&pairs).unwrap();
+        twin.insert_from_host(&pairs).unwrap();
+
+        let before = launches(&d);
+        let resp = d.get_put_batch(&reads, &puts).unwrap();
+        for (&k, &v) in reads.iter().zip(&resp.values) {
+            assert_eq!(v, (k <= 1000).then_some(k), "key {k}");
+        }
+        assert_eq!(resp.report.elements, (reads.len() + puts.len()) as u64);
+        assert_eq!(
+            stages_of(&resp.report),
+            [
+                H2D,
+                Multisplit,
+                Transpose,
+                Query,
+                Insert,
+                TransposeBack,
+                Scatter,
+                D2H
+            ]
+        );
+        // m multisplit passes, a fused launch, a late launch and a
+        // scatter on each of the 4 GPUs
+        assert_eq!(launches(&d) - before, 16 + 4 + 4 + 4);
+
+        // the provided body on a twin: same answers, same contents, and
+        // the same bytes over PCIe and NVLink in twice the trips (the
+        // first and the late puts are spread over the GPUs list by list,
+        // so a few pairs start on another GPU than in one list of puts)
+        let two = get_then_put(&mut twin, &reads, &puts).unwrap();
+        assert_eq!(resp.values, two.values);
+        let sorted = |d: &DistributedHashMap| {
+            let mut live = d.live_snapshot();
+            live.sort_unstable();
+            live
+        };
+        assert_eq!(sorted(&d), sorted(&twin));
+        assert_eq!(
+            stages_of(&two.report).iter().filter(|&&s| s == H2D).count(),
+            2
+        );
+        for stage in [H2D, TransposeBack, D2H] {
+            assert_eq!(
+                bytes_of(&resp.report, stage),
+                bytes_of(&two.report, stage),
+                "{stage:?}"
+            );
+        }
+        let (one_trip, two_trips) = (
+            bytes_of(&resp.report, Transpose),
+            bytes_of(&two.report, Transpose),
+        );
+        assert!(
+            one_trip.abs_diff(two_trips) * 50 < two_trips,
+            "{one_trip} vs {two_trips}"
+        );
+        assert!(resp.report.time < two.report.time);
+    }
+
+    #[test]
+    fn get_put_of_disjoint_keys_has_no_late_launch() {
+        use crate::service::MapService;
+        let mut d = node(4);
+        d.insert_from_host(&[(1, 10), (2, 20), (3, 30)]).unwrap();
+        let before = launches(&d);
+        let puts: Vec<(u32, u32)> = (100..200u32).map(|k| (k, k)).collect();
+        let resp = d.get_put_batch(&[1, 2, 3, 4], &puts).unwrap();
+        assert_eq!(resp.values, [Some(10), Some(20), Some(30), None]);
+        assert!(!stages_of(&resp.report).contains(&CascadeStage::Insert));
+        // three of the four GPUs at most sent an answer back
+        assert!(launches(&d) - before <= 16 + 4 + 4);
+        assert_eq!(d.len(), 103);
+    }
+
+    #[test]
+    fn get_put_of_unsorted_lists_runs_the_two_cascades() {
+        use crate::service::MapService;
+        let mut d = node(2);
+        d.insert_from_host(&[(1, 10), (2, 20)]).unwrap();
+        // a duplicate read and a duplicate put: not distinct ascending
+        let resp = d
+            .get_put_batch(&[2, 1, 2], &[(2, 21), (2, 22), (3, 30)])
+            .unwrap();
+        assert_eq!(resp.values, [Some(20), Some(10), Some(20)]);
+        let uploads = stages_of(&resp.report);
+        assert_eq!(
+            uploads.iter().filter(|&&s| s == CascadeStage::H2D).count(),
+            2
+        );
+        assert!(matches!(d.get(2), Some(21 | 22)));
+        assert_eq!(d.get(3), Some(30));
     }
 
     #[test]

@@ -161,6 +161,30 @@ impl GpuHashMap {
             .retrieve(self.cfg.group_size, input, out, n, self.recorder.as_deref())
     }
 
+    /// One fused launch over device-resident words: the first `gets` words
+    /// of `input` are query words answered into `out` (`gets` long, as
+    /// [`GpuHashMap::retrieve_device`] would), the rest packed pairs
+    /// inserted as [`GpuHashMap::insert_device`] would. The keys must be
+    /// distinct — the cascade's mixed round sees to that.
+    ///
+    /// # Errors
+    /// [`OpError::ProbingExhausted`], as [`GpuHashMap::insert_device`].
+    pub(crate) fn get_put_device(
+        &self,
+        input: DevSlice,
+        out: DevSlice,
+        gets: usize,
+    ) -> Result<InsertOutcome, OpError> {
+        debug_assert_eq!(out.len(), gets, "no upsert groups: every answer is a get's");
+        placed(self.table.get_put(
+            self.cfg.group_size,
+            input,
+            out,
+            gets,
+            self.recorder.as_deref(),
+        ))
+    }
+
     /// Tombstones the `n` keys in `input` (device-resident query words).
     /// Takes `&mut self`: the global barrier separating deletions from
     /// concurrent inserts/queries (§IV-A).

@@ -49,16 +49,22 @@
 //! both lists is one upsert group, one table visit), so a put/get call
 //! pays one launch overhead instead of two; [`crate::CachedMap`] answers
 //! what it can from its shadow and sends the misses and the puts on in
-//! one call; [`crate::ShardedHashMap`] and [`crate::DistributedHashMap`]
-//! keep the provided body, a `get_batch` followed by a `put_batch`.
+//! one call; [`crate::DistributedHashMap`] runs it as **one cascade
+//! round** ([`crate::cascade`]: query words and pairs are segments of one
+//! multisplit and one all-to-all, the owning GPU answers and inserts in
+//! one fused launch, and only the put of a key that is also read waits
+//! for a late launch behind it); [`crate::ShardedHashMap`] keeps the
+//! provided body, a `get_batch` followed by a `put_batch`.
 //!
 //! Erases keep a launch of their own because §IV-A's barrier is real
 //! here: the SOA erase tombstones the key word and *then* resets the
 //! value sentinel, so an insert reclaiming that slot in the same launch
 //! could lose its value. The wd-serve equivalence suite proves response
 //! identity across seeds × schedules × fault plans, and its
-//! [`crate::Mutation::ForwardStaleRead`] and
-//! [`crate::Mutation::UpsertReturnsNew`] cases prove the suite can fail.
+//! [`crate::Mutation::ForwardStaleRead`],
+//! [`crate::Mutation::UpsertReturnsNew`] and
+//! [`crate::Mutation::LatePutsJoinFirstLaunch`] cases prove the suite can
+//! fail.
 //!
 //! On `Err` nothing is answered and an unspecified subset of the call's
 //! final writes may have been applied (what `put_batch` already says of
@@ -424,7 +430,8 @@ pub trait MapService {
     ///
     /// The provided body is a `get_batch` followed by a `put_batch`,
     /// reports merged in that order. A backend that can do better
-    /// overrides it: [`crate::GpuHashMap`] makes one fused launch.
+    /// overrides it: [`crate::GpuHashMap`] makes one fused launch,
+    /// [`crate::DistributedHashMap`] one cascade round.
     ///
     /// # Errors
     /// As [`MapService::get_batch`] and [`MapService::put_batch`]; some

@@ -249,6 +249,23 @@ impl Table {
         retrieve_kernel(self, g, input, out, n, recorder)
     }
 
+    /// One launch of the fused kernel ([`crate::get_put`]) over the words
+    /// of `input`: the first `gets` are looked up, the rest inserted and
+    /// counted, and the first `out.len()` — the gets and, behind them,
+    /// the upserts — answered into `out`.
+    pub(crate) fn get_put(
+        &self,
+        g: GroupSize,
+        input: DevSlice,
+        out: DevSlice,
+        gets: usize,
+        recorder: Option<&HistoryRecorder>,
+    ) -> InsertOutcome {
+        let outcome = get_put_kernel(self, g, input, out, gets, recorder);
+        self.note_inserted(&outcome);
+        outcome
+    }
+
     /// Tombstones the `n` keys of `input`, counting them.
     pub(crate) fn erase(
         &self,
@@ -347,8 +364,7 @@ impl Table {
             *at += 1;
         }
         let (_scratch, [input], out) = self.stage([&words], reads.len())?;
-        let outcome = get_put_kernel(self, g, input, out, gets, recorder);
-        self.note_inserted(&outcome);
+        let outcome = self.get_put(g, input, out, gets, recorder);
         // answers come back section by section; hand them out key by key
         let found = self.dev.mem().d2h(out);
         let (mut get_at, mut upsert_at) = (0, gets);

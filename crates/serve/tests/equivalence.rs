@@ -11,12 +11,15 @@
 //! (the sequential reference) and larger coalescing windows and demand
 //! byte-identical responses *and* rejections, across backends,
 //! schedules, and transient fault plans. Per-tenant Wing–Gong
-//! linearizability is checked with the core history checker. Two
+//! linearizability is checked with the core history checker. Three
 //! doubles must be caught within `WD_MUTATION_SEEDS`:
 //! `Mutation::ForwardStaleRead` — an `execute` that answers a get from
-//! the pre-call read although the call wrote the key before it — and
+//! the pre-call read although the call wrote the key before it —,
 //! `Mutation::UpsertReturnsNew` — a fused launch whose upsert groups
-//! answer with the value they wrote instead of the one they replaced.
+//! answer with the value they wrote instead of the one they replaced —
+//! and, on the 4-GPU node under a seeded schedule,
+//! `Mutation::LatePutsJoinFirstLaunch` — a mixed cascade round whose
+//! put of a key it also reads races that read in the fused launch.
 
 use gpu_sim::{Device, FaultPlan, Schedule};
 use interconnect::Topology;
@@ -57,6 +60,28 @@ fn quad_node(cfg: Config) -> DistributedHashMap {
         .map(|i| Arc::new(Device::with_words(i, 1 << 16)))
         .collect();
     DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(4)).unwrap()
+}
+
+/// How a cell's backends interleave the groups of a launch.
+#[derive(Debug, Clone, Copy)]
+enum Sched {
+    /// `group_id` order.
+    Sequential,
+    /// A stepwise interleaving drawn from the cell's seed.
+    Seeded,
+    /// What `Config::default()` says: the racing pool, unless
+    /// `WD_SCHED_MODE` pins the run.
+    Default,
+}
+
+impl Sched {
+    fn of(self, cfg: Config, seed: u64) -> Config {
+        match self {
+            Sched::Sequential => cfg.with_schedule(Schedule::Sequential),
+            Sched::Seeded => cfg.with_schedule(Schedule::Seeded(seed)),
+            Sched::Default => cfg,
+        }
+    }
 }
 
 /// The observable outcome of a trace: per-op responses and typed
@@ -227,32 +252,60 @@ proptest! {
     }
 }
 
-/// The multi-GPU cascade serves the same answers coalesced or not, and
-/// its cost reports reach the service telemetry (stages present).
-#[test]
-fn coalesced_equals_sequential_multi_gpu() {
-    let serve = ServeConfig::default().with_max_delay(f64::INFINITY);
-    let mut reference = Server::new(quad_node(Config::default()), serve.clone().with_max_batch(1));
-    let mut coalesced = Server::new(quad_node(Config::default()), serve.with_max_batch(48));
-    let trace_cfg = TraceConfig {
-        ops: 400,
-        key_space: 2048,
-        ..TraceConfig::default()
-    };
-    assert_equivalent(&mut reference, &mut coalesced, &trace_cfg, 0xd15c0);
-    assert!(
-        !coalesced.telemetry().report.stages.is_empty(),
-        "cascade stage timings must reach service telemetry"
-    );
-    assert!(coalesced.telemetry().flushes < reference.telemetry().flushes);
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(scaled_cases(36)))]
+
+    /// The multi-GPU cascade serves the same answers coalesced or not —
+    /// a put/get flush is one mixed round, its one-op-a-call reference
+    /// never is — under any schedule, batch size and fault plan (a
+    /// quarantine changes where keys live, never what they hold), and
+    /// its cost reports reach the service telemetry (stages present).
+    #[test]
+    fn coalesced_equals_sequential_multi_gpu(
+        seed in any::<u64>(),
+        sched in proptest::sample::select(vec![Sched::Sequential, Sched::Seeded, Sched::Default]),
+        plan in proptest::sample::select(vec![
+            FaultPlan::default(),
+            FaultPlan::default().with_launch_fail(0.2),
+            FaultPlan::default().with_transfer_drop(0.3),
+            FaultPlan::default().with_kill(3),
+        ]),
+        max_batch in proptest::sample::select(vec![2usize, 48, 512]),
+    ) {
+        let cfg = sched.of(Config::default().with_fault(plan.with_seed(seed)), seed);
+        let serve = ServeConfig::default().with_max_delay(f64::INFINITY);
+        let mut reference = Server::new(quad_node(cfg), serve.clone().with_max_batch(1));
+        let mut coalesced = Server::new(quad_node(cfg), serve.with_max_batch(max_batch));
+        // few keys, so that flushes read keys they also write
+        let trace_cfg = TraceConfig { ops: 400, key_space: 256, ..TraceConfig::default() };
+        assert_equivalent(&mut reference, &mut coalesced, &trace_cfg, seed);
+        if plan.device_lost(3) {
+            prop_assert_eq!(coalesced.backend().quarantined(), vec![3]);
+        }
+        if !plan.armed() {
+            prop_assert!(
+                !coalesced.telemetry().report.stages.is_empty(),
+                "cascade stage timings must reach service telemetry"
+            );
+            prop_assert!(coalesced.telemetry().flushes < reference.telemetry().flushes);
+        }
+    }
 }
 
 /// Hunts one `Mutation` double of the front door with the coalesced ≡
-/// sequential property: the coalesced run of the broken backend must
-/// answer differently from the one-op-a-call reference within the seed
-/// budget (`WD_MUTATION_SEEDS`, default `WD_SWEEP_SEEDS`, default 32),
-/// while the shipped code stays equivalent on every hunted seed.
-fn mutant_is_caught_by_equivalence(mutation: Mutation, name: &str) {
+/// sequential property: on backends made by `backend`, scheduled by
+/// `hunt`, the coalesced run of the broken backend must answer
+/// differently from the one-op-a-call reference within the seed budget
+/// (`WD_MUTATION_SEEDS`, default `WD_SWEEP_SEEDS`, default 32), while the
+/// shipped code stays equivalent on every hunted seed, under `hunt` and
+/// every schedule of `also_clean`.
+fn mutant_is_caught_by_equivalence<S: MapService>(
+    mutation: Mutation,
+    name: &str,
+    backend: impl Fn(Config) -> S,
+    hunt: Sched,
+    also_clean: &[Sched],
+) {
     let env = |name: &str| {
         std::env::var(name)
             .ok()
@@ -268,26 +321,28 @@ fn mutant_is_caught_by_equivalence(mutation: Mutation, name: &str) {
         key_space: 64,
         ..TraceConfig::default()
     };
-    let run = |seed: u64, max_batch: usize, broken: bool| -> Observable {
-        let mut cfg = Config::default();
+    let run = |seed: u64, max_batch: usize, sched: Sched, broken: bool| -> Observable {
+        let mut cfg = sched.of(Config::default(), seed);
         if broken {
             cfg = cfg.with_mutation(mutation);
         }
         let serve = ServeConfig::default()
             .with_max_delay(f64::INFINITY)
             .with_max_batch(max_batch);
-        let run = Server::new(single_gpu(4096, cfg), serve).run_trace(&generate(&trace_cfg, seed));
+        let run = Server::new(backend(cfg), serve).run_trace(&generate(&trace_cfg, seed));
         observable(&run.completions, &run.rejects)
     };
     let mut caught = None;
     for seed in 0..u64::from(budget) {
-        let want = run(seed, 1, false);
-        assert_eq!(
-            run(seed, 64, false),
-            want,
-            "false positive: the shipped code diverged at seed {seed}"
-        );
-        if caught.is_none() && run(seed, 64, true) != want {
+        let want = run(seed, 1, hunt, false);
+        for &sched in std::iter::once(&hunt).chain(also_clean) {
+            assert_eq!(
+                run(seed, 64, sched, false),
+                want,
+                "false positive: the shipped code diverged at seed {seed} under {sched:?}"
+            );
+        }
+        if caught.is_none() && run(seed, 64, hunt, true) != want {
             caught = Some(seed);
         }
     }
@@ -301,7 +356,14 @@ fn mutant_is_caught_by_equivalence(mutation: Mutation, name: &str) {
 /// state.
 #[test]
 fn broken_forward_stale_read_is_caught_by_equivalence() {
-    mutant_is_caught_by_equivalence(Mutation::ForwardStaleRead, "stale-read");
+    let backend = |cfg| single_gpu(4096, cfg);
+    mutant_is_caught_by_equivalence(
+        Mutation::ForwardStaleRead,
+        "stale-read",
+        backend,
+        Sched::Default,
+        &[],
+    );
 }
 
 /// Mutation double: an upsert group of the fused get + put launch that
@@ -309,7 +371,30 @@ fn broken_forward_stale_read_is_caught_by_equivalence() {
 /// inside one flush — one table visit — reads the put.
 #[test]
 fn broken_upsert_returns_new_is_caught_by_equivalence() {
-    mutant_is_caught_by_equivalence(Mutation::UpsertReturnsNew, "upsert-returns-new");
+    let backend = |cfg| single_gpu(4096, cfg);
+    mutant_is_caught_by_equivalence(
+        Mutation::UpsertReturnsNew,
+        "upsert-returns-new",
+        backend,
+        Sched::Default,
+        &[],
+    );
+}
+
+/// Mutation double: a mixed cascade round that sends the put of a key
+/// it also reads into the fused launch. In `group_id` order — and in the
+/// pool, which runs launches this small in that order — the gets come
+/// first and nothing shows; a seeded interleaving lets the put overtake
+/// its key's get.
+#[test]
+fn broken_late_puts_join_first_launch_is_caught_by_equivalence() {
+    mutant_is_caught_by_equivalence(
+        Mutation::LatePutsJoinFirstLaunch,
+        "late-puts-join-first-launch",
+        quad_node,
+        Sched::Seeded,
+        &[Sched::Sequential, Sched::Default],
+    );
 }
 
 /// Transient faults surface in telemetry (backoff time, retries) while

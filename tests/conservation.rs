@@ -14,7 +14,7 @@
 //!    input key multiset; erasing a subset leaves exactly the remainder.
 
 use interconnect::Topology;
-use multisplit::{device_multisplit, PartitionTable};
+use multisplit::{device_multisplit, device_multisplit_segments, PartitionTable};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,40 +28,73 @@ fn multiset(words: impl IntoIterator<Item = u64>) -> BTreeMap<u64, usize> {
     m
 }
 
+/// One split segment: `counts` sum to the input's length and scan to
+/// `offsets`, `split` holds the input's multiset, and each class's range
+/// of it holds only that class.
+fn check_split(
+    data: &[u64],
+    counts: &[u64],
+    offsets: &[u64],
+    split: &[u64],
+    m: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(counts.iter().sum::<u64>() as usize, data.len());
+    // offsets are the exclusive scan of counts
+    let mut running = 0u64;
+    for c in 0..m {
+        prop_assert_eq!(offsets[c], running, "class {}", c);
+        for &w in &split[running as usize..][..counts[c] as usize] {
+            prop_assert_eq!(w % m as u64, c as u64, "alien word in class {}", c);
+        }
+        running += counts[c];
+    }
+    prop_assert_eq!(
+        multiset(split.iter().copied()),
+        multiset(data.iter().copied())
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Multisplit is a permutation: same multiset out as in, each class
-    /// slice pure, counts summing to n and consistent with offsets.
+    /// slice pure, counts summing to n and consistent with offsets — of
+    /// the whole input as one segment, and of each of the three segments
+    /// two cuts make of it, split in the same launches.
     #[test]
     fn multisplit_conserves_the_input_multiset(
         data in proptest::collection::vec(any::<u64>(), 1..500),
         m in 2usize..6,
+        cut_a in 0usize..500,
+        cut_b in 0usize..500,
     ) {
-        let dev = gpu_sim::Device::with_words(0, 2 * data.len() + 16);
+        let class_of = move |w: u64| (w % m as u64) as u32;
+        let dev = gpu_sim::Device::with_words(0, 4 * data.len() + 16);
         let input = dev.alloc(data.len()).unwrap();
         let out = dev.alloc(data.len()).unwrap();
-        let scratch = dev.alloc(1).unwrap();
+        let scratch = dev.alloc(3).unwrap();
         dev.mem().h2d(input, &data);
-        let res = device_multisplit(&dev, input, out, scratch, m, move |w| {
-            (w % m as u64) as u32
-        });
-
-        prop_assert_eq!(res.counts.iter().sum::<u64>() as usize, data.len());
+        let res = device_multisplit(&dev, input, out, scratch, m, class_of);
         prop_assert_eq!(res.counts.len(), m);
-        // offsets are the exclusive scan of counts
-        let mut running = 0u64;
-        for c in 0..m {
-            prop_assert_eq!(res.offsets[c], running, "class {}", c);
-            running += res.counts[c];
-        }
-        // conservation + purity
-        let split = dev.mem().d2h(res.out);
-        prop_assert_eq!(multiset(split.iter().copied()), multiset(data.iter().copied()));
+        check_split(&data, &res.counts, &res.offsets, &dev.mem().d2h(res.out), m)?;
         for c in 0..m {
             for &w in &dev.mem().d2h(res.class_slice(c)) {
                 prop_assert_eq!(w % m as u64, c as u64, "alien word in class {}", c);
             }
+        }
+
+        // the three-segment cell: the same words, cut twice
+        let (lo, hi) = (cut_a.min(cut_b).min(data.len()), cut_a.max(cut_b).min(data.len()));
+        let out3 = dev.alloc(data.len()).unwrap();
+        let segments = [(0, lo), (lo, hi), (hi, data.len())]
+            .map(|(from, to)| (input.sub(from, to - from), out3.sub(from, to - from)));
+        let launches = dev.lifetime_stats().launches;
+        let split = device_multisplit_segments(&dev, &segments, scratch, m, class_of);
+        prop_assert_eq!(dev.lifetime_stats().launches - launches, m as u64);
+        for (s, (seg_in, seg_out)) in segments.iter().enumerate() {
+            let words = dev.mem().d2h(*seg_in);
+            check_split(&words, split.counts(s), split.offsets(s), &dev.mem().d2h(*seg_out), m)?;
         }
     }
 
