@@ -14,8 +14,9 @@
 //! | erase     | 1        | `ERASE`     | `Query`  | 1 B / key   | `erase_hit_scatter`: 32·(8+1) B, 2 transactions |
 //! | get + put | 3        | `GET_PUT`, late puts `INSERT` | `Query`, late puts `Insert` | 8 B / read key | `result_scatter`, over the read keys |
 //!
-//! A GPU's words are cut into the operation's **segments**, which share
-//! the round — one upload, the `m` launches of one multisplit
+//! A cascade's input is its **segments**, each the words of every GPU.
+//! A GPU's segments lie back to back on the device and share the round —
+//! one upload, the `m` launches of one multisplit
 //! ([`multisplit::device_multisplit_segments`]), one all-to-all billed on
 //! the summed byte matrix — while each is split and transposed on its
 //! own, so a target receives segment after segment, each in source
@@ -50,22 +51,12 @@ use gpu_sim::{DevSlice, FaultPlan, GroupSize, LaunchOptions, RetryPolicy, Scratc
 use interconnect::alltoall_time_faulted;
 use multisplit::{device_multisplit_segments, PartitionTable, SegmentedSplit};
 
-/// Most segments a cascade cuts a GPU's words into (the mixed round's).
-pub(crate) const MAX_SEGMENTS: usize = 3;
+/// Most segments a cascade has (the mixed round's).
+const MAX_SEGMENTS: usize = 3;
 
-/// Lengths of the segments of one GPU's words, which lie back to back in
-/// this order; an operation with fewer segments leaves the rest zero.
-pub(crate) type Cuts = [usize; MAX_SEGMENTS];
-
-/// Every GPU's words as one segment.
-pub(crate) fn uncut(per_gpu_words: &[Vec<u64>]) -> Vec<Cuts> {
-    per_gpu_words.iter().map(|w| [w.len(), 0, 0]).collect()
-}
-
-/// Segment `s` of one GPU's `words`.
-fn segment<'w>(words: &'w [u64], cuts: &Cuts, s: usize) -> &'w [u64] {
-    &words[cuts[..s].iter().sum()..][..cuts[s]]
-}
+/// Lengths of the segments a target GPU received, which lie back to back
+/// in this order; an operation with fewer segments leaves the rest zero.
+type Cuts = [usize; MAX_SEGMENTS];
 
 /// What distinguishes one cascade from another, besides its kernel call.
 pub(crate) struct CascadeOp {
@@ -73,15 +64,10 @@ pub(crate) struct CascadeOp {
     site: u64,
     /// Stage the kernel step reports under.
     stage: CascadeStage,
-    /// Segments each GPU's words are cut into. Each is split and
-    /// transposed on its own inside the one multisplit and the one
-    /// all-to-all, so a target receives segment after segment, each in
-    /// source order; the kernel sees the received [`Cuts`].
-    segments: usize,
-    /// Whether the last segment holds pairs that must not race the
-    /// kernel: a target that received any inserts them in a launch of
-    /// their own after it ([`launch_site::INSERT`], an `Insert` stage).
-    late_puts: bool,
+    /// The segment, if any, of pairs that must not race the kernel: a
+    /// target that received any inserts them in a launch of their own
+    /// after it ([`launch_site::INSERT`], an `Insert` stage).
+    late: Option<usize>,
     /// Present iff the operation answers per key: the words of segment 0
     /// then carry their per-GPU index in the low half (the kernels only
     /// read `key_of`), and their answers travel back and scatter into
@@ -118,24 +104,21 @@ const RESULTS: ReturnTrip = ReturnTrip {
 const INSERT: CascadeOp = CascadeOp {
     site: launch_site::INSERT,
     stage: CascadeStage::Insert,
-    segments: 1,
-    late_puts: false,
+    late: None,
     back: None,
 };
 
 const RETRIEVE: CascadeOp = CascadeOp {
     site: launch_site::QUERY,
     stage: CascadeStage::Query,
-    segments: 1,
-    late_puts: false,
+    late: None,
     back: Some(RESULTS),
 };
 
 const ERASE: CascadeOp = CascadeOp {
     site: launch_site::ERASE,
     stage: CascadeStage::Query,
-    segments: 1,
-    late_puts: false,
+    late: None,
     back: Some(ReturnTrip {
         bytes: 1,
         scatter: "erase_hit_scatter",
@@ -149,8 +132,7 @@ const ERASE: CascadeOp = CascadeOp {
 const GET_PUT: CascadeOp = CascadeOp {
     site: launch_site::GET_PUT,
     stage: CascadeStage::Query,
-    segments: 3,
-    late_puts: true,
+    late: Some(2),
     back: Some(RESULTS),
 };
 
@@ -272,16 +254,16 @@ impl DistributedHashMap {
         })
     }
 
-    /// The device-sided cascade of `op` over `per_gpu_words` (words
-    /// already resident on their GPU, cut into the operation's segments by
-    /// `cuts`), appending its stages to `report`.
+    /// The device-sided cascade of `op` over `segments` (`segments[s][g]`
+    /// are the words of segment `s` already resident on GPU `g`),
+    /// appending its stages to `report`.
     ///
     /// `kernel(j, buf, cuts)` runs the operation's kernel on GPU `j` over
     /// the words it received — segment after segment, `cuts` long — and
     /// returns its simulated time plus one answer per word of segment 0
     /// (none for an operation without return trip);
     /// `answer((g, i), word, a)` receives the answer to the caller's
-    /// `per_gpu_words[g][i]`. Under an armed fault plan rounds may run
+    /// `segments[0][g][i]`. Under an armed fault plan rounds may run
     /// more than once: input addressed to quarantined GPUs re-spreads
     /// over the survivors with its origin tracked, wasted attempts stay
     /// billed, and `kernel`/`answer` see every completed target of every
@@ -293,26 +275,27 @@ impl DistributedHashMap {
     pub(crate) fn cascade<A>(
         &self,
         op: &CascadeOp,
-        per_gpu_words: &[Vec<u64>],
-        cuts: &[Cuts],
+        segments: &[&[Vec<u64>]],
         report: &mut CascadeReport,
         mut kernel: impl FnMut(usize, DevSlice, &Cuts) -> Result<(f64, Vec<A>), OpError>,
         mut answer: impl FnMut((usize, usize), u64, &A),
     ) -> Result<(), OpError> {
-        assert_eq!(per_gpu_words.len(), self.num_gpus(), "one batch per GPU");
+        assert!((1..=MAX_SEGMENTS).contains(&segments.len()));
+        for per_gpu_words in segments {
+            assert_eq!(per_gpu_words.len(), self.num_gpus(), "one batch per GPU");
+        }
         let policy = self.retry_policy();
         self.with_failover(report, |plan, mask, report, tally| {
             // the healthy path borrows the caller's words as they are
-            let respread = (mask != 0).then(|| self.respread(op, per_gpu_words, cuts, mask));
-            let (words, cuts, origin) = match &respread {
-                Some((words, cuts, origin)) => (&words[..], &cuts[..], Some(&origin[..])),
-                None => (per_gpu_words, cuts, None),
-            };
+            let respread = (mask != 0).then(|| self.respread(op, segments, mask));
+            let effective: Option<Vec<&[Vec<u64>]>> = respread
+                .as_ref()
+                .map(|(words, _)| words.iter().map(Vec::as_slice).collect());
+            let origin = respread.as_ref().map(|(_, origin)| &origin[..]);
             let router = self.router_for(mask);
             self.round(
                 op,
-                words,
-                cuts,
+                effective.as_deref().unwrap_or(segments),
                 origin,
                 &router,
                 plan,
@@ -330,8 +313,7 @@ impl DistributedHashMap {
     fn round<A>(
         &self,
         op: &CascadeOp,
-        per_gpu_words: &[Vec<u64>],
-        cuts: &[Cuts],
+        segments: &[&[Vec<u64>]],
         origin: Option<&[Vec<(usize, usize)>]>,
         router: &Router,
         plan: &FaultPlan,
@@ -349,12 +331,13 @@ impl DistributedHashMap {
         };
 
         // Phases 1+2: multisplit and transposition
-        let split = self.multisplit_phase(op, per_gpu_words, cuts, router, plan, policy, tally)?;
+        let split = self.multisplit_phase(segments, router, plan, policy, tally)?;
         // each GPU runs m sequential compaction passes → m launches
         report.push_with_overhead(CascadeStage::Multisplit, split.time, 0, oh * m as f64);
         let transpose = alltoall(split.table.byte_matrix(8), tally)?;
-        let (recv, recv_cuts, recv_guards) =
-            self.transpose_move(op, &split).map_err(Abort::Fatal)?;
+        let (recv, recv_cuts, recv_guards) = self
+            .transpose_move(segments.len(), &split)
+            .map_err(Abort::Fatal)?;
         report.push(CascadeStage::Transpose, transpose.time, transpose.bytes);
 
         // Phase 3: the local kernels (global barrier → max over GPUs)
@@ -397,18 +380,15 @@ impl DistributedHashMap {
                     answer(origin.map_or((i, slot), |o| o[i][slot]), word, a);
                 }
             }
-            let late = match op.late_puts {
-                true => recv_cuts[j][op.segments - 1],
-                false => 0,
-            };
-            if late > 0 {
+            let cuts = &recv_cuts[j];
+            if let Some(late) = op.late.filter(|&late| cuts[late] > 0) {
                 // after the kernel on this target, so that a key it both
                 // read and wrote was read first
                 tally
                     .gate_launch(plan, policy, j, launch_site::INSERT)
                     .map_err(Abort::Lost)?;
-                let pairs = buf.sub(words.len() - late, late);
-                let inserted = self.maps()[j].insert_device(pairs, late);
+                let pairs = buf.sub(cuts[..late].iter().sum(), cuts[late]);
+                let inserted = self.maps()[j].insert_device(pairs, cuts[late]);
                 if let Some(outcome) = unless_exhausted(inserted, &mut failed)? {
                     let time = straggled(plan, j, outcome.stats.sim_time);
                     late_worst = Some(late_worst.unwrap_or(0.0f64).max(time));
@@ -427,7 +407,7 @@ impl DistributedHashMap {
         let Some(back) = &op.back else {
             return Ok(());
         };
-        let answered = (op.segments > 1).then(|| partition_table(&split.sent, 1));
+        let answered = (segments.len() > 1).then(|| partition_table(&split.sent, 1));
         let answered = answered.as_ref().unwrap_or(&split.table);
         let transpose = alltoall(answered.transposed().byte_matrix(back.bytes), tally)?;
         report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes);
@@ -462,21 +442,18 @@ impl DistributedHashMap {
     fn respread(
         &self,
         op: &CascadeOp,
-        per_gpu_words: &[Vec<u64>],
-        cuts: &[Cuts],
+        segments: &[&[Vec<u64>]],
         mask: u32,
-    ) -> (Vec<Vec<u64>>, Vec<Cuts>, Vec<Vec<(usize, usize)>>) {
+    ) -> (Vec<Vec<Vec<u64>>>, Vec<Vec<(usize, usize)>>) {
         let m = self.num_gpus();
         let live: Vec<usize> = (0..m).filter(|&g| mask & (1 << g) == 0).collect();
-        let mut eff: Vec<Vec<u64>> = vec![Vec::new(); m];
-        let mut eff_cuts: Vec<Cuts> = vec![[0; MAX_SEGMENTS]; m];
+        let mut eff: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); m]; segments.len()];
         let mut origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); m];
         let mut rr = 0usize;
-        #[allow(clippy::needless_range_loop)] // `s` names a segment on both sides
-        for s in 0..op.segments {
+        for (s, (per_gpu_words, eff)) in segments.iter().zip(&mut eff).enumerate() {
             let indexed = s == 0 && op.back.is_some();
             for (i, words) in per_gpu_words.iter().enumerate() {
-                for (idx, &w) in segment(words, &cuts[i], s).iter().enumerate() {
+                for (idx, &w) in words.iter().enumerate() {
                     let g = if mask & (1 << i) == 0 {
                         i
                     } else {
@@ -486,26 +463,23 @@ impl DistributedHashMap {
                     if s == 0 {
                         origin[g].push((i, idx));
                     }
-                    let slot = eff_cuts[g][s] as u32;
+                    let slot = eff[g].len() as u32;
                     eff[g].push(if indexed { pack(key_of(w), slot) } else { w });
-                    eff_cuts[g][s] += 1;
                 }
             }
         }
-        (eff, eff_cuts, origin)
+        (eff, origin)
     }
 
     // ---- phases -----------------------------------------------------------
 
-    /// Uploads each GPU's words and multisplits them, every segment on its
-    /// own in the same launches, by the router's fault-aware partition
-    /// assignment, gating each non-empty GPU's launches on the fault plan.
-    #[allow(clippy::too_many_arguments)]
+    /// Uploads each GPU's words, its segments back to back, and
+    /// multisplits them, every segment on its own in the same launches, by
+    /// the router's fault-aware partition assignment, gating each
+    /// non-empty GPU's launches on the fault plan.
     fn multisplit_phase(
         &self,
-        op: &CascadeOp,
-        per_gpu_words: &[Vec<u64>],
-        cuts: &[Cuts],
+        segments: &[&[Vec<u64>]],
         router: &Router,
         plan: &FaultPlan,
         policy: &RetryPolicy,
@@ -515,10 +489,12 @@ impl DistributedHashMap {
         let mut guards = Vec::new();
         let mut sent = Vec::with_capacity(m);
         let mut worst = 0.0f64;
-        for (i, words) in per_gpu_words.iter().enumerate() {
+        for i in 0..m {
             let dev = self.device(i);
-            let n = words.len();
-            debug_assert_eq!(cuts[i].iter().sum::<usize>(), n, "cuts cover the words");
+            let n: usize = segments
+                .iter()
+                .map(|per_gpu_words| per_gpu_words[i].len())
+                .sum();
             if n > 0 {
                 tally
                     .gate_launch(plan, policy, i, launch_site::MULTISPLIT)
@@ -527,21 +503,22 @@ impl DistributedHashMap {
             // double buffer (Fig. 4: "out-of-place using one double buffer
             // per GPU") plus one aggregation counter per segment
             let guard = dev
-                .alloc_scratch(2 * n.max(1) + op.segments)
+                .alloc_scratch(2 * n.max(1) + segments.len())
                 .map_err(|e| Abort::Fatal(e.into()))?;
             let input = guard.slice().sub(0, n);
             let output = guard.slice().sub(n.max(1), n);
-            let counters = guard.slice().sub(2 * n.max(1), op.segments);
-            dev.mem().h2d(input, words);
+            let counters = guard.slice().sub(2 * n.max(1), segments.len());
             // a segment is split in place: the same range of both buffers
             let mut parts = [(input, output); MAX_SEGMENTS];
             let mut at = 0;
-            for (part, &len) in parts.iter_mut().zip(&cuts[i]) {
-                *part = (input.sub(at, len), output.sub(at, len));
-                at += len;
+            for (part, per_gpu_words) in parts.iter_mut().zip(segments) {
+                let words = &per_gpu_words[i];
+                *part = (input.sub(at, words.len()), output.sub(at, words.len()));
+                dev.mem().h2d(part.0, words);
+                at += words.len();
             }
             let classes =
-                device_multisplit_segments(dev, &parts[..op.segments], counters, m, |w| {
+                device_multisplit_segments(dev, &parts[..segments.len()], counters, m, |w| {
                     router.route(key_of(w))
                 });
             worst = worst.max(straggled(plan, i, classes.stats.sim_time));
@@ -553,7 +530,7 @@ impl DistributedHashMap {
         }
         Ok(SplitPhase {
             _guards: guards,
-            table: partition_table(&sent, op.segments),
+            table: partition_table(&sent, segments.len()),
             sent,
             time: worst,
         })
@@ -567,14 +544,14 @@ impl DistributedHashMap {
     #[allow(clippy::type_complexity)]
     fn transpose_move<'s>(
         &'s self,
-        op: &CascadeOp,
+        segments: usize,
         split: &SplitPhase<'_>,
     ) -> Result<(Vec<Vec<u64>>, Vec<Cuts>, Vec<ScratchGuard<'s>>), OpError> {
         let m = self.num_gpus();
         let mut cuts: Vec<Cuts> = vec![[0; MAX_SEGMENTS]; m];
         for sent in &split.sent {
             #[allow(clippy::needless_range_loop)] // (s, j) walks a source's count table
-            for s in 0..op.segments {
+            for s in 0..segments {
                 for (j, &n) in sent.classes.counts(s).iter().enumerate() {
                     cuts[j][s] += n as usize;
                 }
@@ -590,7 +567,7 @@ impl DistributedHashMap {
             // one download per source, not one per (source, target) cell
             let words = self.device(i).mem().d2h(*out);
             let mut start = 0;
-            for s in 0..op.segments {
+            for s in 0..segments {
                 let (offsets, counts) = (classes.offsets(s), classes.counts(s));
                 for (j, (&off, &cnt)) in offsets.iter().zip(counts).enumerate() {
                     let chunk = &words[start + off as usize..][..cnt as usize];
@@ -618,13 +595,11 @@ impl DistributedHashMap {
     pub(crate) fn insert_words(
         &self,
         per_gpu_words: &[Vec<u64>],
-        cuts: &[Cuts],
         report: &mut CascadeReport,
     ) -> Result<(), OpError> {
         self.cascade(
             &INSERT,
-            per_gpu_words,
-            cuts,
+            &[per_gpu_words],
             report,
             |j, buf, &[n, ..]| {
                 let outcome = self.maps()[j].insert_device(buf, n)?;
@@ -640,15 +615,13 @@ impl DistributedHashMap {
     pub(crate) fn query_words(
         &self,
         per_gpu_words: &[Vec<u64>],
-        cuts: &[Cuts],
         report: &mut CascadeReport,
     ) -> Result<Vec<Vec<Option<u32>>>, OpError> {
         let mut values: Vec<Vec<Option<u32>>> =
             per_gpu_words.iter().map(|w| vec![None; w.len()]).collect();
         self.cascade(
             &RETRIEVE,
-            per_gpu_words,
-            cuts,
+            &[per_gpu_words],
             report,
             |j, input, &[n, ..]| {
                 let dev = self.device(j);
@@ -667,15 +640,13 @@ impl DistributedHashMap {
     pub(crate) fn erase_words(
         &self,
         per_gpu_words: &[Vec<u64>],
-        cuts: &[Cuts],
         report: &mut CascadeReport,
     ) -> Result<(Vec<Vec<bool>>, u64), OpError> {
         let mut hits: Vec<Vec<bool>> = per_gpu_words.iter().map(|w| vec![false; w.len()]).collect();
         let mut erased = 0u64;
         self.cascade(
             &ERASE,
-            per_gpu_words,
-            cuts,
+            &[per_gpu_words],
             report,
             |j, buf, &[n, ..]| {
                 let out = self.maps()[j].erase_device_shared(buf, n);
@@ -687,8 +658,9 @@ impl DistributedHashMap {
         Ok((hits, erased))
     }
 
-    /// The mixed round over per-GPU `[indexed query words | pairs of keys
-    /// not queried | pairs of queried keys]`, all keys of a kind distinct:
+    /// The mixed round over the segments `[indexed query words | pairs of
+    /// keys not queried | pairs of queried keys]`, all keys of a kind
+    /// distinct:
     /// … → one fused get + put launch over the first two segments (their
     /// keys are distinct, so they race freely, §IV-A), then on a target
     /// that received any the pairs of the third in an insert launch of
@@ -701,16 +673,14 @@ impl DistributedHashMap {
     #[allow(clippy::type_complexity)]
     pub(crate) fn get_put_words(
         &self,
-        per_gpu_words: &[Vec<u64>],
-        cuts: &[Cuts],
+        segments: &[Vec<Vec<u64>>; 3],
         report: &mut CascadeReport,
     ) -> Result<Vec<Vec<Option<Option<u32>>>>, OpError> {
         let mut values: Vec<Vec<Option<Option<u32>>>> =
-            cuts.iter().map(|&[gets, ..]| vec![None; gets]).collect();
+            segments[0].iter().map(|w| vec![None; w.len()]).collect();
         self.cascade(
             &GET_PUT,
-            per_gpu_words,
-            cuts,
+            &segments.each_ref().map(Vec::as_slice),
             report,
             |j, buf, &[gets, puts, _]| {
                 let dev = self.device(j);
@@ -744,7 +714,7 @@ impl DistributedHashMap {
         per_gpu_words: &[Vec<u64>],
     ) -> Result<CascadeReport, OpError> {
         let mut report = new_report(per_gpu_words);
-        self.insert_words(per_gpu_words, &uncut(per_gpu_words), &mut report)?;
+        self.insert_words(per_gpu_words, &mut report)?;
         Ok(report)
     }
 
@@ -764,7 +734,7 @@ impl DistributedHashMap {
     ) -> Result<PerGpuGetResponse, OpError> {
         let words = indexed(per_gpu_keys);
         let mut report = new_report(&words);
-        let values = self.query_words(&words, &uncut(&words), &mut report)?;
+        let values = self.query_words(&words, &mut report)?;
         Ok(PerGpuGetResponse {
             values,
             report: OpReport::from_cascade(&report),
@@ -790,7 +760,7 @@ impl DistributedHashMap {
     ) -> Result<PerGpuDeleteResponse, OpError> {
         let words = indexed(per_gpu_keys);
         let mut report = new_report(&words);
-        let (hits, erased) = self.erase_words(&words, &uncut(&words), &mut report)?;
+        let (hits, erased) = self.erase_words(&words, &mut report)?;
         Ok(PerGpuDeleteResponse {
             hits,
             erased,

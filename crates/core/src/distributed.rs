@@ -636,10 +636,8 @@ mod chaos_tests {
         let spread: Vec<Vec<u64>> = vec![pairs.iter().map(|&(k, v)| pack(k, v)).collect()];
         let mk = || {
             let devices = vec![Arc::new(Device::with_words(0, 1 << 17))];
-            // 2 000 insert groups are two chunks of the pool, whose race
-            // moves the CAS counts; what is compared here is the driver
-            let cfg = Config::default().with_schedule(crate::Schedule::Sequential);
-            DistributedHashMap::new(devices, 1 << 13, cfg, Topology::p100_quad(1)).unwrap()
+            DistributedHashMap::new(devices, 1 << 13, Config::default(), Topology::p100_quad(1))
+                .unwrap()
         };
         let a = mk().insert_device_sided(&spread).unwrap();
         let b = mk().insert_device_sided(&spread).unwrap();

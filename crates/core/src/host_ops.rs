@@ -8,11 +8,11 @@
 //! expensive as CPU-based hash map construction").
 //!
 //! The mixed get + put round ([`crate::MapService::get_put_batch`] of the
-//! node) goes through the same bracket: each list is spread on its own,
-//! a GPU's chunks travel up back to back in one transfer as the segments
-//! of one cascade round, and only the answers travel down.
+//! node) goes through the same bracket: each list is spread on its own
+//! into one segment of the cascade round, a GPU's chunks travel up back
+//! to back in one transfer, and only the answers travel down.
 
-use crate::cascade::{Abort, Cuts};
+use crate::cascade::Abort;
 use crate::config::Mutation;
 use crate::distributed::DistributedHashMap;
 use crate::entry::pack;
@@ -35,37 +35,36 @@ fn live_chunks<T>(items: &[T], m: usize, mask: u32) -> Vec<&[T]> {
         .collect()
 }
 
-/// Each GPU's words for a cascade, with the cuts between its segments.
-type Spread = (Vec<Vec<u64>>, Vec<Cuts>);
-
 impl DistributedHashMap {
     /// The one host bracket: the words `spread(mask)` gives each GPU under
-    /// a quarantine mask travel up over PCIe (8 bytes each, one transfer
-    /// whatever the segments), the `device` cascade of this map runs on
-    /// them, and — for an operation whose answers the host reads —
-    /// 8 bytes per word of segment 0 travel back `down`. Dropped PCIe
-    /// transfers are retried with backoff; a host link whose budget is
-    /// exhausted quarantines its GPU and the transfer re-spreads over the
-    /// survivors.
-    fn host_bracket<O>(
+    /// a quarantine mask, segment by segment, travel up over PCIe (8 bytes
+    /// each, one transfer whatever the segments), the `device` cascade of
+    /// this map runs on them, and — for an operation whose answers the
+    /// host reads — 8 bytes per word of segment 0 travel back `down`.
+    /// Dropped PCIe transfers are retried with backoff; a host link whose
+    /// budget is exhausted quarantines its GPU and the transfer re-spreads
+    /// over the survivors.
+    fn host_bracket<const K: usize, O>(
         &self,
         elements: usize,
-        spread: impl Fn(u32) -> Spread,
+        spread: impl Fn(u32) -> [Vec<Vec<u64>>; K],
         down: bool,
-        device: impl FnOnce(&Self, &[Vec<u64>], &[Cuts], &mut CascadeReport) -> Result<O, OpError>,
+        device: impl FnOnce(&Self, &[Vec<Vec<u64>>; K], &mut CascadeReport) -> Result<O, OpError>,
     ) -> Result<(O, CascadeReport), OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
         let mut report = CascadeReport::new(elements as u64);
-        let (per_gpu, cuts) = self.with_failover(&mut report, |plan, mask, report, tally| {
-            let (per_gpu, cuts) = spread(mask);
-            let bytes: Vec<u64> = per_gpu.iter().map(|c| c.len() as u64 * 8).collect();
+        let segments = self.with_failover(&mut report, |plan, mask, report, tally| {
+            let segments = spread(mask);
+            let bytes: Vec<u64> = (0..m)
+                .map(|g| segments.iter().map(|s| s[g].len() as u64 * 8).sum())
+                .collect();
             let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
             let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
             report.push(CascadeStage::H2D, up.time, up.bytes);
-            Ok((per_gpu, cuts))
+            Ok(segments)
         })?;
-        let out = device(self, &per_gpu, &cuts, &mut report)?;
+        let out = device(self, &segments, &mut report)?;
         if down {
             self.with_failover(&mut report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
@@ -73,7 +72,7 @@ impl DistributedHashMap {
                 // links carry no bytes
                 let bytes: Vec<u64> = (0..m)
                     .map(|g| match mask & (1 << g) {
-                        0 => cuts[g][0] as u64 * 8,
+                        0 => segments[0][g].len() as u64 * 8,
                         _ => 0,
                     })
                     .collect();
@@ -86,7 +85,7 @@ impl DistributedHashMap {
         Ok((out, report))
     }
 
-    /// `items` as a one-segment cascade input: the unstructured equal
+    /// `items` as one segment of a cascade's input: the unstructured equal
     /// spread over the live GPUs, `word(i, item)` for the `i`-th item of a
     /// GPU's chunk.
     fn spread_one<T: Copy>(
@@ -94,14 +93,11 @@ impl DistributedHashMap {
         items: &[T],
         mask: u32,
         word: impl Fn(usize, T) -> u64,
-    ) -> Spread {
+    ) -> Vec<Vec<u64>> {
         live_chunks(items, self.num_gpus(), mask)
             .into_iter()
-            .map(|c| {
-                let words = c.iter().enumerate().map(|(i, &x)| word(i, x)).collect();
-                (words, [c.len(), 0, 0])
-            })
-            .unzip()
+            .map(|c| c.iter().enumerate().map(|(i, &x)| word(i, x)).collect())
+            .collect()
     }
 
     /// Host-sided insertion: transfer the packed pairs over PCIe
@@ -112,8 +108,11 @@ impl DistributedHashMap {
     /// Propagates the device cascade's errors;
     /// [`OpError::DeviceLost`] once no failover remains.
     pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, OpError> {
-        let spread = |mask| self.spread_one(pairs, mask, |_, (k, v)| pack(k, v));
-        let ((), report) = self.host_bracket(pairs.len(), spread, false, Self::insert_words)?;
+        let spread = |mask| [self.spread_one(pairs, mask, |_, (k, v)| pack(k, v))];
+        let ((), report) =
+            self.host_bracket(pairs.len(), spread, false, |d, [words], report| {
+                d.insert_words(words, report)
+            })?;
         Ok(report)
     }
 
@@ -146,8 +145,11 @@ impl DistributedHashMap {
         &self,
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, CascadeReport), OpError> {
-        let spread = |mask| self.spread_one(keys, mask, |i, k| pack(k, i as u32));
-        let (values, report) = self.host_bracket(keys.len(), spread, true, Self::query_words)?;
+        let spread = |mask| [self.spread_one(keys, mask, |i, k| pack(k, i as u32))];
+        let (values, report) =
+            self.host_bracket(keys.len(), spread, true, |d, [words], report| {
+                d.query_words(words, report)
+            })?;
         // chunks are contiguous, so flattening restores input order
         Ok((values.into_iter().flatten().collect(), report))
     }
@@ -160,9 +162,11 @@ impl DistributedHashMap {
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let spread = |mask| self.spread_one(keys, mask, |i, k| pack(k, i as u32));
+        let spread = |mask| [self.spread_one(keys, mask, |i, k| pack(k, i as u32))];
         let ((hits, erased), report) =
-            self.host_bracket(keys.len(), spread, false, Self::erase_words)?;
+            self.host_bracket(keys.len(), spread, false, |d, [words], report| {
+                d.erase_words(words, report)
+            })?;
         Ok(DeleteResponse {
             hits: hits.into_iter().flatten().collect(),
             erased,
@@ -195,17 +199,11 @@ impl DistributedHashMap {
             .iter()
             .partition(|&&(k, _)| !races && reads.binary_search(&k).is_ok());
         let spread = |mask| {
-            let m = self.num_gpus();
-            let gets = live_chunks(reads, m, mask);
-            let (first, late) = (live_chunks(&first, m, mask), live_chunks(&late, m, mask));
-            (0..m)
-                .map(|g| {
-                    let gets = gets[g].iter().enumerate().map(|(i, &k)| pack(k, i as u32));
-                    let pairs = first[g].iter().chain(late[g]).map(|&(k, v)| pack(k, v));
-                    let cuts = [gets.len(), first[g].len(), late[g].len()];
-                    (gets.chain(pairs).collect(), cuts)
-                })
-                .unzip()
+            [
+                self.spread_one(reads, mask, |i, k| pack(k, i as u32)),
+                self.spread_one(&first, mask, |_, &(k, v)| pack(k, v)),
+                self.spread_one(&late, mask, |_, &(k, v)| pack(k, v)),
+            ]
         };
         let elements = reads.len() + puts.len();
         let (values, report) = self.host_bracket(elements, spread, true, Self::get_put_words)?;

@@ -62,27 +62,13 @@ fn quad_node(cfg: Config) -> DistributedHashMap {
     DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(4)).unwrap()
 }
 
-/// How a cell's backends interleave the groups of a launch.
-#[derive(Debug, Clone, Copy)]
-enum Sched {
-    /// `group_id` order.
-    Sequential,
-    /// A stepwise interleaving drawn from the cell's seed.
-    Seeded,
-    /// What `Config::default()` says: the racing pool, unless
-    /// `WD_SCHED_MODE` pins the run.
-    Default,
-}
+/// How a cell's backends interleave the groups of a launch: a schedule
+/// made from the cell's seed, or `None` for what `Config::default()` says
+/// — the racing pool, unless `WD_SCHED_MODE` pins the run.
+type ScheduleOf = Option<fn(u64) -> Schedule>;
 
-impl Sched {
-    fn of(self, cfg: Config, seed: u64) -> Config {
-        match self {
-            Sched::Sequential => cfg.with_schedule(Schedule::Sequential),
-            Sched::Seeded => cfg.with_schedule(Schedule::Seeded(seed)),
-            Sched::Default => cfg,
-        }
-    }
-}
+const SEQUENTIAL: ScheduleOf = Some(|_| Schedule::Sequential);
+const SEEDED: ScheduleOf = Some(Schedule::Seeded);
 
 /// The observable outcome of a trace: per-op responses and typed
 /// rejections, stripped of timing (latency legitimately differs between
@@ -263,7 +249,7 @@ proptest! {
     #[test]
     fn coalesced_equals_sequential_multi_gpu(
         seed in any::<u64>(),
-        sched in proptest::sample::select(vec![Sched::Sequential, Sched::Seeded, Sched::Default]),
+        schedule in proptest::sample::select(vec![SEQUENTIAL, SEEDED, None]),
         plan in proptest::sample::select(vec![
             FaultPlan::default(),
             FaultPlan::default().with_launch_fail(0.2),
@@ -272,7 +258,8 @@ proptest! {
         ]),
         max_batch in proptest::sample::select(vec![2usize, 48, 512]),
     ) {
-        let cfg = sched.of(Config::default().with_fault(plan.with_seed(seed)), seed);
+        let cfg = Config::default().with_fault(plan.with_seed(seed));
+        let cfg = schedule.map_or(cfg, |of| cfg.with_schedule(of(seed)));
         let serve = ServeConfig::default().with_max_delay(f64::INFINITY);
         let mut reference = Server::new(quad_node(cfg), serve.clone().with_max_batch(1));
         let mut coalesced = Server::new(quad_node(cfg), serve.with_max_batch(max_batch));
@@ -303,8 +290,8 @@ fn mutant_is_caught_by_equivalence<S: MapService>(
     mutation: Mutation,
     name: &str,
     backend: impl Fn(Config) -> S,
-    hunt: Sched,
-    also_clean: &[Sched],
+    hunt: ScheduleOf,
+    also_clean: &[ScheduleOf],
 ) {
     let env = |name: &str| {
         std::env::var(name)
@@ -321,8 +308,11 @@ fn mutant_is_caught_by_equivalence<S: MapService>(
         key_space: 64,
         ..TraceConfig::default()
     };
-    let run = |seed: u64, max_batch: usize, sched: Sched, broken: bool| -> Observable {
-        let mut cfg = sched.of(Config::default(), seed);
+    let run = |seed: u64, max_batch: usize, schedule: ScheduleOf, broken: bool| -> Observable {
+        let mut cfg = Config::default();
+        if let Some(of) = schedule {
+            cfg = cfg.with_schedule(of(seed));
+        }
         if broken {
             cfg = cfg.with_mutation(mutation);
         }
@@ -335,11 +325,12 @@ fn mutant_is_caught_by_equivalence<S: MapService>(
     let mut caught = None;
     for seed in 0..u64::from(budget) {
         let want = run(seed, 1, hunt, false);
-        for &sched in std::iter::once(&hunt).chain(also_clean) {
+        for &schedule in std::iter::once(&hunt).chain(also_clean) {
             assert_eq!(
-                run(seed, 64, sched, false),
+                run(seed, 64, schedule, false),
                 want,
-                "false positive: the shipped code diverged at seed {seed} under {sched:?}"
+                "false positive: the shipped code diverged at seed {seed} under {:?}",
+                schedule.map(|of| of(seed))
             );
         }
         if caught.is_none() && run(seed, 64, hunt, true) != want {
@@ -357,13 +348,7 @@ fn mutant_is_caught_by_equivalence<S: MapService>(
 #[test]
 fn broken_forward_stale_read_is_caught_by_equivalence() {
     let backend = |cfg| single_gpu(4096, cfg);
-    mutant_is_caught_by_equivalence(
-        Mutation::ForwardStaleRead,
-        "stale-read",
-        backend,
-        Sched::Default,
-        &[],
-    );
+    mutant_is_caught_by_equivalence(Mutation::ForwardStaleRead, "stale-read", backend, None, &[]);
 }
 
 /// Mutation double: an upsert group of the fused get + put launch that
@@ -376,7 +361,7 @@ fn broken_upsert_returns_new_is_caught_by_equivalence() {
         Mutation::UpsertReturnsNew,
         "upsert-returns-new",
         backend,
-        Sched::Default,
+        None,
         &[],
     );
 }
@@ -392,8 +377,8 @@ fn broken_late_puts_join_first_launch_is_caught_by_equivalence() {
         Mutation::LatePutsJoinFirstLaunch,
         "late-puts-join-first-launch",
         quad_node,
-        Sched::Seeded,
-        &[Sched::Sequential, Sched::Default],
+        SEEDED,
+        &[SEQUENTIAL, None],
     );
 }
 
