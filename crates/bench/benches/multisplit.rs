@@ -2,8 +2,9 @@
 //! simulator executing the compaction kernels).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use gpu_sim::LaunchOptions;
 use hashes::PartitionFn;
-use multisplit::{device_multisplit, exclusive_scan, sort_split::sort_multisplit};
+use multisplit::{device_multisplit, device_multisplit_segments, exclusive_scan};
 use workloads::Distribution;
 
 const N: usize = 1 << 13;
@@ -34,13 +35,15 @@ fn bench_multisplit(c: &mut Criterion) {
                 device_multisplit(&dev, input, out, scratch, m, class)
             });
         });
-        g.bench_with_input(BenchmarkId::new("radix_sort", m), &m, |b, &m| {
+        g.bench_with_input(BenchmarkId::new("count_scatter", m), &m, |b, &m| {
             b.iter(|| {
                 let dev = gpu_sim::Device::with_words(0, 2 * N + 64);
                 let input = dev.alloc(N).unwrap();
                 let out = dev.alloc(N).unwrap();
+                let scratch = dev.alloc(m).unwrap();
                 dev.mem().h2d(input, black_box(&data));
-                sort_multisplit(&dev, input, out, m, class)
+                let opts = LaunchOptions::default();
+                device_multisplit_segments(&dev, &[(input, out)], scratch, m, opts, class)
             });
         });
     }

@@ -112,15 +112,14 @@ fn main() {
     let mst_frac = (scaled_time_of(CascadeStage::Multisplit)
         + scaled_time_of(CascadeStage::Transpose))
         / agg.modeled_time(scale);
-    let transpose_bytes: f64 = agg
-        .stages
-        .iter()
-        .filter(|s| s.stage == CascadeStage::Transpose)
-        .map(|s| s.bytes as f64 * scale)
-        .sum();
+    // both stages report the bytes they moved, summed over GPUs
+    let scaled_bytes_of = |stage: CascadeStage| -> f64 {
+        let of_stage = agg.stages.iter().filter(|s| s.stage == stage);
+        of_stage.map(|s| s.bytes as f64 * scale).sum()
+    };
+    let transpose_bytes = scaled_bytes_of(CascadeStage::Transpose);
     let transpose_time = scaled_time_of(CascadeStage::Transpose);
-    // multisplit touches m reads + 1 write of the batch per GPU
-    let split_bytes = (N_MODEL as f64) * 8.0 * (M as f64 + 1.0);
+    let split_bytes = scaled_bytes_of(CascadeStage::Multisplit);
     let split_time = scaled_time_of(CascadeStage::Multisplit);
     println!(
         "\nmultisplit+transposition fraction of cascade: {:.1}%",

@@ -16,17 +16,24 @@
 //!
 //! A cascade's input is its **segments**, each the words of every GPU.
 //! A GPU's segments lie back to back on the device and share the round —
-//! one upload, the `m` launches of one multisplit
-//! ([`multisplit::device_multisplit_segments`]), one all-to-all billed on
-//! the summed byte matrix — while each is split and transposed on its
-//! own, so a target receives segment after segment, each in source
-//! order. The mixed round's are `[query words | pairs of keys not read |
-//! pairs of keys also read]`: what arrives is already the input of one
+//! one upload, the launches of one multisplit
+//! ([`multisplit::device_multisplit_segments`]: count + scatter, the
+//! scatter alone where every segment fits one group, none on a GPU
+//! without a word — not the paper's `m` passes, because a small round
+//! pays for launches, §V-B), one all-to-all billed on the summed byte
+//! matrix — while each is split and transposed on its own, so a target
+//! receives segment after segment, each in source order. The mixed
+//! round's are `[query words | pairs of keys not read | pairs of keys
+//! also read]`: what arrives is already the input of one
 //! fused get + put launch over the first two (distinct keys race freely,
 //! §IV-A) and of a late insert launch over the third, which only a target
 //! that received any makes — so a key both read and written is read
 //! first, and a query word and a pair stay the 64-bit words they are.
-//! The return trip carries segment 0 alone.
+//! The return trip carries segment 0 alone. A healthy round is thus
+//! three sequential launches — split, kernel, scatter — and its report
+//! counts the launches it made, summed over the GPUs. Every launch takes
+//! the map's schedule, so under `Schedule::Sequential` a class reaches
+//! its kernel in input order whatever the worker count.
 //!
 //! Fault handling is woven through once. [`DistributedHashMap::with_failover`]
 //! runs a step (a device round here, a PCIe phase in [`crate::host_ops`])
@@ -325,15 +332,26 @@ impl DistributedHashMap {
     ) -> Result<(), Abort> {
         let m = self.num_gpus();
         let oh = self.device(0).spec().launch_overhead;
+        let opts = LaunchOptions::default()
+            .with_schedule(self.cfg().schedule)
+            .with_per_op_dispatch(self.cfg().per_op_dispatch);
         let alltoall = |bytes: Vec<Vec<u64>>, tally: &mut ChaosTally| {
             let phase = alltoall_time_faulted(self.topology(), &bytes, plan, policy);
             tally.settle(plan, policy, phase).map_err(Abort::Lost)
         };
 
         // Phases 1+2: multisplit and transposition
-        let split = self.multisplit_phase(segments, router, plan, policy, tally)?;
-        // each GPU runs m sequential compaction passes → m launches
-        report.push_with_overhead(CascadeStage::Multisplit, split.time, 0, oh * m as f64);
+        let split = self.multisplit_phase(segments, router, opts, plan, policy, report, tally)?;
+        // the GPUs split side by side: the stage waits for the most
+        // launches and streams the bytes of all
+        let splits = split.sent.iter().map(|sent| &sent.classes);
+        let sequential = splits.clone().map(|c| c.launches).max().unwrap_or(0);
+        report.push_with_overhead(
+            CascadeStage::Multisplit,
+            split.time,
+            splits.map(|c| c.counters.stream_bytes).sum(),
+            oh * f64::from(sequential),
+        );
         let transpose = alltoall(split.table.byte_matrix(8), tally)?;
         let (recv, recv_cuts, recv_guards) = self
             .transpose_move(segments.len(), &split)
@@ -365,6 +383,7 @@ impl DistributedHashMap {
             }
             gate.map_err(Abort::Lost)?;
             let buf = recv_guards[j].slice().sub(0, words.len());
+            report.launches += 1;
             if let Some((time, answers)) =
                 unless_exhausted(kernel(j, buf, &recv_cuts[j]), &mut failed)?
             {
@@ -388,6 +407,7 @@ impl DistributedHashMap {
                     .gate_launch(plan, policy, j, launch_site::INSERT)
                     .map_err(Abort::Lost)?;
                 let pairs = buf.sub(cuts[..late].iter().sum(), cuts[late]);
+                report.launches += 1;
                 let inserted = self.maps()[j].insert_device(pairs, cuts[late]);
                 if let Some(outcome) = unless_exhausted(inserted, &mut failed)? {
                     let time = straggled(plan, j, outcome.stats.sim_time);
@@ -419,12 +439,13 @@ impl DistributedHashMap {
                     back.scatter,
                     (writes as usize).div_ceil(32),
                     GroupSize::WARP,
-                    LaunchOptions::default(),
+                    opts,
                     |ctx| {
                         ctx.bill_stream_bytes(back.stream_bytes);
                         ctx.bill_transactions(back.transactions);
                     },
                 );
+                report.launches += 1;
                 worst = worst.max(straggled(plan, i, stats.sim_time));
             }
         }
@@ -476,13 +497,18 @@ impl DistributedHashMap {
     /// Uploads each GPU's words, its segments back to back, and
     /// multisplits them, every segment on its own in the same launches, by
     /// the router's fault-aware partition assignment, gating each
-    /// non-empty GPU's launches on the fault plan.
+    /// non-empty GPU's launches on the fault plan. A GPU without a word
+    /// launches nothing; the launches made count in `report` as they are
+    /// made, so those of a phase that a later GPU's gate aborts stay.
+    #[allow(clippy::too_many_arguments)]
     fn multisplit_phase(
         &self,
         segments: &[&[Vec<u64>]],
         router: &Router,
+        opts: LaunchOptions,
         plan: &FaultPlan,
         policy: &RetryPolicy,
+        report: &mut CascadeReport,
         tally: &mut ChaosTally,
     ) -> Result<SplitPhase<'_>, Abort> {
         let m = self.num_gpus();
@@ -501,13 +527,13 @@ impl DistributedHashMap {
                     .map_err(Abort::Lost)?;
             }
             // double buffer (Fig. 4: "out-of-place using one double buffer
-            // per GPU") plus one aggregation counter per segment
+            // per GPU") plus a counter per class and segment
             let guard = dev
-                .alloc_scratch(2 * n.max(1) + segments.len())
+                .alloc_scratch(2 * n + m * segments.len())
                 .map_err(|e| Abort::Fatal(e.into()))?;
             let input = guard.slice().sub(0, n);
-            let output = guard.slice().sub(n.max(1), n);
-            let counters = guard.slice().sub(2 * n.max(1), segments.len());
+            let output = guard.slice().sub(n, n);
+            let counters = guard.slice().sub(2 * n, m * segments.len());
             // a segment is split in place: the same range of both buffers
             let mut parts = [(input, output); MAX_SEGMENTS];
             let mut at = 0;
@@ -517,11 +543,12 @@ impl DistributedHashMap {
                 dev.mem().h2d(part.0, words);
                 at += words.len();
             }
-            let classes =
-                device_multisplit_segments(dev, &parts[..segments.len()], counters, m, |w| {
-                    router.route(key_of(w))
-                });
-            worst = worst.max(straggled(plan, i, classes.stats.sim_time));
+            let parts = &parts[..segments.len()];
+            let classes = device_multisplit_segments(dev, parts, counters, m, opts, |w| {
+                router.route(key_of(w))
+            });
+            report.launches += u64::from(classes.launches);
+            worst = worst.max(straggled(plan, i, classes.sim_time));
             sent.push(Sent {
                 out: output,
                 classes,

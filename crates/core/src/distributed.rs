@@ -804,6 +804,42 @@ mod chaos_tests {
     }
 
     #[test]
+    fn an_aborted_round_counts_the_launches_it_made() {
+        use crate::chaos::launch_site::{INSERT, MULTISPLIT};
+        // on an empty node a quarantine migrates nothing, so every launch
+        // the devices saw was a round's. The first plan aborts round one
+        // in the split at GPU 2 (GPUs 0 and 1 have split by then), the
+        // second at GPU 3's kernel (all four have split, GPUs 0–2 have
+        // inserted); neither loses anything else
+        let attempts = RetryPolicy::default().max_attempts;
+        let exhausts = |plan: &FaultPlan, gpu, site| {
+            (0..attempts).all(|attempt| plan.launch_fails(gpu, site, attempt))
+        };
+        let losing_only = |lost: (usize, u64)| {
+            (0..10_000)
+                .map(|seed| FaultPlan::default().with_seed(seed).with_launch_fail(0.5))
+                .find(|plan| {
+                    let sites = (0..4).flat_map(|gpu| [(gpu, MULTISPLIT), (gpu, INSERT)]);
+                    // once the split has lost a GPU, its kernel never runs
+                    sites
+                        .filter(|&(gpu, site)| lost != (gpu, MULTISPLIT) || site != INSERT)
+                        .all(|(gpu, site)| exhausts(plan, gpu, site) == ((gpu, site) == lost))
+                })
+                .expect("one seed in 10 000 loses this launch and no other")
+        };
+        let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 7 + 3, i)).collect();
+        for lost in [(2, MULTISPLIT), (3, INSERT)] {
+            let d = node_with(Config::default().with_fault(losing_only(lost)), 4);
+            let rep = d.insert_from_host(&pairs).unwrap();
+            assert_eq!(d.quarantined(), vec![lost.0], "{}", d.replay_hint());
+            let made = |map: &GpuHashMap| map.device().lifetime_stats().launches;
+            let made: u64 = d.maps().iter().map(made).sum();
+            assert_eq!(rep.launches, made, "{}", d.replay_hint());
+            assert_eq!(multiset(pairs.clone()), multiset(d.live_snapshot()));
+        }
+    }
+
+    #[test]
     fn erase_under_kill_still_tombstones_everything() {
         let mut d = node_with(Config::default(), 4);
         let pairs: Vec<(u32, u32)> = (0..1000u32).map(|i| (i * 7 + 2, i)).collect();

@@ -232,14 +232,26 @@ mod tests {
 
     #[test]
     fn host_cascade_round_trip() {
-        let d = node(4);
+        let mut d = node(4);
         let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 13 + 7, i)).collect();
         let rep = d.insert_from_host(&pairs).unwrap();
         assert!(rep.time_of(CascadeStage::H2D) > 0.0);
         assert_eq!(rep.stages[0].stage, CascadeStage::H2D);
+        // a report counts the launches its cascade made: count, scatter
+        // and insert on each GPU
+        assert_eq!(rep.launches, 4 * 3);
+        assert_eq!(rep.launches, launches(&d));
+
+        let before = launches(&d);
+        let erased = d.try_erase_from_host(&[pairs[0].0, 5]).unwrap();
+        assert_eq!(erased.hits, [true, false]);
+        assert_eq!(erased.report.launches, launches(&d) - before);
+        d.insert_from_host(&pairs[..1]).unwrap();
 
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([999_999_999]).collect();
+        let before = launches(&d);
         let resp = d.try_retrieve_from_host(&keys).unwrap();
+        assert_eq!(resp.report.launches, launches(&d) - before);
         for (i, p) in pairs.iter().enumerate() {
             assert_eq!(resp.values[i], Some(p.1), "key {}", p.0);
         }
@@ -333,9 +345,10 @@ mod tests {
                 D2H
             ]
         );
-        // m multisplit passes, a fused launch, a late launch and a
-        // scatter on each of the 4 GPUs
-        assert_eq!(launches(&d) - before, 16 + 4 + 4 + 4);
+        // a multisplit launch (every segment fits one group), a fused
+        // launch, a late launch and a scatter on each of the 4 GPUs
+        assert_eq!(launches(&d) - before, 4 + 4 + 4 + 4);
+        assert_eq!(resp.report.launches, launches(&d) - before);
 
         // the provided body on a twin: same answers, same contents, and
         // the same bytes over PCIe and NVLink in twice the trips (the
@@ -382,8 +395,24 @@ mod tests {
         assert_eq!(resp.values, [Some(10), Some(20), Some(30), None]);
         assert!(!stages_of(&resp.report).contains(&CascadeStage::Insert));
         // three of the four GPUs at most sent an answer back
-        assert!(launches(&d) - before <= 16 + 4 + 4);
+        assert!(launches(&d) - before <= 4 + 4 + 4);
         assert_eq!(d.len(), 103);
+    }
+
+    #[test]
+    fn a_gpu_without_a_word_launches_nothing() {
+        use crate::service::MapService;
+        let mut d = node(4);
+        let resp = d.put_batch(&[(7, 70)]).unwrap();
+        // the one GPU holding the pair splits it, its owner inserts it
+        assert_eq!(launches(&d), 1 + 1);
+        assert_eq!(resp.report.launches, 2);
+        let overhead = |stage| {
+            let rows = resp.report.stages.iter().filter(|s| s.stage == stage);
+            rows.map(|s| s.overhead).sum::<f64>()
+        };
+        let oh = d.maps()[0].device().spec().launch_overhead;
+        assert_eq!(overhead(CascadeStage::Multisplit), oh);
     }
 
     #[test]

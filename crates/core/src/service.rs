@@ -143,8 +143,8 @@ pub enum Response {
 pub struct OpReport {
     /// Elements processed.
     pub elements: u64,
-    /// Kernel launches attributed to the operation (0 when unknown, e.g.
-    /// inside an opaque cascade).
+    /// Kernel launches attributed to the operation, summed over GPUs
+    /// for a cascade.
     pub launches: u64,
     /// Total modeled time in seconds.
     pub time: f64,
@@ -176,7 +176,7 @@ impl OpReport {
     pub fn from_cascade(report: &CascadeReport) -> Self {
         Self {
             elements: report.elements,
-            launches: 0,
+            launches: report.launches,
             time: report.total_time(),
             backoff_time: report.time_of(CascadeStage::Backoff),
             counters: CounterSnapshot::default(),
@@ -185,14 +185,39 @@ impl OpReport {
     }
 
     /// Accumulates another report (times add — operations on one service
-    /// are serialized).
+    /// are serialized); its stage rows append, one per occurrence.
     pub fn merge(&mut self, other: &OpReport) {
+        self.add_totals(other);
+        self.stages.extend(other.stages.iter().copied());
+    }
+
+    /// [`Self::merge`] for a long-lived total (a server's telemetry): a
+    /// stage row of `other` adds its time, bytes and overhead onto this
+    /// report's row of the same stage, appended the first time the stage
+    /// appears — so the report stays at one row per [`CascadeStage`]
+    /// however many reports it takes in, and [`Self::time_of`] reads what
+    /// it would after `merge`, bit for bit (the same values added in the
+    /// same order).
+    pub fn merge_folded(&mut self, other: &OpReport) {
+        self.add_totals(other);
+        for s in &other.stages {
+            match self.stages.iter_mut().find(|row| row.stage == s.stage) {
+                Some(row) => {
+                    row.time += s.time;
+                    row.bytes += s.bytes;
+                    row.overhead += s.overhead;
+                }
+                None => self.stages.push(*s),
+            }
+        }
+    }
+
+    fn add_totals(&mut self, other: &OpReport) {
         self.elements += other.elements;
         self.launches += other.launches;
         self.time += other.time;
         self.backoff_time += other.backoff_time;
         self.counters = self.counters.merged(other.counters);
-        self.stages.extend(other.stages.iter().copied());
     }
 
     /// Operation rate over the report's modeled time.
@@ -845,12 +870,41 @@ mod tests {
     }
 
     #[test]
+    fn merge_folded_keeps_one_row_per_stage_and_the_bits_of_time_of() {
+        let report = |scale: f64| {
+            let mut c = CascadeReport::new(10);
+            c.push(CascadeStage::H2D, 0.1 * scale, 80);
+            c.push_with_overhead(CascadeStage::Multisplit, 0.3 * scale, 0, 6e-6);
+            c.push_with_overhead(CascadeStage::Insert, 0.7 * scale, 0, 6e-6);
+            c.push_with_overhead(CascadeStage::Insert, 0.01 * scale, 0, 6e-6);
+            c.launches = 9;
+            OpReport::from_cascade(&c)
+        };
+        let (mut rows, mut folded) = (OpReport::default(), OpReport::default());
+        for i in 1..=1000 {
+            rows.merge(&report(f64::from(i)));
+            folded.merge_folded(&report(f64::from(i)));
+        }
+        assert_eq!(rows.stages.len(), 4000);
+        assert_eq!(folded.stages.len(), 3);
+        for stage in [CascadeStage::H2D, CascadeStage::Multisplit, CascadeStage::Insert] {
+            assert_eq!(folded.time_of(stage).to_bits(), rows.time_of(stage).to_bits());
+        }
+        assert_eq!(folded.stages[0].bytes, 80_000);
+        assert!((folded.stages[2].overhead - 2000.0 * 6e-6).abs() < 1e-12);
+        assert_eq!((folded.elements, folded.launches), (rows.elements, rows.launches));
+        assert_eq!(folded.time.to_bits(), rows.time.to_bits());
+    }
+
+    #[test]
     fn from_cascade_extracts_backoff() {
         let mut c = CascadeReport::new(100);
         c.push(CascadeStage::Insert, 1.0, 0);
         c.push(CascadeStage::Backoff, 0.5, 0);
+        c.launches = 5;
         let r = OpReport::from_cascade(&c);
         assert_eq!(r.elements, 100);
+        assert_eq!(r.launches, 5);
         assert!((r.time - 1.5).abs() < 1e-12);
         assert!((r.backoff_time - 0.5).abs() < 1e-12);
         assert_eq!(r.stages.len(), 2);

@@ -43,7 +43,8 @@ pub struct StageTiming {
     /// Simulated seconds (max over GPUs for per-GPU phases — the phases
     /// are separated by global barriers).
     pub time: f64,
-    /// Bytes moved by the phase, where meaningful (transfers), else 0.
+    /// Bytes moved by the phase, where meaningful (transfers; the words
+    /// the multisplit streamed, summed over GPUs), else 0.
     pub bytes: u64,
     /// Fixed (size-independent) launch-overhead portion of `time`. Used
     /// by scaled-down experiments: per-element cost extrapolates
@@ -66,6 +67,11 @@ pub struct CascadeReport {
     pub stages: Vec<StageTiming>,
     /// Elements processed.
     pub elements: u64,
+    /// Kernel launches the cascade's rounds made, summed over GPUs:
+    /// multisplit, kernel, late insert and scatter — every launch made,
+    /// those of a round a fault aborted included (a quarantine's
+    /// migration is not a round and is not counted).
+    pub launches: u64,
 }
 
 impl CascadeReport {
@@ -75,6 +81,7 @@ impl CascadeReport {
         Self {
             stages: Vec::new(),
             elements,
+            launches: 0,
         }
     }
 
@@ -157,9 +164,10 @@ impl CascadeReport {
     }
 
     /// Merges another report (e.g. successive batches of one stream):
-    /// element counts and per-stage times accumulate.
+    /// element counts, launches and per-stage times accumulate.
     pub fn absorb(&mut self, other: &CascadeReport) {
         self.elements += other.elements;
+        self.launches += other.launches;
         for s in &other.stages {
             self.push_with_overhead(s.stage, s.time, s.bytes, s.overhead);
         }
@@ -304,8 +312,10 @@ mod tests {
         a.push(CascadeStage::Insert, 1.0, 0);
         let mut b = CascadeReport::new(20);
         b.push(CascadeStage::Insert, 2.0, 0);
+        b.launches = 3;
         a.absorb(&b);
         assert_eq!(a.elements, 30);
+        assert_eq!(a.launches, 3);
         assert!((a.time_of(CascadeStage::Insert) - 3.0).abs() < 1e-12);
     }
 

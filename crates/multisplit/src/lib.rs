@@ -6,18 +6,19 @@
 //! consecutive binary splits (one class versus the rest), each compacting
 //! its class with a **warp-aggregated atomic counter** (Adinetz's
 //! technique, ref. \[23\]) — rather than Ashkiani's full GPU multisplit,
-//! because the step accounts for only 2–4% of cascade runtime. On a
-//! small batch what it costs is its `m` launches (§V-B), so a pass
-//! compacts any number of independent **segments** in one launch: a
-//! cascade that moves query words and pairs splits both in the `m`
-//! launches one of them takes.
+//! because on 2²⁴-element batches the step accounts for only 2–4% of
+//! cascade runtime. On a small batch what it costs is its `m` launches
+//! (§V-B), so the cascade runs a count + scatter split instead: at most
+//! two launches whatever `m`, one where every segment fits one group, and
+//! any number of independent **segments** — the query words and the pairs
+//! of a mixed round — in the same launches. The paper's split stays as
+//! the reference the new one is tested and measured against.
 //!
-//! * [`warp_agg`] — the warp-aggregated compaction building block, over
-//!   the segments of one launch,
-//! * [`split`] — the m-pass binary multisplit on a simulated device, one
-//!   pass loop for one segment or several,
-//! * [`sort_split`] — a radix-sort-based multisplit standing in for the
-//!   CUB approach the paper compares against (ablation A3),
+//! * [`warp_agg`] — the warp-aggregated compaction building block: one
+//!   pass of the paper's split,
+//! * [`split`] — the paper's m-pass binary multisplit and the cascade's
+//!   count + scatter multisplit on a simulated device (ablation A3
+//!   compares them),
 //! * [`scan`] — exclusive prefix scans,
 //! * [`table`] — the m×m partition table and its transposition algebra.
 
@@ -25,12 +26,13 @@
 #![warn(missing_docs)]
 
 pub mod scan;
-pub mod sort_split;
 pub mod split;
 pub mod table;
 pub mod warp_agg;
 
 pub use scan::{col_exclusive_scan, exclusive_scan, row_exclusive_scan};
-pub use split::{device_multisplit, device_multisplit_segments, SegmentedSplit, SplitResult};
+pub use split::{
+    device_multisplit, device_multisplit_segments, SegmentedSplit, SplitResult, RUN_WORDS,
+};
 pub use table::PartitionTable;
-pub use warp_agg::{warp_aggregated_compact, warp_aggregated_compact_segments, CompactSegment};
+pub use warp_agg::warp_aggregated_compact;

@@ -1,4 +1,5 @@
-//! The paper's m-pass binary multisplit.
+//! The device multisplits: the paper's m-pass binary split and the
+//! count + scatter split the cascade runs.
 //!
 //! "Our approach is based on a simpler technique that consecutively
 //! computes m binary splits (one class versus the rest) of keys in global
@@ -6,18 +7,51 @@
 //! compacts all elements of class `c` behind the elements of classes
 //! `< c` in the output buffer, so after `m` passes the buffer is
 //! partition-ordered and the per-class counts/offsets fall out of the
-//! counters.
+//! counter. That is [`device_multisplit`]: `m` launches and `(m + 1)·n`
+//! words of traffic, "a minor portion of the overall runtime" on the
+//! paper's 2²⁴-element batches.
 //!
-//! A pass is one launch however many independent **segments** it splits
-//! ([`device_multisplit_segments`]): each segment has its own input,
-//! output, counter word, counts and offsets, and all of them share the
-//! `m` launches — what lets a cascade carry its query words and its
-//! pairs through one multisplit instead of two (a small batch pays for
-//! launches, §V-B, not for bytes). [`device_multisplit`] is the
-//! one-segment case.
+//! A small batch pays for launches instead (§V-B), so the cascade runs
+//! [`device_multisplit_segments`], which makes **at most two launches
+//! whatever `m`**. A group owns a *run* of [`RUN_WORDS`] consecutive
+//! words — `T` tiles of 32 — of one segment, reads it once into
+//! registers and ballots each tile once per class:
+//!
+//! 1. the **count** launch adds the run's class counts to the segment's
+//!    `m` counter words (≤ `m` atomics per run); the host scans them into
+//!    exclusive class offsets in place;
+//! 2. the **scatter** launch reserves the run's slots behind those `m`
+//!    cursors (≤ `m` atomics per run) and streams every word to its
+//!    place — `3n` words of traffic.
+//!
+//! The run is what keeps the atomics in bounds: with one tile per group
+//! a launch would issue up to `m` atomics per 32 words, twice over, where
+//! one pass of the paper's kernel issues one — at `m = 2` the split would
+//! be slower than the one it replaces. Over `T = 8` tiles the two
+//! launches together issue at most `2m / 8` atomics per 32 words, no more
+//! than one pass for any `m ≤ 4`.
+//!
+//! The count launch exists only to turn per-group counts into
+//! segment-wide offsets, so it is skipped when there is nothing to turn:
+//! at `m = 1`, and when every segment fits one run — a lone group's own
+//! counts *are* the histogram, so it offsets its classes itself and
+//! leaves the counts in the counter words. A call without a word
+//! launches nothing. Which of the three it is follows from `m` and the
+//! segment lengths alone.
 
-use crate::warp_agg::{warp_aggregated_compact_segments, CompactSegment};
-use gpu_sim::{DevSlice, Device, KernelStats};
+use crate::scan::exclusive_scan;
+use crate::warp_agg::warp_aggregated_compact;
+use gpu_sim::{CounterSnapshot, DevSlice, Device, GroupCtx, GroupSize, KernelStats, LaunchOptions};
+
+/// Lanes of a tile: the split runs at warp width.
+const G: usize = 32;
+
+/// Tiles a group sweeps before it touches a counter.
+const T: usize = 8;
+
+/// Words of one group's run. A segment no longer than this is split by a
+/// lone group, which needs no count launch.
+pub const RUN_WORDS: usize = G * T;
 
 /// Outcome of a device multisplit.
 #[derive(Debug, Clone)]
@@ -41,16 +75,20 @@ impl SplitResult {
     }
 }
 
-/// Outcome of a segment-batched device multisplit: per segment what a
-/// [`SplitResult`] holds, in two flat segment-major tables, and the
-/// stats of the `m` launches all segments shared.
+/// Outcome of [`device_multisplit_segments`]: per segment what a
+/// [`SplitResult`] holds, in two flat segment-major tables, and what the
+/// launches all segments shared cost.
 #[derive(Debug, Clone)]
 pub struct SegmentedSplit {
     m: usize,
     counts: Vec<u64>,
     offsets: Vec<u64>,
-    /// Merged stats over all passes (counters add, simulated times add).
-    pub stats: KernelStats,
+    /// Launches made: 0 (no word), 1 (scatter alone) or 2.
+    pub launches: u32,
+    /// Simulated seconds of those launches.
+    pub sim_time: f64,
+    /// Their counters, summed.
+    pub counters: CounterSnapshot,
 }
 
 impl SegmentedSplit {
@@ -65,13 +103,21 @@ impl SegmentedSplit {
     pub fn offsets(&self, s: usize) -> &[u64] {
         &self.offsets[s * self.m..(s + 1) * self.m]
     }
+
+    fn bill(&mut self, launch: &KernelStats) {
+        self.launches += 1;
+        self.sim_time += launch.sim_time;
+        self.counters = self.counters.merged(launch.counters);
+    }
 }
 
-/// Splits the words of `input` into `m` classes given by `class_of`,
+/// Splits the words of `input` into `m` classes given by `class_of` the
+/// paper's way — `m` binary compaction passes over one counter word —
 /// writing the partition-ordered result to `out` (a caller-allocated
 /// double buffer of at least `input.len()` words, as in Fig. 4's
 /// out-of-place scheme). `scratch` must hold ≥ 1 word for the aggregated
-/// counter.
+/// counter. The reference [`device_multisplit_segments`] is tested and
+/// measured against (ablation A3).
 ///
 /// # Panics
 /// Panics if `m == 0`, `out` is shorter than `input`, or `class_of`
@@ -87,30 +133,73 @@ pub fn device_multisplit<F>(
 where
     F: Fn(u64) -> u32 + Sync,
 {
-    let split = device_multisplit_segments(dev, &[(input, out)], scratch, m, class_of);
+    assert!(m > 0, "need at least one class");
+    assert!(out.len() >= input.len(), "output buffer too small");
+    assert!(!scratch.is_empty(), "need a counter word");
+    let counter = scratch.sub(0, 1);
+
+    let mut counts = Vec::with_capacity(m);
+    let mut stats: Option<KernelStats> = None;
+    let mut written = 0usize;
+    for c in 0..m as u32 {
+        dev.mem().fill(counter, 0);
+        // a pass appends its class behind the classes before it
+        let class_out = out.sub(written, out.len() - written);
+        let pass = warp_aggregated_compact(dev, input, class_out, counter, |w| {
+            let cls = class_of(w);
+            assert!(cls < m as u32, "class {cls} out of range (m = {m})");
+            cls == c
+        });
+        let kept = dev.mem().d2h(counter)[0];
+        counts.push(kept);
+        written += kept as usize;
+        stats = Some(match stats {
+            None => pass,
+            Some(s) => s.merged(&pass),
+        });
+    }
+    assert_eq!(written, input.len(), "classes must cover every element");
     SplitResult {
         out: out.sub(0, input.len()),
-        counts: split.counts,
-        offsets: split.offsets,
-        stats: split.stats,
+        offsets: exclusive_scan(&counts),
+        counts,
+        stats: stats.expect("m > 0 guarantees at least one pass"),
     }
+}
+
+/// What a group of the count + scatter split does with its run once it
+/// knows how many of its words each class holds.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// Adds the counts to the segment's counter words.
+    Count,
+    /// Reserves its slots behind the counter words and writes its words
+    /// there. The words hold the class offsets if a count launch ran
+    /// (`counted`); if none did they start at zero and the group offsets
+    /// a class by its own counts of the classes before — right for a lone
+    /// group, and for the one class of `m = 1`.
+    Scatter { counted: bool },
 }
 
 /// Splits each `(input, out)` segment of `segments` into `m` classes
 /// given by `class_of`, every segment on its own — its own
 /// partition-ordered `out` (at least `input.len()` words), counts and
-/// offsets — in the **same `m` launches**: pass `c` compacts class `c`
-/// of all segments at once. `scratch` must hold one counter word per
-/// segment.
+/// offsets — in **at most two launches** (`opts` each) over the segments'
+/// runs laid end to end: count and scatter; scatter alone if `m == 1` or
+/// no segment is longer than [`RUN_WORDS`]; none if every segment is
+/// empty. `scratch` must hold `m` counter words per segment. Under
+/// `Schedule::Sequential` a class keeps its input order.
 ///
 /// # Panics
 /// Panics if `m == 0`, an `out` is shorter than its `input`, `scratch`
-/// is shorter than `segments`, or `class_of` returns a class ≥ `m`.
+/// is shorter than `m · segments.len()`, or `class_of` returns a class
+/// ≥ `m`.
 pub fn device_multisplit_segments<F>(
     dev: &Device,
     segments: &[(DevSlice, DevSlice)],
     scratch: DevSlice,
     m: usize,
+    opts: LaunchOptions,
     class_of: F,
 ) -> SegmentedSplit
 where
@@ -122,62 +211,108 @@ where
         "output buffer too small"
     );
     assert!(
-        scratch.len() >= segments.len(),
-        "need a counter word per segment"
+        scratch.len() >= m * segments.len(),
+        "need m counter words per segment"
     );
-    let counters = scratch.sub(0, segments.len());
-
-    // each segment's window of its output still to fill: a pass appends
-    // its class behind the classes before it
-    let mut pass: Vec<CompactSegment> = segments
-        .iter()
-        .enumerate()
-        .map(|(s, &(input, output))| CompactSegment {
-            input,
-            output,
-            counter: counters.sub(s, 1),
-        })
-        .collect();
-    let mut counts = vec![0u64; segments.len() * m];
-    let mut offsets = vec![0u64; segments.len() * m];
-    let mut stats: Option<KernelStats> = None;
-    for c in 0..m {
-        dev.mem().fill(counters, 0);
-        let launch = warp_aggregated_compact_segments(dev, &pass, |w| {
-            let cls = class_of(w);
-            assert!(cls < m as u32, "class {cls} out of range (m = {m})");
-            cls == c as u32
-        });
-        let kept = dev.mem().d2h(counters);
-        for (s, (seg, &kept)) in pass.iter_mut().zip(&kept).enumerate() {
-            let at = s * m + c;
-            counts[at] = kept;
-            if c > 0 {
-                offsets[at] = offsets[at - 1] + counts[at - 1];
-            }
-            seg.output = seg
-                .output
-                .sub(kept as usize, seg.output.len() - kept as usize);
-        }
-        stats = Some(match stats {
-            None => launch,
-            Some(s) => s.merged(&launch),
-        });
+    let counters = scratch.sub(0, m * segments.len());
+    let runs = |input: &DevSlice| input.len().div_ceil(RUN_WORDS);
+    let mut split = SegmentedSplit {
+        m,
+        counts: Vec::new(),
+        offsets: vec![0; counters.len()],
+        launches: 0,
+        sim_time: 0.0,
+        counters: CounterSnapshot::default(),
+    };
+    let num_groups: usize = segments.iter().map(|(input, _)| runs(input)).sum();
+    if num_groups == 0 {
+        split.counts = vec![0; counters.len()];
+        return split;
     }
+
+    let kernel = |ctx: &GroupCtx, pass: Pass| {
+        // the segment this group's id falls into, and its run within
+        let (mut s, mut run) = (0, ctx.group_id());
+        while run >= runs(&segments[s].0) {
+            run -= runs(&segments[s].0);
+            s += 1;
+        }
+        let (input, output) = segments[s];
+        let first = run * RUN_WORDS;
+        let len = (input.len() - first).min(RUN_WORDS);
+        // streaming read of the run into registers, a class beside each word
+        let (mut vals, mut class) = ([0u64; RUN_WORDS], [0u32; RUN_WORDS]);
+        for i in 0..len {
+            vals[i] = ctx.read_stream(input, first + i);
+            class[i] = class_of(vals[i]);
+            assert!(
+                class[i] < m as u32,
+                "class {} out of range (m = {m})",
+                class[i]
+            );
+        }
+        let mut before = 0u64; // words of the run in the classes before `c`
+        for c in 0..m {
+            // one ballot per tile; the popcounts add up in a register
+            let mut masks = [0u32; T];
+            for (t, mask) in masks.iter_mut().enumerate().take(len.div_ceil(G)) {
+                let lane = |r: u32| t * G + r as usize;
+                *mask = ctx.ballot(|r| lane(r) < len && class[lane(r)] == c as u32);
+            }
+            let count: u64 = masks.iter().map(|mask| u64::from(mask.count_ones())).sum();
+            if count == 0 {
+                continue;
+            }
+            // the leader's one atomic for the whole run and class
+            let cursor = ctx.atomic_add(counters, s * m + c, count);
+            let Pass::Scatter { counted } = pass else {
+                continue;
+            };
+            let mut at = if counted { cursor } else { before + cursor } as usize;
+            for (t, mask) in masks.iter().enumerate() {
+                for r in (0..G).filter(|r| mask & (1 << r) != 0) {
+                    ctx.write_stream(output, at, vals[t * G + r]);
+                    at += 1;
+                }
+            }
+            before += count;
+        }
+    };
+    let launch = |name, pass| {
+        dev.launch(name, num_groups, GroupSize::WARP, opts, |ctx| {
+            kernel(ctx, pass);
+        })
+    };
+
+    dev.mem().fill(counters, 0);
+    let counted = m > 1 && segments.iter().any(|(input, _)| runs(input) > 1);
+    split.bill(&if counted {
+        launch("multisplit_count", Pass::Count)
+    } else {
+        launch("multisplit_scatter", Pass::Scatter { counted: false })
+    });
+    // either launch leaves the class counts in the counter words
+    split.counts = dev.mem().d2h(counters);
     for (s, (input, _)) in segments.iter().enumerate() {
-        let last = (s + 1) * m - 1;
+        let mut total = 0;
+        for at in s * m..(s + 1) * m {
+            split.offsets[at] = total;
+            total += split.counts[at];
+        }
         assert_eq!(
-            (offsets[last] + counts[last]) as usize,
+            total as usize,
             input.len(),
             "classes must cover every element of segment {s}"
         );
     }
-    SegmentedSplit {
-        m,
-        counts,
-        offsets,
-        stats: stats.expect("m > 0 guarantees at least one pass"),
+    if counted {
+        dev.mem().h2d(counters, &split.offsets);
+        split.bill(&launch(
+            "multisplit_scatter",
+            Pass::Scatter { counted: true },
+        ));
     }
+    split
 }
 
 #[cfg(test)]
@@ -270,20 +405,37 @@ mod tests {
         }
     }
 
-    /// Ragged segment lengths around the warp width. Every launch below
-    /// stays under 1 024 groups — one chunk of the pool, so one worker
-    /// runs it whatever the pool's size and its counters repeat exactly.
-    const LENS: [usize; 6] = [0, 1, 31, 32, 33, 1000];
+    /// Ragged segment lengths around the warp width and the run. Every
+    /// launch of these stays under 1 024 groups — one chunk of the pool,
+    /// so one worker runs it whatever the pool's size and its counters
+    /// repeat exactly.
+    const LENS: [usize; 9] = [
+        0,
+        1,
+        31,
+        32,
+        33,
+        RUN_WORDS - 1,
+        RUN_WORDS,
+        RUN_WORDS + 1,
+        1000,
+    ];
+    const CLASSES: [usize; 5] = [1, 2, 3, 4, 8];
 
     fn words(len: usize, salt: u64) -> Vec<u64> {
         (0..len as u64).map(|i| (i * 31 + salt) % 1009).collect()
     }
 
+    fn sorted(mut words: Vec<u64>) -> Vec<u64> {
+        words.sort_unstable();
+        words
+    }
+
     /// A device holding each of `data` in a segment of its own: the
-    /// `(input, out)` pairs and a counter word per segment.
-    fn segments_of(data: &[Vec<u64>]) -> (Device, Vec<(DevSlice, DevSlice)>, DevSlice) {
+    /// `(input, out)` pairs and `m` counter words per segment.
+    fn segments_of(data: &[Vec<u64>], m: usize) -> (Device, Vec<(DevSlice, DevSlice)>, DevSlice) {
         let total: usize = data.iter().map(Vec::len).sum();
-        let dev = Device::with_words(0, 2 * total + data.len() + 16);
+        let dev = Device::with_words(0, 2 * total + m * data.len() + 16);
         let segments = data
             .iter()
             .map(|words| {
@@ -292,99 +444,160 @@ mod tests {
                 (input, dev.alloc(words.len()).unwrap())
             })
             .collect();
-        let scratch = dev.alloc(data.len()).unwrap();
+        let scratch = dev.alloc(m * data.len()).unwrap();
         (dev, segments, scratch)
+    }
+
+    /// Splits `data`, a segment each, by `w mod m` on a device of its own.
+    fn split_of(
+        data: &[Vec<u64>],
+        m: usize,
+        opts: LaunchOptions,
+    ) -> (Device, Vec<(DevSlice, DevSlice)>, SegmentedSplit) {
+        let (dev, segments, scratch) = segments_of(data, m);
+        let split = device_multisplit_segments(&dev, &segments, scratch, m, opts, |w| {
+            (w % m as u64) as u32
+        });
+        (dev, segments, split)
     }
 
     #[test]
     fn every_segment_is_split_on_its_own() {
-        let m = 4;
-        let class_of = |w: u64| (w % m as u64) as u32;
-        for k in 1..=3 {
-            for first in 0..LENS.len() {
-                // k consecutive lengths of the ragged list, wrapping
-                let data: Vec<Vec<u64>> = (0..k)
-                    .map(|s| words(LENS[(first + s) % LENS.len()], s as u64))
-                    .collect();
-                let (dev, segments, scratch) = segments_of(&data);
-                let split = device_multisplit_segments(&dev, &segments, scratch, m, class_of);
-                for (s, (words, &(_, out))) in data.iter().zip(&segments).enumerate() {
-                    let got = dev.mem().d2h(out);
-                    let (counts, offsets) = (split.counts(s), split.offsets(s));
-                    assert_eq!(offsets, exclusive_scan(counts), "k={k} segment {s}");
-                    for c in 0..m {
-                        let class = &got[offsets[c] as usize..][..counts[c] as usize];
-                        assert!(class.iter().all(|&w| class_of(w) == c as u32));
-                        let truth = words.iter().filter(|&&w| class_of(w) == c as u32).count();
-                        assert_eq!(counts[c], truth as u64, "k={k} segment {s} class {c}");
+        for m in CLASSES {
+            for k in 1..=3 {
+                for first in 0..LENS.len() {
+                    // k consecutive lengths of the ragged list, wrapping:
+                    // [1000, 0, 1] is a long segment beside two short ones
+                    let lens: Vec<usize> = (0..k).map(|s| LENS[(first + s) % LENS.len()]).collect();
+                    let data: Vec<Vec<u64>> = lens
+                        .iter()
+                        .zip(0..)
+                        .map(|(&len, s)| words(len, s))
+                        .collect();
+                    let (dev, segments, split) = split_of(&data, m, LaunchOptions::default());
+                    // count + scatter, unless there is nothing to count
+                    let launches = match lens.iter().max() {
+                        Some(0) => 0,
+                        Some(&longest) if m == 1 || longest <= RUN_WORDS => 1,
+                        _ => 2,
+                    };
+                    assert_eq!(split.launches, launches, "m={m} lens {lens:?}");
+                    assert_eq!(dev.lifetime_stats().launches, u64::from(launches));
+                    for (s, (words, &(_, out))) in data.iter().zip(&segments).enumerate() {
+                        let got = dev.mem().d2h(out);
+                        let (counts, offsets) = (split.counts(s), split.offsets(s));
+                        assert_eq!(offsets, exclusive_scan(counts), "m={m} lens {lens:?}");
+                        for c in 0..m {
+                            let class = &got[offsets[c] as usize..][..counts[c] as usize];
+                            assert!(class.iter().all(|&w| w % m as u64 == c as u64));
+                        }
+                        assert_eq!(counts.iter().sum::<u64>() as usize, words.len());
+                        assert_eq!(sorted(got), sorted(words.clone()), "m={m} lens {lens:?}");
                     }
-                    let (mut a, mut b) = (got, words.clone());
-                    a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "k={k} segment {s}: multiset");
+                }
+            }
+        }
+    }
+
+    /// Differential against the paper's m-pass: the same counts, offsets
+    /// and class contents — everything a [`SplitResult`] holds but the
+    /// stats, which are the point of the difference.
+    #[test]
+    fn one_segment_is_device_multisplit_field_by_field() {
+        for m in CLASSES {
+            for len in LENS {
+                let data = [words(len, 7)];
+                let (dev, segments, seg) = split_of(&data, m, LaunchOptions::default());
+                let (ref_dev, one) = run_split(&data[0], m);
+                assert_eq!(seg.counts(0), one.counts, "m={m} len {len}");
+                assert_eq!(seg.offsets(0), one.offsets, "m={m} len {len}");
+                for c in 0..m {
+                    let class = segments[0]
+                        .1
+                        .sub(one.offsets[c] as usize, one.counts[c] as usize);
+                    assert_eq!(
+                        sorted(dev.mem().d2h(class)),
+                        sorted(ref_dev.mem().d2h(one.class_slice(c))),
+                        "m={m} len {len} class {c}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn one_segment_is_device_multisplit_field_by_field() {
-        for len in LENS {
-            let data = [words(len, 7)];
-            let class_of = |w: u64| (w % 3) as u32;
-            let (dev, segments, scratch) = segments_of(&data);
-            let seg = device_multisplit_segments(&dev, &segments, scratch, 3, class_of);
-            let (dev, segments, scratch) = segments_of(&data);
-            let (input, out) = segments[0];
-            let one = device_multisplit(&dev, input, out, scratch, 3, class_of);
-            assert_eq!(seg.counts(0), one.counts);
-            assert_eq!(seg.offsets(0), one.offsets);
-            let (a, b) = (&seg.stats, &one.stats);
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.counters, b.counters, "len {len}");
-            assert_eq!(format!("{:?}", a.breakdown), format!("{:?}", b.breakdown));
-            assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits(), "len {len}");
-            assert_eq!(a.group_size, b.group_size);
-            assert_eq!(a.num_groups, b.num_groups);
-            assert_eq!(dev.lifetime_stats().launches, 3);
+    fn a_class_keeps_its_input_order_under_the_sequential_schedule() {
+        let opts = LaunchOptions::default().with_schedule(gpu_sim::Schedule::Sequential);
+        for m in CLASSES {
+            let data = [words(1000, 3), words(200, 4), words(RUN_WORDS + 1, 5)];
+            let (dev, segments, _) = split_of(&data, m, opts);
+            for (words, &(_, out)) in data.iter().zip(&segments) {
+                let stable: Vec<u64> = (0..m as u64)
+                    .flat_map(|c| words.iter().copied().filter(move |w| w % m as u64 == c))
+                    .collect();
+                assert_eq!(dev.mem().d2h(out), stable, "m={m}");
+            }
         }
     }
 
     #[test]
-    fn k_segments_share_the_m_launches_and_bill_nothing_else_less() {
+    fn k_segments_share_the_launches_and_bill_nothing_else_less() {
         let m = 4;
-        let class_of = |w: u64| (w % m as u64) as u32;
-        let data = [words(1000, 1), words(33, 2), words(31, 3)];
-        let (dev, segments, scratch) = segments_of(&data);
-        let together = device_multisplit_segments(&dev, &segments, scratch, m, class_of);
-        assert_eq!(dev.lifetime_stats().launches, m as u64);
+        // all longer than a run (count + scatter), all within one (scatter)
+        for (lens, each) in [([1000, 300, 257], 2), ([33, 31, 200], 1)] {
+            let data = lens.map(|len| words(len, len as u64));
+            let (dev, _, together) = split_of(&data, m, LaunchOptions::default());
+            assert_eq!(together.launches, each);
 
-        let (dev, segments, scratch) = segments_of(&data);
-        let apart = segments
-            .iter()
-            .map(|&(input, out)| device_multisplit(&dev, input, out, scratch, m, class_of).stats)
-            .reduce(|a, b| a.merged(&b))
-            .unwrap();
-        assert_eq!(dev.lifetime_stats().launches, (data.len() * m) as u64);
-        // the same bytes, atomics and groups; what is saved is launches
-        assert_eq!(together.stats.counters, apart.counters);
-        assert_eq!(together.stats.num_groups, apart.num_groups);
-        let saved = ((data.len() - 1) * m) as f64 * dev.spec().launch_overhead;
-        assert!((apart.sim_time - together.stats.sim_time - saved).abs() < 1e-12);
+            let apart: Vec<SegmentedSplit> = data
+                .iter()
+                .map(|words| split_of(std::slice::from_ref(words), m, LaunchOptions::default()).2)
+                .collect();
+            assert!(apart.iter().all(|split| split.launches == each));
+            // the same bytes, atomics and groups; what is saved is launches
+            let counters = apart.iter().fold(CounterSnapshot::default(), |sum, split| {
+                sum.merged(split.counters)
+            });
+            assert_eq!(together.counters, counters);
+            let apart_time: f64 = apart.iter().map(|split| split.sim_time).sum();
+            let saved = f64::from((data.len() as u32 - 1) * each) * dev.spec().launch_overhead;
+            assert!((apart_time - together.sim_time - saved).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn empty_segment_beside_a_full_one_is_fine() {
         let data = [Vec::new(), words(100, 5), Vec::new()];
-        let (dev, segments, scratch) = segments_of(&data);
-        let split = device_multisplit_segments(&dev, &segments, scratch, 2, |w| (w % 2) as u32);
+        let (dev, segments, split) = split_of(&data, 2, LaunchOptions::default());
         assert_eq!(split.counts(0), [0, 0]);
         assert_eq!(split.counts(2), [0, 0]);
         assert_eq!(split.counts(1).iter().sum::<u64>(), 100);
-        let mut got = dev.mem().d2h(segments[1].1);
-        got.sort_unstable();
-        let mut want = data[1].clone();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        assert_eq!(
+            sorted(dev.mem().d2h(segments[1].1)),
+            sorted(data[1].clone())
+        );
+    }
+
+    /// The split is never slower than the m-pass it replaces, nor issues
+    /// more atomics — the run of `T` tiles is what the latter takes.
+    #[test]
+    fn never_slower_than_the_m_pass_nor_more_atomics() {
+        for m in CLASSES {
+            for n in [1, 33, RUN_WORDS + 1, 1 << 16, 1 << 20] {
+                let data = [words(n, 11)];
+                let (_, _, new) = split_of(&data, m, LaunchOptions::default());
+                let old = run_split(&data[0], m).1.stats;
+                assert!(new.sim_time <= old.sim_time, "m={m} n={n}");
+                assert!(
+                    new.counters.atomic_ops <= old.counters.atomic_ops,
+                    "m={m} n={n}"
+                );
+                if (m, n) == (4, 1 << 20) {
+                    assert!(new.sim_time <= 0.6 * old.sim_time);
+                    assert_eq!(new.counters.stream_bytes, 3 * 8 * (n as u64));
+                    assert_eq!(old.counters.stream_bytes, 5 * 8 * (n as u64));
+                }
+            }
+        }
     }
 }

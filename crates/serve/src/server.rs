@@ -294,7 +294,8 @@ impl<S: MapService> Server<S> {
         let (responses, report) = self.backend.execute(&ops)?;
         let end = self.clock + report.time;
         self.clock = end;
-        self.telemetry.report.merge(&report);
+        // folded: the telemetry lives as long as the server does
+        self.telemetry.report.merge_folded(&report);
         let mut out = Vec::with_capacity(batch.len());
         for (p, response) in batch.into_iter().zip(responses) {
             let latency = end - p.arrival;
@@ -490,7 +491,9 @@ mod tests {
     use super::*;
     use gpu_sim::Device;
     use std::sync::Arc;
-    use warpdrive::{Config, GpuHashMap};
+    use warpdrive::{
+        Config, DeleteResponse, GetResponse, GpuHashMap, OpError, OpReport, PutResponse,
+    };
 
     fn single_gpu(capacity: usize) -> GpuHashMap {
         let dev = Arc::new(Device::with_words(0, capacity * 8 + (1 << 12)));
@@ -701,6 +704,88 @@ mod tests {
         let m = cached.cache_metrics_text();
         assert!(m.contains("wd_serve_cache_hit_rate"));
         assert!(m.contains(&format!("wd_serve_cache_hits_total {}", stats.hits)));
+    }
+
+    /// A node that keeps every `execute` report, one row per occurrence.
+    struct Recording {
+        node: warpdrive::DistributedHashMap,
+        rows: OpReport,
+    }
+
+    impl MapService for Recording {
+        fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
+            self.node.put_batch(pairs)
+        }
+        fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
+            self.node.get_batch(keys)
+        }
+        fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
+            self.node.delete_batch(keys)
+        }
+        fn live_len(&self) -> u64 {
+            self.node.live_len()
+        }
+        fn slot_capacity(&self) -> u64 {
+            self.node.slot_capacity()
+        }
+        fn execute(&mut self, ops: &[Op]) -> Result<(Vec<Response>, OpReport), OpError> {
+            let done = self.node.execute(ops)?;
+            self.rows.merge(&done.1);
+            Ok(done)
+        }
+    }
+
+    #[test]
+    fn telemetry_report_stays_one_row_per_stage_over_ten_thousand_flushes() {
+        use warpdrive::CascadeStage::{
+            Backoff, Insert, Multisplit, Query, Scatter, Transpose, TransposeBack, D2H, H2D,
+        };
+        let devices = (0..4).map(|i| Arc::new(Device::with_words(i, 1 << 14)));
+        let node = warpdrive::DistributedHashMap::new(
+            devices.collect(),
+            1024,
+            Config::default(),
+            interconnect::Topology::p100_quad(4),
+        )
+        .unwrap();
+        let backend = Recording {
+            node,
+            rows: OpReport::default(),
+        };
+        let mut srv = Server::new(backend, ServeConfig::default().with_max_batch(1));
+        for i in 0..10_000u32 {
+            let key = i % 512;
+            let op = match i % 3 {
+                0 => Op::Put { key, value: i },
+                1 => Op::Get { key },
+                _ => Op::Delete { key },
+            };
+            assert_eq!(srv.submit_at(0, op, 0.0).completions.len(), 1);
+        }
+        let stages = [
+            H2D,
+            Multisplit,
+            Transpose,
+            Insert,
+            Query,
+            TransposeBack,
+            Scatter,
+            D2H,
+            Backoff,
+        ];
+        let (total, rows) = (&srv.telemetry().report, &srv.backend().rows);
+        assert_eq!(srv.telemetry().flushes, 10_000);
+        assert!(rows.stages.len() > 30_000);
+        assert!(total.stages.len() <= stages.len());
+        for stage in stages {
+            assert_eq!(
+                total.time_of(stage).to_bits(),
+                rows.time_of(stage).to_bits(),
+                "{stage:?}"
+            );
+        }
+        assert_eq!(total.time.to_bits(), rows.time.to_bits());
+        assert_eq!(total.launches, rows.launches);
     }
 
     #[test]

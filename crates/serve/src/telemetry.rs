@@ -106,8 +106,8 @@ pub struct ServiceTelemetry {
     /// Watermark crossings handed to the backend's incremental resize
     /// (each one admitted a put that would otherwise have been shed).
     pub resizes: u64,
-    /// Merged cost report of every flush (time, backoff, counters,
-    /// cascade stages).
+    /// Merged cost report of every flush (time, backoff, counters), its
+    /// cascade stages folded into one row per stage.
     pub report: OpReport,
     /// End-to-end latency across all tenants.
     pub latency: LatencyHistogram,

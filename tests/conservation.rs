@@ -14,7 +14,7 @@
 //!    input key multiset; erasing a subset leaves exactly the remainder.
 
 use interconnect::Topology;
-use multisplit::{device_multisplit, device_multisplit_segments, PartitionTable};
+use multisplit::{device_multisplit, device_multisplit_segments, PartitionTable, RUN_WORDS};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -55,25 +55,63 @@ fn check_split(
     Ok(())
 }
 
+/// The checker provably fails: a correct split passes, and three
+/// hand-broken copies of it — two words swapped across a class boundary,
+/// one word duplicated over its neighbour, one offset off by one — do not.
+#[test]
+fn the_split_checker_rejects_broken_splits() {
+    let m = 3;
+    let data: Vec<u64> = (0..100u64).map(|i| i * 7 + 1).collect();
+    let split: Vec<u64> = (0..m as u64)
+        .flat_map(|c| data.iter().copied().filter(move |w| w % m as u64 == c))
+        .collect();
+    let counts: Vec<u64> = (0..m as u64)
+        .map(|c| data.iter().filter(|&&w| w % m as u64 == c).count() as u64)
+        .collect();
+    let offsets = multisplit::exclusive_scan(&counts);
+    assert!(check_split(&data, &counts, &offsets, &split, m).is_ok());
+
+    let boundary = offsets[1] as usize;
+    let mut swapped = split.clone();
+    swapped.swap(boundary - 1, boundary);
+    assert!(check_split(&data, &counts, &offsets, &swapped, m).is_err());
+
+    let mut duplicated = split.clone();
+    duplicated[boundary + 1] = duplicated[boundary];
+    assert!(check_split(&data, &counts, &offsets, &duplicated, m).is_err());
+
+    let mut shifted = offsets.clone();
+    shifted[1] += 1;
+    assert!(check_split(&data, &counts, &shifted, &split, m).is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Multisplit is a permutation: same multiset out as in, each class
     /// slice pure, counts summing to n and consistent with offsets — of
-    /// the whole input as one segment, and of each of the three segments
-    /// two cuts make of it, split in the same launches.
+    /// the whole input as one segment by the paper's m-pass, and by the
+    /// cascade's count + scatter split of each of the three segments two
+    /// cuts make of it — the middle one as the cuts fall, or a run of
+    /// 32·T words or one word off — in the launches those lengths take.
     #[test]
     fn multisplit_conserves_the_input_multiset(
-        data in proptest::collection::vec(any::<u64>(), 1..500),
-        m in 2usize..6,
-        cut_a in 0usize..500,
-        cut_b in 0usize..500,
+        data in proptest::collection::vec(any::<u64>(), 1..900),
+        m in 1usize..6,
+        cut_a in 0usize..900,
+        cut_b in 0usize..900,
+        run in proptest::sample::select(vec![
+            None,
+            Some(RUN_WORDS - 1),
+            Some(RUN_WORDS),
+            Some(RUN_WORDS + 1),
+        ]),
     ) {
         let class_of = move |w: u64| (w % m as u64) as u32;
-        let dev = gpu_sim::Device::with_words(0, 4 * data.len() + 16);
+        let dev = gpu_sim::Device::with_words(0, 4 * data.len() + 3 * m + 16);
         let input = dev.alloc(data.len()).unwrap();
         let out = dev.alloc(data.len()).unwrap();
-        let scratch = dev.alloc(3).unwrap();
+        let scratch = dev.alloc(3 * m).unwrap();
         dev.mem().h2d(input, &data);
         let res = device_multisplit(&dev, input, out, scratch, m, class_of);
         prop_assert_eq!(res.counts.len(), m);
@@ -85,13 +123,18 @@ proptest! {
         }
 
         // the three-segment cell: the same words, cut twice
-        let (lo, hi) = (cut_a.min(cut_b).min(data.len()), cut_a.max(cut_b).min(data.len()));
+        let lo = cut_a.min(cut_b).min(data.len());
+        let hi = run.map_or(cut_a.max(cut_b), |run| lo + run).min(data.len());
         let out3 = dev.alloc(data.len()).unwrap();
         let segments = [(0, lo), (lo, hi), (hi, data.len())]
             .map(|(from, to)| (input.sub(from, to - from), out3.sub(from, to - from)));
         let launches = dev.lifetime_stats().launches;
-        let split = device_multisplit_segments(&dev, &segments, scratch, m, class_of);
-        prop_assert_eq!(dev.lifetime_stats().launches - launches, m as u64);
+        let opts = gpu_sim::LaunchOptions::default();
+        let split = device_multisplit_segments(&dev, &segments, scratch, m, opts, class_of);
+        // count + scatter, unless there is nothing to count
+        let longest = segments.iter().map(|(seg_in, _)| seg_in.len()).max().unwrap();
+        let expected = if m == 1 || longest <= RUN_WORDS { 1 } else { 2 };
+        prop_assert_eq!(dev.lifetime_stats().launches - launches, expected);
         for (s, (seg_in, seg_out)) in segments.iter().enumerate() {
             let words = dev.mem().d2h(*seg_in);
             check_split(&words, split.counts(s), split.offsets(s), &dev.mem().d2h(*seg_out), m)?;

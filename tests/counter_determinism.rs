@@ -12,8 +12,9 @@
 //! tests mutating the environment would race.
 
 use gpu_sim::{CounterSnapshot, Device, KernelStats, Schedule, TimeBreakdown};
+use interconnect::Topology;
 use std::sync::Arc;
-use warpdrive::{Config, GpuHashMap};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap};
 use workloads::Distribution;
 
 const N: usize = 4096;
@@ -82,6 +83,56 @@ fn retrieve_stats(map: &GpuHashMap, keys: &[u32]) -> KernelStats {
     map.retrieve_device(input, out, keys.len())
 }
 
+/// One host-sided put + get of 2¹⁸ pairs on a 4-GPU `Sequential` node
+/// filled to 0.89: the bits of every stage time of both reports and every
+/// device's lifetime counters. A split or scatter launch that ignored the
+/// map's schedule would race on the pool once it has more than one
+/// 1 024-group chunk, as the paper's m-pass had here (2 048 warps per
+/// GPU): the order of the words inside a class would follow the
+/// interleaving, and at this load so do the probe counters of the insert
+/// kernel that receives them.
+fn run_node_pass() -> (Vec<u64>, Vec<CounterSnapshot>) {
+    let pairs = Distribution::Unique.generate(1 << 18, SEED);
+    let devices: Vec<Arc<Device>> = (0..4)
+        .map(|i| Arc::new(Device::with_words(i, 1 << 19)))
+        .collect();
+    let cfg = Config::default().with_schedule(Schedule::Sequential);
+    let node =
+        DistributedHashMap::new(devices, 73_728, cfg, Topology::p100_quad(4)).unwrap();
+    let put = node.insert_from_host(&pairs).unwrap();
+    let keys: Vec<u32> = pairs.iter().map(|&(k, _)| k).collect();
+    let get = node.try_retrieve_from_host(&keys).unwrap();
+    assert!(get.values.iter().all(Option::is_some));
+    let times = put.stages.iter().chain(&get.report.stages);
+    let counters = node.maps().iter();
+    (
+        times.map(|stage| stage.time.to_bits()).collect(),
+        counters
+            .map(|map| map.device().lifetime_stats().counters)
+            .collect(),
+    )
+}
+
+/// Runs `pass` on 1, 2 and 8 pool workers and holds every run to the
+/// first one's result.
+fn assert_equal_at_every_worker_count<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    mut pass: impl FnMut() -> T,
+) {
+    let mut baseline = None;
+    for workers in ["1", "2", "8"] {
+        std::env::set_var("RAYON_NUM_THREADS", workers);
+        let got = pass();
+        match &baseline {
+            None => baseline = Some(got),
+            Some(want) => assert_eq!(
+                want, &got,
+                "{what}: modeled results changed between 1 and {workers} workers"
+            ),
+        }
+    }
+}
+
 #[test]
 fn modeled_results_are_bit_equal_across_worker_counts() {
     // Deterministic schedules: totals must not depend on the worker count
@@ -92,25 +143,16 @@ fn modeled_results_are_bit_equal_across_worker_counts() {
     // (CAS outcomes may differ), so only its *read-only* retrieve pass —
     // which exercises the chunked flush across real pool workers — is
     // held to bit-equality here.
-    let sweeps: &[&str] = &["1", "2", "8"];
-
-    for &(name, schedule) in &[
+    for (name, schedule) in [
         ("sequential", Schedule::Sequential),
         ("seeded", Schedule::Seeded(0xDECAF)),
     ] {
-        let mut baseline = None;
-        for workers in sweeps {
-            std::env::set_var("RAYON_NUM_THREADS", workers);
-            let got = run_pass(schedule);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(want) => assert_eq!(
-                    want, &got,
-                    "{name}: modeled results changed between 1 and {workers} workers"
-                ),
-            }
-        }
+        assert_equal_at_every_worker_count(name, || run_pass(schedule));
     }
+
+    // The cascade: its split and scatter launches take the map's schedule
+    // like its kernels, so a Sequential node repeats at every worker count.
+    assert_equal_at_every_worker_count("sequential node", run_node_pass);
 
     // Pool retrieve on a fixed, quiesced table: read-only probing is
     // deterministic, so counters and stage times must be bit-equal even
@@ -127,17 +169,8 @@ fn modeled_results_are_bit_equal_across_worker_counts() {
     // populate on one worker so the table contents are deterministic
     std::env::set_var("RAYON_NUM_THREADS", "1");
     map.insert_pairs(&pairs).unwrap();
-    let mut baseline = None;
-    for workers in sweeps {
-        std::env::set_var("RAYON_NUM_THREADS", workers);
-        let got = Fingerprint::of(&retrieve_stats(&map, &keys));
-        match &baseline {
-            None => baseline = Some(got),
-            Some(want) => assert_eq!(
-                want, &got,
-                "pool retrieve: modeled results changed at {workers} workers"
-            ),
-        }
-    }
+    assert_equal_at_every_worker_count("pool retrieve", || {
+        Fingerprint::of(&retrieve_stats(&map, &keys))
+    });
     std::env::remove_var("RAYON_NUM_THREADS");
 }
