@@ -56,9 +56,9 @@ impl SortCompressStore {
 
         // model: RADIX_PASSES × (stream read + sector scatter + stream write)
         let mut stats: Option<KernelStats> = None;
-        for pass in 0..RADIX_PASSES {
+        for _ in 0..RADIX_PASSES {
             let s = dev.launch(
-                &format!("radix_pass_{pass}"),
+                "radix_pass",
                 n.div_ceil(32),
                 GroupSize::WARP,
                 LaunchOptions::default(),

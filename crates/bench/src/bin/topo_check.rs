@@ -37,10 +37,7 @@ fn main() {
 
     // balanced all-to-all
     let per = 1u64 << 30;
-    let sizes: Vec<Vec<u64>> = (0..4)
-        .map(|i| (0..4).map(|j| if i == j { 0 } else { per }).collect())
-        .collect();
-    let rep = alltoall_time(&topo, &sizes);
+    let rep = alltoall_time(&topo, |_, _| per);
     println!(
         "\nbalanced all-to-all accumulated bandwidth: {:.0} GB/s (paper ~192)",
         rep.accumulated_bandwidth() / 1e9

@@ -165,10 +165,13 @@ fn unless_exhausted<T>(res: Result<T, OpError>, failed: &mut u64) -> Result<Opti
     }
 }
 
-/// Per-GPU data prepared for a cascade (device-resident words).
+/// Per-GPU data prepared for a cascade (device-resident words). What a
+/// round owns on the heap is listed here and in [`Sent`], plus the host
+/// copy of the received words, their cuts and one list of answers.
 struct SplitPhase<'g> {
-    /// Scratch guards keeping the buffers alive.
-    _guards: Vec<ScratchGuard<'g>>,
+    /// Scratch guards keeping the buffers alive: every GPU's split
+    /// buffer, then what [`DistributedHashMap::transpose_move`] lands.
+    guards: Vec<ScratchGuard<'g>>,
     /// What each source GPU sends.
     sent: Vec<Sent>,
     /// The m×m partition table over all segments.
@@ -179,25 +182,38 @@ struct SplitPhase<'g> {
 
 /// One source GPU's multisplit.
 struct Sent {
-    /// Its output buffer: the segments back to back, each
+    /// Its output buffers, which lie back to back: a segment each,
     /// partition-ordered.
-    out: DevSlice,
+    out: [DevSlice; MAX_SEGMENTS],
     /// Per segment, the counts and offsets of the classes — the targets.
     classes: SegmentedSplit,
 }
 
-/// The m×m partition table of the first `segments` segments together.
-fn partition_table(sent: &[Sent], segments: usize) -> PartitionTable {
-    let row = |classes: &SegmentedSplit| {
-        let mut row = classes.counts(0).to_vec();
-        for s in 1..segments {
-            for (sum, n) in row.iter_mut().zip(classes.counts(s)) {
+impl Sent {
+    /// The words of segment `s` this GPU holds for target `j`.
+    fn chunk(&self, s: usize, j: usize) -> DevSlice {
+        let (at, n) = (self.classes.offsets(s)[j], self.classes.counts(s)[j]);
+        self.out[s].sub(at as usize, n as usize)
+    }
+}
+
+/// The m×m partition table of `segments` together, built in place.
+fn partition_table(sent: &[Sent], segments: std::ops::Range<usize>) -> PartitionTable {
+    let m = sent.len();
+    let mut counts = vec![0; m * m];
+    for (row, sent) in counts.chunks_mut(m).zip(sent) {
+        for s in segments.clone() {
+            for (sum, n) in row.iter_mut().zip(sent.classes.counts(s)) {
                 *sum += n;
             }
         }
-        row
-    };
-    PartitionTable::new(sent.iter().map(|sent| row(&sent.classes)).collect())
+    }
+    PartitionTable::new(m, counts)
+}
+
+/// The lists of a device-sided call as the cascade takes them.
+fn slices(per_gpu_words: &[Vec<u64>]) -> Vec<&[u64]> {
+    per_gpu_words.iter().map(Vec::as_slice).collect()
 }
 
 /// Query words for keys resident per GPU: the key with its per-GPU index
@@ -265,10 +281,11 @@ impl DistributedHashMap {
     /// are the words of segment `s` already resident on GPU `g`),
     /// appending its stages to `report`.
     ///
-    /// `kernel(j, buf, cuts)` runs the operation's kernel on GPU `j` over
-    /// the words it received — segment after segment, `cuts` long — and
-    /// returns its simulated time plus one answer per word of segment 0
-    /// (none for an operation without return trip);
+    /// `kernel(j, buf, cuts, answers)` runs the operation's kernel on GPU
+    /// `j` over the words it received — segment after segment, `cuts`
+    /// long — returns its simulated time and leaves in `answers` (empty
+    /// on entry, one list for the whole round) one answer per word of
+    /// segment 0, none for an operation without return trip;
     /// `answer((g, i), word, a)` receives the answer to the caller's
     /// `segments[0][g][i]`. Under an armed fault plan rounds may run
     /// more than once: input addressed to quarantined GPUs re-spreads
@@ -282,22 +299,23 @@ impl DistributedHashMap {
     pub(crate) fn cascade<A>(
         &self,
         op: &CascadeOp,
-        segments: &[&[Vec<u64>]],
+        segments: &[&[&[u64]]],
         report: &mut CascadeReport,
-        mut kernel: impl FnMut(usize, DevSlice, &Cuts) -> Result<(f64, Vec<A>), OpError>,
+        mut kernel: impl FnMut(usize, DevSlice, &Cuts, &mut Vec<A>) -> Result<f64, OpError>,
         mut answer: impl FnMut((usize, usize), u64, &A),
     ) -> Result<(), OpError> {
+        let m = self.num_gpus();
         assert!((1..=MAX_SEGMENTS).contains(&segments.len()));
         for per_gpu_words in segments {
-            assert_eq!(per_gpu_words.len(), self.num_gpus(), "one batch per GPU");
+            assert_eq!(per_gpu_words.len(), m, "one batch per GPU");
         }
         let policy = self.retry_policy();
         self.with_failover(report, |plan, mask, report, tally| {
             // the healthy path borrows the caller's words as they are
             let respread = (mask != 0).then(|| self.respread(op, segments, mask));
-            let effective: Option<Vec<&[Vec<u64>]>> = respread
-                .as_ref()
-                .map(|(words, _)| words.iter().map(Vec::as_slice).collect());
+            let lists = respread.as_ref().map(|(words, _)| slices(words));
+            let effective: Option<Vec<&[&[u64]]>> =
+                lists.as_ref().map(|lists| lists.chunks(m).collect());
             let origin = respread.as_ref().map(|(_, origin)| &origin[..]);
             let router = self.router_for(mask);
             self.round(
@@ -320,14 +338,14 @@ impl DistributedHashMap {
     fn round<A>(
         &self,
         op: &CascadeOp,
-        segments: &[&[Vec<u64>]],
+        segments: &[&[&[u64]]],
         origin: Option<&[Vec<(usize, usize)>]>,
         router: &Router,
         plan: &FaultPlan,
         policy: &RetryPolicy,
         report: &mut CascadeReport,
         tally: &mut ChaosTally,
-        kernel: &mut impl FnMut(usize, DevSlice, &Cuts) -> Result<(f64, Vec<A>), OpError>,
+        kernel: &mut impl FnMut(usize, DevSlice, &Cuts, &mut Vec<A>) -> Result<f64, OpError>,
         answer: &mut impl FnMut((usize, usize), u64, &A),
     ) -> Result<(), Abort> {
         let m = self.num_gpus();
@@ -335,13 +353,14 @@ impl DistributedHashMap {
         let opts = LaunchOptions::default()
             .with_schedule(self.cfg().schedule)
             .with_per_op_dispatch(self.cfg().per_op_dispatch);
-        let alltoall = |bytes: Vec<Vec<u64>>, tally: &mut ChaosTally| {
-            let phase = alltoall_time_faulted(self.topology(), &bytes, plan, policy);
+        let alltoall = |bytes: &dyn Fn(usize, usize) -> u64, tally: &mut ChaosTally| {
+            let phase = alltoall_time_faulted(self.topology(), bytes, plan, policy);
             tally.settle(plan, policy, phase).map_err(Abort::Lost)
         };
 
         // Phases 1+2: multisplit and transposition
-        let split = self.multisplit_phase(segments, router, opts, plan, policy, report, tally)?;
+        let mut split =
+            self.multisplit_phase(segments, router, opts, plan, policy, report, tally)?;
         // the GPUs split side by side: the stage waits for the most
         // launches and streams the bytes of all
         let splits = split.sent.iter().map(|sent| &sent.classes);
@@ -352,9 +371,9 @@ impl DistributedHashMap {
             splits.map(|c| c.counters.stream_bytes).sum(),
             oh * f64::from(sequential),
         );
-        let transpose = alltoall(split.table.byte_matrix(8), tally)?;
-        let (recv, recv_cuts, recv_guards) = self
-            .transpose_move(segments.len(), &split)
+        let transpose = alltoall(&|i, j| split.table.bytes(i, j, 8), tally)?;
+        let (recv, landed) = self
+            .transpose_move(segments.len(), &mut split)
             .map_err(Abort::Fatal)?;
         report.push(CascadeStage::Transpose, transpose.time, transpose.bytes);
 
@@ -362,7 +381,11 @@ impl DistributedHashMap {
         let mut worst = 0.0f64;
         let mut late_worst = None;
         let mut failed = 0u64;
-        for (j, words) in recv.iter().enumerate() {
+        let mut answers = Vec::new();
+        let mut rest = &recv[..];
+        for (j, (cuts, buf)) in landed.iter().enumerate() {
+            let words;
+            (words, rest) = rest.split_at(buf.len());
             if words.is_empty() {
                 continue;
             }
@@ -382,24 +405,21 @@ impl DistributedHashMap {
                 }
             }
             gate.map_err(Abort::Lost)?;
-            let buf = recv_guards[j].slice().sub(0, words.len());
             report.launches += 1;
-            if let Some((time, answers)) =
-                unless_exhausted(kernel(j, buf, &recv_cuts[j]), &mut failed)?
+            answers.clear();
+            if let Some(time) = unless_exhausted(kernel(j, *buf, cuts, &mut answers), &mut failed)?
             {
                 worst = worst.max(straggled(plan, j, time));
                 // segment 0 of `words` is every source GPU's chunk for
                 // `j` in GPU order; hand the answers out now, so they
                 // stand even if a later target aborts the round
-                let sources = (0..m).flat_map(|i| {
-                    std::iter::repeat_n(i, split.sent[i].classes.counts(0)[j] as usize)
-                });
+                let sources =
+                    (0..m).flat_map(|i| std::iter::repeat_n(i, split.sent[i].chunk(0, j).len()));
                 for ((i, &word), a) in sources.zip(words).zip(&answers) {
                     let slot = value_of(word) as usize;
                     answer(origin.map_or((i, slot), |o| o[i][slot]), word, a);
                 }
             }
-            let cuts = &recv_cuts[j];
             if let Some(late) = op.late.filter(|&late| cuts[late] > 0) {
                 // after the kernel on this target, so that a key it both
                 // read and wrote was read first
@@ -427,9 +447,10 @@ impl DistributedHashMap {
         let Some(back) = &op.back else {
             return Ok(());
         };
-        let answered = (segments.len() > 1).then(|| partition_table(&split.sent, 1));
+        let answered = (segments.len() > 1).then(|| partition_table(&split.sent, 0..1));
         let answered = answered.as_ref().unwrap_or(&split.table);
-        let transpose = alltoall(answered.transposed().byte_matrix(back.bytes), tally)?;
+        // the transposed cells: target `j`'s answers travel to source `i`
+        let transpose = alltoall(&|j, i| answered.bytes(i, j, back.bytes), tally)?;
         report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes);
         let mut worst = 0.0f64;
         for (i, sent) in split.sent.iter().enumerate() {
@@ -458,20 +479,21 @@ impl DistributedHashMap {
     /// by segment, tracking for segment 0 each effective slot's `(origin
     /// GPU, origin index)` so answers return in the caller's order. The
     /// words of an answered segment 0 have their low half rewritten to
-    /// the effective slot.
+    /// the effective slot. Returns the effective lists, every segment's
+    /// `m` one after the other, and the origins.
     #[allow(clippy::type_complexity)]
     fn respread(
         &self,
         op: &CascadeOp,
-        segments: &[&[Vec<u64>]],
+        segments: &[&[&[u64]]],
         mask: u32,
-    ) -> (Vec<Vec<Vec<u64>>>, Vec<Vec<(usize, usize)>>) {
+    ) -> (Vec<Vec<u64>>, Vec<Vec<(usize, usize)>>) {
         let m = self.num_gpus();
         let live: Vec<usize> = (0..m).filter(|&g| mask & (1 << g) == 0).collect();
-        let mut eff: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); m]; segments.len()];
+        let mut eff: Vec<Vec<u64>> = vec![Vec::new(); m * segments.len()];
         let mut origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); m];
         let mut rr = 0usize;
-        for (s, (per_gpu_words, eff)) in segments.iter().zip(&mut eff).enumerate() {
+        for (s, (per_gpu_words, eff)) in segments.iter().zip(eff.chunks_mut(m)).enumerate() {
             let indexed = s == 0 && op.back.is_some();
             for (i, words) in per_gpu_words.iter().enumerate() {
                 for (idx, &w) in words.iter().enumerate() {
@@ -503,7 +525,7 @@ impl DistributedHashMap {
     #[allow(clippy::too_many_arguments)]
     fn multisplit_phase(
         &self,
-        segments: &[&[Vec<u64>]],
+        segments: &[&[&[u64]]],
         router: &Router,
         opts: LaunchOptions,
         plan: &FaultPlan,
@@ -512,7 +534,7 @@ impl DistributedHashMap {
         tally: &mut ChaosTally,
     ) -> Result<SplitPhase<'_>, Abort> {
         let m = self.num_gpus();
-        let mut guards = Vec::new();
+        let mut guards = Vec::with_capacity(2 * m);
         let mut sent = Vec::with_capacity(m);
         let mut worst = 0.0f64;
         for i in 0..m {
@@ -538,26 +560,26 @@ impl DistributedHashMap {
             let mut parts = [(input, output); MAX_SEGMENTS];
             let mut at = 0;
             for (part, per_gpu_words) in parts.iter_mut().zip(segments) {
-                let words = &per_gpu_words[i];
+                let words = per_gpu_words[i];
                 *part = (input.sub(at, words.len()), output.sub(at, words.len()));
                 dev.mem().h2d(part.0, words);
                 at += words.len();
             }
-            let parts = &parts[..segments.len()];
-            let classes = device_multisplit_segments(dev, parts, counters, m, opts, |w| {
-                router.route(key_of(w))
-            });
+            let classes =
+                device_multisplit_segments(dev, &parts[..segments.len()], counters, m, opts, |w| {
+                    router.route(key_of(w))
+                });
             report.launches += u64::from(classes.launches);
             worst = worst.max(straggled(plan, i, classes.sim_time));
             sent.push(Sent {
-                out: output,
+                out: parts.map(|(_, out)| out),
                 classes,
             });
             guards.push(guard);
         }
         Ok(SplitPhase {
-            _guards: guards,
-            table: partition_table(&sent, segments.len()),
+            guards,
+            table: partition_table(&sent, 0..segments.len()),
             sent,
             time: worst,
         })
@@ -565,55 +587,41 @@ impl DistributedHashMap {
 
     /// Moves every partition to its target GPU (functional movement only
     /// — the transfer itself is billed by the caller via the all-to-all
-    /// model, faulted or healthy): a target's buffer is segment after
-    /// segment, each every source's chunk in GPU order, as its returned
-    /// [`Cuts`] say.
+    /// model, faulted or healthy). The received words come back in one
+    /// buffer, target after target; a target's are segment after segment,
+    /// each every source's chunk in GPU order, as the [`Cuts`] beside the
+    /// place they landed on its device say. Every chunk is read straight
+    /// into its place.
     #[allow(clippy::type_complexity)]
     fn transpose_move<'s>(
         &'s self,
         segments: usize,
-        split: &SplitPhase<'_>,
-    ) -> Result<(Vec<Vec<u64>>, Vec<Cuts>, Vec<ScratchGuard<'s>>), OpError> {
-        let m = self.num_gpus();
-        let mut cuts: Vec<Cuts> = vec![[0; MAX_SEGMENTS]; m];
-        for sent in &split.sent {
-            #[allow(clippy::needless_range_loop)] // (s, j) walks a source's count table
-            for s in 0..segments {
-                for (j, &n) in sent.classes.counts(s).iter().enumerate() {
-                    cuts[j][s] += n as usize;
+        split: &mut SplitPhase<'s>,
+    ) -> Result<(Vec<u64>, Vec<(Cuts, DevSlice)>), OpError> {
+        let mut recv = vec![0; split.table.total() as usize];
+        let mut landed = Vec::with_capacity(self.num_gpus());
+        let mut at = 0;
+        for j in 0..self.num_gpus() {
+            let start = at;
+            let mut cuts: Cuts = [0; MAX_SEGMENTS];
+            for (s, cut) in cuts.iter_mut().enumerate().take(segments) {
+                for (i, sent) in split.sent.iter().enumerate() {
+                    let chunk = sent.chunk(s, j);
+                    let mem = self.device(i).mem();
+                    mem.d2h_into(chunk, &mut recv[at..at + chunk.len()]);
+                    at += chunk.len();
+                    *cut += chunk.len();
                 }
             }
-        }
-        let mut recv: Vec<Vec<u64>> = cuts.iter().map(|c| vec![0; c.iter().sum()]).collect();
-        // where the next chunk of each segment lands in its target's buffer
-        let mut at: Vec<Cuts> = cuts
-            .iter()
-            .map(|c| std::array::from_fn(|s| c[..s].iter().sum()))
-            .collect();
-        for (i, Sent { out, classes }) in split.sent.iter().enumerate() {
-            // one download per source, not one per (source, target) cell
-            let words = self.device(i).mem().d2h(*out);
-            let mut start = 0;
-            for s in 0..segments {
-                let (offsets, counts) = (classes.offsets(s), classes.counts(s));
-                for (j, (&off, &cnt)) in offsets.iter().zip(counts).enumerate() {
-                    let chunk = &words[start + off as usize..][..cnt as usize];
-                    recv[j][at[j][s]..][..chunk.len()].copy_from_slice(chunk);
-                    at[j][s] += chunk.len();
-                }
-                start += counts.iter().sum::<u64>() as usize;
-            }
-        }
-        // land the received words in device memory on their targets
-        let mut guards = Vec::with_capacity(m);
-        for (j, words) in recv.iter().enumerate() {
+            // land the received words in device memory on their target
+            let words = &recv[start..at];
             let guard = self.device(j).alloc_scratch(words.len().max(1))?;
-            self.device(j)
-                .mem()
-                .h2d(guard.slice().sub(0, words.len()), words);
-            guards.push(guard);
+            let buf = guard.slice().sub(0, words.len());
+            self.device(j).mem().h2d(buf, words);
+            split.guards.push(guard);
+            landed.push((cuts, buf));
         }
-        Ok((recv, cuts, guards))
+        Ok((recv, landed))
     }
 
     // ---- the operations ---------------------------------------------------
@@ -621,68 +629,70 @@ impl DistributedHashMap {
     /// Insertion of packed pairs: multisplit → transposition → insert.
     pub(crate) fn insert_words(
         &self,
-        per_gpu_words: &[Vec<u64>],
+        per_gpu_words: &[&[u64]],
         report: &mut CascadeReport,
     ) -> Result<(), OpError> {
         self.cascade(
             &INSERT,
             &[per_gpu_words],
             report,
-            |j, buf, &[n, ..]| {
-                let outcome = self.maps()[j].insert_device(buf, n)?;
-                Ok((outcome.stats.sim_time, Vec::new()))
+            |j, buf, &[n, ..], _: &mut Vec<()>| {
+                Ok(self.maps()[j].insert_device(buf, n)?.stats.sim_time)
             },
-            |_, _, _: &()| {},
+            |_, _, _| {},
         )
     }
 
     /// Retrieval of [`indexed`] query words: … → query → transposition
     /// back → scatter. Queries are positional: answer `r` is the packed
-    /// pair (or `EMPTY`) for received word `r`.
+    /// pair (or `EMPTY`) for received word `r`. `found((g, i), value)`
+    /// receives what the key of `per_gpu_words[g][i]` holds.
     pub(crate) fn query_words(
         &self,
-        per_gpu_words: &[Vec<u64>],
+        per_gpu_words: &[&[u64]],
         report: &mut CascadeReport,
-    ) -> Result<Vec<Vec<Option<u32>>>, OpError> {
-        let mut values: Vec<Vec<Option<u32>>> =
-            per_gpu_words.iter().map(|w| vec![None; w.len()]).collect();
+        mut found: impl FnMut((usize, usize), Option<u32>),
+    ) -> Result<(), OpError> {
         self.cascade(
             &RETRIEVE,
             &[per_gpu_words],
             report,
-            |j, input, &[n, ..]| {
+            |j, input, &[n, ..], pairs| {
                 let dev = self.device(j);
                 let out = dev.alloc_scratch(n)?;
                 let stats = self.maps()[j].retrieve_device(input, out.slice(), n);
-                Ok((stats.sim_time, dev.mem().d2h(out.slice())))
+                pairs.resize(n, EMPTY);
+                dev.mem().d2h_into(out.slice(), pairs);
+                Ok(stats.sim_time)
             },
-            |(g, i), word, &found| values[g][i] = found_value(word, found),
-        )?;
-        Ok(values)
+            |at, word, &pair| found(at, found_value(word, pair)),
+        )
     }
 
     /// Erasure of [`indexed`] query words: … → erase → one status byte
-    /// per key back → scatter. Returns the per-key hit flags and the
-    /// tombstoned count; both accumulate over restarted rounds.
+    /// per key back → scatter. `hit((g, i), flag)` receives the hit flag
+    /// of `per_gpu_words[g][i]` — of every round, so a caller ORs them;
+    /// returns the tombstoned count, which accumulates likewise.
     pub(crate) fn erase_words(
         &self,
-        per_gpu_words: &[Vec<u64>],
+        per_gpu_words: &[&[u64]],
         report: &mut CascadeReport,
-    ) -> Result<(Vec<Vec<bool>>, u64), OpError> {
-        let mut hits: Vec<Vec<bool>> = per_gpu_words.iter().map(|w| vec![false; w.len()]).collect();
+        mut hit: impl FnMut((usize, usize), bool),
+    ) -> Result<u64, OpError> {
         let mut erased = 0u64;
         self.cascade(
             &ERASE,
             &[per_gpu_words],
             report,
-            |j, buf, &[n, ..]| {
+            |j, buf, &[n, ..], hits| {
                 let out = self.maps()[j].erase_device_shared(buf, n);
                 erased += out.erased;
-                Ok((out.stats.sim_time, out.hits))
+                *hits = out.hits;
+                Ok(out.stats.sim_time)
             },
-            |(g, i), _, &hit| hits[g][i] |= hit,
+            |at, _, &flag| hit(at, flag),
         )?;
-        Ok((hits, erased))
+        Ok(erased)
     }
 
     /// The mixed round over the segments `[indexed query words | pairs of
@@ -692,35 +702,33 @@ impl DistributedHashMap {
     /// keys are distinct, so they race freely, §IV-A), then on a target
     /// that received any the pairs of the third in an insert launch of
     /// their own → transposition back → scatter, of the query words alone.
-    /// Returns what each queried key held **before** the call; every
-    /// entry is `Some` on `Ok`.
+    /// `found((g, i), value)` receives what the key of `segments[0][g][i]`
+    /// held **before** the call, once on `Ok`.
     ///
     /// The first answer a key gets stands: a round re-run after a lost
-    /// device would read what the aborted one already wrote.
-    #[allow(clippy::type_complexity)]
+    /// device would read what the aborted one already wrote, and `found`
+    /// sees that too.
     pub(crate) fn get_put_words(
         &self,
-        segments: &[Vec<Vec<u64>>; 3],
+        segments: [&[&[u64]]; 3],
         report: &mut CascadeReport,
-    ) -> Result<Vec<Vec<Option<Option<u32>>>>, OpError> {
-        let mut values: Vec<Vec<Option<Option<u32>>>> =
-            segments[0].iter().map(|w| vec![None; w.len()]).collect();
+        mut found: impl FnMut((usize, usize), Option<u32>),
+    ) -> Result<(), OpError> {
         self.cascade(
             &GET_PUT,
-            &segments.each_ref().map(Vec::as_slice),
+            &segments,
             report,
-            |j, buf, &[gets, puts, _]| {
+            |j, buf, &[gets, puts, _], pairs| {
                 let dev = self.device(j);
                 let out = dev.alloc_scratch(gets)?;
                 let fused = buf.sub(0, gets + puts);
                 let outcome = self.maps()[j].get_put_device(fused, out.slice(), gets)?;
-                Ok((outcome.stats.sim_time, dev.mem().d2h(out.slice())))
+                pairs.resize(gets, EMPTY);
+                dev.mem().d2h_into(out.slice(), pairs);
+                Ok(outcome.stats.sim_time)
             },
-            |(g, i), word, &found| {
-                values[g][i].get_or_insert(found_value(word, found));
-            },
-        )?;
-        Ok(values)
+            |at, word, &pair| found(at, found_value(word, pair)),
+        )
     }
 
     /// Device-sided insertion cascade: `per_gpu_words[i]` are packed pairs
@@ -741,7 +749,7 @@ impl DistributedHashMap {
         per_gpu_words: &[Vec<u64>],
     ) -> Result<CascadeReport, OpError> {
         let mut report = new_report(per_gpu_words);
-        self.insert_words(per_gpu_words, &mut report)?;
+        self.insert_words(&slices(per_gpu_words), &mut report)?;
         Ok(report)
     }
 
@@ -761,10 +769,11 @@ impl DistributedHashMap {
     ) -> Result<PerGpuGetResponse, OpError> {
         let words = indexed(per_gpu_keys);
         let mut report = new_report(&words);
-        let values = self.query_words(&words, &mut report)?;
+        let mut values: Vec<Vec<Option<u32>>> = words.iter().map(|w| vec![None; w.len()]).collect();
+        self.query_words(&slices(&words), &mut report, |(g, i), v| values[g][i] = v)?;
         Ok(PerGpuGetResponse {
             values,
-            report: OpReport::from_cascade(&report),
+            report: OpReport::from_cascade(report),
         })
     }
 
@@ -787,11 +796,14 @@ impl DistributedHashMap {
     ) -> Result<PerGpuDeleteResponse, OpError> {
         let words = indexed(per_gpu_keys);
         let mut report = new_report(&words);
-        let (hits, erased) = self.erase_words(&words, &mut report)?;
+        let mut hits: Vec<Vec<bool>> = words.iter().map(|w| vec![false; w.len()]).collect();
+        let erased = self.erase_words(&slices(&words), &mut report, |(g, i), hit| {
+            hits[g][i] |= hit;
+        })?;
         Ok(PerGpuDeleteResponse {
             hits,
             erased,
-            report: OpReport::from_cascade(&report),
+            report: OpReport::from_cascade(report),
         })
     }
 }

@@ -50,7 +50,6 @@ pub struct Router {
     primary: PartitionFn,
     fallback: PartitionFn,
     mask: u32,
-    live: Vec<u32>,
 }
 
 impl Router {
@@ -61,14 +60,13 @@ impl Router {
     /// Panics if the mask quarantines every GPU.
     #[must_use]
     pub fn new(primary: PartitionFn, fallback: PartitionFn, mask: u32) -> Self {
-        let live: Vec<u32> = (0..primary.m).filter(|&g| mask & (1 << g) == 0).collect();
-        assert!(!live.is_empty(), "router needs at least one live GPU");
-        Self {
+        let router = Self {
             primary,
             fallback,
             mask,
-            live,
-        }
+        };
+        assert!(router.num_live() > 0, "router needs at least one live GPU");
+        router
     }
 
     /// The GPU that owns key `k` under the current quarantine mask.
@@ -78,20 +76,21 @@ impl Router {
         if self.mask & (1 << p) == 0 {
             p
         } else {
-            self.live[self.fallback.part(k) as usize % self.live.len()]
+            // the survivors in a ring (`new` saw one, so it never ends)
+            let nth = self.fallback.part(k) as usize;
+            self.live().cycle().nth(nth).unwrap_or(p)
         }
     }
 
     /// Number of live GPUs.
     #[must_use]
     pub fn num_live(&self) -> usize {
-        self.live.len()
+        self.live().count()
     }
 
     /// Live GPU indices in ascending order.
-    #[must_use]
-    pub fn live(&self) -> &[u32] {
-        &self.live
+    pub fn live(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        (0..self.primary.m).filter(move |&g| self.mask & (1 << g) == 0)
     }
 
     /// This router with GPU `j` additionally masked, or `None` if that
@@ -249,7 +248,7 @@ mod tests {
         // the lost partition spreads over all three survivors, roughly
         // evenly (each ≥ half its fair share)
         let spread: u32 = fallback_counts.iter().sum();
-        for &g in r.live() {
+        for g in r.live() {
             assert!(
                 fallback_counts[g as usize] > spread / 6,
                 "survivor {g} got {fallback_counts:?}"
@@ -273,7 +272,7 @@ mod tests {
         assert!(r.also_masking(3).is_none());
         let r = router(0b0011);
         let r2 = r.also_masking(2).unwrap();
-        assert_eq!(r2.live(), &[3]);
+        assert!(r2.live().eq([3]));
     }
 
     #[test]

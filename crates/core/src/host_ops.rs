@@ -20,62 +20,77 @@ use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
 use crate::stats::{CascadeReport, CascadeStage};
 use interconnect::{d2h_time_faulted, h2d_time_faulted};
 
-/// Splits `items` into one contiguous chunk per GPU: near-equal over the
-/// live GPUs of a quarantine `mask` in ascending order, empty for the
-/// dead ones (they cannot accept PCIe traffic). Flattening the chunks
-/// restores the original order.
-fn live_chunks<T>(items: &[T], m: usize, mask: u32) -> Vec<&[T]> {
-    let live = (0..m).filter(|&g| mask & (1 << g) == 0).count();
-    let mut chunks = items.chunks(items.len().div_ceil(live.max(1)).max(1));
-    (0..m)
-        .map(|g| match mask & (1 << g) {
-            0 => chunks.next().unwrap_or_default(),
-            _ => &[],
-        })
-        .collect()
+/// The contiguous chunk of `len` items that GPU `g` of `m` takes: near-equal
+/// over the live GPUs of a quarantine `mask` in ascending order, empty for
+/// the dead ones (they cannot accept PCIe traffic). The chunks one after the
+/// other are the items in their order.
+fn live_chunk(len: usize, m: usize, mask: u32, g: usize) -> std::ops::Range<usize> {
+    let live = |g: &usize| mask & (1 << g) == 0;
+    if !live(&g) {
+        return 0..0;
+    }
+    let per = len.div_ceil((0..m).filter(live).count()).max(1);
+    let rank = (0..g).filter(live).count();
+    (rank * per).min(len)..((rank + 1) * per).min(len)
+}
+
+/// Where GPU `g`'s chunk starts in the list that `chunks` cut up.
+fn start_of(chunks: &[&[u64]], g: usize) -> usize {
+    chunks[..g].iter().map(|chunk| chunk.len()).sum()
 }
 
 impl DistributedHashMap {
-    /// The one host bracket: the words `spread(mask)` gives each GPU under
-    /// a quarantine mask, segment by segment, travel up over PCIe (8 bytes
-    /// each, one transfer whatever the segments), the `device` cascade of
-    /// this map runs on them, and — for an operation whose answers the
-    /// host reads — 8 bytes per word of segment 0 travel back `down`.
+    /// The one host bracket: the words `spread(mask)` makes of each list
+    /// under a quarantine mask travel up over PCIe (8 bytes each, every
+    /// GPU its [`live_chunk`] of every list in one transfer), the `device`
+    /// cascade of this map runs on them, a list a segment, and — for an
+    /// operation whose answers the host reads — 8 bytes per word of
+    /// segment 0 travel back `down`.
     /// Dropped PCIe transfers are retried with backoff; a host link whose
     /// budget is exhausted quarantines its GPU and the transfer re-spreads
     /// over the survivors.
     fn host_bracket<const K: usize, O>(
         &self,
         elements: usize,
-        spread: impl Fn(u32) -> [Vec<Vec<u64>>; K],
+        spread: impl Fn(u32) -> [Vec<u64>; K],
         down: bool,
-        device: impl FnOnce(&Self, &[Vec<Vec<u64>>; K], &mut CascadeReport) -> Result<O, OpError>,
+        device: impl FnOnce(&Self, [&[&[u64]]; K], &mut CascadeReport) -> Result<O, OpError>,
     ) -> Result<(O, CascadeReport), OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
         let mut report = CascadeReport::new(elements as u64);
-        let segments = self.with_failover(&mut report, |plan, mask, report, tally| {
-            let segments = spread(mask);
-            let bytes: Vec<u64> = (0..m)
-                .map(|g| segments.iter().map(|s| s[g].len() as u64 * 8).sum())
-                .collect();
-            let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
-            let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
-            report.push(CascadeStage::H2D, up.time, up.bytes);
-            Ok(segments)
-        })?;
-        let out = device(self, &segments, &mut report)?;
+        // what each host link carries, of the upload and then the download
+        let mut bytes = vec![0; m];
+        let (lists, spread_mask) =
+            self.with_failover(&mut report, |plan, mask, report, tally| {
+                let lists = spread(mask);
+                for (g, bytes) in bytes.iter_mut().enumerate() {
+                    let words = lists.iter().map(|l| live_chunk(l.len(), m, mask, g).len());
+                    *bytes = words.sum::<usize>() as u64 * 8;
+                }
+                let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
+                let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
+                report.push(CascadeStage::H2D, up.time, up.bytes);
+                Ok((lists, mask))
+            })?;
+        // list after list, each cut into its `m` chunks
+        let mut chunks = Vec::with_capacity(K * m);
+        for l in &lists {
+            chunks.extend((0..m).map(|g| &l[live_chunk(l.len(), m, spread_mask, g)]));
+        }
+        let segments: [&[&[u64]]; K] = std::array::from_fn(|s| &chunks[s * m..][..m]);
+        let out = device(self, segments, &mut report)?;
         if down {
             self.with_failover(&mut report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
                 // answers physically came from survivors, so the dead
                 // links carry no bytes
-                let bytes: Vec<u64> = (0..m)
-                    .map(|g| match mask & (1 << g) {
+                for (g, bytes) in bytes.iter_mut().enumerate() {
+                    *bytes = match mask & (1 << g) {
                         0 => segments[0][g].len() as u64 * 8,
                         _ => 0,
-                    })
-                    .collect();
+                    };
+                }
                 let down = d2h_time_faulted(self.topology(), &bytes, plan, &policy);
                 let down = tally.settle(plan, &policy, down).map_err(Abort::Lost)?;
                 report.push(CascadeStage::D2H, down.time, down.bytes);
@@ -85,19 +100,16 @@ impl DistributedHashMap {
         Ok((out, report))
     }
 
-    /// `items` as one segment of a cascade's input: the unstructured equal
-    /// spread over the live GPUs, `word(i, item)` for the `i`-th item of a
-    /// GPU's chunk.
-    fn spread_one<T: Copy>(
-        &self,
-        items: &[T],
-        mask: u32,
-        word: impl Fn(usize, T) -> u64,
-    ) -> Vec<Vec<u64>> {
-        live_chunks(items, self.num_gpus(), mask)
-            .into_iter()
-            .map(|c| c.iter().enumerate().map(|(i, &x)| word(i, x)).collect())
-            .collect()
+    /// The query words of `keys`, a list of the host bracket: the key with
+    /// its index in its GPU's chunk in the low half.
+    fn query_list(&self, keys: &[u32], mask: u32) -> Vec<u64> {
+        let m = self.num_gpus();
+        let mut words = Vec::with_capacity(keys.len());
+        for g in 0..m {
+            let chunk = &keys[live_chunk(keys.len(), m, mask, g)];
+            words.extend((0..).zip(chunk).map(|(i, &k)| pack(k, i)));
+        }
+        words
     }
 
     /// Host-sided insertion: transfer the packed pairs over PCIe
@@ -108,7 +120,7 @@ impl DistributedHashMap {
     /// Propagates the device cascade's errors;
     /// [`OpError::DeviceLost`] once no failover remains.
     pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, OpError> {
-        let spread = |mask| [self.spread_one(pairs, mask, |_, (k, v)| pack(k, v))];
+        let spread = |_| [pairs.iter().map(|&(k, v)| pack(k, v)).collect()];
         let ((), report) =
             self.host_bracket(pairs.len(), spread, false, |d, [words], report| {
                 d.insert_words(words, report)
@@ -128,7 +140,7 @@ impl DistributedHashMap {
         let (values, report) = self.retrieve_from_host_impl(keys)?;
         Ok(GetResponse {
             values,
-            report: OpReport::from_cascade(&report),
+            report: OpReport::from_cascade(report),
         })
     }
 
@@ -145,13 +157,15 @@ impl DistributedHashMap {
         &self,
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, CascadeReport), OpError> {
-        let spread = |mask| [self.spread_one(keys, mask, |i, k| pack(k, i as u32))];
-        let (values, report) =
-            self.host_bracket(keys.len(), spread, true, |d, [words], report| {
-                d.query_words(words, report)
-            })?;
-        // chunks are contiguous, so flattening restores input order
-        Ok((values.into_iter().flatten().collect(), report))
+        let spread = |mask| [self.query_list(keys, mask)];
+        // chunks are contiguous, so one after the other is input order
+        let mut values = vec![None; keys.len()];
+        let ((), report) = self.host_bracket(keys.len(), spread, true, |d, [words], report| {
+            d.query_words(words, report, |(g, i), v| {
+                values[start_of(words, g) + i] = v
+            })
+        })?;
+        Ok((values, report))
     }
 
     /// Host-sided erase with typed fault errors: keys travel over PCIe
@@ -162,15 +176,18 @@ impl DistributedHashMap {
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let spread = |mask| [self.spread_one(keys, mask, |i, k| pack(k, i as u32))];
-        let ((hits, erased), report) =
+        let spread = |mask| [self.query_list(keys, mask)];
+        let mut hits = vec![false; keys.len()];
+        let (erased, report) =
             self.host_bracket(keys.len(), spread, false, |d, [words], report| {
-                d.erase_words(words, report)
+                d.erase_words(words, report, |(g, i), hit| {
+                    hits[start_of(words, g) + i] |= hit
+                })
             })?;
         Ok(DeleteResponse {
-            hits: hits.into_iter().flatten().collect(),
+            hits,
             erased,
-            report: OpReport::from_cascade(&report),
+            report: OpReport::from_cascade(report),
         })
     }
 
@@ -195,22 +212,25 @@ impl DistributedHashMap {
         // MUTATION DOUBLE (`Mutation::LatePutsJoinFirstLaunch`): no put is
         // late, so a key's get races its own put in the fused launch.
         let races = self.cfg().mutation == Some(Mutation::LatePutsJoinFirstLaunch);
-        let (late, first): (Vec<_>, Vec<_>) = puts
-            .iter()
-            .partition(|&&(k, _)| !races && reads.binary_search(&k).is_ok());
         let spread = |mask| {
-            [
-                self.spread_one(reads, mask, |i, k| pack(k, i as u32)),
-                self.spread_one(&first, mask, |_, &(k, v)| pack(k, v)),
-                self.spread_one(&late, mask, |_, &(k, v)| pack(k, v)),
-            ]
+            let (mut first, mut late) = (Vec::new(), Vec::new());
+            for &(k, v) in puts {
+                let read_too = !races && reads.binary_search(&k).is_ok();
+                if read_too { &mut late } else { &mut first }.push(pack(k, v));
+            }
+            [self.query_list(reads, mask), first, late]
         };
         let elements = reads.len() + puts.len();
-        let (values, report) = self.host_bracket(elements, spread, true, Self::get_put_words)?;
+        // chunks are contiguous, so one after the other is input order
+        let mut values = vec![None; reads.len()];
+        let ((), report) = self.host_bracket(elements, spread, true, |d, segments, report| {
+            d.get_put_words(segments, report, |(g, i), v| {
+                values[start_of(segments[0], g) + i].get_or_insert(v);
+            })
+        })?;
         Ok(GetResponse {
-            // chunks are contiguous, so flattening restores input order
-            values: values.into_iter().flatten().map(Option::flatten).collect(),
-            report: OpReport::from_cascade(&report),
+            values: values.into_iter().map(Option::flatten).collect(),
+            report: OpReport::from_cascade(report),
         })
     }
 }
@@ -436,12 +456,14 @@ mod tests {
 
     #[test]
     fn chunking_covers_and_pads() {
-        let c = live_chunks(&[1, 2, 3, 4, 5], 3, 0);
-        assert_eq!(c, [&[1, 2][..], &[3, 4], &[5]]);
-        let c = live_chunks::<i32>(&[], 2, 0);
-        assert_eq!(c, [&[][..], &[]]);
+        let chunks = |items: &'static [i32], m, mask| -> Vec<&[i32]> {
+            let chunk = |g| &items[live_chunk(items.len(), m, mask, g)];
+            (0..m).map(chunk).collect()
+        };
+        assert_eq!(chunks(&[1, 2, 3, 4, 5], 3, 0), [&[1, 2][..], &[3, 4], &[5]]);
+        assert_eq!(chunks(&[], 2, 0), [&[][..], &[]]);
         // quarantined GPUs get nothing; the survivors share in order
-        let c = live_chunks(&[1, 2, 3, 4, 5], 4, 0b0101);
+        let c = chunks(&[1, 2, 3, 4, 5], 4, 0b0101);
         assert_eq!(c, [&[][..], &[1, 2, 3], &[], &[4, 5]]);
     }
 }

@@ -173,14 +173,14 @@ impl OpReport {
 
     /// Wraps a cascade's timing report.
     #[must_use]
-    pub fn from_cascade(report: &CascadeReport) -> Self {
+    pub fn from_cascade(report: CascadeReport) -> Self {
         Self {
             elements: report.elements,
             launches: report.launches,
             time: report.total_time(),
             backoff_time: report.time_of(CascadeStage::Backoff),
             counters: CounterSnapshot::default(),
-            stages: report.stages.clone(),
+            stages: report.stages,
         }
     }
 
@@ -878,7 +878,7 @@ mod tests {
             c.push_with_overhead(CascadeStage::Insert, 0.7 * scale, 0, 6e-6);
             c.push_with_overhead(CascadeStage::Insert, 0.01 * scale, 0, 6e-6);
             c.launches = 9;
-            OpReport::from_cascade(&c)
+            OpReport::from_cascade(c)
         };
         let (mut rows, mut folded) = (OpReport::default(), OpReport::default());
         for i in 1..=1000 {
@@ -902,7 +902,7 @@ mod tests {
         c.push(CascadeStage::Insert, 1.0, 0);
         c.push(CascadeStage::Backoff, 0.5, 0);
         c.launches = 5;
-        let r = OpReport::from_cascade(&c);
+        let r = OpReport::from_cascade(c);
         assert_eq!(r.elements, 100);
         assert_eq!(r.launches, 5);
         assert!((r.time - 1.5).abs() < 1e-12);

@@ -79,7 +79,8 @@ impl CascadeReport {
     #[must_use]
     pub fn new(elements: u64) -> Self {
         Self {
-            stages: Vec::new(),
+            // room for a healthy host-sided round: H2D … D2H
+            stages: Vec::with_capacity(8),
             elements,
             launches: 0,
         }

@@ -205,7 +205,7 @@ impl Table {
     /// launch options.
     pub(crate) fn launch(
         &self,
-        name: &str,
+        name: &'static str,
         n: usize,
         g: GroupSize,
         kernel: impl Fn(&GroupCtx) + Sync,
@@ -423,7 +423,7 @@ impl Table {
 
     /// Bills reading `slots` slots as one streaming launch of whole
     /// warps — what a [`Table::scan`] of them would cost on the device.
-    pub(crate) fn bill_scan(&self, name: &str, slots: usize) -> KernelStats {
+    pub(crate) fn bill_scan(&self, name: &'static str, slots: usize) -> KernelStats {
         self.dev.launch(
             name,
             slots.div_ceil(32),

@@ -286,6 +286,23 @@ impl LocalCounters {
         bump(&self.group_steps, n);
     }
 
+    /// The accumulated values of a launch of `groups` groups that ran
+    /// against this accumulator alone — what [`KernelCounters::snapshot`]
+    /// reads after [`Self::flush_into`] and `add_groups(groups)`.
+    #[must_use]
+    pub fn snapshot(&self, groups: u64) -> CounterSnapshot {
+        CounterSnapshot {
+            transactions: self.transactions.get(),
+            stream_bytes: self.stream_bytes.get(),
+            cas_ops: self.cas_ops.get(),
+            cas_failed: self.cas_failed.get(),
+            atomic_ops: self.atomic_ops.get(),
+            cold_atomics: self.cold_atomics.get(),
+            group_steps: self.group_steps.get(),
+            groups,
+        }
+    }
+
     /// Flushes the accumulated values into `sink`'s stripe for the
     /// calling worker and zeroes the accumulator. Zero fields are
     /// skipped, so a group that never issued a CAS costs no CAS-counter
@@ -447,10 +464,13 @@ mod tests {
         l.add_atomic();
         l.add_cold_atomic();
         l.add_steps(3);
+        // reading the accumulator directly is what the flush delivers
+        let direct = l.snapshot(0);
         l.flush_into(&c);
         // second flush is a no-op: the accumulator was drained
         l.flush_into(&c);
         let s = c.snapshot();
+        assert_eq!(direct, s);
         assert_eq!(s.transactions, 7);
         assert_eq!(s.stream_bytes, 64);
         assert_eq!(s.cas_ops, 2);

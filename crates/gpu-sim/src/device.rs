@@ -83,11 +83,14 @@ impl LaunchOptions {
     }
 }
 
+/// Groups of one pool task. A launch of no more is a single chunk.
+const CHUNK: usize = 1024;
+
 /// Result of a kernel launch: measured counters and modeled time.
 #[derive(Debug, Clone)]
 pub struct KernelStats {
     /// Kernel name (for reports).
-    pub name: String,
+    pub name: &'static str,
     /// Access-pattern counters from the functional run.
     pub counters: CounterSnapshot,
     /// Per-term time breakdown from the analytical model.
@@ -310,10 +313,13 @@ impl Device {
     ///
     /// Groups execute concurrently on the Rayon pool (or as
     /// [`LaunchOptions::schedule`] says); every inter-group interleaving
-    /// is a legal schedule of the corresponding CUDA grid.
+    /// is a legal schedule of the corresponding CUDA grid. A pool launch
+    /// of at most 1 024 groups is one chunk, which the calling
+    /// thread runs itself: it takes the sequential arm, and neither that
+    /// arm nor the rest of a launch touches the heap.
     pub fn launch<F>(
         &self,
-        name: &str,
+        name: &'static str,
         num_groups: usize,
         group_size: GroupSize,
         opts: LaunchOptions,
@@ -322,7 +328,6 @@ impl Device {
     where
         F: Fn(&GroupCtx) + Sync,
     {
-        let counters = KernelCounters::new();
         let schedule = opts.schedule;
         // Launch-effective detector set: whatever is attached to the
         // device, plus this launch's request. A launch-only request
@@ -341,44 +346,38 @@ impl Device {
             Some(LaunchSanitizer::new(ds, eff, name, schedule))
         };
         let san = san.as_ref();
-        // Mark the launch in flight for its whole execution span so a
-        // concurrent `snapshot()` (a torn multi-field read) is rejected in
-        // debug builds; the guard drops before the quiescent snapshot below.
-        let in_flight = counters.launch_guard();
-        match schedule {
-            Schedule::Sequential => {
-                // One accumulator for the whole launch: the counted ops
-                // bump plain cells and a single flush settles the totals.
-                let local = LocalCounters::new();
-                for gid in 0..num_groups {
-                    let ctx = GroupCtx::new(&self.mem, &local, gid, group_size, san);
-                    kernel(&ctx);
-                }
-                local.flush_into(&counters);
-                counters.add_groups(num_groups as u64);
+        // Groups `lo..hi` in order against one accumulator of plain
+        // cells: a whole sequential launch, or one chunk of the pool's.
+        let run = |lo: usize, hi: usize| {
+            let local = LocalCounters::new();
+            for gid in lo..hi {
+                let ctx = GroupCtx::new(&self.mem, &local, gid, group_size, san);
+                kernel(&ctx);
             }
-            Schedule::Pool => {
+            local
+        };
+        let snapshot = match schedule {
+            Schedule::Pool if num_groups > CHUNK => {
                 // Chunk groups so per-task overhead stays negligible even
                 // for millions of tiny groups (perf-book: amortize
-                // par_iter tasks). Each chunk shares one plain-cell
-                // accumulator and flushes it once — `u64` addition
-                // commutes, so totals stay bit-identical to per-op (and
-                // per-group) updates under every interleaving.
-                const CHUNK: usize = 1024;
-                let chunks = num_groups.div_ceil(CHUNK);
-                (0..chunks).into_par_iter().for_each(|chunk| {
-                    let lo = chunk * CHUNK;
-                    let hi = (lo + CHUNK).min(num_groups);
-                    let local = LocalCounters::new();
-                    for gid in lo..hi {
-                        let ctx = GroupCtx::new(&self.mem, &local, gid, group_size, san);
-                        kernel(&ctx);
-                    }
-                    local.flush_into(&counters);
-                    counters.add_groups((hi - lo) as u64);
-                });
+                // par_iter tasks). Each chunk flushes its accumulator
+                // once — `u64` addition commutes, so totals stay
+                // bit-identical to per-op (and per-group) updates under
+                // every interleaving.
+                striped(|counters| {
+                    let chunks = num_groups.div_ceil(CHUNK);
+                    (0..chunks).into_par_iter().for_each(|chunk| {
+                        let lo = chunk * CHUNK;
+                        let hi = (lo + CHUNK).min(num_groups);
+                        run(lo, hi).flush_into(counters);
+                        counters.add_groups((hi - lo) as u64);
+                    });
+                })
             }
-            stepwise => {
+            // the accumulator's totals are the launch's: nothing to
+            // stripe, box or hand to the pool
+            Schedule::Sequential | Schedule::Pool => run(0, num_groups).snapshot(num_groups as u64),
+            stepwise => striped(|counters| {
                 let chunked = !opts.per_op_dispatch;
                 sched::run_stepwise(stepwise, num_groups, chunked, |gid, step, lease| {
                     let local = LocalCounters::new();
@@ -388,17 +387,15 @@ impl Device {
                     kernel(&ctx);
                     let unused = ctx.retire();
                     drop(ctx);
-                    local.flush_into(&counters);
+                    local.flush_into(counters);
                     counters.add_group();
                     unused
                 });
-            }
-        }
+            }),
+        };
         if let Some(san) = san {
             san.finish();
         }
-        drop(in_flight);
-        let snapshot = counters.snapshot();
         let working_set = opts.modeled_working_set.unwrap_or(0);
         let mut breakdown =
             self.timing
@@ -419,7 +416,7 @@ impl Device {
             lt.sim_time += breakdown.total();
         }
         KernelStats {
-            name: name.to_owned(),
+            name,
             counters: snapshot,
             breakdown,
             sim_time: breakdown.total(),
@@ -427,6 +424,20 @@ impl Device {
             num_groups: num_groups as u64,
         }
     }
+}
+
+/// Runs `body` against striped counters shared by several workers and
+/// snapshots them once it has joined.
+fn striped(body: impl FnOnce(&KernelCounters)) -> CounterSnapshot {
+    let counters = KernelCounters::new();
+    {
+        // Mark the launch in flight for its whole execution span so a
+        // concurrent `snapshot()` (a torn multi-field read) is rejected
+        // in debug builds.
+        let _in_flight = counters.launch_guard();
+        body(&counters);
+    }
+    counters.snapshot()
 }
 
 #[cfg(test)]

@@ -412,9 +412,20 @@ impl DeviceMemory {
     /// Device → host copy (uncounted).
     #[must_use]
     pub fn d2h(&self, slice: DevSlice) -> Vec<u64> {
-        (0..slice.len)
-            .map(|i| self.words[slice.offset + i].load(Ordering::Relaxed))
-            .collect()
+        let mut out = vec![0; slice.len];
+        self.d2h_into(slice, &mut out);
+        out
+    }
+
+    /// Device → host copy (uncounted) into a buffer the caller owns.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != slice.len()`.
+    pub fn d2h_into(&self, slice: DevSlice, out: &mut [u64]) {
+        assert_eq!(out.len(), slice.len, "d2h length mismatch");
+        for (i, w) in out.iter_mut().enumerate() {
+            *w = self.words[slice.offset + i].load(Ordering::Relaxed);
+        }
     }
 
     /// Device → device copy within one device (uncounted raw move; kernels

@@ -21,11 +21,7 @@ pub fn h2d_time(topo: &Topology, per_gpu_bytes: &[u64]) -> f64 {
     assert_eq!(per_gpu_bytes.len(), topo.num_gpus, "one byte count per GPU");
     let mut worst: f64 = 0.0;
     for s in 0..topo.num_switches() {
-        let load: u64 = topo
-            .gpus_on_switch(s)
-            .into_iter()
-            .map(|g| per_gpu_bytes[g])
-            .sum();
+        let load: u64 = topo.gpus_on_switch(s).map(|g| per_gpu_bytes[g]).sum();
         worst = worst.max(load as f64 / topo.switch_bandwidth[s]);
     }
     worst
@@ -56,11 +52,11 @@ fn hostlink_faulted(
     for s in 0..topo.num_switches() {
         let bw = topo.degraded_switch_bandwidth(s, plan);
         let gpus = topo.gpus_on_switch(s);
-        let load: u64 = gpus.iter().map(|&g| per_gpu_bytes[g]).sum();
+        let load: u64 = gpus.clone().map(|g| per_gpu_bytes[g]).sum();
         let mut t = load as f64 / bw;
         // wasted (dropped) attempts re-send a GPU's share over the same
         // switch, extending the contention window
-        for &g in &gpus {
+        for g in gpus {
             if per_gpu_bytes[g] == 0 {
                 continue;
             }

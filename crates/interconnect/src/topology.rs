@@ -122,12 +122,9 @@ impl Topology {
         self.switch_bandwidth.iter().sum()
     }
 
-    /// GPUs attached to PCIe switch `s`.
-    #[must_use]
-    pub fn gpus_on_switch(&self, s: usize) -> Vec<usize> {
-        (0..self.num_gpus)
-            .filter(|&g| self.switch_of[g] == s)
-            .collect()
+    /// GPUs attached to PCIe switch `s`, ascending.
+    pub fn gpus_on_switch(&self, s: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.num_gpus).filter(move |&g| self.switch_of[g] == s)
     }
 
     /// Number of PCIe switches.
@@ -162,8 +159,8 @@ mod tests {
             }
         }
         // switches: {0,1} and {2,3}
-        assert_eq!(t.gpus_on_switch(0), vec![0, 1]);
-        assert_eq!(t.gpus_on_switch(1), vec![2, 3]);
+        assert!(t.gpus_on_switch(0).eq([0, 1]));
+        assert!(t.gpus_on_switch(1).eq([2, 3]));
         // ≈22 GB/s accumulated host bandwidth
         let total = t.total_host_bandwidth();
         assert!((total - 22.0e9).abs() < 0.1e9, "{total}");
@@ -173,7 +170,7 @@ mod tests {
     fn single_gpu_node_has_one_switch_no_links() {
         let t = Topology::p100_quad(1);
         assert_eq!(t.num_switches(), 1);
-        assert_eq!(t.gpus_on_switch(0), vec![0]);
+        assert!(t.gpus_on_switch(0).eq([0]));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod split;
 pub mod table;
 pub mod warp_agg;
 
-pub use scan::{col_exclusive_scan, exclusive_scan, row_exclusive_scan};
+pub use scan::exclusive_scan;
 pub use split::{
     device_multisplit, device_multisplit_segments, SegmentedSplit, SplitResult, RUN_WORDS,
 };

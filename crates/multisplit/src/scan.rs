@@ -1,10 +1,9 @@
 //! Exclusive prefix scans.
 //!
-//! The partition-table bookkeeping of §IV-B needs *row-wise* exclusive
-//! scans over the m×m table for the senders and *column-wise* scans for
-//! the receivers. The tables are tiny (m ≤ 4), so these run on the host;
-//! they are exact counterparts of the device-side scans in the original
-//! implementation.
+//! The partition-table bookkeeping of §IV-B scans a sender's class counts
+//! into the offsets of its partition-ordered buffer. The tables are tiny
+//! (m ≤ 4), so this runs on the host; it is the exact counterpart of the
+//! device-side scan in the original implementation.
 
 /// Exclusive prefix scan: `out[i] = Σ_{j<i} xs[j]`, `out[0] = 0`.
 #[must_use]
@@ -14,34 +13,6 @@ pub fn exclusive_scan(xs: &[u64]) -> Vec<u64> {
     for &x in xs {
         out.push(acc);
         acc += x;
-    }
-    out
-}
-
-/// Row-wise exclusive scan of a matrix (per-sender offsets).
-#[must_use]
-pub fn row_exclusive_scan(m: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    m.iter().map(|row| exclusive_scan(row)).collect()
-}
-
-/// Column-wise exclusive scan of a matrix (per-receiver offsets).
-///
-/// # Panics
-/// Panics on ragged input.
-#[must_use]
-pub fn col_exclusive_scan(m: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    if m.is_empty() {
-        return Vec::new();
-    }
-    let cols = m[0].len();
-    assert!(m.iter().all(|r| r.len() == cols), "ragged matrix");
-    let mut out = vec![vec![0u64; cols]; m.len()];
-    for c in 0..cols {
-        let mut acc = 0u64;
-        for r in 0..m.len() {
-            out[r][c] = acc;
-            acc += m[r][c];
-        }
     }
     out
 }
@@ -56,13 +27,6 @@ mod tests {
         assert_eq!(exclusive_scan(&[]), Vec::<u64>::new());
         assert_eq!(exclusive_scan(&[5]), vec![0]);
         assert_eq!(exclusive_scan(&[3, 1, 4, 1, 5]), vec![0, 3, 4, 8, 9]);
-    }
-
-    #[test]
-    fn row_and_col_scans() {
-        let m = vec![vec![1, 2], vec![3, 4]];
-        assert_eq!(row_exclusive_scan(&m), vec![vec![0, 1], vec![0, 3]]);
-        assert_eq!(col_exclusive_scan(&m), vec![vec![0, 0], vec![1, 2]]);
     }
 
     proptest! {

@@ -75,14 +75,19 @@ impl SplitResult {
     }
 }
 
+/// The class counts and offsets of a call without a word, which are all
+/// zero: up to this many classes they are read here, not from a buffer.
+static NO_WORDS: [u64; 64] = [0; 64];
+
 /// Outcome of [`device_multisplit_segments`]: per segment what a
-/// [`SplitResult`] holds, in two flat segment-major tables, and what the
-/// launches all segments shared cost.
+/// [`SplitResult`] holds, in one flat buffer, and what the launches all
+/// segments shared cost.
 #[derive(Debug, Clone)]
 pub struct SegmentedSplit {
     m: usize,
-    counts: Vec<u64>,
-    offsets: Vec<u64>,
+    /// The class counts, segment-major, then the class offsets likewise;
+    /// empty where [`NO_WORDS`] stands in.
+    table: Vec<u64>,
     /// Launches made: 0 (no word), 1 (scatter alone) or 2.
     pub launches: u32,
     /// Simulated seconds of those launches.
@@ -95,13 +100,20 @@ impl SegmentedSplit {
     /// Number of elements in each class of segment `s`.
     #[must_use]
     pub fn counts(&self, s: usize) -> &[u64] {
-        &self.counts[s * self.m..(s + 1) * self.m]
+        self.row(0, s)
     }
 
     /// Exclusive offsets of each class within segment `s`'s output.
     #[must_use]
     pub fn offsets(&self, s: usize) -> &[u64] {
-        &self.offsets[s * self.m..(s + 1) * self.m]
+        self.row(self.table.len() / 2, s)
+    }
+
+    fn row(&self, base: usize, s: usize) -> &[u64] {
+        match self.table.len() {
+            0 => &NO_WORDS[..self.m],
+            _ => &self.table[base + s * self.m..][..self.m],
+        }
     }
 
     fn bill(&mut self, launch: &KernelStats) {
@@ -218,15 +230,16 @@ where
     let runs = |input: &DevSlice| input.len().div_ceil(RUN_WORDS);
     let mut split = SegmentedSplit {
         m,
-        counts: Vec::new(),
-        offsets: vec![0; counters.len()],
+        table: Vec::new(),
         launches: 0,
         sim_time: 0.0,
         counters: CounterSnapshot::default(),
     };
     let num_groups: usize = segments.iter().map(|(input, _)| runs(input)).sum();
     if num_groups == 0 {
-        split.counts = vec![0; counters.len()];
+        if m > NO_WORDS.len() {
+            split.table = vec![0; 2 * counters.len()];
+        }
         return split;
     }
 
@@ -292,12 +305,14 @@ where
         launch("multisplit_scatter", Pass::Scatter { counted: false })
     });
     // either launch leaves the class counts in the counter words
-    split.counts = dev.mem().d2h(counters);
+    split.table = vec![0; 2 * counters.len()];
+    let (counts, offsets) = split.table.split_at_mut(counters.len());
+    dev.mem().d2h_into(counters, counts);
     for (s, (input, _)) in segments.iter().enumerate() {
         let mut total = 0;
         for at in s * m..(s + 1) * m {
-            split.offsets[at] = total;
-            total += split.counts[at];
+            offsets[at] = total;
+            total += counts[at];
         }
         assert_eq!(
             total as usize,
@@ -306,7 +321,7 @@ where
         );
     }
     if counted {
-        dev.mem().h2d(counters, &split.offsets);
+        dev.mem().h2d(counters, offsets);
         split.bill(&launch(
             "multisplit_scatter",
             Pass::Scatter { counted: true },

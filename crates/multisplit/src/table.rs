@@ -1,36 +1,43 @@
 //! The m×m partition table and its transposition algebra (§IV-B, Fig. 4).
 //!
-//! After each GPU runs its local multisplit, `counts[gpu][part]` records
+//! After each GPU runs its local multisplit, cell `(gpu, part)` records
 //! how many elements of partition `part` sit on GPU `gpu`. The all-to-all
 //! phase transposes this table: afterwards GPU `i` exclusively holds the
 //! keys with `p(k) = i`, concatenated over their source GPUs. "Matrix
 //! transposition is an isomorphism and thus all-to-all communication is
-//! reversible as well" — the query cascade uses the inverse transpose to
-//! route results back, which is why [`PartitionTable::transposed`] being
-//! an involution is property-tested.
+//! reversible as well" — the query cascade routes results back along the
+//! transposed cells, which is why [`PartitionTable::transposed`] being an
+//! involution is property-tested.
+//!
+//! The table is one row-major buffer; a caller that only needs the
+//! transposed cells reads `at(part, gpu)`, and the bytes of a transfer
+//! are a cell times the element size ([`PartitionTable::bytes`]), so a
+//! cascade round owns this one buffer and no derived matrix.
 
 /// Element counts of each (source GPU, partition) cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionTable {
-    /// Number of GPUs / partitions (square table).
-    pub m: usize,
-    /// `counts[gpu][part]`.
-    pub counts: Vec<Vec<u64>>,
+    m: usize,
+    /// Row-major: cell `(gpu, part)` at `gpu * m + part`.
+    counts: Vec<u64>,
 }
 
 impl PartitionTable {
-    /// Builds a table from per-GPU multisplit counts.
+    /// Builds the table of `m` GPUs from its row-major cells.
     ///
     /// # Panics
-    /// Panics if `counts` is not square.
+    /// Panics if `counts` is not `m × m` long.
     #[must_use]
-    pub fn new(counts: Vec<Vec<u64>>) -> Self {
-        let m = counts.len();
-        assert!(
-            counts.iter().all(|r| r.len() == m),
-            "partition table must be square"
-        );
+    pub fn new(m: usize, counts: Vec<u64>) -> Self {
+        assert_eq!(counts.len(), m * m, "partition table must be square");
         Self { m, counts }
+    }
+
+    /// Elements of partition `part` on GPU `gpu`.
+    #[must_use]
+    pub fn at(&self, gpu: usize, part: usize) -> u64 {
+        assert!(part < self.m, "partition {part} of {}", self.m);
+        self.counts[gpu * self.m + part]
     }
 
     /// The transposed table `T^t[part, gpu]` describing the layout after
@@ -38,29 +45,19 @@ impl PartitionTable {
     #[must_use]
     pub fn transposed(&self) -> PartitionTable {
         let m = self.m;
-        let counts = (0..m)
-            .map(|i| (0..m).map(|j| self.counts[j][i]).collect())
-            .collect();
+        let counts = (0..m * m).map(|at| self.at(at % m, at / m)).collect();
         PartitionTable { m, counts }
     }
 
-    /// Bytes each ordered (source → target) transfer moves, for the
-    /// all-to-all cost model. Diagonal entries are zero (data stays put).
+    /// Bytes the (source `gpu` → target `part`) transfer moves, for the
+    /// all-to-all cost model: zero on the diagonal (data stays put).
     #[must_use]
-    pub fn byte_matrix(&self, bytes_per_element: u64) -> Vec<Vec<u64>> {
-        (0..self.m)
-            .map(|i| {
-                (0..self.m)
-                    .map(|j| {
-                        if i == j {
-                            0
-                        } else {
-                            self.counts[i][j] * bytes_per_element
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+    pub fn bytes(&self, gpu: usize, part: usize, bytes_per_element: u64) -> u64 {
+        if gpu == part {
+            0
+        } else {
+            self.at(gpu, part) * bytes_per_element
+        }
     }
 
     /// Total elements per *target* GPU after transposition — what each
@@ -69,28 +66,14 @@ impl PartitionTable {
     #[must_use]
     pub fn elements_per_target(&self) -> Vec<u64> {
         (0..self.m)
-            .map(|part| (0..self.m).map(|gpu| self.counts[gpu][part]).sum())
+            .map(|part| (0..self.m).map(|gpu| self.at(gpu, part)).sum())
             .collect()
     }
 
     /// Total elements in the table.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.counts.iter().flatten().sum()
-    }
-
-    /// Receive offsets: where, inside target GPU `part`'s receive buffer,
-    /// the chunk from source `gpu` begins (column-wise exclusive scan).
-    #[must_use]
-    pub fn recv_offsets(&self) -> Vec<Vec<u64>> {
-        crate::scan::col_exclusive_scan(&self.counts)
-    }
-
-    /// Send offsets: where, inside source GPU `gpu`'s partition-ordered
-    /// buffer, partition `part` begins (row-wise exclusive scan).
-    #[must_use]
-    pub fn send_offsets(&self) -> Vec<Vec<u64>> {
-        crate::scan::row_exclusive_scan(&self.counts)
+        self.counts.iter().sum()
     }
 }
 
@@ -102,21 +85,17 @@ mod tests {
     fn fig4_table() -> PartitionTable {
         // 4 GPUs × 7 keys each, p(k) = k mod 4 — an instance shaped like
         // the Fig. 4 example (28 keys total)
-        PartitionTable::new(vec![
-            vec![2, 2, 2, 1],
-            vec![1, 3, 1, 2],
-            vec![2, 1, 2, 2],
-            vec![3, 1, 1, 2],
-        ])
+        PartitionTable::new(4, vec![2, 2, 2, 1, 1, 3, 1, 2, 2, 1, 2, 2, 3, 1, 1, 2])
     }
 
     #[test]
     fn transpose_swaps_axes() {
         let t = fig4_table();
         let tt = t.transposed();
+        assert_eq!((t.at(0, 3), t.at(3, 0)), (1, 3));
         for i in 0..4 {
             for j in 0..4 {
-                assert_eq!(t.counts[i][j], tt.counts[j][i]);
+                assert_eq!(t.at(i, j), tt.at(j, i));
             }
         }
     }
@@ -137,33 +116,12 @@ mod tests {
     #[test]
     fn byte_matrix_zeroes_diagonal() {
         let t = fig4_table();
-        let b = t.byte_matrix(8);
-        #[allow(clippy::needless_range_loop)] // (i, j) walks the square matrix
         for i in 0..4 {
-            assert_eq!(b[i][i], 0);
+            assert_eq!(t.bytes(i, i, 8), 0);
             for j in 0..4 {
                 if i != j {
-                    assert_eq!(b[i][j], t.counts[i][j] * 8);
+                    assert_eq!(t.bytes(i, j, 8), t.at(i, j) * 8);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn offsets_are_consistent() {
-        let t = fig4_table();
-        let send = t.send_offsets();
-        // offsets within a row increase by the counts
-        for (row, offs) in t.counts.iter().zip(&send) {
-            for j in 1..t.m {
-                assert_eq!(offs[j], offs[j - 1] + row[j - 1]);
-            }
-        }
-        let recv = t.recv_offsets();
-        #[allow(clippy::needless_range_loop)] // column-major walk of a square matrix
-        for j in 0..t.m {
-            for i in 1..t.m {
-                assert_eq!(recv[i][j], recv[i - 1][j] + t.counts[i - 1][j]);
             }
         }
     }
@@ -173,8 +131,7 @@ mod tests {
         fn transpose_involution_holds_generally(
             cells in proptest::collection::vec(0u64..1000, 16)
         ) {
-            let counts: Vec<Vec<u64>> = cells.chunks(4).map(<[u64]>::to_vec).collect();
-            let t = PartitionTable::new(counts);
+            let t = PartitionTable::new(4, cells);
             prop_assert_eq!(t.transposed().transposed(), t.clone());
             // totals preserved under transposition
             prop_assert_eq!(t.transposed().total(), t.total());
@@ -184,6 +141,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "square")]
     fn ragged_table_rejected() {
-        let _ = PartitionTable::new(vec![vec![1, 2], vec![3]]);
+        let _ = PartitionTable::new(2, vec![1, 2, 3]);
     }
 }

@@ -143,48 +143,57 @@ proptest! {
 
     /// Transposing the m×m partition table swaps row/column sums and
     /// conserves the total; offset matrices cover exactly that volume.
+    /// The reference is the nested table the flat one replaced.
     #[test]
+    #[allow(clippy::needless_range_loop)] // (i, j) walks the square matrix and its reference
     fn partition_table_transpose_conserves_totals(
-        flat in proptest::collection::vec(0u64..10_000, 4..37),
+        m in 1usize..9,
+        cells in proptest::collection::vec(0u64..10_000, 64),
     ) {
-        // largest m with m*m <= len; truncate the rest
-        let m = (1..7).rev().find(|&m| m * m <= flat.len()).unwrap();
-        let counts: Vec<Vec<u64>> = (0..m).map(|i| flat[i * m..(i + 1) * m].to_vec()).collect();
-        let table = PartitionTable::new(counts.clone());
+        let counts: Vec<Vec<u64>> = (0..m).map(|i| cells[i * m..(i + 1) * m].to_vec()).collect();
+        let table = PartitionTable::new(m, cells[..m * m].to_vec());
         let t = table.transposed();
+        for i in 0..m {
+            for j in 0..m {
+                prop_assert_eq!(table.at(i, j), counts[i][j]);
+                prop_assert_eq!(t.at(j, i), counts[i][j], "the transposed view swaps indices");
+            }
+        }
 
+        prop_assert_eq!(table.total(), counts.iter().flatten().sum::<u64>());
         prop_assert_eq!(table.total(), t.total(), "total not conserved");
         for i in 0..m {
-            let row: u64 = table.counts[i].iter().sum();
-            let col: u64 = (0..m).map(|j| t.counts[j][i]).sum();
+            let row: u64 = counts[i].iter().sum();
+            let col: u64 = (0..m).map(|j| t.at(j, i)).sum();
             prop_assert_eq!(row, col, "gpu {} send volume", i);
         }
         // what each target receives is what the senders claim to send it
         let per_target = table.elements_per_target();
         for (part, &vol) in per_target.iter().enumerate() {
-            let sent: u64 = (0..m).map(|gpu| table.counts[gpu][part]).sum();
+            let sent: u64 = (0..m).map(|gpu| counts[gpu][part]).sum();
             prop_assert_eq!(vol, sent, "partition {}", part);
         }
         // double transpose is the identity
-        prop_assert_eq!(&t.transposed().counts, &table.counts);
-        // byte matrix is the off-diagonal element matrix scaled (the
+        prop_assert_eq!(&t.transposed(), &table);
+        // a byte cell is the off-diagonal element cell scaled (the
         // diagonal stays local and never crosses a link)
-        let bytes = table.byte_matrix(8);
-        #[allow(clippy::needless_range_loop)] // (i, j) walks the square matrix
         for i in 0..m {
             for j in 0..m {
-                let want = if i == j { 0 } else { table.counts[i][j] * 8 };
-                prop_assert_eq!(bytes[i][j], want);
+                let want = if i == j { 0 } else { counts[i][j] * 8 };
+                prop_assert_eq!(table.bytes(i, j, 8), want);
             }
         }
-        // offset matrices stay within the conserved volume
-        let send = table.send_offsets();
-        let recv = table.recv_offsets();
+        // offsets stay within the conserved volume: a sender's are the
+        // scan of its row, a receiver's the scan of its column
         for i in 0..m {
-            prop_assert_eq!(send[i][0], 0, "send row {} must start at 0", i);
-            prop_assert_eq!(recv[0][i], 0, "recv col {} must start at 0", i);
-            let row_end = send[i][m - 1] + table.counts[i][m - 1];
-            prop_assert_eq!(row_end, table.counts[i].iter().sum::<u64>());
+            let send = multisplit::exclusive_scan(&counts[i]);
+            let column: Vec<u64> = (0..m).map(|gpu| table.at(gpu, i)).collect();
+            let recv = multisplit::exclusive_scan(&column);
+            prop_assert_eq!(send[0], 0, "send row {} must start at 0", i);
+            prop_assert_eq!(recv[0], 0, "recv col {} must start at 0", i);
+            let row_end = send[m - 1] + counts[i][m - 1];
+            prop_assert_eq!(row_end, counts[i].iter().sum::<u64>());
+            prop_assert_eq!(recv[m - 1] + column[m - 1], per_target[i]);
         }
     }
 

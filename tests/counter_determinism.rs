@@ -5,15 +5,21 @@
 //! the `CounterSnapshot`s and every modeled stage time have to be
 //! bit-equal whether the launch ran on 1, 2, or 8 workers. `u64` counter
 //! addition commutes, so any divergence is a real bug (a lost flush, a
-//! stripe torn mid-snapshot, a schedule-dependent code path).
+//! stripe torn mid-snapshot, a schedule-dependent code path). A launch of
+//! at most 1 024 groups never reaches the pool: it runs on the caller,
+//! under `Pool` exactly as under `Sequential`.
 //!
 //! Everything runs in ONE `#[test]`: the worker count is swept via
 //! `RAYON_NUM_THREADS`, which the rayon shim reads per call — concurrent
 //! tests mutating the environment would race.
 
-use gpu_sim::{CounterSnapshot, Device, KernelStats, Schedule, TimeBreakdown};
+use gpu_sim::{
+    CounterSnapshot, Device, GroupSize, KernelStats, LaunchOptions, Schedule, TimeBreakdown,
+};
 use interconnect::Topology;
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use warpdrive::{Config, DistributedHashMap, GpuHashMap};
 use workloads::Distribution;
 
@@ -113,6 +119,26 @@ fn run_node_pass() -> (Vec<u64>, Vec<CounterSnapshot>) {
     )
 }
 
+/// The insert launch of 1 000 pairs — one pool chunk — under `schedule`.
+fn one_chunk_insert(schedule: Schedule) -> Fingerprint {
+    let pairs = Distribution::Unique.generate(1000, SEED);
+    let dev = Arc::new(Device::with_words(0, 1 << 15));
+    let map = GpuHashMap::new(dev, 2048, Config::default().with_schedule(schedule)).unwrap();
+    Fingerprint::of(&map.insert_pairs(&pairs).unwrap().stats)
+}
+
+/// The threads that ran the groups of a pool launch of `num_groups`.
+fn threads_of_a_pool_launch(num_groups: usize) -> HashSet<ThreadId> {
+    let dev = Device::with_words(0, 64);
+    let ran_on = Mutex::new(HashSet::new());
+    let opts = LaunchOptions::default().with_schedule(Schedule::Pool);
+    let stats = dev.launch("who_runs_me", num_groups, GroupSize::WARP, opts, |_| {
+        ran_on.lock().unwrap().insert(std::thread::current().id());
+    });
+    assert_eq!(stats.counters.groups, num_groups as u64);
+    ran_on.into_inner().unwrap()
+}
+
 /// Runs `pass` on 1, 2 and 8 pool workers and holds every run to the
 /// first one's result.
 fn assert_equal_at_every_worker_count<T: PartialEq + std::fmt::Debug>(
@@ -153,6 +179,23 @@ fn modeled_results_are_bit_equal_across_worker_counts() {
     // The cascade: its split and scatter launches take the map's schedule
     // like its kernels, so a Sequential node repeats at every worker count.
     assert_equal_at_every_worker_count("sequential node", run_node_pass);
+
+    // A launch that fits one pool chunk runs on the caller in group order
+    // under `Pool` as under `Sequential`: the same arm, so the racing
+    // insert kernel bills the same counters and time under both, at every
+    // worker count. One group more is two chunks on two workers again.
+    assert_equal_at_every_worker_count("one-chunk insert", || {
+        let (pool, sequential) = (
+            one_chunk_insert(Schedule::Pool),
+            one_chunk_insert(Schedule::Sequential),
+        );
+        assert_eq!(pool, sequential, "one chunk, two arms");
+        pool
+    });
+    std::env::set_var("RAYON_NUM_THREADS", "2");
+    let caller = HashSet::from([std::thread::current().id()]);
+    assert_eq!(threads_of_a_pool_launch(1024), caller);
+    assert_eq!(threads_of_a_pool_launch(1025).len(), 2);
 
     // Pool retrieve on a fixed, quiesced table: read-only probing is
     // deterministic, so counters and stage times must be bit-equal even
