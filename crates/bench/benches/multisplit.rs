@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::LaunchOptions;
 use hashes::PartitionFn;
-use multisplit::{device_multisplit, device_multisplit_segments, exclusive_scan};
+use multisplit::{device_multisplit, device_multisplit_segments, exclusive_scan, Segment};
 use workloads::Distribution;
 
 const N: usize = 1 << 13;
@@ -43,7 +43,14 @@ fn bench_multisplit(c: &mut Criterion) {
                 let scratch = dev.alloc(m).unwrap();
                 dev.mem().h2d(input, black_box(&data));
                 let opts = LaunchOptions::default();
-                device_multisplit_segments(&dev, &[(input, out)], scratch, m, opts, class)
+                device_multisplit_segments(
+                    &dev,
+                    &[Segment::words(input, out)],
+                    scratch,
+                    m,
+                    opts,
+                    class,
+                )
             });
         });
     }

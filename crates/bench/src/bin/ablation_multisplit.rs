@@ -12,7 +12,7 @@
 //! Usage: `ablation_multisplit [--full] [--n <count>] [--seed <seed>]`
 
 use gpu_sim::LaunchOptions;
-use multisplit::{device_multisplit, device_multisplit_segments};
+use multisplit::{device_multisplit, device_multisplit_segments, Segment};
 use wd_bench::{p100_with_words, table::TextTable, Opts};
 use workloads::Distribution;
 
@@ -61,7 +61,7 @@ fn main() {
         );
         let cascade = device_multisplit_segments(
             &dev,
-            &[(input, out)],
+            &[Segment::words(input, out)],
             scratch,
             m,
             LaunchOptions::default(),

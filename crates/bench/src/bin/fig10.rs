@@ -6,7 +6,9 @@
 //! all sizes; device-sided insertion drops by up to ≈2× for n > 2³⁰
 //! (> 2 GB per GPU — the CAS/memory-interface artifact); host-sided
 //! insertion ≈2.5–2.7 G ops/s (84% of PCIe), host-sided retrieval ≈2 G
-//! ops/s (55%, two transfers).
+//! ops/s (55%, two transfers of 8-byte words). This reproduction uploads
+//! the 4-byte keys themselves, so its host-sided retrieval runs at the
+//! rate of the results' way down, ≈2.6–2.7 G ops/s.
 //!
 //! Usage: `fig10 [--full] [--n <count>] [--seed <seed>]`
 
@@ -71,7 +73,9 @@ fn run(dist: Distribution, n_func: usize, n_model: u64, seed: u64) -> Rates {
         .insert_overlapped_scaled(&pairs, batch_func, 4, scale)
         .expect("host insert");
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let (_, hret) = hmap.retrieve_overlapped_scaled(&keys, batch_func, 4, scale);
+    let (_, hret) = hmap
+        .retrieve_overlapped_scaled(&keys, batch_func, 4, scale)
+        .expect("host retrieve");
 
     Rates {
         dev_ins: ins.modeled_ops_per_sec(scale),
@@ -125,6 +129,10 @@ fn main() {
     host.print();
     println!(
         "\nExpect: device insert drops ~2x beyond 2^30 (>2 GB per GPU); \
-         host insert ~2.5-2.7 G/s (84% PCIe), host retrieve ~2 G/s (55%)."
+         host insert ~2.5-2.7 G/s (84% PCIe), host retrieve ~2 G/s (55%) in \
+         the paper, which uploads an 8-byte word per key. Here a key goes up \
+         as its 4 bytes (the device writes the index), so host retrieve is \
+         bound by the 8-byte results coming down, like host insert by its \
+         pairs going up: ~2.6-2.7 G/s."
     );
 }

@@ -77,7 +77,9 @@ fn main() {
     // retrieval uses the 4-thread-loaded map (content identical across maps)
     let loaded = &insert_reports.last().expect("three variants").1;
     for threads in [1usize, 2, 4] {
-        let (_, rep) = loaded.retrieve_overlapped_scaled(&keys, batch_func, threads, scale);
+        let (_, rep) = loaded
+            .retrieve_overlapped_scaled(&keys, batch_func, threads, scale)
+            .expect("retrieve");
         t.row(vec![
             format!("Ret{threads}"),
             format!("{:.3}", rep.makespan),
@@ -135,7 +137,10 @@ fn main() {
     );
     println!(
         "\nExpect: Ins2/Ins4 save up to ~36%, Ret2/Ret4 up to ~45% vs the \
-         sequential variants."
+         sequential variants. The paper's retrieval crosses PCIe with 8-byte \
+         words both ways; here keys go up as 4 bytes, so `PCIe up` of the \
+         Ret rows is half of `PCIe down`, Ret1 is shorter, and Ret4 is bound \
+         by the way down alone (~50% saved, of a smaller total)."
     );
     let _ = GpuHashMap::new; // silence unused-import lints on some configs
 }

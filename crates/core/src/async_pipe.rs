@@ -20,9 +20,9 @@ use interconnect::{PipelineSim, Stage};
 /// Pipeline resource indices (the bars of Fig. 11, matching the Fig. 5
 /// legend: H2D = PCIe bus, MST = NVLink network, INS = video memory).
 pub mod resource {
-    /// PCIe host→device direction (PCIe is full duplex; retrieval is
-    /// still capped at ≈55% of the aggregate because each batch crosses
-    /// the bus twice with 8-byte words both ways).
+    /// PCIe host→device direction (PCIe is full duplex; a retrieval batch
+    /// crosses it twice, 4-byte keys up and 8-byte results down — the
+    /// paper's 8 bytes both ways cap retrieval at ≈55% of the aggregate).
     pub const PCIE_UP: usize = 0;
     /// PCIe device→host direction.
     pub const PCIE_DOWN: usize = 1;
@@ -154,43 +154,45 @@ impl DistributedHashMap {
     /// Retrieves `keys` in batches with overlapping streams
     /// (`Ret1`/`Ret2`/`Ret4`). Returns results in the original order.
     ///
+    /// # Errors
+    /// Propagates the first batch failure.
+    ///
     /// # Panics
     /// Panics if `batch_size == 0` or `threads == 0`.
-    #[must_use]
     pub fn retrieve_overlapped(
         &self,
         keys: &[u32],
         batch_size: usize,
         threads: usize,
-    ) -> (Vec<Option<u32>>, OverlapReport) {
+    ) -> Result<(Vec<Option<u32>>, OverlapReport), OpError> {
         self.retrieve_overlapped_scaled(keys, batch_size, threads, 1.0)
     }
 
     /// [`DistributedHashMap::retrieve_overlapped`] at modeled scale
     /// (cf. [`DistributedHashMap::insert_overlapped_scaled`]).
     ///
+    /// # Errors
+    /// Propagates the first batch failure.
+    ///
     /// # Panics
     /// Panics if `batch_size == 0` or `threads == 0`.
-    #[must_use]
     pub fn retrieve_overlapped_scaled(
         &self,
         keys: &[u32],
         batch_size: usize,
         threads: usize,
         scale: f64,
-    ) -> (Vec<Option<u32>>, OverlapReport) {
+    ) -> Result<(Vec<Option<u32>>, OverlapReport), OpError> {
         assert!(batch_size > 0 && threads > 0);
         let mut cascades = Vec::new();
         let mut results = Vec::with_capacity(keys.len());
         for chunk in keys.chunks(batch_size) {
-            let (r, rep) = self
-                .retrieve_from_host_impl(chunk)
-                .expect("scratch for overlapped retrieve");
+            let (r, rep) = self.retrieve_from_host_impl(chunk)?;
             results.extend(r);
             cascades.push(rep);
         }
         let report = self.overlay(cascades, keys.len() as u64, threads, scale);
-        (results, report)
+        Ok((results, report))
     }
 
     /// Computes the overlapped and sequential makespans of a batch stream.
@@ -247,7 +249,7 @@ mod tests {
         let pairs: Vec<(u32, u32)> = (0..2000u32).map(|i| (i * 23 + 1, i + 7)).collect();
         d.insert_overlapped(&pairs, 500, 2).unwrap();
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let (results, rep) = d.retrieve_overlapped(&keys, 300, 4);
+        let (results, rep) = d.retrieve_overlapped(&keys, 300, 4).unwrap();
         for (i, p) in pairs.iter().enumerate() {
             assert_eq!(results[i], Some(p.1));
         }

@@ -7,14 +7,18 @@
 //! round are four [`CascadeOp`] descriptions plus a per-GPU kernel call
 //! each:
 //!
-//! | operation | segments | launch site | stage    | return trip | scatter kernel (per warp)                     |
-//! |-----------|----------|-------------|----------|-------------|-----------------------------------------------|
-//! | insert    | 1        | `INSERT`    | `Insert` | none        | —                                             |
-//! | retrieve  | 1        | `QUERY`     | `Query`  | 8 B / key   | `result_scatter`: 32·(16+8) B, 4 transactions |
-//! | erase     | 1        | `ERASE`     | `Query`  | 1 B / key   | `erase_hit_scatter`: 32·(8+1) B, 2 transactions |
-//! | get + put | 3        | `GET_PUT`, late puts `INSERT` | `Query`, late puts `Insert` | 8 B / read key | `result_scatter`, over the read keys |
+//! | operation | segments | upload (host-sided) | launch site | stage    | return trip, and D2H (host-sided) | scatter kernel (per warp)                     |
+//! |-----------|----------|---------------------|-------------|----------|-------------|-----------------------------------------------|
+//! | insert    | 1        | 8 B / pair          | `INSERT`    | `Insert` | none        | —                                             |
+//! | retrieve  | 1        | 4 B / key           | `QUERY`     | `Query`  | 8 B / key   | `result_scatter`: 32·(16+8) B, 4 transactions |
+//! | erase     | 1        | 4 B / key           | `ERASE`     | `Query`  | 1 B / key   | `erase_hit_scatter`: 32·(8+1) B, 2 transactions |
+//! | get + put | 3        | 4 B / read key + 8 B / pair | `GET_PUT`, late puts `INSERT` | `Query`, late puts `Insert` | 8 B / read key | `result_scatter`, over the read keys |
 //!
-//! A cascade's input is its **segments**, each the words of every GPU.
+//! A cascade's [`Input`] is its **segments**, each the elements of every
+//! GPU: packed pairs behind, segment 0 of an operation that answers per
+//! key, the keys as they lie in the caller's memory. The multisplit writes
+//! a key out as its *query word*, its position in the GPU's chunk in the
+//! low half — the half of the paper's 8-byte upload (§V-C) a device knows.
 //! A GPU's segments lie back to back on the device and share the round —
 //! one upload, the launches of one multisplit
 //! ([`multisplit::device_multisplit_segments`]: count + scatter, the
@@ -23,12 +27,12 @@
 //! pays for launches, §V-B), one all-to-all billed on the summed byte
 //! matrix — while each is split and transposed on its own, so a target
 //! receives segment after segment, each in source order. The mixed
-//! round's are `[query words | pairs of keys not read | pairs of keys
+//! round's are `[read keys | pairs of keys not read | pairs of keys
 //! also read]`: what arrives is already the input of one
 //! fused get + put launch over the first two (distinct keys race freely,
 //! §IV-A) and of a late insert launch over the third, which only a target
 //! that received any makes — so a key both read and written is read
-//! first, and a query word and a pair stay the 64-bit words they are.
+//! first.
 //! The return trip carries segment 0 alone. A healthy round is thus
 //! three sequential launches — split, kernel, scatter — and its report
 //! counts the launches it made, summed over the GPUs. Every launch takes
@@ -51,12 +55,12 @@
 use crate::chaos::{launch_site, straggled, ChaosTally, Router};
 use crate::config::Mutation;
 use crate::distributed::DistributedHashMap;
-use crate::entry::{key_of, pack, value_of, EMPTY};
+use crate::entry::{key_of, value_of, EMPTY};
 use crate::service::{OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse};
 use crate::stats::{CascadeReport, CascadeStage};
 use gpu_sim::{DevSlice, FaultPlan, GroupSize, LaunchOptions, RetryPolicy, ScratchGuard};
 use interconnect::alltoall_time_faulted;
-use multisplit::{device_multisplit_segments, PartitionTable, SegmentedSplit};
+use multisplit::{device_multisplit_segments, PartitionTable, Segment, SegmentedSplit};
 
 /// Most segments a cascade has (the mixed round's).
 const MAX_SEGMENTS: usize = 3;
@@ -64,6 +68,19 @@ const MAX_SEGMENTS: usize = 3;
 /// Lengths of the segments a target GPU received, which lie back to back
 /// in this order; an operation with fewer segments leaves the rest zero.
 type Cuts = [usize; MAX_SEGMENTS];
+
+/// Per slot of a GPU's re-spread keys, its `(origin GPU, origin index)`.
+type Origins = Vec<Vec<(usize, usize)>>;
+
+/// A cascade's input, each segment a list per GPU.
+#[derive(Clone, Copy)]
+pub(crate) struct Input<'a> {
+    /// Keys to answer: segment 0 of exactly the operations with a
+    /// [`CascadeOp::back`] (no list otherwise), 4 bytes each until split.
+    pub(crate) keys: &'a [&'a [u32]],
+    /// The segments of packed pairs behind it, one after the other.
+    pub(crate) pairs: &'a [&'a [u64]],
+}
 
 /// What distinguishes one cascade from another, besides its kernel call.
 pub(crate) struct CascadeOp {
@@ -75,19 +92,17 @@ pub(crate) struct CascadeOp {
     /// target that received any inserts them in a launch of their own
     /// after it ([`launch_site::INSERT`], an `Insert` stage).
     late: Option<usize>,
-    /// Present iff the operation answers per key: the words of segment 0
-    /// then carry their per-GPU index in the low half (the kernels only
-    /// read `key_of`), and their answers travel back and scatter into
-    /// that order.
-    back: Option<ReturnTrip>,
+    /// Present iff the operation answers per key: segment 0 is then
+    /// [`Input::keys`], and the answers come back in their order.
+    pub(crate) back: Option<ReturnTrip>,
 }
 
 /// The return half of a cascade: transposition back, then one
 /// irregular-store scatter kernel per origin GPU.
-struct ReturnTrip {
-    /// Bytes per element on the way back; chunk sizes mirror the forward
-    /// transposition.
-    bytes: u64,
+pub(crate) struct ReturnTrip {
+    /// Bytes per element on the way back, and on down to the host; chunk
+    /// sizes mirror the forward transposition.
+    pub(crate) bytes: u64,
     /// The scatter kernel's name.
     scatter: &'static str,
     /// Per warp of 32 elements: streamed bytes read (query word plus
@@ -108,21 +123,21 @@ const RESULTS: ReturnTrip = ReturnTrip {
     transactions: 4,
 };
 
-const INSERT: CascadeOp = CascadeOp {
+pub(crate) const INSERT: CascadeOp = CascadeOp {
     site: launch_site::INSERT,
     stage: CascadeStage::Insert,
     late: None,
     back: None,
 };
 
-const RETRIEVE: CascadeOp = CascadeOp {
+pub(crate) const RETRIEVE: CascadeOp = CascadeOp {
     site: launch_site::QUERY,
     stage: CascadeStage::Query,
     late: None,
     back: Some(RESULTS),
 };
 
-const ERASE: CascadeOp = CascadeOp {
+pub(crate) const ERASE: CascadeOp = CascadeOp {
     site: launch_site::ERASE,
     stage: CascadeStage::Query,
     late: None,
@@ -134,9 +149,9 @@ const ERASE: CascadeOp = CascadeOp {
     }),
 };
 
-/// The mixed round: `[indexed query words | pairs of keys not read |
-/// pairs of keys the call also reads]`.
-const GET_PUT: CascadeOp = CascadeOp {
+/// The mixed round: `[read keys | pairs of keys not read | pairs of keys
+/// the call also reads]`.
+pub(crate) const GET_PUT: CascadeOp = CascadeOp {
     site: launch_site::GET_PUT,
     stage: CascadeStage::Query,
     late: Some(2),
@@ -182,8 +197,7 @@ struct SplitPhase<'g> {
 
 /// One source GPU's multisplit.
 struct Sent {
-    /// Its output buffers, which lie back to back: a segment each,
-    /// partition-ordered.
+    /// Its output buffers: a segment each, partition-ordered.
     out: [DevSlice; MAX_SEGMENTS],
     /// Per segment, the counts and offsets of the classes — the targets.
     classes: SegmentedSplit,
@@ -212,22 +226,19 @@ fn partition_table(sent: &[Sent], segments: std::ops::Range<usize>) -> Partition
 }
 
 /// The lists of a device-sided call as the cascade takes them.
-fn slices(per_gpu_words: &[Vec<u64>]) -> Vec<&[u64]> {
-    per_gpu_words.iter().map(Vec::as_slice).collect()
+fn slices<T>(per_gpu: &[Vec<T>]) -> Vec<&[T]> {
+    per_gpu.iter().map(Vec::as_slice).collect()
 }
 
-/// Query words for keys resident per GPU: the key with its per-GPU index
-/// in the low half.
-fn indexed(per_gpu_keys: &[Vec<u32>]) -> Vec<Vec<u64>> {
-    per_gpu_keys
-        .iter()
-        .map(|keys| {
-            keys.iter()
-                .enumerate()
-                .map(|(i, &k)| pack(k, i as u32))
-                .collect()
-        })
-        .collect()
+/// One segment re-spread: element `idx` of GPU `i` goes to GPU `to(i, idx)`.
+fn respread<T: Copy>(per_gpu: &[&[T]], mut to: impl FnMut(usize, usize) -> usize) -> Vec<Vec<T>> {
+    let mut effective = vec![Vec::new(); per_gpu.len()];
+    for (i, items) in per_gpu.iter().enumerate() {
+        for (idx, &item) in items.iter().enumerate() {
+            effective[to(i, idx)].push(item);
+        }
+    }
+    effective
 }
 
 /// The value a query kernel found for query `word`: `found` is the
@@ -239,11 +250,15 @@ fn found_value(word: u64, found: u64) -> Option<u32> {
     })
 }
 
-fn new_report(per_gpu_words: &[Vec<u64>]) -> CascadeReport {
-    CascadeReport::new(per_gpu_words.iter().map(|w| w.len() as u64).sum())
+fn new_report<T>(per_gpu: &[Vec<T>]) -> CascadeReport {
+    CascadeReport::new(per_gpu.iter().map(|w| w.len() as u64).sum())
 }
 
 impl DistributedHashMap {
+    fn segments(&self, input: Input) -> usize {
+        usize::from(!input.keys.is_empty()) + input.pairs.len() / self.num_gpus()
+    }
+
     /// Runs `step` under a snapshot of the fault plan and quarantine mask
     /// until it succeeds. Whatever its retries cost is booked whether or
     /// not it succeeded — a [`CascadeStage::Backoff`] stage, the degraded
@@ -277,17 +292,16 @@ impl DistributedHashMap {
         })
     }
 
-    /// The device-sided cascade of `op` over `segments` (`segments[s][g]`
-    /// are the words of segment `s` already resident on GPU `g`),
-    /// appending its stages to `report`.
+    /// The device-sided cascade of `op` over `input` (each list already
+    /// resident on its GPU), appending its stages to `report`.
     ///
     /// `kernel(j, buf, cuts, answers)` runs the operation's kernel on GPU
     /// `j` over the words it received — segment after segment, `cuts`
     /// long — returns its simulated time and leaves in `answers` (empty
     /// on entry, one list for the whole round) one answer per word of
     /// segment 0, none for an operation without return trip;
-    /// `answer((g, i), word, a)` receives the answer to the caller's
-    /// `segments[0][g][i]`. Under an armed fault plan rounds may run
+    /// `answer((g, i), word, a)` receives the answer to key `i` of the
+    /// caller's GPU `g` and its query word. Under an armed plan rounds run
     /// more than once: input addressed to quarantined GPUs re-spreads
     /// over the survivors with its origin tracked, wasted attempts stay
     /// billed, and `kernel`/`answer` see every completed target of every
@@ -299,28 +313,28 @@ impl DistributedHashMap {
     pub(crate) fn cascade<A>(
         &self,
         op: &CascadeOp,
-        segments: &[&[&[u64]]],
+        input: Input,
         report: &mut CascadeReport,
         mut kernel: impl FnMut(usize, DevSlice, &Cuts, &mut Vec<A>) -> Result<f64, OpError>,
         mut answer: impl FnMut((usize, usize), u64, &A),
     ) -> Result<(), OpError> {
         let m = self.num_gpus();
-        assert!((1..=MAX_SEGMENTS).contains(&segments.len()));
-        for per_gpu_words in segments {
-            assert_eq!(per_gpu_words.len(), m, "one batch per GPU");
-        }
+        let answered = if op.back.is_some() { m } else { 0 };
+        assert_eq!((input.keys.len(), input.pairs.len() % m), (answered, 0), "one batch per GPU");
+        assert!((1..=MAX_SEGMENTS).contains(&self.segments(input)));
         let policy = self.retry_policy();
         self.with_failover(report, |plan, mask, report, tally| {
-            // the healthy path borrows the caller's words as they are
-            let respread = (mask != 0).then(|| self.respread(op, segments, mask));
-            let lists = respread.as_ref().map(|(words, _)| slices(words));
-            let effective: Option<Vec<&[&[u64]]>> =
-                lists.as_ref().map(|lists| lists.chunks(m).collect());
-            let origin = respread.as_ref().map(|(_, origin)| &origin[..]);
+            // the healthy path borrows the caller's lists as they are
+            let respread = (mask != 0).then(|| self.respread(input, mask));
+            let lists = respread
+                .as_ref()
+                .map(|(keys, pairs, _)| (slices(keys), slices(pairs)));
+            let effective = lists.as_ref().map(|(keys, pairs)| Input { keys, pairs });
+            let origin = respread.as_ref().map(|(_, _, origin)| origin);
             let router = self.router_for(mask);
             self.round(
                 op,
-                effective.as_deref().unwrap_or(segments),
+                effective.unwrap_or(input),
                 origin,
                 &router,
                 plan,
@@ -338,8 +352,8 @@ impl DistributedHashMap {
     fn round<A>(
         &self,
         op: &CascadeOp,
-        segments: &[&[&[u64]]],
-        origin: Option<&[Vec<(usize, usize)>]>,
+        input: Input,
+        origin: Option<&Origins>,
         router: &Router,
         plan: &FaultPlan,
         policy: &RetryPolicy,
@@ -359,8 +373,7 @@ impl DistributedHashMap {
         };
 
         // Phases 1+2: multisplit and transposition
-        let mut split =
-            self.multisplit_phase(segments, router, opts, plan, policy, report, tally)?;
+        let mut split = self.multisplit_phase(input, router, opts, plan, policy, report, tally)?;
         // the GPUs split side by side: the stage waits for the most
         // launches and streams the bytes of all
         let splits = split.sent.iter().map(|sent| &sent.classes);
@@ -373,7 +386,7 @@ impl DistributedHashMap {
         );
         let transpose = alltoall(&|i, j| split.table.bytes(i, j, 8), tally)?;
         let (recv, landed) = self
-            .transpose_move(segments.len(), &mut split)
+            .transpose_move(self.segments(input), &mut split)
             .map_err(Abort::Fatal)?;
         report.push(CascadeStage::Transpose, transpose.time, transpose.bytes);
 
@@ -447,7 +460,7 @@ impl DistributedHashMap {
         let Some(back) = &op.back else {
             return Ok(());
         };
-        let answered = (segments.len() > 1).then(|| partition_table(&split.sent, 0..1));
+        let answered = (!input.pairs.is_empty()).then(|| partition_table(&split.sent, 0..1));
         let answered = answered.as_ref().unwrap_or(&split.table);
         // the transposed cells: target `j`'s answers travel to source `i`
         let transpose = alltoall(&|j, i| answered.bytes(i, j, back.bytes), tally)?;
@@ -474,58 +487,43 @@ impl DistributedHashMap {
         Ok(())
     }
 
-    /// Re-spreads words addressed to quarantined GPUs round-robin over
+    /// Re-spreads elements addressed to quarantined GPUs round-robin over
     /// the live ones (a dead GPU cannot host its cascade input), segment
-    /// by segment, tracking for segment 0 each effective slot's `(origin
-    /// GPU, origin index)` so answers return in the caller's order. The
-    /// words of an answered segment 0 have their low half rewritten to
-    /// the effective slot. Returns the effective lists, every segment's
-    /// `m` one after the other, and the origins.
-    #[allow(clippy::type_complexity)]
-    fn respread(
-        &self,
-        op: &CascadeOp,
-        segments: &[&[&[u64]]],
-        mask: u32,
-    ) -> (Vec<Vec<u64>>, Vec<Vec<(usize, usize)>>) {
+    /// by segment: the effective keys, the effective pairs, and the keys'
+    /// [`Origins`], so that answers return in the caller's order.
+    fn respread(&self, input: Input, mask: u32) -> (Vec<Vec<u32>>, Vec<Vec<u64>>, Origins) {
         let m = self.num_gpus();
         let live: Vec<usize> = (0..m).filter(|&g| mask & (1 << g) == 0).collect();
-        let mut eff: Vec<Vec<u64>> = vec![Vec::new(); m * segments.len()];
-        let mut origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); m];
         let mut rr = 0usize;
-        for (s, (per_gpu_words, eff)) in segments.iter().zip(eff.chunks_mut(m)).enumerate() {
-            let indexed = s == 0 && op.back.is_some();
-            for (i, words) in per_gpu_words.iter().enumerate() {
-                for (idx, &w) in words.iter().enumerate() {
-                    let g = if mask & (1 << i) == 0 {
-                        i
-                    } else {
-                        rr += 1;
-                        live[(rr - 1) % live.len()] // round-robin over the survivors
-                    };
-                    if s == 0 {
-                        origin[g].push((i, idx));
-                    }
-                    let slot = eff[g].len() as u32;
-                    eff[g].push(if indexed { pack(key_of(w), slot) } else { w });
-                }
+        let mut place = |i: usize| {
+            if mask & (1 << i) == 0 {
+                return i;
             }
-        }
-        (eff, origin)
+            rr += 1;
+            live[(rr - 1) % live.len()] // round-robin over the survivors
+        };
+        let mut origin: Origins = vec![Vec::new(); m];
+        let keys = respread(input.keys, |i, idx| {
+            let g = place(i);
+            origin[g].push((i, idx));
+            g
+        });
+        let pairs = input.pairs.chunks(m).flat_map(|per_gpu| respread(per_gpu, |i, _| place(i)));
+        (keys, pairs.collect(), origin)
     }
 
     // ---- phases -----------------------------------------------------------
 
-    /// Uploads each GPU's words, its segments back to back, and
+    /// Uploads each GPU's segments — keys two to a word — and
     /// multisplits them, every segment on its own in the same launches, by
     /// the router's fault-aware partition assignment, gating each
-    /// non-empty GPU's launches on the fault plan. A GPU without a word
+    /// non-empty GPU's launches on the fault plan. A GPU without an element
     /// launches nothing; the launches made count in `report` as they are
     /// made, so those of a phase that a later GPU's gate aborts stay.
     #[allow(clippy::too_many_arguments)]
     fn multisplit_phase(
         &self,
-        segments: &[&[&[u64]]],
+        input: Input,
         router: &Router,
         opts: LaunchOptions,
         plan: &FaultPlan,
@@ -533,53 +531,63 @@ impl DistributedHashMap {
         report: &mut CascadeReport,
         tally: &mut ChaosTally,
     ) -> Result<SplitPhase<'_>, Abort> {
-        let m = self.num_gpus();
+        let (m, segments) = (self.num_gpus(), self.segments(input));
         let mut guards = Vec::with_capacity(2 * m);
         let mut sent = Vec::with_capacity(m);
         let mut worst = 0.0f64;
         for i in 0..m {
             let dev = self.device(i);
-            let n: usize = segments
-                .iter()
-                .map(|per_gpu_words| per_gpu_words[i].len())
-                .sum();
-            if n > 0 {
+            let keys = input.keys.get(i).copied();
+            let pairs = || input.pairs.iter().skip(i).step_by(m);
+            // double buffer (Fig. 4: "out-of-place using one double buffer
+            // per GPU"): a segment as uploaded — keys lie two to a word —
+            // then the words it is split into
+            let words = keys.map_or(0, |keys| keys.len().div_ceil(2) + keys.len())
+                + 2 * pairs().map(|words| words.len()).sum::<usize>();
+            if words > 0 {
                 tally
                     .gate_launch(plan, policy, i, launch_site::MULTISPLIT)
                     .map_err(Abort::Lost)?;
             }
-            // double buffer (Fig. 4: "out-of-place using one double buffer
-            // per GPU") plus a counter per class and segment
+            // plus a counter per class and segment
             let guard = dev
-                .alloc_scratch(2 * n + m * segments.len())
+                .alloc_scratch(words + m * segments)
                 .map_err(|e| Abort::Fatal(e.into()))?;
-            let input = guard.slice().sub(0, n);
-            let output = guard.slice().sub(n, n);
-            let counters = guard.slice().sub(2 * n, m * segments.len());
-            // a segment is split in place: the same range of both buffers
-            let mut parts = [(input, output); MAX_SEGMENTS];
             let mut at = 0;
-            for (part, per_gpu_words) in parts.iter_mut().zip(segments) {
-                let words = per_gpu_words[i];
-                *part = (input.sub(at, words.len()), output.sub(at, words.len()));
-                dev.mem().h2d(part.0, words);
-                at += words.len();
+            let mut take = |len| {
+                at += len;
+                guard.slice().sub(at - len, len)
+            };
+            let mut parts = [Segment::words(take(0), take(0)); MAX_SEGMENTS];
+            if let Some(keys) = keys {
+                let staged = take(keys.len().div_ceil(2));
+                dev.mem().h2d_keys(staged, keys);
+                // MUTATION DOUBLE (`Mutation::SplitTagsRunOffset`)
+                let broken = self.cfg().mutation == Some(Mutation::SplitTagsRunOffset);
+                parts[0] =
+                    Segment::keys(staged, keys.len(), take(keys.len())).tagging_run_offsets(broken);
             }
+            for (part, words) in parts[usize::from(keys.is_some())..].iter_mut().zip(pairs()) {
+                let staged = take(words.len());
+                dev.mem().h2d(staged, words);
+                *part = Segment::words(staged, take(staged.len()));
+            }
+            let counters = take(m * segments);
             let classes =
-                device_multisplit_segments(dev, &parts[..segments.len()], counters, m, opts, |w| {
+                device_multisplit_segments(dev, &parts[..segments], counters, m, opts, |w| {
                     router.route(key_of(w))
                 });
             report.launches += u64::from(classes.launches);
             worst = worst.max(straggled(plan, i, classes.sim_time));
             sent.push(Sent {
-                out: parts.map(|(_, out)| out),
+                out: parts.map(|part| part.out()),
                 classes,
             });
             guards.push(guard);
         }
         Ok(SplitPhase {
             guards,
-            table: partition_table(&sent, 0..segments.len()),
+            table: partition_table(&sent, 0..segments),
             sent,
             time: worst,
         })
@@ -629,12 +637,12 @@ impl DistributedHashMap {
     /// Insertion of packed pairs: multisplit → transposition → insert.
     pub(crate) fn insert_words(
         &self,
-        per_gpu_words: &[&[u64]],
+        pairs: &[&[u64]],
         report: &mut CascadeReport,
     ) -> Result<(), OpError> {
         self.cascade(
             &INSERT,
-            &[per_gpu_words],
+            Input { keys: &[], pairs },
             report,
             |j, buf, &[n, ..], _: &mut Vec<()>| {
                 Ok(self.maps()[j].insert_device(buf, n)?.stats.sim_time)
@@ -643,19 +651,19 @@ impl DistributedHashMap {
         )
     }
 
-    /// Retrieval of [`indexed`] query words: … → query → transposition
-    /// back → scatter. Queries are positional: answer `r` is the packed
-    /// pair (or `EMPTY`) for received word `r`. `found((g, i), value)`
-    /// receives what the key of `per_gpu_words[g][i]` holds.
-    pub(crate) fn query_words(
+    /// Retrieval of keys: … → query → transposition back → scatter.
+    /// Queries are positional: answer `r` is the packed pair (or `EMPTY`)
+    /// for received query word `r`. `found((g, i), value)` receives what
+    /// `keys[g][i]` holds.
+    pub(crate) fn query_keys(
         &self,
-        per_gpu_words: &[&[u64]],
+        keys: &[&[u32]],
         report: &mut CascadeReport,
         mut found: impl FnMut((usize, usize), Option<u32>),
     ) -> Result<(), OpError> {
         self.cascade(
             &RETRIEVE,
-            &[per_gpu_words],
+            Input { keys, pairs: &[] },
             report,
             |j, input, &[n, ..], pairs| {
                 let dev = self.device(j);
@@ -669,20 +677,20 @@ impl DistributedHashMap {
         )
     }
 
-    /// Erasure of [`indexed`] query words: … → erase → one status byte
-    /// per key back → scatter. `hit((g, i), flag)` receives the hit flag
-    /// of `per_gpu_words[g][i]` — of every round, so a caller ORs them;
+    /// Erasure of keys: … → erase → one status byte per key back →
+    /// scatter. `hit((g, i), flag)` receives the hit flag of
+    /// `keys[g][i]` — of every round, so a caller ORs them;
     /// returns the tombstoned count, which accumulates likewise.
-    pub(crate) fn erase_words(
+    pub(crate) fn erase_keys(
         &self,
-        per_gpu_words: &[&[u64]],
+        keys: &[&[u32]],
         report: &mut CascadeReport,
         mut hit: impl FnMut((usize, usize), bool),
     ) -> Result<u64, OpError> {
         let mut erased = 0u64;
         self.cascade(
             &ERASE,
-            &[per_gpu_words],
+            Input { keys, pairs: &[] },
             report,
             |j, buf, &[n, ..], hits| {
                 let out = self.maps()[j].erase_device_shared(buf, n);
@@ -695,28 +703,28 @@ impl DistributedHashMap {
         Ok(erased)
     }
 
-    /// The mixed round over the segments `[indexed query words | pairs of
-    /// keys not queried | pairs of queried keys]`, all keys of a kind
-    /// distinct:
+    /// The mixed round over the segments `[keys read | pairs of keys not
+    /// read | pairs of keys also read]`, all keys of a kind distinct:
     /// … → one fused get + put launch over the first two segments (their
     /// keys are distinct, so they race freely, §IV-A), then on a target
     /// that received any the pairs of the third in an insert launch of
     /// their own → transposition back → scatter, of the query words alone.
-    /// `found((g, i), value)` receives what the key of `segments[0][g][i]`
-    /// held **before** the call, once on `Ok`.
+    /// `found((g, i), value)` receives what `input.keys[g][i]` held
+    /// **before** the call, once on `Ok`.
     ///
     /// The first answer a key gets stands: a round re-run after a lost
     /// device would read what the aborted one already wrote, and `found`
     /// sees that too.
-    pub(crate) fn get_put_words(
+    pub(crate) fn get_put_round(
         &self,
-        segments: [&[&[u64]]; 3],
+        input: Input,
         report: &mut CascadeReport,
         mut found: impl FnMut((usize, usize), Option<u32>),
     ) -> Result<(), OpError> {
+        assert_eq!(input.pairs.len(), 2 * input.keys.len(), "three segments");
         self.cascade(
             &GET_PUT,
-            &segments,
+            input,
             report,
             |j, buf, &[gets, puts, _], pairs| {
                 let dev = self.device(j);
@@ -767,10 +775,9 @@ impl DistributedHashMap {
         &self,
         per_gpu_keys: &[Vec<u32>],
     ) -> Result<PerGpuGetResponse, OpError> {
-        let words = indexed(per_gpu_keys);
-        let mut report = new_report(&words);
-        let mut values: Vec<Vec<Option<u32>>> = words.iter().map(|w| vec![None; w.len()]).collect();
-        self.query_words(&slices(&words), &mut report, |(g, i), v| values[g][i] = v)?;
+        let mut report = new_report(per_gpu_keys);
+        let mut values: Vec<Vec<_>> = per_gpu_keys.iter().map(|k| vec![None; k.len()]).collect();
+        self.query_keys(&slices(per_gpu_keys), &mut report, |(g, i), v| values[g][i] = v)?;
         Ok(PerGpuGetResponse {
             values,
             report: OpReport::from_cascade(report),
@@ -794,10 +801,9 @@ impl DistributedHashMap {
         &mut self,
         per_gpu_keys: &[Vec<u32>],
     ) -> Result<PerGpuDeleteResponse, OpError> {
-        let words = indexed(per_gpu_keys);
-        let mut report = new_report(&words);
-        let mut hits: Vec<Vec<bool>> = words.iter().map(|w| vec![false; w.len()]).collect();
-        let erased = self.erase_words(&slices(&words), &mut report, |(g, i), hit| {
+        let mut report = new_report(per_gpu_keys);
+        let mut hits: Vec<Vec<bool>> = per_gpu_keys.iter().map(|k| vec![false; k.len()]).collect();
+        let erased = self.erase_keys(&slices(per_gpu_keys), &mut report, |(g, i), hit| {
             hits[g][i] |= hit;
         })?;
         Ok(PerGpuDeleteResponse {

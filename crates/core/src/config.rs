@@ -109,6 +109,12 @@ pub enum Mutation {
     /// the gets run first and nothing shows; the wd-serve equivalence
     /// suite under a seeded schedule exists to catch exactly this.
     LatePutsJoinFirstLaunch,
+    /// The cascade's multisplit tags a key with its offset inside the
+    /// group's run of 256, not its position in the GPU's chunk — a tiled
+    /// kernel's local-for-global index — so from a GPU's 257th key on an
+    /// answer lands in another's place. The wd-serve equivalence suite on
+    /// flushes larger than that exists to catch exactly this.
+    SplitTagsRunOffset,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

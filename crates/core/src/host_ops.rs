@@ -1,7 +1,8 @@
 //! Host-sided cascades: PCIe transfers bracketing the device cascades.
 //!
 //! §V-C's "host-sided" variants prepend an H2D transfer to the insertion
-//! cascade and bracket the retrieval cascade with an H2D (keys up) and a
+//! cascade and bracket the retrieval cascade with an H2D (keys up — here
+//! 4 bytes each, not the paper's 8: the device writes the index) and a
 //! D2H (key-value results down). The initial spread over GPUs is the
 //! *unstructured distribution* of §IV-B — equal contiguous chunks, no
 //! host-side reordering (which the paper rules out as "almost as
@@ -12,7 +13,7 @@
 //! into one segment of the cascade round, a GPU's chunks travel up back
 //! to back in one transfer, and only the answers travel down.
 
-use crate::cascade::Abort;
+use crate::cascade::{Abort, CascadeOp, Input, ERASE, GET_PUT, INSERT, RETRIEVE};
 use crate::config::Mutation;
 use crate::distributed::DistributedHashMap;
 use crate::entry::pack;
@@ -35,59 +36,64 @@ fn live_chunk(len: usize, m: usize, mask: u32, g: usize) -> std::ops::Range<usiz
 }
 
 /// Where GPU `g`'s chunk starts in the list that `chunks` cut up.
-fn start_of(chunks: &[&[u64]], g: usize) -> usize {
+fn start_of<T>(chunks: &[&[T]], g: usize) -> usize {
     chunks[..g].iter().map(|chunk| chunk.len()).sum()
 }
 
 impl DistributedHashMap {
-    /// The one host bracket: the words `spread(mask)` makes of each list
-    /// under a quarantine mask travel up over PCIe (8 bytes each, every
-    /// GPU its [`live_chunk`] of every list in one transfer), the `device`
-    /// cascade of this map runs on them, a list a segment, and — for an
-    /// operation whose answers the host reads — 8 bytes per word of
-    /// segment 0 travel back `down`.
+    /// The one host bracket of `op`: every GPU's [`live_chunk`] of the
+    /// `keys` it answers (none for an insertion) and of each list of
+    /// `pairs` travels up over PCIe in one transfer — 4 bytes a key, 8 a
+    /// pair — the `device` cascade runs on the chunks, a list a segment,
+    /// and `op`'s answer to each key travels down, as wide as between GPUs.
     /// Dropped PCIe transfers are retried with backoff; a host link whose
     /// budget is exhausted quarantines its GPU and the transfer re-spreads
     /// over the survivors.
-    fn host_bracket<const K: usize, O>(
+    fn host_bracket<O>(
         &self,
-        elements: usize,
-        spread: impl Fn(u32) -> [Vec<u64>; K],
-        down: bool,
-        device: impl FnOnce(&Self, [&[&[u64]]; K], &mut CascadeReport) -> Result<O, OpError>,
+        op: &CascadeOp,
+        keys: &[u32],
+        pairs: &[&[u64]],
+        device: impl FnOnce(&Self, Input, &mut CascadeReport) -> Result<O, OpError>,
     ) -> Result<(O, CascadeReport), OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
+        let elements = keys.len() + pairs.iter().map(|l| l.len()).sum::<usize>();
         let mut report = CascadeReport::new(elements as u64);
         // what each host link carries, of the upload and then the download
         let mut bytes = vec![0; m];
-        let (lists, spread_mask) =
-            self.with_failover(&mut report, |plan, mask, report, tally| {
-                let lists = spread(mask);
-                for (g, bytes) in bytes.iter_mut().enumerate() {
-                    let words = lists.iter().map(|l| live_chunk(l.len(), m, mask, g).len());
-                    *bytes = words.sum::<usize>() as u64 * 8;
-                }
-                let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
-                let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
-                report.push(CascadeStage::H2D, up.time, up.bytes);
-                Ok((lists, mask))
-            })?;
+        let spread_mask = self.with_failover(&mut report, |plan, mask, report, tally| {
+            for (g, bytes) in bytes.iter_mut().enumerate() {
+                let words = pairs.iter().map(|l| live_chunk(l.len(), m, mask, g).len());
+                *bytes = live_chunk(keys.len(), m, mask, g).len() as u64 * 4
+                    + words.sum::<usize>() as u64 * 8;
+            }
+            let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
+            let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
+            report.push(CascadeStage::H2D, up.time, up.bytes);
+            Ok(mask)
+        })?;
         // list after list, each cut into its `m` chunks
-        let mut chunks = Vec::with_capacity(K * m);
-        for l in &lists {
-            chunks.extend((0..m).map(|g| &l[live_chunk(l.len(), m, spread_mask, g)]));
+        let chunks_of = |len| (0..m).map(move |g| live_chunk(len, m, spread_mask, g));
+        let mut key_chunks = Vec::new();
+        let width = op.back.as_ref().map(|back| back.bytes);
+        if width.is_some() {
+            key_chunks.extend(chunks_of(keys.len()).map(|chunk| &keys[chunk]));
         }
-        let segments: [&[&[u64]]; K] = std::array::from_fn(|s| &chunks[s * m..][..m]);
-        let out = device(self, segments, &mut report)?;
-        if down {
+        let mut chunks = Vec::with_capacity(pairs.len() * m);
+        for l in pairs {
+            chunks.extend(chunks_of(l.len()).map(|chunk| &l[chunk]));
+        }
+        let (keys, pairs) = (&key_chunks[..], &chunks[..]);
+        let out = device(self, Input { keys, pairs }, &mut report)?;
+        if let Some(width) = width {
             self.with_failover(&mut report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
                 // answers physically came from survivors, so the dead
                 // links carry no bytes
                 for (g, bytes) in bytes.iter_mut().enumerate() {
                     *bytes = match mask & (1 << g) {
-                        0 => segments[0][g].len() as u64 * 8,
+                        0 => key_chunks[g].len() as u64 * width,
                         _ => 0,
                     };
                 }
@@ -100,18 +106,6 @@ impl DistributedHashMap {
         Ok((out, report))
     }
 
-    /// The query words of `keys`, a list of the host bracket: the key with
-    /// its index in its GPU's chunk in the low half.
-    fn query_list(&self, keys: &[u32], mask: u32) -> Vec<u64> {
-        let m = self.num_gpus();
-        let mut words = Vec::with_capacity(keys.len());
-        for g in 0..m {
-            let chunk = &keys[live_chunk(keys.len(), m, mask, g)];
-            words.extend((0..).zip(chunk).map(|(i, &k)| pack(k, i)));
-        }
-        words
-    }
-
     /// Host-sided insertion: transfer the packed pairs over PCIe
     /// (unstructured equal spread over the live GPUs), then run the
     /// device cascade.
@@ -120,19 +114,17 @@ impl DistributedHashMap {
     /// Propagates the device cascade's errors;
     /// [`OpError::DeviceLost`] once no failover remains.
     pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, OpError> {
-        let spread = |_| [pairs.iter().map(|&(k, v)| pack(k, v)).collect()];
-        let ((), report) =
-            self.host_bracket(pairs.len(), spread, false, |d, [words], report| {
-                d.insert_words(words, report)
-            })?;
+        let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
+        let ((), report) = self.host_bracket(&INSERT, &[], &[&words], |d, input, report| {
+            d.insert_words(input.pairs, report)
+        })?;
         Ok(report)
     }
 
-    /// Host-sided retrieval with typed fault errors: query words up over
-    /// PCIe (8 bytes each — the key with its per-GPU index packed in the
-    /// low half), device cascade, packed key-value results down (8 bytes
-    /// each). Returns the results in the original key order with a
-    /// unified [`OpReport`].
+    /// Host-sided retrieval with typed fault errors: keys up over PCIe
+    /// (4 bytes each), device cascade, packed key-value results down
+    /// (8 bytes each). Returns the results in the original key order with
+    /// a unified [`OpReport`].
     ///
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
@@ -157,33 +149,30 @@ impl DistributedHashMap {
         &self,
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, CascadeReport), OpError> {
-        let spread = |mask| [self.query_list(keys, mask)];
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; keys.len()];
-        let ((), report) = self.host_bracket(keys.len(), spread, true, |d, [words], report| {
-            d.query_words(words, report, |(g, i), v| {
-                values[start_of(words, g) + i] = v
+        let ((), report) = self.host_bracket(&RETRIEVE, keys, &[], |d, input, report| {
+            d.query_keys(input.keys, report, |(g, i), v| {
+                values[start_of(input.keys, g) + i] = v
             })
         })?;
         Ok((values, report))
     }
 
     /// Host-sided erase with typed fault errors: keys travel over PCIe
-    /// under the same retry-and-quarantine contract as insertion, the
-    /// device cascade runs, and per-key hit flags come back in the
-    /// original input order.
+    /// (4 bytes each) under the same retry-and-quarantine contract as
+    /// insertion, the device cascade runs, and per-key hit flags come back
+    /// down (a byte each) in the original input order.
     ///
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let spread = |mask| [self.query_list(keys, mask)];
         let mut hits = vec![false; keys.len()];
-        let (erased, report) =
-            self.host_bracket(keys.len(), spread, false, |d, [words], report| {
-                d.erase_words(words, report, |(g, i), hit| {
-                    hits[start_of(words, g) + i] |= hit
-                })
-            })?;
+        let (erased, report) = self.host_bracket(&ERASE, keys, &[], |d, input, report| {
+            d.erase_keys(input.keys, report, |(g, i), hit| {
+                hits[start_of(input.keys, g) + i] |= hit
+            })
+        })?;
         Ok(DeleteResponse {
             hits,
             erased,
@@ -193,7 +182,7 @@ impl DistributedHashMap {
 
     /// Host-sided lookup of `reads` and insertion of `puts` in **one**
     /// cascade round (each list distinct ascending keys; a key may be in
-    /// both): one H2D carries each GPU's chunk of the query words, of the
+    /// both): one H2D carries each GPU's chunk of the read keys, of the
     /// pairs of keys not read and of the pairs of keys also read, one
     /// multisplit and one all-to-all move all three, the owning GPU
     /// answers and inserts in one fused launch — the put of a key that is
@@ -212,20 +201,17 @@ impl DistributedHashMap {
         // MUTATION DOUBLE (`Mutation::LatePutsJoinFirstLaunch`): no put is
         // late, so a key's get races its own put in the fused launch.
         let races = self.cfg().mutation == Some(Mutation::LatePutsJoinFirstLaunch);
-        let spread = |mask| {
-            let (mut first, mut late) = (Vec::new(), Vec::new());
-            for &(k, v) in puts {
-                let read_too = !races && reads.binary_search(&k).is_ok();
-                if read_too { &mut late } else { &mut first }.push(pack(k, v));
-            }
-            [self.query_list(reads, mask), first, late]
-        };
-        let elements = reads.len() + puts.len();
+        let (mut first, mut late) = (Vec::new(), Vec::new());
+        for &(k, v) in puts {
+            let read_too = !races && reads.binary_search(&k).is_ok();
+            if read_too { &mut late } else { &mut first }.push(pack(k, v));
+        }
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; reads.len()];
-        let ((), report) = self.host_bracket(elements, spread, true, |d, segments, report| {
-            d.get_put_words(segments, report, |(g, i), v| {
-                values[start_of(segments[0], g) + i].get_or_insert(v);
+        let puts = [&first[..], &late];
+        let ((), report) = self.host_bracket(&GET_PUT, reads, &puts, |d, input, report| {
+            d.get_put_round(input, report, |(g, i), v| {
+                values[start_of(input.keys, g) + i].get_or_insert(v);
             })
         })?;
         Ok(GetResponse {

@@ -119,6 +119,8 @@ impl AllocState {
 pub struct DeviceMemory {
     words: Box<[AtomicU64]>,
     state: Mutex<AllocState>,
+    /// Bytes the host → device copies moved so far (a statistic).
+    uploaded: AtomicU64,
     /// `wd-sanitizer` shadow state, attached at most once (first
     /// attachment wins). `None` — the default — keeps every access path
     /// free of sanitizer work beyond one predictable branch.
@@ -139,6 +141,7 @@ impl DeviceMemory {
                 scratch_floor: words,
                 arena: None,
             }),
+            uploaded: AtomicU64::new(0),
             sanitizer: OnceLock::new(),
         }
     }
@@ -404,9 +407,38 @@ impl DeviceMemory {
         for (i, &w) in data.iter().enumerate() {
             self.words[slice.offset + i].store(w, Ordering::Relaxed);
         }
+        self.book_upload(slice, data.len() as u64 * 8);
+    }
+
+    /// Host → device copy of 32-bit keys as they lie in host memory: two
+    /// to a device word, key `2i` the low half of word `i`, the high half
+    /// of an odd tail zero. Moves 4 bytes per key — no 64-bit staging copy
+    /// on the host (billed to no kernel, like [`DeviceMemory::h2d`]).
+    ///
+    /// # Panics
+    /// Panics if `slice` is not `keys.len().div_ceil(2)` words.
+    pub fn h2d_keys(&self, slice: DevSlice, keys: &[u32]) {
+        assert_eq!(keys.len().div_ceil(2), slice.len, "h2d length mismatch");
+        for (i, pair) in keys.chunks(2).enumerate() {
+            let high = pair.get(1).map_or(0, |&k| u64::from(k) << 32);
+            self.words[slice.offset + i].store(high | u64::from(pair[0]), Ordering::Relaxed);
+        }
+        self.book_upload(slice, keys.len() as u64 * 4);
+    }
+
+    /// Books an upload of `bytes` that filled `slice`.
+    fn book_upload(&self, slice: DevSlice, bytes: u64) {
+        self.uploaded.fetch_add(bytes, Ordering::Relaxed);
         if let Some(v) = self.valid_bits() {
             v.set_range(slice.offset, slice.len);
         }
+    }
+
+    /// Bytes [`DeviceMemory::h2d`] and [`DeviceMemory::h2d_keys`] have
+    /// moved onto this device: what a report may bill for an upload.
+    #[must_use]
+    pub fn uploaded_bytes(&self) -> u64 {
+        self.uploaded.load(Ordering::Relaxed)
     }
 
     /// Device → host copy (uncounted).
@@ -508,6 +540,24 @@ mod tests {
         assert_eq!(mem.d2h(a), data);
         // b unaffected
         assert!(mem.d2h(b).iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn keys_go_up_two_to_a_word_and_four_bytes_each() {
+        let mem = DeviceMemory::new(16);
+        let (even, odd, none) = (
+            mem.alloc(2).unwrap(),
+            mem.alloc(2).unwrap(),
+            mem.alloc(0).unwrap(),
+        );
+        mem.h2d_keys(even, &[1, 2, 3, u32::MAX]);
+        assert_eq!(mem.d2h(even), [2 << 32 | 1, u64::from(u32::MAX) << 32 | 3]);
+        mem.h2d_keys(odd, &[7, 8, 9]);
+        assert_eq!(mem.d2h(odd), [8 << 32 | 7, 9]);
+        mem.h2d_keys(none, &[]);
+        assert_eq!(mem.uploaded_bytes(), 4 * (4 + 3));
+        mem.h2d(even, &[5, 6]);
+        assert_eq!(mem.uploaded_bytes(), 4 * 7 + 8 * 2);
     }
 
     #[test]

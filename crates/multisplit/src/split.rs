@@ -14,7 +14,7 @@
 //! A small batch pays for launches instead (§V-B), so the cascade runs
 //! [`device_multisplit_segments`], which makes **at most two launches
 //! whatever `m`**. A group owns a *run* of [`RUN_WORDS`] consecutive
-//! words — `T` tiles of 32 — of one segment, reads it once into
+//! elements — `T` tiles of 32 — of one segment, reads it once into
 //! registers and ballots each tile once per class:
 //!
 //! 1. the **count** launch adds the run's class counts to the segment's
@@ -23,6 +23,13 @@
 //! 2. the **scatter** launch reserves the run's slots behind those `m`
 //!    cursors (≤ `m` atomics per run) and streams every word to its
 //!    place — `3n` words of traffic.
+//!
+//! A [`Segment`] holds 64-bit words, or 32-bit **keys** packed two a
+//! word as a `&[u32]` lies in host memory ([`Segment::keys`]): a run of
+//! keys is `RUN_WORDS / 2` streamed words, and the scatter launch writes
+//! each key out as the word `key << 32 | position in the segment` — the
+//! query word of a cascade that answers per key, which thus crosses PCIe
+//! as 4 bytes and is split on `2n` words of traffic, not `3n`.
 //!
 //! The run is what keeps the atomics in bounds: with one tile per group
 //! a launch would issue up to `m` atomics per 32 words, twice over, where
@@ -49,9 +56,90 @@ const G: usize = 32;
 /// Tiles a group sweeps before it touches a counter.
 const T: usize = 8;
 
-/// Words of one group's run. A segment no longer than this is split by a
-/// lone group, which needs no count launch.
+/// Elements of one group's run. A segment no longer than this is split by
+/// a lone group, which needs no count launch.
 pub const RUN_WORDS: usize = G * T;
+
+/// One segment of [`device_multisplit_segments`]: its elements on the
+/// device and the buffer its partition-ordered words go to.
+#[derive(Debug, Clone, Copy)]
+pub struct Segment {
+    input: DevSlice,
+    out: DevSlice,
+    /// Elements, each a word of `out`.
+    len: usize,
+    tag: Option<Tag>,
+}
+
+/// What the low half of a key's output word holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    /// The key's position in the segment.
+    Position,
+    /// BROKEN (mutation double): its offset inside the run.
+    RunOffset,
+}
+
+impl Segment {
+    /// The 64-bit words of `input`, moved as they are into `out`.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `input`.
+    #[must_use]
+    pub fn words(input: DevSlice, out: DevSlice) -> Self {
+        assert!(out.len() >= input.len(), "output buffer too small");
+        Self {
+            input,
+            out,
+            len: input.len(),
+            tag: None,
+        }
+    }
+
+    /// `len` 32-bit keys packed two a word in `packed` — key `2i` the low
+    /// half of word `i`, as `DeviceMemory::h2d_keys` leaves them — each
+    /// written to `out` as `key << 32 | position in the segment`, which is
+    /// also the word `class_of` sees.
+    ///
+    /// # Panics
+    /// Panics if `packed` is not `len.div_ceil(2)` words, `out` is shorter
+    /// than `len`, or a position does not fit 32 bits.
+    #[must_use]
+    pub fn keys(packed: DevSlice, len: usize, out: DevSlice) -> Self {
+        assert_eq!(packed.len(), len.div_ceil(2), "two keys per word");
+        assert!(out.len() >= len, "output buffer too small");
+        assert!(u32::try_from(len).is_ok(), "positions are 32-bit");
+        Self {
+            input: packed,
+            out,
+            len,
+            tag: Some(Tag::Position),
+        }
+    }
+
+    /// **Test-only** mutation double (the cascade's
+    /// `Mutation::SplitTagsRunOffset`): if `broken`, the scatter launch
+    /// tags a key with its offset inside the group's run instead of the
+    /// segment — the same word for the first [`RUN_WORDS`] keys only.
+    #[must_use]
+    pub fn tagging_run_offsets(mut self, broken: bool) -> Self {
+        if broken && self.tag.is_some() {
+            self.tag = Some(Tag::RunOffset);
+        }
+        self
+    }
+
+    /// The buffer the partition-ordered words go to.
+    #[must_use]
+    pub fn out(&self) -> DevSlice {
+        self.out
+    }
+
+    /// Groups that split the segment, a run each.
+    fn runs(&self) -> usize {
+        self.len.div_ceil(RUN_WORDS)
+    }
+}
 
 /// Outcome of a device multisplit.
 #[derive(Debug, Clone)]
@@ -193,22 +281,20 @@ enum Pass {
     Scatter { counted: bool },
 }
 
-/// Splits each `(input, out)` segment of `segments` into `m` classes
-/// given by `class_of`, every segment on its own — its own
-/// partition-ordered `out` (at least `input.len()` words), counts and
-/// offsets — in **at most two launches** (`opts` each) over the segments'
-/// runs laid end to end: count and scatter; scatter alone if `m == 1` or
-/// no segment is longer than [`RUN_WORDS`]; none if every segment is
-/// empty. `scratch` must hold `m` counter words per segment. Under
-/// `Schedule::Sequential` a class keeps its input order.
+/// Splits each [`Segment`] of `segments` into `m` classes given by
+/// `class_of`, every segment on its own — its own partition-ordered `out`,
+/// counts and offsets — in **at most two launches** (`opts` each) over the
+/// segments' runs laid end to end: count and scatter; scatter alone if
+/// `m == 1` or no segment is longer than [`RUN_WORDS`]; none if every
+/// segment is empty. `scratch` must hold `m` counter words per segment.
+/// Under `Schedule::Sequential` a class keeps its input order.
 ///
 /// # Panics
-/// Panics if `m == 0`, an `out` is shorter than its `input`, `scratch`
-/// is shorter than `m · segments.len()`, or `class_of` returns a class
-/// ≥ `m`.
+/// Panics if `m == 0`, `scratch` is shorter than `m · segments.len()`, or
+/// `class_of` returns a class ≥ `m`.
 pub fn device_multisplit_segments<F>(
     dev: &Device,
-    segments: &[(DevSlice, DevSlice)],
+    segments: &[Segment],
     scratch: DevSlice,
     m: usize,
     opts: LaunchOptions,
@@ -219,15 +305,10 @@ where
 {
     assert!(m > 0, "need at least one class");
     assert!(
-        segments.iter().all(|(input, out)| out.len() >= input.len()),
-        "output buffer too small"
-    );
-    assert!(
         scratch.len() >= m * segments.len(),
         "need m counter words per segment"
     );
     let counters = scratch.sub(0, m * segments.len());
-    let runs = |input: &DevSlice| input.len().div_ceil(RUN_WORDS);
     let mut split = SegmentedSplit {
         m,
         table: Vec::new(),
@@ -235,7 +316,7 @@ where
         sim_time: 0.0,
         counters: CounterSnapshot::default(),
     };
-    let num_groups: usize = segments.iter().map(|(input, _)| runs(input)).sum();
+    let num_groups: usize = segments.iter().map(Segment::runs).sum();
     if num_groups == 0 {
         if m > NO_WORDS.len() {
             split.table = vec![0; 2 * counters.len()];
@@ -246,17 +327,42 @@ where
     let kernel = |ctx: &GroupCtx, pass: Pass| {
         // the segment this group's id falls into, and its run within
         let (mut s, mut run) = (0, ctx.group_id());
-        while run >= runs(&segments[s].0) {
-            run -= runs(&segments[s].0);
+        while run >= segments[s].runs() {
+            run -= segments[s].runs();
             s += 1;
         }
-        let (input, output) = segments[s];
+        let Segment {
+            input,
+            out: output,
+            len,
+            tag,
+        } = segments[s];
         let first = run * RUN_WORDS;
-        let len = (input.len() - first).min(RUN_WORDS);
+        let len = (len - first).min(RUN_WORDS);
         // streaming read of the run into registers, a class beside each word
         let (mut vals, mut class) = ([0u64; RUN_WORDS], [0u32; RUN_WORDS]);
+        match tag {
+            None => {
+                for (i, val) in vals.iter_mut().enumerate().take(len) {
+                    *val = ctx.read_stream(input, first + i);
+                }
+            }
+            // two keys a word, each widened to the word it leaves as
+            Some(tag) => {
+                let base = match tag {
+                    Tag::Position => first,
+                    Tag::RunOffset => 0,
+                };
+                for (w, pair) in vals.chunks_mut(2).enumerate().take(len.div_ceil(2)) {
+                    let packed = ctx.read_stream(input, first / 2 + w);
+                    for (half, val) in pair.iter_mut().enumerate() {
+                        let key = (packed >> (32 * half)) & 0xffff_ffff;
+                        *val = key << 32 | (base + 2 * w + half) as u64;
+                    }
+                }
+            }
+        }
         for i in 0..len {
-            vals[i] = ctx.read_stream(input, first + i);
             class[i] = class_of(vals[i]);
             assert!(
                 class[i] < m as u32,
@@ -298,7 +404,7 @@ where
     };
 
     dev.mem().fill(counters, 0);
-    let counted = m > 1 && segments.iter().any(|(input, _)| runs(input) > 1);
+    let counted = m > 1 && segments.iter().any(|segment| segment.runs() > 1);
     split.bill(&if counted {
         launch("multisplit_count", Pass::Count)
     } else {
@@ -308,15 +414,14 @@ where
     split.table = vec![0; 2 * counters.len()];
     let (counts, offsets) = split.table.split_at_mut(counters.len());
     dev.mem().d2h_into(counters, counts);
-    for (s, (input, _)) in segments.iter().enumerate() {
+    for (s, segment) in segments.iter().enumerate() {
         let mut total = 0;
         for at in s * m..(s + 1) * m {
             offsets[at] = total;
             total += counts[at];
         }
         assert_eq!(
-            total as usize,
-            input.len(),
+            total as usize, segment.len,
             "classes must cover every element of segment {s}"
         );
     }
@@ -446,9 +551,9 @@ mod tests {
         words
     }
 
-    /// A device holding each of `data` in a segment of its own: the
-    /// `(input, out)` pairs and `m` counter words per segment.
-    fn segments_of(data: &[Vec<u64>], m: usize) -> (Device, Vec<(DevSlice, DevSlice)>, DevSlice) {
+    /// A device holding each of `data` in a segment of its own, and `m`
+    /// counter words per segment.
+    fn segments_of(data: &[Vec<u64>], m: usize) -> (Device, Vec<Segment>, DevSlice) {
         let total: usize = data.iter().map(Vec::len).sum();
         let dev = Device::with_words(0, 2 * total + m * data.len() + 16);
         let segments = data
@@ -456,7 +561,7 @@ mod tests {
             .map(|words| {
                 let input = dev.alloc(words.len()).unwrap();
                 dev.mem().h2d(input, words);
-                (input, dev.alloc(words.len()).unwrap())
+                Segment::words(input, dev.alloc(words.len()).unwrap())
             })
             .collect();
         let scratch = dev.alloc(m * data.len()).unwrap();
@@ -468,7 +573,7 @@ mod tests {
         data: &[Vec<u64>],
         m: usize,
         opts: LaunchOptions,
-    ) -> (Device, Vec<(DevSlice, DevSlice)>, SegmentedSplit) {
+    ) -> (Device, Vec<Segment>, SegmentedSplit) {
         let (dev, segments, scratch) = segments_of(data, m);
         let split = device_multisplit_segments(&dev, &segments, scratch, m, opts, |w| {
             (w % m as u64) as u32
@@ -498,8 +603,8 @@ mod tests {
                     };
                     assert_eq!(split.launches, launches, "m={m} lens {lens:?}");
                     assert_eq!(dev.lifetime_stats().launches, u64::from(launches));
-                    for (s, (words, &(_, out))) in data.iter().zip(&segments).enumerate() {
-                        let got = dev.mem().d2h(out);
+                    for (s, (words, segment)) in data.iter().zip(&segments).enumerate() {
+                        let got = dev.mem().d2h(segment.out());
                         let (counts, offsets) = (split.counts(s), split.offsets(s));
                         assert_eq!(offsets, exclusive_scan(counts), "m={m} lens {lens:?}");
                         for c in 0..m {
@@ -528,7 +633,7 @@ mod tests {
                 assert_eq!(seg.offsets(0), one.offsets, "m={m} len {len}");
                 for c in 0..m {
                     let class = segments[0]
-                        .1
+                        .out()
                         .sub(one.offsets[c] as usize, one.counts[c] as usize);
                     assert_eq!(
                         sorted(dev.mem().d2h(class)),
@@ -546,11 +651,11 @@ mod tests {
         for m in CLASSES {
             let data = [words(1000, 3), words(200, 4), words(RUN_WORDS + 1, 5)];
             let (dev, segments, _) = split_of(&data, m, opts);
-            for (words, &(_, out)) in data.iter().zip(&segments) {
+            for (words, segment) in data.iter().zip(&segments) {
                 let stable: Vec<u64> = (0..m as u64)
                     .flat_map(|c| words.iter().copied().filter(move |w| w % m as u64 == c))
                     .collect();
-                assert_eq!(dev.mem().d2h(out), stable, "m={m}");
+                assert_eq!(dev.mem().d2h(segment.out()), stable, "m={m}");
             }
         }
     }
@@ -588,9 +693,134 @@ mod tests {
         assert_eq!(split.counts(2), [0, 0]);
         assert_eq!(split.counts(1).iter().sum::<u64>(), 100);
         assert_eq!(
-            sorted(dev.mem().d2h(segments[1].1)),
+            sorted(dev.mem().d2h(segments[1].out())),
             sorted(data[1].clone())
         );
+    }
+
+    /// Splits by the key — the high half of a word — as the cascade does.
+    fn key_class(m: usize) -> impl Fn(u64) -> u32 + Sync {
+        move |w| ((w >> 32) % m as u64) as u32
+    }
+
+    /// A device holding `keys` packed two a word in segment 0 and each of
+    /// `pairs` in a word segment behind it.
+    fn key_segments_of(
+        keys: &[u32],
+        pairs: &[Vec<u64>],
+        m: usize,
+    ) -> (Device, Vec<Segment>, DevSlice) {
+        let total: usize = keys.len() + pairs.iter().map(Vec::len).sum::<usize>();
+        let dev = Device::with_words(0, 2 * total + m * (1 + pairs.len()) + 32);
+        let packed = dev.alloc(keys.len().div_ceil(2)).unwrap();
+        dev.mem().h2d_keys(packed, keys);
+        let mut segments = vec![Segment::keys(
+            packed,
+            keys.len(),
+            dev.alloc(keys.len()).unwrap(),
+        )];
+        for words in pairs {
+            let input = dev.alloc(words.len()).unwrap();
+            dev.mem().h2d(input, words);
+            segments.push(Segment::words(input, dev.alloc(words.len()).unwrap()));
+        }
+        let scratch = dev.alloc(m * segments.len()).unwrap();
+        (dev, segments, scratch)
+    }
+
+    /// Differential against the words the host used to build: a segment
+    /// of packed keys leaves the split as the split of `key << 32 | i`
+    /// leaves it — bit for bit in `group_id` order, class by class as a
+    /// multiset in the pool — alone and beside two segments of pairs, on
+    /// half the input stream.
+    #[test]
+    fn packed_keys_split_like_the_query_words_the_host_built() {
+        let odd_runs = 3 * RUN_WORDS + 9;
+        let sequential = LaunchOptions::default().with_schedule(gpu_sim::Schedule::Sequential);
+        for m in [1, 2, 4] {
+            for len in [0, 1, RUN_WORDS - 1, RUN_WORDS, RUN_WORDS + 1, odd_runs] {
+                for pairs in [vec![], vec![words(300, 1), words(RUN_WORDS + 2, 2)]] {
+                    for (opts, in_order) in [(sequential, true), (LaunchOptions::default(), false)]
+                    {
+                        let keys: Vec<u32> = (0..len as u32).map(|i| (i * 31 + 5) % 1009).collect();
+                        let built: Vec<u64> = (0..)
+                            .zip(&keys)
+                            .map(|(i, &k)| u64::from(k) << 32 | i)
+                            .collect();
+                        let mut data = vec![built];
+                        data.extend(pairs.iter().cloned());
+
+                        let (dev, segments, scratch) = key_segments_of(&keys, &pairs, m);
+                        let split = device_multisplit_segments(
+                            &dev,
+                            &segments,
+                            scratch,
+                            m,
+                            opts,
+                            key_class(m),
+                        );
+                        let (ref_dev, ref_segments, scratch) = segments_of(&data, m);
+                        let want = device_multisplit_segments(
+                            &ref_dev,
+                            &ref_segments,
+                            scratch,
+                            m,
+                            opts,
+                            key_class(m),
+                        );
+
+                        let case =
+                            format!("m={m} len={len} beside {} in_order={in_order}", pairs.len());
+                        assert_eq!(split.launches, want.launches, "{case}");
+                        for s in 0..data.len() {
+                            assert_eq!(split.counts(s), want.counts(s), "{case}");
+                            assert_eq!(split.offsets(s), want.offsets(s), "{case}");
+                            let got = dev.mem().d2h(segments[s].out());
+                            let reference = ref_dev.mem().d2h(ref_segments[s].out());
+                            if in_order {
+                                assert_eq!(got, reference, "{case} segment {s}");
+                            }
+                            for c in 0..m {
+                                let start = split.offsets(s)[c] as usize;
+                                let class = start..start + split.counts(s)[c] as usize;
+                                assert_eq!(
+                                    sorted(got[class.clone()].to_vec()),
+                                    sorted(reference[class].to_vec()),
+                                    "{case} segment {s} class {c}"
+                                );
+                            }
+                        }
+                        // every pass reads a key as 4 bytes of a streamed
+                        // word, where it read a query word
+                        let reads = u64::from(split.launches);
+                        let saved = 8 * (len - len.div_ceil(2)) as u64 * reads;
+                        assert_eq!(
+                            split.counters.stream_bytes + saved,
+                            want.counters.stream_bytes,
+                            "{case}"
+                        );
+                        assert_eq!(split.counters.atomic_ops, want.counters.atomic_ops);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The mutation double tags a key with its offset inside the run: the
+    /// first run's words are right, every later run's are not.
+    #[test]
+    fn run_offset_tags_differ_from_the_second_run_on() {
+        for (len, differs) in [(RUN_WORDS, false), (RUN_WORDS + 1, true)] {
+            let keys: Vec<u32> = (0..len as u32).collect();
+            let split = |broken| {
+                let (dev, mut segments, scratch) = key_segments_of(&keys, &[], 1);
+                segments[0] = segments[0].tagging_run_offsets(broken);
+                let opts = LaunchOptions::default();
+                device_multisplit_segments(&dev, &segments, scratch, 1, opts, |_| 0);
+                sorted(dev.mem().d2h(segments[0].out()))
+            };
+            assert_eq!(split(true) != split(false), differs, "len {len}");
+        }
     }
 
     /// The split is never slower than the m-pass it replaces, nor issues

@@ -12,7 +12,10 @@
 //! byte-identical responses *and* rejections, across backends,
 //! schedules, and transient fault plans. Per-tenant Wing–Gong
 //! linearizability is checked with the core history checker. Three
-//! doubles must be caught within `WD_MUTATION_SEEDS`:
+//! doubles must be caught within `WD_MUTATION_SEEDS`, and a fourth,
+//! `Mutation::SplitTagsRunOffset` — a cascade multisplit that tags a key
+//! with its offset inside the run of 256 instead of the GPU's chunk —
+//! by flushes of more than 256 keys per GPU, and provably by no other:
 //! `Mutation::ForwardStaleRead` — an `execute` that answers a get from
 //! the pre-call read although the call wrote the key before it —,
 //! `Mutation::UpsertReturnsNew` — a fused launch whose upsert groups
@@ -380,6 +383,44 @@ fn broken_late_puts_join_first_launch_is_caught_by_equivalence() {
         SEEDED,
         &[SEQUENTIAL, None],
     );
+}
+
+/// Mutation double: the cascade's multisplit tags a key with its offset
+/// inside its group's run of 256, not its position in the GPU's chunk.
+/// The first run's offsets *are* the positions, so the double is
+/// invisible — provably: same words, same answers — to every flush that
+/// asks each GPU for at most 256 keys, which at four GPUs is any flush of
+/// up to 1 024 ops and every other case of this suite. A flush of 4 096
+/// reads and deletes some 500 keys per GPU: past the 256th an answer
+/// lands in another key's place, and the suite must say so.
+#[test]
+fn broken_split_tags_run_offset_is_caught_past_256_keys_per_gpu() {
+    let trace_cfg = TraceConfig {
+        ops: 2 * 4096,
+        key_space: 2048,
+        put_per_mille: 300,
+        delete_per_mille: 50,
+        ..TraceConfig::default()
+    };
+    for seed in 0..2 {
+        let run = |max_batch: usize, broken: bool| -> Observable {
+            let mut cfg = Config::default().with_schedule(Schedule::Sequential);
+            if broken {
+                cfg = cfg.with_mutation(Mutation::SplitTagsRunOffset);
+            }
+            let serve = ServeConfig::default()
+                .with_max_delay(f64::INFINITY)
+                .with_queue_cap(2 * max_batch)
+                .with_max_batch(max_batch);
+            let run = Server::new(quad_node(cfg), serve).run_trace(&generate(&trace_cfg, seed));
+            observable(&run.completions, &run.rejects)
+        };
+        let want = run(1, false);
+        assert_eq!(run(4096, false), want, "false positive at seed {seed}");
+        // at most 1 024 distinct keys a call is at most 256 a GPU
+        assert_eq!(run(1024, true), want, "no key past a GPU's first run");
+        assert_ne!(run(4096, true), want, "the double survived seed {seed}");
+    }
 }
 
 /// Transient faults surface in telemetry (backoff time, retries) while

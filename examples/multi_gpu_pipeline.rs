@@ -62,7 +62,9 @@ fn main() {
     // overlapped retrieval with misses mixed in
     let mut keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
     keys.extend([4_000_000_001, 4_000_000_003]);
-    let (results, qreport) = dmap.retrieve_overlapped(&keys, BATCH, 4);
+    let (results, qreport) = dmap
+        .retrieve_overlapped(&keys, BATCH, 4)
+        .expect("pipeline retrieve");
     let hits = results.iter().filter(|r| r.is_some()).count();
     assert_eq!(hits, N, "every inserted key must be found");
     assert!(results[N].is_none() && results[N + 1].is_none());

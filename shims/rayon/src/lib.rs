@@ -56,8 +56,9 @@ pub struct ParIter<S> {
 }
 
 /// Splits `len` items into per-thread contiguous chunks honouring
-/// `min_len`, runs `work(start, end)` for each chunk on scoped threads,
-/// and returns the per-chunk results in index order.
+/// `min_len`, runs `work(start, end)` for each chunk — the first on the
+/// caller, which would otherwise sleep in `join`, the others on scoped
+/// threads — and returns the per-chunk results in index order.
 fn run_chunked<R, F>(len: usize, min_len: usize, work: F) -> Vec<R>
 where
     R: Send,
@@ -79,11 +80,14 @@ where
         .collect();
     let work = &work;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
+        let handles: Vec<_> = bounds[1..]
             .iter()
             .map(|&(s, e)| scope.spawn(move || work(s, e)))
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let (s, e) = bounds[0];
+        let first = work(s, e);
+        let rest = handles.into_iter().map(|h| h.join().unwrap());
+        std::iter::once(first).chain(rest).collect()
     })
 }
 
@@ -368,6 +372,16 @@ mod tests {
                 sum.fetch_add(u64::from(i), Ordering::Relaxed);
             });
         assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
+    }
+
+    #[test]
+    fn the_caller_runs_the_first_chunk_and_parts_keep_their_order() {
+        let caller = std::thread::current().id();
+        let parts = super::run_chunked(4096, 1, |s, e| (s, e, std::thread::current().id()));
+        assert_eq!(parts[0].2, caller);
+        assert!(parts[1..].iter().all(|part| part.2 != caller));
+        assert_eq!((parts[0].0, parts.last().unwrap().1), (0, 4096));
+        assert!(parts.windows(2).all(|pair| pair[0].1 == pair[1].0));
     }
 
     #[test]

@@ -408,8 +408,9 @@ fn preloaded(m: usize, n: u32, plan: FaultPlan) -> (DistributedHashMap, Vec<u32>
 
 /// Dropped host-link transfers of an erase are retried with backoff, and
 /// the retries are booked: `transfer_retries`, and a `Backoff` stage
-/// right behind the H2D it delayed. On a 1-GPU node the all-to-all moves
-/// nothing, so every transfer retry is the host link's.
+/// right behind the transfer it delayed — the keys' H2D or the hit
+/// flags' D2H. On a 1-GPU node the all-to-all moves nothing, so every
+/// transfer retry is the host link's.
 #[test]
 fn erase_from_host_retries_dropped_host_link_transfers() {
     let mut retried = 0;
@@ -428,9 +429,18 @@ fn erase_from_host_retries_dropped_host_link_transfers() {
         let stats = d.degraded_stats();
         let stages: Vec<CascadeStage> = del.report.stages.iter().map(|s| s.stage).collect();
         assert_eq!(stages[0], CascadeStage::H2D);
+        assert_eq!(
+            stages.iter().filter(|&&s| s == CascadeStage::D2H).count(),
+            1
+        );
         if stats.transfer_retries > 0 {
             retried += 1;
-            assert_eq!(stages[1], CascadeStage::Backoff, "{}", d.replay_hint());
+            let delayed = stages.windows(2).filter(|w| w[1] == CascadeStage::Backoff);
+            assert!(delayed.clone().count() > 0, "{}", d.replay_hint());
+            for transfer in delayed {
+                let host_link = matches!(transfer[0], CascadeStage::H2D | CascadeStage::D2H);
+                assert!(host_link, "{:?} {}", transfer[0], d.replay_hint());
+            }
             assert_eq!(del.report.backoff_time.to_bits(), stats.backoff_time.to_bits());
         } else {
             assert!(!stages.contains(&CascadeStage::Backoff));
@@ -470,10 +480,62 @@ fn erase_from_host_sends_no_pcie_bytes_to_quarantined_gpus() {
     assert_eq!(del.erased, 900);
     let h2d = del.report.stages[0];
     assert_eq!(h2d.stage, CascadeStage::H2D);
-    assert_eq!(h2d.bytes, 900 * 8);
+    assert_eq!(h2d.bytes, 900 * 4);
     let topo = Topology::p100_quad(4);
-    let over_survivors = interconnect::h2d_time(&topo, &[2400, 2400, 2400, 0]);
-    let over_everyone = interconnect::h2d_time(&topo, &[1800; 4]);
+    let over_survivors = interconnect::h2d_time(&topo, &[1200, 1200, 1200, 0]);
+    let over_everyone = interconnect::h2d_time(&topo, &[900; 4]);
     assert_ne!(over_survivors.to_bits(), over_everyone.to_bits());
     assert_eq!(h2d.time.to_bits(), over_survivors.to_bits());
+    // nor do the hit flags come down a dead link: a byte a key, the survivors'
+    let d2h = *del.report.stages.last().unwrap();
+    assert_eq!((d2h.stage, d2h.bytes), (CascadeStage::D2H, 900));
+    let down = interconnect::d2h_time(&topo, &[300, 300, 300, 0]);
+    assert_eq!(d2h.time.to_bits(), down.to_bits());
+}
+
+/// Keys go up 4 bytes each, two to a device word, and get their place in
+/// the chunk from the split: chunks of odd length (a half-filled last
+/// word), of more than one run, a GPU without a key and a quarantined GPU
+/// — lost mid-call, then absent — all hand the answers back in the
+/// caller's order, from retrieve, erase and the mixed round alike.
+#[test]
+fn answers_come_back_in_the_callers_order_whatever_the_chunks() {
+    use warpdrive::MapService;
+    for plan in [FaultPlan::default(), FaultPlan::default().with_kill(1)] {
+        // 3 keys leave GPU 3 empty; 1027 make chunks of 257, 257, 257, 256
+        for n in [1usize, 3, 5, 1027, 1030] {
+            let (mut d, keys) = preloaded(4, 1200, plan);
+            // every third key absent, the list in descending order
+            let asked = |i: usize| matches!(i % 3, 1 | 2).then_some(i as u32);
+            let query: Vec<u32> = (0..n)
+                .rev()
+                .map(|i| keys[i] + u32::from(asked(i).is_none()))
+                .collect();
+            let want: Vec<Option<u32>> = (0..n).rev().map(asked).collect();
+            let case = format!("n={n} {}", d.replay_hint());
+
+            let got = d.try_retrieve_from_host(&query).unwrap();
+            assert_eq!(got.values, want, "retrieve {case}");
+            if n >= 3 {
+                // GPU 1's chunk found its host link dead
+                let lost = if plan.armed() { vec![1] } else { vec![] };
+                assert_eq!(d.quarantined(), lost, "{case}");
+            }
+
+            // the mixed round takes its reads ascending: every read key rewritten
+            let reads: Vec<u32> = query.iter().rev().copied().collect();
+            let puts: Vec<(u32, u32)> = reads.iter().map(|&k| (k, k)).collect();
+            let got = d.get_put_batch(&reads, &puts).unwrap();
+            let before: Vec<Option<u32>> = want.iter().rev().copied().collect();
+            assert_eq!(got.values, before, "get + put {case}");
+
+            let (present, absent) = (&query[..n / 2], &query[n / 2..]);
+            let del = d.try_erase_from_host(present).unwrap();
+            assert!(del.hits.iter().all(|&hit| hit), "erase {case}");
+            let after = d.try_retrieve_from_host(&query).unwrap();
+            let gone = present.iter().map(|_| None);
+            let want: Vec<Option<u32>> = gone.chain(absent.iter().map(|&k| Some(k))).collect();
+            assert_eq!(after.values, want, "after the erase {case}");
+        }
+    }
 }

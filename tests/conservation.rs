@@ -14,7 +14,9 @@
 //!    input key multiset; erasing a subset leaves exactly the remainder.
 
 use interconnect::Topology;
-use multisplit::{device_multisplit, device_multisplit_segments, PartitionTable, RUN_WORDS};
+use multisplit::{
+    device_multisplit, device_multisplit_segments, PartitionTable, Segment, RUN_WORDS,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -126,16 +128,17 @@ proptest! {
         let lo = cut_a.min(cut_b).min(data.len());
         let hi = run.map_or(cut_a.max(cut_b), |run| lo + run).min(data.len());
         let out3 = dev.alloc(data.len()).unwrap();
-        let segments = [(0, lo), (lo, hi), (hi, data.len())]
+        let cuts = [(0, lo), (lo, hi), (hi, data.len())]
             .map(|(from, to)| (input.sub(from, to - from), out3.sub(from, to - from)));
+        let segments = cuts.map(|(seg_in, seg_out)| Segment::words(seg_in, seg_out));
         let launches = dev.lifetime_stats().launches;
         let opts = gpu_sim::LaunchOptions::default();
         let split = device_multisplit_segments(&dev, &segments, scratch, m, opts, class_of);
         // count + scatter, unless there is nothing to count
-        let longest = segments.iter().map(|(seg_in, _)| seg_in.len()).max().unwrap();
+        let longest = cuts.iter().map(|(seg_in, _)| seg_in.len()).max().unwrap();
         let expected = if m == 1 || longest <= RUN_WORDS { 1 } else { 2 };
         prop_assert_eq!(dev.lifetime_stats().launches - launches, expected);
-        for (s, (seg_in, seg_out)) in segments.iter().enumerate() {
+        for (s, (seg_in, seg_out)) in cuts.iter().enumerate() {
             let words = dev.mem().d2h(*seg_in);
             check_split(&words, split.counts(s), split.offsets(s), &dev.mem().d2h(*seg_out), m)?;
         }
@@ -284,6 +287,93 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(stored, want, "erase broke conservation");
     }
+}
+
+/// What a host-sided call bills for PCIe is what crosses it — keys go up
+/// 4 bytes each and pairs 8, values come down 8 bytes each and hit flags
+/// 1 — and the bytes of its H2D stage are the bytes `DeviceMemory` moved
+/// for the upload. The multisplit's bytes are what its kernels streamed:
+/// a key is read as half a word by each pass and written as a word.
+#[test]
+fn host_sided_calls_bill_the_pcie_bytes_they_move() {
+    use warpdrive::CascadeStage::{Multisplit, D2H, H2D};
+    use warpdrive::{MapService, OpReport};
+    let m = 4u64;
+    let devices: Vec<_> = (0..m as usize)
+        .map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 17)))
+        .collect();
+    let topology = Topology::p100_quad(m as usize);
+    // a retried transfer is billed again: no plan from the environment
+    let cfg = Config::default().with_fault(gpu_sim::FaultPlan::default());
+    let mut d = DistributedHashMap::new(devices.clone(), 4096, cfg, topology).unwrap();
+    let uploaded = || -> u64 { devices.iter().map(|dev| dev.mem().uploaded_bytes()).sum() };
+    let bytes = |report: &OpReport, stage| -> u64 {
+        let of_stage = report.stages.iter().filter(|s| s.stage == stage);
+        of_stage.map(|s| s.bytes).sum()
+    };
+    // What else is copied onto the devices during a call of `elements` in
+    // `segments` lists, a chunk of which is longer than a run on every
+    // GPU: the all-to-all lands each on its target as a word (NVLink's
+    // bytes, the Transpose stage), and every GPU's count pass leaves `m`
+    // class offsets per segment for its scatter pass.
+    let beside_the_upload = |elements: u64, segments: u64| 8 * elements + 8 * m * m * segments;
+
+    // 2 999 over 4 GPUs: three chunks of 750 and an odd one, of 749
+    let pairs: Vec<(u32, u32)> = (0..2999u32).map(|i| (i * 7 + 3, i)).collect();
+    let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+    let n = keys.len() as u64;
+
+    let before = uploaded();
+    let put = d.put_batch(&pairs).unwrap().report;
+    assert_eq!((bytes(&put, H2D), bytes(&put, D2H)), (8 * n, 0));
+    assert_eq!(
+        uploaded() - before,
+        bytes(&put, H2D) + beside_the_upload(n, 1)
+    );
+    assert_eq!(bytes(&put, Multisplit), 3 * 8 * n);
+
+    let before = uploaded();
+    let get = d.get_batch(&keys).unwrap();
+    assert!(get.values.iter().all(Option::is_some));
+    assert_eq!(
+        (bytes(&get.report, H2D), bytes(&get.report, D2H)),
+        (4 * n, 8 * n)
+    );
+    assert_eq!(
+        uploaded() - before,
+        bytes(&get.report, H2D) + beside_the_upload(n, 1)
+    );
+    let halves = 3 * 750 + 750; // the odd chunk's last word is half full
+    assert_eq!(bytes(&get.report, Multisplit), 2 * 4 * halves + 8 * n);
+
+    // the mixed round: 1 501 reads, 1 999 puts, 501 of them late
+    let reads = &keys[..1501];
+    let puts: Vec<(u32, u32)> = pairs[1000..].iter().map(|&(k, v)| (k, v + 1)).collect();
+    let before = uploaded();
+    let round = d.get_put_batch(reads, &puts).unwrap().report;
+    let (r, p) = (reads.len() as u64, puts.len() as u64);
+    assert_eq!(
+        (bytes(&round, H2D), bytes(&round, D2H)),
+        (4 * r + 8 * p, 8 * r)
+    );
+    assert_eq!(
+        uploaded() - before,
+        bytes(&round, H2D) + beside_the_upload(r + p, 3)
+    );
+
+    let victims = &keys[..1499];
+    let before = uploaded();
+    let del = d.delete_batch(victims).unwrap();
+    assert_eq!(del.erased, 1499);
+    let v = victims.len() as u64;
+    assert_eq!(
+        (bytes(&del.report, H2D), bytes(&del.report, D2H)),
+        (4 * v, v)
+    );
+    assert_eq!(
+        uploaded() - before,
+        bytes(&del.report, H2D) + beside_the_upload(v, 1)
+    );
 }
 
 /// Snapshot words of every GPU reconstruct the exact (key, value) pairs —

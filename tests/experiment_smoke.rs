@@ -116,8 +116,8 @@ fn fig11_shape_holds() {
         .unwrap();
     assert!(rep.saving() > 0.2, "saving {:.2}", rep.saving());
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let (_, r2) = dmap.retrieve_overlapped_scaled(&keys, 1000, 2, 1024.0);
-    let (_, r4) = dmap.retrieve_overlapped_scaled(&keys, 1000, 4, 1024.0);
+    let retrieve = |threads| dmap.retrieve_overlapped_scaled(&keys, 1000, threads, 1024.0);
+    let ((_, r2), (_, r4)) = (retrieve(2).unwrap(), retrieve(4).unwrap());
     assert!(r4.makespan <= r2.makespan * 1.001);
     assert!(r2.saving() > 0.2);
 }
