@@ -1,4 +1,6 @@
-//! Experiment runners shared by the figure binaries.
+//! The two fixtures every scenario is built on: [`SingleGpuBench`] (one
+//! device, the §V-B protocol) and [`NodeBench`] (m devices behind one
+//! [`DistributedHashMap`], the §V-C cascades).
 //!
 //! Sweeps reuse one [`SingleGpuBench`] across all their measurement
 //! points: the device pool is sized once for the worst-case (lowest-load)
@@ -11,9 +13,9 @@
 
 use crate::p100_with_words;
 use gpu_sim::{CounterSnapshot, DevSlice, Device, Schedule};
+use interconnect::Topology;
 use std::sync::Arc;
-use std::time::Instant;
-use warpdrive::{pack, Config, GpuHashMap};
+use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap, OpReport, PerGpuGetResponse};
 use workloads::Distribution;
 
 /// One (load, group size) measurement of the Fig. 7/8 protocol.
@@ -39,9 +41,6 @@ pub struct SingleGpuMeasurement {
     pub insert_counters: CounterSnapshot,
     /// Retrieve kernel counter totals.
     pub retrieve_counters: CounterSnapshot,
-    /// Host wall-clock for the whole point (table build + insert +
-    /// retrieve, excluding input generation), seconds.
-    pub host_wall_s: f64,
 }
 
 /// Reusable single-GPU measurement fixture: one device + staging arena
@@ -88,22 +87,10 @@ impl SingleGpuBench {
         self
     }
 
-    /// Functional element count per point.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The device the fixture measures on.
-    #[must_use]
-    pub fn device(&self) -> &Arc<Device> {
-        &self.dev
-    }
-
     /// Runs the paper's single-GPU protocol (§V-B) for one point: insert
     /// `n` pairs of the given distribution into a table sized for `load`,
-    /// then retrieve all of them; report simulated rates plus host
-    /// wall-clock. `modeled_n` drives the >2 GB artifact at paper scale.
+    /// then retrieve all of them; report simulated rates and counters.
+    /// `modeled_n` drives the >2 GB artifact at paper scale.
     ///
     /// # Panics
     /// Panics if insertion fails (probing exhaustion) — callers choose
@@ -130,7 +117,6 @@ impl SingleGpuBench {
         let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
         let queries: Vec<u64> = pairs.iter().map(|&(k, _)| u64::from(k) << 32).collect();
 
-        let wall = Instant::now();
         self.dev.mem().reset(); // arena survives; bump region reclaimed
         let mut cfg = Config::default()
             .with_group_size(group_size)
@@ -151,7 +137,6 @@ impl SingleGpuBench {
         let out_slice = self.arena.sub(2 * n, n);
         self.dev.mem().h2d(q_slice, &queries);
         let ret = map.retrieve_device(q_slice, out_slice, n);
-        let host_wall_s = wall.elapsed().as_secs_f64();
 
         SingleGpuMeasurement {
             load,
@@ -164,7 +149,6 @@ impl SingleGpuBench {
             retrieve_sim_s: ret.sim_time,
             insert_counters: ins.stats.counters,
             retrieve_counters: ret.counters,
-            host_wall_s,
         }
     }
 
@@ -184,42 +168,97 @@ impl SingleGpuBench {
         let pairs = dist.generate(n, seed);
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
 
-        let wall = Instant::now();
         self.dev.mem().reset();
         let table =
             CuckooHash::new(self.dev.clone(), capacity, seed as u32).expect("cuckoo allocation");
         let ins = table.insert_pairs(&pairs);
-        let ret = table.try_retrieve(&keys).unwrap().report;
-        let host_wall_s = wall.elapsed().as_secs_f64();
+        let ret = table.try_retrieve(&keys).expect("cuckoo retrieve").report;
 
         CuckooMeasurement {
-            load,
             insert_rate: scaled_rate(ins.stats.sim_time, n, modeled_n),
             retrieve_rate: scaled_rate(ret.time, n, modeled_n),
-            insert_steps: ins.stats.counters.steps_per_group(),
             failed: ins.failed,
-            host_wall_s,
         }
     }
 }
 
-/// One-shot wrapper around [`SingleGpuBench::warpdrive`]: builds a fixture
-/// for exactly this point and measures it. Sweeps should hold a
-/// [`SingleGpuBench`] instead to amortize the device across points.
+/// Reusable multi-GPU fixture: `m` simulated P100s of the Fig. 6 node
+/// behind one [`DistributedHashMap`], each sized for `per_gpu` elements
+/// at load factor `load` plus the cascades' staging.
+#[derive(Debug)]
+pub struct NodeBench {
+    /// The node.
+    pub map: DistributedHashMap,
+    per_gpu: usize,
+}
+
+impl NodeBench {
+    /// Target load factor α of the multi-GPU experiments (§V-C).
+    pub const PAPER_LOAD: f64 = 0.95;
+
+    /// Builds the node on fresh devices.
+    ///
+    /// # Panics
+    /// Panics when the tables do not fit their pools (callers pick
+    /// functional scales far below VRAM).
+    #[must_use]
+    pub fn new(m: usize, per_gpu: usize, load: f64, cfg: Config) -> Self {
+        let capacity = (per_gpu as f64 / load).ceil() as usize;
+        let devices = (0..m)
+            .map(|i| p100_with_words(i, capacity + 8 * per_gpu + 4096))
+            .collect();
+        let map = DistributedHashMap::new(devices, capacity, cfg, Topology::p100_quad(m))
+            .expect("node construction");
+        Self { map, per_gpu }
+    }
+
+    /// The node of the §V-C experiments: α = [`Self::PAPER_LOAD`],
+    /// |g| = 4, and the CAS working set of tables holding `n_model` pairs
+    /// between them (the >2 GB artifact).
+    #[must_use]
+    pub fn paper(m: usize, per_gpu: usize, n_model: u64) -> Self {
+        let per_gpu_model = (n_model / m as u64) as f64;
+        let cfg = Config::default()
+            .with_group_size(4)
+            .with_modeled_capacity(((per_gpu_model / Self::PAPER_LOAD).ceil() as u64) * 8);
+        Self::new(m, per_gpu, Self::PAPER_LOAD, cfg)
+    }
+
+    /// The §V-C device-sided protocol: `pairs`, resident `per_gpu` to a
+    /// GPU, go through the insert cascade and then all their keys through
+    /// the retrieve cascade.
+    ///
+    /// # Panics
+    /// Panics if a cascade fails — callers choose loads the scheme supports.
+    #[must_use]
+    pub fn device_round(&self, pairs: &[(u32, u32)]) -> (OpReport, PerGpuGetResponse) {
+        let chunks = pairs.chunks(self.per_gpu);
+        let words: Vec<Vec<u64>> = chunks
+            .clone()
+            .map(|c| c.iter().map(|&(k, v)| pack(k, v)).collect())
+            .collect();
+        let ins = self
+            .map
+            .insert_device_sided(&words)
+            .expect("insert cascade");
+        let keys: Vec<Vec<u32>> = chunks.map(|c| c.iter().map(|p| p.0).collect()).collect();
+        let ret = self
+            .map
+            .try_retrieve_device_sided(&keys)
+            .expect("retrieve cascade");
+        (ins, ret)
+    }
+}
+
+/// A single-GPU map of `capacity` slots on a fresh device with room for
+/// the staging of `n` host-sided pairs, whatever the layout.
 ///
 /// # Panics
-/// Panics if insertion fails (probing exhaustion) — callers choose loads
-/// the scheme supports.
+/// Panics when the table does not fit the pool.
 #[must_use]
-pub fn single_gpu_insert_retrieve(
-    dist: Distribution,
-    n: usize,
-    modeled_n: u64,
-    load: f64,
-    group_size: u32,
-    seed: u64,
-) -> SingleGpuMeasurement {
-    SingleGpuBench::for_sweep(n, load).warpdrive(dist, modeled_n, load, group_size, seed)
+pub fn host_map(n: usize, capacity: usize, cfg: Config) -> GpuHashMap {
+    let dev = p100_with_words(0, 2 * capacity + 3 * n + 4096);
+    GpuHashMap::new(dev, capacity, cfg).expect("table allocation")
 }
 
 /// Converts a functional-scale kernel time into the modeled-scale rate:
@@ -235,55 +274,41 @@ pub fn scaled_rate(sim_time: f64, n: usize, modeled_n: u64) -> f64 {
 }
 
 /// One CUDPP-cuckoo measurement (same protocol as
-/// [`single_gpu_insert_retrieve`]).
+/// [`SingleGpuBench::warpdrive`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CuckooMeasurement {
-    /// Target load factor.
-    pub load: f64,
     /// Simulated insert rate, ops/s.
     pub insert_rate: f64,
     /// Simulated retrieve rate, ops/s.
     pub retrieve_rate: f64,
-    /// Mean eviction-chain steps per insert.
-    pub insert_steps: f64,
     /// Pairs that could not be placed.
     pub failed: u64,
-    /// Host wall-clock for the point, seconds.
-    pub host_wall_s: f64,
-}
-
-/// One-shot wrapper around [`SingleGpuBench::cuckoo`].
-#[must_use]
-pub fn cuckoo_insert_retrieve(
-    dist: Distribution,
-    n: usize,
-    modeled_n: u64,
-    load: f64,
-    seed: u64,
-) -> CuckooMeasurement {
-    SingleGpuBench::for_sweep(n, load).cuckoo(dist, modeled_n, load, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One point on a fixture of its own.
+    fn point(load: f64, group_size: u32) -> SingleGpuMeasurement {
+        let bench = SingleGpuBench::for_sweep(1 << 14, load);
+        bench.warpdrive(Distribution::Unique, 1 << 27, load, group_size, 1)
+    }
+
     #[test]
     fn measurement_produces_sane_rates() {
-        let m = single_gpu_insert_retrieve(Distribution::Unique, 1 << 14, 1 << 27, 0.8, 4, 1);
+        let m = point(0.8, 4);
         assert!(m.insert_rate > 1e8, "insert {:.3e}", m.insert_rate);
         assert!(
             m.retrieve_rate > m.insert_rate,
             "retrieve should beat insert"
         );
         assert!(m.insert_steps >= 1.0);
-        assert!(m.host_wall_s > 0.0);
     }
 
     #[test]
     fn higher_load_is_slower() {
-        let lo = single_gpu_insert_retrieve(Distribution::Unique, 1 << 14, 1 << 27, 0.5, 8, 1);
-        let hi = single_gpu_insert_retrieve(Distribution::Unique, 1 << 14, 1 << 27, 0.97, 8, 1);
+        let (lo, hi) = (point(0.5, 8), point(0.97, 8));
         assert!(hi.insert_rate < lo.insert_rate);
         assert!(hi.insert_steps > lo.insert_steps);
     }

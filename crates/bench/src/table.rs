@@ -1,4 +1,4 @@
-//! Plain-text table printing for the harness binaries.
+//! Plain-text table printing for the scenarios.
 //!
 //! Output is aligned, pipe-separated text — easy to diff against
 //! EXPERIMENTS.md and to paste into plotting scripts.
@@ -62,10 +62,11 @@ impl TextTable {
         }
         out
     }
+}
 
-    /// Prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
+impl std::fmt::Display for TextTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.render())
     }
 }
 

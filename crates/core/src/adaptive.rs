@@ -22,12 +22,7 @@
 //! transaction regardless, so nothing smaller can be cheaper, and larger
 //! windows only pay off beyond α ≈ 0.99. The Fig. 7 measurements agree.
 
-use crate::config::Config;
-use crate::service::OpError;
-use crate::insert::InsertOutcome;
-use crate::map::GpuHashMap;
 use gpu_sim::GroupSize;
-use std::sync::Arc;
 
 /// Expected irregular transactions to place/find one key at load `alpha`
 /// with group size `g` (the heuristic's cost function).
@@ -47,6 +42,13 @@ pub fn expected_cost(alpha: f64, g: u32) -> f64 {
 /// break toward the sector width (g = 4), which costs nothing extra per
 /// window and has the lowest probe variance of the one-transaction
 /// group sizes.
+///
+/// A caller applies it per batch with
+/// `map.set_group_size(recommend_group_size(map.load_factor()))`. That is
+/// safe at batch boundaries because the probing *slot sequence* is
+/// group-size independent (§IV-A's consistency property, certified by
+/// `probing::slot_sequence_is_group_size_independent`): a key inserted
+/// with |g| = 8 is found by a |g| = 2 query.
 #[must_use]
 pub fn recommend_group_size(alpha: f64) -> GroupSize {
     let order = [4u32, 2, 8, 1, 16, 32]; // preference among equal costs
@@ -62,76 +64,20 @@ pub fn recommend_group_size(alpha: f64) -> GroupSize {
     GroupSize::new(best)
 }
 
-/// A hash map that re-selects its group size per batch from the current
-/// load factor.
-///
-/// Group-size changes are safe at batch boundaries because the probing
-/// *slot sequence* is group-size independent (§IV-A's consistency
-/// property, certified by `probing::slot_sequence_is_group_size_independent`):
-/// a key inserted with |g| = 8 is found by a |g| = 2 query.
-#[derive(Debug)]
-pub struct AdaptiveHashMap {
-    inner: GpuHashMap,
-}
-
-impl AdaptiveHashMap {
-    /// Builds an adaptive map (the configured group size seeds the first
-    /// batch only).
-    ///
-    /// # Errors
-    /// Same as [`GpuHashMap::new`].
-    pub fn new(
-        dev: Arc<gpu_sim::Device>,
-        capacity: usize,
-        cfg: Config,
-    ) -> Result<Self, crate::errors::BuildError> {
-        Ok(Self {
-            inner: GpuHashMap::new(dev, capacity, cfg)?,
-        })
-    }
-
-    /// The group size the next batch would use.
-    #[must_use]
-    pub fn current_group_size(&self) -> GroupSize {
-        recommend_group_size(self.inner.load_factor())
-    }
-
-    /// Inserts a batch with the group size recommended for the *current*
-    /// load factor.
-    ///
-    /// # Errors
-    /// Same as [`GpuHashMap::insert_pairs`].
-    pub fn insert_pairs(&mut self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, OpError> {
-        let g = self.current_group_size();
-        self.inner.set_group_size(g);
-        self.inner.insert_pairs(pairs)
-    }
-
-    /// Retrieves with the recommended group size, returning a typed
-    /// [`crate::GetResponse`].
-    ///
-    /// # Errors
-    /// Same as [`GpuHashMap::try_retrieve`].
-    pub fn try_retrieve(
-        &mut self,
-        keys: &[u32],
-    ) -> Result<crate::GetResponse, crate::OpError> {
-        let g = self.current_group_size();
-        self.inner.set_group_size(g);
-        self.inner.try_retrieve(keys)
-    }
-
-    /// The wrapped map (read access).
-    #[must_use]
-    pub fn inner(&self) -> &GpuHashMap {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
+    use crate::insert::InsertOutcome;
+    use crate::map::GpuHashMap;
+    use std::sync::Arc;
     use workloads::Distribution;
+
+    /// One batch at the group size recommended for the current load.
+    fn insert_adaptive(map: &mut GpuHashMap, pairs: &[(u32, u32)]) -> InsertOutcome {
+        map.set_group_size(recommend_group_size(map.load_factor()));
+        map.insert_pairs(pairs).unwrap()
+    }
 
     #[test]
     fn cost_function_shape() {
@@ -157,16 +103,17 @@ mod tests {
     #[test]
     fn adaptive_map_round_trips_across_group_switches() {
         let dev = Arc::new(gpu_sim::Device::with_words(0, 1 << 16));
-        let mut map = AdaptiveHashMap::new(dev, 4096, Config::default()).unwrap();
+        let mut map = GpuHashMap::new(dev, 4096, Config::default()).unwrap();
         let pairs = Distribution::Unique.generate(3900, 3); // → α ≈ 0.95
-                                                            // insert in rising-load batches; group size may change in between
+        // insert in rising-load batches; group size may change in between
         let mut sizes = Vec::new();
         for chunk in pairs.chunks(500) {
-            sizes.push(map.current_group_size().get());
-            map.insert_pairs(chunk).unwrap();
+            sizes.push(recommend_group_size(map.load_factor()).get());
+            insert_adaptive(&mut map, chunk);
         }
         // every key is found regardless of which |g| inserted it
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        map.set_group_size(recommend_group_size(map.load_factor()));
         let res = map.try_retrieve(&keys).unwrap().values;
         assert!(res.iter().all(Option::is_some));
         // recommendations stayed in the sane band
@@ -182,17 +129,16 @@ mod tests {
     #[test]
     fn recommendation_never_sees_overfull_load_during_a_migration() {
         let dev = Arc::new(gpu_sim::Device::with_words(0, 1 << 16));
-        let mut map = AdaptiveHashMap::new(dev, 1024, Config::default()).unwrap();
+        let mut map = GpuHashMap::new(dev, 1024, Config::default()).unwrap();
         let pairs = Distribution::Unique.generate(1800, 5);
-        map.insert_pairs(&pairs[..800]).unwrap();
-        assert!(map.inner.request_grow().unwrap());
+        insert_adaptive(&mut map, &pairs[..800]);
+        assert!(map.request_grow().unwrap());
         for chunk in pairs[800..].chunks(100) {
-            map.insert_pairs(chunk).unwrap();
-            let alpha = map.inner().load_factor();
+            insert_adaptive(&mut map, chunk);
+            let alpha = map.load_factor();
             assert!(alpha <= 1.0, "α = {alpha} mid-migration");
-            assert_eq!(map.current_group_size(), recommend_group_size(alpha));
         }
-        assert!((map.inner().load_factor() - 1800.0 / 2048.0).abs() < 1e-12);
+        assert!((map.load_factor() - 1800.0 / 2048.0).abs() < 1e-12);
     }
 
     #[test]
@@ -209,10 +155,10 @@ mod tests {
             p100.net_of_launches(map.insert_pairs(&pairs).unwrap().stats.sim_time, 1)
         };
         let dev = Arc::new(gpu_sim::Device::with_words(0, 1 << 16));
-        let mut adaptive = AdaptiveHashMap::new(dev, 4096, Config::default()).unwrap();
+        let mut adaptive = GpuHashMap::new(dev, 4096, Config::default()).unwrap();
         let mut t_adaptive = 0.0;
         for chunk in pairs.chunks(512) {
-            let t = adaptive.insert_pairs(chunk).unwrap().stats.sim_time;
+            let t = insert_adaptive(&mut adaptive, chunk).stats.sim_time;
             t_adaptive += p100.net_of_launches(t, 1);
         }
         let worst = run_fixed(32).max(run_fixed(1));

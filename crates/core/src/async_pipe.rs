@@ -13,8 +13,8 @@
 //! simulated resource timelines by [`interconnect::PipelineSim`].
 
 use crate::distributed::DistributedHashMap;
-use crate::service::OpError;
-use crate::stats::{CascadeReport, CascadeStage};
+use crate::service::{OpError, OpReport};
+use crate::stats::CascadeStage;
 use interconnect::{PipelineSim, Stage};
 
 /// Pipeline resource indices (the bars of Fig. 11, matching the Fig. 5
@@ -49,7 +49,7 @@ pub struct OverlapReport {
     /// Elements processed.
     pub elements: u64,
     /// Per-batch cascade reports (functional truth).
-    pub cascades: Vec<CascadeReport>,
+    pub cascades: Vec<OpReport>,
 }
 
 impl OverlapReport {
@@ -76,7 +76,7 @@ impl OverlapReport {
 
 /// Maps a cascade report to pipeline stages on the four resources,
 /// extrapolating each stage to `scale`× its functional element count.
-fn stages_of(report: &CascadeReport, scale: f64) -> Vec<Stage> {
+fn stages_of(report: &OpReport, scale: f64) -> Vec<Stage> {
     let mut out = Vec::new();
     let mut push = |resource: usize, duration: f64| {
         if duration > 0.0 {
@@ -198,7 +198,7 @@ impl DistributedHashMap {
     /// Computes the overlapped and sequential makespans of a batch stream.
     fn overlay(
         &self,
-        cascades: Vec<CascadeReport>,
+        cascades: Vec<OpReport>,
         elements: u64,
         threads: usize,
         scale: f64,

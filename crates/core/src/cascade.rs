@@ -755,10 +755,10 @@ impl DistributedHashMap {
     pub fn insert_device_sided(
         &self,
         per_gpu_words: &[Vec<u64>],
-    ) -> Result<CascadeReport, OpError> {
+    ) -> Result<OpReport, OpError> {
         let mut report = new_report(per_gpu_words);
         self.insert_words(&slices(per_gpu_words), &mut report)?;
-        Ok(report)
+        Ok(OpReport::from_cascade(report))
     }
 
     /// Device-sided retrieval with typed fault errors. `per_gpu_keys[i]`

@@ -55,7 +55,7 @@ impl DistributedHashMap {
         keys: &[u32],
         pairs: &[&[u64]],
         device: impl FnOnce(&Self, Input, &mut CascadeReport) -> Result<O, OpError>,
-    ) -> Result<(O, CascadeReport), OpError> {
+    ) -> Result<(O, OpReport), OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
         let elements = keys.len() + pairs.iter().map(|l| l.len()).sum::<usize>();
@@ -103,7 +103,7 @@ impl DistributedHashMap {
                 Ok(())
             })?;
         }
-        Ok((out, report))
+        Ok((out, OpReport::from_cascade(report)))
     }
 
     /// Host-sided insertion: transfer the packed pairs over PCIe
@@ -113,7 +113,7 @@ impl DistributedHashMap {
     /// # Errors
     /// Propagates the device cascade's errors;
     /// [`OpError::DeviceLost`] once no failover remains.
-    pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<CascadeReport, OpError> {
+    pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<OpReport, OpError> {
         let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
         let ((), report) = self.host_bracket(&INSERT, &[], &[&words], |d, input, report| {
             d.insert_words(input.pairs, report)
@@ -130,10 +130,7 @@ impl DistributedHashMap {
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_retrieve_from_host(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
         let (values, report) = self.retrieve_from_host_impl(keys)?;
-        Ok(GetResponse {
-            values,
-            report: OpReport::from_cascade(report),
-        })
+        Ok(GetResponse { values, report })
     }
 
     /// Single-key convenience. Routed through the same counter/stats
@@ -148,7 +145,7 @@ impl DistributedHashMap {
     pub(crate) fn retrieve_from_host_impl(
         &self,
         keys: &[u32],
-    ) -> Result<(Vec<Option<u32>>, CascadeReport), OpError> {
+    ) -> Result<(Vec<Option<u32>>, OpReport), OpError> {
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; keys.len()];
         let ((), report) = self.host_bracket(&RETRIEVE, keys, &[], |d, input, report| {
@@ -176,7 +173,7 @@ impl DistributedHashMap {
         Ok(DeleteResponse {
             hits,
             erased,
-            report: OpReport::from_cascade(report),
+            report,
         })
     }
 
@@ -216,7 +213,7 @@ impl DistributedHashMap {
         })?;
         Ok(GetResponse {
             values: values.into_iter().map(Option::flatten).collect(),
-            report: OpReport::from_cascade(report),
+            report,
         })
     }
 }
@@ -291,9 +288,9 @@ mod tests {
         let rep = d.insert_from_host(&pairs).unwrap();
         let h2d = rep.time_of(CascadeStage::H2D);
         assert!(
-            h2d > 0.3 * rep.total_time(),
+            h2d > 0.3 * rep.time,
             "h2d {h2d:.3e} of {:.3e}",
-            rep.total_time()
+            rep.time
         );
     }
 

@@ -64,7 +64,7 @@ pub mod sharded;
 pub mod stats;
 mod table;
 
-pub use adaptive::{recommend_group_size, AdaptiveHashMap};
+pub use adaptive::recommend_group_size;
 pub use cache::{CachePolicy, CacheStats, CachedMap};
 pub use chaos::Router;
 pub use config::{Config, Layout, Mutation, ProbingScheme};
@@ -84,7 +84,7 @@ pub use service::{
 };
 pub use resize::{ResizeMode, ResizePolicy, ResizeState};
 pub use sharded::ShardedHashMap;
-pub use stats::{CascadeReport, CascadeStage, DegradedStats, Occupancy};
+pub use stats::{CascadeStage, DegradedStats, Occupancy};
 
 /// Re-export of the group-size type used throughout the public API.
 pub use gpu_sim::GroupSize;

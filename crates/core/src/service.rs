@@ -9,8 +9,8 @@
 //!
 //! * [`Op`] / [`Response`] — one request/response pair for puts, gets and
 //!   deletes, whatever the backend;
-//! * [`OpReport`] — one cost report subsuming both [`KernelStats`]
-//!   (single-GPU launches) and [`CascadeReport`] (multi-GPU cascades);
+//! * [`OpReport`] — one cost report for single-GPU launches
+//!   ([`KernelStats`]) and multi-GPU cascades (per-stage rows);
 //! * [`OpError`] — one error type for every operation, bulk insertion
 //!   included, so fault-mode callers never hit a panic;
 //! * [`MapService`] — the trait the wd-serve coalescer is generic over,
@@ -135,8 +135,8 @@ pub enum Response {
 /// One cost report for any operation on any backend.
 ///
 /// Subsumes both per-launch [`KernelStats`] (single-GPU backends, where
-/// `counters` is populated and `stages` is empty) and [`CascadeReport`]
-/// (multi-GPU cascades, where `stages` carries the per-phase breakdown).
+/// `counters` is populated and `stages` is empty) and the multi-GPU
+/// cascades' timing (where `stages` carries the per-phase breakdown).
 /// Reports merge additively, so a coalesced flush spanning several
 /// batches accumulates into one report.
 #[derive(Debug, Clone, Default)]
@@ -171,9 +171,9 @@ impl OpReport {
         }
     }
 
-    /// Wraps a cascade's timing report.
+    /// Wraps the phases a cascade pushed.
     #[must_use]
-    pub fn from_cascade(report: CascadeReport) -> Self {
+    pub(crate) fn from_cascade(report: CascadeReport) -> Self {
         Self {
             elements: report.elements,
             launches: report.launches,
@@ -233,8 +233,8 @@ impl OpReport {
     /// Total modeled time extrapolated to `scale`× the element count.
     ///
     /// With a cascade breakdown the variable parts scale and the fixed
-    /// launch overheads do not (the [`CascadeReport::modeled_time`]
-    /// rule); without one the flat total scales linearly.
+    /// launch overheads do not ([`StageTiming::scaled_time`]); without
+    /// one the flat total scales linearly.
     #[must_use]
     pub fn modeled_time(&self, scale: f64) -> f64 {
         if self.stages.is_empty() {

@@ -60,9 +60,10 @@ impl StageTiming {
     }
 }
 
-/// Timing report of one cascade over a batch of elements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CascadeReport {
+/// The builder a cascade pushes its phases into; callers receive it as
+/// a [`crate::OpReport`] ([`crate::OpReport::from_cascade`]).
+#[derive(Debug, Clone)]
+pub(crate) struct CascadeReport {
     /// Phases in execution order.
     pub stages: Vec<StageTiming>,
     /// Elements processed.
@@ -107,39 +108,10 @@ impl CascadeReport {
         });
     }
 
-    /// Total cascade time extrapolated to `scale`× the element count
-    /// (variable parts scale, fixed overheads do not).
-    #[must_use]
-    pub fn modeled_time(&self, scale: f64) -> f64 {
-        self.stages.iter().map(|s| s.scaled_time(scale)).sum()
-    }
-
-    /// Operation rate at modeled scale.
-    #[must_use]
-    pub fn modeled_ops_per_sec(&self, scale: f64) -> f64 {
-        let t = self.modeled_time(scale);
-        if t == 0.0 {
-            0.0
-        } else {
-            self.elements as f64 * scale / t
-        }
-    }
-
     /// Total cascade time (phases are globally barriered, so they add).
     #[must_use]
     pub fn total_time(&self) -> f64 {
         self.stages.iter().map(|s| s.time).sum()
-    }
-
-    /// Aggregate operation rate.
-    #[must_use]
-    pub fn ops_per_sec(&self) -> f64 {
-        let t = self.total_time();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.elements as f64 / t
-        }
     }
 
     /// Accumulated time of one phase kind (a cascade may, e.g., transpose
@@ -151,27 +123,6 @@ impl CascadeReport {
             .filter(|s| s.stage == stage)
             .map(|s| s.time)
             .sum()
-    }
-
-    /// Fraction of total time spent in a phase kind.
-    #[must_use]
-    pub fn fraction_of(&self, stage: CascadeStage) -> f64 {
-        let t = self.total_time();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.time_of(stage) / t
-        }
-    }
-
-    /// Merges another report (e.g. successive batches of one stream):
-    /// element counts, launches and per-stage times accumulate.
-    pub fn absorb(&mut self, other: &CascadeReport) {
-        self.elements += other.elements;
-        self.launches += other.launches;
-        for s in &other.stages {
-            self.push_with_overhead(s.stage, s.time, s.bytes, s.overhead);
-        }
     }
 }
 
@@ -296,34 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_fractions() {
-        let mut r = CascadeReport::new(1000);
-        r.push(CascadeStage::Multisplit, 0.02, 0);
-        r.push(CascadeStage::Transpose, 0.03, 4096);
-        r.push(CascadeStage::Insert, 0.95, 0);
-        assert!((r.total_time() - 1.0).abs() < 1e-12);
-        assert!((r.ops_per_sec() - 1000.0).abs() < 1e-9);
-        assert!((r.fraction_of(CascadeStage::Transpose) - 0.03).abs() < 1e-12);
-        assert_eq!(r.time_of(CascadeStage::Query), 0.0);
-    }
-
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = CascadeReport::new(10);
-        a.push(CascadeStage::Insert, 1.0, 0);
-        let mut b = CascadeReport::new(20);
-        b.push(CascadeStage::Insert, 2.0, 0);
-        b.launches = 3;
-        a.absorb(&b);
-        assert_eq!(a.elements, 30);
-        assert_eq!(a.launches, 3);
-        assert!((a.time_of(CascadeStage::Insert) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_report_rates_are_zero() {
-        let r = CascadeReport::new(0);
+        let r = crate::OpReport::from_cascade(CascadeReport::new(0));
         assert_eq!(r.ops_per_sec(), 0.0);
-        assert_eq!(r.fraction_of(CascadeStage::H2D), 0.0);
+        assert_eq!(r.modeled_ops_per_sec(1024.0), 0.0);
     }
 }

@@ -55,7 +55,7 @@ fn run(plan: FaultPlan) -> Row {
     assert!(ret.values.iter().all(Option::is_some), "all keys must be found");
     Row {
         wall,
-        modeled: ins.total_time() + ret.report.time,
+        modeled: ins.time + ret.report.time,
         stage_bits: ins
             .stages
             .iter()

@@ -5,7 +5,7 @@
 //! runnable: each benchmark closure is timed over a handful of
 //! iterations and the mean wall-clock time is printed. There is no
 //! statistics engine, warm-up modelling, or HTML report — for paper-grade
-//! numbers use the dedicated `wd-bench` binaries (which report *simulated*
+//! numbers use the `wd-bench` scenarios (which report *simulated*
 //! device time, the metric that actually reproduces the paper's figures).
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,7 @@
 //! Experiment-path smoke tests: run the library calls behind every
 //! figure at tiny scale and assert the paper's qualitative shapes. These
-//! are the same code paths the `wd-bench` binaries drive, so a green run
-//! here means every figure harness can execute end to end.
+//! are the same code paths the `wd-bench` scenarios drive (each of which
+//! `crates/bench/tests/registry.rs` also runs at a tiny `--n`).
 
 use interconnect::{alltoall_time, broadcast_h2d_time, Topology};
 use std::sync::Arc;
@@ -22,9 +22,10 @@ fn single_rates(load: f64, g: u32, n: usize) -> (f64, f64) {
     let ins = map.insert_pairs(&pairs).unwrap();
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
     let ret = map.try_retrieve(&keys).unwrap().report;
+    let p100 = gpu_sim::DeviceSpec::p100();
     (
-        n as f64 / (ins.stats.sim_time - 6e-6),
-        n as f64 / (ret.time - 6e-6),
+        n as f64 / p100.net_of_launches(ins.stats.sim_time, 1),
+        n as f64 / p100.net_of_launches(ret.time, 1),
     )
 }
 
@@ -56,7 +57,8 @@ fn speedup_over_cuckoo_grows_with_load() {
         let cuckoo = baselines::CuckooHash::new(dev, capacity, 1).unwrap();
         let pairs = Distribution::Unique.generate(n, 1);
         let out = cuckoo.insert_pairs(&pairs);
-        wd / (n as f64 / (out.stats.sim_time - 6e-6))
+        let cuckoo_s = gpu_sim::DeviceSpec::p100().net_of_launches(out.stats.sim_time, 1);
+        wd / (n as f64 / cuckoo_s)
     };
     let r80 = ratio_at(0.80);
     let r95 = ratio_at(0.95);
