@@ -18,6 +18,16 @@
 //! and the migration each kept their own copy of a table's state; the
 //! one-`Table` refactor must reproduce every row bit for bit.
 //!
+//! Those scenarios run under `Schedule::Sequential`, where a group runs
+//! to completion and the *order* of its `ctx` calls cannot show. Behind
+//! them the file holds, for layout ∈ {AOS, SOA} × |g| ∈ {1, 4, 32} under
+//! `Schedule::Seeded(7)` — every counted `ctx` call a preemption point —
+//! a put batch with duplicate keys inside one wave of groups, a get, an
+//! erase naming each victim twice, a put over the tombstones and a
+//! `get_put_batch`, and one `GpuMultiMap` section (insert, `retrieve_all`)
+//! under the same schedule: the rows the one-probe-walk refactor of the
+//! kernels was pinned against before it was made.
+//!
 //! A deliberate change to a modeled number regenerates the file with
 //! `UPDATE_GOLDEN=1 cargo test --test resize_golden`; review its diff.
 
@@ -25,8 +35,8 @@ use gpu_sim::{CounterSnapshot, Device, FaultPlan, KernelStats, LifetimeStats, Sc
 use std::fmt::{Debug, Write as _};
 use std::sync::Arc;
 use warpdrive::{
-    pack, Config, GpuHashMap, HistoryRecorder, Layout, MapService, Op, OpReport, ResizePolicy,
-    ResizeState,
+    pack, Config, GpuHashMap, GpuMultiMap, HistoryRecorder, Layout, MapService, Op, OpReport,
+    ResizePolicy, ResizeState,
 };
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/resize_golden.txt");
@@ -88,6 +98,50 @@ fn report(r: &OpReport) -> String {
     )
 }
 
+/// Every knob `Config::default()` reads from the environment, pinned.
+fn config(layout: Layout, schedule: Schedule, g: u32) -> Config {
+    Config::default()
+        .with_layout(layout)
+        .with_group_size(g)
+        .with_schedule(schedule)
+        .with_fault(FaultPlan::default())
+}
+
+/// The device's lifetime launch count, counters and time.
+fn device_row(out: &mut String, dev: &Device) {
+    let LifetimeStats {
+        launches,
+        counters: c,
+        sim_time,
+    } = dev.lifetime_stats();
+    writeln!(
+        out,
+        "  device launches={launches} t={:016x} {}",
+        sim_time.to_bits(),
+        counters(&c)
+    )
+    .unwrap();
+}
+
+/// Digests of the live contents and of the events recorded since the
+/// last row.
+fn contents_and_history(
+    mut live: Vec<(u32, u32)>,
+    rec: &HistoryRecorder,
+    events_seen: &mut usize,
+) -> String {
+    live.sort_unstable();
+    let events = rec.events();
+    let fresh = &events[*events_seen..];
+    *events_seen = events.len();
+    format!(
+        "contents={:016x} events+{}={:016x}",
+        digest(live.into_iter().map(|(k, v)| pack(k, v))),
+        fresh.len(),
+        digest(fresh.iter().flat_map(|e| format!("{e:?}").into_bytes()).map(u64::from)),
+    )
+}
+
 /// The map under test plus everything the fixture observes around it.
 struct Rig {
     map: GpuHashMap,
@@ -98,17 +152,19 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(layout: Layout, policy: ResizePolicy) -> Self {
+    fn new(
+        layout: Layout,
+        schedule: Schedule,
+        g: u32,
+        capacity: usize,
+        policy: Option<ResizePolicy>,
+    ) -> Self {
         // room for the table, several migration targets (the bump
         // allocator never frees) and scratch
         let dev = Arc::new(Device::with_words(0, 1 << 16));
-        // every knob `Config::default()` reads from the environment is pinned
-        let cfg = Config::default()
-            .with_layout(layout)
-            .with_schedule(Schedule::Sequential)
-            .with_fault(FaultPlan::default());
-        let mut map = GpuHashMap::new(Arc::clone(&dev), CAPACITY, cfg).unwrap();
-        map.set_resize_policy(Some(policy));
+        let cfg = config(layout, schedule, g);
+        let mut map = GpuHashMap::new(Arc::clone(&dev), capacity, cfg).unwrap();
+        map.set_resize_policy(policy);
         let rec = Arc::new(HistoryRecorder::new());
         map.set_recorder(Some(Arc::clone(&rec)));
         Self {
@@ -120,33 +176,23 @@ impl Rig {
         }
     }
 
+    /// The rig of the resize scenarios: groups run one after another.
+    fn resizing(layout: Layout, policy: ResizePolicy) -> Self {
+        Self::new(layout, Schedule::Sequential, 4, CAPACITY, Some(policy))
+    }
+
     /// Writes one call's row and the state rows that follow it.
     fn row(&mut self, label: &str, response: String) {
         writeln!(self.out, " {label}: {response}").unwrap();
-        let LifetimeStats {
-            launches,
-            counters: c,
-            sim_time,
-        } = self.dev.lifetime_stats();
-        writeln!(
-            self.out,
-            "  device launches={launches} t={:016x} {}",
-            sim_time.to_bits(),
-            counters(&c)
-        )
-        .unwrap();
+        device_row(&mut self.out, &self.dev);
         let o = self.map.occupancy_split();
         let state = match self.map.resize_state() {
             ResizeState::Stable => "Stable".to_string(),
             s => format!("{s:?}"),
         };
-        let mut live = self.map.snapshot();
-        live.sort_unstable();
-        let events = self.rec.events();
-        let fresh = &events[self.events_seen..];
         writeln!(
             self.out,
-            "  map live={} tombstones={} capacity={} source={} effective={} seed={} g={} {state} contents={:016x} events+{}={:016x}",
+            "  map live={} tombstones={} capacity={} source={} effective={} seed={} g={} {state} {}",
             o.live,
             o.tombstones,
             o.capacity,
@@ -154,12 +200,9 @@ impl Rig {
             self.map.effective_capacity(),
             self.map.config().seed,
             self.map.config().group_size.get(),
-            digest(live.into_iter().map(|(k, v)| pack(k, v))),
-            fresh.len(),
-            digest(fresh.iter().flat_map(|e| format!("{e:?}").into_bytes()).map(u64::from)),
+            contents_and_history(self.map.snapshot(), &self.rec, &mut self.events_seen),
         )
         .unwrap();
-        self.events_seen = events.len();
     }
 
     // ---- `&self` / `&mut self` host-sided APIs ----------------------------
@@ -377,7 +420,7 @@ impl Rig {
 }
 
 fn grow(layout: Layout) -> String {
-    let mut r = Rig::new(layout, ResizePolicy::default().with_watermark(0.6).with_chunk(8));
+    let mut r = Rig::resizing(layout, ResizePolicy::default().with_watermark(0.6).with_chunk(8));
     r.put("put stable", &pairs(0..100, 0));
     r.get("get stable", &keys((0..10).chain(1000..1005)));
     r.device_ops(&pairs(100..110, 0), &keys(95..112), &keys([100, 101, 2000]));
@@ -389,7 +432,7 @@ fn grow(layout: Layout) -> String {
 }
 
 fn compact(layout: Layout) -> String {
-    let mut r = Rig::new(layout, ResizePolicy::default().with_watermark(0.99).with_chunk(8));
+    let mut r = Rig::resizing(layout, ResizePolicy::default().with_watermark(0.99).with_chunk(8));
     r.put("put stable", &pairs(0..200, 0));
     r.erase("erase stable", &keys(0..150));
     r.show("request_compact", |m| m.request_compact());
@@ -399,7 +442,7 @@ fn compact(layout: Layout) -> String {
 }
 
 fn watermark_compact(layout: Layout) -> String {
-    let mut r = Rig::new(layout, ResizePolicy::default().with_watermark(0.85).with_chunk(12));
+    let mut r = Rig::resizing(layout, ResizePolicy::default().with_watermark(0.85).with_chunk(12));
     r.put("put stable", &pairs(0..200, 0));
     r.erase("erase stable", &keys(0..150));
     // (50 live + 150 tombstones + 20) / 256 crosses 0.85 with more
@@ -408,6 +451,73 @@ fn watermark_compact(layout: Layout) -> String {
     r.routed_script(150..220, 300);
     r.rebuild_script(100..400);
     r.out
+}
+
+/// The kernels racing themselves, on 128 slots. Duplicates sit next to
+/// each other, so they share a wave of 16 resident groups: claims race
+/// updates, an erase races the erase of its own victim, and α reaches
+/// 0.85, where a probe crosses windows and a tombstone may fill a window
+/// that holds no EMPTY slot.
+fn racing(layout: Layout, g: u32) -> String {
+    let mut r = Rig::new(layout, Schedule::Seeded(7), g, 128, None);
+    let twice = (0..20).flat_map(|i| [(key(i), i), (key(i), i ^ 0x100)]);
+    let hot = (0..8).map(|v| (key(20), v));
+    r.put(
+        "put racing duplicates",
+        &twice.chain(hot).chain(pairs(21..109, 0)).collect::<Vec<_>>(),
+    );
+    r.get("get", &keys((0..115).step_by(3).chain(9000..9002)));
+    let victims = (15..75).step_by(2).flat_map(|i| [key(i), key(i)]);
+    r.erase(
+        "erase each victim twice",
+        &victims.chain([key(9000)]).collect::<Vec<_>>(),
+    );
+    // erased keys (twice each), keys still live and keys never stored
+    let back = (15..45).step_by(2).flat_map(|i| [(key(i), i ^ 0x200), (key(i), i ^ 0x300)]);
+    r.put(
+        "put over the tombstones",
+        &back.chain(pairs(0..5, 0x400)).chain(pairs(300..315, 0)).collect::<Vec<_>>(),
+    );
+    // a key in both lists is one upsert group
+    let (reads, puts) = (keys((0..120).step_by(2)), pairs((0..120).step_by(3), 0x500));
+    r.svc("get_put_batch", |m| m.get_put_batch(&reads, &puts), |r| match r {
+        Ok(r) => format!("ok {:?} {}", r.values, report(&r.report)),
+        Err(e) => format!("error {e:?}"),
+    });
+    r.out
+}
+
+/// The multi-value map under the same schedule: one key's pairs race
+/// each other for slots, `retrieve_all` collects them in slot order.
+fn multimap() -> String {
+    let dev = Arc::new(Device::with_words(0, 1 << 12));
+    let mut cfg = config(Layout::Aos, Schedule::Seeded(7), 4);
+    cfg.p_max = 4; // the last insert runs out of slots: fail fast
+    let mut map = GpuMultiMap::new(Arc::clone(&dev), 128, cfg).unwrap();
+    let rec = Arc::new(HistoryRecorder::new());
+    map.set_recorder(Some(Arc::clone(&rec)));
+    let (mut out, mut events_seen) = (String::new(), 0);
+    let mut row = |label: &str, response: String, map: &GpuMultiMap| {
+        writeln!(out, " {label}: {response}").unwrap();
+        device_row(&mut out, &dev);
+        let state = contents_and_history(map.snapshot(), &rec, &mut events_seen);
+        writeln!(out, "  multimap len={} {state}", map.len()).unwrap();
+    };
+    let insert = |map: &GpuMultiMap, pairs: Vec<(u32, u32)>| match map.insert_pairs(&pairs) {
+        Ok(stats) => format!("ok {}", kernel(&stats)),
+        Err(e) => format!("error {e:?}"),
+    };
+    let hot = (0..40).map(|v| (key(1), v));
+    let r = insert(&map, hot.chain(pairs(0..60, 0)).collect());
+    row("insert_pairs", r, &map);
+    let r = match map.try_retrieve_all(&keys((0..65).step_by(5).chain([1, 9000]))) {
+        Ok(r) => format!("ok {:?} {}", r.values, report(&r.report)),
+        Err(e) => format!("error {e:?}"),
+    };
+    row("try_retrieve_all", r, &map);
+    let r = insert(&map, pairs(400..440, 0));
+    row("insert_pairs past capacity", r, &map);
+    out
 }
 
 fn render() -> String {
@@ -422,6 +532,14 @@ fn render() -> String {
             out.push_str(&scenario(layout));
         }
     }
+    for layout in [Layout::Aos, Layout::Soa] {
+        for g in [1, 4, 32] {
+            writeln!(out, "layout={layout:?} scenario=racing schedule=Seeded(7) g={g}").unwrap();
+            out.push_str(&racing(layout, g));
+        }
+    }
+    writeln!(out, "multimap schedule=Seeded(7) g=4").unwrap();
+    out.push_str(&multimap());
     out
 }
 
