@@ -57,7 +57,7 @@ use crate::config::Mutation;
 use crate::distributed::DistributedHashMap;
 use crate::entry::{key_of, value_of, EMPTY};
 use crate::service::{OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse};
-use crate::stats::{CascadeReport, CascadeStage};
+use crate::stats::CascadeStage;
 use gpu_sim::{DevSlice, FaultPlan, GroupSize, LaunchOptions, RetryPolicy, ScratchGuard};
 use interconnect::alltoall_time_faulted;
 use multisplit::{device_multisplit_segments, PartitionTable, Segment, SegmentedSplit};
@@ -250,8 +250,8 @@ fn found_value(word: u64, found: u64) -> Option<u32> {
     })
 }
 
-fn new_report<T>(per_gpu: &[Vec<T>]) -> CascadeReport {
-    CascadeReport::new(per_gpu.iter().map(|w| w.len() as u64).sum())
+fn new_report<T>(per_gpu: &[Vec<T>]) -> OpReport {
+    OpReport::of_cascade(per_gpu.iter().map(|w| w.len() as u64).sum())
 }
 
 impl DistributedHashMap {
@@ -270,15 +270,15 @@ impl DistributedHashMap {
     /// failures from the quarantine once no survivor remains.
     pub(crate) fn with_failover<O>(
         &self,
-        report: &mut CascadeReport,
-        mut step: impl FnMut(&FaultPlan, u32, &mut CascadeReport, &mut ChaosTally) -> Result<O, Abort>,
+        report: &mut OpReport,
+        mut step: impl FnMut(&FaultPlan, u32, &mut OpReport, &mut ChaosTally) -> Result<O, Abort>,
     ) -> Result<O, OpError> {
         for _run in 0..=self.num_gpus() {
             let (plan, mask) = self.chaos_snapshot();
             let mut tally = ChaosTally::default();
             let res = step(&plan, mask, report, &mut tally);
             if tally.backoff > 0.0 {
-                report.push(CascadeStage::Backoff, tally.backoff, 0);
+                report.push(CascadeStage::Backoff, tally.backoff, 0, 0.0);
             }
             self.note_chaos(&tally);
             match res {
@@ -314,7 +314,7 @@ impl DistributedHashMap {
         &self,
         op: &CascadeOp,
         input: Input,
-        report: &mut CascadeReport,
+        report: &mut OpReport,
         mut kernel: impl FnMut(usize, DevSlice, &Cuts, &mut Vec<A>) -> Result<f64, OpError>,
         mut answer: impl FnMut((usize, usize), u64, &A),
     ) -> Result<(), OpError> {
@@ -357,7 +357,7 @@ impl DistributedHashMap {
         router: &Router,
         plan: &FaultPlan,
         policy: &RetryPolicy,
-        report: &mut CascadeReport,
+        report: &mut OpReport,
         tally: &mut ChaosTally,
         kernel: &mut impl FnMut(usize, DevSlice, &Cuts, &mut Vec<A>) -> Result<f64, OpError>,
         answer: &mut impl FnMut((usize, usize), u64, &A),
@@ -378,7 +378,7 @@ impl DistributedHashMap {
         // launches and streams the bytes of all
         let splits = split.sent.iter().map(|sent| &sent.classes);
         let sequential = splits.clone().map(|c| c.launches).max().unwrap_or(0);
-        report.push_with_overhead(
+        report.push(
             CascadeStage::Multisplit,
             split.time,
             splits.map(|c| c.counters.stream_bytes).sum(),
@@ -388,7 +388,7 @@ impl DistributedHashMap {
         let (recv, landed) = self
             .transpose_move(self.segments(input), &mut split)
             .map_err(Abort::Fatal)?;
-        report.push(CascadeStage::Transpose, transpose.time, transpose.bytes);
+        report.push(CascadeStage::Transpose, transpose.time, transpose.bytes, 0.0);
 
         // Phase 3: the local kernels (global barrier → max over GPUs)
         let mut worst = 0.0f64;
@@ -448,9 +448,9 @@ impl DistributedHashMap {
                 }
             }
         }
-        report.push_with_overhead(op.stage, worst, 0, oh);
+        report.push(op.stage, worst, 0, oh);
         if let Some(worst) = late_worst {
-            report.push_with_overhead(CascadeStage::Insert, worst, 0, oh);
+            report.push(CascadeStage::Insert, worst, 0, oh);
         }
         if failed > 0 {
             return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
@@ -464,7 +464,7 @@ impl DistributedHashMap {
         let answered = answered.as_ref().unwrap_or(&split.table);
         // the transposed cells: target `j`'s answers travel to source `i`
         let transpose = alltoall(&|j, i| answered.bytes(i, j, back.bytes), tally)?;
-        report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes);
+        report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
         let mut worst = 0.0f64;
         for (i, sent) in split.sent.iter().enumerate() {
             let writes: u64 = sent.classes.counts(0).iter().sum();
@@ -483,7 +483,7 @@ impl DistributedHashMap {
                 worst = worst.max(straggled(plan, i, stats.sim_time));
             }
         }
-        report.push_with_overhead(CascadeStage::Scatter, worst, 0, oh);
+        report.push(CascadeStage::Scatter, worst, 0, oh);
         Ok(())
     }
 
@@ -528,7 +528,7 @@ impl DistributedHashMap {
         opts: LaunchOptions,
         plan: &FaultPlan,
         policy: &RetryPolicy,
-        report: &mut CascadeReport,
+        report: &mut OpReport,
         tally: &mut ChaosTally,
     ) -> Result<SplitPhase<'_>, Abort> {
         let (m, segments) = (self.num_gpus(), self.segments(input));
@@ -638,7 +638,7 @@ impl DistributedHashMap {
     pub(crate) fn insert_words(
         &self,
         pairs: &[&[u64]],
-        report: &mut CascadeReport,
+        report: &mut OpReport,
     ) -> Result<(), OpError> {
         self.cascade(
             &INSERT,
@@ -658,7 +658,7 @@ impl DistributedHashMap {
     pub(crate) fn query_keys(
         &self,
         keys: &[&[u32]],
-        report: &mut CascadeReport,
+        report: &mut OpReport,
         mut found: impl FnMut((usize, usize), Option<u32>),
     ) -> Result<(), OpError> {
         self.cascade(
@@ -684,7 +684,7 @@ impl DistributedHashMap {
     pub(crate) fn erase_keys(
         &self,
         keys: &[&[u32]],
-        report: &mut CascadeReport,
+        report: &mut OpReport,
         mut hit: impl FnMut((usize, usize), bool),
     ) -> Result<u64, OpError> {
         let mut erased = 0u64;
@@ -718,7 +718,7 @@ impl DistributedHashMap {
     pub(crate) fn get_put_round(
         &self,
         input: Input,
-        report: &mut CascadeReport,
+        report: &mut OpReport,
         mut found: impl FnMut((usize, usize), Option<u32>),
     ) -> Result<(), OpError> {
         assert_eq!(input.pairs.len(), 2 * input.keys.len(), "three segments");
@@ -758,7 +758,7 @@ impl DistributedHashMap {
     ) -> Result<OpReport, OpError> {
         let mut report = new_report(per_gpu_words);
         self.insert_words(&slices(per_gpu_words), &mut report)?;
-        Ok(OpReport::from_cascade(report))
+        Ok(report)
     }
 
     /// Device-sided retrieval with typed fault errors. `per_gpu_keys[i]`
@@ -780,7 +780,7 @@ impl DistributedHashMap {
         self.query_keys(&slices(per_gpu_keys), &mut report, |(g, i), v| values[g][i] = v)?;
         Ok(PerGpuGetResponse {
             values,
-            report: OpReport::from_cascade(report),
+            report,
         })
     }
 
@@ -809,7 +809,7 @@ impl DistributedHashMap {
         Ok(PerGpuDeleteResponse {
             hits,
             erased,
-            report: OpReport::from_cascade(report),
+            report,
         })
     }
 }

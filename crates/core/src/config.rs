@@ -59,7 +59,7 @@ pub enum Mutation {
     /// running the last group off the end of the input buffer — the
     /// off-by-one memcheck exists to catch.
     WindowOverrun,
-    /// The AOS insert path re-ballots after a failed claim CAS with the
+    /// The insert path re-ballots after a failed claim CAS with the
     /// failing lane masked out of the participation mask — lockstep
     /// divergence synccheck exists to catch.
     DivergentBallot,

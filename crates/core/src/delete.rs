@@ -7,12 +7,11 @@
 //! taking `&mut self` for [`crate::GpuHashMap::try_erase`], making the barrier
 //! a compile-time fact (exclusive access ⇒ no concurrent kernel).
 
-use crate::config::Layout;
-use crate::entry::{is_empty_slot, key_of, EMPTY, TOMBSTONE};
+use crate::entry::{is_empty_slot, key_of};
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
-use crate::insert::{soa_is_empty, soa_key_of};
 use crate::table::Table;
 use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 /// Result of a bulk erase.
@@ -41,10 +40,7 @@ pub(crate) fn erase_kernel(
     let stats = table.launch("warpdrive_erase", n, g, |ctx: &GroupCtx| {
         let invoked = recorder.map(HistoryRecorder::invoke);
         let key = key_of(ctx.read_stream(input, ctx.group_id()));
-        let hit = match table.layout() {
-            Layout::Aos => erase_one_aos(ctx, table, key),
-            Layout::Soa => erase_one_soa(ctx, table, key),
-        };
+        let hit = erase_one(ctx, table, key);
         if hit {
             erased.fetch_add(1, Relaxed);
             hits[ctx.group_id()].store(true, Relaxed);
@@ -60,61 +56,23 @@ pub(crate) fn erase_kernel(
     }
 }
 
-fn erase_one_aos(ctx: &GroupCtx, table: &Table, key: u32) -> bool {
-    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
-    let g = ctx.size().get();
-    let data = table.keys();
-    for p in 0..p_max {
-        for q in 0..ctx.size().windows_per_warp() {
-            let base = prober.window_base(key, p, q, g) as usize;
-            let mut window = ctx.read_window(data, base);
-            loop {
-                let hit = ctx.ballot(|r| key_of(window.lane(r)) == key);
-                if let Some(r) = GroupCtx::ffs(hit) {
-                    let idx = crate::probing::wrap_slot(base, r as usize, cap);
-                    if ctx.cas(data, idx, window.lane(r), TOMBSTONE).is_ok() {
-                        return true;
-                    }
-                    // racing update changed the word; reload and retry
-                    window = ctx.reload_window(data, base);
-                    continue;
-                }
-                if ctx.any(|r| is_empty_slot(window.lane(r))) {
-                    return false; // key is not in the map
-                }
-                break; // window full of other keys → next window
+/// Tombstones one key by one coalesced group; whether it was found.
+fn erase_one(ctx: &GroupCtx, table: &Table, key: u32) -> bool {
+    let slots = table.slots();
+    let erased = table.walk(ctx, key, 0, |_, base, mut window| loop {
+        let hit = ctx.ballot(|r| slots.holds(window.lane(r), key));
+        let Some(r) = GroupCtx::ffs(hit) else {
+            if ctx.any(|r| is_empty_slot(window.lane(r))) {
+                return ControlFlow::Break(false); // key is not in the map
             }
+            return ControlFlow::Continue(()); // window full of other keys → next window
+        };
+        let seen = window.lane(r);
+        if let ControlFlow::Break(hit) = slots.tombstone(ctx, slots.at(base, r), seen) {
+            return ControlFlow::Break(hit);
         }
-    }
-    false
-}
-
-fn erase_one_soa(ctx: &GroupCtx, table: &Table, key: u32) -> bool {
-    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
-    let g = ctx.size().get();
-    let keys = table.keys();
-    for p in 0..p_max {
-        for q in 0..ctx.size().windows_per_warp() {
-            let base = prober.window_base(key, p, q, g) as usize;
-            let window = ctx.read_window(keys, base);
-            let hit = ctx.ballot(|r| soa_key_of(window.lane(r)) == Some(key));
-            if let Some(r) = GroupCtx::ffs(hit) {
-                let idx = crate::probing::wrap_slot(base, r as usize, cap);
-                // exclusive access (global barrier) makes a plain CAS
-                // against the known key word sufficient
-                if ctx.cas(keys, idx, window.lane(r), TOMBSTONE).is_ok() {
-                    // restore the value-word sentinel so a reclaiming
-                    // insert re-enters the publication protocol (see
-                    // `insert_one_soa`)
-                    ctx.write(table.soa_values(), idx, EMPTY);
-                    return true;
-                }
-                return false;
-            }
-            if ctx.any(|r| soa_is_empty(window.lane(r))) {
-                return false;
-            }
-        }
-    }
-    false
+        // a racing erase changed the word; reload and look again
+        window = ctx.reload_window(slots.keys, base);
+    });
+    erased.unwrap_or(false)
 }

@@ -79,7 +79,7 @@ pub(crate) fn get_put_kernel(
             record_retrieve(history, key_of(word), answer);
             ctx.write_stream(out, id, answer);
         }
-        tally.note(word, r, history);
+        tally.note(false, word, r, history);
     });
     tally.outcome(stats)
 }

@@ -18,7 +18,8 @@ use crate::config::Mutation;
 use crate::distributed::DistributedHashMap;
 use crate::entry::pack;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
-use crate::stats::{CascadeReport, CascadeStage};
+use crate::stats::CascadeStage;
+use crate::table::{check_keys, pair_words};
 use interconnect::{d2h_time_faulted, h2d_time_faulted};
 
 /// The contiguous chunk of `len` items that GPU `g` of `m` takes: near-equal
@@ -54,12 +55,13 @@ impl DistributedHashMap {
         op: &CascadeOp,
         keys: &[u32],
         pairs: &[&[u64]],
-        device: impl FnOnce(&Self, Input, &mut CascadeReport) -> Result<O, OpError>,
+        device: impl FnOnce(&Self, Input, &mut OpReport) -> Result<O, OpError>,
     ) -> Result<(O, OpReport), OpError> {
+        check_keys(keys.iter().copied())?;
         let m = self.num_gpus();
         let policy = self.retry_policy();
         let elements = keys.len() + pairs.iter().map(|l| l.len()).sum::<usize>();
-        let mut report = CascadeReport::new(elements as u64);
+        let mut report = OpReport::of_cascade(elements as u64);
         // what each host link carries, of the upload and then the download
         let mut bytes = vec![0; m];
         let spread_mask = self.with_failover(&mut report, |plan, mask, report, tally| {
@@ -70,7 +72,7 @@ impl DistributedHashMap {
             }
             let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
             let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
-            report.push(CascadeStage::H2D, up.time, up.bytes);
+            report.push(CascadeStage::H2D, up.time, up.bytes, 0.0);
             Ok(mask)
         })?;
         // list after list, each cut into its `m` chunks
@@ -99,11 +101,11 @@ impl DistributedHashMap {
                 }
                 let down = d2h_time_faulted(self.topology(), &bytes, plan, &policy);
                 let down = tally.settle(plan, &policy, down).map_err(Abort::Lost)?;
-                report.push(CascadeStage::D2H, down.time, down.bytes);
+                report.push(CascadeStage::D2H, down.time, down.bytes, 0.0);
                 Ok(())
             })?;
         }
-        Ok((out, OpReport::from_cascade(report)))
+        Ok((out, report))
     }
 
     /// Host-sided insertion: transfer the packed pairs over PCIe
@@ -114,7 +116,7 @@ impl DistributedHashMap {
     /// Propagates the device cascade's errors;
     /// [`OpError::DeviceLost`] once no failover remains.
     pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<OpReport, OpError> {
-        let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
+        let words = pair_words(pairs)?;
         let ((), report) = self.host_bracket(&INSERT, &[], &[&words], |d, input, report| {
             d.insert_words(input.pairs, report)
         })?;
@@ -197,6 +199,7 @@ impl DistributedHashMap {
     ) -> Result<GetResponse, OpError> {
         // MUTATION DOUBLE (`Mutation::LatePutsJoinFirstLaunch`): no put is
         // late, so a key's get races its own put in the fused launch.
+        check_keys(puts.iter().map(|p| p.0))?; // the bracket checks `reads`
         let races = self.cfg().mutation == Some(Mutation::LatePutsJoinFirstLaunch);
         let (mut first, mut late) = (Vec::new(), Vec::new());
         for &(k, v) in puts {

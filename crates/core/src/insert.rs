@@ -8,7 +8,7 @@
 //! 2. inner loop `q < 32/|g|`: coalesced load of the `|g|`-slot window;
 //! 3. ballot for a slot holding the *same key* — if present, CAS-update
 //!    the value (AOS) or overwrite the value word (SOA, see
-//!    [`insert_one_soa`] for the sentinel protocol that keeps the
+//!    `slots.rs` for the sentinel protocol that keeps the
 //!    split-word layout linearizable);
 //! 4. ballot for vacant slots (`∅` or tombstone); in a window holding
 //!    `∅` — where the probe for the key ends — the *leader* (lowest
@@ -30,13 +30,12 @@
 //! linearizability harness can prove it catches the resulting
 //! duplicate-slot anomaly.
 
-use crate::config::{Layout, Mutation};
-use crate::entry::{
-    is_empty_slot, is_tombstone, is_vacant, key_of, pack, value_of, EMPTY, RESERVED_KEY,
-};
+use crate::config::Mutation;
+use crate::entry::{is_empty_slot, is_tombstone, is_vacant, key_of, value_of};
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::table::Table;
 use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Result of a bulk-insert launch.
@@ -84,8 +83,14 @@ pub(crate) struct InsertTally {
 
 impl InsertTally {
     /// Counts one group's result and, with a recorder attached, logs the
-    /// insert of `word` it answers.
-    pub(crate) fn note(&self, word: u64, r: GroupResult, history: Option<(&HistoryRecorder, u64)>) {
+    /// insert of `word` it answers — a multiset insert where `multi`.
+    pub(crate) fn note(
+        &self,
+        multi: bool,
+        word: u64,
+        r: GroupResult,
+        history: Option<(&HistoryRecorder, u64)>,
+    ) {
         let response = match r {
             GroupResult::NewSlot { reclaimed } => {
                 self.new_slots.fetch_add(1, Relaxed);
@@ -104,9 +109,8 @@ impl InsertTally {
             }
         };
         if let Some((rec, invoked)) = history {
-            let kind = OpKind::Insert {
-                value: value_of(word),
-            };
+            let value = value_of(word);
+            let kind = if multi { OpKind::InsertMulti { value } } else { OpKind::Insert { value } };
             rec.complete(key_of(word), kind, response, invoked);
         }
     }
@@ -124,7 +128,8 @@ impl InsertTally {
 }
 
 /// Launches the insertion kernel for the packed pairs in `input[..n]`,
-/// one group of `g` lanes per pair.
+/// one group of `g` lanes per pair — `multimap_insert` on a multi-value
+/// table, where duplicate keys accumulate.
 pub(crate) fn insert_kernel(
     table: &Table,
     g: GroupSize,
@@ -132,79 +137,74 @@ pub(crate) fn insert_kernel(
     n: usize,
     recorder: Option<&HistoryRecorder>,
 ) -> InsertOutcome {
+    let name = if table.multi() { "multimap_insert" } else { "warpdrive_insert" };
     let tally = InsertTally::default();
-    let stats = table.launch("warpdrive_insert", n, g, |ctx: &GroupCtx| {
+    let stats = table.launch(name, n, g, |ctx: &GroupCtx| {
         let invoked = recorder.map(HistoryRecorder::invoke);
         let word = ctx.read_stream(input, ctx.group_id());
         let r = insert_one(ctx, table, word, false);
-        tally.note(word, r, recorder.zip(invoked));
+        tally.note(table.multi(), word, r, recorder.zip(invoked));
     });
     tally.outcome(stats)
 }
 
-/// Inserts one packed pair by one coalesced group, in the table's
-/// layout. `want_old` asks an update for the pair it replaced — free in
-/// AOS, one more read of the value word in SOA, which a plain put
-/// therefore does not ask for.
+/// Inserts one packed pair by one coalesced group. `want_old` asks an
+/// update for the pair it replaced — free in AOS, one more read of the
+/// value word in SOA, which a plain put therefore does not ask for. On a
+/// multi-value table the duplicate-key ballot is off: the pair claims the
+/// first vacant slot of its key's sequence.
 pub(crate) fn insert_one(ctx: &GroupCtx, table: &Table, word: u64, want_old: bool) -> GroupResult {
-    match table.layout() {
-        Layout::Aos => insert_one_aos(ctx, table, word),
-        Layout::Soa => insert_one_soa(ctx, table, word, want_old),
-    }
-}
-
-/// AOS insertion of one packed pair by one coalesced group.
-fn insert_one_aos(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
-    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
-    let mutation = table.mutation();
-    let key = key_of(word);
-    let g = ctx.size().get();
-    let data = table.keys();
-    let windows = u64::from(ctx.size().windows_per_warp());
-    let mut w = 0u64;
+    let (slots, mutation, multi) = (table.slots(), table.mutation(), table.multi());
+    let (key, value) = (key_of(word), value_of(word));
+    let mut from = 0;
     loop {
         // first tombstone of this scan: (window, slot, word seen)
         let mut tomb: Option<(u64, usize, u64)> = None;
-        'scan: while w < u64::from(p_max) * windows {
-            let (p, q) = ((w / windows) as u32, (w % windows) as u32);
-            let base = prober.window_base(key, p, q, g) as usize;
-            let mut window = ctx.read_window(data, base);
+        let placed = table.walk(ctx, key, from, |w, base, mut window| {
             // lanes already CAS-failed since the last reload (only ever
             // non-zero under the mutation double)
             let mut tried: u32 = 0;
             loop {
                 // update path: our key already lives in this window
-                let dup = ctx.ballot(|r| key_of(window.lane(r)) == key);
+                let dup = if multi { 0 } else { ctx.ballot(|r| slots.holds(window.lane(r), key)) };
                 if let Some(r) = GroupCtx::ffs(dup) {
-                    let idx = crate::probing::wrap_slot(base, r as usize, cap);
-                    let old = window.lane(r);
-                    if ctx.cas(data, idx, old, word).is_ok() {
-                        return GroupResult::Updated { old: Some(old) };
+                    let seen = window.lane(r);
+                    if let Some(old) = slots.update(ctx, slots.at(base, r), seen, word, want_old) {
+                        return ControlFlow::Break(Some(GroupResult::Updated { old }));
                     }
-                    window = ctx.reload_window(data, base);
+                    window = ctx.reload_window(slots.keys, base);
                     tried = 0;
                     continue;
                 }
                 let mask = ctx.ballot(|r| is_vacant(window.lane(r))) & !tried;
                 let ends = ctx.any(|r| is_empty_slot(window.lane(r)));
                 if ends && tomb.is_some() {
-                    break 'scan;
+                    return ControlFlow::Break(None); // not found: claim the tombstone
                 }
                 let Some(r) = GroupCtx::ffs(mask) else {
-                    break; // window exhausted → next window
+                    return ControlFlow::Continue(()); // window exhausted → next window
                 };
-                let idx = crate::probing::wrap_slot(base, r as usize, cap);
-                let expected = window.lane(r);
+                let (idx, expected) = (slots.at(base, r), window.lane(r));
                 if !ends {
                     tomb.get_or_insert((w, idx, expected));
-                    break;
+                    return ControlFlow::Continue(());
                 }
                 // claim path: leader CASes the leftmost vacant slot
-                if ctx.cas(data, idx, expected, word).is_ok() {
+                if slots.claim(ctx, idx, expected, word).is_ok() {
+                    match slots.values {
+                        // MUTATION DOUBLE: publish with a plain store — the
+                        // lost release edge lets a racing updater's shared
+                        // write interleave unordered, which racecheck flags
+                        // even when the end state looks right.
+                        Some(values) if mutation == Some(Mutation::PublishPlainStore) => {
+                            ctx.write(values, idx, u64::from(value));
+                        }
+                        _ => slots.publish(ctx, idx, word),
+                    }
                     // g.any(success) — all members exit
-                    return GroupResult::NewSlot {
+                    return ControlFlow::Break(Some(GroupResult::NewSlot {
                         reclaimed: is_tombstone(expected),
-                    };
+                    }));
                 }
                 if mutation == Some(Mutation::CasRecheck) {
                     // MUTATION DOUBLE: keep the stale window and move on to
@@ -224,134 +224,22 @@ fn insert_one_aos(ctx: &GroupCtx, table: &Table, word: u64) -> GroupResult {
                     let _ = ctx.ballot_where(active, |rr| is_vacant(window.lane(rr)));
                 }
                 // lost the race: reload and re-ballot (Fig. 3 lines 19–21)
-                window = ctx.reload_window(data, base);
+                window = ctx.reload_window(slots.keys, base);
             }
-            w += 1;
+        });
+        if let Some(Some(result)) = placed {
+            return result;
         }
         // the probe ended without our key: its first vacant slot was the
         // remembered tombstone
         let Some((at, idx, expected)) = tomb else {
             return GroupResult::Failed;
         };
-        if ctx.cas(data, idx, expected, word).is_ok() {
+        if slots.claim(ctx, idx, expected, word).is_ok() {
+            slots.publish(ctx, idx, word);
             return GroupResult::NewSlot { reclaimed: true };
         }
         // lost it to a racing insert, possibly of our own key: rescan
-        w = at;
+        from = at;
     }
-}
-
-/// SOA insertion: CAS claims the key word, then the value word is
-/// *published* with a CAS from the EMPTY sentinel. The sentinel CAS is
-/// what makes the split-word layout linearizable: once the key word is
-/// visible, racing duplicates of the same key take the update path and
-/// overwrite the value word — if one of them gets there before the
-/// claimer, the claimer's sentinel CAS fails and its (older) value is
-/// discarded instead of clobbering an update that already responded.
-/// (The schedule-sweep harness found exactly that lost-update anomaly in
-/// the original plain-store variant.) Erase restores the sentinel, so
-/// tombstone reclaim re-enters the same protocol.
-fn insert_one_soa(ctx: &GroupCtx, table: &Table, word: u64, want_old: bool) -> GroupResult {
-    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
-    let mutation = table.mutation();
-    let key = key_of(word);
-    let value = value_of(word);
-    let g = ctx.size().get();
-    let keys = table.keys();
-    let values = table.soa_values();
-    let windows = u64::from(ctx.size().windows_per_warp());
-    let mut w = 0u64;
-    loop {
-        // first tombstone of this scan — see the AOS variant above
-        let mut tomb: Option<(u64, usize, u64)> = None;
-        'scan: while w < u64::from(p_max) * windows {
-            let (p, q) = ((w / windows) as u32, (w % windows) as u32);
-            let base = prober.window_base(key, p, q, g) as usize;
-            let mut window = ctx.read_window(keys, base);
-            let mut tried: u32 = 0;
-            loop {
-                let dup = ctx.ballot(|r| soa_key_of(window.lane(r)) == Some(key));
-                if let Some(r) = GroupCtx::ffs(dup) {
-                    let idx = crate::probing::wrap_slot(base, r as usize, cap);
-                    // what a retrieve of the key would have fetched
-                    let old = want_old.then(|| soa_hit(key, ctx.read_shared(values, idx)));
-                    // relaxed value overwrite: last writer wins, but two
-                    // racing updaters may interleave with readers — the
-                    // shared annotation tells racecheck this is by design
-                    ctx.write_shared(values, idx, u64::from(value));
-                    return GroupResult::Updated { old };
-                }
-                let mask = ctx.ballot(|r| is_vacant(window.lane(r))) & !tried;
-                let ends = ctx.any(|r| is_empty_slot(window.lane(r)));
-                if ends && tomb.is_some() {
-                    break 'scan;
-                }
-                let Some(r) = GroupCtx::ffs(mask) else {
-                    break;
-                };
-                let idx = crate::probing::wrap_slot(base, r as usize, cap);
-                let expected = window.lane(r);
-                if !ends {
-                    tomb.get_or_insert((w, idx, expected));
-                    break;
-                }
-                if ctx.cas(keys, idx, expected, u64::from(key)).is_ok() {
-                    if mutation == Some(Mutation::PublishPlainStore) {
-                        // MUTATION DOUBLE: publish with a plain store —
-                        // the lost release edge lets a racing updater's
-                        // shared write interleave unordered, which
-                        // racecheck flags even when the end state looks
-                        // right.
-                        ctx.write(values, idx, u64::from(value));
-                    } else {
-                        // publish the value only if no racing update of
-                        // this key beat us to the word (its response
-                        // already promised the newer value survives)
-                        let _ = ctx.cas(values, idx, EMPTY, u64::from(value));
-                    }
-                    return GroupResult::NewSlot {
-                        reclaimed: is_tombstone(expected),
-                    };
-                }
-                if mutation == Some(Mutation::CasRecheck) {
-                    // MUTATION DOUBLE — see the AOS variant above
-                    tried |= 1 << r;
-                    continue;
-                }
-                window = ctx.reload_window(keys, base);
-            }
-            w += 1;
-        }
-        let Some((at, idx, expected)) = tomb else {
-            return GroupResult::Failed;
-        };
-        if ctx.cas(keys, idx, expected, u64::from(key)).is_ok() {
-            let _ = ctx.cas(values, idx, EMPTY, u64::from(value));
-            return GroupResult::NewSlot { reclaimed: true };
-        }
-        w = at;
-    }
-}
-
-/// Key stored in an SOA key word, if the slot is occupied.
-#[inline]
-pub(crate) fn soa_key_of(key_word: u64) -> Option<u32> {
-    if is_vacant(key_word) {
-        None
-    } else {
-        debug_assert!(key_word <= u64::from(RESERVED_KEY));
-        Some(key_word as u32)
-    }
-}
-
-/// Whether an SOA key word is the EMPTY sentinel (query terminator).
-#[inline]
-pub(crate) fn soa_is_empty(key_word: u64) -> bool {
-    is_empty_slot(key_word)
-}
-
-/// Packs a retrieve result for an SOA hit.
-#[inline]
-pub(crate) fn soa_hit(key: u32, value_word: u64) -> u64 {
-    pack(key, value_word as u32)
 }

@@ -61,6 +61,7 @@ pub mod resize;
 pub mod retrieve;
 pub mod service;
 pub mod sharded;
+mod slots;
 pub mod stats;
 mod table;
 

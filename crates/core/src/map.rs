@@ -268,19 +268,20 @@ impl GpuHashMap {
     /// telemetry never undercounts singleton fallbacks.
     #[must_use]
     pub fn get(&self, key: u32) -> Option<u32> {
-        self.retrieve_impl(&[key]).expect("scratch for get").0[0]
+        self.retrieve_impl(&[key]).map_or(None, |(values, _)| values[0])
     }
 
-    /// Shared body of the host-resident erase paths.
-    pub(crate) fn erase_impl(&mut self, keys: &[u32]) -> Result<EraseOutcome, OpError> {
+    /// Shared body of the host-resident erase paths. The caller holds the
+    /// §IV-A barrier: [`GpuHashMap::try_erase`]'s `&mut self`, or that of
+    /// the [`crate::ShardedHashMap`] whose shard this is.
+    pub(crate) fn erase_impl(&self, keys: &[u32]) -> Result<EraseOutcome, OpError> {
         let mut ctl = self.resize.lock();
         if let Some((m, policy)) = ctl.migrating() {
             return self.migrating_erase(m, policy, keys);
         }
         drop(ctl);
-        Ok(self
-            .table
-            .erase_keys(self.cfg.group_size, keys, self.recorder.as_deref())?)
+        self.table
+            .erase_keys(self.cfg.group_size, keys, self.recorder.as_deref())
     }
 
     /// Tombstones host-resident keys, returning per-key hits in input

@@ -130,12 +130,6 @@ impl Prober {
             .take(n)
             .collect()
     }
-
-    /// Table capacity.
-    #[must_use]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
 }
 
 #[cfg(test)]

@@ -506,6 +506,8 @@ impl GpuHashMap {
         pairs: &[(u32, u32)],
     ) -> Result<InsertOutcome, OpError> {
         let g = self.cfg.group_size;
+        let queries = query_words(pairs.iter().map(|p| p.0))?;
+        let packed = pair_words(pairs)?;
         let mut acc = self.advance(m, policy, policy.chunks_per_op.max(1))?;
         let (source, target) = (&self.table, &m.table);
 
@@ -513,15 +515,13 @@ impl GpuHashMap {
         let mut updates = 0u64;
         let mut reclaimed = 0u64;
         for seg in dup_free_segments(pairs) {
-            let seg_pairs = &pairs[seg];
+            let seg_pairs = &pairs[seg.clone()];
             if seg_pairs.is_empty() {
                 continue;
             }
             let n = seg_pairs.len();
-            let (_scratch, [queries, packed], probed) = source.stage(
-                [&query_words(seg_pairs.iter().map(|p| p.0)), &pair_words(seg_pairs)],
-                n,
-            )?;
+            let (_scratch, [queries, packed], probed) =
+                source.stage([&queries[seg.clone()], &packed[seg]], n)?;
             // per-key hits tell who was present in the source …
             let erase = source.erase(g, queries, n, None);
             // … and an unrecorded probe who is already in the target
@@ -574,12 +574,13 @@ impl GpuHashMap {
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
         let g = self.cfg.group_size;
+        let queries = query_words(keys.iter().copied())?;
         let cursor_before = m.cursor;
         let steps = self.advance(m, policy, policy.chunks_per_op.max(1))?;
         let (source, target) = (&self.table, &m.table);
 
         let n = keys.len();
-        let (_scratch, [queries], out) = source.stage([&query_words(keys.iter().copied())], 2 * n)?;
+        let (_scratch, [queries], out) = source.stage([&queries], 2 * n)?;
         let (source_out, target_out) = (out.sub(0, n), out.sub(n, n));
         let in_source = source.retrieve(g, queries, source_out, n, None);
         let in_target = target.retrieve(g, queries, target_out, n, None);
@@ -628,10 +629,11 @@ impl GpuHashMap {
         keys: &[u32],
     ) -> Result<EraseOutcome, OpError> {
         let g = self.cfg.group_size;
+        let queries = query_words(keys.iter().copied())?;
         let steps = self.advance(m, policy, policy.chunks_per_op.max(1))?;
 
         let n = keys.len();
-        let (_scratch, [queries], _) = self.table.stage([&query_words(keys.iter().copied())], 0)?;
+        let (_scratch, [queries], _) = self.table.stage([&queries], 0)?;
         let source = self.table.erase(g, queries, n, None);
         let target = m.table.erase(g, queries, n, None);
         let stats = merged_onto(steps, source.stats.merged(&target.stats));

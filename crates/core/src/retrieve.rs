@@ -12,12 +12,13 @@
 //! low bits are caller payload (the distributed cascade routes origin
 //! indices through them) and are ignored here.
 
-use crate::config::{Layout, Mutation};
+use crate::config::Mutation;
 use crate::entry::{is_empty_slot, key_of, value_of, EMPTY};
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
-use crate::insert::{soa_hit, soa_is_empty, soa_key_of};
 use crate::table::Table;
 use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
+use parking_lot::Mutex;
+use std::ops::ControlFlow;
 
 /// Launches the retrieval kernel for the `n` query words in `input`,
 /// one group of `g` lanes per query, writing one result word per query
@@ -47,13 +48,23 @@ pub(crate) fn retrieve_kernel(
     })
 }
 
-/// Retrieves one key by one coalesced group, in the table's layout:
-/// `pack(key, value)` on a hit, [`EMPTY`] on a miss.
+/// Retrieves one key by one coalesced group: `pack(key, value)` on a
+/// hit, [`EMPTY`] on a miss.
 pub(crate) fn retrieve_one(ctx: &GroupCtx, table: &Table, key: u32) -> u64 {
-    match table.layout() {
-        Layout::Aos => retrieve_one_aos(ctx, table, key),
-        Layout::Soa => retrieve_one_soa(ctx, table, key),
-    }
+    let slots = table.slots();
+    let found = table.walk(ctx, key, 0, |_, base, window| {
+        // hit check first: the window may contain both our key and an
+        // EMPTY slot when racing with inserts of unrelated keys
+        let hit = ctx.ballot(|r| slots.holds(window.lane(r), key));
+        if let Some(r) = GroupCtx::ffs(hit) {
+            return ControlFlow::Break(slots.pair(ctx, slots.at(base, r), window.lane(r)));
+        }
+        if ctx.any(|r| is_empty_slot(window.lane(r))) {
+            return ControlFlow::Break(EMPTY); // insertion would have claimed this slot
+        }
+        ControlFlow::Continue(())
+    });
+    found.unwrap_or(EMPTY) // probing exhausted: definitively absent under p_max
 }
 
 /// With a recorder attached, logs the retrieve of `key` that `result`
@@ -71,49 +82,47 @@ pub(crate) fn record_retrieve(history: Option<(&HistoryRecorder, u64)>, key: u32
     }
 }
 
-fn retrieve_one_aos(ctx: &GroupCtx, table: &Table, key: u32) -> u64 {
-    let (prober, p_max) = (table.prober(), table.p_max());
-    let g = ctx.size().get();
-    let data = table.keys();
-    for p in 0..p_max {
-        for q in 0..ctx.size().windows_per_warp() {
-            let base = prober.window_base(key, p, q, g) as usize;
-            let window = ctx.read_window(data, base);
-            // hit check first: the window may contain both our key and an
-            // EMPTY slot when racing with inserts of unrelated keys
-            let hit = ctx.ballot(|r| key_of(window.lane(r)) == key);
-            if let Some(r) = GroupCtx::ffs(hit) {
-                return window.lane(r);
+/// Launches the multi-value retrieval for the `n` query words in `input`
+/// on a multi-value table: per key, every value stored under it, in slot
+/// order — the walk does not stop at a hit, only at an EMPTY slot.
+pub(crate) fn retrieve_all_kernel(
+    table: &Table,
+    g: GroupSize,
+    input: DevSlice,
+    n: usize,
+    recorder: Option<&HistoryRecorder>,
+) -> (Vec<Vec<u32>>, KernelStats) {
+    let slots = table.slots();
+    let results: Mutex<Vec<Vec<u32>>> = Mutex::new(vec![Vec::new(); n]);
+    let stats = table.launch("multimap_retrieve_all", n, g, |ctx: &GroupCtx| {
+        let invoked = recorder.map(HistoryRecorder::invoke);
+        let key = key_of(ctx.read_stream(input, ctx.group_id()));
+        // collect (slot, value) and dedupe by slot: chaotic outer
+        // jumps may revisit a span, and a slot must count once
+        let mut hits: Vec<(usize, u32)> = Vec::new();
+        let _: Option<()> = table.walk(ctx, key, 0, |_, base, window| {
+            for (r, w) in window.iter() {
+                if slots.holds(w, key) {
+                    hits.push((slots.at(base, r), value_of(w)));
+                }
             }
             if ctx.any(|r| is_empty_slot(window.lane(r))) {
-                return EMPTY; // insertion would have claimed this slot
+                return ControlFlow::Break(()); // sequence exhausted
             }
+            ControlFlow::Continue(())
+        });
+        hits.sort_unstable_by_key(|h| h.0);
+        hits.dedup_by_key(|h| h.0);
+        let found: Vec<u32> = hits.into_iter().map(|h| h.1).collect();
+        if let (Some(rec), Some(invoked)) = (recorder, invoked) {
+            let mut values = found.clone();
+            values.sort_unstable();
+            rec.complete(key, OpKind::RetrieveAll, OpResponse::FoundAll { values }, invoked);
         }
-    }
-    EMPTY // probing exhausted: definitively absent under p_max
-}
-
-fn retrieve_one_soa(ctx: &GroupCtx, table: &Table, key: u32) -> u64 {
-    let (prober, p_max, cap) = (table.prober(), table.p_max(), table.capacity());
-    let g = ctx.size().get();
-    let keys = table.keys();
-    let values = table.soa_values();
-    for p in 0..p_max {
-        for q in 0..ctx.size().windows_per_warp() {
-            let base = prober.window_base(key, p, q, g) as usize;
-            let window = ctx.read_window(keys, base);
-            let hit = ctx.ballot(|r| soa_key_of(window.lane(r)) == Some(key));
-            if let Some(r) = GroupCtx::ffs(hit) {
-                // the Fig. 1 SOA cost: a second, uncoalesced access to
-                // fetch the value word — annotated shared: it races with
-                // last-writer-wins updates by design
-                let idx = crate::probing::wrap_slot(base, r as usize, cap);
-                return soa_hit(key, ctx.read_shared(values, idx));
-            }
-            if ctx.any(|r| soa_is_empty(window.lane(r))) {
-                return EMPTY;
-            }
-        }
-    }
-    EMPTY
+        // result sizes are variable; materialize host-side and
+        // bill the writes as streaming output
+        ctx.bill_stream_bytes(8 * found.len().max(1) as u64);
+        results.lock()[ctx.group_id()] = found;
+    });
+    (results.into_inner(), stats)
 }

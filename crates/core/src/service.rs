@@ -73,7 +73,7 @@
 //! after every final put was applied.
 
 use crate::config::Mutation;
-use crate::stats::{CascadeReport, CascadeStage, DegradedStats, StageTiming};
+use crate::stats::{CascadeStage, DegradedStats, StageTiming};
 use gpu_sim::{CounterSnapshot, KernelStats, OutOfMemory};
 use interconnect::TransferError;
 
@@ -143,8 +143,11 @@ pub enum Response {
 pub struct OpReport {
     /// Elements processed.
     pub elements: u64,
-    /// Kernel launches attributed to the operation, summed over GPUs
-    /// for a cascade.
+    /// Kernel launches attributed to the operation. A cascade counts
+    /// the launches its rounds made, summed over GPUs: multisplit,
+    /// kernel, late insert and scatter — every launch made, those of a
+    /// round a fault aborted included (a quarantine's migration is not a
+    /// round and is not counted).
     pub launches: u64,
     /// Total modeled time in seconds.
     pub time: f64,
@@ -171,16 +174,34 @@ impl OpReport {
         }
     }
 
-    /// Wraps the phases a cascade pushed.
+    /// The report a cascade over `elements` ops pushes its phases into.
     #[must_use]
-    pub(crate) fn from_cascade(report: CascadeReport) -> Self {
+    pub(crate) fn of_cascade(elements: u64) -> Self {
         Self {
-            elements: report.elements,
-            launches: report.launches,
-            time: report.total_time(),
-            backoff_time: report.time_of(CascadeStage::Backoff),
-            counters: CounterSnapshot::default(),
-            stages: report.stages,
+            elements,
+            // −0.0, the identity of f64 addition `Iterator::sum` starts
+            // from: each total is, bit for bit, the sum of its rows
+            time: -0.0,
+            backoff_time: -0.0,
+            // room for a healthy host-sided round: H2D … D2H
+            stages: Vec::with_capacity(8),
+            ..Self::default()
+        }
+    }
+
+    /// Appends a cascade phase, `overhead` of its `time` fixed launch
+    /// overhead. Phases are globally barriered, so their times add; a
+    /// [`CascadeStage::Backoff`] phase is also the report's backoff.
+    pub(crate) fn push(&mut self, stage: CascadeStage, time: f64, bytes: u64, overhead: f64) {
+        self.stages.push(StageTiming {
+            stage,
+            time,
+            bytes,
+            overhead,
+        });
+        self.time += time;
+        if stage == CascadeStage::Backoff {
+            self.backoff_time += time;
         }
     }
 
@@ -292,6 +313,14 @@ pub enum OpError {
         /// The lost device's index.
         device: usize,
     },
+    /// The batch names the key `u32::MAX`, which both slot sentinels
+    /// carry ([`crate::RESERVED_KEY`]): stored, it would read as a vacant
+    /// slot. Rejected before anything is uploaded; nothing was applied.
+    ReservedKey {
+        /// Position of the first such key in the list (of keys, pairs
+        /// or ops) that names it.
+        index: usize,
+    },
     /// A cascade invariant broke (a WarpDrive bug, not an
     /// environmental failure). Typed so a serving process can fail the
     /// one op and keep serving instead of panicking.
@@ -311,6 +340,9 @@ impl std::fmt::Display for OpError {
             OpError::Transfer(e) => write!(f, "unrecoverable transfer failure: {e}"),
             OpError::DeviceLost { device } => {
                 write!(f, "GPU {device} lost: launch retry budget exhausted, no failover target")
+            }
+            OpError::ReservedKey { index } => {
+                write!(f, "key u32::MAX is reserved (position {index} of the batch)")
             }
             OpError::Internal { detail } => write!(f, "internal invariant violated: {detail}"),
         }
@@ -551,9 +583,10 @@ pub trait MapService {
     /// unspecified subset of the call's final writes may have been
     /// applied: some of the puts (none, if the call has no put) if the
     /// read/write call failed, every put and some of the erases if the
-    /// delete batch failed. [`OpError::Internal`] if the call carries
-    /// more than `u32::MAX` ops or a backend answers a batch with the
-    /// wrong number of results.
+    /// delete batch failed. [`OpError::ReservedKey`], with nothing
+    /// applied, if an op names the key `u32::MAX`. [`OpError::Internal`]
+    /// if the call carries more than `u32::MAX` ops or a backend answers
+    /// a batch with the wrong number of results.
     fn execute(&mut self, ops: &[Op]) -> Result<(Vec<Response>, OpReport), OpError> {
         if u32::try_from(ops.len()).is_err() {
             return Err(OpError::Internal {
@@ -569,6 +602,11 @@ pub trait MapService {
             .collect();
         by_key.sort_unstable();
         let index = |entry: u64| (entry & 0xffff_ffff) as usize;
+        // the reserved key sorts last; its first op names the offender
+        let reserved = by_key.partition_point(|&e| e >> 32 < u64::from(crate::RESERVED_KEY));
+        if let Some(&entry) = by_key.get(reserved) {
+            return Err(OpError::ReservedKey { index: index(entry) });
+        }
         // per key: whether its pre-call state must be read — its first
         // op is a get, or a delete whose hit no final erase will report
         // because the call puts the key back — and its last write, the
@@ -872,13 +910,13 @@ mod tests {
     #[test]
     fn merge_folded_keeps_one_row_per_stage_and_the_bits_of_time_of() {
         let report = |scale: f64| {
-            let mut c = CascadeReport::new(10);
-            c.push(CascadeStage::H2D, 0.1 * scale, 80);
-            c.push_with_overhead(CascadeStage::Multisplit, 0.3 * scale, 0, 6e-6);
-            c.push_with_overhead(CascadeStage::Insert, 0.7 * scale, 0, 6e-6);
-            c.push_with_overhead(CascadeStage::Insert, 0.01 * scale, 0, 6e-6);
+            let mut c = OpReport::of_cascade(10);
+            c.push(CascadeStage::H2D, 0.1 * scale, 80, 0.0);
+            c.push(CascadeStage::Multisplit, 0.3 * scale, 0, 6e-6);
+            c.push(CascadeStage::Insert, 0.7 * scale, 0, 6e-6);
+            c.push(CascadeStage::Insert, 0.01 * scale, 0, 6e-6);
             c.launches = 9;
-            OpReport::from_cascade(c)
+            c
         };
         let (mut rows, mut folded) = (OpReport::default(), OpReport::default());
         for i in 1..=1000 {
@@ -897,17 +935,26 @@ mod tests {
     }
 
     #[test]
-    fn from_cascade_extracts_backoff() {
-        let mut c = CascadeReport::new(100);
-        c.push(CascadeStage::Insert, 1.0, 0);
-        c.push(CascadeStage::Backoff, 0.5, 0);
-        c.launches = 5;
-        let r = OpReport::from_cascade(c);
+    fn a_cascades_report_totals_its_rows_and_extracts_backoff() {
+        let mut r = OpReport::of_cascade(100);
+        r.push(CascadeStage::Insert, 0.1, 0, 6e-6);
+        r.push(CascadeStage::Backoff, 0.2, 0, 0.0);
+        r.push(CascadeStage::Scatter, 0.3, 0, 6e-6);
+        r.push(CascadeStage::Backoff, 0.5, 0, 0.0);
+        r.launches = 5;
         assert_eq!(r.elements, 100);
         assert_eq!(r.launches, 5);
-        assert!((r.time - 1.5).abs() < 1e-12);
-        assert!((r.backoff_time - 0.5).abs() < 1e-12);
-        assert_eq!(r.stages.len(), 2);
+        assert_eq!(r.stages.len(), 4);
+        // each total is the sum of its rows in push order, bit for bit
+        let rows: f64 = r.stages.iter().map(|s| s.time).sum();
+        assert_eq!(r.time.to_bits(), rows.to_bits());
+        assert_eq!(r.backoff_time.to_bits(), r.time_of(CascadeStage::Backoff).to_bits());
+        assert!((r.backoff_time - 0.7).abs() < 1e-12);
+        // and so is a healthy cascade's backoff: the sum of no row
+        let healthy = OpReport::of_cascade(0);
+        let no_row = healthy.time_of(CascadeStage::Backoff);
+        assert_eq!(healthy.backoff_time.to_bits(), no_row.to_bits());
+        assert_eq!(healthy.backoff_time, 0.0);
     }
 
     #[test]

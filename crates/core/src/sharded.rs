@@ -20,13 +20,10 @@ use crate::errors::BuildError;
 use crate::insert::InsertOutcome;
 use crate::map::GpuHashMap;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport, PutResponse};
+use crate::table::check_keys;
 use gpu_sim::{Device, FaultPlan, GroupSize, KernelStats, LaunchOptions, RetryPolicy};
 use hashes::PartitionFn;
 use std::sync::Arc;
-
-/// Values, summed launch stats, launch count, and accumulated retry
-/// backoff for one routed query pass.
-type RetrievePass = (Vec<Option<u32>>, KernelStats, u64, f64);
 
 /// A logical hash map backed by `s` sub-2-GB shards on one device.
 #[derive(Debug)]
@@ -97,15 +94,6 @@ impl ShardedHashMap {
         self.len() as f64 / cap as f64
     }
 
-    /// Rolls shard `s`'s transient launch failures at the shard-routing
-    /// site; retry backoff accumulates in `tally`. One device hosts every
-    /// shard, so an exhausted budget has no failover target.
-    fn gate(&self, s: usize, tally: &mut ChaosTally) -> Result<(), OpError> {
-        tally
-            .gate_launch(&self.fault, &RetryPolicy::default(), s, launch_site::SHARD)
-            .map_err(|device| OpError::DeviceLost { device })
-    }
-
     /// Bills the on-device routing pass (read every pair, bucket it) and
     /// returns per-shard buckets.
     fn route(&self, pairs: &[(u32, u32)]) -> (Vec<Vec<(u32, u32)>>, KernelStats) {
@@ -127,20 +115,46 @@ impl ShardedHashMap {
         (buckets, stats)
     }
 
+    /// The shard by shard half of every routed operation: `op` on each
+    /// shard whose bucket is not empty, behind a roll of the shard's
+    /// transient launch failures at the shard-routing site. Returns the
+    /// launches made, the routing pass included, and the retry backoff.
+    /// One device hosts every shard, so an exhausted retry budget has no
+    /// failover target.
+    fn routed<T>(
+        &self,
+        buckets: &[Vec<T>],
+        mut op: impl FnMut(&GpuHashMap, &[T]) -> Result<(), OpError>,
+    ) -> Result<(u64, f64), OpError> {
+        let mut launches = 1;
+        let mut tally = ChaosTally::default();
+        for (s, bucket) in buckets.iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            tally
+                .gate_launch(&self.fault, &RetryPolicy::default(), s, launch_site::SHARD)
+                .map_err(|device| OpError::DeviceLost { device })?;
+            launches += 1;
+            op(&self.shards[s], bucket)?;
+        }
+        Ok((launches, tally.backoff))
+    }
+
     /// Bulk insert: route, then insert shard by shard. Returns the merged
     /// outcome (stats add; the per-shard kernels are billed individually
     /// with their sub-threshold working sets).
     ///
-    /// Under an armed [`Config::fault`] plan each shard's kernel launch
-    /// rolls transient failures at the shard-routing site; retries bill
-    /// exponential backoff into the outcome's `sim_time`. Retrying is
-    /// idempotent — the bucket is only applied once the launch succeeds.
+    /// Under an armed [`Config::fault`] plan each shard's launch is gated
+    /// (see `routed`); retries bill exponential backoff into the outcome's
+    /// `sim_time`. Retrying is idempotent — the bucket is only applied
+    /// once the launch succeeds.
     ///
     /// # Errors
     /// Aggregated probing exhaustion; scratch OOM;
     /// [`OpError::DeviceLost`] if a shard exhausts its launch retry
     /// budget (one device hosts every shard — there is no failover
-    /// target).
+    /// target); [`OpError::ReservedKey`] before anything is routed.
     pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, OpError> {
         let (mut outcome, _, backoff) = self.insert_impl(pairs)?;
         // fault-injection waits are real wall time; a fault-off run adds
@@ -152,20 +166,14 @@ impl ShardedHashMap {
     /// [`Self::insert_pairs`] with the launch count and the retry
     /// backoff kept apart from the merged kernel stats.
     fn insert_impl(&self, pairs: &[(u32, u32)]) -> Result<(InsertOutcome, u64, f64), OpError> {
+        check_keys(pairs.iter().map(|p| p.0))?;
         let (buckets, route_stats) = self.route(pairs);
         let mut merged: Option<InsertOutcome> = None;
         let mut failed = 0u64;
-        let mut launches = 1u64;
-        let mut tally = ChaosTally::default();
-        for (s, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            self.gate(s, &mut tally)?;
-            launches += 1;
-            match self.shards[s].insert_pairs(bucket) {
+        let (launches, backoff) = self.routed(&buckets, |shard, bucket| {
+            match shard.insert_pairs(bucket) {
                 Ok(o) => {
-                    merged = Some(match merged {
+                    merged = Some(match merged.take() {
                         None => o,
                         Some(mut acc) => {
                             acc.stats = acc.stats.merged(&o.stats);
@@ -179,6 +187,10 @@ impl ShardedHashMap {
                 Err(OpError::ProbingExhausted { failed: f }) => failed += f,
                 Err(e) => return Err(e),
             }
+            Ok(())
+        })?;
+        if failed > 0 {
+            return Err(OpError::ProbingExhausted { failed });
         }
         let mut outcome = merged.unwrap_or(InsertOutcome {
             stats: route_stats.clone(),
@@ -188,11 +200,7 @@ impl ShardedHashMap {
             reclaimed: 0,
         });
         outcome.stats = outcome.stats.merged(&route_stats);
-        outcome.failed = failed;
-        if failed > 0 {
-            return Err(OpError::ProbingExhausted { failed });
-        }
-        Ok((outcome, launches, tally.backoff))
+        Ok((outcome, launches, backoff))
     }
 
     /// The report of one routed operation: the routing launch plus one
@@ -206,58 +214,53 @@ impl ShardedHashMap {
         report
     }
 
-    /// Buckets `keys` by shard (with origin indices) and bills the
-    /// routing pass.
-    fn route_keys(&self, name: &'static str, keys: &[u32]) -> (Vec<Vec<(usize, u32)>>, KernelStats) {
+    /// A routed operation over keys: buckets `keys` by shard, bills the
+    /// routing pass `name`, lets `op` answer each shard's keys — one
+    /// result a key, and the launch's stats — and scatters the results
+    /// back to input positions.
+    fn routed_keys<R: Clone + Default>(
+        &self,
+        name: &'static str,
+        keys: &[u32],
+        mut op: impl FnMut(&GpuHashMap, &[u32]) -> Result<(Vec<R>, KernelStats), OpError>,
+    ) -> Result<(Vec<R>, OpReport), OpError> {
+        check_keys(keys.iter().copied())?;
         let mut buckets: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.num_shards()];
         for (i, &k) in keys.iter().enumerate() {
             buckets[self.part.part(k) as usize].push((i, k));
         }
-        let route = self.dev.launch(
+        let mut stats = self.dev.launch(
             name,
             keys.len().div_ceil(32).max(1),
             GroupSize::WARP,
             LaunchOptions::default(),
             |ctx| ctx.bill_stream_bytes(32 * 16),
         );
-        (buckets, route)
-    }
-
-    fn retrieve_impl(&self, keys: &[u32]) -> Result<RetrievePass, OpError> {
-        // route keys (with origin indices), query shards, scatter back
-        let (buckets, route) = self.route_keys("shard_route_query", keys);
-        let mut out = vec![None; keys.len()];
-        let mut stats = route;
-        let mut launches = 1u64;
-        let mut tally = ChaosTally::default();
-        for (s, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            self.gate(s, &mut tally)?;
+        let mut out = vec![R::default(); keys.len()];
+        let (launches, backoff) = self.routed(&buckets, |shard, bucket| {
             let shard_keys: Vec<u32> = bucket.iter().map(|b| b.1).collect();
-            let (res, s_stats) = self.shards[s].retrieve_impl(&shard_keys)?;
-            stats = stats.merged(&s_stats);
-            launches += 1;
-            for ((origin, _), r) in bucket.iter().zip(res) {
-                out[*origin] = r;
+            let (results, shard_stats) = op(shard, &shard_keys)?;
+            stats = stats.clone().merged(&shard_stats);
+            for (&(origin, _), r) in bucket.iter().zip(results) {
+                out[origin] = r;
             }
-        }
-        Ok((out, stats, launches, tally.backoff))
+            Ok(())
+        })?;
+        Ok((out, Self::routed_report(&stats, keys.len(), launches, backoff)))
     }
 
-    /// Bulk retrieval in input order, with a typed [`OpReport`]. Under
-    /// an armed [`Config::fault`] plan each shard's query rolls
-    /// transient launch failures at the shard-routing site; retry
-    /// backoff lands in the report's `backoff_time` (and `time`).
+    /// Bulk retrieval in input order, with a typed [`OpReport`]; retry
+    /// backoff of the gated shard launches lands in its `backoff_time`
+    /// (and `time`).
     ///
     /// # Errors
     /// [`OpError::OutOfMemory`] if a shard cannot stage its query batch;
     /// [`OpError::DeviceLost`] if a shard exhausts its launch retry
-    /// budget (one device hosts every shard — there is no failover).
+    /// budget (one device hosts every shard — there is no failover);
+    /// [`OpError::ReservedKey`] before anything is routed.
     pub fn try_retrieve(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        let (values, stats, launches, backoff) = self.retrieve_impl(keys)?;
-        let report = Self::routed_report(&stats, keys.len(), launches, backoff);
+        let (values, report) =
+            self.routed_keys("shard_route_query", keys, |shard, keys| shard.retrieve_impl(keys))?;
         Ok(GetResponse { values, report })
     }
 
@@ -268,39 +271,21 @@ impl ShardedHashMap {
     /// [`GpuHashMap::try_erase`]: deletions must be separated from
     /// insertions and queries by a global barrier.
     ///
-    /// Under an armed [`Config::fault`] plan each shard's erase rolls
-    /// transient launch failures at the shard-routing site, exactly like
-    /// [`Self::insert_pairs`]; retries are idempotent (tombstoning a
-    /// tombstone is a no-op).
+    /// Shard launches are gated exactly like [`Self::insert_pairs`]';
+    /// retries are idempotent (tombstoning a tombstone is a no-op).
     ///
     /// # Errors
     /// [`OpError::DeviceLost`] if a shard exhausts its retry budget;
-    /// [`OpError::OutOfMemory`] if a shard cannot stage its batch.
+    /// [`OpError::OutOfMemory`] if a shard cannot stage its batch;
+    /// [`OpError::ReservedKey`] before anything is routed.
     pub fn try_erase(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let (buckets, route) = self.route_keys("shard_route_erase", keys);
-        let mut hits = vec![false; keys.len()];
-        let mut stats = route;
-        let mut launches = 1u64;
-        let mut erased = 0u64;
-        let mut tally = ChaosTally::default();
-        for (s, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            self.gate(s, &mut tally)?;
-            let shard_keys: Vec<u32> = bucket.iter().map(|b| b.1).collect();
-            let out = self.shards[s].erase_impl(&shard_keys)?;
-            stats = stats.merged(&out.stats);
-            launches += 1;
-            erased += out.erased;
-            for ((origin, _), h) in bucket.iter().zip(out.hits) {
-                hits[*origin] = h;
-            }
-        }
-        let report = Self::routed_report(&stats, keys.len(), launches, tally.backoff);
+        let (hits, report) = self.routed_keys("shard_route_erase", keys, |shard, keys| {
+            let erased = shard.erase_impl(keys)?;
+            Ok((erased.hits, erased.stats))
+        })?;
         Ok(DeleteResponse {
+            erased: hits.iter().filter(|&&hit| hit).count() as u64,
             hits,
-            erased,
             report,
         })
     }
@@ -310,7 +295,7 @@ impl ShardedHashMap {
     /// ([`gpu_sim::LifetimeStats`]) counts it like any batched read.
     #[must_use]
     pub fn get(&self, key: u32) -> Option<u32> {
-        self.retrieve_impl(&[key]).expect("scratch for get").0[0]
+        self.try_retrieve(&[key]).map_or(None, |r| r.values[0])
     }
 
     /// Host-side snapshot across all shards.

@@ -60,72 +60,6 @@ impl StageTiming {
     }
 }
 
-/// The builder a cascade pushes its phases into; callers receive it as
-/// a [`crate::OpReport`] ([`crate::OpReport::from_cascade`]).
-#[derive(Debug, Clone)]
-pub(crate) struct CascadeReport {
-    /// Phases in execution order.
-    pub stages: Vec<StageTiming>,
-    /// Elements processed.
-    pub elements: u64,
-    /// Kernel launches the cascade's rounds made, summed over GPUs:
-    /// multisplit, kernel, late insert and scatter — every launch made,
-    /// those of a round a fault aborted included (a quarantine's
-    /// migration is not a round and is not counted).
-    pub launches: u64,
-}
-
-impl CascadeReport {
-    /// Builds a report.
-    #[must_use]
-    pub fn new(elements: u64) -> Self {
-        Self {
-            // room for a healthy host-sided round: H2D … D2H
-            stages: Vec::with_capacity(8),
-            elements,
-            launches: 0,
-        }
-    }
-
-    /// Appends a phase with no fixed-overhead component.
-    pub fn push(&mut self, stage: CascadeStage, time: f64, bytes: u64) {
-        self.push_with_overhead(stage, time, bytes, 0.0);
-    }
-
-    /// Appends a phase, recording the launch-overhead portion of `time`.
-    pub fn push_with_overhead(
-        &mut self,
-        stage: CascadeStage,
-        time: f64,
-        bytes: u64,
-        overhead: f64,
-    ) {
-        self.stages.push(StageTiming {
-            stage,
-            time,
-            bytes,
-            overhead,
-        });
-    }
-
-    /// Total cascade time (phases are globally barriered, so they add).
-    #[must_use]
-    pub fn total_time(&self) -> f64 {
-        self.stages.iter().map(|s| s.time).sum()
-    }
-
-    /// Accumulated time of one phase kind (a cascade may, e.g., transpose
-    /// twice).
-    #[must_use]
-    pub fn time_of(&self, stage: CascadeStage) -> f64 {
-        self.stages
-            .iter()
-            .filter(|s| s.stage == stage)
-            .map(|s| s.time)
-            .sum()
-    }
-}
-
 /// A table's slot occupancy split into live entries and tombstones.
 ///
 /// Open addressing never un-probes a tombstone: a deleted slot still
@@ -239,16 +173,16 @@ mod tests {
 
     #[test]
     fn backoff_stage_accumulates_like_any_other() {
-        let mut r = CascadeReport::new(10);
-        r.push(CascadeStage::Insert, 1.0, 0);
-        r.push(CascadeStage::Backoff, 0.25, 0);
+        let mut r = crate::OpReport::of_cascade(10);
+        r.push(CascadeStage::Insert, 1.0, 0, 0.0);
+        r.push(CascadeStage::Backoff, 0.25, 0, 0.0);
         assert!((r.time_of(CascadeStage::Backoff) - 0.25).abs() < 1e-12);
-        assert!((r.total_time() - 1.25).abs() < 1e-12);
+        assert!((r.time - 1.25).abs() < 1e-12);
     }
 
     #[test]
     fn empty_report_rates_are_zero() {
-        let r = crate::OpReport::from_cascade(CascadeReport::new(0));
+        let r = crate::OpReport::of_cascade(0);
         assert_eq!(r.ops_per_sec(), 0.0);
         assert_eq!(r.modeled_ops_per_sec(1024.0), 0.0);
     }

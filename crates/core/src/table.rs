@@ -3,10 +3,11 @@
 //!
 //! [`crate::GpuHashMap`] holds one [`Table`]; a resize migration holds
 //! the table it fills, and the finalize moves that table into the map.
-//! The three kernels are launched from here and nowhere else, and the
-//! memory layout is matched on here and in the kernels only — the map,
-//! the migration and every routed operation are written against slots,
-//! pairs and counters.
+//! The kernels are launched from here and nowhere else, every one of
+//! them probes through [`Table::walk`], and the memory layout is known to
+//! the slot view ([`crate::slots`]) alone — the kernels, the map, the
+//! migration and every routed operation are written against slots, pairs
+//! and counters. [`crate::GpuMultiMap`] is a table in multi-value mode.
 //!
 //! What one launch takes from the *map* rather than from the table is the
 //! coalesced-group size: the slot sequence does not depend on it (§IV-A),
@@ -14,19 +15,22 @@
 
 use crate::config::{Config, Layout, Mutation};
 use crate::delete::{erase_kernel, EraseOutcome};
-use crate::entry::{live_pair, pack, value_of, EMPTY, TOMBSTONE};
+use crate::entry::{live_pair, pack, value_of, EMPTY, RESERVED_KEY};
 use crate::errors::BuildError;
 use crate::get_put::get_put_kernel;
 use crate::history::HistoryRecorder;
-use crate::insert::{insert_kernel, soa_key_of, InsertOutcome};
+use crate::insert::{insert_kernel, InsertOutcome};
 use crate::probing::Prober;
-use crate::retrieve::retrieve_kernel;
+use crate::retrieve::{retrieve_all_kernel, retrieve_kernel};
+use crate::service::OpError;
+use crate::slots::Slots;
 use crate::stats::Occupancy;
+use gpu_sim::simt::Window;
 use gpu_sim::{
     DevSlice, Device, GroupCtx, GroupSize, KernelStats, LaunchOptions, OutOfMemory, ScratchGuard,
 };
 use hashes::DoubleHash;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -36,14 +40,34 @@ fn query_word(key: u32) -> u64 {
     u64::from(key) << 32
 }
 
+/// Rejects the key both sentinels carry: packed, it would read as a
+/// vacant slot, not as a pair.
+///
+/// # Errors
+/// [`OpError::ReservedKey`] with the position of the first such key.
+pub(crate) fn check_keys(keys: impl IntoIterator<Item = u32>) -> Result<(), OpError> {
+    match keys.into_iter().position(|k| k == RESERVED_KEY) {
+        Some(index) => Err(OpError::ReservedKey { index }),
+        None => Ok(()),
+    }
+}
+
 /// Query words for `keys`.
-pub(crate) fn query_words(keys: impl IntoIterator<Item = u32>) -> Vec<u64> {
-    keys.into_iter().map(query_word).collect()
+///
+/// # Errors
+/// [`OpError::ReservedKey`], as [`check_keys`].
+pub(crate) fn query_words(keys: impl Iterator<Item = u32> + Clone) -> Result<Vec<u64>, OpError> {
+    check_keys(keys.clone())?;
+    Ok(keys.map(query_word).collect())
 }
 
 /// Packed words for `pairs` (the insertion kernel's input convention).
-pub(crate) fn pair_words(pairs: &[(u32, u32)]) -> Vec<u64> {
-    pairs.iter().map(|&(k, v)| pack(k, v)).collect()
+///
+/// # Errors
+/// [`OpError::ReservedKey`], as [`check_keys`].
+pub(crate) fn pair_words(pairs: &[(u32, u32)]) -> Result<Vec<u64>, OpError> {
+    check_keys(pairs.iter().map(|p| p.0))?;
+    Ok(pairs.iter().map(|&(k, v)| pack(k, v)).collect())
 }
 
 /// One key of a fused get + put launch.
@@ -77,11 +101,15 @@ fn fused_order<'a>(reads: &'a [u32], puts: &'a [(u32, u32)]) -> impl Iterator<It
 #[derive(Debug)]
 pub(crate) struct Table {
     dev: Arc<Device>,
-    /// `capacity` words (AOS) or `2·capacity` (SOA: keys, then values).
+    /// Every word of the table.
     data: DevSlice,
+    /// `data` as the kernels address it, in the table's layout.
+    slots: Slots,
     /// Number of slots, a whole number of 32-slot spans.
     capacity: usize,
-    layout: Layout,
+    /// Multi-value mode (§II): a pair never updates the slot of its key,
+    /// every pair claims a slot of its own.
+    multi: bool,
     /// Seed of the hash-family member `prober` walks over `capacity`.
     seed: u32,
     prober: Prober,
@@ -111,10 +139,7 @@ impl Table {
             return Err(BuildError::ZeroCapacity);
         }
         let capacity = capacity.div_ceil(32) * 32;
-        let data = dev.alloc(match cfg.layout {
-            Layout::Aos => capacity,
-            Layout::Soa => 2 * capacity,
-        })?;
+        let (data, slots) = Slots::alloc(&dev, capacity, cfg.layout)?;
         // MUTATION DOUBLE (`Mutation::SkipFill`): skip the EMPTY-sentinel
         // fill — the forgotten-cudaMemset bug initcheck exists to catch.
         if cfg.mutation != Some(Mutation::SkipFill) {
@@ -124,8 +149,9 @@ impl Table {
         Ok(Self {
             dev,
             data,
+            slots,
             capacity,
-            layout: cfg.layout,
+            multi: false,
             seed,
             prober: Prober::new(DoubleHash::from_seed(seed), cfg.probing, capacity),
             p_max: cfg.p_max,
@@ -139,6 +165,18 @@ impl Table {
         })
     }
 
+    /// [`Table::alloc`] of a multi-value table under `cfg`'s hash member:
+    /// packed pairs, since one CAS must claim key and value together.
+    pub(crate) fn alloc_multi(
+        dev: Arc<Device>,
+        capacity: usize,
+        cfg: &Config,
+    ) -> Result<Self, BuildError> {
+        let mut table = Self::alloc(dev, capacity, &cfg.with_layout(Layout::Aos), cfg.seed)?;
+        table.multi = true;
+        Ok(table)
+    }
+
     /// The device the slots live on.
     pub(crate) fn dev(&self) -> &Arc<Device> {
         &self.dev
@@ -149,9 +187,9 @@ impl Table {
         self.capacity
     }
 
-    /// Memory layout of the slots.
-    pub(crate) fn layout(&self) -> Layout {
-        self.layout
+    /// Whether duplicate keys accumulate instead of updating.
+    pub(crate) fn multi(&self) -> bool {
+        self.multi
     }
 
     /// Seed of the hash-family member in use.
@@ -162,11 +200,6 @@ impl Table {
     /// The probing sequence over this table's slots.
     pub(crate) fn prober(&self) -> &Prober {
         &self.prober
-    }
-
-    /// Outer probing attempts before an insertion gives up.
-    pub(crate) fn p_max(&self) -> u32 {
-        self.p_max
     }
 
     /// The mutation double armed on this table, if any.
@@ -190,15 +223,38 @@ impl Table {
 
     // ---- storage, as the kernels address it -------------------------------
 
-    /// The packed-pair array (AOS) or the key array (SOA).
-    pub(crate) fn keys(&self) -> DevSlice {
-        self.data.sub(0, self.capacity)
+    /// The slots in the table's layout.
+    pub(crate) fn slots(&self) -> Slots {
+        self.slots
     }
 
-    /// The value array (SOA layout only).
-    pub(crate) fn soa_values(&self) -> DevSlice {
-        debug_assert_eq!(self.layout, Layout::Soa);
-        self.data.sub(self.capacity, self.capacity)
+    /// The probe of Fig. 3, the one every kernel runs: from window `from`
+    /// of `key`'s sequence on — window `w` is window `q = w mod 32/|g|` of
+    /// outer attempt `p = w div 32/|g|` —, one coalesced load per window,
+    /// handed to `visit` with its number and base slot until `visit`
+    /// breaks or `p_max` attempts are exhausted (`None`). What a group
+    /// does with a window — ballot, CAS, reload — is `visit`'s.
+    #[inline]
+    pub(crate) fn walk<T>(
+        &self,
+        ctx: &GroupCtx,
+        key: u32,
+        from: u64,
+        mut visit: impl FnMut(u64, usize, Window) -> ControlFlow<T>,
+    ) -> Option<T> {
+        let g = ctx.size().get();
+        // 32/|g| is a power of two: p and q are the halves of w
+        let windows = u64::from(ctx.size().windows_per_warp());
+        let shift = windows.trailing_zeros();
+        for w in from..u64::from(self.p_max) << shift {
+            let (p, q) = ((w >> shift) as u32, (w & (windows - 1)) as u32);
+            let base = self.prober.window_base(key, p, q, g) as usize;
+            let window = ctx.read_window(self.slots.keys, base);
+            if let ControlFlow::Break(done) = visit(w, base, window) {
+                return Some(done);
+            }
+        }
+        None
     }
 
     /// Launches `kernel` over `n` groups of `g` lanes with this table's
@@ -315,8 +371,8 @@ impl Table {
         g: GroupSize,
         pairs: &[(u32, u32)],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<InsertOutcome, OutOfMemory> {
-        let (_scratch, [input], _) = self.stage([&pair_words(pairs)], 0)?;
+    ) -> Result<InsertOutcome, OpError> {
+        let (_scratch, [input], _) = self.stage([&pair_words(pairs)?], 0)?;
         Ok(self.insert(g, input, pairs.len(), recorder))
     }
 
@@ -327,11 +383,23 @@ impl Table {
         g: GroupSize,
         keys: &[u32],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<(Vec<u64>, KernelStats), OutOfMemory> {
-        let queries = query_words(keys.iter().copied());
+    ) -> Result<(Vec<u64>, KernelStats), OpError> {
+        let queries = query_words(keys.iter().copied())?;
         let (_scratch, [input], out) = self.stage([&queries], keys.len())?;
         let stats = self.retrieve(g, input, out, keys.len(), recorder);
         Ok((self.dev.mem().d2h(out), stats))
+    }
+
+    /// Every value stored under each of the host-resident `keys` of a
+    /// multi-value table, in slot order.
+    pub(crate) fn retrieve_all_keys(
+        &self,
+        g: GroupSize,
+        keys: &[u32],
+        recorder: Option<&HistoryRecorder>,
+    ) -> Result<(Vec<Vec<u32>>, KernelStats), OpError> {
+        let (_scratch, [input], _) = self.stage([&query_words(keys.iter().copied())?], 0)?;
+        Ok(retrieve_all_kernel(self, g, input, keys.len(), recorder))
     }
 
     /// Looks up `reads` and applies `puts` in **one** launch of the
@@ -346,7 +414,9 @@ impl Table {
         reads: &[u32],
         puts: &[(u32, u32)],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<(Vec<Option<u32>>, InsertOutcome), OutOfMemory> {
+    ) -> Result<(Vec<Option<u32>>, InsertOutcome), OpError> {
+        check_keys(reads.iter().copied())?;
+        check_keys(puts.iter().map(|p| p.0))?;
         let upserts = fused_order(reads, puts)
             .filter(|k| matches!(k, Fused::Upsert(..)))
             .count();
@@ -388,8 +458,8 @@ impl Table {
         g: GroupSize,
         keys: &[u32],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<EraseOutcome, OutOfMemory> {
-        let (_scratch, [input], _) = self.stage([&query_words(keys.iter().copied())], 0)?;
+    ) -> Result<EraseOutcome, OpError> {
+        let (_scratch, [input], _) = self.stage([&query_words(keys.iter().copied())?], 0)?;
         Ok(self.erase(g, input, keys.len(), recorder))
     }
 
@@ -399,18 +469,7 @@ impl Table {
     /// either layout: `pack(key, value)` for a live slot, the slot's
     /// sentinel otherwise.
     pub(crate) fn scan(&self, range: Range<usize>) -> Vec<u64> {
-        let (start, len) = (range.start, range.len());
-        let keys = self.dev.mem().d2h(self.keys().sub(start, len));
-        match self.layout {
-            Layout::Aos => keys,
-            Layout::Soa => {
-                let values = self.dev.mem().d2h(self.soa_values().sub(start, len));
-                keys.iter()
-                    .zip(&values)
-                    .map(|(&k, &v)| soa_key_of(k).map_or(k, |key| pack(key, v as u32)))
-                    .collect()
-            }
-        }
+        self.slots.scan(self.dev.mem(), range)
     }
 
     /// Every live `(key, value)` pair, in slot order.
@@ -433,17 +492,11 @@ impl Table {
         )
     }
 
-    /// Tombstones the live slots `slots` from the host, counting them
-    /// (the value word of an SOA slot goes back to its sentinel so a
-    /// reclaiming insert re-enters the publication protocol).
+    /// Tombstones the live slots `slots` from the host, counting them.
     pub(crate) fn tombstone(&self, slots: impl IntoIterator<Item = usize>) {
-        let mem = self.dev.mem();
         let mut n = 0;
         for slot in slots {
-            mem.h2d(self.keys().sub(slot, 1), &[TOMBSTONE]);
-            if self.layout == Layout::Soa {
-                mem.h2d(self.soa_values().sub(slot, 1), &[EMPTY]);
-            }
+            self.slots.tombstone_from_host(self.dev.mem(), slot);
             n += 1;
         }
         self.note_tombstoned(n);

@@ -5,7 +5,8 @@
 use interconnect::Topology;
 use std::sync::Arc;
 use warpdrive::{
-    pack, Config, DistributedHashMap, GpuHashMap, GpuMultiMap, OpError, Layout, ShardedHashMap,
+    pack, Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Layout, MapService, Op, OpError,
+    ShardedHashMap,
 };
 
 fn device(words: usize) -> Arc<gpu_sim::Device> {
@@ -42,12 +43,75 @@ fn extreme_key_and_value_bits_round_trip() {
     }
 }
 
+/// Every front-door call naming the reserved key at position 2 is
+/// refused with that position, nothing applied, and the backend goes on
+/// working. Packed, `u32::MAX` would read as a vacant slot: an AOS
+/// "update" of an EMPTY word used to leak the slot for good.
+fn refuses_the_reserved_key<S: MapService>(s: &mut S, backend: &str) {
+    const BAD: u32 = u32::MAX;
+    let refused = OpError::ReservedKey { index: 2 };
+    s.put_batch(&[(1, 10), (2, 20)]).unwrap();
+    let before = (s.live_len(), s.occupancy_split());
+    assert_eq!(s.put_batch(&[(3, 30), (4, 40), (BAD, 1)]).unwrap_err(), refused, "{backend}");
+    assert_eq!(s.get_batch(&[1, 2, BAD]).unwrap_err(), refused, "{backend}");
+    assert_eq!(s.delete_batch(&[1, 2, BAD, 2]).unwrap_err(), refused, "{backend}");
+    assert_eq!(s.get_put_batch(&[1, 2, BAD], &[(3, 30)]).unwrap_err(), refused, "{backend}");
+    let puts = [(3, 30), (4, 40), (BAD, 1)];
+    assert_eq!(s.get_put_batch(&[1], &puts).unwrap_err(), refused, "{backend}");
+    let ops = [
+        Op::Put { key: 3, value: 30 },
+        Op::Delete { key: 1 },
+        Op::Get { key: BAD },
+        Op::Put { key: BAD, value: 1 },
+    ];
+    assert_eq!(s.execute(&ops).unwrap_err(), refused, "{backend}");
+    assert_eq!((s.live_len(), s.occupancy_split()), before, "{backend}: nothing was applied");
+    assert_eq!(s.get_batch(&[1, 2, 3]).unwrap().values, [Some(10), Some(20), None], "{backend}");
+    s.put_batch(&[(0xFFFF_FFFE, 7)]).unwrap();
+    assert_eq!(s.get_batch(&[0xFFFF_FFFE]).unwrap().values, [Some(7)], "{backend}");
+}
+
 #[test]
-#[should_panic(expected = "reserved")]
-#[cfg_attr(not(debug_assertions), ignore = "the guard is a debug_assert")]
-fn reserved_key_panics_in_debug() {
-    let map = GpuHashMap::new(device(1 << 12), 64, Config::default()).unwrap();
-    let _ = map.insert_pairs(&[(u32::MAX, 1)]);
+fn reserved_key_is_refused_with_a_typed_error() {
+    let refused = OpError::ReservedKey { index: 1 };
+    for layout in [Layout::Aos, Layout::Soa] {
+        let cfg = Config::default().with_layout(layout);
+        let mut map = GpuHashMap::new(device(1 << 12), 64, cfg).unwrap();
+        refuses_the_reserved_key(&mut map, &format!("GpuHashMap {layout:?}"));
+        assert_eq!(map.insert_pairs(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
+        assert_eq!(map.try_retrieve(&[5, u32::MAX]).unwrap_err(), refused);
+        assert_eq!(map.try_erase(&[5, u32::MAX]).unwrap_err(), refused);
+        assert_eq!(map.get(u32::MAX), None);
+        // the routed paths of a migration in flight refuse it as well
+        assert!(map.request_grow().unwrap());
+        refuses_the_reserved_key(&mut map, &format!("GpuHashMap {layout:?}, migrating"));
+    }
+
+    let mut sharded = ShardedHashMap::new(device(1 << 13), 256, 3, Config::default()).unwrap();
+    refuses_the_reserved_key(&mut sharded, "ShardedHashMap");
+    // the position is the caller's, not the shard bucket's
+    assert_eq!(sharded.insert_pairs(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
+    assert_eq!(sharded.try_retrieve(&[5, u32::MAX]).unwrap_err(), refused);
+    assert_eq!(sharded.try_erase(&[5, u32::MAX]).unwrap_err(), refused);
+    assert_eq!(sharded.get(u32::MAX), None);
+
+    let devices = (0..4).map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 14)));
+    let mut node =
+        DistributedHashMap::new(devices.collect(), 512, Config::default(), Topology::p100_quad(4))
+            .unwrap();
+    refuses_the_reserved_key(&mut node, "DistributedHashMap");
+    assert_eq!(node.insert_from_host(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
+    assert_eq!(node.try_retrieve_from_host(&[5, u32::MAX]).unwrap_err(), refused);
+    assert_eq!(node.try_erase_from_host(&[5, u32::MAX]).unwrap_err(), refused);
+    assert_eq!(node.get(u32::MAX), None);
+
+    let multi = GpuMultiMap::new(device(1 << 12), 64, Config::default()).unwrap();
+    multi.insert_pairs(&[(5, 50)]).unwrap();
+    assert_eq!(multi.insert_pairs(&[(5, 51), (u32::MAX, 1)]).unwrap_err(), refused);
+    // no phantom value for the EMPTY slots of the first window
+    assert_eq!(multi.try_retrieve_all(&[5, u32::MAX]).unwrap_err(), refused);
+    assert_eq!(multi.count(u32::MAX), 0);
+    assert_eq!((multi.len(), multi.count(5)), (1, 1));
 }
 
 #[test]

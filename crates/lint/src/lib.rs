@@ -311,6 +311,11 @@ fn kernel(ctx: &GroupCtx) {
         let f = lint_source(bad, &ctx(true, false), &Config::default());
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "WD-K002");
+        // the slot view's `claim` is the same CAS behind a helper
+        let helper = bad.replace("ctx.cas(keys, idx", "slots.claim(ctx, idx");
+        let f = lint_source(&helper, &ctx(true, false), &Config::default());
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "WD-K002");
         let good = r#"
 fn kernel(ctx: &GroupCtx) {
     if ctx.cas(keys, idx, expected, word).is_ok() {

@@ -254,8 +254,9 @@ fn k001_divergent_collectives(
     }
 }
 
-/// WD-K002: plain `write` inside the success arm of a CAS claim. The
-/// claim's CAS orders the *key* word only; publishing the value word
+/// WD-K002: plain `write` inside the success arm of a CAS claim — a
+/// `cas`, or the slot view's `claim`, which is the CAS of the key word.
+/// The claim's CAS orders the *key* word only; publishing the value word
 /// with a plain store drops the release edge racecheck relies on (the
 /// `Mutation::PublishPlainStore` shape).
 fn k002_plain_store_publish(
@@ -279,7 +280,7 @@ fn k002_plain_store_publish(
         let conds = scopes.enclosing_conds(i, true);
         if let Some(claim) = conds
             .iter()
-            .find(|c| c.contains(".cas(") && c.contains("is_ok"))
+            .find(|c| (c.contains(".cas(") || c.contains(".claim(")) && c.contains("is_ok"))
         {
             out.push(ctx.finding(
                 scopes,

@@ -75,16 +75,15 @@ fn plain_store_publish_double_is_flagged_statically() {
 }
 
 /// The correct protocol right next to each double stays clean: the
-/// full-mask ballot and the release publish via `write_shared` draw no
-/// findings, so the rules separate the double from its healthy twin
-/// inside the same function.
+/// full-group ballot for vacant slots and the publish through the slot
+/// view (a CAS from the sentinel) draw no findings, so the rules separate
+/// the double from its healthy twin inside the same function. A marker
+/// that is gone fails the test (`line_of` panics): update it with the
+/// code.
 #[test]
 fn healthy_twin_lines_stay_clean() {
     let (src, findings) = lint_insert_rs();
-    for marker in ["ballot_where(ctx.full_mask()", "write_shared(values"] {
-        if !src.contains(marker) {
-            continue; // marker tracks current insert.rs idiom; skip if refactored
-        }
+    for marker in ["ctx.ballot(|r| is_vacant(window.lane(r)))", "slots.publish(ctx, idx, word)"] {
         let line = line_of(&src, marker);
         assert!(
             findings.iter().all(|f| f.line != line),
