@@ -21,7 +21,8 @@ use interconnect::{PipelineSim, Stage};
 /// legend: H2D = PCIe bus, MST = NVLink network, INS = video memory).
 pub mod resource {
     /// PCIe host→device direction (PCIe is full duplex; a retrieval batch
-    /// crosses it twice, 4-byte keys up and 8-byte results down — the
+    /// crosses it twice, 4-byte keys up and a 4-byte value plus a found
+    /// bit per key down, so the two directions overlap nearly evenly — the
     /// paper's 8 bytes both ways cap retrieval at ≈55% of the aggregate).
     pub const PCIE_UP: usize = 0;
     /// PCIe device→host direction.

@@ -7,12 +7,20 @@
 //! round are four [`CascadeOp`] descriptions plus a per-GPU kernel call
 //! each:
 //!
-//! | operation | segments | upload (host-sided) | launch site | stage    | return trip, and D2H (host-sided) | scatter kernel (per warp)                     |
-//! |-----------|----------|---------------------|-------------|----------|-------------|-----------------------------------------------|
-//! | insert    | 1        | 8 B / pair          | `INSERT`    | `Insert` | none        | —                                             |
-//! | retrieve  | 1        | 4 B / key           | `QUERY`     | `Query`  | 8 B / key   | `result_scatter`: 32·(16+8) B, 4 transactions |
-//! | erase     | 1        | 4 B / key           | `ERASE`     | `Query`  | 1 B / key   | `erase_hit_scatter`: 32·(8+1) B, 2 transactions |
-//! | get + put | 3        | 4 B / read key + 8 B / pair | `GET_PUT`, late puts `INSERT` | `Query`, late puts `Insert` | 8 B / read key | `result_scatter`, over the read keys |
+//! | operation | segments | upload (host-sided) | launch site | stage    | return trip | D2H (host-sided), `n` keys a GPU | scatter kernel (per warp) |
+//! |-----------|----------|---------------------|-------------|----------|-------------|------------------|---------------------------|
+//! | insert    | 1        | 8 B / pair          | `INSERT`    | `Insert` | none        | none             | —                         |
+//! | retrieve  | 1        | 4 B / key           | `QUERY`     | `Query`  | 8 B / key   | `4n + ⌈n/8⌉` B   | [`result_scatter`], run: 32·(8+8) B streamed, the sectors its values touch, an `atomicOr` per found-bit word |
+//! | erase     | 1        | 4 B / key           | `ERASE`     | `Query`  | 1 B / key   | `n` B            | `erase_hit_scatter`, billed: 32·(8+1) B, 2 transactions |
+//! | get + put | 3        | 4 B / read key + 8 B / pair | `GET_PUT`, late puts `INSERT` | `Query`, late puts `Insert` | 8 B / read key | `4n + ⌈n/8⌉` B, `n` read keys | [`result_scatter`], over the read keys |
+//!
+//! A value's answer travels back between GPUs as the 8-byte pair (or
+//! `EMPTY`) its target found and lands on its origin beside the query
+//! word; the origin's scatter writes the value into the half of a value
+//! word its position names — a 4-byte store, two values to a word — and
+//! sets a found bit, so what the host downloads is `⌈n/2⌉` value words and
+//! `⌈n/64⌉` found-bit words, read back in the caller's order. No value is
+//! free to mean "absent" (only a key is reserved), hence the bitmap.
 //!
 //! A cascade's [`Input`] is its **segments**, each the elements of every
 //! GPU: packed pairs behind, segment 0 of an operation that answers per
@@ -50,15 +58,21 @@
 //! completed before a round aborted stand: an erased key is a hit even
 //! though the restarted round no longer sees it, and a key the mixed
 //! round read keeps its first answer — the re-run would read what the
-//! aborted round already wrote.
+//! aborted round already wrote. An aborted round hands out the value
+//! answers that had landed on their origins, read back from there; it
+//! bills no return trip.
 
 use crate::chaos::{launch_site, straggled, ChaosTally, Router};
 use crate::config::Mutation;
 use crate::distributed::DistributedHashMap;
-use crate::entry::{key_of, value_of, EMPTY};
+use crate::entry::{key_of, pack, value_of, EMPTY};
 use crate::service::{OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse};
 use crate::stats::CascadeStage;
-use gpu_sim::{DevSlice, FaultPlan, GroupSize, LaunchOptions, RetryPolicy, ScratchGuard};
+use crate::table::check_keys;
+use gpu_sim::{
+    DevSlice, Device, FaultPlan, GroupCtx, GroupSize, KernelStats, LaunchOptions, RetryPolicy,
+    ScratchGuard,
+};
 use interconnect::alltoall_time_faulted;
 use multisplit::{device_multisplit_segments, PartitionTable, Segment, SegmentedSplit};
 
@@ -97,30 +111,66 @@ pub(crate) struct CascadeOp {
     pub(crate) back: Option<ReturnTrip>,
 }
 
-/// The return half of a cascade: transposition back, then one
-/// irregular-store scatter kernel per origin GPU.
-pub(crate) struct ReturnTrip {
-    /// Bytes per element on the way back, and on down to the host; chunk
-    /// sizes mirror the forward transposition.
-    pub(crate) bytes: u64,
-    /// The scatter kernel's name.
-    scatter: &'static str,
-    /// Per warp of 32 elements: streamed bytes read (query word plus
-    /// answer each) …
-    stream_bytes: u64,
-    /// … and store transactions. Compaction is order-preserving within a
-    /// class chunk, so the stores land in near-origin order and coalesce
-    /// up to chunk boundaries.
-    transactions: u64,
+impl CascadeOp {
+    /// Whether the answers land on their origins for [`result_scatter`].
+    fn lands_values(&self) -> bool {
+        matches!(
+            self.back,
+            Some(ReturnTrip {
+                scatter: Scatter::Values,
+                ..
+            })
+        )
+    }
 }
 
-/// Packed key-value results: the return trip of every operation that
-/// reads values.
+/// The return half of a cascade: transposition back, then one scatter
+/// kernel per origin GPU.
+pub(crate) struct ReturnTrip {
+    /// Bytes per element on the way back; chunk sizes mirror the forward
+    /// transposition.
+    bytes: u64,
+    scatter: Scatter,
+}
+
+/// How a return trip's answers reach their places on the origin GPU.
+enum Scatter {
+    /// Each target's answers go to the caller as it answers, and a scatter
+    /// kernel is billed, not run: per warp of 32 elements, streamed bytes
+    /// read (query word plus answer each) and store transactions.
+    Billed {
+        name: &'static str,
+        stream_bytes: u64,
+        transactions: u64,
+    },
+    /// The packed pairs (or `EMPTY`) a target found land on their origin,
+    /// and [`result_scatter`] writes a hit's value into its position's
+    /// half of a value word and sets its found bit: what the host
+    /// downloads is 4 bytes a key plus a bit.
+    Values,
+}
+
+impl ReturnTrip {
+    /// Bytes that come down to the host for `n` answers of one GPU.
+    pub(crate) fn down_bytes(&self, n: usize) -> u64 {
+        match self.scatter {
+            Scatter::Billed { .. } => self.bytes * n as u64,
+            Scatter::Values => 4 * n as u64 + n.div_ceil(8) as u64,
+        }
+    }
+}
+
+/// What [`result_scatter`] leaves for `n` answers: value words, two values
+/// to a word, then found-bit words, 64 bits to a word.
+fn result_words(n: usize) -> (usize, usize) {
+    (n.div_ceil(2), n.div_ceil(64))
+}
+
+/// The value of every hit, and a found bit per key: the return trip of
+/// every operation that reads values.
 const RESULTS: ReturnTrip = ReturnTrip {
     bytes: 8,
-    scatter: "result_scatter",
-    stream_bytes: 32 * (16 + 8),
-    transactions: 4,
+    scatter: Scatter::Values,
 };
 
 pub(crate) const INSERT: CascadeOp = CascadeOp {
@@ -143,9 +193,11 @@ pub(crate) const ERASE: CascadeOp = CascadeOp {
     late: None,
     back: Some(ReturnTrip {
         bytes: 1,
-        scatter: "erase_hit_scatter",
-        stream_bytes: 32 * (8 + 1),
-        transactions: 2,
+        scatter: Scatter::Billed {
+            name: "erase_hit_scatter",
+            stream_bytes: 32 * (8 + 1),
+            transactions: 2,
+        },
     }),
 };
 
@@ -195,6 +247,18 @@ struct SplitPhase<'g> {
     time: f64,
 }
 
+impl SplitPhase<'_> {
+    /// Where the answers to GPU `i`'s `n` query words land, in their
+    /// order, when the return trip scatters values — at the end of its
+    /// split buffer — and behind them what [`result_scatter`] writes.
+    fn landing(&self, i: usize, n: usize) -> (DevSlice, DevSlice) {
+        let buf = self.guards[i].slice();
+        let (value_words, bit_words) = result_words(n);
+        let at = buf.len() - value_words - bit_words;
+        (buf.sub(at - n, n), buf.sub(at, value_words + bit_words))
+    }
+}
+
 /// One source GPU's multisplit.
 struct Sent {
     /// Its output buffers: a segment each, partition-ordered.
@@ -204,11 +268,34 @@ struct Sent {
 }
 
 impl Sent {
+    /// Where the words of segment `s` this GPU holds for target `j` start
+    /// in its output, and how many there are.
+    fn at(&self, s: usize, j: usize) -> (usize, usize) {
+        let (at, n) = (self.classes.offsets(s)[j], self.classes.counts(s)[j]);
+        (at as usize, n as usize)
+    }
+
     /// The words of segment `s` this GPU holds for target `j`.
     fn chunk(&self, s: usize, j: usize) -> DevSlice {
-        let (at, n) = (self.classes.offsets(s)[j], self.classes.counts(s)[j]);
-        self.out[s].sub(at as usize, n as usize)
+        let (at, n) = self.at(s, j);
+        self.out[s].sub(at, n)
     }
+}
+
+/// Segment 0 of what target `j` received, `words`, cut into its sources'
+/// chunks: `(source GPU, where the chunk starts in the source's output,
+/// its words)`.
+fn by_source<'a>(
+    sent: &'a [Sent],
+    j: usize,
+    mut words: &'a [u64],
+) -> impl Iterator<Item = (usize, usize, &'a [u64])> + 'a {
+    sent.iter().enumerate().map(move |(i, sent)| {
+        let (at, n) = sent.at(0, j);
+        let chunk;
+        (chunk, words) = words.split_at(n);
+        (i, at, chunk)
+    })
 }
 
 /// The m×m partition table of `segments` together, built in place.
@@ -241,12 +328,61 @@ fn respread<T: Copy>(per_gpu: &[&[T]], mut to: impl FnMut(usize, usize) -> usize
     effective
 }
 
-/// The value a query kernel found for query `word`: `found` is the
-/// key's packed pair, or `EMPTY`.
-fn found_value(word: u64, found: u64) -> Option<u32> {
-    (found != EMPTY).then(|| {
-        debug_assert_eq!(key_of(found), key_of(word));
-        value_of(found)
+/// The value a query kernel found: `found` is the key's packed pair, or
+/// `EMPTY`.
+fn found_value(found: u64) -> Option<u32> {
+    (found != EMPTY).then(|| value_of(found))
+}
+
+/// The return trip's scatter on an origin GPU: warp `w` reads query words
+/// `32w..` of the origin's split (`words`, `n` in all) and the `answers`
+/// that landed beside them, writes each hit's value into the half of the
+/// value words of `results` its position names and sets the position's
+/// found bit with one warp-aggregated `atomicOr` per found-bit word it
+/// touches ([`result_words`]); a miss stores nothing. The found bits start
+/// cleared. `swapped` is `Mutation::AnswerHalvesSwapped`.
+fn result_scatter(
+    dev: &Device,
+    [words, answers, results]: [DevSlice; 3],
+    opts: LaunchOptions,
+    swapped: bool,
+) -> KernelStats {
+    const G: usize = 32;
+    let n = words.len();
+    let (value_words, bit_words) = result_words(n);
+    let values = results.sub(0, value_words);
+    let found = results.sub(value_words, bit_words);
+    dev.mem().fill(found, 0);
+    let warps = n.div_ceil(G);
+    dev.launch("result_scatter", warps, GroupSize::WARP, opts, |ctx| {
+        let first = ctx.group_id() * G;
+        let (mut slot, mut pair) = ([0usize; G], [EMPTY; G]);
+        for r in 0..(n - first).min(G) {
+            // the position the split tagged, and what the target found
+            slot[r] = value_of(ctx.read_stream(words, first + r)) as usize;
+            pair[r] = ctx.read_stream(answers, first + r);
+        }
+        let hits = ctx.ballot(|r| pair[r as usize] != EMPTY);
+        let mut halves = [(0, 0); G];
+        let mut stores = 0;
+        for r in (0..G).filter(|&r| hits & (1 << r) != 0) {
+            // BROKEN if `swapped` (mutation double): the other half
+            halves[stores] = (slot[r] ^ usize::from(swapped), value_of(pair[r]));
+            stores += 1;
+        }
+        ctx.write_halves(values, &halves[..stores]);
+        // the leader of each found-bit word ORs in the bits of its lanes
+        let mut pending = hits;
+        while let Some(leader) = GroupCtx::ffs(pending) {
+            let word = slot[leader as usize] / 64;
+            let same_word = |r: u32| pending & (1 << r) != 0 && slot[r as usize] / 64 == word;
+            let lanes = ctx.ballot(same_word);
+            let bits = (0..G)
+                .filter(|&r| lanes & (1 << r) != 0)
+                .fold(0, |bits, r| bits | (1 << (slot[r] % 64)));
+            ctx.atomic_or(found, word, bits);
+            pending &= !lanes;
+        }
     })
 }
 
@@ -299,24 +435,28 @@ impl DistributedHashMap {
     /// `j` over the words it received — segment after segment, `cuts`
     /// long — returns its simulated time and leaves in `answers` (empty
     /// on entry, one list for the whole round) one answer per word of
-    /// segment 0, none for an operation without return trip;
-    /// `answer((g, i), word, a)` receives the answer to key `i` of the
-    /// caller's GPU `g` and its query word. Under an armed plan rounds run
-    /// more than once: input addressed to quarantined GPUs re-spreads
-    /// over the survivors with its origin tracked, wasted attempts stay
-    /// billed, and `kernel`/`answer` see every completed target of every
-    /// round.
+    /// segment 0, none for an operation without return trip: the packed
+    /// pair found or `EMPTY` where the return trip scatters values, a flag
+    /// otherwise. `answer((g, i), a)` receives the answer to key `i` of
+    /// the caller's GPU `g`: a value return trip's once the round's
+    /// scatter is done — as the pair rebuilt from the key and the value
+    /// that came down, or `EMPTY` — a flag return trip's as its target
+    /// answers. Under an armed plan rounds run more than once: input
+    /// addressed to quarantined GPUs re-spreads over the survivors with its
+    /// origin tracked, wasted attempts stay billed, and `kernel`/`answer`
+    /// see every completed target of every round — an aborted round hands
+    /// out the answers that had landed on their origins.
     ///
     /// # Errors
     /// Probing exhaustion aggregated over the GPUs; a kernel's other
     /// errors and scratch OOM; [`Self::with_failover`]'s.
-    pub(crate) fn cascade<A>(
+    pub(crate) fn cascade(
         &self,
         op: &CascadeOp,
         input: Input,
         report: &mut OpReport,
-        mut kernel: impl FnMut(usize, DevSlice, &Cuts, &mut Vec<A>) -> Result<f64, OpError>,
-        mut answer: impl FnMut((usize, usize), u64, &A),
+        mut kernel: impl FnMut(usize, DevSlice, &Cuts, &mut Vec<u64>) -> Result<f64, OpError>,
+        mut answer: impl FnMut((usize, usize), u64),
     ) -> Result<(), OpError> {
         let m = self.num_gpus();
         let answered = if op.back.is_some() { m } else { 0 };
@@ -349,7 +489,7 @@ impl DistributedHashMap {
 
     /// One round under a fixed router/plan snapshot.
     #[allow(clippy::too_many_arguments)]
-    fn round<A>(
+    fn round(
         &self,
         op: &CascadeOp,
         input: Input,
@@ -359,10 +499,9 @@ impl DistributedHashMap {
         policy: &RetryPolicy,
         report: &mut OpReport,
         tally: &mut ChaosTally,
-        kernel: &mut impl FnMut(usize, DevSlice, &Cuts, &mut Vec<A>) -> Result<f64, OpError>,
-        answer: &mut impl FnMut((usize, usize), u64, &A),
+        kernel: &mut impl FnMut(usize, DevSlice, &Cuts, &mut Vec<u64>) -> Result<f64, OpError>,
+        answer: &mut impl FnMut((usize, usize), u64),
     ) -> Result<(), Abort> {
-        let m = self.num_gpus();
         let oh = self.device(0).spec().launch_overhead;
         let opts = LaunchOptions::default()
             .with_schedule(self.cfg().schedule)
@@ -371,9 +510,11 @@ impl DistributedHashMap {
             let phase = alltoall_time_faulted(self.topology(), bytes, plan, policy);
             tally.settle(plan, policy, phase).map_err(Abort::Lost)
         };
+        let origin_of = |i: usize, slot: usize| origin.map_or((i, slot), |o| o[i][slot]);
 
         // Phases 1+2: multisplit and transposition
-        let mut split = self.multisplit_phase(input, router, opts, plan, policy, report, tally)?;
+        let mut split =
+            self.multisplit_phase(op, input, router, opts, plan, policy, report, tally)?;
         // the GPUs split side by side: the stage waits for the most
         // launches and streams the bytes of all
         let splits = split.sent.iter().map(|sent| &sent.classes);
@@ -390,101 +531,175 @@ impl DistributedHashMap {
             .map_err(Abort::Fatal)?;
         report.push(CascadeStage::Transpose, transpose.time, transpose.bytes, 0.0);
 
-        // Phase 3: the local kernels (global barrier → max over GPUs)
-        let mut worst = 0.0f64;
-        let mut late_worst = None;
-        let mut failed = 0u64;
-        let mut answers = Vec::new();
-        let mut rest = &recv[..];
-        for (j, (cuts, buf)) in landed.iter().enumerate() {
-            let words;
-            (words, rest) = rest.split_at(buf.len());
-            if words.is_empty() {
-                continue;
-            }
-            let retried = tally.launch_retries;
-            let gate = tally.gate_launch(plan, policy, j, op.site);
-            if self.cfg().mutation == Some(Mutation::DoubleApplyOnRetry)
-                && op.site == launch_site::INSERT
-                && tally.launch_retries > retried
-            {
-                // BROKEN (mutation double): premature failover without
-                // the idempotence guard — the sub-batch is applied to
-                // its failover targets although the primary is still
-                // being retried (and will succeed), duplicating keys.
-                if let Some(failover) = router.also_masking(j) {
-                    let pairs = words.iter().map(|&w| (key_of(w), value_of(w)));
-                    let _ = self.insert_routed(&failover, pairs);
+        // one list of answers: a target's, then an origin's results
+        let keys = input.keys.iter().filter(|_| op.lands_values());
+        let results = keys.map(|keys| {
+            let (value_words, bit_words) = result_words(keys.len());
+            value_words + bit_words
+        });
+        let most = op.back.as_ref().map_or(0, |_| {
+            let answers = landed.iter().map(|(cuts, _)| cuts[0]);
+            answers.chain(results).max().unwrap_or(0)
+        });
+        let mut answers = Vec::with_capacity(most);
+        // bit `j`: target `j`'s answers have landed on their origins
+        let mut done = 0u64;
+        // the rest of the round: where it aborts, what landed still stands
+        let res = (|| {
+            // Phase 3: the local kernels (global barrier → max over GPUs)
+            let mut worst = 0.0f64;
+            let mut late_worst = None;
+            let mut failed = 0u64;
+            let mut rest = &recv[..];
+            for (j, (cuts, buf)) in landed.iter().enumerate() {
+                let words;
+                (words, rest) = rest.split_at(buf.len());
+                if words.is_empty() {
+                    continue;
                 }
-            }
-            gate.map_err(Abort::Lost)?;
-            report.launches += 1;
-            answers.clear();
-            if let Some(time) = unless_exhausted(kernel(j, *buf, cuts, &mut answers), &mut failed)?
-            {
-                worst = worst.max(straggled(plan, j, time));
-                // segment 0 of `words` is every source GPU's chunk for
-                // `j` in GPU order; hand the answers out now, so they
-                // stand even if a later target aborts the round
-                let sources =
-                    (0..m).flat_map(|i| std::iter::repeat_n(i, split.sent[i].chunk(0, j).len()));
-                for ((i, &word), a) in sources.zip(words).zip(&answers) {
-                    let slot = value_of(word) as usize;
-                    answer(origin.map_or((i, slot), |o| o[i][slot]), word, a);
+                let retried = tally.launch_retries;
+                let gate = tally.gate_launch(plan, policy, j, op.site);
+                if self.cfg().mutation == Some(Mutation::DoubleApplyOnRetry)
+                    && op.site == launch_site::INSERT
+                    && tally.launch_retries > retried
+                {
+                    // BROKEN (mutation double): premature failover without
+                    // the idempotence guard — the sub-batch is applied to
+                    // its failover targets although the primary is still
+                    // being retried (and will succeed), duplicating keys.
+                    if let Some(failover) = router.also_masking(j) {
+                        let pairs = words.iter().map(|&w| (key_of(w), value_of(w)));
+                        let _ = self.insert_routed(&failover, pairs);
+                    }
                 }
-            }
-            if let Some(late) = op.late.filter(|&late| cuts[late] > 0) {
-                // after the kernel on this target, so that a key it both
-                // read and wrote was read first
-                tally
-                    .gate_launch(plan, policy, j, launch_site::INSERT)
-                    .map_err(Abort::Lost)?;
-                let pairs = buf.sub(cuts[..late].iter().sum(), cuts[late]);
+                gate.map_err(Abort::Lost)?;
                 report.launches += 1;
-                let inserted = self.maps()[j].insert_device(pairs, cuts[late]);
-                if let Some(outcome) = unless_exhausted(inserted, &mut failed)? {
-                    let time = straggled(plan, j, outcome.stats.sim_time);
-                    late_worst = Some(late_worst.unwrap_or(0.0f64).max(time));
+                answers.clear();
+                let ran = unless_exhausted(kernel(j, *buf, cuts, &mut answers), &mut failed)?;
+                if let Some(time) = ran {
+                    worst = worst.max(straggled(plan, j, time));
+                    // segment 0 of `words` is every source GPU's chunk
+                    // for `j` in GPU order
+                    let mut rest = &answers[..];
+                    let sources = op.back.as_ref().map(|_| by_source(&split.sent, j, words));
+                    for (i, at, words) in sources.into_iter().flatten() {
+                        let chunk;
+                        (chunk, rest) = rest.split_at(words.len());
+                        if op.lands_values() {
+                            // the NVLink leg, billed as TransposeBack
+                            let (answers, _) = split.landing(i, input.keys[i].len());
+                            let landed = answers.sub(at, chunk.len());
+                            self.device(i).mem().h2d(landed, chunk);
+                        } else {
+                            // hand the answers out now, so they stand even
+                            // if a later target aborts the round
+                            for (&word, &a) in words.iter().zip(chunk) {
+                                answer(origin_of(i, value_of(word) as usize), a);
+                            }
+                        }
+                    }
+                    done |= 1 << j;
+                }
+                if let Some(late) = op.late.filter(|&late| cuts[late] > 0) {
+                    // after the kernel on this target, so that a key it
+                    // both read and wrote was read first
+                    tally
+                        .gate_launch(plan, policy, j, launch_site::INSERT)
+                        .map_err(Abort::Lost)?;
+                    let pairs = buf.sub(cuts[..late].iter().sum(), cuts[late]);
+                    report.launches += 1;
+                    let inserted = self.maps()[j].insert_device(pairs, cuts[late]);
+                    if let Some(outcome) = unless_exhausted(inserted, &mut failed)? {
+                        let time = straggled(plan, j, outcome.stats.sim_time);
+                        late_worst = Some(late_worst.unwrap_or(0.0f64).max(time));
+                    }
                 }
             }
-        }
-        report.push(op.stage, worst, 0, oh);
-        if let Some(worst) = late_worst {
-            report.push(CascadeStage::Insert, worst, 0, oh);
-        }
-        if failed > 0 {
-            return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
-        }
+            report.push(op.stage, worst, 0, oh);
+            if let Some(worst) = late_worst {
+                report.push(CascadeStage::Insert, worst, 0, oh);
+            }
+            if failed > 0 {
+                return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
+            }
 
-        // Phases 4+5: the return trip, of segment 0
-        let Some(back) = &op.back else {
-            return Ok(());
-        };
-        let answered = (!input.pairs.is_empty()).then(|| partition_table(&split.sent, 0..1));
-        let answered = answered.as_ref().unwrap_or(&split.table);
-        // the transposed cells: target `j`'s answers travel to source `i`
-        let transpose = alltoall(&|j, i| answered.bytes(i, j, back.bytes), tally)?;
-        report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
-        let mut worst = 0.0f64;
-        for (i, sent) in split.sent.iter().enumerate() {
-            let writes: u64 = sent.classes.counts(0).iter().sum();
-            if writes > 0 {
-                let stats = self.device(i).launch(
-                    back.scatter,
-                    (writes as usize).div_ceil(32),
-                    GroupSize::WARP,
-                    opts,
-                    |ctx| {
-                        ctx.bill_stream_bytes(back.stream_bytes);
-                        ctx.bill_transactions(back.transactions);
-                    },
-                );
+            // Phases 4+5: the return trip, of segment 0
+            let Some(back) = &op.back else {
+                return Ok(());
+            };
+            let answered = (!input.pairs.is_empty()).then(|| partition_table(&split.sent, 0..1));
+            let answered = answered.as_ref().unwrap_or(&split.table);
+            // the transposed cells: target `j`'s answers travel to source `i`
+            let transpose = alltoall(&|j, i| answered.bytes(i, j, back.bytes), tally)?;
+            report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
+            let mut worst = 0.0f64;
+            let swapped = self.cfg().mutation == Some(Mutation::AnswerHalvesSwapped);
+            for (i, sent) in split.sent.iter().enumerate() {
+                let n = input.keys[i].len();
+                if n == 0 {
+                    continue;
+                }
+                let dev = self.device(i);
+                let stats = match back.scatter {
+                    Scatter::Billed {
+                        name,
+                        stream_bytes,
+                        transactions,
+                    } => dev.launch(name, n.div_ceil(32), GroupSize::WARP, opts, |ctx| {
+                        ctx.bill_stream_bytes(stream_bytes);
+                        ctx.bill_transactions(transactions);
+                    }),
+                    Scatter::Values => {
+                        let (answers, results) = split.landing(i, n);
+                        let words = sent.out[0];
+                        result_scatter(dev, [words, answers, results], opts, swapped)
+                    }
+                };
                 report.launches += 1;
                 worst = worst.max(straggled(plan, i, stats.sim_time));
             }
+            report.push(CascadeStage::Scatter, worst, 0, oh);
+            Ok(())
+        })();
+        if op.lands_values() {
+            if res.is_ok() {
+                // what comes down: a value per key, two to a word, then
+                // the found bits
+                for (i, keys) in input.keys.iter().enumerate() {
+                    let (_, results) = split.landing(i, keys.len());
+                    answers.resize(results.len(), 0);
+                    self.device(i).mem().d2h_into(results, &mut answers);
+                    let (values, found) = answers.split_at(result_words(keys.len()).0);
+                    for (slot, &key) in keys.iter().enumerate() {
+                        let pair = match (found[slot / 64] >> (slot % 64)) & 1 {
+                            0 => EMPTY,
+                            _ => pack(key, (values[slot / 2] >> (32 * (slot % 2))) as u32),
+                        };
+                        answer(origin_of(i, slot), pair);
+                    }
+                }
+            } else {
+                // the answers that landed before the round aborted stand
+                let mut rest = &recv[..];
+                for (j, (_, buf)) in landed.iter().enumerate() {
+                    let words;
+                    (words, rest) = rest.split_at(buf.len());
+                    if done & (1 << j) == 0 {
+                        continue;
+                    }
+                    for (i, at, words) in by_source(&split.sent, j, words) {
+                        answers.resize(words.len(), 0);
+                        let (landed, _) = split.landing(i, input.keys[i].len());
+                        let landed = landed.sub(at, words.len());
+                        self.device(i).mem().d2h_into(landed, &mut answers);
+                        for (&word, &pair) in words.iter().zip(&answers) {
+                            answer(origin_of(i, value_of(word) as usize), pair);
+                        }
+                    }
+                }
+            }
         }
-        report.push(CascadeStage::Scatter, worst, 0, oh);
-        Ok(())
+        res
     }
 
     /// Re-spreads elements addressed to quarantined GPUs round-robin over
@@ -523,6 +738,7 @@ impl DistributedHashMap {
     #[allow(clippy::too_many_arguments)]
     fn multisplit_phase(
         &self,
+        op: &CascadeOp,
         input: Input,
         router: &Router,
         opts: LaunchOptions,
@@ -544,6 +760,11 @@ impl DistributedHashMap {
             // then the words it is split into
             let words = keys.map_or(0, |keys| keys.len().div_ceil(2) + keys.len())
                 + 2 * pairs().map(|words| words.len()).sum::<usize>();
+            // and at its end where the answers to the keys land, then
+            // their results (`SplitPhase::landing`)
+            let answered = keys.filter(|_| op.lands_values()).map_or(0, <[u32]>::len);
+            let (value_words, bit_words) = result_words(answered);
+            let back = answered + value_words + bit_words;
             if words > 0 {
                 tally
                     .gate_launch(plan, policy, i, launch_site::MULTISPLIT)
@@ -551,7 +772,7 @@ impl DistributedHashMap {
             }
             // plus a counter per class and segment
             let guard = dev
-                .alloc_scratch(words + m * segments)
+                .alloc_scratch(words + m * segments + back)
                 .map_err(|e| Abort::Fatal(e.into()))?;
             let mut at = 0;
             let mut take = |len| {
@@ -644,17 +865,15 @@ impl DistributedHashMap {
             &INSERT,
             Input { keys: &[], pairs },
             report,
-            |j, buf, &[n, ..], _: &mut Vec<()>| {
-                Ok(self.maps()[j].insert_device(buf, n)?.stats.sim_time)
-            },
-            |_, _, _| {},
+            |j, buf, &[n, ..], _| Ok(self.maps()[j].insert_device(buf, n)?.stats.sim_time),
+            |_, _| {},
         )
     }
 
     /// Retrieval of keys: … → query → transposition back → scatter.
     /// Queries are positional: answer `r` is the packed pair (or `EMPTY`)
     /// for received query word `r`. `found((g, i), value)` receives what
-    /// `keys[g][i]` holds.
+    /// `keys[g][i]` holds — as it came down, a value and a found bit.
     pub(crate) fn query_keys(
         &self,
         keys: &[&[u32]],
@@ -673,7 +892,7 @@ impl DistributedHashMap {
                 dev.mem().d2h_into(out.slice(), pairs);
                 Ok(stats.sim_time)
             },
-            |at, word, &pair| found(at, found_value(word, pair)),
+            |at, pair| found(at, found_value(pair)),
         )
     }
 
@@ -695,10 +914,10 @@ impl DistributedHashMap {
             |j, buf, &[n, ..], hits| {
                 let out = self.maps()[j].erase_device_shared(buf, n);
                 erased += out.erased;
-                *hits = out.hits;
+                hits.extend(out.hits.iter().map(|&hit| u64::from(hit)));
                 Ok(out.stats.sim_time)
             },
-            |at, _, &flag| hit(at, flag),
+            |at, flag| hit(at, flag != 0),
         )?;
         Ok(erased)
     }
@@ -735,7 +954,7 @@ impl DistributedHashMap {
                 dev.mem().d2h_into(out.slice(), pairs);
                 Ok(outcome.stats.sim_time)
             },
-            |at, word, &pair| found(at, found_value(word, pair)),
+            |at, pair| found(at, found_value(pair)),
         )
     }
 
@@ -750,12 +969,15 @@ impl DistributedHashMap {
     /// [`CascadeStage::Backoff`] stage.
     ///
     /// # Errors
-    /// Aggregated probing exhaustion across GPUs; scratch OOM;
-    /// [`OpError::DeviceLost`] once no survivor remains.
+    /// [`OpError::ReservedKey`], its `index` counted through the lists in
+    /// GPU order, before anything is uploaded; aggregated probing
+    /// exhaustion across GPUs; scratch OOM; [`OpError::DeviceLost`] once no
+    /// survivor remains.
     pub fn insert_device_sided(
         &self,
         per_gpu_words: &[Vec<u64>],
     ) -> Result<OpReport, OpError> {
+        check_keys(per_gpu_words.iter().flatten().map(|&word| key_of(word)))?;
         let mut report = new_report(per_gpu_words);
         self.insert_words(&slices(per_gpu_words), &mut report)?;
         Ok(report)
@@ -770,11 +992,13 @@ impl DistributedHashMap {
     /// tracked, so result order is unaffected.
     ///
     /// # Errors
+    /// [`OpError::ReservedKey`] as [`Self::insert_device_sided`];
     /// [`OpError`] once every failover avenue is exhausted; scratch OOM.
     pub fn try_retrieve_device_sided(
         &self,
         per_gpu_keys: &[Vec<u32>],
     ) -> Result<PerGpuGetResponse, OpError> {
+        check_keys(per_gpu_keys.iter().flatten().copied())?;
         let mut report = new_report(per_gpu_keys);
         let mut values: Vec<Vec<_>> = per_gpu_keys.iter().map(|k| vec![None; k.len()]).collect();
         self.query_keys(&slices(per_gpu_keys), &mut report, |(g, i), v| values[g][i] = v)?;
@@ -796,11 +1020,13 @@ impl DistributedHashMap {
     /// it.
     ///
     /// # Errors
+    /// [`OpError::ReservedKey`] as [`Self::insert_device_sided`];
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_device_sided(
         &mut self,
         per_gpu_keys: &[Vec<u32>],
     ) -> Result<PerGpuDeleteResponse, OpError> {
+        check_keys(per_gpu_keys.iter().flatten().copied())?;
         let mut report = new_report(per_gpu_keys);
         let mut hits: Vec<Vec<bool>> = per_gpu_keys.iter().map(|k| vec![false; k.len()]).collect();
         let erased = self.erase_keys(&slices(per_gpu_keys), &mut report, |(g, i), hit| {

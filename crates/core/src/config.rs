@@ -115,6 +115,12 @@ pub enum Mutation {
     /// answer lands in another's place. The wd-serve equivalence suite on
     /// flushes larger than that exists to catch exactly this.
     SplitTagsRunOffset,
+    /// The return trip's `result_scatter` writes a hit's value into the
+    /// other half of its word — the neighbouring position's — so a key
+    /// reads its neighbour's value, or a stale half where the neighbour
+    /// missed. Host-sided gets over chunks of odd length through the
+    /// retrieve and the mixed round exist to catch exactly this.
+    AnswerHalvesSwapped,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

@@ -3,7 +3,8 @@
 //! §V-C's "host-sided" variants prepend an H2D transfer to the insertion
 //! cascade and bracket the retrieval cascade with an H2D (keys up — here
 //! 4 bytes each, not the paper's 8: the device writes the index) and a
-//! D2H (key-value results down). The initial spread over GPUs is the
+//! D2H (results down — here a value of 4 bytes per key and a found bit,
+//! not the paper's 8-byte pair). The initial spread over GPUs is the
 //! *unstructured distribution* of §IV-B — equal contiguous chunks, no
 //! host-side reordering (which the paper rules out as "almost as
 //! expensive as CPU-based hash map construction").
@@ -46,7 +47,11 @@ impl DistributedHashMap {
     /// `keys` it answers (none for an insertion) and of each list of
     /// `pairs` travels up over PCIe in one transfer — 4 bytes a key, 8 a
     /// pair — the `device` cascade runs on the chunks, a list a segment,
-    /// and `op`'s answer to each key travels down, as wide as between GPUs.
+    /// and `op`'s answers travel down: a GPU's `n` values in `4n` bytes
+    /// plus `⌈n/8⌉` of found bits, or a byte per erase's hit flag
+    /// ([`crate::cascade::ReturnTrip::down_bytes`]). The cascade copies
+    /// those words down itself, at the end of its round, in the order it
+    /// hands the answers out; the bracket bills the transfer.
     /// Dropped PCIe transfers are retried with backoff; a host link whose
     /// budget is exhausted quarantines its GPU and the transfer re-spreads
     /// over the survivors.
@@ -78,8 +83,7 @@ impl DistributedHashMap {
         // list after list, each cut into its `m` chunks
         let chunks_of = |len| (0..m).map(move |g| live_chunk(len, m, spread_mask, g));
         let mut key_chunks = Vec::new();
-        let width = op.back.as_ref().map(|back| back.bytes);
-        if width.is_some() {
+        if op.back.is_some() {
             key_chunks.extend(chunks_of(keys.len()).map(|chunk| &keys[chunk]));
         }
         let mut chunks = Vec::with_capacity(pairs.len() * m);
@@ -88,14 +92,14 @@ impl DistributedHashMap {
         }
         let (keys, pairs) = (&key_chunks[..], &chunks[..]);
         let out = device(self, Input { keys, pairs }, &mut report)?;
-        if let Some(width) = width {
+        if let Some(back) = &op.back {
             self.with_failover(&mut report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
                 // answers physically came from survivors, so the dead
                 // links carry no bytes
                 for (g, bytes) in bytes.iter_mut().enumerate() {
                     *bytes = match mask & (1 << g) {
-                        0 => key_chunks[g].len() as u64 * width,
+                        0 => back.down_bytes(key_chunks[g].len()),
                         _ => 0,
                     };
                 }
@@ -124,9 +128,9 @@ impl DistributedHashMap {
     }
 
     /// Host-sided retrieval with typed fault errors: keys up over PCIe
-    /// (4 bytes each), device cascade, packed key-value results down
-    /// (8 bytes each). Returns the results in the original key order with
-    /// a unified [`OpReport`].
+    /// (4 bytes each), device cascade, results down (a 4-byte value per
+    /// key and a found bit). Returns the results in the original key
+    /// order with a unified [`OpReport`].
     ///
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
@@ -438,6 +442,81 @@ mod tests {
         );
         assert!(matches!(d.get(2), Some(21 | 22)));
         assert_eq!(d.get(3), Some(30));
+    }
+
+    /// A node of `m` GPUs that reads no fault plan from the environment.
+    fn node_with(m: usize, cfg: Config) -> DistributedHashMap {
+        let devices: Vec<Arc<Device>> = (0..m)
+            .map(|i| Arc::new(Device::with_words(i, 1 << 16)))
+            .collect();
+        let cfg = cfg.with_fault(gpu_sim::FaultPlan::default());
+        DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(m)).unwrap()
+    }
+
+    /// What comes down for a get whose GPUs hold `chunks` keys each.
+    fn down_bytes(chunks: &[usize]) -> u64 {
+        chunks.iter().map(|&n| 4 * n as u64 + n.div_ceil(8) as u64).sum()
+    }
+
+    #[test]
+    fn a_get_brings_down_a_value_and_a_found_bit_per_key() {
+        use crate::service::MapService;
+        let key = |i: usize| i as u32 * 3 + 1;
+        let cases = [
+            (0, [0; 4]),
+            (3, [1, 1, 1, 0]),
+            (252, [63; 4]),
+            (256, [64; 4]),
+            (260, [65; 4]),
+        ];
+        for (n, chunks) in cases {
+            let mut d = node_with(4, Config::default());
+            // every other key present
+            let pairs: Vec<(u32, u32)> = (0..n).step_by(2).map(|i| (key(i), i as u32)).collect();
+            d.insert_from_host(&pairs).unwrap();
+            let keys: Vec<u32> = (0..n).map(key).collect();
+            let want: Vec<Option<u32>> = (0..n).map(|i| (i % 2 == 0).then_some(i as u32)).collect();
+            let get = d.try_retrieve_from_host(&keys).unwrap();
+            let round = d.get_put_batch(&keys, &[(key(1), 5)]).unwrap();
+            for resp in [&get, &round] {
+                assert_eq!(resp.values, want, "n={n}");
+                let down = bytes_of(&resp.report, CascadeStage::D2H);
+                assert_eq!(down, down_bytes(&chunks), "n={n}");
+                assert!(down <= 8 * n as u64, "n={n}");
+            }
+        }
+        // a quarantined GPU's chunk is spread over the survivors, and its
+        // link carries nothing down
+        let d = node_with(4, Config::default());
+        let pairs: Vec<(u32, u32)> = (0..195).map(|i| (key(i), i as u32)).collect();
+        d.insert_from_host(&pairs).unwrap();
+        d.set_fault_plan(gpu_sim::FaultPlan::default().with_kill(3));
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let get = d.try_retrieve_from_host(&keys).unwrap();
+        assert_eq!(d.quarantined(), [3]);
+        assert!(get.values.iter().zip(0..).all(|(&v, i)| v == Some(i)));
+        assert_eq!(bytes_of(&get.report, CascadeStage::D2H), down_bytes(&[65, 65, 65, 0]));
+    }
+
+    /// `Mutation::AnswerHalvesSwapped`: chunks of 257 keys, odd, so the
+    /// last value of each sits alone in the low half of its word.
+    #[test]
+    fn swapped_answer_halves_are_caught_through_retrieve_and_the_mixed_round() {
+        use crate::service::MapService;
+        let pairs: Vec<(u32, u32)> = (0..4 * 257u32).map(|i| (i * 3 + 1, i)).collect();
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).collect();
+        let answers = |cfg: Config| {
+            let mut d = node_with(4, cfg);
+            d.insert_from_host(&pairs).unwrap();
+            let get = d.try_retrieve_from_host(&keys).unwrap().values;
+            let puts: Vec<(u32, u32)> = keys[..100].iter().map(|&k| (k, 0)).collect();
+            (get, d.get_put_batch(&keys, &puts).unwrap().values)
+        };
+        assert_eq!(answers(Config::default()), (want.clone(), want.clone()));
+        let (get, round) = answers(Config::default().with_mutation(Mutation::AnswerHalvesSwapped));
+        assert_ne!(get, want, "retrieve");
+        assert_ne!(round, want, "get + put");
     }
 
     #[test]

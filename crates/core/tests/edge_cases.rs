@@ -114,6 +114,61 @@ fn reserved_key_is_refused_with_a_typed_error() {
     assert_eq!((multi.len(), multi.count(5)), (1, 1));
 }
 
+/// A node of four GPUs holding `(1, 10)`, and the device-sided lists that
+/// name the reserved key fourth in GPU order: GPU 0 holds two words, GPU 1
+/// none, GPU 2 the bad one behind a good one.
+fn node_and_lists_naming_the_reserved_key() -> (DistributedHashMap, Vec<Vec<u32>>) {
+    let devices = (0..4).map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 14)));
+    let node =
+        DistributedHashMap::new(devices.collect(), 512, Config::default(), Topology::p100_quad(4))
+            .unwrap();
+    node.insert_from_host(&[(1, 10)]).unwrap();
+    (node, vec![vec![1, 2], vec![], vec![3, u32::MAX], vec![4]])
+}
+
+/// What a node's devices have seen: launches and uploaded bytes.
+fn device_traffic(node: &DistributedHashMap) -> Vec<(u64, u64)> {
+    let traffic = |map: &GpuHashMap| {
+        let dev = map.device();
+        (dev.lifetime_stats().launches, dev.mem().uploaded_bytes())
+    };
+    node.maps().iter().map(traffic).collect()
+}
+
+#[test]
+fn insert_device_sided_refuses_the_reserved_key_before_any_upload() {
+    let (node, keys) = node_and_lists_naming_the_reserved_key();
+    // packed by hand: `pack` asserts the key is not the reserved one
+    let words: Vec<Vec<u64>> = keys
+        .iter()
+        .map(|list| list.iter().map(|&k| u64::from(k) << 32 | 7).collect())
+        .collect();
+    let before = device_traffic(&node);
+    let refused = node.insert_device_sided(&words).unwrap_err();
+    assert_eq!(refused, OpError::ReservedKey { index: 3 });
+    assert_eq!((device_traffic(&node), node.len()), (before, 1));
+}
+
+#[test]
+fn try_retrieve_device_sided_refuses_the_reserved_key_before_any_upload() {
+    let (node, keys) = node_and_lists_naming_the_reserved_key();
+    let before = device_traffic(&node);
+    let refused = node.try_retrieve_device_sided(&keys).unwrap_err();
+    assert_eq!(refused, OpError::ReservedKey { index: 3 });
+    assert_eq!(device_traffic(&node), before);
+}
+
+#[test]
+fn try_erase_device_sided_refuses_the_reserved_key_before_any_upload() {
+    let (mut node, mut keys) = node_and_lists_naming_the_reserved_key();
+    let before = device_traffic(&node);
+    let refused = node.try_erase_device_sided(&keys).unwrap_err();
+    assert_eq!(refused, OpError::ReservedKey { index: 3 });
+    assert_eq!((device_traffic(&node), node.len()), (before, 1));
+    keys[2].pop();
+    assert_eq!(node.try_erase_device_sided(&keys).unwrap().erased, 1);
+}
+
 #[test]
 fn tiny_p_max_fails_fast_and_recovers() {
     let cfg = Config {

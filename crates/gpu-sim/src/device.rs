@@ -609,6 +609,46 @@ mod tests {
     }
 
     #[test]
+    fn half_stores_are_checked_half_by_half() {
+        let set = SanitizerSet::RACE.union(SanitizerSet::INIT);
+        let dev = Device::with_words(0, 64).sanitized_collecting(set);
+        let buf = dev.alloc(4).unwrap();
+        let opts = LaunchOptions::default().with_schedule(Schedule::Sequential);
+        // groups 0 and 1 store the two halves of word 0: no race, and a
+        // read of the word finds both defined
+        dev.launch("two_halves", 2, GroupSize::WARP, opts, |ctx| {
+            ctx.write_halves(buf, &[(ctx.group_id(), 1)]);
+        });
+        dev.launch("word_read", 1, GroupSize::new(1), opts, |ctx| {
+            let _ = ctx.read(buf, 0);
+        });
+        assert!(dev.take_sanitizer_reports().is_empty());
+        // both groups store the low half of word 1, whose high half no
+        // one writes
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dev.launch("same_half", 2, GroupSize::WARP, opts, |ctx| {
+                ctx.write_halves(buf, &[(2, 1)]);
+            });
+            dev.launch("half_read", 1, GroupSize::new(1), opts, |ctx| {
+                let _ = ctx.read(buf, 1);
+            });
+        }));
+        // an Err means the env's Panic attachment won (WD_SANITIZE was
+        // set), which equally proves a finding
+        if ran.is_ok() {
+            let reports = dev.take_sanitizer_reports();
+            let found: Vec<_> = reports.iter().map(|r| (r.detector, r.kernel.as_str())).collect();
+            assert_eq!(
+                found,
+                [(Detector::Race, "same_half"), (Detector::Init, "half_read")],
+                "{reports:?}"
+            );
+            assert!(reports[0].message.contains("low half"), "{}", reports[0]);
+            assert!(reports[1].message.contains("high half was never written"), "{}", reports[1]);
+        }
+    }
+
+    #[test]
     fn unsanitized_launch_reports_nothing() {
         // no WD_SANITIZE guard needed: this asserts only that *no report
         // sink* exists when nothing was attached by this test itself

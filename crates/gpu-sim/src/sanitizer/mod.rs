@@ -19,10 +19,10 @@
 //!   store is flagged even when the outcome happens to look correct.
 //!   Under stepwise schedules release publication is batched and flushed
 //!   at schedule-quantum boundaries.
-//! * **initcheck** ([`initcheck`]) — a valid-bit shadow per device word,
-//!   set by `h2d`/`fill`/`d2d`/kernel stores and cleared on (re)allocation,
-//!   flags reads of never-written words (e.g. probing a table whose
-//!   EMPTY-fill was skipped).
+//! * **initcheck** ([`initcheck`]) — a valid-bit shadow per half of a
+//!   device word, set by `h2d`/`fill`/`d2d`/kernel stores and cleared on
+//!   (re)allocation, flags reads of never-written words or halves (e.g.
+//!   probing a table whose EMPTY-fill was skipped).
 //! * **memcheck** ([`memcheck`]) — out-of-bounds streaming accesses are
 //!   reported and *contained* (the access is skipped, reads return 0), and
 //!   scratch allocations leaked past their guard (`mem::forget`) are
@@ -55,7 +55,7 @@ use crate::mem::DevSlice;
 use crate::sched::Schedule;
 use initcheck::ValidBits;
 use parking_lot::Mutex;
-use racecheck::{AccessKind, GroupClock, RaceState};
+use racecheck::{AccessKind, GroupClock, RaceState, BOTH};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -423,6 +423,7 @@ impl<'a> LaunchSanitizer<'a> {
         let abs = slice.offset + idx;
         if let Some(valid) = self.valid() {
             if self.set.init() && !valid.is_valid(abs) {
+                let what = never_written(valid.halves(abs));
                 // mark valid so each word reports at most once
                 valid.set(abs);
                 self.report(
@@ -431,7 +432,7 @@ impl<'a> LaunchSanitizer<'a> {
                     lane,
                     Some(abs),
                     format!(
-                        "{} of never-written device word (slice offset={} len={}, idx={idx})",
+                        "{} of {what} (slice offset={} len={}, idx={idx})",
                         kind.describe(),
                         slice.offset,
                         slice.len
@@ -439,7 +440,26 @@ impl<'a> LaunchSanitizer<'a> {
                 );
             }
         }
-        self.race_access(abs, slice, idx, kind, group, lane, clock);
+        self.race_access(abs, slice, idx, kind, BOTH, group, lane, clock);
+    }
+
+    /// Checks a plain store of one half of `slice[idx]` (bit 0 of `half`
+    /// the low half, bit 1 the high half) and marks that half initialised.
+    pub(crate) fn on_half_write(
+        &self,
+        slice: DevSlice,
+        idx: usize,
+        half: u8,
+        group: usize,
+        lane: u32,
+        clock: Option<&RefCell<GroupClock>>,
+    ) {
+        let abs = slice.offset + idx;
+        let kind = AccessKind::PlainWrite;
+        self.race_access(abs, slice, idx, kind, half, group, Some(lane), clock);
+        if let Some(valid) = self.valid() {
+            valid.set_halves(abs, u64::from(half));
+        }
     }
 
     /// Checks one write of `slice[idx]` and marks the word initialised.
@@ -454,7 +474,7 @@ impl<'a> LaunchSanitizer<'a> {
     ) {
         debug_assert!(!kind.is_read());
         let abs = slice.offset + idx;
-        self.race_access(abs, slice, idx, kind, group, lane, clock);
+        self.race_access(abs, slice, idx, kind, BOTH, group, lane, clock);
         if let Some(valid) = self.valid() {
             valid.set(abs);
         }
@@ -472,6 +492,7 @@ impl<'a> LaunchSanitizer<'a> {
         let abs = slice.offset + idx;
         if let Some(valid) = self.valid() {
             if self.set.init() && !valid.is_valid(abs) {
+                let what = never_written(valid.halves(abs));
                 valid.set(abs);
                 self.report(
                     Detector::Init,
@@ -479,8 +500,7 @@ impl<'a> LaunchSanitizer<'a> {
                     None,
                     Some(abs),
                     format!(
-                        "atomic read-modify-write of never-written device word \
-                         (slice offset={} len={}, idx={idx})",
+                        "atomic read-modify-write of {what} (slice offset={} len={}, idx={idx})",
                         slice.offset, slice.len
                     ),
                 );
@@ -488,7 +508,7 @@ impl<'a> LaunchSanitizer<'a> {
                 valid.set(abs);
             }
         }
-        self.race_access(abs, slice, idx, AccessKind::Atomic, group, None, clock);
+        self.race_access(abs, slice, idx, AccessKind::Atomic, BOTH, group, None, clock);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -498,20 +518,26 @@ impl<'a> LaunchSanitizer<'a> {
         slice: DevSlice,
         idx: usize,
         kind: AccessKind,
+        halves: u8,
         group: usize,
         lane: Option<u32>,
         clock: Option<&RefCell<GroupClock>>,
     ) {
         if let (Some(rs), Some(clock)) = (self.race.as_ref(), clock) {
             let mut clock = clock.borrow_mut();
-            if let Some(prior) = rs.on_access(abs, &mut clock, kind) {
+            if let Some(prior) = rs.on_halves(abs, halves, &mut clock, kind) {
+                let half = match halves {
+                    0b01 => " of the low half",
+                    0b10 => " of the high half",
+                    _ => "",
+                };
                 self.report(
                     Detector::Race,
                     group,
                     lane,
                     Some(abs),
                     format!(
-                        "{} races with {} by group {} (no happens-before edge; \
+                        "{}{half} races with {} by group {} (no happens-before edge; \
                          slice offset={} len={}, idx={idx})",
                         kind.describe(),
                         prior.kind.describe(),
@@ -672,6 +698,15 @@ impl<'a> LaunchSanitizer<'a> {
             msg.push_str(&format!("  {r}\n"));
         }
         panic!("{msg}");
+    }
+}
+
+/// What initcheck says a word with only `halves` defined is.
+fn never_written(halves: u64) -> &'static str {
+    match halves {
+        0b01 => "device word whose high half was never written",
+        0b10 => "device word whose low half was never written",
+        _ => "never-written device word",
     }
 }
 

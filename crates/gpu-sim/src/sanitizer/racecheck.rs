@@ -55,6 +55,12 @@
 //! atomics: the ticket-board and cuckoo baselines read words that other
 //! groups concurrently RMW, which is well-defined on hardware.
 //!
+//! A word's last write is kept **per 32-bit half**: a half-word store
+//! ([`crate::GroupCtx::write_halves`]) writes one, every other write both.
+//! Two groups storing the two halves of one word do not race; two storing
+//! the same half do, as does a half store against an unordered access of
+//! the whole word. Reads always read the whole word.
+//!
 //! State is per-launch (the CUDA default-stream analogy): launch
 //! boundaries are global barriers, so cross-launch accesses never
 //! conflict and the shadow map is dropped when the launch returns.
@@ -78,6 +84,9 @@ const PAGE_WORDS: usize = 1 << PAGE_BITS;
 
 /// Mask selecting the in-page slot of a word.
 const PAGE_MASK: usize = PAGE_WORDS - 1;
+
+/// The halves of a whole-word access (bit 0 the low half).
+pub(crate) const BOTH: u8 = 0b11;
 
 /// Per-word reader records kept before the list is recycled.
 const MAX_READS: usize = 32;
@@ -322,7 +331,9 @@ impl ReadSet {
 /// Shadow record of one device word.
 #[derive(Debug, Default)]
 struct WordState {
-    last_write: Option<Prior>,
+    /// Last write of each half, the low one first; a whole-word write is
+    /// the last write of both.
+    last_write: [Option<Prior>; 2],
     reads: ReadSet,
     /// Release clock: join of every releasing (atomic) accessor's VC
     /// (bounded by [`SYNC_CAP`] distinct groups).
@@ -411,14 +422,28 @@ impl RaceState {
         }
     }
 
-    /// Records one access and returns the conflicting prior access, if
-    /// any (first conflict per word only).
+    /// [`RaceState::on_halves`] of the whole word.
+    #[cfg(test)]
     pub(crate) fn on_access(
         &self,
         word: usize,
         clock: &mut GroupClock,
         kind: AccessKind,
     ) -> Option<Prior> {
+        self.on_halves(word, BOTH, clock, kind)
+    }
+
+    /// Records one access of the `halves` of `word` (bit 0 the low half,
+    /// bit 1 the high half; only a write may cover one) and returns the
+    /// conflicting prior access, if any (first conflict per word only).
+    pub(crate) fn on_halves(
+        &self,
+        word: usize,
+        halves: u8,
+        clock: &mut GroupClock,
+        kind: AccessKind,
+    ) -> Option<Prior> {
+        debug_assert!(halves == BOTH || !kind.is_read(), "reads read the whole word");
         // A buffered release through another word must be published
         // before this access acquires (acquisition may grow our VC, and
         // the buffered publication snapshot is "VC as of the release").
@@ -456,7 +481,10 @@ impl RaceState {
         };
         let mut conflict = st
             .last_write
-            .filter(|w| conflicts_with_write(w.kind) && !clock.saw(w));
+            .iter()
+            .zip([1, 2])
+            .filter(|&(_, half)| halves & half != 0)
+            .find_map(|(w, _)| w.filter(|w| conflicts_with_write(w.kind) && !clock.saw(w)));
         if conflict.is_none() && !kind.is_read() {
             // writes also conflict with unordered prior reads
             let read_conflicts = |r: AccessKind| match kind {
@@ -535,10 +563,16 @@ impl RaceState {
         if kind.is_read() {
             st.reads.record(epoch);
         } else {
-            st.last_write = Some(epoch);
-            if kind == AccessKind::PlainWrite {
-                // a plain write supersedes (and was checked against) every
-                // recorded read — per-word records and window-log entries
+            for (last, half) in st.last_write.iter_mut().zip([1, 2]) {
+                if halves & half != 0 {
+                    *last = Some(epoch);
+                }
+            }
+            if kind == AccessKind::PlainWrite && halves == BOTH {
+                // a plain write of the word supersedes (and was checked
+                // against) every recorded read — per-word records and
+                // window-log entries. A half store does not: a later store
+                // of the other half must still meet them
                 st.reads.clear();
                 if !window_reads.is_empty() {
                     for (_, mask) in window_reads.iter_mut() {
@@ -561,7 +595,7 @@ impl RaceState {
     /// words `start..start + count` (no wraparound — the caller splits
     /// the window at the table boundary). Each page-sized stretch costs
     /// one shard lock and one map lookup; the per-word verdicts are
-    /// exactly what [`RaceState::on_access`] would produce for
+    /// exactly what [`RaceState::on_halves`] would produce for
     /// [`AccessKind::RelaxedRead`]. Returns every word whose read fired,
     /// as `(offset into the run, conflicting prior)` — allocation-free
     /// unless something fires.
@@ -590,9 +624,9 @@ impl RaceState {
             } = &mut **shard.entry(page).or_insert_with(new_page);
             for (k, st) in words[slot..slot + run].iter_mut().enumerate() {
                 // relaxed window reads conflict only with plain writes
-                let conflict = st
-                    .last_write
-                    .filter(|w| w.kind == AccessKind::PlainWrite && !st.reported && !clock.saw(w));
+                let conflict = st.last_write.iter().find_map(|w| {
+                    w.filter(|w| w.kind == AccessKind::PlainWrite && !st.reported && !clock.saw(w))
+                });
                 if let Some(prior) = conflict {
                     st.reported = true;
                     fired.push(((off + k) as u32, prior));
@@ -758,6 +792,22 @@ mod tests {
             }
             assert!(c.vc.len() <= SYNC_CAP, "group VC exceeded the sync cap");
         }
+    }
+
+    #[test]
+    fn the_two_halves_of_a_word_are_written_apart() {
+        use AccessKind::PlainWrite;
+        let rs = RaceState::new();
+        let (mut a, mut b, mut c) = (clock(0), clock(1), clock(2));
+        assert!(rs.on_halves(50, 0b01, &mut a, PlainWrite).is_none());
+        assert!(rs.on_halves(50, 0b10, &mut b, PlainWrite).is_none());
+        // the same half, unordered: a race with its last writer
+        assert_eq!(rs.on_halves(50, 0b10, &mut c, PlainWrite).unwrap().gid, 1);
+        // a whole-word access meets the writer of either half
+        let mut d = clock(3);
+        assert!(rs.on_halves(51, 0b01, &mut a, PlainWrite).is_none());
+        let prior = rs.on_access(51, &mut d, AccessKind::PlainRead).unwrap();
+        assert_eq!((prior.gid, prior.kind), (0, PlainWrite));
     }
 
     #[test]

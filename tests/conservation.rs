@@ -290,10 +290,11 @@ proptest! {
 }
 
 /// What a host-sided call bills for PCIe is what crosses it — keys go up
-/// 4 bytes each and pairs 8, values come down 8 bytes each and hit flags
-/// 1 — and the bytes of its H2D stage are the bytes `DeviceMemory` moved
-/// for the upload. The multisplit's bytes are what its kernels streamed:
-/// a key is read as half a word by each pass and written as a word.
+/// 4 bytes each and pairs 8, a GPU's `n` values come down in `4n` bytes
+/// and its found bits in `⌈n/8⌉`, hit flags 1 byte each — and the bytes of
+/// its H2D stage are the bytes `DeviceMemory` moved for the upload. The
+/// multisplit's bytes are what its kernels streamed: a key is read as half
+/// a word by each pass and written as a word.
 #[test]
 fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     use warpdrive::CascadeStage::{Multisplit, D2H, H2D};
@@ -315,8 +316,11 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     // `segments` lists, a chunk of which is longer than a run on every
     // GPU: the all-to-all lands each on its target as a word (NVLink's
     // bytes, the Transpose stage), and every GPU's count pass leaves `m`
-    // class offsets per segment for its scatter pass.
+    // class offsets per segment for its scatter pass. A value's answer
+    // lands back on its origin as a word (the TransposeBack stage).
     let beside_the_upload = |elements: u64, segments: u64| 8 * elements + 8 * m * m * segments;
+    let values_down =
+        |chunks: [u64; 4]| -> u64 { chunks.iter().map(|n| 4 * n + n.div_ceil(8)).sum() };
 
     // 2 999 over 4 GPUs: three chunks of 750 and an odd one, of 749
     let pairs: Vec<(u32, u32)> = (0..2999u32).map(|i| (i * 7 + 3, i)).collect();
@@ -337,11 +341,11 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     assert!(get.values.iter().all(Option::is_some));
     assert_eq!(
         (bytes(&get.report, H2D), bytes(&get.report, D2H)),
-        (4 * n, 8 * n)
+        (4 * n, values_down([750, 750, 750, 749]))
     );
     assert_eq!(
         uploaded() - before,
-        bytes(&get.report, H2D) + beside_the_upload(n, 1)
+        bytes(&get.report, H2D) + beside_the_upload(n, 1) + 8 * n
     );
     let halves = 3 * 750 + 750; // the odd chunk's last word is half full
     assert_eq!(bytes(&get.report, Multisplit), 2 * 4 * halves + 8 * n);
@@ -354,11 +358,11 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     let (r, p) = (reads.len() as u64, puts.len() as u64);
     assert_eq!(
         (bytes(&round, H2D), bytes(&round, D2H)),
-        (4 * r + 8 * p, 8 * r)
+        (4 * r + 8 * p, values_down([376, 376, 376, 373]))
     );
     assert_eq!(
         uploaded() - before,
-        bytes(&round, H2D) + beside_the_upload(r + p, 3)
+        bytes(&round, H2D) + beside_the_upload(r + p, 3) + 8 * r
     );
 
     let victims = &keys[..1499];
