@@ -212,6 +212,20 @@ impl NodeBench {
         Self { map, per_gpu }
     }
 
+    /// §VI's sharded table: [`Self::new`]'s `s` partitions on one device.
+    ///
+    /// # Panics
+    /// As [`Self::new`].
+    #[must_use]
+    pub(crate) fn one_device(s: usize, per_gpu: usize, load: f64, cfg: Config) -> Self {
+        let capacity = (per_gpu as f64 / load).ceil() as usize;
+        let dev = p100_with_words(0, s * (capacity + 8 * per_gpu + 4096));
+        let topo = Topology::one_device(s, dev.spec());
+        let map = DistributedHashMap::new(vec![dev; s], capacity, cfg, topo)
+            .expect("node construction");
+        Self { map, per_gpu }
+    }
+
     /// The node of the §V-C experiments: α = [`Self::PAPER_LOAD`],
     /// |g| = 4, and the CAS working set of tables holding `n_model` pairs
     /// between them (the >2 GB artifact).

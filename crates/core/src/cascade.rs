@@ -64,7 +64,7 @@
 
 use crate::chaos::{launch_site, straggled, ChaosTally, Router};
 use crate::config::Mutation;
-use crate::distributed::DistributedHashMap;
+use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::{key_of, pack, value_of, EMPTY};
 use crate::service::{OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse};
 use crate::stats::CascadeStage;
@@ -73,7 +73,7 @@ use gpu_sim::{
     DevSlice, Device, FaultPlan, GroupCtx, GroupSize, KernelStats, LaunchOptions, RetryPolicy,
     ScratchGuard,
 };
-use interconnect::alltoall_time_faulted;
+use interconnect::{alltoall_time_faulted, Topology};
 use multisplit::{device_multisplit_segments, PartitionTable, Segment, SegmentedSplit};
 
 /// Most segments a cascade has (the mixed round's).
@@ -232,6 +232,40 @@ fn unless_exhausted<T>(res: Result<T, OpError>, failed: &mut u64) -> Result<Opti
     }
 }
 
+/// One phase's kernels on a node whose devices may host several
+/// partitions: a device runs its partitions' launches one after another
+/// and the devices run side by side, so the phase lasts as long as the
+/// busiest device's sum, and pays its launch overheads. With one
+/// partition a device (Fig. 6) that is the max over GPUs, bit for bit.
+struct Phase<'t> {
+    device_of: &'t [usize],
+    /// Per device, the summed time and launch overhead of its partitions.
+    sums: [(f64, f64); MAX_PARTITIONS],
+}
+
+impl<'t> Phase<'t> {
+    fn new(topo: &'t Topology) -> Self {
+        Self {
+            device_of: &topo.device_of,
+            sums: [(0.0, 0.0); MAX_PARTITIONS],
+        }
+    }
+
+    /// Books `launches` launches of partition `j`, `oh` overhead each,
+    /// that took `time` in all.
+    fn add(&mut self, j: usize, time: f64, launches: u32, oh: f64) {
+        let sum = &mut self.sums[self.device_of[j]];
+        sum.0 += time;
+        sum.1 += oh * f64::from(launches);
+    }
+
+    /// The most time and the most launch overhead a device spent.
+    fn max(&self) -> (f64, f64) {
+        let most = |of: fn(&(f64, f64)) -> f64| self.sums.iter().map(of).fold(0.0, f64::max);
+        (most(|sum| sum.0), most(|sum| sum.1))
+    }
+}
+
 /// Per-GPU data prepared for a cascade (device-resident words). What a
 /// round owns on the heap is listed here and in [`Sent`], plus the host
 /// copy of the received words, their cuts and one list of answers.
@@ -243,8 +277,8 @@ struct SplitPhase<'g> {
     sent: Vec<Sent>,
     /// The m×m partition table over all segments.
     table: PartitionTable,
-    /// Phase time (max over GPUs).
-    time: f64,
+    /// Phase time and launch overhead ([`Phase::max`]).
+    time: (f64, f64),
 }
 
 impl SplitPhase<'_> {
@@ -515,16 +549,10 @@ impl DistributedHashMap {
         // Phases 1+2: multisplit and transposition
         let mut split =
             self.multisplit_phase(op, input, router, opts, plan, policy, report, tally)?;
-        // the GPUs split side by side: the stage waits for the most
-        // launches and streams the bytes of all
-        let splits = split.sent.iter().map(|sent| &sent.classes);
-        let sequential = splits.clone().map(|c| c.launches).max().unwrap_or(0);
-        report.push(
-            CascadeStage::Multisplit,
-            split.time,
-            splits.map(|c| c.counters.stream_bytes).sum(),
-            oh * f64::from(sequential),
-        );
+        // the stage streams the bytes of every partition's split
+        let bytes = split.sent.iter().map(|sent| sent.classes.counters.stream_bytes);
+        let (time, overhead) = split.time;
+        report.push(CascadeStage::Multisplit, time, bytes.sum(), overhead);
         let transpose = alltoall(&|i, j| split.table.bytes(i, j, 8), tally)?;
         let (recv, landed) = self
             .transpose_move(self.segments(input), &mut split)
@@ -546,9 +574,9 @@ impl DistributedHashMap {
         let mut done = 0u64;
         // the rest of the round: where it aborts, what landed still stands
         let res = (|| {
-            // Phase 3: the local kernels (global barrier → max over GPUs)
-            let mut worst = 0.0f64;
-            let mut late_worst = None;
+            // Phase 3: the local kernels (global barrier → the busiest device)
+            let mut kernels = Phase::new(self.topology());
+            let mut late_inserts = None;
             let mut failed = 0u64;
             let mut rest = &recv[..];
             for (j, (cuts, buf)) in landed.iter().enumerate() {
@@ -577,7 +605,7 @@ impl DistributedHashMap {
                 answers.clear();
                 let ran = unless_exhausted(kernel(j, *buf, cuts, &mut answers), &mut failed)?;
                 if let Some(time) = ran {
-                    worst = worst.max(straggled(plan, j, time));
+                    kernels.add(j, straggled(plan, j, time), 1, oh);
                     // segment 0 of `words` is every source GPU's chunk
                     // for `j` in GPU order
                     let mut rest = &answers[..];
@@ -611,13 +639,19 @@ impl DistributedHashMap {
                     let inserted = self.maps()[j].insert_device(pairs, cuts[late]);
                     if let Some(outcome) = unless_exhausted(inserted, &mut failed)? {
                         let time = straggled(plan, j, outcome.stats.sim_time);
-                        late_worst = Some(late_worst.unwrap_or(0.0f64).max(time));
+                        let phase = late_inserts.get_or_insert_with(|| Phase::new(self.topology()));
+                        phase.add(j, time, 1, oh);
                     }
                 }
             }
-            report.push(op.stage, worst, 0, oh);
-            if let Some(worst) = late_worst {
-                report.push(CascadeStage::Insert, worst, 0, oh);
+            // a kernel row bills at least one launch's overhead
+            let push = |report: &mut OpReport, stage, phase: &Phase| {
+                let (time, overhead) = phase.max();
+                report.push(stage, time, 0, overhead.max(oh));
+            };
+            push(report, op.stage, &kernels);
+            if let Some(late) = &late_inserts {
+                push(report, CascadeStage::Insert, late);
             }
             if failed > 0 {
                 return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
@@ -632,7 +666,7 @@ impl DistributedHashMap {
             // the transposed cells: target `j`'s answers travel to source `i`
             let transpose = alltoall(&|j, i| answered.bytes(i, j, back.bytes), tally)?;
             report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
-            let mut worst = 0.0f64;
+            let mut scatters = Phase::new(self.topology());
             let swapped = self.cfg().mutation == Some(Mutation::AnswerHalvesSwapped);
             for (i, sent) in split.sent.iter().enumerate() {
                 let n = input.keys[i].len();
@@ -656,9 +690,9 @@ impl DistributedHashMap {
                     }
                 };
                 report.launches += 1;
-                worst = worst.max(straggled(plan, i, stats.sim_time));
+                scatters.add(i, straggled(plan, i, stats.sim_time), 1, oh);
             }
-            report.push(CascadeStage::Scatter, worst, 0, oh);
+            push(report, CascadeStage::Scatter, &scatters);
             Ok(())
         })();
         if op.lands_values() {
@@ -750,7 +784,7 @@ impl DistributedHashMap {
         let (m, segments) = (self.num_gpus(), self.segments(input));
         let mut guards = Vec::with_capacity(2 * m);
         let mut sent = Vec::with_capacity(m);
-        let mut worst = 0.0f64;
+        let mut splits = Phase::new(self.topology());
         for i in 0..m {
             let dev = self.device(i);
             let keys = input.keys.get(i).copied();
@@ -799,7 +833,8 @@ impl DistributedHashMap {
                     router.route(key_of(w))
                 });
             report.launches += u64::from(classes.launches);
-            worst = worst.max(straggled(plan, i, classes.sim_time));
+            let (time, oh) = (straggled(plan, i, classes.sim_time), dev.spec().launch_overhead);
+            splits.add(i, time, classes.launches, oh);
             sent.push(Sent {
                 out: parts.map(|part| part.out()),
                 classes,
@@ -810,7 +845,7 @@ impl DistributedHashMap {
             guards,
             table: partition_table(&sent, 0..segments),
             sent,
-            time: worst,
+            time: splits.max(),
         })
     }
 

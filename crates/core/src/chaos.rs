@@ -29,8 +29,6 @@ pub mod launch_site {
     pub const QUERY: u64 = 0x00c0_de03;
     /// Erase (tombstoning) kernels.
     pub const ERASE: u64 = 0x00c0_de04;
-    /// Sharded-map routing + shard kernels.
-    pub const SHARD: u64 = 0x00c0_de05;
     /// Fused get + put kernels of the mixed cascade round.
     pub const GET_PUT: u64 = 0x00c0_de06;
 }
@@ -129,9 +127,9 @@ impl ChaosState {
     }
 }
 
-/// Fault accounting of one step (a cascade round, a PCIe phase, a sharded
-/// operation): what its retries cost, booked into
-/// [`crate::DegradedStats`] and billed as backoff when the step ends.
+/// Fault accounting of one step (a cascade round, a PCIe phase): what
+/// its retries cost, booked into [`crate::DegradedStats`] and billed as
+/// backoff when the step ends.
 #[derive(Debug, Default)]
 pub(crate) struct ChaosTally {
     pub launch_retries: u64,

@@ -70,7 +70,7 @@ pub enum Mutation {
     /// linearizability checks exist to catch exactly this.
     DoubleApplyOnRetry,
     /// Quarantining a GPU skips the re-split of its partition across the
-    /// survivors, silently dropping the quarantined shard's keys. The
+    /// survivors, silently dropping the quarantined partition's keys. The
     /// chaos suite's degraded-mode round-trip exists to catch exactly
     /// this.
     ForgetQuarantinedPartition,

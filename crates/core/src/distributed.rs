@@ -10,9 +10,12 @@
 //! both — all four through the one driver in
 //! [`crate::cascade`], bracketed by PCIe in [`crate::host_ops`]. Phases
 //! are separated by global barriers, so a cascade's time is the sum of
-//! per-phase maxima — exactly how the paper accounts Fig. 9–11. This
-//! module holds the map itself: construction, sizing, resizing, and the
-//! chaos state with its quarantine-and-migrate step.
+//! per-phase maxima over the GPUs — exactly how the paper accounts
+//! Fig. 9–11. The same map is §VI's sharded table: `s` partitions of one
+//! device ([`Topology::one_device`]), where a phase takes the sum over the
+//! partitions instead. This module holds the map itself: construction,
+//! sizing, resizing, and the chaos state with its quarantine-and-migrate
+//! step.
 //!
 //! Functional data movement between simulated devices is host-mediated
 //! (there is only one address space underneath), but it is *billed*
@@ -48,6 +51,9 @@ use interconnect::Topology;
 use parking_lot::RwLock;
 use std::sync::Arc;
 
+/// Most partitions a node has: the quarantine mask holds a bit each.
+pub(crate) const MAX_PARTITIONS: usize = u32::BITS as usize;
+
 /// A hash map distributed over the GPUs of one node.
 #[derive(Debug)]
 pub struct DistributedHashMap {
@@ -60,25 +66,36 @@ pub struct DistributedHashMap {
 }
 
 impl DistributedHashMap {
-    /// Builds one local map of `capacity_per_gpu` slots on every device.
+    /// Builds one local map of `capacity_per_gpu` slots for every
+    /// partition, on the device `devices` names for it. Partitions of one
+    /// device share one `Arc` — §VI's sharded table is
+    /// [`Topology::one_device`] over `s` clones of one device.
     ///
     /// # Errors
     /// Propagates per-device allocation failures.
     ///
     /// # Panics
-    /// Panics if `devices` is empty or its length differs from the
-    /// topology's GPU count.
+    /// Panics unless there are 1 to 32 devices, one per partition of
+    /// `topo`, shared exactly as its `device_of` says.
     pub fn new(
         devices: Vec<Arc<Device>>,
         capacity_per_gpu: usize,
         cfg: Config,
         topo: Topology,
     ) -> Result<Self, BuildError> {
-        assert!(!devices.is_empty(), "need at least one device");
-        assert_eq!(
-            devices.len(),
-            topo.num_gpus,
-            "topology must describe exactly the given devices"
+        let m = devices.len();
+        assert!(
+            (1..=MAX_PARTITIONS).contains(&m),
+            "a node has 1..={MAX_PARTITIONS} partitions, a bit each of the quarantine mask"
+        );
+        assert_eq!(m, topo.num_gpus, "topology must describe exactly the given devices");
+        let shared = |i, j| Arc::ptr_eq(&devices[i], &devices[j]);
+        let hosted = |i: usize, j: usize| topo.device_of[i] == topo.device_of[j];
+        assert!(
+            topo.device_of.len() == m
+                && topo.device_of.iter().all(|&d| d < m)
+                && (0..m).all(|i| (0..m).all(|j| shared(i, j) == hosted(i, j))),
+            "the devices must be shared as the topology's `device_of` says"
         );
         let maps = devices
             .iter()
@@ -97,7 +114,7 @@ impl DistributedHashMap {
         })
     }
 
-    /// Number of GPUs.
+    /// Number of partitions: GPUs on the Fig. 6 node.
     #[must_use]
     pub fn num_gpus(&self) -> usize {
         self.maps.len()
@@ -318,7 +335,7 @@ impl DistributedHashMap {
     /// Quarantines GPU `j`: marks it dead and re-splits its partition
     /// across the survivors via the fallback hash (graceful degradation).
     /// With the [`Mutation::ForgetQuarantinedPartition`] double the
-    /// re-split is skipped, losing the shard — the chaos suite proves it
+    /// re-split is skipped, losing the partition — the chaos suite proves it
     /// catches that.
     ///
     /// # Errors
@@ -341,7 +358,7 @@ impl DistributedHashMap {
             st.stats.repartitions += 1;
         }
         if self.cfg.mutation == Some(Mutation::ForgetQuarantinedPartition) {
-            // BROKEN (mutation double): the quarantined shard is dropped.
+            // BROKEN (mutation double): the quarantined partition is dropped.
             return Ok(());
         }
         let pairs = self.maps[j].snapshot();

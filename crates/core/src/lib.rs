@@ -60,7 +60,6 @@ pub mod probing;
 pub mod resize;
 pub mod retrieve;
 pub mod service;
-pub mod sharded;
 mod slots;
 pub mod stats;
 mod table;
@@ -84,7 +83,6 @@ pub use service::{
     PerGpuDeleteResponse, PerGpuGetResponse, PutResponse, Response,
 };
 pub use resize::{ResizeMode, ResizePolicy, ResizeState};
-pub use sharded::ShardedHashMap;
 pub use stats::{CascadeStage, DegradedStats, Occupancy};
 
 /// Re-export of the group-size type used throughout the public API.

@@ -230,7 +230,7 @@ impl GpuHashMap {
 
     /// Shared body of the host-resident query paths: stage, launch,
     /// download. Typed scratch failure instead of a panic.
-    pub(crate) fn retrieve_impl(
+    fn retrieve_impl(
         &self,
         keys: &[u32],
     ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
@@ -271,26 +271,22 @@ impl GpuHashMap {
         self.retrieve_impl(&[key]).map_or(None, |(values, _)| values[0])
     }
 
-    /// Shared body of the host-resident erase paths. The caller holds the
-    /// §IV-A barrier: [`GpuHashMap::try_erase`]'s `&mut self`, or that of
-    /// the [`crate::ShardedHashMap`] whose shard this is.
-    pub(crate) fn erase_impl(&self, keys: &[u32]) -> Result<EraseOutcome, OpError> {
-        let mut ctl = self.resize.lock();
-        if let Some((m, policy)) = ctl.migrating() {
-            return self.migrating_erase(m, policy, keys);
-        }
-        drop(ctl);
-        self.table
-            .erase_keys(self.cfg.group_size, keys, self.recorder.as_deref())
-    }
-
     /// Tombstones host-resident keys, returning per-key hits in input
-    /// order with the unified cost report.
+    /// order with the unified cost report. `&mut self` is §IV-A's global
+    /// barrier: no insert or query runs in the same launch.
     ///
     /// # Errors
     /// [`OpError::OutOfMemory`] when staging scratch is unavailable.
     pub fn try_erase(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let outcome = self.erase_impl(keys)?;
+        let mut ctl = self.resize.lock();
+        let outcome = match ctl.migrating() {
+            Some((m, policy)) => self.migrating_erase(m, policy, keys)?,
+            None => {
+                drop(ctl);
+                let recorder = self.recorder.as_deref();
+                self.table.erase_keys(self.cfg.group_size, keys, recorder)?
+            }
+        };
         Ok(DeleteResponse {
             report: OpReport::from_kernel(&outcome.stats, keys.len() as u64),
             hits: outcome.hits,

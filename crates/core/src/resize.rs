@@ -59,9 +59,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// When and how a map resizes itself. Armed via
-/// [`crate::GpuHashMap::set_resize_policy`] (or the sharded wrapper's
-/// equivalent); `None` (the default) keeps the paper's fixed-capacity
-/// behaviour.
+/// [`crate::GpuHashMap::set_resize_policy`]; `None` (the default) keeps
+/// the paper's fixed-capacity behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResizePolicy {
     /// Effective-load watermark that triggers a resize:

@@ -14,8 +14,8 @@
 //! * [`OpError`] — one error type for every operation, bulk insertion
 //!   included, so fault-mode callers never hit a panic;
 //! * [`MapService`] — the trait the wd-serve coalescer is generic over,
-//!   implemented by [`crate::GpuHashMap`], [`crate::ShardedHashMap`] and
-//!   [`crate::DistributedHashMap`].
+//!   implemented by [`crate::GpuHashMap`] and [`crate::DistributedHashMap`]
+//!   (the GPUs of a node, or §VI's partitions of one device).
 //!
 //! ## Coalescing contract
 //!
@@ -53,8 +53,8 @@
 //! round** ([`crate::cascade`]: query words and pairs are segments of one
 //! multisplit and one all-to-all, the owning GPU answers and inserts in
 //! one fused launch, and only the put of a key that is also read waits
-//! for a late launch behind it); [`crate::ShardedHashMap`] keeps the
-//! provided body, a `get_batch` followed by a `put_batch`.
+//! for a late launch behind it), on a node of GPUs and on the partitions
+//! of one device alike.
 //!
 //! Erases keep a launch of their own because §IV-A's barrier is real
 //! here: the SOA erase tombstones the key word and *then* resets the
@@ -307,8 +307,8 @@ pub enum OpError {
     /// An interconnect transfer exhausted its retry budget with no
     /// failover avenue left.
     Transfer(TransferError),
-    /// A GPU (or shard site) exhausted its launch retry budget with no
-    /// survivor to take over.
+    /// A GPU (or a partition of one device) exhausted its launch retry
+    /// budget with no survivor to take over.
     DeviceLost {
         /// The lost device's index.
         device: usize,

@@ -112,7 +112,7 @@ impl Occupancy {
 }
 
 impl std::iter::Sum for Occupancy {
-    /// Aggregate occupancy of several tables (shards, per-GPU locals).
+    /// Aggregate occupancy of several tables (a node's partitions).
     fn sum<I: Iterator<Item = Self>>(tables: I) -> Self {
         tables.fold(Self::default(), |acc, o| Self {
             live: acc.live + o.live,

@@ -6,7 +6,7 @@ use interconnect::Topology;
 use std::sync::Arc;
 use warpdrive::{
     pack, Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Layout, MapService, Op, OpError,
-    ShardedHashMap,
+    OpReport, Schedule,
 };
 
 fn device(words: usize) -> Arc<gpu_sim::Device> {
@@ -87,23 +87,23 @@ fn reserved_key_is_refused_with_a_typed_error() {
         refuses_the_reserved_key(&mut map, &format!("GpuHashMap {layout:?}, migrating"));
     }
 
-    let mut sharded = ShardedHashMap::new(device(1 << 13), 256, 3, Config::default()).unwrap();
-    refuses_the_reserved_key(&mut sharded, "ShardedHashMap");
-    // the position is the caller's, not the shard bucket's
-    assert_eq!(sharded.insert_pairs(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
-    assert_eq!(sharded.try_retrieve(&[5, u32::MAX]).unwrap_err(), refused);
-    assert_eq!(sharded.try_erase(&[5, u32::MAX]).unwrap_err(), refused);
-    assert_eq!(sharded.get(u32::MAX), None);
-
-    let devices = (0..4).map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 14)));
-    let mut node =
-        DistributedHashMap::new(devices.collect(), 512, Config::default(), Topology::p100_quad(4))
-            .unwrap();
-    refuses_the_reserved_key(&mut node, "DistributedHashMap");
-    assert_eq!(node.insert_from_host(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
-    assert_eq!(node.try_retrieve_from_host(&[5, u32::MAX]).unwrap_err(), refused);
-    assert_eq!(node.try_erase_from_host(&[5, u32::MAX]).unwrap_err(), refused);
-    assert_eq!(node.get(u32::MAX), None);
+    // a node of four GPUs, and §VI's sharded table: three partitions of
+    // one device
+    let quad = (0..4).map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 14)));
+    let topo = Topology::p100_quad(4);
+    let quad = DistributedHashMap::new(quad.collect(), 512, Config::default(), topo);
+    let dev = device(1 << 15);
+    let topo = Topology::one_device(3, dev.spec());
+    let sharded = DistributedHashMap::new(vec![dev; 3], 256, Config::default(), topo);
+    for (name, node) in [("DistributedHashMap", quad), ("one-device DistributedHashMap", sharded)] {
+        let mut node = node.unwrap();
+        refuses_the_reserved_key(&mut node, name);
+        // the position is the caller's, not the partition's
+        assert_eq!(node.insert_from_host(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
+        assert_eq!(node.try_retrieve_from_host(&[5, u32::MAX]).unwrap_err(), refused);
+        assert_eq!(node.try_erase_from_host(&[5, u32::MAX]).unwrap_err(), refused);
+        assert_eq!(node.get(u32::MAX), None);
+    }
 
     let multi = GpuMultiMap::new(device(1 << 12), 64, Config::default()).unwrap();
     multi.insert_pairs(&[(5, 50)]).unwrap();
@@ -286,17 +286,36 @@ fn distributed_handles_empty_and_skewed_gpu_batches() {
     assert!(res[3].iter().all(Option::is_some));
 }
 
+/// A report's launches and its stage rows, every time bit for bit.
+fn report_bits(report: &OpReport) -> Vec<(String, u64, u64, u64)> {
+    let rows = report.stages.iter().map(|s| {
+        (format!("{:?}", s.stage), s.time.to_bits(), s.bytes, s.overhead.to_bits())
+    });
+    let total = ("launches".to_owned(), report.launches, 0, report.time.to_bits());
+    rows.chain([total]).collect()
+}
+
 #[test]
-fn sharded_map_single_shard_degenerates_to_plain() {
-    let sharded = ShardedHashMap::new(device(1 << 13), 1024, 1, Config::default()).unwrap();
+fn one_partition_on_one_device_reports_what_a_single_gpu_node_reports() {
+    let cfg = Config::default().with_schedule(Schedule::Sequential);
+    let dev = device(1 << 15);
+    let topo = Topology::one_device(1, dev.spec());
+    let nodes = [
+        DistributedHashMap::new(vec![dev], 1024, cfg, topo),
+        DistributedHashMap::new(vec![device(1 << 15)], 1024, cfg, Topology::p100_quad(1)),
+    ];
     let pairs: Vec<(u32, u32)> = (0..900u32).map(|i| (i + 1, i)).collect();
-    sharded.insert_pairs(&pairs).unwrap();
-    assert_eq!(sharded.num_shards(), 1);
-    let res = sharded
-        .try_retrieve(&pairs.iter().map(|p| p.0).collect::<Vec<_>>())
-        .unwrap()
-        .values;
-    assert!(res.iter().all(Option::is_some));
+    let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([5000]).collect();
+    let [sharded, single] = nodes.map(|node| {
+        let mut node = node.unwrap();
+        let put = node.insert_from_host(&pairs).unwrap();
+        let get = node.try_retrieve_from_host(&keys).unwrap();
+        let del = node.try_erase_from_host(&keys[..300]).unwrap();
+        let reports = [&put, &get.report, &del.report].map(report_bits);
+        (reports, get.values, del.hits, node.len())
+    });
+    assert_eq!(sharded, single);
+    assert_eq!(single.3, 600);
 }
 
 #[test]

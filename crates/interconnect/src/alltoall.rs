@@ -12,6 +12,12 @@
 //!
 //! With balanced partitions this yields the paper's measured ≈192 GB/s
 //! accumulated bandwidth on the quad-P100 node.
+//!
+//! Two partitions of one device ([`Topology::one_device`]) share no link:
+//! what one sends the other is a device-local copy. A device copies the
+//! summed bytes of the edges inside it, reading and writing them at its
+//! streaming bandwidth, alongside the links, so the phase ends when the
+//! slower of the two does.
 
 use crate::fault::{transfer_with_retry, FaultedTransfer, TransferError};
 use crate::topology::Topology;
@@ -44,9 +50,8 @@ impl AllToAllReport {
 /// free and are never asked for).
 #[must_use]
 pub fn alltoall_time(topo: &Topology, sizes: impl Fn(usize, usize) -> u64) -> AllToAllReport {
-    let mut worst: f64 = 0.0;
-    let mut bytes: u64 = 0;
-    for (i, j) in edges(topo.num_gpus) {
+    let (mut worst, mut bytes) = local_copies(topo, &sizes);
+    for (i, j) in edges(topo, false) {
         let s = sizes(i, j);
         if s == 0 {
             continue;
@@ -58,11 +63,34 @@ pub fn alltoall_time(topo: &Topology, sizes: impl Fn(usize, usize) -> u64) -> Al
     AllToAllReport { time: worst, bytes }
 }
 
-/// The directed edges `(i, j)`, `i ≠ j`, of `m` GPUs in row-major order.
-fn edges(m: usize) -> impl Iterator<Item = (usize, usize)> {
+/// The directed edges `(i, j)`, `i ≠ j`, in row-major order that stay
+/// inside one device (`local`) or cross between two (`!local`).
+fn edges(topo: &Topology, local: bool) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let m = topo.num_gpus;
+    let inside = |i: usize, j: usize| topo.device_of[i] == topo.device_of[j];
     (0..m)
         .flat_map(move |i| (0..m).map(move |j| (i, j)))
-        .filter(|(i, j)| i != j)
+        .filter(move |&(i, j)| i != j && inside(i, j) == local)
+}
+
+/// The device-local copies of a phase, devices side by side: the slowest
+/// device's time and the bytes of all. Nothing drops or degrades inside
+/// a device, so a fault plan leaves them as they are.
+fn local_copies(topo: &Topology, sizes: &impl Fn(usize, usize) -> u64) -> (f64, u64) {
+    let (mut worst, mut bytes) = (0.0f64, 0u64);
+    for d in 0..topo.num_gpus {
+        let (mut sum, mut bandwidth) = (0u64, 0.0);
+        for (i, j) in edges(topo, true).filter(|&(i, _)| topo.device_of[i] == d) {
+            sum += sizes(i, j);
+            bandwidth = topo.nvlink[i][j];
+        }
+        if sum > 0 {
+            // read once and written once
+            worst = worst.max(2.0 * sum as f64 / bandwidth);
+            bytes += sum;
+        }
+    }
+    (worst, bytes)
 }
 
 /// [`alltoall_time`] under a fault plan: degraded links carry their
@@ -82,11 +110,10 @@ pub fn alltoall_time_faulted(
     plan: &FaultPlan,
     policy: &RetryPolicy,
 ) -> Result<FaultedTransfer, TransferError> {
-    let mut worst: f64 = 0.0;
-    let mut bytes: u64 = 0;
+    let (mut worst, mut bytes) = local_copies(topo, &sizes);
     let mut retries = 0u32;
     let mut backoff = 0.0f64;
-    for (i, j) in edges(topo.num_gpus) {
+    for (i, j) in edges(topo, false) {
         let s = sizes(i, j);
         if s == 0 {
             continue;
@@ -183,6 +210,24 @@ mod tests {
         assert_eq!(healthy.bytes, faulted.bytes);
         assert_eq!(faulted.retries, 0);
         assert_eq!(faulted.backoff, 0.0);
+    }
+
+    #[test]
+    fn one_device_copies_its_partitions_chunks_through_its_memory() {
+        let spec = gpu_sim::DeviceSpec::p100();
+        let topo = Topology::one_device(4, &spec);
+        let mut sizes = balanced(4, 1 << 20);
+        sizes[1][3] = 77_777;
+        // the twelve off-diagonal cells
+        let total: u64 = 11 * (1 << 20) + 77_777;
+        let healthy = alltoall_time(&topo, cells(&sizes));
+        let bandwidth = spec.mem_bandwidth * spec.stream_efficiency;
+        assert_eq!(healthy.time.to_bits(), (2.0 * total as f64 / bandwidth).to_bits());
+        assert_eq!(healthy.bytes, total);
+        let (plan, policy) = (FaultPlan::default(), RetryPolicy::default());
+        let faulted = alltoall_time_faulted(&topo, cells(&sizes), &plan, &policy).unwrap();
+        assert_eq!(faulted.time.to_bits(), healthy.time.to_bits());
+        assert_eq!((faulted.bytes, faulted.retries, faulted.backoff), (total, 0, 0.0));
     }
 
     #[test]

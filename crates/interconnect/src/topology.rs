@@ -3,19 +3,24 @@
 use serde::{Deserialize, Serialize};
 
 /// Interconnect topology: NVLink peer-to-peer bandwidths plus the PCIe
-/// switch layout towards the host.
+/// switch layout towards the host, over the *partitions* of one table —
+/// one per GPU on the Fig. 6 node, several on one device for §VI's
+/// sharded table ([`Topology::one_device`]).
 ///
 /// Bandwidths are *effective* bytes/second per direction (peak × an
 /// efficiency factor covering protocol overhead), so transfer times come
 /// straight out of `bytes / bandwidth`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
-    /// Number of GPUs.
+    /// Number of partitions (GPUs on the Fig. 6 node).
     pub num_gpus: usize,
     /// `nvlink[i][j]`: effective bandwidth of the direct i→j path in
-    /// bytes/s (0 on the diagonal). Symmetric.
+    /// bytes/s (0 on the diagonal); between two partitions of one device,
+    /// that device's streaming bandwidth. Symmetric.
     pub nvlink: Vec<Vec<f64>>,
-    /// For each GPU, the index of the PCIe switch it hangs off.
+    /// For each partition, the index of the device that hosts it.
+    pub device_of: Vec<usize>,
+    /// For each partition, the index of the PCIe switch it hangs off.
     pub switch_of: Vec<usize>,
     /// Effective bandwidth of each PCIe switch in bytes/s (shared by all
     /// GPUs on that switch, full duplex).
@@ -64,8 +69,24 @@ impl Topology {
         Self {
             num_gpus: m,
             nvlink,
+            device_of: (0..m).collect(),
             switch_of,
             switch_bandwidth: vec![PCIE_SWITCH_PEAK * PCIE_EFFICIENCY; num_switches],
+        }
+    }
+
+    /// §VI's sharded table: `s` partitions on one device behind one PCIe
+    /// switch. A partition's chunk for another moves as a device-local
+    /// copy at `spec`'s streaming bandwidth ([`crate::alltoall`]).
+    #[must_use]
+    pub fn one_device(s: usize, spec: &gpu_sim::DeviceSpec) -> Self {
+        let local = |i, j| if i == j { 0.0 } else { spec.stream_bandwidth() };
+        Self {
+            num_gpus: s,
+            nvlink: (0..s).map(|i| (0..s).map(|j| local(i, j)).collect()).collect(),
+            device_of: vec![0; s],
+            switch_of: vec![0; s],
+            switch_bandwidth: vec![PCIE_SWITCH_PEAK * PCIE_EFFICIENCY],
         }
     }
 
@@ -161,6 +182,7 @@ mod tests {
         // switches: {0,1} and {2,3}
         assert!(t.gpus_on_switch(0).eq([0, 1]));
         assert!(t.gpus_on_switch(1).eq([2, 3]));
+        assert_eq!(t.device_of, [0, 1, 2, 3]);
         // ≈22 GB/s accumulated host bandwidth
         let total = t.total_host_bandwidth();
         assert!((total - 22.0e9).abs() < 0.1e9, "{total}");
@@ -171,6 +193,15 @@ mod tests {
         let t = Topology::p100_quad(1);
         assert_eq!(t.num_switches(), 1);
         assert!(t.gpus_on_switch(0).eq([0]));
+    }
+
+    #[test]
+    fn one_partition_on_one_device_is_the_single_gpu_node() {
+        let spec = gpu_sim::DeviceSpec::p100();
+        assert_eq!(Topology::one_device(1, &spec), Topology::p100_quad(1));
+        let t = Topology::one_device(4, &spec);
+        assert_eq!((&t.device_of[..], t.num_switches()), (&[0; 4][..], 1));
+        assert_eq!(t.nvlink[1][3], spec.stream_bandwidth());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! WarpDrive's kernels want millions of keys per launch; online callers
 //! bring one key at a time. This crate closes that gap with a
 //! deterministic, long-lived service over any [`warpdrive::MapService`]
-//! backend ([`warpdrive::GpuHashMap`], [`warpdrive::ShardedHashMap`],
-//! [`warpdrive::DistributedHashMap`]):
+//! backend ([`warpdrive::GpuHashMap`], or a [`warpdrive::DistributedHashMap`]
+//! over the GPUs of a node or over the partitions of one device):
 //!
 //! * **Coalescing** — a [`Server`] queues small [`warpdrive::Op`]
 //!   requests and flushes GPU-sized batches when the queue reaches

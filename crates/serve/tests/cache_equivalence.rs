@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use warpdrive::{
     lower_mixed, CachePolicy, CachedMap, Config, DistributedHashMap, GpuHashMap, MapService,
-    Response, ShardedHashMap,
+    Response,
 };
 use wd_serve::{generate, Completion, ServeConfig, ServeError, Server, TraceConfig};
 use workloads::{Ycsb, YcsbMix};
@@ -39,9 +39,11 @@ fn single_gpu(capacity: usize, cfg: Config) -> GpuHashMap {
     GpuHashMap::new(dev, capacity, cfg).unwrap()
 }
 
-fn sharded(cfg: Config) -> ShardedHashMap {
+/// §VI's sharded table: a node of four partitions on one device.
+fn sharded(cfg: Config) -> DistributedHashMap {
     let dev = Arc::new(Device::with_words(0, 1 << 16));
-    ShardedHashMap::new(dev, 1024, 4, cfg).unwrap()
+    let topo = Topology::one_device(4, dev.spec());
+    DistributedHashMap::new(vec![dev; 4], 1024, cfg, topo).unwrap()
 }
 
 fn quad_node(cfg: Config) -> DistributedHashMap {
@@ -106,9 +108,10 @@ proptest! {
         assert_cached_equivalent(&mut uncached, &mut cached, &trace_cfg, seed);
     }
 
-    /// Sharded backend under a transient-fault plan: retried launches
-    /// never change answers, cached or not — and the error-path
-    /// invalidation in the cache must not either.
+    /// The sharded table (partitions of one device) under a
+    /// transient-fault plan: retried launches never change answers, cached
+    /// or not — and the error-path invalidation in the cache must not
+    /// either.
     #[test]
     fn cached_equals_uncached_under_transient_faults(
         seed in 0u64..64,
