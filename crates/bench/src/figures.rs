@@ -6,7 +6,7 @@ use crate::table::TextTable;
 use crate::{gops, p100_with_words, Opts, GROUP_SIZES, LOADS};
 use std::collections::HashSet;
 use std::io::{self, Write};
-use warpdrive::async_pipe::resource;
+use warpdrive::host_ops::resource;
 use warpdrive::{CascadeStage, Config, OpReport};
 use workloads::Distribution;
 
@@ -224,14 +224,14 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
             let batches = (n_model >> 24).clamp(2, 512) as usize;
             let batch_func = (n_func / batches).max(1);
             let hins = hmap
-                .insert_overlapped_scaled(&pairs, batch_func, 4, scale)
+                .insert_overlapped(&pairs, batch_func, 4)
                 .expect("host insert");
             let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            let (_, hret) = hmap
-                .retrieve_overlapped_scaled(&keys, batch_func, 4, scale)
+            let hret = hmap
+                .retrieve_overlapped(&keys, batch_func, 4)
                 .expect("host retrieve");
-            host_row.push(gops(hins.elements as f64 * scale / hins.makespan));
-            host_row.push(gops(hret.elements as f64 * scale / hret.makespan));
+            host_row.push(gops(hins.modeled_ops_per_sec(scale)));
+            host_row.push(gops(hret.report.modeled_ops_per_sec(scale)));
         }
         device.row(dev_row);
         host.row(host_row);
@@ -283,15 +283,19 @@ pub fn fig11(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
         "VRAM s",
         "saving",
     ]);
-    let mut row = |variant: String, rep: &warpdrive::async_pipe::OverlapReport| {
+    // each row the makespan and busy times at paper scale, and what the
+    // overlap saves over issuing the same batches one after the other
+    let mut row = |variant: String, rep: &OpReport| {
+        let overlap = &rep.overlaps[0];
+        let run = overlap.schedule(&rep.stages, scale, overlap.streams);
         t.row(vec![
             variant,
-            format!("{:.3}", rep.makespan),
-            format!("{:.3}", rep.busy[resource::PCIE_UP]),
-            format!("{:.3}", rep.busy[resource::PCIE_DOWN]),
-            format!("{:.3}", rep.busy[resource::NVLINK]),
-            format!("{:.3}", rep.busy[resource::VRAM]),
-            format!("{:.0}%", rep.saving() * 100.0),
+            format!("{:.3}", run.makespan),
+            format!("{:.3}", run.busy[resource::PCIE_UP]),
+            format!("{:.3}", run.busy[resource::PCIE_DOWN]),
+            format!("{:.3}", run.busy[resource::NVLINK]),
+            format!("{:.3}", run.busy[resource::VRAM]),
+            format!("{:.0}%", overlap.saving(&rep.stages, scale) * 100.0),
         ]);
     };
 
@@ -301,42 +305,39 @@ pub fn fig11(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     for threads in [1usize, 2, 4] {
         let map = NodeBench::paper(M, n_func / M, n_model).map;
         let rep = map
-            .insert_overlapped_scaled(&pairs, batch_func, threads, scale)
+            .insert_overlapped(&pairs, batch_func, threads)
             .expect("insert");
         row(format!("Ins{threads}"), &rep);
         loaded = Some((map, rep));
     }
     let (map, ins4) = loaded.expect("three variants");
     for threads in [1usize, 2, 4] {
-        let (_, rep) = map
-            .retrieve_overlapped_scaled(&keys, batch_func, threads, scale)
+        let rep = map
+            .retrieve_overlapped(&keys, batch_func, threads)
             .expect("retrieve");
-        row(format!("Ret{threads}"), &rep);
+        row(format!("Ret{threads}"), &rep.report);
     }
     write!(out, "{t}")?;
 
     // MST fractions and accumulated bandwidths (paper: 2-4%, ~210 GB/s
-    // multisplit, ~192 GB/s all-to-all)
-    let mut agg = OpReport::default();
-    for c in &ins4.cascades {
-        agg.merge(c);
-    }
-    // (scaled seconds, scaled bytes) of a stage kind, summed over batches
-    // and GPUs: functional times are dominated by the fixed launch
-    // overheads that vanish at paper scale
+    // multisplit, ~192 GB/s all-to-all), of the batches' rows one after
+    // the other; (scaled seconds, scaled bytes) of a stage kind, summed
+    // over batches and GPUs: functional times are dominated by the fixed
+    // launch overheads that vanish at paper scale
     let scaled = |stage: CascadeStage| -> (f64, f64) {
-        let of_stage = || agg.stages.iter().filter(move |s| s.stage == stage);
+        let of_stage = || ins4.stages.iter().filter(move |s| s.stage == stage);
         (
             of_stage().map(|s| s.scaled_time(scale)).sum(),
             of_stage().map(|s| s.bytes as f64 * scale).sum(),
         )
     };
+    let rows_time: f64 = ins4.stages.iter().map(|s| s.scaled_time(scale)).sum();
     let (split_time, split_bytes) = scaled(CascadeStage::Multisplit);
     let (transpose_time, transpose_bytes) = scaled(CascadeStage::Transpose);
     writeln!(
         out,
         "\nmultisplit+transposition fraction of cascade: {:.1}%",
-        (split_time + transpose_time) / agg.modeled_time(scale) * 100.0
+        (split_time + transpose_time) / rows_time * 100.0
     )?;
     writeln!(
         out,

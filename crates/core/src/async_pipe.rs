@@ -1,236 +1,60 @@
-//! Asynchronous overlapping of host-sided cascades (Figs. 5 and 11).
-//!
-//! A host-sided operation over a large dataset is issued as a stream of
-//! batches; each batch's cascade H2D → MST → INS (or H2D → MST → QRY →
-//! MST⁻¹ → D2H) is sequential, but the stages of different batches
-//! overlap because they occupy different hardware resources: the PCIe
-//! bus (up and down are full duplex), the NVLink fabric and the GPUs'
-//! video memory. The user picks the number of CPU threads; batches are
-//! issued round-robin, and within a thread batches stay in order.
-//!
-//! Functionally the batches execute one after another (correctness does
-//! not depend on the overlap); the *timing* overlay is computed on
-//! simulated resource timelines by [`interconnect::PipelineSim`].
+//! Fig. 11's `Ins1`/`Ins2`/`Ins4` and `Ret1`/`Ret2`/`Ret4`: the host bracket
+//! of [`crate::host_ops`] cut at a batch size and on a number of streams its
+//! caller picks. [`OpReport::overlaps`] says how the batches overlapped, and
+//! [`OpReport::modeled_time`] re-runs the overlay at paper scale.
 
 use crate::distributed::DistributedHashMap;
-use crate::service::{OpError, OpReport};
-use crate::stats::CascadeStage;
-use interconnect::{PipelineSim, Stage};
-
-/// Pipeline resource indices (the bars of Fig. 11, matching the Fig. 5
-/// legend: H2D = PCIe bus, MST = NVLink network, INS = video memory).
-pub mod resource {
-    /// PCIe host→device direction (PCIe is full duplex; a retrieval batch
-    /// crosses it twice, 4-byte keys up and a 4-byte value plus a found
-    /// bit per key down, so the two directions overlap nearly evenly — the
-    /// paper's 8 bytes both ways cap retrieval at ≈55% of the aggregate).
-    pub const PCIE_UP: usize = 0;
-    /// PCIe device→host direction.
-    pub const PCIE_DOWN: usize = 1;
-    /// NVLink fabric (multisplit + transposition phases).
-    pub const NVLINK: usize = 2;
-    /// Video memory / SMs (insert & query kernels).
-    pub const VRAM: usize = 3;
-    /// Number of resources.
-    pub const COUNT: usize = 4;
-}
-
-/// Result of an overlapped operation.
-#[derive(Debug, Clone)]
-pub struct OverlapReport {
-    /// Makespan with the requested number of threads.
-    pub makespan: f64,
-    /// Makespan of the fully sequential issue (`threads = 1`) of the same
-    /// batches — the `Ins1`/`Ret1` baseline of Fig. 11.
-    pub sequential: f64,
-    /// Accumulated busy time per resource (see [`resource`]).
-    pub busy: Vec<f64>,
-    /// Number of batches.
-    pub batches: usize,
-    /// Elements processed.
-    pub elements: u64,
-    /// Per-batch cascade reports (functional truth).
-    pub cascades: Vec<OpReport>,
-}
-
-impl OverlapReport {
-    /// Fractional time saved by overlapping vs sequential issue.
-    #[must_use]
-    pub fn saving(&self) -> f64 {
-        if self.sequential == 0.0 {
-            0.0
-        } else {
-            1.0 - self.makespan / self.sequential
-        }
-    }
-
-    /// Aggregate rate at the overlapped makespan.
-    #[must_use]
-    pub fn ops_per_sec(&self) -> f64 {
-        if self.makespan == 0.0 {
-            0.0
-        } else {
-            self.elements as f64 / self.makespan
-        }
-    }
-}
-
-/// Maps a cascade report to pipeline stages on the four resources,
-/// extrapolating each stage to `scale`× its functional element count.
-fn stages_of(report: &OpReport, scale: f64) -> Vec<Stage> {
-    let mut out = Vec::new();
-    let mut push = |resource: usize, duration: f64| {
-        if duration > 0.0 {
-            out.push(Stage { resource, duration });
-        }
-    };
-    // Consecutive same-resource phases merge naturally by being scheduled
-    // back-to-back; order must follow the cascade.
-    for s in &report.stages {
-        let t = s.scaled_time(scale);
-        match s.stage {
-            CascadeStage::H2D => push(resource::PCIE_UP, t),
-            // MST = multisplit + transposition; Fig. 5 bins it as "mainly
-            // NVLink"
-            CascadeStage::Multisplit | CascadeStage::Transpose | CascadeStage::TransposeBack => {
-                push(resource::NVLINK, t)
-            }
-            CascadeStage::Insert | CascadeStage::Query | CascadeStage::Scatter => {
-                push(resource::VRAM, t);
-            }
-            CascadeStage::D2H => push(resource::PCIE_DOWN, t),
-            // Backoff waits stem from retried transfers and launches; the
-            // cascade is blocked on the fabric while they drain, so they
-            // occupy the NVLink timeline. Healthy cascades never contain
-            // this stage, leaving the pipeline plan untouched. After a
-            // quarantine the subsequent cascades' reports already reflect
-            // the degraded node (fewer GPUs, re-spread batches), so the
-            // scheduler re-plans around the lost resource for free.
-            CascadeStage::Backoff => push(resource::NVLINK, t),
-        }
-    }
-    out
-}
+use crate::host_ops::Cut;
+use crate::service::{GetResponse, OpError, OpReport};
 
 impl DistributedHashMap {
-    /// Inserts `pairs` in batches of `batch_size` with `threads`
-    /// overlapping streams (the paper's `Ins1`/`Ins2`/`Ins4` variants).
+    /// Inserts `pairs` in batches of `batch_size` on `streams` overlapping
+    /// streams (the paper's `Ins1`/`Ins2`/`Ins4`).
     ///
     /// # Errors
-    /// Propagates the first batch failure.
+    /// As [`Self::insert_from_host`].
     ///
     /// # Panics
-    /// Panics if `batch_size == 0` or `threads == 0`.
+    /// Panics if `batch_size == 0` or `streams == 0`.
     pub fn insert_overlapped(
         &self,
         pairs: &[(u32, u32)],
         batch_size: usize,
-        threads: usize,
-    ) -> Result<OverlapReport, OpError> {
-        self.insert_overlapped_scaled(pairs, batch_size, threads, 1.0)
+        streams: usize,
+    ) -> Result<OpReport, OpError> {
+        self.insert_in_chunks(pairs, Cut::new(batch_size, streams))
     }
 
-    /// [`DistributedHashMap::insert_overlapped`] with each batch's stage
-    /// durations extrapolated to `scale`× the functional batch size (the
-    /// Fig. 11 harness runs 2²⁴-element paper batches as scaled-down
-    /// functional batches).
+    /// Retrieves `keys` in batches of `batch_size` on `streams` overlapping
+    /// streams (`Ret1`/`Ret2`/`Ret4`), answering in key order.
     ///
     /// # Errors
-    /// Propagates the first batch failure.
-    pub fn insert_overlapped_scaled(
-        &self,
-        pairs: &[(u32, u32)],
-        batch_size: usize,
-        threads: usize,
-        scale: f64,
-    ) -> Result<OverlapReport, OpError> {
-        assert!(batch_size > 0 && threads > 0);
-        let mut cascades = Vec::new();
-        for chunk in pairs.chunks(batch_size) {
-            cascades.push(self.insert_from_host(chunk)?);
-        }
-        Ok(self.overlay(cascades, pairs.len() as u64, threads, scale))
-    }
-
-    /// Retrieves `keys` in batches with overlapping streams
-    /// (`Ret1`/`Ret2`/`Ret4`). Returns results in the original order.
-    ///
-    /// # Errors
-    /// Propagates the first batch failure.
+    /// As [`Self::try_retrieve_from_host`].
     ///
     /// # Panics
-    /// Panics if `batch_size == 0` or `threads == 0`.
+    /// Panics if `batch_size == 0` or `streams == 0`.
     pub fn retrieve_overlapped(
         &self,
         keys: &[u32],
         batch_size: usize,
-        threads: usize,
-    ) -> Result<(Vec<Option<u32>>, OverlapReport), OpError> {
-        self.retrieve_overlapped_scaled(keys, batch_size, threads, 1.0)
-    }
-
-    /// [`DistributedHashMap::retrieve_overlapped`] at modeled scale
-    /// (cf. [`DistributedHashMap::insert_overlapped_scaled`]).
-    ///
-    /// # Errors
-    /// Propagates the first batch failure.
-    ///
-    /// # Panics
-    /// Panics if `batch_size == 0` or `threads == 0`.
-    pub fn retrieve_overlapped_scaled(
-        &self,
-        keys: &[u32],
-        batch_size: usize,
-        threads: usize,
-        scale: f64,
-    ) -> Result<(Vec<Option<u32>>, OverlapReport), OpError> {
-        assert!(batch_size > 0 && threads > 0);
-        let mut cascades = Vec::new();
-        let mut results = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(batch_size) {
-            let (r, rep) = self.retrieve_from_host_impl(chunk)?;
-            results.extend(r);
-            cascades.push(rep);
-        }
-        let report = self.overlay(cascades, keys.len() as u64, threads, scale);
-        Ok((results, report))
-    }
-
-    /// Computes the overlapped and sequential makespans of a batch stream.
-    fn overlay(
-        &self,
-        cascades: Vec<OpReport>,
-        elements: u64,
-        threads: usize,
-        scale: f64,
-    ) -> OverlapReport {
-        let stage_lists: Vec<Vec<Stage>> = cascades.iter().map(|c| stages_of(c, scale)).collect();
-        let overlapped = PipelineSim::new(resource::COUNT).run(&stage_lists, threads);
-        let sequential = PipelineSim::new(resource::COUNT).run(&stage_lists, 1);
-        OverlapReport {
-            makespan: overlapped.makespan,
-            sequential: sequential.makespan,
-            busy: overlapped.busy,
-            batches: cascades.len(),
-            elements,
-            cascades,
-        }
+        streams: usize,
+    ) -> Result<GetResponse, OpError> {
+        let (values, report) = self.retrieve_in_chunks(keys, Cut::new(batch_size, streams))?;
+        Ok(GetResponse { values, report })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::Config;
+    use crate::host_ops::resource::{NVLINK, PCIE_UP, VRAM};
+    use crate::{Config, DistributedHashMap};
     use gpu_sim::Device;
-    use interconnect::Topology;
     use std::sync::Arc;
 
     fn node(m: usize) -> DistributedHashMap {
-        let devices: Vec<Arc<Device>> = (0..m)
-            .map(|i| Arc::new(Device::with_words(i, 1 << 17)))
-            .collect();
-        DistributedHashMap::new(devices, 4096, Config::default(), Topology::p100_quad(m)).unwrap()
+        let devices = (0..m).map(|i| Arc::new(Device::with_words(i, 1 << 17))).collect();
+        let topology = interconnect::Topology::p100_quad(m);
+        DistributedHashMap::new(devices, 4096, Config::default(), topology).unwrap()
     }
 
     #[test]
@@ -238,9 +62,10 @@ mod tests {
         let d = node(4);
         let pairs: Vec<(u32, u32)> = (0..8000u32).map(|i| (i * 19 + 11, i)).collect();
         let rep = d.insert_overlapped(&pairs, 1000, 4).unwrap();
-        assert_eq!(rep.batches, 8);
-        assert!(rep.makespan < rep.sequential, "no overlap benefit");
-        assert!(rep.saving() > 0.15, "saving {:.3}", rep.saving());
+        let overlap = &rep.overlaps[0];
+        assert_eq!(overlap.chunks.len(), 8);
+        assert!(rep.time < overlap.schedule(&rep.stages, 1.0, 1).makespan);
+        assert!(overlap.saving(&rep.stages, 1.0) > 0.15);
         assert_eq!(d.len(), 8000);
     }
 
@@ -250,30 +75,26 @@ mod tests {
         let pairs: Vec<(u32, u32)> = (0..2000u32).map(|i| (i * 23 + 1, i + 7)).collect();
         d.insert_overlapped(&pairs, 500, 2).unwrap();
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let (results, rep) = d.retrieve_overlapped(&keys, 300, 4).unwrap();
-        for (i, p) in pairs.iter().enumerate() {
-            assert_eq!(results[i], Some(p.1));
-        }
-        assert!(rep.saving() > 0.0);
-        assert!(rep.ops_per_sec() > 0.0);
+        let resp = d.retrieve_overlapped(&keys, 300, 4).unwrap();
+        assert!(resp.values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
+        assert!(resp.report.overlaps[0].saving(&resp.report.stages, 1.0) > 0.0);
+        assert!(resp.report.ops_per_sec() > 0.0);
     }
 
     #[test]
     fn single_thread_equals_sequential() {
-        let d = node(2);
         let pairs: Vec<(u32, u32)> = (0..1000u32).map(|i| (i * 29 + 5, i)).collect();
-        let rep = d.insert_overlapped(&pairs, 250, 1).unwrap();
-        assert!((rep.makespan - rep.sequential).abs() < 1e-12);
-        assert_eq!(rep.saving(), 0.0);
+        let rep = node(2).insert_overlapped(&pairs, 250, 1).unwrap();
+        let sequential = rep.overlaps[0].schedule(&rep.stages, 1.0, 1).makespan;
+        assert_eq!(rep.time.to_bits(), sequential.to_bits());
+        assert_eq!(rep.overlaps[0].saving(&rep.stages, 1.0), 0.0);
     }
 
     #[test]
     fn busy_times_cover_all_stages() {
-        let d = node(4);
         let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 31 + 9, i)).collect();
-        let rep = d.insert_overlapped(&pairs, 1000, 2).unwrap();
-        assert!(rep.busy[resource::PCIE_UP] > 0.0);
-        assert!(rep.busy[resource::NVLINK] > 0.0);
-        assert!(rep.busy[resource::VRAM] > 0.0);
+        let rep = node(4).insert_overlapped(&pairs, 1000, 2).unwrap();
+        let busy = rep.overlaps[0].schedule(&rep.stages, 1.0, 2).busy;
+        assert!([PCIE_UP, NVLINK, VRAM].iter().all(|&r| busy[r] > 0.0));
     }
 }

@@ -13,15 +13,212 @@
 //! node) goes through the same bracket: each list is spread on its own
 //! into one segment of the cascade round, a GPU's chunks travel up back
 //! to back in one transfer, and only the answers travel down.
+//!
+//! ## Chunks that overlap (§IV-B, Fig. 5)
+//!
+//! A large insert, get or erase is cut into chunks, each its own bracket —
+//! H2D, cascade, D2H — run one after the other into the call's one
+//! output. Their stages occupy different hardware ([`resource`]), so the
+//! chunks overlap on as many streams as there are chunks, and the call's
+//! [`OpReport::time`] is the makespan of that overlay ([`Overlap`]). The
+//! cut depends on the size of the call alone: as many chunks as give every
+//! GPU at least `MIN_CHUNK_PER_GPU` elements of each, at most
+//! `MAX_CHUNKS`; below twice that a call is one chunk, with no overlay.
+//! The mixed round is always one chunk: its reads answer the values from
+//! before the call, which a chunk behind a put would not.
+//! [`DistributedHashMap::insert_overlapped`] and
+//! [`DistributedHashMap::retrieve_overlapped`] cut at a size and on a
+//! number of streams of their caller's (Fig. 11's `Ins`/`Ret` variants).
 
 use crate::cascade::{Abort, CascadeOp, Input, ERASE, GET_PUT, INSERT, RETRIEVE};
 use crate::config::Mutation;
-use crate::distributed::DistributedHashMap;
+use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::pack;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
-use crate::stats::CascadeStage;
+use crate::stats::{CascadeStage, StageTiming};
 use crate::table::{check_keys, pair_words};
-use interconnect::{d2h_time_faulted, h2d_time_faulted};
+use interconnect::{d2h_time_faulted, h2d_time_faulted, PipelineReport, PipelineSim, Stage};
+use std::ops::Range;
+
+/// Fewest elements a GPU takes from each chunk of a call the bracket cuts:
+/// a smaller chunk would pay its launch overheads for little transfer to
+/// hide.
+pub(crate) const MIN_CHUNK_PER_GPU: usize = 1 << 15;
+
+/// Most chunks, and streams, the bracket cuts a call into.
+pub(crate) const MAX_CHUNKS: usize = 4;
+
+/// Pipeline resource indices (the bars of Fig. 11, matching the Fig. 5
+/// legend: H2D = PCIe bus, MST = NVLink network, INS = video memory).
+pub mod resource {
+    /// PCIe host→device direction (PCIe is full duplex; a retrieval batch
+    /// crosses it twice, 4-byte keys up and a 4-byte value plus a found
+    /// bit per key down, so the two directions overlap nearly evenly — the
+    /// paper's 8 bytes both ways cap retrieval at ≈55% of the aggregate).
+    pub const PCIE_UP: usize = 0;
+    /// PCIe device→host direction.
+    pub const PCIE_DOWN: usize = 1;
+    /// NVLink fabric (multisplit + transposition phases).
+    pub const NVLINK: usize = 2;
+    /// Video memory / SMs (insert & query kernels).
+    pub const VRAM: usize = 3;
+    /// Number of resources.
+    pub const COUNT: usize = 4;
+}
+
+/// A chunk's stage rows as pipeline stages on the four resources, each
+/// extrapolated to `scale`× its functional element count.
+fn stages_of(rows: &[StageTiming], scale: f64) -> Vec<Stage> {
+    let mut out = Vec::with_capacity(rows.len());
+    let mut push = |resource: usize, duration: f64| {
+        if duration > 0.0 {
+            out.push(Stage { resource, duration });
+        }
+    };
+    // Consecutive same-resource phases merge naturally by being scheduled
+    // back-to-back; order must follow the cascade.
+    for s in rows {
+        let t = s.scaled_time(scale);
+        match s.stage {
+            CascadeStage::H2D => push(resource::PCIE_UP, t),
+            // MST = multisplit + transposition; Fig. 5 bins it as "mainly
+            // NVLink"
+            CascadeStage::Multisplit | CascadeStage::Transpose | CascadeStage::TransposeBack => {
+                push(resource::NVLINK, t)
+            }
+            CascadeStage::Insert | CascadeStage::Query | CascadeStage::Scatter => {
+                push(resource::VRAM, t);
+            }
+            CascadeStage::D2H => push(resource::PCIE_DOWN, t),
+            // Backoff waits stem from retried transfers and launches; the
+            // cascade is blocked on the fabric while they drain, so they
+            // occupy the NVLink timeline. Healthy cascades never contain
+            // this stage, leaving the pipeline plan untouched. After a
+            // quarantine the later chunks' rows already reflect the
+            // degraded node (fewer GPUs, re-spread batches), so the
+            // scheduler re-plans around the lost resource for free.
+            CascadeStage::Backoff => push(resource::NVLINK, t),
+        }
+    }
+    out
+}
+
+/// How the chunks of one call overlapped: each chunk a run of its report's
+/// stage rows, the chunks issued round-robin on `streams` streams. A
+/// chunk's stages run in order; a stage waits for its resource, and a
+/// chunk for the one before it on its stream (Fig. 5).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Overlap {
+    /// Streams the chunks were issued on.
+    pub streams: usize,
+    /// Each chunk's rows of the report's `stages`, in issue order.
+    pub chunks: Vec<Range<usize>>,
+}
+
+impl Overlap {
+    /// The chunks' schedule on `streams` streams — 1 issues one after the
+    /// other — each stage of `rows` extrapolated to `scale`× its elements:
+    /// the makespan and every [`resource`]'s busy time.
+    #[must_use]
+    pub fn schedule(&self, rows: &[StageTiming], scale: f64, streams: usize) -> PipelineReport {
+        let chunks: Vec<Vec<Stage>> = self
+            .chunks
+            .iter()
+            .map(|chunk| stages_of(&rows[chunk.clone()], scale))
+            .collect();
+        PipelineSim::new(resource::COUNT).run(&chunks, streams)
+    }
+
+    /// The share of the one-stream makespan that issuing on `streams`
+    /// streams saves, at `scale`.
+    #[must_use]
+    pub fn saving(&self, rows: &[StageTiming], scale: f64) -> f64 {
+        let sequential = self.schedule(rows, scale, 1).makespan;
+        if sequential == 0.0 {
+            0.0
+        } else {
+            1.0 - self.schedule(rows, scale, self.streams).makespan / sequential
+        }
+    }
+
+    /// The rows of all the chunks.
+    pub(crate) fn rows(&self) -> Range<usize> {
+        let start = self.chunks.first().map_or(0, |chunk| chunk.start);
+        start..self.chunks.last().map_or(start, |chunk| chunk.end)
+    }
+
+    /// The same chunks, `at` rows further down a report.
+    pub(crate) fn moved_by(&self, at: usize) -> Self {
+        let chunks = self.chunks.iter().map(|c| c.start + at..c.end + at);
+        Self {
+            streams: self.streams,
+            chunks: chunks.collect(),
+        }
+    }
+}
+
+/// How a host-sided call is cut: into chunks of `len` elements — the last
+/// one may be shorter — issued round-robin on `streams` streams.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cut {
+    len: usize,
+    streams: usize,
+}
+
+impl Cut {
+    /// Chunks of `len` elements on `streams` streams.
+    ///
+    /// # Panics
+    /// Panics if `len == 0` or `streams == 0`.
+    pub(crate) fn new(len: usize, streams: usize) -> Self {
+        assert!(len > 0 && streams > 0, "chunks hold elements and run on streams");
+        Self { len, streams }
+    }
+
+    /// The bracket's own cut of a call of `elements` elements over `m`
+    /// GPUs: from the per-GPU count alone, as many chunks as leave every
+    /// GPU [`MIN_CHUNK_PER_GPU`] elements of each, at most [`MAX_CHUNKS`],
+    /// one stream each.
+    pub(crate) fn of(elements: usize, m: usize) -> Self {
+        let chunks = (elements / m / MIN_CHUNK_PER_GPU).clamp(1, MAX_CHUNKS);
+        Self::new(elements.div_ceil(chunks).max(1), chunks)
+    }
+}
+
+/// Runs `call` on each chunk of `items` that `cut` makes — the chunk, and
+/// where it starts in `items` — one after the other, and overlays their
+/// reports into one: every chunk's rows, launches and bytes, and the
+/// makespan of [`Overlap::schedule`] as its time. A call of one chunk is
+/// `call` on all of `items`, its report as it comes.
+fn in_chunks<T>(
+    items: &[T],
+    cut: Cut,
+    mut call: impl FnMut(&[T], usize) -> Result<OpReport, OpError>,
+) -> Result<OpReport, OpError> {
+    if items.len() <= cut.len {
+        return call(items, 0);
+    }
+    let count = items.len().div_ceil(cut.len);
+    // room for every chunk's healthy round: H2D … D2H
+    let stages = Vec::with_capacity(8 * count);
+    let mut report = OpReport {
+        stages,
+        ..OpReport::default()
+    };
+    let mut chunks = Vec::with_capacity(count);
+    for (c, chunk) in items.chunks(cut.len).enumerate() {
+        let at = report.stages.len();
+        report.merge(&call(chunk, c * cut.len)?);
+        chunks.push(at..report.stages.len());
+    }
+    let overlap = Overlap {
+        streams: cut.streams,
+        chunks,
+    };
+    report.time = overlap.schedule(&report.stages, 1.0, cut.streams).makespan;
+    report.overlaps.push(overlap);
+    Ok(report)
+}
 
 /// The contiguous chunk of `len` items that GPU `g` of `m` takes: near-equal
 /// over the live GPUs of a quarantine `mask` in ascending order, empty for
@@ -43,18 +240,18 @@ fn start_of<T>(chunks: &[&[T]], g: usize) -> usize {
 }
 
 impl DistributedHashMap {
-    /// The one host bracket of `op`: every GPU's [`live_chunk`] of the
-    /// `keys` it answers (none for an insertion) and of each list of
-    /// `pairs` travels up over PCIe in one transfer — 4 bytes a key, 8 a
-    /// pair — the `device` cascade runs on the chunks, a list a segment,
-    /// and `op`'s answers travel down: a GPU's `n` values in `4n` bytes
-    /// plus `⌈n/8⌉` of found bits, or a byte per erase's hit flag
-    /// ([`crate::cascade::ReturnTrip::down_bytes`]). The cascade copies
-    /// those words down itself, at the end of its round, in the order it
-    /// hands the answers out; the bracket bills the transfer.
+    /// The one host bracket of `op` over one chunk of a call: every GPU's
+    /// [`live_chunk`] of the `keys` it answers (none for an insertion) and
+    /// of each list of `pairs` travels up over PCIe in one transfer — 4
+    /// bytes a key, 8 a pair — the `device` cascade runs on the chunks, a
+    /// list a segment, and `op`'s answers travel down: a GPU's `n` values
+    /// in `4n` bytes plus `⌈n/8⌉` of found bits, or a byte per erase's hit
+    /// flag ([`crate::cascade::ReturnTrip::down_bytes`]). The cascade
+    /// copies those words down itself, at the end of its round, in the
+    /// order it hands the answers out; the bracket bills the transfer.
     /// Dropped PCIe transfers are retried with backoff; a host link whose
     /// budget is exhausted quarantines its GPU and the transfer re-spreads
-    /// over the survivors.
+    /// over the survivors. The caller has checked the keys.
     fn host_bracket<O>(
         &self,
         op: &CascadeOp,
@@ -62,35 +259,39 @@ impl DistributedHashMap {
         pairs: &[&[u64]],
         device: impl FnOnce(&Self, Input, &mut OpReport) -> Result<O, OpError>,
     ) -> Result<(O, OpReport), OpError> {
-        check_keys(keys.iter().copied())?;
         let m = self.num_gpus();
         let policy = self.retry_policy();
         let elements = keys.len() + pairs.iter().map(|l| l.len()).sum::<usize>();
         let mut report = OpReport::of_cascade(elements as u64);
         // what each host link carries, of the upload and then the download
-        let mut bytes = vec![0; m];
+        let mut bytes = [0; MAX_PARTITIONS];
+        let bytes = &mut bytes[..m];
         let spread_mask = self.with_failover(&mut report, |plan, mask, report, tally| {
             for (g, bytes) in bytes.iter_mut().enumerate() {
                 let words = pairs.iter().map(|l| live_chunk(l.len(), m, mask, g).len());
                 *bytes = live_chunk(keys.len(), m, mask, g).len() as u64 * 4
                     + words.sum::<usize>() as u64 * 8;
             }
-            let up = h2d_time_faulted(self.topology(), &bytes, plan, &policy);
+            let up = h2d_time_faulted(self.topology(), bytes, plan, &policy);
             let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
             report.push(CascadeStage::H2D, up.time, up.bytes, 0.0);
             Ok(mask)
         })?;
-        // list after list, each cut into its `m` chunks
+        // list after list, each cut into its `m` chunks: the keys of an
+        // operation that answers, at most two lists of pairs
         let chunks_of = |len| (0..m).map(move |g| live_chunk(len, m, spread_mask, g));
-        let mut key_chunks = Vec::new();
-        if op.back.is_some() {
-            key_chunks.extend(chunks_of(keys.len()).map(|chunk| &keys[chunk]));
+        let mut key_chunks: [&[u32]; MAX_PARTITIONS] = [&[]; MAX_PARTITIONS];
+        let answered = if op.back.is_some() { m } else { 0 };
+        for (g, chunk) in chunks_of(keys.len()).take(answered).enumerate() {
+            key_chunks[g] = &keys[chunk];
         }
-        let mut chunks = Vec::with_capacity(pairs.len() * m);
-        for l in pairs {
-            chunks.extend(chunks_of(l.len()).map(|chunk| &l[chunk]));
+        let mut pair_chunks: [&[u64]; 2 * MAX_PARTITIONS] = [&[]; 2 * MAX_PARTITIONS];
+        for (l, list) in pairs.iter().enumerate() {
+            for (g, chunk) in chunks_of(list.len()).enumerate() {
+                pair_chunks[l * m + g] = &list[chunk];
+            }
         }
-        let (keys, pairs) = (&key_chunks[..], &chunks[..]);
+        let (keys, pairs) = (&key_chunks[..answered], &pair_chunks[..pairs.len() * m]);
         let out = device(self, Input { keys, pairs }, &mut report)?;
         if let Some(back) = &op.back {
             self.with_failover(&mut report, |plan, mask, report, tally| {
@@ -103,7 +304,7 @@ impl DistributedHashMap {
                         _ => 0,
                     };
                 }
-                let down = d2h_time_faulted(self.topology(), &bytes, plan, &policy);
+                let down = d2h_time_faulted(self.topology(), bytes, plan, &policy);
                 let down = tally.settle(plan, &policy, down).map_err(Abort::Lost)?;
                 report.push(CascadeStage::D2H, down.time, down.bytes, 0.0);
                 Ok(())
@@ -114,28 +315,41 @@ impl DistributedHashMap {
 
     /// Host-sided insertion: transfer the packed pairs over PCIe
     /// (unstructured equal spread over the live GPUs), then run the
-    /// device cascade.
+    /// device cascade — chunk after chunk for a large call, overlapped.
     ///
     /// # Errors
     /// Propagates the device cascade's errors;
-    /// [`OpError::DeviceLost`] once no failover remains.
+    /// [`OpError::DeviceLost`] once no failover remains. The chunks before
+    /// a failed one stay applied.
     pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<OpReport, OpError> {
+        self.insert_in_chunks(pairs, Cut::of(pairs.len(), self.num_gpus()))
+    }
+
+    pub(crate) fn insert_in_chunks(
+        &self,
+        pairs: &[(u32, u32)],
+        cut: Cut,
+    ) -> Result<OpReport, OpError> {
         let words = pair_words(pairs)?;
-        let ((), report) = self.host_bracket(&INSERT, &[], &[&words], |d, input, report| {
-            d.insert_words(input.pairs, report)
-        })?;
-        Ok(report)
+        in_chunks(&words, cut, |words, _| {
+            let ((), report) = self.host_bracket(&INSERT, &[], &[words], |d, input, report| {
+                d.insert_words(input.pairs, report)
+            })?;
+            Ok(report)
+        })
     }
 
     /// Host-sided retrieval with typed fault errors: keys up over PCIe
     /// (4 bytes each), device cascade, results down (a 4-byte value per
-    /// key and a found bit). Returns the results in the original key
-    /// order with a unified [`OpReport`].
+    /// key and a found bit) — chunk after chunk for a large call,
+    /// overlapped. Returns the results in the original key order with a
+    /// unified [`OpReport`].
     ///
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_retrieve_from_host(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        let (values, report) = self.retrieve_from_host_impl(keys)?;
+        let cut = Cut::of(keys.len(), self.num_gpus());
+        let (values, report) = self.retrieve_in_chunks(keys, cut)?;
         Ok(GetResponse { values, report })
     }
 
@@ -144,20 +358,25 @@ impl DistributedHashMap {
     /// lifetime telemetry counts it like any batched read.
     #[must_use]
     pub fn get(&self, key: u32) -> Option<u32> {
-        self.retrieve_from_host_impl(&[key])
-            .map_or(None, |(values, _)| values[0])
+        self.try_retrieve_from_host(&[key])
+            .map_or(None, |resp| resp.values[0])
     }
 
-    pub(crate) fn retrieve_from_host_impl(
+    pub(crate) fn retrieve_in_chunks(
         &self,
         keys: &[u32],
+        cut: Cut,
     ) -> Result<(Vec<Option<u32>>, OpReport), OpError> {
+        check_keys(keys.iter().copied())?;
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; keys.len()];
-        let ((), report) = self.host_bracket(&RETRIEVE, keys, &[], |d, input, report| {
-            d.query_keys(input.keys, report, |(g, i), v| {
-                values[start_of(input.keys, g) + i] = v
-            })
+        let report = in_chunks(keys, cut, |keys, at| {
+            let ((), report) = self.host_bracket(&RETRIEVE, keys, &[], |d, input, report| {
+                d.query_keys(input.keys, report, |(g, i), v| {
+                    values[at + start_of(input.keys, g) + i] = v;
+                })
+            })?;
+            Ok(report)
         })?;
         Ok((values, report))
     }
@@ -165,16 +384,31 @@ impl DistributedHashMap {
     /// Host-sided erase with typed fault errors: keys travel over PCIe
     /// (4 bytes each) under the same retry-and-quarantine contract as
     /// insertion, the device cascade runs, and per-key hit flags come back
-    /// down (a byte each) in the original input order.
+    /// down (a byte each) in the original input order — chunk after chunk
+    /// for a large call, overlapped.
     ///
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
+        self.erase_in_chunks(keys, Cut::of(keys.len(), self.num_gpus()))
+    }
+
+    pub(crate) fn erase_in_chunks(
+        &mut self,
+        keys: &[u32],
+        cut: Cut,
+    ) -> Result<DeleteResponse, OpError> {
+        check_keys(keys.iter().copied())?;
         let mut hits = vec![false; keys.len()];
-        let (erased, report) = self.host_bracket(&ERASE, keys, &[], |d, input, report| {
-            d.erase_keys(input.keys, report, |(g, i), hit| {
-                hits[start_of(input.keys, g) + i] |= hit
-            })
+        let mut erased = 0;
+        let report = in_chunks(keys, cut, |keys, at| {
+            let (n, report) = self.host_bracket(&ERASE, keys, &[], |d, input, report| {
+                d.erase_keys(input.keys, report, |(g, i), hit| {
+                    hits[at + start_of(input.keys, g) + i] |= hit;
+                })
+            })?;
+            erased += n;
+            Ok(report)
         })?;
         Ok(DeleteResponse {
             hits,
@@ -191,7 +425,7 @@ impl DistributedHashMap {
     /// answers and inserts in one fused launch — the put of a key that is
     /// also read waits for a late launch behind it, so the answers are
     /// the values **before** the call — and the answers alone travel
-    /// back, in `reads` order.
+    /// back, in `reads` order. One chunk, however large.
     ///
     /// # Errors
     /// As [`Self::try_retrieve_from_host`] and [`Self::insert_from_host`];
@@ -201,9 +435,10 @@ impl DistributedHashMap {
         reads: &[u32],
         puts: &[(u32, u32)],
     ) -> Result<GetResponse, OpError> {
+        check_keys(puts.iter().map(|p| p.0))?;
+        check_keys(reads.iter().copied())?;
         // MUTATION DOUBLE (`Mutation::LatePutsJoinFirstLaunch`): no put is
         // late, so a key's get races its own put in the fused launch.
-        check_keys(puts.iter().map(|p| p.0))?; // the bracket checks `reads`
         let races = self.cfg().mutation == Some(Mutation::LatePutsJoinFirstLaunch);
         let (mut first, mut late) = (Vec::new(), Vec::new());
         for &(k, v) in puts {
@@ -530,5 +765,163 @@ mod tests {
         // quarantined GPUs get nothing; the survivors share in order
         let c = chunks(&[1, 2, 3, 4, 5], 4, 0b0101);
         assert_eq!(c, [&[][..], &[1, 2, 3], &[], &[4, 5]]);
+    }
+
+    /// The time a report takes: a call in one chunk the sum of its rows,
+    /// bit for bit; an overlapped one at least its busiest resource's rows
+    /// and at most the sum of all of them.
+    fn assert_time_is_bracketed(report: &OpReport) {
+        let rows: f64 = report.stages.iter().map(|s| s.time).sum();
+        let Some(overlap) = report.overlaps.first() else {
+            assert_eq!(report.time.to_bits(), rows.to_bits());
+            return;
+        };
+        let slack = 1.0 + 1e-12;
+        let busy = overlap.schedule(&report.stages, 1.0, overlap.streams).busy;
+        let busiest = busy.iter().copied().fold(0.0, f64::max);
+        assert!(busiest <= report.time * slack, "busy {busiest:e} > {:e}", report.time);
+        assert!(report.time <= rows * slack, "time {:e} > rows {rows:e}", report.time);
+    }
+
+    fn live_sorted(d: &DistributedHashMap) -> Vec<(u32, u32)> {
+        let mut live = d.live_snapshot();
+        live.sort_unstable();
+        live
+    }
+
+    /// How many chunks a call of `len` elements made.
+    fn chunks_of(report: &OpReport) -> usize {
+        report.overlaps.first().map_or(1, |overlap| overlap.chunks.len())
+    }
+
+    #[test]
+    fn a_chunked_call_answers_moves_and_launches_like_one_chunk() {
+        use CascadeStage::{D2H, H2D};
+        // half of `keys` absent; cuts of multiples of 32 keys, so a GPU's
+        // found bits fill whole bytes in every chunk as in the whole call
+        let pairs: Vec<(u32, u32)> = (0..4096u32).map(|i| (i * 7 + 1, i)).collect();
+        let keys: Vec<u32> = (0..4096u32).flat_map(|i| [i * 7 + 1, i * 7 + 3]).collect();
+        let deleted: Vec<u32> = keys.iter().copied().step_by(3).collect();
+        let whole = |len: usize| Cut::new(len, 1);
+        for cut in [Cut::new(1024, 4), Cut::new(768, 2), Cut::new(4096, 3)] {
+            let node = || node_with(4, Config::default());
+            let (mut d, mut twin) = (node(), node());
+            let before = launches(&d);
+            let put = d.insert_in_chunks(&pairs, cut).unwrap();
+            assert_eq!(put.launches, launches(&d) - before);
+            let twin_put = twin.insert_in_chunks(&pairs, whole(pairs.len())).unwrap();
+            let before = launches(&d);
+            let (values, get) = d.retrieve_in_chunks(&keys, cut).unwrap();
+            assert_eq!(get.launches, launches(&d) - before);
+            let (twin_values, twin_get) =
+                twin.retrieve_in_chunks(&keys, whole(keys.len())).unwrap();
+            assert_eq!(values, twin_values);
+            let before = launches(&d);
+            let erase = d.erase_in_chunks(&deleted, cut).unwrap();
+            assert_eq!(erase.report.launches, launches(&d) - before);
+            let twin_erase = twin.erase_in_chunks(&deleted, whole(deleted.len())).unwrap();
+            assert_eq!((&erase.hits, erase.erased), (&twin_erase.hits, twin_erase.erased));
+            assert_eq!(live_sorted(&d), live_sorted(&twin));
+            let calls = [
+                (&put, &twin_put, pairs.len()),
+                (&get, &twin_get, keys.len()),
+                (&erase.report, &twin_erase.report, deleted.len()),
+            ];
+            for (chunked, one, len) in calls {
+                assert_eq!(chunks_of(chunked), len.div_ceil(cut.len));
+                assert!(one.overlaps.is_empty());
+                for stage in [H2D, D2H] {
+                    assert_eq!(bytes_of(chunked, stage), bytes_of(one, stage), "{stage:?}");
+                }
+                assert_eq!(chunked.elements, one.elements);
+                assert_time_is_bracketed(chunked);
+                if chunks_of(chunked) > 1 && cut.streams > 1 {
+                    // a chunk's upload hides behind the one before it
+                    let rows: f64 = chunked.stages.iter().map(|s| s.time).sum();
+                    assert!(chunked.time < rows);
+                }
+                assert_time_is_bracketed(one);
+            }
+        }
+    }
+
+    #[test]
+    fn the_bracket_cuts_a_call_by_its_size_per_gpu_alone() {
+        let cut = |elements: usize, m| {
+            let cut = Cut::of(elements, m);
+            (elements.div_ceil(cut.len), cut.streams)
+        };
+        // bulk_node4's script: put and get 2^20 keys, delete and get 2^18
+        assert_eq!(cut(1 << 20, 4), (4, 4));
+        assert_eq!(cut(1 << 18, 4), (2, 2));
+        // one chunk below twice MIN_CHUNK_PER_GPU a GPU, never more than
+        // MAX_CHUNKS
+        assert_eq!(cut(2 * 4 * MIN_CHUNK_PER_GPU - 1, 4), (1, 1));
+        assert_eq!(cut(2 * 4 * MIN_CHUNK_PER_GPU, 4), (2, 2));
+        assert_eq!(cut(1 << 30, 4), (MAX_CHUNKS, MAX_CHUNKS));
+        assert_eq!(cut(3 * MIN_CHUNK_PER_GPU, 1), (3, 3));
+        assert_eq!(Cut::of(0, 4), Cut::new(1, 1));
+        // every GPU takes MIN_CHUNK_PER_GPU elements of each chunk or more
+        for elements in (1..400).map(|i| i * 7919) {
+            let Cut { len, streams } = Cut::of(elements, 4);
+            assert!(streams == 1 || len / 4 >= MIN_CHUNK_PER_GPU, "{elements}");
+        }
+    }
+
+    #[test]
+    fn a_get_put_round_above_the_threshold_stays_one_round() {
+        use crate::service::MapService;
+        // one GPU, so that a round past the threshold stays small
+        let n = 2 * MIN_CHUNK_PER_GPU as u32;
+        let devices = vec![Arc::new(Device::with_words(0, 1 << 20))];
+        let cfg = Config::default().with_fault(gpu_sim::FaultPlan::default());
+        let mut d = DistributedHashMap::new(devices, 1 << 17, cfg, Topology::p100_quad(1)).unwrap();
+        let old: Vec<(u32, u32)> = (1..=n).map(|k| (k, k)).collect();
+        assert_eq!(chunks_of(&d.insert_from_host(&old).unwrap()), 2);
+        let keys: Vec<u32> = old.iter().map(|p| p.0).collect();
+        let new: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k + 1)).collect();
+        assert!(Cut::of(keys.len() + new.len(), 1).streams > 1, "the bracket would cut it");
+        let resp = d.get_put_batch(&keys, &new).unwrap();
+        assert!(resp.values.iter().zip(&keys).all(|(&v, &k)| v == Some(k)));
+        assert!(resp.report.overlaps.is_empty());
+        let uploads = stages_of(&resp.report).iter().filter(|&&s| s == CascadeStage::H2D).count();
+        assert_eq!(uploads, 1);
+        assert_time_is_bracketed(&resp.report);
+        assert_eq!(d.get(7), Some(8));
+    }
+
+    #[test]
+    fn a_quarantine_in_chunk_2_re_spreads_the_later_chunks() {
+        let d = node_with(4, Config::default());
+        // chunks of 6 pairs: a live GPU 3 takes none of a chunk over PCIe
+        // (6 over 4 GPUs is 2, 2, 2, 0), and none of the first two chunks'
+        // keys is of its partition, so nothing reaches it before chunk 2
+        let part = |k: u32| d.partition().part(k);
+        let elsewhere = (1..).filter(|&k| part(k) != 3).take(12);
+        let mut pairs: Vec<(u32, u32)> = elsewhere.map(|k| (k, k)).collect();
+        pairs.extend((1000..1012).map(|k| (k, k)));
+        assert!(pairs[12..18].iter().any(|&(k, _)| part(k) == 3));
+        d.set_fault_plan(gpu_sim::FaultPlan::default().with_kill(3));
+        let cut = Cut::new(6, 2);
+        let put = d.insert_in_chunks(&pairs, cut).unwrap();
+        assert_eq!(d.quarantined(), [3]);
+        // the retries and backoff of the lost transfer lie in chunk 2; the
+        // last chunk spreads over the survivors from the start
+        let chunks = &put.overlaps[0].chunks;
+        let backoff = |chunk: &Range<usize>| {
+            let rows = &put.stages[chunk.clone()];
+            rows.iter().any(|s| s.stage == CascadeStage::Backoff)
+        };
+        assert_eq!(chunks.iter().map(backoff).collect::<Vec<_>>(), [false, false, true, false]);
+        assert_time_is_bracketed(&put);
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let (values, get) = d.retrieve_in_chunks(&keys, cut).unwrap();
+        assert!(values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
+        assert_time_is_bracketed(&get);
+        assert_eq!(live_sorted(&d), {
+            let mut want = pairs.clone();
+            want.sort_unstable();
+            want
+        });
     }
 }

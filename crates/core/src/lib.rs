@@ -18,9 +18,9 @@
 //!    multisplits its elements by the partition function `p(k)`, the m×m
 //!    partition table is transposed with all-to-all NVLink communication,
 //!    and each GPU owns exactly the keys with `p(k) = i`.
-//! 3. **Asynchronous overlap** ([`async_pipe`]) — host-sided cascades whose
-//!    H2D → MST → INS stages of consecutive batches overlap on independent
-//!    hardware resources (Figs. 5, 11).
+//! 3. **Asynchronous overlap** ([`host_ops`]) — a large host-sided call is
+//!    cut into chunks whose H2D → MST → INS stages overlap on independent
+//!    hardware resources (Figs. 5, 11; [`async_pipe`] picks the cut).
 //!
 //! ## Quickstart
 //!

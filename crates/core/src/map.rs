@@ -2,7 +2,6 @@
 
 use crate::config::Config;
 use crate::delete::EraseOutcome;
-use crate::entry::{value_of, EMPTY};
 use crate::errors::BuildError;
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
@@ -239,14 +238,8 @@ impl GpuHashMap {
             return self.migrating_retrieve(m, policy, keys);
         }
         drop(ctl);
-        let (found, stats) =
-            self.table
-                .retrieve_keys(self.cfg.group_size, keys, self.recorder.as_deref())?;
-        let results = found
-            .into_iter()
-            .map(|w| if w == EMPTY { None } else { Some(value_of(w)) })
-            .collect();
-        Ok((results, stats))
+        self.table
+            .retrieve_keys(self.cfg.group_size, keys, self.recorder.as_deref())
     }
 
     /// Queries host-resident keys, returning per-key results in order

@@ -520,7 +520,7 @@ impl GpuHashMap {
             }
             let n = seg_pairs.len();
             let (_scratch, [queries, packed], probed) =
-                source.stage([&queries[seg.clone()], &packed[seg]], n)?;
+                source.stage([&queries[seg.clone()], &packed[seg]].map(|w| w.iter().copied()), n)?;
             // per-key hits tell who was present in the source …
             let erase = source.erase(g, queries, n, None);
             // … and an unrecorded probe who is already in the target
@@ -579,7 +579,7 @@ impl GpuHashMap {
         let (source, target) = (&self.table, &m.table);
 
         let n = keys.len();
-        let (_scratch, [queries], out) = source.stage([&queries], 2 * n)?;
+        let (_scratch, [queries], out) = source.stage([queries.iter().copied()], 2 * n)?;
         let (source_out, target_out) = (out.sub(0, n), out.sub(n, n));
         let in_source = source.retrieve(g, queries, source_out, n, None);
         let in_target = target.retrieve(g, queries, target_out, n, None);
@@ -632,7 +632,7 @@ impl GpuHashMap {
         let steps = self.advance(m, policy, policy.chunks_per_op.max(1))?;
 
         let n = keys.len();
-        let (_scratch, [queries], _) = self.table.stage([&queries], 0)?;
+        let (_scratch, [queries], _) = self.table.stage([queries.iter().copied()], 0)?;
         let source = self.table.erase(g, queries, n, None);
         let target = m.table.erase(g, queries, n, None);
         let stats = merged_onto(steps, source.stats.merged(&target.stats));

@@ -73,6 +73,7 @@
 //! after every final put was applied.
 
 use crate::config::Mutation;
+use crate::host_ops::Overlap;
 use crate::stats::{CascadeStage, DegradedStats, StageTiming};
 use gpu_sim::{CounterSnapshot, KernelStats, OutOfMemory};
 use interconnect::TransferError;
@@ -139,6 +140,14 @@ pub enum Response {
 /// cascades' timing (where `stages` carries the per-phase breakdown).
 /// Reports merge additively, so a coalesced flush spanning several
 /// batches accumulates into one report.
+///
+/// **Time.** A call in one chunk — every call on one GPU, and every
+/// cascade the host bracket does not cut — takes as `time` the sum of its
+/// stage rows, bit for bit. A host-sided call cut into chunks
+/// ([`crate::host_ops`]) keeps every chunk's rows, launches and bytes,
+/// and takes as `time` the makespan of Fig. 5's overlay of its chunks
+/// ([`Self::overlaps`]): at least the busiest resource's rows, at most the
+/// sum of all its rows. Merged reports add their times.
 #[derive(Debug, Clone, Default)]
 pub struct OpReport {
     /// Elements processed.
@@ -149,7 +158,7 @@ pub struct OpReport {
     /// round a fault aborted included (a quarantine's migration is not a
     /// round and is not counted).
     pub launches: u64,
-    /// Total modeled time in seconds.
+    /// Total modeled time in seconds (see **Time** above).
     pub time: f64,
     /// Portion of `time` spent in fault-retry exponential backoff
     /// (always ≤ `time`; zero on healthy runs).
@@ -158,6 +167,11 @@ pub struct OpReport {
     pub counters: CounterSnapshot,
     /// Per-phase cascade breakdown, where the backend is a cascade.
     pub stages: Vec<StageTiming>,
+    /// The calls among those reported whose chunks overlapped, each with
+    /// its chunks' runs of `stages`, in call order; empty where every call
+    /// was one chunk. After [`Self::merge_folded`] only a record that some
+    /// did, with no chunks ([`Self::modeled_time`] refuses it).
+    pub overlaps: Vec<Overlap>,
 }
 
 impl OpReport {
@@ -171,6 +185,7 @@ impl OpReport {
             backoff_time: 0.0,
             counters: stats.counters,
             stages: Vec::new(),
+            overlaps: Vec::new(),
         }
     }
 
@@ -206,10 +221,13 @@ impl OpReport {
     }
 
     /// Accumulates another report (times add — operations on one service
-    /// are serialized); its stage rows append, one per occurrence.
+    /// are serialized); its stage rows append, one per occurrence, and so
+    /// do its overlaps, over the rows where they now lie.
     pub fn merge(&mut self, other: &OpReport) {
+        let at = self.stages.len();
         self.add_totals(other);
         self.stages.extend(other.stages.iter().copied());
+        self.overlaps.extend(other.overlaps.iter().map(|o| o.moved_by(at)));
     }
 
     /// [`Self::merge`] for a long-lived total (a server's telemetry): a
@@ -218,7 +236,9 @@ impl OpReport {
     /// appears — so the report stays at one row per [`CascadeStage`]
     /// however many reports it takes in, and [`Self::time_of`] reads what
     /// it would after `merge`, bit for bit (the same values added in the
-    /// same order).
+    /// same order). Folded rows no longer tell one chunk from another:
+    /// once an overlapped call is on either side, `overlaps` is one
+    /// [`Overlap`] without chunks.
     pub fn merge_folded(&mut self, other: &OpReport) {
         self.add_totals(other);
         for s in &other.stages {
@@ -230,6 +250,10 @@ impl OpReport {
                 }
                 None => self.stages.push(*s),
             }
+        }
+        if !self.overlaps.is_empty() || !other.overlaps.is_empty() {
+            self.overlaps.clear();
+            self.overlaps.push(Overlap::default());
         }
     }
 
@@ -255,14 +279,31 @@ impl OpReport {
     ///
     /// With a cascade breakdown the variable parts scale and the fixed
     /// launch overheads do not ([`StageTiming::scaled_time`]); without
-    /// one the flat total scales linearly.
+    /// one the flat total scales linearly. A call whose chunks overlapped
+    /// adds the makespan of its overlay re-run at that scale
+    /// ([`Overlap::schedule`]), not the sum of its rows.
+    ///
+    /// # Panics
+    /// Panics on a report [`Self::merge_folded`] took an overlapped call
+    /// into: which rows were whose chunks is lost.
     #[must_use]
     pub fn modeled_time(&self, scale: f64) -> f64 {
         if self.stages.is_empty() {
-            self.time * scale
-        } else {
-            self.stages.iter().map(|s| s.scaled_time(scale)).sum()
+            return self.time * scale;
         }
+        let rows = |rows: &[StageTiming]| rows.iter().map(|s| s.scaled_time(scale)).sum::<f64>();
+        if self.overlaps.is_empty() {
+            return rows(&self.stages);
+        }
+        let (mut time, mut at) = (0.0, 0);
+        for overlap in &self.overlaps {
+            let chunks = overlap.rows();
+            assert!(!chunks.is_empty(), "modeled_time of folded overlapped calls");
+            time += rows(&self.stages[at..chunks.start]);
+            time += overlap.schedule(&self.stages, scale, overlap.streams).makespan;
+            at = chunks.end;
+        }
+        time + rows(&self.stages[at..])
     }
 
     /// Operation rate at modeled scale.
@@ -886,6 +927,7 @@ mod tests {
                 ..CounterSnapshot::default()
             },
             stages: vec![],
+            overlaps: vec![],
         };
         let b = OpReport {
             elements: 20,
@@ -897,6 +939,7 @@ mod tests {
                 ..CounterSnapshot::default()
             },
             stages: vec![],
+            overlaps: vec![],
         };
         a.merge(&b);
         assert_eq!(a.elements, 30);

@@ -345,24 +345,43 @@ impl Table {
     /// Uploads each of `inputs` into its own region of one scratch
     /// allocation, with `out` result words behind them. One allocation
     /// per host-staged operation, however many launches it takes: it
-    /// fails before the first launch or not at all. PCIe time is *not*
-    /// billed here — the `host_ops` cascades do that.
-    pub(crate) fn stage<const N: usize>(
+    /// fails before the first launch or not at all. The words are made as
+    /// they are copied, with no staging copy on the host. PCIe time is
+    /// *not* billed here — the `host_ops` cascades do that.
+    pub(crate) fn stage<I, const N: usize>(
         &self,
-        inputs: [&[u64]; N],
+        inputs: [I; N],
         out: usize,
-    ) -> Result<(ScratchGuard<'_>, [DevSlice; N], DevSlice), OutOfMemory> {
-        let words = inputs.iter().map(|w| w.len()).sum::<usize>() + out;
+    ) -> Result<(ScratchGuard<'_>, [DevSlice; N], DevSlice), OutOfMemory>
+    where
+        I: ExactSizeIterator<Item = u64>,
+    {
+        let words = inputs.iter().map(ExactSizeIterator::len).sum::<usize>() + out;
         let scratch = self.dev.alloc_scratch(words.max(1))?;
         let mut at = 0;
         let regions = inputs.map(|words| {
             let region = scratch.slice().sub(at, words.len());
-            self.dev.mem().h2d(region, words);
             at += words.len();
+            self.dev.mem().h2d_from(region, words);
             region
         });
         let out = scratch.slice().sub(at, out);
         Ok((scratch, regions, out))
+    }
+
+    /// [`Table::stage`] of the query words of `keys`, `out` result words
+    /// behind them.
+    ///
+    /// # Errors
+    /// [`OpError::ReservedKey`], as [`check_keys`]; scratch OOM.
+    fn stage_keys(
+        &self,
+        keys: &[u32],
+        out: usize,
+    ) -> Result<(ScratchGuard<'_>, DevSlice, DevSlice), OpError> {
+        check_keys(keys.iter().copied())?;
+        let (scratch, [input], out) = self.stage([keys.iter().map(|&k| query_word(k))], out)?;
+        Ok((scratch, input, out))
     }
 
     /// [`Table::insert`] of host-resident pairs.
@@ -372,22 +391,24 @@ impl Table {
         pairs: &[(u32, u32)],
         recorder: Option<&HistoryRecorder>,
     ) -> Result<InsertOutcome, OpError> {
-        let (_scratch, [input], _) = self.stage([&pair_words(pairs)?], 0)?;
+        check_keys(pairs.iter().map(|p| p.0))?;
+        let words = pairs.iter().map(|&(k, v)| pack(k, v));
+        let (_scratch, [input], _) = self.stage([words], 0)?;
         Ok(self.insert(g, input, pairs.len(), recorder))
     }
 
-    /// [`Table::retrieve`] of host-resident keys; returns the result
-    /// words in key order.
+    /// [`Table::retrieve`] of host-resident keys; returns what each key
+    /// holds, in key order.
     pub(crate) fn retrieve_keys(
         &self,
         g: GroupSize,
         keys: &[u32],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<(Vec<u64>, KernelStats), OpError> {
-        let queries = query_words(keys.iter().copied())?;
-        let (_scratch, [input], out) = self.stage([&queries], keys.len())?;
+    ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
+        let (_scratch, input, out) = self.stage_keys(keys, keys.len())?;
         let stats = self.retrieve(g, input, out, keys.len(), recorder);
-        Ok((self.dev.mem().d2h(out), stats))
+        let found = self.dev.mem().d2h_words(out);
+        Ok((found.map(|w| (w != EMPTY).then(|| value_of(w))).collect(), stats))
     }
 
     /// Every value stored under each of the host-resident `keys` of a
@@ -398,7 +419,7 @@ impl Table {
         keys: &[u32],
         recorder: Option<&HistoryRecorder>,
     ) -> Result<(Vec<Vec<u32>>, KernelStats), OpError> {
-        let (_scratch, [input], _) = self.stage([&query_words(keys.iter().copied())?], 0)?;
+        let (_scratch, input, _) = self.stage_keys(keys, 0)?;
         Ok(retrieve_all_kernel(self, g, input, keys.len(), recorder))
     }
 
@@ -433,7 +454,7 @@ impl Table {
             words[*at] = word;
             *at += 1;
         }
-        let (_scratch, [input], out) = self.stage([&words], reads.len())?;
+        let (_scratch, [input], out) = self.stage([words.iter().copied()], reads.len())?;
         let outcome = self.get_put(g, input, out, gets, recorder);
         // answers come back section by section; hand them out key by key
         let found = self.dev.mem().d2h(out);
@@ -459,7 +480,7 @@ impl Table {
         keys: &[u32],
         recorder: Option<&HistoryRecorder>,
     ) -> Result<EraseOutcome, OpError> {
-        let (_scratch, [input], _) = self.stage([&query_words(keys.iter().copied())?], 0)?;
+        let (_scratch, input, _) = self.stage_keys(keys, 0)?;
         Ok(self.erase(g, input, keys.len(), recorder))
     }
 

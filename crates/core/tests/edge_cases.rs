@@ -327,8 +327,10 @@ fn overlapped_batch_size_larger_than_input() {
         DistributedHashMap::new(devices, 2048, Config::default(), Topology::p100_quad(4)).unwrap();
     let pairs: Vec<(u32, u32)> = (0..100u32).map(|i| (i + 1, i)).collect();
     let rep = dmap.insert_overlapped(&pairs, 10_000, 4).unwrap();
-    assert_eq!(rep.batches, 1);
-    assert_eq!(rep.saving(), 0.0); // one batch cannot overlap with itself
+    // one batch cannot overlap with itself: the plain bracket's report
+    assert!(rep.overlaps.is_empty());
+    let rows: f64 = rep.stages.iter().map(|s| s.time).sum();
+    assert_eq!(rep.time.to_bits(), rows.to_bits());
     assert_eq!(dmap.len(), 100);
 }
 

@@ -61,10 +61,10 @@ fn stripe_count() -> usize {
     })
 }
 
-/// Stable per-thread stripe index. Worker threads are assigned
-/// round-robin on first use; the id is masked by the stripe count, so
-/// short-lived threads (the rayon shim spawns scoped workers per
-/// operation) cycle through the stripes instead of piling onto one.
+/// Stable per-thread stripe index. Threads are assigned round-robin on
+/// first use — the rayon shim's workers live as long as the process — and
+/// the id is masked by the stripe count, so other threads that launch
+/// cycle through the stripes instead of piling onto one.
 fn stripe_id() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
@@ -199,6 +199,16 @@ impl KernelCounters {
     /// `cas_failed` not); debug builds assert against it.
     #[must_use]
     pub fn snapshot(&self) -> CounterSnapshot {
+        self.sum(|cell| cell.load(Relaxed))
+    }
+
+    /// [`Self::snapshot`] that zeroes every stripe as it reads it, so the
+    /// counters can serve another launch.
+    pub(crate) fn drain(&self) -> CounterSnapshot {
+        self.sum(|cell| cell.swap(0, Relaxed))
+    }
+
+    fn sum(&self, read: impl Fn(&AtomicU64) -> u64) -> CounterSnapshot {
         debug_assert_eq!(
             self.in_flight.load(Relaxed),
             0,
@@ -207,14 +217,14 @@ impl KernelCounters {
         );
         let mut s = CounterSnapshot::default();
         for cell in &self.cells {
-            s.transactions += cell.transactions.load(Relaxed);
-            s.stream_bytes += cell.stream_bytes.load(Relaxed);
-            s.cas_ops += cell.cas_ops.load(Relaxed);
-            s.cas_failed += cell.cas_failed.load(Relaxed);
-            s.atomic_ops += cell.atomic_ops.load(Relaxed);
-            s.cold_atomics += cell.cold_atomics.load(Relaxed);
-            s.group_steps += cell.group_steps.load(Relaxed);
-            s.groups += cell.groups.load(Relaxed);
+            s.transactions += read(&cell.transactions);
+            s.stream_bytes += read(&cell.stream_bytes);
+            s.cas_ops += read(&cell.cas_ops);
+            s.cas_failed += read(&cell.cas_failed);
+            s.atomic_ops += read(&cell.atomic_ops);
+            s.cold_atomics += read(&cell.cold_atomics);
+            s.group_steps += read(&cell.group_steps);
+            s.groups += read(&cell.groups);
         }
         s
     }

@@ -9,6 +9,7 @@ use crate::simt::{GroupCtx, GroupSize};
 use crate::spec::DeviceSpec;
 use crate::timing::{TimeBreakdown, TimingModel};
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// Options for a kernel launch.
 #[derive(Debug, Clone, Copy, Default)]
@@ -316,7 +317,10 @@ impl Device {
     /// is a legal schedule of the corresponding CUDA grid. A pool launch
     /// of at most 1 024 groups is one chunk, which the calling
     /// thread runs itself: it takes the sequential arm, and neither that
-    /// arm nor the rest of a launch touches the heap.
+    /// arm nor the rest of a launch touches the heap. A larger one runs on
+    /// the rayon shim's persistent workers, against counter stripes the
+    /// launching thread keeps: it allocates nothing but what reading a set
+    /// `RAYON_NUM_THREADS` costs.
     pub fn launch<F>(
         &self,
         name: &'static str,
@@ -427,9 +431,15 @@ impl Device {
 }
 
 /// Runs `body` against striped counters shared by several workers and
-/// snapshots them once it has joined.
+/// snapshots them once it has joined. The stripes are the launching
+/// thread's, drained and kept for its next launch: a launch boxes none.
 fn striped(body: impl FnOnce(&KernelCounters)) -> CounterSnapshot {
-    let counters = KernelCounters::new();
+    thread_local! {
+        /// Zeroed stripes of this thread's last launch. A launch from
+        /// inside a launch finds none and makes its own.
+        static STRIPES: Cell<Option<KernelCounters>> = const { Cell::new(None) };
+    }
+    let counters = STRIPES.take().unwrap_or_default();
     {
         // Mark the launch in flight for its whole execution span so a
         // concurrent `snapshot()` (a torn multi-field read) is rejected
@@ -437,7 +447,9 @@ fn striped(body: impl FnOnce(&KernelCounters)) -> CounterSnapshot {
         let _in_flight = counters.launch_guard();
         body(&counters);
     }
-    counters.snapshot()
+    let snapshot = counters.drain();
+    STRIPES.set(Some(counters));
+    snapshot
 }
 
 #[cfg(test)]

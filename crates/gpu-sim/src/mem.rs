@@ -137,7 +137,9 @@ impl DeviceMemory {
             words: v.into_boxed_slice(),
             state: Mutex::new(AllocState {
                 next_free: 0,
-                scratch_live: Vec::new(),
+                // room for the buffers a cascade round holds on a GPU at
+                // once, so that staging allocates no host memory
+                scratch_live: Vec::with_capacity(8),
                 scratch_floor: words,
                 arena: None,
             }),
@@ -403,11 +405,21 @@ impl DeviceMemory {
     /// # Panics
     /// Panics if `data.len() != slice.len()`.
     pub fn h2d(&self, slice: DevSlice, data: &[u64]) {
-        assert_eq!(data.len(), slice.len, "h2d length mismatch");
-        for (i, &w) in data.iter().enumerate() {
-            self.words[slice.offset + i].store(w, Ordering::Relaxed);
+        self.h2d_from(slice, data.iter().copied());
+    }
+
+    /// [`DeviceMemory::h2d`] of the words `words` yields, made as they are
+    /// copied: no staging buffer on the host.
+    ///
+    /// # Panics
+    /// Panics if `words.len() != slice.len()`.
+    pub fn h2d_from(&self, slice: DevSlice, words: impl ExactSizeIterator<Item = u64>) {
+        assert_eq!(words.len(), slice.len, "h2d length mismatch");
+        let cells = &self.words[slice.offset..slice.offset + slice.len];
+        for (cell, w) in cells.iter().zip(words) {
+            cell.store(w, Ordering::Relaxed);
         }
-        self.book_upload(slice, data.len() as u64 * 8);
+        self.book_upload(slice, slice.len as u64 * 8);
     }
 
     /// Host → device copy of 32-bit keys as they lie in host memory: two
@@ -455,9 +467,16 @@ impl DeviceMemory {
     /// Panics if `out.len() != slice.len()`.
     pub fn d2h_into(&self, slice: DevSlice, out: &mut [u64]) {
         assert_eq!(out.len(), slice.len, "d2h length mismatch");
-        for (i, w) in out.iter_mut().enumerate() {
-            *w = self.words[slice.offset + i].load(Ordering::Relaxed);
+        for (w, word) in out.iter_mut().zip(self.d2h_words(slice)) {
+            *w = word;
         }
+    }
+
+    /// Device → host copy (uncounted) of `slice`'s words, read one by one
+    /// as the caller consumes them: no staging buffer on the host.
+    pub fn d2h_words(&self, slice: DevSlice) -> impl ExactSizeIterator<Item = u64> + '_ {
+        let words = &self.words[slice.offset..slice.offset + slice.len];
+        words.iter().map(|w| w.load(Ordering::Relaxed))
     }
 
     /// Device → device copy within one device (uncounted raw move; kernels

@@ -31,16 +31,17 @@ fn main() {
     let report = dmap
         .insert_overlapped(&pairs, BATCH, 4)
         .expect("pipeline insert");
+    let overlap = &report.overlaps[0];
     println!(
         "overlapped makespan {:.3} ms vs sequential {:.3} ms -> {:.0}% saved",
-        report.makespan * 1e3,
-        report.sequential * 1e3,
-        report.saving() * 100.0
+        report.time * 1e3,
+        overlap.schedule(&report.stages, 1.0, 1).makespan * 1e3,
+        overlap.saving(&report.stages, 1.0) * 100.0
     );
     println!(
         "aggregate rate: {:.2} G inserts/s over {} batches",
         report.ops_per_sec() / 1e9,
-        report.batches
+        overlap.chunks.len()
     );
 
     // partition-exact placement
@@ -62,25 +63,28 @@ fn main() {
     // overlapped retrieval with misses mixed in
     let mut keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
     keys.extend([4_000_000_001, 4_000_000_003]);
-    let (results, qreport) = dmap
+    let resp = dmap
         .retrieve_overlapped(&keys, BATCH, 4)
         .expect("pipeline retrieve");
+    let (results, qreport) = (&resp.values, &resp.report);
     let hits = results.iter().filter(|r| r.is_some()).count();
     assert_eq!(hits, N, "every inserted key must be found");
     assert!(results[N].is_none() && results[N + 1].is_none());
+    let overlap = &qreport.overlaps[0];
     println!(
         "\nretrieved {hits} hits + 2 misses at {:.2} G queries/s ({:.0}% saved by overlap)",
         qreport.ops_per_sec() / 1e9,
-        qreport.saving() * 100.0
+        overlap.saving(&qreport.stages, 1.0) * 100.0
     );
 
     // where the time went (the Fig. 11 decomposition, in miniature)
-    use warpdrive::async_pipe::resource;
+    use warpdrive::host_ops::resource;
+    let busy = overlap.schedule(&qreport.stages, 1.0, overlap.streams).busy;
     println!(
         "retrieval busy: PCIe up {:.3} ms | PCIe down {:.3} ms | NVLink {:.3} ms | VRAM {:.3} ms",
-        qreport.busy[resource::PCIE_UP] * 1e3,
-        qreport.busy[resource::PCIE_DOWN] * 1e3,
-        qreport.busy[resource::NVLINK] * 1e3,
-        qreport.busy[resource::VRAM] * 1e3,
+        busy[resource::PCIE_UP] * 1e3,
+        busy[resource::PCIE_DOWN] * 1e3,
+        busy[resource::NVLINK] * 1e3,
+        busy[resource::VRAM] * 1e3,
     );
 }

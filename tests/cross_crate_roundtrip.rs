@@ -114,7 +114,7 @@ fn overlap_is_functionally_transparent() {
 
     assert_eq!(a.len(), b.len());
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let (ra, _) = a.retrieve_overlapped(&keys, 999, 2).unwrap();
+    let ra = a.retrieve_overlapped(&keys, 999, 2).unwrap().values;
     let rb = b.try_retrieve_from_host(&keys).unwrap().values;
     assert_eq!(ra, rb);
 }

@@ -113,15 +113,14 @@ fn fig11_shape_holds() {
     .unwrap();
     // modeled scale strips the fixed launch overheads that mute overlap
     // at functional batch sizes
-    let rep = dmap
-        .insert_overlapped_scaled(&pairs, 1000, 4, 1024.0)
-        .unwrap();
-    assert!(rep.saving() > 0.2, "saving {:.2}", rep.saving());
+    let rep = dmap.insert_overlapped(&pairs, 1000, 4).unwrap();
+    let saving = rep.overlaps[0].saving(&rep.stages, 1024.0);
+    assert!(saving > 0.2, "saving {saving:.2}");
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let retrieve = |threads| dmap.retrieve_overlapped_scaled(&keys, 1000, threads, 1024.0);
-    let ((_, r2), (_, r4)) = (retrieve(2).unwrap(), retrieve(4).unwrap());
-    assert!(r4.makespan <= r2.makespan * 1.001);
-    assert!(r2.saving() > 0.2);
+    let retrieve = |threads| dmap.retrieve_overlapped(&keys, 1000, threads).unwrap().report;
+    let (r2, r4) = (retrieve(2), retrieve(4));
+    assert!(r4.modeled_time(1024.0) <= r2.modeled_time(1024.0) * 1.001);
+    assert!(r2.overlaps[0].saving(&r2.stages, 1024.0) > 0.2);
 }
 
 /// Fig. 6 numbers: interconnect ceilings match the paper.

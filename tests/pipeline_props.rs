@@ -13,6 +13,10 @@
 //!    durations` — overlap never loses to the fully serial schedule, and
 //!    one thread *is* the fully serial schedule.
 //!
+//! 4. Over the host bracket, whose chunks the scheduler overlays: a call's
+//!    time is at least its busiest resource's rows and at most the sum of
+//!    its rows, and a call in one chunk takes that sum bit for bit.
+//!
 //! Deliberately **not** asserted: makespan monotonicity in `threads`.
 //! List scheduling exhibits Graham anomalies — adding a stream can
 //! *increase* the makespan — and an empirical sweep falsified stepwise
@@ -21,7 +25,11 @@
 //! "fixes" the property back in without reading this.
 
 use interconnect::pipeline::{PipelineSim, Stage};
+use interconnect::Topology;
 use proptest::prelude::*;
+use warpdrive::{Config, DistributedHashMap, FaultPlan, OpReport};
+use wd_apps::quad_node;
+use workloads::Distribution;
 
 /// Raw instance material drawn by the proptest macro: batches of
 /// `(resource index, duration in 1/100ths)` pairs.
@@ -113,6 +121,60 @@ proptest! {
         prop_assert_eq!(r.makespan, 0.0);
         for res in 0..nres {
             prop_assert_eq!(r.utilization(res), 0.0);
+        }
+    }
+}
+
+/// Whether `report`'s time lies where the bracket's overlay puts it.
+fn bracketed(report: &OpReport) -> Result<(), String> {
+    let rows: f64 = report.stages.iter().map(|s| s.time).sum();
+    let Some(overlap) = report.overlaps.first() else {
+        if report.time.to_bits() == rows.to_bits() {
+            return Ok(());
+        }
+        return Err(format!("one chunk: time {:e}, rows {rows:e}", report.time));
+    };
+    let slack = 1.0 + 1e-12;
+    let busy = overlap.schedule(&report.stages, 1.0, overlap.streams).busy;
+    let busiest = busy.iter().copied().fold(0.0, f64::max);
+    if busiest > report.time * slack || report.time > rows * slack {
+        return Err(format!("busiest {busiest:e}, time {:e}, rows {rows:e}", report.time));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every cut of a host-sided insert and get, one chunk or many, on one
+    /// stream or several, under a fault plan that drops transfers and fails
+    /// launches or none.
+    #[test]
+    fn the_bracket_keeps_time_between_busiest_resource_and_rows(
+        n in 1usize..1500,
+        batch in 64usize..600,
+        streams in 1usize..5,
+        faults in any::<bool>(),
+    ) {
+        let plan = FaultPlan::default().with_seed(n as u64);
+        let plan = if faults {
+            plan.with_transfer_drop(0.1).with_launch_fail(0.1)
+        } else {
+            plan
+        };
+        let cfg = Config::default().with_fault(plan);
+        let node = DistributedHashMap::new(quad_node(2048, 1500), 2048, cfg, Topology::p100_quad(4))
+            .expect("node");
+        let pairs = Distribution::Unique.generate(n, n as u64);
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let put = node.insert_overlapped(&pairs, batch, streams).expect("put");
+        let get = node.retrieve_overlapped(&keys, batch, streams).expect("get");
+        prop_assert!(get.values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
+        for report in [&put, &get.report] {
+            prop_assert_eq!(report.overlaps.len(), usize::from(n > batch));
+            if let Err(e) = bracketed(report) {
+                prop_assert!(false, "{} (n {n}, batch {batch}, streams {streams})", e);
+            }
         }
     }
 }
