@@ -27,7 +27,8 @@ fn bench_scheduler(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline_scheduler");
     g.sample_size(20);
     for batches in [64usize, 256] {
-        let lists: Vec<Vec<Stage>> = (0..batches).map(cascade).collect();
+        let stages: Vec<Stage> = (0..batches).flat_map(cascade).collect();
+        let runs: Vec<_> = (0..batches).map(|b| 3 * b..3 * b + 3).collect();
         g.throughput(Throughput::Elements(batches as u64));
         for threads in [1usize, 4] {
             g.bench_with_input(
@@ -36,7 +37,7 @@ fn bench_scheduler(c: &mut Criterion) {
                 |b, &threads| {
                     b.iter(|| {
                         let sim = PipelineSim::new(3);
-                        sim.run(black_box(&lists), threads)
+                        sim.run(black_box(&stages), black_box(&runs), threads)
                     });
                 },
             );

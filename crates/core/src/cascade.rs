@@ -47,6 +47,15 @@
 //! the map's schedule, so under `Schedule::Sequential` a class reaches
 //! its kernel in input order whatever the worker count.
 //!
+//! Words move between GPUs device to device
+//! ([`gpu_sim::DeviceMemory::peer_copy`]): the all-to-all copies each
+//! chunk from its source's split buffer into its target's, and a value
+//! answer from beside its target's words to where it lands on its origin.
+//! The host reads only what it hands out — an erase's hit flags and
+//! positions, the values and found bits that come down — and a healthy
+//! round keeps its bookkeeping in arrays of fixed capacity, so it
+//! allocates nothing on the host.
+//!
 //! Fault handling is woven through once. [`DistributedHashMap::with_failover`]
 //! runs a step (a device round here, a PCIe phase in [`crate::host_ops`])
 //! under a snapshot of the fault plan and quarantine mask, books what its
@@ -74,13 +83,15 @@ use gpu_sim::{
     ScratchGuard,
 };
 use interconnect::{alltoall_time_faulted, Topology};
-use multisplit::{device_multisplit_segments, PartitionTable, Segment, SegmentedSplit};
+use multisplit::{device_multisplit_segments, Segment, SegmentedSplit, MAX_CLASSES, MAX_SEGMENTS};
+use std::ops::Range;
 
-/// Most segments a cascade has (the mixed round's).
-const MAX_SEGMENTS: usize = 3;
+// a node's partitions are the classes of its multisplit
+const _: () = assert!(MAX_PARTITIONS <= MAX_CLASSES);
 
 /// Lengths of the segments a target GPU received, which lie back to back
-/// in this order; an operation with fewer segments leaves the rest zero.
+/// in this order; an operation with fewer segments (the mixed round has
+/// [`MAX_SEGMENTS`]) leaves the rest zero.
 type Cuts = [usize; MAX_SEGMENTS];
 
 /// Per slot of a GPU's re-spread keys, its `(origin GPU, origin index)`.
@@ -266,47 +277,96 @@ impl<'t> Phase<'t> {
     }
 }
 
-/// Per-GPU data prepared for a cascade (device-resident words). What a
-/// round owns on the heap is listed here and in [`Sent`], plus the host
-/// copy of the received words, their cuts and one list of answers.
+/// Per-GPU data prepared for a cascade (device-resident words). A round
+/// keeps its bookkeeping here and in [`Landed`], in arrays of fixed
+/// capacity: a healthy round allocates nothing on the host. A slot a node
+/// of fewer GPUs leaves unused is `None`, so that making the arrays writes
+/// a tag per slot, not the slot.
 struct SplitPhase<'g> {
     /// Scratch guards keeping the buffers alive: every GPU's split
     /// buffer, then what [`DistributedHashMap::transpose_move`] lands.
-    guards: Vec<ScratchGuard<'g>>,
-    /// What each source GPU sends.
-    sent: Vec<Sent>,
-    /// The m×m partition table over all segments.
-    table: PartitionTable,
+    guards: [Option<ScratchGuard<'g>>; 2 * MAX_PARTITIONS],
+    /// What each source GPU sends, in GPU order.
+    sent: [Option<Sent>; MAX_PARTITIONS],
     /// Phase time and launch overhead ([`Phase::max`]).
     time: (f64, f64),
 }
 
 impl SplitPhase<'_> {
+    /// What each source GPU sends, in GPU order.
+    fn sent(&self) -> impl Iterator<Item = &Sent> + '_ {
+        self.sent.iter().map_while(Option::as_ref)
+    }
+
     /// Where the answers to GPU `i`'s `n` query words land, in their
     /// order, when the return trip scatters values — at the end of its
     /// split buffer — and behind them what [`result_scatter`] writes.
     fn landing(&self, i: usize, n: usize) -> (DevSlice, DevSlice) {
-        let buf = self.guards[i].slice();
+        let buf = self.sent[i].as_ref().expect("every GPU of the node split").buf;
         let (value_words, bit_words) = result_words(n);
         let at = buf.len() - value_words - bit_words;
         (buf.sub(at - n, n), buf.sub(at, value_words + bit_words))
     }
+
+    /// Bytes source `i` sends target `j` of `segments`, `per` an element:
+    /// none where the words stay on their GPU.
+    fn bytes(&self, i: usize, j: usize, segments: Range<usize>, per: u64) -> u64 {
+        let sent = self.sent[i].as_ref().filter(|_| i != j);
+        let counts = sent.into_iter().flat_map(|sent| segments.clone().map(|s| sent.at(s, j).1));
+        counts.sum::<usize>() as u64 * per
+    }
+
+    /// Segment 0 of what target `j` received, cut into its sources'
+    /// chunks: `(source GPU, where the chunk starts in the source's
+    /// output, where in the target's words, its length)`.
+    fn by_source(&self, j: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
+        let mut from = 0;
+        self.sent().enumerate().map(move |(i, sent)| {
+            let (at, n) = sent.at(0, j);
+            from += n;
+            (i, at, from - n, n)
+        })
+    }
 }
 
 /// One source GPU's multisplit.
+#[derive(Clone, Copy)]
 struct Sent {
+    /// Its split buffer, which holds the rest.
+    buf: DevSlice,
     /// Its output buffers: a segment each, partition-ordered.
     out: [DevSlice; MAX_SEGMENTS],
-    /// Per segment, the counts and offsets of the classes — the targets.
-    classes: SegmentedSplit,
+    /// Per segment, where the words of each class — a target — end in
+    /// its output; a class starts where the one before it ends.
+    ends: [[usize; MAX_PARTITIONS]; MAX_SEGMENTS],
+    /// The bytes its split's launches streamed.
+    stream_bytes: u64,
 }
 
 impl Sent {
+    /// What a GPU sends: its split buffer `buf`, the buffers `out` its
+    /// segments were split into, and their `classes`.
+    fn new(buf: DevSlice, out: [DevSlice; MAX_SEGMENTS], classes: &SegmentedSplit) -> Self {
+        let mut ends = [[0; MAX_PARTITIONS]; MAX_SEGMENTS];
+        for (s, ends) in ends.iter_mut().enumerate() {
+            let classes = classes.offsets(s).iter().zip(classes.counts(s));
+            for (end, (at, n)) in ends.iter_mut().zip(classes) {
+                *end = (at + n) as usize;
+            }
+        }
+        Self {
+            buf,
+            out,
+            ends,
+            stream_bytes: classes.counters.stream_bytes,
+        }
+    }
+
     /// Where the words of segment `s` this GPU holds for target `j` start
     /// in its output, and how many there are.
     fn at(&self, s: usize, j: usize) -> (usize, usize) {
-        let (at, n) = (self.classes.offsets(s)[j], self.classes.counts(s)[j]);
-        (at as usize, n as usize)
+        let at = j.checked_sub(1).map_or(0, |before| self.ends[s][before]);
+        (at, self.ends[s][j] - at)
     }
 
     /// The words of segment `s` this GPU holds for target `j`.
@@ -316,34 +376,17 @@ impl Sent {
     }
 }
 
-/// Segment 0 of what target `j` received, `words`, cut into its sources'
-/// chunks: `(source GPU, where the chunk starts in the source's output,
-/// its words)`.
-fn by_source<'a>(
-    sent: &'a [Sent],
-    j: usize,
-    mut words: &'a [u64],
-) -> impl Iterator<Item = (usize, usize, &'a [u64])> + 'a {
-    sent.iter().enumerate().map(move |(i, sent)| {
-        let (at, n) = sent.at(0, j);
-        let chunk;
-        (chunk, words) = words.split_at(n);
-        (i, at, chunk)
-    })
-}
-
-/// The m×m partition table of `segments` together, built in place.
-fn partition_table(sent: &[Sent], segments: std::ops::Range<usize>) -> PartitionTable {
-    let m = sent.len();
-    let mut counts = vec![0; m * m];
-    for (row, sent) in counts.chunks_mut(m).zip(sent) {
-        for s in segments.clone() {
-            for (sum, n) in row.iter_mut().zip(sent.classes.counts(s)) {
-                *sum += n;
-            }
-        }
-    }
-    PartitionTable::new(m, counts)
+/// What [`DistributedHashMap::transpose_move`] lands on a target GPU.
+#[derive(Clone, Copy)]
+struct Landed {
+    /// The lengths of the segments in `words`.
+    cuts: Cuts,
+    /// The words received: segment after segment, each every source's
+    /// chunk in GPU order.
+    words: DevSlice,
+    /// Where the kernel leaves an answer per word of segment 0: empty for
+    /// an operation without a return trip.
+    answers: DevSlice,
 }
 
 /// The lists of a device-sided call as the cascade takes them.
@@ -467,15 +510,16 @@ impl DistributedHashMap {
     ///
     /// `kernel(j, buf, cuts, answers)` runs the operation's kernel on GPU
     /// `j` over the words it received — segment after segment, `cuts`
-    /// long — returns its simulated time and leaves in `answers` (empty
-    /// on entry, one list for the whole round) one answer per word of
-    /// segment 0, none for an operation without return trip: the packed
-    /// pair found or `EMPTY` where the return trip scatters values, a flag
-    /// otherwise. `answer((g, i), a)` receives the answer to key `i` of
-    /// the caller's GPU `g`: a value return trip's once the round's
-    /// scatter is done — as the pair rebuilt from the key and the value
-    /// that came down, or `EMPTY` — a flag return trip's as its target
-    /// answers. Under an armed plan rounds run more than once: input
+    /// long — returns its simulated time and leaves in `answers`, on the
+    /// same GPU, one answer per word of segment 0 (`answers` is empty for
+    /// an operation without return trip): the packed pair found or `EMPTY`
+    /// where the return trip scatters values, a flag otherwise.
+    /// `answer((g, i), a)` receives the answer to key `i` of the caller's
+    /// GPU `g`: a value return trip's once the round's scatter is done —
+    /// as the pair rebuilt from the key and the value that came down, or
+    /// `EMPTY` — a flag return trip's as its target answers. Words move
+    /// between GPUs device to device; the host reads only what it hands
+    /// out. Under an armed plan rounds run more than once: input
     /// addressed to quarantined GPUs re-spreads over the survivors with its
     /// origin tracked, wasted attempts stay billed, and `kernel`/`answer`
     /// see every completed target of every round — an aborted round hands
@@ -489,7 +533,7 @@ impl DistributedHashMap {
         op: &CascadeOp,
         input: Input,
         report: &mut OpReport,
-        mut kernel: impl FnMut(usize, DevSlice, &Cuts, &mut Vec<u64>) -> Result<f64, OpError>,
+        mut kernel: impl FnMut(usize, DevSlice, &Cuts, DevSlice) -> Result<f64, OpError>,
         mut answer: impl FnMut((usize, usize), u64),
     ) -> Result<(), OpError> {
         let m = self.num_gpus();
@@ -533,7 +577,7 @@ impl DistributedHashMap {
         policy: &RetryPolicy,
         report: &mut OpReport,
         tally: &mut ChaosTally,
-        kernel: &mut impl FnMut(usize, DevSlice, &Cuts, &mut Vec<u64>) -> Result<f64, OpError>,
+        kernel: &mut impl FnMut(usize, DevSlice, &Cuts, DevSlice) -> Result<f64, OpError>,
         answer: &mut impl FnMut((usize, usize), u64),
     ) -> Result<(), Abort> {
         let oh = self.device(0).spec().launch_overhead;
@@ -547,29 +591,24 @@ impl DistributedHashMap {
         let origin_of = |i: usize, slot: usize| origin.map_or((i, slot), |o| o[i][slot]);
 
         // Phases 1+2: multisplit and transposition
-        let mut split =
-            self.multisplit_phase(op, input, router, opts, plan, policy, report, tally)?;
+        let segments = self.segments(input);
+        let mut split = SplitPhase {
+            guards: std::array::from_fn(|_| None),
+            sent: [None; MAX_PARTITIONS],
+            time: (0.0, 0.0),
+        };
+        self.multisplit_phase(&mut split, op, input, router, opts, plan, policy, report, tally)?;
         // the stage streams the bytes of every partition's split
-        let bytes = split.sent.iter().map(|sent| sent.classes.counters.stream_bytes);
+        let bytes = split.sent().map(|sent| sent.stream_bytes);
         let (time, overhead) = split.time;
         report.push(CascadeStage::Multisplit, time, bytes.sum(), overhead);
-        let transpose = alltoall(&|i, j| split.table.bytes(i, j, 8), tally)?;
-        let (recv, landed) = self
-            .transpose_move(self.segments(input), &mut split)
+        let transpose = alltoall(&|i, j| split.bytes(i, j, 0..segments, 8), tally)?;
+        let landed = self
+            .transpose_move(op, segments, &mut split)
             .map_err(Abort::Fatal)?;
+        let landed = landed.iter().map_while(Option::as_ref);
         report.push(CascadeStage::Transpose, transpose.time, transpose.bytes, 0.0);
 
-        // one list of answers: a target's, then an origin's results
-        let keys = input.keys.iter().filter(|_| op.lands_values());
-        let results = keys.map(|keys| {
-            let (value_words, bit_words) = result_words(keys.len());
-            value_words + bit_words
-        });
-        let most = op.back.as_ref().map_or(0, |_| {
-            let answers = landed.iter().map(|(cuts, _)| cuts[0]);
-            answers.chain(results).max().unwrap_or(0)
-        });
-        let mut answers = Vec::with_capacity(most);
         // bit `j`: target `j`'s answers have landed on their origins
         let mut done = 0u64;
         // the rest of the round: where it aborts, what landed still stands
@@ -578,13 +617,11 @@ impl DistributedHashMap {
             let mut kernels = Phase::new(self.topology());
             let mut late_inserts = None;
             let mut failed = 0u64;
-            let mut rest = &recv[..];
-            for (j, (cuts, buf)) in landed.iter().enumerate() {
-                let words;
-                (words, rest) = rest.split_at(buf.len());
-                if words.is_empty() {
+            for (j, landed) in landed.clone().enumerate() {
+                if landed.words.is_empty() {
                     continue;
                 }
+                let mem = self.device(j).mem();
                 let retried = tally.launch_retries;
                 let gate = tally.gate_launch(plan, policy, j, op.site);
                 if self.cfg().mutation == Some(Mutation::DoubleApplyOnRetry)
@@ -596,45 +633,44 @@ impl DistributedHashMap {
                     // its failover targets although the primary is still
                     // being retried (and will succeed), duplicating keys.
                     if let Some(failover) = router.also_masking(j) {
-                        let pairs = words.iter().map(|&w| (key_of(w), value_of(w)));
+                        let words = mem.d2h_words(landed.words);
+                        let pairs = words.map(|w| (key_of(w), value_of(w)));
                         let _ = self.insert_routed(&failover, pairs);
                     }
                 }
                 gate.map_err(Abort::Lost)?;
                 report.launches += 1;
-                answers.clear();
-                let ran = unless_exhausted(kernel(j, *buf, cuts, &mut answers), &mut failed)?;
-                if let Some(time) = ran {
+                let ran = kernel(j, landed.words, &landed.cuts, landed.answers);
+                if let Some(time) = unless_exhausted(ran, &mut failed)? {
                     kernels.add(j, straggled(plan, j, time), 1, oh);
-                    // segment 0 of `words` is every source GPU's chunk
-                    // for `j` in GPU order
-                    let mut rest = &answers[..];
-                    let sources = op.back.as_ref().map(|_| by_source(&split.sent, j, words));
-                    for (i, at, words) in sources.into_iter().flatten() {
-                        let chunk;
-                        (chunk, rest) = rest.split_at(words.len());
+                    // segment 0 of the words is every source GPU's chunk
+                    // for `j` in GPU order, and so are the answers
+                    let sources = op.back.as_ref().map(|_| split.by_source(j));
+                    for (i, at, from, n) in sources.into_iter().flatten() {
+                        let answers = landed.answers.sub(from, n);
                         if op.lands_values() {
                             // the NVLink leg, billed as TransposeBack
-                            let (answers, _) = split.landing(i, input.keys[i].len());
-                            let landed = answers.sub(at, chunk.len());
-                            self.device(i).mem().h2d(landed, chunk);
+                            let (landing, _) = split.landing(i, input.keys[i].len());
+                            mem.peer_copy(answers, self.device(i).mem(), landing.sub(at, n));
                         } else {
                             // hand the answers out now, so they stand even
                             // if a later target aborts the round
-                            for (&word, &a) in words.iter().zip(chunk) {
+                            let words = mem.d2h_words(landed.words.sub(from, n));
+                            for (word, a) in words.zip(mem.d2h_words(answers)) {
                                 answer(origin_of(i, value_of(word) as usize), a);
                             }
                         }
                     }
                     done |= 1 << j;
                 }
+                let cuts = landed.cuts;
                 if let Some(late) = op.late.filter(|&late| cuts[late] > 0) {
                     // after the kernel on this target, so that a key it
                     // both read and wrote was read first
                     tally
                         .gate_launch(plan, policy, j, launch_site::INSERT)
                         .map_err(Abort::Lost)?;
-                    let pairs = buf.sub(cuts[..late].iter().sum(), cuts[late]);
+                    let pairs = landed.words.sub(cuts[..late].iter().sum(), cuts[late]);
                     report.launches += 1;
                     let inserted = self.maps()[j].insert_device(pairs, cuts[late]);
                     if let Some(outcome) = unless_exhausted(inserted, &mut failed)? {
@@ -661,14 +697,12 @@ impl DistributedHashMap {
             let Some(back) = &op.back else {
                 return Ok(());
             };
-            let answered = (!input.pairs.is_empty()).then(|| partition_table(&split.sent, 0..1));
-            let answered = answered.as_ref().unwrap_or(&split.table);
             // the transposed cells: target `j`'s answers travel to source `i`
-            let transpose = alltoall(&|j, i| answered.bytes(i, j, back.bytes), tally)?;
+            let transpose = alltoall(&|j, i| split.bytes(i, j, 0..1, back.bytes), tally)?;
             report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
             let mut scatters = Phase::new(self.topology());
             let swapped = self.cfg().mutation == Some(Mutation::AnswerHalvesSwapped);
-            for (i, sent) in split.sent.iter().enumerate() {
+            for (i, sent) in split.sent().enumerate() {
                 let n = input.keys[i].len();
                 if n == 0 {
                     continue;
@@ -701,32 +735,29 @@ impl DistributedHashMap {
                 // the found bits
                 for (i, keys) in input.keys.iter().enumerate() {
                     let (_, results) = split.landing(i, keys.len());
-                    answers.resize(results.len(), 0);
-                    self.device(i).mem().d2h_into(results, &mut answers);
-                    let (values, found) = answers.split_at(result_words(keys.len()).0);
-                    for (slot, &key) in keys.iter().enumerate() {
-                        let pair = match (found[slot / 64] >> (slot % 64)) & 1 {
-                            0 => EMPTY,
-                            _ => pack(key, (values[slot / 2] >> (32 * (slot % 2))) as u32),
-                        };
+                    let (value_words, bit_words) = result_words(keys.len());
+                    let mem = self.device(i).mem();
+                    let values = mem.d2h_words(results.sub(0, value_words));
+                    let values = values.flat_map(|word| [word as u32, (word >> 32) as u32]);
+                    let found = mem.d2h_words(results.sub(value_words, bit_words));
+                    let found = found.flat_map(|word| (0..64).map(move |bit| word >> bit & 1 == 1));
+                    let answers = values.zip(found);
+                    for ((slot, &key), (value, found)) in keys.iter().enumerate().zip(answers) {
+                        let pair = if found { pack(key, value) } else { EMPTY };
                         answer(origin_of(i, slot), pair);
                     }
                 }
             } else {
                 // the answers that landed before the round aborted stand
-                let mut rest = &recv[..];
-                for (j, (_, buf)) in landed.iter().enumerate() {
-                    let words;
-                    (words, rest) = rest.split_at(buf.len());
+                for (j, landed) in landed.enumerate() {
                     if done & (1 << j) == 0 {
                         continue;
                     }
-                    for (i, at, words) in by_source(&split.sent, j, words) {
-                        answers.resize(words.len(), 0);
-                        let (landed, _) = split.landing(i, input.keys[i].len());
-                        let landed = landed.sub(at, words.len());
-                        self.device(i).mem().d2h_into(landed, &mut answers);
-                        for (&word, &pair) in words.iter().zip(&answers) {
+                    for (i, at, from, n) in split.by_source(j) {
+                        let (landing, _) = split.landing(i, input.keys[i].len());
+                        let words = self.device(j).mem().d2h_words(landed.words.sub(from, n));
+                        let pairs = self.device(i).mem().d2h_words(landing.sub(at, n));
+                        for (word, pair) in words.zip(pairs) {
                             answer(origin_of(i, value_of(word) as usize), pair);
                         }
                     }
@@ -764,14 +795,16 @@ impl DistributedHashMap {
     // ---- phases -----------------------------------------------------------
 
     /// Uploads each GPU's segments — keys two to a word — and
-    /// multisplits them, every segment on its own in the same launches, by
-    /// the router's fault-aware partition assignment, gating each
-    /// non-empty GPU's launches on the fault plan. A GPU without an element
-    /// launches nothing; the launches made count in `report` as they are
-    /// made, so those of a phase that a later GPU's gate aborts stay.
+    /// multisplits them into `split`, every segment on its own in the same
+    /// launches, by the router's fault-aware partition assignment, gating
+    /// each non-empty GPU's launches on the fault plan. A GPU without an
+    /// element launches nothing; the launches made count in `report` as
+    /// they are made, so those of a phase that a later GPU's gate aborts
+    /// stay.
     #[allow(clippy::too_many_arguments)]
-    fn multisplit_phase(
-        &self,
+    fn multisplit_phase<'s>(
+        &'s self,
+        split: &mut SplitPhase<'s>,
         op: &CascadeOp,
         input: Input,
         router: &Router,
@@ -780,10 +813,8 @@ impl DistributedHashMap {
         policy: &RetryPolicy,
         report: &mut OpReport,
         tally: &mut ChaosTally,
-    ) -> Result<SplitPhase<'_>, Abort> {
+    ) -> Result<(), Abort> {
         let (m, segments) = (self.num_gpus(), self.segments(input));
-        let mut guards = Vec::with_capacity(2 * m);
-        let mut sent = Vec::with_capacity(m);
         let mut splits = Phase::new(self.topology());
         for i in 0..m {
             let dev = self.device(i);
@@ -808,10 +839,12 @@ impl DistributedHashMap {
             let guard = dev
                 .alloc_scratch(words + m * segments + back)
                 .map_err(|e| Abort::Fatal(e.into()))?;
+            let buf = guard.slice();
+            split.guards[i] = Some(guard);
             let mut at = 0;
             let mut take = |len| {
                 at += len;
-                guard.slice().sub(at - len, len)
+                buf.sub(at - len, len)
             };
             let mut parts = [Segment::words(take(0), take(0)); MAX_SEGMENTS];
             if let Some(keys) = keys {
@@ -835,57 +868,53 @@ impl DistributedHashMap {
             report.launches += u64::from(classes.launches);
             let (time, oh) = (straggled(plan, i, classes.sim_time), dev.spec().launch_overhead);
             splits.add(i, time, classes.launches, oh);
-            sent.push(Sent {
-                out: parts.map(|part| part.out()),
-                classes,
-            });
-            guards.push(guard);
+            split.sent[i] = Some(Sent::new(buf, parts.map(|part| part.out()), &classes));
         }
-        Ok(SplitPhase {
-            guards,
-            table: partition_table(&sent, 0..segments),
-            sent,
-            time: splits.max(),
-        })
+        split.time = splits.max();
+        Ok(())
     }
 
-    /// Moves every partition to its target GPU (functional movement only
-    /// — the transfer itself is billed by the caller via the all-to-all
-    /// model, faulted or healthy). The received words come back in one
-    /// buffer, target after target; a target's are segment after segment,
-    /// each every source's chunk in GPU order, as the [`Cuts`] beside the
-    /// place they landed on its device say. Every chunk is read straight
-    /// into its place.
-    #[allow(clippy::type_complexity)]
+    /// Moves every partition to its target GPU, device to device
+    /// (functional movement only — the transfer itself is billed by the
+    /// caller via the all-to-all model, faulted or healthy). A target's
+    /// words land in one buffer, segment after segment, each every
+    /// source's chunk in GPU order, as its [`Landed`] says; behind them
+    /// lies room for an answer per word of segment 0 if `op` has a return
+    /// trip.
     fn transpose_move<'s>(
         &'s self,
+        op: &CascadeOp,
         segments: usize,
         split: &mut SplitPhase<'s>,
-    ) -> Result<(Vec<u64>, Vec<(Cuts, DevSlice)>), OpError> {
-        let mut recv = vec![0; split.table.total() as usize];
-        let mut landed = Vec::with_capacity(self.num_gpus());
-        let mut at = 0;
-        for j in 0..self.num_gpus() {
-            let start = at;
+    ) -> Result<[Option<Landed>; MAX_PARTITIONS], OpError> {
+        let m = self.num_gpus();
+        let mut landed = [None; MAX_PARTITIONS];
+        for (j, landed) in landed.iter_mut().enumerate().take(m) {
             let mut cuts: Cuts = [0; MAX_SEGMENTS];
             for (s, cut) in cuts.iter_mut().enumerate().take(segments) {
-                for (i, sent) in split.sent.iter().enumerate() {
+                *cut = split.sent().map(|sent| sent.at(s, j).1).sum();
+            }
+            let words: usize = cuts.iter().sum();
+            let answers = if op.back.is_some() { cuts[0] } else { 0 };
+            let to = self.device(j).mem();
+            let guard = self.device(j).alloc_scratch((words + answers).max(1))?;
+            let buf = guard.slice();
+            split.guards[m + j] = Some(guard);
+            let mut at = 0;
+            for s in 0..segments {
+                for (i, sent) in split.sent().enumerate() {
                     let chunk = sent.chunk(s, j);
-                    let mem = self.device(i).mem();
-                    mem.d2h_into(chunk, &mut recv[at..at + chunk.len()]);
+                    self.device(i).mem().peer_copy(chunk, to, buf.sub(at, chunk.len()));
                     at += chunk.len();
-                    *cut += chunk.len();
                 }
             }
-            // land the received words in device memory on their target
-            let words = &recv[start..at];
-            let guard = self.device(j).alloc_scratch(words.len().max(1))?;
-            let buf = guard.slice().sub(0, words.len());
-            self.device(j).mem().h2d(buf, words);
-            split.guards.push(guard);
-            landed.push((cuts, buf));
+            *landed = Some(Landed {
+                cuts,
+                words: buf.sub(0, words),
+                answers: buf.sub(words, answers),
+            });
         }
-        Ok((recv, landed))
+        Ok(landed)
     }
 
     // ---- the operations ---------------------------------------------------
@@ -919,14 +948,7 @@ impl DistributedHashMap {
             &RETRIEVE,
             Input { keys, pairs: &[] },
             report,
-            |j, input, &[n, ..], pairs| {
-                let dev = self.device(j);
-                let out = dev.alloc_scratch(n)?;
-                let stats = self.maps()[j].retrieve_device(input, out.slice(), n);
-                pairs.resize(n, EMPTY);
-                dev.mem().d2h_into(out.slice(), pairs);
-                Ok(stats.sim_time)
-            },
+            |j, input, &[n, ..], out| Ok(self.maps()[j].retrieve_device(input, out, n).sim_time),
             |at, pair| found(at, found_value(pair)),
         )
     }
@@ -946,11 +968,10 @@ impl DistributedHashMap {
             &ERASE,
             Input { keys, pairs: &[] },
             report,
-            |j, buf, &[n, ..], hits| {
-                let out = self.maps()[j].erase_device_shared(buf, n);
-                erased += out.erased;
-                hits.extend(out.hits.iter().map(|&hit| u64::from(hit)));
-                Ok(out.stats.sim_time)
+            |j, buf, _, flags| {
+                let (stats, tombstoned) = self.maps()[j].erase_device_shared(buf, flags);
+                erased += tombstoned;
+                Ok(stats.sim_time)
             },
             |at, flag| hit(at, flag != 0),
         )?;
@@ -980,14 +1001,9 @@ impl DistributedHashMap {
             &GET_PUT,
             input,
             report,
-            |j, buf, &[gets, puts, _], pairs| {
-                let dev = self.device(j);
-                let out = dev.alloc_scratch(gets)?;
+            |j, buf, &[gets, puts, _], out| {
                 let fused = buf.sub(0, gets + puts);
-                let outcome = self.maps()[j].get_put_device(fused, out.slice(), gets)?;
-                pairs.resize(gets, EMPTY);
-                dev.mem().d2h_into(out.slice(), pairs);
-                Ok(outcome.stats.sim_time)
+                Ok(self.maps()[j].get_put_device(fused, out, gets)?.stats.sim_time)
             },
             |at, pair| found(at, found_value(pair)),
         )

@@ -12,7 +12,7 @@ use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::table::Table;
 use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Result of a bulk erase.
 #[derive(Debug, Clone)]
@@ -27,33 +27,31 @@ pub struct EraseOutcome {
 }
 
 /// Launches the deletion kernel for the `n` query words in `input`, one
-/// group of `g` lanes per key.
+/// group of `g` lanes per key: `hit(i)` for each key `i` it tombstoned.
+/// Returns the kernel's stats and how many keys it tombstoned.
 pub(crate) fn erase_kernel(
     table: &Table,
     g: GroupSize,
     input: DevSlice,
     n: usize,
     recorder: Option<&HistoryRecorder>,
-) -> EraseOutcome {
+    hit: impl Fn(usize) + Sync,
+) -> (KernelStats, u64) {
     let erased = AtomicU64::new(0);
-    let hits: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
     let stats = table.launch("warpdrive_erase", n, g, |ctx: &GroupCtx| {
         let invoked = recorder.map(HistoryRecorder::invoke);
         let key = key_of(ctx.read_stream(input, ctx.group_id()));
-        let hit = erase_one(ctx, table, key);
-        if hit {
+        let found = erase_one(ctx, table, key);
+        if found {
             erased.fetch_add(1, Relaxed);
-            hits[ctx.group_id()].store(true, Relaxed);
+            hit(ctx.group_id());
         }
         if let (Some(rec), Some(invoked)) = (recorder, invoked) {
-            rec.complete(key, OpKind::Erase, OpResponse::Erased { hit }, invoked);
+            let response = OpResponse::Erased { hit: found };
+            rec.complete(key, OpKind::Erase, response, invoked);
         }
     });
-    EraseOutcome {
-        stats,
-        erased: erased.load(Relaxed),
-        hits: hits.into_iter().map(AtomicBool::into_inner).collect(),
-    }
+    (stats, erased.into_inner())
 }
 
 /// Tombstones one key by one coalesced group; whether it was found.

@@ -17,13 +17,16 @@
 //! ## Chunks that overlap (§IV-B, Fig. 5)
 //!
 //! A large insert, get or erase is cut into chunks, each its own bracket —
-//! H2D, cascade, D2H — run one after the other into the call's one
-//! output. Their stages occupy different hardware ([`resource`]), so the
-//! chunks overlap on as many streams as there are chunks, and the call's
-//! [`OpReport::time`] is the makespan of that overlay ([`Overlap`]). The
-//! cut depends on the size of the call alone: as many chunks as give every
-//! GPU at least `MIN_CHUNK_PER_GPU` elements of each, at most
-//! `MAX_CHUNKS`; below twice that a call is one chunk, with no overlay.
+//! H2D, cascade, D2H — run one after the other into the call's one output
+//! and the call's one report. Their stages occupy different hardware
+//! ([`resource`]), so the chunks overlap on as many streams as there are
+//! chunks, and the call's [`OpReport::time`] is the makespan of that
+//! overlay ([`Overlap`]). The cut depends on the size of the call alone:
+//! as many chunks as give every GPU at least `MIN_CHUNK_PER_GPU` (2¹⁴)
+//! elements of each, at most `MAX_CHUNKS` (8); below twice that a call is
+//! one chunk, with no overlay. A chunk costs the host no allocation — its
+//! round moves words device to device ([`crate::cascade`]) — so the call
+//! pays for its overlay once, whatever the cut.
 //! The mixed round is always one chunk: its reads answer the values from
 //! before the call, which a chunk behind a put would not.
 //! [`DistributedHashMap::insert_overlapped`] and
@@ -43,10 +46,11 @@ use std::ops::Range;
 /// Fewest elements a GPU takes from each chunk of a call the bracket cuts:
 /// a smaller chunk would pay its launch overheads for little transfer to
 /// hide.
-pub(crate) const MIN_CHUNK_PER_GPU: usize = 1 << 15;
+pub(crate) const MIN_CHUNK_PER_GPU: usize = 1 << 14;
 
-/// Most chunks, and streams, the bracket cuts a call into.
-pub(crate) const MAX_CHUNKS: usize = 4;
+/// Most chunks, and streams, the bracket cuts a call into: past 8, a
+/// chunk's launch overheads outweigh what the finer overlap hides.
+pub(crate) const MAX_CHUNKS: usize = 8;
 
 /// Pipeline resource indices (the bars of Fig. 11, matching the Fig. 5
 /// legend: H2D = PCIe bus, MST = NVLink network, INS = video memory).
@@ -66,41 +70,31 @@ pub mod resource {
     pub const COUNT: usize = 4;
 }
 
-/// A chunk's stage rows as pipeline stages on the four resources, each
-/// extrapolated to `scale`× its functional element count.
-fn stages_of(rows: &[StageTiming], scale: f64) -> Vec<Stage> {
-    let mut out = Vec::with_capacity(rows.len());
-    let mut push = |resource: usize, duration: f64| {
-        if duration > 0.0 {
-            out.push(Stage { resource, duration });
+/// A chunk's stage row as a pipeline stage on one of the four resources,
+/// extrapolated to `scale`× its functional element count; none if it
+/// takes no time. Consecutive same-resource phases merge naturally by
+/// being scheduled back-to-back; order must follow the cascade.
+fn stage_of(row: &StageTiming, scale: f64) -> Option<Stage> {
+    let resource = match row.stage {
+        CascadeStage::H2D => resource::PCIE_UP,
+        // MST = multisplit + transposition; Fig. 5 bins it as "mainly
+        // NVLink"
+        CascadeStage::Multisplit | CascadeStage::Transpose | CascadeStage::TransposeBack => {
+            resource::NVLINK
         }
+        CascadeStage::Insert | CascadeStage::Query | CascadeStage::Scatter => resource::VRAM,
+        CascadeStage::D2H => resource::PCIE_DOWN,
+        // Backoff waits stem from retried transfers and launches; the
+        // cascade is blocked on the fabric while they drain, so they
+        // occupy the NVLink timeline. Healthy cascades never contain
+        // this stage, leaving the pipeline plan untouched. After a
+        // quarantine the later chunks' rows already reflect the
+        // degraded node (fewer GPUs, re-spread batches), so the
+        // scheduler re-plans around the lost resource for free.
+        CascadeStage::Backoff => resource::NVLINK,
     };
-    // Consecutive same-resource phases merge naturally by being scheduled
-    // back-to-back; order must follow the cascade.
-    for s in rows {
-        let t = s.scaled_time(scale);
-        match s.stage {
-            CascadeStage::H2D => push(resource::PCIE_UP, t),
-            // MST = multisplit + transposition; Fig. 5 bins it as "mainly
-            // NVLink"
-            CascadeStage::Multisplit | CascadeStage::Transpose | CascadeStage::TransposeBack => {
-                push(resource::NVLINK, t)
-            }
-            CascadeStage::Insert | CascadeStage::Query | CascadeStage::Scatter => {
-                push(resource::VRAM, t);
-            }
-            CascadeStage::D2H => push(resource::PCIE_DOWN, t),
-            // Backoff waits stem from retried transfers and launches; the
-            // cascade is blocked on the fabric while they drain, so they
-            // occupy the NVLink timeline. Healthy cascades never contain
-            // this stage, leaving the pipeline plan untouched. After a
-            // quarantine the later chunks' rows already reflect the
-            // degraded node (fewer GPUs, re-spread batches), so the
-            // scheduler re-plans around the lost resource for free.
-            CascadeStage::Backoff => push(resource::NVLINK, t),
-        }
-    }
-    out
+    let duration = row.scaled_time(scale);
+    (duration > 0.0).then_some(Stage { resource, duration })
 }
 
 /// How the chunks of one call overlapped: each chunk a run of its report's
@@ -121,12 +115,17 @@ impl Overlap {
     /// the makespan and every [`resource`]'s busy time.
     #[must_use]
     pub fn schedule(&self, rows: &[StageTiming], scale: f64, streams: usize) -> PipelineReport {
-        let chunks: Vec<Vec<Stage>> = self
+        let mut stages = Vec::with_capacity(self.rows().len());
+        let chunks: Vec<Range<usize>> = self
             .chunks
             .iter()
-            .map(|chunk| stages_of(&rows[chunk.clone()], scale))
+            .map(|chunk| {
+                let start = stages.len();
+                stages.extend(rows[chunk.clone()].iter().filter_map(|row| stage_of(row, scale)));
+                start..stages.len()
+            })
             .collect();
-        PipelineSim::new(resource::COUNT).run(&chunks, streams)
+        PipelineSim::new(resource::COUNT).run(&stages, &chunks, streams)
     }
 
     /// The share of the one-stream makespan that issuing on `streams`
@@ -185,18 +184,21 @@ impl Cut {
     }
 }
 
-/// Runs `call` on each chunk of `items` that `cut` makes — the chunk, and
-/// where it starts in `items` — one after the other, and overlays their
-/// reports into one: every chunk's rows, launches and bytes, and the
-/// makespan of [`Overlap::schedule`] as its time. A call of one chunk is
-/// `call` on all of `items`, its report as it comes.
+/// Runs `call` on each chunk of `items` that `cut` makes — the chunk,
+/// where it starts in `items`, and the call's report, which it pushes its
+/// rows into — one after the other, and overlays the chunks: the report
+/// holds every chunk's rows, launches and bytes, and the makespan of
+/// [`Overlap::schedule`] as its time. A call of one chunk is `call` on all
+/// of `items`, its report as `call` leaves it.
 fn in_chunks<T>(
     items: &[T],
     cut: Cut,
-    mut call: impl FnMut(&[T], usize) -> Result<OpReport, OpError>,
+    mut call: impl FnMut(&[T], usize, &mut OpReport) -> Result<(), OpError>,
 ) -> Result<OpReport, OpError> {
     if items.len() <= cut.len {
-        return call(items, 0);
+        let mut report = OpReport::of_cascade(0);
+        call(items, 0, &mut report)?;
+        return Ok(report);
     }
     let count = items.len().div_ceil(cut.len);
     // room for every chunk's healthy round: H2D … D2H
@@ -208,7 +210,7 @@ fn in_chunks<T>(
     let mut chunks = Vec::with_capacity(count);
     for (c, chunk) in items.chunks(cut.len).enumerate() {
         let at = report.stages.len();
-        report.merge(&call(chunk, c * cut.len)?);
+        call(chunk, c * cut.len, &mut report)?;
         chunks.push(at..report.stages.len());
     }
     let overlap = Overlap {
@@ -251,22 +253,24 @@ impl DistributedHashMap {
     /// order it hands the answers out; the bracket bills the transfer.
     /// Dropped PCIe transfers are retried with backoff; a host link whose
     /// budget is exhausted quarantines its GPU and the transfer re-spreads
-    /// over the survivors. The caller has checked the keys.
+    /// over the survivors. The chunk's elements and rows go into `report`,
+    /// the call's. The caller has checked the keys.
     fn host_bracket<O>(
         &self,
         op: &CascadeOp,
         keys: &[u32],
         pairs: &[&[u64]],
+        report: &mut OpReport,
         device: impl FnOnce(&Self, Input, &mut OpReport) -> Result<O, OpError>,
-    ) -> Result<(O, OpReport), OpError> {
+    ) -> Result<O, OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
         let elements = keys.len() + pairs.iter().map(|l| l.len()).sum::<usize>();
-        let mut report = OpReport::of_cascade(elements as u64);
+        report.elements += elements as u64;
         // what each host link carries, of the upload and then the download
         let mut bytes = [0; MAX_PARTITIONS];
         let bytes = &mut bytes[..m];
-        let spread_mask = self.with_failover(&mut report, |plan, mask, report, tally| {
+        let spread_mask = self.with_failover(report, |plan, mask, report, tally| {
             for (g, bytes) in bytes.iter_mut().enumerate() {
                 let words = pairs.iter().map(|l| live_chunk(l.len(), m, mask, g).len());
                 *bytes = live_chunk(keys.len(), m, mask, g).len() as u64 * 4
@@ -292,9 +296,9 @@ impl DistributedHashMap {
             }
         }
         let (keys, pairs) = (&key_chunks[..answered], &pair_chunks[..pairs.len() * m]);
-        let out = device(self, Input { keys, pairs }, &mut report)?;
+        let out = device(self, Input { keys, pairs }, report)?;
         if let Some(back) = &op.back {
-            self.with_failover(&mut report, |plan, mask, report, tally| {
+            self.with_failover(report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
                 // answers physically came from survivors, so the dead
                 // links carry no bytes
@@ -310,7 +314,7 @@ impl DistributedHashMap {
                 Ok(())
             })?;
         }
-        Ok((out, report))
+        Ok(out)
     }
 
     /// Host-sided insertion: transfer the packed pairs over PCIe
@@ -331,11 +335,10 @@ impl DistributedHashMap {
         cut: Cut,
     ) -> Result<OpReport, OpError> {
         let words = pair_words(pairs)?;
-        in_chunks(&words, cut, |words, _| {
-            let ((), report) = self.host_bracket(&INSERT, &[], &[words], |d, input, report| {
+        in_chunks(&words, cut, |words, _, report| {
+            self.host_bracket(&INSERT, &[], &[words], report, |d, input, report| {
                 d.insert_words(input.pairs, report)
-            })?;
-            Ok(report)
+            })
         })
     }
 
@@ -370,13 +373,12 @@ impl DistributedHashMap {
         check_keys(keys.iter().copied())?;
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; keys.len()];
-        let report = in_chunks(keys, cut, |keys, at| {
-            let ((), report) = self.host_bracket(&RETRIEVE, keys, &[], |d, input, report| {
+        let report = in_chunks(keys, cut, |keys, at, report| {
+            self.host_bracket(&RETRIEVE, keys, &[], report, |d, input, report| {
                 d.query_keys(input.keys, report, |(g, i), v| {
                     values[at + start_of(input.keys, g) + i] = v;
                 })
-            })?;
-            Ok(report)
+            })
         })?;
         Ok((values, report))
     }
@@ -401,14 +403,13 @@ impl DistributedHashMap {
         check_keys(keys.iter().copied())?;
         let mut hits = vec![false; keys.len()];
         let mut erased = 0;
-        let report = in_chunks(keys, cut, |keys, at| {
-            let (n, report) = self.host_bracket(&ERASE, keys, &[], |d, input, report| {
+        let report = in_chunks(keys, cut, |keys, at, report| {
+            erased += self.host_bracket(&ERASE, keys, &[], report, |d, input, report| {
                 d.erase_keys(input.keys, report, |(g, i), hit| {
                     hits[at + start_of(input.keys, g) + i] |= hit;
                 })
             })?;
-            erased += n;
-            Ok(report)
+            Ok(())
         })?;
         Ok(DeleteResponse {
             hits,
@@ -448,7 +449,8 @@ impl DistributedHashMap {
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; reads.len()];
         let puts = [&first[..], &late];
-        let ((), report) = self.host_bracket(&GET_PUT, reads, &puts, |d, input, report| {
+        let mut report = OpReport::of_cascade(0);
+        self.host_bracket(&GET_PUT, reads, &puts, &mut report, |d, input, report| {
             d.get_put_round(input, report, |(g, i), v| {
                 values[start_of(input.keys, g) + i].get_or_insert(v);
             })
@@ -852,8 +854,8 @@ mod tests {
             (elements.div_ceil(cut.len), cut.streams)
         };
         // bulk_node4's script: put and get 2^20 keys, delete and get 2^18
-        assert_eq!(cut(1 << 20, 4), (4, 4));
-        assert_eq!(cut(1 << 18, 4), (2, 2));
+        assert_eq!(cut(1 << 20, 4), (8, 8));
+        assert_eq!(cut(1 << 18, 4), (4, 4));
         // one chunk below twice MIN_CHUNK_PER_GPU a GPU, never more than
         // MAX_CHUNKS
         assert_eq!(cut(2 * 4 * MIN_CHUNK_PER_GPU - 1, 4), (1, 1));
@@ -866,6 +868,41 @@ mod tests {
             let Cut { len, streams } = Cut::of(elements, 4);
             assert!(streams == 1 || len / 4 >= MIN_CHUNK_PER_GPU, "{elements}");
         }
+    }
+
+    #[test]
+    fn a_quarantine_in_chunk_3_of_8_still_answers_right() {
+        let mut d = node_with(4, Config::default());
+        // chunks of 6 pairs: a live GPU 3 takes none of a chunk over PCIe,
+        // and none of the first three chunks' keys is of its partition
+        let part = |k: u32| d.partition().part(k);
+        let elsewhere = (1..).filter(|&k| part(k) != 3).take(18);
+        let mut pairs: Vec<(u32, u32)> = elsewhere.map(|k| (k, k + 1)).collect();
+        pairs.extend((1000..1030).map(|k| (k, k + 1)));
+        assert!(pairs[18..24].iter().any(|&(k, _)| part(k) == 3));
+        d.set_fault_plan(gpu_sim::FaultPlan::default().with_kill(3));
+        let cut = Cut::new(6, 8);
+        let put = d.insert_in_chunks(&pairs, cut).unwrap();
+        assert_eq!(d.quarantined(), [3]);
+        let backoff = |chunk: &Range<usize>| {
+            let rows = &put.stages[chunk.clone()];
+            rows.iter().any(|s| s.stage == CascadeStage::Backoff)
+        };
+        let chunks: Vec<bool> = put.overlaps[0].chunks.iter().map(backoff).collect();
+        assert_eq!(chunks, [false, false, false, true, false, false, false, false]);
+        assert_time_is_bracketed(&put);
+        // every answer right, an absent key's too, through 8 chunks of
+        // reads and of erases on the degraded node
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([5000]).collect();
+        let (values, get) = d.retrieve_in_chunks(&keys, cut).unwrap();
+        let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).chain([None]).collect();
+        assert_eq!(values, want);
+        assert_eq!(chunks_of(&get), 9);
+        let erase = d.erase_in_chunks(&keys, cut).unwrap();
+        let hits: Vec<bool> = want.iter().map(Option::is_some).collect();
+        assert_eq!((erase.hits, erase.erased), (hits, pairs.len() as u64));
+        let (values, _) = d.retrieve_in_chunks(&keys, cut).unwrap();
+        assert!(values.iter().all(Option::is_none));
     }
 
     #[test]

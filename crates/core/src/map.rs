@@ -188,16 +188,24 @@ impl GpuHashMap {
     /// Takes `&mut self`: the global barrier separating deletions from
     /// concurrent inserts/queries (§IV-A).
     pub fn erase_device(&mut self, input: DevSlice, n: usize) -> EraseOutcome {
-        self.erase_device_shared(input, n)
+        self.table
+            .erase(self.cfg.group_size, input, n, self.recorder.as_deref())
     }
 
     /// Shared-access erase used by [`crate::DistributedHashMap`], whose
     /// own `&mut self` already provides the §IV-A barrier for every local
-    /// map. Not public: callers outside the crate must go through the
-    /// `&mut` API.
-    pub(crate) fn erase_device_shared(&self, input: DevSlice, n: usize) -> EraseOutcome {
+    /// map: tombstones the first `flags.len()` keys of `input` and leaves
+    /// a hit flag per key in `flags` (both device-resident). Returns the
+    /// kernel's stats and the tombstoned count. Not public: callers
+    /// outside the crate must go through the `&mut` API.
+    pub(crate) fn erase_device_shared(
+        &self,
+        input: DevSlice,
+        flags: DevSlice,
+    ) -> (KernelStats, u64) {
+        let recorder = self.recorder.as_deref();
         self.table
-            .erase(self.cfg.group_size, input, n, self.recorder.as_deref())
+            .erase_flagging(self.cfg.group_size, input, flags, recorder)
     }
 
     // ---- host-sided conveniences -----------------------------------------

@@ -31,7 +31,7 @@ use gpu_sim::{
 };
 use hashes::DoubleHash;
 use std::ops::{ControlFlow, Range};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Query word for `key`: the key in the high 32 bits (the kernels' input
@@ -330,9 +330,37 @@ impl Table {
         n: usize,
         recorder: Option<&HistoryRecorder>,
     ) -> EraseOutcome {
-        let outcome = erase_kernel(self, g, input, n, recorder);
-        self.note_tombstoned(outcome.erased);
-        outcome
+        let hits: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let (stats, erased) = erase_kernel(self, g, input, n, recorder, |i| {
+            hits[i].store(true, Relaxed);
+        });
+        self.note_tombstoned(erased);
+        EraseOutcome {
+            stats,
+            erased,
+            hits: hits.into_iter().map(AtomicBool::into_inner).collect(),
+        }
+    }
+
+    /// [`Table::erase`] of the first `flags.len()` keys of `input` that
+    /// leaves its hit flags on the device: `flags[i]` is 1 iff key `i` was
+    /// tombstoned, else 0 — stored as [`Table::erase`] stores its host
+    /// flags, billed to no kernel. Returns the kernel's stats and the
+    /// tombstoned count.
+    pub(crate) fn erase_flagging(
+        &self,
+        g: GroupSize,
+        input: DevSlice,
+        flags: DevSlice,
+        recorder: Option<&HistoryRecorder>,
+    ) -> (KernelStats, u64) {
+        let mem = self.dev.mem();
+        mem.fill(flags, 0);
+        let (stats, erased) = erase_kernel(self, g, input, flags.len(), recorder, |i| {
+            mem.fill(flags.sub(i, 1), 1);
+        });
+        self.note_tombstoned(erased);
+        (stats, erased)
     }
 
     fn note_tombstoned(&self, slots: u64) {

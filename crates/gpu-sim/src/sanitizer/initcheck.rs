@@ -90,11 +90,12 @@ impl ValidBits {
         }
     }
 
-    /// Copies validity of `[src, src+len)` onto `[dst, dst+len)` (d2d: a
-    /// copy of an undefined half is still undefined).
-    pub(crate) fn copy_range(&self, src: usize, dst: usize, len: usize) {
+    /// Copies the validity of `from`'s `[src, src+len)` onto this shadow's
+    /// `[dst, dst+len)` (a device-to-device copy, `from` the source's
+    /// shadow: a copy of an undefined half is still undefined).
+    pub(crate) fn copy_range(&self, from: &ValidBits, src: usize, dst: usize, len: usize) {
         for i in 0..len {
-            let halves = self.halves(src + i);
+            let halves = from.halves(src + i);
             self.clear_range(dst + i, 1);
             self.set_halves(dst + i, halves);
         }
@@ -145,7 +146,7 @@ mod tests {
         let v = ValidBits::new(64, false);
         v.set_range(0, 2); // words 0,1 defined; 2,3 not
         v.set_range(10, 4); // destination previously defined
-        v.copy_range(0, 10, 4);
+        v.copy_range(&v, 0, 10, 4);
         assert!(v.is_valid(10));
         assert!(v.is_valid(11));
         assert!(!v.is_valid(12), "copying an undefined word taints the dst");
@@ -163,7 +164,7 @@ mod tests {
         // a copy keeps the half it had
         v.set_halves(40, 0b01);
         v.set(41);
-        v.copy_range(40, 41, 1);
+        v.copy_range(&v, 40, 41, 1);
         assert_eq!(v.halves(41), 0b01);
     }
 }

@@ -15,6 +15,7 @@
 //! reductions.
 
 use gpu_sim::ResourceTimeline;
+use std::ops::Range;
 
 /// One stage of a batch cascade: occupy `resource` for `duration`
 /// simulated seconds.
@@ -71,8 +72,9 @@ impl PipelineSim {
         }
     }
 
-    /// Schedules `batches` (each a cascade of stages) over `threads`
-    /// round-robin streams and returns the resulting timing report.
+    /// Schedules `batches` — each a run of `stages`, a cascade in order —
+    /// over `threads` round-robin streams and returns the resulting timing
+    /// report.
     ///
     /// List scheduling with earliest start time: among all stages whose
     /// predecessors are done (previous stage of the batch, and — for a
@@ -82,18 +84,24 @@ impl PipelineSim {
     /// batch computes, as CUDA streams do.
     ///
     /// # Panics
-    /// Panics if `threads == 0` or a stage names an unknown resource.
+    /// Panics if `threads == 0`, a batch lies outside `stages`, or a stage
+    /// names an unknown resource.
     #[must_use]
-    pub fn run(&self, batches: &[Vec<Stage>], threads: usize) -> PipelineReport {
+    pub fn run(
+        &self,
+        stages: &[Stage],
+        batches: &[Range<usize>],
+        threads: usize,
+    ) -> PipelineReport {
         assert!(threads > 0, "need at least one pipeline thread");
         let n = batches.len();
         let mut busy = vec![0.0f64; self.resources.len()];
         let mut batch_done = vec![0.0f64; n];
-        // next stage index per batch; ready time of that stage
-        let mut next_stage = vec![0usize; n];
+        // next stage per batch; ready time of that stage
+        let mut next_stage: Vec<usize> = batches.iter().map(|batch| batch.start).collect();
         // a batch is eligible once its stream predecessor completed
         let mut ready: Vec<Option<f64>> = (0..n).map(|b| (b < threads).then_some(0.0)).collect();
-        let mut remaining: usize = batches.iter().map(Vec::len).sum();
+        let mut remaining: usize = batches.iter().map(ExactSizeIterator::len).sum();
         let mut makespan = 0.0f64;
         let mut finished = 0usize;
         while finished < n {
@@ -101,7 +109,7 @@ impl PipelineSim {
             // their stream successor)
             for b in 0..n {
                 if let Some(r) = ready[b] {
-                    if next_stage[b] >= batches[b].len() {
+                    if next_stage[b] >= batches[b].end {
                         batch_done[b] = r;
                         makespan = makespan.max(r);
                         ready[b] = None;
@@ -119,23 +127,23 @@ impl PipelineSim {
             let mut best: Option<(usize, f64)> = None;
             for b in 0..n {
                 let Some(r) = ready[b] else { continue };
-                if next_stage[b] >= batches[b].len() {
+                if next_stage[b] >= batches[b].end {
                     continue;
                 }
-                let res = batches[b][next_stage[b]].resource;
+                let res = stages[next_stage[b]].resource;
                 let est = r.max(self.resources[res].horizon());
                 if best.is_none_or(|(_, t)| est < t) {
                     best = Some((b, est));
                 }
             }
             let (b, _) = best.expect("remaining > 0 implies an eligible stage");
-            let stage = batches[b][next_stage[b]];
+            let stage = stages[next_stage[b]];
             let iv = self.resources[stage.resource]
                 .schedule(ready[b].expect("eligible"), stage.duration);
             busy[stage.resource] += iv.duration();
             next_stage[b] += 1;
             remaining -= 1;
-            if next_stage[b] == batches[b].len() {
+            if next_stage[b] == batches[b].end {
                 batch_done[b] = iv.end;
                 makespan = makespan.max(iv.end);
                 ready[b] = None;
@@ -159,6 +167,20 @@ impl PipelineSim {
 mod tests {
     use super::*;
 
+    /// [`PipelineSim::run`] of batches given one list each.
+    pub(super) fn run(sim: &PipelineSim, batches: &[Vec<Stage>], threads: usize) -> PipelineReport {
+        let stages: Vec<Stage> = batches.concat();
+        let mut at = 0;
+        let runs: Vec<Range<usize>> = batches
+            .iter()
+            .map(|batch| {
+                at += batch.len();
+                at - batch.len()..at
+            })
+            .collect();
+        sim.run(&stages, &runs, threads)
+    }
+
     /// Three-stage cascade over three resources, like H2D → MST → INS.
     fn cascade(d: [f64; 3]) -> Vec<Stage> {
         vec![
@@ -181,7 +203,7 @@ mod tests {
     fn single_thread_is_fully_sequential() {
         let sim = PipelineSim::new(3);
         let batches = vec![cascade([1.0, 1.0, 1.0]); 4];
-        let rep = sim.run(&batches, 1);
+        let rep = run(&sim, &batches, 1);
         assert!((rep.makespan - 12.0).abs() < 1e-12);
     }
 
@@ -189,7 +211,7 @@ mod tests {
     fn two_threads_overlap_like_fig5() {
         let sim = PipelineSim::new(3);
         let batches = vec![cascade([1.0, 1.0, 1.0]); 4];
-        let rep = sim.run(&batches, 2);
+        let rep = run(&sim, &batches, 2);
         // each stream completes a 3-stage batch, then starts its next:
         // stream 0 finishes batches 0 and 2 at t=3, 6; stream 1 finishes
         // batches 1 and 3 at t=4, 7 → makespan 7 < 12 sequential
@@ -209,8 +231,8 @@ mod tests {
         let sim_seq = PipelineSim::new(3);
         let sim_ovl = PipelineSim::new(3);
         let batches = vec![cascade([2.0, 0.5, 1.5]); 16];
-        let seq = sim_seq.run(&batches, 1).makespan;
-        let ovl = sim_ovl.run(&batches, 4).makespan;
+        let seq = run(&sim_seq, &batches, 1).makespan;
+        let ovl = run(&sim_ovl, &batches, 4).makespan;
         let saving = 1.0 - ovl / seq;
         assert!(
             (0.30..0.55).contains(&saving),
@@ -222,7 +244,7 @@ mod tests {
     fn busy_time_accounts_every_stage() {
         let sim = PipelineSim::new(3);
         let batches = vec![cascade([1.0, 2.0, 3.0]); 5];
-        let rep = sim.run(&batches, 2);
+        let rep = run(&sim, &batches, 2);
         assert!((rep.busy[0] - 5.0).abs() < 1e-12);
         assert!((rep.busy[1] - 10.0).abs() < 1e-12);
         assert!((rep.busy[2] - 15.0).abs() < 1e-12);
@@ -247,7 +269,7 @@ mod tests {
                 ]
             })
             .collect();
-        let rep = sim.run(&batches, 3);
+        let rep = run(&sim, &batches, 3);
         for stream in 0..3 {
             let times: Vec<f64> = (stream..6).step_by(3).map(|b| rep.batch_done[b]).collect();
             assert!(times.windows(2).all(|w| w[0] < w[1]));
@@ -257,7 +279,7 @@ mod tests {
     #[test]
     fn empty_pipeline_reports_zero() {
         let sim = PipelineSim::new(1);
-        let rep = sim.run(&[], 2);
+        let rep = run(&sim, &[], 2);
         assert_eq!(rep.makespan, 0.0);
         assert_eq!(rep.utilization(0), 0.0);
     }
@@ -269,7 +291,7 @@ mod tests {
             resource: 0,
             duration: 1.0,
         }]];
-        let rep = sim.run(&batches, 1);
+        let rep = run(&sim, &batches, 1);
         assert!(rep.utilization(0) > 0.0);
         assert_eq!(rep.utilization(1), 0.0); // in range, never busy
         assert_eq!(rep.utilization(2), 0.0); // out of range: no panic
@@ -280,12 +302,13 @@ mod tests {
     #[should_panic(expected = "at least one pipeline thread")]
     fn zero_threads_rejected() {
         let sim = PipelineSim::new(1);
-        let _ = sim.run(&[], 0);
+        let _ = run(&sim, &[], 0);
     }
 }
 
 #[cfg(test)]
 mod backfill_tests {
+    use super::tests::run;
     use super::*;
 
     /// The list scheduler must backfill: while batch 0 computes, batch 1's
@@ -317,7 +340,7 @@ mod backfill_tests {
                 },
             ],
         ];
-        let rep = sim.run(&batches, 2);
+        let rep = run(&sim, &batches, 2);
         // without backfill batch 1's transfer would wait for batch 0's
         // compute; with it, transfer [1,10] hides under compute [1,11]
         assert!(
@@ -348,7 +371,7 @@ mod backfill_tests {
                 duration: 1.0,
             }], // stream 1, after empty
         ];
-        let rep = sim.run(&batches, 2);
+        let rep = run(&sim, &batches, 2);
         assert_eq!(rep.batch_done[1], 0.0);
         // all three real stages share one resource: total busy 6
         assert!((rep.busy[0] - 6.0).abs() < 1e-9);

@@ -32,7 +32,8 @@ pub mod warp_agg;
 
 pub use scan::exclusive_scan;
 pub use split::{
-    device_multisplit, device_multisplit_segments, Segment, SegmentedSplit, SplitResult, RUN_WORDS,
+    device_multisplit, device_multisplit_segments, Segment, SegmentedSplit, SplitResult,
+    MAX_CLASSES, MAX_SEGMENTS, RUN_WORDS,
 };
 pub use table::PartitionTable;
 pub use warp_agg::warp_aggregated_compact;

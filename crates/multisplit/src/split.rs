@@ -163,19 +163,23 @@ impl SplitResult {
     }
 }
 
-/// The class counts and offsets of a call without a word, which are all
-/// zero: up to this many classes they are read here, not from a buffer.
-static NO_WORDS: [u64; 64] = [0; 64];
+/// Most classes a [`SegmentedSplit`] has: the partitions of a node.
+pub const MAX_CLASSES: usize = 32;
+
+/// Most segments one [`device_multisplit_segments`] splits: the cascade's
+/// mixed round has three.
+pub const MAX_SEGMENTS: usize = 3;
 
 /// Outcome of [`device_multisplit_segments`]: per segment what a
-/// [`SplitResult`] holds, in one flat buffer, and what the launches all
-/// segments shared cost.
-#[derive(Debug, Clone)]
+/// [`SplitResult`] holds, in arrays of fixed capacity — a split allocates
+/// nothing on the host — and what the launches all segments shared cost.
+#[derive(Debug, Clone, Default)]
 pub struct SegmentedSplit {
     m: usize,
-    /// The class counts, segment-major, then the class offsets likewise;
-    /// empty where [`NO_WORDS`] stands in.
-    table: Vec<u64>,
+    /// Per segment, the class counts; the first `m` of a row are used.
+    counts: [[u64; MAX_CLASSES]; MAX_SEGMENTS],
+    /// Per segment, the exclusive class offsets, likewise.
+    offsets: [[u64; MAX_CLASSES]; MAX_SEGMENTS],
     /// Launches made: 0 (no word), 1 (scatter alone) or 2.
     pub launches: u32,
     /// Simulated seconds of those launches.
@@ -188,20 +192,13 @@ impl SegmentedSplit {
     /// Number of elements in each class of segment `s`.
     #[must_use]
     pub fn counts(&self, s: usize) -> &[u64] {
-        self.row(0, s)
+        &self.counts[s][..self.m]
     }
 
     /// Exclusive offsets of each class within segment `s`'s output.
     #[must_use]
     pub fn offsets(&self, s: usize) -> &[u64] {
-        self.row(self.table.len() / 2, s)
-    }
-
-    fn row(&self, base: usize, s: usize) -> &[u64] {
-        match self.table.len() {
-            0 => &NO_WORDS[..self.m],
-            _ => &self.table[base + s * self.m..][..self.m],
-        }
+        &self.offsets[s][..self.m]
     }
 
     fn bill(&mut self, launch: &KernelStats) {
@@ -290,8 +287,9 @@ enum Pass {
 /// Under `Schedule::Sequential` a class keeps its input order.
 ///
 /// # Panics
-/// Panics if `m == 0`, `scratch` is shorter than `m · segments.len()`, or
-/// `class_of` returns a class ≥ `m`.
+/// Panics if `m` is not in `1..=MAX_CLASSES`, there are more than
+/// [`MAX_SEGMENTS`] segments, `scratch` is shorter than
+/// `m · segments.len()`, or `class_of` returns a class ≥ `m`.
 pub fn device_multisplit_segments<F>(
     dev: &Device,
     segments: &[Segment],
@@ -303,7 +301,14 @@ pub fn device_multisplit_segments<F>(
 where
     F: Fn(u64) -> u32 + Sync,
 {
-    assert!(m > 0, "need at least one class");
+    assert!(
+        (1..=MAX_CLASSES).contains(&m),
+        "1..={MAX_CLASSES} classes, not {m}"
+    );
+    assert!(
+        segments.len() <= MAX_SEGMENTS,
+        "at most {MAX_SEGMENTS} segments"
+    );
     assert!(
         scratch.len() >= m * segments.len(),
         "need m counter words per segment"
@@ -311,16 +316,10 @@ where
     let counters = scratch.sub(0, m * segments.len());
     let mut split = SegmentedSplit {
         m,
-        table: Vec::new(),
-        launches: 0,
-        sim_time: 0.0,
-        counters: CounterSnapshot::default(),
+        ..SegmentedSplit::default()
     };
     let num_groups: usize = segments.iter().map(Segment::runs).sum();
     if num_groups == 0 {
-        if m > NO_WORDS.len() {
-            split.table = vec![0; 2 * counters.len()];
-        }
         return split;
     }
 
@@ -411,22 +410,24 @@ where
         launch("multisplit_scatter", Pass::Scatter { counted: false })
     });
     // either launch leaves the class counts in the counter words
-    split.table = vec![0; 2 * counters.len()];
-    let (counts, offsets) = split.table.split_at_mut(counters.len());
-    dev.mem().d2h_into(counters, counts);
     for (s, segment) in segments.iter().enumerate() {
+        let words = counters.sub(s * m, m);
+        let (counts, offsets) = (&mut split.counts[s][..m], &mut split.offsets[s][..m]);
+        dev.mem().d2h_into(words, counts);
         let mut total = 0;
-        for at in s * m..(s + 1) * m {
-            offsets[at] = total;
-            total += counts[at];
+        for (offset, &count) in offsets.iter_mut().zip(&*counts) {
+            *offset = total;
+            total += count;
         }
         assert_eq!(
             total as usize, segment.len,
             "classes must cover every element of segment {s}"
         );
+        if counted {
+            dev.mem().h2d(words, offsets);
+        }
     }
     if counted {
-        dev.mem().h2d(counters, offsets);
         split.bill(&launch(
             "multisplit_scatter",
             Pass::Scatter { counted: true },

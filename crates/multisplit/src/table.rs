@@ -11,8 +11,9 @@
 //!
 //! The table is one row-major buffer; a caller that only needs the
 //! transposed cells reads `at(part, gpu)`, and the bytes of a transfer
-//! are a cell times the element size ([`PartitionTable::bytes`]), so a
-//! cascade round owns this one buffer and no derived matrix.
+//! are a cell times the element size ([`PartitionTable::bytes`]), so no
+//! derived matrix is needed. A cascade round keeps the same cells in its
+//! split's class counts and builds no table.
 
 /// Element counts of each (source GPU, partition) cell.
 #[derive(Debug, Clone, PartialEq, Eq)]

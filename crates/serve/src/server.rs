@@ -115,7 +115,11 @@ pub struct Server<S: MapService> {
     ticks: u64,
     seq: u64,
     live_keys: u64,
+    /// The admitted ops not flushed yet; it and `ops` keep their capacity
+    /// from flush to flush.
     pending: Vec<Pending>,
+    /// A flush's ops as the backend takes them.
+    ops: Vec<Op>,
     tenants: BTreeMap<u8, TenantState>,
     telemetry: ServiceTelemetry,
 }
@@ -131,6 +135,7 @@ impl<S: MapService> Server<S> {
             seq: 0,
             live_keys: 0,
             pending: Vec::new(),
+            ops: Vec::new(),
             tenants: BTreeMap::new(),
             telemetry: ServiceTelemetry::default(),
         }
@@ -287,17 +292,20 @@ impl<S: MapService> Server<S> {
         if self.pending.is_empty() {
             return Ok(Vec::new());
         }
-        let batch = std::mem::take(&mut self.pending);
-        let ops: Vec<Op> = batch.iter().map(|p| p.folded).collect();
+        self.ops.clear();
+        self.ops.extend(self.pending.iter().map(|p| p.folded));
         self.telemetry.flushes += 1;
-        self.telemetry.flushed_ops += batch.len() as u64;
-        let (responses, report) = self.backend.execute(&ops)?;
+        self.telemetry.flushed_ops += self.pending.len() as u64;
+        let executed = self.backend.execute(&self.ops);
+        // the flush is over, whether or not the backend answered
+        let batch = self.pending.drain(..);
+        let (responses, report) = executed?;
         let end = self.clock + report.time;
         self.clock = end;
         // folded: the telemetry lives as long as the server does
         self.telemetry.report.merge_folded(&report);
         let mut out = Vec::with_capacity(batch.len());
-        for (p, response) in batch.into_iter().zip(responses) {
+        for (p, response) in batch.zip(responses) {
             let latency = end - p.arrival;
             self.telemetry.latency.record(latency);
             let st = self.tenants.entry(p.tenant).or_default();

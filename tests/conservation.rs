@@ -312,13 +312,12 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
         let of_stage = report.stages.iter().filter(|s| s.stage == stage);
         of_stage.map(|s| s.bytes).sum()
     };
-    // What else is copied onto the devices during a call of `elements` in
+    // What else the host copies onto the devices during a call in
     // `segments` lists, a chunk of which is longer than a run on every
-    // GPU: the all-to-all lands each on its target as a word (NVLink's
-    // bytes, the Transpose stage), and every GPU's count pass leaves `m`
-    // class offsets per segment for its scatter pass. A value's answer
-    // lands back on its origin as a word (the TransposeBack stage).
-    let beside_the_upload = |elements: u64, segments: u64| 8 * elements + 8 * m * m * segments;
+    // GPU: every GPU's count pass leaves `m` class offsets per segment for
+    // its scatter pass. The all-to-all and the answers' way back move
+    // words device to device, uploading nothing.
+    let beside_the_upload = |segments: u64| 8 * m * m * segments;
     let values_down =
         |chunks: [u64; 4]| -> u64 { chunks.iter().map(|n| 4 * n + n.div_ceil(8)).sum() };
 
@@ -332,7 +331,7 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     assert_eq!((bytes(&put, H2D), bytes(&put, D2H)), (8 * n, 0));
     assert_eq!(
         uploaded() - before,
-        bytes(&put, H2D) + beside_the_upload(n, 1)
+        bytes(&put, H2D) + beside_the_upload(1)
     );
     assert_eq!(bytes(&put, Multisplit), 3 * 8 * n);
 
@@ -345,7 +344,7 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     );
     assert_eq!(
         uploaded() - before,
-        bytes(&get.report, H2D) + beside_the_upload(n, 1) + 8 * n
+        bytes(&get.report, H2D) + beside_the_upload(1)
     );
     let halves = 3 * 750 + 750; // the odd chunk's last word is half full
     assert_eq!(bytes(&get.report, Multisplit), 2 * 4 * halves + 8 * n);
@@ -362,7 +361,7 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     );
     assert_eq!(
         uploaded() - before,
-        bytes(&round, H2D) + beside_the_upload(r + p, 3) + 8 * r
+        bytes(&round, H2D) + beside_the_upload(3)
     );
 
     let victims = &keys[..1499];
@@ -376,7 +375,7 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     );
     assert_eq!(
         uploaded() - before,
-        bytes(&del.report, H2D) + beside_the_upload(v, 1)
+        bytes(&del.report, H2D) + beside_the_upload(1)
     );
 }
 

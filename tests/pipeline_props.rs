@@ -24,7 +24,7 @@
 //! is pinned in [`graham_anomaly_counterexample_is_real`] so nobody
 //! "fixes" the property back in without reading this.
 
-use interconnect::pipeline::{PipelineSim, Stage};
+use interconnect::pipeline::{PipelineReport, PipelineSim, Stage};
 use interconnect::Topology;
 use proptest::prelude::*;
 use warpdrive::{Config, DistributedHashMap, FaultPlan, OpReport};
@@ -57,13 +57,26 @@ fn build(nres: usize, raw: &RawBatches) -> Vec<Vec<Stage>> {
         .collect()
 }
 
+/// Schedules `batches`, a list of stages each, over `nres` resources.
+fn run(nres: usize, batches: &[Vec<Stage>], threads: usize) -> PipelineReport {
+    let mut at = 0;
+    let runs: Vec<std::ops::Range<usize>> = batches
+        .iter()
+        .map(|batch| {
+            at += batch.len();
+            at - batch.len()..at
+        })
+        .collect();
+    PipelineSim::new(nres).run(&batches.concat(), &runs, threads)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn busy_and_utilization_are_bounded(nres in 2usize..6, raw in raw_instances(), threads in 1usize..6) {
         let batches = build(nres, &raw);
-        let r = PipelineSim::new(nres).run(&batches, threads);
+        let r = run(nres, &batches, threads);
         for res in 0..nres {
             prop_assert!(
                 r.busy[res] <= r.makespan + 1e-9,
@@ -81,7 +94,7 @@ proptest! {
     #[test]
     fn makespan_is_bracketed(nres in 2usize..6, raw in raw_instances(), threads in 1usize..6) {
         let batches = build(nres, &raw);
-        let r = PipelineSim::new(nres).run(&batches, threads);
+        let r = run(nres, &batches, threads);
         let critical = batches
             .iter()
             .map(|b| b.iter().map(|s| s.duration).sum::<f64>())
@@ -103,10 +116,10 @@ proptest! {
     #[test]
     fn overlap_never_loses_to_serial(nres in 2usize..6, raw in raw_instances(), threads in 2usize..6) {
         let batches = build(nres, &raw);
-        let serial = PipelineSim::new(nres).run(&batches, 1);
+        let serial = run(nres, &batches, 1);
         let total: f64 = batches.iter().flatten().map(|s| s.duration).sum();
         prop_assert!((serial.makespan - total).abs() < 1e-9, "one thread must serialize");
-        let overlapped = PipelineSim::new(nres).run(&batches, threads);
+        let overlapped = run(nres, &batches, threads);
         prop_assert!(
             overlapped.makespan <= serial.makespan + 1e-9,
             "threads={threads} makespan {} exceeds serial {}",
@@ -117,7 +130,7 @@ proptest! {
     #[test]
     fn empty_batches_cost_nothing(nres in 1usize..5, n in 1usize..6, threads in 1usize..4) {
         let batches: Vec<Vec<Stage>> = vec![Vec::new(); n];
-        let r = PipelineSim::new(nres).run(&batches, threads);
+        let r = run(nres, &batches, threads);
         prop_assert_eq!(r.makespan, 0.0);
         for res in 0..nres {
             prop_assert_eq!(r.utilization(res), 0.0);
@@ -210,7 +223,7 @@ fn graham_anomaly_counterexample_is_real() {
             .collect();
         let mut prev = f64::INFINITY;
         for threads in 1..=nbatches {
-            let m = PipelineSim::new(nres).run(&batches, threads).makespan;
+            let m = run(nres, &batches, threads).makespan;
             if m > prev + 1e-9 {
                 anomaly = Some((seed, threads, prev, m));
                 break 'seeds;
