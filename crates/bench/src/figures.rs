@@ -6,7 +6,7 @@ use crate::table::TextTable;
 use crate::{gops, p100_with_words, Opts, GROUP_SIZES, LOADS};
 use std::collections::HashSet;
 use std::io::{self, Write};
-use warpdrive::host_ops::resource;
+use warpdrive::host_ops::{resource, Cut};
 use warpdrive::{CascadeStage, Config, OpReport};
 use workloads::Distribution;
 
@@ -223,13 +223,10 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
             let hmap = node().map;
             let batches = (n_model >> 24).clamp(2, 512) as usize;
             let batch_func = (n_func / batches).max(1);
-            let hins = hmap
-                .insert_overlapped(&pairs, batch_func, 4)
-                .expect("host insert");
+            let cut = Cut::new(batch_func, 4);
+            let hins = hmap.insert_in_chunks(&pairs, cut).expect("host insert");
             let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            let hret = hmap
-                .retrieve_overlapped(&keys, batch_func, 4)
-                .expect("host retrieve");
+            let hret = hmap.retrieve_in_chunks(&keys, cut).expect("host retrieve");
             host_row.push(gops(hins.modeled_ops_per_sec(scale)));
             host_row.push(gops(hret.report.modeled_ops_per_sec(scale)));
         }
@@ -305,7 +302,7 @@ pub fn fig11(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     for threads in [1usize, 2, 4] {
         let map = NodeBench::paper(M, n_func / M, n_model).map;
         let rep = map
-            .insert_overlapped(&pairs, batch_func, threads)
+            .insert_in_chunks(&pairs, Cut::new(batch_func, threads))
             .expect("insert");
         row(format!("Ins{threads}"), &rep);
         loaded = Some((map, rep));
@@ -313,7 +310,7 @@ pub fn fig11(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     let (map, ins4) = loaded.expect("three variants");
     for threads in [1usize, 2, 4] {
         let rep = map
-            .retrieve_overlapped(&keys, batch_func, threads)
+            .retrieve_in_chunks(&keys, Cut::new(batch_func, threads))
             .expect("retrieve");
         row(format!("Ret{threads}"), &rep.report);
     }

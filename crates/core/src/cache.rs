@@ -5,7 +5,7 @@
 //! tiny host-resident shadow of the hottest keys absorbs most reads
 //! before they reach the device. [`CachedMap`] wraps a backend behind the
 //! same [`MapService`] trait, so the wd-serve front door can stack it
-//! under a [`Server`] without code changes.
+//! under its `Server` without code changes.
 //!
 //! ## Design
 //!

@@ -29,9 +29,10 @@
 //! pays for its overlay once, whatever the cut.
 //! The mixed round is always one chunk: its reads answer the values from
 //! before the call, which a chunk behind a put would not.
-//! [`DistributedHashMap::insert_overlapped`] and
-//! [`DistributedHashMap::retrieve_overlapped`] cut at a size and on a
-//! number of streams of their caller's (Fig. 11's `Ins`/`Ret` variants).
+//! [`DistributedHashMap::insert_in_chunks`] and
+//! [`DistributedHashMap::retrieve_in_chunks`] cut where their caller's
+//! [`Cut`] says — a chunk size and a number of streams, Fig. 11's
+//! `Ins`/`Ret` variants.
 
 use crate::cascade::{Abort, CascadeOp, Input, ERASE, GET_PUT, INSERT, RETRIEVE};
 use crate::config::Mutation;
@@ -159,7 +160,7 @@ impl Overlap {
 /// How a host-sided call is cut: into chunks of `len` elements — the last
 /// one may be shorter — issued round-robin on `streams` streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Cut {
+pub struct Cut {
     len: usize,
     streams: usize,
 }
@@ -169,7 +170,8 @@ impl Cut {
     ///
     /// # Panics
     /// Panics if `len == 0` or `streams == 0`.
-    pub(crate) fn new(len: usize, streams: usize) -> Self {
+    #[must_use]
+    pub fn new(len: usize, streams: usize) -> Self {
         assert!(len > 0 && streams > 0, "chunks hold elements and run on streams");
         Self { len, streams }
     }
@@ -329,7 +331,13 @@ impl DistributedHashMap {
         self.insert_in_chunks(pairs, Cut::of(pairs.len(), self.num_gpus()))
     }
 
-    pub(crate) fn insert_in_chunks(
+    /// [`Self::insert_from_host`] cut where `cut` says, not by the call's
+    /// size: Fig. 11's `Ins1`/`Ins2`/`Ins4` are one chunk size on 1, 2 or
+    /// 4 streams.
+    ///
+    /// # Errors
+    /// As [`Self::insert_from_host`].
+    pub fn insert_in_chunks(
         &self,
         pairs: &[(u32, u32)],
         cut: Cut,
@@ -351,9 +359,7 @@ impl DistributedHashMap {
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_retrieve_from_host(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        let cut = Cut::of(keys.len(), self.num_gpus());
-        let (values, report) = self.retrieve_in_chunks(keys, cut)?;
-        Ok(GetResponse { values, report })
+        self.retrieve_in_chunks(keys, Cut::of(keys.len(), self.num_gpus()))
     }
 
     /// Single-key convenience. Routed through the same counter/stats
@@ -365,11 +371,13 @@ impl DistributedHashMap {
             .map_or(None, |resp| resp.values[0])
     }
 
-    pub(crate) fn retrieve_in_chunks(
-        &self,
-        keys: &[u32],
-        cut: Cut,
-    ) -> Result<(Vec<Option<u32>>, OpReport), OpError> {
+    /// [`Self::try_retrieve_from_host`] cut where `cut` says, not by the
+    /// call's size (Fig. 11's `Ret1`/`Ret2`/`Ret4`), answering in key
+    /// order.
+    ///
+    /// # Errors
+    /// As [`Self::try_retrieve_from_host`].
+    pub fn retrieve_in_chunks(&self, keys: &[u32], cut: Cut) -> Result<GetResponse, OpError> {
         check_keys(keys.iter().copied())?;
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; keys.len()];
@@ -380,7 +388,7 @@ impl DistributedHashMap {
                 })
             })
         })?;
-        Ok((values, report))
+        Ok(GetResponse { values, report })
     }
 
     /// Host-sided erase with typed fault errors: keys travel over PCIe
@@ -796,53 +804,92 @@ mod tests {
         report.overlaps.first().map_or(1, |overlap| overlap.chunks.len())
     }
 
-    #[test]
-    fn a_chunked_call_answers_moves_and_launches_like_one_chunk() {
-        use CascadeStage::{D2H, H2D};
-        // half of `keys` absent; cuts of multiples of 32 keys, so a GPU's
-        // found bits fill whole bytes in every chunk as in the whole call
+    /// Chunks of multiples of 32 keys, so a GPU's found bits fill whole
+    /// bytes in every chunk as in the whole call.
+    fn test_cuts() -> [Cut; 4] {
+        [Cut::new(1024, 4), Cut::new(768, 2), Cut::new(4096, 3), Cut::new(1024, 1)]
+    }
+
+    /// Puts, gets (half of the keys absent) and erases on a node in the
+    /// chunks of `cut`, and on a twin in one chunk each. Checks that the
+    /// two answer alike, end up holding the same pairs and that each report
+    /// counts its call's launches; returns each call's chunked report, its
+    /// one-chunk report and its length.
+    fn chunked_and_whole(cut: Cut) -> [(OpReport, OpReport, usize); 3] {
         let pairs: Vec<(u32, u32)> = (0..4096u32).map(|i| (i * 7 + 1, i)).collect();
         let keys: Vec<u32> = (0..4096u32).flat_map(|i| [i * 7 + 1, i * 7 + 3]).collect();
         let deleted: Vec<u32> = keys.iter().copied().step_by(3).collect();
         let whole = |len: usize| Cut::new(len, 1);
-        for cut in [Cut::new(1024, 4), Cut::new(768, 2), Cut::new(4096, 3)] {
-            let node = || node_with(4, Config::default());
-            let (mut d, mut twin) = (node(), node());
-            let before = launches(&d);
-            let put = d.insert_in_chunks(&pairs, cut).unwrap();
-            assert_eq!(put.launches, launches(&d) - before);
-            let twin_put = twin.insert_in_chunks(&pairs, whole(pairs.len())).unwrap();
-            let before = launches(&d);
-            let (values, get) = d.retrieve_in_chunks(&keys, cut).unwrap();
-            assert_eq!(get.launches, launches(&d) - before);
-            let (twin_values, twin_get) =
-                twin.retrieve_in_chunks(&keys, whole(keys.len())).unwrap();
-            assert_eq!(values, twin_values);
-            let before = launches(&d);
-            let erase = d.erase_in_chunks(&deleted, cut).unwrap();
-            assert_eq!(erase.report.launches, launches(&d) - before);
-            let twin_erase = twin.erase_in_chunks(&deleted, whole(deleted.len())).unwrap();
-            assert_eq!((&erase.hits, erase.erased), (&twin_erase.hits, twin_erase.erased));
-            assert_eq!(live_sorted(&d), live_sorted(&twin));
-            let calls = [
-                (&put, &twin_put, pairs.len()),
-                (&get, &twin_get, keys.len()),
-                (&erase.report, &twin_erase.report, deleted.len()),
-            ];
-            for (chunked, one, len) in calls {
-                assert_eq!(chunks_of(chunked), len.div_ceil(cut.len));
+        let node = || node_with(4, Config::default());
+        let (mut d, mut twin) = (node(), node());
+        let before = launches(&d);
+        let put = d.insert_in_chunks(&pairs, cut).unwrap();
+        assert_eq!(put.launches, launches(&d) - before);
+        let twin_put = twin.insert_in_chunks(&pairs, whole(pairs.len())).unwrap();
+        let before = launches(&d);
+        let GetResponse { values, report: get } = d.retrieve_in_chunks(&keys, cut).unwrap();
+        assert_eq!(get.launches, launches(&d) - before);
+        let GetResponse { values: twin_values, report: twin_get } =
+            twin.retrieve_in_chunks(&keys, whole(keys.len())).unwrap();
+        assert_eq!(values, twin_values);
+        let before = launches(&d);
+        let erase = d.erase_in_chunks(&deleted, cut).unwrap();
+        assert_eq!(erase.report.launches, launches(&d) - before);
+        let twin_erase = twin.erase_in_chunks(&deleted, whole(deleted.len())).unwrap();
+        assert_eq!((&erase.hits, erase.erased), (&twin_erase.hits, twin_erase.erased));
+        assert_eq!(live_sorted(&d), live_sorted(&twin));
+        [
+            (put, twin_put, pairs.len()),
+            (get, twin_get, keys.len()),
+            (erase.report, twin_erase.report, deleted.len()),
+        ]
+    }
+
+    #[test]
+    fn a_chunked_call_answers_moves_and_launches_like_one_chunk() {
+        use CascadeStage::{D2H, H2D};
+        for cut in test_cuts() {
+            for (chunked, one, len) in chunked_and_whole(cut) {
+                assert_eq!(chunks_of(&chunked), len.div_ceil(cut.len));
                 assert!(one.overlaps.is_empty());
                 for stage in [H2D, D2H] {
-                    assert_eq!(bytes_of(chunked, stage), bytes_of(one, stage), "{stage:?}");
+                    assert_eq!(bytes_of(&chunked, stage), bytes_of(&one, stage), "{stage:?}");
                 }
                 assert_eq!(chunked.elements, one.elements);
-                assert_time_is_bracketed(chunked);
-                if chunks_of(chunked) > 1 && cut.streams > 1 {
+                assert_time_is_bracketed(&chunked);
+                if chunks_of(&chunked) > 1 && cut.streams > 1 {
                     // a chunk's upload hides behind the one before it
                     let rows: f64 = chunked.stages.iter().map(|s| s.time).sum();
                     assert!(chunked.time < rows);
                 }
-                assert_time_is_bracketed(one);
+                assert_time_is_bracketed(&one);
+            }
+        }
+    }
+
+    #[test]
+    fn one_stream_issues_the_chunks_one_after_the_other() {
+        // one stream issues the chunks one after the other
+        let cut = Cut::new(1024, 1);
+        for (chunked, _, len) in chunked_and_whole(cut) {
+            assert!(len > cut.len);
+            let overlap = chunked.overlaps.first().expect("a call of many chunks overlaps");
+            let one_stream = overlap.schedule(&chunked.stages, 1.0, 1).makespan;
+            assert_eq!(chunked.time.to_bits(), one_stream.to_bits());
+            assert_eq!(overlap.saving(&chunked.stages, 1.0), 0.0);
+        }
+    }
+
+    #[test]
+    fn every_chunk_crosses_pcie_nvlink_and_the_video_memory() {
+        // every chunk crosses PCIe, NVLink and the video memory
+        let crossed = [resource::PCIE_UP, resource::NVLINK, resource::VRAM];
+        for cut in test_cuts() {
+            for (chunked, ..) in chunked_and_whole(cut) {
+                if let Some(overlap) = chunked.overlaps.first() {
+                    let busy = overlap.schedule(&chunked.stages, 1.0, cut.streams).busy;
+                    assert!(crossed.iter().all(|&r| busy[r] > 0.0), "{cut:?}");
+                }
             }
         }
     }
@@ -894,14 +941,14 @@ mod tests {
         // every answer right, an absent key's too, through 8 chunks of
         // reads and of erases on the degraded node
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([5000]).collect();
-        let (values, get) = d.retrieve_in_chunks(&keys, cut).unwrap();
+        let get = d.retrieve_in_chunks(&keys, cut).unwrap();
         let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).chain([None]).collect();
-        assert_eq!(values, want);
-        assert_eq!(chunks_of(&get), 9);
+        assert_eq!(get.values, want);
+        assert_eq!(chunks_of(&get.report), 9);
         let erase = d.erase_in_chunks(&keys, cut).unwrap();
         let hits: Vec<bool> = want.iter().map(Option::is_some).collect();
         assert_eq!((erase.hits, erase.erased), (hits, pairs.len() as u64));
-        let (values, _) = d.retrieve_in_chunks(&keys, cut).unwrap();
+        let values = d.retrieve_in_chunks(&keys, cut).unwrap().values;
         assert!(values.iter().all(Option::is_none));
     }
 
@@ -952,9 +999,9 @@ mod tests {
         assert_eq!(chunks.iter().map(backoff).collect::<Vec<_>>(), [false, false, true, false]);
         assert_time_is_bracketed(&put);
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let (values, get) = d.retrieve_in_chunks(&keys, cut).unwrap();
-        assert!(values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
-        assert_time_is_bracketed(&get);
+        let get = d.retrieve_in_chunks(&keys, cut).unwrap();
+        assert!(get.values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
+        assert_time_is_bracketed(&get.report);
         assert_eq!(live_sorted(&d), {
             let mut want = pairs.clone();
             want.sort_unstable();

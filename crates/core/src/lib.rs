@@ -20,7 +20,8 @@
 //!    and each GPU owns exactly the keys with `p(k) = i`.
 //! 3. **Asynchronous overlap** ([`host_ops`]) — a large host-sided call is
 //!    cut into chunks whose H2D → MST → INS stages overlap on independent
-//!    hardware resources (Figs. 5, 11; [`async_pipe`] picks the cut).
+//!    hardware resources (Figs. 5, 11): cut by its size alone, or at an
+//!    explicit [`host_ops::Cut`].
 //!
 //! ## Quickstart
 //!
@@ -40,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod async_pipe;
 pub mod cache;
 pub mod cascade;
 pub mod chaos;

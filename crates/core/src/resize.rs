@@ -69,23 +69,19 @@ pub struct ResizePolicy {
     /// entries until reclaimed.
     pub watermark: f64,
     /// Slots migrated per chunk step (rounded up to whole 32-slot spans
-    /// by construction — the scan is span-granular).
+    /// by construction — the scan is span-granular). A foreground op runs
+    /// one chunk step while a migration is active.
     pub chunk: usize,
-    /// Chunk steps interleaved before each foreground op while a
-    /// migration is active.
-    pub chunks_per_op: usize,
-    /// Capacity multiplier for a grow (compaction always rebuilds at
-    /// 1×).
-    pub growth_factor: usize,
 }
+
+/// Capacity multiplier of a grow (compaction always rebuilds at 1×).
+const GROWTH_FACTOR: usize = 2;
 
 impl Default for ResizePolicy {
     fn default() -> Self {
         Self {
             watermark: 0.85,
             chunk: 256,
-            chunks_per_op: 1,
-            growth_factor: 2,
         }
     }
 }
@@ -128,27 +124,13 @@ impl ResizePolicy {
         self.chunk = slots.max(1);
         self
     }
-
-    /// Sets how many chunk steps run before each foreground op.
-    #[must_use]
-    pub fn with_chunks_per_op(mut self, n: usize) -> Self {
-        self.chunks_per_op = n.max(1);
-        self
-    }
-
-    /// Sets the grow multiplier.
-    #[must_use]
-    pub fn with_growth_factor(mut self, f: usize) -> Self {
-        self.growth_factor = f.max(2);
-        self
-    }
 }
 
 /// Why a migration is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ResizeMode {
-    /// Growing to `growth_factor ×` the capacity (watermark hit with
-    /// mostly live entries).
+    /// Growing to twice the capacity (watermark hit with mostly live
+    /// entries).
     Grow,
     /// Rebuilding at the *same* capacity to purge tombstones (watermark
     /// hit with tombstones ≥ live entries).
@@ -256,12 +238,6 @@ impl GpuHashMap {
         let ctl = self.resize.get_mut();
         ctl.policy = policy;
         ctl.blocked = false;
-    }
-
-    /// The armed resize policy, if any.
-    #[must_use]
-    pub fn resize_policy(&self) -> Option<ResizePolicy> {
-        self.resize.lock().policy
     }
 
     /// Current resize state.
@@ -414,9 +390,7 @@ impl GpuHashMap {
     /// over the grown (or, compacting, the same) capacity.
     fn begin(&self, ctl: &mut ResizeCtl, mode: ResizeMode) -> Result<(), BuildError> {
         let capacity = match mode {
-            ResizeMode::Grow => {
-                self.table.capacity() * ctl.policy.unwrap_or_default().growth_factor.max(2)
-            }
+            ResizeMode::Grow => self.table.capacity() * GROWTH_FACTOR,
             ResizeMode::Compact => self.table.capacity(),
         };
         let seed = self.table.seed().wrapping_add(1);
@@ -433,8 +407,9 @@ impl GpuHashMap {
     }
 
     /// Advances the migration by up to `chunks` chunk steps (stops at the
-    /// end of the source table). Returns merged stats of the step
-    /// launches, if any ran.
+    /// end of the source table): one before each foreground op, all of
+    /// them to finish. Returns merged stats of the step launches, if any
+    /// ran.
     ///
     /// Each step: scan the next chunk of source slots (billed as one
     /// streaming launch, like `rebuild_scan`), insert the live pairs
@@ -507,7 +482,7 @@ impl GpuHashMap {
         let g = self.cfg.group_size;
         let queries = query_words(pairs.iter().map(|p| p.0))?;
         let packed = pair_words(pairs)?;
-        let mut acc = self.advance(m, policy, policy.chunks_per_op.max(1))?;
+        let mut acc = self.advance(m, policy, 1)?;
         let (source, target) = (&self.table, &m.table);
 
         let mut new_slots = 0u64;
@@ -575,7 +550,7 @@ impl GpuHashMap {
         let g = self.cfg.group_size;
         let queries = query_words(keys.iter().copied())?;
         let cursor_before = m.cursor;
-        let steps = self.advance(m, policy, policy.chunks_per_op.max(1))?;
+        let steps = self.advance(m, policy, 1)?;
         let (source, target) = (&self.table, &m.table);
 
         let n = keys.len();
@@ -629,7 +604,7 @@ impl GpuHashMap {
     ) -> Result<EraseOutcome, OpError> {
         let g = self.cfg.group_size;
         let queries = query_words(keys.iter().copied())?;
-        let steps = self.advance(m, policy, policy.chunks_per_op.max(1))?;
+        let steps = self.advance(m, policy, 1)?;
 
         let n = keys.len();
         let (_scratch, [queries], _) = self.table.stage([queries.iter().copied()], 0)?;
@@ -676,10 +651,9 @@ mod tests {
         let p = ResizePolicy::default();
         assert!((p.watermark - 0.85).abs() < 1e-12);
         assert_eq!(p.chunk, 256);
-        let p = p.with_watermark(0.5).with_chunk(0).with_growth_factor(1);
+        let p = p.with_watermark(0.5).with_chunk(0);
         assert!((p.watermark - 0.5).abs() < 1e-12);
         assert_eq!(p.chunk, 1);
-        assert_eq!(p.growth_factor, 2);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use interconnect::Topology;
 use std::sync::Arc;
+use warpdrive::host_ops::Cut;
 use warpdrive::{
     pack, Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Layout, MapService, Op, OpError,
     OpReport, Schedule,
@@ -326,7 +327,7 @@ fn overlapped_batch_size_larger_than_input() {
     let dmap =
         DistributedHashMap::new(devices, 2048, Config::default(), Topology::p100_quad(4)).unwrap();
     let pairs: Vec<(u32, u32)> = (0..100u32).map(|i| (i + 1, i)).collect();
-    let rep = dmap.insert_overlapped(&pairs, 10_000, 4).unwrap();
+    let rep = dmap.insert_in_chunks(&pairs, Cut::new(10_000, 4)).unwrap();
     // one batch cannot overlap with itself: the plain bracket's report
     assert!(rep.overlaps.is_empty());
     let rows: f64 = rep.stages.iter().map(|s| s.time).sum();

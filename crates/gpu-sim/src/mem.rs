@@ -204,12 +204,6 @@ impl DeviceMemory {
         self.sanitizer.get().and_then(DeviceSanitizer::valid)
     }
 
-    /// Total pool size in words.
-    #[must_use]
-    pub fn capacity_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Words not claimed by either allocator.
     #[must_use]
     pub fn available_words(&self) -> usize {
@@ -509,20 +503,11 @@ impl DeviceMemory {
         words.iter().map(|w| w.load(Ordering::Relaxed))
     }
 
-    /// Device → device copy within one device (uncounted raw move; kernels
-    /// bill their own traffic, inter-device transfers bill via the
-    /// interconnect model).
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn d2d(&self, src: DevSlice, dst: DevSlice) {
-        self.peer_copy(src, self, dst);
-    }
-
     /// Device → device copy of this memory's `src` into `dst` of `peer`,
-    /// another device's memory or this one: the words move without a host
-    /// copy, uncounted and booked as no upload, as [`DeviceMemory::d2d`]
-    /// (the transfer is billed by the interconnect model). Initcheck
+    /// another device's memory or this one (a raw move between two regions
+    /// of one device): the words move without a host copy, uncounted and
+    /// booked as no upload — kernels bill their own traffic, and a transfer
+    /// between devices is billed by the interconnect model. Initcheck
     /// validity travels with the words; from a device without a shadow
     /// they arrive defined, as from the host.
     ///
@@ -710,16 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn d2d_copies_between_regions() {
-        let mem = DeviceMemory::new(32);
-        let a = mem.alloc(8).unwrap();
-        let b = mem.alloc(8).unwrap();
-        mem.h2d(a, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        mem.d2d(a, b);
-        assert_eq!(mem.d2h(b), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
     fn a_peer_copy_moves_the_words_and_books_no_upload() {
         let (here, there) = (DeviceMemory::new(16), DeviceMemory::new(16));
         let (src, dst) = (here.alloc(4).unwrap(), there.alloc(8).unwrap());
@@ -730,7 +705,7 @@ mod tests {
         assert_eq!(there.d2h(dst), [9, 9, 9, 9, 2, 3, 4, 9]);
         assert_eq!(here.d2h(src), [1, 2, 3, 4]);
         assert_eq!((here.uploaded_bytes(), there.uploaded_bytes()), uploaded);
-        // onto the same memory it is a d2d
+        // onto its own memory it copies between two regions
         here.peer_copy(src.sub(0, 2), &here, src.sub(2, 2));
         assert_eq!(here.d2h(src), [1, 2, 1, 2]);
     }

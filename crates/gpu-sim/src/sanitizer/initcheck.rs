@@ -4,7 +4,7 @@
 //! `AtomicU64` — so a half-word store ([`crate::GroupCtx::write_halves`])
 //! defines its half alone and a read of the word is flagged while the
 //! other half was never written. Bits are set by every defining operation
-//! — `h2d`, `fill`, `d2d` (copying the source's validity), kernel stores
+//! — `h2d`, `fill`, `peer_copy` (copying the source's validity), kernel stores
 //! and atomic RMWs — and cleared whenever the word is (re)allocated:
 //! `alloc`, `alloc_scratch`, and scratch release (so a stale read through
 //! a dangling `DevSlice` into recycled scratch is flagged as reading an

@@ -20,7 +20,7 @@
 //!   Under stepwise schedules release publication is batched and flushed
 //!   at schedule-quantum boundaries.
 //! * **initcheck** ([`initcheck`]) — a valid-bit shadow per half of a
-//!   device word, set by `h2d`/`fill`/`d2d`/kernel stores and cleared on
+//!   device word, set by `h2d`/`fill`/`peer_copy`/kernel stores and cleared on
 //!   (re)allocation, flags reads of never-written words or halves (e.g.
 //!   probing a table whose EMPTY-fill was skipped).
 //! * **memcheck** ([`memcheck`]) — out-of-bounds streaming accesses are

@@ -91,13 +91,6 @@ impl Window {
         self.vals[rank as usize]
     }
 
-    /// Updates the register copy of one lane (after a reload).
-    #[inline]
-    pub fn set_lane(&mut self, rank: u32, val: u64) {
-        debug_assert!(rank < self.size);
-        self.vals[rank as usize] = val;
-    }
-
     /// Number of lanes.
     #[inline]
     #[must_use]
@@ -623,17 +616,6 @@ impl<'a> GroupCtx<'a> {
     /// memory (modeling hook, cf. [`GroupCtx::bill_transactions`]).
     pub fn bill_stream_bytes(&self, bytes: u64) {
         self.local.add_stream_bytes(bytes);
-    }
-
-    /// 64-bit `atomicMax` (used by some baselines' stash bookkeeping).
-    pub fn atomic_max(&self, slice: DevSlice, idx: usize, val: u64) -> u64 {
-        self.pace();
-        let idx = fast_idx(idx, slice.len());
-        self.san_atomic(slice, idx);
-        let old = self.mem.word(slice, idx).fetch_max(val, Ordering::Relaxed);
-        self.local.add_atomic();
-        self.local.add_steps(1);
-        old
     }
 }
 

@@ -90,25 +90,6 @@ impl Topology {
         }
     }
 
-    /// A PCIe-only node (no NVLink): peer transfers are staged through the
-    /// host at switch bandwidth. Used by the distribution-strategy
-    /// ablation to show what NVLink buys.
-    #[must_use]
-    pub fn pcie_only(m: usize) -> Self {
-        let mut t = Self::p100_quad(m);
-        for i in 0..m {
-            for j in 0..m {
-                if i != j {
-                    // P2P over PCIe: bounded by the slower of the two
-                    // switches and shared both ways; halve for the
-                    // store-and-forward hop through the root complex.
-                    t.nvlink[i][j] = PCIE_SWITCH_PEAK * PCIE_EFFICIENCY / 2.0;
-                }
-            }
-        }
-        t
-    }
-
     /// Effective bandwidth of the direct path i→j.
     ///
     /// # Panics
@@ -135,12 +116,6 @@ impl Topology {
     #[must_use]
     pub fn degraded_switch_bandwidth(&self, s: usize, plan: &gpu_sim::FaultPlan) -> f64 {
         self.switch_bandwidth[s] / plan.switch_factor(s)
-    }
-
-    /// Accumulated theoretical host bandwidth across all switches.
-    #[must_use]
-    pub fn total_host_bandwidth(&self) -> f64 {
-        self.switch_bandwidth.iter().sum()
     }
 
     /// GPUs attached to PCIe switch `s`, ascending.
@@ -184,7 +159,7 @@ mod tests {
         assert!(t.gpus_on_switch(1).eq([2, 3]));
         assert_eq!(t.device_of, [0, 1, 2, 3]);
         // ≈22 GB/s accumulated host bandwidth
-        let total = t.total_host_bandwidth();
+        let total: f64 = t.switch_bandwidth.iter().sum();
         assert!((total - 22.0e9).abs() < 0.1e9, "{total}");
     }
 
@@ -202,19 +177,6 @@ mod tests {
         let t = Topology::one_device(4, &spec);
         assert_eq!((&t.device_of[..], t.num_switches()), (&[0; 4][..], 1));
         assert_eq!(t.nvlink[1][3], spec.stream_bandwidth());
-    }
-
-    #[test]
-    fn pcie_only_is_slower_than_nvlink() {
-        let nv = Topology::p100_quad(4);
-        let pcie = Topology::pcie_only(4);
-        for i in 0..4 {
-            for j in 0..4 {
-                if i != j {
-                    assert!(pcie.peer_bandwidth(i, j) < nv.peer_bandwidth(i, j));
-                }
-            }
-        }
     }
 
     #[test]

@@ -19,15 +19,17 @@
 //! * [`split`] — the paper's m-pass binary multisplit and the cascade's
 //!   count + scatter multisplit on a simulated device (ablation A3
 //!   compares them),
-//! * [`scan`] — exclusive prefix scans,
-//! * [`table`] — the m×m partition table and its transposition algebra.
+//! * [`scan`] — exclusive prefix scans.
+//!
+//! Fig. 4's m×m partition table is no type of its own: a source GPU's
+//! [`SegmentedSplit::counts`] is its row, and the all-to-all reads the
+//! cells transposed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod scan;
 pub mod split;
-pub mod table;
 pub mod warp_agg;
 
 pub use scan::exclusive_scan;
@@ -35,5 +37,4 @@ pub use split::{
     device_multisplit, device_multisplit_segments, Segment, SegmentedSplit, SplitResult,
     MAX_CLASSES, MAX_SEGMENTS, RUN_WORDS,
 };
-pub use table::PartitionTable;
 pub use warp_agg::warp_aggregated_compact;

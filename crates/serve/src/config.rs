@@ -28,11 +28,6 @@ pub struct ServeConfig {
     pub occupancy_watermark: f64,
     /// Per-tenant cap on live keys; `None` disables quotas.
     pub tenant_quota: Option<u64>,
-    /// When `true`, puts are rejected with
-    /// [`crate::ServeError::Degraded`] while the backend reports
-    /// quarantined GPUs — gets and deletes keep draining so the service
-    /// sheds write load instead of deepening a degraded cascade.
-    pub degraded_reject_puts: bool,
     /// When `true`, crossing [`ServeConfig::occupancy_watermark`] asks
     /// the backend to grow (incremental resize) instead of shedding the
     /// put: the op is admitted against the enlarged capacity when the
@@ -50,7 +45,6 @@ impl Default for ServeConfig {
             queue_cap: 4096,
             occupancy_watermark: 0.90,
             tenant_quota: None,
-            degraded_reject_puts: false,
             resize_on_watermark: false,
         }
     }
@@ -93,13 +87,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_tenant_quota(mut self, n: u64) -> Self {
         self.tenant_quota = Some(n);
-        self
-    }
-
-    /// Sheds write load while the backend is degraded.
-    #[must_use]
-    pub fn with_degraded_reject_puts(mut self) -> Self {
-        self.degraded_reject_puts = true;
         self
     }
 

@@ -3,7 +3,7 @@
 use warpdrive::OpError;
 
 /// Why the service refused (or failed) a request. Admission rejections
-/// (`KeyOutOfRange` … `Degraded`) are decided on the host shadow model
+/// (`KeyOutOfRange` … `QueueFull`) are decided on the host shadow model
 /// *before* the op is queued — they are deterministic functions of the
 /// submission history, independent of how ops later coalesce into
 /// batches. `Backend` wraps a typed [`OpError`] from a flush.
@@ -34,8 +34,6 @@ pub enum ServeError {
         /// The configured cap.
         cap: usize,
     },
-    /// Puts are being shed while the backend reports quarantined GPUs.
-    Degraded,
     /// A flush failed with a typed backend error. None of its ops
     /// completes, while an unspecified subset of its final writes may
     /// have been applied; the shadow model keeps the *intended* state,
@@ -57,7 +55,6 @@ impl std::fmt::Display for ServeError {
                 "projected load {projected:.3} past the {watermark:.3} admission watermark"
             ),
             ServeError::QueueFull { cap } => write!(f, "pending queue at its cap of {cap}"),
-            ServeError::Degraded => write!(f, "shedding writes: backend has quarantined GPUs"),
             ServeError::Backend(e) => write!(f, "backend failure: {e}"),
         }
     }
@@ -87,7 +84,6 @@ impl ServeError {
             ServeError::QuotaExceeded { .. } => "quota",
             ServeError::Saturated { .. } => "saturated",
             ServeError::QueueFull { .. } => "queue_full",
-            ServeError::Degraded => "degraded",
             ServeError::Backend(_) => "backend",
         }
     }

@@ -222,9 +222,6 @@ impl<S: MapService> Server<S> {
         match op {
             Op::Put { .. } => {
                 new_slot = !st.shadow.contains(&folded_key);
-                if self.cfg.degraded_reject_puts && self.backend.degraded().quarantined > 0 {
-                    return Err(ServeError::Degraded);
-                }
                 if new_slot {
                     if let Some(quota) = self.cfg.tenant_quota {
                         if st.shadow.len() as u64 >= quota {

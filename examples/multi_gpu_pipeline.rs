@@ -10,6 +10,7 @@
 //! Run with: `cargo run -p wd-apps --release --example multi_gpu_pipeline`
 
 use interconnect::Topology;
+use warpdrive::host_ops::Cut;
 use warpdrive::{Config, DistributedHashMap};
 use wd_apps::quad_node;
 use workloads::Distribution;
@@ -29,7 +30,7 @@ fn main() {
 
     // sequential vs overlapped issue (Ins1 vs Ins4)
     let report = dmap
-        .insert_overlapped(&pairs, BATCH, 4)
+        .insert_in_chunks(&pairs, Cut::new(BATCH, 4))
         .expect("pipeline insert");
     let overlap = &report.overlaps[0];
     println!(
@@ -64,7 +65,7 @@ fn main() {
     let mut keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
     keys.extend([4_000_000_001, 4_000_000_003]);
     let resp = dmap
-        .retrieve_overlapped(&keys, BATCH, 4)
+        .retrieve_in_chunks(&keys, Cut::new(BATCH, 4))
         .expect("pipeline retrieve");
     let (results, qreport) = (&resp.values, &resp.report);
     let hits = results.iter().filter(|r| r.is_some()).count();

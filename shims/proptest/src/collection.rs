@@ -75,7 +75,7 @@ pub struct HashSetStrategy<S> {
     size: SizeRange,
 }
 
-/// `HashSet` strategy: like [`vec`] but deduplicated; keeps drawing until
+/// `HashSet` strategy: like [`vec()`] but deduplicated; keeps drawing until
 /// the set reaches the chosen size (bounded, so tiny element domains
 /// settle for fewer elements rather than spinning forever).
 pub fn hash_set<S>(element: S, size: impl Into<SizeRange>) -> HashSetStrategy<S>

@@ -6,17 +6,16 @@
 //! 1. **Device multisplit** — the partition-ordered output is a
 //!    permutation of the input, classes are pure, and the counts/offsets
 //!    bookkeeping adds up.
-//! 2. **Partition-table transposition** — the m×m all-to-all table
-//!    conserves totals: row sums become column sums, `total()` is
-//!    invariant, and send/recv offset matrices describe the same volume.
+//! 2. **The partition table** — Fig. 4's m×m table, each source's split
+//!    counts a row, conserves totals: a row sums to its source's length, a
+//!    column to its class's count in the union of the inputs, and the
+//!    total to the union's length.
 //! 3. **End-to-end `DistributedHashMap`** — after multisplit, all-to-all,
 //!    and insert, the union of per-GPU table snapshots is exactly the
 //!    input key multiset; erasing a subset leaves exactly the remainder.
 
 use interconnect::Topology;
-use multisplit::{
-    device_multisplit, device_multisplit_segments, PartitionTable, Segment, RUN_WORDS,
-};
+use multisplit::{device_multisplit, device_multisplit_segments, Segment, RUN_WORDS};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -144,60 +143,47 @@ proptest! {
         }
     }
 
-    /// Transposing the m×m partition table swaps row/column sums and
-    /// conserves the total; offset matrices cover exactly that volume.
-    /// The reference is the nested table the flat one replaced.
+    /// Fig. 4's partition table is the sources' split counts, a row each:
+    /// each of `m` sources splits its own words into `m` classes by the
+    /// cascade's count + scatter split, and the table conserves what went
+    /// in — a row sums to its source's length, a column (what the
+    /// all-to-all hands partition `c`) to class `c`'s count in the union
+    /// of the inputs, and the total to the union's length.
     #[test]
-    #[allow(clippy::needless_range_loop)] // (i, j) walks the square matrix and its reference
-    fn partition_table_transpose_conserves_totals(
-        m in 1usize..9,
-        cells in proptest::collection::vec(0u64..10_000, 64),
+    fn the_split_counts_conserve_totals_as_a_partition_table(
+        sources in proptest::collection::vec(
+            proptest::collection::vec(any::<u64>(), 0..600),
+            1..9,
+        ),
     ) {
-        let counts: Vec<Vec<u64>> = (0..m).map(|i| cells[i * m..(i + 1) * m].to_vec()).collect();
-        let table = PartitionTable::new(m, cells[..m * m].to_vec());
-        let t = table.transposed();
-        for i in 0..m {
-            for j in 0..m {
-                prop_assert_eq!(table.at(i, j), counts[i][j]);
-                prop_assert_eq!(t.at(j, i), counts[i][j], "the transposed view swaps indices");
-            }
+        let m = sources.len();
+        let class_of = move |w: u64| (w % m as u64) as u32;
+        let opts = gpu_sim::LaunchOptions::default();
+        let rows: Vec<Vec<u64>> = sources
+            .iter()
+            .enumerate()
+            .map(|(g, words)| {
+                let dev = gpu_sim::Device::with_words(g, 2 * words.len() + m + 16);
+                let input = dev.alloc(words.len()).unwrap();
+                let out = dev.alloc(words.len()).unwrap();
+                let scratch = dev.alloc(m).unwrap();
+                dev.mem().h2d(input, words);
+                let segment = [Segment::words(input, out)];
+                let split = device_multisplit_segments(&dev, &segment, scratch, m, opts, class_of);
+                split.counts(0).to_vec()
+            })
+            .collect();
+        for (g, (row, words)) in rows.iter().zip(&sources).enumerate() {
+            prop_assert_eq!(row.iter().sum::<u64>(), words.len() as u64, "source {}", g);
         }
-
-        prop_assert_eq!(table.total(), counts.iter().flatten().sum::<u64>());
-        prop_assert_eq!(table.total(), t.total(), "total not conserved");
-        for i in 0..m {
-            let row: u64 = counts[i].iter().sum();
-            let col: u64 = (0..m).map(|j| t.at(j, i)).sum();
-            prop_assert_eq!(row, col, "gpu {} send volume", i);
+        for c in 0..m {
+            let column: u64 = rows.iter().map(|row| row[c]).sum();
+            let union = sources.iter().flatten();
+            let in_class = union.filter(|&&w| class_of(w) == c as u32).count();
+            prop_assert_eq!(column, in_class as u64, "partition {}", c);
         }
-        // what each target receives is what the senders claim to send it
-        let per_target = table.elements_per_target();
-        for (part, &vol) in per_target.iter().enumerate() {
-            let sent: u64 = (0..m).map(|gpu| counts[gpu][part]).sum();
-            prop_assert_eq!(vol, sent, "partition {}", part);
-        }
-        // double transpose is the identity
-        prop_assert_eq!(&t.transposed(), &table);
-        // a byte cell is the off-diagonal element cell scaled (the
-        // diagonal stays local and never crosses a link)
-        for i in 0..m {
-            for j in 0..m {
-                let want = if i == j { 0 } else { counts[i][j] * 8 };
-                prop_assert_eq!(table.bytes(i, j, 8), want);
-            }
-        }
-        // offsets stay within the conserved volume: a sender's are the
-        // scan of its row, a receiver's the scan of its column
-        for i in 0..m {
-            let send = multisplit::exclusive_scan(&counts[i]);
-            let column: Vec<u64> = (0..m).map(|gpu| table.at(gpu, i)).collect();
-            let recv = multisplit::exclusive_scan(&column);
-            prop_assert_eq!(send[0], 0, "send row {} must start at 0", i);
-            prop_assert_eq!(recv[0], 0, "recv col {} must start at 0", i);
-            let row_end = send[m - 1] + counts[i][m - 1];
-            prop_assert_eq!(row_end, counts[i].iter().sum::<u64>());
-            prop_assert_eq!(recv[m - 1] + column[m - 1], per_target[i]);
-        }
+        let total: u64 = rows.iter().flatten().sum();
+        prop_assert_eq!(total, sources.iter().map(Vec::len).sum::<usize>() as u64);
     }
 
     /// End to end: multisplit + all-to-all + insert preserves the key

@@ -5,6 +5,7 @@
 use interconnect::Topology;
 use std::collections::HashMap;
 use std::sync::Arc;
+use warpdrive::host_ops::Cut;
 use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap};
 use wd_apps::quad_node;
 use workloads::Distribution;
@@ -110,11 +111,11 @@ fn overlap_is_functionally_transparent() {
         Topology::p100_quad(4),
     )
     .unwrap();
-    b.insert_overlapped(&pairs, 700, 4).unwrap();
+    b.insert_in_chunks(&pairs, Cut::new(700, 4)).unwrap();
 
     assert_eq!(a.len(), b.len());
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let ra = a.retrieve_overlapped(&keys, 999, 2).unwrap().values;
+    let ra = a.retrieve_in_chunks(&keys, Cut::new(999, 2)).unwrap().values;
     let rb = b.try_retrieve_from_host(&keys).unwrap().values;
     assert_eq!(ra, rb);
 }

@@ -5,6 +5,7 @@
 
 use interconnect::{alltoall_time, broadcast_h2d_time, Topology};
 use std::sync::Arc;
+use warpdrive::host_ops::Cut;
 use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap};
 use wd_apps::quad_node;
 use workloads::Distribution;
@@ -113,11 +114,14 @@ fn fig11_shape_holds() {
     .unwrap();
     // modeled scale strips the fixed launch overheads that mute overlap
     // at functional batch sizes
-    let rep = dmap.insert_overlapped(&pairs, 1000, 4).unwrap();
+    let rep = dmap.insert_in_chunks(&pairs, Cut::new(1000, 4)).unwrap();
     let saving = rep.overlaps[0].saving(&rep.stages, 1024.0);
     assert!(saving > 0.2, "saving {saving:.2}");
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let retrieve = |threads| dmap.retrieve_overlapped(&keys, 1000, threads).unwrap().report;
+    let retrieve = |threads| {
+        let get = dmap.retrieve_in_chunks(&keys, Cut::new(1000, threads));
+        get.unwrap().report
+    };
     let (r2, r4) = (retrieve(2), retrieve(4));
     assert!(r4.modeled_time(1024.0) <= r2.modeled_time(1024.0) * 1.001);
     assert!(r2.overlaps[0].saving(&r2.stages, 1024.0) > 0.2);

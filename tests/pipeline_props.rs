@@ -27,6 +27,7 @@
 use interconnect::pipeline::{PipelineReport, PipelineSim, Stage};
 use interconnect::Topology;
 use proptest::prelude::*;
+use warpdrive::host_ops::Cut;
 use warpdrive::{Config, DistributedHashMap, FaultPlan, OpReport};
 use wd_apps::quad_node;
 use workloads::Distribution;
@@ -180,8 +181,9 @@ proptest! {
             .expect("node");
         let pairs = Distribution::Unique.generate(n, n as u64);
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let put = node.insert_overlapped(&pairs, batch, streams).expect("put");
-        let get = node.retrieve_overlapped(&keys, batch, streams).expect("get");
+        let cut = Cut::new(batch, streams);
+        let put = node.insert_in_chunks(&pairs, cut).expect("put");
+        let get = node.retrieve_in_chunks(&keys, cut).expect("get");
         prop_assert!(get.values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
         for report in [&put, &get.report] {
             prop_assert_eq!(report.overlaps.len(), usize::from(n > batch));
