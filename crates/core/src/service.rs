@@ -635,12 +635,18 @@ pub trait MapService {
             });
         }
         // `key << 32 | index`, sorted: each key's ops, contiguous and in
-        // submission order, keys ascending
-        let mut by_key: Vec<u64> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| u64::from(op.key()) << 32 | i as u64)
-            .collect();
+        // submission order, keys ascending. A call of a serving flush's
+        // size sorts them on the stack, a larger one on the heap
+        let (mut inline, mut heap) = ([0; INLINE_SORT], Vec::new());
+        let by_key: &mut [u64] = if ops.len() <= INLINE_SORT {
+            &mut inline[..ops.len()]
+        } else {
+            heap.resize(ops.len(), 0);
+            &mut heap
+        };
+        for (entry, (i, op)) in by_key.iter_mut().zip(ops.iter().enumerate()) {
+            *entry = u64::from(op.key()) << 32 | i as u64;
+        }
         by_key.sort_unstable();
         let index = |entry: u64| (entry & 0xffff_ffff) as usize;
         // the reserved key sorts last; its first op names the offender
@@ -770,6 +776,10 @@ pub(crate) fn get_then_put<S: MapService + ?Sized>(
 }
 
 /// Whether two `key << 32 | index` entries address the same key.
+/// Most ops whose sort keys [`MapService::execute`] keeps on the stack:
+/// 512 bytes, past any flush of a server under light load.
+const INLINE_SORT: usize = 64;
+
 fn same_key(a: &u64, b: &u64) -> bool {
     a >> 32 == b >> 32
 }

@@ -9,7 +9,11 @@
 //! * **Coalescing** — a [`Server`] queues small [`warpdrive::Op`]
 //!   requests and flushes GPU-sized batches when the queue reaches
 //!   [`ServeConfig::max_batch`] or the oldest request has waited
-//!   [`ServeConfig::max_delay`] on the modeled clock. Coalesced
+//!   [`ServeConfig::max_delay`] on the modeled clock. Arrivals and that
+//!   deadline are handled in time order ([`Server::advance_to`]): a
+//!   delay flush starts at the deadline, not at the next arrival, and a
+//!   submission triggers at most one flush, recorded in
+//!   [`Submitted::flush`]. Coalesced
 //!   execution is response-identical to sequential execution (the
 //!   [`warpdrive::MapService::execute`] contract), which the
 //!   equivalence suite proves across seeds × schedules × fault plans.
@@ -20,8 +24,9 @@
 //! * **Admission control** — typed [`ServeError`] rejections: occupancy
 //!   watermark, per-tenant quota, queue cap, key domain, and optional
 //!   write-shedding while the backend reports quarantined GPUs.
-//! * **Telemetry** — p50/p99 modeled latency, throughput, occupancy and
-//!   degraded-mode counters, scrapeable via [`Server::metrics_text`].
+//! * **Telemetry** — p50/p99 modeled latency, split into queue wait and
+//!   service time, throughput, occupancy and degraded-mode counters,
+//!   scrapeable via [`Server::metrics_text`].
 //!
 //! Per tenant, the service is Wing–Gong linearizable: each completion
 //! carries logical invocation/response timestamps and converts to a
@@ -57,7 +62,7 @@ pub mod trace;
 
 pub use config::ServeConfig;
 pub use error::ServeError;
-pub use server::{Completion, Server, Submitted, TraceRun};
+pub use server::{Completion, Flush, FlushCause, Server, Submitted, TraceRun};
 
 /// Re-export of the hot-key cache tier stackable under a [`Server`] (see
 /// [`Server::cached`]).

@@ -1,11 +1,22 @@
 //! The serving loop: admission → coalescing → flush → completions.
 //!
 //! A [`Server`] owns one [`MapService`] backend exclusively and turns a
-//! timed stream of small per-tenant requests into GPU-sized batches. The
-//! modeled clock advances two ways: submissions carry arrival times
-//! (`clock = max(clock, at)`), and every flush adds its backend-reported
-//! modeled cost. End-to-end latency of a request is therefore
-//! `flush_end − arrival` — queueing delay plus its share of the batch.
+//! timed stream of small per-tenant requests into GPU-sized batches. Two
+//! kinds of event move its modeled clock, and it handles them in time
+//! order: an arrival at `at`, and the deadline of the oldest pending op,
+//! `arrival + max_delay`. [`Server::advance_to`] runs a deadline that
+//! falls before the next arrival at that deadline — the delay flush
+//! starts there, not when a later request happens to reveal it — and
+//! every flush adds its backend-reported modeled cost. A request that
+//! finds the server busy is taken in when the flush ends. End-to-end
+//! latency of a request is therefore `flush_end − arrival`: its queue
+//! wait (`flush_start − arrival`, at most `max_delay` unless a flush of
+//! other ops was running at its deadline) plus the flush's service time.
+//!
+//! A submission triggers at most one flush: with `max_batch > 1` a delay
+//! flush empties the queue and the one op admitted after it cannot fill
+//! it again, and with `max_batch = 1` every op leaves in a size flush of
+//! its own, so no op is pending when the next one arrives.
 //!
 //! ## Determinism and the shadow model
 //!
@@ -77,15 +88,47 @@ impl Completion {
     }
 }
 
-/// What one submission did: completions drained by any flush it
-/// triggered, plus whether the op itself was admitted.
+/// What made a flush run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushCause {
+    /// The oldest pending op reached its deadline, `arrival + max_delay`.
+    Delay,
+    /// The queue reached `max_batch` ops.
+    Size,
+}
+
+/// When one flush ran on the modeled clock, and why.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Flush {
+    /// Modeled time the flush started: the clock when its cause fired.
+    pub start: f64,
+    /// Modeled time it ended: `start` plus the backend's reported cost.
+    pub end: f64,
+    /// What triggered it.
+    pub cause: FlushCause,
+}
+
+/// What one submission did: completions drained by the flush it
+/// triggered, if any, plus whether the op itself was admitted.
 #[derive(Debug)]
 pub struct Submitted {
     /// Completions delivered while handling this submission (ops flushed
     /// by the delay or size threshold — possibly including this op).
     pub completions: Vec<Completion>,
+    /// The flush that delivered them; `None` if no flush ran or it failed.
+    pub flush: Option<Flush>,
     /// `Ok(seq)` if the op was admitted, the typed rejection otherwise.
     pub outcome: Result<u64, ServeError>,
+}
+
+impl Submitted {
+    fn rejected(e: ServeError) -> Self {
+        Self {
+            completions: Vec::new(),
+            flush: None,
+            outcome: Err(e),
+        }
+    }
 }
 
 /// The result of replaying a whole trace.
@@ -143,25 +186,16 @@ impl<S: MapService> Server<S> {
 
     /// Submits one request arriving at modeled time `at`.
     ///
-    /// Advances the clock to `at`, flushes first if the oldest pending
-    /// op has exceeded the delay threshold, then runs admission, and
-    /// flushes again if the queue reached the size threshold. All
-    /// completions drained along the way are returned.
+    /// [`Self::advance_to`] `at` first — running the delay flush the
+    /// oldest pending op's deadline calls for, at that deadline — then
+    /// runs admission, and flushes if the queue reached the size
+    /// threshold. At most one of the two flushes runs; its completions
+    /// and record are returned.
     pub fn submit_at(&mut self, tenant: u8, op: Op, at: f64) -> Submitted {
-        self.clock = self.clock.max(at);
-        let mut completions = Vec::new();
-        if !self.pending.is_empty() && self.clock - self.pending[0].arrival >= self.cfg.max_delay {
-            self.telemetry.delay_flushes += 1;
-            match self.flush() {
-                Ok(done) => completions.extend(done),
-                Err(e) => {
-                    return Submitted {
-                        completions,
-                        outcome: Err(e),
-                    }
-                }
-            }
-        }
+        let (completions, flush) = match self.advance_to(at) {
+            Ok(flushed) => flushed,
+            Err(e) => return Submitted::rejected(e),
+        };
         let (new_slot, folded) = match self.admit(tenant, op) {
             Ok(x) => x,
             Err(e) => {
@@ -170,6 +204,7 @@ impl<S: MapService> Server<S> {
                 *st.rejects_by_reason.entry(e.reason()).or_insert(0) += 1;
                 return Submitted {
                     completions,
+                    flush,
                     outcome: Err(e),
                 };
             }
@@ -186,21 +221,60 @@ impl<S: MapService> Server<S> {
             invoked: self.ticks,
             new_slot,
         });
-        if self.pending.len() >= self.cfg.max_batch {
-            self.telemetry.size_flushes += 1;
-            match self.flush() {
-                Ok(done) => completions.extend(done),
-                Err(e) => {
-                    return Submitted {
-                        completions,
-                        outcome: Err(e),
-                    }
-                }
-            }
+        if self.pending.len() < self.cfg.max_batch {
+            return Submitted {
+                completions,
+                flush,
+                outcome: Ok(seq),
+            };
         }
-        Submitted {
-            completions,
-            outcome: Ok(seq),
+        // a delay flush left one op behind it, which fills no queue of
+        // max_batch > 1: one flush a submission
+        debug_assert!(flush.is_none(), "a submission flushed twice");
+        match self.flush_for(FlushCause::Size) {
+            Ok((completions, flush)) => Submitted {
+                completions,
+                flush: Some(flush),
+                outcome: Ok(seq),
+            },
+            Err(e) => Submitted::rejected(e),
+        }
+    }
+
+    /// Moves the modeled clock to `t`, handling the one event that can
+    /// fall before it: if the oldest pending op's deadline,
+    /// `arrival + max_delay`, is at or before `max(clock, t)`, the clock
+    /// moves to that deadline (or stays, if a flush ran past it) and the
+    /// delay flush runs there. Then the clock moves on to `t`; it never
+    /// goes back. Returns the delay flush's completions and record, or an
+    /// empty list and `None`.
+    ///
+    /// # Errors
+    /// As [`Self::flush`], if the delay flush fails; the clock still
+    /// moves to `t`.
+    pub fn advance_to(&mut self, t: f64) -> Result<(Vec<Completion>, Option<Flush>), ServeError> {
+        let now = self.clock.max(t);
+        let due = self.pending.first().map(|p| p.arrival + self.cfg.max_delay);
+        let flushed = match due {
+            Some(deadline) if deadline <= now => {
+                // MUTATION DOUBLE (test builds, `tests::LATE_FLUSH`): the
+                // flush waits for the event that revealed its deadline
+                #[cfg(test)]
+                let deadline = if tests::LATE_FLUSH.with(std::cell::Cell::get) {
+                    now
+                } else {
+                    deadline
+                };
+                // a flush that ran past the deadline delays this one
+                self.clock = self.clock.max(deadline);
+                Some(self.flush_for(FlushCause::Delay))
+            }
+            _ => None,
+        };
+        self.clock = self.clock.max(t);
+        match flushed.transpose()? {
+            Some((completions, flush)) => Ok((completions, Some(flush))),
+            None => Ok((Vec::new(), None)),
         }
     }
 
@@ -278,7 +352,8 @@ impl<S: MapService> Server<S> {
         Ok((new_slot, folded))
     }
 
-    /// Drains the pending queue through one coalesced backend execution.
+    /// Drains the pending queue through one coalesced backend execution,
+    /// starting now: the caller's flush, whatever the thresholds say.
     ///
     /// # Errors
     /// [`ServeError::Backend`] if a batch of the backend's
@@ -289,6 +364,27 @@ impl<S: MapService> Server<S> {
         if self.pending.is_empty() {
             return Ok(Vec::new());
         }
+        self.execute_pending().map(|(done, _)| done)
+    }
+
+    /// The flush a threshold triggered, counted by its cause.
+    fn flush_for(&mut self, cause: FlushCause) -> Result<(Vec<Completion>, Flush), ServeError> {
+        match cause {
+            FlushCause::Delay => self.telemetry.delay_flushes += 1,
+            FlushCause::Size => self.telemetry.size_flushes += 1,
+        }
+        let (done, start) = self.execute_pending()?;
+        let flush = Flush {
+            start,
+            end: self.clock,
+            cause,
+        };
+        Ok((done, flush))
+    }
+
+    /// Runs the pending ops as one batch from the current clock and
+    /// returns their completions and the time the flush started.
+    fn execute_pending(&mut self) -> Result<(Vec<Completion>, f64), ServeError> {
         self.ops.clear();
         self.ops.extend(self.pending.iter().map(|p| p.folded));
         self.telemetry.flushes += 1;
@@ -297,7 +393,8 @@ impl<S: MapService> Server<S> {
         // the flush is over, whether or not the backend answered
         let batch = self.pending.drain(..);
         let (responses, report) = executed?;
-        let end = self.clock + report.time;
+        let start = self.clock;
+        let end = start + report.time;
         self.clock = end;
         // folded: the telemetry lives as long as the server does
         self.telemetry.report.merge_folded(&report);
@@ -305,6 +402,8 @@ impl<S: MapService> Server<S> {
         for (p, response) in batch.zip(responses) {
             let latency = end - p.arrival;
             self.telemetry.latency.record(latency);
+            self.telemetry.queue_wait.record(start - p.arrival);
+            self.telemetry.service.record(end - start);
             let st = self.tenants.entry(p.tenant).or_default();
             st.latency.record(latency);
             st.counters.completed += 1;
@@ -320,10 +419,15 @@ impl<S: MapService> Server<S> {
                 new_slot: p.new_slot,
             });
         }
-        Ok(out)
+        Ok((out, start))
     }
 
     /// Replays a whole trace and drains the final partial batch.
+    ///
+    /// No arrival follows the last batch to reveal its deadline, so the
+    /// run [`advances`](Self::advance_to) the clock to it and the delay
+    /// flush drains the batch there; only under an infinite `max_delay`,
+    /// which never flushes, does the run flush it itself.
     ///
     /// Backend flush failures surface as rejects of the event being
     /// handled when the flush fired (or of the final drain, recorded at
@@ -338,7 +442,14 @@ impl<S: MapService> Server<S> {
                 rejects.push((i, e));
             }
         }
-        match self.flush() {
+        let deadline = self.pending.first().map(|p| p.arrival + self.cfg.max_delay);
+        let drained = match deadline {
+            Some(deadline) if deadline.is_finite() => {
+                self.advance_to(deadline).map(|(done, _)| done)
+            }
+            _ => self.flush(),
+        };
+        match drained {
             Ok(done) => completions.extend(done),
             Err(e) => rejects.push((trace.len(), e)),
         }
@@ -348,7 +459,6 @@ impl<S: MapService> Server<S> {
             rejects,
         }
     }
-
     /// The modeled clock (seconds).
     #[must_use]
     pub fn clock(&self) -> f64 {
@@ -418,8 +528,14 @@ impl<S: MapService> Server<S> {
         let _ = writeln!(s, "wd_serve_transfer_retries_total {}", d.transfer_retries);
         let _ = writeln!(s, "wd_serve_quarantined_gpus {}", d.quarantined);
         let _ = writeln!(s, "wd_serve_migrated_keys_total {}", d.migrated_keys);
-        for (q, v) in [(0.5, t.latency.p50()), (0.99, t.latency.p99())] {
-            let _ = writeln!(s, "wd_serve_latency_seconds{{quantile=\"{q}\"}} {v}");
+        for (name, h) in [
+            ("latency", &t.latency),
+            ("queue_wait", &t.queue_wait),
+            ("service", &t.service),
+        ] {
+            for (q, v) in [(0.5, h.p50()), (0.99, h.p99())] {
+                let _ = writeln!(s, "wd_serve_{name}_seconds{{quantile=\"{q}\"}} {v}");
+            }
         }
         for (id, st) in &self.tenants {
             let c = st.counters;
@@ -540,6 +656,121 @@ mod tests {
         assert_eq!(srv.telemetry().delay_flushes, 1);
         let done = srv.flush().unwrap();
         assert_eq!(done[0].response, Response::Get { value: Some(10) });
+    }
+
+    thread_local! {
+        /// Arms `advance_to`'s mutation double: a delay flush that starts
+        /// at the event that revealed its deadline, as a server that
+        /// checks deadlines only on arrival does.
+        pub(super) static LATE_FLUSH: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// `serve_node4`'s delay threshold.
+    const MAX_DELAY: f64 = 5e-5;
+
+    fn deadline_server(max_batch: usize) -> Server<GpuHashMap> {
+        let cfg = ServeConfig::default()
+            .with_max_batch(max_batch)
+            .with_max_delay(MAX_DELAY);
+        Server::new(single_gpu(1024), cfg)
+    }
+
+    /// The modeled cost of a flush of `ops` (tenant 0, whose keys fold to
+    /// themselves) on a fresh map.
+    fn service_of(ops: &[Op]) -> f64 {
+        single_gpu(1024).execute(ops).unwrap().1.time
+    }
+
+    #[test]
+    fn a_lone_request_completes_at_its_deadline() {
+        let mut srv = deadline_server(64);
+        let (put, at) = (Op::Put { key: 1, value: 10 }, 1e-6);
+        assert!(srv.submit_at(0, put, at).outcome.is_ok());
+        // the next arrival comes long after the put's deadline
+        let sub = srv.submit_at(0, Op::Get { key: 1 }, 1e-3);
+        let deadline = at + MAX_DELAY;
+        let end = deadline + service_of(&[put]);
+        assert_eq!(sub.completions.len(), 1);
+        assert_eq!(sub.completions[0].latency, end - at);
+        let want = Flush {
+            start: deadline,
+            end,
+            cause: FlushCause::Delay,
+        };
+        assert_eq!(sub.flush, Some(want));
+        assert_eq!(srv.clock(), 1e-3);
+        assert_eq!(srv.telemetry().delay_flushes, 1);
+    }
+
+    #[test]
+    fn flushing_at_the_next_arrival_is_caught() {
+        LATE_FLUSH.with(|late| late.set(true));
+        let caught = std::panic::catch_unwind(a_lone_request_completes_at_its_deadline).is_err();
+        LATE_FLUSH.with(|late| late.set(false));
+        assert!(
+            caught,
+            "a delay flush at the next arrival passed the deadline test"
+        );
+    }
+
+    #[test]
+    fn advance_to_flushes_at_the_deadline_once() {
+        let mut srv = deadline_server(64);
+        let put = Op::Put { key: 1, value: 10 };
+        assert!(srv.submit_at(0, put, 0.0).outcome.is_ok());
+        // before the deadline nothing happens
+        let (done, flush) = srv.advance_to(MAX_DELAY / 2.0).unwrap();
+        assert!(done.is_empty() && flush.is_none());
+        assert_eq!(srv.pending_len(), 1);
+        let (done, flush) = srv.advance_to(1.0).unwrap();
+        assert_eq!(done.len(), 1);
+        let flush = flush.expect("the deadline passed");
+        assert_eq!(flush.start, MAX_DELAY);
+        assert_eq!(flush.end, MAX_DELAY + service_of(&[put]));
+        assert_eq!(flush.cause, FlushCause::Delay);
+        assert_eq!(srv.clock(), 1.0);
+        let (done, flush) = srv.advance_to(1.0).unwrap();
+        assert!(done.is_empty() && flush.is_none());
+        assert_eq!((srv.clock(), srv.telemetry().flushes), (1.0, 1));
+        // the clock never goes back
+        srv.advance_to(0.5).unwrap();
+        assert_eq!(srv.clock(), 1.0);
+    }
+
+    #[test]
+    fn a_request_that_arrives_while_busy_is_stamped_at_the_end_of_the_flush() {
+        let mut srv = deadline_server(2);
+        let puts = [Op::Put { key: 1, value: 1 }, Op::Put { key: 2, value: 2 }];
+        assert!(srv.submit_at(0, puts[0], 0.0).flush.is_none());
+        let sub = srv.submit_at(0, puts[1], 0.0);
+        let busy = sub.flush.expect("the queue reached max_batch");
+        assert_eq!(busy.cause, FlushCause::Size);
+        assert_eq!((busy.start, busy.end), (0.0, service_of(&puts)));
+        assert_eq!(sub.completions.len(), 2);
+        // arrives mid-flush: taken in, and its deadline counted, at the end
+        let get = Op::Get { key: 1 };
+        assert!(srv.submit_at(0, get, busy.end / 2.0).flush.is_none());
+        assert_eq!(srv.clock(), busy.end);
+        let (done, flush) = srv.advance_to(1.0).unwrap();
+        let flush = flush.expect("the get's deadline passed");
+        assert_eq!(flush.start, busy.end + MAX_DELAY);
+        assert_eq!(done[0].latency, flush.end - busy.end);
+        assert_eq!(done[0].response, Response::Get { value: Some(1) });
+    }
+
+    #[test]
+    fn an_infinite_max_delay_never_flushes() {
+        let cfg = ServeConfig::default()
+            .with_max_batch(64)
+            .with_max_delay(f64::INFINITY);
+        let mut srv = Server::new(single_gpu(1024), cfg);
+        for (key, at) in [(1, 0.0), (2, 1.0), (3, 1e9)] {
+            let sub = srv.submit_at(0, Op::Get { key }, at);
+            assert!(sub.completions.is_empty() && sub.flush.is_none());
+        }
+        let (done, flush) = srv.advance_to(1e12).unwrap();
+        assert!(done.is_empty() && flush.is_none());
+        assert_eq!((srv.pending_len(), srv.telemetry().flushes), (3, 0));
     }
 
     #[test]
@@ -675,6 +906,8 @@ mod tests {
         assert!(m.contains("wd_serve_tenant_requests_total{tenant=\"0\",op=\"put\"} 1"));
         assert!(m.contains("wd_serve_tenant_requests_total{tenant=\"3\",op=\"put\"} 1"));
         assert!(m.contains("wd_serve_latency_seconds{quantile=\"0.99\"}"));
+        assert!(m.contains("wd_serve_queue_wait_seconds{quantile=\"0.5\"}"));
+        assert!(m.contains("wd_serve_service_seconds{quantile=\"0.99\"}"));
         assert!(m.contains("wd_serve_tenant_live_keys{tenant=\"3\"} 1"));
         assert!(m.contains("wd_serve_occupancy"));
     }

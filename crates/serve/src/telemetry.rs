@@ -109,8 +109,12 @@ pub struct ServiceTelemetry {
     /// Merged cost report of every flush (time, backoff, counters), its
     /// cascade stages folded into one row per stage.
     pub report: OpReport,
-    /// End-to-end latency across all tenants.
+    /// End-to-end latency across all tenants: flush end − arrival.
     pub latency: LatencyHistogram,
+    /// Each op's queue wait: flush start − arrival.
+    pub queue_wait: LatencyHistogram,
+    /// Each op's service time: the modeled duration of its flush.
+    pub service: LatencyHistogram,
 }
 
 impl ServiceTelemetry {

@@ -112,25 +112,31 @@ fn a_one_chunk_launch_allocates_nothing() {
     }
 }
 
-/// A put + get flush through `serve_node4`'s server makes 8 allocations:
-/// `execute`'s lists, the bracket's packed pairs and the completions. Its
-/// cascade round makes none, and the server keeps its queue.
-#[test]
-fn a_two_op_flush_over_four_gpus_stays_within_ten() {
-    if !default_environment() {
-        return;
-    }
+/// `serve_node4`'s server: the benchmark's 4-GPU node and thresholds.
+fn serve_node4() -> Server<DistributedHashMap> {
     let devices: Vec<Arc<Device>> = (0..4)
         .map(|i| Arc::new(Device::with_words(i, 1 << 18)))
         .collect();
     let node = DistributedHashMap::new(devices, 1 << 14, Config::default(), Topology::p100_quad(4))
         .expect("serve node");
-    // the benchmark's `serve_node4`
     let config = ServeConfig::default()
         .with_max_batch(512)
         .with_max_delay(5e-5)
         .with_tenant_quota(1 << 13);
-    let mut server = Server::new(node, config);
+    Server::new(node, config)
+}
+
+/// A put + get flush through `serve_node4`'s server makes 7 allocations:
+/// `execute`'s lists and responses, the bracket's packed pairs and its
+/// report's rows, the answers and the completions. `execute` sorts on the
+/// stack, its cascade round allocates nothing, and the server keeps its
+/// queue.
+#[test]
+fn a_two_op_flush_over_four_gpus_stays_within_seven() {
+    if !default_environment() {
+        return;
+    }
+    let mut server = serve_node4();
     let mut flush = |value: u32, at: f64| {
         allocations(|| {
             let put = server.submit_at(0, Op::Put { key: 7, value }, at);
@@ -145,10 +151,45 @@ fn a_two_op_flush_over_four_gpus_stays_within_ten() {
     let (allocs, done) = flush(2, 1e-3);
     assert_eq!(done.len(), 2);
     assert!(
-        allocs <= 10,
-        "{allocs} allocations for a put + get flush, 8 before: Server::flush's buffers \
-         (server.rs), MapService::execute, host_ops.rs `get_put_from_host` or the cascade \
-         round (cascade.rs) went back to allocating"
+        allocs <= 7,
+        "{allocs} allocations for a put + get flush, 7 before: Server::flush's buffers \
+         (server.rs), MapService::execute (its sort keys live on the stack), host_ops.rs \
+         `get_put_from_host` or the cascade round (cascade.rs) went back to allocating"
+    );
+}
+
+/// The same flush, run by the next arrival's `submit_at` at the put's
+/// deadline, allocates no more: the submission hands back the flush's
+/// completions, it does not copy them into a list of its own.
+#[test]
+fn a_delay_flush_in_a_submission_allocates_what_a_flush_does() {
+    if !default_environment() {
+        return;
+    }
+    let submit = |server: &mut Server<DistributedHashMap>, value: u32, at: f64| {
+        allocations(|| {
+            let put = server.submit_at(0, Op::Put { key: 7, value }, at);
+            let get = server.submit_at(1, Op::Get { key: 11 }, at + 1e-6);
+            assert!(put.outcome.is_ok() && get.outcome.is_ok());
+            // long after the put's deadline: the delay flush runs first
+            server.submit_at(0, Op::Get { key: 7 }, at + 1e-3)
+        })
+    };
+    let mut server = serve_node4();
+    let (_, warm_up) = submit(&mut server, 1, 0.0);
+    assert_eq!(warm_up.completions.len(), 2);
+    // the last get leaves at its deadline, before the measured flush
+    assert_eq!(server.advance_to(1e-2).expect("healthy node").0.len(), 1);
+    let (allocs, sub) = submit(&mut server, 2, 1e-2);
+    assert_eq!(sub.completions.len(), 2);
+    let flush = sub.flush.expect("a delay flush");
+    assert_eq!(flush.cause, wd_serve::FlushCause::Delay);
+    assert_eq!(flush.start, 1e-2 + 5e-5);
+    assert!(
+        allocs <= 7,
+        "{allocs} allocations for a submission that ran a put + get delay flush, 7 before: \
+         Server::submit_at went back to copying the flush's completions (server.rs), or the \
+         flush itself allocates more (see a_two_op_flush_over_four_gpus_stays_within_seven)"
     );
 }
 
