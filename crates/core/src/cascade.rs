@@ -75,6 +75,7 @@ use crate::chaos::{launch_site, straggled, ChaosTally, Router};
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::{key_of, pack, value_of, EMPTY};
+use crate::get_put::Sections;
 use crate::service::{OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse};
 use crate::stats::CascadeStage;
 use crate::table::check_keys;
@@ -109,8 +110,11 @@ pub(crate) struct Input<'a> {
     pub(crate) pairs: &'a [&'a [u64]],
 }
 
-/// What distinguishes one cascade from another, besides its kernel call.
+/// What distinguishes one cascade from another.
 pub(crate) struct CascadeOp {
+    /// The sections of the one kernel ([`crate::get_put`]) a target runs
+    /// over the segments it received, given their lengths.
+    sections: fn(&Cuts) -> Sections,
     /// Fault-roll site of the per-GPU kernel launches.
     site: u64,
     /// Stage the kernel step reports under.
@@ -187,6 +191,7 @@ const RESULTS: ReturnTrip = ReturnTrip {
 };
 
 pub(crate) const INSERT: CascadeOp = CascadeOp {
+    sections: |cuts| Sections::puts(cuts[0]),
     site: launch_site::INSERT,
     stage: CascadeStage::Insert,
     late: None,
@@ -194,6 +199,7 @@ pub(crate) const INSERT: CascadeOp = CascadeOp {
 };
 
 pub(crate) const RETRIEVE: CascadeOp = CascadeOp {
+    sections: |cuts| Sections::gets(cuts[0]),
     site: launch_site::QUERY,
     stage: CascadeStage::Query,
     late: None,
@@ -201,6 +207,7 @@ pub(crate) const RETRIEVE: CascadeOp = CascadeOp {
 };
 
 pub(crate) const ERASE: CascadeOp = CascadeOp {
+    sections: |cuts| Sections::erases(cuts[0]),
     site: launch_site::ERASE,
     stage: CascadeStage::Query,
     late: None,
@@ -215,8 +222,13 @@ pub(crate) const ERASE: CascadeOp = CascadeOp {
 };
 
 /// The mixed round: `[read keys | pairs of keys not read | pairs of keys
-/// the call also reads]`.
+/// the call also reads]`, all keys of a kind distinct. One launch of get
+/// and put sections over the first two segments (their keys are
+/// distinct, so they race freely, §IV-A), then on a target that received
+/// any the pairs of the third in an insert launch of their own, so the
+/// answers are what the keys held **before** the call.
 pub(crate) const GET_PUT: CascadeOp = CascadeOp {
+    sections: |&[gets, puts, _]| Sections { gets, puts, ..Sections::default() },
     site: launch_site::GET_PUT,
     stage: CascadeStage::Query,
     late: Some(2),
@@ -409,7 +421,7 @@ fn respread<T: Copy>(per_gpu: &[&[T]], mut to: impl FnMut(usize, usize) -> usize
 
 /// The value a query kernel found: `found` is the key's packed pair, or
 /// `EMPTY`.
-fn found_value(found: u64) -> Option<u32> {
+pub(crate) fn found_value(found: u64) -> Option<u32> {
     (found != EMPTY).then(|| value_of(found))
 }
 
@@ -508,14 +520,14 @@ impl DistributedHashMap {
     }
 
     /// The device-sided cascade of `op` over `input` (each list already
-    /// resident on its GPU), appending its stages to `report`.
+    /// resident on its GPU), appending its stages to `report`; returns how
+    /// many keys it tombstoned.
     ///
-    /// `kernel(j, buf, cuts, answers)` runs the operation's kernel on GPU
-    /// `j` over the words it received — segment after segment, `cuts`
-    /// long — returns its simulated time and leaves in `answers`, on the
-    /// same GPU, one answer per word of segment 0 (`answers` is empty for
-    /// an operation without return trip): the packed pair found or `EMPTY`
-    /// where the return trip scatters values, a flag otherwise.
+    /// Each target GPU runs one launch of the kernel over the words it
+    /// received — segment after segment, in `op`'s sections — and leaves
+    /// on the same GPU one answer per word of segment 0: the packed pair
+    /// found or `EMPTY` where the return trip scatters values, an erase's
+    /// hit flag otherwise (1 iff tombstoned, stored unbilled).
     /// `answer((g, i), a)` receives the answer to key `i` of the caller's
     /// GPU `g`: a value return trip's once the round's scatter is done —
     /// as the pair rebuilt from the key and the value that came down, or
@@ -523,9 +535,9 @@ impl DistributedHashMap {
     /// between GPUs device to device; the host reads only what it hands
     /// out. Under an armed plan rounds run more than once: input
     /// addressed to quarantined GPUs re-spreads over the survivors with its
-    /// origin tracked, wasted attempts stay billed, and `kernel`/`answer`
-    /// see every completed target of every round — an aborted round hands
-    /// out the answers that had landed on their origins.
+    /// origin tracked, wasted attempts stay billed, and the count and
+    /// `answer` see every completed target of every round — an aborted
+    /// round hands out the answers that had landed on their origins.
     ///
     /// # Errors
     /// Probing exhaustion aggregated over the GPUs; a kernel's other
@@ -535,14 +547,14 @@ impl DistributedHashMap {
         op: &CascadeOp,
         input: Input,
         report: &mut OpReport,
-        mut kernel: impl FnMut(usize, DevSlice, &Cuts, DevSlice) -> Result<f64, OpError>,
         mut answer: impl FnMut((usize, usize), u64),
-    ) -> Result<(), OpError> {
+    ) -> Result<u64, OpError> {
         let m = self.num_gpus();
         let answered = if op.back.is_some() { m } else { 0 };
         assert_eq!((input.keys.len(), input.pairs.len() % m), (answered, 0), "one batch per GPU");
         assert!((1..=MAX_SEGMENTS).contains(&self.segments(input)));
         let policy = self.retry_policy();
+        let mut tombstoned = 0;
         self.with_failover(report, |plan, mask, report, tally| {
             // the healthy path borrows the caller's lists as they are
             let respread = (mask != 0).then(|| self.respread(input, mask));
@@ -561,10 +573,11 @@ impl DistributedHashMap {
                 &policy,
                 report,
                 tally,
-                &mut kernel,
+                &mut tombstoned,
                 &mut answer,
             )
-        })
+        })?;
+        Ok(tombstoned)
     }
 
     /// One round under a fixed router/plan snapshot.
@@ -579,7 +592,7 @@ impl DistributedHashMap {
         policy: &RetryPolicy,
         report: &mut OpReport,
         tally: &mut ChaosTally,
-        kernel: &mut impl FnMut(usize, DevSlice, &Cuts, DevSlice) -> Result<f64, OpError>,
+        tombstoned: &mut u64,
         answer: &mut impl FnMut((usize, usize), u64),
     ) -> Result<(), Abort> {
         let oh = self.device(0).spec().launch_overhead;
@@ -642,9 +655,16 @@ impl DistributedHashMap {
                 }
                 gate.map_err(Abort::Lost)?;
                 report.launches += 1;
-                let ran = kernel(j, landed.words, &landed.cuts, landed.answers);
-                if let Some(time) = unless_exhausted(ran, &mut failed)? {
-                    kernels.add(j, straggled(plan, j, time), oh);
+                let sections = (op.sections)(&landed.cuts);
+                // an erase's hit flags: 0, then 1 where `hit` tombstoned
+                if sections.erases > 0 {
+                    mem.fill(landed.answers, 0);
+                }
+                let hit = |i| mem.fill(landed.answers.sub(i, 1), 1);
+                let ran = self.maps()[j].launch(sections, landed.words, landed.answers, hit);
+                if let Some((outcome, erased)) = unless_exhausted(ran, &mut failed)? {
+                    *tombstoned += erased;
+                    kernels.add(j, straggled(plan, j, outcome.stats.sim_time), oh);
                     // segment 0 of the words is every source GPU's chunk
                     // for `j` in GPU order, and so are the answers
                     let sources = op.back.as_ref().map(|_| split.by_source(j));
@@ -674,8 +694,9 @@ impl DistributedHashMap {
                         .map_err(Abort::Lost)?;
                     let pairs = landed.words.sub(cuts[..late].iter().sum(), cuts[late]);
                     report.launches += 1;
-                    let inserted = self.maps()[j].insert_device(pairs, cuts[late]);
-                    if let Some(outcome) = unless_exhausted(inserted, &mut failed)? {
+                    let (puts, none) = (Sections::puts(cuts[late]), pairs.sub(0, 0));
+                    let inserted = self.maps()[j].launch(puts, pairs, none, |_| {});
+                    if let Some((outcome, _)) = unless_exhausted(inserted, &mut failed)? {
                         let time = straggled(plan, j, outcome.stats.sim_time);
                         let phase = late_inserts.get_or_insert_with(|| Phase::new(self.topology()));
                         phase.add(j, time, oh);
@@ -926,96 +947,6 @@ impl DistributedHashMap {
 
     // ---- the operations ---------------------------------------------------
 
-    /// Insertion of packed pairs: multisplit → transposition → insert.
-    pub(crate) fn insert_words(
-        &self,
-        pairs: &[&[u64]],
-        report: &mut OpReport,
-    ) -> Result<(), OpError> {
-        self.cascade(
-            &INSERT,
-            Input { keys: &[], pairs },
-            report,
-            |j, buf, &[n, ..], _| Ok(self.maps()[j].insert_device(buf, n)?.stats.sim_time),
-            |_, _| {},
-        )
-    }
-
-    /// Retrieval of keys: … → query → transposition back → scatter.
-    /// Queries are positional: answer `r` is the packed pair (or `EMPTY`)
-    /// for received query word `r`. `found((g, i), value)` receives what
-    /// `keys[g][i]` holds — as it came down, a value and a found bit.
-    pub(crate) fn query_keys(
-        &self,
-        keys: &[&[u32]],
-        report: &mut OpReport,
-        mut found: impl FnMut((usize, usize), Option<u32>),
-    ) -> Result<(), OpError> {
-        self.cascade(
-            &RETRIEVE,
-            Input { keys, pairs: &[] },
-            report,
-            |j, input, &[n, ..], out| Ok(self.maps()[j].retrieve_device(input, out, n).sim_time),
-            |at, pair| found(at, found_value(pair)),
-        )
-    }
-
-    /// Erasure of keys: … → erase → one status byte per key back →
-    /// scatter. `hit((g, i), flag)` receives the hit flag of
-    /// `keys[g][i]` — of every round, so a caller ORs them;
-    /// returns the tombstoned count, which accumulates likewise.
-    pub(crate) fn erase_keys(
-        &self,
-        keys: &[&[u32]],
-        report: &mut OpReport,
-        mut hit: impl FnMut((usize, usize), bool),
-    ) -> Result<u64, OpError> {
-        let mut erased = 0u64;
-        self.cascade(
-            &ERASE,
-            Input { keys, pairs: &[] },
-            report,
-            |j, buf, _, flags| {
-                let (stats, tombstoned) = self.maps()[j].erase_device_shared(buf, flags);
-                erased += tombstoned;
-                Ok(stats.sim_time)
-            },
-            |at, flag| hit(at, flag != 0),
-        )?;
-        Ok(erased)
-    }
-
-    /// The mixed round over the segments `[keys read | pairs of keys not
-    /// read | pairs of keys also read]`, all keys of a kind distinct:
-    /// … → one fused get + put launch over the first two segments (their
-    /// keys are distinct, so they race freely, §IV-A), then on a target
-    /// that received any the pairs of the third in an insert launch of
-    /// their own → transposition back → scatter, of the query words alone.
-    /// `found((g, i), value)` receives what `input.keys[g][i]` held
-    /// **before** the call, once on `Ok`.
-    ///
-    /// The first answer a key gets stands: a round re-run after a lost
-    /// device would read what the aborted one already wrote, and `found`
-    /// sees that too.
-    pub(crate) fn get_put_round(
-        &self,
-        input: Input,
-        report: &mut OpReport,
-        mut found: impl FnMut((usize, usize), Option<u32>),
-    ) -> Result<(), OpError> {
-        assert_eq!(input.pairs.len(), 2 * input.keys.len(), "three segments");
-        self.cascade(
-            &GET_PUT,
-            input,
-            report,
-            |j, buf, &[gets, puts, _], out| {
-                let fused = buf.sub(0, gets + puts);
-                Ok(self.maps()[j].get_put_device(fused, out, gets)?.stats.sim_time)
-            },
-            |at, pair| found(at, found_value(pair)),
-        )
-    }
-
     /// Device-sided insertion cascade: `per_gpu_words[i]` are packed pairs
     /// already resident on GPU `i` (the paper's in-toolchain case where
     /// PCIe is bypassed). Returns the per-phase timing report.
@@ -1037,7 +968,8 @@ impl DistributedHashMap {
     ) -> Result<OpReport, OpError> {
         check_keys(per_gpu_words.iter().flatten().map(|&word| key_of(word)))?;
         let mut report = new_report(per_gpu_words);
-        self.insert_words(&slices(per_gpu_words), &mut report)?;
+        let input = Input { keys: &[], pairs: &slices(per_gpu_words) };
+        self.cascade(&INSERT, input, &mut report, |_, _| {})?;
         Ok(report)
     }
 
@@ -1059,7 +991,10 @@ impl DistributedHashMap {
         check_keys(per_gpu_keys.iter().flatten().copied())?;
         let mut report = new_report(per_gpu_keys);
         let mut values: Vec<Vec<_>> = per_gpu_keys.iter().map(|k| vec![None; k.len()]).collect();
-        self.query_keys(&slices(per_gpu_keys), &mut report, |(g, i), v| values[g][i] = v)?;
+        let input = Input { keys: &slices(per_gpu_keys), pairs: &[] };
+        self.cascade(&RETRIEVE, input, &mut report, |(g, i), pair| {
+            values[g][i] = found_value(pair);
+        })?;
         Ok(PerGpuGetResponse {
             values,
             report,
@@ -1087,8 +1022,9 @@ impl DistributedHashMap {
         check_keys(per_gpu_keys.iter().flatten().copied())?;
         let mut report = new_report(per_gpu_keys);
         let mut hits: Vec<Vec<bool>> = per_gpu_keys.iter().map(|k| vec![false; k.len()]).collect();
-        let erased = self.erase_keys(&slices(per_gpu_keys), &mut report, |(g, i), hit| {
-            hits[g][i] |= hit;
+        let input = Input { keys: &slices(per_gpu_keys), pairs: &[] };
+        let erased = self.cascade(&ERASE, input, &mut report, |(g, i), flag| {
+            hits[g][i] |= flag != 0;
         })?;
         Ok(PerGpuDeleteResponse {
             hits,

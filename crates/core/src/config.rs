@@ -129,6 +129,12 @@ pub enum Mutation {
     /// missed. Host-sided gets over chunks of odd length through the
     /// retrieve and the mixed round exist to catch exactly this.
     AnswerHalvesSwapped,
+    /// An SOA erase restores the value word's sentinel *after* its CAS
+    /// made the tombstone visible, so a put of another key that reclaims
+    /// the slot in the same launch fails to publish and the restore wipes
+    /// its value. The one kernel's mixed-section test under a seeded
+    /// schedule exists to catch exactly this.
+    SentinelAfterTombstone,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

@@ -1,18 +1,21 @@
-//! The deletion kernel (tombstoning).
+//! Deletion (tombstoning): the erase section of the one kernel
+//! ([`crate::get_put`]).
 //!
 //! Deletion replaces a live entry with the TOMBSTONE sentinel via CAS.
-//! §IV-A's safety rule applies: insertions and queries may be issued
-//! concurrently with each other, but deletions must be separated from
-//! them by a global barrier — [`crate::GpuHashMap`] enforces this by
-//! taking `&mut self` for [`crate::GpuHashMap::try_erase`], making the barrier
-//! a compile-time fact (exclusive access ⇒ no concurrent kernel).
+//! §IV-A's safety rule is that insertions and queries may race each
+//! other, but a deletion must be separated from them by a global barrier,
+//! since a delete could race an insert. The kernel needs less: erase
+//! groups share a launch with get, upsert and put groups as long as each
+//! key has one group ([`crate::slots`] restores an SOA value word before
+//! its tombstone is visible, so a put of another key may reclaim the slot
+//! at once). [`crate::GpuHashMap`] still takes `&mut self` for
+//! [`crate::GpuHashMap::try_erase`]: the API's barrier stays a
+//! compile-time fact (exclusive access ⇒ no concurrent kernel).
 
-use crate::entry::{is_empty_slot, key_of};
-use crate::history::{HistoryRecorder, OpKind, OpResponse};
+use crate::entry::is_empty_slot;
 use crate::table::Table;
-use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
+use gpu_sim::{GroupCtx, KernelStats};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Result of a bulk erase.
 #[derive(Debug, Clone)]
@@ -26,36 +29,8 @@ pub struct EraseOutcome {
     pub hits: Vec<bool>,
 }
 
-/// Launches the deletion kernel for the `n` query words in `input`, one
-/// group of `g` lanes per key: `hit(i)` for each key `i` it tombstoned.
-/// Returns the kernel's stats and how many keys it tombstoned.
-pub(crate) fn erase_kernel(
-    table: &Table,
-    g: GroupSize,
-    input: DevSlice,
-    n: usize,
-    recorder: Option<&HistoryRecorder>,
-    hit: impl Fn(usize) + Sync,
-) -> (KernelStats, u64) {
-    let erased = AtomicU64::new(0);
-    let stats = table.launch("warpdrive_erase", n, g, |ctx: &GroupCtx| {
-        let invoked = recorder.map(HistoryRecorder::invoke);
-        let key = key_of(ctx.read_stream(input, ctx.group_id()));
-        let found = erase_one(ctx, table, key);
-        if found {
-            erased.fetch_add(1, Relaxed);
-            hit(ctx.group_id());
-        }
-        if let (Some(rec), Some(invoked)) = (recorder, invoked) {
-            let response = OpResponse::Erased { hit: found };
-            rec.complete(key, OpKind::Erase, response, invoked);
-        }
-    });
-    (stats, erased.into_inner())
-}
-
 /// Tombstones one key by one coalesced group; whether it was found.
-fn erase_one(ctx: &GroupCtx, table: &Table, key: u32) -> bool {
+pub(crate) fn erase_one(ctx: &GroupCtx, table: &Table, key: u32) -> bool {
     let slots = table.slots();
     let erased = table.walk(ctx, key, 0, |_, base, mut window| loop {
         let hit = ctx.ballot(|r| slots.holds(window.lane(r), key));
@@ -66,7 +41,8 @@ fn erase_one(ctx: &GroupCtx, table: &Table, key: u32) -> bool {
             return ControlFlow::Continue(()); // window full of other keys → next window
         };
         let seen = window.lane(r);
-        if let ControlFlow::Break(hit) = slots.tombstone(ctx, slots.at(base, r), seen) {
+        let tombstoned = slots.tombstone(ctx, slots.at(base, r), seen, table.mutation());
+        if let ControlFlow::Break(hit) = tombstoned {
             return ControlFlow::Break(hit);
         }
         // a racing erase changed the word; reload and look again

@@ -383,16 +383,16 @@ impl DistributedHashMap {
 
 impl crate::service::MapService for DistributedHashMap {
     fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
-        let before = self.len();
+        let before = self.occupancy_split();
         let report = self.insert_from_host(pairs)?;
         // the cascade does not thread per-key placement classes back to
-        // the host, but live-count conservation recovers the split: keys
-        // that did not grow the table updated (or duplicated) in place
-        let new_slots = self.len() - before;
+        // the host, but the live maps' counters recover them
+        let after = self.occupancy_split();
+        let new_slots = after.live.saturating_sub(before.live);
         Ok(PutResponse {
             new_slots,
             updates: (pairs.len() as u64).saturating_sub(new_slots),
-            reclaimed: 0,
+            reclaimed: before.tombstones.saturating_sub(after.tombstones),
             report,
         })
     }

@@ -1,64 +1,134 @@
-//! The fused get + upsert kernel: one launch that looks up a list of keys
-//! and applies a list of pairs.
+//! The one kernel of a single-value table: every launch that looks keys
+//! up, writes pairs or deletes keys is a launch of this grid.
 //!
 //! Insertions and queries on *distinct* keys may race freely (§IV-A), so
-//! nothing but the launch boundary separates a retrieve launch from an
-//! insert launch over disjoint key sets — and a launch boundary is what a
-//! small batch pays most for (§V-B). This kernel runs both in one grid of
-//! three contiguous sections, selected by `group_id` against two launch
-//! parameters (no tag word, no extra stream traffic):
+//! nothing but the launch boundary separates them — and a launch boundary
+//! is what a small batch pays most for (§V-B). This kernel runs every op
+//! kind in one grid of four contiguous sections, selected by `group_id`
+//! against the launch's [`Sections`] (no tag word, no extra stream
+//! traffic): **get** groups run the retrieval probe ([`crate::retrieve`])
+//! and write their answer; **upsert** groups — keys both looked up and
+//! written — run the insertion probe ([`crate::insert`]) and answer with
+//! the pair it replaced, one table visit instead of two; **put** groups
+//! run the insertion probe (a multiset insert on a multi-value table);
+//! **erase** groups run the deletion probe ([`crate::delete`]) and report
+//! a hit through the caller's sink, billed to no kernel. A launch of one
+//! section keeps the paper's name for it (`warpdrive_insert` /
+//! `multimap_insert`, `warpdrive_retrieve`, `warpdrive_erase`), a mix is
+//! `warpdrive_get_put`; each group bills what it billed in a launch of
+//! its own kind, an upsert plus the SOA value-word read of its get.
 //!
-//! * **get** groups `[0, gets)` run the retrieval probe
-//!   ([`crate::retrieve`]) and write their answer;
-//! * **upsert** groups `[gets, gets + upserts)` — the keys both looked up
-//!   and written — run the insertion probe ([`crate::insert`]) and answer
-//!   with the pair it replaced, so such a key is one table visit instead
-//!   of two;
-//! * **put** groups, the rest, run the insertion probe and answer nothing.
+//! **One group per key.** A group's answer does not depend on how the
+//! launch interleaves as long as each key has one group: a tombstone is
+//! reclaimable by a put of *another* key the moment its CAS lands
+//! ([`crate::slots`]), so a launch with both erase and put groups must
+//! not erase a key twice, nor put a key it erases. `execute` and the
+//! cascade's rounds hold distinct keys, an erase-only launch has no put
+//! to race, and `&mut self` on [`crate::GpuHashMap::try_erase`] remains
+//! the API's §IV-A barrier.
 //!
-//! Each key is in exactly one section, so no group's answer depends on
-//! how the launch interleaves. A get or put group bills exactly what it
-//! bills in [`crate::retrieve::retrieve_kernel`] or
-//! [`crate::insert::insert_kernel`]; an upsert group bills the insert
-//! plus, on an SOA hit, the value-word read the separate get would have
-//! made.
-//!
-//! Input: `gets` query words (key in the high 32 bits), then
-//! `upserts + puts` packed pairs. Output: `gets + upserts` words,
+//! Input: `gets` query words (key in the high 32 bits), `upserts + puts`
+//! packed pairs, `erases` query words. Output: `gets + upserts` words,
 //! `pack(key, value)` for a key that was present before the launch,
 //! [`EMPTY`] otherwise.
 
 use crate::config::Mutation;
+use crate::delete::erase_one;
 use crate::entry::{key_of, EMPTY};
-use crate::history::HistoryRecorder;
+use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::insert::{insert_one, GroupResult, InsertOutcome, InsertTally};
 use crate::retrieve::{record_retrieve, retrieve_one};
 use crate::table::Table;
 use gpu_sim::{DevSlice, GroupCtx, GroupSize};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Launches the fused kernel over the words of `input`, one group of `g`
-/// lanes per word: the first `gets` are looked up, the rest inserted, and
-/// the first `out.len()` — the gets and the upserts — answered into
-/// `out`. The outcome counts the insertions; its stats cover the whole
-/// launch.
-pub(crate) fn get_put_kernel(
+/// How many groups of each kind one launch runs, in grid order: keys
+/// looked up, keys looked up and written, pairs written, keys erased.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Sections {
+    pub(crate) gets: usize,
+    pub(crate) upserts: usize,
+    pub(crate) puts: usize,
+    pub(crate) erases: usize,
+}
+
+impl Sections {
+    /// One section alone: `n` gets, puts or erases.
+    pub(crate) fn gets(n: usize) -> Self {
+        Self { gets: n, ..Self::default() }
+    }
+
+    pub(crate) fn puts(n: usize) -> Self {
+        Self { puts: n, ..Self::default() }
+    }
+
+    pub(crate) fn erases(n: usize) -> Self {
+        Self { erases: n, ..Self::default() }
+    }
+
+    /// Groups in the grid.
+    pub(crate) fn len(self) -> usize {
+        self.gets + self.upserts + self.puts + self.erases
+    }
+
+    /// The launch's name, from the sections it runs; an empty launch is
+    /// named as a put.
+    fn name(self, multi: bool) -> &'static str {
+        match self {
+            Self { gets: 0, upserts: 0, erases: 0, .. } if multi => "multimap_insert",
+            Self { gets: 0, upserts: 0, erases: 0, .. } => "warpdrive_insert",
+            Self { upserts: 0, puts: 0, erases: 0, .. } => "warpdrive_retrieve",
+            Self { gets: 0, upserts: 0, puts: 0, .. } => "warpdrive_erase",
+            _ => "warpdrive_get_put",
+        }
+    }
+}
+
+/// Launches the kernel over the words of `input`, one group of `g` lanes
+/// per word, section by section: the gets and the upserts answered into
+/// `out`, `hit(i)` for each key `i` of the erase section it tombstoned.
+/// Returns the insertion outcome, whose stats cover the whole launch, and
+/// the tombstoned count.
+pub(crate) fn kernel(
     table: &Table,
     g: GroupSize,
+    sections: Sections,
     input: DevSlice,
     out: DevSlice,
-    gets: usize,
     recorder: Option<&HistoryRecorder>,
-) -> InsertOutcome {
-    let answered = out.len();
+    hit: impl Fn(usize) + Sync,
+) -> (InsertOutcome, u64) {
+    let answered = sections.gets + sections.upserts;
+    let erases_from = sections.len() - sections.erases;
     let tally = InsertTally::default();
-    let stats = table.launch("warpdrive_get_put", input.len(), g, |ctx: &GroupCtx| {
+    let erased = AtomicU64::new(0);
+    let name = sections.name(table.multi());
+    let stats = table.launch(name, sections.len(), g, |ctx: &GroupCtx| {
         let id = ctx.group_id();
         let history = recorder.map(|rec| (rec, rec.invoke()));
-        let word = ctx.read_stream(input, id);
-        if id < gets {
-            let result = retrieve_one(ctx, table, key_of(word));
-            record_retrieve(history, key_of(word), result);
+        if id < sections.gets {
+            // MUTATION DOUBLE (`Mutation::WindowOverrun`): read the query
+            // one group past our own — the last get of a get-only launch
+            // runs off the end of the input buffer, which memcheck
+            // reports and contains.
+            let at = if table.mutation() == Some(Mutation::WindowOverrun) { id + 1 } else { id };
+            let key = key_of(ctx.read_stream(input, at));
+            let result = retrieve_one(ctx, table, key);
+            record_retrieve(history, key, result);
             ctx.write_stream(out, id, result);
+            return;
+        }
+        let word = ctx.read_stream(input, id);
+        if id >= erases_from {
+            let found = erase_one(ctx, table, key_of(word));
+            if found {
+                erased.fetch_add(1, Relaxed);
+                hit(id - erases_from);
+            }
+            if let Some((rec, invoked)) = history {
+                let response = OpResponse::Erased { hit: found };
+                rec.complete(key_of(word), OpKind::Erase, response, invoked);
+            }
             return;
         }
         let upsert = id < answered;
@@ -79,7 +149,143 @@ pub(crate) fn get_put_kernel(
             record_retrieve(history, key_of(word), answer);
             ctx.write_stream(out, id, answer);
         }
-        tally.note(false, word, r, history);
+        tally.note(table.multi(), word, r, history);
     });
-    tally.outcome(stats)
+    (tally.outcome(stats), erased.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Config, Layout};
+    use crate::entry::pack;
+    use gpu_sim::{Device, Schedule};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    /// Seeds a hunt runs: `WD_MUTATION_SEEDS`, else `WD_SWEEP_SEEDS`,
+    /// else 32.
+    fn seeds() -> u64 {
+        let env = |name| std::env::var(name).ok().and_then(|v| v.trim().parse().ok());
+        env("WD_MUTATION_SEEDS").or_else(|| env("WD_SWEEP_SEEDS")).unwrap_or(32)
+    }
+
+    fn table(cfg: Config, capacity: usize) -> Table {
+        let dev = Arc::new(Device::with_words(0, 4 * capacity + (1 << 12)));
+        Table::alloc(dev, capacity, &cfg, cfg.seed).unwrap()
+    }
+
+    fn query(key: u32) -> u64 {
+        u64::from(key) << 32
+    }
+
+    /// What one launch did: its answers; failed, new, updated, reclaimed
+    /// and tombstoned counts; erase hits.
+    type Launched = (Vec<u64>, [u64; 5], Vec<bool>);
+
+    fn launch(t: &Table, g: GroupSize, s: Sections, words: &[u64]) -> Launched {
+        let answered = s.gets + s.upserts;
+        let (_scratch, [input], out) = t.stage([words.iter().copied()], answered).unwrap();
+        let hits: Vec<AtomicBool> = (0..s.erases).map(|_| AtomicBool::new(false)).collect();
+        let (o, erased) = t.run(g, s, input, out, None, |i| hits[i].store(true, Relaxed));
+        let counts = [o.failed, o.new_slots, o.updates, o.reclaimed, erased];
+        (t.dev().mem().d2h(out), counts, hits.into_iter().map(AtomicBool::into_inner).collect())
+    }
+
+    /// One launch of all four sections over distinct keys against the
+    /// one-kind launches — get, insert, erase — on a twin table: the same
+    /// answers, hits, counts and pairs, in either layout, at every group
+    /// size, in `group_id` order and under seeded schedules. Puts and
+    /// upserts take a span each, none where an erased key lives, so what a
+    /// put claims does not depend on the interleaving.
+    #[test]
+    fn one_kernel_sections_match_one_kind_launches() {
+        let seeded = (0..seeds().min(4)).map(Schedule::Seeded);
+        for schedule in std::iter::once(Schedule::Sequential).chain(seeded) {
+            let cells = [Layout::Aos, Layout::Soa].map(|l| [1, 4, 32].map(|g| (l, g)));
+            for (layout, g) in cells.concat() {
+                let cell = format!("{layout:?} |g|={g} {schedule:?}");
+                let cfg = Config::default().with_layout(layout).with_schedule(schedule);
+                let [mixed, twin] = [(); 2].map(|()| table(cfg, 2048));
+                let g = GroupSize::new(g);
+                let prefill: Vec<(u32, u32)> = (1..=160u32).map(|k| (k * 29, k)).collect();
+                let dead: Vec<u32> = prefill.iter().step_by(5).map(|p| p.0).collect();
+                for t in [&mixed, &twin] {
+                    t.insert_pairs(g, &prefill, None).unwrap();
+                    t.erase_keys(g, &dead, None).unwrap();
+                }
+                let span = |k: u32| mixed.prober().span_base(k, 0) / 32;
+                let fresh = (0..120u32).map(|i| 7_000_001 + 13 * i);
+                let (mut spans, mut writes, mut gets, mut erases) =
+                    (BTreeSet::new(), Vec::new(), Vec::new(), Vec::new());
+                for (i, k) in prefill.iter().map(|p| p.0).chain(fresh).enumerate() {
+                    if span(k) % 4 == 0 {
+                        if i % 2 == 0 { &mut erases } else { &mut gets }.push(query(k));
+                    } else if i % 3 != 2 && spans.insert(span(k)) {
+                        writes.push(pack(k, k ^ 0x5a5a));
+                    } else if i % 2 == 0 {
+                        gets.push(query(k));
+                    }
+                }
+                let (upserts, puts) = (writes.len() / 2, writes.len() - writes.len() / 2);
+                let s = Sections { gets: gets.len(), upserts, puts, erases: erases.len() };
+                let (answers, counts, hits) =
+                    launch(&mixed, g, s, &[&gets[..], &writes, &erases].concat());
+
+                let keys = gets.iter().chain(&writes[..upserts]).map(|&w| w >> 32 << 32);
+                let read: Vec<u64> = keys.collect();
+                let (twin_answers, ..) = launch(&twin, g, Sections::gets(read.len()), &read);
+                let (_, put, _) = launch(&twin, g, Sections::puts(writes.len()), &writes);
+                let (_, erase, twin_hits) =
+                    launch(&twin, g, Sections::erases(erases.len()), &erases);
+                assert_eq!(answers, twin_answers, "{cell}: gets and upserts");
+                assert_eq!(hits, twin_hits, "{cell}: erase hits");
+                assert_eq!(counts, std::array::from_fn(|i| put[i] + erase[i]), "{cell}");
+                let (o, t) = (mixed.occupancy(), twin.occupancy());
+                assert_eq!((o.live, o.tombstones), (t.live, t.tombstones), "{cell}");
+                let pairs = |t: &Table| t.live_pairs().into_iter().collect::<BTreeSet<_>>();
+                assert_eq!(pairs(&mixed), pairs(&twin), "{cell}: pairs");
+                // every section ran, a put reclaimed a tombstone, an erase hit
+                assert!(s.gets * upserts * puts * s.erases > 0 && counts[3] * counts[4] > 0);
+            }
+        }
+    }
+
+    /// One launch of eight SOA erases and eight puts of other keys in one
+    /// 32-slot span, the puts reclaiming the erased slots whenever they
+    /// find them tombstoned: whether every put's value, and no erased key,
+    /// survives.
+    fn reclaiming_puts_keep_their_values(mutation: Option<Mutation>, seed: Option<u64>) -> bool {
+        let schedule = seed.map_or(Schedule::Sequential, Schedule::Seeded);
+        let mut cfg = Config::default().with_layout(Layout::Soa).with_schedule(schedule);
+        cfg.mutation = mutation;
+        let t = table(cfg, 32);
+        let victims: Vec<(u32, u32)> = (1..=8).map(|k| (k, 100 + k)).collect();
+        t.insert_pairs(GroupSize::WARP, &victims, None).unwrap();
+        let puts: Vec<(u32, u32)> = (0..8).map(|i| (1_000 + i, 7 + i)).collect();
+        let victim_words = victims.iter().map(|p| query(p.0));
+        let words = puts.iter().map(|&(k, v)| pack(k, v)).chain(victim_words);
+        let s = Sections { puts: 8, erases: 8, ..Sections::default() };
+        let (_, counts, _) = launch(&t, GroupSize::WARP, s, &words.collect::<Vec<_>>());
+        assert_eq!(counts[..2], [0, 8]);
+        let keys: Vec<u32> = puts.iter().chain(&victims).map(|p| p.0).collect();
+        let (found, _) = t.retrieve_keys(GroupSize::WARP, &keys, None).unwrap();
+        let kept = found.iter().zip(&puts).all(|(&v, p)| v == Some(p.1));
+        kept && found[8..].iter().all(Option::is_none)
+    }
+
+    /// `Mutation::SentinelAfterTombstone` is caught by a seeded schedule
+    /// within the budget; the shipped order passes every hunted seed and
+    /// `group_id` order.
+    #[test]
+    fn one_kernel_catches_a_sentinel_restored_after_the_tombstone() {
+        let late = Some(Mutation::SentinelAfterTombstone);
+        assert!(reclaiming_puts_keep_their_values(None, None));
+        let caught = (0..seeds()).filter(|&seed| {
+            assert!(reclaiming_puts_keep_their_values(None, Some(seed)), "seed {seed}");
+            !reclaiming_puts_keep_their_values(late, Some(seed))
+        });
+        assert!(caught.count() > 0, "the late restore went uncaught in {} seeds", seeds());
+    }
 }

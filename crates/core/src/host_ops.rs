@@ -34,7 +34,7 @@
 //! [`Cut`] says — a chunk size and a number of streams, Fig. 11's
 //! `Ins`/`Ret` variants.
 
-use crate::cascade::{Abort, CascadeOp, Input, ERASE, GET_PUT, INSERT, RETRIEVE};
+use crate::cascade::{found_value, Abort, CascadeOp, Input, ERASE, GET_PUT, INSERT, RETRIEVE};
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::pack;
@@ -247,8 +247,9 @@ impl DistributedHashMap {
     /// The one host bracket of `op` over one chunk of a call: every GPU's
     /// [`live_chunk`] of the `keys` it answers (none for an insertion) and
     /// of each list of `pairs` travels up over PCIe in one transfer — 4
-    /// bytes a key, 8 a pair — the `device` cascade runs on the chunks, a
-    /// list a segment, and `op`'s answers travel down: a GPU's `n` values
+    /// bytes a key, 8 a pair — the device cascade runs on the chunks, a
+    /// list a segment, `answer(i, a)` receiving its answer to `keys[i]`
+    /// ([`DistributedHashMap::cascade`]), and `op`'s answers travel down: a GPU's `n` values
     /// in `4n` bytes plus `⌈n/8⌉` of found bits, or a byte per erase's hit
     /// flag ([`crate::cascade::ReturnTrip::down_bytes`]). The cascade
     /// copies those words down itself, at the end of its round, in the
@@ -256,15 +257,16 @@ impl DistributedHashMap {
     /// Dropped PCIe transfers are retried with backoff; a host link whose
     /// budget is exhausted quarantines its GPU and the transfer re-spreads
     /// over the survivors. The chunk's elements and rows go into `report`,
-    /// the call's. The caller has checked the keys.
-    fn host_bracket<O>(
+    /// the call's. The caller has checked the keys. Returns how many keys
+    /// the cascade tombstoned.
+    fn host_bracket(
         &self,
         op: &CascadeOp,
         keys: &[u32],
         pairs: &[&[u64]],
         report: &mut OpReport,
-        device: impl FnOnce(&Self, Input, &mut OpReport) -> Result<O, OpError>,
-    ) -> Result<O, OpError> {
+        mut answer: impl FnMut(usize, u64),
+    ) -> Result<u64, OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
         let elements = keys.len() + pairs.iter().map(|l| l.len()).sum::<usize>();
@@ -298,7 +300,8 @@ impl DistributedHashMap {
             }
         }
         let (keys, pairs) = (&key_chunks[..answered], &pair_chunks[..pairs.len() * m]);
-        let out = device(self, Input { keys, pairs }, report)?;
+        let input = Input { keys, pairs };
+        let out = self.cascade(op, input, report, |(g, i), a| answer(start_of(keys, g) + i, a))?;
         if let Some(back) = &op.back {
             self.with_failover(report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
@@ -344,9 +347,7 @@ impl DistributedHashMap {
     ) -> Result<OpReport, OpError> {
         let words = pair_words(pairs)?;
         in_chunks(&words, cut, |words, _, report| {
-            self.host_bracket(&INSERT, &[], &[words], report, |d, input, report| {
-                d.insert_words(input.pairs, report)
-            })
+            self.host_bracket(&INSERT, &[], &[words], report, |_, _| {}).map(drop)
         })
     }
 
@@ -382,11 +383,8 @@ impl DistributedHashMap {
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; keys.len()];
         let report = in_chunks(keys, cut, |keys, at, report| {
-            self.host_bracket(&RETRIEVE, keys, &[], report, |d, input, report| {
-                d.query_keys(input.keys, report, |(g, i), v| {
-                    values[at + start_of(input.keys, g) + i] = v;
-                })
-            })
+            let found = |i, pair| values[at + i] = found_value(pair);
+            self.host_bracket(&RETRIEVE, keys, &[], report, found).map(drop)
         })?;
         Ok(GetResponse { values, report })
     }
@@ -412,11 +410,9 @@ impl DistributedHashMap {
         let mut hits = vec![false; keys.len()];
         let mut erased = 0;
         let report = in_chunks(keys, cut, |keys, at, report| {
-            erased += self.host_bracket(&ERASE, keys, &[], report, |d, input, report| {
-                d.erase_keys(input.keys, report, |(g, i), hit| {
-                    hits[at + start_of(input.keys, g) + i] |= hit;
-                })
-            })?;
+            // of every round, so ORed
+            let hit = |i, flag| hits[at + i] |= flag != 0;
+            erased += self.host_bracket(&ERASE, keys, &[], report, hit)?;
             Ok(())
         })?;
         Ok(DeleteResponse {
@@ -458,10 +454,10 @@ impl DistributedHashMap {
         let mut values = vec![None; reads.len()];
         let puts = [&first[..], &late];
         let mut report = OpReport::of_cascade(0);
-        self.host_bracket(&GET_PUT, reads, &puts, &mut report, |d, input, report| {
-            d.get_put_round(input, report, |(g, i), v| {
-                values[start_of(input.keys, g) + i].get_or_insert(v);
-            })
+        // the first answer a key gets stands: a round re-run after a lost
+        // device would read what the aborted one already wrote
+        self.host_bracket(&GET_PUT, reads, &puts, &mut report, |i, pair| {
+            values[i].get_or_insert(found_value(pair));
         })?;
         Ok(GetResponse {
             values: values.into_iter().map(Option::flatten).collect(),

@@ -1,8 +1,9 @@
-//! The insertion kernel — Fig. 3 of the paper, with the duplicate-key
+//! Insertion — Fig. 3 of the paper, with the duplicate-key
 //! update semantics of §V-B ("our implementation resolves such collisions
 //! by updating an already written value for a colliding key").
 //!
-//! One coalesced group inserts one key-value pair:
+//! One coalesced group of the one kernel's put or upsert section
+//! ([`crate::get_put`]) inserts one key-value pair:
 //!
 //! 1. outer loop `p < p_max`: re-derive the span base `h ← hash(d, p)`;
 //! 2. inner loop `q < 32/|g|`: coalesced load of the `|g|`-slot window;
@@ -34,7 +35,7 @@ use crate::config::Mutation;
 use crate::entry::{is_empty_slot, is_tombstone, is_vacant, key_of, value_of};
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::table::Table;
-use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
+use gpu_sim::{GroupCtx, KernelStats};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -125,27 +126,6 @@ impl InsertTally {
             reclaimed: self.reclaimed.into_inner(),
         }
     }
-}
-
-/// Launches the insertion kernel for the packed pairs in `input[..n]`,
-/// one group of `g` lanes per pair — `multimap_insert` on a multi-value
-/// table, where duplicate keys accumulate.
-pub(crate) fn insert_kernel(
-    table: &Table,
-    g: GroupSize,
-    input: DevSlice,
-    n: usize,
-    recorder: Option<&HistoryRecorder>,
-) -> InsertOutcome {
-    let name = if table.multi() { "multimap_insert" } else { "warpdrive_insert" };
-    let tally = InsertTally::default();
-    let stats = table.launch(name, n, g, |ctx: &GroupCtx| {
-        let invoked = recorder.map(HistoryRecorder::invoke);
-        let word = ctx.read_stream(input, ctx.group_id());
-        let r = insert_one(ctx, table, word, false);
-        tally.note(table.multi(), word, r, recorder.zip(invoked));
-    });
-    tally.outcome(stats)
 }
 
 /// Inserts one packed pair by one coalesced group. `want_old` asks an

@@ -3,6 +3,7 @@
 use crate::config::Config;
 use crate::delete::EraseOutcome;
 use crate::errors::BuildError;
+use crate::get_put::Sections;
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
@@ -13,13 +14,14 @@ use std::sync::Arc;
 /// An open-addressing hash map in (simulated) GPU global memory with
 /// subwarp-cooperative probing.
 ///
-/// * Bulk operations are data-parallel kernel launches: one coalesced
-///   group of `|g|` lanes per key-value pair.
+/// * Bulk operations are data-parallel launches of one kernel: one
+///   coalesced group of `|g|` lanes per key or pair, in four sections
+///   (gets, upserts, puts, erases), relying on one group per key.
 /// * Insertions and queries may be issued concurrently (they take
 ///   `&self`); the outcome of a racing insert/query on the same key is
 ///   decided by the "event horizon" of the kernels, as in the paper.
 /// * Deletions require exclusive access (`&mut self`) — the global
-///   barrier of §IV-A, enforced by the borrow checker.
+///   barrier of §IV-A, enforced by the borrow checker, remains the API's.
 ///
 /// See the crate docs for a usage example.
 #[derive(Debug)]
@@ -149,39 +151,16 @@ impl GpuHashMap {
     /// attempts — the map should then be
     /// [rebuilt](GpuHashMap::rebuild_with_fresh_hash).
     pub fn insert_device(&self, input: DevSlice, n: usize) -> Result<InsertOutcome, OpError> {
-        placed(self.table.insert(self.cfg.group_size, input, n, self.recorder.as_deref()))
+        Ok(self.launch(Sections::puts(n), input, input.sub(0, 0), |_| {})?.0)
     }
 
     /// Retrieves the `n` query words of `input` into `out` (both
     /// device-resident): `out[i] = pack(key, value)` on a hit, `EMPTY` on
     /// a miss. Query words carry the key in their high 32 bits.
     pub fn retrieve_device(&self, input: DevSlice, out: DevSlice, n: usize) -> KernelStats {
-        self.table
-            .retrieve(self.cfg.group_size, input, out, n, self.recorder.as_deref())
-    }
-
-    /// One fused launch over device-resident words: the first `gets` words
-    /// of `input` are query words answered into `out` (`gets` long, as
-    /// [`GpuHashMap::retrieve_device`] would), the rest packed pairs
-    /// inserted as [`GpuHashMap::insert_device`] would. The keys must be
-    /// distinct — the cascade's mixed round sees to that.
-    ///
-    /// # Errors
-    /// [`OpError::ProbingExhausted`], as [`GpuHashMap::insert_device`].
-    pub(crate) fn get_put_device(
-        &self,
-        input: DevSlice,
-        out: DevSlice,
-        gets: usize,
-    ) -> Result<InsertOutcome, OpError> {
-        debug_assert_eq!(out.len(), gets, "no upsert groups: every answer is a get's");
-        placed(self.table.get_put(
-            self.cfg.group_size,
-            input,
-            out,
-            gets,
-            self.recorder.as_deref(),
-        ))
+        let recorder = self.recorder.as_deref();
+        let g = self.cfg.group_size;
+        self.table.run(g, Sections::gets(n), input, out, recorder, |_| {}).0.stats
     }
 
     /// Tombstones the `n` keys in `input` (device-resident query words).
@@ -192,20 +171,24 @@ impl GpuHashMap {
             .erase(self.cfg.group_size, input, n, self.recorder.as_deref())
     }
 
-    /// Shared-access erase used by [`crate::DistributedHashMap`], whose
-    /// own `&mut self` already provides the §IV-A barrier for every local
-    /// map: tombstones the first `flags.len()` keys of `input` and leaves
-    /// a hit flag per key in `flags` (both device-resident). Returns the
-    /// kernel's stats and the tombstoned count. Not public: callers
-    /// outside the crate must go through the `&mut` API.
-    pub(crate) fn erase_device_shared(
+    /// One launch of the kernel over device-resident words of distinct
+    /// keys ([`crate::table::Table::run`]). Not public: erase sections take
+    /// `&self` here, where a [`crate::DistributedHashMap`]'s own `&mut
+    /// self` provides the §IV-A barrier for every local map.
+    ///
+    /// # Errors
+    /// [`OpError::ProbingExhausted`], as [`GpuHashMap::insert_device`].
+    pub(crate) fn launch(
         &self,
+        sections: Sections,
         input: DevSlice,
-        flags: DevSlice,
-    ) -> (KernelStats, u64) {
+        out: DevSlice,
+        hit: impl Fn(usize) + Sync,
+    ) -> Result<(InsertOutcome, u64), OpError> {
         let recorder = self.recorder.as_deref();
-        self.table
-            .erase_flagging(self.cfg.group_size, input, flags, recorder)
+        let g = self.cfg.group_size;
+        let (outcome, erased) = self.table.run(g, sections, input, out, recorder, hit);
+        Ok((placed(outcome)?, erased))
     }
 
     // ---- host-sided conveniences -----------------------------------------
@@ -235,28 +218,21 @@ impl GpuHashMap {
         )
     }
 
-    /// Shared body of the host-resident query paths: stage, launch,
-    /// download. Typed scratch failure instead of a panic.
-    fn retrieve_impl(
-        &self,
-        keys: &[u32],
-    ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
-        let mut ctl = self.resize.lock();
-        if let Some((m, policy)) = ctl.migrating() {
-            return self.migrating_retrieve(m, policy, keys);
-        }
-        drop(ctl);
-        self.table
-            .retrieve_keys(self.cfg.group_size, keys, self.recorder.as_deref())
-    }
-
     /// Queries host-resident keys, returning per-key results in order
     /// with the unified cost report.
     ///
     /// # Errors
     /// [`OpError::OutOfMemory`] when staging scratch is unavailable.
     pub fn try_retrieve(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        let (values, stats) = self.retrieve_impl(keys)?;
+        let mut ctl = self.resize.lock();
+        let (values, stats) = match ctl.migrating() {
+            Some((m, policy)) => self.migrating_retrieve(m, policy, keys)?,
+            None => {
+                drop(ctl);
+                let recorder = self.recorder.as_deref();
+                self.table.retrieve_keys(self.cfg.group_size, keys, recorder)?
+            }
+        };
         Ok(GetResponse {
             values,
             report: OpReport::from_kernel(&stats, keys.len() as u64),
@@ -269,7 +245,7 @@ impl GpuHashMap {
     /// telemetry never undercounts singleton fallbacks.
     #[must_use]
     pub fn get(&self, key: u32) -> Option<u32> {
-        self.retrieve_impl(&[key]).map_or(None, |(values, _)| values[0])
+        self.try_retrieve(&[key]).map_or(None, |r| r.values[0])
     }
 
     /// Tombstones host-resident keys, returning per-key hits in input
@@ -358,8 +334,8 @@ impl crate::service::MapService for GpuHashMap {
         self.try_erase(keys)
     }
 
-    /// One launch of the fused get + upsert kernel while the table is
-    /// stable. During a migration the two routed batches run instead
+    /// One launch of the kernel's get, upsert and put sections while the
+    /// table is stable. During a migration the two routed batches run instead
     /// (each is a composition over both tables), as they do for lists
     /// that are not distinct ascending keys, where one key could end up
     /// in two racing groups.

@@ -49,6 +49,7 @@ use crate::config::Mutation;
 use crate::delete::EraseOutcome;
 use crate::entry::{live_pair, value_of, EMPTY};
 use crate::errors::BuildError;
+use crate::get_put::Sections;
 use crate::insert::InsertOutcome;
 use crate::map::{placed, GpuHashMap};
 use crate::service::OpError;
@@ -499,11 +500,12 @@ impl GpuHashMap {
             // per-key hits tell who was present in the source …
             let erase = source.erase(g, queries, n, None);
             // … and an unrecorded probe who is already in the target
-            let probe = target.retrieve(g, queries, probed, n, None);
+            let (probe, _) = target.run(g, Sections::gets(n), queries, probed, None, |_| {});
             let in_target = source.dev().mem().d2h(probed);
-            let outcome = target.insert(g, packed, n, None);
+            let none = probed.sub(0, 0);
+            let (outcome, _) = target.run(g, Sections::puts(n), packed, none, None, |_| {});
             merge_stats(&mut acc, erase.stats);
-            merge_stats(&mut acc, probe.merged(&outcome.stats));
+            merge_stats(&mut acc, probe.stats.merged(&outcome.stats));
             let outcome = placed(outcome)?;
 
             for (i, &(k, v)) in seg_pairs.iter().enumerate() {
@@ -556,9 +558,10 @@ impl GpuHashMap {
         let n = keys.len();
         let (_scratch, [queries], out) = source.stage([queries.iter().copied()], 2 * n)?;
         let (source_out, target_out) = (out.sub(0, n), out.sub(n, n));
-        let in_source = source.retrieve(g, queries, source_out, n, None);
-        let in_target = target.retrieve(g, queries, target_out, n, None);
-        let stats = merged_onto(steps, in_source.merged(&in_target));
+        let gets = Sections::gets(n);
+        let (in_source, _) = source.run(g, gets, queries, source_out, None, |_| {});
+        let (in_target, _) = target.run(g, gets, queries, target_out, None, |_| {});
+        let stats = merged_onto(steps, in_source.stats.merged(&in_target.stats));
 
         let found = source.dev().mem().d2h(out);
         let migrated_window = cursor_before..m.cursor;

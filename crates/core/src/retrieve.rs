@@ -1,4 +1,5 @@
-//! The retrieval (query) kernel.
+//! Retrieval (query): the get section of the one kernel
+//! ([`crate::get_put`]), and the multi-value retrieval.
 //!
 //! "Queries are performed in a similar way whereby the atomic swap is not
 //! required" (§IV-A). One coalesced group retrieves one key: windows are
@@ -12,41 +13,12 @@
 //! low bits are caller payload (the distributed cascade routes origin
 //! indices through them) and are ignored here.
 
-use crate::config::Mutation;
 use crate::entry::{is_empty_slot, key_of, value_of, EMPTY};
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::table::Table;
 use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
 use parking_lot::Mutex;
 use std::ops::ControlFlow;
-
-/// Launches the retrieval kernel for the `n` query words in `input`,
-/// one group of `g` lanes per query, writing one result word per query
-/// to `out`.
-pub(crate) fn retrieve_kernel(
-    table: &Table,
-    g: GroupSize,
-    input: DevSlice,
-    out: DevSlice,
-    n: usize,
-    recorder: Option<&HistoryRecorder>,
-) -> KernelStats {
-    table.launch("warpdrive_retrieve", n, g, |ctx: &GroupCtx| {
-        let invoked = recorder.map(HistoryRecorder::invoke);
-        // MUTATION DOUBLE (`Mutation::WindowOverrun`): read the query
-        // one group past our own — the last group runs off the end of
-        // the input buffer, which memcheck reports and contains.
-        let qidx = if table.mutation() == Some(Mutation::WindowOverrun) {
-            ctx.group_id() + 1
-        } else {
-            ctx.group_id()
-        };
-        let key = key_of(ctx.read_stream(input, qidx));
-        let result = retrieve_one(ctx, table, key);
-        record_retrieve(recorder.zip(invoked), key, result);
-        ctx.write_stream(out, ctx.group_id(), result);
-    })
-}
 
 /// Retrieves one key by one coalesced group: `pack(key, value)` on a
 /// hit, [`EMPTY`] on a miss.

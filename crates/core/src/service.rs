@@ -425,6 +425,11 @@ impl From<crate::errors::BuildError> for OpError {
 }
 
 /// Typed result of a bulk put.
+///
+/// [`crate::GpuHashMap`] counts the three classes per key;
+/// [`crate::DistributedHashMap`] derives them from its live maps' live
+/// and tombstone counts before and after the call, exact for distinct
+/// keys on a healthy node.
 #[derive(Debug, Clone)]
 pub struct PutResponse {
     /// Pairs that claimed a previously vacant slot.

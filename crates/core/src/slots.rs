@@ -18,10 +18,13 @@
 //! claimer, the claimer's sentinel CAS fails and its (older) value is
 //! discarded instead of clobbering an update that already responded.
 //! (The schedule-sweep harness found exactly that lost-update anomaly in
-//! the original plain-store variant.) Erase restores the sentinel, so
-//! tombstone reclaim re-enters the same protocol.
+//! the original plain-store variant.) Erase restores the sentinel before
+//! its tombstone is visible, so a reclaiming insert re-enters the same
+//! protocol even in the erase's own launch — the one kernel
+//! ([`crate::get_put`]) runs erase and put groups together and relies on
+//! one group per key for it.
 
-use crate::config::Layout;
+use crate::config::{Layout, Mutation};
 use crate::entry::{is_vacant, key_of, pack, value_of, EMPTY, TOMBSTONE};
 use gpu_sim::{DevSlice, Device, DeviceMemory, GroupCtx, OutOfMemory};
 use std::ops::{ControlFlow, Range};
@@ -140,24 +143,42 @@ impl Slots {
 
     /// Tombstones the live slot `idx`, loaded as `seen`: `Break(hit)`
     /// when the erase is decided, `Continue` when the window must be
-    /// loaded again. Deletions hold the global barrier of §IV-A, so only
-    /// another erase of the same launch can have changed the word: AOS
-    /// looks again (and finds the tombstone), SOA reports the miss at
-    /// once. SOA also restores the value word's sentinel so a reclaiming
-    /// insert re-enters the publication protocol.
+    /// loaded again. SOA restores the value word's sentinel **before** the
+    /// CAS makes the tombstone visible, so a put of another key that
+    /// reclaims the slot in the same launch publishes into EMPTY, not
+    /// over the erased value. With one group per key in a launch of
+    /// erases and puts ([`crate::get_put`]), only another erase of the
+    /// key, in an erase-only launch, can have changed the word: AOS looks
+    /// again (and finds the tombstone), SOA reports the miss at once, its
+    /// restore (`write_shared`, as two erases may both make it) harmless.
     #[inline]
-    pub(crate) fn tombstone(&self, ctx: &GroupCtx, idx: usize, seen: u64) -> ControlFlow<bool> {
+    pub(crate) fn tombstone(
+        &self,
+        ctx: &GroupCtx,
+        idx: usize,
+        seen: u64,
+        mutation: Option<Mutation>,
+    ) -> ControlFlow<bool> {
         match self.values {
             None => match ctx.cas(self.keys, idx, seen, TOMBSTONE) {
                 Ok(()) => ControlFlow::Break(true),
                 Err(_) => ControlFlow::Continue(()),
             },
             Some(values) => {
-                if ctx.cas(self.keys, idx, seen, TOMBSTONE).is_ok() {
-                    ctx.write(values, idx, EMPTY);
-                    return ControlFlow::Break(true);
+                // MUTATION DOUBLE (`Mutation::SentinelAfterTombstone`):
+                // restore the sentinel after the tombstone is visible, in
+                // the CAS's success arm — a put of another key that
+                // reclaims the slot in between finds the erased value,
+                // its publication fails, and the restore then wipes it.
+                let late = mutation == Some(Mutation::SentinelAfterTombstone);
+                if !late {
+                    ctx.write_shared(values, idx, EMPTY);
                 }
-                ControlFlow::Break(false)
+                let hit = ctx.cas(self.keys, idx, seen, TOMBSTONE).is_ok();
+                if hit && late {
+                    ctx.write_shared(values, idx, EMPTY);
+                }
+                ControlFlow::Break(hit)
             }
         }
     }

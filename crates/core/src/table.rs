@@ -3,8 +3,10 @@
 //!
 //! [`crate::GpuHashMap`] holds one [`Table`]; a resize migration holds
 //! the table it fills, and the finalize moves that table into the map.
-//! The kernels are launched from here and nowhere else, every one of
-//! them probes through [`Table::walk`], and the memory layout is known to
+//! Its two kernels — the one kernel of every op kind, whose sections are
+//! gets, upserts, puts and erases ([`crate::get_put`]), and the
+//! multi-value retrieval — are launched from here and nowhere else, both
+//! probe through [`Table::walk`], and the memory layout is known to
 //! the slot view ([`crate::slots`]) alone — the kernels, the map, the
 //! migration and every routed operation are written against slots, pairs
 //! and counters. [`crate::GpuMultiMap`] is a table in multi-value mode.
@@ -14,14 +16,14 @@
 //! so it is one value of the map that both tables of a migration read.
 
 use crate::config::{Config, Layout, Mutation};
-use crate::delete::{erase_kernel, EraseOutcome};
+use crate::delete::EraseOutcome;
 use crate::entry::{live_pair, pack, value_of, EMPTY, RESERVED_KEY};
 use crate::errors::BuildError;
-use crate::get_put::get_put_kernel;
+use crate::get_put::{self, Sections};
 use crate::history::HistoryRecorder;
-use crate::insert::{insert_kernel, InsertOutcome};
+use crate::insert::InsertOutcome;
 use crate::probing::Prober;
-use crate::retrieve::{retrieve_all_kernel, retrieve_kernel};
+use crate::retrieve::retrieve_all_kernel;
 use crate::service::OpError;
 use crate::slots::Slots;
 use crate::stats::Occupancy;
@@ -68,32 +70,6 @@ pub(crate) fn query_words(keys: impl Iterator<Item = u32> + Clone) -> Result<Vec
 pub(crate) fn pair_words(pairs: &[(u32, u32)]) -> Result<Vec<u64>, OpError> {
     check_keys(pairs.iter().map(|p| p.0))?;
     Ok(pairs.iter().map(|&(k, v)| pack(k, v)).collect())
-}
-
-/// One key of a fused get + put launch.
-enum Fused {
-    /// Looked up only.
-    Get(u32),
-    /// Looked up and written: one upsert group.
-    Upsert(u32, u32),
-    /// Written only.
-    Put(u32, u32),
-}
-
-/// The keys of `reads` and `puts` (each distinct and ascending) in one
-/// ascending sequence, a key in both lists merged into one upsert.
-fn fused_order<'a>(reads: &'a [u32], puts: &'a [(u32, u32)]) -> impl Iterator<Item = Fused> + 'a {
-    let (mut reads, mut puts) = (reads.iter().peekable(), puts.iter().peekable());
-    std::iter::from_fn(move || match (reads.peek(), puts.peek()) {
-        (Some(&&k), Some(&&(pk, _))) if k < pk => reads.next().map(|_| Fused::Get(k)),
-        (Some(&&k), Some(&&(pk, v))) if k == pk => {
-            reads.next();
-            puts.next().map(|_| Fused::Upsert(k, v))
-        }
-        (_, Some(_)) => puts.next().map(|&(k, v)| Fused::Put(k, v)),
-        (Some(_), None) => reads.next().map(|&k| Fused::Get(k)),
-        (None, None) => None,
-    })
 }
 
 /// The slots of one hash table in device memory, the hash-family member
@@ -269,60 +245,36 @@ impl Table {
         self.dev.launch(name, n, g, self.opts, kernel)
     }
 
-    // ---- the three operations, over device-resident words -----------------
+    // ---- the one kernel, over device-resident words ------------------------
 
-    /// Inserts the `n` packed pairs of `input`, counting claims and
-    /// reclaimed tombstones. Pairs that exhausted probing are reported
-    /// in the outcome, not as an error.
-    pub(crate) fn insert(
+    /// One launch of the kernel ([`crate::get_put`]) over the words of
+    /// `input`, section by section: the gets and the upserts answered into
+    /// `out`, `hit(i)` for each key `i` of the erase section it
+    /// tombstoned, claims, reclaimed tombstones and tombstoned keys
+    /// counted. Returns the insertion outcome, whose stats cover the whole
+    /// launch, and the tombstoned count. Pairs that exhausted probing are
+    /// reported in the outcome, not as an error.
+    pub(crate) fn run(
         &self,
         g: GroupSize,
+        sections: Sections,
         input: DevSlice,
-        n: usize,
+        out: DevSlice,
         recorder: Option<&HistoryRecorder>,
-    ) -> InsertOutcome {
-        let outcome = insert_kernel(self, g, input, n, recorder);
-        self.note_inserted(&outcome);
-        outcome
-    }
-
-    fn note_inserted(&self, outcome: &InsertOutcome) {
+        hit: impl Fn(usize) + Sync,
+    ) -> (InsertOutcome, u64) {
+        let (outcome, erased) = get_put::kernel(self, g, sections, input, out, recorder, hit);
+        // adds before subtractions: a put may reclaim a tombstone of the
+        // same launch
         self.occupied.fetch_add(outcome.new_slots, Relaxed);
+        self.note_tombstoned(erased);
         // claims over TOMBSTONE words shorten the pending-rebuild debt
         self.tombstones.fetch_sub(outcome.reclaimed, Relaxed);
+        (outcome, erased)
     }
 
-    /// Answers the `n` query words of `input` into `out`: `pack(key,
-    /// value)` on a hit, `EMPTY` on a miss.
-    pub(crate) fn retrieve(
-        &self,
-        g: GroupSize,
-        input: DevSlice,
-        out: DevSlice,
-        n: usize,
-        recorder: Option<&HistoryRecorder>,
-    ) -> KernelStats {
-        retrieve_kernel(self, g, input, out, n, recorder)
-    }
-
-    /// One launch of the fused kernel ([`crate::get_put`]) over the words
-    /// of `input`: the first `gets` are looked up, the rest inserted and
-    /// counted, and the first `out.len()` — the gets and, behind them,
-    /// the upserts — answered into `out`.
-    pub(crate) fn get_put(
-        &self,
-        g: GroupSize,
-        input: DevSlice,
-        out: DevSlice,
-        gets: usize,
-        recorder: Option<&HistoryRecorder>,
-    ) -> InsertOutcome {
-        let outcome = get_put_kernel(self, g, input, out, gets, recorder);
-        self.note_inserted(&outcome);
-        outcome
-    }
-
-    /// Tombstones the `n` keys of `input`, counting them.
+    /// [`Table::run`] of the `n` erase keys of `input` alone, its hits in
+    /// a host list.
     pub(crate) fn erase(
         &self,
         g: GroupSize,
@@ -331,36 +283,16 @@ impl Table {
         recorder: Option<&HistoryRecorder>,
     ) -> EraseOutcome {
         let hits: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let (stats, erased) = erase_kernel(self, g, input, n, recorder, |i| {
+        // an erase answers through `hit`, not into `out`
+        let out = input.sub(0, 0);
+        let (outcome, erased) = self.run(g, Sections::erases(n), input, out, recorder, |i| {
             hits[i].store(true, Relaxed);
         });
-        self.note_tombstoned(erased);
         EraseOutcome {
-            stats,
+            stats: outcome.stats,
             erased,
             hits: hits.into_iter().map(AtomicBool::into_inner).collect(),
         }
-    }
-
-    /// [`Table::erase`] of the first `flags.len()` keys of `input` that
-    /// leaves its hit flags on the device: `flags[i]` is 1 iff key `i` was
-    /// tombstoned, else 0 — stored as [`Table::erase`] stores its host
-    /// flags, billed to no kernel. Returns the kernel's stats and the
-    /// tombstoned count.
-    pub(crate) fn erase_flagging(
-        &self,
-        g: GroupSize,
-        input: DevSlice,
-        flags: DevSlice,
-        recorder: Option<&HistoryRecorder>,
-    ) -> (KernelStats, u64) {
-        let mem = self.dev.mem();
-        mem.fill(flags, 0);
-        let (stats, erased) = erase_kernel(self, g, input, flags.len(), recorder, |i| {
-            mem.fill(flags.sub(i, 1), 1);
-        });
-        self.note_tombstoned(erased);
-        (stats, erased)
     }
 
     fn note_tombstoned(&self, slots: u64) {
@@ -412,7 +344,7 @@ impl Table {
         Ok((scratch, input, out))
     }
 
-    /// [`Table::insert`] of host-resident pairs.
+    /// [`Table::run`] of host-resident pairs, a put section alone.
     pub(crate) fn insert_pairs(
         &self,
         g: GroupSize,
@@ -421,12 +353,12 @@ impl Table {
     ) -> Result<InsertOutcome, OpError> {
         check_keys(pairs.iter().map(|p| p.0))?;
         let words = pairs.iter().map(|&(k, v)| pack(k, v));
-        let (_scratch, [input], _) = self.stage([words], 0)?;
-        Ok(self.insert(g, input, pairs.len(), recorder))
+        let (_scratch, [input], out) = self.stage([words], 0)?;
+        Ok(self.run(g, Sections::puts(pairs.len()), input, out, recorder, |_| {}).0)
     }
 
-    /// [`Table::retrieve`] of host-resident keys; returns what each key
-    /// holds, in key order.
+    /// [`Table::run`] of host-resident keys, a get section alone; returns
+    /// what each key holds, in key order.
     pub(crate) fn retrieve_keys(
         &self,
         g: GroupSize,
@@ -434,9 +366,9 @@ impl Table {
         recorder: Option<&HistoryRecorder>,
     ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
         let (_scratch, input, out) = self.stage_keys(keys, keys.len())?;
-        let stats = self.retrieve(g, input, out, keys.len(), recorder);
+        let (outcome, _) = self.run(g, Sections::gets(keys.len()), input, out, recorder, |_| {});
         let found = self.dev.mem().d2h_words(out);
-        Ok((found.map(|w| (w != EMPTY).then(|| value_of(w))).collect(), stats))
+        Ok((found.map(|w| (w != EMPTY).then(|| value_of(w))).collect(), outcome.stats))
     }
 
     /// Every value stored under each of the host-resident `keys` of a
@@ -452,7 +384,7 @@ impl Table {
     }
 
     /// Looks up `reads` and applies `puts` in **one** launch of the
-    /// fused kernel ([`crate::get_put`]): both lists hold distinct keys
+    /// kernel ([`crate::get_put`]): both lists hold distinct keys
     /// in ascending order, and a key in both runs once, as an upsert.
     /// Returns the value each key of `reads` held before the launch, in
     /// `reads` order, and the insertion outcome, whose stats cover the
@@ -466,39 +398,28 @@ impl Table {
     ) -> Result<(Vec<Option<u32>>, InsertOutcome), OpError> {
         check_keys(reads.iter().copied())?;
         check_keys(puts.iter().map(|p| p.0))?;
-        let upserts = fused_order(reads, puts)
-            .filter(|k| matches!(k, Fused::Upsert(..)))
-            .count();
+        let read = |k: u32| reads.binary_search(&k).is_ok();
+        let written = |k: u32| puts.binary_search_by_key(&k, |p| p.0).is_ok();
+        let upserts = puts.iter().filter(|p| read(p.0)).count();
         let gets = reads.len() - upserts;
-        // the kernel's three sections: get-only keys, upserts, put-only keys
-        let mut words = vec![0; gets + puts.len()];
-        let (mut get_at, mut upsert_at, mut put_at) = (0, gets, reads.len());
-        for key in fused_order(reads, puts) {
-            let (at, word) = match key {
-                Fused::Get(k) => (&mut get_at, query_word(k)),
-                Fused::Upsert(k, v) => (&mut upsert_at, pack(k, v)),
-                Fused::Put(k, v) => (&mut put_at, pack(k, v)),
-            };
-            words[*at] = word;
-            *at += 1;
-        }
+        // the kernel's sections: get-only keys, upserts, put-only keys
+        let mut words = Vec::with_capacity(gets + puts.len());
+        words.extend(reads.iter().filter(|&&k| !written(k)).map(|&k| query_word(k)));
+        words.extend(puts.iter().filter(|p| read(p.0)).map(|&(k, v)| pack(k, v)));
+        words.extend(puts.iter().filter(|p| !read(p.0)).map(|&(k, v)| pack(k, v)));
         let (_scratch, [input], out) = self.stage([words.iter().copied()], reads.len())?;
-        let outcome = self.get_put(g, input, out, gets, recorder);
+        let sections = Sections { gets, upserts, puts: puts.len() - upserts, erases: 0 };
+        let (outcome, _) = self.run(g, sections, input, out, recorder, |_| {});
         // answers come back section by section; hand them out key by key
         let found = self.dev.mem().d2h(out);
         let (mut get_at, mut upsert_at) = (0, gets);
-        let mut values = Vec::with_capacity(reads.len());
-        for key in fused_order(reads, puts) {
-            let at = match key {
-                Fused::Get(_) => &mut get_at,
-                Fused::Upsert(..) => &mut upsert_at,
-                Fused::Put(..) => continue,
-            };
-            let word = found[*at];
+        let values = reads.iter().map(|&k| {
+            let at = if written(k) { &mut upsert_at } else { &mut get_at };
             *at += 1;
-            values.push((word != EMPTY).then(|| value_of(word)));
-        }
-        Ok((values, outcome))
+            let word = found[*at - 1];
+            (word != EMPTY).then(|| value_of(word))
+        });
+        Ok((values.collect(), outcome))
     }
 
     /// [`Table::erase`] of host-resident keys.

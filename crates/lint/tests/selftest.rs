@@ -37,7 +37,7 @@ fn workspace_is_clean_under_deny() {
     // The grandfathered doubles and justified findings are suppressed
     // by the baseline, not silently absent.
     assert!(
-        report.suppressed.len() >= 3,
+        report.suppressed.len() >= 2,
         "baseline suppressed only {} finding(s) — stale baseline?",
         report.suppressed.len()
     );

@@ -308,8 +308,8 @@ fn a_chunk_of_a_bulk_call_allocates_nothing() {
             "a {op} of {len} keys in {chunks} chunks allocated {chunked} times, in one chunk \
              {one}: its overlay is {OVERLAY} + {schedule} (host_ops.rs `in_chunks`, \
              `Overlap::schedule`) — or a chunk's bracket (host_ops.rs `host_bracket`) or \
-             cascade round (cascade.rs `round`, `SplitPhase`, `transpose_move`; multisplit's \
-             `SegmentedSplit`; table.rs `erase_flagging`) went back to allocating"
+             cascade round (cascade.rs `round` and its erase flags, `SplitPhase`, \
+             `transpose_move`; multisplit's `SegmentedSplit`) went back to allocating"
         );
     }
 }

@@ -198,3 +198,28 @@ fn reinsert_beyond_a_tombstone_never_stores_a_key_twice() {
         churn_matches_a_hash_map(node, warpdrive::DistributedHashMap::live_snapshot);
     }
 }
+
+/// A put over tombstones — the erased quarter again, every other survivor
+/// and 150 fresh keys: the node derives its placement classes from its
+/// counters and reports what the single-GPU map counts per key (at this
+/// load every tombstone goes back to its own key).
+#[test]
+fn a_node_reports_the_placement_classes_the_single_gpu_map_counts() {
+    use warpdrive::MapService;
+    let devices = (0..4).map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 16)));
+    let topo = interconnect::Topology::p100_quad(4);
+    let node = warpdrive::DistributedHashMap::new(devices.collect(), 2048, Config::default(), topo);
+    let (mut node, mut single) = (node.unwrap(), map_with(Layout::Aos, 4, 1 << 13));
+    let pairs: Vec<(u32, u32)> = (0..800u32).map(|i| (i * 11 + 3, i)).collect();
+    let victims: Vec<u32> = pairs.iter().step_by(4).map(|p| p.0).collect();
+    let again = pairs.iter().enumerate().filter(|(i, _)| i % 4 == 0 || i % 8 == 1);
+    let fresh = (0..150u32).map(|i| (i * 11 + 9_000_001, i));
+    let again: Vec<(u32, u32)> = again.map(|(_, &(k, v))| (k, v + 1)).chain(fresh).collect();
+    let counts = [&mut single as &mut dyn MapService, &mut node].map(|map| {
+        map.put_batch(&pairs).unwrap();
+        assert_eq!(map.delete_batch(&victims).unwrap().erased, 200);
+        let r = map.put_batch(&again).unwrap();
+        (r.new_slots, r.updates, r.reclaimed)
+    });
+    assert_eq!(counts, [(350, 100, 200); 2]);
+}
