@@ -129,6 +129,13 @@ pub(crate) struct CascadeOp {
 }
 
 impl CascadeOp {
+    /// The launches a GPU that holds words of every segment makes in one
+    /// round: the split and the kernel, the late insert if there is one,
+    /// and the return trip's scatter if there is one.
+    pub(crate) fn launches(&self) -> usize {
+        2 + usize::from(self.late.is_some()) + usize::from(self.back.is_some())
+    }
+
     /// Whether the answers land on their origins for [`result_scatter`].
     fn lands_values(&self) -> bool {
         matches!(

@@ -135,6 +135,13 @@ pub enum Mutation {
     /// its value. The one kernel's mixed-section test under a seeded
     /// schedule exists to catch exactly this.
     SentinelAfterTombstone,
+    /// The host bracket starts a chunk of a large call at the chunk's index
+    /// times its own length instead of at the sum of the chunks before it —
+    /// right for a cut of equal chunks, wrong for the planner's unequal
+    /// ones, so a get's answers and an erase's hits land in other keys'
+    /// places. `host_ops`'s chunked-call test on a planned cut exists to
+    /// catch exactly this.
+    ChunkOffsetByIndex,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

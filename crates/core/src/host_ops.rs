@@ -19,20 +19,36 @@
 //! A large insert, get or erase is cut into chunks, each its own bracket —
 //! H2D, cascade, D2H — run one after the other into the call's one output
 //! and the call's one report. Their stages occupy different hardware
-//! ([`resource`]), so the chunks overlap on as many streams as there are
-//! chunks, and the call's [`OpReport::time`] is the makespan of that
-//! overlay ([`Overlap`]). The cut depends on the size of the call alone:
-//! as many chunks as give every GPU at least `MIN_CHUNK_PER_GPU` (2¹⁴)
-//! elements of each, at most `MAX_CHUNKS` (8); below twice that a call is
-//! one chunk, with no overlay. A chunk costs the host no allocation — its
-//! round moves words device to device ([`crate::cascade`]) — so the call
-//! pays for its overlay once, whatever the cut.
-//! The mixed round is always one chunk: its reads answer the values from
-//! before the call, which a chunk behind a put would not.
+//! ([`resource`]), so the chunks overlap, a stream each, and the call's
+//! [`OpReport::time`] is the makespan of that overlay ([`Overlap`]).
+//!
+//! The bracket plans the cut from the chunks it has already run — the
+//! trade of §IV-C between overlap and per-chunk overhead:
+//! - The first chunk is sized before anything ran. Every GPU takes as many
+//!   elements as its host link uploads in the time the op's launches of a
+//!   chunk pay in overhead: on the P100 node ≈ 8 k for a put (two
+//!   launches, 8-byte pairs) and ≈ 25 k for a get or an erase (three
+//!   launches, 4-byte keys). A call below twice that is one chunk, with no
+//!   overlay.
+//! - After every chunk the planner picks how many chunks the rest of the
+//!   call takes: the count whose overlay has the least makespan, the
+//!   chunks already run as they ran and the rest as copies of the latest
+//!   chunk's rows, scaled to their size ([`StageTiming::scaled_time`]) and
+//!   without its backoff. Re-planning sees what a plan made once cannot:
+//!   inserts and queries slow down as the table fills.
+//! - It searches near its previous pick, in scratch of fixed size, so it
+//!   allocates nothing and a call allocates the same whatever it picks.
+//!   The scratch holds `PLAN_CHUNKS` (64) chunks, the most a call is cut
+//!   into.
+//!
+//! A chunk costs the host no allocation — its round moves words device to
+//! device ([`crate::cascade`]) — so the call pays for its overlay once,
+//! whatever the cut. The mixed round is always one chunk: its reads answer
+//! the values from before the call, which a chunk behind a put would not.
 //! [`DistributedHashMap::insert_in_chunks`] and
 //! [`DistributedHashMap::retrieve_in_chunks`] cut where their caller's
 //! [`Cut`] says — a chunk size and a number of streams, Fig. 11's
-//! `Ins`/`Ret` variants.
+//! `Ins`/`Ret` variants — in the same loop, a plan fixed in advance.
 
 use crate::cascade::{found_value, Abort, CascadeOp, Input, ERASE, GET_PUT, INSERT, RETRIEVE};
 use crate::config::Mutation;
@@ -41,17 +57,18 @@ use crate::entry::pack;
 use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
 use crate::stats::{CascadeStage, StageTiming};
 use crate::table::{check_keys, pair_words};
-use interconnect::{d2h_time_faulted, h2d_time_faulted, PipelineReport, PipelineSim, Stage};
+use interconnect::{
+    d2h_time_faulted, h2d_time, h2d_time_faulted, PipelineReport, PipelineSim, Stage,
+};
 use std::ops::Range;
 
-/// Fewest elements a GPU takes from each chunk of a call the bracket cuts:
-/// a smaller chunk would pay its launch overheads for little transfer to
-/// hide.
-pub(crate) const MIN_CHUNK_PER_GPU: usize = 1 << 14;
+/// Chunks the planner's scratch holds, and so the most chunks it cuts a
+/// call into.
+const PLAN_CHUNKS: usize = 64;
 
-/// Most chunks, and streams, the bracket cuts a call into: past 8, a
-/// chunk's launch overheads outweigh what the finer overlap hides.
-pub(crate) const MAX_CHUNKS: usize = 8;
+/// Pipeline stages the planner's scratch holds: twice a healthy chunk's
+/// rows (H2D … D2H) for every chunk, so a faulted chunk's retries fit too.
+const PLAN_STAGES: usize = 16 * PLAN_CHUNKS;
 
 /// Pipeline resource indices (the bars of Fig. 11, matching the Fig. 5
 /// legend: H2D = PCIe bus, MST = NVLink network, INS = video memory).
@@ -175,53 +192,116 @@ impl Cut {
         assert!(len > 0 && streams > 0, "chunks hold elements and run on streams");
         Self { len, streams }
     }
-
-    /// The bracket's own cut of a call of `elements` elements over `m`
-    /// GPUs: from the per-GPU count alone, as many chunks as leave every
-    /// GPU [`MIN_CHUNK_PER_GPU`] elements of each, at most [`MAX_CHUNKS`],
-    /// one stream each.
-    pub(crate) fn of(elements: usize, m: usize) -> Self {
-        let chunks = (elements / m / MIN_CHUNK_PER_GPU).clamp(1, MAX_CHUNKS);
-        Self::new(elements.div_ceil(chunks).max(1), chunks)
-    }
 }
 
-/// Runs `call` on each chunk of `items` that `cut` makes — the chunk,
-/// where it starts in `items`, and the call's report, which it pushes its
-/// rows into — one after the other, and overlays the chunks: the report
-/// holds every chunk's rows, launches and bytes, and the makespan of
-/// [`Overlap::schedule`] as its time. A call of one chunk is `call` on all
-/// of `items`, its report as `call` leaves it.
-fn in_chunks<T>(
-    items: &[T],
-    cut: Cut,
-    mut call: impl FnMut(&[T], usize, &mut OpReport) -> Result<(), OpError>,
-) -> Result<OpReport, OpError> {
-    if items.len() <= cut.len {
-        let mut report = OpReport::of_cascade(0);
-        call(items, 0, &mut report)?;
-        return Ok(report);
+/// The bracket's planner: after each chunk of a call, how many chunks the
+/// rest takes — the count that minimises the makespan of the chunks run so
+/// far as they ran and the rest as copies of the latest chunk's rows,
+/// scaled to their size and without its backoff, each chunk on its own
+/// stream. It searches near its previous pick, and keeps every candidate
+/// in fixed arrays: planning allocates nothing.
+struct Planner {
+    /// The chunks run so far as pipeline stages, then a candidate's copies.
+    stages: [Stage; PLAN_STAGES],
+    /// Each chunk's run of `stages`.
+    runs: [Range<usize>; PLAN_CHUNKS],
+    /// Chunks run so far, and the stages they fill.
+    done: usize,
+    filled: usize,
+    /// How many chunks the latest plan gave the rest of the call; 0 before
+    /// the first.
+    rest: usize,
+    /// The schedule's scratch.
+    batches: [(usize, Option<f64>); PLAN_CHUNKS],
+    resources: [(f64, f64); resource::COUNT],
+}
+
+impl Planner {
+    fn new() -> Self {
+        Self {
+            stages: [Stage {
+                resource: 0,
+                duration: 0.0,
+            }; PLAN_STAGES],
+            runs: std::array::from_fn(|_| 0..0),
+            done: 0,
+            filled: 0,
+            rest: 0,
+            batches: [(0, None); PLAN_CHUNKS],
+            resources: [(0.0, 0.0); resource::COUNT],
+        }
     }
-    let count = items.len().div_ceil(cut.len);
-    // room for every chunk's healthy round: H2D … D2H
-    let stages = Vec::with_capacity(8 * count);
-    let mut report = OpReport {
-        stages,
-        ..OpReport::default()
-    };
-    let mut chunks = Vec::with_capacity(count);
-    for (c, chunk) in items.chunks(cut.len).enumerate() {
-        let at = report.stages.len();
-        call(chunk, c * cut.len, &mut report)?;
-        chunks.push(at..report.stages.len());
+
+    /// The length of the next chunk, now that a chunk of `len` elements
+    /// ran with `rows` and `left` elements remain. The rest goes in one
+    /// chunk once the scratch cannot hold another.
+    fn next(&mut self, rows: &[StageTiming], len: usize, left: usize) -> usize {
+        let start = self.filled;
+        for stage in rows.iter().filter_map(|row| stage_of(row, 1.0)) {
+            if self.filled == PLAN_STAGES {
+                return left;
+            }
+            self.stages[self.filled] = stage;
+            self.filled += 1;
+        }
+        self.runs[self.done] = start..self.filled;
+        self.done += 1;
+        let most = (PLAN_CHUNKS - self.done)
+            .min((PLAN_STAGES - self.filled) / rows.len().max(1))
+            .min(left);
+        if most <= 1 {
+            return left;
+        }
+        // from the previous plan less the chunk that ran; at first, chunks
+        // as long as this one
+        let from = match self.rest {
+            0 => left.div_ceil(len),
+            rest => rest - 1,
+        };
+        let mut best = from.clamp(1, most);
+        let mut time = self.predict(rows, len, left, best);
+        // walk up while the makespan falls, else down
+        for step in [1, usize::MAX] {
+            let start = best;
+            loop {
+                let k = best.wrapping_add(step);
+                if !(1..=most).contains(&k) {
+                    break;
+                }
+                let t = self.predict(rows, len, left, k);
+                if t >= time {
+                    break;
+                }
+                (best, time) = (k, t);
+            }
+            if best != start {
+                break;
+            }
+        }
+        self.rest = best;
+        left.div_ceil(best)
     }
-    let overlap = Overlap {
-        streams: cut.streams,
-        chunks,
-    };
-    report.time = overlap.schedule(&report.stages, 1.0, cut.streams).makespan;
-    report.overlaps.push(overlap);
-    Ok(report)
+
+    /// The makespan of the chunks run so far and the `left` elements in
+    /// `k` chunks, each a copy of `rows` — a chunk of `len` elements —
+    /// scaled to its length and without its backoff.
+    fn predict(&mut self, rows: &[StageTiming], len: usize, left: usize, k: usize) -> f64 {
+        let scale = left.div_ceil(k) as f64 / len as f64;
+        let copy = rows.iter().filter(|row| row.stage != CascadeStage::Backoff);
+        let mut at = self.filled;
+        for run in &mut self.runs[self.done..self.done + k] {
+            let start = at;
+            for stage in copy.clone().filter_map(|row| stage_of(row, scale)) {
+                self.stages[at] = stage;
+                at += 1;
+            }
+            *run = start..at;
+        }
+        let n = self.done + k;
+        let (stages, runs) = (&self.stages[..at], &self.runs[..n]);
+        let (batches, resources) = (&mut self.batches[..n], &mut self.resources);
+        PipelineSim::run_in(stages, runs, n, batches, resources, |_, _| {})
+    }
 }
 
 /// The contiguous chunk of `len` items that GPU `g` of `m` takes: near-equal
@@ -244,6 +324,83 @@ fn start_of<T>(chunks: &[&[T]], g: usize) -> usize {
 }
 
 impl DistributedHashMap {
+    /// The bracket's first chunk of a call of `op` whose elements go up as
+    /// `bytes` bytes each: as many elements as the host links upload to
+    /// every GPU in the time its launches of a chunk pay in overhead.
+    pub(crate) fn first_chunk(&self, op: &CascadeOp, bytes: usize) -> usize {
+        let m = self.num_gpus();
+        let element = h2d_time(self.topology(), &[bytes as u64; MAX_PARTITIONS][..m]);
+        let launches = op.launches() as f64 * self.device(0).spec().launch_overhead;
+        (m * (launches / element) as usize).max(1)
+    }
+
+    /// Runs `call` on each chunk of `items` — the chunk, where it starts in
+    /// `items`, and the call's report, which it pushes its rows into — one
+    /// after the other, cut where `cut` says or, without one, where the
+    /// planner picks for `op`, and overlays the chunks: the report holds
+    /// every chunk's rows, launches and bytes, and the makespan of
+    /// [`Overlap::schedule`] as its time. A call of one chunk is `call` on
+    /// all of `items`, its report as `call` leaves it. The call's launches
+    /// read `RAYON_NUM_THREADS` once between them, so what it allocates
+    /// does not depend on its cut.
+    fn in_chunks<T>(
+        &self,
+        op: &CascadeOp,
+        items: &[T],
+        cut: Option<Cut>,
+        mut call: impl FnMut(&[T], usize, &mut OpReport) -> Result<(), OpError>,
+    ) -> Result<OpReport, OpError> {
+        rayon::with_num_threads_held(|| {
+            let (mut len, most) = match cut {
+                Some(cut) => (cut.len, items.len().div_ceil(cut.len)),
+                None => {
+                    let first = self.first_chunk(op, size_of::<T>());
+                    if items.len() < 2 * first {
+                        (items.len(), 1)
+                    } else {
+                        // one of the equal chunks of at most `first` that
+                        // the call would make
+                        let even = items.len().div_ceil(items.len().div_ceil(first));
+                        (even, PLAN_CHUNKS)
+                    }
+                }
+            };
+            if most <= 1 {
+                let mut report = OpReport::of_cascade(0);
+                call(items, 0, &mut report)?;
+                return Ok(report);
+            }
+            // room for every chunk's healthy round: H2D … D2H
+            let stages = Vec::with_capacity(8 * most);
+            let mut report = OpReport {
+                stages,
+                ..OpReport::default()
+            };
+            let mut chunks = Vec::with_capacity(most);
+            let mut planner = Planner::new();
+            // MUTATION DOUBLE (`Mutation::ChunkOffsetByIndex`): a chunk starts
+            // at its index times its own length, right for equal chunks alone
+            let by_index = self.cfg().mutation == Some(Mutation::ChunkOffsetByIndex);
+            let mut at = 0;
+            while at < items.len() {
+                let chunk = &items[at..(at + len).min(items.len())];
+                let rows = report.stages.len();
+                let start = if by_index { chunks.len() * len } else { at };
+                call(chunk, start, &mut report)?;
+                chunks.push(rows..report.stages.len());
+                at += chunk.len();
+                if cut.is_none() && at < items.len() {
+                    len = planner.next(&report.stages[rows..], chunk.len(), items.len() - at);
+                }
+            }
+            let streams = cut.map_or(chunks.len(), |cut| cut.streams);
+            let overlap = Overlap { streams, chunks };
+            report.time = overlap.schedule(&report.stages, 1.0, streams).makespan;
+            report.overlaps.push(overlap);
+            Ok(report)
+        })
+    }
+
     /// The one host bracket of `op` over one chunk of a call: every GPU's
     /// [`live_chunk`] of the `keys` it answers (none for an insertion) and
     /// of each list of `pairs` travels up over PCIe in one transfer — 4
@@ -331,12 +488,12 @@ impl DistributedHashMap {
     /// [`OpError::DeviceLost`] once no failover remains. The chunks before
     /// a failed one stay applied.
     pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<OpReport, OpError> {
-        self.insert_in_chunks(pairs, Cut::of(pairs.len(), self.num_gpus()))
+        self.insert_cut(pairs, None)
     }
 
-    /// [`Self::insert_from_host`] cut where `cut` says, not by the call's
-    /// size: Fig. 11's `Ins1`/`Ins2`/`Ins4` are one chunk size on 1, 2 or
-    /// 4 streams.
+    /// [`Self::insert_from_host`] cut where `cut` says, not by the
+    /// planner: Fig. 11's `Ins1`/`Ins2`/`Ins4` are one chunk size on 1, 2
+    /// or 4 streams.
     ///
     /// # Errors
     /// As [`Self::insert_from_host`].
@@ -345,8 +502,14 @@ impl DistributedHashMap {
         pairs: &[(u32, u32)],
         cut: Cut,
     ) -> Result<OpReport, OpError> {
+        self.insert_cut(pairs, Some(cut))
+    }
+
+    /// [`Self::insert_in_chunks`] where `cut` says, or by the planner
+    /// without one.
+    fn insert_cut(&self, pairs: &[(u32, u32)], cut: Option<Cut>) -> Result<OpReport, OpError> {
         let words = pair_words(pairs)?;
-        in_chunks(&words, cut, |words, _, report| {
+        self.in_chunks(&INSERT, &words, cut, |words, _, report| {
             self.host_bracket(&INSERT, &[], &[words], report, |_, _| {}).map(drop)
         })
     }
@@ -360,7 +523,7 @@ impl DistributedHashMap {
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_retrieve_from_host(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        self.retrieve_in_chunks(keys, Cut::of(keys.len(), self.num_gpus()))
+        self.retrieve_cut(keys, None)
     }
 
     /// Single-key convenience. Routed through the same counter/stats
@@ -373,16 +536,21 @@ impl DistributedHashMap {
     }
 
     /// [`Self::try_retrieve_from_host`] cut where `cut` says, not by the
-    /// call's size (Fig. 11's `Ret1`/`Ret2`/`Ret4`), answering in key
-    /// order.
+    /// planner (Fig. 11's `Ret1`/`Ret2`/`Ret4`), answering in key order.
     ///
     /// # Errors
     /// As [`Self::try_retrieve_from_host`].
     pub fn retrieve_in_chunks(&self, keys: &[u32], cut: Cut) -> Result<GetResponse, OpError> {
+        self.retrieve_cut(keys, Some(cut))
+    }
+
+    /// [`Self::retrieve_in_chunks`] where `cut` says, or by the planner
+    /// without one.
+    fn retrieve_cut(&self, keys: &[u32], cut: Option<Cut>) -> Result<GetResponse, OpError> {
         check_keys(keys.iter().copied())?;
         // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; keys.len()];
-        let report = in_chunks(keys, cut, |keys, at, report| {
+        let report = self.in_chunks(&RETRIEVE, keys, cut, |keys, at, report| {
             let found = |i, pair| values[at + i] = found_value(pair);
             self.host_bracket(&RETRIEVE, keys, &[], report, found).map(drop)
         })?;
@@ -398,18 +566,20 @@ impl DistributedHashMap {
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        self.erase_in_chunks(keys, Cut::of(keys.len(), self.num_gpus()))
+        self.erase_in_chunks(keys, None)
     }
 
+    /// [`Self::try_erase_from_host`] cut where `cut` says, or by the
+    /// planner without one.
     pub(crate) fn erase_in_chunks(
         &mut self,
         keys: &[u32],
-        cut: Cut,
+        cut: Option<Cut>,
     ) -> Result<DeleteResponse, OpError> {
         check_keys(keys.iter().copied())?;
         let mut hits = vec![false; keys.len()];
         let mut erased = 0;
-        let report = in_chunks(keys, cut, |keys, at, report| {
+        let report = self.in_chunks(&ERASE, keys, cut, |keys, at, report| {
             // of every round, so ORed
             let hit = |i, flag| hits[at + i] |= flag != 0;
             erased += self.host_bracket(&ERASE, keys, &[], report, hit)?;
@@ -470,7 +640,7 @@ impl DistributedHashMap {
 mod tests {
     use super::*;
     use crate::config::Config;
-    use gpu_sim::Device;
+    use gpu_sim::{Device, DeviceSpec, Schedule};
     use interconnect::Topology;
     use std::sync::Arc;
 
@@ -806,27 +976,48 @@ mod tests {
         [Cut::new(1024, 4), Cut::new(768, 2), Cut::new(4096, 3), Cut::new(1024, 1)]
     }
 
-    /// Puts, gets (half of the keys absent) and erases on a node in the
-    /// chunks of `cut`, and on a twin in one chunk each. Checks that the
-    /// two answer alike, end up holding the same pairs and that each report
-    /// counts its call's launches; returns each call's chunked report, its
-    /// one-chunk report and its length.
-    fn chunked_and_whole(cut: Cut) -> [(OpReport, OpReport, usize); 3] {
+    /// A node of `m` GPUs like [`node_with`]'s whose launches pay
+    /// `overhead` seconds each: far below the P100's 6 µs, the planner's
+    /// first chunk is small enough for a unit test to cut.
+    fn node_paying(m: usize, overhead: f64, cfg: Config) -> DistributedHashMap {
+        let spec = DeviceSpec {
+            launch_overhead: overhead,
+            ..DeviceSpec::test_small(8 << 16)
+        };
+        let devices: Vec<Arc<Device>> =
+            (0..m).map(|i| Arc::new(Device::new(i, spec.clone()))).collect();
+        let cfg = cfg.with_fault(gpu_sim::FaultPlan::default());
+        DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(m)).unwrap()
+    }
+
+    /// A launch overhead at which the planner cuts the calls of
+    /// [`chunked_and_whole`] into unequal chunks.
+    const SMALL_OVERHEAD: f64 = 6.0e-8;
+
+    /// Puts, gets (half of the keys absent) and erases on a node `node`
+    /// makes, in the chunks of `cut` — or the planner's, without one — and
+    /// on a twin in one chunk each. Checks that the two answer alike, end
+    /// up holding the same pairs and that each report counts its call's
+    /// launches; returns each call's chunked report, its one-chunk report
+    /// and its length.
+    fn chunked_and_whole(
+        cut: Option<Cut>,
+        node: impl Fn() -> DistributedHashMap,
+    ) -> [(OpReport, OpReport, usize); 3] {
         let pairs: Vec<(u32, u32)> = (0..4096u32).map(|i| (i * 7 + 1, i)).collect();
         let keys: Vec<u32> = (0..4096u32).flat_map(|i| [i * 7 + 1, i * 7 + 3]).collect();
         let deleted: Vec<u32> = keys.iter().copied().step_by(3).collect();
-        let whole = |len: usize| Cut::new(len, 1);
-        let node = || node_with(4, Config::default());
+        let whole = |len: usize| Some(Cut::new(len, 1));
         let (mut d, mut twin) = (node(), node());
         let before = launches(&d);
-        let put = d.insert_in_chunks(&pairs, cut).unwrap();
+        let put = d.insert_cut(&pairs, cut).unwrap();
         assert_eq!(put.launches, launches(&d) - before);
-        let twin_put = twin.insert_in_chunks(&pairs, whole(pairs.len())).unwrap();
+        let twin_put = twin.insert_cut(&pairs, whole(pairs.len())).unwrap();
         let before = launches(&d);
-        let GetResponse { values, report: get } = d.retrieve_in_chunks(&keys, cut).unwrap();
+        let GetResponse { values, report: get } = d.retrieve_cut(&keys, cut).unwrap();
         assert_eq!(get.launches, launches(&d) - before);
         let GetResponse { values: twin_values, report: twin_get } =
-            twin.retrieve_in_chunks(&keys, whole(keys.len())).unwrap();
+            twin.retrieve_cut(&keys, whole(keys.len())).unwrap();
         assert_eq!(values, twin_values);
         let before = launches(&d);
         let erase = d.erase_in_chunks(&deleted, cut).unwrap();
@@ -841,11 +1032,23 @@ mod tests {
         ]
     }
 
+    /// The elements of each chunk of a call whose elements go up as
+    /// `bytes` bytes each, read off its chunks' uploads.
+    fn chunk_lengths(report: &OpReport, bytes: u64) -> Vec<u64> {
+        let chunks = &report.overlaps[0].chunks;
+        let up = |rows: &Range<usize>| {
+            let rows = &report.stages[rows.clone()];
+            rows.iter().filter(|s| s.stage == CascadeStage::H2D).map(|s| s.bytes).sum::<u64>()
+        };
+        chunks.iter().map(|rows| up(rows) / bytes).collect()
+    }
+
     #[test]
     fn a_chunked_call_answers_moves_and_launches_like_one_chunk() {
         use CascadeStage::{D2H, H2D};
         for cut in test_cuts() {
-            for (chunked, one, len) in chunked_and_whole(cut) {
+            let node = || node_with(4, Config::default());
+            for (chunked, one, len) in chunked_and_whole(Some(cut), node) {
                 assert_eq!(chunks_of(&chunked), len.div_ceil(cut.len));
                 assert!(one.overlaps.is_empty());
                 for stage in [H2D, D2H] {
@@ -863,11 +1066,54 @@ mod tests {
         }
     }
 
+    /// The planner cuts a put, a get and an erase into chunks of unequal
+    /// lengths, a stream each: they answer, move and launch like one
+    /// chunk, but for the found bits' byte rounding of each chunk's
+    /// download. `Mutation::ChunkOffsetByIndex` puts a get's answers and
+    /// an erase's hits in other keys' places, or past the end.
+    #[test]
+    fn a_planned_call_answers_moves_and_launches_like_one_chunk() {
+        use CascadeStage::{D2H, H2D};
+        let node = || node_paying(4, SMALL_OVERHEAD, Config::default());
+        let calls = chunked_and_whole(None, node);
+        for ((chunked, one, len), bytes) in calls.iter().zip([8, 4, 4]) {
+            let lengths = chunk_lengths(chunked, bytes);
+            assert!(lengths.windows(2).any(|w| w[0] != w[1]), "{lengths:?}");
+            assert_eq!(lengths.iter().sum::<u64>(), *len as u64);
+            assert_eq!(chunked.overlaps[0].streams, lengths.len());
+            assert_eq!(bytes_of(chunked, H2D), bytes_of(one, H2D));
+            // a GPU's found bits round up to a byte in every chunk
+            let down = bytes_of(chunked, D2H) - bytes_of(one, D2H);
+            assert!(down <= 4 * lengths.len() as u64, "{down} bytes");
+            assert_eq!(chunked.elements, one.elements);
+            assert_time_is_bracketed(chunked);
+        }
+        let mutated = || {
+            let cfg = Config::default().with_mutation(Mutation::ChunkOffsetByIndex);
+            node_paying(4, SMALL_OVERHEAD, cfg)
+        };
+        let pairs: Vec<(u32, u32)> = (0..4096u32).map(|i| (i * 7 + 1, i)).collect();
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).collect();
+        let caught = |call: &dyn Fn(&mut DistributedHashMap) -> bool| {
+            let mut d = mutated();
+            d.insert_from_host(&pairs).unwrap();
+            let run = std::panic::AssertUnwindSafe(|| call(&mut d));
+            std::panic::catch_unwind(run).map_or(true, |right| !right)
+        };
+        assert!(caught(&|d| d.try_retrieve_from_host(&keys).unwrap().values == want), "get");
+        let all_hit = |d: &mut DistributedHashMap| {
+            d.try_erase_from_host(&keys).unwrap().hits.iter().all(|&h| h)
+        };
+        assert!(caught(&all_hit), "erase");
+    }
+
     #[test]
     fn one_stream_issues_the_chunks_one_after_the_other() {
         // one stream issues the chunks one after the other
         let cut = Cut::new(1024, 1);
-        for (chunked, _, len) in chunked_and_whole(cut) {
+        let node = || node_with(4, Config::default());
+        for (chunked, _, len) in chunked_and_whole(Some(cut), node) {
             assert!(len > cut.len);
             let overlap = chunked.overlaps.first().expect("a call of many chunks overlaps");
             let one_stream = overlap.schedule(&chunked.stages, 1.0, 1).makespan;
@@ -881,7 +1127,8 @@ mod tests {
         // every chunk crosses PCIe, NVLink and the video memory
         let crossed = [resource::PCIE_UP, resource::NVLINK, resource::VRAM];
         for cut in test_cuts() {
-            for (chunked, ..) in chunked_and_whole(cut) {
+            let node = || node_with(4, Config::default());
+            for (chunked, ..) in chunked_and_whole(Some(cut), node) {
                 if let Some(overlap) = chunked.overlaps.first() {
                     let busy = overlap.schedule(&chunked.stages, 1.0, cut.streams).busy;
                     assert!(crossed.iter().all(|&r| busy[r] > 0.0), "{cut:?}");
@@ -890,27 +1137,97 @@ mod tests {
         }
     }
 
+    /// A chunk bound by its upload gets the rest cut fine: the last
+    /// chunk's kernel, the tail no upload hides, shrinks with it. One whose
+    /// kernel is almost all launch overhead gets the rest in one chunk:
+    /// every chunk more pays another launch.
     #[test]
-    fn the_bracket_cuts_a_call_by_its_size_per_gpu_alone() {
-        let cut = |elements: usize, m| {
-            let cut = Cut::of(elements, m);
-            (elements.div_ceil(cut.len), cut.streams)
+    fn the_planner_trades_overlap_against_overhead() {
+        use CascadeStage::{Insert, H2D};
+        let row = |stage, time, overhead| StageTiming {
+            stage,
+            time,
+            bytes: 0,
+            overhead,
         };
-        // bulk_node4's script: put and get 2^20 keys, delete and get 2^18
-        assert_eq!(cut(1 << 20, 4), (8, 8));
-        assert_eq!(cut(1 << 18, 4), (4, 4));
-        // one chunk below twice MIN_CHUNK_PER_GPU a GPU, never more than
-        // MAX_CHUNKS
-        assert_eq!(cut(2 * 4 * MIN_CHUNK_PER_GPU - 1, 4), (1, 1));
-        assert_eq!(cut(2 * 4 * MIN_CHUNK_PER_GPU, 4), (2, 2));
-        assert_eq!(cut(1 << 30, 4), (MAX_CHUNKS, MAX_CHUNKS));
-        assert_eq!(cut(3 * MIN_CHUNK_PER_GPU, 1), (3, 3));
-        assert_eq!(Cut::of(0, 4), Cut::new(1, 1));
-        // every GPU takes MIN_CHUNK_PER_GPU elements of each chunk or more
-        for elements in (1..400).map(|i| i * 7919) {
-            let Cut { len, streams } = Cut::of(elements, 4);
-            assert!(streams == 1 || len / 4 >= MIN_CHUNK_PER_GPU, "{elements}");
+        let streaming = [row(H2D, 10e-6, 0.0), row(Insert, 2e-6, 0.0)];
+        let fine = Planner::new().next(&streaming, 1000, 9000);
+        assert!(fine < 1000, "a chunk of {fine}");
+        let launching = [row(H2D, 1e-6, 0.0), row(Insert, 10e-6, 9.9e-6)];
+        assert_eq!(Planner::new().next(&launching, 1000, 9000), 9000);
+    }
+
+    #[test]
+    fn a_call_below_twice_the_first_chunk_is_one_chunk() {
+        let d = node_paying(4, SMALL_OVERHEAD, Config::default());
+        let (put, get) = (d.first_chunk(&INSERT, 8), d.first_chunk(&RETRIEVE, 4));
+        // 2 launches against 8-byte pairs, 3 against 4-byte keys
+        assert_eq!((put, get), (328, 988));
+        // and on the P100 node, ≈ 8 k and ≈ 25 k a GPU
+        let p100 = node(4);
+        assert_eq!(p100.first_chunk(&INSERT, 8), 4 * 8250);
+        assert_eq!(p100.first_chunk(&ERASE, 4), 4 * 24750);
+        for (first, len) in [(put, 2 * put - 1), (put, 2 * put)] {
+            let pairs: Vec<(u32, u32)> = (1..=len as u32).map(|k| (k, k)).collect();
+            let d = node_paying(4, SMALL_OVERHEAD, Config::default());
+            let cut = chunks_of(&d.insert_from_host(&pairs).unwrap()) > 1;
+            assert_eq!(cut, len >= 2 * first, "{len} pairs");
+            let keys: Vec<u32> = (1..=(len * get / put) as u32).collect();
+            let cut = chunks_of(&d.try_retrieve_from_host(&keys).unwrap().report) > 1;
+            assert_eq!(cut, keys.len() >= 2 * get, "{} keys", keys.len());
         }
+    }
+
+    #[test]
+    fn identical_nodes_cut_a_call_identically() {
+        let cfg = Config::default().with_schedule(Schedule::Sequential);
+        let pairs: Vec<(u32, u32)> = (0..6000u32).map(|i| (i * 5 + 2, i)).collect();
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let script = || {
+            let mut d = node_paying(4, SMALL_OVERHEAD, cfg);
+            let put = d.insert_from_host(&pairs).unwrap();
+            let get = d.try_retrieve_from_host(&keys).unwrap().report;
+            let erase = d.try_erase_from_host(&keys).unwrap().report;
+            [put, get, erase].map(|report| {
+                let Overlap { streams, chunks } = report.overlaps[0].clone();
+                (streams, chunks, report.time.to_bits())
+            })
+        };
+        let cuts = script();
+        assert!(cuts.iter().all(|(streams, ..)| *streams > 1));
+        assert_eq!(cuts, script());
+    }
+
+    /// At the P100's launch overhead: a put and a get cut by the planner
+    /// take no longer than in 8 equal chunks, and spend at most 11
+    /// launches and 8.3 µs of multisplit a chunk between them — the
+    /// bounds CI holds `bulk_node4` to.
+    #[test]
+    fn a_planned_call_beats_eight_chunks_within_the_per_chunk_bounds() {
+        let cfg = Config::default()
+            .with_schedule(Schedule::Sequential)
+            .with_fault(gpu_sim::FaultPlan::default());
+        let n = 1 << 18;
+        let pairs: Vec<(u32, u32)> = (0..n as u32).map(|i| (i * 3 + 1, i)).collect();
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let node = || {
+            let devices: Vec<Arc<Device>> = (0..4)
+                .map(|i| Arc::new(Device::with_words(i, 1 << 19)))
+                .collect();
+            DistributedHashMap::new(devices, 1 << 17, cfg, Topology::p100_quad(4)).unwrap()
+        };
+        let eight = Some(Cut::new(n / 8, 8));
+        let (planned, fixed) = (node(), node());
+        let put = planned.insert_cut(&pairs, None).unwrap();
+        assert!(put.time <= fixed.insert_cut(&pairs, eight).unwrap().time);
+        let get = planned.retrieve_cut(&keys, None).unwrap().report;
+        assert!(get.time <= fixed.retrieve_cut(&keys, eight).unwrap().report.time);
+        assert!(chunks_of(&put) > 1 && chunks_of(&get) > 1);
+        let chunks = (chunks_of(&put) + chunks_of(&get)) as f64;
+        let launches = (put.launches + get.launches) as f64;
+        assert!(launches <= 11.0 * chunks, "{launches} launches in {chunks} chunks");
+        let split = put.time_of(CascadeStage::Multisplit) + get.time_of(CascadeStage::Multisplit);
+        assert!(split <= 8.3e-6 * chunks, "{split:e} s of split in {chunks} chunks");
     }
 
     #[test]
@@ -941,26 +1258,81 @@ mod tests {
         let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).chain([None]).collect();
         assert_eq!(get.values, want);
         assert_eq!(chunks_of(&get.report), 9);
-        let erase = d.erase_in_chunks(&keys, cut).unwrap();
+        let erase = d.erase_in_chunks(&keys, Some(cut)).unwrap();
         let hits: Vec<bool> = want.iter().map(Option::is_some).collect();
         assert_eq!((erase.hits, erase.erased), (hits, pairs.len() as u64));
         let values = d.retrieve_in_chunks(&keys, cut).unwrap().values;
         assert!(values.iter().all(Option::is_none));
     }
 
+    /// A put the planner cuts into chunks of 9 pairs — none uploaded to
+    /// GPU 3 (9 over 4 GPUs is 3, 3, 3, 0) — whose first chunk holds no key
+    /// of GPU 3's partition: the kill lands in its middle chunk.
+    #[test]
+    fn a_kill_in_a_middle_chunk_of_a_planned_call() {
+        let cfg = Config::default().with_schedule(Schedule::Sequential);
+        let mut d = node_paying(4, 2.5e-9, cfg);
+        assert_eq!(d.first_chunk(&INSERT, 8), 12);
+        let part = |k: u32| d.partition().part(k);
+        let elsewhere = (1..).filter(|&k| part(k) != 3).take(9);
+        let mut pairs: Vec<(u32, u32)> = elsewhere.map(|k| (k, k + 1)).collect();
+        pairs.extend((1000..1018).map(|k| (k, k + 1)));
+        d.set_fault_plan(gpu_sim::FaultPlan::default().with_kill(3));
+        let put = d.insert_from_host(&pairs).unwrap();
+        assert_eq!(d.quarantined(), [3]);
+        let chunks = &put.overlaps[0].chunks;
+        let rows = |c: usize| &put.stages[chunks[c].clone()];
+        let backoff = |c| rows(c).iter().any(|s| s.stage == CascadeStage::Backoff);
+        assert_eq!((0..chunks.len()).map(backoff).collect::<Vec<_>>(), [false, true, false]);
+        assert_eq!(chunk_lengths(&put, 8), [9, 9, 9]);
+        assert_time_is_bracketed(&put);
+        // the plan replays from the rows: the chunk after the kill is
+        // planned from the survivors' rows, and a copy of them leaves the
+        // kill's backoff out
+        let mut planner = Planner::new();
+        assert_eq!(planner.next(rows(0), 9, 18), 9);
+        let healthy: Vec<StageTiming> =
+            rows(1).iter().filter(|s| s.stage != CascadeStage::Backoff).copied().collect();
+        let waited = rows(1).iter().filter(|s| s.stage == CascadeStage::Backoff);
+        assert!(waited.map(|s| s.time).sum::<f64>() > 0.0);
+        for k in 1..=3 {
+            let with = planner.predict(rows(1), 9, 9, k);
+            assert_eq!(with.to_bits(), planner.predict(&healthy, 9, 9, k).to_bits(), "{k}");
+        }
+        assert_eq!(planner.next(rows(1), 9, 9), 9);
+        // every answer right on the degraded node, an absent key's too
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([5000]).collect();
+        let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).chain([None]).collect();
+        let get = d.try_retrieve_from_host(&keys).unwrap();
+        assert_eq!(get.values, want);
+        assert_time_is_bracketed(&get.report);
+        assert_eq!(live_sorted(&d), {
+            let mut want = pairs.clone();
+            want.sort_unstable();
+            want
+        });
+        let erase = d.try_erase_from_host(&keys).unwrap();
+        let hits: Vec<bool> = want.iter().map(Option::is_some).collect();
+        assert_eq!((erase.hits, erase.erased), (hits, pairs.len() as u64));
+        assert!(d.live_snapshot().is_empty());
+    }
+
     #[test]
     fn a_get_put_round_above_the_threshold_stays_one_round() {
         use crate::service::MapService;
         // one GPU, so that a round past the threshold stays small
-        let n = 2 * MIN_CHUNK_PER_GPU as u32;
         let devices = vec![Arc::new(Device::with_words(0, 1 << 20))];
         let cfg = Config::default().with_fault(gpu_sim::FaultPlan::default());
         let mut d = DistributedHashMap::new(devices, 1 << 17, cfg, Topology::p100_quad(1)).unwrap();
-        let old: Vec<(u32, u32)> = (1..=n).map(|k| (k, k)).collect();
-        assert_eq!(chunks_of(&d.insert_from_host(&old).unwrap()), 2);
+        // a get's first chunk, the larger: the round is twice that
+        let n = d.first_chunk(&RETRIEVE, 4);
+        assert!(n > d.first_chunk(&INSERT, 8));
+        let old: Vec<(u32, u32)> = (1..=n as u32).map(|k| (k, k)).collect();
+        assert!(chunks_of(&d.insert_from_host(&old).unwrap()) > 1);
         let keys: Vec<u32> = old.iter().map(|p| p.0).collect();
         let new: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k + 1)).collect();
-        assert!(Cut::of(keys.len() + new.len(), 1).streams > 1, "the bracket would cut it");
+        let the_bracket_would_cut = |len| len >= 2 * d.first_chunk(&RETRIEVE, 4);
+        assert!(the_bracket_would_cut(keys.len() + new.len()));
         let resp = d.get_put_batch(&keys, &new).unwrap();
         assert!(resp.values.iter().zip(&keys).all(|(&v, &k)| v == Some(k)));
         assert!(resp.report.overlaps.is_empty());

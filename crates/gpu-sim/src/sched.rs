@@ -425,7 +425,9 @@ impl StepState {
 /// [`StepSched::yield_point`] from every counted memory operation.
 pub struct StepSched {
     state: Mutex<StepState>,
-    cv: Condvar,
+    /// One per group: a handoff wakes the one thread that runs the group
+    /// it elected, not every thread of the wave.
+    turns: Vec<Condvar>,
 }
 
 impl StepSched {
@@ -468,7 +470,18 @@ impl StepSched {
         }
         StepSched {
             state: Mutex::new(state),
-            cv: Condvar::new(),
+            turns: (0..num_groups).map(|_| Condvar::new()).collect(),
+        }
+    }
+
+    /// Releases the lock and wakes the thread of the group that now holds
+    /// the token, if one does: woken after the release, it does not block
+    /// again on the lock.
+    fn hand_over(&self, st: MutexGuard<'_, StepState>) {
+        let next = st.current;
+        drop(st);
+        if let Some(gid) = next {
+            self.turns[gid].notify_one();
         }
     }
 
@@ -489,8 +502,7 @@ impl StepSched {
     ) -> MutexGuard<'s, StepState> {
         while st.current != Some(gid) {
             assert!(!st.stuck, "group {gid}: the launch stopped, every resident group waiting");
-            st = self
-                .cv
+            st = self.turns[gid]
                 .wait(st)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
@@ -530,8 +542,8 @@ impl StepSched {
         if st.current == Some(gid) {
             return st.lease_grant; // re-elected; no handoff needed
         }
-        self.cv.notify_all();
-        self.wait_turn(st, gid).lease_grant
+        self.hand_over(st);
+        self.wait_turn(self.lock(), gid).lease_grant
     }
 
     /// Blocks until it is `gid`'s turn to start executing and returns
@@ -567,13 +579,14 @@ impl StepSched {
         if st.runnable.is_empty() {
             st.current = None;
             st.stuck = true;
-            self.cv.notify_all();
+            // every waiting thread gives up
+            self.turns.iter().for_each(Condvar::notify_all);
             drop(st);
             panic!("group {gid} polls a flag that no resident group will publish");
         }
         st.pick_next();
-        self.cv.notify_all();
-        let mut st = self.wait_turn(st, gid);
+        self.hand_over(st);
+        let mut st = self.wait_turn(self.lock(), gid);
         st.started[gid] = true;
         if st.chunked {
             st.lease_grant
@@ -636,7 +649,7 @@ impl StepSched {
         } else {
             st.pick_next();
         }
-        self.cv.notify_all();
+        self.hand_over(st);
         claimed
     }
 }

@@ -7,14 +7,13 @@
 //! threads; within a thread (a CUDA stream, effectively) batches are
 //! strictly in order.
 //!
-//! The schedule is computed on simulated [`gpu_sim::ResourceTimeline`]s:
-//! a stage starts when its predecessor in the batch is done, its stream
-//! has finished the previous batch, and its resource is free. For one
+//! The schedule is computed on simulated resource horizons: a stage
+//! starts when its predecessor in the batch is done, its stream has
+//! finished the previous batch, and its resource is free. For one
 //! thread this degenerates to the fully sequential cascade (`Ins1`/`Ret1`
 //! in Fig. 11); for 2–4 threads it reproduces the 36%/45% makespan
 //! reductions.
 
-use gpu_sim::ResourceTimeline;
 use std::ops::Range;
 
 /// One stage of a batch cascade: occupy `resource` for `duration`
@@ -58,34 +57,22 @@ impl PipelineReport {
 /// A pipeline over `num_resources` serial resources.
 #[derive(Debug)]
 pub struct PipelineSim {
-    resources: Vec<ResourceTimeline>,
+    num_resources: usize,
 }
 
 impl PipelineSim {
     /// Creates a pipeline with `num_resources` independent resources.
     #[must_use]
     pub fn new(num_resources: usize) -> Self {
-        Self {
-            resources: (0..num_resources)
-                .map(|_| ResourceTimeline::new())
-                .collect(),
-        }
+        Self { num_resources }
     }
 
     /// Schedules `batches` — each a run of `stages`, a cascade in order —
     /// over `threads` round-robin streams and returns the resulting timing
-    /// report.
-    ///
-    /// List scheduling with earliest start time: among all stages whose
-    /// predecessors are done (previous stage of the batch, and — for a
-    /// batch's *first* stage — the completion of the stream's previous
-    /// batch), the one that can start earliest is dispatched next. This
-    /// lets a later batch's transfer backfill a resource while an earlier
-    /// batch computes, as CUDA streams do.
+    /// report. Every run starts from idle resources.
     ///
     /// # Panics
-    /// Panics if `threads == 0`, a batch lies outside `stages`, or a stage
-    /// names an unknown resource.
+    /// As [`Self::run_in`].
     #[must_use]
     pub fn run(
         &self,
@@ -93,14 +80,53 @@ impl PipelineSim {
         batches: &[Range<usize>],
         threads: usize,
     ) -> PipelineReport {
+        let mut state = vec![(0, None); batches.len()];
+        let mut resources = vec![(0.0, 0.0); self.num_resources];
+        let mut batch_done = vec![0.0f64; batches.len()];
+        let done = |b, t| batch_done[b] = t;
+        let makespan = Self::run_in(stages, batches, threads, &mut state, &mut resources, done);
+        PipelineReport {
+            makespan,
+            busy: resources.iter().map(|r| r.1).collect(),
+            batch_done,
+        }
+    }
+
+    /// [`Self::run`] in scratch its caller holds, so that a caller that
+    /// schedules again and again allocates nothing: `state` has a slot per
+    /// batch (its next stage, and when that is ready — none while its
+    /// stream runs an earlier batch, and once it is done), `resources` one
+    /// per resource (its busy horizon, and its busy time, which the run
+    /// leaves there). Tells `done` each batch and when it completed, and
+    /// returns the makespan.
+    ///
+    /// List scheduling with earliest start time: among all stages whose
+    /// predecessors are done (previous stage of the batch, and — for a
+    /// batch's *first* stage — the completion of the stream's previous
+    /// batch), the one that can start earliest is dispatched next, the
+    /// lowest batch on a tie. This lets a later batch's transfer backfill
+    /// a resource while an earlier batch computes, as CUDA streams do.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`, `state` holds fewer slots than there are
+    /// batches, a batch lies outside `stages`, a stage names an unknown
+    /// resource or lasts a negative time.
+    pub fn run_in(
+        stages: &[Stage],
+        batches: &[Range<usize>],
+        threads: usize,
+        state: &mut [(usize, Option<f64>)],
+        resources: &mut [(f64, f64)],
+        mut done: impl FnMut(usize, f64),
+    ) -> f64 {
         assert!(threads > 0, "need at least one pipeline thread");
         let n = batches.len();
-        let mut busy = vec![0.0f64; self.resources.len()];
-        let mut batch_done = vec![0.0f64; n];
-        // next stage per batch; ready time of that stage
-        let mut next_stage: Vec<usize> = batches.iter().map(|batch| batch.start).collect();
         // a batch is eligible once its stream predecessor completed
-        let mut ready: Vec<Option<f64>> = (0..n).map(|b| (b < threads).then_some(0.0)).collect();
+        let state = &mut state[..n];
+        for (b, (slot, batch)) in state.iter_mut().zip(batches).enumerate() {
+            *slot = (batch.start, (b < threads).then_some(0.0));
+        }
+        resources.fill((0.0, 0.0));
         let mut remaining: usize = batches.iter().map(ExactSizeIterator::len).sum();
         let mut makespan = 0.0f64;
         let mut finished = 0usize;
@@ -108,14 +134,14 @@ impl PipelineSim {
             // complete stage-less batches instantly (they still gate
             // their stream successor)
             for b in 0..n {
-                if let Some(r) = ready[b] {
-                    if next_stage[b] >= batches[b].end {
-                        batch_done[b] = r;
+                if let (next, Some(r)) = state[b] {
+                    if next >= batches[b].end {
+                        done(b, r);
                         makespan = makespan.max(r);
-                        ready[b] = None;
+                        state[b].1 = None;
                         finished += 1;
                         if b + threads < n {
-                            ready[b + threads] = Some(r);
+                            state[b + threads].1 = Some(r);
                         }
                     }
                 }
@@ -125,41 +151,39 @@ impl PipelineSim {
             }
             // pick the eligible stage with the earliest feasible start
             let mut best: Option<(usize, f64)> = None;
-            for b in 0..n {
-                let Some(r) = ready[b] else { continue };
-                if next_stage[b] >= batches[b].end {
+            for (b, &(next, ready)) in state.iter().enumerate() {
+                let Some(r) = ready else { continue };
+                if next >= batches[b].end {
                     continue;
                 }
-                let res = stages[next_stage[b]].resource;
-                let est = r.max(self.resources[res].horizon());
+                let est = r.max(resources[stages[next].resource].0);
                 if best.is_none_or(|(_, t)| est < t) {
                     best = Some((b, est));
                 }
             }
             let (b, _) = best.expect("remaining > 0 implies an eligible stage");
-            let stage = stages[next_stage[b]];
-            let iv = self.resources[stage.resource]
-                .schedule(ready[b].expect("eligible"), stage.duration);
-            busy[stage.resource] += iv.duration();
-            next_stage[b] += 1;
+            let (next, ready) = state[b];
+            let stage = stages[next];
+            assert!(stage.duration >= 0.0, "negative duration");
+            let (horizon, busy) = &mut resources[stage.resource];
+            let start = horizon.max(ready.expect("eligible"));
+            let end = start + stage.duration;
+            *horizon = end;
+            *busy += end - start;
             remaining -= 1;
-            if next_stage[b] == batches[b].end {
-                batch_done[b] = iv.end;
-                makespan = makespan.max(iv.end);
-                ready[b] = None;
+            if next + 1 == batches[b].end {
+                done(b, end);
+                makespan = makespan.max(end);
+                state[b] = (next + 1, None);
                 finished += 1;
                 if b + threads < n {
-                    ready[b + threads] = Some(iv.end); // unblock the stream
+                    state[b + threads].1 = Some(end); // unblock the stream
                 }
             } else {
-                ready[b] = Some(iv.end);
+                state[b] = (next + 1, Some(end));
             }
         }
-        PipelineReport {
-            makespan,
-            busy,
-            batch_done,
-        }
+        makespan
     }
 }
 

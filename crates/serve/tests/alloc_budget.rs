@@ -15,6 +15,7 @@ use interconnect::Topology;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use warpdrive::host_ops::Cut;
 use warpdrive::{Config, DistributedHashMap, GpuHashMap, MapService, Op, OpReport};
 use wd_serve::{ServeConfig, Server};
 
@@ -27,9 +28,9 @@ thread_local! {
 
 /// `RAYON_NUM_THREADS` as the tests of a large call set it: two workers,
 /// as the benchmark's host pass runs. The pool trims the spaces; they give
-/// `std`'s copy of the value, which the pool makes once a launch, a size no
-/// other allocation here has, so that [`allocations_past_pool_reads`] can
-/// leave those copies out.
+/// `std`'s copy of the value, which the pool makes once a launch outside a
+/// host call, a size no other allocation here has, so that
+/// [`measure`] can count those copies.
 const WORKERS: &str = "2            ";
 
 /// Forwards to [`System`] and counts the calling thread's calls.
@@ -79,15 +80,6 @@ fn allocations<T>(region: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
     let out = region();
     (ALLOCS.with(Cell::get) - before, out)
-}
-
-/// [`allocations`] but the pool's reads of [`WORKERS`], one a launch of
-/// more than 1 024 groups: how many there are depends on the launches'
-/// sizes, not on the code under test.
-fn allocations_past_pool_reads<T>(region: impl FnOnce() -> T) -> (u64, T) {
-    let reads = WORKER_READS.with(Cell::get);
-    let (allocs, out) = allocations(region);
-    (allocs - (WORKER_READS.with(Cell::get) - reads), out)
 }
 
 /// The budgets are the default configuration's: a sanitizer, a fault plan
@@ -264,12 +256,22 @@ fn bulk_node() -> DistributedHashMap {
 /// of the overlap.
 const OVERLAY: u64 = 2;
 
+/// [`allocations`] of `call`, and how many of them were the pool's reads of
+/// [`WORKERS`].
+fn measure(call: impl FnOnce() -> OpReport) -> (u64, u64, OpReport) {
+    let reads = WORKER_READS.with(Cell::get);
+    let (allocs, report) = allocations(call);
+    (allocs, WORKER_READS.with(Cell::get) - reads, report)
+}
+
 /// `bulk_node4`'s put, get and delete — 2^20, 2^20 and 2^18 keys, cut into
-/// 8, 8 and 4 chunks — allocate what a call the bracket leaves in one chunk
-/// (2^16 keys) does, past the pool's reads of `RAYON_NUM_THREADS` and the
-/// overlay: a chunk's cascade round allocates nothing on the host.
+/// as many chunks as the planner picks — allocate what a call the bracket
+/// leaves in one chunk (2^16 keys) does, past the overlay; a put and a get
+/// cut into 8 chunks by a `Cut` allocate the same. A chunk's cascade round
+/// allocates nothing, and a call reads `RAYON_NUM_THREADS` once, however
+/// many pool launches its chunks make.
 #[test]
-fn a_chunk_of_a_bulk_call_allocates_nothing() {
+fn a_call_allocates_the_same_whatever_its_cut() {
     if !default_environment() {
         return;
     }
@@ -278,38 +280,51 @@ fn a_chunk_of_a_bulk_call_allocates_nothing() {
     const ONE: usize = 1 << 16;
     let pairs: Vec<(u32, u32)> = (0..N as u32).map(|i| (i * 3 + 1, i)).collect();
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    // each op on a node that holds the pairs (an empty one for the put),
-    // measured after a warm-up call on another node
-    let call = |len: usize, op: &str| -> (u64, OpReport) {
-        let mut node = bulk_node();
-        if op != "put" {
-            node.put_batch(&pairs).expect("healthy node");
-        }
-        let (allocs, report) = allocations_past_pool_reads(|| match op {
-            "put" => node.put_batch(&pairs[..len]).map(|r| r.report),
-            "get" => node.get_batch(&keys[..len]).map(|r| r.report),
-            "delete" => node.delete_batch(&keys[..len]).map(|r| r.report),
-            _ => unreachable!("put, get or delete"),
-        });
-        (allocs, report.expect("healthy node"))
-    };
-    call(ONE, "put");
-    for (op, len, chunks) in [("put", N, 8), ("get", N, 8), ("delete", N / 4, 4)] {
-        let (one, one_report) = call(ONE, op);
-        let (chunked, report) = call(len, op);
+    let eight = Cut::new(N / 8, 8);
+    // a warm-up call on another node spawns the pool's workers
+    bulk_node().insert_from_host(&pairs[..ONE]).expect("healthy node");
+    let (mut one_node, eight_node, mut node) = (bulk_node(), bulk_node(), bulk_node());
+    let calls = [
+        (
+            "put",
+            measure(|| one_node.insert_from_host(&pairs[..ONE]).unwrap()),
+            measure(|| node.insert_from_host(&pairs).unwrap()),
+            Some(measure(|| eight_node.insert_in_chunks(&pairs, eight).unwrap())),
+        ),
+        (
+            "get",
+            measure(|| node.try_retrieve_from_host(&keys[..ONE]).unwrap().report),
+            measure(|| node.try_retrieve_from_host(&keys).unwrap().report),
+            Some(measure(|| node.retrieve_in_chunks(&keys, eight).unwrap().report)),
+        ),
+        (
+            "delete",
+            measure(|| one_node.try_erase_from_host(&keys[..ONE]).unwrap().report),
+            measure(|| node.try_erase_from_host(&keys[..N / 4]).unwrap().report),
+            None,
+        ),
+    ];
+    for (op, (one, one_reads, one_report), planned, fixed) in calls {
         assert!(one_report.overlaps.is_empty(), "{op}");
-        let overlap = &report.overlaps[0];
-        assert_eq!(overlap.chunks.len(), chunks, "{op}");
-        let (schedule, _) =
-            allocations(|| overlap.schedule(&report.stages, 1.0, overlap.streams));
-        assert_eq!(
-            chunked,
-            one + OVERLAY + schedule,
-            "a {op} of {len} keys in {chunks} chunks allocated {chunked} times, in one chunk \
-             {one}: its overlay is {OVERLAY} + {schedule} (host_ops.rs `in_chunks`, \
-             `Overlap::schedule`) — or a chunk's bracket (host_ops.rs `host_bracket`) or \
-             cascade round (cascade.rs `round` and its erase flags, `SplitPhase`, \
-             `transpose_move`; multisplit's `SegmentedSplit`) went back to allocating"
-        );
+        assert_eq!(one_reads, 1, "{op} in one chunk: one read of RAYON_NUM_THREADS");
+        for (chunked, reads, report) in [Some(planned), fixed].into_iter().flatten() {
+            let overlap = &report.overlaps[0];
+            let chunks = overlap.chunks.len();
+            assert!(chunks > 1, "{op}");
+            assert_eq!(reads, 1, "a {op} in {chunks} chunks read RAYON_NUM_THREADS {reads} times");
+            let (schedule, _) =
+                allocations(|| overlap.schedule(&report.stages, 1.0, overlap.streams));
+            assert_eq!(
+                chunked,
+                one + OVERLAY + schedule,
+                "a {op} in {chunks} chunks allocated {chunked} times, in one chunk \
+                 {one}: its overlay is {OVERLAY} + {schedule} (host_ops.rs `in_chunks`, \
+                 `Overlap::schedule`) — or the planner (host_ops.rs `Planner`), a chunk's \
+                 bracket (host_ops.rs `host_bracket`) or cascade round (cascade.rs `round` \
+                 and its erase flags, `SplitPhase`, `transpose_move`; multisplit's \
+                 `SegmentedSplit`) went back to allocating, or the call's launches to \
+                 reading RAYON_NUM_THREADS one each (rayon `with_num_threads_held`)"
+            );
+        }
     }
 }

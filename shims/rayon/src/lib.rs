@@ -21,11 +21,13 @@
 //! `gpu-sim` launch wait on a lower group's flag (`GroupCtx::poll`; its
 //! `tests/flags.rs` pins the shape).
 //! Past the workers a call first needs, `for_each` allocates nothing but
-//! what `std` needs to read a set `RAYON_NUM_THREADS`.
+//! what `std` needs to read a set `RAYON_NUM_THREADS`, and inside
+//! [`with_num_threads_held`] only its first call reads it.
 
 #![deny(unsafe_code)]
 
 use std::any::Any;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -38,8 +40,60 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// to [`std::thread::available_parallelism`], read once). Read per call,
 /// unlike real rayon, so tests can sweep worker counts by setting the
 /// variable between launches; the pool grows to what a call needs.
+/// Inside [`with_num_threads_held`], the count the first call on this
+/// thread read.
 #[must_use]
 pub fn current_num_threads() -> usize {
+    match HELD.get() {
+        Held::Free => read_num_threads(),
+        Held::Unread => {
+            let threads = read_num_threads();
+            HELD.set(Held::Read(threads));
+            threads
+        }
+        Held::Read(threads) => threads,
+    }
+}
+
+/// What [`current_num_threads`] holds on a thread.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    /// Outside [`with_num_threads_held`]: every call reads.
+    Free,
+    /// Inside, before the first call.
+    Unread,
+    /// Inside, after the first call, which read this count.
+    Read(usize),
+}
+
+thread_local! {
+    static HELD: Cell<Held> = const { Cell::new(Held::Free) };
+}
+
+/// Runs `f` with [`current_num_threads`] held on this thread: its first
+/// call inside reads `RAYON_NUM_THREADS`, and every later one answers what
+/// that one read. An operation that makes many parallel calls, one after
+/// the other, pays one read of a set variable instead of one a call; one
+/// that makes none reads nothing. A nested hold keeps the outer one's
+/// count.
+pub fn with_num_threads_held<R>(f: impl FnOnce() -> R) -> R {
+    /// Lets the hold go when `f` returns or unwinds.
+    struct Release;
+    impl Drop for Release {
+        fn drop(&mut self) {
+            HELD.set(Held::Free);
+        }
+    }
+    if matches!(HELD.get(), Held::Free) {
+        HELD.set(Held::Unread);
+        let _release = Release;
+        f()
+    } else {
+        f()
+    }
+}
+
+fn read_num_threads() -> usize {
     if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
@@ -658,6 +712,32 @@ mod tests {
             let distinct: std::collections::HashSet<_> = ran_on.iter().collect();
             assert_eq!(distinct.len(), workers, "{workers} workers");
         }
+    }
+
+    #[test]
+    fn a_held_count_is_the_first_calls_and_ends_with_its_hold() {
+        use super::{current_num_threads, with_num_threads_held};
+        let _serial = serial();
+        let (first, second, nested, after) = with_threads(2, || {
+            with_num_threads_held(|| {
+                let first = threads_of_a_call().len();
+                // a change inside the hold goes unread, nested or not
+                let (second, nested) = with_threads(3, || {
+                    let nested = with_num_threads_held(current_num_threads);
+                    (threads_of_a_call().len(), nested)
+                });
+                (first, second, nested, with_threads(4, current_num_threads))
+            })
+        });
+        assert_eq!((first, second, nested, after), (2, 2, 2, 2));
+        // released, on return and on unwind alike
+        assert_eq!(with_threads(3, current_num_threads), 3);
+        let unwound = std::panic::catch_unwind(|| with_num_threads_held(|| panic!("inside")));
+        assert!(unwound.is_err());
+        assert_eq!(with_threads(5, current_num_threads), 5);
+        // a hold that makes no call reads nothing, so it holds nothing
+        with_num_threads_held(|| {});
+        assert_eq!(with_threads(6, current_num_threads), 6);
     }
 
     #[test]

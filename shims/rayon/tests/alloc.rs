@@ -60,7 +60,8 @@ fn call() {
 
 /// Once the workers a call needs are spawned, a call allocates nothing but
 /// what `std::env::var` needs to read `RAYON_NUM_THREADS`: nothing while
-/// it is unset, a copy of its value while it is set.
+/// it is unset, a copy of its value while it is set — and calls one after
+/// the other inside `with_num_threads_held` read it once between them.
 #[test]
 fn a_call_allocates_nothing_after_warm_up() {
     std::env::remove_var("RAYON_NUM_THREADS");
@@ -75,4 +76,6 @@ fn a_call_allocates_nothing_after_warm_up() {
     for _ in 0..3 {
         assert_eq!(allocations(call), read, "RAYON_NUM_THREADS=2");
     }
+    let held = allocations(|| rayon::with_num_threads_held(|| (0..3).for_each(|_| call())));
+    assert_eq!(held, read, "three held calls");
 }
