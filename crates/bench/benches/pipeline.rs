@@ -46,21 +46,5 @@ fn bench_scheduler(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_resource_timeline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("resource_timeline");
-    g.throughput(Throughput::Elements(1000));
-    g.bench_function("schedule_x1000", |b| {
-        b.iter(|| {
-            let r = gpu_sim::ResourceTimeline::new();
-            let mut end = 0.0;
-            for i in 0..1000 {
-                end = r.schedule(black_box(i as f64 * 0.1), 0.05).end;
-            }
-            end
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_scheduler, bench_resource_timeline);
+criterion_group!(benches, bench_scheduler);
 criterion_main!(benches);

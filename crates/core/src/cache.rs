@@ -40,19 +40,15 @@
 //! only a direct `put_batch` caller can send them —
 //! [`MapService::execute`] sends each key's last write alone, and
 //! answers same-key reads after it without consulting backend or shadow.
-//! When a batch of an `execute` fails, an unspecified subset of the
-//! call's final writes may have been applied; the failed batch
-//! invalidates every key it writes (a failed
-//! [`MapService::get_put_batch`] admits none of its answers either) and
-//! the batches after it never ran, so the shadow still holds no value
-//! the backend does not.
+//! When an `execute` fails, an unspecified subset of the call's final
+//! writes may have been applied; the failed [`MapService::apply`]
+//! invalidates every key it writes or erases and admits none of its
+//! answers, so the shadow still holds no value the backend does not.
 //! The wd-serve `cache_equivalence` suite checks all of this end to end
 //! across seeds × schedules × fault plans, including mid-trace resizes
 //! and kill-plan migration traffic.
 
-use crate::service::{
-    DeleteResponse, GetResponse, MapService, OpError, PutResponse,
-};
+use crate::service::{answer, slots_fit, Applied, MapService, OpError, HELD_SCRATCH};
 use crate::stats::DegradedStats;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -128,6 +124,33 @@ pub struct CachedMap<S> {
     order: BTreeSet<(u64, u64, u32)>,
     tick: u64,
     stats: CacheStats,
+    /// The misses of a call of a serving flush's size, kept across calls.
+    misses: Misses,
+}
+
+/// The reads of one call the shadow could not answer.
+#[derive(Debug, Default)]
+struct Misses {
+    /// Their keys, as the backend is asked them.
+    keys: Vec<u32>,
+    /// Their positions among the call's reads.
+    slots: Vec<usize>,
+    /// The backend's answers.
+    answers: Vec<Option<u32>>,
+}
+
+impl Misses {
+    /// Itself, emptied for the next call — or nothing, if a bulk call grew
+    /// it past what a cache keeps between calls.
+    fn cleared(mut self) -> Self {
+        if self.keys.capacity() > HELD_SCRATCH {
+            return Self::default();
+        }
+        self.keys.clear();
+        self.slots.clear();
+        self.answers.clear();
+        self
+    }
 }
 
 impl<S: MapService> CachedMap<S> {
@@ -143,6 +166,7 @@ impl<S: MapService> CachedMap<S> {
             order: BTreeSet::new(),
             tick: 0,
             stats: CacheStats::default(),
+            misses: Misses::default(),
         }
     }
 
@@ -252,39 +276,28 @@ impl<S: MapService> CachedMap<S> {
         }
     }
 
-    /// Answers `keys` from the shadow: the per-key answers (`None` where
-    /// the shadow has nothing) and the misses, as positions in `keys` and
-    /// as the keys themselves.
-    fn lookup(&mut self, keys: &[u32]) -> (Vec<Option<u32>>, Vec<usize>, Vec<u32>) {
-        let mut values: Vec<Option<u32>> = Vec::with_capacity(keys.len());
-        let mut miss_slots: Vec<usize> = Vec::new();
-        let mut miss_keys: Vec<u32> = Vec::new();
+    /// Answers what it can of `keys` from the shadow into `values`, and
+    /// notes the rest in `misses`.
+    fn lookup(&mut self, keys: &[u32], values: &mut [Option<u32>], misses: &mut Misses) {
         for (i, &k) in keys.iter().enumerate() {
             if let Some(entry) = self.entries.get(&k) {
-                values.push(Some(entry.value));
+                values[i] = Some(entry.value);
                 self.stats.hits += 1;
                 self.touch(k);
             } else {
-                values.push(None);
-                miss_slots.push(i);
-                miss_keys.push(k);
+                misses.keys.push(k);
+                misses.slots.push(i);
                 self.stats.misses += 1;
             }
         }
-        (values, miss_slots, miss_keys)
     }
 
-    /// Fills the backend's `answers` for the misses of `keys` into
+    /// Fills the backend's answers to the `misses` of `keys` into
     /// `values`, admitting every hit.
-    fn admit_answers(
-        &mut self,
-        keys: &[u32],
-        miss_slots: &[usize],
-        answers: &[Option<u32>],
-        values: &mut [Option<u32>],
-    ) {
-        for (&slot, &value) in miss_slots.iter().zip(answers) {
-            values[slot] = value;
+    fn admit_answers(&mut self, keys: &[u32], misses: &Misses, values: &mut [Option<u32>]) {
+        let mutation = self.backend.mutation();
+        for (&slot, &value) in misses.slots.iter().zip(&misses.answers) {
+            answer(&mut values[slot], value, mutation);
             if let Some(v) = value {
                 self.admit(keys[slot], v);
             }
@@ -294,20 +307,26 @@ impl<S: MapService> CachedMap<S> {
     /// Write-through after the backend applied `pairs`: a cached key
     /// takes its new value, a key the batch wrote twice is dropped.
     fn note_puts(&mut self, pairs: &[(u32, u32)]) {
-        let mut dup_count: BTreeMap<u32, u32> = BTreeMap::new();
-        for &(k, _) in pairs {
-            *dup_count.entry(k).or_default() += 1;
-        }
+        // keys in strictly ascending order, as `execute` sends them, are
+        // distinct: no count needed
+        let dup_count = (!pairs.is_sorted_by(|a, b| a.0 < b.0)).then(|| {
+            let mut count: BTreeMap<u32, u32> = BTreeMap::new();
+            for &(k, _) in pairs {
+                *count.entry(k).or_default() += 1;
+            }
+            count
+        });
         for &(k, v) in pairs {
-            if dup_count.get(&k).copied().unwrap_or(0) > 1 {
+            if dup_count
+                .as_ref()
+                .is_some_and(|count| count.get(&k) > Some(&1))
+            {
                 // duplicate keys race in the kernel (last writer
                 // on the event horizon, not slice order) — the
                 // shadow must not guess the winner
                 self.invalidate(k);
-            } else if self.entries.contains_key(&k) {
-                if let Some(entry) = self.entries.get_mut(&k) {
-                    entry.value = v;
-                }
+            } else if let Some(entry) = self.entries.get_mut(&k) {
+                entry.value = v;
                 self.stats.write_updates += 1;
             }
         }
@@ -323,78 +342,45 @@ impl<S: MapService> CachedMap<S> {
 }
 
 impl<S: MapService> MapService for CachedMap<S> {
-    fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
-        // backend first: on error the batch may be partially applied, so
-        // the shadow must forget every key the batch mentions
-        match self.backend.put_batch(pairs) {
-            Ok(resp) => {
-                self.note_puts(pairs);
-                Ok(resp)
-            }
-            Err(e) => {
-                self.forget_puts(pairs);
-                Err(e)
-            }
-        }
-    }
-
-    fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        let (mut values, miss_slots, miss_keys) = self.lookup(keys);
-        if miss_keys.is_empty() {
-            // fully absorbed: no kernel launch, zero modeled device time
-            return Ok(GetResponse {
-                values,
-                report: crate::service::OpReport::default(),
-            });
-        }
-        let resp = self.backend.get_batch(&miss_keys)?;
-        self.admit_answers(keys, &miss_slots, &resp.values, &mut values);
-        Ok(GetResponse {
-            values,
-            report: resp.report,
-        })
-    }
-
-    /// The shadow answers what it can; the misses and the puts reach the
-    /// backend in **one** call (the puts alone when every read hit).
-    /// Answers are admitted before the write-through, so a key read and
-    /// written in one call enters with its old value and is then updated
-    /// — the shadow ends exactly where a `get_batch` followed by a
-    /// `put_batch` leaves it.
-    fn get_put_batch(
+    /// The shadow answers what it can; the misses, the puts and the erases
+    /// reach the backend in **one** call. The backend goes first: on an
+    /// error the call may be partially applied, so the shadow forgets
+    /// every key it writes or erases and admits no answer. On success the
+    /// answers are admitted before the write-through, so a key read and
+    /// written in one call enters with its old value and is then updated,
+    /// and an erased key is dropped last.
+    fn apply(
         &mut self,
         reads: &[u32],
         puts: &[(u32, u32)],
-    ) -> Result<GetResponse, OpError> {
-        let (mut values, miss_slots, miss_keys) = self.lookup(reads);
-        let result = if miss_keys.is_empty() {
-            self.backend.put_batch(puts).map(|r| (Vec::new(), r.report))
+        erases: &[u32],
+        values: &mut [Option<u32>],
+        hits: &mut [bool],
+    ) -> Result<Applied, OpError> {
+        slots_fit(reads, values, erases, hits)?;
+        let mut misses = std::mem::take(&mut self.misses);
+        self.lookup(reads, values, &mut misses);
+        misses.answers.resize(misses.keys.len(), None);
+        let done = if misses.keys.is_empty() && puts.is_empty() && erases.is_empty() {
+            // fully absorbed: no kernel launch, zero modeled device time
+            Ok(Applied::default())
         } else {
             self.backend
-                .get_put_batch(&miss_keys, puts)
-                .map(|r| (r.values, r.report))
+                .apply(&misses.keys, puts, erases, &mut misses.answers, hits)
         };
-        match result {
-            Ok((answers, report)) => {
-                self.admit_answers(reads, &miss_slots, &answers, &mut values);
-                self.note_puts(puts);
-                Ok(GetResponse { values, report })
-            }
-            Err(e) => {
-                self.forget_puts(puts);
-                Err(e)
-            }
+        if done.is_ok() {
+            self.admit_answers(reads, &misses, values);
+            self.note_puts(puts);
+        } else {
+            self.forget_puts(puts);
         }
-    }
-
-    fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let result = self.backend.delete_batch(keys);
-        // drop the keys whether the backend succeeded or not — on an
+        // the erased keys go whether the backend succeeded or not — on an
         // error some may already be tombstoned
-        for &k in keys {
+        for &k in erases {
             self.invalidate(k);
         }
-        result
+        self.misses = misses.cleared();
+        done
     }
 
     fn mutation(&self) -> Option<crate::Mutation> {
@@ -435,7 +421,7 @@ impl<S: MapService> MapService for CachedMap<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::model::ModelService;
+    use crate::service::model::{ModelService, OneCall};
     use crate::service::Op;
 
     fn warmed(capacity: usize, policy: CachePolicy) -> CachedMap<ModelService> {
@@ -551,55 +537,53 @@ mod tests {
         );
     }
 
-    /// A cache over a backend that takes `get_put_batch` as one call,
-    /// keys 1..=4 stored and key 1 cached.
-    fn warmed_over_fusing_backend() -> CachedMap<ModelService> {
-        let backend = ModelService {
-            fused: true,
-            ..ModelService::default()
-        };
-        let mut c = CachedMap::new(backend, 8, CachePolicy::Lru);
+    /// A cache over a backend of one call, keys 1..=4 stored and key 1
+    /// cached.
+    fn warmed_over_one_call() -> CachedMap<OneCall> {
+        let mut c = CachedMap::new(OneCall::default(), 8, CachePolicy::Lru);
         c.put_batch(&[(1, 10), (2, 20), (3, 30), (4, 40)]).unwrap();
         c.get_batch(&[1]).unwrap();
-        c.backend_mut().batches.clear();
+        c.backend_mut().calls.clear();
         c
     }
 
     #[test]
     fn mixed_call_reaches_the_backend_once_with_the_misses_and_the_puts() {
-        let mut c = warmed_over_fusing_backend();
+        let mut c = warmed_over_one_call();
         let ops = [
             Op::Get { key: 1 },
             Op::Get { key: 2 },
             Op::Put { key: 3, value: 33 },
             Op::Get { key: 9 },
+            Op::Delete { key: 4 },
         ];
         let (resp, _) = c.execute(&ops).unwrap();
-        // key 1 is answered by the shadow: reads 2 and 9, then put 3
-        assert_eq!(c.backend().batches, vec![('m', vec![2, 9, 3])]);
+        // key 1 is answered by the shadow: reads 2 and 9, put 3, erase 4
+        assert_eq!(c.backend().calls, vec![[vec![2, 9], vec![3], vec![4]]]);
         assert_eq!(resp[0], crate::Response::Get { value: Some(10) });
         assert_eq!(resp[1], crate::Response::Get { value: Some(20) });
         assert_eq!(resp[3], crate::Response::Get { value: None });
+        assert_eq!(resp[4], crate::Response::Delete { hit: true });
         assert_eq!((c.stats().hits, c.stats().misses), (1, 3));
     }
 
     #[test]
     fn mixed_call_whose_reads_all_hit_sends_the_puts_alone() {
-        let mut c = warmed_over_fusing_backend();
+        let mut c = warmed_over_one_call();
         let ops = [Op::Get { key: 1 }, Op::Put { key: 3, value: 33 }];
         let (resp, _) = c.execute(&ops).unwrap();
-        assert_eq!(c.backend().batches, vec![('p', vec![3])]);
+        assert_eq!(c.backend().calls, vec![[vec![], vec![3], vec![]]]);
         assert_eq!(resp[0], crate::Response::Get { value: Some(10) });
         assert_eq!(c.backend().map.get(&3), Some(&33));
     }
 
     #[test]
     fn key_read_and_written_in_one_call_is_admitted_old_then_updated() {
-        let mut c = warmed_over_fusing_backend();
+        let mut c = warmed_over_one_call();
         let before = c.stats();
         let ops = [Op::Get { key: 2 }, Op::Put { key: 2, value: 22 }];
         let (resp, _) = c.execute(&ops).unwrap();
-        assert_eq!(c.backend().batches, vec![('m', vec![2, 2])]);
+        assert_eq!(c.backend().calls, vec![[vec![2], vec![2], vec![]]]);
         assert_eq!(resp[0], crate::Response::Get { value: Some(20) });
         let after = c.stats();
         assert_eq!(after.admissions, before.admissions + 1);
@@ -607,21 +591,42 @@ mod tests {
         assert_eq!(after.invalidations, before.invalidations);
         // the shadow holds the new value: no backend call for the re-read
         assert_eq!(c.get_batch(&[2]).unwrap().values, vec![Some(22)]);
-        assert_eq!(c.backend().batches.len(), 1);
+        assert_eq!(c.backend().calls.len(), 1);
     }
 
     #[test]
     fn failed_mixed_call_invalidates_every_put_key() {
-        let mut c = warmed_over_fusing_backend();
-        c.get_batch(&[2]).unwrap();
+        let mut c = warmed_over_one_call();
+        c.get_batch(&[2, 3]).unwrap();
+        assert_eq!(c.cached_len(), 3);
         c.backend_mut().fail_puts = true;
         let ops = [
             Op::Get { key: 9 },
             Op::Put { key: 1, value: 11 },
             Op::Put { key: 2, value: 22 },
+            Op::Delete { key: 3 },
         ];
         assert!(c.execute(&ops).is_err());
         assert_eq!(c.cached_len(), 0, "error path must not trust the shadow");
+    }
+
+    #[test]
+    fn duplicate_put_keys_are_dropped_and_ascending_ones_updated() {
+        let mut c = warmed(8, CachePolicy::Lru);
+        c.get_batch(&[1, 2, 3]).unwrap();
+        // out of order with a duplicate: key 2 races itself, so it goes
+        c.put_batch(&[(3, 33), (2, 21), (1, 11), (2, 22)]).unwrap();
+        assert_eq!(c.stats().invalidations, 1);
+        assert_eq!(c.stats().write_updates, 2);
+        // strictly ascending, as `execute` sends them: every key updated
+        c.put_batch(&[(1, 12), (3, 34)]).unwrap();
+        assert_eq!(c.stats().invalidations, 1);
+        let before = c.backend().gets;
+        assert_eq!(
+            c.get_batch(&[1, 3]).unwrap().values,
+            vec![Some(12), Some(34)]
+        );
+        assert_eq!(c.backend().gets, before, "both updated in the shadow");
     }
 
     #[test]

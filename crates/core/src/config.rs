@@ -94,15 +94,15 @@ pub enum Mutation {
     /// wd-serve equivalence suite (coalesced ≡ one op at a time) exists
     /// to catch exactly this.
     ForwardStaleRead,
-    /// An upsert group of the fused get + put launch
-    /// ([`crate::MapService::get_put_batch`]) answers with the value it
+    /// An upsert group of the fused get + put launch (the reads and puts
+    /// of [`crate::MapService::apply`] on one GPU) answers with the value it
     /// *wrote* instead of the one it replaced — the classic
     /// fetch-and-store that returns the wrong side of the exchange, so a
     /// get followed by a put of its key in one call reads the put. The
     /// wd-serve equivalence suite exists to catch exactly this.
     UpsertReturnsNew,
-    /// The mixed cascade round of
-    /// [`crate::DistributedHashMap`]'s `get_put_batch` sends the put of a
+    /// The mixed cascade round of [`crate::DistributedHashMap`]'s
+    /// [`crate::MapService::apply`] sends the put of a
     /// key the call also reads with the other puts, into the fused launch,
     /// instead of the late launch behind it — so the key's get races its
     /// own put and may read the value the call wrote. In `group_id` order
@@ -142,6 +142,12 @@ pub enum Mutation {
     /// places. `host_ops`'s chunked-call test on a planned cut exists to
     /// catch exactly this.
     ChunkOffsetByIndex,
+    /// [`crate::MapService::apply`] writes a read's answer only on a hit,
+    /// leaving a miss's slot as the caller handed it over — the classic
+    /// output buffer that is assumed to arrive cleared. `service`'s answer
+    /// test, with every slot pre-filled with a value, exists to catch
+    /// exactly this on each of the three backends.
+    ApplySkipsMisses,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

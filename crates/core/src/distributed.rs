@@ -6,8 +6,8 @@
 //! runs the cascade **multisplit → transposition → insert**; retrieval
 //! and erasure run **multisplit → transposition → query → transposition
 //! (back) → scatter**, and a lookup of some keys with an insertion of
-//! others ([`crate::MapService::get_put_batch`]) is one such round over
-//! both — all four through the one driver in
+//! others (the reads and puts of [`crate::MapService::apply`]) is one
+//! round over both — all four through the one driver in
 //! [`crate::cascade`], bracketed by PCIe in [`crate::host_ops`]. Phases
 //! are separated by global barriers, so a cascade's time is the sum of
 //! per-phase maxima over the GPUs — exactly how the paper accounts
@@ -40,11 +40,13 @@
 
 use crate::chaos::{ChaosState, ChaosTally, Router};
 use crate::config::{Config, Mutation};
+use crate::entry::pack;
 use crate::errors::BuildError;
 use crate::history::{OpKind, OpResponse};
 use crate::map::GpuHashMap;
-use crate::service::{OpError, PutResponse};
+use crate::service::{joined, slots_fit, Applied, OpError, HELD_SCRATCH};
 use crate::stats::DegradedStats;
+use crate::table::check_keys;
 use gpu_sim::{Device, FaultPlan, RetryPolicy};
 use hashes::PartitionFn;
 use interconnect::Topology;
@@ -63,6 +65,9 @@ pub struct DistributedHashMap {
     fallback: PartitionFn,
     cfg: Config,
     chaos: RwLock<ChaosState>,
+    /// The packed pairs of a call of a serving flush's size, kept across
+    /// calls ([`DistributedHashMap::with_words`]).
+    words: Vec<u64>,
 }
 
 impl DistributedHashMap {
@@ -111,6 +116,7 @@ impl DistributedHashMap {
             fallback,
             cfg,
             chaos,
+            words: Vec::new(),
         })
     }
 
@@ -379,47 +385,81 @@ impl DistributedHashMap {
         self.chaos.write().stats.migrated_keys += migrated;
         Ok(())
     }
+
+    /// Runs `call` with an empty buffer for `len` words of a call: the
+    /// node's own, kept across calls, for a call of a serving flush's
+    /// size; a fresh one for a larger call, which goes with it — kept, it
+    /// would hold a bulk call's pairs resident.
+    fn with_words<T>(&mut self, len: usize, call: impl FnOnce(&Self, &mut Vec<u64>) -> T) -> T {
+        let held = len <= HELD_SCRATCH;
+        let mut words = if held {
+            std::mem::take(&mut self.words)
+        } else {
+            Vec::new()
+        };
+        words.clear();
+        words.reserve(len);
+        let out = call(self, &mut words);
+        if held {
+            self.words = words;
+        }
+        out
+    }
 }
 
 impl crate::service::MapService for DistributedHashMap {
-    fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
-        let before = self.occupancy_split();
-        let report = self.insert_from_host(pairs)?;
-        // the cascade does not thread per-key placement classes back to
-        // the host, but the live maps' counters recover them
-        let after = self.occupancy_split();
-        let new_slots = after.live.saturating_sub(before.live);
-        Ok(PutResponse {
-            new_slots,
-            updates: (pairs.len() as u64).saturating_sub(new_slots),
-            reclaimed: before.tombstones.saturating_sub(after.tombstones),
-            report,
-        })
-    }
-
-    fn get_batch(&mut self, keys: &[u32]) -> Result<crate::service::GetResponse, OpError> {
-        self.try_retrieve_from_host(keys)
-    }
-
-    fn delete_batch(&mut self, keys: &[u32]) -> Result<crate::service::DeleteResponse, OpError> {
-        self.try_erase_from_host(keys)
-    }
-
-    /// One cascade round ([`crate::host_ops`]): one H2D, one multisplit,
-    /// one all-to-all and one fused launch per GPU for both lists, the
-    /// answers alone on the return trip. Lists that are not distinct
-    /// ascending keys — where one key could end up in two racing groups —
-    /// run as the two cascades of the provided body.
-    fn get_put_batch(
+    /// The reads and the puts as one cascade round ([`crate::host_ops`]):
+    /// one H2D, one multisplit, one all-to-all and one fused launch per GPU
+    /// for both lists, the answers alone on the return trip. Lists that are
+    /// not distinct ascending keys — where one key could end up in two
+    /// racing groups — run as a read cascade and then a write cascade. The
+    /// erases follow in a cascade of their own. The cascades do not thread
+    /// per-key placement classes back to the host, but the live maps'
+    /// counters before and after the puts recover them, exact for distinct
+    /// keys on a healthy node.
+    fn apply(
         &mut self,
         reads: &[u32],
         puts: &[(u32, u32)],
-    ) -> Result<crate::service::GetResponse, OpError> {
-        if reads.is_sorted_by(|a, b| a < b) && puts.is_sorted_by(|a, b| a.0 < b.0) {
-            self.get_put_from_host(reads, puts)
+        erases: &[u32],
+        values: &mut [Option<u32>],
+        hits: &mut [bool],
+    ) -> Result<Applied, OpError> {
+        slots_fit(reads, values, erases, hits)?;
+        let mut applied = Applied::default();
+        let before = (!puts.is_empty()).then(|| self.occupancy_split());
+        let one_round = reads.is_sorted_by(|a, b| a < b) && puts.is_sorted_by(|a, b| a.0 < b.0);
+        let mut report = None;
+        if !reads.is_empty() && !puts.is_empty() && one_round {
+            let words = puts.len() + reads.len().div_ceil(64);
+            let round = |d: &Self, words: &mut _| d.get_put_into(reads, puts, values, words);
+            report = Some(self.with_words(words, round)?);
         } else {
-            crate::service::get_then_put(self, reads, puts)
+            if !reads.is_empty() {
+                report = Some(self.retrieve_into(reads, values, None)?);
+            }
+            if !puts.is_empty() {
+                let put = self.with_words(puts.len(), |d, words| {
+                    check_keys(puts.iter().map(|p| p.0))?;
+                    words.extend(puts.iter().map(|&(k, v)| pack(k, v)));
+                    d.insert_packed(words, None)
+                })?;
+                report = Some(joined(report, put));
+            }
         }
+        if let Some(before) = before {
+            let after = self.occupancy_split();
+            applied.new_slots = after.live.saturating_sub(before.live);
+            applied.updates = (puts.len() as u64).saturating_sub(applied.new_slots);
+            applied.reclaimed = before.tombstones.saturating_sub(after.tombstones);
+        }
+        if !erases.is_empty() {
+            let (erase, erased) = self.erase_into(erases, hits, None)?;
+            applied.erased = erased;
+            report = Some(joined(report, erase));
+        }
+        applied.report = report.unwrap_or_default();
+        Ok(applied)
     }
 
     fn mutation(&self) -> Option<crate::Mutation> {

@@ -213,7 +213,7 @@ mod tests {
                 let dead: Vec<u32> = prefill.iter().step_by(5).map(|p| p.0).collect();
                 for t in [&mixed, &twin] {
                     t.insert_pairs(g, &prefill, None).unwrap();
-                    t.erase_keys(g, &dead, None).unwrap();
+                    t.erase_keys(g, &dead, &mut vec![false; dead.len()], None).unwrap();
                 }
                 let span = |k: u32| mixed.prober().span_base(k, 0) / 32;
                 let fresh = (0..120u32).map(|i| 7_000_001 + 13 * i);
@@ -270,7 +270,8 @@ mod tests {
         let (_, counts, _) = launch(&t, GroupSize::WARP, s, &words.collect::<Vec<_>>());
         assert_eq!(counts[..2], [0, 8]);
         let keys: Vec<u32> = puts.iter().chain(&victims).map(|p| p.0).collect();
-        let (found, _) = t.retrieve_keys(GroupSize::WARP, &keys, None).unwrap();
+        let mut found = vec![None; keys.len()];
+        t.retrieve_keys(GroupSize::WARP, &keys, &mut found, None).unwrap();
         let kept = found.iter().zip(&puts).all(|(&v, p)| v == Some(p.1));
         kept && found[8..].iter().all(Option::is_none)
     }

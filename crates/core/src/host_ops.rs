@@ -9,10 +9,11 @@
 //! host-side reordering (which the paper rules out as "almost as
 //! expensive as CPU-based hash map construction").
 //!
-//! The mixed get + put round ([`crate::MapService::get_put_batch`] of the
-//! node) goes through the same bracket: each list is spread on its own
-//! into one segment of the cascade round, a GPU's chunks travel up back
-//! to back in one transfer, and only the answers travel down.
+//! The mixed get + put round (the reads and puts of the node's
+//! [`crate::MapService::apply`]) goes through the same bracket: each list
+//! is spread on its own into one segment of the cascade round, a GPU's
+//! chunks travel up back to back in one transfer, and only the answers
+//! travel down.
 //!
 //! ## Chunks that overlap (§IV-B, Fig. 5)
 //!
@@ -54,8 +55,8 @@ use crate::cascade::{found_value, Abort, CascadeOp, Input, ERASE, GET_PUT, INSER
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::pack;
-use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
-use crate::stats::{CascadeStage, StageTiming};
+use crate::service::{answer, DeleteResponse, GetResponse, OpError, OpReport};
+use crate::stats::{CascadeStage, StageRows, StageTiming};
 use crate::table::{check_keys, pair_words};
 use interconnect::{
     d2h_time_faulted, h2d_time, h2d_time_faulted, PipelineReport, PipelineSim, Stage,
@@ -371,7 +372,7 @@ impl DistributedHashMap {
                 return Ok(report);
             }
             // room for every chunk's healthy round: H2D … D2H
-            let stages = Vec::with_capacity(8 * most);
+            let stages = StageRows::with_capacity(8 * most);
             let mut report = OpReport {
                 stages,
                 ..OpReport::default()
@@ -508,8 +509,16 @@ impl DistributedHashMap {
     /// [`Self::insert_in_chunks`] where `cut` says, or by the planner
     /// without one.
     fn insert_cut(&self, pairs: &[(u32, u32)], cut: Option<Cut>) -> Result<OpReport, OpError> {
-        let words = pair_words(pairs)?;
-        self.in_chunks(&INSERT, &words, cut, |words, _, report| {
+        self.insert_packed(&pair_words(pairs)?, cut)
+    }
+
+    /// [`Self::insert_cut`] of pairs the caller has packed and checked.
+    pub(crate) fn insert_packed(
+        &self,
+        words: &[u64],
+        cut: Option<Cut>,
+    ) -> Result<OpReport, OpError> {
+        self.in_chunks(&INSERT, words, cut, |words, _, report| {
             self.host_bracket(&INSERT, &[], &[words], report, |_, _| {}).map(drop)
         })
     }
@@ -547,14 +556,26 @@ impl DistributedHashMap {
     /// [`Self::retrieve_in_chunks`] where `cut` says, or by the planner
     /// without one.
     fn retrieve_cut(&self, keys: &[u32], cut: Option<Cut>) -> Result<GetResponse, OpError> {
-        check_keys(keys.iter().copied())?;
-        // chunks are contiguous, so one after the other is input order
         let mut values = vec![None; keys.len()];
-        let report = self.in_chunks(&RETRIEVE, keys, cut, |keys, at, report| {
-            let found = |i, pair| values[at + i] = found_value(pair);
-            self.host_bracket(&RETRIEVE, keys, &[], report, found).map(drop)
-        })?;
+        let report = self.retrieve_into(keys, &mut values, cut)?;
         Ok(GetResponse { values, report })
+    }
+
+    /// [`Self::retrieve_cut`] into the caller's `values`, one slot per key
+    /// (the round answers every key it is sent).
+    pub(crate) fn retrieve_into(
+        &self,
+        keys: &[u32],
+        values: &mut [Option<u32>],
+        cut: Option<Cut>,
+    ) -> Result<OpReport, OpError> {
+        check_keys(keys.iter().copied())?;
+        let mutation = self.cfg().mutation;
+        // chunks are contiguous, so one after the other is input order
+        self.in_chunks(&RETRIEVE, keys, cut, |keys, at, report| {
+            let found = |i, pair| answer(&mut values[at + i], found_value(pair), mutation);
+            self.host_bracket(&RETRIEVE, keys, &[], report, found).map(drop)
+        })
     }
 
     /// Host-sided erase with typed fault errors: keys travel over PCIe
@@ -576,8 +597,25 @@ impl DistributedHashMap {
         keys: &[u32],
         cut: Option<Cut>,
     ) -> Result<DeleteResponse, OpError> {
-        check_keys(keys.iter().copied())?;
         let mut hits = vec![false; keys.len()];
+        let (report, erased) = self.erase_into(keys, &mut hits, cut)?;
+        Ok(DeleteResponse {
+            hits,
+            erased,
+            report,
+        })
+    }
+
+    /// [`Self::erase_in_chunks`] into the caller's `hits`, one flag per
+    /// key; returns the report and how many keys the call tombstoned.
+    pub(crate) fn erase_into(
+        &mut self,
+        keys: &[u32],
+        hits: &mut [bool],
+        cut: Option<Cut>,
+    ) -> Result<(OpReport, u64), OpError> {
+        check_keys(keys.iter().copied())?;
+        hits.fill(false);
         let mut erased = 0;
         let report = self.in_chunks(&ERASE, keys, cut, |keys, at, report| {
             // of every round, so ORed
@@ -585,11 +623,7 @@ impl DistributedHashMap {
             erased += self.host_bracket(&ERASE, keys, &[], report, hit)?;
             Ok(())
         })?;
-        Ok(DeleteResponse {
-            hits,
-            erased,
-            report,
-        })
+        Ok((report, erased))
     }
 
     /// Host-sided lookup of `reads` and insertion of `puts` in **one**
@@ -600,39 +634,45 @@ impl DistributedHashMap {
     /// answers and inserts in one fused launch — the put of a key that is
     /// also read waits for a late launch behind it, so the answers are
     /// the values **before** the call — and the answers alone travel
-    /// back, in `reads` order. One chunk, however large.
+    /// back, into `values` in `reads` order. One chunk, however large.
+    /// `words` is the call's scratch, empty: the packed pairs, the first
+    /// then the late ones, and a bit per read of what the round answered.
     ///
     /// # Errors
     /// As [`Self::try_retrieve_from_host`] and [`Self::insert_from_host`];
     /// some of the pairs may have been applied.
-    pub(crate) fn get_put_from_host(
+    pub(crate) fn get_put_into(
         &self,
         reads: &[u32],
         puts: &[(u32, u32)],
-    ) -> Result<GetResponse, OpError> {
+        values: &mut [Option<u32>],
+        words: &mut Vec<u64>,
+    ) -> Result<OpReport, OpError> {
         check_keys(puts.iter().map(|p| p.0))?;
         check_keys(reads.iter().copied())?;
+        let mutation = self.cfg().mutation;
         // MUTATION DOUBLE (`Mutation::LatePutsJoinFirstLaunch`): no put is
         // late, so a key's get races its own put in the fused launch.
-        let races = self.cfg().mutation == Some(Mutation::LatePutsJoinFirstLaunch);
-        let (mut first, mut late) = (Vec::new(), Vec::new());
-        for &(k, v) in puts {
-            let read_too = !races && reads.binary_search(&k).is_ok();
-            if read_too { &mut late } else { &mut first }.push(pack(k, v));
-        }
-        // chunks are contiguous, so one after the other is input order
-        let mut values = vec![None; reads.len()];
-        let puts = [&first[..], &late];
+        let races = mutation == Some(Mutation::LatePutsJoinFirstLaunch);
+        let late = |k: u32| !races && reads.binary_search(&k).is_ok();
+        let packed = |&(k, v): &(u32, u32)| pack(k, v);
+        words.extend(puts.iter().filter(|p| !late(p.0)).map(packed));
+        let first = words.len();
+        words.extend(puts.iter().filter(|p| late(p.0)).map(packed));
+        words.resize(puts.len() + reads.len().div_ceil(64), 0);
+        let (pairs, answered) = words.split_at_mut(puts.len());
         let mut report = OpReport::of_cascade(0);
         // the first answer a key gets stands: a round re-run after a lost
         // device would read what the aborted one already wrote
+        let puts = [&pairs[..first], &pairs[first..]];
         self.host_bracket(&GET_PUT, reads, &puts, &mut report, |i, pair| {
-            values[i].get_or_insert(found_value(pair));
+            let bit = 1 << (i % 64);
+            if answered[i / 64] & bit == 0 {
+                answered[i / 64] |= bit;
+                answer(&mut values[i], found_value(pair), mutation);
+            }
         })?;
-        Ok(GetResponse {
-            values: values.into_iter().map(Option::flatten).collect(),
-            report,
-        })
+        Ok(report)
     }
 }
 
@@ -730,7 +770,7 @@ mod tests {
 
     #[test]
     fn get_put_is_one_round_answering_the_pre_call_values() {
-        use crate::service::{get_then_put, MapService};
+        use crate::service::MapService;
         use CascadeStage::{
             Insert, Multisplit, Query, Scatter, Transpose, TransposeBack, D2H, H2D,
         };
@@ -771,11 +811,13 @@ mod tests {
         assert_eq!(launches(&d) - before, 4 + 4 + 4 + 4);
         assert_eq!(resp.report.launches, launches(&d) - before);
 
-        // the provided body on a twin: same answers, same contents, and
-        // the same bytes over PCIe and NVLink in twice the trips (the
-        // first and the late puts are spread over the GPUs list by list,
-        // so a few pairs start on another GPU than in one list of puts)
-        let two = get_then_put(&mut twin, &reads, &puts).unwrap();
+        // a read cascade and then a write cascade on a twin: same answers,
+        // same contents, and the same bytes over PCIe and NVLink in twice
+        // the trips (the first and the late puts are spread over the GPUs
+        // list by list, so a few pairs start on another GPU than in one
+        // list of puts)
+        let mut two = twin.get_batch(&reads).unwrap();
+        two.report.merge(&twin.put_batch(&puts).unwrap().report);
         assert_eq!(resp.values, two.values);
         let sorted = |d: &DistributedHashMap| {
             let mut live = d.live_snapshot();

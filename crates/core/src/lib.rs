@@ -79,11 +79,11 @@ pub use linearize::{
 pub use map::GpuHashMap;
 pub use multimap::GpuMultiMap;
 pub use service::{
-    lower_mixed, DeleteResponse, GetAllResponse, GetResponse, MapService, Op, OpError, OpReport,
-    PerGpuDeleteResponse, PerGpuGetResponse, PutResponse, Response,
+    lower_mixed, Applied, DeleteResponse, GetAllResponse, GetResponse, MapService, Op, OpError,
+    OpReport, PerGpuDeleteResponse, PerGpuGetResponse, PutResponse, Response,
 };
 pub use resize::{ResizeMode, ResizePolicy, ResizeState};
-pub use stats::{CascadeStage, DegradedStats, Occupancy};
+pub use stats::{CascadeStage, DegradedStats, Occupancy, StageRows};
 
 /// Re-export of the group-size type used throughout the public API.
 pub use gpu_sim::GroupSize;

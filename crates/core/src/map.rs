@@ -6,7 +6,9 @@ use crate::errors::BuildError;
 use crate::get_put::Sections;
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
-use crate::service::{DeleteResponse, GetResponse, OpError, OpReport};
+use crate::service::{
+    answer, joined, slots_fit, Applied, DeleteResponse, GetResponse, OpError, OpReport,
+};
 use crate::table::Table;
 use gpu_sim::{DevSlice, Device, GroupSize, KernelStats};
 use std::sync::Arc;
@@ -224,19 +226,33 @@ impl GpuHashMap {
     /// # Errors
     /// [`OpError::OutOfMemory`] when staging scratch is unavailable.
     pub fn try_retrieve(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        let mut ctl = self.resize.lock();
-        let (values, stats) = match ctl.migrating() {
-            Some((m, policy)) => self.migrating_retrieve(m, policy, keys)?,
-            None => {
-                drop(ctl);
-                let recorder = self.recorder.as_deref();
-                self.table.retrieve_keys(self.cfg.group_size, keys, recorder)?
-            }
-        };
+        let mut values = vec![None; keys.len()];
+        let stats = self.retrieve_into(keys, &mut values)?;
         Ok(GetResponse {
             values,
             report: OpReport::from_kernel(&stats, keys.len() as u64),
         })
+    }
+
+    /// [`GpuHashMap::try_retrieve`] into the caller's `values`, one slot
+    /// per key; returns the launches' stats.
+    fn retrieve_into(
+        &self,
+        keys: &[u32],
+        values: &mut [Option<u32>],
+    ) -> Result<KernelStats, OpError> {
+        let mut ctl = self.resize.lock();
+        if let Some((m, policy)) = ctl.migrating() {
+            let (routed, stats) = self.migrating_retrieve(m, policy, keys)?;
+            for (slot, value) in values.iter_mut().zip(routed) {
+                answer(slot, value, self.cfg.mutation);
+            }
+            return Ok(stats);
+        }
+        drop(ctl);
+        let recorder = self.recorder.as_deref();
+        self.table
+            .retrieve_keys(self.cfg.group_size, keys, values, recorder)
     }
 
     /// Convenience single-key lookup (bulk APIs are the fast path).
@@ -255,20 +271,45 @@ impl GpuHashMap {
     /// # Errors
     /// [`OpError::OutOfMemory`] when staging scratch is unavailable.
     pub fn try_erase(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        let mut ctl = self.resize.lock();
-        let outcome = match ctl.migrating() {
-            Some((m, policy)) => self.migrating_erase(m, policy, keys)?,
-            None => {
-                drop(ctl);
-                let recorder = self.recorder.as_deref();
-                self.table.erase_keys(self.cfg.group_size, keys, recorder)?
-            }
-        };
+        let mut hits = vec![false; keys.len()];
+        let (stats, erased) = self.erase_into(keys, &mut hits)?;
         Ok(DeleteResponse {
-            report: OpReport::from_kernel(&outcome.stats, keys.len() as u64),
-            hits: outcome.hits,
-            erased: outcome.erased,
+            report: OpReport::from_kernel(&stats, keys.len() as u64),
+            hits,
+            erased,
         })
+    }
+
+    /// [`GpuHashMap::try_erase`] into the caller's `hits`, one flag per
+    /// key; returns the launches' stats and the tombstoned count.
+    fn erase_into(
+        &mut self,
+        keys: &[u32],
+        hits: &mut [bool],
+    ) -> Result<(KernelStats, u64), OpError> {
+        let mut ctl = self.resize.lock();
+        if let Some((m, policy)) = ctl.migrating() {
+            let routed = self.migrating_erase(m, policy, keys)?;
+            hits.copy_from_slice(&routed.hits);
+            return Ok((routed.stats, routed.erased));
+        }
+        drop(ctl);
+        let recorder = self.recorder.as_deref();
+        self.table
+            .erase_keys(self.cfg.group_size, keys, hits, recorder)
+    }
+
+    /// Whether a call of `reads` and `puts` runs as one launch: the table
+    /// is stable once a drained migration is finalized and the puts had
+    /// their chance to start one, and both lists are distinct ascending
+    /// keys.
+    fn fuses(&mut self, reads: &[u32], puts: &[(u32, u32)]) -> bool {
+        self.maybe_finalize_resize();
+        let mut ctl = self.resize.lock();
+        self.trigger_resize(&mut ctl, puts.len());
+        ctl.migration.is_none()
+            && reads.is_sorted_by(|a, b| a < b)
+            && puts.is_sorted_by(|a, b| a.0 < b.0)
     }
 
     // ---- maintenance ------------------------------------------------------
@@ -313,55 +354,58 @@ impl GpuHashMap {
 }
 
 impl crate::service::MapService for GpuHashMap {
-    fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<crate::service::PutResponse, OpError> {
-        self.maybe_finalize_resize();
-        let o = self.insert_pairs(pairs)?;
-        Ok(crate::service::PutResponse {
-            new_slots: o.new_slots,
-            updates: o.updates,
-            reclaimed: o.reclaimed,
-            report: OpReport::from_kernel(&o.stats, pairs.len() as u64),
-        })
-    }
-
-    fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        self.maybe_finalize_resize();
-        self.try_retrieve(keys)
-    }
-
-    fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        self.maybe_finalize_resize();
-        self.try_erase(keys)
-    }
-
-    /// One launch of the kernel's get, upsert and put sections while the
-    /// table is stable. During a migration the two routed batches run instead
-    /// (each is a composition over both tables), as they do for lists
-    /// that are not distinct ascending keys, where one key could end up
-    /// in two racing groups.
-    fn get_put_batch(
+    /// The reads and the puts as one launch of the kernel's get, upsert
+    /// and put sections while the table is stable. During a migration the
+    /// routed reads and then the routed puts run instead (each is a
+    /// composition over both tables), as they do for lists that are not
+    /// distinct ascending keys, where one key could end up in two racing
+    /// groups. The erases follow in a launch of their own.
+    fn apply(
         &mut self,
         reads: &[u32],
         puts: &[(u32, u32)],
-    ) -> Result<GetResponse, OpError> {
-        self.maybe_finalize_resize();
-        let mut ctl = self.resize.lock();
-        self.trigger_resize(&mut ctl, puts.len());
-        let fused = ctl.migration.is_none()
-            && reads.is_sorted_by(|a, b| a < b)
-            && puts.is_sorted_by(|a, b| a.0 < b.0);
-        drop(ctl);
-        if !fused {
-            return crate::service::get_then_put(self, reads, puts);
+        erases: &[u32],
+        values: &mut [Option<u32>],
+        hits: &mut [bool],
+    ) -> Result<Applied, OpError> {
+        slots_fit(reads, values, erases, hits)?;
+        let mut applied = Applied::default();
+        let mut placed_by = |o: &InsertOutcome| {
+            (applied.new_slots, applied.updates) = (o.new_slots, o.updates);
+            applied.reclaimed = o.reclaimed;
+        };
+        let mut report = None;
+        if !reads.is_empty() && !puts.is_empty() && self.fuses(reads, puts) {
+            let recorder = self.recorder.as_deref();
+            let g = self.cfg.group_size;
+            let outcome = self.table.get_put_pairs(g, reads, puts, values, recorder)?;
+            let outcome = placed(outcome)?;
+            placed_by(&outcome);
+            let elements = (reads.len() + puts.len()) as u64;
+            report = Some(OpReport::from_kernel(&outcome.stats, elements));
+        } else {
+            if !reads.is_empty() {
+                self.maybe_finalize_resize();
+                let stats = self.retrieve_into(reads, values)?;
+                report = Some(OpReport::from_kernel(&stats, reads.len() as u64));
+            }
+            if !puts.is_empty() {
+                self.maybe_finalize_resize();
+                let outcome = self.insert_pairs(puts)?;
+                placed_by(&outcome);
+                let put = OpReport::from_kernel(&outcome.stats, puts.len() as u64);
+                report = Some(joined(report, put));
+            }
         }
-        let (values, outcome) =
-            self.table
-                .get_put_pairs(self.cfg.group_size, reads, puts, self.recorder.as_deref())?;
-        let outcome = placed(outcome)?;
-        Ok(GetResponse {
-            values,
-            report: OpReport::from_kernel(&outcome.stats, (reads.len() + puts.len()) as u64),
-        })
+        if !erases.is_empty() {
+            self.maybe_finalize_resize();
+            let (stats, erased) = self.erase_into(erases, hits)?;
+            applied.erased = erased;
+            let erase = OpReport::from_kernel(&stats, erases.len() as u64);
+            report = Some(joined(report, erase));
+        }
+        applied.report = report.unwrap_or_default();
+        Ok(applied)
     }
 
     fn mutation(&self) -> Option<crate::Mutation> {

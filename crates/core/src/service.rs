@@ -20,13 +20,12 @@
 //! ## Coalescing contract
 //!
 //! [`MapService::execute`] answers a mixed op stream exactly as
-//! one-op-at-a-time execution would, in **one read/write call plus one
-//! erase call, whatever the mix**: the call's reads and final puts go out
-//! together in one [`MapService::get_put_batch`] (one `get_batch` or one
-//! `put_batch` when the call has only the one kind), then the final
-//! erases in one `delete_batch`, each list over distinct keys in
-//! ascending key order (never hash-iteration order, so a call replays bit
-//! for bit).
+//! one-op-at-a-time execution would, in **one [`MapService::apply`]
+//! call, whatever the mix**: the call's reads, final puts and final
+//! erases, each list over distinct keys in ascending key order (never
+//! hash-iteration order, so a call replays bit for bit), its answers
+//! written into slices the call holds — on the stack for a call of up to
+//! [`INLINE_OPS`] ops, so that such a call allocates only its responses.
 //!
 //! Ops on distinct keys commute (§IV-A lets them race freely); only the
 //! ops of one key depend on each other, and that dependency is resolved
@@ -42,39 +41,39 @@
 //!   is a get, or a delete whose key the call later puts back (a
 //!   delete-first key that ends erased takes its hit from the erase).
 //!
-//! A key the call both reads and puts is in both lists of the
-//! `get_put_batch`, whose answers are the *pre-call* values. What a
-//! backend makes of that call is its own business: [`crate::GpuHashMap`]
-//! runs it as **one launch** of the fused get + upsert kernel (a key in
-//! both lists is one upsert group, one table visit), so a put/get call
-//! pays one launch overhead instead of two; [`crate::CachedMap`] answers
-//! what it can from its shadow and sends the misses and the puts on in
-//! one call; [`crate::DistributedHashMap`] runs it as **one cascade
-//! round** ([`crate::cascade`]: query words and pairs are segments of one
-//! multisplit and one all-to-all, the owning GPU answers and inserts in
-//! one fused launch, and only the put of a key that is also read waits
-//! for a late launch behind it), on a node of GPUs and on the partitions
-//! of one device alike.
+//! A key the call both reads and puts is in both lists, and its answer is
+//! the *pre-call* value. What a backend makes of the call is its own
+//! business: [`crate::GpuHashMap`] runs the reads and puts as **one
+//! launch** of the fused get + upsert kernel (a key in both lists is one
+//! upsert group, one table visit), so a put/get call pays one launch
+//! overhead instead of two; [`crate::CachedMap`] answers what it can from
+//! its shadow and sends the misses, the puts and the erases on in one
+//! call; [`crate::DistributedHashMap`] runs the reads and puts as **one
+//! cascade round** ([`crate::cascade`]: query words and pairs are
+//! segments of one multisplit and one all-to-all, the owning GPU answers
+//! and inserts in one fused launch, and only the put of a key that is
+//! also read waits for a late launch behind it), on a node of GPUs and on
+//! the partitions of one device alike.
 //!
-//! Erases keep a launch of their own because §IV-A's barrier is real
-//! here: the SOA erase tombstones the key word and *then* resets the
-//! value sentinel, so an insert reclaiming that slot in the same launch
-//! could lose its value. The wd-serve equivalence suite proves response
-//! identity across seeds × schedules × fault plans, and its
-//! [`crate::Mutation::ForwardStaleRead`],
+//! Erases keep a launch (a round) of their own, after the puts, because
+//! §IV-A's barrier is real here: the SOA erase tombstones the key word
+//! and *then* resets the value sentinel, so an insert reclaiming that
+//! slot in the same launch could lose its value. The wd-serve equivalence
+//! suite proves response identity across seeds × schedules × fault plans,
+//! and its [`crate::Mutation::ForwardStaleRead`],
 //! [`crate::Mutation::UpsertReturnsNew`] and
 //! [`crate::Mutation::LatePutsJoinFirstLaunch`] cases prove the suite can
 //! fail.
 //!
 //! On `Err` nothing is answered and an unspecified subset of the call's
 //! final writes may have been applied (what `put_batch` already says of
-//! probing exhaustion): a failed read/write call may have placed some of
-//! its pairs — none if it had no puts — and a failed `delete_batch` comes
-//! after every final put was applied.
+//! probing exhaustion): a call that failed reading and writing may have
+//! placed some of its pairs — none if it had no puts — and one that
+//! failed erasing comes after every final put was applied.
 
 use crate::config::Mutation;
 use crate::host_ops::Overlap;
-use crate::stats::{CascadeStage, DegradedStats, StageTiming};
+use crate::stats::{CascadeStage, DegradedStats, StageRows, StageTiming};
 use gpu_sim::{CounterSnapshot, KernelStats, OutOfMemory};
 use interconnect::TransferError;
 
@@ -166,7 +165,7 @@ pub struct OpReport {
     /// Summed access-pattern counters, where the backend exposes them.
     pub counters: CounterSnapshot,
     /// Per-phase cascade breakdown, where the backend is a cascade.
-    pub stages: Vec<StageTiming>,
+    pub stages: StageRows,
     /// The calls among those reported whose chunks overlapped, each with
     /// its chunks' runs of `stages`, in call order; empty where every call
     /// was one chunk. After [`Self::merge_folded`] only a record that some
@@ -184,7 +183,7 @@ impl OpReport {
             time: stats.sim_time,
             backoff_time: 0.0,
             counters: stats.counters,
-            stages: Vec::new(),
+            stages: StageRows::default(),
             overlaps: Vec::new(),
         }
     }
@@ -198,8 +197,6 @@ impl OpReport {
             // from: each total is, bit for bit, the sum of its rows
             time: -0.0,
             backoff_time: -0.0,
-            // room for a healthy host-sided round: H2D … D2H
-            stages: Vec::with_capacity(8),
             ..Self::default()
         }
     }
@@ -493,9 +490,33 @@ pub struct PerGpuDeleteResponse {
     pub report: OpReport,
 }
 
-/// The backend abstraction the wd-serve coalescer is generic over: bulk
-/// typed put/get/delete plus the occupancy and degradation signals
-/// admission control needs.
+/// What one [`MapService::apply`] did besides answering: how its puts were
+/// placed, how many of its erases hit, and what the whole call cost. The
+/// placement classes are counted as [`PutResponse`]'s are.
+#[derive(Debug, Clone, Default)]
+pub struct Applied {
+    /// Pairs that claimed a previously vacant slot.
+    pub new_slots: u64,
+    /// Pairs that updated an already-present key in place.
+    pub updates: u64,
+    /// Claims that reclaimed a tombstoned slot (subset of `new_slots`).
+    pub reclaimed: u64,
+    /// Erased keys that were present (the popcount of the call's hits).
+    pub erased: u64,
+    /// Cost report.
+    pub report: OpReport,
+}
+
+/// The backend abstraction the wd-serve coalescer is generic over: one
+/// batch call that reads, writes and erases, [`MapService::apply`], plus
+/// the occupancy and degradation signals admission control needs.
+///
+/// A backend implements `apply`; `put_batch`, `get_batch`, `delete_batch`
+/// and `get_put_batch` are wrappers over it that allocate only the answers
+/// they hand back, and [`MapService::execute`] makes one `apply` call. A
+/// backend may instead implement `get_batch`, `put_batch` and
+/// `delete_batch` and keep the provided `apply`, which composes the three.
+/// It must do one or the other: each provided side calls the other.
 ///
 /// Every method takes `&mut self` — a service owns its backend
 /// exclusively, which *is* the §IV-A global barrier: no kernel of one
@@ -503,48 +524,120 @@ pub struct PerGpuDeleteResponse {
 /// synchronization. (The underlying maps still expose the finer-grained
 /// `&self` insert/query APIs for toolchain embedding.)
 pub trait MapService {
-    /// Applies a batch of puts. Duplicate keys within one batch race
-    /// (last writer wins on the kernel's event horizon) — callers that
-    /// need sequential semantics send each key once, as
-    /// [`MapService::execute`] does.
+    /// Looks up `reads`, applies `puts` and then erases `erases`, in one
+    /// call: `values[i]` answers `reads[i]` with what it held **before**
+    /// the call (`None` on a miss), whether or not `puts` writes it too,
+    /// and `hits[i]` is whether `erases[i]` was present. Every slot of both
+    /// is written, misses included; a list left empty costs nothing.
+    /// [`MapService::execute`] sends lists of distinct keys in ascending
+    /// order, a read key in one of the other two at most.
+    ///
+    /// The provided body composes `get_batch`, `put_batch` and
+    /// `delete_batch`, in that order and on the lists that are not empty,
+    /// reports merged in that order. A backend that can do better
+    /// overrides it: [`crate::GpuHashMap`] reads and writes in one launch
+    /// of the fused kernel, [`crate::DistributedHashMap`] in one cascade
+    /// round, [`crate::CachedMap`] answers what its shadow holds and sends
+    /// the rest on in one call; the erases keep a launch (a round) of their
+    /// own, after the puts.
+    ///
+    /// # Errors
+    /// The first failing part's [`OpError`]: nothing is answered, and an
+    /// unspecified subset of the puts — of the erases too, once every put
+    /// was applied — may have been applied. [`OpError::Internal`] if
+    /// `values` or `hits` lacks a slot per read or erase, or a composed
+    /// `get_batch` or `delete_batch` answers with the wrong number of
+    /// results.
+    fn apply(
+        &mut self,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+        erases: &[u32],
+        values: &mut [Option<u32>],
+        hits: &mut [bool],
+    ) -> Result<Applied, OpError> {
+        slots_fit(reads, values, erases, hits)?;
+        let mut applied = Applied::default();
+        let mut report = None;
+        if !reads.is_empty() {
+            let got = self.get_batch(reads)?;
+            answered(reads.len(), got.values.len())?;
+            values.copy_from_slice(&got.values);
+            report = Some(got.report);
+        }
+        if !puts.is_empty() {
+            let put = self.put_batch(puts)?;
+            (applied.new_slots, applied.updates) = (put.new_slots, put.updates);
+            applied.reclaimed = put.reclaimed;
+            report = Some(joined(report, put.report));
+        }
+        if !erases.is_empty() {
+            let erased = self.delete_batch(erases)?;
+            answered(erases.len(), erased.hits.len())?;
+            hits.copy_from_slice(&erased.hits);
+            applied.erased = erased.erased;
+            report = Some(joined(report, erased.report));
+        }
+        applied.report = report.unwrap_or_default();
+        Ok(applied)
+    }
+
+    /// Applies a batch of puts: [`MapService::apply`] of `pairs` alone.
+    /// Duplicate keys within one batch race (last writer wins on the
+    /// kernel's event horizon) — callers that need sequential semantics
+    /// send each key once, as [`MapService::execute`] does.
     ///
     /// # Errors
     /// Any [`OpError`]; probing exhaustion is an error even though the
     /// non-colliding pairs were applied.
-    fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError>;
+    fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<PutResponse, OpError> {
+        let done = self.apply(&[], pairs, &[], &mut [], &mut [])?;
+        Ok(PutResponse {
+            new_slots: done.new_slots,
+            updates: done.updates,
+            reclaimed: done.reclaimed,
+            report: done.report,
+        })
+    }
 
-    /// Looks up a batch of keys, results in input order.
+    /// Looks up a batch of keys, results in input order:
+    /// [`MapService::apply`] of `keys` alone.
     ///
     /// # Errors
     /// Fault-mode failures once every failover avenue is exhausted.
-    fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError>;
+    fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
+        self.get_put_batch(keys, &[])
+    }
 
-    /// Tombstones a batch of keys, per-key hits in input order.
+    /// Tombstones a batch of keys, per-key hits in input order:
+    /// [`MapService::apply`] of `keys` alone.
     ///
     /// # Errors
     /// Fault-mode failures once every failover avenue is exhausted.
-    fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError>;
+    fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
+        let mut hits = vec![false; keys.len()];
+        let done = self.apply(&[], &[], keys, &mut [], &mut hits)?;
+        Ok(DeleteResponse {
+            hits,
+            erased: done.erased,
+            report: done.report,
+        })
+    }
 
-    /// Looks up `reads` and applies `puts` in one call: `values[i]` is
-    /// what `reads[i]` held **before** the call, whether or not `puts`
-    /// writes it too. Each list holds distinct keys in ascending order (a
-    /// key may be in both) — how [`MapService::execute`] sends the reads
-    /// and the final puts of a call that has both.
-    ///
-    /// The provided body is a `get_batch` followed by a `put_batch`,
-    /// reports merged in that order. A backend that can do better
-    /// overrides it: [`crate::GpuHashMap`] makes one fused launch,
-    /// [`crate::DistributedHashMap`] one cascade round.
+    /// Looks up `reads` and applies `puts` in one call,
+    /// [`MapService::apply`] without erases: `values[i]` is what `reads[i]`
+    /// held **before** the call, whether or not `puts` writes it too.
     ///
     /// # Errors
-    /// As [`MapService::get_batch`] and [`MapService::put_batch`]; some
-    /// of the pairs may have been applied.
+    /// As [`MapService::apply`]; some of the pairs may have been applied.
     fn get_put_batch(
         &mut self,
         reads: &[u32],
         puts: &[(u32, u32)],
     ) -> Result<GetResponse, OpError> {
-        get_then_put(self, reads, puts)
+        let mut values = vec![None; reads.len()];
+        let report = self.apply(reads, puts, &[], &mut values, &mut [])?.report;
+        Ok(GetResponse { values, report })
     }
 
     /// Live (non-tombstone) entries.
@@ -614,25 +707,23 @@ pub trait MapService {
     }
 
     /// Executes a mixed op stream, returning one response per op in
-    /// submission order plus the merged cost report, whose `elements`
-    /// is `ops.len()` — a forwarded op is an answered op.
+    /// submission order plus the cost report of its one
+    /// [`MapService::apply`], whose `elements` is `ops.len()` — a
+    /// forwarded op is an answered op.
     ///
-    /// Response-identical to executing the ops one at a time, in at most
-    /// one read/write call — a [`MapService::get_put_batch`] when the
-    /// call has both reads and puts, else one `get_batch` or one
-    /// `put_batch` — followed by at most one `delete_batch`, distinct
-    /// ascending keys in each list: same-key dependencies are resolved on
-    /// the host, see the module docs.
+    /// Response-identical to executing the ops one at a time, in one
+    /// `apply` of distinct ascending keys in each list: same-key
+    /// dependencies are resolved on the host, see the module docs. A call
+    /// of up to [`INLINE_OPS`] ops keeps its sort keys, lists and answers
+    /// on the stack and allocates only its responses.
     ///
     /// # Errors
-    /// The first failing batch's [`OpError`]. No op is answered, and an
-    /// unspecified subset of the call's final writes may have been
-    /// applied: some of the puts (none, if the call has no put) if the
-    /// read/write call failed, every put and some of the erases if the
-    /// delete batch failed. [`OpError::ReservedKey`], with nothing
-    /// applied, if an op names the key `u32::MAX`. [`OpError::Internal`]
-    /// if the call carries more than `u32::MAX` ops or a backend answers
-    /// a batch with the wrong number of results.
+    /// The `apply`'s [`OpError`]. No op is answered, and an unspecified
+    /// subset of the call's final writes may have been applied.
+    /// [`OpError::ReservedKey`], with nothing applied, if an op names the
+    /// key `u32::MAX`. [`OpError::Internal`] if the call carries more than
+    /// `u32::MAX` ops or a backend answers with the wrong number of
+    /// results.
     fn execute(&mut self, ops: &[Op]) -> Result<(Vec<Response>, OpReport), OpError> {
         if u32::try_from(ops.len()).is_err() {
             return Err(OpError::Internal {
@@ -640,15 +731,9 @@ pub trait MapService {
             });
         }
         // `key << 32 | index`, sorted: each key's ops, contiguous and in
-        // submission order, keys ascending. A call of a serving flush's
-        // size sorts them on the stack, a larger one on the heap
-        let (mut inline, mut heap) = ([0; INLINE_SORT], Vec::new());
-        let by_key: &mut [u64] = if ops.len() <= INLINE_SORT {
-            &mut inline[..ops.len()]
-        } else {
-            heap.resize(ops.len(), 0);
-            &mut heap
-        };
+        // submission order, keys ascending
+        let mut sort = ([0; INLINE_OPS], Vec::new());
+        let by_key = room(&mut sort, ops.len(), 0);
         for (entry, (i, op)) in by_key.iter_mut().zip(ops.iter().enumerate()) {
             *entry = u64::from(op.key()) << 32 | i as u64;
         }
@@ -677,8 +762,8 @@ pub trait MapService {
             (read, last_write)
         };
 
-        // sized by a counting pass: a list that stays empty allocates
-        // nothing, and none of them grows
+        // sized by a counting pass, so that a list of a large call stays
+        // on the stack while it fits
         let (mut n_reads, mut n_puts, mut n_erases) = (0, 0, 0);
         for group in by_key.chunk_by(same_key) {
             let (read, last_write) = plan(group);
@@ -689,56 +774,46 @@ pub trait MapService {
                 _ => {}
             }
         }
-        let mut reads = Vec::with_capacity(n_reads);
-        let mut puts = Vec::with_capacity(n_puts);
-        let mut erases = Vec::with_capacity(n_erases);
+        let mut lists = (
+            ([0; INLINE_OPS], Vec::new()),
+            ([(0, 0); INLINE_OPS], Vec::new()),
+            ([0; INLINE_OPS], Vec::new()),
+        );
+        let reads = room(&mut lists.0, n_reads, 0);
+        let puts = room(&mut lists.1, n_puts, (0, 0));
+        let erases = room(&mut lists.2, n_erases, 0);
+        let (mut r, mut p, mut e) = (0, 0, 0);
         for group in by_key.chunk_by(same_key) {
             let (read, last_write) = plan(group);
             if read {
-                reads.push((group[0] >> 32) as u32);
+                reads[r] = (group[0] >> 32) as u32;
+                r += 1;
             }
             match last_write {
-                Some(Op::Put { key, value }) => puts.push((key, value)),
-                Some(Op::Delete { key }) => erases.push(key),
+                Some(Op::Put { key, value }) => {
+                    puts[p] = (key, value);
+                    p += 1;
+                }
+                Some(Op::Delete { key }) => {
+                    erases[e] = key;
+                    e += 1;
+                }
                 _ => {}
             }
         }
-
-        let answered = |asked: usize, got: usize| {
-            if asked == got {
-                Ok(())
-            } else {
-                Err(OpError::Internal {
-                    detail: "execute: a backend answered a batch with the wrong number of results",
-                })
-            }
-        };
-        let mut report = OpReport::default();
-        let mut values = Vec::new();
-        if !reads.is_empty() {
-            let r = if puts.is_empty() {
-                self.get_batch(&reads)?
-            } else {
-                self.get_put_batch(&reads, &puts)?
-            };
-            answered(reads.len(), r.values.len())?;
-            (values, report) = (r.values, r.report);
-        } else if !puts.is_empty() {
-            report = self.put_batch(&puts)?.report;
-        }
-        let mut hits = Vec::new();
-        if !erases.is_empty() {
-            let r = self.delete_batch(&erases)?;
-            answered(erases.len(), r.hits.len())?;
-            report.merge(&r.report);
-            hits = r.hits;
-        }
+        let mut answers = (
+            ([None; INLINE_OPS], Vec::new()),
+            ([false; INLINE_OPS], Vec::new()),
+        );
+        let values = room(&mut answers.0, n_reads, None);
+        let hits = room(&mut answers.1, n_erases, false);
+        let mut report = self.apply(reads, puts, erases, values, hits)?.report;
         report.elements = ops.len() as u64;
 
         // answer each key's ops in submission order, carrying its state
         let stale_reads = self.mutation() == Some(Mutation::ForwardStaleRead);
         let mut responses = vec![Response::Put; ops.len()];
-        let (mut values, mut hits) = (values.into_iter(), hits.into_iter());
+        let (mut values, mut hits) = (values.iter().copied(), hits.iter().copied());
         for group in by_key.chunk_by(same_key) {
             let (read, last_write) = plan(group);
             let pre = if read { values.next().flatten() } else { None };
@@ -768,25 +843,81 @@ pub trait MapService {
     }
 }
 
-/// The provided body of [`MapService::get_put_batch`], also what an
-/// overriding backend falls back to: the reads, then the puts.
-pub(crate) fn get_then_put<S: MapService + ?Sized>(
-    service: &mut S,
-    reads: &[u32],
-    puts: &[(u32, u32)],
-) -> Result<GetResponse, OpError> {
-    let mut got = service.get_batch(reads)?;
-    got.report.merge(&service.put_batch(puts)?.report);
-    Ok(got)
+/// Most ops whose sort keys, lists and answers [`MapService::execute`]
+/// keeps on the stack, about 4 KiB of them: a YCSB client's 128-op call,
+/// and a server's flush under light load.
+pub const INLINE_OPS: usize = 128;
+
+/// Most elements a backend's scratch keeps between calls: past a serving
+/// flush (a server's `max_batch` ops), far below a bulk call, whose buffers
+/// are its own and go with it.
+pub(crate) const HELD_SCRATCH: usize = 1 << 12;
+
+/// `len` slots: in the array of `space` while they fit, else in its `Vec`,
+/// filled with `fill`.
+fn room<T: Copy, const N: usize>(space: &mut ([T; N], Vec<T>), len: usize, fill: T) -> &mut [T] {
+    if len <= N {
+        &mut space.0[..len]
+    } else {
+        space.1.resize(len, fill);
+        &mut space.1
+    }
 }
 
 /// Whether two `key << 32 | index` entries address the same key.
-/// Most ops whose sort keys [`MapService::execute`] keeps on the stack:
-/// 512 bytes, past any flush of a server under light load.
-const INLINE_SORT: usize = 64;
-
 fn same_key(a: &u64, b: &u64) -> bool {
     a >> 32 == b >> 32
+}
+
+/// The report of two calls made one after the other: `first`'s, if there
+/// was one, with `next` merged into it — else `next`'s, as it is.
+pub(crate) fn joined(first: Option<OpReport>, next: OpReport) -> OpReport {
+    match first {
+        Some(mut report) => {
+            report.merge(&next);
+            report
+        }
+        None => next,
+    }
+}
+
+/// Checks that `values` holds a slot per read and `hits` one per erase.
+///
+/// # Errors
+/// [`OpError::Internal`] otherwise.
+pub(crate) fn slots_fit(
+    reads: &[u32],
+    values: &[Option<u32>],
+    erases: &[u32],
+    hits: &[bool],
+) -> Result<(), OpError> {
+    if values.len() == reads.len() && hits.len() == erases.len() {
+        Ok(())
+    } else {
+        Err(OpError::Internal {
+            detail: "apply: one answer slot per read and one hit slot per erase",
+        })
+    }
+}
+
+/// Checks that a composed batch call answered each of its `asked` keys.
+fn answered(asked: usize, got: usize) -> Result<(), OpError> {
+    if asked == got {
+        Ok(())
+    } else {
+        Err(OpError::Internal {
+            detail: "execute: a backend answered a batch with the wrong number of results",
+        })
+    }
+}
+
+/// Writes a read's answer into its slot, a miss's `None` included.
+pub(crate) fn answer(slot: &mut Option<u32>, value: Option<u32>, mutation: Option<Mutation>) {
+    // MUTATION DOUBLE (`Mutation::ApplySkipsMisses`): a miss leaves its
+    // slot as the caller handed it over
+    if value.is_some() || mutation != Some(Mutation::ApplySkipsMisses) {
+        *slot = value;
+    }
 }
 
 /// Lowers a YCSB-style mixed stream onto front-door [`Op`]s: reads
@@ -813,13 +944,16 @@ pub fn lower_mixed(ops: &[workloads::ycsb::MixedOp]) -> Vec<Op> {
     out
 }
 
-/// The one in-memory reference [`MapService`] of the crate's unit tests:
-/// a `BTreeMap` behind the trait, with probes for what reached it.
+/// The in-memory reference [`MapService`]s of the crate's unit tests: a
+/// `BTreeMap` behind the trait, in each of the two shapes a backend may
+/// take, with probes for what reached it.
 #[cfg(test)]
 pub(crate) mod model {
     use super::*;
 
-    /// Reference backend; every field is a test probe.
+    /// Reference backend in the shape that keeps the provided
+    /// [`MapService::apply`]: it implements `get_batch`, `put_batch` and
+    /// `delete_batch`. Every field is a test probe.
     #[derive(Default)]
     pub(crate) struct ModelService {
         pub(crate) map: std::collections::BTreeMap<u32, u32>,
@@ -829,10 +963,6 @@ pub(crate) mod model {
         pub(crate) gets: usize,
         /// Makes every put batch fail with `ProbingExhausted`.
         pub(crate) fail_puts: bool,
-        /// Overrides `get_put_batch` with one call of its own, recorded
-        /// as `'m'` with the read keys followed by the put keys; unset,
-        /// the provided body runs (a `'g'` and a `'p'`).
-        pub(crate) fused: bool,
         /// The double `execute` runs with.
         pub(crate) mutation: Option<Mutation>,
     }
@@ -876,30 +1006,6 @@ pub(crate) mod model {
             })
         }
 
-        fn get_put_batch(
-            &mut self,
-            reads: &[u32],
-            puts: &[(u32, u32)],
-        ) -> Result<GetResponse, OpError> {
-            if !self.fused {
-                return get_then_put(self, reads, puts);
-            }
-            let keys = reads.iter().copied().chain(puts.iter().map(|p| p.0));
-            self.batches.push(('m', keys.collect()));
-            self.gets += reads.len();
-            if self.fail_puts {
-                return Err(OpError::ProbingExhausted {
-                    failed: puts.len() as u64,
-                });
-            }
-            let values = reads.iter().map(|k| self.map.get(k).copied()).collect();
-            self.map.extend(puts.iter().copied());
-            Ok(GetResponse {
-                values,
-                report: report(reads.len() + puts.len()),
-            })
-        }
-
         fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
             self.batches.push(('d', keys.to_vec()));
             let hits: Vec<bool> = keys.iter().map(|k| self.map.remove(k).is_some()).collect();
@@ -923,11 +1029,67 @@ pub(crate) mod model {
             1 << 20
         }
     }
+
+    /// The same reference in the shape of a backend that implements
+    /// [`MapService::apply`] alone. Every field is a test probe.
+    #[derive(Default)]
+    pub(crate) struct OneCall {
+        pub(crate) map: std::collections::BTreeMap<u32, u32>,
+        /// The reads, the put keys and the erases of every call, in order.
+        pub(crate) calls: Vec<[Vec<u32>; 3]>,
+        /// Makes every call with puts fail with `ProbingExhausted`, after
+        /// its reads and before anything is written.
+        pub(crate) fail_puts: bool,
+    }
+
+    impl MapService for OneCall {
+        fn apply(
+            &mut self,
+            reads: &[u32],
+            puts: &[(u32, u32)],
+            erases: &[u32],
+            values: &mut [Option<u32>],
+            hits: &mut [bool],
+        ) -> Result<Applied, OpError> {
+            slots_fit(reads, values, erases, hits)?;
+            let put_keys = puts.iter().map(|p| p.0).collect();
+            self.calls.push([reads.to_vec(), put_keys, erases.to_vec()]);
+            for (slot, k) in values.iter_mut().zip(reads) {
+                *slot = self.map.get(k).copied();
+            }
+            if self.fail_puts && !puts.is_empty() {
+                return Err(OpError::ProbingExhausted {
+                    failed: puts.len() as u64,
+                });
+            }
+            let mut applied = Applied::default();
+            for &(k, v) in puts {
+                match self.map.insert(k, v) {
+                    None => applied.new_slots += 1,
+                    Some(_) => applied.updates += 1,
+                }
+            }
+            for (hit, k) in hits.iter_mut().zip(erases) {
+                *hit = self.map.remove(k).is_some();
+                applied.erased += u64::from(*hit);
+            }
+            applied.report = report(reads.len() + puts.len() + erases.len());
+            Ok(applied)
+        }
+
+        fn live_len(&self) -> u64 {
+            self.map.len() as u64
+        }
+
+        fn slot_capacity(&self) -> u64 {
+            1 << 20
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::model::ModelService;
+    use super::model::{ModelService, OneCall};
     use super::*;
 
     #[test]
@@ -941,7 +1103,7 @@ mod tests {
                 transactions: 5,
                 ..CounterSnapshot::default()
             },
-            stages: vec![],
+            stages: StageRows::default(),
             overlaps: vec![],
         };
         let b = OpReport {
@@ -953,7 +1115,7 @@ mod tests {
                 transactions: 7,
                 ..CounterSnapshot::default()
             },
-            stages: vec![],
+            stages: StageRows::default(),
             overlaps: vec![],
         };
         a.merge(&b);
@@ -1055,14 +1217,64 @@ mod tests {
         ]
     }
 
+    /// `mixed_stream` over keys 1, 3 and 5 present, in a backend of the
+    /// shape `S`.
+    fn preloaded<S: MapService>(mut svc: S) -> S {
+        svc.put_batch(&[(1, 10), (3, 30), (5, 50)]).unwrap();
+        svc
+    }
+
+    /// What `execute` answers to `mixed_stream` over keys 1, 3 and 5.
+    fn mixed_answers() -> Vec<Response> {
+        vec![
+            Response::Get { value: Some(10) },
+            Response::Put,
+            Response::Delete { hit: true },
+            Response::Put,
+            Response::Get { value: Some(20) },
+            Response::Get { value: Some(11) },
+            Response::Delete { hit: true },
+            Response::Put,
+            Response::Put,
+            Response::Get { value: None },
+            Response::Delete { hit: true },
+            Response::Get { value: None },
+            Response::Delete { hit: false },
+            Response::Put,
+            Response::Delete { hit: true },
+        ]
+    }
+
+    /// A backend that implements `apply` gets one call: the reads, the
+    /// puts and the erases together.
     #[test]
-    fn execute_makes_at_most_three_batch_calls_get_put_delete() {
-        let mut svc = ModelService::default();
-        svc.map.extend([(1, 10), (3, 30), (5, 50)]);
+    fn execute_sends_reads_and_puts_together_to_a_backend_that_fuses() {
+        let mut svc = preloaded(OneCall::default());
+        svc.calls.clear();
         let ops = mixed_stream();
         let (resp, report) = svc.execute(&ops).unwrap();
-        // one call per kind, in get → put → delete order, distinct
-        // ascending keys in each: only what the call cannot know itself
+        // one call: distinct ascending keys in each list, only what the
+        // call cannot know itself — keys 1 (get → put) and 3 (delete →
+        // put) read and written
+        assert_eq!(svc.calls, vec![[vec![1, 3, 4], vec![1, 2, 3], vec![5, 6]]]);
+        assert_eq!(resp, mixed_answers());
+        // forwarded ops are answered ops
+        assert_eq!(report.elements, ops.len() as u64);
+        let want = [(1, 11), (2, 22), (3, 31)].into_iter().collect();
+        assert_eq!(svc.map, want);
+    }
+
+    /// A backend of the per-kind shape gets the same lists through the
+    /// provided `apply`: one batch call per kind, in get → put → delete
+    /// order.
+    #[test]
+    fn execute_makes_at_most_three_batch_calls_get_put_delete() {
+        let mut svc = preloaded(ModelService::default());
+        svc.batches.clear();
+        let ops = mixed_stream();
+        let (resp, report) = svc.execute(&ops).unwrap();
+        // one call per kind, in get → put → delete order, the lists of
+        // the one apply call
         assert_eq!(
             svc.batches,
             vec![
@@ -1071,75 +1283,91 @@ mod tests {
                 ('d', vec![5, 6]),
             ]
         );
-        assert_eq!(
-            resp,
-            vec![
-                Response::Get { value: Some(10) },
-                Response::Put,
-                Response::Delete { hit: true },
-                Response::Put,
-                Response::Get { value: Some(20) },
-                Response::Get { value: Some(11) },
-                Response::Delete { hit: true },
-                Response::Put,
-                Response::Put,
-                Response::Get { value: None },
-                Response::Delete { hit: true },
-                Response::Get { value: None },
-                Response::Delete { hit: false },
-                Response::Put,
-                Response::Delete { hit: true },
-            ]
-        );
-        // forwarded ops are answered ops
+        assert_eq!(resp, mixed_answers());
         assert_eq!(report.elements, ops.len() as u64);
         let want = [(1, 11), (2, 22), (3, 31)].into_iter().collect();
         assert_eq!(svc.map, want);
     }
 
     #[test]
-    fn execute_sends_reads_and_puts_together_to_a_backend_that_fuses() {
-        let mut plain = ModelService::default();
-        let mut svc = ModelService {
-            fused: true,
-            ..ModelService::default()
-        };
-        for m in [&mut plain, &mut svc] {
-            m.map.extend([(1, 10), (3, 30), (5, 50)]);
+    fn the_provided_apply_merges_the_reports_in_call_order() {
+        // three cascades' reports, the first with its rows, as a backend
+        // of the per-kind shape returns them
+        struct Rows;
+        fn rows(stage: CascadeStage, time: f64) -> OpReport {
+            let mut r = OpReport::of_cascade(1);
+            r.push(stage, time, 8, 0.0);
+            r.launches = 1;
+            r
         }
-        let ops = mixed_stream();
-        let (resp, report) = svc.execute(&ops).unwrap();
-        // one read/write call — reads 1, 3, 4, then puts 1, 2, 3: distinct
-        // ascending keys in each list, keys 1 (get → put) and 3 (delete →
-        // put) in both — and the erases in a call of their own
-        assert_eq!(
-            svc.batches,
-            vec![('m', vec![1, 3, 4, 1, 2, 3]), ('d', vec![5, 6])]
-        );
-        assert_eq!(svc.gets, 3);
-        let (want, _) = plain.execute(&ops).unwrap();
-        assert_eq!(resp, want);
-        assert_eq!(svc.map, plain.map);
-        assert_eq!(report.elements, ops.len() as u64);
+        impl MapService for Rows {
+            fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
+                let values = vec![None; keys.len()];
+                Ok(GetResponse {
+                    values,
+                    report: rows(CascadeStage::Query, 0.1),
+                })
+            }
+            fn put_batch(&mut self, _: &[(u32, u32)]) -> Result<PutResponse, OpError> {
+                let report = rows(CascadeStage::Insert, 0.2);
+                Ok(PutResponse {
+                    new_slots: 1,
+                    updates: 0,
+                    reclaimed: 0,
+                    report,
+                })
+            }
+            fn delete_batch(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
+                let (hits, report) = (vec![true; keys.len()], rows(CascadeStage::Scatter, 0.3));
+                Ok(DeleteResponse {
+                    hits,
+                    erased: keys.len() as u64,
+                    report,
+                })
+            }
+            fn live_len(&self) -> u64 {
+                0
+            }
+            fn slot_capacity(&self) -> u64 {
+                1
+            }
+        }
+        let (mut values, mut hits) = ([Some(7)], [false, false]);
+        let done = Rows
+            .apply(&[1], &[(2, 2)], &[3, 4], &mut values, &mut hits)
+            .unwrap();
+        assert_eq!((values, hits), ([None], [true, true]));
+        assert_eq!((done.new_slots, done.erased), (1, 2));
+        let mut want = rows(CascadeStage::Query, 0.1);
+        want.merge(&rows(CascadeStage::Insert, 0.2));
+        want.merge(&rows(CascadeStage::Scatter, 0.3));
+        let stages = |r: &OpReport| r.stages.iter().map(|s| s.stage).collect::<Vec<_>>();
+        assert_eq!(stages(&done.report), stages(&want));
+        assert_eq!(done.report.time.to_bits(), want.time.to_bits());
+        assert_eq!(done.report.launches, 3);
     }
 
+    /// A list left empty reaches no batch call, and costs a backend of one
+    /// call nothing but the empty slice.
     #[test]
     fn execute_with_one_kind_of_read_write_work_stays_on_the_single_kind_calls() {
-        let mut svc = ModelService {
-            fused: true,
-            ..ModelService::default()
-        };
+        let mut svc = ModelService::default();
         svc.execute(&[Op::Get { key: 1 }, Op::Delete { key: 2 }])
             .unwrap();
         svc.execute(&[Op::Put { key: 1, value: 1 }, Op::Delete { key: 2 }])
             .unwrap();
         let kinds: String = svc.batches.iter().map(|b| b.0).collect();
         assert_eq!(kinds, "gdpd");
+
+        let mut svc = OneCall::default();
+        svc.execute(&[Op::Get { key: 1 }, Op::Delete { key: 2 }])
+            .unwrap();
+        assert_eq!(svc.calls, vec![[vec![1], vec![], vec![2]]]);
     }
 
     #[test]
     fn execute_sends_only_a_keys_last_write() {
-        let mut svc = ModelService::default();
+        let mut svc = OneCall::default();
         let ops = vec![
             Op::Put { key: 7, value: 1 },
             Op::Put { key: 8, value: 2 },
@@ -1150,8 +1378,7 @@ mod tests {
         let (resp, report) = svc.execute(&ops).unwrap();
         // put → delete → put of key 7 leaves one put; the get and the
         // delete are forwarded, so nothing is read and nothing erased
-        assert_eq!(svc.batches, vec![('p', vec![7, 8])]);
-        assert_eq!(svc.gets, 0);
+        assert_eq!(svc.calls, vec![[vec![], vec![7, 8], vec![]]]);
         assert_eq!(resp[2], Response::Delete { hit: true });
         assert_eq!(resp[4], Response::Get { value: Some(3) });
         assert_eq!(svc.map.get(&7), Some(&3));
@@ -1160,7 +1387,7 @@ mod tests {
 
     #[test]
     fn execute_reads_a_key_once_and_forwards_after_a_write() {
-        let mut svc = ModelService::default();
+        let mut svc = OneCall::default();
         svc.map.insert(5, 50);
         let ops = vec![
             Op::Get { key: 5 },
@@ -1169,11 +1396,8 @@ mod tests {
             Op::Get { key: 5 },
         ];
         let (resp, report) = svc.execute(&ops).unwrap();
-        assert_eq!(svc.batches, vec![('g', vec![5]), ('p', vec![5])]);
-        assert_eq!(
-            svc.gets, 1,
-            "duplicate and forwarded gets stay off the backend"
-        );
+        // duplicate and forwarded gets stay off the backend
+        assert_eq!(svc.calls, vec![[vec![5], vec![5], vec![]]]);
         assert_eq!(
             resp,
             vec![
@@ -1188,7 +1412,7 @@ mod tests {
 
     #[test]
     fn execute_delete_first_key_reports_pre_call_presence() {
-        let mut svc = ModelService::default();
+        let mut svc = OneCall::default();
         svc.map.extend([(3, 30), (4, 40)]);
         let ops = vec![
             Op::Delete { key: 3 },
@@ -1201,10 +1425,7 @@ mod tests {
         let (resp, _) = svc.execute(&ops).unwrap();
         // key 3 ends erased: the erase itself reports the hit. Keys 4 and
         // 9 are put back, so their presence has to be read first.
-        assert_eq!(
-            svc.batches,
-            vec![('g', vec![4, 9]), ('p', vec![4, 9]), ('d', vec![3])]
-        );
+        assert_eq!(svc.calls, vec![[vec![4, 9], vec![4, 9], vec![3]]]);
         assert_eq!(
             resp,
             vec![
@@ -1236,44 +1457,76 @@ mod tests {
 
     #[test]
     fn execute_error_answers_nothing_and_may_leave_writes_behind() {
-        let mut svc = ModelService {
-            fail_puts: true,
-            ..ModelService::default()
-        };
-        svc.map.insert(1, 10);
         let ops = [
             Op::Get { key: 1 },
             Op::Put { key: 2, value: 20 },
             Op::Delete { key: 1 },
         ];
-        assert_eq!(
-            svc.execute(&ops).unwrap_err(),
-            OpError::ProbingExhausted { failed: 1 }
-        );
-        // the read ran, the put failed, the erase was never sent
-        assert_eq!(svc.batches, vec![('g', vec![1]), ('p', vec![2])]);
-        assert_eq!(svc.map.get(&1), Some(&10));
-
-        // the same through a backend that fuses: its one read/write call
-        // failed, so no op is answered and the erase was never sent
+        let failed = OpError::ProbingExhausted { failed: 1 };
+        // composed: the read ran, the put failed, the erase was never sent
         let mut svc = ModelService {
             fail_puts: true,
-            fused: true,
             ..ModelService::default()
         };
         svc.map.insert(1, 10);
-        assert_eq!(
-            svc.execute(&ops).unwrap_err(),
-            OpError::ProbingExhausted { failed: 1 }
-        );
-        assert_eq!(svc.batches, vec![('m', vec![1, 2])]);
+        assert_eq!(svc.execute(&ops).unwrap_err(), failed);
+        assert_eq!(svc.batches, vec![('g', vec![1]), ('p', vec![2])]);
         assert_eq!(svc.map.get(&1), Some(&10));
+
+        // the same through a backend of one call: it failed, so no op is
+        // answered and the erase was not applied
+        let mut svc = OneCall {
+            fail_puts: true,
+            ..OneCall::default()
+        };
+        svc.map.insert(1, 10);
+        assert_eq!(svc.execute(&ops).unwrap_err(), failed);
+        assert_eq!(svc.calls, vec![[vec![1], vec![2], vec![1]]]);
+        assert_eq!(svc.map.get(&1), Some(&10));
+    }
+
+    #[test]
+    fn apply_refuses_answer_slices_of_the_wrong_length() {
+        let refused = |svc: &mut dyn MapService| {
+            let short = svc.apply(&[1, 2], &[], &[], &mut [None], &mut []);
+            let long = svc.apply(&[], &[], &[3], &mut [], &mut [false, false]);
+            [short, long]
+                .iter()
+                .all(|r| matches!(r, Err(OpError::Internal { .. })))
+        };
+        assert!(refused(&mut ModelService::default()));
+        assert!(refused(&mut OneCall::default()));
+        assert!(refused(&mut crate::CachedMap::new(
+            OneCall::default(),
+            4,
+            crate::CachePolicy::Lru
+        )));
+    }
+
+    /// `ops` one at a time against a plain `BTreeMap`, from `preload`.
+    fn one_at_a_time(preload: &[(u32, u32)], ops: &[Op]) -> Vec<Response> {
+        let mut map: std::collections::BTreeMap<u32, u32> = preload.iter().copied().collect();
+        let answer = |op: &Op| match *op {
+            Op::Put { key, value } => {
+                map.insert(key, value);
+                Response::Put
+            }
+            Op::Get { key } => Response::Get {
+                value: map.get(&key).copied(),
+            },
+            Op::Delete { key } => Response::Delete {
+                hit: map.remove(&key).is_some(),
+            },
+        };
+        ops.iter().map(answer).collect()
     }
 
     proptest::proptest! {
         /// The differential: one `execute` over the stream answers, and
-        /// leaves the map, exactly as one `execute` per op does. At most
-        /// 16 keys, so that same-key chains run deep.
+        /// leaves the map, exactly as the ops one at a time do — through a
+        /// backend of either shape, neither of which recurses into the
+        /// other side of the trait. At most 16 keys, so that same-key
+        /// chains run deep.
         #[test]
         fn execute_equals_one_op_at_a_time(
             preload in proptest::collection::vec((0u32..16, proptest::prelude::any::<u32>()), 0..12),
@@ -1288,37 +1541,169 @@ mod tests {
                     _ => Op::Delete { key },
                 })
                 .collect();
-            let mut batched = ModelService::default();
-            batched.map.extend(preload.iter().copied());
+            let want = one_at_a_time(&preload, &ops);
             let mut single = ModelService::default();
             single.map.extend(preload.iter().copied());
-            let mut fused = ModelService { fused: true, ..ModelService::default() };
-            fused.map.extend(preload.iter().copied());
+            for op in &ops {
+                single.execute(std::slice::from_ref(op)).unwrap();
+            }
 
-            let (got, report) = batched.execute(&ops).unwrap();
-            let want: Vec<Response> = ops
-                .iter()
-                .map(|op| single.execute(std::slice::from_ref(op)).unwrap().0[0])
-                .collect();
-            proptest::prop_assert_eq!(got, want);
-            proptest::prop_assert_eq!(&batched.map, &single.map);
+            let mut composed = ModelService::default();
+            composed.map.extend(preload.iter().copied());
+            let (got, report) = composed.execute(&ops).unwrap();
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(&composed.map, &single.map);
             proptest::prop_assert_eq!(report.elements, ops.len() as u64);
-
             // at most one call per kind, get → put → delete, each over
             // distinct ascending keys
-            let kinds: String = batched.batches.iter().map(|b| b.0).collect();
+            let kinds: String = composed.batches.iter().map(|b| b.0).collect();
             proptest::prop_assert!(["", "g", "p", "d", "gp", "gd", "pd", "gpd"].contains(&kinds.as_str()));
-            for (_, keys) in &batched.batches {
+            for (_, keys) in &composed.batches {
                 proptest::prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
             }
 
-            // a backend that fuses gets the reads and the puts in one
-            // call whenever the call has both, and answers the same
-            let (got, _) = fused.execute(&ops).unwrap();
-            proptest::prop_assert_eq!(got, want);
-            proptest::prop_assert_eq!(&fused.map, &single.map);
-            let kinds: String = fused.batches.iter().map(|b| b.0).collect();
-            proptest::prop_assert!(["", "g", "p", "d", "m", "gd", "pd", "md"].contains(&kinds.as_str()));
+            let mut one = OneCall::default();
+            one.map.extend(preload.iter().copied());
+            let (got, _) = one.execute(&ops).unwrap();
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(&one.map, &single.map);
+            proptest::prop_assert!(one.calls.len() <= 1);
+            for keys in one.calls.iter().flatten() {
+                proptest::prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+
+        /// The batch wrappers over `apply`, and `apply` over the batch
+        /// calls, answer alike: a backend of either shape, called through
+        /// the other side of the trait, does not recurse.
+        #[test]
+        fn either_side_of_the_trait_answers_alike(
+            preload in proptest::collection::vec((0u32..16, 0u32..1000), 0..12),
+            keys in proptest::collection::vec(0u32..16, 0..8),
+            value in proptest::prelude::any::<u32>(),
+        ) {
+            let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, value)).collect();
+            let mut composed = ModelService::default();
+            let mut one = OneCall::default();
+            composed.map.extend(preload.iter().copied());
+            one.map.extend(preload.iter().copied());
+            let got = one.get_batch(&keys).unwrap().values;
+            let mut values = vec![Some(u32::MAX); keys.len()];
+            composed.apply(&keys, &[], &[], &mut values, &mut []).unwrap();
+            proptest::prop_assert_eq!(&got, &values);
+            let read = one.get_put_batch(&keys, &pairs).unwrap().values;
+            proptest::prop_assert_eq!(&read, &got);
+            composed.apply(&[], &pairs, &[], &mut [], &mut []).unwrap();
+            proptest::prop_assert_eq!(&one.map, &composed.map);
+            let hits = one.delete_batch(&keys[..keys.len() / 2]).unwrap().hits;
+            let mut flags = vec![false; keys.len() / 2];
+            composed.apply(&[], &[], &keys[..keys.len() / 2], &mut [], &mut flags).unwrap();
+            proptest::prop_assert_eq!(hits, flags);
+            proptest::prop_assert_eq!(&one.map, &composed.map);
+        }
+    }
+
+    /// Whether `svc`, holding keys 1 and 3, answers reads of 1 to 4 —
+    /// alone, and with a put — into slots that held a value, misses
+    /// included.
+    fn overwrites_every_slot(svc: &mut impl MapService) -> bool {
+        let reads = [1, 2, 3, 4];
+        let want = [Some(10), None, Some(30), None];
+        [&[][..], &[(5, 50)]].iter().all(|puts| {
+            let mut values = [Some(u32::MAX); 4];
+            svc.apply(&reads, puts, &[], &mut values, &mut []).unwrap();
+            values == want
+        })
+    }
+
+    #[test]
+    fn apply_writes_every_answer_slot_and_a_double_that_skips_misses_is_caught() {
+        use crate::{CachePolicy, CachedMap, Config, DistributedHashMap, GpuHashMap};
+        use gpu_sim::Device;
+        use std::sync::Arc;
+        let gpu = |mutation| {
+            let cfg = Config {
+                mutation,
+                ..Config::default()
+            };
+            let dev = Arc::new(Device::with_words(0, 1 << 14));
+            let mut map = GpuHashMap::new(dev, 1024, cfg).unwrap();
+            map.put_batch(&[(1, 10), (3, 30)]).unwrap();
+            overwrites_every_slot(&mut map)
+        };
+        let node = |mutation| {
+            let cfg = Config {
+                mutation,
+                ..Config::default()
+            };
+            let devices = (0..4)
+                .map(|i| Arc::new(Device::with_words(i, 1 << 14)))
+                .collect();
+            let topo = interconnect::Topology::p100_quad(4);
+            let mut node = DistributedHashMap::new(devices, 1024, cfg, topo).unwrap();
+            node.put_batch(&[(1, 10), (3, 30)]).unwrap();
+            overwrites_every_slot(&mut node)
+        };
+        let cached = |mutation| {
+            let backend = ModelService {
+                mutation,
+                ..ModelService::default()
+            };
+            let mut cache = CachedMap::new(backend, 4, CachePolicy::Lru);
+            cache.put_batch(&[(1, 10), (3, 30)]).unwrap();
+            overwrites_every_slot(&mut cache)
+        };
+        let skips = Some(Mutation::ApplySkipsMisses);
+        // whether a backend armed with the double answers every slot
+        type Answers = fn(Option<Mutation>) -> bool;
+        let backends: [(&str, Answers); 3] =
+            [("GpuHashMap", gpu), ("node", node), ("CachedMap", cached)];
+        for (backend, answers) in backends {
+            assert!(answers(None), "{backend} left a miss's slot unwritten");
+            assert!(
+                !answers(skips),
+                "{backend}: Mutation::ApplySkipsMisses went uncaught"
+            );
+        }
+    }
+
+    #[test]
+    fn stage_rows_spill_to_the_heap_in_order() {
+        let row = |i: usize| StageTiming {
+            stage: if i.is_multiple_of(2) {
+                CascadeStage::Query
+            } else {
+                CascadeStage::D2H
+            },
+            time: i as f64 * 0.25,
+            bytes: i as u64,
+            overhead: 1e-6,
+        };
+        for n in [
+            0,
+            1,
+            crate::stats::INLINE_ROWS,
+            crate::stats::INLINE_ROWS + 1,
+            100,
+        ] {
+            let (mut rows, mut reserved) = (StageRows::default(), StageRows::with_capacity(n));
+            let mut want = Vec::new();
+            for i in 0..n {
+                rows.push(row(i));
+                reserved.push(row(i));
+                want.push(row(i));
+            }
+            for got in [&rows, &reserved, &rows.clone()] {
+                assert_eq!(got.len(), n);
+                let same = got.iter().zip(&want).all(|(a, b)| {
+                    (a.stage, a.time.to_bits(), a.bytes) == (b.stage, b.time.to_bits(), b.bytes)
+                });
+                assert!(same, "{n} rows");
+            }
+            rows.extend(want.iter().copied());
+            assert_eq!(rows.len(), 2 * n);
+            let bytes = |rows: &[StageTiming]| rows.iter().map(|r| r.bytes).sum::<u64>();
+            assert_eq!(bytes(&rows[n..]), bytes(&want));
         }
     }
 

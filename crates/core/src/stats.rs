@@ -60,6 +60,117 @@ impl StageTiming {
     }
 }
 
+/// Rows a [`StageRows`] holds without the heap: a flush's two healthy
+/// host-sided rounds, its read/write round (H2D … D2H, 8 rows) and its
+/// erase round (7) — and one row per [`CascadeStage`], all a folded total
+/// has.
+pub const INLINE_ROWS: usize = 16;
+
+/// The stage rows of a report, in push order, read as a slice of
+/// [`StageTiming`]: up to [`INLINE_ROWS`] in the report itself, so that a
+/// call in one chunk allocates nothing for them, and a longer run — a
+/// chunked call's rows — on the heap.
+#[derive(Clone)]
+pub struct StageRows {
+    /// The rows while they fit, the first `len` of them.
+    inline: [StageTiming; INLINE_ROWS],
+    len: usize,
+    /// Every row once they do not; the rows live here iff it has capacity.
+    heap: Vec<StageTiming>,
+}
+
+impl StageRows {
+    /// No rows, with room for `rows` of them: on the heap at once if they
+    /// will not fit inline.
+    #[must_use]
+    pub fn with_capacity(rows: usize) -> Self {
+        let heap = if rows > INLINE_ROWS {
+            Vec::with_capacity(rows)
+        } else {
+            Vec::new()
+        };
+        Self {
+            heap,
+            ..Self::default()
+        }
+    }
+
+    /// Appends a row.
+    pub fn push(&mut self, row: StageTiming) {
+        if self.heap.capacity() == 0 {
+            if self.len < INLINE_ROWS {
+                self.inline[self.len] = row;
+                self.len += 1;
+                return;
+            }
+            self.heap.reserve(2 * INLINE_ROWS);
+            self.heap.extend_from_slice(&self.inline);
+        }
+        self.heap.push(row);
+    }
+}
+
+impl Default for StageRows {
+    fn default() -> Self {
+        let row = StageTiming {
+            stage: CascadeStage::H2D,
+            time: 0.0,
+            bytes: 0,
+            overhead: 0.0,
+        };
+        Self {
+            inline: [row; INLINE_ROWS],
+            len: 0,
+            heap: Vec::new(),
+        }
+    }
+}
+
+impl std::ops::Deref for StageRows {
+    type Target = [StageTiming];
+
+    fn deref(&self) -> &[StageTiming] {
+        if self.heap.capacity() == 0 {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+}
+
+impl std::ops::DerefMut for StageRows {
+    fn deref_mut(&mut self) -> &mut [StageTiming] {
+        if self.heap.capacity() == 0 {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.heap
+        }
+    }
+}
+
+impl Extend<StageTiming> for StageRows {
+    fn extend<I: IntoIterator<Item = StageTiming>>(&mut self, rows: I) {
+        for row in rows {
+            self.push(row);
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a StageRows {
+    type Item = &'a StageTiming;
+    type IntoIter = std::slice::Iter<'a, StageTiming>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for StageRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A table's slot occupancy split into live entries and tombstones.
 ///
 /// Open addressing never un-probes a tombstone: a deleted slot still

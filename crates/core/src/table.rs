@@ -24,7 +24,7 @@ use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::probing::Prober;
 use crate::retrieve::retrieve_all_kernel;
-use crate::service::OpError;
+use crate::service::{answer, OpError};
 use crate::slots::Slots;
 use crate::stats::Occupancy;
 use gpu_sim::simt::Window;
@@ -32,8 +32,9 @@ use gpu_sim::{
     DevSlice, Device, GroupCtx, GroupSize, KernelStats, LaunchOptions, OutOfMemory, ScratchGuard,
 };
 use hashes::DoubleHash;
+use parking_lot::Mutex;
 use std::ops::{ControlFlow, Range};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Query word for `key`: the key in the high 32 bits (the kernels' input
@@ -70,6 +71,58 @@ pub(crate) fn query_words(keys: impl Iterator<Item = u32> + Clone) -> Result<Vec
 pub(crate) fn pair_words(pairs: &[(u32, u32)]) -> Result<Vec<u64>, OpError> {
     check_keys(pairs.iter().map(|p| p.0))?;
     Ok(pairs.iter().map(|&(k, v)| pack(k, v)).collect())
+}
+
+/// An iterator that yields exactly `len` items, as an
+/// [`ExactSizeIterator`]: what [`Table::stage`] uploads from a chain of
+/// filtered lists whose lengths were counted first.
+struct Exactly<I> {
+    iter: I,
+    len: usize,
+}
+
+impl<I: Iterator> Iterator for Exactly<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.iter.next()?;
+        self.len -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl<I: Iterator> ExactSizeIterator for Exactly<I> {}
+
+/// Most stripes a [`HitSink`] cuts its flags into.
+const HIT_STRIPES: usize = 64;
+
+/// The hit flags of a launch's erase groups, which set them from any
+/// worker: each stripe of the caller's flags behind a lock of its own, so
+/// that a launch of any size answers into them without a host list.
+struct HitSink<'a> {
+    stripes: [Mutex<&'a mut [bool]>; HIT_STRIPES],
+    /// Flags a stripe holds (the last may hold fewer).
+    per: usize,
+}
+
+impl<'a> HitSink<'a> {
+    fn new(hits: &'a mut [bool]) -> Self {
+        let per = hits.len().div_ceil(HIT_STRIPES).max(1);
+        let mut stripes = hits.chunks_mut(per);
+        Self {
+            stripes: std::array::from_fn(|_| Mutex::new(stripes.next().unwrap_or_default())),
+            per,
+        }
+    }
+
+    /// Sets flag `i`.
+    fn set(&self, i: usize) {
+        self.stripes[i / self.per].lock()[i % self.per] = true;
+    }
 }
 
 /// The slots of one hash table in device memory, the hash-family member
@@ -282,17 +335,34 @@ impl Table {
         n: usize,
         recorder: Option<&HistoryRecorder>,
     ) -> EraseOutcome {
-        let hits: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let mut hits = vec![false; n];
+        let (stats, erased) = self.erase_into(g, input, &mut hits, recorder);
+        EraseOutcome {
+            stats,
+            erased,
+            hits,
+        }
+    }
+
+    /// [`Table::run`] of the `hits.len()` erase keys of `input` alone:
+    /// `hits[i]` is whether key `i` was tombstoned. Returns the launch's
+    /// stats and the tombstoned count.
+    pub(crate) fn erase_into(
+        &self,
+        g: GroupSize,
+        input: DevSlice,
+        hits: &mut [bool],
+        recorder: Option<&HistoryRecorder>,
+    ) -> (KernelStats, u64) {
+        hits.fill(false);
+        let n = hits.len();
+        let sink = HitSink::new(hits);
         // an erase answers through `hit`, not into `out`
         let out = input.sub(0, 0);
         let (outcome, erased) = self.run(g, Sections::erases(n), input, out, recorder, |i| {
-            hits[i].store(true, Relaxed);
+            sink.set(i)
         });
-        EraseOutcome {
-            stats: outcome.stats,
-            erased,
-            hits: hits.into_iter().map(AtomicBool::into_inner).collect(),
-        }
+        (outcome.stats, erased)
     }
 
     fn note_tombstoned(&self, slots: u64) {
@@ -357,18 +427,21 @@ impl Table {
         Ok(self.run(g, Sections::puts(pairs.len()), input, out, recorder, |_| {}).0)
     }
 
-    /// [`Table::run`] of host-resident keys, a get section alone; returns
-    /// what each key holds, in key order.
+    /// [`Table::run`] of host-resident keys, a get section alone: what
+    /// each key holds into its slot of `values`.
     pub(crate) fn retrieve_keys(
         &self,
         g: GroupSize,
         keys: &[u32],
+        values: &mut [Option<u32>],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
+    ) -> Result<KernelStats, OpError> {
         let (_scratch, input, out) = self.stage_keys(keys, keys.len())?;
         let (outcome, _) = self.run(g, Sections::gets(keys.len()), input, out, recorder, |_| {});
-        let found = self.dev.mem().d2h_words(out);
-        Ok((found.map(|w| (w != EMPTY).then(|| value_of(w))).collect(), outcome.stats))
+        for (slot, word) in values.iter_mut().zip(self.dev.mem().d2h_words(out)) {
+            answer(slot, (word != EMPTY).then(|| value_of(word)), self.mutation);
+        }
+        Ok(outcome.stats)
     }
 
     /// Every value stored under each of the host-resident `keys` of a
@@ -386,16 +459,18 @@ impl Table {
     /// Looks up `reads` and applies `puts` in **one** launch of the
     /// kernel ([`crate::get_put`]): both lists hold distinct keys
     /// in ascending order, and a key in both runs once, as an upsert.
-    /// Returns the value each key of `reads` held before the launch, in
-    /// `reads` order, and the insertion outcome, whose stats cover the
-    /// whole launch.
+    /// Answers into `values` what each key of `reads` held before the
+    /// launch, and returns the insertion outcome, whose stats cover the
+    /// whole launch. The words go up as they are made and the answers come
+    /// down as they are handed out: the host stages nothing.
     pub(crate) fn get_put_pairs(
         &self,
         g: GroupSize,
         reads: &[u32],
         puts: &[(u32, u32)],
+        values: &mut [Option<u32>],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<(Vec<Option<u32>>, InsertOutcome), OpError> {
+    ) -> Result<InsertOutcome, OpError> {
         check_keys(reads.iter().copied())?;
         check_keys(puts.iter().map(|p| p.0))?;
         let read = |k: u32| reads.binary_search(&k).is_ok();
@@ -403,34 +478,46 @@ impl Table {
         let upserts = puts.iter().filter(|p| read(p.0)).count();
         let gets = reads.len() - upserts;
         // the kernel's sections: get-only keys, upserts, put-only keys
-        let mut words = Vec::with_capacity(gets + puts.len());
-        words.extend(reads.iter().filter(|&&k| !written(k)).map(|&k| query_word(k)));
-        words.extend(puts.iter().filter(|p| read(p.0)).map(|&(k, v)| pack(k, v)));
-        words.extend(puts.iter().filter(|p| !read(p.0)).map(|&(k, v)| pack(k, v)));
-        let (_scratch, [input], out) = self.stage([words.iter().copied()], reads.len())?;
+        let words = reads
+            .iter()
+            .filter(|&&k| !written(k))
+            .map(|&k| query_word(k));
+        let words = words
+            .chain(puts.iter().filter(|p| read(p.0)).map(|&(k, v)| pack(k, v)))
+            .chain(puts.iter().filter(|p| !read(p.0)).map(|&(k, v)| pack(k, v)));
+        let words = Exactly {
+            iter: words,
+            len: gets + puts.len(),
+        };
+        let (_scratch, [input], out) = self.stage([words], reads.len())?;
         let sections = Sections { gets, upserts, puts: puts.len() - upserts, erases: 0 };
         let (outcome, _) = self.run(g, sections, input, out, recorder, |_| {});
         // answers come back section by section; hand them out key by key
-        let found = self.dev.mem().d2h(out);
-        let (mut get_at, mut upsert_at) = (0, gets);
-        let values = reads.iter().map(|&k| {
-            let at = if written(k) { &mut upsert_at } else { &mut get_at };
-            *at += 1;
-            let word = found[*at - 1];
-            (word != EMPTY).then(|| value_of(word))
-        });
-        Ok((values.collect(), outcome))
+        let mem = self.dev.mem();
+        let mut got = mem.d2h_words(out.sub(0, gets));
+        let mut upserted = mem.d2h_words(out.sub(gets, upserts));
+        for (slot, &k) in values.iter_mut().zip(reads) {
+            let word = if written(k) {
+                upserted.next()
+            } else {
+                got.next()
+            };
+            let word = word.unwrap_or(EMPTY);
+            answer(slot, (word != EMPTY).then(|| value_of(word)), self.mutation);
+        }
+        Ok(outcome)
     }
 
-    /// [`Table::erase`] of host-resident keys.
+    /// [`Table::erase_into`] of host-resident keys.
     pub(crate) fn erase_keys(
         &self,
         g: GroupSize,
         keys: &[u32],
+        hits: &mut [bool],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<EraseOutcome, OpError> {
+    ) -> Result<(KernelStats, u64), OpError> {
         let (_scratch, input, _) = self.stage_keys(keys, 0)?;
-        Ok(self.erase(g, input, keys.len(), recorder))
+        Ok(self.erase_into(g, input, hits, recorder))
     }
 
     // ---- whole-slot access from the host (uncounted) ----------------------

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod counters;
 pub mod device;
 pub mod fault;
@@ -40,7 +39,6 @@ pub mod simt;
 pub mod spec;
 pub mod timing;
 
-pub use clock::ResourceTimeline;
 pub use counters::{CounterSnapshot, KernelCounters};
 pub use device::{Device, KernelStats, LaunchOptions, LifetimeStats};
 pub use fault::{FaultPlan, RetryPolicy};

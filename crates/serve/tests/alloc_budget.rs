@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use warpdrive::host_ops::Cut;
-use warpdrive::{Config, DistributedHashMap, GpuHashMap, MapService, Op, OpReport};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, MapService, Op, OpReport, Response};
 use wd_serve::{ServeConfig, Server};
 
 thread_local! {
@@ -118,13 +118,22 @@ fn serve_node4() -> Server<DistributedHashMap> {
     Server::new(node, config)
 }
 
-/// A put + get flush through `serve_node4`'s server makes 7 allocations:
-/// `execute`'s lists and responses, the bracket's packed pairs and its
-/// report's rows, the answers and the completions. `execute` sorts on the
-/// stack, its cascade round allocates nothing, and the server keeps its
-/// queue.
+/// What a flush hands out, and so all it allocates: `execute`'s responses
+/// and the server's completions.
+const HANDED_OUT: u64 = 2;
+
+/// Where a flush's allocations went back to, for a failure message.
+const FLUSH_SITES: &str = "MapService::execute's sort keys, lists or answers (service.rs: on the \
+    stack up to INLINE_OPS ops), OpReport's stage rows (stats.rs StageRows: inline for a \
+    flush's rounds), DistributedHashMap::apply's packed pairs (distributed.rs with_words: the \
+    node's own scratch), the cascade round (cascade.rs) or Server::flush's buffers (server.rs)";
+
+/// A put + get flush through `serve_node4`'s server allocates only what it
+/// hands out: its one `apply` packs the pairs into the node's own scratch,
+/// answers into `execute`'s stack, and its cascade round and report rows
+/// allocate nothing.
 #[test]
-fn a_two_op_flush_over_four_gpus_stays_within_seven() {
+fn a_two_op_flush_over_four_gpus_stays_within_two() {
     if !default_environment() {
         return;
     }
@@ -143,18 +152,50 @@ fn a_two_op_flush_over_four_gpus_stays_within_seven() {
     let (allocs, done) = flush(2, 1e-3);
     assert_eq!(done.len(), 2);
     assert!(
-        allocs <= 7,
-        "{allocs} allocations for a put + get flush, 7 before: Server::flush's buffers \
-         (server.rs), MapService::execute (its sort keys live on the stack), host_ops.rs \
-         `get_put_from_host` or the cascade round (cascade.rs) went back to allocating"
+        allocs <= HANDED_OUT,
+        "{allocs} allocations for a put + get flush, {HANDED_OUT} before: {FLUSH_SITES} went \
+         back to allocating"
     );
 }
 
-/// The same flush, run by the next arrival's `submit_at` at the put's
-/// deadline, allocates no more: the submission hands back the flush's
+/// A put + get + delete flush allocates no more: the erase cascade answers
+/// into `execute`'s hits, and the two rounds' rows fit the report inline.
+#[test]
+fn a_put_get_delete_flush_over_four_gpus_stays_within_two() {
+    if !default_environment() {
+        return;
+    }
+    let mut server = serve_node4();
+    let mut flush = |key: u32, at: f64| {
+        allocations(|| {
+            let put = server.submit_at(0, Op::Put { key, value: key }, at);
+            let get = server.submit_at(1, Op::Get { key: 11 }, at + 1e-6);
+            let delete = server.submit_at(0, Op::Delete { key: key - 1 }, at + 2e-6);
+            assert!(put.outcome.is_ok() && get.outcome.is_ok() && delete.outcome.is_ok());
+            server.flush().expect("healthy node")
+        })
+    };
+    let (_, warm_up) = flush(7, 0.0);
+    assert_eq!(warm_up.len(), 3);
+    let (allocs, done) = flush(8, 1e-3);
+    assert_eq!(done.len(), 3);
+    assert!(
+        done.iter()
+            .any(|c| c.response == Response::Delete { hit: true }),
+        "the delete of the first flush's put hits"
+    );
+    assert!(
+        allocs <= HANDED_OUT,
+        "{allocs} allocations for a put + get + delete flush, {HANDED_OUT} before: the erase \
+         cascade's hits (host_ops.rs erase_into), {FLUSH_SITES} went back to allocating"
+    );
+}
+
+/// The same put + get flush, run by the next arrival's `submit_at` at the
+/// put's deadline, allocates no more: the submission hands back the flush's
 /// completions, it does not copy them into a list of its own.
 #[test]
-fn a_delay_flush_in_a_submission_allocates_what_a_flush_does() {
+fn a_delay_flush_in_a_submission_stays_within_two() {
     if !default_environment() {
         return;
     }
@@ -178,15 +219,18 @@ fn a_delay_flush_in_a_submission_allocates_what_a_flush_does() {
     assert_eq!(flush.cause, wd_serve::FlushCause::Delay);
     assert_eq!(flush.start, 1e-2 + 5e-5);
     assert!(
-        allocs <= 7,
-        "{allocs} allocations for a submission that ran a put + get delay flush, 7 before: \
-         Server::submit_at went back to copying the flush's completions (server.rs), or the \
-         flush itself allocates more (see a_two_op_flush_over_four_gpus_stays_within_seven)"
+        allocs <= HANDED_OUT,
+        "{allocs} allocations for a submission that ran a put + get delay flush, \
+         {HANDED_OUT} before: Server::submit_at went back to copying the flush's completions \
+         (server.rs), or {FLUSH_SITES} went back to allocating"
     );
 }
 
+/// A 128-op call on one GPU allocates its responses alone: its sort keys,
+/// lists and answers fit `execute`'s stack, the fused launch stages its
+/// words as it makes them and hands its answers out as it reads them back.
 #[test]
-fn a_128_op_call_on_one_gpu_stays_within_seven() {
+fn a_128_op_call_on_one_gpu_stays_within_three() {
     if !default_environment() {
         return;
     }
@@ -206,7 +250,12 @@ fn a_128_op_call_on_one_gpu_stays_within_seven() {
     let (allocs, out) = allocations(|| map.execute(&ops).expect("healthy map"));
     assert_eq!(out.0.len(), 128);
     assert_eq!(out.1.launches, 1);
-    assert!(allocs <= 7, "{allocs} allocations for a 128-op call");
+    assert!(
+        allocs <= 3,
+        "{allocs} allocations for a 128-op call, 3 allowed and 1 made: MapService::execute's \
+         sort keys, lists or answers (service.rs: on the stack up to INLINE_OPS ops) or \
+         Table::get_put_pairs' staged or read-back words (table.rs) went back to allocating"
+    );
 }
 
 /// Runs the pool at two workers, as the benchmark's host pass does. Only
@@ -252,9 +301,10 @@ fn bulk_node() -> DistributedHashMap {
 }
 
 /// What an overlapped call allocates past the same call in one chunk,
-/// besides its schedule: the chunks' runs of rows, and the report's record
-/// of the overlap.
-const OVERLAY: u64 = 2;
+/// besides its schedule: its rows, which a call in one chunk keeps in the
+/// report, the chunks' runs of them, and the report's record of the
+/// overlap.
+const OVERLAY: u64 = 3;
 
 /// [`allocations`] of `call`, and how many of them were the pool's reads of
 /// [`WORKERS`].
@@ -319,7 +369,8 @@ fn a_call_allocates_the_same_whatever_its_cut() {
                 one + OVERLAY + schedule,
                 "a {op} in {chunks} chunks allocated {chunked} times, in one chunk \
                  {one}: its overlay is {OVERLAY} + {schedule} (host_ops.rs `in_chunks`, \
-                 `Overlap::schedule`) — or the planner (host_ops.rs `Planner`), a chunk's \
+                 `Overlap::schedule`, stats.rs `StageRows`) — or the planner (host_ops.rs \
+                 `Planner`), a chunk's \
                  bracket (host_ops.rs `host_bracket`) or cascade round (cascade.rs `round` \
                  and its erase flags, `SplitPhase`, `transpose_move`; multisplit's \
                  `SegmentedSplit`) went back to allocating, or the call's launches to \
