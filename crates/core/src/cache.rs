@@ -48,7 +48,7 @@
 //! across seeds × schedules × fault plans, including mid-trace resizes
 //! and kill-plan migration traffic.
 
-use crate::service::{answer, slots_fit, Applied, MapService, OpError, HELD_SCRATCH};
+use crate::service::{answer, check_call, Applied, MapService, OpError, HELD_SCRATCH};
 use crate::stats::DegradedStats;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -357,7 +357,9 @@ impl<S: MapService> MapService for CachedMap<S> {
         values: &mut [Option<u32>],
         hits: &mut [bool],
     ) -> Result<Applied, OpError> {
-        slots_fit(reads, values, erases, hits)?;
+        // a reserved key fails the call here, before the shadow answers
+        // or forgets anything
+        check_call(reads, puts, erases, values, hits)?;
         let mut misses = std::mem::take(&mut self.misses);
         self.lookup(reads, values, &mut misses);
         misses.answers.resize(misses.keys.len(), None);

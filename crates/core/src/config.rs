@@ -148,6 +148,17 @@ pub enum Mutation {
     /// test, with every slot pre-filled with a value, exists to catch
     /// exactly this on each of the three backends.
     ApplySkipsMisses,
+    /// A key [`crate::MapService::apply`] both reads and erases is
+    /// tombstoned before it is read — on one GPU the take group erases
+    /// first, on a node the late launch runs ahead of the kernel — so the
+    /// read answers a miss where the key held a value. The service and
+    /// wd-serve equivalence suites exist to catch exactly this.
+    TakeTombstonesFirst,
+    /// The return trip's `result_scatter` sets an erase's hit in the
+    /// neighbouring position's found bit, so an erased key reports a miss
+    /// and its neighbour a hit. The cascade's mixed-round test on the
+    /// Fig. 6 node exists to catch exactly this.
+    EraseHitInWrongBit,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

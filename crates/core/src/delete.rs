@@ -1,4 +1,4 @@
-//! Deletion (tombstoning): the erase section of the one kernel
+//! Deletion (tombstoning): the erase and take sections of the one kernel
 //! ([`crate::get_put`]).
 //!
 //! Deletion replaces a live entry with the TOMBSTONE sentinel via CAS.
@@ -8,9 +8,12 @@
 //! groups share a launch with get, upsert and put groups as long as each
 //! key has one group ([`crate::slots`] restores an SOA value word before
 //! its tombstone is visible, so a put of another key may reclaim the slot
-//! at once). [`crate::GpuHashMap`] still takes `&mut self` for
-//! [`crate::GpuHashMap::try_erase`]: the API's barrier stays a
-//! compile-time fact (exclusive access ⇒ no concurrent kernel).
+//! at once), and a key both read and erased is one take group, which
+//! reads before it tombstones. So every [`crate::MapService::apply`]
+//! erases in its one launch (its one cascade round), beside its reads and
+//! puts. [`crate::GpuHashMap`] still takes `&mut self` for
+//! [`crate::GpuHashMap::try_erase`]: the API's barrier between calls stays
+//! a compile-time fact (exclusive access ⇒ no concurrent kernel).
 
 use crate::entry::is_empty_slot;
 use crate::table::Table;

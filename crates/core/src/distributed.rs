@@ -40,13 +40,11 @@
 
 use crate::chaos::{ChaosState, ChaosTally, Router};
 use crate::config::{Config, Mutation};
-use crate::entry::pack;
 use crate::errors::BuildError;
 use crate::history::{OpKind, OpResponse};
 use crate::map::GpuHashMap;
-use crate::service::{joined, slots_fit, Applied, OpError, HELD_SCRATCH};
+use crate::service::{check_call, composed, one_group_per_key, Applied, OpError, HELD_SCRATCH};
 use crate::stats::DegradedStats;
-use crate::table::check_keys;
 use gpu_sim::{Device, FaultPlan, RetryPolicy};
 use hashes::PartitionFn;
 use interconnect::Topology;
@@ -408,15 +406,14 @@ impl DistributedHashMap {
 }
 
 impl crate::service::MapService for DistributedHashMap {
-    /// The reads and the puts as one cascade round ([`crate::host_ops`]):
-    /// one H2D, one multisplit, one all-to-all and one fused launch per GPU
-    /// for both lists, the answers alone on the return trip. Lists that are
-    /// not distinct ascending keys — where one key could end up in two
-    /// racing groups — run as a read cascade and then a write cascade. The
-    /// erases follow in a cascade of their own. The cascades do not thread
-    /// per-key placement classes back to the host, but the live maps'
-    /// counters before and after the puts recover them, exact for distinct
-    /// keys on a healthy node.
+    /// The reads, the puts and the erases as one cascade round
+    /// ([`crate::host_ops`]): one H2D, one multisplit, one all-to-all and
+    /// one launch per GPU for every list, the answers alone on the return
+    /// trip; a call of one list is that list's call, cut into chunks.
+    /// Lists that could put one key in two racing groups
+    /// ([`one_group_per_key`]) run as a read call, then a write call, then
+    /// an erase call. The placement counts are the kernels' tallies,
+    /// summed over the targets: exact on a healthy node.
     fn apply(
         &mut self,
         reads: &[u32],
@@ -425,41 +422,20 @@ impl crate::service::MapService for DistributedHashMap {
         values: &mut [Option<u32>],
         hits: &mut [bool],
     ) -> Result<Applied, OpError> {
-        slots_fit(reads, values, erases, hits)?;
-        let mut applied = Applied::default();
-        let before = (!puts.is_empty()).then(|| self.occupancy_split());
-        let one_round = reads.is_sorted_by(|a, b| a < b) && puts.is_sorted_by(|a, b| a.0 < b.0);
-        let mut report = None;
-        if !reads.is_empty() && !puts.is_empty() && one_round {
-            let words = puts.len() + reads.len().div_ceil(64);
-            let round = |d: &Self, words: &mut _| d.get_put_into(reads, puts, values, words);
-            report = Some(self.with_words(words, round)?);
-        } else {
-            if !reads.is_empty() {
-                report = Some(self.retrieve_into(reads, values, None)?);
-            }
-            if !puts.is_empty() {
-                let put = self.with_words(puts.len(), |d, words| {
-                    check_keys(puts.iter().map(|p| p.0))?;
-                    words.extend(puts.iter().map(|&(k, v)| pack(k, v)));
-                    d.insert_packed(words, None)
-                })?;
-                report = Some(joined(report, put));
-            }
+        check_call(reads, puts, erases, values, hits)?;
+        let lists = [reads.is_empty(), puts.is_empty(), erases.is_empty()];
+        if lists == [true; 3] {
+            return Ok(Applied::default());
         }
-        if let Some(before) = before {
-            let after = self.occupancy_split();
-            applied.new_slots = after.live.saturating_sub(before.live);
-            applied.updates = (puts.len() as u64).saturating_sub(applied.new_slots);
-            applied.reclaimed = before.tombstones.saturating_sub(after.tombstones);
+        if one_group_per_key(reads, puts, erases) {
+            // a bit per read of a call that also writes
+            let writes = !(lists[1] && lists[2]);
+            let answered = if writes { reads.len().div_ceil(64) } else { 0 };
+            return self.with_words(puts.len() + answered, |d, words| {
+                d.apply_into((reads, puts, erases), values, hits, words)
+            });
         }
-        if !erases.is_empty() {
-            let (erase, erased) = self.erase_into(erases, hits, None)?;
-            applied.erased = erased;
-            report = Some(joined(report, erase));
-        }
-        applied.report = report.unwrap_or_default();
-        Ok(applied)
+        composed(self, reads, puts, erases, values, hits)
     }
 
     fn mutation(&self) -> Option<crate::Mutation> {

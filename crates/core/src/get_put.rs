@@ -4,17 +4,19 @@
 //! Insertions and queries on *distinct* keys may race freely (§IV-A), so
 //! nothing but the launch boundary separates them — and a launch boundary
 //! is what a small batch pays most for (§V-B). This kernel runs every op
-//! kind in one grid of four contiguous sections, selected by `group_id`
+//! kind in one grid of five contiguous sections, selected by `group_id`
 //! against the launch's [`Sections`] (no tag word, no extra stream
 //! traffic): **get** groups run the retrieval probe ([`crate::retrieve`])
-//! and write their answer; **upsert** groups — keys both looked up and
+//! and write their answer; **take** groups — keys both looked up and
+//! erased — answer as a get does and then, on a hit, run the deletion
+//! probe ([`crate::delete`]); **upsert** groups — keys both looked up and
 //! written — run the insertion probe ([`crate::insert`]) and answer with
 //! the pair it replaced, one table visit instead of two; **put** groups
 //! run the insertion probe (a multiset insert on a multi-value table);
-//! **erase** groups run the deletion probe ([`crate::delete`]) and report
-//! a hit through the caller's sink, billed to no kernel. A launch of one
-//! section keeps the paper's name for it (`warpdrive_insert` /
-//! `multimap_insert`, `warpdrive_retrieve`, `warpdrive_erase`), a mix is
+//! **erase** groups run the deletion probe and report a hit through the
+//! caller's sink, billed to no kernel. A launch of one section keeps the
+//! paper's name for it (`warpdrive_insert` / `multimap_insert`,
+//! `warpdrive_retrieve`, `warpdrive_erase`), a mix is
 //! `warpdrive_get_put`; each group bills what it billed in a launch of
 //! its own kind, an upsert plus the SOA value-word read of its get.
 //!
@@ -22,15 +24,18 @@
 //! launch interleaves as long as each key has one group: a tombstone is
 //! reclaimable by a put of *another* key the moment its CAS lands
 //! ([`crate::slots`]), so a launch with both erase and put groups must
-//! not erase a key twice, nor put a key it erases. `execute` and the
+//! not erase a key twice, nor put a key it erases. A take is the erase
+//! counterpart of an upsert: the key read and erased is one group, which
+//! reads before it tombstones, so its answer is the pair from before the
+//! launch and its hit is that answer's found bit. `execute` and the
 //! cascade's rounds hold distinct keys, an erase-only launch has no put
 //! to race, and `&mut self` on [`crate::GpuHashMap::try_erase`] remains
 //! the API's §IV-A barrier.
 //!
-//! Input: `gets` query words (key in the high 32 bits), `upserts + puts`
-//! packed pairs, `erases` query words. Output: `gets + upserts` words,
-//! `pack(key, value)` for a key that was present before the launch,
-//! [`EMPTY`] otherwise.
+//! Input: `gets + takes` query words (key in the high 32 bits),
+//! `upserts + puts` packed pairs, `erases` query words. Output:
+//! `gets + takes + upserts` words, `pack(key, value)` for a key that was
+//! present before the launch, [`EMPTY`] otherwise.
 
 use crate::config::Mutation;
 use crate::delete::erase_one;
@@ -43,10 +48,12 @@ use gpu_sim::{DevSlice, GroupCtx, GroupSize};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// How many groups of each kind one launch runs, in grid order: keys
-/// looked up, keys looked up and written, pairs written, keys erased.
+/// looked up, keys looked up and erased, keys looked up and written, pairs
+/// written, keys erased.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Sections {
     pub(crate) gets: usize,
+    pub(crate) takes: usize,
     pub(crate) upserts: usize,
     pub(crate) puts: usize,
     pub(crate) erases: usize,
@@ -68,27 +75,32 @@ impl Sections {
 
     /// Groups in the grid.
     pub(crate) fn len(self) -> usize {
-        self.gets + self.upserts + self.puts + self.erases
+        self.answered() + self.puts + self.erases
+    }
+
+    /// Groups that answer: gets, takes and upserts.
+    pub(crate) fn answered(self) -> usize {
+        self.gets + self.takes + self.upserts
     }
 
     /// The launch's name, from the sections it runs; an empty launch is
     /// named as a put.
     fn name(self, multi: bool) -> &'static str {
         match self {
-            Self { gets: 0, upserts: 0, erases: 0, .. } if multi => "multimap_insert",
-            Self { gets: 0, upserts: 0, erases: 0, .. } => "warpdrive_insert",
-            Self { upserts: 0, puts: 0, erases: 0, .. } => "warpdrive_retrieve",
-            Self { gets: 0, upserts: 0, puts: 0, .. } => "warpdrive_erase",
+            Self { gets: 0, takes: 0, upserts: 0, erases: 0, .. } if multi => "multimap_insert",
+            Self { gets: 0, takes: 0, upserts: 0, erases: 0, .. } => "warpdrive_insert",
+            Self { takes: 0, upserts: 0, puts: 0, erases: 0, .. } => "warpdrive_retrieve",
+            Self { gets: 0, takes: 0, upserts: 0, puts: 0, .. } => "warpdrive_erase",
             _ => "warpdrive_get_put",
         }
     }
 }
 
 /// Launches the kernel over the words of `input`, one group of `g` lanes
-/// per word, section by section: the gets and the upserts answered into
-/// `out`, `hit(i)` for each key `i` of the erase section it tombstoned.
-/// Returns the insertion outcome, whose stats cover the whole launch, and
-/// the tombstoned count.
+/// per word, section by section: the gets, the takes and the upserts
+/// answered into `out`, `hit(i)` for each key `i` of the erase section it
+/// tombstoned. Returns the insertion outcome, whose stats cover the whole
+/// launch, and the tombstoned count, the takes' included.
 pub(crate) fn kernel(
     table: &Table,
     g: GroupSize,
@@ -98,7 +110,7 @@ pub(crate) fn kernel(
     recorder: Option<&HistoryRecorder>,
     hit: impl Fn(usize) + Sync,
 ) -> (InsertOutcome, u64) {
-    let answered = sections.gets + sections.upserts;
+    let (takes_from, answered) = (sections.gets, sections.answered());
     let erases_from = sections.len() - sections.erases;
     let tally = InsertTally::default();
     let erased = AtomicU64::new(0);
@@ -119,6 +131,26 @@ pub(crate) fn kernel(
             return;
         }
         let word = ctx.read_stream(input, id);
+        if id < takes_from + sections.takes {
+            let key = key_of(word);
+            // MUTATION DOUBLE (`Mutation::TakeTombstonesFirst`): tombstone
+            // the key before reading it, so the answer is a miss
+            let first = table.mutation() == Some(Mutation::TakeTombstonesFirst);
+            let early = first && erase_one(ctx, table, key);
+            let result = retrieve_one(ctx, table, key);
+            record_retrieve(history, key, result);
+            ctx.write_stream(out, id, result);
+            // a hit is the answer's found bit: read first, then tombstone
+            let found = early || (result != EMPTY && erase_one(ctx, table, key));
+            if found {
+                erased.fetch_add(1, Relaxed);
+            }
+            if let Some((rec, invoked)) = history {
+                let response = OpResponse::Erased { hit: found };
+                rec.complete(key, OpKind::Erase, response, invoked);
+            }
+            return;
+        }
         if id >= erases_from {
             let found = erase_one(ctx, table, key_of(word));
             if found {
@@ -213,7 +245,8 @@ mod tests {
                 let dead: Vec<u32> = prefill.iter().step_by(5).map(|p| p.0).collect();
                 for t in [&mixed, &twin] {
                     t.insert_pairs(g, &prefill, None).unwrap();
-                    t.erase_keys(g, &dead, &mut vec![false; dead.len()], None).unwrap();
+                    let mut hits = vec![false; dead.len()];
+                    t.apply(g, &[], &[], &dead, &mut [], &mut hits, None).unwrap();
                 }
                 let span = |k: u32| mixed.prober().span_base(k, 0) / 32;
                 let fresh = (0..120u32).map(|i| 7_000_001 + 13 * i);
@@ -229,7 +262,13 @@ mod tests {
                     }
                 }
                 let (upserts, puts) = (writes.len() / 2, writes.len() - writes.len() / 2);
-                let s = Sections { gets: gets.len(), upserts, puts, erases: erases.len() };
+                let s = Sections {
+                    gets: gets.len(),
+                    upserts,
+                    puts,
+                    erases: erases.len(),
+                    ..Sections::default()
+                };
                 let (answers, counts, hits) =
                     launch(&mixed, g, s, &[&gets[..], &writes, &erases].concat());
 
@@ -271,7 +310,7 @@ mod tests {
         assert_eq!(counts[..2], [0, 8]);
         let keys: Vec<u32> = puts.iter().chain(&victims).map(|p| p.0).collect();
         let mut found = vec![None; keys.len()];
-        t.retrieve_keys(GroupSize::WARP, &keys, &mut found, None).unwrap();
+        t.apply(GroupSize::WARP, &keys, &[], &[], &mut found, &mut [], None).unwrap();
         let kept = found.iter().zip(&puts).all(|(&v, p)| v == Some(p.1));
         kept && found[8..].iter().all(Option::is_none)
     }

@@ -9,17 +9,18 @@
 //! host-side reordering (which the paper rules out as "almost as
 //! expensive as CPU-based hash map construction").
 //!
-//! The mixed get + put round (the reads and puts of the node's
+//! The mixed round (the reads, puts and erases of the node's
 //! [`crate::MapService::apply`]) goes through the same bracket: each list
 //! is spread on its own into one segment of the cascade round, a GPU's
 //! chunks travel up back to back in one transfer, and only the answers
-//! travel down.
+//! travel down — a read's value and found bit, an erase's found bit.
 //!
 //! ## Chunks that overlap (§IV-B, Fig. 5)
 //!
-//! A large insert, get or erase is cut into chunks, each its own bracket —
-//! H2D, cascade, D2H — run one after the other into the call's one output
-//! and the call's one report. Their stages occupy different hardware
+//! A large insert, get or erase — a call of one list — is cut into
+//! chunks, each its own bracket — H2D, cascade, D2H — run one after the
+//! other into the call's one output and the call's one report. Their
+//! stages occupy different hardware
 //! ([`resource`]), so the chunks overlap, a stream each, and the call's
 //! [`OpReport::time`] is the makespan of that overlay ([`Overlap`]).
 //!
@@ -44,18 +45,18 @@
 //!
 //! A chunk costs the host no allocation — its round moves words device to
 //! device ([`crate::cascade`]) — so the call pays for its overlay once,
-//! whatever the cut. The mixed round is always one chunk: its reads answer
-//! the values from before the call, which a chunk behind a put would not.
-//! [`DistributedHashMap::insert_in_chunks`] and
+//! whatever the cut. A mixed call is always one chunk: its reads answer
+//! the values from before the call, which a chunk behind a write would
+//! not. [`DistributedHashMap::insert_in_chunks`] and
 //! [`DistributedHashMap::retrieve_in_chunks`] cut where their caller's
 //! [`Cut`] says — a chunk size and a number of streams, Fig. 11's
 //! `Ins`/`Ret` variants — in the same loop, a plan fixed in advance.
 
-use crate::cascade::{found_value, Abort, CascadeOp, Input, ERASE, GET_PUT, INSERT, RETRIEVE};
+use crate::cascade::{down_bytes, Abort, Answer, CascadeOp, Input};
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::pack;
-use crate::service::{answer, DeleteResponse, GetResponse, OpError, OpReport};
+use crate::service::{answer, Applied, DeleteResponse, GetResponse, OpError, OpReport};
 use crate::stats::{CascadeStage, StageRows, StageTiming};
 use crate::table::{check_keys, pair_words};
 use interconnect::{
@@ -324,6 +325,48 @@ fn start_of<T>(chunks: &[&[T]], g: usize) -> usize {
     chunks[..g].iter().map(|chunk| chunk.len()).sum()
 }
 
+/// A host-sided call's lists, each in the caller's order and, unless
+/// empty, a segment of its cascade round ([`Input`]): keys read, pairs of
+/// keys not read, pairs of keys also read, keys erased.
+#[derive(Clone, Copy, Default)]
+struct Call<'a> {
+    reads: &'a [u32],
+    puts: [&'a [u64]; 2],
+    erases: &'a [u32],
+    /// Whether the erases wait for the late launch ([`Input::late`]).
+    late: bool,
+}
+
+impl Call<'_> {
+    /// Per segment, in the round's order, its length and the
+    /// bytes an element goes up as.
+    fn lens(&self) -> [(usize, usize); 4] {
+        let [puts, late_puts] = self.puts.map(<[u64]>::len);
+        [(self.reads.len(), 4), (puts, 8), (late_puts, 8), (self.erases.len(), 4)]
+    }
+
+    /// Elements `range` of the call's one list.
+    fn sub(self, range: Range<usize>) -> Self {
+        let cut = |len: usize| if len == 0 { 0..0 } else { range.clone() };
+        Self {
+            reads: &self.reads[cut(self.reads.len())],
+            puts: self.puts.map(|puts| &puts[cut(puts.len())]),
+            erases: &self.erases[cut(self.erases.len())],
+            ..self
+        }
+    }
+}
+
+/// GPU `g`'s chunks of `list` under quarantine `mask`, and how many lists
+/// it makes: `m`, or none for an empty list.
+fn chunks<T>(list: &[T], m: usize, mask: u32) -> ([&[T]; MAX_PARTITIONS], usize) {
+    let mut chunks: [&[T]; MAX_PARTITIONS] = [&[]; MAX_PARTITIONS];
+    for (g, chunk) in chunks.iter_mut().enumerate().take(m) {
+        *chunk = &list[live_chunk(list.len(), m, mask, g)];
+    }
+    (chunks, if list.is_empty() { 0 } else { m })
+}
+
 impl DistributedHashMap {
     /// The bracket's first chunk of a call of `op` whose elements go up as
     /// `bytes` bytes each: as many elements as the host links upload to
@@ -335,40 +378,40 @@ impl DistributedHashMap {
         (m * (launches / element) as usize).max(1)
     }
 
-    /// Runs `call` on each chunk of `items` — the chunk, where it starts in
-    /// `items`, and the call's report, which it pushes its rows into — one
+    /// Runs `call` on each chunk of a call of `len` elements of segment
+    /// `segment`, `bytes` bytes each — the chunk's range, where its answers
+    /// start, and the call's report, which it pushes its rows into — one
     /// after the other, cut where `cut` says or, without one, where the
-    /// planner picks for `op`, and overlays the chunks: the report holds
-    /// every chunk's rows, launches and bytes, and the makespan of
+    /// planner picks, and overlays the chunks: the report holds every
+    /// chunk's rows, launches and bytes, and the makespan of
     /// [`Overlap::schedule`] as its time. A call of one chunk is `call` on
-    /// all of `items`, its report as `call` leaves it. The call's launches
-    /// read `RAYON_NUM_THREADS` once between them, so what it allocates
-    /// does not depend on its cut.
-    fn in_chunks<T>(
+    /// all of it, its report as `call` leaves it. The call's launches read
+    /// `RAYON_NUM_THREADS` once between them, so what it allocates does
+    /// not depend on its cut.
+    fn in_chunks(
         &self,
-        op: &CascadeOp,
-        items: &[T],
+        segment: usize,
+        (len, bytes): (usize, usize),
         cut: Option<Cut>,
-        mut call: impl FnMut(&[T], usize, &mut OpReport) -> Result<(), OpError>,
+        mut call: impl FnMut(Range<usize>, usize, &mut OpReport) -> Result<(), OpError>,
     ) -> Result<OpReport, OpError> {
         rayon::with_num_threads_held(|| {
-            let (mut len, most) = match cut {
-                Some(cut) => (cut.len, items.len().div_ceil(cut.len)),
+            let (mut chunk, most) = match cut {
+                Some(cut) => (cut.len, len.div_ceil(cut.len)),
                 None => {
-                    let first = self.first_chunk(op, size_of::<T>());
-                    if items.len() < 2 * first {
-                        (items.len(), 1)
+                    let first = self.first_chunk(&CascadeOp::of(&[segment]), bytes);
+                    if len < 2 * first {
+                        (len, 1)
                     } else {
                         // one of the equal chunks of at most `first` that
                         // the call would make
-                        let even = items.len().div_ceil(items.len().div_ceil(first));
-                        (even, PLAN_CHUNKS)
+                        (len.div_ceil(len.div_ceil(first)), PLAN_CHUNKS)
                     }
                 }
             };
             if most <= 1 {
                 let mut report = OpReport::of_cascade(0);
-                call(items, 0, &mut report)?;
+                call(0..len, 0, &mut report)?;
                 return Ok(report);
             }
             // room for every chunk's healthy round: H2D … D2H
@@ -383,15 +426,15 @@ impl DistributedHashMap {
             // at its index times its own length, right for equal chunks alone
             let by_index = self.cfg().mutation == Some(Mutation::ChunkOffsetByIndex);
             let mut at = 0;
-            while at < items.len() {
-                let chunk = &items[at..(at + len).min(items.len())];
-                let rows = report.stages.len();
-                let start = if by_index { chunks.len() * len } else { at };
-                call(chunk, start, &mut report)?;
+            while at < len {
+                let range = at..(at + chunk).min(len);
+                let (rows, n) = (report.stages.len(), range.len());
+                let start = if by_index { chunks.len() * chunk } else { at };
+                call(range, start, &mut report)?;
                 chunks.push(rows..report.stages.len());
-                at += chunk.len();
-                if cut.is_none() && at < items.len() {
-                    len = planner.next(&report.stages[rows..], chunk.len(), items.len() - at);
+                at += n;
+                if cut.is_none() && at < len {
+                    chunk = planner.next(&report.stages[rows..], n, len - at);
                 }
             }
             let streams = cut.map_or(chunks.len(), |cut| cut.streams);
@@ -402,72 +445,91 @@ impl DistributedHashMap {
         })
     }
 
-    /// The one host bracket of `op` over one chunk of a call: every GPU's
-    /// [`live_chunk`] of the `keys` it answers (none for an insertion) and
-    /// of each list of `pairs` travels up over PCIe in one transfer — 4
-    /// bytes a key, 8 a pair — the device cascade runs on the chunks, a
-    /// list a segment, `answer(i, a)` receiving its answer to `keys[i]`
-    /// ([`DistributedHashMap::cascade`]), and `op`'s answers travel down: a GPU's `n` values
-    /// in `4n` bytes plus `⌈n/8⌉` of found bits, or a byte per erase's hit
-    /// flag ([`crate::cascade::ReturnTrip::down_bytes`]). The cascade
-    /// copies those words down itself, at the end of its round, in the
-    /// order it hands the answers out; the bracket bills the transfer.
-    /// Dropped PCIe transfers are retried with backoff; a host link whose
-    /// budget is exhausted quarantines its GPU and the transfer re-spreads
-    /// over the survivors. The chunk's elements and rows go into `report`,
-    /// the call's. The caller has checked the keys. Returns how many keys
-    /// the cascade tombstoned.
+    /// Runs `call`: a call of one list cut into chunks by the planner or
+    /// where `cut` says ([`Self::in_chunks`]), a mixed call in one chunk,
+    /// an empty one not at all. `answer(i, a)` receives the answer to key
+    /// `i` of the reads or of the erases, as `a` says, and `placed` what
+    /// the kernels placed and tombstoned. Returns the call's report.
+    fn run(
+        &self,
+        call: Call,
+        cut: Option<Cut>,
+        placed: &mut Applied,
+        mut answer: impl FnMut(usize, Answer),
+    ) -> Result<OpReport, OpError> {
+        let lens = call.lens();
+        let mut lists = (0..lens.len()).filter(|&s| lens[s].0 > 0);
+        let mut report = OpReport::of_cascade(0);
+        match (lists.next(), lists.next()) {
+            (None, _) => Ok(report),
+            (Some(s), None) => self.in_chunks(s, lens[s], cut, |range, at, report| {
+                let chunk = call.sub(range);
+                self.host_bracket(chunk, report, placed, |i, a| answer(at + i, a))
+            }),
+            _ => self.host_bracket(call, &mut report, placed, answer).map(|()| report),
+        }
+    }
+
+    /// The one host bracket over one chunk of a call: every GPU's
+    /// [`live_chunk`] of each of its lists travels up over PCIe in one
+    /// transfer — 4 bytes a key, 8 a pair — the device cascade runs on the
+    /// chunks, a list a segment, `answer(i, a)` receiving its answer to
+    /// key `i` of the chunk's reads or erases
+    /// ([`DistributedHashMap::cascade`]), and the answers travel down: a
+    /// GPU's `n` values in `4n` bytes plus `⌈n/8⌉` of found bits, and its
+    /// `e` erases' hits in `⌈e/8⌉` ([`down_bytes`]). The cascade copies
+    /// those words down itself, at the end of its round, in the order it
+    /// hands the answers out; the bracket bills the transfer. Dropped PCIe
+    /// transfers are retried with backoff; a host link whose budget is
+    /// exhausted quarantines its GPU and the transfer re-spreads over the
+    /// survivors. The chunk's elements and rows go into `report`, the
+    /// call's. The caller has checked the keys.
     fn host_bracket(
         &self,
-        op: &CascadeOp,
-        keys: &[u32],
-        pairs: &[&[u64]],
+        call: Call,
         report: &mut OpReport,
-        mut answer: impl FnMut(usize, u64),
-    ) -> Result<u64, OpError> {
+        placed: &mut Applied,
+        mut answer: impl FnMut(usize, Answer),
+    ) -> Result<(), OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
-        let elements = keys.len() + pairs.iter().map(|l| l.len()).sum::<usize>();
-        report.elements += elements as u64;
+        let lens = call.lens();
+        report.elements += lens.iter().map(|l| l.0 as u64).sum::<u64>();
         // what each host link carries, of the upload and then the download
         let mut bytes = [0; MAX_PARTITIONS];
         let bytes = &mut bytes[..m];
-        let spread_mask = self.with_failover(report, |plan, mask, report, tally| {
+        let mask = self.with_failover(report, |plan, mask, report, tally| {
             for (g, bytes) in bytes.iter_mut().enumerate() {
-                let words = pairs.iter().map(|l| live_chunk(l.len(), m, mask, g).len());
-                *bytes = live_chunk(keys.len(), m, mask, g).len() as u64 * 4
-                    + words.sum::<usize>() as u64 * 8;
+                let up = lens.map(|(len, per)| live_chunk(len, m, mask, g).len() * per);
+                *bytes = up.iter().sum::<usize>() as u64;
             }
             let up = h2d_time_faulted(self.topology(), bytes, plan, &policy);
             let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
             report.push(CascadeStage::H2D, up.time, up.bytes, 0.0);
             Ok(mask)
         })?;
-        // list after list, each cut into its `m` chunks: the keys of an
-        // operation that answers, at most two lists of pairs
-        let chunks_of = |len| (0..m).map(move |g| live_chunk(len, m, spread_mask, g));
-        let mut key_chunks: [&[u32]; MAX_PARTITIONS] = [&[]; MAX_PARTITIONS];
-        let answered = if op.back.is_some() { m } else { 0 };
-        for (g, chunk) in chunks_of(keys.len()).take(answered).enumerate() {
-            key_chunks[g] = &keys[chunk];
-        }
-        let mut pair_chunks: [&[u64]; 2 * MAX_PARTITIONS] = [&[]; 2 * MAX_PARTITIONS];
-        for (l, list) in pairs.iter().enumerate() {
-            for (g, chunk) in chunks_of(list.len()).enumerate() {
-                pair_chunks[l * m + g] = &list[chunk];
-            }
-        }
-        let (keys, pairs) = (&key_chunks[..answered], &pair_chunks[..pairs.len() * m]);
-        let input = Input { keys, pairs };
-        let out = self.cascade(op, input, report, |(g, i), a| answer(start_of(keys, g) + i, a))?;
-        if let Some(back) = &op.back {
+        // list after list, each cut into its `m` chunks
+        let (reads, erases) = (chunks(call.reads, m, mask), chunks(call.erases, m, mask));
+        let [puts, late_puts] = call.puts.map(|list| chunks(list, m, mask));
+        let input = Input {
+            reads: &reads.0[..reads.1],
+            puts: &puts.0[..puts.1],
+            late_puts: &late_puts.0[..late_puts.1],
+            erases: &erases.0[..erases.1],
+            late: call.late,
+        };
+        self.cascade(input, report, placed, |(g, i), a| {
+            let list = if matches!(a, Answer::Read(_)) { &reads.0 } else { &erases.0 };
+            answer(start_of(&list[..m], g) + i, a);
+        })?;
+        if reads.1 + erases.1 > 0 {
             self.with_failover(report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
                 // answers physically came from survivors, so the dead
                 // links carry no bytes
                 for (g, bytes) in bytes.iter_mut().enumerate() {
                     *bytes = match mask & (1 << g) {
-                        0 => back.down_bytes(key_chunks[g].len()),
+                        0 => down_bytes(reads.0[g].len(), erases.0[g].len()),
                         _ => 0,
                     };
                 }
@@ -477,7 +539,7 @@ impl DistributedHashMap {
                 Ok(())
             })?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Host-sided insertion: transfer the packed pairs over PCIe
@@ -509,18 +571,9 @@ impl DistributedHashMap {
     /// [`Self::insert_in_chunks`] where `cut` says, or by the planner
     /// without one.
     fn insert_cut(&self, pairs: &[(u32, u32)], cut: Option<Cut>) -> Result<OpReport, OpError> {
-        self.insert_packed(&pair_words(pairs)?, cut)
-    }
-
-    /// [`Self::insert_cut`] of pairs the caller has packed and checked.
-    pub(crate) fn insert_packed(
-        &self,
-        words: &[u64],
-        cut: Option<Cut>,
-    ) -> Result<OpReport, OpError> {
-        self.in_chunks(&INSERT, words, cut, |words, _, report| {
-            self.host_bracket(&INSERT, &[], &[words], report, |_, _| {}).map(drop)
-        })
+        let words = pair_words(pairs)?;
+        let call = Call { puts: [&words, &[]], ..Call::default() };
+        self.run(call, cut, &mut Applied::default(), |_, _| {})
     }
 
     /// Host-sided retrieval with typed fault errors: keys up over PCIe
@@ -556,129 +609,116 @@ impl DistributedHashMap {
     /// [`Self::retrieve_in_chunks`] where `cut` says, or by the planner
     /// without one.
     fn retrieve_cut(&self, keys: &[u32], cut: Option<Cut>) -> Result<GetResponse, OpError> {
-        let mut values = vec![None; keys.len()];
-        let report = self.retrieve_into(keys, &mut values, cut)?;
-        Ok(GetResponse { values, report })
-    }
-
-    /// [`Self::retrieve_cut`] into the caller's `values`, one slot per key
-    /// (the round answers every key it is sent).
-    pub(crate) fn retrieve_into(
-        &self,
-        keys: &[u32],
-        values: &mut [Option<u32>],
-        cut: Option<Cut>,
-    ) -> Result<OpReport, OpError> {
         check_keys(keys.iter().copied())?;
+        let mut values = vec![None; keys.len()];
         let mutation = self.cfg().mutation;
-        // chunks are contiguous, so one after the other is input order
-        self.in_chunks(&RETRIEVE, keys, cut, |keys, at, report| {
-            let found = |i, pair| answer(&mut values[at + i], found_value(pair), mutation);
-            self.host_bracket(&RETRIEVE, keys, &[], report, found).map(drop)
-        })
+        let call = Call { reads: keys, ..Call::default() };
+        let report = self.run(call, cut, &mut Applied::default(), |i, a| {
+            if let Answer::Read(value) = a {
+                answer(&mut values[i], value, mutation);
+            }
+        })?;
+        Ok(GetResponse { values, report })
     }
 
     /// Host-sided erase with typed fault errors: keys travel over PCIe
     /// (4 bytes each) under the same retry-and-quarantine contract as
-    /// insertion, the device cascade runs, and per-key hit flags come back
-    /// down (a byte each) in the original input order — chunk after chunk
-    /// for a large call, overlapped.
+    /// insertion, the device cascade runs, and per-key hits come back
+    /// down (a found bit each) in the original input order — chunk after
+    /// chunk for a large call, overlapped.
     ///
     /// # Errors
     /// [`OpError`] once every failover avenue is exhausted.
     pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        self.erase_in_chunks(keys, None)
+        self.erase_cut(keys, None)
     }
 
     /// [`Self::try_erase_from_host`] cut where `cut` says, or by the
     /// planner without one.
-    pub(crate) fn erase_in_chunks(
-        &mut self,
-        keys: &[u32],
-        cut: Option<Cut>,
-    ) -> Result<DeleteResponse, OpError> {
+    fn erase_cut(&mut self, keys: &[u32], cut: Option<Cut>) -> Result<DeleteResponse, OpError> {
+        check_keys(keys.iter().copied())?;
         let mut hits = vec![false; keys.len()];
-        let (report, erased) = self.erase_into(keys, &mut hits, cut)?;
+        let mut placed = Applied::default();
+        let call = Call { erases: keys, ..Call::default() };
+        let report = self.run(call, cut, &mut placed, |i, a| {
+            // of every round, so ORed
+            hits[i] |= matches!(a, Answer::Erase(true));
+        })?;
         Ok(DeleteResponse {
             hits,
-            erased,
+            erased: placed.erased,
             report,
         })
     }
 
-    /// [`Self::erase_in_chunks`] into the caller's `hits`, one flag per
-    /// key; returns the report and how many keys the call tombstoned.
-    pub(crate) fn erase_into(
-        &mut self,
-        keys: &[u32],
-        hits: &mut [bool],
-        cut: Option<Cut>,
-    ) -> Result<(OpReport, u64), OpError> {
-        check_keys(keys.iter().copied())?;
-        hits.fill(false);
-        let mut erased = 0;
-        let report = self.in_chunks(&ERASE, keys, cut, |keys, at, report| {
-            // of every round, so ORed
-            let hit = |i, flag| hits[at + i] |= flag != 0;
-            erased += self.host_bracket(&ERASE, keys, &[], report, hit)?;
-            Ok(())
-        })?;
-        Ok((report, erased))
-    }
-
-    /// Host-sided lookup of `reads` and insertion of `puts` in **one**
-    /// cascade round (each list distinct ascending keys; a key may be in
-    /// both): one H2D carries each GPU's chunk of the read keys, of the
-    /// pairs of keys not read and of the pairs of keys also read, one
-    /// multisplit and one all-to-all move all three, the owning GPU
-    /// answers and inserts in one fused launch — the put of a key that is
-    /// also read waits for a late launch behind it, so the answers are
-    /// the values **before** the call — and the answers alone travel
-    /// back, into `values` in `reads` order. One chunk, however large.
-    /// `words` is the call's scratch, empty: the packed pairs, the first
-    /// then the late ones, and a bit per read of what the round answered.
+    /// Host-sided lookup of `reads`, insertion of `puts` and erasure of
+    /// `erases`, into `values` in `reads` order and `hits` in `erases`
+    /// order: a call of one list as that list's call, chunked, and a mixed
+    /// call in **one** cascade round (each list distinct ascending keys,
+    /// none both put and erased). One H2D carries each GPU's chunk of every
+    /// list, one multisplit and one all-to-all move them all, the owning
+    /// GPU answers, inserts and erases in one launch, and the answers alone
+    /// travel back. A key both read and written waits for a late launch
+    /// behind the kernel — its put, and every erase of the call — so the
+    /// answers are the values **before** the call. `words` is the call's
+    /// scratch, empty: the packed pairs, the first then the late ones, and
+    /// a bit per read of what the round answered. The caller has checked
+    /// the keys.
     ///
     /// # Errors
     /// As [`Self::try_retrieve_from_host`] and [`Self::insert_from_host`];
-    /// some of the pairs may have been applied.
-    pub(crate) fn get_put_into(
+    /// some of the pairs and erases may have been applied.
+    pub(crate) fn apply_into(
         &self,
-        reads: &[u32],
-        puts: &[(u32, u32)],
+        (reads, puts, erases): (&[u32], &[(u32, u32)], &[u32]),
         values: &mut [Option<u32>],
+        hits: &mut [bool],
         words: &mut Vec<u64>,
-    ) -> Result<OpReport, OpError> {
-        check_keys(puts.iter().map(|p| p.0))?;
-        check_keys(reads.iter().copied())?;
+    ) -> Result<Applied, OpError> {
         let mutation = self.cfg().mutation;
+        let read = |k: u32| reads.binary_search(&k).is_ok();
         // MUTATION DOUBLE (`Mutation::LatePutsJoinFirstLaunch`): no put is
-        // late, so a key's get races its own put in the fused launch.
+        // late, so a key's get races its own put in the first launch.
         let races = mutation == Some(Mutation::LatePutsJoinFirstLaunch);
-        let late = |k: u32| !races && reads.binary_search(&k).is_ok();
+        let late = |k: u32| !races && read(k);
         let packed = |&(k, v): &(u32, u32)| pack(k, v);
         words.extend(puts.iter().filter(|p| !late(p.0)).map(packed));
         let first = words.len();
         words.extend(puts.iter().filter(|p| late(p.0)).map(packed));
-        words.resize(puts.len() + reads.len().div_ceil(64), 0);
+        let mixed = !reads.is_empty() && (!puts.is_empty() || !erases.is_empty());
+        if mixed {
+            words.resize(puts.len() + reads.len().div_ceil(64), 0);
+        }
         let (pairs, answered) = words.split_at_mut(puts.len());
-        let mut report = OpReport::of_cascade(0);
-        // the first answer a key gets stands: a round re-run after a lost
-        // device would read what the aborted one already wrote
-        let puts = [&pairs[..first], &pairs[first..]];
-        self.host_bracket(&GET_PUT, reads, &puts, &mut report, |i, pair| {
-            let bit = 1 << (i % 64);
-            if answered[i / 64] & bit == 0 {
-                answered[i / 64] |= bit;
-                answer(&mut values[i], found_value(pair), mutation);
+        // a key both read and written: its put, and every erase, go late
+        let late = first < puts.len() || erases.iter().any(|&k| read(k));
+        let call = Call { reads, puts: [&pairs[..first], &pairs[first..]], erases, late };
+        hits.fill(false);
+        let mut applied = Applied::default();
+        applied.report = self.run(call, None, &mut applied, |i, a| match a {
+            Answer::Read(value) => {
+                // the first answer a key gets stands: a round re-run after
+                // a lost device would read what the aborted one wrote
+                if let Some(word) = answered.get_mut(i / 64) {
+                    let bit = 1 << (i % 64);
+                    if *word & bit != 0 {
+                        return;
+                    }
+                    *word |= bit;
+                }
+                answer(&mut values[i], value, mutation);
             }
+            // of every round, so ORed
+            Answer::Erase(hit) => hits[i] |= hit,
         })?;
-        Ok(report)
+        Ok(applied)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cascade::{ERASES, PUTS, READS};
     use crate::config::Config;
     use gpu_sim::{Device, DeviceSpec, Schedule};
     use interconnect::Topology;
@@ -1062,9 +1102,9 @@ mod tests {
             twin.retrieve_cut(&keys, whole(keys.len())).unwrap();
         assert_eq!(values, twin_values);
         let before = launches(&d);
-        let erase = d.erase_in_chunks(&deleted, cut).unwrap();
+        let erase = d.erase_cut(&deleted, cut).unwrap();
         assert_eq!(erase.report.launches, launches(&d) - before);
-        let twin_erase = twin.erase_in_chunks(&deleted, whole(deleted.len())).unwrap();
+        let twin_erase = twin.erase_cut(&deleted, whole(deleted.len())).unwrap();
         assert_eq!((&erase.hits, erase.erased), (&twin_erase.hits, twin_erase.erased));
         assert_eq!(live_sorted(&d), live_sorted(&twin));
         [
@@ -1202,13 +1242,14 @@ mod tests {
     #[test]
     fn a_call_below_twice_the_first_chunk_is_one_chunk() {
         let d = node_paying(4, SMALL_OVERHEAD, Config::default());
-        let (put, get) = (d.first_chunk(&INSERT, 8), d.first_chunk(&RETRIEVE, 4));
+        let first = |s, bytes| d.first_chunk(&CascadeOp::of(&[s]), bytes);
+        let (put, get) = (first(PUTS, 8), first(READS, 4));
         // 2 launches against 8-byte pairs, 3 against 4-byte keys
         assert_eq!((put, get), (328, 988));
         // and on the P100 node, ≈ 8 k and ≈ 25 k a GPU
         let p100 = node(4);
-        assert_eq!(p100.first_chunk(&INSERT, 8), 4 * 8250);
-        assert_eq!(p100.first_chunk(&ERASE, 4), 4 * 24750);
+        assert_eq!(p100.first_chunk(&CascadeOp::of(&[PUTS]), 8), 4 * 8250);
+        assert_eq!(p100.first_chunk(&CascadeOp::of(&[ERASES]), 4), 4 * 24750);
         for (first, len) in [(put, 2 * put - 1), (put, 2 * put)] {
             let pairs: Vec<(u32, u32)> = (1..=len as u32).map(|k| (k, k)).collect();
             let d = node_paying(4, SMALL_OVERHEAD, Config::default());
@@ -1300,7 +1341,7 @@ mod tests {
         let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).chain([None]).collect();
         assert_eq!(get.values, want);
         assert_eq!(chunks_of(&get.report), 9);
-        let erase = d.erase_in_chunks(&keys, Some(cut)).unwrap();
+        let erase = d.erase_cut(&keys, Some(cut)).unwrap();
         let hits: Vec<bool> = want.iter().map(Option::is_some).collect();
         assert_eq!((erase.hits, erase.erased), (hits, pairs.len() as u64));
         let values = d.retrieve_in_chunks(&keys, cut).unwrap().values;
@@ -1314,7 +1355,7 @@ mod tests {
     fn a_kill_in_a_middle_chunk_of_a_planned_call() {
         let cfg = Config::default().with_schedule(Schedule::Sequential);
         let mut d = node_paying(4, 2.5e-9, cfg);
-        assert_eq!(d.first_chunk(&INSERT, 8), 12);
+        assert_eq!(d.first_chunk(&CascadeOp::of(&[PUTS]), 8), 12);
         let part = |k: u32| d.partition().part(k);
         let elsewhere = (1..).filter(|&k| part(k) != 3).take(9);
         let mut pairs: Vec<(u32, u32)> = elsewhere.map(|k| (k, k + 1)).collect();
@@ -1367,13 +1408,13 @@ mod tests {
         let cfg = Config::default().with_fault(gpu_sim::FaultPlan::default());
         let mut d = DistributedHashMap::new(devices, 1 << 17, cfg, Topology::p100_quad(1)).unwrap();
         // a get's first chunk, the larger: the round is twice that
-        let n = d.first_chunk(&RETRIEVE, 4);
-        assert!(n > d.first_chunk(&INSERT, 8));
+        let n = d.first_chunk(&CascadeOp::of(&[READS]), 4);
+        assert!(n > d.first_chunk(&CascadeOp::of(&[PUTS]), 8));
         let old: Vec<(u32, u32)> = (1..=n as u32).map(|k| (k, k)).collect();
         assert!(chunks_of(&d.insert_from_host(&old).unwrap()) > 1);
         let keys: Vec<u32> = old.iter().map(|p| p.0).collect();
         let new: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k + 1)).collect();
-        let the_bracket_would_cut = |len| len >= 2 * d.first_chunk(&RETRIEVE, 4);
+        let the_bracket_would_cut = |len| len >= 2 * n;
         assert!(the_bracket_would_cut(keys.len() + new.len()));
         let resp = d.get_put_batch(&keys, &new).unwrap();
         assert!(resp.values.iter().zip(&keys).all(|(&v, &k)| v == Some(k)));

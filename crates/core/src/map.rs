@@ -7,7 +7,8 @@ use crate::get_put::Sections;
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::service::{
-    answer, joined, slots_fit, Applied, DeleteResponse, GetResponse, OpError, OpReport,
+    answer, check_call, composed, one_group_per_key, Applied, DeleteResponse, GetResponse,
+    OpError, OpReport,
 };
 use crate::table::Table;
 use gpu_sim::{DevSlice, Device, GroupSize, KernelStats};
@@ -17,8 +18,8 @@ use std::sync::Arc;
 /// subwarp-cooperative probing.
 ///
 /// * Bulk operations are data-parallel launches of one kernel: one
-///   coalesced group of `|g|` lanes per key or pair, in four sections
-///   (gets, upserts, puts, erases), relying on one group per key.
+///   coalesced group of `|g|` lanes per key or pair, in five sections
+///   (gets, takes, upserts, puts, erases), relying on one group per key.
 /// * Insertions and queries may be issued concurrently (they take
 ///   `&self`); the outcome of a racing insert/query on the same key is
 ///   decided by the "event horizon" of the kernels, as in the paper.
@@ -250,9 +251,9 @@ impl GpuHashMap {
             return Ok(stats);
         }
         drop(ctl);
-        let recorder = self.recorder.as_deref();
-        self.table
-            .retrieve_keys(self.cfg.group_size, keys, values, recorder)
+        let (g, recorder) = (self.cfg.group_size, self.recorder.as_deref());
+        let (outcome, _) = self.table.apply(g, keys, &[], &[], values, &mut [], recorder)?;
+        Ok(outcome.stats)
     }
 
     /// Convenience single-key lookup (bulk APIs are the fast path).
@@ -266,7 +267,9 @@ impl GpuHashMap {
 
     /// Tombstones host-resident keys, returning per-key hits in input
     /// order with the unified cost report. `&mut self` is §IV-A's global
-    /// barrier: no insert or query runs in the same launch.
+    /// barrier: no insert or query of another call runs beside it (the
+    /// one launch of [`crate::MapService::apply`] erases beside its own
+    /// reads and puts, one group per key).
     ///
     /// # Errors
     /// [`OpError::OutOfMemory`] when staging scratch is unavailable.
@@ -294,22 +297,21 @@ impl GpuHashMap {
             return Ok((routed.stats, routed.erased));
         }
         drop(ctl);
-        let recorder = self.recorder.as_deref();
-        self.table
-            .erase_keys(self.cfg.group_size, keys, hits, recorder)
+        let (g, recorder) = (self.cfg.group_size, self.recorder.as_deref());
+        let (outcome, erased) = self.table.apply(g, &[], &[], keys, &mut [], hits, recorder)?;
+        Ok((outcome.stats, erased))
     }
 
-    /// Whether a call of `reads` and `puts` runs as one launch: the table
-    /// is stable once a drained migration is finalized and the puts had
-    /// their chance to start one, and both lists are distinct ascending
-    /// keys.
-    fn fuses(&mut self, reads: &[u32], puts: &[(u32, u32)]) -> bool {
+    /// Whether the table is stable for a call of `puts` pairs: no
+    /// migration once a drained one is finalized and the puts had their
+    /// chance to start one.
+    fn stable(&mut self, puts: usize) -> bool {
         self.maybe_finalize_resize();
         let mut ctl = self.resize.lock();
-        self.trigger_resize(&mut ctl, puts.len());
+        if puts > 0 {
+            self.trigger_resize(&mut ctl, puts);
+        }
         ctl.migration.is_none()
-            && reads.is_sorted_by(|a, b| a < b)
-            && puts.is_sorted_by(|a, b| a.0 < b.0)
     }
 
     // ---- maintenance ------------------------------------------------------
@@ -354,12 +356,13 @@ impl GpuHashMap {
 }
 
 impl crate::service::MapService for GpuHashMap {
-    /// The reads and the puts as one launch of the kernel's get, upsert
-    /// and put sections while the table is stable. During a migration the
-    /// routed reads and then the routed puts run instead (each is a
-    /// composition over both tables), as they do for lists that are not
-    /// distinct ascending keys, where one key could end up in two racing
-    /// groups. The erases follow in a launch of their own.
+    /// A list alone as that kind's call (routed during a migration), and
+    /// the reads, the puts and the erases together as one launch of the
+    /// kernel's sections while the table is stable — a key read and put
+    /// one upsert group, a key read and erased one take group. Lists that
+    /// could put one key in two racing groups ([`one_group_per_key`]), or
+    /// a call of two lists or more during a migration, run as a read call,
+    /// a write call and an erase call, each routed over both tables.
     fn apply(
         &mut self,
         reads: &[u32],
@@ -368,43 +371,38 @@ impl crate::service::MapService for GpuHashMap {
         values: &mut [Option<u32>],
         hits: &mut [bool],
     ) -> Result<Applied, OpError> {
-        slots_fit(reads, values, erases, hits)?;
+        check_call(reads, puts, erases, values, hits)?;
         let mut applied = Applied::default();
-        let mut placed_by = |o: &InsertOutcome| {
-            (applied.new_slots, applied.updates) = (o.new_slots, o.updates);
-            applied.reclaimed = o.reclaimed;
-        };
-        let mut report = None;
-        if !reads.is_empty() && !puts.is_empty() && self.fuses(reads, puts) {
-            let recorder = self.recorder.as_deref();
-            let g = self.cfg.group_size;
-            let outcome = self.table.get_put_pairs(g, reads, puts, values, recorder)?;
-            let outcome = placed(outcome)?;
-            placed_by(&outcome);
-            let elements = (reads.len() + puts.len()) as u64;
-            report = Some(OpReport::from_kernel(&outcome.stats, elements));
-        } else {
-            if !reads.is_empty() {
+        let stats = match [reads.is_empty(), puts.is_empty(), erases.is_empty()] {
+            [true, true, true] => return Ok(applied),
+            [false, true, true] => {
                 self.maybe_finalize_resize();
-                let stats = self.retrieve_into(reads, values)?;
-                report = Some(OpReport::from_kernel(&stats, reads.len() as u64));
+                self.retrieve_into(reads, values)?
             }
-            if !puts.is_empty() {
+            [true, false, true] => {
                 self.maybe_finalize_resize();
                 let outcome = self.insert_pairs(puts)?;
-                placed_by(&outcome);
-                let put = OpReport::from_kernel(&outcome.stats, puts.len() as u64);
-                report = Some(joined(report, put));
+                applied.note(&outcome, 0);
+                outcome.stats
             }
-        }
-        if !erases.is_empty() {
-            self.maybe_finalize_resize();
-            let (stats, erased) = self.erase_into(erases, hits)?;
-            applied.erased = erased;
-            let erase = OpReport::from_kernel(&stats, erases.len() as u64);
-            report = Some(joined(report, erase));
-        }
-        applied.report = report.unwrap_or_default();
+            [true, true, false] => {
+                self.maybe_finalize_resize();
+                let (stats, erased) = self.erase_into(erases, hits)?;
+                applied.erased = erased;
+                stats
+            }
+            _ if self.stable(puts.len()) && one_group_per_key(reads, puts, erases) => {
+                let (g, recorder) = (self.cfg.group_size, self.recorder.as_deref());
+                let (outcome, erased) =
+                    self.table.apply(g, reads, puts, erases, values, hits, recorder)?;
+                let outcome = placed(outcome)?;
+                applied.note(&outcome, erased);
+                outcome.stats
+            }
+            _ => return composed(self, reads, puts, erases, values, hits),
+        };
+        let elements = (reads.len() + puts.len() + erases.len()) as u64;
+        applied.report = OpReport::from_kernel(&stats, elements);
         Ok(applied)
     }
 

@@ -41,38 +41,42 @@
 //!   is a get, or a delete whose key the call later puts back (a
 //!   delete-first key that ends erased takes its hit from the erase).
 //!
-//! A key the call both reads and puts is in both lists, and its answer is
-//! the *pre-call* value. What a backend makes of the call is its own
-//! business: [`crate::GpuHashMap`] runs the reads and puts as **one
-//! launch** of the fused get + upsert kernel (a key in both lists is one
-//! upsert group, one table visit), so a put/get call pays one launch
-//! overhead instead of two; [`crate::CachedMap`] answers what it can from
-//! its shadow and sends the misses, the puts and the erases on in one
-//! call; [`crate::DistributedHashMap`] runs the reads and puts as **one
-//! cascade round** ([`crate::cascade`]: query words and pairs are
-//! segments of one multisplit and one all-to-all, the owning GPU answers
-//! and inserts in one fused launch, and only the put of a key that is
-//! also read waits for a late launch behind it), on a node of GPUs and on
-//! the partitions of one device alike.
+//! A key the call both reads and writes is in two lists, and its answer
+//! is the *pre-call* value. What a backend makes of the call is its own
+//! business: [`crate::GpuHashMap`] runs reads, puts and erases as **one
+//! launch** of the kernel's sections (a key read and put is one upsert
+//! group, a key read and erased one take group: one table visit each), so
+//! a put/get/delete call pays one launch overhead instead of three;
+//! [`crate::CachedMap`] answers what it can from its shadow and sends the
+//! misses, the puts and the erases on in one call;
+//! [`crate::DistributedHashMap`] runs them as **one cascade round**
+//! ([`crate::cascade`]: query words, pairs and erased keys are segments of
+//! one multisplit and one all-to-all, the owning GPU answers, inserts and
+//! erases in one launch, and only a call with a key both read and written
+//! sends its writes of such keys, and its erases, to a late launch
+//! behind it), on a node of GPUs and on the partitions of one device
+//! alike.
 //!
-//! Erases keep a launch (a round) of their own, after the puts, because
-//! §IV-A's barrier is real here: the SOA erase tombstones the key word
-//! and *then* resets the value sentinel, so an insert reclaiming that
-//! slot in the same launch could lose its value. The wd-serve equivalence
-//! suite proves response identity across seeds × schedules × fault plans,
-//! and its [`crate::Mutation::ForwardStaleRead`],
-//! [`crate::Mutation::UpsertReturnsNew`] and
-//! [`crate::Mutation::LatePutsJoinFirstLaunch`] cases prove the suite can
+//! Erases need no launch of their own: §IV-A's barrier guards a key
+//! against a racing op *of the same key*, and the call holds one group
+//! per key — an SOA tombstone restores its value sentinel before the CAS
+//! that makes it visible ([`crate::slots`]), so a put of another key may
+//! reclaim the slot in the same launch. The wd-serve equivalence suite
+//! proves response identity across seeds × schedules × fault plans, and
+//! its [`crate::Mutation::ForwardStaleRead`],
+//! [`crate::Mutation::UpsertReturnsNew`],
+//! [`crate::Mutation::LatePutsJoinFirstLaunch`] and
+//! [`crate::Mutation::TakeTombstonesFirst`] cases prove the suite can
 //! fail.
 //!
 //! On `Err` nothing is answered and an unspecified subset of the call's
 //! final writes may have been applied (what `put_batch` already says of
-//! probing exhaustion): a call that failed reading and writing may have
-//! placed some of its pairs — none if it had no puts — and one that
-//! failed erasing comes after every final put was applied.
+//! probing exhaustion) — none if the call names the reserved key, which
+//! every backend checks in all three lists before anything launches.
 
 use crate::config::Mutation;
 use crate::host_ops::Overlap;
+use crate::insert::InsertOutcome;
 use crate::stats::{CascadeStage, DegradedStats, StageRows, StageTiming};
 use gpu_sim::{CounterSnapshot, KernelStats, OutOfMemory};
 use interconnect::TransferError;
@@ -507,6 +511,17 @@ pub struct Applied {
     pub report: OpReport,
 }
 
+impl Applied {
+    /// Adds the counts of a launch whose puts were placed as `outcome`
+    /// says and whose erases tombstoned `erased` keys.
+    pub(crate) fn note(&mut self, outcome: &InsertOutcome, erased: u64) {
+        self.new_slots += outcome.new_slots;
+        self.updates += outcome.updates;
+        self.reclaimed += outcome.reclaimed;
+        self.erased += erased;
+    }
+}
+
 /// The backend abstraction the wd-serve coalescer is generic over: one
 /// batch call that reads, writes and erases, [`MapService::apply`], plus
 /// the occupancy and degradation signals admission control needs.
@@ -526,8 +541,8 @@ pub struct Applied {
 pub trait MapService {
     /// Looks up `reads`, applies `puts` and then erases `erases`, in one
     /// call: `values[i]` answers `reads[i]` with what it held **before**
-    /// the call (`None` on a miss), whether or not `puts` writes it too,
-    /// and `hits[i]` is whether `erases[i]` was present. Every slot of both
+    /// the call (`None` on a miss), whether or not the call writes or
+    /// erases it too, and `hits[i]` is whether `erases[i]` was present. Every slot of both
     /// is written, misses included; a list left empty costs nothing.
     /// [`MapService::execute`] sends lists of distinct keys in ascending
     /// order, a read key in one of the other two at most.
@@ -535,16 +550,17 @@ pub trait MapService {
     /// The provided body composes `get_batch`, `put_batch` and
     /// `delete_batch`, in that order and on the lists that are not empty,
     /// reports merged in that order. A backend that can do better
-    /// overrides it: [`crate::GpuHashMap`] reads and writes in one launch
-    /// of the fused kernel, [`crate::DistributedHashMap`] in one cascade
+    /// overrides it: [`crate::GpuHashMap`] reads, writes and erases in one
+    /// launch of the kernel, [`crate::DistributedHashMap`] in one cascade
     /// round, [`crate::CachedMap`] answers what its shadow holds and sends
-    /// the rest on in one call; the erases keep a launch (a round) of their
-    /// own, after the puts.
+    /// the rest on in one call.
     ///
     /// # Errors
-    /// The first failing part's [`OpError`]: nothing is answered, and an
-    /// unspecified subset of the puts — of the erases too, once every put
-    /// was applied — may have been applied. [`OpError::Internal`] if
+    /// [`OpError::ReservedKey`] if a list names the key `u32::MAX` — its
+    /// position in the first list that does, reads before puts before
+    /// erases — with nothing applied. Otherwise the first failing part's
+    /// [`OpError`]: nothing is answered, and an unspecified subset of the
+    /// puts and erases may have been applied. [`OpError::Internal`] if
     /// `values` or `hits` lacks a slot per read or erase, or a composed
     /// `get_batch` or `delete_batch` answers with the wrong number of
     /// results.
@@ -556,30 +572,7 @@ pub trait MapService {
         values: &mut [Option<u32>],
         hits: &mut [bool],
     ) -> Result<Applied, OpError> {
-        slots_fit(reads, values, erases, hits)?;
-        let mut applied = Applied::default();
-        let mut report = None;
-        if !reads.is_empty() {
-            let got = self.get_batch(reads)?;
-            answered(reads.len(), got.values.len())?;
-            values.copy_from_slice(&got.values);
-            report = Some(got.report);
-        }
-        if !puts.is_empty() {
-            let put = self.put_batch(puts)?;
-            (applied.new_slots, applied.updates) = (put.new_slots, put.updates);
-            applied.reclaimed = put.reclaimed;
-            report = Some(joined(report, put.report));
-        }
-        if !erases.is_empty() {
-            let erased = self.delete_batch(erases)?;
-            answered(erases.len(), erased.hits.len())?;
-            hits.copy_from_slice(&erased.hits);
-            applied.erased = erased.erased;
-            report = Some(joined(report, erased.report));
-        }
-        applied.report = report.unwrap_or_default();
-        Ok(applied)
+        composed(self, reads, puts, erases, values, hits)
     }
 
     /// Applies a batch of puts: [`MapService::apply`] of `pairs` alone.
@@ -881,23 +874,79 @@ pub(crate) fn joined(first: Option<OpReport>, next: OpReport) -> OpReport {
     }
 }
 
-/// Checks that `values` holds a slot per read and `hits` one per erase.
+/// [`MapService::apply`] as `svc`'s `get_batch`, `put_batch` and
+/// `delete_batch`, on the lists that are not empty, in that order, reports
+/// merged in that order — the provided body, and what a backend that
+/// implements `apply` runs for lists it cannot send in one call.
 ///
 /// # Errors
-/// [`OpError::Internal`] otherwise.
-pub(crate) fn slots_fit(
+/// As [`MapService::apply`].
+pub(crate) fn composed<S: MapService + ?Sized>(
+    svc: &mut S,
     reads: &[u32],
-    values: &[Option<u32>],
+    puts: &[(u32, u32)],
     erases: &[u32],
+    values: &mut [Option<u32>],
+    hits: &mut [bool],
+) -> Result<Applied, OpError> {
+    check_call(reads, puts, erases, values, hits)?;
+    let mut applied = Applied::default();
+    let mut report = None;
+    if !reads.is_empty() {
+        let got = svc.get_batch(reads)?;
+        answered(reads.len(), got.values.len())?;
+        values.copy_from_slice(&got.values);
+        report = Some(got.report);
+    }
+    if !puts.is_empty() {
+        let put = svc.put_batch(puts)?;
+        (applied.new_slots, applied.updates) = (put.new_slots, put.updates);
+        applied.reclaimed = put.reclaimed;
+        report = Some(joined(report, put.report));
+    }
+    if !erases.is_empty() {
+        let erased = svc.delete_batch(erases)?;
+        answered(erases.len(), erased.hits.len())?;
+        hits.copy_from_slice(&erased.hits);
+        applied.erased = erased.erased;
+        report = Some(joined(report, erased.report));
+    }
+    applied.report = report.unwrap_or_default();
+    Ok(applied)
+}
+
+/// Checks a call of [`MapService::apply`] before anything runs: that
+/// `values` holds a slot per read and `hits` one per erase, and that no
+/// list names the reserved key.
+///
+/// # Errors
+/// [`OpError::Internal`] for a slice of the wrong length;
+/// [`OpError::ReservedKey`] as [`crate::table::check_lists`].
+pub(crate) fn check_call(
+    reads: &[u32],
+    puts: &[(u32, u32)],
+    erases: &[u32],
+    values: &[Option<u32>],
     hits: &[bool],
 ) -> Result<(), OpError> {
-    if values.len() == reads.len() && hits.len() == erases.len() {
-        Ok(())
-    } else {
-        Err(OpError::Internal {
+    if values.len() != reads.len() || hits.len() != erases.len() {
+        return Err(OpError::Internal {
             detail: "apply: one answer slot per read and one hit slot per erase",
-        })
+        });
     }
+    crate::table::check_lists(reads, puts, erases)
+}
+
+/// Whether a call's lists may share one launch (one round) without a key
+/// in two groups: a list alone may repeat keys; two lists or more each
+/// hold distinct keys in ascending order, none both put and erased.
+pub(crate) fn one_group_per_key(reads: &[u32], puts: &[(u32, u32)], erases: &[u32]) -> bool {
+    let lists = [reads.is_empty(), puts.is_empty(), erases.is_empty()];
+    lists.iter().filter(|&&empty| !empty).count() <= 1
+        || (reads.is_sorted_by(|a, b| a < b)
+            && puts.is_sorted_by(|a, b| a.0 < b.0)
+            && erases.is_sorted_by(|a, b| a < b)
+            && !puts.iter().any(|p| erases.binary_search(&p.0).is_ok()))
 }
 
 /// Checks that a composed batch call answered each of its `asked` keys.
@@ -1051,7 +1100,7 @@ pub(crate) mod model {
             values: &mut [Option<u32>],
             hits: &mut [bool],
         ) -> Result<Applied, OpError> {
-            slots_fit(reads, values, erases, hits)?;
+            check_call(reads, puts, erases, values, hits)?;
             let put_keys = puts.iter().map(|p| p.0).collect();
             self.calls.push([reads.to_vec(), put_keys, erases.to_vec()]);
             for (slot, k) in values.iter_mut().zip(reads) {

@@ -60,9 +60,9 @@ impl StageTiming {
     }
 }
 
-/// Rows a [`StageRows`] holds without the heap: a flush's two healthy
-/// host-sided rounds, its read/write round (H2D … D2H, 8 rows) and its
-/// erase round (7) — and one row per [`CascadeStage`], all a folded total
+/// Rows a [`StageRows`] holds without the heap: a flush's one host-sided
+/// round (H2D … D2H, 8 rows healthy), with room for the backoff rows of
+/// its retries — and one row per [`CascadeStage`], all a folded total
 /// has.
 pub const INLINE_ROWS: usize = 16;
 

@@ -55,6 +55,21 @@ pub(crate) fn check_keys(keys: impl IntoIterator<Item = u32>) -> Result<(), OpEr
     }
 }
 
+/// [`check_keys`] of a call's reads, then its puts' keys, then its erases:
+/// the first list that names the reserved key gives the position.
+///
+/// # Errors
+/// [`OpError::ReservedKey`], as [`check_keys`].
+pub(crate) fn check_lists(
+    reads: &[u32],
+    puts: &[(u32, u32)],
+    erases: &[u32],
+) -> Result<(), OpError> {
+    check_keys(reads.iter().copied())?;
+    check_keys(puts.iter().map(|p| p.0))?;
+    check_keys(erases.iter().copied())
+}
+
 /// Query words for `keys`.
 ///
 /// # Errors
@@ -301,8 +316,8 @@ impl Table {
     // ---- the one kernel, over device-resident words ------------------------
 
     /// One launch of the kernel ([`crate::get_put`]) over the words of
-    /// `input`, section by section: the gets and the upserts answered into
-    /// `out`, `hit(i)` for each key `i` of the erase section it
+    /// `input`, section by section: the gets, takes and upserts answered
+    /// into `out`, `hit(i)` for each key `i` of the erase section it
     /// tombstoned, claims, reclaimed tombstones and tombstoned keys
     /// counted. Returns the insertion outcome, whose stats cover the whole
     /// launch, and the tombstoned count. Pairs that exhausted probing are
@@ -336,33 +351,16 @@ impl Table {
         recorder: Option<&HistoryRecorder>,
     ) -> EraseOutcome {
         let mut hits = vec![false; n];
-        let (stats, erased) = self.erase_into(g, input, &mut hits, recorder);
+        let sink = HitSink::new(&mut hits);
+        // an erase answers through `hit`, not into `out`
+        let out = input.sub(0, 0);
+        let (outcome, erased) =
+            self.run(g, Sections::erases(n), input, out, recorder, |i| sink.set(i));
         EraseOutcome {
-            stats,
+            stats: outcome.stats,
             erased,
             hits,
         }
-    }
-
-    /// [`Table::run`] of the `hits.len()` erase keys of `input` alone:
-    /// `hits[i]` is whether key `i` was tombstoned. Returns the launch's
-    /// stats and the tombstoned count.
-    pub(crate) fn erase_into(
-        &self,
-        g: GroupSize,
-        input: DevSlice,
-        hits: &mut [bool],
-        recorder: Option<&HistoryRecorder>,
-    ) -> (KernelStats, u64) {
-        hits.fill(false);
-        let n = hits.len();
-        let sink = HitSink::new(hits);
-        // an erase answers through `hit`, not into `out`
-        let out = input.sub(0, 0);
-        let (outcome, erased) = self.run(g, Sections::erases(n), input, out, recorder, |i| {
-            sink.set(i)
-        });
-        (outcome.stats, erased)
     }
 
     fn note_tombstoned(&self, slots: u64) {
@@ -399,49 +397,14 @@ impl Table {
         Ok((scratch, regions, out))
     }
 
-    /// [`Table::stage`] of the query words of `keys`, `out` result words
-    /// behind them.
-    ///
-    /// # Errors
-    /// [`OpError::ReservedKey`], as [`check_keys`]; scratch OOM.
-    fn stage_keys(
-        &self,
-        keys: &[u32],
-        out: usize,
-    ) -> Result<(ScratchGuard<'_>, DevSlice, DevSlice), OpError> {
-        check_keys(keys.iter().copied())?;
-        let (scratch, [input], out) = self.stage([keys.iter().map(|&k| query_word(k))], out)?;
-        Ok((scratch, input, out))
-    }
-
-    /// [`Table::run`] of host-resident pairs, a put section alone.
+    /// [`Table::apply`] of host-resident pairs alone.
     pub(crate) fn insert_pairs(
         &self,
         g: GroupSize,
         pairs: &[(u32, u32)],
         recorder: Option<&HistoryRecorder>,
     ) -> Result<InsertOutcome, OpError> {
-        check_keys(pairs.iter().map(|p| p.0))?;
-        let words = pairs.iter().map(|&(k, v)| pack(k, v));
-        let (_scratch, [input], out) = self.stage([words], 0)?;
-        Ok(self.run(g, Sections::puts(pairs.len()), input, out, recorder, |_| {}).0)
-    }
-
-    /// [`Table::run`] of host-resident keys, a get section alone: what
-    /// each key holds into its slot of `values`.
-    pub(crate) fn retrieve_keys(
-        &self,
-        g: GroupSize,
-        keys: &[u32],
-        values: &mut [Option<u32>],
-        recorder: Option<&HistoryRecorder>,
-    ) -> Result<KernelStats, OpError> {
-        let (_scratch, input, out) = self.stage_keys(keys, keys.len())?;
-        let (outcome, _) = self.run(g, Sections::gets(keys.len()), input, out, recorder, |_| {});
-        for (slot, word) in values.iter_mut().zip(self.dev.mem().d2h_words(out)) {
-            answer(slot, (word != EMPTY).then(|| value_of(word)), self.mutation);
-        }
-        Ok(outcome.stats)
+        Ok(self.apply(g, &[], pairs, &[], &mut [], &mut [], recorder)?.0)
     }
 
     /// Every value stored under each of the host-resident `keys` of a
@@ -452,72 +415,108 @@ impl Table {
         keys: &[u32],
         recorder: Option<&HistoryRecorder>,
     ) -> Result<(Vec<Vec<u32>>, KernelStats), OpError> {
-        let (_scratch, input, _) = self.stage_keys(keys, 0)?;
+        check_keys(keys.iter().copied())?;
+        let (_scratch, [input], _) = self.stage([keys.iter().map(|&k| query_word(k))], 0)?;
         Ok(retrieve_all_kernel(self, g, input, keys.len(), recorder))
     }
 
-    /// Looks up `reads` and applies `puts` in **one** launch of the
-    /// kernel ([`crate::get_put`]): both lists hold distinct keys
-    /// in ascending order, and a key in both runs once, as an upsert.
-    /// Answers into `values` what each key of `reads` held before the
-    /// launch, and returns the insertion outcome, whose stats cover the
-    /// whole launch. The words go up as they are made and the answers come
-    /// down as they are handed out: the host stages nothing.
-    pub(crate) fn get_put_pairs(
+    /// Looks up `reads`, applies `puts` and erases `erases` in **one**
+    /// launch of the kernel ([`crate::get_put`]). A list alone may repeat
+    /// keys; a call of two lists or more holds distinct keys in ascending
+    /// order in each, none both put and erased, and a key read and put runs
+    /// once, as an upsert, one read and erased once, as a take. Answers
+    /// into `values` what each key of `reads` held before the launch and
+    /// into `hits` whether each key of `erases` was tombstoned, and returns
+    /// the insertion outcome, whose stats cover the whole launch, and the
+    /// tombstoned count. The words go up as they are made and the answers
+    /// come down as they are handed out: the host stages nothing.
+    ///
+    /// # Errors
+    /// [`OpError::ReservedKey`], as [`check_keys`], before anything
+    /// launches; scratch OOM.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn apply(
         &self,
         g: GroupSize,
         reads: &[u32],
         puts: &[(u32, u32)],
+        erases: &[u32],
         values: &mut [Option<u32>],
-        recorder: Option<&HistoryRecorder>,
-    ) -> Result<InsertOutcome, OpError> {
-        check_keys(reads.iter().copied())?;
-        check_keys(puts.iter().map(|p| p.0))?;
-        let read = |k: u32| reads.binary_search(&k).is_ok();
-        let written = |k: u32| puts.binary_search_by_key(&k, |p| p.0).is_ok();
-        let upserts = puts.iter().filter(|p| read(p.0)).count();
-        let gets = reads.len() - upserts;
-        // the kernel's sections: get-only keys, upserts, put-only keys
-        let words = reads
-            .iter()
-            .filter(|&&k| !written(k))
-            .map(|&k| query_word(k));
-        let words = words
-            .chain(puts.iter().filter(|p| read(p.0)).map(|&(k, v)| pack(k, v)))
-            .chain(puts.iter().filter(|p| !read(p.0)).map(|&(k, v)| pack(k, v)));
-        let words = Exactly {
-            iter: words,
-            len: gets + puts.len(),
-        };
-        let (_scratch, [input], out) = self.stage([words], reads.len())?;
-        let sections = Sections { gets, upserts, puts: puts.len() - upserts, erases: 0 };
-        let (outcome, _) = self.run(g, sections, input, out, recorder, |_| {});
-        // answers come back section by section; hand them out key by key
-        let mem = self.dev.mem();
-        let mut got = mem.d2h_words(out.sub(0, gets));
-        let mut upserted = mem.d2h_words(out.sub(gets, upserts));
-        for (slot, &k) in values.iter_mut().zip(reads) {
-            let word = if written(k) {
-                upserted.next()
-            } else {
-                got.next()
-            };
-            let word = word.unwrap_or(EMPTY);
-            answer(slot, (word != EMPTY).then(|| value_of(word)), self.mutation);
-        }
-        Ok(outcome)
-    }
-
-    /// [`Table::erase_into`] of host-resident keys.
-    pub(crate) fn erase_keys(
-        &self,
-        g: GroupSize,
-        keys: &[u32],
         hits: &mut [bool],
         recorder: Option<&HistoryRecorder>,
-    ) -> Result<(KernelStats, u64), OpError> {
-        let (_scratch, input, _) = self.stage_keys(keys, 0)?;
-        Ok(self.erase_into(g, input, hits, recorder))
+    ) -> Result<(InsertOutcome, u64), OpError> {
+        check_lists(reads, puts, erases)?;
+        let read = |k: u32| reads.binary_search(&k).is_ok();
+        let written = |k: u32| puts.binary_search_by_key(&k, |p| p.0).is_ok();
+        let erased = |k: u32| erases.binary_search(&k).is_ok();
+        // where takes and upserts come from: nowhere when a list is empty,
+        // so a call of one list walks it once
+        let taking = if erases.is_empty() { &[][..] } else { reads };
+        let upserting = if reads.is_empty() { &[][..] } else { puts };
+        let takes = taking.iter().filter(|&&k| erased(k)).count();
+        let upserts = upserting.iter().filter(|p| read(p.0)).count();
+        let sections = Sections {
+            gets: reads.len() - takes - upserts,
+            takes,
+            upserts,
+            puts: puts.len() - upserts,
+            erases: erases.len() - takes,
+        };
+        // the kernel's sections: get-only keys, takes, upserts, put-only
+        // keys, erase-only keys
+        fn queries<'a>(
+            keys: &'a [u32],
+            pick: impl Fn(u32) -> bool + 'a,
+        ) -> impl Iterator<Item = u64> + 'a {
+            keys.iter().filter(move |&&k| pick(k)).map(|&k| query_word(k))
+        }
+        fn pairs<'a>(
+            puts: &'a [(u32, u32)],
+            pick: impl Fn(u32) -> bool + 'a,
+        ) -> impl Iterator<Item = u64> + 'a {
+            puts.iter().filter(move |p| pick(p.0)).map(|&(k, v)| pack(k, v))
+        }
+        let words = queries(reads, |k| !written(k) && !erased(k))
+            .chain(queries(taking, erased))
+            .chain(pairs(upserting, read))
+            .chain(pairs(puts, |k| !read(k)))
+            .chain(queries(erases, |k| !read(k)));
+        let words = Exactly {
+            iter: words,
+            len: sections.len(),
+        };
+        let (_scratch, [input], out) = self.stage([words], sections.answered())?;
+        // the erase section's hits land behind the takes' places
+        hits.fill(false);
+        let sink = HitSink::new(&mut hits[takes..]);
+        let ran = self.run(g, sections, input, out, recorder, |i| sink.set(i));
+        // an erase-only key's hit moves to its place, a take's is its
+        // answer's found bit, set below
+        let mut section = takes;
+        for (e, &k) in erases.iter().enumerate() {
+            if !read(k) {
+                hits[e] = hits[section];
+                section += 1;
+            }
+        }
+        // answers come back section by section; hand them out key by key
+        let mem = self.dev.mem();
+        let mut got = mem.d2h_words(out.sub(0, sections.gets));
+        let mut taken = mem.d2h_words(out.sub(sections.gets, takes));
+        let mut upserted = mem.d2h_words(out.sub(sections.gets + takes, upserts));
+        for (slot, &k) in values.iter_mut().zip(reads) {
+            let word = match erases.binary_search(&k) {
+                Ok(e) => {
+                    let word = taken.next().unwrap_or(EMPTY);
+                    hits[e] = word != EMPTY;
+                    word
+                }
+                Err(_) if written(k) => upserted.next().unwrap_or(EMPTY),
+                Err(_) => got.next().unwrap_or(EMPTY),
+            };
+            answer(slot, (word != EMPTY).then(|| value_of(word)), self.mutation);
+        }
+        Ok(ran)
     }
 
     // ---- whole-slot access from the host (uncounted) ----------------------

@@ -6,8 +6,8 @@ use interconnect::Topology;
 use std::sync::Arc;
 use warpdrive::host_ops::Cut;
 use warpdrive::{
-    pack, Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Layout, MapService, Op, OpError,
-    OpReport, Schedule,
+    pack, CachePolicy, CachedMap, Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Layout,
+    MapService, Op, OpError, OpReport, Schedule,
 };
 
 fn device(words: usize) -> Arc<gpu_sim::Device> {
@@ -113,6 +113,66 @@ fn reserved_key_is_refused_with_a_typed_error() {
     assert_eq!(multi.try_retrieve_all(&[5, u32::MAX]).unwrap_err(), refused);
     assert_eq!(multi.count(u32::MAX), 0);
     assert_eq!((multi.len(), multi.count(5)), (1, 1));
+}
+
+/// `apply` naming the reserved key in any of its three lists is refused
+/// whole, before anything runs: neither its put nor its erase lands.
+fn apply_refuses_the_reserved_key_in_any_list<S: MapService>(s: &mut S, backend: &str) {
+    const BAD: u32 = u32::MAX;
+    s.put_batch(&[(1, 10), (3, 30)]).unwrap();
+    let mut refused = |reads: &[u32], puts: &[(u32, u32)], erases: &[u32], index: usize| {
+        let (mut values, mut hits) = (vec![None; reads.len()], vec![false; erases.len()]);
+        let err = s.apply(reads, puts, erases, &mut values, &mut hits).unwrap_err();
+        assert_eq!(err, OpError::ReservedKey { index }, "{backend}");
+        let now = s.get_batch(&[1, 2, 3]).unwrap().values;
+        assert_eq!(now, [Some(10), None, Some(30)], "{backend}: applied");
+    };
+    refused(&[BAD], &[(2, 20)], &[3], 0);
+    refused(&[1], &[(2, 20), (BAD, 1)], &[3], 1);
+    refused(&[1], &[(2, 20)], &[3, BAD], 1);
+}
+
+/// A backend of the benchmark's shape: the three per-kind batch calls,
+/// forwarded, and the provided `apply` over them.
+struct PerKind<S>(S);
+
+impl<S: MapService> MapService for PerKind<S> {
+    fn get_batch(&mut self, keys: &[u32]) -> Result<warpdrive::GetResponse, OpError> {
+        self.0.get_batch(keys)
+    }
+
+    fn put_batch(&mut self, pairs: &[(u32, u32)]) -> Result<warpdrive::PutResponse, OpError> {
+        self.0.put_batch(pairs)
+    }
+
+    fn delete_batch(&mut self, keys: &[u32]) -> Result<warpdrive::DeleteResponse, OpError> {
+        self.0.delete_batch(keys)
+    }
+
+    fn live_len(&self) -> u64 {
+        self.0.live_len()
+    }
+
+    fn slot_capacity(&self) -> u64 {
+        self.0.slot_capacity()
+    }
+}
+
+#[test]
+fn apply_checks_every_list_for_the_reserved_key_before_it_runs() {
+    let map = || GpuHashMap::new(device(1 << 12), 64, Config::default()).unwrap();
+    let node = || {
+        let devices = (0..4).map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 14)));
+        let topo = Topology::p100_quad(4);
+        DistributedHashMap::new(devices.collect(), 512, Config::default(), topo).unwrap()
+    };
+    apply_refuses_the_reserved_key_in_any_list(&mut map(), "GpuHashMap");
+    apply_refuses_the_reserved_key_in_any_list(&mut node(), "DistributedHashMap");
+    let mut cached = CachedMap::new(map(), 16, CachePolicy::Lru);
+    apply_refuses_the_reserved_key_in_any_list(&mut cached, "CachedMap<GpuHashMap>");
+    let mut cached = CachedMap::new(node(), 16, CachePolicy::Lru);
+    apply_refuses_the_reserved_key_in_any_list(&mut cached, "CachedMap<DistributedHashMap>");
+    apply_refuses_the_reserved_key_in_any_list(&mut PerKind(map()), "per-kind GpuHashMap");
 }
 
 /// A node of four GPUs holding `(1, 10)`, and the device-sided lists that

@@ -280,8 +280,8 @@ impl SplitResult {
 pub const MAX_CLASSES: usize = 32;
 
 /// Most segments one [`device_multisplit_segments`] splits: the cascade's
-/// mixed round has three.
-pub const MAX_SEGMENTS: usize = 3;
+/// mixed round has four.
+pub const MAX_SEGMENTS: usize = 4;
 
 /// Outcome of [`device_multisplit_segments`]: per segment what a
 /// [`SplitResult`] holds, in arrays of fixed capacity — a split allocates

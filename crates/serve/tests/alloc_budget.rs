@@ -158,36 +158,58 @@ fn a_two_op_flush_over_four_gpus_stays_within_two() {
     );
 }
 
-/// A put + get + delete flush allocates no more: the erase cascade answers
-/// into `execute`'s hits, and the two rounds' rows fit the report inline.
+/// Launches the devices of `server`'s node have made.
+fn launches(server: &Server<DistributedHashMap>) -> u64 {
+    let maps = server.backend().maps().iter();
+    maps.map(|map| map.device().lifetime_stats().launches).sum()
+}
+
+/// A put + get + delete flush allocates no more: the erases are a segment
+/// of the flush's one round, their hits come home as found bits into
+/// `execute`'s hits, and the round's rows fit the report inline. Nor does
+/// it launch more: with no key both read and written, the round is a
+/// split, a kernel and a scatter on each GPU — 12 launches, what the same
+/// flush without its deletes makes.
 #[test]
 fn a_put_get_delete_flush_over_four_gpus_stays_within_two() {
     if !default_environment() {
         return;
     }
     let mut server = serve_node4();
-    let mut flush = |key: u32, at: f64| {
-        allocations(|| {
-            let put = server.submit_at(0, Op::Put { key, value: key }, at);
-            let get = server.submit_at(1, Op::Get { key: 11 }, at + 1e-6);
-            let delete = server.submit_at(0, Op::Delete { key: key - 1 }, at + 2e-6);
-            assert!(put.outcome.is_ok() && get.outcome.is_ok() && delete.outcome.is_ok());
+    // 32 puts of new keys and 32 gets of others, then 32 deletes of the
+    // previous flush's puts if `deletes`: every GPU holds words of each
+    let mut flush = |base: u32, at: f64, deletes: bool| {
+        let ops = (0..32u32).flat_map(|i| {
+            let put = Op::Put { key: base + i, value: i };
+            let get = Op::Get { key: 1_000_000 + i };
+            let delete = Op::Delete { key: base - 1_000 + i };
+            [Some(put), Some(get), deletes.then_some(delete)].into_iter().flatten()
+        });
+        let ops: Vec<Op> = ops.collect();
+        let before = launches(&server);
+        let (allocs, done) = allocations(|| {
+            for (i, &op) in ops.iter().enumerate() {
+                let submitted = server.submit_at(0, op, at + i as f64 * 1e-7);
+                assert!(submitted.outcome.is_ok());
+            }
             server.flush().expect("healthy node")
-        })
+        });
+        assert_eq!(done.len(), ops.len());
+        let hits = done.iter().filter(|c| c.response == Response::Delete { hit: true });
+        (allocs, hits.count(), launches(&server) - before)
     };
-    let (_, warm_up) = flush(7, 0.0);
-    assert_eq!(warm_up.len(), 3);
-    let (allocs, done) = flush(8, 1e-3);
-    assert_eq!(done.len(), 3);
-    assert!(
-        done.iter()
-            .any(|c| c.response == Response::Delete { hit: true }),
-        "the delete of the first flush's put hits"
-    );
+    let (_, _, without) = flush(1_000, 0.0, false);
+    assert_eq!(without, 12, "a put + get flush: a split, a kernel and a scatter a GPU");
+    // the warm-up grows the server's buffers to the flush's size
+    flush(2_000, 1e-3, true);
+    let (allocs, hits, with) = flush(3_000, 2e-3, true);
+    assert_eq!(hits, 32, "the deletes of the previous flush's puts hit");
+    assert_eq!(with, without, "the deletes ride the put + get round");
     assert!(
         allocs <= HANDED_OUT,
-        "{allocs} allocations for a put + get + delete flush, {HANDED_OUT} before: the erase \
-         cascade's hits (host_ops.rs erase_into), {FLUSH_SITES} went back to allocating"
+        "{allocs} allocations for a put + get + delete flush, {HANDED_OUT} before: the \
+         erases' hits (cascade.rs result_scatter's found bits), {FLUSH_SITES} went back to \
+         allocating"
     );
 }
 
@@ -254,7 +276,43 @@ fn a_128_op_call_on_one_gpu_stays_within_three() {
         allocs <= 3,
         "{allocs} allocations for a 128-op call, 3 allowed and 1 made: MapService::execute's \
          sort keys, lists or answers (service.rs: on the stack up to INLINE_OPS ops) or \
-         Table::get_put_pairs' staged or read-back words (table.rs) went back to allocating"
+         Table::apply's staged or read-back words (table.rs) went back to allocating"
+    );
+}
+
+/// A 128-op put/get/delete call on one GPU is one launch of the kernel's
+/// get, put and erase sections, and allocates what the put/get call does.
+#[test]
+fn a_128_op_put_get_delete_call_on_one_gpu_is_one_launch() {
+    if !default_environment() {
+        return;
+    }
+    let dev = Arc::new(Device::with_words(0, 1 << 16));
+    let mut map = GpuHashMap::new(dev, 1 << 12, Config::default()).expect("map");
+    let preload: Vec<(u32, u32)> = (1..=128u32).map(|k| (k, k)).collect();
+    map.put_batch(&preload).expect("preload");
+    // a third each over distinct keys: a get, a put, a delete of a
+    // preloaded key
+    let ops: Vec<Op> = (0..128u32)
+        .map(|i| match i % 3 {
+            0 => Op::Get { key: i + 1 },
+            1 => Op::Put {
+                key: i + 1,
+                value: i,
+            },
+            _ => Op::Delete { key: i + 1 },
+        })
+        .collect();
+    map.execute(&ops).expect("warm-up");
+    let (allocs, out) = allocations(|| map.execute(&ops).expect("healthy map"));
+    assert_eq!(out.0.len(), 128);
+    assert_eq!(out.1.launches, 1);
+    let missed = |r: &&Response| matches!(r, Response::Delete { hit: false });
+    assert_eq!(out.0.iter().filter(missed).count(), 42, "the warm-up erased them");
+    assert!(
+        allocs <= 3,
+        "{allocs} allocations for a 128-op put/get/delete call, 3 allowed and 1 made: \
+         MapService::execute (service.rs) or Table::apply (table.rs) went back to allocating"
     );
 }
 

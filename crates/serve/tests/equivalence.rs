@@ -4,9 +4,10 @@
 //! The service's whole value proposition — batch aggressively for
 //! throughput without changing a single answer — rests on the
 //! [`warpdrive::MapService::execute`] coalescing contract (same-key
-//! dependencies resolved on the host; one read/write call, which the
-//! single-GPU map runs as one fused get + upsert launch, plus one erase
-//! call) plus the determinism of admission on the host shadow model.
+//! dependencies resolved on the host; one call, which the single-GPU map
+//! runs as one launch of get, take, upsert, put and erase sections and the
+//! node as one cascade round) plus the determinism of admission on the
+//! host shadow model.
 //! These properties drive the same seeded trace through `max_batch = 1`
 //! (the sequential reference) and larger coalescing windows and demand
 //! byte-identical responses *and* rejections, across backends,
@@ -22,7 +23,10 @@
 //! answer with the value they wrote instead of the one they replaced —
 //! and, on the 4-GPU node under a seeded schedule,
 //! `Mutation::LatePutsJoinFirstLaunch` — a mixed cascade round whose
-//! put of a key it also reads races that read in the fused launch.
+//! put of a key it also reads races that read in the fused launch. A
+//! fifth, `Mutation::TakeTombstonesFirst` — a key a flush reads and then
+//! deletes tombstoned before it is read — is hunted on one GPU and on the
+//! node.
 
 use gpu_sim::{Device, FaultPlan, Schedule};
 use interconnect::Topology;
@@ -390,6 +394,17 @@ fn broken_late_puts_join_first_launch_is_caught_by_equivalence() {
         SEEDED,
         &[SEQUENTIAL, None],
     );
+}
+
+/// Mutation double: a key a flush both reads and deletes is tombstoned
+/// before it is read — on one GPU its take group erases first, on the node
+/// the late launch runs ahead of the kernel — so the get misses.
+#[test]
+fn broken_take_tombstones_first_is_caught_by_equivalence() {
+    let (mutation, name) = (Mutation::TakeTombstonesFirst, "take-tombstones-first");
+    let backend = |cfg| single_gpu(4096, cfg);
+    mutant_is_caught_by_equivalence(mutation, name, backend, None, &[]);
+    mutant_is_caught_by_equivalence(mutation, name, quad_node, SEEDED, &[SEQUENTIAL]);
 }
 
 /// Mutation double: the cascade's multisplit tags a key with its offset

@@ -486,10 +486,11 @@ fn erase_from_host_sends_no_pcie_bytes_to_quarantined_gpus() {
     let over_everyone = interconnect::h2d_time(&topo, &[900; 4]);
     assert_ne!(over_survivors.to_bits(), over_everyone.to_bits());
     assert_eq!(h2d.time.to_bits(), over_survivors.to_bits());
-    // nor do the hit flags come down a dead link: a byte a key, the survivors'
+    // nor do the hits come down a dead link: a found bit a key, the
+    // survivors'
     let d2h = *del.report.stages.last().unwrap();
-    assert_eq!((d2h.stage, d2h.bytes), (CascadeStage::D2H, 900));
-    let down = interconnect::d2h_time(&topo, &[300, 300, 300, 0]);
+    assert_eq!((d2h.stage, d2h.bytes), (CascadeStage::D2H, 3 * 300_u64.div_ceil(8)));
+    let down = interconnect::d2h_time(&topo, &[38, 38, 38, 0]);
     assert_eq!(d2h.time.to_bits(), down.to_bits());
 }
 
