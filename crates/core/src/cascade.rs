@@ -4,50 +4,51 @@
 //! §IV-B's scheme is a single pipeline — multisplit → transposition →
 //! per-GPU kernel, optionally → transposition back → scatter — and so is
 //! this module. Every operation is one [`CascadeOp`], read off the
-//! segments its [`Input`] has: an insertion has pairs, a retrieval keys
-//! read, an erasure keys erased, and the mixed round of
-//! [`crate::MapService::apply`] any of them side by side. A segment's
-//! path through the round:
+//! segments its [`Input`] has: an insertion has puts, a retrieval gets, an
+//! erasure erases, and the mixed round of [`crate::MapService::apply`] any
+//! of them side by side. A round's segments are the sections of the one
+//! kernel ([`crate::get_put`]), in its grid order, as
+//! [`crate::get_put::Mix`] cuts a call into them. A segment's path
+//! through the round, `n` the answered and `e` the erased keys of a GPU:
 //!
-//! | segment | upload (host-sided) | section of the one kernel | return trip | D2H (host-sided), `n` keys a GPU | scatter kernel (per warp) |
-//! |---------|---------------------|---------------------------|-------------|------------------|---------------------------|
-//! | reads   | 4 B / key           | gets                      | 8 B / key   | `4n + ⌈n/8⌉` B   | [`result_scatter`]: 32·(8+8) B streamed, the sectors its values touch, an `atomicOr` per found-bit word |
-//! | puts    | 8 B / pair          | puts                      | none        | none             | —                         |
-//! | late puts | 8 B / pair        | puts, in the late launch  | none        | none             | —                         |
-//! | erases  | 4 B / key           | erases (in the late launch if there is one) | 1 B / key | `⌈n/8⌉` B | [`result_scatter`]: 32·(8+8) B streamed, an `atomicOr` per found-bit word |
+//! | segment, section | upload (host-sided) | NVLink there | return trip | D2H (host-sided) | scatter kernel (per warp) |
+//! |------------------|---------------------|--------------|-------------|------------------|---------------------------|
+//! | gets: keys read alone | 4 B / key | 8 B / query word | 8 B / key | `4n + ⌈n/8⌉` B for gets, takes and upserts together | [`result_scatter`]: 32·(8+8) B streamed, the sectors its values touch, an `atomicOr` per found-bit word |
+//! | takes: keys read and erased | 4 B / key | 8 B / query word | 8 B / key | (with the gets) | as a get's; its found bit is the erase's hit |
+//! | upserts: keys read and put | 8 B / pair | 8 B / pair | 8 B / pair | (with the gets) | as a get's, its position read beside its pair |
+//! | puts: keys put alone | 8 B / pair | 8 B / pair | none | none | — |
+//! | erases: keys erased alone | 4 B / key | 8 B / query word | 1 B / key | `⌈e/8⌉` B | [`result_scatter`]: 32·(8+8) B streamed, an `atomicOr` per found-bit word |
 //!
-//! A read's answer travels back between GPUs as the 8-byte pair (or
-//! `EMPTY`) its target found and lands on its origin beside the query
-//! word; the origin's scatter writes the value into the half of a value
-//! word its position names — a 4-byte store, two values to a word — and
-//! sets a found bit, so what the host downloads is `⌈n/2⌉` value words and
-//! `⌈n/64⌉` found-bit words, read back in the caller's order. No value is
-//! free to mean "absent" (only a key is reserved), hence the bitmap. An
-//! erase's answer is its hit: a flag billed as a byte on the way back,
-//! which the same scatter turns into a found bit of its own bitmap.
+//! A get's, a take's or an upsert's answer travels back as the 8-byte
+//! pair (or `EMPTY`) its target found before the launch, to beside the
+//! word it answers on its origin, whose scatter writes the value into the
+//! half of a value word its position names and sets a found bit: the host
+//! downloads `⌈n/2⌉` value words and `⌈n/64⌉` found-bit words, read back
+//! in the caller's order (no value is free to mean "absent"). A take's hit
+//! is its found bit; an erase's is a flag, billed as a byte on the way
+//! back, that the same scatter turns into a bit of its own bitmap.
 //!
 //! A cascade's segments lie in the order of the table above, each the
 //! elements of every GPU: keys as they lie in the caller's memory, pairs
 //! packed. The multisplit writes a key out as its *query word*, its
 //! position in the GPU's chunk in the low half — the half of the paper's
-//! 8-byte upload (§V-C) a device knows. A GPU's segments lie back to back
-//! on the device and share the round — one upload, the one launch of one
-//! multisplit ([`multisplit::device_multisplit_segments`], whose runs scan
-//! their class counts by decoupled look-back; none on a GPU without a
-//! word — not the paper's `m` passes, because a small round pays for
-//! launches, §V-B), one all-to-all billed on the summed byte matrix —
-//! while each is split and transposed on its own, so a target receives
-//! segment after segment, each in source order. What arrives is already
-//! the input of one launch of the kernel's sections (distinct keys race
-//! freely, §IV-A; an erase restores its SOA sentinel before its tombstone
-//! shows, [`crate::slots`]). Only a call that reads a key it also writes
-//! needs a **late** launch behind it, which only a target that received
-//! late words makes: the pairs of keys also read, and then every erase,
-//! so that such a key is read first. A healthy round is thus three
-//! sequential launches a GPU — split, kernel, scatter — and its report
-//! counts the launches it made, summed over the GPUs. Every launch takes
-//! the map's schedule, so under `Schedule::Sequential` a class reaches
-//! its kernel in input order whatever the worker count.
+//! 8-byte upload (§V-C) a device knows — and an upsert's position into a
+//! word beside its pair that stays on the origin. A GPU's segments share
+//! the round — one upload, the one launch of one multisplit
+//! ([`multisplit::device_multisplit_segments`], whose runs scan their
+//! class counts by decoupled look-back; none on a GPU without a word — not
+//! the paper's `m` passes, because a small round pays for launches, §V-B),
+//! one all-to-all billed on the summed byte matrix — while each is split
+//! and transposed on its own, so a target receives segment after segment,
+//! each in source order: the input of **one** launch of the kernel, its
+//! sections the segments' lengths (distinct keys race freely, §IV-A; a
+//! key both read and written is one group, which reads first; an erase
+//! restores its SOA sentinel before its tombstone shows, [`crate::slots`]).
+//! A healthy round is thus three sequential launches a GPU — split,
+//! kernel, scatter — and its report counts the launches it made, summed
+//! over the GPUs. Every launch takes the map's schedule, so under
+//! `Schedule::Sequential` a class reaches its kernel in input order
+//! whatever the worker count.
 //!
 //! Words move between GPUs device to device
 //! ([`gpu_sim::DeviceMemory::peer_copy`]): the all-to-all copies each
@@ -69,8 +70,8 @@
 //! every answer that had landed on its origin, read back from there, and
 //! bills no return trip. An erased key is a hit even though the restarted
 //! round no longer sees it (its caller ORs the hits of every round), and a
-//! key the mixed round read keeps its first answer — the re-run would read
-//! what the aborted round already wrote.
+//! key the mixed round read keeps its first answer — the re-run would
+//! upsert again and read what the aborted round already wrote.
 
 use crate::chaos::{launch_site, straggled, ChaosTally, Router};
 use crate::config::Mutation;
@@ -92,90 +93,64 @@ use multisplit::{
 // a node's partitions are the classes of its multisplit
 const _: () = assert!(MAX_PARTITIONS <= MAX_CLASSES);
 
-/// A round's segments, in the order a target GPU's words lie: keys read,
-/// pairs of keys not read, pairs of keys also read, keys erased.
-pub(crate) const READS: usize = 0;
-pub(crate) const PUTS: usize = 1;
-pub(crate) const LATE_PUTS: usize = 2;
-pub(crate) const ERASES: usize = 3;
-const SEGMENTS: usize = MAX_SEGMENTS;
+/// A round's segments, the kernel's sections in grid order, and so the
+/// order a target GPU's words lie in: keys read alone, keys read and
+/// erased, pairs of keys read and put, pairs of keys put alone, keys
+/// erased alone.
+pub(crate) const GETS: usize = 0;
+pub(crate) const TAKES: usize = 1;
+pub(crate) const UPSERTS: usize = 2;
+pub(crate) const PUTS: usize = 3;
+pub(crate) const ERASES: usize = 4;
+pub(crate) const SEGMENTS: usize = MAX_SEGMENTS;
 
-/// The segments that answer per key, each with a return trip.
-const ANSWERED: [usize; 2] = [READS, ERASES];
+/// The segments that answer per key, each with a return trip: those that
+/// answer the value their key held, then the erases.
+const ANSWERED: [usize; 4] = [GETS, TAKES, UPSERTS, ERASES];
 
-/// Lengths of the segments a target GPU received, which lie back to back
-/// in [`READS`] … [`ERASES`] order; a segment the round lacks is zero.
-type Cuts = [usize; SEGMENTS];
+/// The segments that answer with a value, and so the first sections of
+/// the kernel's output and of an origin's value words.
+const VALUED: usize = 3;
 
 /// Per slot of a GPU's re-spread keys, its `(origin GPU, origin index)`.
 type Origins = Vec<Vec<(usize, usize)>>;
 
-/// One segment of a cascade's input: a list per GPU, or none (an empty
-/// slice) for a segment the call lacks.
-#[derive(Clone, Copy)]
-enum Lists<'a> {
-    /// Keys, 4 bytes each until split.
-    Keys(&'a [&'a [u32]]),
-    /// Packed pairs.
-    Pairs(&'a [&'a [u64]]),
+/// Elements GPU `i` holds of a segment's lists.
+fn len_of<T>(lists: &[&[T]], i: usize) -> usize {
+    lists.get(i).map_or(0, |list| list.len())
 }
 
-impl Lists<'_> {
-    /// Lists it holds: one per GPU, or none.
-    fn gpus(self) -> usize {
-        match self {
-            Lists::Keys(lists) => lists.len(),
-            Lists::Pairs(lists) => lists.len(),
-        }
-    }
-
-    /// Whether the call has the segment.
-    fn present(self) -> bool {
-        self.gpus() > 0
-    }
-
-    /// Elements GPU `i` holds.
-    fn len(self, i: usize) -> usize {
-        match self {
-            Lists::Keys(lists) => lists.get(i).map_or(0, |l| l.len()),
-            Lists::Pairs(lists) => lists.get(i).map_or(0, |l| l.len()),
-        }
-    }
+/// A call of segment `s` alone: `list` in its place, every other empty.
+pub(crate) fn segment<T>(s: usize, list: &[T]) -> [&[T]; SEGMENTS] {
+    let mut segments = [&[][..]; SEGMENTS];
+    segments[s] = list;
+    segments
 }
 
-/// A cascade's input, each segment a list per GPU — or none, for a segment
-/// the call lacks.
+/// A cascade's input: per segment a list per GPU — of keys, 4 bytes each
+/// until split, or of packed pairs — or none, for a segment the call
+/// lacks. The gets, takes and erases are keys, the upserts and puts pairs.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Input<'a> {
-    /// Keys to answer with their values ([`READS`]).
-    pub(crate) reads: &'a [&'a [u32]],
-    /// Pairs of keys not read ([`PUTS`]).
-    pub(crate) puts: &'a [&'a [u64]],
-    /// Pairs of keys also read, put in the late launch ([`LATE_PUTS`]).
-    pub(crate) late_puts: &'a [&'a [u64]],
-    /// Keys to erase, answered with their hits ([`ERASES`]).
-    pub(crate) erases: &'a [&'a [u32]],
-    /// Whether the erases wait for the late launch: the call reads a key
-    /// it also writes.
-    pub(crate) late: bool,
+    pub(crate) keys: [&'a [&'a [u32]]; SEGMENTS],
+    pub(crate) pairs: [&'a [&'a [u64]]; SEGMENTS],
 }
 
-impl<'a> Input<'a> {
-    /// The segments in target order.
-    fn segments(&self) -> [Lists<'a>; SEGMENTS] {
-        [
-            Lists::Keys(self.reads),
-            Lists::Pairs(self.puts),
-            Lists::Pairs(self.late_puts),
-            Lists::Keys(self.erases),
-        ]
+impl Input<'_> {
+    /// Lists segment `s` holds: one per GPU, or none.
+    fn gpus(&self, s: usize) -> usize {
+        self.keys[s].len().max(self.pairs[s].len())
+    }
+
+    /// Elements GPU `i` holds of segment `s`.
+    fn len(&self, s: usize, i: usize) -> usize {
+        len_of(self.keys[s], i) + len_of(self.pairs[s], i)
     }
 
     /// The operation this input describes.
-    fn op(&self) -> CascadeOp {
+    pub(crate) fn op(&self) -> CascadeOp {
         CascadeOp {
-            present: self.segments().map(Lists::present),
-            late_erases: self.late,
+            present: std::array::from_fn(|s| self.gpus(s) > 0),
         }
     }
 }
@@ -185,17 +160,13 @@ impl<'a> Input<'a> {
 pub(crate) struct CascadeOp {
     /// Per segment, whether the round carries it.
     present: [bool; SEGMENTS],
-    /// Whether the erases run in the late launch.
-    late_erases: bool,
 }
 
 impl CascadeOp {
-    /// A call of `segments` alone, its erases (if any) in the kernel.
-    pub(crate) fn of(segments: &[usize]) -> Self {
+    /// A call of segment `s` alone.
+    pub(crate) fn of(s: usize) -> Self {
         let mut op = Self::default();
-        for &s in segments {
-            op.present[s] = true;
-        }
+        op.present[s] = true;
         op
     }
 
@@ -204,18 +175,13 @@ impl CascadeOp {
         ANSWERED.iter().any(|&s| self.present[s])
     }
 
-    /// Whether a target may make a late launch.
-    fn late(&self) -> bool {
-        self.present[LATE_PUTS] || self.late_erases
-    }
-
-    /// Fault-roll site of the kernel launches: a launch of one kind keeps
+    /// Fault-roll site of the kernel launch: a launch of one kind keeps
     /// its kind's site, a mix is the mixed round's.
     fn site(&self) -> u64 {
         let only = |s: usize| (0..SEGMENTS).all(|t| self.present[t] == (t == s));
         if only(PUTS) {
             launch_site::INSERT
-        } else if only(READS) {
+        } else if only(GETS) {
             launch_site::QUERY
         } else if only(ERASES) {
             launch_site::ERASE
@@ -224,45 +190,26 @@ impl CascadeOp {
         }
     }
 
-    /// Stage the kernel step reports under: an insertion's `Insert`, any
-    /// round that answers a `Query`.
-    fn stage(&self) -> CascadeStage {
-        if self.back() {
-            CascadeStage::Query
-        } else {
-            CascadeStage::Insert
-        }
-    }
-
     /// The launches a GPU that holds words of every segment makes in one
-    /// round: the split and the kernel, the late launch if there may be
-    /// one, and the return trip's scatter if there is one.
+    /// round: the split and the kernel, and the return trip's scatter if
+    /// there is one.
     pub(crate) fn launches(&self) -> usize {
-        2 + usize::from(self.late()) + usize::from(self.back())
+        2 + usize::from(self.back())
     }
 }
 
-/// The answer a cascade hands out for one key.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Answer {
-    /// A read's: the value its target found, if any.
-    Read(Option<u32>),
-    /// An erase's: whether its target tombstoned the key.
-    Erase(bool),
-}
+/// Bytes an answer of each of [`ANSWERED`] carries back between GPUs.
+const BACK_BYTES: [u64; 4] = [8, 8, 8, 1];
 
-/// Bytes a read's answer carries back between GPUs, and an erase's.
-const BACK_BYTES: [u64; 2] = [8, 1];
-
-/// Bytes that come down to the host for `n` reads' and `e` erases'
-/// answers of one GPU: a value a read and a found bit a key.
+/// Bytes that come down to the host for `n` answered values and `e`
+/// erases' hits of one GPU: a value a read and a found bit a key.
 pub(crate) fn down_bytes(n: usize, e: usize) -> u64 {
     4 * n as u64 + n.div_ceil(8) as u64 + e.div_ceil(8) as u64
 }
 
-/// What [`result_scatter`] leaves for `n` reads and `e` erases: value
-/// words, two values to a word, then the reads' found-bit words and the
-/// erases', 64 bits to a word.
+/// What [`result_scatter`] leaves for `n` answered values and `e` erases:
+/// value words, two values to a word, then the values' found-bit words and
+/// the erases', 64 bits to a word.
 fn result_words(n: usize, e: usize) -> [usize; 3] {
     [n.div_ceil(2), n.div_ceil(64), e.div_ceil(64)]
 }
@@ -376,9 +323,11 @@ struct Sent {
     /// Per segment, where the words of each class — a target — end in
     /// its output; a class starts where the one before it ends.
     ends: [[usize; MAX_PARTITIONS]; SEGMENTS],
-    /// Per segment that answers, where the answers to its query words
-    /// land, in their order.
+    /// Per segment that answers, where the answers to its words land, in
+    /// their order.
     landing: [DevSlice; SEGMENTS],
+    /// Per word of the upserts' output, its position among them.
+    positions: DevSlice,
     /// What [`result_scatter`] writes ([`result_words`]).
     results: DevSlice,
     /// The bytes its split's launches streamed.
@@ -410,26 +359,47 @@ impl Sent {
         let (at, n) = self.at(s, j);
         self.out[s].sub(at, n)
     }
+
+    /// Per word of segment `s`'s output, a word whose low half is its
+    /// position in the segment: a key's query word, an upsert's position.
+    fn tags(&self, s: usize) -> DevSlice {
+        if s == UPSERTS {
+            self.positions
+        } else {
+            self.out[s]
+        }
+    }
+
+    /// Words of each segment that answers, in [`ANSWERED`] order.
+    fn answered(&self) -> [usize; 4] {
+        ANSWERED.map(|s| self.out[s].len())
+    }
 }
 
 /// What [`DistributedHashMap::transpose_move`] lands on a target GPU.
 #[derive(Clone, Copy)]
 struct Landed {
-    /// The lengths of the segments in `words`.
-    cuts: Cuts,
+    /// The lengths of the segments in `words`, zero for one the round
+    /// lacks.
+    cuts: [usize; SEGMENTS],
     /// The words received: segment after segment, each every source's
     /// chunk in GPU order.
     words: DevSlice,
-    /// Where the kernel leaves an answer per read, then a hit flag per
-    /// erase: empty for an operation without a return trip.
+    /// Where the kernel leaves an answer per get, take and upsert, then a
+    /// hit flag per erase: empty for an operation without a return trip.
     answers: DevSlice,
 }
 
 impl Landed {
-    /// Where segment `s` starts in `words`, and among the answers.
-    fn start(&self, s: usize) -> (usize, usize) {
-        let words = self.cuts[..s].iter().sum();
-        (words, if s == ERASES { self.cuts[READS] } else { 0 })
+    /// The sections of the one launch over `words`.
+    fn sections(&self) -> Sections {
+        let [gets, takes, upserts, puts, erases] = self.cuts;
+        Sections { gets, takes, upserts, puts, erases }
+    }
+
+    /// Where the answers of segment `s` start.
+    fn answers_at(&self, s: usize) -> usize {
+        ANSWERED.iter().filter(|&&t| t < s).map(|&t| self.cuts[t]).sum()
     }
 }
 
@@ -450,24 +420,24 @@ fn respread<T: Copy>(per_gpu: &[&[T]], mut to: impl FnMut(usize, usize) -> usize
 }
 
 /// An [`Input`] re-spread over the live GPUs, owned, with the
-/// [`Origins`] of its reads and of its erases.
+/// [`Origins`] of each segment that answers.
 struct Respread {
-    reads: Vec<Vec<u32>>,
-    puts: Vec<Vec<u64>>,
-    late_puts: Vec<Vec<u64>>,
-    erases: Vec<Vec<u32>>,
-    origins: [Origins; 2],
+    keys: [Vec<Vec<u32>>; SEGMENTS],
+    pairs: [Vec<Vec<u64>>; SEGMENTS],
+    origins: [Origins; SEGMENTS],
 }
 
 /// The return trip's scatter on an origin GPU `sent`: warp `w` of a
-/// segment that answers reads query words `32w..` of its split and the
-/// answers that landed beside them; a read's warp writes each hit's value
-/// into the half of the value words its position names, and every warp
-/// sets its hits' found bits, in the segment's own bitmap, with one
-/// warp-aggregated `atomicOr` per found-bit word it touches
+/// segment that answers reads the position tags of words `32w..` of its
+/// split and the answers that landed beside them; a warp of gets, takes
+/// or upserts writes each hit's value into the half of the value words
+/// its position names — behind the values of the segments before it — and
+/// every warp sets its hits' found bits, the erases' in a bitmap of their
+/// own, with one warp-aggregated `atomicOr` per found-bit word it touches
 /// ([`result_words`]). A miss stores nothing, and the found bits start
-/// cleared. The reads' warps come first. Mutation doubles:
-/// `Mutation::AnswerHalvesSwapped` and `Mutation::EraseHitInWrongBit`.
+/// cleared. The warps come segment by segment, in [`ANSWERED`] order.
+/// Mutation doubles: `Mutation::AnswerHalvesSwapped` and
+/// `Mutation::EraseHitInWrongBit`.
 fn result_scatter(
     dev: &Device,
     sent: &Sent,
@@ -475,8 +445,9 @@ fn result_scatter(
     mutation: Option<Mutation>,
 ) -> KernelStats {
     const G: usize = 32;
-    let [n, e] = ANSWERED.map(|s| sent.out[s].len());
-    let [value_words, read_bits, erase_bits] = result_words(n, e);
+    let lens = sent.answered();
+    let n = lens[..VALUED].iter().sum();
+    let [value_words, read_bits, erase_bits] = result_words(n, lens[VALUED]);
     let values = sent.results.sub(0, value_words);
     let found = [
         sent.results.sub(value_words, read_bits),
@@ -485,20 +456,27 @@ fn result_scatter(
     dev.mem().fill(sent.results.sub(value_words, read_bits + erase_bits), 0);
     let swapped = mutation == Some(Mutation::AnswerHalvesSwapped);
     let wrong_bit = mutation == Some(Mutation::EraseHitInWrongBit);
-    let read_warps = n.div_ceil(G);
-    dev.launch("result_scatter", read_warps + e.div_ceil(G), GroupSize::WARP, opts, |ctx| {
-        let erase = usize::from(ctx.group_id() >= read_warps);
-        let (s, found) = (ANSWERED[erase], found[erase]);
-        let (words, answers) = (sent.out[s], sent.landing[s]);
-        let first = (ctx.group_id() - erase * read_warps) * G;
+    let warps = lens.map(|len| len.div_ceil(G));
+    dev.launch("result_scatter", warps.iter().sum(), GroupSize::WARP, opts, |ctx| {
+        // the segment this warp's id falls into, and its warp within
+        let (mut k, mut w) = (0, ctx.group_id());
+        while w >= warps[k] {
+            w -= warps[k];
+            k += 1;
+        }
+        let (s, erase) = (ANSWERED[k], k == VALUED);
+        let (tags, answers) = (sent.tags(s), sent.landing[s]);
+        // where the segment's answers start among the values or the hits
+        let base: usize = if erase { 0 } else { lens[..k].iter().sum() };
+        let first = w * G;
         let (mut slot, mut pair) = ([0usize; G], [EMPTY; G]);
-        for r in 0..(words.len() - first).min(G) {
+        for r in 0..(answers.len() - first).min(G) {
             // the position the split tagged, and what the target found
-            slot[r] = value_of(ctx.read_stream(words, first + r)) as usize;
+            slot[r] = base + value_of(ctx.read_stream(tags, first + r)) as usize;
             pair[r] = ctx.read_stream(answers, first + r);
         }
         let hits = ctx.ballot(|r| pair[r as usize] != EMPTY);
-        if s == READS {
+        if !erase {
             let mut halves = [(0, 0); G];
             let mut stores = 0;
             for r in (0..G).filter(|&r| hits & (1 << r) != 0) {
@@ -512,6 +490,7 @@ fn result_scatter(
             slot.iter_mut().for_each(|slot| *slot ^= 1);
         }
         // the leader of each found-bit word ORs in the bits of its lanes
+        let found = found[usize::from(erase)];
         let mut pending = hits;
         while let Some(leader) = GroupCtx::ffs(pending) {
             let word = slot[leader as usize] / 64;
@@ -569,19 +548,19 @@ impl DistributedHashMap {
     /// placed and tombstoned, summed over targets and rounds, to `placed`.
     ///
     /// Each target GPU runs one launch of the kernel over the words it
-    /// received — segment after segment, in the kernel's sections — and
-    /// the late launch behind it if it received late words; it leaves on
-    /// the same GPU an answer per read (the packed pair found or `EMPTY`)
-    /// and a hit flag per erase. `answer((g, i), a)` receives the answer
-    /// to key `i` of the caller's GPU `g` — of its reads or of its erases,
-    /// as `a` says — once the round's scatter is done, from the value
-    /// and found bit that came down, an erase's from its found bit. Words move between GPUs device to
-    /// device; the host reads only what it hands out. Under an armed plan
-    /// rounds run more than once: input addressed to quarantined GPUs
-    /// re-spreads over the survivors with its origin tracked, wasted
-    /// attempts stay billed, and the counts and `answer` see every
-    /// completed target of every round — an aborted round hands out the
-    /// answers that had landed on their origins.
+    /// received — segment after segment, the kernel's sections — and
+    /// leaves on the same GPU an answer per get, take and upsert (the
+    /// packed pair found or `EMPTY`) and a hit flag per erase.
+    /// `answer(s, (g, i), found)` receives the answer to key `i` of the
+    /// caller's GPU `g` in segment `s` once the round's scatter is done,
+    /// from the value and found bit that came down: the value the key held
+    /// before the launch, if any — of an erase, whether it held one. Words
+    /// move between GPUs device to device; the host reads only what it
+    /// hands out. Under an armed plan rounds run more than once: input
+    /// addressed to quarantined GPUs re-spreads over the survivors with its
+    /// origin tracked, wasted attempts stay billed, and the counts and
+    /// `answer` see every completed target of every round — an aborted
+    /// round hands out the answers that had landed on their origins.
     ///
     /// # Errors
     /// Probing exhaustion aggregated over the GPUs; a kernel's other
@@ -591,9 +570,9 @@ impl DistributedHashMap {
         input: Input,
         report: &mut OpReport,
         placed: &mut Applied,
-        mut answer: impl FnMut((usize, usize), Answer),
+        mut answer: impl FnMut(usize, (usize, usize), Option<u32>),
     ) -> Result<(), OpError> {
-        let gpus = input.segments().map(Lists::gpus);
+        let gpus: [usize; SEGMENTS] = std::array::from_fn(|s| input.gpus(s));
         let m = self.num_gpus();
         assert!(gpus.iter().all(|&n| n == 0 || n == m), "one batch per GPU");
         assert!(gpus.contains(&m), "a round carries a segment");
@@ -602,15 +581,11 @@ impl DistributedHashMap {
             // the healthy path borrows the caller's lists as they are
             let respread = (mask != 0).then(|| self.respread(input, mask));
             let lists = respread.as_ref().map(|r| {
-                let (reads, erases) = (slices(&r.reads), slices(&r.erases));
-                (reads, slices(&r.puts), slices(&r.late_puts), erases)
+                (r.keys.each_ref().map(|k| slices(k)), r.pairs.each_ref().map(|p| slices(p)))
             });
-            let effective = lists.as_ref().map(|(reads, puts, late_puts, erases)| Input {
-                reads,
-                puts,
-                late_puts,
-                erases,
-                late: input.late,
+            let effective = lists.as_ref().map(|(keys, pairs)| Input {
+                keys: keys.each_ref().map(Vec::as_slice),
+                pairs: pairs.each_ref().map(Vec::as_slice),
             });
             let origins = respread.as_ref().map(|r| &r.origins);
             let router = self.router_for(mask);
@@ -633,14 +608,14 @@ impl DistributedHashMap {
     fn round(
         &self,
         input: Input,
-        origins: Option<&[Origins; 2]>,
+        origins: Option<&[Origins; SEGMENTS]>,
         router: &Router,
         plan: &FaultPlan,
         policy: &RetryPolicy,
         report: &mut OpReport,
         tally: &mut ChaosTally,
         placed: &mut Applied,
-        answer: &mut impl FnMut((usize, usize), Answer),
+        answer: &mut impl FnMut(usize, (usize, usize), Option<u32>),
     ) -> Result<(), Abort> {
         let op = input.op();
         let mutation = self.cfg().mutation;
@@ -652,10 +627,9 @@ impl DistributedHashMap {
             let phase = alltoall_time_faulted(self.topology(), bytes, plan, policy);
             tally.settle(plan, policy, phase).map_err(Abort::Lost)
         };
-        // key `slot` of GPU `i`'s list of answered segment `k`, in the
-        // caller's lists
+        // key `slot` of GPU `i`'s list of segment `s`, in the caller's lists
         let origin_of =
-            |k: usize, i: usize, slot: usize| origins.map_or((i, slot), |o| o[k][i][slot]);
+            |s: usize, i: usize, slot: usize| origins.map_or((i, slot), |o| o[s][i][slot]);
 
         // Phases 1+2: multisplit and transposition
         let mut split = SplitPhase {
@@ -680,78 +654,45 @@ impl DistributedHashMap {
         let res = (|| {
             // Phase 3: the local kernels (global barrier → the busiest device)
             let mut kernels = Phase::new(self.topology());
-            let mut late_launches = None;
             let mut failed = 0u64;
-            for (j, landed) in landed.clone().enumerate() {
+            for (j, landed) in landed.enumerate() {
                 if landed.words.is_empty() {
                     continue;
                 }
                 let mem = self.device(j).mem();
-                let [gets, puts, late_puts, erases] = landed.cuts;
+                let sections = landed.sections();
                 // an erase's flag: EMPTY, then 0 where `hit` tombstoned
-                mem.fill(landed.answers.sub(gets, erases), EMPTY);
-                let hit = |i| mem.fill(landed.answers.sub(gets + i, 1), 0);
-                let late_erases = if op.late_erases { erases } else { 0 };
-                debug_assert!(late_erases == erases || late_puts == 0, "erases follow late puts");
-                let none = Sections::default();
-                let first = Sections { gets, puts, erases: erases - late_erases, ..none };
-                let late = Sections { puts: late_puts, erases: late_erases, ..none };
-                // the late words follow the first's, and run after them, so
-                // that a key both read and written is read first
-                let mut launches = [(false, first), (true, late)];
-                // MUTATION DOUBLE (`Mutation::TakeTombstonesFirst`): the
-                // late launch runs ahead of the kernel
-                if mutation == Some(Mutation::TakeTombstonesFirst) {
-                    launches.reverse();
-                }
-                let mut answered = true;
-                for (is_late, sections) in launches {
-                    if is_late && sections.len() == 0 {
-                        continue;
-                    }
-                    let site = if is_late { launch_site::INSERT } else { op.site() };
-                    let retried = tally.launch_retries;
-                    let gate = tally.gate_launch(plan, policy, j, site);
-                    if mutation == Some(Mutation::DoubleApplyOnRetry)
-                        && op.site() == launch_site::INSERT
-                        && tally.launch_retries > retried
-                    {
-                        // BROKEN (mutation double): premature failover
-                        // without the idempotence guard — the sub-batch is
-                        // applied to its failover targets although the
-                        // primary is still being retried (and will
-                        // succeed), duplicating keys.
-                        if let Some(failover) = router.also_masking(j) {
-                            let words = mem.d2h_words(landed.words);
-                            let pairs = words.map(|w| (key_of(w), value_of(w)));
-                            let _ = self.insert_routed(&failover, pairs);
-                        }
-                    }
-                    gate.map_err(Abort::Lost)?;
-                    report.launches += 1;
-                    let words = if is_late {
-                        landed.words.sub(gets + puts, late.len())
-                    } else {
-                        landed.words
-                    };
-                    let ran = self.maps()[j].launch(sections, words, landed.answers, hit);
-                    let Some((outcome, erased)) = unless_exhausted(ran, &mut failed)? else {
-                        answered = false;
-                        continue;
-                    };
-                    placed.note(&outcome, erased);
-                    let time = straggled(plan, j, outcome.stats.sim_time);
-                    match is_late {
-                        false => kernels.add(j, time, oh),
-                        true => late_launches
-                            .get_or_insert_with(|| Phase::new(self.topology()))
-                            .add(j, time, oh),
+                let answered = sections.answered();
+                mem.fill(landed.answers.sub(answered, sections.erases), EMPTY);
+                let hit = |i| mem.fill(landed.answers.sub(answered + i, 1), 0);
+                let retried = tally.launch_retries;
+                let gate = tally.gate_launch(plan, policy, j, op.site());
+                if mutation == Some(Mutation::DoubleApplyOnRetry)
+                    && op.site() == launch_site::INSERT
+                    && tally.launch_retries > retried
+                {
+                    // BROKEN (mutation double): premature failover without
+                    // the idempotence guard — the sub-batch is applied to
+                    // its failover targets although the primary is still
+                    // being retried (and will succeed), duplicating keys.
+                    if let Some(failover) = router.also_masking(j) {
+                        let words = mem.d2h_words(landed.words);
+                        let pairs = words.map(|w| (key_of(w), value_of(w)));
+                        let _ = self.insert_routed(&failover, pairs);
                     }
                 }
-                if answered && op.back() {
+                gate.map_err(Abort::Lost)?;
+                report.launches += 1;
+                let ran = self.maps()[j].launch(sections, landed.words, landed.answers, hit);
+                let Some((outcome, erased)) = unless_exhausted(ran, &mut failed)? else {
+                    continue;
+                };
+                placed.note(&outcome, erased);
+                kernels.add(j, straggled(plan, j, outcome.stats.sim_time), oh);
+                if op.back() {
                     // the NVLink leg, billed as TransposeBack
                     for s in ANSWERED {
-                        let (_, answers_at) = landed.start(s);
+                        let answers_at = landed.answers_at(s);
                         for (i, at, from, n) in split.by_source(j, s) {
                             let answers = landed.answers.sub(answers_at + from, n);
                             let sent = split.sent[i].as_ref().expect("every GPU of the node split");
@@ -760,17 +701,16 @@ impl DistributedHashMap {
                         }
                     }
                 }
-                done |= u64::from(answered) << j;
+                done |= 1 << j;
             }
             // a kernel row bills at least one launch's overhead
             let push = |report: &mut OpReport, stage, phase: &Phase| {
                 let (time, overhead) = phase.max();
                 report.push(stage, time, 0, overhead.max(oh));
             };
-            push(report, op.stage(), &kernels);
-            if let Some(late) = &late_launches {
-                push(report, CascadeStage::Insert, late);
-            }
+            // an insertion's row is `Insert`, a round that answers `Query`
+            let stage = if op.back() { CascadeStage::Query } else { CascadeStage::Insert };
+            push(report, stage, &kernels);
             if failed > 0 {
                 return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
             }
@@ -788,7 +728,7 @@ impl DistributedHashMap {
             report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
             let mut scatters = Phase::new(self.topology());
             for (i, sent) in split.sent().enumerate() {
-                if ANSWERED.iter().all(|&s| sent.out[s].is_empty()) {
+                if sent.answered().iter().all(|&n| n == 0) {
                     continue;
                 }
                 let stats = result_scatter(self.device(i), sent, opts, mutation);
@@ -802,11 +742,12 @@ impl DistributedHashMap {
             return res;
         }
         if res.is_ok() {
-            // what comes down: a value per read, two to a word, then the
-            // found bits of the reads and of the erases
+            // what comes down: a value per get, take and upsert, two to a
+            // word, then their found bits and the erases'
             for (i, sent) in split.sent().enumerate() {
                 let mem = self.device(i).mem();
-                let [n, e] = ANSWERED.map(|s| sent.out[s].len());
+                let lens = sent.answered();
+                let (n, e) = (lens[..VALUED].iter().sum(), lens[VALUED]);
                 let [value_words, read_bits, erase_bits] = result_words(n, e);
                 let bits = |at, words| {
                     let found = mem.d2h_words(sent.results.sub(at, words));
@@ -814,34 +755,28 @@ impl DistributedHashMap {
                 };
                 let values = mem.d2h_words(sent.results.sub(0, value_words));
                 let values = values.flat_map(|word| [word as u32, (word >> 32) as u32]);
-                let answers = values.zip(bits(value_words, read_bits)).take(n);
-                for (slot, (value, found)) in answers.enumerate() {
-                    answer(origin_of(0, i, slot), Answer::Read(found.then_some(value)));
+                let mut answers = values.zip(bits(value_words, read_bits));
+                for (k, &s) in ANSWERED[..VALUED].iter().enumerate() {
+                    for (slot, (value, found)) in answers.by_ref().take(lens[k]).enumerate() {
+                        answer(s, origin_of(s, i, slot), found.then_some(value));
+                    }
                 }
                 let hits = bits(value_words + read_bits, erase_bits).take(e);
                 for (slot, hit) in hits.enumerate() {
-                    answer(origin_of(1, i, slot), Answer::Erase(hit));
+                    answer(ERASES, origin_of(ERASES, i, slot), hit.then_some(0));
                 }
             }
         } else {
             // the answers that landed before the round aborted stand
-            for (j, landed) in landed.enumerate() {
-                if done & (1 << j) == 0 {
-                    continue;
-                }
-                for (k, s) in ANSWERED.into_iter().enumerate() {
-                    let (words_at, _) = landed.start(s);
-                    for (i, at, from, n) in split.by_source(j, s) {
+            for j in (0..MAX_PARTITIONS).filter(|&j| done & (1 << j) != 0) {
+                for s in ANSWERED {
+                    for (i, at, _, n) in split.by_source(j, s) {
                         let sent = split.sent[i].as_ref().expect("every GPU of the node split");
-                        let words = landed.words.sub(words_at + from, n);
-                        let words = self.device(j).mem().d2h_words(words);
-                        let answers = self.device(i).mem().d2h_words(sent.landing[s].sub(at, n));
-                        for (word, a) in words.zip(answers) {
-                            let a = match s {
-                                READS => Answer::Read((a != EMPTY).then(|| value_of(a))),
-                                _ => Answer::Erase(a != EMPTY),
-                            };
-                            answer(origin_of(k, i, value_of(word) as usize), a);
+                        let mem = self.device(i).mem();
+                        let tags = mem.d2h_words(sent.tags(s).sub(at, n));
+                        for (tag, a) in tags.zip(mem.d2h_words(sent.landing[s].sub(at, n))) {
+                            let slot = value_of(tag) as usize;
+                            answer(s, origin_of(s, i, slot), (a != EMPTY).then(|| value_of(a)));
                         }
                     }
                 }
@@ -865,20 +800,23 @@ impl DistributedHashMap {
             rr += 1;
             live[(rr - 1) % live.len()] // round-robin over the survivors
         };
-        let mut origins: [Origins; 2] = std::array::from_fn(|_| vec![Vec::new(); m]);
-        // element `idx` of GPU `i`, of the answered segment `k` if any
-        let mut spread = |k: Option<usize>, i: usize, idx: usize| {
+        let mut origins: [Origins; SEGMENTS] = std::array::from_fn(|_| vec![Vec::new(); m]);
+        // element `idx` of GPU `i` of segment `s`
+        let mut spread = |s: usize, i: usize, idx: usize| {
             let g = place(i);
-            if let Some(k) = k {
-                origins[k][g].push((i, idx));
+            if ANSWERED.contains(&s) {
+                origins[s][g].push((i, idx));
             }
             g
         };
-        let reads = respread(input.reads, |i, idx| spread(Some(0), i, idx));
-        let puts = respread(input.puts, |i, idx| spread(None, i, idx));
-        let late_puts = respread(input.late_puts, |i, idx| spread(None, i, idx));
-        let erases = respread(input.erases, |i, idx| spread(Some(1), i, idx));
-        Respread { reads, puts, late_puts, erases, origins }
+        // in segment order, which the round-robin follows
+        let mut keys: [Vec<Vec<u32>>; SEGMENTS] = Default::default();
+        let mut pairs: [Vec<Vec<u64>>; SEGMENTS] = Default::default();
+        for s in 0..SEGMENTS {
+            keys[s] = respread(input.keys[s], |i, idx| spread(s, i, idx));
+            pairs[s] = respread(input.pairs[s], |i, idx| spread(s, i, idx));
+        }
+        Respread { keys, pairs, origins }
     }
 
     // ---- phases -----------------------------------------------------------
@@ -903,10 +841,10 @@ impl DistributedHashMap {
         tally: &mut ChaosTally,
     ) -> Result<(), Abort> {
         let m = self.num_gpus();
-        let lists = input.segments();
+        let present = input.op().present;
         // the segments the round carries, in order: the split's
         let (mut ids, mut carried) = ([0; SEGMENTS], 0);
-        for s in (0..SEGMENTS).filter(|&s| lists[s].present()) {
+        for s in (0..SEGMENTS).filter(|&s| present[s]) {
             ids[carried] = s;
             carried += 1;
         }
@@ -914,28 +852,30 @@ impl DistributedHashMap {
         let mut splits = Phase::new(self.topology());
         for i in 0..m {
             let dev = self.device(i);
-            let len = |s: usize| lists[s].len(i);
+            let len = |s: usize| input.len(s, i);
             // double buffer (Fig. 4: "out-of-place using one double buffer
             // per GPU"): a segment as uploaded — keys lie two to a word —
             // then the words it is split into
-            let uploaded = |s: usize| match lists[s] {
-                Lists::Keys(_) => len(s).div_ceil(2),
-                Lists::Pairs(_) => len(s),
-            };
-            let words: usize = ids.iter().map(|&s| uploaded(s) + len(s)).sum();
+            let keyed = |s: usize| !input.keys[s].is_empty();
+            let uploaded = |s: usize| if keyed(s) { len(s).div_ceil(2) } else { len(s) };
+            // and behind the upserts' words their positions
+            let out = |s: usize| len(s) * (1 + usize::from(s == UPSERTS));
+            let words: usize = ids.iter().map(|&s| uploaded(s) + out(s)).sum();
             // and what the split keeps its counts and prefixes in
             let counters = scratch_words(m, ids.iter().map(|&s| len(s)));
-            // and at its end where the answers to the keys land, then
-            // their results (`Sent::landing`, `Sent::results`)
-            let [n, e] = ANSWERED.map(len);
-            let results: usize = result_words(n, e).iter().sum();
+            // and at its end where the answers land, then their results
+            // (`Sent::landing`, `Sent::results`)
+            let lens = ANSWERED.map(len);
+            let landing: usize = lens.iter().sum();
+            let results = result_words(lens[..VALUED].iter().sum(), lens[VALUED]);
+            let results: usize = results.iter().sum();
             if words > 0 {
                 tally
                     .gate_launch(plan, policy, i, launch_site::MULTISPLIT)
                     .map_err(Abort::Lost)?;
             }
             let guard = dev
-                .alloc_scratch(words + counters + n + e + results)
+                .alloc_scratch(words + counters + landing + results)
                 .map_err(|e| Abort::Fatal(e.into()))?;
             let buf = guard.slice();
             split.guards[i] = Some(guard);
@@ -945,22 +885,27 @@ impl DistributedHashMap {
                 buf.sub(at - len, len)
             };
             let mut parts = [Segment::words(take(0), take(0)); MAX_SEGMENTS];
+            let mut upserted = take(0);
             // MUTATION DOUBLE (`Mutation::LookBackReadsUnpublished`)
             let peek = self.cfg().mutation == Some(Mutation::LookBackReadsUnpublished);
             // MUTATION DOUBLE (`Mutation::SplitTagsRunOffset`)
             let broken = self.cfg().mutation == Some(Mutation::SplitTagsRunOffset);
             for (part, &s) in parts.iter_mut().zip(ids) {
                 let staged = take(uploaded(s));
-                *part = match lists[s] {
-                    Lists::Keys(keys) => {
-                        dev.mem().h2d_keys(staged, keys[i]);
-                        Segment::keys(staged, len(s), take(len(s))).tagging_run_offsets(broken)
-                    }
-                    Lists::Pairs(pairs) => {
-                        dev.mem().h2d(staged, pairs[i]);
-                        Segment::words(staged, take(len(s)))
+                *part = if keyed(s) {
+                    dev.mem().h2d_keys(staged, input.keys[s][i]);
+                    Segment::keys(staged, len(s), take(len(s)))
+                } else {
+                    dev.mem().h2d(staged, input.pairs[s][i]);
+                    let segment = Segment::words(staged, take(len(s)));
+                    if s == UPSERTS {
+                        upserted = take(len(s));
+                        segment.with_positions(upserted)
+                    } else {
+                        segment
                     }
                 }
+                .tagging_run_offsets(broken)
                 .reading_unpublished_prefixes(peek);
             }
             let counters = take(counters);
@@ -969,6 +914,7 @@ impl DistributedHashMap {
                 out: [take(0); SEGMENTS],
                 ends: [[0; MAX_PARTITIONS]; SEGMENTS],
                 landing: std::array::from_fn(|s| take(answers(s))),
+                positions: upserted,
                 results: take(results),
                 stream_bytes: 0,
             };
@@ -1001,7 +947,7 @@ impl DistributedHashMap {
         let m = self.num_gpus();
         let mut landed = [None; MAX_PARTITIONS];
         for (j, landed) in landed.iter_mut().enumerate().take(m) {
-            let mut cuts: Cuts = [0; SEGMENTS];
+            let mut cuts = [0; SEGMENTS];
             for (s, cut) in cuts.iter_mut().enumerate() {
                 *cut = split.sent().map(|sent| sent.at(s, j).1).sum();
             }
@@ -1051,8 +997,9 @@ impl DistributedHashMap {
     ) -> Result<OpReport, OpError> {
         check_keys(per_gpu_words.iter().flatten().map(|&word| key_of(word)))?;
         let mut report = new_report(per_gpu_words);
-        let input = Input { puts: &slices(per_gpu_words), ..Input::default() };
-        self.cascade(input, &mut report, &mut Applied::default(), |_, _| {})?;
+        let lists = slices(per_gpu_words);
+        let input = Input { pairs: segment(PUTS, &lists), ..Input::default() };
+        self.cascade(input, &mut report, &mut Applied::default(), |_, _, _| {})?;
         Ok(report)
     }
 
@@ -1074,11 +1021,10 @@ impl DistributedHashMap {
         check_keys(per_gpu_keys.iter().flatten().copied())?;
         let mut report = new_report(per_gpu_keys);
         let mut values: Vec<Vec<_>> = per_gpu_keys.iter().map(|k| vec![None; k.len()]).collect();
-        let input = Input { reads: &slices(per_gpu_keys), ..Input::default() };
-        self.cascade(input, &mut report, &mut Applied::default(), |(g, i), a| {
-            if let Answer::Read(value) = a {
-                values[g][i] = value;
-            }
+        let lists = slices(per_gpu_keys);
+        let input = Input { keys: segment(GETS, &lists), ..Input::default() };
+        self.cascade(input, &mut report, &mut Applied::default(), |_, (g, i), found| {
+            values[g][i] = found;
         })?;
         Ok(PerGpuGetResponse {
             values,
@@ -1107,11 +1053,12 @@ impl DistributedHashMap {
         check_keys(per_gpu_keys.iter().flatten().copied())?;
         let mut report = new_report(per_gpu_keys);
         let mut hits: Vec<Vec<bool>> = per_gpu_keys.iter().map(|k| vec![false; k.len()]).collect();
-        let input = Input { erases: &slices(per_gpu_keys), ..Input::default() };
+        let lists = slices(per_gpu_keys);
+        let input = Input { keys: segment(ERASES, &lists), ..Input::default() };
         let mut placed = Applied::default();
-        self.cascade(input, &mut report, &mut placed, |(g, i), a| {
+        self.cascade(input, &mut report, &mut placed, |_, (g, i), found| {
             // of every round, so ORed
-            hits[g][i] |= matches!(a, Answer::Erase(true));
+            hits[g][i] |= found.is_some();
         })?;
         Ok(PerGpuDeleteResponse {
             hits,

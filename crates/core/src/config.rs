@@ -94,26 +94,26 @@ pub enum Mutation {
     /// wd-serve equivalence suite (coalesced ≡ one op at a time) exists
     /// to catch exactly this.
     ForwardStaleRead,
-    /// An upsert group of the fused get + put launch (the reads and puts
-    /// of [`crate::MapService::apply`] on one GPU) answers with the value it
-    /// *wrote* instead of the one it replaced — the classic
-    /// fetch-and-store that returns the wrong side of the exchange, so a
-    /// get followed by a put of its key in one call reads the put. The
-    /// wd-serve equivalence suite exists to catch exactly this.
+    /// An upsert group (a key [`crate::MapService::apply`] both reads and
+    /// puts) answers with the value it *wrote* instead of the one it
+    /// replaced — the classic fetch-and-store that returns the wrong side
+    /// of the exchange, so a get followed by a put of its key in one call
+    /// reads the put. The wd-serve equivalence suite exists to catch
+    /// exactly this.
     UpsertReturnsNew,
-    /// The mixed cascade round of [`crate::DistributedHashMap`]'s
-    /// [`crate::MapService::apply`] sends the put of a
-    /// key the call also reads with the other puts, into the fused launch,
-    /// instead of the late launch behind it — so the key's get races its
-    /// own put and may read the value the call wrote. In `group_id` order
-    /// the gets run first and nothing shows; the wd-serve equivalence
-    /// suite under a seeded schedule exists to catch exactly this.
-    LatePutsJoinFirstLaunch,
-    /// The cascade's multisplit tags a key with its offset inside the
-    /// group's run of 256, not its position in the GPU's chunk — a tiled
-    /// kernel's local-for-global index — so from a GPU's 257th key on an
-    /// answer lands in another's place. The wd-serve equivalence suite on
-    /// flushes larger than that exists to catch exactly this.
+    /// A key [`crate::MapService::apply`] both reads and puts runs as a
+    /// get group and a put group of the one launch, not one upsert group,
+    /// so its get races its own put and may read the value the call wrote.
+    /// In `group_id` order the gets run first and nothing shows; the
+    /// wd-serve equivalence suite under a seeded schedule exists to catch
+    /// exactly this.
+    UpsertRunsAsGetAndPut,
+    /// The cascade's multisplit tags a key, or an upsert's position, with
+    /// its offset inside the group's run of 256, not its position in the
+    /// GPU's chunk — a tiled kernel's local-for-global index — so from a
+    /// GPU's 257th key on an answer lands in another's place. Flushes
+    /// larger than that and the node's mixed-round test exist to catch
+    /// exactly this.
     SplitTagsRunOffset,
     /// A run of the cascade's multisplit reads its predecessor's
     /// inclusive prefix without waiting for the flag that publishes it —
@@ -149,10 +149,10 @@ pub enum Mutation {
     /// exactly this on each of the three backends.
     ApplySkipsMisses,
     /// A key [`crate::MapService::apply`] both reads and erases is
-    /// tombstoned before it is read — on one GPU the take group erases
-    /// first, on a node the late launch runs ahead of the kernel — so the
-    /// read answers a miss where the key held a value. The service and
-    /// wd-serve equivalence suites exist to catch exactly this.
+    /// tombstoned before it is read — its take group erases first, on one
+    /// GPU and on a node's target alike — so the read answers a miss where
+    /// the key held a value. The service and wd-serve equivalence suites
+    /// exist to catch exactly this.
     TakeTombstonesFirst,
     /// The return trip's `result_scatter` sets an erase's hit in the
     /// neighbouring position's found bit, so an erased key reports a miss

@@ -42,6 +42,7 @@ use crate::chaos::{ChaosState, ChaosTally, Router};
 use crate::config::{Config, Mutation};
 use crate::errors::BuildError;
 use crate::history::{OpKind, OpResponse};
+use crate::host_ops::Scratch;
 use crate::map::GpuHashMap;
 use crate::service::{check_call, composed, one_group_per_key, Applied, OpError, HELD_SCRATCH};
 use crate::stats::DegradedStats;
@@ -63,9 +64,9 @@ pub struct DistributedHashMap {
     fallback: PartitionFn,
     cfg: Config,
     chaos: RwLock<ChaosState>,
-    /// The packed pairs of a call of a serving flush's size, kept across
-    /// calls ([`DistributedHashMap::with_words`]).
-    words: Vec<u64>,
+    /// The buffers of a call of a serving flush's size, kept across
+    /// calls ([`DistributedHashMap::with_scratch`]).
+    scratch: Scratch,
 }
 
 impl DistributedHashMap {
@@ -114,7 +115,7 @@ impl DistributedHashMap {
             fallback,
             cfg,
             chaos,
-            words: Vec::new(),
+            scratch: Scratch::default(),
         })
     }
 
@@ -384,22 +385,22 @@ impl DistributedHashMap {
         Ok(())
     }
 
-    /// Runs `call` with an empty buffer for `len` words of a call: the
+    /// Runs `call` with empty buffers for a call of `len` elements: the
     /// node's own, kept across calls, for a call of a serving flush's
-    /// size; a fresh one for a larger call, which goes with it — kept, it
+    /// size; fresh ones for a larger call, which go with it — kept, they
     /// would hold a bulk call's pairs resident.
-    fn with_words<T>(&mut self, len: usize, call: impl FnOnce(&Self, &mut Vec<u64>) -> T) -> T {
+    fn with_scratch<T>(&mut self, len: usize, call: impl FnOnce(&Self, &mut Scratch) -> T) -> T {
         let held = len <= HELD_SCRATCH;
-        let mut words = if held {
-            std::mem::take(&mut self.words)
+        let mut scratch = if held {
+            std::mem::take(&mut self.scratch)
         } else {
-            Vec::new()
+            Scratch::default()
         };
-        words.clear();
-        words.reserve(len);
-        let out = call(self, &mut words);
+        scratch.0.clear();
+        scratch.1.clear();
+        let out = call(self, &mut scratch);
         if held {
-            self.words = words;
+            self.scratch = scratch;
         }
         out
     }
@@ -428,11 +429,9 @@ impl crate::service::MapService for DistributedHashMap {
             return Ok(Applied::default());
         }
         if one_group_per_key(reads, puts, erases) {
-            // a bit per read of a call that also writes
-            let writes = !(lists[1] && lists[2]);
-            let answered = if writes { reads.len().div_ceil(64) } else { 0 };
-            return self.with_words(puts.len() + answered, |d, words| {
-                d.apply_into((reads, puts, erases), values, hits, words)
+            let len = reads.len() + puts.len() + erases.len();
+            return self.with_scratch(len, |d, scratch| {
+                d.apply_into((reads, puts, erases), values, hits, scratch)
             });
         }
         composed(self, reads, puts, erases, values, hits)
@@ -786,14 +785,17 @@ mod chaos_tests {
         assert_eq!(multiset(pairs), multiset(slow.live_snapshot()));
     }
 
+    /// A round that aborts at GPU 3's launch re-runs on the survivors, and
+    /// GPU 0's upserts, which landed before the abort, run again: the
+    /// answers of the first run stand, not what the re-run reads back.
     #[test]
     fn answers_of_an_aborted_mixed_round_stand() {
-        use crate::chaos::launch_site::{GET_PUT, INSERT, MULTISPLIT};
+        use crate::chaos::launch_site::{GET_PUT, MULTISPLIT};
         use crate::service::MapService;
         // a fault plan is a stateless function of its seed: find one
-        // under which GPU 3 exhausts its retry budget at the fused launch
-        // and nothing else is lost — GPUs 0–2 have by then answered,
-        // and run their late launch, before the round aborts
+        // under which GPU 3 exhausts its retry budget at the one launch
+        // and nothing else is lost — GPUs 0–2 have by then answered and
+        // upserted before the round aborts
         let attempts = RetryPolicy::default().max_attempts;
         let exhausts = |plan: &FaultPlan, gpu, site| {
             (0..attempts).all(|attempt| plan.launch_fails(gpu, site, attempt))
@@ -803,10 +805,9 @@ mod chaos_tests {
             .find(|plan| {
                 exhausts(plan, 3, GET_PUT)
                     && !(0..4).any(|gpu| exhausts(plan, gpu, MULTISPLIT))
-                    && !(0..3)
-                        .any(|gpu| exhausts(plan, gpu, GET_PUT) || exhausts(plan, gpu, INSERT))
+                    && !(0..3).any(|gpu| exhausts(plan, gpu, GET_PUT))
             })
-            .expect("one seed in 10 000 loses GPU 3 at the fused launch and nothing else");
+            .expect("one seed in 10 000 loses GPU 3 at the one launch and nothing else");
 
         let pairs: Vec<(u32, u32)> = (1..=600u32).map(|k| (k, k)).collect();
         let reads: Vec<u32> = (1..=600).filter(|k| k % 3 == 0).collect();
@@ -825,8 +826,8 @@ mod chaos_tests {
         };
         let (d, values, contents) = run(plan);
         assert_eq!(d.quarantined(), vec![3], "{}", d.replay_hint());
-        // GPU 0 owns a key the call reads and writes: its late put landed
-        // before the round aborted, and the re-run read it back
+        // GPU 0 owns a key the call reads and writes: its upsert landed
+        // before the round aborted, and the re-run's upsert read it back
         let owned = reads
             .iter()
             .position(|&k| k % 2 == 0 && d.partition().part(k) == 0)

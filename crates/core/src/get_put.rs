@@ -96,6 +96,78 @@ impl Sections {
     }
 }
 
+/// A call's lists cut into the kernel's sections — the one place that
+/// decides them, for one GPU's launch and a node's round: a key read and
+/// erased is a take, one read and put an upsert, any other key runs in
+/// its list's section, and each section is an ascending sublist of its
+/// list. The lists hold distinct ascending keys, none both put and
+/// erased, or one list is alone and may repeat keys.
+#[derive(Clone, Copy)]
+pub(crate) struct Mix<'a> {
+    reads: &'a [u32],
+    puts: &'a [(u32, u32)],
+    erases: &'a [u32],
+    /// MUTATION DOUBLE (`Mutation::UpsertRunsAsGetAndPut`): no upserts.
+    apart: bool,
+}
+
+impl<'a> Mix<'a> {
+    pub(crate) fn new(
+        reads: &'a [u32],
+        puts: &'a [(u32, u32)],
+        erases: &'a [u32],
+        mutation: Option<Mutation>,
+    ) -> Self {
+        let apart = mutation == Some(Mutation::UpsertRunsAsGetAndPut);
+        Self { reads, puts, erases, apart }
+    }
+
+    pub(crate) fn read(self, k: u32) -> bool {
+        self.reads.binary_search(&k).is_ok()
+    }
+
+    /// Whether a key the call reads is upserted.
+    pub(crate) fn upserted(self, k: u32) -> bool {
+        !self.apart && self.puts.binary_search_by_key(&k, |p| p.0).is_ok()
+    }
+
+    /// Where a key lies among the erases.
+    pub(crate) fn erased(self, k: u32) -> Option<usize> {
+        self.erases.binary_search(&k).ok()
+    }
+
+    pub(crate) fn gets(self) -> impl Iterator<Item = u32> + 'a {
+        let get = move |&k: &u32| !self.upserted(k) && self.erased(k).is_none();
+        self.reads.iter().copied().filter(get)
+    }
+
+    /// Takes and upserts come from nowhere when a list is empty, so that
+    /// a call of one list walks it once.
+    pub(crate) fn takes(self) -> impl Iterator<Item = u32> + 'a {
+        let taking = if self.erases.is_empty() { &[][..] } else { self.reads };
+        taking.iter().copied().filter(move |&k| self.erased(k).is_some())
+    }
+
+    pub(crate) fn upserts(self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let upserting = if self.reads.is_empty() || self.apart { &[][..] } else { self.puts };
+        upserting.iter().copied().filter(move |p| self.read(p.0))
+    }
+
+    pub(crate) fn puts(self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.puts.iter().copied().filter(move |p| self.apart || !self.read(p.0))
+    }
+
+    pub(crate) fn erases(self) -> impl Iterator<Item = u32> + 'a {
+        self.erases.iter().copied().filter(move |&k| !self.read(k))
+    }
+
+    pub(crate) fn sections(self) -> Sections {
+        let (takes, upserts) = (self.takes().count(), self.upserts().count());
+        let (gets, puts) = (self.reads.len() - takes - upserts, self.puts.len() - upserts);
+        Sections { gets, takes, upserts, puts, erases: self.erases.len() - takes }
+    }
+}
+
 /// Launches the kernel over the words of `input`, one group of `g` lanes
 /// per word, section by section: the gets, the takes and the upserts
 /// answered into `out`, `hit(i)` for each key `i` of the erase section it

@@ -10,10 +10,11 @@
 //! expensive as CPU-based hash map construction").
 //!
 //! The mixed round (the reads, puts and erases of the node's
-//! [`crate::MapService::apply`]) goes through the same bracket: each list
-//! is spread on its own into one segment of the cascade round, a GPU's
-//! chunks travel up back to back in one transfer, and only the answers
-//! travel down — a read's value and found bit, an erase's found bit.
+//! [`crate::MapService::apply`]) goes through the same bracket: the lists
+//! are cut into the kernel's sections, each spread on its own into one
+//! segment of the cascade round, a GPU's chunks travel up back to back in
+//! one transfer, and only the answers travel down — a read's value and
+//! found bit, an erase's found bit.
 //!
 //! ## Chunks that overlap (§IV-B, Fig. 5)
 //!
@@ -52,10 +53,13 @@
 //! [`Cut`] says — a chunk size and a number of streams, Fig. 11's
 //! `Ins`/`Ret` variants — in the same loop, a plan fixed in advance.
 
-use crate::cascade::{down_bytes, Abort, Answer, CascadeOp, Input};
+use crate::cascade::{
+    down_bytes, segment, Abort, CascadeOp, Input, ERASES, GETS, PUTS, SEGMENTS, TAKES, UPSERTS,
+};
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
-use crate::entry::pack;
+use crate::entry::{key_of, pack};
+use crate::get_put::Mix;
 use crate::service::{answer, Applied, DeleteResponse, GetResponse, OpError, OpReport};
 use crate::stats::{CascadeStage, StageRows, StageTiming};
 use crate::table::{check_keys, pair_words};
@@ -320,39 +324,27 @@ fn live_chunk(len: usize, m: usize, mask: u32, g: usize) -> std::ops::Range<usiz
     (rank * per).min(len)..((rank + 1) * per).min(len)
 }
 
-/// Where GPU `g`'s chunk starts in the list that `chunks` cut up.
-fn start_of<T>(chunks: &[&[T]], g: usize) -> usize {
-    chunks[..g].iter().map(|chunk| chunk.len()).sum()
-}
-
-/// A host-sided call's lists, each in the caller's order and, unless
-/// empty, a segment of its cascade round ([`Input`]): keys read, pairs of
-/// keys not read, pairs of keys also read, keys erased.
+/// A host-sided call's lists as the segments of its cascade round
+/// ([`Input`]), each in the caller's order: per segment its keys or its
+/// packed pairs, or none.
 #[derive(Clone, Copy, Default)]
 struct Call<'a> {
-    reads: &'a [u32],
-    puts: [&'a [u64]; 2],
-    erases: &'a [u32],
-    /// Whether the erases wait for the late launch ([`Input::late`]).
-    late: bool,
+    keys: [&'a [u32]; SEGMENTS],
+    pairs: [&'a [u64]; SEGMENTS],
 }
 
 impl Call<'_> {
-    /// Per segment, in the round's order, its length and the
-    /// bytes an element goes up as.
-    fn lens(&self) -> [(usize, usize); 4] {
-        let [puts, late_puts] = self.puts.map(<[u64]>::len);
-        [(self.reads.len(), 4), (puts, 8), (late_puts, 8), (self.erases.len(), 4)]
+    /// Elements of segment `s`.
+    fn len(&self, s: usize) -> usize {
+        self.keys[s].len() + self.pairs[s].len()
     }
 
     /// Elements `range` of the call's one list.
     fn sub(self, range: Range<usize>) -> Self {
-        let cut = |len: usize| if len == 0 { 0..0 } else { range.clone() };
+        let cut = |len: usize| range.start.min(len)..range.end.min(len);
         Self {
-            reads: &self.reads[cut(self.reads.len())],
-            puts: self.puts.map(|puts| &puts[cut(puts.len())]),
-            erases: &self.erases[cut(self.erases.len())],
-            ..self
+            keys: self.keys.map(|list| &list[cut(list.len())]),
+            pairs: self.pairs.map(|list| &list[cut(list.len())]),
         }
     }
 }
@@ -368,18 +360,20 @@ fn chunks<T>(list: &[T], m: usize, mask: u32) -> ([&[T]; MAX_PARTITIONS], usize)
 }
 
 impl DistributedHashMap {
-    /// The bracket's first chunk of a call of `op` whose elements go up as
-    /// `bytes` bytes each: as many elements as the host links upload to
-    /// every GPU in the time its launches of a chunk pay in overhead.
-    pub(crate) fn first_chunk(&self, op: &CascadeOp, bytes: usize) -> usize {
+    /// The bracket's first chunk of a call of segment `s` alone, whose
+    /// elements go up as 8-byte pairs or 4-byte keys: as many elements as
+    /// the host links upload to every GPU in the time its launches of a
+    /// chunk pay in overhead.
+    pub(crate) fn first_chunk(&self, s: usize) -> usize {
         let m = self.num_gpus();
-        let element = h2d_time(self.topology(), &[bytes as u64; MAX_PARTITIONS][..m]);
-        let launches = op.launches() as f64 * self.device(0).spec().launch_overhead;
+        let bytes = if matches!(s, UPSERTS | PUTS) { 8 } else { 4 };
+        let element = h2d_time(self.topology(), &[bytes; MAX_PARTITIONS][..m]);
+        let launches = CascadeOp::of(s).launches() as f64 * self.device(0).spec().launch_overhead;
         (m * (launches / element) as usize).max(1)
     }
 
     /// Runs `call` on each chunk of a call of `len` elements of segment
-    /// `segment`, `bytes` bytes each — the chunk's range, where its answers
+    /// `segment` — the chunk's range, where its answers
     /// start, and the call's report, which it pushes its rows into — one
     /// after the other, cut where `cut` says or, without one, where the
     /// planner picks, and overlays the chunks: the report holds every
@@ -391,7 +385,7 @@ impl DistributedHashMap {
     fn in_chunks(
         &self,
         segment: usize,
-        (len, bytes): (usize, usize),
+        len: usize,
         cut: Option<Cut>,
         mut call: impl FnMut(Range<usize>, usize, &mut OpReport) -> Result<(), OpError>,
     ) -> Result<OpReport, OpError> {
@@ -399,7 +393,7 @@ impl DistributedHashMap {
             let (mut chunk, most) = match cut {
                 Some(cut) => (cut.len, len.div_ceil(cut.len)),
                 None => {
-                    let first = self.first_chunk(&CascadeOp::of(&[segment]), bytes);
+                    let first = self.first_chunk(segment);
                     if len < 2 * first {
                         (len, 1)
                     } else {
@@ -445,27 +439,30 @@ impl DistributedHashMap {
         })
     }
 
-    /// Runs `call`: a call of one list cut into chunks by the planner or
-    /// where `cut` says ([`Self::in_chunks`]), a mixed call in one chunk,
-    /// an empty one not at all. `answer(i, a)` receives the answer to key
-    /// `i` of the reads or of the erases, as `a` says, and `placed` what
-    /// the kernels placed and tombstoned. Returns the call's report.
+    /// Runs `call`: a call of gets, puts or erases alone cut into chunks
+    /// by the planner or where `cut` says ([`Self::in_chunks`]), a mixed
+    /// call in one chunk, an empty one not at all. `answer(s, i, found)`
+    /// receives the answer to key `i` of segment `s`'s list, as the
+    /// cascade's, and `placed` what the kernels placed and tombstoned.
+    /// Returns the call's report.
     fn run(
         &self,
         call: Call,
         cut: Option<Cut>,
         placed: &mut Applied,
-        mut answer: impl FnMut(usize, Answer),
+        mut answer: impl FnMut(usize, usize, Option<u32>),
     ) -> Result<OpReport, OpError> {
-        let lens = call.lens();
-        let mut lists = (0..lens.len()).filter(|&s| lens[s].0 > 0);
+        let mut lists = (0..SEGMENTS).filter(|&s| call.len(s) > 0);
         let mut report = OpReport::of_cascade(0);
         match (lists.next(), lists.next()) {
             (None, _) => Ok(report),
-            (Some(s), None) => self.in_chunks(s, lens[s], cut, |range, at, report| {
-                let chunk = call.sub(range);
-                self.host_bracket(chunk, report, placed, |i, a| answer(at + i, a))
-            }),
+            // takes and upserts are a mixed call's, which is one chunk
+            (Some(s), None) if s != TAKES && s != UPSERTS => {
+                self.in_chunks(s, call.len(s), cut, |range, at, report| {
+                    let chunk = call.sub(range);
+                    self.host_bracket(chunk, report, placed, |s, i, a| answer(s, at + i, a))
+                })
+            }
             _ => self.host_bracket(call, &mut report, placed, answer).map(|()| report),
         }
     }
@@ -473,11 +470,12 @@ impl DistributedHashMap {
     /// The one host bracket over one chunk of a call: every GPU's
     /// [`live_chunk`] of each of its lists travels up over PCIe in one
     /// transfer — 4 bytes a key, 8 a pair — the device cascade runs on the
-    /// chunks, a list a segment, `answer(i, a)` receiving its answer to
-    /// key `i` of the chunk's reads or erases
+    /// chunks, a list a segment, `answer(s, i, found)` receiving its
+    /// answer to key `i` of the chunk's list of segment `s`
     /// ([`DistributedHashMap::cascade`]), and the answers travel down: a
-    /// GPU's `n` values in `4n` bytes plus `⌈n/8⌉` of found bits, and its
-    /// `e` erases' hits in `⌈e/8⌉` ([`down_bytes`]). The cascade copies
+    /// GPU's `n` values of gets, takes and upserts in `4n` bytes plus
+    /// `⌈n/8⌉` of found bits, and its `e` erases' hits in `⌈e/8⌉`
+    /// ([`down_bytes`]). The cascade copies
     /// those words down itself, at the end of its round, in the order it
     /// hands the answers out; the bracket bills the transfer. Dropped PCIe
     /// transfers are retried with backoff; a host link whose budget is
@@ -489,19 +487,21 @@ impl DistributedHashMap {
         call: Call,
         report: &mut OpReport,
         placed: &mut Applied,
-        mut answer: impl FnMut(usize, Answer),
+        mut answer: impl FnMut(usize, usize, Option<u32>),
     ) -> Result<(), OpError> {
         let m = self.num_gpus();
         let policy = self.retry_policy();
-        let lens = call.lens();
-        report.elements += lens.iter().map(|l| l.0 as u64).sum::<u64>();
+        // a take is a read and an erase, an upsert a read and a put
+        let ops = |s| call.len(s) * (1 + usize::from(s == TAKES || s == UPSERTS));
+        report.elements += (0..SEGMENTS).map(ops).sum::<usize>() as u64;
         // what each host link carries, of the upload and then the download
         let mut bytes = [0; MAX_PARTITIONS];
         let bytes = &mut bytes[..m];
         let mask = self.with_failover(report, |plan, mask, report, tally| {
             for (g, bytes) in bytes.iter_mut().enumerate() {
-                let up = lens.map(|(len, per)| live_chunk(len, m, mask, g).len() * per);
-                *bytes = up.iter().sum::<usize>() as u64;
+                let up = |len, per| (live_chunk(len, m, mask, g).len() * per) as u64;
+                let up = |s: usize| up(call.keys[s].len(), 4) + up(call.pairs[s].len(), 8);
+                *bytes = (0..SEGMENTS).map(up).sum();
             }
             let up = h2d_time_faulted(self.topology(), bytes, plan, &policy);
             let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
@@ -509,27 +509,28 @@ impl DistributedHashMap {
             Ok(mask)
         })?;
         // list after list, each cut into its `m` chunks
-        let (reads, erases) = (chunks(call.reads, m, mask), chunks(call.erases, m, mask));
-        let [puts, late_puts] = call.puts.map(|list| chunks(list, m, mask));
+        let keys = call.keys.map(|list| chunks(list, m, mask));
+        let pairs = call.pairs.map(|list| chunks(list, m, mask));
         let input = Input {
-            reads: &reads.0[..reads.1],
-            puts: &puts.0[..puts.1],
-            late_puts: &late_puts.0[..late_puts.1],
-            erases: &erases.0[..erases.1],
-            late: call.late,
+            keys: keys.each_ref().map(|(chunks, n)| &chunks[..*n]),
+            pairs: pairs.each_ref().map(|(chunks, n)| &chunks[..*n]),
         };
-        self.cascade(input, report, placed, |(g, i), a| {
-            let list = if matches!(a, Answer::Read(_)) { &reads.0 } else { &erases.0 };
-            answer(start_of(&list[..m], g) + i, a);
+        self.cascade(input, report, placed, |s, (g, i), found| {
+            answer(s, live_chunk(call.len(s), m, mask, g).start + i, found);
         })?;
-        if reads.1 + erases.1 > 0 {
+        // GPU `g`'s values of gets, takes and upserts, and erases' hits
+        let down = |g: usize| {
+            let len = |s: usize| keys[s].0[g].len() + pairs[s].0[g].len();
+            down_bytes(len(GETS) + len(TAKES) + len(UPSERTS), len(ERASES))
+        };
+        if input.op().back() {
             self.with_failover(report, |plan, mask, report, tally| {
                 // the cascade may have quarantined GPUs mid-flight; their
                 // answers physically came from survivors, so the dead
                 // links carry no bytes
                 for (g, bytes) in bytes.iter_mut().enumerate() {
                     *bytes = match mask & (1 << g) {
-                        0 => down_bytes(reads.0[g].len(), erases.0[g].len()),
+                        0 => down(g),
                         _ => 0,
                     };
                 }
@@ -572,8 +573,8 @@ impl DistributedHashMap {
     /// without one.
     fn insert_cut(&self, pairs: &[(u32, u32)], cut: Option<Cut>) -> Result<OpReport, OpError> {
         let words = pair_words(pairs)?;
-        let call = Call { puts: [&words, &[]], ..Call::default() };
-        self.run(call, cut, &mut Applied::default(), |_, _| {})
+        let call = Call { pairs: segment(PUTS, &words), ..Call::default() };
+        self.run(call, cut, &mut Applied::default(), |_, _, _| {})
     }
 
     /// Host-sided retrieval with typed fault errors: keys up over PCIe
@@ -612,11 +613,9 @@ impl DistributedHashMap {
         check_keys(keys.iter().copied())?;
         let mut values = vec![None; keys.len()];
         let mutation = self.cfg().mutation;
-        let call = Call { reads: keys, ..Call::default() };
-        let report = self.run(call, cut, &mut Applied::default(), |i, a| {
-            if let Answer::Read(value) = a {
-                answer(&mut values[i], value, mutation);
-            }
+        let call = Call { keys: segment(GETS, keys), ..Call::default() };
+        let report = self.run(call, cut, &mut Applied::default(), |_, i, found| {
+            answer(&mut values[i], found, mutation);
         })?;
         Ok(GetResponse { values, report })
     }
@@ -639,10 +638,10 @@ impl DistributedHashMap {
         check_keys(keys.iter().copied())?;
         let mut hits = vec![false; keys.len()];
         let mut placed = Applied::default();
-        let call = Call { erases: keys, ..Call::default() };
-        let report = self.run(call, cut, &mut placed, |i, a| {
+        let call = Call { keys: segment(ERASES, keys), ..Call::default() };
+        let report = self.run(call, cut, &mut placed, |_, i, found| {
             // of every round, so ORed
-            hits[i] |= matches!(a, Answer::Erase(true));
+            hits[i] |= found.is_some();
         })?;
         Ok(DeleteResponse {
             hits,
@@ -654,16 +653,15 @@ impl DistributedHashMap {
     /// Host-sided lookup of `reads`, insertion of `puts` and erasure of
     /// `erases`, into `values` in `reads` order and `hits` in `erases`
     /// order: a call of one list as that list's call, chunked, and a mixed
-    /// call in **one** cascade round (each list distinct ascending keys,
-    /// none both put and erased). One H2D carries each GPU's chunk of every
-    /// list, one multisplit and one all-to-all move them all, the owning
-    /// GPU answers, inserts and erases in one launch, and the answers alone
-    /// travel back. A key both read and written waits for a late launch
-    /// behind the kernel — its put, and every erase of the call — so the
-    /// answers are the values **before** the call. `words` is the call's
-    /// scratch, empty: the packed pairs, the first then the late ones, and
-    /// a bit per read of what the round answered. The caller has checked
-    /// the keys.
+    /// call (each list distinct ascending keys, none both put and erased)
+    /// in **one** cascade round whose segments are the kernel's sections
+    /// ([`Mix`]). A key both read and written is one group — an upsert or a
+    /// take — that reads first, so the answers are the values **before**
+    /// the call, and a take's hit is its found bit. A call that reads and
+    /// writes cuts its sections into `scratch` (empty) — the keys of the
+    /// gets, takes and erases, the pairs of the upserts and puts, and a bit
+    /// per read of what the round answered — and any other borrows its
+    /// lists. The caller has checked the keys.
     ///
     /// # Errors
     /// As [`Self::try_retrieve_from_host`] and [`Self::insert_from_host`];
@@ -673,52 +671,70 @@ impl DistributedHashMap {
         (reads, puts, erases): (&[u32], &[(u32, u32)], &[u32]),
         values: &mut [Option<u32>],
         hits: &mut [bool],
-        words: &mut Vec<u64>,
+        scratch: &mut Scratch,
     ) -> Result<Applied, OpError> {
         let mutation = self.cfg().mutation;
-        let read = |k: u32| reads.binary_search(&k).is_ok();
-        // MUTATION DOUBLE (`Mutation::LatePutsJoinFirstLaunch`): no put is
-        // late, so a key's get races its own put in the first launch.
-        let races = mutation == Some(Mutation::LatePutsJoinFirstLaunch);
-        let late = |k: u32| !races && read(k);
-        let packed = |&(k, v): &(u32, u32)| pack(k, v);
-        words.extend(puts.iter().filter(|p| !late(p.0)).map(packed));
-        let first = words.len();
-        words.extend(puts.iter().filter(|p| late(p.0)).map(packed));
+        let mix = Mix::new(reads, puts, erases, mutation);
+        let sections = mix.sections();
+        let (keys, words) = scratch;
         let mixed = !reads.is_empty() && (!puts.is_empty() || !erases.is_empty());
         if mixed {
-            words.resize(puts.len() + reads.len().div_ceil(64), 0);
+            keys.extend(mix.gets().chain(mix.takes()).chain(mix.erases()));
         }
+        let len = puts.len() + usize::from(mixed) * reads.len().div_ceil(64);
+        words.reserve(len);
+        words.extend(mix.upserts().chain(mix.puts()).map(|(k, v)| pack(k, v)));
+        words.resize(len, 0);
         let (pairs, answered) = words.split_at_mut(puts.len());
-        // a key both read and written: its put, and every erase, go late
-        let late = first < puts.len() || erases.iter().any(|&k| read(k));
-        let call = Call { reads, puts: [&pairs[..first], &pairs[first..]], erases, late };
+        let (upserts, pairs) = pairs.split_at(sections.upserts);
+        let (gets, keys) = keys.split_at(if mixed { sections.gets } else { 0 });
+        let (takes, erased) = keys.split_at(sections.takes);
+        let (gets, erased) = if mixed { (gets, erased) } else { (reads, erases) };
+        let call = Call {
+            keys: [gets, takes, &[], &[], erased],
+            pairs: [&[], &[], upserts, pairs, &[]],
+        };
+        // where key `k` lies in a list of the caller's, and key `i` of a
+        // section's list: the list's key `i` where the call borrowed it
+        let at = |list: &[u32], k: u32| list.binary_search(&k).unwrap_or_else(|at| at);
+        let place = |list: &[u32], section: &[u32], i| if mixed { at(list, section[i]) } else { i };
         hits.fill(false);
         let mut applied = Applied::default();
-        applied.report = self.run(call, None, &mut applied, |i, a| match a {
-            Answer::Read(value) => {
-                // the first answer a key gets stands: a round re-run after
-                // a lost device would read what the aborted one wrote
-                if let Some(word) = answered.get_mut(i / 64) {
-                    let bit = 1 << (i % 64);
-                    if *word & bit != 0 {
-                        return;
-                    }
-                    *word |= bit;
+        applied.report = self.run(call, None, &mut applied, |s, i, found| {
+            let r = match s {
+                GETS => place(reads, gets, i),
+                TAKES => {
+                    // of every round, so ORed
+                    hits[at(erases, takes[i])] |= found.is_some();
+                    at(reads, takes[i])
                 }
-                answer(&mut values[i], value, mutation);
+                UPSERTS => at(reads, key_of(upserts[i])),
+                // of every round, so ORed
+                _ => return hits[place(erases, erased, i)] |= found.is_some(),
+            };
+            // the first answer a key gets stands: a round re-run after a
+            // lost device would read what the aborted one wrote
+            if let Some(word) = answered.get_mut(r / 64) {
+                let bit = 1 << (r % 64);
+                if *word & bit != 0 {
+                    return;
+                }
+                *word |= bit;
             }
-            // of every round, so ORed
-            Answer::Erase(hit) => hits[i] |= hit,
+            answer(&mut values[r], found, mutation);
         })?;
         Ok(applied)
     }
 }
 
+/// The buffers of a node's mixed call ([`DistributedHashMap::apply_into`]):
+/// its sections' keys, and their pairs and a bit per read.
+pub(crate) type Scratch = (Vec<u32>, Vec<u64>);
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cascade::{ERASES, PUTS, READS};
+    use crate::cascade::{ERASES, GETS, PUTS};
     use crate::config::Config;
     use gpu_sim::{Device, DeviceSpec, Schedule};
     use interconnect::Topology;
@@ -808,12 +824,16 @@ mod tests {
             .sum()
     }
 
+    /// A get + put call is one round — a split, the one launch and a
+    /// scatter on each GPU — that answers the values from before the call,
+    /// whether a sixth of its keys are both read and written or none are.
+    /// Against a get call and a put call on a twin: the same answers and
+    /// contents, and the same bytes but that a key both read and written
+    /// goes up and across once, as its pair.
     #[test]
     fn get_put_is_one_round_answering_the_pre_call_values() {
         use crate::service::MapService;
-        use CascadeStage::{
-            Insert, Multisplit, Query, Scatter, Transpose, TransposeBack, D2H, H2D,
-        };
+        use CascadeStage::{Multisplit, Query, Scatter, Transpose, TransposeBack, D2H, H2D};
         let pairs: Vec<(u32, u32)> = (1..=1000u32).map(|k| (k, k)).collect();
         // a third of the keys read (and ten absent ones), half written
         // (and ten new ones): every sixth both
@@ -823,83 +843,52 @@ mod tests {
             .chain(2001..=2010)
             .map(|k| (k, k + 7))
             .collect();
-        let (mut d, mut twin) = (node(4), node(4));
-        d.insert_from_host(&pairs).unwrap();
-        twin.insert_from_host(&pairs).unwrap();
+        let disjoint: Vec<(u32, u32)> = (3001..=3500u32).map(|k| (k, k)).collect();
+        for (puts, both) in [(&puts, 166), (&disjoint, 0)] {
+            let (mut d, mut twin) = (node(4), node(4));
+            d.insert_from_host(&pairs).unwrap();
+            twin.insert_from_host(&pairs).unwrap();
 
-        let before = launches(&d);
-        let resp = d.get_put_batch(&reads, &puts).unwrap();
-        for (&k, &v) in reads.iter().zip(&resp.values) {
-            assert_eq!(v, (k <= 1000).then_some(k), "key {k}");
+            let before = launches(&d);
+            let resp = d.get_put_batch(&reads, puts).unwrap();
+            for (&k, &v) in reads.iter().zip(&resp.values) {
+                assert_eq!(v, (k <= 1000).then_some(k), "key {k}");
+            }
+            assert_eq!(resp.report.elements, (reads.len() + puts.len()) as u64);
+            let rows = [H2D, Multisplit, Transpose, Query, TransposeBack, Scatter, D2H];
+            assert_eq!(stages_of(&resp.report), rows, "{both} both");
+            // a multisplit launch (every segment fits one group), the
+            // kernel and a scatter on each of the 4 GPUs
+            assert_eq!(launches(&d) - before, 4 + 4 + 4, "{both} both");
+            assert_eq!(resp.report.launches, launches(&d) - before);
+
+            let mut two = twin.get_batch(&reads).unwrap();
+            two.report.merge(&twin.put_batch(puts).unwrap().report);
+            assert_eq!(resp.values, two.values);
+            let sorted = |d: &DistributedHashMap| {
+                let mut live = d.live_snapshot();
+                live.sort_unstable();
+                live
+            };
+            assert_eq!(sorted(&d), sorted(&twin));
+            // a key both read and written goes up as a pair alone, not
+            // also as a key
+            let up = bytes_of(&resp.report, H2D);
+            assert_eq!(up + 4 * both as u64, bytes_of(&two.report, H2D), "{both} both");
+            // the gets' and upserts' chunks cross, come back and come down
+            // from other GPUs than the reads' (a found bit rounds up to a
+            // byte on each), and a pair crosses where a query word and a
+            // pair did
+            let near = |a: u64, b: u64| a.abs_diff(b) * 50 < b;
+            for stage in [TransposeBack, D2H] {
+                let (one, apart) = (bytes_of(&resp.report, stage), bytes_of(&two.report, stage));
+                assert!(near(one, apart), "{stage:?}: {one} vs {apart}");
+            }
+            let one = bytes_of(&resp.report, Transpose);
+            let apart = bytes_of(&two.report, Transpose);
+            assert!(if both > 0 { one < apart } else { near(one, apart) }, "{one} vs {apart}");
+            assert!(resp.report.time < two.report.time);
         }
-        assert_eq!(resp.report.elements, (reads.len() + puts.len()) as u64);
-        assert_eq!(
-            stages_of(&resp.report),
-            [
-                H2D,
-                Multisplit,
-                Transpose,
-                Query,
-                Insert,
-                TransposeBack,
-                Scatter,
-                D2H
-            ]
-        );
-        // a multisplit launch (every segment fits one group), a fused
-        // launch, a late launch and a scatter on each of the 4 GPUs
-        assert_eq!(launches(&d) - before, 4 + 4 + 4 + 4);
-        assert_eq!(resp.report.launches, launches(&d) - before);
-
-        // a read cascade and then a write cascade on a twin: same answers,
-        // same contents, and the same bytes over PCIe and NVLink in twice
-        // the trips (the first and the late puts are spread over the GPUs
-        // list by list, so a few pairs start on another GPU than in one
-        // list of puts)
-        let mut two = twin.get_batch(&reads).unwrap();
-        two.report.merge(&twin.put_batch(&puts).unwrap().report);
-        assert_eq!(resp.values, two.values);
-        let sorted = |d: &DistributedHashMap| {
-            let mut live = d.live_snapshot();
-            live.sort_unstable();
-            live
-        };
-        assert_eq!(sorted(&d), sorted(&twin));
-        assert_eq!(
-            stages_of(&two.report).iter().filter(|&&s| s == H2D).count(),
-            2
-        );
-        for stage in [H2D, TransposeBack, D2H] {
-            assert_eq!(
-                bytes_of(&resp.report, stage),
-                bytes_of(&two.report, stage),
-                "{stage:?}"
-            );
-        }
-        let (one_trip, two_trips) = (
-            bytes_of(&resp.report, Transpose),
-            bytes_of(&two.report, Transpose),
-        );
-        assert!(
-            one_trip.abs_diff(two_trips) * 50 < two_trips,
-            "{one_trip} vs {two_trips}"
-        );
-        assert!(resp.report.time < two.report.time);
-    }
-
-    #[test]
-    fn get_put_of_disjoint_keys_has_no_late_launch() {
-        use crate::service::MapService;
-        let mut d = node(4);
-        d.insert_from_host(&[(1, 10), (2, 20), (3, 30)]).unwrap();
-        let before = launches(&d);
-        let puts: Vec<(u32, u32)> = (100..200u32).map(|k| (k, k)).collect();
-        let resp = d.get_put_batch(&[1, 2, 3, 4], &puts).unwrap();
-        assert_eq!(resp.values, [Some(10), Some(20), Some(30), None]);
-        assert!(!stages_of(&resp.report).contains(&CascadeStage::Insert));
-        // three of the four GPUs at most sent an answer back
-        assert!(launches(&d) - before <= 4 + 4 + 4);
-        assert_eq!(d.len(), 103);
     }
 
     #[test]
@@ -970,7 +959,8 @@ mod tests {
             let keys: Vec<u32> = (0..n).map(key).collect();
             let want: Vec<Option<u32>> = (0..n).map(|i| (i % 2 == 0).then_some(i as u32)).collect();
             let get = d.try_retrieve_from_host(&keys).unwrap();
-            let round = d.get_put_batch(&keys, &[(key(1), 5)]).unwrap();
+            // a put of a key not read, so that the reads lie as the get's
+            let round = d.get_put_batch(&keys, &[(key(n), 5)]).unwrap();
             for resp in [&get, &round] {
                 assert_eq!(resp.values, want, "n={n}");
                 let down = bytes_of(&resp.report, CascadeStage::D2H);
@@ -1242,14 +1232,13 @@ mod tests {
     #[test]
     fn a_call_below_twice_the_first_chunk_is_one_chunk() {
         let d = node_paying(4, SMALL_OVERHEAD, Config::default());
-        let first = |s, bytes| d.first_chunk(&CascadeOp::of(&[s]), bytes);
-        let (put, get) = (first(PUTS, 8), first(READS, 4));
+        let (put, get) = (d.first_chunk(PUTS), d.first_chunk(GETS));
         // 2 launches against 8-byte pairs, 3 against 4-byte keys
         assert_eq!((put, get), (328, 988));
         // and on the P100 node, ≈ 8 k and ≈ 25 k a GPU
         let p100 = node(4);
-        assert_eq!(p100.first_chunk(&CascadeOp::of(&[PUTS]), 8), 4 * 8250);
-        assert_eq!(p100.first_chunk(&CascadeOp::of(&[ERASES]), 4), 4 * 24750);
+        assert_eq!(p100.first_chunk(PUTS), 4 * 8250);
+        assert_eq!(p100.first_chunk(ERASES), 4 * 24750);
         for (first, len) in [(put, 2 * put - 1), (put, 2 * put)] {
             let pairs: Vec<(u32, u32)> = (1..=len as u32).map(|k| (k, k)).collect();
             let d = node_paying(4, SMALL_OVERHEAD, Config::default());
@@ -1355,7 +1344,7 @@ mod tests {
     fn a_kill_in_a_middle_chunk_of_a_planned_call() {
         let cfg = Config::default().with_schedule(Schedule::Sequential);
         let mut d = node_paying(4, 2.5e-9, cfg);
-        assert_eq!(d.first_chunk(&CascadeOp::of(&[PUTS]), 8), 12);
+        assert_eq!(d.first_chunk(PUTS), 12);
         let part = |k: u32| d.partition().part(k);
         let elsewhere = (1..).filter(|&k| part(k) != 3).take(9);
         let mut pairs: Vec<(u32, u32)> = elsewhere.map(|k| (k, k + 1)).collect();
@@ -1408,8 +1397,8 @@ mod tests {
         let cfg = Config::default().with_fault(gpu_sim::FaultPlan::default());
         let mut d = DistributedHashMap::new(devices, 1 << 17, cfg, Topology::p100_quad(1)).unwrap();
         // a get's first chunk, the larger: the round is twice that
-        let n = d.first_chunk(&CascadeOp::of(&[READS]), 4);
-        assert!(n > d.first_chunk(&CascadeOp::of(&[PUTS]), 8));
+        let n = d.first_chunk(GETS);
+        assert!(n > d.first_chunk(PUTS));
         let old: Vec<(u32, u32)> = (1..=n as u32).map(|k| (k, k)).collect();
         assert!(chunks_of(&d.insert_from_host(&old).unwrap()) > 1);
         let keys: Vec<u32> = old.iter().map(|p| p.0).collect();

@@ -50,12 +50,10 @@
 //! [`crate::CachedMap`] answers what it can from its shadow and sends the
 //! misses, the puts and the erases on in one call;
 //! [`crate::DistributedHashMap`] runs them as **one cascade round**
-//! ([`crate::cascade`]: query words, pairs and erased keys are segments of
-//! one multisplit and one all-to-all, the owning GPU answers, inserts and
-//! erases in one launch, and only a call with a key both read and written
-//! sends its writes of such keys, and its erases, to a late launch
-//! behind it), on a node of GPUs and on the partitions of one device
-//! alike.
+//! ([`crate::cascade`]: the same five sections, cut from the lists in the
+//! same place, are segments of one multisplit and one all-to-all, and the
+//! owning GPU runs them as one launch), on a node of GPUs and on the
+//! partitions of one device alike.
 //!
 //! Erases need no launch of their own: §IV-A's barrier guards a key
 //! against a racing op *of the same key*, and the call holds one group
@@ -65,7 +63,7 @@
 //! proves response identity across seeds × schedules × fault plans, and
 //! its [`crate::Mutation::ForwardStaleRead`],
 //! [`crate::Mutation::UpsertReturnsNew`],
-//! [`crate::Mutation::LatePutsJoinFirstLaunch`] and
+//! [`crate::Mutation::UpsertRunsAsGetAndPut`] and
 //! [`crate::Mutation::TakeTombstonesFirst`] cases prove the suite can
 //! fail.
 //!

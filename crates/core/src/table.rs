@@ -4,7 +4,7 @@
 //! [`crate::GpuHashMap`] holds one [`Table`]; a resize migration holds
 //! the table it fills, and the finalize moves that table into the map.
 //! Its two kernels — the one kernel of every op kind, whose sections are
-//! gets, upserts, puts and erases ([`crate::get_put`]), and the
+//! gets, takes, upserts, puts and erases ([`crate::get_put`]), and the
 //! multi-value retrieval — are launched from here and nowhere else, both
 //! probe through [`Table::walk`], and the memory layout is known to
 //! the slot view ([`crate::slots`]) alone — the kernels, the map, the
@@ -19,7 +19,7 @@ use crate::config::{Config, Layout, Mutation};
 use crate::delete::EraseOutcome;
 use crate::entry::{live_pair, pack, value_of, EMPTY, RESERVED_KEY};
 use crate::errors::BuildError;
-use crate::get_put::{self, Sections};
+use crate::get_put::{self, Mix, Sections};
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::probing::Prober;
@@ -87,30 +87,6 @@ pub(crate) fn pair_words(pairs: &[(u32, u32)]) -> Result<Vec<u64>, OpError> {
     check_keys(pairs.iter().map(|p| p.0))?;
     Ok(pairs.iter().map(|&(k, v)| pack(k, v)).collect())
 }
-
-/// An iterator that yields exactly `len` items, as an
-/// [`ExactSizeIterator`]: what [`Table::stage`] uploads from a chain of
-/// filtered lists whose lengths were counted first.
-struct Exactly<I> {
-    iter: I,
-    len: usize,
-}
-
-impl<I: Iterator> Iterator for Exactly<I> {
-    type Item = I::Item;
-
-    fn next(&mut self) -> Option<I::Item> {
-        let item = self.iter.next()?;
-        self.len -= 1;
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.len, Some(self.len))
-    }
-}
-
-impl<I: Iterator> ExactSizeIterator for Exactly<I> {}
 
 /// Most stripes a [`HitSink`] cuts its flags into.
 const HIT_STRIPES: usize = 64;
@@ -424,7 +400,8 @@ impl Table {
     /// launch of the kernel ([`crate::get_put`]). A list alone may repeat
     /// keys; a call of two lists or more holds distinct keys in ascending
     /// order in each, none both put and erased, and a key read and put runs
-    /// once, as an upsert, one read and erased once, as a take. Answers
+    /// once, as an upsert, one read and erased once, as a take ([`Mix`]
+    /// cuts the sections). Answers
     /// into `values` what each key of `reads` held before the launch and
     /// into `hits` whether each key of `erases` was tombstoned, and returns
     /// the insertion outcome, whose stats cover the whole launch, and the
@@ -446,47 +423,17 @@ impl Table {
         recorder: Option<&HistoryRecorder>,
     ) -> Result<(InsertOutcome, u64), OpError> {
         check_lists(reads, puts, erases)?;
-        let read = |k: u32| reads.binary_search(&k).is_ok();
-        let written = |k: u32| puts.binary_search_by_key(&k, |p| p.0).is_ok();
-        let erased = |k: u32| erases.binary_search(&k).is_ok();
-        // where takes and upserts come from: nowhere when a list is empty,
-        // so a call of one list walks it once
-        let taking = if erases.is_empty() { &[][..] } else { reads };
-        let upserting = if reads.is_empty() { &[][..] } else { puts };
-        let takes = taking.iter().filter(|&&k| erased(k)).count();
-        let upserts = upserting.iter().filter(|p| read(p.0)).count();
-        let sections = Sections {
-            gets: reads.len() - takes - upserts,
-            takes,
-            upserts,
-            puts: puts.len() - upserts,
-            erases: erases.len() - takes,
-        };
-        // the kernel's sections: get-only keys, takes, upserts, put-only
-        // keys, erase-only keys
-        fn queries<'a>(
-            keys: &'a [u32],
-            pick: impl Fn(u32) -> bool + 'a,
-        ) -> impl Iterator<Item = u64> + 'a {
-            keys.iter().filter(move |&&k| pick(k)).map(|&k| query_word(k))
-        }
-        fn pairs<'a>(
-            puts: &'a [(u32, u32)],
-            pick: impl Fn(u32) -> bool + 'a,
-        ) -> impl Iterator<Item = u64> + 'a {
-            puts.iter().filter(move |p| pick(p.0)).map(|&(k, v)| pack(k, v))
-        }
-        let words = queries(reads, |k| !written(k) && !erased(k))
-            .chain(queries(taking, erased))
-            .chain(pairs(upserting, read))
-            .chain(pairs(puts, |k| !read(k)))
-            .chain(queries(erases, |k| !read(k)));
-        let words = Exactly {
-            iter: words,
-            len: sections.len(),
-        };
+        let mix = Mix::new(reads, puts, erases, self.mutation);
+        let sections = mix.sections();
+        let packed = |(k, v)| pack(k, v);
+        let mut words = (mix.gets().chain(mix.takes()).map(query_word))
+            .chain(mix.upserts().chain(mix.puts()).map(packed))
+            .chain(mix.erases().map(query_word));
+        // as many as the sections count, which `stage` must know first
+        let words = (0..sections.len()).map(|_| words.next().unwrap_or(EMPTY));
         let (_scratch, [input], out) = self.stage([words], sections.answered())?;
         // the erase section's hits land behind the takes' places
+        let takes = sections.takes;
         hits.fill(false);
         let sink = HitSink::new(&mut hits[takes..]);
         let ran = self.run(g, sections, input, out, recorder, |i| sink.set(i));
@@ -494,7 +441,7 @@ impl Table {
         // answer's found bit, set below
         let mut section = takes;
         for (e, &k) in erases.iter().enumerate() {
-            if !read(k) {
+            if !mix.read(k) {
                 hits[e] = hits[section];
                 section += 1;
             }
@@ -503,16 +450,16 @@ impl Table {
         let mem = self.dev.mem();
         let mut got = mem.d2h_words(out.sub(0, sections.gets));
         let mut taken = mem.d2h_words(out.sub(sections.gets, takes));
-        let mut upserted = mem.d2h_words(out.sub(sections.gets + takes, upserts));
+        let mut upserted = mem.d2h_words(out.sub(sections.gets + takes, sections.upserts));
         for (slot, &k) in values.iter_mut().zip(reads) {
-            let word = match erases.binary_search(&k) {
-                Ok(e) => {
+            let word = match mix.erased(k) {
+                Some(e) => {
                     let word = taken.next().unwrap_or(EMPTY);
                     hits[e] = word != EMPTY;
                     word
                 }
-                Err(_) if written(k) => upserted.next().unwrap_or(EMPTY),
-                Err(_) => got.next().unwrap_or(EMPTY),
+                None if mix.upserted(k) => upserted.next().unwrap_or(EMPTY),
+                None => got.next().unwrap_or(EMPTY),
             };
             answer(slot, (word != EMPTY).then(|| value_of(word)), self.mutation);
         }

@@ -1,7 +1,7 @@
 //! The node's one cascade round for every mix of reads, puts and erases
 //! (`DistributedHashMap`'s `MapService::apply`): its launches, rows and
 //! bytes, its answers against one call per kind, its placement counts,
-//! and the doubles its erase segment must catch.
+//! and the doubles its take, upsert and erase segments must catch.
 
 use gpu_sim::{Device, FaultPlan};
 use interconnect::Topology;
@@ -100,12 +100,13 @@ fn a_put_get_delete_call_is_one_round() {
     }
 }
 
-/// A call that reads keys it also deletes: the reads answer the values
-/// from before the call, then a late launch behind the kernel erases, each
-/// erased key's hit its read's found bit. `Mutation::TakeTombstonesFirst`
-/// runs the late launch first, and the reads miss.
+/// A call that reads keys it also deletes: each such key is a take group
+/// of the one launch, which answers the value from before the call and
+/// then erases, its hit its answer's found bit — a split, the kernel and
+/// a scatter a GPU. `Mutation::TakeTombstonesFirst` has the take group
+/// erase first, and the reads miss, and so do their hits.
 #[test]
-fn keys_read_and_erased_wait_for_the_late_launch() {
+fn keys_read_and_erased_are_takes_of_the_one_launch() {
     for mutation in [None, Some(Mutation::TakeTombstonesFirst)] {
         let cfg = mutation.map_or(Config::default(), |m| Config::default().with_mutation(m));
         let mut d = preloaded(cfg, 1..=200);
@@ -116,14 +117,35 @@ fn keys_read_and_erased_wait_for_the_late_launch() {
         let (values, hits, applied) = apply(&mut d, &reads, &puts, &erases);
         let pre: Vec<Option<u32>> = reads.iter().map(|&k| (k <= 200).then_some(k)).collect();
         let present: Vec<bool> = erases.iter().map(|&k| k <= 200).collect();
-        assert_eq!(hits, present, "{mutation:?}");
+        assert_eq!(hits == present, mutation.is_none(), "{mutation:?}");
         assert_eq!(values == pre, mutation.is_none(), "{mutation:?}");
-        assert!(stages_of(&applied.report).contains(&CascadeStage::Insert));
-        // a split, a kernel, the late launch and a scatter on each GPU
-        assert_eq!(launches(&d) - before, 4 * 4);
+        assert!(!stages_of(&applied.report).contains(&CascadeStage::Insert));
+        assert_eq!(launches(&d) - before, 4 + 4 + 4);
         let gone = d.get_batch(&erases).unwrap().values;
         assert!(gone.iter().all(Option::is_none));
     }
+}
+
+/// `Mutation::SplitTagsRunOffset` on the position words of upserts: a
+/// call that reads every key it puts is upserts alone, and with more than
+/// 256 of them on a GPU the answers past a run land in other keys'
+/// places.
+#[test]
+fn upsert_positions_past_a_run_are_caught() {
+    let keys = 1..=2048u32;
+    let puts: Vec<(u32, u32)> = keys.clone().map(|k| (k, k + 1)).collect();
+    let reads: Vec<u32> = keys.clone().collect();
+    let pre: Vec<Option<u32>> = keys.clone().map(Some).collect();
+    let answers = |cfg: Config| {
+        let mut d = preloaded(cfg, keys.clone());
+        let before = launches(&d);
+        let (values, _, _) = apply(&mut d, &reads, &puts, &[]);
+        assert_eq!(launches(&d) - before, 4 + 4 + 4);
+        values
+    };
+    assert_eq!(answers(Config::default()), pre);
+    let broken = Config::default().with_mutation(Mutation::SplitTagsRunOffset);
+    assert_ne!(answers(broken), pre);
 }
 
 /// `Mutation::EraseHitInWrongBit`: every other key of an erase present,

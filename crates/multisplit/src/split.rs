@@ -60,7 +60,9 @@
 //! keys is `RUN_WORDS / 2` streamed words, and the scatter group writes
 //! each key out as the word `key << 32 | position in the segment` — the
 //! query word of a cascade that answers per key, which thus crosses PCIe
-//! as 4 bytes and is split on `2n` words of traffic, not `3n`.
+//! as 4 bytes and is split on `2n` words of traffic, not `3n`. A segment
+//! of words can carry its positions out too, a word each beside the words
+//! ([`Segment::with_positions`]).
 //!
 //! The run is what keeps the descriptor traffic in bounds: a run's scan
 //! costs a few sector stores of `m` words and one window's load of at
@@ -89,19 +91,16 @@ pub struct Segment {
     out: DevSlice,
     /// Elements, each a word of `out`.
     len: usize,
-    tag: Option<Tag>,
+    /// Whether `input` holds 32-bit keys two a word.
+    keys: bool,
+    /// Where the position of each word of `out` goes, beside it.
+    positions: Option<DevSlice>,
+    /// BROKEN (mutation double): a key's or a word's position is its
+    /// offset inside the run.
+    run_offsets: bool,
     /// BROKEN (mutation double): the count groups read the predecessor's
     /// prefix without waiting for its flag.
     peek: bool,
-}
-
-/// What the low half of a key's output word holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    /// The key's position in the segment.
-    Position,
-    /// BROKEN (mutation double): its offset inside the run.
-    RunOffset,
 }
 
 impl Segment {
@@ -116,9 +115,23 @@ impl Segment {
             input,
             out,
             len: input.len(),
-            tag: None,
+            keys: false,
+            positions: None,
+            run_offsets: false,
             peek: false,
         }
+    }
+
+    /// The same segment, each word's position in it written to
+    /// `positions` where the word goes in `out`.
+    ///
+    /// # Panics
+    /// Panics if `positions` is too short.
+    #[must_use]
+    pub fn with_positions(mut self, positions: DevSlice) -> Self {
+        assert!(positions.len() >= self.len, "position buffer too small");
+        self.positions = Some(positions);
+        self
     }
 
     /// `len` 32-bit keys packed two a word in `packed` — key `2i` the low
@@ -138,20 +151,21 @@ impl Segment {
             input: packed,
             out,
             len,
-            tag: Some(Tag::Position),
+            keys: true,
+            positions: None,
+            run_offsets: false,
             peek: false,
         }
     }
 
     /// **Test-only** mutation double (the cascade's
     /// `Mutation::SplitTagsRunOffset`): if `broken`, the scatter group
-    /// tags a key with its offset inside the group's run instead of the
-    /// segment — the same word for the first [`RUN_WORDS`] keys only.
+    /// tags a key — or a word's position — with its offset inside the
+    /// group's run instead of the segment: the same for the first
+    /// [`RUN_WORDS`] elements only.
     #[must_use]
     pub fn tagging_run_offsets(mut self, broken: bool) -> Self {
-        if broken && self.tag.is_some() {
-            self.tag = Some(Tag::RunOffset);
-        }
+        self.run_offsets = broken;
         self
     }
 
@@ -280,8 +294,8 @@ impl SplitResult {
 pub const MAX_CLASSES: usize = 32;
 
 /// Most segments one [`device_multisplit_segments`] splits: the cascade's
-/// mixed round has four.
-pub const MAX_SEGMENTS: usize = 4;
+/// mixed round has five, the sections of its kernel.
+pub const MAX_SEGMENTS: usize = 5;
 
 /// Outcome of [`device_multisplit_segments`]: per segment what a
 /// [`SplitResult`] holds, in arrays of fixed capacity — a split allocates
@@ -471,7 +485,9 @@ where
             input,
             out: output,
             len,
-            tag,
+            keys,
+            positions,
+            run_offsets,
             peek,
         } = segments[s];
         let looks_back = looked_back_runs(m, len) > 0;
@@ -479,27 +495,22 @@ where
         let (k, last) = (first_run + run, first_run + len.div_ceil(RUN_WORDS) - 1);
         let first = run * RUN_WORDS;
         let len = (len - first).min(RUN_WORDS);
+        // the position of element `i` of the run: `base + i`
+        let base = if run_offsets { 0 } else { first };
         // streaming read of the run into registers, a class beside each word
         let (mut vals, mut class) = ([0u64; RUN_WORDS], [0u32; RUN_WORDS]);
-        match tag {
-            None => {
-                for (i, val) in vals.iter_mut().enumerate().take(len) {
-                    *val = ctx.read_stream(input, first + i);
+        if keys {
+            // two keys a word, each widened to the word it leaves as
+            for (w, pair) in vals.chunks_mut(2).enumerate().take(len.div_ceil(2)) {
+                let packed = ctx.read_stream(input, first / 2 + w);
+                for (half, val) in pair.iter_mut().enumerate() {
+                    let key = (packed >> (32 * half)) & 0xffff_ffff;
+                    *val = key << 32 | (base + 2 * w + half) as u64;
                 }
             }
-            // two keys a word, each widened to the word it leaves as
-            Some(tag) => {
-                let base = match tag {
-                    Tag::Position => first,
-                    Tag::RunOffset => 0,
-                };
-                for (w, pair) in vals.chunks_mut(2).enumerate().take(len.div_ceil(2)) {
-                    let packed = ctx.read_stream(input, first / 2 + w);
-                    for (half, val) in pair.iter_mut().enumerate() {
-                        let key = (packed >> (32 * half)) & 0xffff_ffff;
-                        *val = key << 32 | (base + 2 * w + half) as u64;
-                    }
-                }
+        } else {
+            for (i, val) in vals.iter_mut().enumerate().take(len) {
+                *val = ctx.read_stream(input, first + i);
             }
         }
         for i in 0..len {
@@ -524,6 +535,9 @@ where
             for (t, mask) in masks.iter().enumerate() {
                 for r in (0..G).filter(|r| mask & (1 << r) != 0) {
                     ctx.write_stream(output, at, vals[t * G + r]);
+                    if let Some(positions) = positions {
+                        ctx.write_stream(positions, at, (base + t * G + r) as u64);
+                    }
                     at += 1;
                 }
             }
@@ -895,7 +909,8 @@ mod tests {
     ) -> (Device, Vec<Segment>, DevSlice) {
         let total: usize = keys.len() + pairs.iter().map(Vec::len).sum::<usize>();
         let lens = || std::iter::once(keys.len()).chain(pairs.iter().map(Vec::len));
-        let dev = Device::with_words(0, 2 * total + scratch_words(m, lens()) + 32);
+        // room for the words, their copies and a position each
+        let dev = Device::with_words(0, 3 * total + scratch_words(m, lens()) + 32);
         let packed = dev.alloc(keys.len().div_ceil(2)).unwrap();
         dev.mem().h2d_keys(packed, keys);
         let mut segments = vec![Segment::keys(
@@ -991,20 +1006,54 @@ mod tests {
         }
     }
 
-    /// The mutation double tags a key with its offset inside the run: the
-    /// first run's words are right, every later run's are not.
+    /// A segment of words with positions writes beside each word where
+    /// it lay in its segment, in every class, run and schedule, and its
+    /// words go where they go without.
+    #[test]
+    fn positions_name_where_each_word_lay() {
+        let sequential = LaunchOptions::default().with_schedule(gpu_sim::Schedule::Sequential);
+        for m in [1, 4] {
+            for len in [1, RUN_WORDS, RUN_WORDS + 1, 1000] {
+                for (opts, in_order) in [(sequential, true), (LaunchOptions::default(), false)] {
+                    let data = [words(len, 11)];
+                    let (dev, segments, scratch) = key_segments_of(&[], &data, m);
+                    let positions = dev.alloc(len).unwrap();
+                    let with = [segments[0], segments[1].with_positions(positions)];
+                    let class = |w| (w % m as u64) as u32;
+                    device_multisplit_segments(&dev, &with, scratch, m, opts, class);
+                    let (out, at) = (dev.mem().d2h(with[1].out()), dev.mem().d2h(positions));
+                    let lay: Vec<u64> = at.iter().map(|&i| data[0][i as usize]).collect();
+                    assert_eq!(lay, out, "m={m} len {len}");
+                    assert_eq!(sorted(at), (0..len as u64).collect::<Vec<_>>());
+                    if in_order {
+                        let (ref_dev, without, _) = split_of(&data, m, opts);
+                        assert_eq!(out, ref_dev.mem().d2h(without[0].out()), "m={m} len {len}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The mutation double tags a key with its offset inside the run, and
+    /// a word with it in its position: the first run's are right, every
+    /// later run's are not.
     #[test]
     fn run_offset_tags_differ_from_the_second_run_on() {
         for (len, differs) in [(RUN_WORDS, false), (RUN_WORDS + 1, true)] {
             let keys: Vec<u32> = (0..len as u32).collect();
+            let pairs = [words(len, 3)];
             let split = |broken| {
-                let (dev, mut segments, scratch) = key_segments_of(&keys, &[], 1);
+                let (dev, mut segments, scratch) = key_segments_of(&keys, &pairs, 1);
+                let positions = dev.alloc(len).unwrap();
                 segments[0] = segments[0].tagging_run_offsets(broken);
+                segments[1] = segments[1].with_positions(positions).tagging_run_offsets(broken);
                 let opts = LaunchOptions::default();
                 device_multisplit_segments(&dev, &segments, scratch, 1, opts, |_| 0);
-                sorted(dev.mem().d2h(segments[0].out()))
+                [segments[0].out(), positions].map(|words| sorted(dev.mem().d2h(words)))
             };
-            assert_eq!(split(true) != split(false), differs, "len {len}");
+            let (broken, right) = (split(true), split(false));
+            assert_eq!(broken[0] != right[0], differs, "keys, len {len}");
+            assert_eq!(broken[1] != right[1], differs, "positions, len {len}");
         }
     }
 

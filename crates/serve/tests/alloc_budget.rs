@@ -125,8 +125,9 @@ const HANDED_OUT: u64 = 2;
 /// Where a flush's allocations went back to, for a failure message.
 const FLUSH_SITES: &str = "MapService::execute's sort keys, lists or answers (service.rs: on the \
     stack up to INLINE_OPS ops), OpReport's stage rows (stats.rs StageRows: inline for a \
-    flush's rounds), DistributedHashMap::apply's packed pairs (distributed.rs with_words: the \
-    node's own scratch), the cascade round (cascade.rs) or Server::flush's buffers (server.rs)";
+    flush's rounds), DistributedHashMap::apply's packed pairs and cut sections (distributed.rs \
+    with_scratch: the node's own scratch), the cascade round (cascade.rs) or Server::flush's \
+    buffers (server.rs)";
 
 /// A put + get flush through `serve_node4`'s server allocates only what it
 /// hands out: its one `apply` packs the pairs into the node's own scratch,
@@ -211,6 +212,63 @@ fn a_put_get_delete_flush_over_four_gpus_stays_within_two() {
          erases' hits (cascade.rs result_scatter's found bits), {FLUSH_SITES} went back to \
          allocating"
     );
+}
+
+/// A flush that reads the keys it writes, and one that reads the keys it
+/// deletes, are one round as a put + get flush is: a key both read and
+/// written is an upsert group of the one launch, a key read and deleted a
+/// take group — a split, a kernel and a scatter a GPU, 12 launches. Nor do
+/// they allocate more: the sections cut out of the flush's lists go into
+/// the node's own scratch.
+#[test]
+fn a_flush_of_keys_read_and_written_or_deleted_stays_within_two() {
+    if !default_environment() {
+        return;
+    }
+    let mut server = serve_node4();
+    // a get of each of 64 keys, then a put of it, or a delete of it: every
+    // GPU holds words of the flush's one section
+    let mut flush = |base: u32, at: f64, delete: bool| {
+        let ops = (0..64u32).flat_map(|i| {
+            let key = base + i;
+            let write = if delete { Op::Delete { key } } else { Op::Put { key, value: i } };
+            [Op::Get { key }, write]
+        });
+        let ops: Vec<Op> = ops.collect();
+        let before = launches(&server);
+        let (allocs, done) = allocations(|| {
+            for (i, &op) in ops.iter().enumerate() {
+                assert!(server.submit_at(0, op, at + i as f64 * 1e-7).outcome.is_ok());
+            }
+            server.flush().expect("healthy node")
+        });
+        assert_eq!(done.len(), ops.len());
+        let hits = done.iter().filter(|c| c.response == Response::Delete { hit: true });
+        (allocs, hits.count(), launches(&server) - before)
+    };
+    // the first flush of each kind grows the server's buffers and the
+    // node's scratch to the flushes' size; the puts make the keys the
+    // deletes take, and the measured put flush writes keys the server
+    // already holds, so that its admission model does not grow
+    for (base, at, delete, measured) in [
+        (1_000, 0.0, false, false),
+        (1_000, 1e-3, false, true),
+        (2_000, 2e-3, false, false),
+        (1_000, 3e-3, true, false),
+        (2_000, 4e-3, true, true),
+    ] {
+        let why = if delete { "delete" } else { "put" };
+        let (allocs, hits, launched) = flush(base, at, delete);
+        assert_eq!(launched, 12, "a get + {why} flush of the same keys");
+        assert_eq!(hits, if delete { 64 } else { 0 }, "the takes hit what the upserts put");
+        if measured {
+            assert!(
+                allocs <= HANDED_OUT,
+                "{allocs} allocations for a get + {why} flush of the same keys, {HANDED_OUT} \
+                 before: {FLUSH_SITES} went back to allocating"
+            );
+        }
+    }
 }
 
 /// The same put + get flush, run by the next arrival's `submit_at` at the

@@ -19,14 +19,14 @@
 //! by flushes of more than 256 keys per GPU, and provably by no other:
 //! `Mutation::ForwardStaleRead` — an `execute` that answers a get from
 //! the pre-call read although the call wrote the key before it —,
-//! `Mutation::UpsertReturnsNew` — a fused launch whose upsert groups
-//! answer with the value they wrote instead of the one they replaced —
-//! and, on the 4-GPU node under a seeded schedule,
-//! `Mutation::LatePutsJoinFirstLaunch` — a mixed cascade round whose
-//! put of a key it also reads races that read in the fused launch. A
-//! fifth, `Mutation::TakeTombstonesFirst` — a key a flush reads and then
-//! deletes tombstoned before it is read — is hunted on one GPU and on the
-//! node.
+//! `Mutation::UpsertReturnsNew` — a launch whose upsert groups answer
+//! with the value they wrote instead of the one they replaced, hunted on
+//! one GPU and on the node — and, on the 4-GPU node under a seeded
+//! schedule, `Mutation::UpsertRunsAsGetAndPut` — a key a flush reads and
+//! puts run as a get group and a put group of the one launch, which
+//! race. A fifth, `Mutation::TakeTombstonesFirst` — a key a flush reads
+//! and then deletes tombstoned before it is read — is hunted on one GPU
+//! and on the node.
 
 use gpu_sim::{Device, FaultPlan, Schedule};
 use interconnect::Topology;
@@ -365,31 +365,28 @@ fn broken_forward_stale_read_is_caught_by_equivalence() {
     mutant_is_caught_by_equivalence(Mutation::ForwardStaleRead, "stale-read", backend, None, &[]);
 }
 
-/// Mutation double: an upsert group of the fused get + put launch that
-/// answers with the value it wrote. A get followed by a put of its key
-/// inside one flush — one table visit — reads the put.
+/// Mutation double: an upsert group of the one launch that answers with
+/// the value it wrote. A get followed by a put of its key inside one
+/// flush — one table visit — reads the put, on one GPU and on a node's
+/// target alike.
 #[test]
 fn broken_upsert_returns_new_is_caught_by_equivalence() {
+    let (mutation, name) = (Mutation::UpsertReturnsNew, "upsert-returns-new");
     let backend = |cfg| single_gpu(4096, cfg);
-    mutant_is_caught_by_equivalence(
-        Mutation::UpsertReturnsNew,
-        "upsert-returns-new",
-        backend,
-        None,
-        &[],
-    );
+    mutant_is_caught_by_equivalence(mutation, name, backend, None, &[]);
+    mutant_is_caught_by_equivalence(mutation, name, quad_node, SEEDED, &[SEQUENTIAL]);
 }
 
-/// Mutation double: a mixed cascade round that sends the put of a key
-/// it also reads into the fused launch. In `group_id` order — and in the
-/// pool, which runs launches this small in that order — the gets come
-/// first and nothing shows; a seeded interleaving lets the put overtake
-/// its key's get.
+/// Mutation double: a key a flush reads and puts runs as a get group and
+/// a put group of the one launch, not one upsert group. In `group_id`
+/// order — and in the pool, which runs launches this small in that order
+/// — the gets come first and nothing shows; a seeded interleaving lets
+/// the put overtake its key's get.
 #[test]
-fn broken_late_puts_join_first_launch_is_caught_by_equivalence() {
+fn broken_upsert_runs_as_get_and_put_is_caught_by_equivalence() {
     mutant_is_caught_by_equivalence(
-        Mutation::LatePutsJoinFirstLaunch,
-        "late-puts-join-first-launch",
+        Mutation::UpsertRunsAsGetAndPut,
+        "upsert-runs-as-get-and-put",
         quad_node,
         SEEDED,
         &[SEQUENTIAL, None],
@@ -397,8 +394,8 @@ fn broken_late_puts_join_first_launch_is_caught_by_equivalence() {
 }
 
 /// Mutation double: a key a flush both reads and deletes is tombstoned
-/// before it is read — on one GPU its take group erases first, on the node
-/// the late launch runs ahead of the kernel — so the get misses.
+/// before it is read — its take group erases first, on one GPU and on a
+/// node's target alike — so the get misses.
 #[test]
 fn broken_take_tombstones_first_is_caught_by_equivalence() {
     let (mutation, name) = (Mutation::TakeTombstonesFirst, "take-tombstones-first");
