@@ -9,12 +9,18 @@
 //!
 //! ## Design
 //!
-//! * **Fixed capacity, deterministic replacement.** Entries live in
-//!   `BTreeMap`/`BTreeSet` structures keyed by an explicit priority tuple
-//!   `(class, stamp, key)` — no hash-iteration order anywhere, so one
-//!   seed gives one eviction sequence on every host ([`CachePolicy::Lru`]
-//!   evicts the least-recently-touched entry, [`CachePolicy::Lfu`] the
-//!   least-frequently-touched one, ties broken oldest-first).
+//! * **Fixed capacity, deterministic replacement.** The shadow is a slab
+//!   of slots that grows on demand up to the capacity and is then reused,
+//!   so a call on a filled cache allocates nothing. Every slot sits in a
+//!   *run*, an intrusive list of the slots of one order class, oldest
+//!   touch first, and the runs are linked in ascending class order: the
+//!   victim is the head of the first run. [`CachePolicy::Lru`] keeps one
+//!   run (class 0) and evicts the least-recently-touched entry;
+//!   [`CachePolicy::Lfu`]'s class is the touch count, so it evicts the
+//!   least-frequently-touched entry, ties broken oldest-first. A key finds
+//!   its slot through a hashed index that is only looked up, never
+//!   iterated — no hash-iteration order anywhere, so one seed gives one
+//!   eviction sequence on every host.
 //! * **Read-driven admission.** Only values the backend actually
 //!   returned on a get are admitted; writes update an entry already
 //!   present but never admit (a write-heavy scan must not flush the hot
@@ -50,7 +56,7 @@
 
 use crate::service::{answer, check_call, Applied, MapService, OpError, HELD_SCRATCH};
 use crate::stats::DegradedStats;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 
 /// Replacement policy of the hot-key cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,11 +108,215 @@ impl CacheStats {
     }
 }
 
+/// No slot, or no run: the end of a list.
+const NIL: u32 = u32::MAX;
+
+/// A cached entry, linked into its run.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Slot {
+    key: u32,
     value: u32,
-    freq: u64,
-    stamp: u64,
+    /// The run it is in.
+    run: u32,
+    /// The slots of its run touched just before and just after it; a free
+    /// slot's `next` is the next free slot.
+    prev: u32,
+    next: u32,
+}
+
+/// The slots of one order class, oldest touch first.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// The touch count under LFU, 0 under LRU.
+    class: u64,
+    /// Its oldest and its newest slot.
+    head: u32,
+    tail: u32,
+    /// The runs of the next lower and the next higher class; a free run's
+    /// `next` is the next free run.
+    prev: u32,
+    next: u32,
+}
+
+/// The cached entries in eviction order, in memory that grows with them up
+/// to the cache's capacity and is reused from then on.
+///
+/// The victim is the head of the first run. A touch appends its entry to
+/// the run of its new class — its own, the next one, or a new one right
+/// after its own — and an admission appends to the first run, of the
+/// lowest class. That is ascending `(class, stamp, key)` order with a fresh
+/// stamp for every touch or admission, the tests' reference: within a
+/// class, stamps are touch order.
+#[derive(Debug)]
+struct Shadow {
+    slots: Vec<Slot>,
+    /// As many as `slots`: a run in use holds a slot, so a slot that is
+    /// about to start a run always finds a free one.
+    runs: Vec<Run>,
+    /// Key → slot; only looked up, never iterated.
+    index: HashMap<u32, u32>,
+    /// The run of the lowest class.
+    first: u32,
+    free_slots: u32,
+    free_runs: u32,
+}
+
+impl Shadow {
+    fn new() -> Self {
+        Self {
+            slots: Vec::new(),
+            runs: Vec::new(),
+            index: HashMap::new(),
+            first: NIL,
+            free_slots: NIL,
+            free_runs: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The slot of `key`, if it is cached.
+    fn find(&self, key: u32) -> Option<u32> {
+        self.index.get(&key).copied()
+    }
+
+    fn slot(&mut self, s: u32) -> &mut Slot {
+        &mut self.slots[s as usize]
+    }
+
+    fn run(&mut self, r: u32) -> &mut Run {
+        &mut self.runs[r as usize]
+    }
+
+    /// The slot an eviction takes.
+    fn victim(&self) -> Option<u32> {
+        (self.first != NIL).then(|| self.runs[self.first as usize].head)
+    }
+
+    /// Enters `key → value` at the newest end of the run of `class`, below
+    /// which no run's class is.
+    fn admit(&mut self, key: u32, value: u32, class: u64) {
+        let s = match self.free_slots {
+            NIL => self.grow(),
+            s => s,
+        };
+        self.free_slots = self.slot(s).next;
+        self.slot(s).key = key;
+        self.slot(s).value = value;
+        let first = self.first;
+        let r = if first != NIL && self.run(first).class == class {
+            first
+        } else {
+            self.new_run(NIL, class)
+        };
+        self.append(r, s);
+        self.index.insert(key, s);
+    }
+
+    /// One free slot and one free run more; the new slot.
+    fn grow(&mut self) -> u32 {
+        // a slot a key, and the reserved key `u32::MAX` is never cached:
+        // no slot's index reaches NIL
+        let s = self.slots.len() as u32;
+        self.slots.push(Slot { key: 0, value: 0, run: NIL, prev: NIL, next: NIL });
+        self.runs.push(Run { class: 0, head: NIL, tail: NIL, prev: NIL, next: self.free_runs });
+        self.free_runs = s;
+        // room in the index for twice the slab: an insert that finds it
+        // full of tombstones then rehashes in place instead of growing
+        self.index.reserve(2 * self.slots.len() - self.index.len());
+        s
+    }
+
+    /// Moves slot `s` to the newest end of the run of its class + `step`:
+    /// its own run, the next one, or a new one right after its own.
+    fn touch(&mut self, s: u32, step: u64) {
+        let r = self.slot(s).run;
+        let Run { class, head, tail, next, .. } = *self.run(r);
+        let class = class + step;
+        let joins_next = next != NIL && self.run(next).class == class;
+        if head == tail && !joins_next {
+            // alone in its run: the run takes the new class along
+            self.run(r).class = class;
+            return;
+        }
+        self.unlink(s);
+        let to = if step == 0 {
+            r
+        } else if joins_next {
+            next
+        } else {
+            self.new_run(r, class)
+        };
+        self.append(to, s);
+    }
+
+    /// Drops slot `s`.
+    fn remove(&mut self, s: u32) {
+        self.unlink(s);
+        let key = self.slot(s).key;
+        self.index.remove(&key);
+        self.slot(s).next = self.free_slots;
+        self.free_slots = s;
+    }
+
+    /// Takes slot `s` out of its run, and the run out of the order once it
+    /// is empty.
+    fn unlink(&mut self, s: u32) {
+        let Slot { run, prev, next, .. } = *self.slot(s);
+        match prev {
+            NIL => self.run(run).head = next,
+            p => self.slot(p).next = next,
+        }
+        match next {
+            NIL => self.run(run).tail = prev,
+            n => self.slot(n).prev = prev,
+        }
+        if self.run(run).head == NIL {
+            let Run { prev, next, .. } = *self.run(run);
+            match prev {
+                NIL => self.first = next,
+                p => self.run(p).next = next,
+            }
+            if next != NIL {
+                self.run(next).prev = prev;
+            }
+            self.run(run).next = self.free_runs;
+            self.free_runs = run;
+        }
+    }
+
+    /// Puts slot `s` at the newest end of run `r`.
+    fn append(&mut self, r: u32, s: u32) {
+        let tail = self.run(r).tail;
+        let slot = self.slot(s);
+        (slot.run, slot.prev, slot.next) = (r, tail, NIL);
+        match tail {
+            NIL => self.run(r).head = s,
+            t => self.slot(t).next = s,
+        }
+        self.run(r).tail = s;
+    }
+
+    /// A new, empty run of `class` right after run `after`, or first.
+    fn new_run(&mut self, after: u32, class: u64) -> u32 {
+        let r = self.free_runs;
+        self.free_runs = self.run(r).next;
+        let next = match after {
+            NIL => self.first,
+            a => self.run(a).next,
+        };
+        *self.run(r) = Run { class, head: NIL, tail: NIL, prev: after, next };
+        match after {
+            NIL => self.first = r,
+            a => self.run(a).next = r,
+        }
+        if next != NIL {
+            self.run(next).prev = r;
+        }
+        r
+    }
 }
 
 /// A fixed-capacity deterministic hot-key cache wrapping a
@@ -117,12 +327,7 @@ pub struct CachedMap<S> {
     backend: S,
     capacity: usize,
     policy: CachePolicy,
-    entries: BTreeMap<u32, Entry>,
-    /// Eviction order: `(class, stamp, key)` with the victim at
-    /// `first()`. `class` is the touch count under LFU and constant 0
-    /// under LRU (reducing the order to stamps alone).
-    order: BTreeSet<(u64, u64, u32)>,
-    tick: u64,
+    shadow: Shadow,
     stats: CacheStats,
     /// The misses of a call of a serving flush's size, kept across calls.
     misses: Misses,
@@ -131,7 +336,8 @@ pub struct CachedMap<S> {
 /// The reads of one call the shadow could not answer.
 #[derive(Debug, Default)]
 struct Misses {
-    /// Their keys, as the backend is asked them.
+    /// Their keys, as the backend is asked them; after the answers are in,
+    /// the sorted keys of an unsorted put batch.
     keys: Vec<u32>,
     /// Their positions among the call's reads.
     slots: Vec<usize>,
@@ -156,15 +362,14 @@ impl Misses {
 impl<S: MapService> CachedMap<S> {
     /// Wraps `backend` with a hot-key cache of at most `capacity`
     /// entries (a capacity of 0 disables caching: every get forwards).
+    /// The cache's memory grows with its entries, not with `capacity`.
     #[must_use]
     pub fn new(backend: S, capacity: usize, policy: CachePolicy) -> Self {
         Self {
             backend,
             capacity,
             policy,
-            entries: BTreeMap::new(),
-            order: BTreeSet::new(),
-            tick: 0,
+            shadow: Shadow::new(),
             stats: CacheStats::default(),
             misses: Misses::default(),
         }
@@ -195,7 +400,7 @@ impl<S: MapService> CachedMap<S> {
     /// Live cached entries.
     #[must_use]
     pub fn cached_len(&self) -> usize {
-        self.entries.len()
+        self.shadow.len()
     }
 
     /// Configured capacity.
@@ -210,30 +415,24 @@ impl<S: MapService> CachedMap<S> {
         self.policy
     }
 
-    fn order_class(&self, freq: u64) -> u64 {
-        match self.policy {
-            CachePolicy::Lru => 0,
-            CachePolicy::Lfu => freq,
+    /// The class an admission enters and how far a touch moves an entry's
+    /// class: the touch count under LFU, one class under LRU.
+    fn step(&self) -> u64 {
+        // MUTATION DOUBLE (test builds, `tests::LFU_TOUCH_STAYS`): an LFU
+        // entry stays in the class it entered, which orders LFU as LRU
+        #[cfg(test)]
+        if tests::LFU_TOUCH_STAYS.with(std::cell::Cell::get) {
+            return 0;
         }
+        u64::from(self.policy == CachePolicy::Lfu)
     }
 
-    /// Re-keys `key`'s order tuple after a touch.
-    fn touch(&mut self, key: u32) {
-        let policy = self.policy;
-        let tick = self.tick;
-        if let Some(entry) = self.entries.get_mut(&key) {
-            let class_of = |freq: u64| match policy {
-                CachePolicy::Lru => 0,
-                CachePolicy::Lfu => freq,
-            };
-            let old = (class_of(entry.freq), entry.stamp, key);
-            entry.freq += 1;
-            entry.stamp = tick;
-            let new = (class_of(entry.freq), entry.stamp, key);
-            self.order.remove(&old);
-            self.order.insert(new);
-            self.tick = tick + 1;
-        }
+    /// The cached value of `key`, if any, its entry touched.
+    fn hit(&mut self, key: u32) -> Option<u32> {
+        let s = self.shadow.find(key)?;
+        let step = self.step();
+        self.shadow.touch(s, step);
+        Some(self.shadow.slot(s).value)
     }
 
     /// Admits (or refreshes) `key → value` after a backend hit.
@@ -241,37 +440,26 @@ impl<S: MapService> CachedMap<S> {
         if self.capacity == 0 {
             return;
         }
-        if self.entries.contains_key(&key) {
-            if let Some(entry) = self.entries.get_mut(&key) {
-                entry.value = value;
-            }
-            self.touch(key);
+        let step = self.step();
+        if let Some(s) = self.shadow.find(key) {
+            self.shadow.slot(s).value = value;
+            self.shadow.touch(s, step);
             return;
         }
-        if self.entries.len() >= self.capacity {
-            if let Some(&victim) = self.order.first() {
-                self.order.remove(&victim);
-                self.entries.remove(&victim.2);
+        if self.shadow.len() >= self.capacity {
+            if let Some(victim) = self.shadow.victim() {
+                self.shadow.remove(victim);
                 self.stats.evictions += 1;
             }
         }
-        let entry = Entry {
-            value,
-            freq: 1,
-            stamp: self.tick,
-        };
-        self.tick += 1;
-        self.entries.insert(key, entry);
-        self.order
-            .insert((self.order_class(entry.freq), entry.stamp, key));
+        self.shadow.admit(key, value, step);
         self.stats.admissions += 1;
     }
 
     /// Drops `key` from the shadow, if present.
     fn invalidate(&mut self, key: u32) {
-        if let Some(entry) = self.entries.remove(&key) {
-            self.order
-                .remove(&(self.order_class(entry.freq), entry.stamp, key));
+        if let Some(s) = self.shadow.find(key) {
+            self.shadow.remove(s);
             self.stats.invalidations += 1;
         }
     }
@@ -280,10 +468,9 @@ impl<S: MapService> CachedMap<S> {
     /// notes the rest in `misses`.
     fn lookup(&mut self, keys: &[u32], values: &mut [Option<u32>], misses: &mut Misses) {
         for (i, &k) in keys.iter().enumerate() {
-            if let Some(entry) = self.entries.get(&k) {
-                values[i] = Some(entry.value);
+            if let Some(v) = self.hit(k) {
+                values[i] = Some(v);
                 self.stats.hits += 1;
-                self.touch(k);
             } else {
                 misses.keys.push(k);
                 misses.slots.push(i);
@@ -306,27 +493,25 @@ impl<S: MapService> CachedMap<S> {
 
     /// Write-through after the backend applied `pairs`: a cached key
     /// takes its new value, a key the batch wrote twice is dropped.
-    fn note_puts(&mut self, pairs: &[(u32, u32)]) {
+    /// `sorted` is scratch for the keys of an unsorted batch.
+    fn note_puts(&mut self, pairs: &[(u32, u32)], sorted: &mut Vec<u32>) {
+        sorted.clear();
         // keys in strictly ascending order, as `execute` sends them, are
-        // distinct: no count needed
-        let dup_count = (!pairs.is_sorted_by(|a, b| a.0 < b.0)).then(|| {
-            let mut count: BTreeMap<u32, u32> = BTreeMap::new();
-            for &(k, _) in pairs {
-                *count.entry(k).or_default() += 1;
-            }
-            count
-        });
+        // distinct: no sort needed
+        if !pairs.is_sorted_by(|a, b| a.0 < b.0) {
+            sorted.extend(pairs.iter().map(|p| p.0));
+            sorted.sort_unstable();
+        }
         for &(k, v) in pairs {
-            if dup_count
-                .as_ref()
-                .is_some_and(|count| count.get(&k) > Some(&1))
-            {
+            // a key written twice sits twice in a row in `sorted`
+            let at = sorted.partition_point(|&s| s < k);
+            if sorted.get(at + 1) == Some(&k) {
                 // duplicate keys race in the kernel (last writer
                 // on the event horizon, not slice order) — the
                 // shadow must not guess the winner
                 self.invalidate(k);
-            } else if let Some(entry) = self.entries.get_mut(&k) {
-                entry.value = v;
+            } else if let Some(s) = self.shadow.find(k) {
+                self.shadow.slot(s).value = v;
                 self.stats.write_updates += 1;
             }
         }
@@ -372,7 +557,7 @@ impl<S: MapService> MapService for CachedMap<S> {
         };
         if done.is_ok() {
             self.admit_answers(reads, &misses, values);
-            self.note_puts(puts);
+            self.note_puts(puts, &mut misses.keys);
         } else {
             self.forget_puts(puts);
         }
@@ -425,6 +610,15 @@ mod tests {
     use super::*;
     use crate::service::model::{ModelService, OneCall};
     use crate::service::Op;
+    use rand::prelude::*;
+    use std::cell::Cell;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    thread_local! {
+        /// Arms `CachedMap::step`'s mutation double: every LFU entry stays
+        /// in the class it entered, so LFU evicts as LRU does.
+        pub(super) static LFU_TOUCH_STAYS: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn warmed(capacity: usize, policy: CachePolicy) -> CachedMap<ModelService> {
         let mut c = CachedMap::new(ModelService::default(), capacity, policy);
@@ -520,12 +714,15 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let mut c = warmed(0, CachePolicy::Lru);
-        c.get_batch(&[1]).unwrap();
-        c.get_batch(&[1]).unwrap();
-        assert_eq!(c.cached_len(), 0);
-        assert_eq!(c.stats().hits, 0);
-        assert_eq!(c.stats().misses, 2);
+        for policy in [CachePolicy::Lru, CachePolicy::Lfu] {
+            let mut c = warmed(0, policy);
+            c.get_batch(&[1]).unwrap();
+            c.get_batch(&[1]).unwrap();
+            assert_eq!(c.cached_len(), 0);
+            assert_eq!(c.stats().hits, 0);
+            assert_eq!(c.stats().misses, 2);
+            assert_eq!(c.backend().gets, 2, "{}: every get forwards", policy.label());
+        }
     }
 
     #[test]
@@ -650,5 +847,215 @@ mod tests {
             let (got, _) = cached.execute(&ops).unwrap();
             assert_eq!(got, want, "{} diverged", policy.label());
         }
+    }
+
+    #[test]
+    fn a_hostile_capacity_reserves_nothing() {
+        for policy in [CachePolicy::Lru, CachePolicy::Lfu] {
+            let mut c = warmed(usize::MAX, policy);
+            assert_eq!(c.shadow.slots.capacity(), 0, "nothing reserved for usize::MAX");
+            assert_eq!(c.get_batch(&[1, 2, 9]).unwrap().values, [Some(10), Some(20), None]);
+            c.put_batch(&[(2, 21)]).unwrap();
+            let before = c.backend().gets;
+            assert_eq!(c.get_batch(&[2, 1]).unwrap().values, [Some(21), Some(10)]);
+            assert_eq!(c.backend().gets, before, "{}: both cached", policy.label());
+            assert_eq!((c.cached_len(), c.stats().evictions), (2, 0));
+            assert!(c.shadow.slots.capacity() < 64, "the slab grows with its entries");
+        }
+    }
+
+    #[test]
+    fn one_entry_evicts_on_every_new_admission() {
+        for policy in [CachePolicy::Lru, CachePolicy::Lfu] {
+            let mut c = warmed(1, policy);
+            c.get_batch(&[1, 1, 1]).unwrap(); // 1 admitted and touched twice
+            for (i, key) in [2, 3, 1, 4].into_iter().enumerate() {
+                let before = c.backend().gets;
+                c.get_batch(&[key]).unwrap();
+                c.get_batch(&[key]).unwrap();
+                let why = format!("{}: {key} missed, then hit", policy.label());
+                assert_eq!(c.backend().gets, before + 1, "{why}");
+                assert_eq!(c.stats().evictions, i as u64 + 1, "{why}");
+                assert_eq!(order(&c.shadow), [(key, key * 10)]);
+            }
+        }
+    }
+
+    /// The entries, victim first, every link checked on the way.
+    fn order(shadow: &Shadow) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        let (mut r, mut lower, mut class) = (shadow.first, NIL, None);
+        while r != NIL {
+            let run = shadow.runs[r as usize];
+            assert_eq!(run.prev, lower, "run {r}'s lower neighbour");
+            assert!(class < Some(run.class), "runs in ascending class order");
+            assert_ne!(run.head, NIL, "run {r} is empty");
+            let (mut s, mut older) = (run.head, NIL);
+            while s != NIL {
+                let slot = shadow.slots[s as usize];
+                assert_eq!((slot.run, slot.prev), (r, older), "slot {s}'s links");
+                assert_eq!(shadow.find(slot.key), Some(s), "key {}'s slot", slot.key);
+                out.push((slot.key, slot.value));
+                (older, s) = (s, slot.next);
+            }
+            assert_eq!(run.tail, older, "run {r}'s tail");
+            (lower, class, r) = (r, Some(run.class), run.next);
+        }
+        assert_eq!(out.len(), shadow.len(), "every indexed slot in a run");
+        out
+    }
+
+    /// An entry of the order the shadow replaced.
+    #[derive(Debug, Clone, Copy)]
+    struct Entry {
+        value: u32,
+        freq: u64,
+        stamp: u64,
+    }
+
+    /// The order the shadow replaced: `(class, stamp, key)` tuples in a
+    /// `BTreeSet`, the victim first, `class` the touch count under LFU and
+    /// 0 under LRU, and a fresh stamp a touch or an admission.
+    struct Reference {
+        capacity: usize,
+        policy: CachePolicy,
+        entries: BTreeMap<u32, Entry>,
+        order: BTreeSet<(u64, u64, u32)>,
+        tick: u64,
+    }
+
+    impl Reference {
+        fn new(capacity: usize, policy: CachePolicy) -> Self {
+            let (entries, order) = (BTreeMap::new(), BTreeSet::new());
+            Self { capacity, policy, entries, order, tick: 0 }
+        }
+
+        fn class(&self, freq: u64) -> u64 {
+            match self.policy {
+                CachePolicy::Lru => 0,
+                CachePolicy::Lfu => freq,
+            }
+        }
+
+        fn touch(&mut self, key: u32) {
+            let Some(mut entry) = self.entries.get(&key).copied() else {
+                return;
+            };
+            self.order.remove(&(self.class(entry.freq), entry.stamp, key));
+            entry.freq += 1;
+            entry.stamp = self.tick;
+            self.tick += 1;
+            self.order.insert((self.class(entry.freq), entry.stamp, key));
+            self.entries.insert(key, entry);
+        }
+
+        /// The key evicted, if any.
+        fn admit(&mut self, key: u32, value: u32) -> Option<u32> {
+            if self.capacity == 0 {
+                return None;
+            }
+            if let Some(entry) = self.entries.get_mut(&key) {
+                entry.value = value;
+                self.touch(key);
+                return None;
+            }
+            let victim = (self.entries.len() >= self.capacity).then(|| {
+                let (_, _, victim) = self.order.pop_first().expect("a full order");
+                self.entries.remove(&victim);
+                victim
+            });
+            let entry = Entry { value, freq: 1, stamp: self.tick };
+            self.tick += 1;
+            self.entries.insert(key, entry);
+            self.order.insert((self.class(entry.freq), entry.stamp, key));
+            victim
+        }
+
+        fn update(&mut self, key: u32, value: u32) {
+            if let Some(entry) = self.entries.get_mut(&key) {
+                entry.value = value;
+            }
+        }
+
+        fn invalidate(&mut self, key: u32) {
+            if let Some(entry) = self.entries.remove(&key) {
+                self.order.remove(&(self.class(entry.freq), entry.stamp, key));
+            }
+        }
+
+        fn order(&self) -> Vec<(u32, u32)> {
+            self.order.iter().map(|&(_, _, k)| (k, self.entries[&k].value)).collect()
+        }
+    }
+
+    /// Drives a cache and the reference through `steps` seeded random
+    /// admits, touches, write-updates and invalidations over a few keys
+    /// more than twice the capacity; the first step at which their orders
+    /// or their victims differ, if any.
+    fn divergence(policy: CachePolicy, capacity: usize, seed: u64, steps: u32) -> Option<String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cache = CachedMap::new(ModelService::default(), capacity, policy);
+        let mut reference = Reference::new(capacity, policy);
+        let keys = 2 * capacity as u32 + 3;
+        let mut was: Vec<(u32, u32)> = Vec::new();
+        for step in 0..steps {
+            let (key, value) = (rng.gen_range(0..keys), rng.gen_range(0..1_000u32));
+            let (op, want) = match rng.gen_range(0..8u32) {
+                0..=2 => {
+                    cache.admit(key, value);
+                    ("admit", reference.admit(key, value))
+                }
+                3..=5 => {
+                    cache.hit(key);
+                    reference.touch(key);
+                    ("touch", None)
+                }
+                6 => {
+                    cache.note_puts(&[(key, value)], &mut Vec::new());
+                    reference.update(key, value);
+                    ("update", None)
+                }
+                _ => {
+                    cache.invalidate(key);
+                    reference.invalidate(key);
+                    ("invalidate", None)
+                }
+            };
+            let now = order(&cache.shadow);
+            // what an admission took out of the shadow is its victim
+            let gone = was.iter().map(|e| e.0).find(|&k| now.iter().all(|e| e.0 != k));
+            let evicted = if op == "admit" { gone } else { None };
+            if now != reference.order() || evicted != want {
+                return Some(format!(
+                    "{} at capacity {capacity}, step {step} ({op} {key} → {value}): shadow \
+                     {now:?} evicted {evicted:?}, reference {:?} evicted {want:?}",
+                    policy.label(),
+                    reference.order()
+                ));
+            }
+            was = now;
+        }
+        None
+    }
+
+    #[test]
+    fn the_shadow_evicts_as_the_btree_order_did() {
+        for policy in [CachePolicy::Lru, CachePolicy::Lfu] {
+            for capacity in [0, 1, 2, 7, 64] {
+                if let Some(diff) = divergence(policy, capacity, 42 + capacity as u64, 20_000) {
+                    panic!("{diff}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_lfu_that_evicts_as_lru_is_caught() {
+        LFU_TOUCH_STAYS.with(|stays| stays.set(true));
+        let differential = divergence(CachePolicy::Lfu, 7, 49, 2_000);
+        let frequent = std::panic::catch_unwind(lfu_keeps_the_frequent_entry).is_err();
+        LFU_TOUCH_STAYS.with(|stays| stays.set(false));
+        assert!(differential.is_some(), "the differential test passed an LRU-ordered LFU");
+        assert!(frequent, "lfu_keeps_the_frequent_entry passed an LRU-ordered LFU");
     }
 }

@@ -1,8 +1,9 @@
-//! Heap-allocation budgets of the three paths a small batch pays for — a
-//! kernel launch, a serving flush through the 4-GPU cascade, and a
-//! front-door call on one GPU — and of the two a large one adds: a launch
-//! on the rayon shim's pool, and a host-sided call the bracket cuts into
-//! overlapping chunks, whose cascade rounds allocate nothing.
+//! Heap-allocation budgets of the four paths a small batch pays for — a
+//! kernel launch, a serving flush through the 4-GPU cascade, a front-door
+//! call on one GPU, and a call through a filled hot-key cache — and of the
+//! two a large one adds: a launch on the rayon shim's pool, and a
+//! host-sided call the bracket cuts into overlapping chunks, whose cascade
+//! rounds allocate nothing.
 //!
 //! A binary of its own, because it installs a counting
 //! `#[global_allocator]`. The count is per thread — every `#[test]` runs
@@ -16,7 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use warpdrive::host_ops::Cut;
-use warpdrive::{Config, DistributedHashMap, GpuHashMap, MapService, Op, OpReport, Response};
+use warpdrive::{
+    CachePolicy, CachedMap, Config, DistributedHashMap, GpuHashMap, MapService, Op, OpReport,
+    Response,
+};
 use wd_serve::{ServeConfig, Server};
 
 thread_local! {
@@ -104,13 +108,18 @@ fn a_one_chunk_launch_allocates_nothing() {
     }
 }
 
-/// `serve_node4`'s server: the benchmark's 4-GPU node and thresholds.
-fn serve_node4() -> Server<DistributedHashMap> {
+/// The benchmark's 4-GPU node, Fig. 6's topology.
+fn fig6_node() -> DistributedHashMap {
     let devices: Vec<Arc<Device>> = (0..4)
         .map(|i| Arc::new(Device::with_words(i, 1 << 18)))
         .collect();
-    let node = DistributedHashMap::new(devices, 1 << 14, Config::default(), Topology::p100_quad(4))
-        .expect("serve node");
+    DistributedHashMap::new(devices, 1 << 14, Config::default(), Topology::p100_quad(4))
+        .expect("serve node")
+}
+
+/// `serve_node4`'s server: the benchmark's 4-GPU node and thresholds.
+fn serve_node4() -> Server<DistributedHashMap> {
+    let node = fig6_node();
     let config = ServeConfig::default()
         .with_max_batch(512)
         .with_max_delay(5e-5)
@@ -372,6 +381,79 @@ fn a_128_op_put_get_delete_call_on_one_gpu_is_one_launch() {
         "{allocs} allocations for a 128-op put/get/delete call, 3 allowed and 1 made: \
          MapService::execute (service.rs) or Table::apply (table.rs) went back to allocating"
     );
+}
+
+/// Entries of the caches of [`a_cached_call_allocates_only_its_responses`].
+const CACHED: u32 = 64;
+
+/// Runs 128-op calls through a cache of [`CACHED`] entries over a backend
+/// `make` builds, reading 4 × [`CACHED`] keys and every 20th op a put of
+/// the (hot) key read just before it: each call hits, misses, admits,
+/// evicts and updates a cached value in place. Past the warm-up, which
+/// fills the cache, each call allocates its responses alone.
+fn a_cached_call_allocates_once<S: MapService>(make: impl Fn() -> S, what: &str) {
+    let keys = 4 * CACHED;
+    let pairs: Vec<(u32, u32)> = (1..=keys).map(|k| (k, k)).collect();
+    for policy in [CachePolicy::Lru, CachePolicy::Lfu] {
+        let mut cache = CachedMap::new(make(), CACHED as usize, policy);
+        cache.put_batch(&pairs).expect("preload");
+        let call = |c: u32| -> Vec<Op> {
+            let key = |i: u32| {
+                let h = (c * 128 + i).wrapping_mul(0x9e37_79b1) >> 8;
+                // three reads in four go to a hot quarter of the entries
+                1 + h % if i.is_multiple_of(4) { keys } else { CACHED / 4 }
+            };
+            (0..128u32)
+                .map(|i| match i % 20 {
+                    19 => Op::Put { key: key(i - 1), value: c },
+                    _ => Op::Get { key: key(i) },
+                })
+                .collect()
+        };
+        for c in 0..32 {
+            cache.execute(&call(c)).expect("warm-up");
+        }
+        assert_eq!(cache.cached_len(), CACHED as usize);
+        for c in 32..48 {
+            let ops = call(c);
+            let before = cache.stats();
+            let (allocs, out) = allocations(|| cache.execute(&ops).expect("healthy backend"));
+            assert_eq!(out.0.len(), 128);
+            let after = cache.stats();
+            for (counter, moved) in [
+                ("hits", after.hits > before.hits),
+                ("misses", after.misses > before.misses),
+                ("admissions", after.admissions > before.admissions),
+                ("evictions", after.evictions > before.evictions),
+                ("write_updates", after.write_updates > before.write_updates),
+            ] {
+                assert!(moved, "{what} {}: call {c} left {counter} unmoved", policy.label());
+            }
+            assert_eq!(
+                allocs,
+                1,
+                "{allocs} allocations for a 128-op call through a filled {} cache over {what}, 1 \
+                 made (the responses): the cache's shadow (core/src/cache.rs Shadow: its slab, \
+                 runs and index grow only until the cache fills), its misses' scratch \
+                 (cache.rs Misses), MapService::execute (service.rs) or the backend's apply \
+                 went back to allocating",
+                policy.label()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_cached_call_allocates_only_its_responses() {
+    if !default_environment() {
+        return;
+    }
+    let one_gpu = || {
+        let dev = Arc::new(Device::with_words(0, 1 << 16));
+        GpuHashMap::new(dev, 1 << 12, Config::default()).expect("map")
+    };
+    a_cached_call_allocates_once(one_gpu, "a GpuHashMap");
+    a_cached_call_allocates_once(fig6_node, "the Fig. 6 node");
 }
 
 /// Runs the pool at two workers, as the benchmark's host pass does. Only
