@@ -44,7 +44,7 @@ use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::insert::{insert_one, GroupResult, InsertOutcome, InsertTally};
 use crate::retrieve::{record_retrieve, retrieve_one};
 use crate::table::Table;
-use gpu_sim::{DevSlice, GroupCtx, GroupSize};
+use gpu_sim::{CounterSnapshot, DevSlice, GroupCtx, GroupSize, KernelStats, TimeBreakdown};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// How many groups of each kind one launch runs, in grid order: keys
@@ -93,6 +93,19 @@ impl Sections {
             Self { gets: 0, takes: 0, upserts: 0, puts: 0, .. } => "warpdrive_erase",
             _ => "warpdrive_get_put",
         }
+    }
+}
+
+/// The stats of a call that launches nothing: no groups, no time, no
+/// traffic, named as the kernel names an empty launch.
+pub(crate) fn idle_stats(g: GroupSize) -> KernelStats {
+    KernelStats {
+        name: Sections::default().name(false),
+        counters: CounterSnapshot::default(),
+        breakdown: TimeBreakdown::default(),
+        sim_time: 0.0,
+        group_size: g,
+        num_groups: 0,
     }
 }
 
@@ -290,7 +303,7 @@ mod tests {
 
     fn launch(t: &Table, g: GroupSize, s: Sections, words: &[u64]) -> Launched {
         let answered = s.gets + s.upserts;
-        let (_scratch, [input], out) = t.stage([words.iter().copied()], answered).unwrap();
+        let (_scratch, input, out) = t.stage(None, words.iter().copied(), answered).unwrap();
         let hits: Vec<AtomicBool> = (0..s.erases).map(|_| AtomicBool::new(false)).collect();
         let (o, erased) = t.run(g, s, input, out, None, |i| hits[i].store(true, Relaxed));
         let counts = [o.failed, o.new_slots, o.updates, o.reclaimed, erased];
@@ -318,7 +331,7 @@ mod tests {
                 for t in [&mixed, &twin] {
                     t.insert_pairs(g, &prefill, None).unwrap();
                     let mut hits = vec![false; dead.len()];
-                    t.apply(g, &[], &[], &dead, &mut [], &mut hits, None).unwrap();
+                    t.apply(None, g, (&[], &[], &dead), &mut [], &mut hits, None).unwrap();
                 }
                 let span = |k: u32| mixed.prober().span_base(k, 0) / 32;
                 let fresh = (0..120u32).map(|i| 7_000_001 + 13 * i);
@@ -382,7 +395,8 @@ mod tests {
         assert_eq!(counts[..2], [0, 8]);
         let keys: Vec<u32> = puts.iter().chain(&victims).map(|p| p.0).collect();
         let mut found = vec![None; keys.len()];
-        t.apply(GroupSize::WARP, &keys, &[], &[], &mut found, &mut [], None).unwrap();
+        let lists = (&keys[..], &[][..], &[][..]);
+        t.apply(None, GroupSize::WARP, lists, &mut found, &mut [], None).unwrap();
         let kept = found.iter().zip(&puts).all(|(&v, p)| v == Some(p.1));
         kept && found[8..].iter().all(Option::is_none)
     }

@@ -7,8 +7,8 @@ use crate::get_put::Sections;
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::service::{
-    answer, check_call, composed, one_group_per_key, Applied, DeleteResponse, GetResponse,
-    OpError, OpReport,
+    check_call, composed, one_group_per_key, Applied, DeleteResponse, GetResponse, OpError,
+    OpReport,
 };
 use crate::table::Table;
 use gpu_sim::{DevSlice, Device, GroupSize, KernelStats};
@@ -209,16 +209,7 @@ impl GpuHashMap {
     /// # Errors
     /// Propagates probing exhaustion and scratch OOM.
     pub fn insert_pairs(&self, pairs: &[(u32, u32)]) -> Result<InsertOutcome, OpError> {
-        let mut ctl = self.resize.lock();
-        self.trigger_resize(&mut ctl, pairs.len());
-        if let Some((m, policy)) = ctl.migrating() {
-            return self.migrating_insert_pairs(m, policy, pairs);
-        }
-        drop(ctl);
-        placed(
-            self.table
-                .insert_pairs(self.cfg.group_size, pairs, self.recorder.as_deref())?,
-        )
+        Ok(self.call(&[], pairs, &[], &mut [], &mut [])?.0)
     }
 
     /// Queries host-resident keys, returning per-key results in order
@@ -228,32 +219,9 @@ impl GpuHashMap {
     /// [`OpError::OutOfMemory`] when staging scratch is unavailable.
     pub fn try_retrieve(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
         let mut values = vec![None; keys.len()];
-        let stats = self.retrieve_into(keys, &mut values)?;
-        Ok(GetResponse {
-            values,
-            report: OpReport::from_kernel(&stats, keys.len() as u64),
-        })
-    }
-
-    /// [`GpuHashMap::try_retrieve`] into the caller's `values`, one slot
-    /// per key; returns the launches' stats.
-    fn retrieve_into(
-        &self,
-        keys: &[u32],
-        values: &mut [Option<u32>],
-    ) -> Result<KernelStats, OpError> {
-        let mut ctl = self.resize.lock();
-        if let Some((m, policy)) = ctl.migrating() {
-            let (routed, stats) = self.migrating_retrieve(m, policy, keys)?;
-            for (slot, value) in values.iter_mut().zip(routed) {
-                answer(slot, value, self.cfg.mutation);
-            }
-            return Ok(stats);
-        }
-        drop(ctl);
-        let (g, recorder) = (self.cfg.group_size, self.recorder.as_deref());
-        let (outcome, _) = self.table.apply(g, keys, &[], &[], values, &mut [], recorder)?;
-        Ok(outcome.stats)
+        let (outcome, _) = self.call(keys, &[], &[], &mut values, &mut [])?;
+        let report = OpReport::from_kernel(&outcome.stats, keys.len() as u64);
+        Ok(GetResponse { values, report })
     }
 
     /// Convenience single-key lookup (bulk APIs are the fast path).
@@ -275,43 +243,37 @@ impl GpuHashMap {
     /// [`OpError::OutOfMemory`] when staging scratch is unavailable.
     pub fn try_erase(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
         let mut hits = vec![false; keys.len()];
-        let (stats, erased) = self.erase_into(keys, &mut hits)?;
-        Ok(DeleteResponse {
-            report: OpReport::from_kernel(&stats, keys.len() as u64),
-            hits,
-            erased,
-        })
+        let (outcome, erased) = self.call(&[], &[], keys, &mut [], &mut hits)?;
+        let report = OpReport::from_kernel(&outcome.stats, keys.len() as u64);
+        Ok(DeleteResponse { report, hits, erased })
     }
 
-    /// [`GpuHashMap::try_erase`] into the caller's `hits`, one flag per
-    /// key; returns the launches' stats and the tombstoned count.
-    fn erase_into(
-        &mut self,
-        keys: &[u32],
+    /// Looks up `reads`, applies `puts` and erases `erases`, answering
+    /// into `values` and `hits`: one [`Table::apply`] while the table is
+    /// stable, [`GpuHashMap::migrating_apply`] while it migrates. Only a
+    /// call with puts may start a migration. Returns the insertion
+    /// outcome, whose stats cover every launch, and the erased count.
+    /// The lists are those of [`Table::apply`].
+    fn call(
+        &self,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+        erases: &[u32],
+        values: &mut [Option<u32>],
         hits: &mut [bool],
-    ) -> Result<(KernelStats, u64), OpError> {
+    ) -> Result<(InsertOutcome, u64), OpError> {
         let mut ctl = self.resize.lock();
+        if !puts.is_empty() {
+            self.trigger_resize(&mut ctl, puts.len());
+        }
         if let Some((m, policy)) = ctl.migrating() {
-            let routed = self.migrating_erase(m, policy, keys)?;
-            hits.copy_from_slice(&routed.hits);
-            return Ok((routed.stats, routed.erased));
+            return self.migrating_apply(m, policy, reads, puts, erases, values, hits);
         }
         drop(ctl);
         let (g, recorder) = (self.cfg.group_size, self.recorder.as_deref());
-        let (outcome, erased) = self.table.apply(g, &[], &[], keys, &mut [], hits, recorder)?;
-        Ok((outcome.stats, erased))
-    }
-
-    /// Whether the table is stable for a call of `puts` pairs: no
-    /// migration once a drained one is finalized and the puts had their
-    /// chance to start one.
-    fn stable(&mut self, puts: usize) -> bool {
-        self.maybe_finalize_resize();
-        let mut ctl = self.resize.lock();
-        if puts > 0 {
-            self.trigger_resize(&mut ctl, puts);
-        }
-        ctl.migration.is_none()
+        let lists = (reads, puts, erases);
+        let (outcome, erased) = self.table.apply(None, g, lists, values, hits, recorder)?;
+        Ok((placed(outcome)?, erased))
     }
 
     // ---- maintenance ------------------------------------------------------
@@ -356,13 +318,12 @@ impl GpuHashMap {
 }
 
 impl crate::service::MapService for GpuHashMap {
-    /// A list alone as that kind's call (routed during a migration), and
-    /// the reads, the puts and the erases together as one launch of the
-    /// kernel's sections while the table is stable — a key read and put
-    /// one upsert group, a key read and erased one take group. Lists that
-    /// could put one key in two racing groups ([`one_group_per_key`]), or
-    /// a call of two lists or more during a migration, run as a read call,
-    /// a write call and an erase call, each routed over both tables.
+    /// The reads, the puts and the erases as one `GpuHashMap::call`:
+    /// one launch of the kernel's sections while the table is stable — a
+    /// key read and put one upsert group, a key read and erased one take
+    /// group —, one launch on each table while it migrates. Lists that
+    /// could put one key in two racing groups ([`one_group_per_key`]) run
+    /// as a read call, a write call and an erase call.
     fn apply(
         &mut self,
         reads: &[u32],
@@ -373,36 +334,17 @@ impl crate::service::MapService for GpuHashMap {
     ) -> Result<Applied, OpError> {
         check_call(reads, puts, erases, values, hits)?;
         let mut applied = Applied::default();
-        let stats = match [reads.is_empty(), puts.is_empty(), erases.is_empty()] {
-            [true, true, true] => return Ok(applied),
-            [false, true, true] => {
-                self.maybe_finalize_resize();
-                self.retrieve_into(reads, values)?
-            }
-            [true, false, true] => {
-                self.maybe_finalize_resize();
-                let outcome = self.insert_pairs(puts)?;
-                applied.note(&outcome, 0);
-                outcome.stats
-            }
-            [true, true, false] => {
-                self.maybe_finalize_resize();
-                let (stats, erased) = self.erase_into(erases, hits)?;
-                applied.erased = erased;
-                stats
-            }
-            _ if self.stable(puts.len()) && one_group_per_key(reads, puts, erases) => {
-                let (g, recorder) = (self.cfg.group_size, self.recorder.as_deref());
-                let (outcome, erased) =
-                    self.table.apply(g, reads, puts, erases, values, hits, recorder)?;
-                let outcome = placed(outcome)?;
-                applied.note(&outcome, erased);
-                outcome.stats
-            }
-            _ => return composed(self, reads, puts, erases, values, hits),
-        };
+        if reads.is_empty() && puts.is_empty() && erases.is_empty() {
+            return Ok(applied);
+        }
+        self.maybe_finalize_resize();
+        if !one_group_per_key(reads, puts, erases) {
+            return composed(self, reads, puts, erases, values, hits);
+        }
+        let (outcome, erased) = self.call(reads, puts, erases, values, hits)?;
+        applied.note(&outcome, erased);
         let elements = (reads.len() + puts.len() + erases.len()) as u64;
-        applied.report = OpReport::from_kernel(&stats, elements);
+        applied.report = OpReport::from_kernel(&outcome.stats, elements);
         Ok(applied)
     }
 

@@ -16,9 +16,13 @@
 //!    └──────────(&mut finalize swap)◄───────────┘ cursor == capacity
 //! ```
 //!
-//! * **Writes land in the new table.** A routed put first tombstones the
-//!   key in the old table (so the key never lives in both) and then
-//!   inserts into the new one.
+//! * **A call is one launch on each table.** After its chunk step, a
+//!   call during a migration (`GpuHashMap::migrating_apply`) is one
+//!   `Table::apply` on the old table — its reads, and every key it
+//!   writes erased, so a key never lives in both — and one on the new
+//!   table, over what the old one missed.
+//! * **Writes land in the new table.** A put's key leaves the old table
+//!   in the first launch and is written in the second.
 //! * **Reads consult old-then-new.** The disjointness invariant — every
 //!   key lives in exactly one table — makes the combine order
 //!   irrelevant and keeps responses independent of how far the chunk
@@ -46,17 +50,16 @@
 //! new + scratch when arming a policy.
 
 use crate::config::Mutation;
-use crate::delete::EraseOutcome;
-use crate::entry::{live_pair, value_of, EMPTY};
+use crate::entry::live_pair;
 use crate::errors::BuildError;
-use crate::get_put::Sections;
+use crate::get_put;
+use crate::history::{OpKind, OpResponse};
 use crate::insert::InsertOutcome;
 use crate::map::{placed, GpuHashMap};
-use crate::service::OpError;
-use crate::table::{pair_words, query_words, Table};
-use gpu_sim::{KernelStats, LaunchOptions};
+use crate::service::{answer, OpError};
+use crate::table::{check_lists, Table};
+use gpu_sim::{DevSlice, GroupSize, KernelStats};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// When and how a map resizes itself. Armed via
@@ -88,30 +91,6 @@ impl Default for ResizePolicy {
 }
 
 impl ResizePolicy {
-    /// The default policy with the `WD_RESIZE_WATERMARK` (fraction) and
-    /// `WD_RESIZE_CHUNK` (slots) environment overrides applied, so any
-    /// harness can re-run under a different trigger point or chunk
-    /// granularity without code changes.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut p = Self::default();
-        if let Some(w) = std::env::var("WD_RESIZE_WATERMARK")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|w| (0.0..=1.0).contains(w))
-        {
-            p.watermark = w;
-        }
-        if let Some(c) = std::env::var("WD_RESIZE_CHUNK")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-        {
-            p.chunk = c;
-        }
-        p
-    }
-
     /// Sets the effective-load watermark.
     #[must_use]
     pub fn with_watermark(mut self, w: f64) -> Self {
@@ -176,8 +155,8 @@ pub(crate) struct Migration {
 }
 
 /// Resize control block of a [`GpuHashMap`], behind a mutex because the
-/// insert/retrieve fast paths take `&self`. A routed operation holds the
-/// lock from its routing decision to its last launch.
+/// insert/retrieve fast paths take `&self`. A routed call holds the lock
+/// from its routing decision to its last launch.
 #[derive(Debug, Default)]
 pub(crate) struct ResizeCtl {
     pub(crate) policy: Option<ResizePolicy>,
@@ -195,38 +174,38 @@ impl ResizeCtl {
     }
 }
 
-/// `s` merged onto the stats of the launches that ran before it, if any.
-fn merged_onto(earlier: Option<KernelStats>, s: KernelStats) -> KernelStats {
-    match earlier {
+/// Accumulates kernel stats across the several launches of a routed call.
+fn merge_stats(acc: &mut Option<KernelStats>, s: KernelStats) {
+    *acc = Some(match acc.take() {
         Some(prev) => prev.merged(&s),
         None => s,
-    }
+    });
 }
 
-/// Accumulates kernel stats across the several launches of a routed op.
-fn merge_stats(acc: &mut Option<KernelStats>, s: KernelStats) {
-    *acc = Some(merged_onto(acc.take(), s));
+/// `keys` in ascending order, each once.
+fn distinct(keys: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut keys: Vec<u32> = keys.collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
 }
 
-/// Splits `pairs` into maximal duplicate-key-free segments. The routed
-/// put records per-key events manually, so a batch must not contain two
-/// writes of one key — the kernels' race winner could contradict the
-/// recorded order. ([`crate::MapService::execute`] sends each key once;
-/// only a direct `put_batch` / `insert_pairs` caller can send more.)
-fn dup_free_segments(pairs: &[(u32, u32)]) -> Vec<std::ops::Range<usize>> {
-    let mut segs = Vec::new();
-    let mut start = 0usize;
-    let mut seen: HashSet<u32> = HashSet::new();
-    for (i, &(k, _)) in pairs.iter().enumerate() {
-        if seen.contains(&k) {
-            segs.push(start..i);
-            start = i;
-            seen.clear();
-        }
-        seen.insert(k);
+/// [`Table::apply`] in `scratch` on `table`, unrecorded, its stats merged
+/// into `acc`, unless every list is empty: then nothing launches. Returns
+/// the tombstones its puts reclaimed.
+fn apply_on(
+    acc: &mut Option<KernelStats>,
+    (table, g, scratch): (&Table, GroupSize, DevSlice),
+    lists: (&[u32], &[(u32, u32)], &[u32]),
+    values: &mut [Option<u32>],
+    hits: &mut [bool],
+) -> Result<u64, OpError> {
+    if lists.0.is_empty() && lists.1.is_empty() && lists.2.is_empty() {
+        return Ok(0);
     }
-    segs.push(start..pairs.len());
-    segs
+    let ran = placed(table.apply(Some(scratch), g, lists, values, hits, None)?.0)?;
+    merge_stats(acc, ran.stats);
+    Ok(ran.reclaimed)
 }
 
 impl GpuHashMap {
@@ -465,183 +444,164 @@ impl GpuHashMap {
         Ok(acc)
     }
 
-    // ---- routed foreground ops (active while Migrating) -------------------
-    //
-    // Each is a composition of the two tables' operations over one staged
-    // upload. The kernels run unrecorded — kernel-level events would claim
-    // a false erase/miss on whichever table doesn't hold the key — and the
-    // per-key history is recorded here instead.
+    // ---- the routed call (active while Migrating) --------------------------
 
-    /// Put during migration: tombstone in the source, insert into the
-    /// target; a pair is new iff its key was in neither table.
-    pub(crate) fn migrating_insert_pairs(
+    /// A call during a migration: one chunk step, then one [`Table::apply`]
+    /// on the source and one on the target. The source reads the call's
+    /// reads and erases every key the call writes, so a key read and
+    /// written is a take and a written key never lives in both tables.
+    /// The target reads what the source missed of the reads and of the put
+    /// keys (a put's upsert answer says whether it claims a new slot),
+    /// applies the puts and erases what the source missed of the erases. A
+    /// read answers from whichever table held its key — at most one does —,
+    /// a put is a new slot iff both missed its key, an erase hits iff
+    /// either held it. A table with nothing to do is not launched. Both
+    /// launches stage into one scratch allocation, made before the
+    /// first: short of scratch, the call fails before it changes a key.
+    ///
+    /// The lists may repeat keys: each table sees them distinct and
+    /// ascending, a put with its key's last value. The kernels run
+    /// unrecorded — a kernel-level event would claim a false miss on the
+    /// table that does not hold the key —: the history records every
+    /// occurrence in call order, reads first, a key's first put as its
+    /// new slot and its first erase as its hit.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn migrating_apply(
         &self,
         m: &mut Migration,
         policy: ResizePolicy,
-        pairs: &[(u32, u32)],
-    ) -> Result<InsertOutcome, OpError> {
-        let g = self.cfg.group_size;
-        let queries = query_words(pairs.iter().map(|p| p.0))?;
-        let packed = pair_words(pairs)?;
+        reads: &[u32],
+        puts: &[(u32, u32)],
+        erases: &[u32],
+        values: &mut [Option<u32>],
+        hits: &mut [bool],
+    ) -> Result<(InsertOutcome, u64), OpError> {
+        check_lists(reads, puts, erases)?;
+        let cursor_before = m.cursor;
         let mut acc = self.advance(m, policy, 1)?;
-        let (source, target) = (&self.table, &m.table);
+        let migrated_window = cursor_before..m.cursor;
+        let (source, target, g) = (&self.table, &m.table, self.cfg.group_size);
 
-        let mut new_slots = 0u64;
-        let mut updates = 0u64;
-        let mut reclaimed = 0u64;
-        for seg in dup_free_segments(pairs) {
-            let seg_pairs = &pairs[seg.clone()];
-            if seg_pairs.is_empty() {
-                continue;
+        let read_keys = distinct(reads.iter().copied());
+        let erase_keys = distinct(erases.iter().copied());
+        let mut put_pairs = puts.to_vec();
+        // stable: a key's pairs stay in call order, the last one is kept
+        put_pairs.sort_by_key(|p| p.0);
+        put_pairs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
             }
-            let n = seg_pairs.len();
-            let (_scratch, [queries, packed], probed) =
-                source.stage([&queries[seg.clone()], &packed[seg]].map(|w| w.iter().copied()), n)?;
-            // per-key hits tell who was present in the source …
-            let erase = source.erase(g, queries, n, None);
-            // … and an unrecorded probe who is already in the target
-            let (probe, _) = target.run(g, Sections::gets(n), queries, probed, None, |_| {});
-            let in_target = source.dev().mem().d2h(probed);
-            let none = probed.sub(0, 0);
-            let (outcome, _) = target.run(g, Sections::puts(n), packed, none, None, |_| {});
-            merge_stats(&mut acc, erase.stats);
-            merge_stats(&mut acc, probe.stats.merged(&outcome.stats));
-            let outcome = placed(outcome)?;
-
-            for (i, &(k, v)) in seg_pairs.iter().enumerate() {
-                let new_slot = !erase.hits[i] && in_target[i] == EMPTY;
-                if new_slot {
-                    new_slots += 1;
-                } else {
-                    updates += 1;
-                }
-                if let Some(rec) = self.recorder.as_deref() {
-                    let invoked = rec.invoke();
-                    rec.complete(
-                        k,
-                        crate::OpKind::Insert { value: v },
-                        crate::OpResponse::Inserted { new_slot },
-                        invoked,
-                    );
-                }
-            }
-            reclaimed += outcome.reclaimed;
-        }
-        // empty batch against a fully-scanned migration: nothing launched
-        let stats = acc.unwrap_or_else(|| {
-            let idle = |_: &gpu_sim::GroupCtx| {};
-            source.dev().launch("warpdrive_insert", 0, g, LaunchOptions::default(), idle)
+            same
         });
-        Ok(InsertOutcome {
+        let written = put_pairs.iter().map(|p| p.0);
+        // MUTATION DOUBLE (test builds, `tests::SOURCE_KEEPS_PUTS`): the
+        // source erases only the call's erases, so a put key stays behind
+        #[cfg(test)]
+        let written = written.filter(|_| !tests::SOURCE_KEEPS_PUTS.with(std::cell::Cell::get));
+        let leaving = distinct(written.chain(erase_keys.iter().copied()));
+
+        // both launches' scratch: the target reads at most the reads and
+        // the put keys, and the source stages no more than the target may
+        let put_only = put_pairs.iter().filter(|p| read_keys.binary_search(&p.0).is_err());
+        let read_or_put = read_keys.len() + put_only.count();
+        let bound = 2 * read_or_put + put_pairs.len() + erase_keys.len();
+        let scratch = source.dev().alloc_scratch(bound.max(1))?;
+        let (on_source, on_target) = ((source, g, scratch.slice()), (target, g, scratch.slice()));
+
+        let mut in_source = vec![None; read_keys.len()];
+        let mut left = vec![false; leaving.len()];
+        let lists = (&read_keys[..], &[][..], &leaving[..]);
+        apply_on(&mut acc, on_source, lists, &mut in_source, &mut left)?;
+        let left_source = |k: u32| leaving.binary_search(&k).is_ok_and(|i| left[i]);
+
+        let missed = read_keys.iter().zip(&in_source).filter(|(_, v)| v.is_none());
+        let new_keys = put_pairs.iter().map(|p| p.0).filter(|&k| !left_source(k));
+        let target_reads = distinct(missed.map(|(&k, _)| k).chain(new_keys));
+        let target_erases: Vec<u32> =
+            erase_keys.iter().copied().filter(|&k| !left_source(k)).collect();
+        let mut target_values = vec![None; target_reads.len()];
+        let mut target_hits = vec![false; target_erases.len()];
+        let lists = (&target_reads[..], &put_pairs[..], &target_erases[..]);
+        let reclaimed = apply_on(&mut acc, on_target, lists, &mut target_values, &mut target_hits)?;
+        let in_target = |k: u32| target_reads.binary_search(&k).ok().and_then(|i| target_values[i]);
+
+        // -- combine: a put or an erase once per key
+        let mut fresh: Vec<bool> = (put_pairs.iter())
+            .map(|&(k, _)| !left_source(k) && in_target(k).is_none())
+            .collect();
+        let erased_there = |k: u32| target_erases.binary_search(&k).is_ok_and(|i| target_hits[i]);
+        let mut erase_hits: Vec<bool> =
+            erase_keys.iter().map(|&k| left_source(k) || erased_there(k)).collect();
+        let new_slots = fresh.iter().filter(|&&f| f).count() as u64;
+        let erased = erase_hits.iter().filter(|&&h| h).count() as u64;
+
+        // -- answer and record each occurrence in call order, reads first;
+        //    every key of the call sits in its sorted list
+        let at = |keys: &[u32], k: u32| keys.partition_point(|&x| x < k);
+        let rec = self.recorder.as_deref();
+        let record = |k, kind, response| {
+            if let Some(rec) = rec {
+                let invoked = rec.invoke();
+                rec.complete(k, kind, response, invoked);
+            }
+        };
+        for (slot, &k) in values.iter_mut().zip(reads) {
+            let mut value = in_source[at(&read_keys, k)].or_else(|| in_target(k));
+            // MUTATION DOUBLE (`Mutation::ReadMissesMigratingWindow`): a
+            // read whose home span lies in the chunk that just moved races
+            // the movement — it sees the source already cleared and the
+            // target not yet visible, reporting a miss for a live key.
+            if self.cfg.mutation == Some(Mutation::ReadMissesMigratingWindow)
+                && migrated_window.contains(&(source.prober().span_base(k, 0) as usize))
+            {
+                value = None;
+            }
+            answer(slot, value, self.cfg.mutation);
+            let response = match value {
+                Some(value) => OpResponse::Found { value },
+                None => OpResponse::NotFound,
+            };
+            record(k, OpKind::Retrieve, response);
+        }
+        for &(k, value) in puts {
+            let new_slot = std::mem::take(&mut fresh[put_pairs.partition_point(|p| p.0 < k)]);
+            record(k, OpKind::Insert { value }, OpResponse::Inserted { new_slot });
+        }
+        for (hit, &k) in hits.iter_mut().zip(erases) {
+            *hit = std::mem::take(&mut erase_hits[at(&erase_keys, k)]);
+            record(k, OpKind::Erase, OpResponse::Erased { hit: *hit });
+        }
+        // nothing launched: an empty call on a drained source
+        let stats = acc.unwrap_or_else(|| get_put::idle_stats(g));
+        let outcome = InsertOutcome {
             stats,
             failed: 0,
             new_slots,
-            updates,
+            updates: puts.len() as u64 - new_slots,
             reclaimed,
-        })
-    }
-
-    /// Get during migration: probe the source, then the target; the
-    /// disjointness invariant means at most one hits.
-    pub(crate) fn migrating_retrieve(
-        &self,
-        m: &mut Migration,
-        policy: ResizePolicy,
-        keys: &[u32],
-    ) -> Result<(Vec<Option<u32>>, KernelStats), OpError> {
-        let g = self.cfg.group_size;
-        let queries = query_words(keys.iter().copied())?;
-        let cursor_before = m.cursor;
-        let steps = self.advance(m, policy, 1)?;
-        let (source, target) = (&self.table, &m.table);
-
-        let n = keys.len();
-        let (_scratch, [queries], out) = source.stage([queries.iter().copied()], 2 * n)?;
-        let (source_out, target_out) = (out.sub(0, n), out.sub(n, n));
-        let gets = Sections::gets(n);
-        let (in_source, _) = source.run(g, gets, queries, source_out, None, |_| {});
-        let (in_target, _) = target.run(g, gets, queries, target_out, None, |_| {});
-        let stats = merged_onto(steps, in_source.stats.merged(&in_target.stats));
-
-        let found = source.dev().mem().d2h(out);
-        let migrated_window = cursor_before..m.cursor;
-        let values: Vec<Option<u32>> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                // MUTATION DOUBLE (`Mutation::ReadMissesMigratingWindow`):
-                // a read whose home span lies in the chunk that just
-                // moved races the movement — it sees the source already
-                // cleared and the target not yet visible, reporting a
-                // miss for a live key.
-                if self.cfg.mutation == Some(Mutation::ReadMissesMigratingWindow)
-                    && migrated_window.contains(&(source.prober().span_base(k, 0) as usize))
-                {
-                    return None;
-                }
-                let hit = if found[i] != EMPTY { found[i] } else { found[n + i] };
-                (hit != EMPTY).then(|| value_of(hit))
-            })
-            .collect();
-
-        if let Some(rec) = self.recorder.as_deref() {
-            for (&k, &value) in keys.iter().zip(&values) {
-                let invoked = rec.invoke();
-                let response = match value {
-                    Some(value) => crate::OpResponse::Found { value },
-                    None => crate::OpResponse::NotFound,
-                };
-                rec.complete(k, crate::OpKind::Retrieve, response, invoked);
-            }
-        }
-        Ok((values, stats))
-    }
-
-    /// Delete during migration: erase from both tables; the key lives in
-    /// at most one, so the per-key hit is the OR.
-    pub(crate) fn migrating_erase(
-        &self,
-        m: &mut Migration,
-        policy: ResizePolicy,
-        keys: &[u32],
-    ) -> Result<EraseOutcome, OpError> {
-        let g = self.cfg.group_size;
-        let queries = query_words(keys.iter().copied())?;
-        let steps = self.advance(m, policy, 1)?;
-
-        let n = keys.len();
-        let (_scratch, [queries], _) = self.table.stage([queries.iter().copied()], 0)?;
-        let source = self.table.erase(g, queries, n, None);
-        let target = m.table.erase(g, queries, n, None);
-        let stats = merged_onto(steps, source.stats.merged(&target.stats));
-
-        let hits: Vec<bool> = source
-            .hits
-            .iter()
-            .zip(&target.hits)
-            .map(|(&a, &b)| a || b)
-            .collect();
-        if let Some(rec) = self.recorder.as_deref() {
-            for (&k, &hit) in keys.iter().zip(&hits) {
-                let invoked = rec.invoke();
-                rec.complete(k, crate::OpKind::Erase, crate::OpResponse::Erased { hit }, invoked);
-            }
-        }
-        let erased = hits.iter().filter(|&&h| h).count() as u64;
-        Ok(EraseOutcome {
-            stats,
-            erased,
-            hits,
-        })
+        };
+        Ok((outcome, erased))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::model::ModelService;
+    use crate::service::{MapService, Op};
     use crate::Config;
-    use gpu_sim::Device;
+    use gpu_sim::{Device, FaultPlan, Schedule};
+    use rand::prelude::*;
+    use std::cell::Cell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// Arms `migrating_apply`'s mutation double: the source launch
+        /// erases only the call's erases, so a put key stays behind in the
+        /// source table.
+        pub(super) static SOURCE_KEEPS_PUTS: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn map(capacity: usize, cfg: Config) -> GpuHashMap {
         // room for source + 2× target + scratch
@@ -650,21 +610,13 @@ mod tests {
     }
 
     #[test]
-    fn policy_env_knobs_parse_and_clamp() {
+    fn policy_builders_set_and_clamp() {
         let p = ResizePolicy::default();
         assert!((p.watermark - 0.85).abs() < 1e-12);
         assert_eq!(p.chunk, 256);
         let p = p.with_watermark(0.5).with_chunk(0);
         assert!((p.watermark - 0.5).abs() < 1e-12);
         assert_eq!(p.chunk, 1);
-    }
-
-    #[test]
-    fn dup_free_segments_cut_before_each_repeated_key() {
-        let pairs = [(1, 0), (2, 0), (1, 1), (1, 2), (3, 0)];
-        let segs = dup_free_segments(&pairs);
-        assert_eq!(segs, vec![0..2, 2..3, 3..5]);
-        assert_eq!(dup_free_segments(&[]), vec![0..0]);
     }
 
     #[test]
@@ -867,5 +819,241 @@ mod tests {
         assert_eq!(m.len(), 200);
         // explicit request surfaces the typed error
         assert!(matches!(m.request_grow(), Err(OpError::OutOfMemory(_))));
+    }
+
+    fn sequential() -> Config {
+        Config::default()
+            .with_schedule(Schedule::Sequential)
+            .with_fault(FaultPlan::default())
+    }
+
+    fn launches(m: &GpuHashMap) -> u64 {
+        m.device().lifetime_stats().launches
+    }
+
+    fn cursor(m: &GpuHashMap) -> usize {
+        match m.resize_state() {
+            ResizeState::Migrating { cursor, .. } => cursor,
+            ResizeState::Stable => panic!("the map must be migrating"),
+        }
+    }
+
+    /// `n` random keys of `0..universe`, repeats likely.
+    fn draw(rng: &mut StdRng, n: usize, universe: u32) -> Vec<u32> {
+        (0..n).map(|_| rng.gen_range(0..universe)).collect()
+    }
+
+    /// A policy-armed map and the model through the same `calls` random
+    /// calls — mixed `execute`s, mixed `apply`s of distinct ascending
+    /// keys, unsorted batches with repeated keys —, every answer, hit and
+    /// count compared at each call, contents and history at the end.
+    /// Returns the mode of the migration each routed call met.
+    fn differential(chunk: usize, seed: u64, calls: usize) -> Vec<ResizeMode> {
+        const UNIVERSE: u32 = 300;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dev = Arc::new(Device::with_words(0, 1 << 18));
+        let mut m = GpuHashMap::new(dev, 64, sequential()).unwrap();
+        m.set_resize_policy(Some(ResizePolicy::default().with_watermark(0.7).with_chunk(chunk)));
+        let rec = Arc::new(crate::HistoryRecorder::new());
+        m.set_recorder(Some(Arc::clone(&rec)));
+        let mut model = ModelService::default();
+        let mut routed = Vec::new();
+        for call in 0..calls {
+            let at = format!("chunk {chunk} seed {seed} call {call}");
+            // phases of 40 calls: filling, then mostly deleting
+            let deleting = call / 40 % 2 == 1;
+            if let ResizeState::Migrating { mode, .. } = m.resize_state() {
+                routed.push(mode);
+            }
+            let n = rng.gen_range(1..24);
+            match rng.gen_range(0..5) {
+                0 => {
+                    let ops: Vec<Op> = draw(&mut rng, n, UNIVERSE)
+                        .into_iter()
+                        .map(|key| match rng.gen_range(0..4) {
+                            0 => Op::Get { key },
+                            1 if !deleting => Op::Put { key, value: rng.gen() },
+                            _ if deleting => Op::Delete { key },
+                            _ => Op::Put { key, value: rng.gen() },
+                        })
+                        .collect();
+                    let got = m.execute(&ops).unwrap().0;
+                    assert_eq!(got, model.execute(&ops).unwrap().0, "{at}: execute");
+                }
+                1 => {
+                    let mut reads = draw(&mut rng, n, UNIVERSE);
+                    let mut written = draw(&mut rng, 2 * n, UNIVERSE);
+                    for list in [&mut reads, &mut written] {
+                        list.sort_unstable();
+                        list.dedup();
+                    }
+                    let erased_in_ten = if deleting { 7 } else { 2 };
+                    let (erases, puts): (Vec<u32>, Vec<u32>) =
+                        written.into_iter().partition(|_| rng.gen_range(0..10) < erased_in_ten);
+                    let puts: Vec<(u32, u32)> = puts.into_iter().map(|k| (k, rng.gen())).collect();
+                    let mut answers = (vec![None; reads.len()], vec![false; erases.len()]);
+                    let mut want = answers.clone();
+                    let got = m.apply(&reads, &puts, &erases, &mut answers.0, &mut answers.1);
+                    let got = got.unwrap();
+                    let expected = model.apply(&reads, &puts, &erases, &mut want.0, &mut want.1);
+                    let expected = expected.unwrap();
+                    assert_eq!(answers, want, "{at}: apply answers");
+                    let counts = |a: &crate::Applied| (a.new_slots, a.updates, a.erased);
+                    assert_eq!(counts(&got), counts(&expected), "{at}: apply counts");
+                }
+                2 if !deleting => {
+                    let keys = draw(&mut rng, n, UNIVERSE / 4);
+                    let pairs: Vec<(u32, u32)> = keys.into_iter().map(|k| (k, rng.gen())).collect();
+                    let got = m.put_batch(&pairs).unwrap();
+                    let want = model.put_batch(&pairs).unwrap();
+                    let placed = (got.new_slots, got.updates);
+                    assert_eq!(placed, (want.new_slots, want.updates), "{at}: put_batch");
+                }
+                3 => {
+                    let keys = draw(&mut rng, n, UNIVERSE);
+                    let got = m.get_batch(&keys).unwrap().values;
+                    assert_eq!(got, model.get_batch(&keys).unwrap().values, "{at}: get_batch");
+                }
+                _ => {
+                    let keys = draw(&mut rng, n, UNIVERSE / 4);
+                    let got = m.delete_batch(&keys).unwrap();
+                    let want = model.delete_batch(&keys).unwrap();
+                    assert_eq!(got.hits, want.hits, "{at}: delete_batch hits");
+                    assert_eq!(got.erased, want.erased, "{at}: delete_batch erased");
+                }
+            }
+            // keep a migration in flight for most calls
+            if call % 10 == 9 {
+                m.request_compact().unwrap();
+            }
+        }
+        let mut snapshot = m.snapshot();
+        snapshot.sort_unstable();
+        let want: Vec<(u32, u32)> = model.map.into_iter().collect();
+        assert_eq!(snapshot, want, "chunk {chunk} seed {seed}: contents");
+        crate::check_linearizable(&rec.events()).expect("the history must linearize");
+        routed
+    }
+
+    /// Every answer and count of a migrating map is the model's, through
+    /// grows and compactions at three chunk sizes.
+    #[test]
+    fn migrating_calls_match_the_model() {
+        let mut routed = Vec::new();
+        for (chunk, seed) in [(32, 1), (64, 2), (256, 3)] {
+            routed.extend(differential(chunk, seed, 400));
+        }
+        let grows = routed.iter().filter(|&&mode| mode == ResizeMode::Grow).count();
+        assert!(routed.len() >= 600, "{} of 1 200 calls routed", routed.len());
+        assert!(grows > 0 && grows < routed.len(), "{grows} of {} in grows", routed.len());
+    }
+
+    #[test]
+    fn a_source_that_keeps_put_keys_is_caught() {
+        SOURCE_KEEPS_PUTS.with(|keeps| keeps.set(true));
+        let caught = std::panic::catch_unwind(|| differential(64, 2, 400)).is_err();
+        SOURCE_KEEPS_PUTS.with(|keeps| keeps.set(false));
+        assert!(caught, "a put key left in the source passed the differential");
+    }
+
+    /// A migrating call is one chunk step (a scan and an insert launch)
+    /// and at most one launch on each table; a table with nothing to do,
+    /// and a drained source, launch nothing.
+    #[test]
+    fn a_migrating_call_is_one_chunk_step_and_a_launch_a_table() {
+        let mut m = map(512, sequential());
+        m.set_resize_policy(Some(ResizePolicy::default().with_chunk(32)));
+        let pairs: Vec<(u32, u32)> = (0..300u32).map(|i| (i * 7 + 3, i)).collect();
+        m.insert_pairs(&pairs).unwrap();
+        assert!(m.request_grow().unwrap());
+
+        let (before, from) = (launches(&m), cursor(&m));
+        let ops = [
+            Op::Get { key: pairs[0].0 },
+            Op::Put { key: pairs[1].0, value: 9 },
+            Op::Delete { key: pairs[2].0 },
+            Op::Put { key: 5000, value: 1 },
+            Op::Get { key: 6000 },
+        ];
+        m.execute(&ops).unwrap();
+        assert_eq!(cursor(&m), from + 32, "one chunk step a call");
+        assert!(launches(&m) - before <= 4, "{} launches", launches(&m) - before);
+
+        // keys in source slots past the next chunk stay there
+        let next = cursor(&m) + 32;
+        let image = m.table.scan(next..m.capacity());
+        let resident: Vec<u32> = image.into_iter().filter_map(live_pair).map(|p| p.0).collect();
+        let resident = &resident[..8];
+        let before = launches(&m);
+        let got = m.try_retrieve(resident).unwrap().values;
+        assert!(got.iter().all(Option::is_some));
+        assert!(launches(&m) - before <= 3, "{} launches", launches(&m) - before);
+
+        while cursor(&m) < m.capacity() {
+            m.try_retrieve(&[]).unwrap();
+        }
+        let before = launches(&m);
+        m.insert_pairs(&[]).unwrap();
+        assert_eq!(launches(&m), before, "an empty put on a drained source");
+    }
+
+    /// A migrating call takes its scratch for both tables before either
+    /// launch: short of it, the call fails and no key has moved. Here the
+    /// free scratch would stage the source's erases but not the target's
+    /// upserts behind them.
+    #[test]
+    fn a_migrating_call_short_of_scratch_changes_nothing() {
+        let mut m = map(512, sequential());
+        m.set_resize_policy(Some(ResizePolicy::default().with_chunk(8)));
+        let pairs: Vec<(u32, u32)> = (0..300u32).map(|i| (i * 7 + 3, i)).collect();
+        m.insert_pairs(&pairs).unwrap();
+        assert!(m.request_grow().unwrap());
+        // 20 keys still in the source, 20 new ones: the source stages 40
+        // words, the target 40 words and 20 answers
+        let next = cursor(&m) + 8;
+        let image = m.table.scan(next..m.capacity());
+        let resident = image.into_iter().filter_map(live_pair).take(20);
+        let new = pairs[..20].iter().map(|&(k, v)| (k + 1, v));
+        let puts: Vec<(u32, u32)> = resident.map(|(k, v)| (k, v + 1)).chain(new).collect();
+        assert_eq!(puts.len(), 40);
+
+        let dev = Arc::clone(m.device());
+        let free = |dev: &Device| dev.alloc_scratch(usize::MAX / 2).unwrap_err().available_words;
+        let hog = dev.alloc_scratch(free(&dev) - 50).unwrap();
+        assert!((40..60).contains(&free(&dev)), "{} words free", free(&dev));
+        let contents = |m: &GpuHashMap| {
+            let mut pairs = m.snapshot();
+            pairs.sort_unstable();
+            pairs
+        };
+        let before = contents(&m);
+        let failed = m.insert_pairs(&puts);
+        assert!(matches!(failed, Err(OpError::OutOfMemory(_))), "{failed:?}");
+        assert!(contents(&m) == before, "a failed call changed the contents");
+
+        drop(hog);
+        m.insert_pairs(&puts).unwrap();
+        let keys: Vec<u32> = puts.iter().map(|p| p.0).collect();
+        let values: Vec<Option<u32>> = puts.iter().map(|p| Some(p.1)).collect();
+        assert_eq!(m.try_retrieve(&keys).unwrap().values, values);
+    }
+
+    /// Only a call with puts starts a migration, whoever makes it.
+    #[test]
+    fn only_a_call_with_puts_starts_a_resize() {
+        let mut m = map(256, sequential());
+        let pairs: Vec<(u32, u32)> = (0..230u32).map(|i| (i + 1, i)).collect();
+        m.insert_pairs(&pairs).unwrap();
+        // armed above the watermark: 230 / 256 > 0.85
+        m.set_resize_policy(Some(ResizePolicy::default()));
+        m.insert_pairs(&[]).unwrap();
+        assert_eq!(m.resize_state(), ResizeState::Stable, "an empty put");
+        m.get_batch(&[1, 2]).unwrap();
+        assert_eq!(m.resize_state(), ResizeState::Stable, "a get");
+        m.insert_pairs(&[(1000, 1)]).unwrap();
+        assert!(matches!(
+            m.resize_state(),
+            ResizeState::Migrating { mode: ResizeMode::Grow, .. }
+        ));
     }
 }

@@ -8,7 +8,7 @@
 //! multi-value retrieval — are launched from here and nowhere else, both
 //! probe through [`Table::walk`], and the memory layout is known to
 //! the slot view ([`crate::slots`]) alone — the kernels, the map, the
-//! migration and every routed operation are written against slots, pairs
+//! migration and its routed call are written against slots, pairs
 //! and counters. [`crate::GpuMultiMap`] is a table in multi-value mode.
 //!
 //! What one launch takes from the *map* rather than from the table is the
@@ -68,15 +68,6 @@ pub(crate) fn check_lists(
     check_keys(reads.iter().copied())?;
     check_keys(puts.iter().map(|p| p.0))?;
     check_keys(erases.iter().copied())
-}
-
-/// Query words for `keys`.
-///
-/// # Errors
-/// [`OpError::ReservedKey`], as [`check_keys`].
-pub(crate) fn query_words(keys: impl Iterator<Item = u32> + Clone) -> Result<Vec<u64>, OpError> {
-    check_keys(keys.clone())?;
-    Ok(keys.map(query_word).collect())
 }
 
 /// Packed words for `pairs` (the insertion kernel's input convention).
@@ -346,31 +337,28 @@ impl Table {
 
     // ---- the same, over host-resident pairs and keys ----------------------
 
-    /// Uploads each of `inputs` into its own region of one scratch
-    /// allocation, with `out` result words behind them. One allocation
-    /// per host-staged operation, however many launches it takes: it
-    /// fails before the first launch or not at all. The words are made as
-    /// they are copied, with no staging copy on the host. PCIe time is
-    /// *not* billed here — the `host_ops` cascades do that.
-    pub(crate) fn stage<I, const N: usize>(
+    /// Uploads `input` into the scratch `into` that the caller holds, or
+    /// into one scratch allocation of its own, with `out` result words
+    /// behind it. One allocation per host-staged call, however many
+    /// launches it takes: it fails before the first launch or not at all.
+    /// The words are made as they are copied, with no staging copy on the
+    /// host. PCIe time is *not* billed here — the `host_ops` cascades do
+    /// that.
+    pub(crate) fn stage(
         &self,
-        inputs: [I; N],
+        into: Option<DevSlice>,
+        input: impl ExactSizeIterator<Item = u64>,
         out: usize,
-    ) -> Result<(ScratchGuard<'_>, [DevSlice; N], DevSlice), OutOfMemory>
-    where
-        I: ExactSizeIterator<Item = u64>,
-    {
-        let words = inputs.iter().map(ExactSizeIterator::len).sum::<usize>() + out;
-        let scratch = self.dev.alloc_scratch(words.max(1))?;
-        let mut at = 0;
-        let regions = inputs.map(|words| {
-            let region = scratch.slice().sub(at, words.len());
-            at += words.len();
-            self.dev.mem().h2d_from(region, words);
-            region
-        });
-        let out = scratch.slice().sub(at, out);
-        Ok((scratch, regions, out))
+    ) -> Result<(Option<ScratchGuard<'_>>, DevSlice, DevSlice), OutOfMemory> {
+        let n = input.len();
+        let mut guard = None;
+        let scratch = match into {
+            Some(scratch) => scratch,
+            None => guard.insert(self.dev.alloc_scratch((n + out).max(1))?).slice(),
+        };
+        let region = scratch.sub(0, n);
+        self.dev.mem().h2d_from(region, input);
+        Ok((guard, region, scratch.sub(n, out)))
     }
 
     /// [`Table::apply`] of host-resident pairs alone.
@@ -380,7 +368,7 @@ impl Table {
         pairs: &[(u32, u32)],
         recorder: Option<&HistoryRecorder>,
     ) -> Result<InsertOutcome, OpError> {
-        Ok(self.apply(g, &[], pairs, &[], &mut [], &mut [], recorder)?.0)
+        Ok(self.apply(None, g, (&[], pairs, &[]), &mut [], &mut [], recorder)?.0)
     }
 
     /// Every value stored under each of the host-resident `keys` of a
@@ -392,7 +380,7 @@ impl Table {
         recorder: Option<&HistoryRecorder>,
     ) -> Result<(Vec<Vec<u32>>, KernelStats), OpError> {
         check_keys(keys.iter().copied())?;
-        let (_scratch, [input], _) = self.stage([keys.iter().map(|&k| query_word(k))], 0)?;
+        let (_scratch, input, _) = self.stage(None, keys.iter().map(|&k| query_word(k)), 0)?;
         Ok(retrieve_all_kernel(self, g, input, keys.len(), recorder))
     }
 
@@ -406,18 +394,18 @@ impl Table {
     /// into `hits` whether each key of `erases` was tombstoned, and returns
     /// the insertion outcome, whose stats cover the whole launch, and the
     /// tombstoned count. The words go up as they are made and the answers
-    /// come down as they are handed out: the host stages nothing.
+    /// come down as they are handed out: the host stages nothing. The
+    /// words go into `scratch` when the caller holds it (see
+    /// [`Table::stage`]), of `2 · reads + puts + erases` words at least.
     ///
     /// # Errors
     /// [`OpError::ReservedKey`], as [`check_keys`], before anything
-    /// launches; scratch OOM.
-    #[allow(clippy::too_many_arguments)]
+    /// launches; scratch OOM, unless `scratch` is given.
     pub(crate) fn apply(
         &self,
+        scratch: Option<DevSlice>,
         g: GroupSize,
-        reads: &[u32],
-        puts: &[(u32, u32)],
-        erases: &[u32],
+        (reads, puts, erases): (&[u32], &[(u32, u32)], &[u32]),
         values: &mut [Option<u32>],
         hits: &mut [bool],
         recorder: Option<&HistoryRecorder>,
@@ -431,7 +419,7 @@ impl Table {
             .chain(mix.erases().map(query_word));
         // as many as the sections count, which `stage` must know first
         let words = (0..sections.len()).map(|_| words.next().unwrap_or(EMPTY));
-        let (_scratch, [input], out) = self.stage([words], sections.answered())?;
+        let (_scratch, input, out) = self.stage(scratch, words, sections.answered())?;
         // the erase section's hits land behind the takes' places
         let takes = sections.takes;
         hits.fill(false);

@@ -16,7 +16,13 @@
 //!
 //! It was captured from the code that preceded `table.rs`, where the map
 //! and the migration each kept their own copy of a table's state; the
-//! one-`Table` refactor must reproduce every row bit for bit.
+//! one-`Table` refactor reproduced every row bit for bit. It was
+//! regenerated once, when a call during a migration became one chunk
+//! step and one launch on each table (`GpuHashMap::migrating_apply`):
+//! only the routed calls' kernel stats and reports and the `device`
+//! rows moved (fewer launches and groups); every response, every `map`
+//! row — occupancy, resize state, contents and history digests — and
+//! the seeded section stayed as they were.
 //!
 //! Those scenarios run under `Schedule::Sequential`, where a group runs
 //! to completion and the *order* of its `ctx` calls cannot show. Behind
