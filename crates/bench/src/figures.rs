@@ -220,15 +220,18 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
             // host-sided: the paper's peak host rates (84%/55% of PCIe) are
             // the asynchronously overlapped variants — batches of 2^24
             // modeled elements, 4 pipeline threads (Fig. 5 / Fig. 11)
-            let hmap = node().map;
+            let mut hmap = node().map;
             let batches = (n_model >> 24).clamp(2, 512) as usize;
             let batch_func = (n_func / batches).max(1);
             let cut = Cut::new(batch_func, 4);
-            let hins = hmap.insert_in_chunks(&pairs, cut).expect("host insert");
+            let hins = hmap.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], cut);
+            let hins = hins.expect("host insert").report;
             let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            let hret = hmap.retrieve_in_chunks(&keys, cut).expect("host retrieve");
+            let mut values = vec![None; keys.len()];
+            let hret = hmap.apply_in_chunks(&keys, &[], &[], &mut values, &mut [], cut);
+            let hret = hret.expect("host retrieve").report;
             host_row.push(gops(hins.modeled_ops_per_sec(scale)));
-            host_row.push(gops(hret.report.modeled_ops_per_sec(scale)));
+            host_row.push(gops(hret.modeled_ops_per_sec(scale)));
         }
         device.row(dev_row);
         host.row(host_row);
@@ -304,19 +307,19 @@ pub fn fig11(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     // (content identical across them)
     let mut loaded = None;
     for threads in [1usize, 2, 4] {
-        let map = NodeBench::paper(M, n_func / M, n_model).map;
-        let rep = map
-            .insert_in_chunks(&pairs, Cut::new(batch_func, threads))
-            .expect("insert");
+        let mut map = NodeBench::paper(M, n_func / M, n_model).map;
+        let cut = Cut::new(batch_func, threads);
+        let rep = map.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], cut);
+        let rep = rep.expect("insert").report;
         row(format!("Ins{threads}"), &rep);
         loaded = Some((map, rep));
     }
-    let (map, ins4) = loaded.expect("three variants");
+    let (mut map, ins4) = loaded.expect("three variants");
+    let mut values = vec![None; keys.len()];
     for threads in [1usize, 2, 4] {
-        let rep = map
-            .retrieve_in_chunks(&keys, Cut::new(batch_func, threads))
-            .expect("retrieve");
-        row(format!("Ret{threads}"), &rep.report);
+        let cut = Cut::new(batch_func, threads);
+        let rep = map.apply_in_chunks(&keys, &[], &[], &mut values, &mut [], cut);
+        row(format!("Ret{threads}"), &rep.expect("retrieve").report);
     }
     write!(out, "{t}")?;
 

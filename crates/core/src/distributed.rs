@@ -42,7 +42,7 @@ use crate::chaos::{ChaosState, ChaosTally, Router};
 use crate::config::{Config, Mutation};
 use crate::errors::BuildError;
 use crate::history::{OpKind, OpResponse};
-use crate::host_ops::Scratch;
+use crate::host_ops::{Cut, Scratch};
 use crate::map::GpuHashMap;
 use crate::service::{check_call, composed, one_group_per_key, Applied, OpError, HELD_SCRATCH};
 use crate::stats::DegradedStats;
@@ -385,6 +385,29 @@ impl DistributedHashMap {
         Ok(())
     }
 
+    /// [`crate::MapService::apply`], a call of one list cut where `cut`
+    /// says or by the planner without one: the one body of the trait's
+    /// `apply` and of [`DistributedHashMap::apply_in_chunks`].
+    pub(crate) fn apply_cut(
+        &mut self,
+        (reads, puts, erases): (&[u32], &[(u32, u32)], &[u32]),
+        values: &mut [Option<u32>],
+        hits: &mut [bool],
+        cut: Option<Cut>,
+    ) -> Result<Applied, OpError> {
+        check_call(reads, puts, erases, values, hits)?;
+        if reads.is_empty() && puts.is_empty() && erases.is_empty() {
+            return Ok(Applied::default());
+        }
+        if !one_group_per_key(reads, puts, erases) {
+            return composed(self, reads, puts, erases, values, hits);
+        }
+        let len = reads.len() + puts.len() + erases.len();
+        self.with_scratch(len, |d, scratch| {
+            d.apply_into((reads, puts, erases), values, hits, scratch, cut)
+        })
+    }
+
     /// Runs `call` with empty buffers for a call of `len` elements: the
     /// node's own, kept across calls, for a call of a serving flush's
     /// size; fresh ones for a larger call, which go with it — kept, they
@@ -410,8 +433,9 @@ impl crate::service::MapService for DistributedHashMap {
     /// The reads, the puts and the erases as one cascade round
     /// ([`crate::host_ops`]): one H2D, one multisplit, one all-to-all and
     /// one launch per GPU for every list, the answers alone on the return
-    /// trip; a call of one list is that list's call, cut into chunks.
-    /// Lists that could put one key in two racing groups
+    /// trip; a call of one list is that list's call, cut into chunks by the
+    /// planner ([`DistributedHashMap::apply_in_chunks`] cuts where its
+    /// caller says). Lists that could put one key in two racing groups
     /// ([`one_group_per_key`]) run as a read call, then a write call, then
     /// an erase call. The placement counts are the kernels' tallies,
     /// summed over the targets: exact on a healthy node.
@@ -423,18 +447,7 @@ impl crate::service::MapService for DistributedHashMap {
         values: &mut [Option<u32>],
         hits: &mut [bool],
     ) -> Result<Applied, OpError> {
-        check_call(reads, puts, erases, values, hits)?;
-        let lists = [reads.is_empty(), puts.is_empty(), erases.is_empty()];
-        if lists == [true; 3] {
-            return Ok(Applied::default());
-        }
-        if one_group_per_key(reads, puts, erases) {
-            let len = reads.len() + puts.len() + erases.len();
-            return self.with_scratch(len, |d, scratch| {
-                d.apply_into((reads, puts, erases), values, hits, scratch)
-            });
-        }
-        composed(self, reads, puts, erases, values, hits)
+        self.apply_cut((reads, puts, erases), values, hits, None)
     }
 
     fn mutation(&self) -> Option<crate::Mutation> {
@@ -577,6 +590,7 @@ mod tests {
 #[cfg(test)]
 mod erase_tests {
     use super::*;
+    use crate::service::MapService;
     use crate::CascadeStage;
 
     fn node(m: usize) -> DistributedHashMap {
@@ -590,9 +604,9 @@ mod erase_tests {
     fn erase_cascade_removes_exactly_the_victims() {
         let mut d = node(4);
         let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 5 + 2, i)).collect();
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         let victims: Vec<u32> = pairs.iter().step_by(3).map(|p| p.0).collect();
-        let del = d.try_erase_from_host(&victims).unwrap();
+        let del = d.delete_batch(&victims).unwrap();
         assert_eq!(del.erased as usize, victims.len());
         assert!(del.hits.iter().all(|&h| h), "all victims were present");
         assert_eq!(d.len() as usize, pairs.len() - victims.len());
@@ -603,7 +617,7 @@ mod erase_tests {
             .any(|t| t.stage == CascadeStage::H2D && t.time > 0.0));
         // survivors answer, victims do not
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let res = d.try_retrieve_from_host(&keys).unwrap().values;
+        let res = d.get_batch(&keys).unwrap().values;
         for (i, r) in res.iter().enumerate() {
             if i % 3 == 0 {
                 assert_eq!(*r, None, "victim {} survived", keys[i]);
@@ -616,8 +630,8 @@ mod erase_tests {
     #[test]
     fn erase_of_absent_keys_reports_zero() {
         let mut d = node(2);
-        d.insert_from_host(&[(1, 10), (2, 20)]).unwrap();
-        let del = d.try_erase_from_host(&[100, 200, 300]).unwrap();
+        d.put_batch(&[(1, 10), (2, 20)]).unwrap();
+        let del = d.delete_batch(&[100, 200, 300]).unwrap();
         assert_eq!(del.erased, 0);
         assert_eq!(del.hits, vec![false, false, false]);
         assert_eq!(d.len(), 2);
@@ -627,16 +641,16 @@ mod erase_tests {
     fn erase_then_reinsert_round_trips() {
         let mut d = node(2);
         let pairs: Vec<(u32, u32)> = (0..500u32).map(|i| (i + 1, i)).collect();
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let del = d.try_erase_from_host(&keys).unwrap();
+        let del = d.delete_batch(&keys).unwrap();
         assert_eq!(del.erased, 500);
         assert!(del.hits.iter().all(|&h| h));
         assert!(d.is_empty());
         // reinsert over the tombstones
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         assert_eq!(d.len(), 500);
-        let res = d.try_retrieve_from_host(&keys).unwrap().values;
+        let res = d.get_batch(&keys).unwrap().values;
         assert!(res.iter().all(Option::is_some));
     }
 }
@@ -644,6 +658,7 @@ mod erase_tests {
 #[cfg(test)]
 mod chaos_tests {
     use super::*;
+    use crate::service::MapService;
     use crate::{pack, CascadeStage};
     use std::collections::BTreeMap;
 
@@ -684,14 +699,14 @@ mod chaos_tests {
 
     #[test]
     fn killed_gpu_is_quarantined_and_keys_survive() {
-        let d = node_with(Config::default(), 4);
+        let mut d = node_with(Config::default(), 4);
         let pairs: Vec<(u32, u32)> = (0..4000u32).map(|i| (i * 3 + 1, i)).collect();
-        d.insert_from_host(&pairs[..2000]).unwrap();
+        d.put_batch(&pairs[..2000]).unwrap();
         assert!(d.quarantined().is_empty());
 
         // kill GPU 3 mid-run, then keep operating
         d.set_fault_plan(FaultPlan::default().with_kill(3));
-        d.insert_from_host(&pairs[2000..]).unwrap();
+        d.put_batch(&pairs[2000..]).unwrap();
         assert_eq!(d.quarantined(), vec![3]);
         let stats = d.degraded_stats();
         assert_eq!(stats.quarantined, 1);
@@ -700,7 +715,7 @@ mod chaos_tests {
 
         // every key — including those migrated off GPU 3 — still answers
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let res = d.try_retrieve_from_host(&keys).unwrap().values;
+        let res = d.get_batch(&keys).unwrap().values;
         for (i, p) in pairs.iter().enumerate() {
             assert_eq!(res[i], Some(p.1), "key {} lost after quarantine", p.0);
         }
@@ -714,9 +729,9 @@ mod chaos_tests {
     fn transient_launch_failures_retry_and_recover() {
         // moderate transient failure rate: retries happen, nothing dies
         let plan = FaultPlan::default().with_seed(11).with_launch_fail(0.3);
-        let d = node_with(Config::default().with_fault(plan), 4);
+        let mut d = node_with(Config::default().with_fault(plan), 4);
         let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 5 + 3, i)).collect();
-        let rep = d.insert_from_host(&pairs).unwrap();
+        let rep = d.put_batch(&pairs).unwrap().report;
         assert!(d.quarantined().is_empty(), "30% transient should not kill");
         let stats = d.degraded_stats();
         assert!(stats.launch_retries > 0, "no retries at 30% failure rate");
@@ -728,24 +743,24 @@ mod chaos_tests {
     #[test]
     fn transfer_drops_retry_and_are_billed() {
         let plan = FaultPlan::default().with_seed(7).with_transfer_drop(0.4);
-        let d = node_with(Config::default().with_fault(plan), 4);
+        let mut d = node_with(Config::default().with_fault(plan), 4);
         let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 11 + 5, i)).collect();
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         let stats = d.degraded_stats();
         assert!(stats.transfer_retries > 0, "no drops at 40% rate");
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let res = d.try_retrieve_from_host(&keys).unwrap().values;
+        let res = d.get_batch(&keys).unwrap().values;
         assert!(res.iter().all(Option::is_some));
     }
 
     #[test]
     fn last_gpu_loss_is_a_typed_error() {
-        let d = node_with(Config::default(), 2);
-        d.insert_from_host(&[(1, 10), (2, 20)]).unwrap();
+        let mut d = node_with(Config::default(), 2);
+        d.put_batch(&[(1, 10), (2, 20)]).unwrap();
         d.set_fault_plan(FaultPlan::default().with_launch_fail(1.0));
         // both GPUs fail permanently: first one quarantines, the second
         // has no survivor left
-        let err = d.insert_from_host(&[(3, 30)]).unwrap_err();
+        let err = d.put_batch(&[(3, 30)]).unwrap_err();
         assert!(
             matches!(err, OpError::DeviceLost { .. }),
             "unexpected {err:?}"
@@ -768,14 +783,14 @@ mod chaos_tests {
     #[test]
     fn straggler_slows_the_cascade_without_changing_results() {
         let pairs: Vec<(u32, u32)> = (0..2000u32).map(|i| (i * 13 + 7, i)).collect();
-        let healthy = node_with(Config::default(), 4);
-        let h_rep = healthy.insert_from_host(&pairs).unwrap();
-        let slow = node_with(
+        let mut healthy = node_with(Config::default(), 4);
+        let h_rep = healthy.put_batch(&pairs).unwrap().report;
+        let mut slow = node_with(
             Config::default()
                 .with_fault(FaultPlan::default().with_straggler(2, 4.0, 0.0)),
             4,
         );
-        let s_rep = slow.insert_from_host(&pairs).unwrap();
+        let s_rep = slow.put_batch(&pairs).unwrap().report;
         assert!(
             s_rep.time > h_rep.time,
             "straggler should slow the cascade: {} vs {}",
@@ -817,9 +832,10 @@ mod chaos_tests {
             .collect();
         let run = |plan: FaultPlan| {
             let mut d = node_with(Config::default(), 4);
-            d.insert_from_host(&pairs).unwrap();
+            d.put_batch(&pairs).unwrap();
             d.set_fault_plan(plan);
-            let values = d.get_put_batch(&reads, &puts).unwrap().values;
+            let mut values = vec![None; reads.len()];
+            d.apply(&reads, &puts, &[], &mut values, &mut []).unwrap();
             let mut contents = d.live_snapshot();
             contents.sort_unstable();
             (d, values, contents)
@@ -866,8 +882,8 @@ mod chaos_tests {
         };
         let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 7 + 3, i)).collect();
         for lost in [(2, MULTISPLIT), (3, INSERT)] {
-            let d = node_with(Config::default().with_fault(losing_only(lost)), 4);
-            let rep = d.insert_from_host(&pairs).unwrap();
+            let mut d = node_with(Config::default().with_fault(losing_only(lost)), 4);
+            let rep = d.put_batch(&pairs).unwrap().report;
             assert_eq!(d.quarantined(), vec![lost.0], "{}", d.replay_hint());
             let made = |map: &GpuHashMap| map.device().lifetime_stats().launches;
             let made: u64 = d.maps().iter().map(made).sum();
@@ -880,10 +896,10 @@ mod chaos_tests {
     fn erase_under_kill_still_tombstones_everything() {
         let mut d = node_with(Config::default(), 4);
         let pairs: Vec<(u32, u32)> = (0..1000u32).map(|i| (i * 7 + 2, i)).collect();
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         d.set_fault_plan(FaultPlan::default().with_kill(1));
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let del = d.try_erase_from_host(&keys).unwrap();
+        let del = d.delete_batch(&keys).unwrap();
         assert_eq!(del.erased, 1000, "migrated keys must still be erasable");
         assert!(
             del.hits.iter().all(|&h| h),

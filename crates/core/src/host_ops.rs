@@ -18,7 +18,7 @@
 //!
 //! ## Chunks that overlap (§IV-B, Fig. 5)
 //!
-//! A large insert, get or erase — a call of one list — is cut into
+//! A large put, get or erase — a call of one list — is cut into
 //! chunks, each its own bracket — H2D, cascade, D2H — run one after the
 //! other into the call's one output and the call's one report. Their
 //! stages occupy different hardware
@@ -48,21 +48,29 @@
 //! device ([`crate::cascade`]) — so the call pays for its overlay once,
 //! whatever the cut. A mixed call is always one chunk: its reads answer
 //! the values from before the call, which a chunk behind a write would
-//! not. [`DistributedHashMap::insert_in_chunks`] and
-//! [`DistributedHashMap::retrieve_in_chunks`] cut where their caller's
-//! [`Cut`] says — a chunk size and a number of streams, Fig. 11's
-//! `Ins`/`Ret` variants — in the same loop, a plan fixed in advance.
+//! not. [`DistributedHashMap::apply_in_chunks`] cuts a call of one list
+//! where its caller's [`Cut`] says — a chunk size and a number of streams,
+//! Fig. 11's `Ins`/`Ret` variants — in the same loop, a plan fixed in
+//! advance.
+//!
+//! ## One host entry
+//!
+//! The node's host-sided calls are [`crate::MapService::apply`] and the
+//! trait's `put_batch`, `get_batch` and `delete_batch` over it, and
+//! [`DistributedHashMap::apply_in_chunks`] for a fixed cut: both run one
+//! body down to the one bracket. The device-sided calls of
+//! [`crate::cascade`] take per-GPU lists already on the devices and skip
+//! the bracket.
 
 use crate::cascade::{
-    down_bytes, segment, Abort, CascadeOp, Input, ERASES, GETS, PUTS, SEGMENTS, TAKES, UPSERTS,
+    down_bytes, Abort, CascadeOp, Input, ERASES, GETS, PUTS, SEGMENTS, TAKES, UPSERTS,
 };
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::{key_of, pack};
 use crate::get_put::Mix;
-use crate::service::{answer, Applied, DeleteResponse, GetResponse, OpError, OpReport};
+use crate::service::{answer, Applied, OpError, OpReport};
 use crate::stats::{CascadeStage, StageRows, StageTiming};
-use crate::table::{check_keys, pair_words};
 use interconnect::{
     d2h_time_faulted, h2d_time, h2d_time_faulted, PipelineReport, PipelineSim, Stage,
 };
@@ -543,135 +551,51 @@ impl DistributedHashMap {
         Ok(())
     }
 
-    /// Host-sided insertion: transfer the packed pairs over PCIe
-    /// (unstructured equal spread over the live GPUs), then run the
-    /// device cascade — chunk after chunk for a large call, overlapped.
+    /// [`crate::MapService::apply`] with a call of one list cut into chunks where
+    /// `cut` says — a chunk length and a number of streams, Fig. 11's
+    /// `Ins`/`Ret` variants — not by the planner. A call of more lists is
+    /// what `apply` makes of it, uncut: one cascade round, or the composed
+    /// calls of lists that could put one key in two groups.
     ///
     /// # Errors
-    /// Propagates the device cascade's errors;
-    /// [`OpError::DeviceLost`] once no failover remains. The chunks before
-    /// a failed one stay applied.
-    pub fn insert_from_host(&self, pairs: &[(u32, u32)]) -> Result<OpReport, OpError> {
-        self.insert_cut(pairs, None)
-    }
-
-    /// [`Self::insert_from_host`] cut where `cut` says, not by the
-    /// planner: Fig. 11's `Ins1`/`Ins2`/`Ins4` are one chunk size on 1, 2
-    /// or 4 streams.
-    ///
-    /// # Errors
-    /// As [`Self::insert_from_host`].
-    pub fn insert_in_chunks(
-        &self,
-        pairs: &[(u32, u32)],
+    /// As [`crate::MapService::apply`]; the chunks before a failed one stay
+    /// applied.
+    pub fn apply_in_chunks(
+        &mut self,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+        erases: &[u32],
+        values: &mut [Option<u32>],
+        hits: &mut [bool],
         cut: Cut,
-    ) -> Result<OpReport, OpError> {
-        self.insert_cut(pairs, Some(cut))
-    }
-
-    /// [`Self::insert_in_chunks`] where `cut` says, or by the planner
-    /// without one.
-    fn insert_cut(&self, pairs: &[(u32, u32)], cut: Option<Cut>) -> Result<OpReport, OpError> {
-        let words = pair_words(pairs)?;
-        let call = Call { pairs: segment(PUTS, &words), ..Call::default() };
-        self.run(call, cut, &mut Applied::default(), |_, _, _| {})
-    }
-
-    /// Host-sided retrieval with typed fault errors: keys up over PCIe
-    /// (4 bytes each), device cascade, results down (a 4-byte value per
-    /// key and a found bit) — chunk after chunk for a large call,
-    /// overlapped. Returns the results in the original key order with a
-    /// unified [`OpReport`].
-    ///
-    /// # Errors
-    /// [`OpError`] once every failover avenue is exhausted.
-    pub fn try_retrieve_from_host(&self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        self.retrieve_cut(keys, None)
-    }
-
-    /// Single-key convenience. Routed through the same counter/stats
-    /// path as [`DistributedHashMap::try_retrieve_from_host`], so device
-    /// lifetime telemetry counts it like any batched read.
-    #[must_use]
-    pub fn get(&self, key: u32) -> Option<u32> {
-        self.try_retrieve_from_host(&[key])
-            .map_or(None, |resp| resp.values[0])
-    }
-
-    /// [`Self::try_retrieve_from_host`] cut where `cut` says, not by the
-    /// planner (Fig. 11's `Ret1`/`Ret2`/`Ret4`), answering in key order.
-    ///
-    /// # Errors
-    /// As [`Self::try_retrieve_from_host`].
-    pub fn retrieve_in_chunks(&self, keys: &[u32], cut: Cut) -> Result<GetResponse, OpError> {
-        self.retrieve_cut(keys, Some(cut))
-    }
-
-    /// [`Self::retrieve_in_chunks`] where `cut` says, or by the planner
-    /// without one.
-    fn retrieve_cut(&self, keys: &[u32], cut: Option<Cut>) -> Result<GetResponse, OpError> {
-        check_keys(keys.iter().copied())?;
-        let mut values = vec![None; keys.len()];
-        let mutation = self.cfg().mutation;
-        let call = Call { keys: segment(GETS, keys), ..Call::default() };
-        let report = self.run(call, cut, &mut Applied::default(), |_, i, found| {
-            answer(&mut values[i], found, mutation);
-        })?;
-        Ok(GetResponse { values, report })
-    }
-
-    /// Host-sided erase with typed fault errors: keys travel over PCIe
-    /// (4 bytes each) under the same retry-and-quarantine contract as
-    /// insertion, the device cascade runs, and per-key hits come back
-    /// down (a found bit each) in the original input order — chunk after
-    /// chunk for a large call, overlapped.
-    ///
-    /// # Errors
-    /// [`OpError`] once every failover avenue is exhausted.
-    pub fn try_erase_from_host(&mut self, keys: &[u32]) -> Result<DeleteResponse, OpError> {
-        self.erase_cut(keys, None)
-    }
-
-    /// [`Self::try_erase_from_host`] cut where `cut` says, or by the
-    /// planner without one.
-    fn erase_cut(&mut self, keys: &[u32], cut: Option<Cut>) -> Result<DeleteResponse, OpError> {
-        check_keys(keys.iter().copied())?;
-        let mut hits = vec![false; keys.len()];
-        let mut placed = Applied::default();
-        let call = Call { keys: segment(ERASES, keys), ..Call::default() };
-        let report = self.run(call, cut, &mut placed, |_, i, found| {
-            // of every round, so ORed
-            hits[i] |= found.is_some();
-        })?;
-        Ok(DeleteResponse {
-            hits,
-            erased: placed.erased,
-            report,
-        })
+    ) -> Result<Applied, OpError> {
+        self.apply_cut((reads, puts, erases), values, hits, Some(cut))
     }
 
     /// Host-sided lookup of `reads`, insertion of `puts` and erasure of
     /// `erases`, into `values` in `reads` order and `hits` in `erases`
-    /// order: a call of one list as that list's call, chunked, and a mixed
-    /// call (each list distinct ascending keys, none both put and erased)
-    /// in **one** cascade round whose segments are the kernel's sections
-    /// ([`Mix`]). A key both read and written is one group — an upsert or a
-    /// take — that reads first, so the answers are the values **before**
-    /// the call, and a take's hit is its found bit. A call that reads and
+    /// order: a call of one list as that list's call, cut into chunks where
+    /// `cut` says or by the planner without one, and a mixed call (each
+    /// list distinct ascending keys, none both put and erased) in **one**
+    /// cascade round whose segments are the kernel's sections ([`Mix`]).
+    /// A key both read and written is one group — an upsert or a take —
+    /// that reads first, so the answers are the values **before** the
+    /// call, and a take's hit is its found bit. A call that reads and
     /// writes cuts its sections into `scratch` (empty) — the keys of the
     /// gets, takes and erases, the pairs of the upserts and puts, and a bit
     /// per read of what the round answered — and any other borrows its
     /// lists. The caller has checked the keys.
     ///
     /// # Errors
-    /// As [`Self::try_retrieve_from_host`] and [`Self::insert_from_host`];
-    /// some of the pairs and erases may have been applied.
+    /// The cascade's, and [`OpError::DeviceLost`] once no failover
+    /// remains; some of the pairs and erases may have been applied.
     pub(crate) fn apply_into(
         &self,
         (reads, puts, erases): (&[u32], &[(u32, u32)], &[u32]),
         values: &mut [Option<u32>],
         hits: &mut [bool],
         scratch: &mut Scratch,
+        cut: Option<Cut>,
     ) -> Result<Applied, OpError> {
         let mutation = self.cfg().mutation;
         let mix = Mix::new(reads, puts, erases, mutation);
@@ -700,7 +624,7 @@ impl DistributedHashMap {
         let place = |list: &[u32], section: &[u32], i| if mixed { at(list, section[i]) } else { i };
         hits.fill(false);
         let mut applied = Applied::default();
-        applied.report = self.run(call, None, &mut applied, |s, i, found| {
+        applied.report = self.run(call, cut, &mut applied, |s, i, found| {
             let r = match s {
                 GETS => place(reads, gets, i),
                 TAKES => {
@@ -736,6 +660,7 @@ mod tests {
     use super::*;
     use crate::cascade::{ERASES, GETS, PUTS};
     use crate::config::Config;
+    use crate::service::{DeleteResponse, GetResponse, MapService};
     use gpu_sim::{Device, DeviceSpec, Schedule};
     use interconnect::Topology;
     use std::sync::Arc;
@@ -747,11 +672,31 @@ mod tests {
         DistributedHashMap::new(devices, 2048, Config::default(), Topology::p100_quad(m)).unwrap()
     }
 
+    /// `reads` and `puts` in one call, cut where `cut` says or by the
+    /// planner without one: the reads' answers and the call's report.
+    fn read_write(
+        d: &mut DistributedHashMap,
+        reads: &[u32],
+        puts: &[(u32, u32)],
+        cut: Option<Cut>,
+    ) -> GetResponse {
+        let mut values = vec![None; reads.len()];
+        let report = d.apply_cut((reads, puts, &[]), &mut values, &mut [], cut).unwrap().report;
+        GetResponse { values, report }
+    }
+
+    /// An erase of `keys`, cut as [`read_write`]'s call.
+    fn delete(d: &mut DistributedHashMap, keys: &[u32], cut: Option<Cut>) -> DeleteResponse {
+        let mut hits = vec![false; keys.len()];
+        let done = d.apply_cut((&[], &[], keys), &mut [], &mut hits, cut).unwrap();
+        DeleteResponse { hits, erased: done.erased, report: done.report }
+    }
+
     #[test]
     fn host_cascade_round_trip() {
         let mut d = node(4);
         let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 13 + 7, i)).collect();
-        let rep = d.insert_from_host(&pairs).unwrap();
+        let rep = d.put_batch(&pairs).unwrap().report;
         assert!(rep.time_of(CascadeStage::H2D) > 0.0);
         assert_eq!(rep.stages[0].stage, CascadeStage::H2D);
         // a report counts the launches its cascade made: the split and
@@ -760,14 +705,14 @@ mod tests {
         assert_eq!(rep.launches, launches(&d));
 
         let before = launches(&d);
-        let erased = d.try_erase_from_host(&[pairs[0].0, 5]).unwrap();
+        let erased = d.delete_batch(&[pairs[0].0, 5]).unwrap();
         assert_eq!(erased.hits, [true, false]);
         assert_eq!(erased.report.launches, launches(&d) - before);
-        d.insert_from_host(&pairs[..1]).unwrap();
+        d.put_batch(&pairs[..1]).unwrap();
 
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([999_999_999]).collect();
         let before = launches(&d);
-        let resp = d.try_retrieve_from_host(&keys).unwrap();
+        let resp = d.get_batch(&keys).unwrap();
         assert_eq!(resp.report.launches, launches(&d) - before);
         for (i, p) in pairs.iter().enumerate() {
             assert_eq!(resp.values[i], Some(p.1), "key {}", p.0);
@@ -795,11 +740,11 @@ mod tests {
         let devices: Vec<Arc<Device>> = (0..4)
             .map(|i| Arc::new(Device::with_words(i, 1 << 19)))
             .collect();
-        let d =
+        let mut d =
             DistributedHashMap::new(devices, 1 << 16, Config::default(), Topology::p100_quad(4))
                 .unwrap();
         let pairs: Vec<(u32, u32)> = (0..120_000u32).map(|i| (i * 17 + 3, i)).collect();
-        let rep = d.insert_from_host(&pairs).unwrap();
+        let rep = d.put_batch(&pairs).unwrap().report;
         let h2d = rep.time_of(CascadeStage::H2D);
         assert!(
             h2d > 0.3 * rep.time,
@@ -832,7 +777,6 @@ mod tests {
     /// goes up and across once, as its pair.
     #[test]
     fn get_put_is_one_round_answering_the_pre_call_values() {
-        use crate::service::MapService;
         use CascadeStage::{Multisplit, Query, Scatter, Transpose, TransposeBack, D2H, H2D};
         let pairs: Vec<(u32, u32)> = (1..=1000u32).map(|k| (k, k)).collect();
         // a third of the keys read (and ten absent ones), half written
@@ -846,11 +790,11 @@ mod tests {
         let disjoint: Vec<(u32, u32)> = (3001..=3500u32).map(|k| (k, k)).collect();
         for (puts, both) in [(&puts, 166), (&disjoint, 0)] {
             let (mut d, mut twin) = (node(4), node(4));
-            d.insert_from_host(&pairs).unwrap();
-            twin.insert_from_host(&pairs).unwrap();
+            d.put_batch(&pairs).unwrap();
+            twin.put_batch(&pairs).unwrap();
 
             let before = launches(&d);
-            let resp = d.get_put_batch(&reads, puts).unwrap();
+            let resp = read_write(&mut d, &reads, puts, None);
             for (&k, &v) in reads.iter().zip(&resp.values) {
                 assert_eq!(v, (k <= 1000).then_some(k), "key {k}");
             }
@@ -893,7 +837,6 @@ mod tests {
 
     #[test]
     fn a_gpu_without_a_word_launches_nothing() {
-        use crate::service::MapService;
         let mut d = node(4);
         let resp = d.put_batch(&[(7, 70)]).unwrap();
         // the one GPU holding the pair splits it, its owner inserts it
@@ -909,21 +852,18 @@ mod tests {
 
     #[test]
     fn get_put_of_unsorted_lists_runs_the_two_cascades() {
-        use crate::service::MapService;
         let mut d = node(2);
-        d.insert_from_host(&[(1, 10), (2, 20)]).unwrap();
+        d.put_batch(&[(1, 10), (2, 20)]).unwrap();
         // a duplicate read and a duplicate put: not distinct ascending
-        let resp = d
-            .get_put_batch(&[2, 1, 2], &[(2, 21), (2, 22), (3, 30)])
-            .unwrap();
+        let resp = read_write(&mut d, &[2, 1, 2], &[(2, 21), (2, 22), (3, 30)], None);
         assert_eq!(resp.values, [Some(20), Some(10), Some(20)]);
         let uploads = stages_of(&resp.report);
         assert_eq!(
             uploads.iter().filter(|&&s| s == CascadeStage::H2D).count(),
             2
         );
-        assert!(matches!(d.get(2), Some(21 | 22)));
-        assert_eq!(d.get(3), Some(30));
+        assert!(matches!(d.get_batch(&[2]).unwrap().values[0], Some(21 | 22)));
+        assert_eq!(d.get_batch(&[3]).unwrap().values[0], Some(30));
     }
 
     /// A node of `m` GPUs that reads no fault plan from the environment.
@@ -942,7 +882,6 @@ mod tests {
 
     #[test]
     fn a_get_brings_down_a_value_and_a_found_bit_per_key() {
-        use crate::service::MapService;
         let key = |i: usize| i as u32 * 3 + 1;
         let cases = [
             (0, [0; 4]),
@@ -955,12 +894,12 @@ mod tests {
             let mut d = node_with(4, Config::default());
             // every other key present
             let pairs: Vec<(u32, u32)> = (0..n).step_by(2).map(|i| (key(i), i as u32)).collect();
-            d.insert_from_host(&pairs).unwrap();
+            d.put_batch(&pairs).unwrap();
             let keys: Vec<u32> = (0..n).map(key).collect();
             let want: Vec<Option<u32>> = (0..n).map(|i| (i % 2 == 0).then_some(i as u32)).collect();
-            let get = d.try_retrieve_from_host(&keys).unwrap();
+            let get = d.get_batch(&keys).unwrap();
             // a put of a key not read, so that the reads lie as the get's
-            let round = d.get_put_batch(&keys, &[(key(n), 5)]).unwrap();
+            let round = read_write(&mut d, &keys, &[(key(n), 5)], None);
             for resp in [&get, &round] {
                 assert_eq!(resp.values, want, "n={n}");
                 let down = bytes_of(&resp.report, CascadeStage::D2H);
@@ -970,12 +909,12 @@ mod tests {
         }
         // a quarantined GPU's chunk is spread over the survivors, and its
         // link carries nothing down
-        let d = node_with(4, Config::default());
+        let mut d = node_with(4, Config::default());
         let pairs: Vec<(u32, u32)> = (0..195).map(|i| (key(i), i as u32)).collect();
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         d.set_fault_plan(gpu_sim::FaultPlan::default().with_kill(3));
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let get = d.try_retrieve_from_host(&keys).unwrap();
+        let get = d.get_batch(&keys).unwrap();
         assert_eq!(d.quarantined(), [3]);
         assert!(get.values.iter().zip(0..).all(|(&v, i)| v == Some(i)));
         assert_eq!(bytes_of(&get.report, CascadeStage::D2H), down_bytes(&[65, 65, 65, 0]));
@@ -985,16 +924,15 @@ mod tests {
     /// last value of each sits alone in the low half of its word.
     #[test]
     fn swapped_answer_halves_are_caught_through_retrieve_and_the_mixed_round() {
-        use crate::service::MapService;
         let pairs: Vec<(u32, u32)> = (0..4 * 257u32).map(|i| (i * 3 + 1, i)).collect();
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
         let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).collect();
         let answers = |cfg: Config| {
             let mut d = node_with(4, cfg);
-            d.insert_from_host(&pairs).unwrap();
-            let get = d.try_retrieve_from_host(&keys).unwrap().values;
+            d.put_batch(&pairs).unwrap();
+            let get = d.get_batch(&keys).unwrap().values;
             let puts: Vec<(u32, u32)> = keys[..100].iter().map(|&k| (k, 0)).collect();
-            (get, d.get_put_batch(&keys, &puts).unwrap().values)
+            (get, read_write(&mut d, &keys, &puts, None).values)
         };
         assert_eq!(answers(Config::default()), (want.clone(), want.clone()));
         let (get, round) = answers(Config::default().with_mutation(Mutation::AnswerHalvesSwapped));
@@ -1082,19 +1020,19 @@ mod tests {
         let whole = |len: usize| Some(Cut::new(len, 1));
         let (mut d, mut twin) = (node(), node());
         let before = launches(&d);
-        let put = d.insert_cut(&pairs, cut).unwrap();
+        let put = read_write(&mut d, &[], &pairs, cut).report;
         assert_eq!(put.launches, launches(&d) - before);
-        let twin_put = twin.insert_cut(&pairs, whole(pairs.len())).unwrap();
+        let twin_put = read_write(&mut twin, &[], &pairs, whole(pairs.len())).report;
         let before = launches(&d);
-        let GetResponse { values, report: get } = d.retrieve_cut(&keys, cut).unwrap();
+        let GetResponse { values, report: get } = read_write(&mut d, &keys, &[], cut);
         assert_eq!(get.launches, launches(&d) - before);
         let GetResponse { values: twin_values, report: twin_get } =
-            twin.retrieve_cut(&keys, whole(keys.len())).unwrap();
+            read_write(&mut twin, &keys, &[], whole(keys.len()));
         assert_eq!(values, twin_values);
         let before = launches(&d);
-        let erase = d.erase_cut(&deleted, cut).unwrap();
+        let erase = delete(&mut d, &deleted, cut);
         assert_eq!(erase.report.launches, launches(&d) - before);
-        let twin_erase = twin.erase_cut(&deleted, whole(deleted.len())).unwrap();
+        let twin_erase = delete(&mut twin, &deleted, whole(deleted.len()));
         assert_eq!((&erase.hits, erase.erased), (&twin_erase.hits, twin_erase.erased));
         assert_eq!(live_sorted(&d), live_sorted(&twin));
         [
@@ -1169,15 +1107,83 @@ mod tests {
         let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).collect();
         let caught = |call: &dyn Fn(&mut DistributedHashMap) -> bool| {
             let mut d = mutated();
-            d.insert_from_host(&pairs).unwrap();
+            d.put_batch(&pairs).unwrap();
             let run = std::panic::AssertUnwindSafe(|| call(&mut d));
             std::panic::catch_unwind(run).map_or(true, |right| !right)
         };
-        assert!(caught(&|d| d.try_retrieve_from_host(&keys).unwrap().values == want), "get");
+        assert!(caught(&|d| d.get_batch(&keys).unwrap().values == want), "get");
         let all_hit = |d: &mut DistributedHashMap| {
-            d.try_erase_from_host(&keys).unwrap().hits.iter().all(|&h| h)
+            d.delete_batch(&keys).unwrap().hits.iter().all(|&h| h)
         };
         assert!(caught(&all_hit), "erase");
+    }
+
+    /// `apply_in_chunks` cuts a call of one list where its [`Cut`] says —
+    /// ⌈n/len⌉ chunks, on its streams — and answers, places and erases
+    /// what the trait's calls on a twin do.
+    #[test]
+    fn apply_in_chunks_cuts_a_call_of_one_list_where_it_says() {
+        let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 7 + 1, i)).collect();
+        // ascending, half of them absent
+        let keys: Vec<u32> = (0..3000u32).flat_map(|i| [i * 7 + 1, i * 7 + 3]).collect();
+        let deleted: Vec<u32> = keys.iter().copied().step_by(3).collect();
+        let cut_as_said = |report: &OpReport, n: usize, cut: Cut| {
+            assert_eq!(chunks_of(report), n.div_ceil(cut.len), "{cut:?}");
+            if let Some(overlap) = report.overlaps.first() {
+                assert_eq!(overlap.streams, cut.streams, "{cut:?}");
+            }
+        };
+        for cut in test_cuts() {
+            let node = || node_with(4, Config::default());
+            let (mut d, mut twin) = (node(), node());
+            let put = d.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], cut).unwrap();
+            cut_as_said(&put.report, pairs.len(), cut);
+            let twin_put = twin.put_batch(&pairs).unwrap();
+            assert_eq!((put.new_slots, put.updates), (twin_put.new_slots, twin_put.updates));
+            let mut values = vec![None; keys.len()];
+            let get = d.apply_in_chunks(&keys, &[], &[], &mut values, &mut [], cut).unwrap();
+            cut_as_said(&get.report, keys.len(), cut);
+            assert_eq!(values, twin.get_batch(&keys).unwrap().values, "{cut:?}");
+            let mut hits = vec![false; deleted.len()];
+            let erase = d.apply_in_chunks(&[], &[], &deleted, &mut [], &mut hits, cut).unwrap();
+            cut_as_said(&erase.report, deleted.len(), cut);
+            let twin_erase = twin.delete_batch(&deleted).unwrap();
+            assert_eq!((hits, erase.erased), (twin_erase.hits, twin_erase.erased), "{cut:?}");
+            assert_eq!(live_sorted(&d), live_sorted(&twin), "{cut:?}");
+        }
+    }
+
+    /// A mixed call under any cut is one round, as the trait's `apply`
+    /// makes it: no overlap, one upload, the same launches and answers.
+    #[test]
+    fn apply_in_chunks_leaves_a_mixed_call_one_round() {
+        let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 7 + 1, i)).collect();
+        let reads: Vec<u32> = (0..1000u32).flat_map(|i| [i * 7 + 1, i * 7 + 3]).collect();
+        let puts: Vec<(u32, u32)> = pairs[500..1500].iter().map(|&(k, v)| (k, v + 1)).collect();
+        let erases: Vec<u32> = pairs[2000..2500].iter().map(|p| p.0).collect();
+        for cut in test_cuts() {
+            let node = || node_with(4, Config::default());
+            let (mut d, mut twin) = (node(), node());
+            d.put_batch(&pairs).unwrap();
+            twin.put_batch(&pairs).unwrap();
+            let (mut values, mut hits) = (vec![None; reads.len()], vec![false; erases.len()]);
+            let before = launches(&d);
+            let chunked =
+                d.apply_in_chunks(&reads, &puts, &erases, &mut values, &mut hits, cut).unwrap();
+            assert_eq!(chunked.report.launches, launches(&d) - before, "{cut:?}");
+            let mut twin_values = vec![None; reads.len()];
+            let mut twin_hits = vec![false; erases.len()];
+            let whole = twin.apply(&reads, &puts, &erases, &mut twin_values, &mut twin_hits);
+            let whole = whole.unwrap().report;
+            assert!(chunked.report.overlaps.is_empty(), "{cut:?}");
+            let rows = stages_of(&chunked.report);
+            let uploads = rows.iter().filter(|&&s| s == CascadeStage::H2D).count();
+            assert_eq!(uploads, 1, "{cut:?}");
+            assert_eq!(rows, stages_of(&whole), "{cut:?}");
+            assert_eq!(chunked.report.launches, whole.launches, "{cut:?}");
+            assert_eq!((values, hits), (twin_values, twin_hits), "{cut:?}");
+            assert_eq!(live_sorted(&d), live_sorted(&twin), "{cut:?}");
+        }
     }
 
     #[test]
@@ -1241,11 +1247,11 @@ mod tests {
         assert_eq!(p100.first_chunk(ERASES), 4 * 24750);
         for (first, len) in [(put, 2 * put - 1), (put, 2 * put)] {
             let pairs: Vec<(u32, u32)> = (1..=len as u32).map(|k| (k, k)).collect();
-            let d = node_paying(4, SMALL_OVERHEAD, Config::default());
-            let cut = chunks_of(&d.insert_from_host(&pairs).unwrap()) > 1;
+            let mut d = node_paying(4, SMALL_OVERHEAD, Config::default());
+            let cut = chunks_of(&d.put_batch(&pairs).unwrap().report) > 1;
             assert_eq!(cut, len >= 2 * first, "{len} pairs");
             let keys: Vec<u32> = (1..=(len * get / put) as u32).collect();
-            let cut = chunks_of(&d.try_retrieve_from_host(&keys).unwrap().report) > 1;
+            let cut = chunks_of(&d.get_batch(&keys).unwrap().report) > 1;
             assert_eq!(cut, keys.len() >= 2 * get, "{} keys", keys.len());
         }
     }
@@ -1257,9 +1263,9 @@ mod tests {
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
         let script = || {
             let mut d = node_paying(4, SMALL_OVERHEAD, cfg);
-            let put = d.insert_from_host(&pairs).unwrap();
-            let get = d.try_retrieve_from_host(&keys).unwrap().report;
-            let erase = d.try_erase_from_host(&keys).unwrap().report;
+            let put = d.put_batch(&pairs).unwrap().report;
+            let get = d.get_batch(&keys).unwrap().report;
+            let erase = d.delete_batch(&keys).unwrap().report;
             [put, get, erase].map(|report| {
                 let Overlap { streams, chunks } = report.overlaps[0].clone();
                 (streams, chunks, report.time.to_bits())
@@ -1289,11 +1295,11 @@ mod tests {
             DistributedHashMap::new(devices, 1 << 17, cfg, Topology::p100_quad(4)).unwrap()
         };
         let eight = Some(Cut::new(n / 8, 8));
-        let (planned, fixed) = (node(), node());
-        let put = planned.insert_cut(&pairs, None).unwrap();
-        assert!(put.time <= fixed.insert_cut(&pairs, eight).unwrap().time);
-        let get = planned.retrieve_cut(&keys, None).unwrap().report;
-        assert!(get.time <= fixed.retrieve_cut(&keys, eight).unwrap().report.time);
+        let (mut planned, mut fixed) = (node(), node());
+        let put = read_write(&mut planned, &[], &pairs, None).report;
+        assert!(put.time <= read_write(&mut fixed, &[], &pairs, eight).report.time);
+        let get = read_write(&mut planned, &keys, &[], None).report;
+        assert!(get.time <= read_write(&mut fixed, &keys, &[], eight).report.time);
         assert!(chunks_of(&put) > 1 && chunks_of(&get) > 1);
         let chunks = (chunks_of(&put) + chunks_of(&get)) as f64;
         let launches = (put.launches + get.launches) as f64;
@@ -1314,7 +1320,7 @@ mod tests {
         assert!(pairs[18..24].iter().any(|&(k, _)| part(k) == 3));
         d.set_fault_plan(gpu_sim::FaultPlan::default().with_kill(3));
         let cut = Cut::new(6, 8);
-        let put = d.insert_in_chunks(&pairs, cut).unwrap();
+        let put = read_write(&mut d, &[], &pairs, Some(cut)).report;
         assert_eq!(d.quarantined(), [3]);
         let backoff = |chunk: &Range<usize>| {
             let rows = &put.stages[chunk.clone()];
@@ -1326,14 +1332,14 @@ mod tests {
         // every answer right, an absent key's too, through 8 chunks of
         // reads and of erases on the degraded node
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([5000]).collect();
-        let get = d.retrieve_in_chunks(&keys, cut).unwrap();
+        let get = read_write(&mut d, &keys, &[], Some(cut));
         let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).chain([None]).collect();
         assert_eq!(get.values, want);
         assert_eq!(chunks_of(&get.report), 9);
-        let erase = d.erase_cut(&keys, Some(cut)).unwrap();
+        let erase = delete(&mut d, &keys, Some(cut));
         let hits: Vec<bool> = want.iter().map(Option::is_some).collect();
         assert_eq!((erase.hits, erase.erased), (hits, pairs.len() as u64));
-        let values = d.retrieve_in_chunks(&keys, cut).unwrap().values;
+        let values = read_write(&mut d, &keys, &[], Some(cut)).values;
         assert!(values.iter().all(Option::is_none));
     }
 
@@ -1350,7 +1356,7 @@ mod tests {
         let mut pairs: Vec<(u32, u32)> = elsewhere.map(|k| (k, k + 1)).collect();
         pairs.extend((1000..1018).map(|k| (k, k + 1)));
         d.set_fault_plan(gpu_sim::FaultPlan::default().with_kill(3));
-        let put = d.insert_from_host(&pairs).unwrap();
+        let put = d.put_batch(&pairs).unwrap().report;
         assert_eq!(d.quarantined(), [3]);
         let chunks = &put.overlaps[0].chunks;
         let rows = |c: usize| &put.stages[chunks[c].clone()];
@@ -1375,7 +1381,7 @@ mod tests {
         // every answer right on the degraded node, an absent key's too
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([5000]).collect();
         let want: Vec<Option<u32>> = pairs.iter().map(|p| Some(p.1)).chain([None]).collect();
-        let get = d.try_retrieve_from_host(&keys).unwrap();
+        let get = d.get_batch(&keys).unwrap();
         assert_eq!(get.values, want);
         assert_time_is_bracketed(&get.report);
         assert_eq!(live_sorted(&d), {
@@ -1383,7 +1389,7 @@ mod tests {
             want.sort_unstable();
             want
         });
-        let erase = d.try_erase_from_host(&keys).unwrap();
+        let erase = d.delete_batch(&keys).unwrap();
         let hits: Vec<bool> = want.iter().map(Option::is_some).collect();
         assert_eq!((erase.hits, erase.erased), (hits, pairs.len() as u64));
         assert!(d.live_snapshot().is_empty());
@@ -1391,7 +1397,6 @@ mod tests {
 
     #[test]
     fn a_get_put_round_above_the_threshold_stays_one_round() {
-        use crate::service::MapService;
         // one GPU, so that a round past the threshold stays small
         let devices = vec![Arc::new(Device::with_words(0, 1 << 20))];
         let cfg = Config::default().with_fault(gpu_sim::FaultPlan::default());
@@ -1400,23 +1405,23 @@ mod tests {
         let n = d.first_chunk(GETS);
         assert!(n > d.first_chunk(PUTS));
         let old: Vec<(u32, u32)> = (1..=n as u32).map(|k| (k, k)).collect();
-        assert!(chunks_of(&d.insert_from_host(&old).unwrap()) > 1);
+        assert!(chunks_of(&d.put_batch(&old).unwrap().report) > 1);
         let keys: Vec<u32> = old.iter().map(|p| p.0).collect();
         let new: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k + 1)).collect();
         let the_bracket_would_cut = |len| len >= 2 * n;
         assert!(the_bracket_would_cut(keys.len() + new.len()));
-        let resp = d.get_put_batch(&keys, &new).unwrap();
+        let resp = read_write(&mut d, &keys, &new, None);
         assert!(resp.values.iter().zip(&keys).all(|(&v, &k)| v == Some(k)));
         assert!(resp.report.overlaps.is_empty());
         let uploads = stages_of(&resp.report).iter().filter(|&&s| s == CascadeStage::H2D).count();
         assert_eq!(uploads, 1);
         assert_time_is_bracketed(&resp.report);
-        assert_eq!(d.get(7), Some(8));
+        assert_eq!(d.get_batch(&[7]).unwrap().values[0], Some(8));
     }
 
     #[test]
     fn a_quarantine_in_chunk_2_re_spreads_the_later_chunks() {
-        let d = node_with(4, Config::default());
+        let mut d = node_with(4, Config::default());
         // chunks of 6 pairs: a live GPU 3 takes none of a chunk over PCIe
         // (6 over 4 GPUs is 2, 2, 2, 0), and none of the first two chunks'
         // keys is of its partition, so nothing reaches it before chunk 2
@@ -1427,7 +1432,7 @@ mod tests {
         assert!(pairs[12..18].iter().any(|&(k, _)| part(k) == 3));
         d.set_fault_plan(gpu_sim::FaultPlan::default().with_kill(3));
         let cut = Cut::new(6, 2);
-        let put = d.insert_in_chunks(&pairs, cut).unwrap();
+        let put = read_write(&mut d, &[], &pairs, Some(cut)).report;
         assert_eq!(d.quarantined(), [3]);
         // the retries and backoff of the lost transfer lie in chunk 2; the
         // last chunk spreads over the survivors from the start
@@ -1439,7 +1444,7 @@ mod tests {
         assert_eq!(chunks.iter().map(backoff).collect::<Vec<_>>(), [false, false, true, false]);
         assert_time_is_bracketed(&put);
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let get = d.retrieve_in_chunks(&keys, cut).unwrap();
+        let get = read_write(&mut d, &keys, &[], Some(cut));
         assert!(get.values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
         assert_time_is_bracketed(&get.report);
         assert_eq!(live_sorted(&d), {

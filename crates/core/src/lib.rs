@@ -21,7 +21,15 @@
 //! 3. **Asynchronous overlap** ([`host_ops`]) — a large host-sided call is
 //!    cut into chunks whose H2D → MST → INS stages overlap on independent
 //!    hardware resources (Figs. 5, 11): cut by its size alone, or at an
-//!    explicit [`host_ops::Cut`].
+//!    explicit [`host_ops::Cut`]
+//!    ([`DistributedHashMap::apply_in_chunks`]).
+//!
+//! Every backend has one host entry, [`MapService::apply`] (reads, puts
+//! and erases in one call), with the trait's `put_batch`, `get_batch` and
+//! `delete_batch` over it; the node adds only `apply_in_chunks` for
+//! Fig. 11's fixed cuts and its device-sided cascades
+//! (`insert_device_sided`, `try_retrieve_device_sided`,
+//! `try_erase_device_sided`) for lists already on the GPUs.
 //!
 //! ## Quickstart
 //!

@@ -224,15 +224,6 @@ impl GpuHashMap {
         Ok(GetResponse { values, report })
     }
 
-    /// Convenience single-key lookup (bulk APIs are the fast path).
-    /// Launches the same retrieval kernel as the batched path, so the
-    /// device's [`gpu_sim::LifetimeStats`] count it identically —
-    /// telemetry never undercounts singleton fallbacks.
-    #[must_use]
-    pub fn get(&self, key: u32) -> Option<u32> {
-        self.try_retrieve(&[key]).map_or(None, |r| r.values[0])
-    }
-
     /// Tombstones host-resident keys, returning per-key hits in input
     /// order with the unified cost report. `&mut self` is §IV-A's global
     /// barrier: no insert or query of another call runs beside it (the
@@ -412,8 +403,8 @@ mod tests {
     fn misses_return_none() {
         let m = map_with(256, Config::default());
         m.insert_pairs(&[(1, 10)]).unwrap();
-        assert_eq!(m.get(1), Some(10));
-        assert_eq!(m.get(2), None);
+        assert_eq!(m.try_retrieve(&[1]).unwrap().values[0], Some(10));
+        assert_eq!(m.try_retrieve(&[2]).unwrap().values[0], None);
         let res = m.try_retrieve(&[3, 1, 4]).unwrap().values;
         assert_eq!(res, vec![None, Some(10), None]);
     }
@@ -425,7 +416,7 @@ mod tests {
         let outcome = m.insert_pairs(&[(9, 2)]).unwrap();
         assert_eq!(outcome.updates, 1);
         assert_eq!(outcome.new_slots, 0);
-        assert_eq!(m.get(9), Some(2));
+        assert_eq!(m.try_retrieve(&[9]).unwrap().values[0], Some(2));
         assert_eq!(m.len(), 1);
     }
 
@@ -480,8 +471,8 @@ mod tests {
         assert_eq!(m.len(), 200);
         assert_eq!(m.tombstones(), 200);
         // erased keys gone, others remain
-        assert_eq!(m.get(5), None);
-        assert_eq!(m.get(300), Some(299));
+        assert_eq!(m.try_retrieve(&[5]).unwrap().values[0], None);
+        assert_eq!(m.try_retrieve(&[300]).unwrap().values[0], Some(299));
         // probing walks through tombstones to find keys placed beyond them
         let res = m
             .try_retrieve(&(201..=400).collect::<Vec<u32>>())
@@ -491,7 +482,7 @@ mod tests {
         // reinsert over tombstones
         m.insert_pairs(&(1..=200).map(|k| (k, k * 2)).collect::<Vec<_>>())
             .unwrap();
-        assert_eq!(m.get(5), Some(10));
+        assert_eq!(m.try_retrieve(&[5]).unwrap().values[0], Some(10));
         assert_eq!(m.len(), 400);
     }
 
@@ -517,9 +508,10 @@ mod tests {
         assert_eq!(m.tombstones(), 0);
         assert_eq!(m.len(), 200);
         for (k, v) in pairs.iter().skip(100) {
-            assert_eq!(m.get(*k), Some(*v), "key {k} lost in rebuild");
+            let got = m.try_retrieve(&[*k]).unwrap().values;
+            assert_eq!(got, [Some(*v)], "key {k} lost in rebuild");
         }
-        assert_eq!(m.get(50), None);
+        assert_eq!(m.try_retrieve(&[50]).unwrap().values[0], None);
     }
 
     #[test]
@@ -536,11 +528,11 @@ mod tests {
         }
         // update + erase work in SOA too
         m.insert_pairs(&[(pairs[0].0, 777)]).unwrap();
-        assert_eq!(m.get(pairs[0].0), Some(777));
+        assert_eq!(m.try_retrieve(&[pairs[0].0]).unwrap().values[0], Some(777));
         let mut m = m;
         let del = m.try_erase(&[pairs[1].0]).unwrap();
         assert_eq!((del.erased, del.hits), (1, vec![true]));
-        assert_eq!(m.get(pairs[1].0), None);
+        assert_eq!(m.try_retrieve(&[pairs[1].0]).unwrap().values[0], None);
     }
 
     #[test]
@@ -612,7 +604,7 @@ mod tests {
         assert_eq!(outcome.new_slots, 1);
         assert_eq!(outcome.updates, 63);
         assert_eq!(m.len(), 1);
-        let v = m.get(42).unwrap();
+        let v = m.try_retrieve(&[42]).unwrap().values[0].unwrap();
         assert!(v < 64);
     }
 

@@ -60,6 +60,7 @@ use crate::service::{answer, OpError};
 use crate::table::{check_lists, Table};
 use gpu_sim::{DevSlice, GroupSize, KernelStats};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// When and how a map resizes itself. Armed via
@@ -188,6 +189,34 @@ fn distinct(keys: impl Iterator<Item = u32>) -> Vec<u32> {
     keys.sort_unstable();
     keys.dedup();
     keys
+}
+
+/// `keys` in ascending order, each once: borrowed when they already are.
+fn ascending(keys: &[u32]) -> Cow<'_, [u32]> {
+    if keys.is_sorted_by(|a, b| a < b) {
+        Cow::Borrowed(keys)
+    } else {
+        Cow::Owned(distinct(keys.iter().copied()))
+    }
+}
+
+/// `puts` in ascending key order, a key once with its last value:
+/// borrowed when they already are.
+fn ascending_pairs(puts: &[(u32, u32)]) -> Cow<'_, [(u32, u32)]> {
+    if puts.is_sorted_by(|a, b| a.0 < b.0) {
+        return Cow::Borrowed(puts);
+    }
+    let mut pairs = puts.to_vec();
+    // stable: a key's pairs stay in call order, the last one is kept
+    pairs.sort_by_key(|p| p.0);
+    pairs.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = later.1;
+        }
+        same
+    });
+    Cow::Owned(pairs)
 }
 
 /// [`Table::apply`] in `scratch` on `table`, unrecorded, its stats merged
@@ -460,11 +489,13 @@ impl GpuHashMap {
     /// first: short of scratch, the call fails before it changes a key.
     ///
     /// The lists may repeat keys: each table sees them distinct and
-    /// ascending, a put with its key's last value. The kernels run
-    /// unrecorded — a kernel-level event would claim a false miss on the
-    /// table that does not hold the key —: the history records every
-    /// occurrence in call order, reads first, a key's first put as its
-    /// new slot and its first erase as its hit.
+    /// ascending, a put with its key's last value — a list that already
+    /// is, as [`crate::MapService::apply`] hands them over, borrowed, any
+    /// other a sorted copy. The kernels run unrecorded — a kernel-level
+    /// event would claim a false miss on the table that does not hold the
+    /// key —: the history records every occurrence in call order, reads
+    /// first, a key's first put as its new slot and its first erase as its
+    /// hit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn migrating_apply(
         &self,
@@ -482,18 +513,8 @@ impl GpuHashMap {
         let migrated_window = cursor_before..m.cursor;
         let (source, target, g) = (&self.table, &m.table, self.cfg.group_size);
 
-        let read_keys = distinct(reads.iter().copied());
-        let erase_keys = distinct(erases.iter().copied());
-        let mut put_pairs = puts.to_vec();
-        // stable: a key's pairs stay in call order, the last one is kept
-        put_pairs.sort_by_key(|p| p.0);
-        put_pairs.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 = later.1;
-            }
-            same
-        });
+        let (read_keys, erase_keys) = (ascending(reads), ascending(erases));
+        let put_pairs = ascending_pairs(puts);
         let written = put_pairs.iter().map(|p| p.0);
         // MUTATION DOUBLE (test builds, `tests::SOURCE_KEEPS_PUTS`): the
         // source erases only the call's erases, so a put key stays behind
@@ -655,15 +676,15 @@ mod tests {
         assert_eq!(res, vec![Some(0), Some(1), Some(299), None]);
         let del = m.try_erase(&[1, 999]).unwrap();
         assert_eq!(del.hits, vec![true, false]);
-        assert_eq!(m.get(1), None);
+        assert_eq!(m.try_retrieve(&[1]).unwrap().values[0], None);
         // writes land in the target; updates of unmigrated keys move them
         m.insert_pairs(&[(2, 77), (1000, 1)]).unwrap();
-        assert_eq!(m.get(2), Some(77));
-        assert_eq!(m.get(1000), Some(1));
+        assert_eq!(m.try_retrieve(&[2]).unwrap().values[0], Some(77));
+        assert_eq!(m.try_retrieve(&[1000]).unwrap().values[0], Some(1));
         m.finish_resize().unwrap();
         assert_eq!(m.capacity(), 1024);
-        assert_eq!(m.get(2), Some(77));
-        assert_eq!(m.get(1), None);
+        assert_eq!(m.try_retrieve(&[2]).unwrap().values[0], Some(77));
+        assert_eq!(m.try_retrieve(&[1]).unwrap().values[0], None);
         assert_eq!(m.len(), 300); // 300 - 1 deleted + 1 new
     }
 
@@ -684,9 +705,9 @@ mod tests {
         assert_eq!(m.tombstones(), 0);
         assert_eq!(m.len(), 100);
         for k in 301..=400u32 {
-            assert_eq!(m.get(k), Some(k - 1));
+            assert_eq!(m.try_retrieve(&[k]).unwrap().values[0], Some(k - 1));
         }
-        assert_eq!(m.get(5), None, "deleted key must stay dead");
+        assert_eq!(m.try_retrieve(&[5]).unwrap().values[0], None, "deleted key must stay dead");
     }
 
     #[test]

@@ -524,9 +524,9 @@ impl Applied {
 /// batch call that reads, writes and erases, [`MapService::apply`], plus
 /// the occupancy and degradation signals admission control needs.
 ///
-/// A backend implements `apply`; `put_batch`, `get_batch`, `delete_batch`
-/// and `get_put_batch` are wrappers over it that allocate only the answers
-/// they hand back, and [`MapService::execute`] makes one `apply` call. A
+/// A backend implements `apply`; `put_batch`, `get_batch` and
+/// `delete_batch` are wrappers over it that allocate only the answers they
+/// hand back, and [`MapService::execute`] makes one `apply` call. A
 /// backend may instead implement `get_batch`, `put_batch` and
 /// `delete_batch` and keep the provided `apply`, which composes the three.
 /// It must do one or the other: each provided side calls the other.
@@ -534,8 +534,8 @@ impl Applied {
 /// Every method takes `&mut self` — a service owns its backend
 /// exclusively, which *is* the §IV-A global barrier: no kernel of one
 /// batch can race a kernel of another, so deletions need no further
-/// synchronization. (The underlying maps still expose the finer-grained
-/// `&self` insert/query APIs for toolchain embedding.)
+/// synchronization. (A [`crate::GpuHashMap`] still exposes the
+/// finer-grained `&self` insert/query calls for toolchain embedding.)
 pub trait MapService {
     /// Looks up `reads`, applies `puts` and then erases `erases`, in one
     /// call: `values[i]` answers `reads[i]` with what it held **before**
@@ -597,7 +597,9 @@ pub trait MapService {
     /// # Errors
     /// Fault-mode failures once every failover avenue is exhausted.
     fn get_batch(&mut self, keys: &[u32]) -> Result<GetResponse, OpError> {
-        self.get_put_batch(keys, &[])
+        let mut values = vec![None; keys.len()];
+        let report = self.apply(keys, &[], &[], &mut values, &mut [])?.report;
+        Ok(GetResponse { values, report })
     }
 
     /// Tombstones a batch of keys, per-key hits in input order:
@@ -613,22 +615,6 @@ pub trait MapService {
             erased: done.erased,
             report: done.report,
         })
-    }
-
-    /// Looks up `reads` and applies `puts` in one call,
-    /// [`MapService::apply`] without erases: `values[i]` is what `reads[i]`
-    /// held **before** the call, whether or not `puts` writes it too.
-    ///
-    /// # Errors
-    /// As [`MapService::apply`]; some of the pairs may have been applied.
-    fn get_put_batch(
-        &mut self,
-        reads: &[u32],
-        puts: &[(u32, u32)],
-    ) -> Result<GetResponse, OpError> {
-        let mut values = vec![None; reads.len()];
-        let report = self.apply(reads, puts, &[], &mut values, &mut [])?.report;
-        Ok(GetResponse { values, report })
     }
 
     /// Live (non-tombstone) entries.
@@ -1638,7 +1624,8 @@ mod tests {
             let mut values = vec![Some(u32::MAX); keys.len()];
             composed.apply(&keys, &[], &[], &mut values, &mut []).unwrap();
             proptest::prop_assert_eq!(&got, &values);
-            let read = one.get_put_batch(&keys, &pairs).unwrap().values;
+            let mut read = vec![None; keys.len()];
+            one.apply(&keys, &pairs, &[], &mut read, &mut []).unwrap();
             proptest::prop_assert_eq!(&read, &got);
             composed.apply(&[], &pairs, &[], &mut [], &mut []).unwrap();
             proptest::prop_assert_eq!(&one.map, &composed.map);

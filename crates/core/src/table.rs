@@ -70,15 +70,6 @@ pub(crate) fn check_lists(
     check_keys(erases.iter().copied())
 }
 
-/// Packed words for `pairs` (the insertion kernel's input convention).
-///
-/// # Errors
-/// [`OpError::ReservedKey`], as [`check_keys`].
-pub(crate) fn pair_words(pairs: &[(u32, u32)]) -> Result<Vec<u64>, OpError> {
-    check_keys(pairs.iter().map(|p| p.0))?;
-    Ok(pairs.iter().map(|&(k, v)| pack(k, v)).collect())
-}
-
 /// Most stripes a [`HitSink`] cuts its flags into.
 const HIT_STRIPES: usize = 64;
 

@@ -39,9 +39,8 @@ fn extreme_key_and_value_bits_round_trip() {
     // key 0, max legal key, value 0 and value u32::MAX all survive
     let pairs = [(0u32, 0u32), (0xFFFF_FFFE, u32::MAX), (1, 0x8000_0000)];
     map.insert_pairs(&pairs).unwrap();
-    for (k, v) in pairs {
-        assert_eq!(map.get(k), Some(v), "key {k:#x}");
-    }
+    let keys = pairs.map(|p| p.0);
+    assert_eq!(map.try_retrieve(&keys).unwrap().values, pairs.map(|p| Some(p.1)));
 }
 
 /// Every front-door call naming the reserved key at position 2 is
@@ -56,9 +55,12 @@ fn refuses_the_reserved_key<S: MapService>(s: &mut S, backend: &str) {
     assert_eq!(s.put_batch(&[(3, 30), (4, 40), (BAD, 1)]).unwrap_err(), refused, "{backend}");
     assert_eq!(s.get_batch(&[1, 2, BAD]).unwrap_err(), refused, "{backend}");
     assert_eq!(s.delete_batch(&[1, 2, BAD, 2]).unwrap_err(), refused, "{backend}");
-    assert_eq!(s.get_put_batch(&[1, 2, BAD], &[(3, 30)]).unwrap_err(), refused, "{backend}");
+    let mut values = [None; 3];
+    let got = s.apply(&[1, 2, BAD], &[(3, 30)], &[], &mut values, &mut []);
+    assert_eq!(got.unwrap_err(), refused, "{backend}");
     let puts = [(3, 30), (4, 40), (BAD, 1)];
-    assert_eq!(s.get_put_batch(&[1], &puts).unwrap_err(), refused, "{backend}");
+    let got = s.apply(&[1], &puts, &[], &mut values[..1], &mut []);
+    assert_eq!(got.unwrap_err(), refused, "{backend}");
     let ops = [
         Op::Put { key: 3, value: 30 },
         Op::Delete { key: 1 },
@@ -82,7 +84,6 @@ fn reserved_key_is_refused_with_a_typed_error() {
         assert_eq!(map.insert_pairs(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
         assert_eq!(map.try_retrieve(&[5, u32::MAX]).unwrap_err(), refused);
         assert_eq!(map.try_erase(&[5, u32::MAX]).unwrap_err(), refused);
-        assert_eq!(map.get(u32::MAX), None);
         // the routed paths of a migration in flight refuse it as well
         assert!(map.request_grow().unwrap());
         refuses_the_reserved_key(&mut map, &format!("GpuHashMap {layout:?}, migrating"));
@@ -100,10 +101,9 @@ fn reserved_key_is_refused_with_a_typed_error() {
         let mut node = node.unwrap();
         refuses_the_reserved_key(&mut node, name);
         // the position is the caller's, not the partition's
-        assert_eq!(node.insert_from_host(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
-        assert_eq!(node.try_retrieve_from_host(&[5, u32::MAX]).unwrap_err(), refused);
-        assert_eq!(node.try_erase_from_host(&[5, u32::MAX]).unwrap_err(), refused);
-        assert_eq!(node.get(u32::MAX), None);
+        assert_eq!(node.put_batch(&[(5, 5), (u32::MAX, 1)]).unwrap_err(), refused);
+        assert_eq!(node.get_batch(&[5, u32::MAX]).unwrap_err(), refused);
+        assert_eq!(node.delete_batch(&[5, u32::MAX]).unwrap_err(), refused);
     }
 
     let multi = GpuMultiMap::new(device(1 << 12), 64, Config::default()).unwrap();
@@ -116,9 +116,12 @@ fn reserved_key_is_refused_with_a_typed_error() {
 }
 
 /// `apply` naming the reserved key in any of its three lists is refused
-/// whole, before anything runs: neither its put nor its erase lands.
+/// whole, before anything runs: neither its put nor its erase lands. A
+/// one-key get of it is the same typed error, not a miss.
 fn apply_refuses_the_reserved_key_in_any_list<S: MapService>(s: &mut S, backend: &str) {
     const BAD: u32 = u32::MAX;
+    let one_key = s.get_batch(&[BAD]).unwrap_err();
+    assert_eq!(one_key, OpError::ReservedKey { index: 0 }, "{backend}");
     s.put_batch(&[(1, 10), (3, 30)]).unwrap();
     let mut refused = |reads: &[u32], puts: &[(u32, u32)], erases: &[u32], index: usize| {
         let (mut values, mut hits) = (vec![None; reads.len()], vec![false; erases.len()]);
@@ -180,10 +183,10 @@ fn apply_checks_every_list_for_the_reserved_key_before_it_runs() {
 /// none, GPU 2 the bad one behind a good one.
 fn node_and_lists_naming_the_reserved_key() -> (DistributedHashMap, Vec<Vec<u32>>) {
     let devices = (0..4).map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 14)));
-    let node =
+    let mut node =
         DistributedHashMap::new(devices.collect(), 512, Config::default(), Topology::p100_quad(4))
             .unwrap();
-    node.insert_from_host(&[(1, 10)]).unwrap();
+    node.put_batch(&[(1, 10)]).unwrap();
     (node, vec![vec![1, 2], vec![], vec![3, u32::MAX], vec![4]])
 }
 
@@ -271,12 +274,12 @@ fn interleaved_erase_insert_query_cycles() {
     // 300 entries were tombstoned, but later rounds' inserts reclaim any
     // tombstone they probe into, so the pending count is at most 300
     assert!(map.tombstones() <= 300, "got {}", map.tombstones());
-    assert_eq!(map.get(1), None); // round 0, erased
-    assert_eq!(map.get(101), Some(1)); // round 1, alive
-                                       // rebuild compacts and preserves
+    // round 0 erased, round 1 alive
+    assert_eq!(map.try_retrieve(&[1, 101]).unwrap().values, [None, Some(1)]);
+    // rebuild compacts and preserves
     map.rebuild_with_fresh_hash().unwrap();
     assert_eq!(map.len(), 300);
-    assert_eq!(map.get(101), Some(1));
+    assert_eq!(map.try_retrieve(&[101]).unwrap().values, [Some(1)]);
 }
 
 #[test]
@@ -312,14 +315,14 @@ fn distributed_two_and_three_gpu_nodes() {
         let devices: Vec<_> = (0..m)
             .map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 15)))
             .collect();
-        let dmap =
+        let mut dmap =
             DistributedHashMap::new(devices, 2048, Config::default(), Topology::p100_quad(m))
                 .unwrap();
         let pairs: Vec<(u32, u32)> = (0..2500u32).map(|i| (i * 11 + 1, i)).collect();
-        dmap.insert_from_host(&pairs).unwrap();
+        dmap.put_batch(&pairs).unwrap();
         assert_eq!(dmap.len(), 2500, "m = {m}");
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let res = dmap.try_retrieve_from_host(&keys).unwrap().values;
+        let res = dmap.get_batch(&keys).unwrap().values;
         assert!(res.iter().all(Option::is_some), "m = {m}");
     }
 }
@@ -369,9 +372,9 @@ fn one_partition_on_one_device_reports_what_a_single_gpu_node_reports() {
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([5000]).collect();
     let [sharded, single] = nodes.map(|node| {
         let mut node = node.unwrap();
-        let put = node.insert_from_host(&pairs).unwrap();
-        let get = node.try_retrieve_from_host(&keys).unwrap();
-        let del = node.try_erase_from_host(&keys[..300]).unwrap();
+        let put = node.put_batch(&pairs).unwrap().report;
+        let get = node.get_batch(&keys).unwrap();
+        let del = node.delete_batch(&keys[..300]).unwrap();
         let reports = [&put, &get.report, &del.report].map(report_bits);
         (reports, get.values, del.hits, node.len())
     });
@@ -384,10 +387,11 @@ fn overlapped_batch_size_larger_than_input() {
     let devices: Vec<_> = (0..4)
         .map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 15)))
         .collect();
-    let dmap =
+    let mut dmap =
         DistributedHashMap::new(devices, 2048, Config::default(), Topology::p100_quad(4)).unwrap();
     let pairs: Vec<(u32, u32)> = (0..100u32).map(|i| (i + 1, i)).collect();
-    let rep = dmap.insert_in_chunks(&pairs, Cut::new(10_000, 4)).unwrap();
+    let cut = Cut::new(10_000, 4);
+    let rep = dmap.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], cut).unwrap().report;
     // one batch cannot overlap with itself: the plain bracket's report
     assert!(rep.overlaps.is_empty());
     let rows: f64 = rep.stages.iter().map(|s| s.time).sum();

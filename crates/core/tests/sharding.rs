@@ -38,12 +38,12 @@ fn spread<T: Copy, U>(items: &[T], m: usize, f: impl Fn(T) -> U) -> Vec<Vec<U>> 
 
 #[test]
 fn round_trip_across_partitions() {
-    let node = sharded(4, 1024, Config::default());
+    let mut node = sharded(4, 1024, Config::default());
     let pairs: Vec<(u32, u32)> = (0..3500u32).map(|i| (i * 3 + 1, i)).collect();
-    node.insert_from_host(&pairs).unwrap();
+    node.put_batch(&pairs).unwrap();
     assert_eq!(node.len(), 3500);
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([999_999_999]).collect();
-    let res = node.try_retrieve_from_host(&keys).unwrap().values;
+    let res = node.get_batch(&keys).unwrap().values;
     for (i, p) in pairs.iter().enumerate() {
         assert_eq!(res[i], Some(p.1), "key {}", p.0);
     }
@@ -58,7 +58,7 @@ fn duplicates_update_within_their_partition() {
     node.put_batch(&[(42, 1)]).unwrap();
     let put = node.put_batch(&[(42, 2)]).unwrap();
     assert_eq!((put.new_slots, put.updates), (0, 1));
-    assert_eq!((node.get(42), node.len()), (Some(2), 1));
+    assert_eq!((node.get_batch(&[42]).unwrap().values, node.len()), (vec![Some(2)], 1));
 }
 
 #[test]
@@ -75,17 +75,17 @@ fn empty_operations() {
 fn erase_scatters_hits_to_input_order() {
     let mut node = sharded(4, 1024, Config::default());
     let pairs: Vec<(u32, u32)> = (0..1000u32).map(|i| (i * 3 + 1, i)).collect();
-    node.insert_from_host(&pairs).unwrap();
+    node.put_batch(&pairs).unwrap();
     // present and absent victims interleaved across partitions
     let victims: Vec<u32> = (0..500u32).flat_map(|i| [i * 3 + 1, i * 3 + 2]).collect();
-    let out = node.try_erase_from_host(&victims).unwrap();
+    let out = node.delete_batch(&victims).unwrap();
     assert_eq!(out.erased, 500);
     for (j, &k) in victims.iter().enumerate() {
         assert_eq!(out.hits[j], k % 3 == 1, "victim {k}");
     }
     assert_eq!(node.len(), 500);
-    assert_eq!(node.get(4), None); // erased
-    assert_eq!(node.get(500 * 3 + 1), Some(500)); // survivor
+    // erased, and a survivor
+    assert_eq!(node.get_batch(&[4, 500 * 3 + 1]).unwrap().values, [None, Some(500)]);
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn transient_partition_launch_failures_retry_idempotently() {
     assert!(put.report.backoff_time > 0.0, "seed 5 @ 0.4 rolls a failure");
     assert!(put.report.backoff_time <= put.report.time);
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let res = node.try_retrieve_from_host(&keys).unwrap().values;
+    let res = node.get_batch(&keys).unwrap().values;
     assert!(res.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
 }
 
@@ -107,9 +107,9 @@ fn erase_under_transient_faults_retries_idempotently() {
     let plan = FaultPlan::default().with_seed(7).with_launch_fail(0.4);
     let mut node = sharded(4, 1024, Config::default().with_fault(plan));
     let pairs: Vec<(u32, u32)> = (0..1500u32).map(|i| (i * 5 + 1, i)).collect();
-    node.insert_from_host(&pairs).unwrap();
+    node.put_batch(&pairs).unwrap();
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let out = node.try_erase_from_host(&keys).unwrap();
+    let out = node.delete_batch(&keys).unwrap();
     assert_eq!(out.erased, 1500);
     assert!(out.hits.iter().all(|&h| h));
     assert!(out.report.backoff_time > 0.0, "seed 7 @ 0.4 rolls a failure");
@@ -120,9 +120,9 @@ fn erase_under_transient_faults_retries_idempotently() {
 /// in turn, and the last one has no survivor to take over.
 #[test]
 fn permanent_partition_failure_is_device_lost() {
-    let node = sharded(2, 1024, Config::default());
+    let mut node = sharded(2, 1024, Config::default());
     node.set_fault_plan(FaultPlan::default().with_launch_fail(1.0));
-    let err = node.insert_from_host(&[(1, 10), (2, 20)]).unwrap_err();
+    let err = node.put_batch(&[(1, 10), (2, 20)]).unwrap_err();
     assert!(matches!(err, OpError::DeviceLost { .. }), "{err:?}");
 }
 
@@ -130,7 +130,7 @@ fn permanent_partition_failure_is_device_lost() {
 fn permanent_failure_during_erase_is_typed_device_lost() {
     let mut node = sharded(2, 1024, Config::default());
     node.set_fault_plan(FaultPlan::default().with_launch_fail(1.0));
-    let err = node.try_erase_from_host(&[1, 2, 3]).unwrap_err();
+    let err = node.delete_batch(&[1, 2, 3]).unwrap_err();
     assert!(matches!(err, OpError::DeviceLost { .. }), "{err:?}");
 }
 

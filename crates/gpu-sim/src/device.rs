@@ -126,7 +126,7 @@ impl KernelStats {
 /// Cumulative per-device counters over every launch since construction.
 ///
 /// Unlike the per-launch [`KernelStats`], which callers may drop (e.g. a
-/// convenience single-key `get` discarding its stats), these accumulate
+/// call that keeps only its answers), these accumulate
 /// unconditionally inside [`Device::launch`] — a telemetry layer reading
 /// them never undercounts, whatever path issued the kernels.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]

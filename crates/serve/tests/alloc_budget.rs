@@ -19,7 +19,7 @@ use std::sync::Arc;
 use warpdrive::host_ops::Cut;
 use warpdrive::{
     CachePolicy, CachedMap, Config, DistributedHashMap, GpuHashMap, MapService, Op, OpReport,
-    Response,
+    ResizePolicy, ResizeState, Response,
 };
 use wd_serve::{ServeConfig, Server};
 
@@ -383,6 +383,58 @@ fn a_128_op_put_get_delete_call_on_one_gpu_is_one_launch() {
     );
 }
 
+/// Calls of [`a_16_op_call_mid_migration_borrows_its_ascending_lists`],
+/// each a chunk step of the migration.
+const MIGRATING_CALLS: u32 = 16;
+
+/// Allocations of [`MIGRATING_CALLS`] calls through `MapService::apply` on
+/// a policy-armed map mid-migration, after a warm-up call: 512 keys growing
+/// out of 1 024 slots, 32 slots a chunk step, so the migration outlasts
+/// them. Call `c` reads (`put` false) or writes the 16 distinct keys from
+/// `16c + 1` up, in ascending order as `execute` sends them.
+fn migrating_calls(put: bool) -> u64 {
+    let dev = Arc::new(Device::with_words(0, 1 << 16));
+    let mut map = GpuHashMap::new(dev, 1 << 10, Config::default()).expect("map");
+    let pairs: Vec<(u32, u32)> = (1..=512u32).map(|k| (k, k)).collect();
+    map.put_batch(&pairs).expect("preload");
+    map.set_resize_policy(Some(ResizePolicy::default().with_chunk(32)));
+    assert!(map.request_grow().expect("room for the target"));
+    let mut values = [None; 16];
+    let mut call = |c: u32| {
+        let keys: [u32; 16] = std::array::from_fn(|i| 16 * c + 1 + i as u32);
+        let pairs = keys.map(|k| (k, c));
+        let done = match put {
+            false => map.apply(&keys, &[], &[], &mut values, &mut []),
+            true => map.apply(&[], &pairs, &[], &mut [], &mut []),
+        };
+        done.expect("healthy map");
+    };
+    call(0);
+    let (allocs, ()) = allocations(|| (1..=MIGRATING_CALLS).for_each(&mut call));
+    assert!(map.resize_state() != ResizeState::Stable, "the migration outlasts the calls");
+    allocs
+}
+
+/// A 16-key get and a 16-pair put through `MapService::apply` on a map
+/// mid-migration: a chunk step and a launch on each table, whose lists
+/// `migrating_apply` borrows when they are already distinct and ascending.
+#[test]
+fn a_16_op_call_mid_migration_borrows_its_ascending_lists() {
+    if !default_environment() {
+        return;
+    }
+    for (op, put, budget) in [("get", false, 142), ("put", true, 166)] {
+        let allocs = migrating_calls(put);
+        assert!(
+            allocs <= budget,
+            "{allocs} allocations for {MIGRATING_CALLS} 16-key {op} calls mid-migration, \
+             {budget} allowed and made: migrating_apply (resize.rs) went back to sorting a copy \
+             of a list that is already ascending (`ascending`, `ascending_pairs`), or its chunk \
+             step (`advance`) or combine to allocating more"
+        );
+    }
+}
+
 /// Entries of the caches of [`a_cached_call_allocates_only_its_responses`].
 const CACHED: u32 = 64;
 
@@ -530,25 +582,32 @@ fn a_call_allocates_the_same_whatever_its_cut() {
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
     let eight = Cut::new(N / 8, 8);
     // a warm-up call on another node spawns the pool's workers
-    bulk_node().insert_from_host(&pairs[..ONE]).expect("healthy node");
-    let (mut one_node, eight_node, mut node) = (bulk_node(), bulk_node(), bulk_node());
+    bulk_node().put_batch(&pairs[..ONE]).expect("healthy node");
+    let (mut one_node, mut eight_node, mut node) = (bulk_node(), bulk_node(), bulk_node());
     let calls = [
         (
             "put",
-            measure(|| one_node.insert_from_host(&pairs[..ONE]).unwrap()),
-            measure(|| node.insert_from_host(&pairs).unwrap()),
-            Some(measure(|| eight_node.insert_in_chunks(&pairs, eight).unwrap())),
+            measure(|| one_node.put_batch(&pairs[..ONE]).unwrap().report),
+            measure(|| node.put_batch(&pairs).unwrap().report),
+            Some(measure(|| {
+                let put = eight_node.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], eight);
+                put.unwrap().report
+            })),
         ),
         (
             "get",
-            measure(|| node.try_retrieve_from_host(&keys[..ONE]).unwrap().report),
-            measure(|| node.try_retrieve_from_host(&keys).unwrap().report),
-            Some(measure(|| node.retrieve_in_chunks(&keys, eight).unwrap().report)),
+            measure(|| node.get_batch(&keys[..ONE]).unwrap().report),
+            measure(|| node.get_batch(&keys).unwrap().report),
+            Some(measure(|| {
+                let mut values = vec![None; N];
+                let get = node.apply_in_chunks(&keys, &[], &[], &mut values, &mut [], eight);
+                get.unwrap().report
+            })),
         ),
         (
             "delete",
-            measure(|| one_node.try_erase_from_host(&keys[..ONE]).unwrap().report),
-            measure(|| node.try_erase_from_host(&keys[..N / 4]).unwrap().report),
+            measure(|| one_node.delete_batch(&keys[..ONE]).unwrap().report),
+            measure(|| node.delete_batch(&keys[..N / 4]).unwrap().report),
             None,
         ),
     ];

@@ -23,7 +23,7 @@ use gpu_sim::{Device, FaultPlan};
 use interconnect::Topology;
 use std::sync::Arc;
 use std::time::Instant;
-use warpdrive::{Config, DistributedHashMap};
+use warpdrive::{Config, DistributedHashMap, MapService};
 
 const N: usize = 100_000;
 const CAPACITY_PER_GPU: usize = 1 << 16; // load ≈ 0.38 per GPU, 4 GPUs
@@ -39,7 +39,7 @@ fn run(plan: FaultPlan) -> Row {
     let devices: Vec<Arc<Device>> = (0..4)
         .map(|i| Arc::new(Device::with_words(i, 1 << 19)))
         .collect();
-    let d = DistributedHashMap::new(
+    let mut d = DistributedHashMap::new(
         devices,
         CAPACITY_PER_GPU,
         Config::default().with_fault(plan),
@@ -49,8 +49,8 @@ fn run(plan: FaultPlan) -> Row {
     let pairs: Vec<(u32, u32)> = (0..N as u32).map(|i| (i * 7 + 1, i)).collect();
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
     let t0 = Instant::now();
-    let ins = d.insert_from_host(&pairs).expect("insert");
-    let ret = d.try_retrieve_from_host(&keys).expect("retrieve");
+    let ins = d.put_batch(&pairs).expect("insert").report;
+    let ret = d.get_batch(&keys).expect("retrieve");
     let wall = t0.elapsed().as_secs_f64();
     assert!(ret.values.iter().all(Option::is_some), "all keys must be found");
     Row {

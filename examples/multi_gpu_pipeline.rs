@@ -22,16 +22,18 @@ fn main() {
     let per_gpu = N / 4;
     let capacity = (per_gpu as f64 / 0.9).ceil() as usize;
     let node = quad_node(capacity, per_gpu * 4);
-    let dmap = DistributedHashMap::new(node, capacity, Config::default(), Topology::p100_quad(4))
-        .expect("node construction");
+    let mut dmap =
+        DistributedHashMap::new(node, capacity, Config::default(), Topology::p100_quad(4))
+            .expect("node construction");
 
     let pairs = Distribution::Unique.generate(N, 99);
     println!("inserting {N} pairs over 4 GPUs, {BATCH}-element batches\n");
 
     // sequential vs overlapped issue (Ins1 vs Ins4)
     let report = dmap
-        .insert_in_chunks(&pairs, Cut::new(BATCH, 4))
-        .expect("pipeline insert");
+        .apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], Cut::new(BATCH, 4))
+        .expect("pipeline insert")
+        .report;
     let overlap = &report.overlaps[0];
     println!(
         "overlapped makespan {:.3} ms vs sequential {:.3} ms -> {:.0}% saved",
@@ -64,10 +66,11 @@ fn main() {
     // overlapped retrieval with misses mixed in
     let mut keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
     keys.extend([4_000_000_001, 4_000_000_003]);
+    let mut results = vec![None; keys.len()];
     let resp = dmap
-        .retrieve_in_chunks(&keys, Cut::new(BATCH, 4))
+        .apply_in_chunks(&keys, &[], &[], &mut results, &mut [], Cut::new(BATCH, 4))
         .expect("pipeline retrieve");
-    let (results, qreport) = (&resp.values, &resp.report);
+    let qreport = &resp.report;
     let hits = results.iter().filter(|r| r.is_some()).count();
     assert_eq!(hits, N, "every inserted key must be found");
     assert!(results[N].is_none() && results[N + 1].is_none());

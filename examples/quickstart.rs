@@ -50,14 +50,17 @@ fn main() {
 
     // Duplicate keys update in place (last writer wins).
     map.insert_pairs(&[(pairs[0].0, 4242)]).expect("update");
-    assert_eq!(map.get(pairs[0].0), Some(4242));
+    assert_eq!(
+        map.try_retrieve(&[pairs[0].0]).unwrap().values,
+        [Some(4242)]
+    );
 
     // Deletion needs exclusive access (the paper's global barrier,
     // enforced by &mut).
     let mut map = map;
     let erased = map.try_erase(&[pairs[1].0]).expect("erase");
     assert_eq!(erased.erased, 1);
-    assert_eq!(map.get(pairs[1].0), None);
+    assert_eq!(map.try_retrieve(&[pairs[1].0]).unwrap().values, [None]);
     println!(
         "after erase: {} live entries, {} tombstones",
         map.len(),

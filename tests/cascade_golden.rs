@@ -63,9 +63,9 @@ fn node(m: usize, plan: FaultPlan) -> DistributedHashMap {
     let cfg = Config::default()
         .with_schedule(Schedule::Sequential)
         .with_fault(FaultPlan::default());
-    let d = DistributedHashMap::new(devices, 4096, cfg, Topology::p100_quad(m)).unwrap();
+    let mut d = DistributedHashMap::new(devices, 4096, cfg, Topology::p100_quad(m)).unwrap();
     let pairs: Vec<(u32, u32)> = (0..PRELOAD).map(|i| (key(i), i)).collect();
-    d.insert_from_host(&pairs).unwrap();
+    d.put_batch(&pairs).unwrap();
     d.set_fault_plan(plan);
     d
 }
@@ -135,7 +135,7 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
         "insert" => {
             let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k ^ 0xabcd)).collect();
             let res = if host {
-                d.insert_from_host(&pairs)
+                d.put_batch(&pairs).map(|r| r.report)
             } else {
                 let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
                 d.insert_device_sided(&spread(&words, m))
@@ -150,7 +150,7 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
         }
         "retrieve" => {
             let res = if host {
-                d.try_retrieve_from_host(&keys).map(|r| (r.values, r.report))
+                d.get_batch(&keys).map(|r| (r.values, r.report))
             } else {
                 d.try_retrieve_device_sided(&spread(&keys, m))
                     .map(|r| (r.values.into_iter().flatten().collect(), r.report))
@@ -166,7 +166,7 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
         }
         "erase" => {
             let res = if host {
-                d.try_erase_from_host(&keys).map(|r| (r.hits, r.erased, r.report))
+                d.delete_batch(&keys).map(|r| (r.hits, r.erased, r.report))
             } else {
                 d.try_erase_device_sided(&spread(&keys, m))
                     .map(|r| (r.hits.into_iter().flatten().collect(), r.erased, r.report))

@@ -30,7 +30,7 @@ use interconnect::Topology;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use warpdrive::{CascadeStage, Config, DistributedHashMap, Mutation};
+use warpdrive::{CascadeStage, Config, DistributedHashMap, MapService, Mutation};
 use wd_apps::{mutation_seeds, scaled};
 
 fn node(m: usize, cfg: Config) -> DistributedHashMap {
@@ -90,10 +90,10 @@ proptest! {
             .with_fault(plan)
             .with_schedule(Schedule::Seeded(sched_seed))
             .with_group_size(gpu_sim::GroupSize::ALL[g_idx].get());
-        let d = node(m, cfg);
+        let mut d = node(m, cfg);
         let replay = d.replay_hint();
         let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k ^ 0xbeef)).collect();
-        match d.insert_from_host(&pairs) {
+        match d.put_batch(&pairs) {
             Err(e) => {
                 // the whole node died — legal under heavy plans, but only
                 // via the typed path, and only with every GPU quarantined
@@ -110,7 +110,7 @@ proptest! {
                     "conservation broken; replay: {}",
                     replay
                 );
-                if let Ok(resp) = d.try_retrieve_from_host(
+                if let Ok(resp) = d.get_batch(
                     &pairs.iter().map(|p| p.0).collect::<Vec<_>>(),
                 ) {
                     for (i, p) in pairs.iter().enumerate() {
@@ -143,11 +143,11 @@ proptest! {
         let replay = d.replay_hint();
         let keys: Vec<u32> = keys.into_iter().collect();
         let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k)).collect();
-        if d.insert_from_host(&pairs).is_err() {
+        if d.put_batch(&pairs).is_err() {
             return Ok(()); // node died before the experiment started
         }
         let victims: Vec<u32> = keys.iter().step_by(erase_every).copied().collect();
-        let erased = d.try_erase_from_host(&victims).unwrap().erased;
+        let erased = d.delete_batch(&victims).unwrap().erased;
         prop_assert_eq!(
             erased as usize, victims.len(),
             "erase count; replay: {}", replay
@@ -176,8 +176,8 @@ fn chaos_runs_replay_bit_for_bit_from_the_printed_hint() {
     let pairs: Vec<(u32, u32)> = (0..2500u32).map(|i| (i * 7 + 1, i)).collect();
 
     let run = |plan: FaultPlan| {
-        let d = node(4, Config::default().with_fault(plan));
-        let rep = d.insert_from_host(&pairs).expect("node survives this plan");
+        let mut d = node(4, Config::default().with_fault(plan));
+        let rep = d.put_batch(&pairs).expect("node survives this plan").report;
         (rep, d.degraded_stats(), d.quarantined(), d.replay_hint())
     };
     let (rep_a, stats_a, q_a, hint) = run(plan);
@@ -219,21 +219,21 @@ fn chaos_runs_replay_bit_for_bit_from_the_printed_hint() {
 /// trip still returns every key — the acceptance scenario.
 #[test]
 fn one_dead_gpu_of_four_degrades_gracefully() {
-    let d = node(4, Config::default());
+    let mut d = node(4, Config::default());
     let pairs: Vec<(u32, u32)> = (0..4000u32).map(|i| (i * 3 + 1, i)).collect();
-    d.insert_from_host(&pairs[..2000]).unwrap();
+    d.put_batch(&pairs[..2000]).unwrap();
     assert!(d.quarantined().is_empty());
     assert_eq!(d.degraded_stats(), warpdrive::DegradedStats::default());
 
     d.set_fault_plan(FaultPlan::default().with_kill(2));
-    d.insert_from_host(&pairs[2000..]).unwrap();
+    d.put_batch(&pairs[2000..]).unwrap();
     assert_eq!(d.quarantined(), vec![2], "GPU 2 must be quarantined");
     let stats = d.degraded_stats();
     assert_eq!(stats.quarantined, 1);
     assert!(stats.migrated_keys > 0, "GPU 2 held a partition before dying");
 
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let res = d.try_retrieve_from_host(&keys).unwrap().values;
+    let res = d.get_batch(&keys).unwrap().values;
     for (i, p) in pairs.iter().enumerate() {
         assert_eq!(res[i], Some(p.1), "key {} lost after quarantine", p.0);
     }
@@ -248,9 +248,9 @@ fn fault_off_is_byte_identical() {
     let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 13 + 5, i)).collect();
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
     let run = |cfg: Config| {
-        let d = node(4, cfg);
-        let ins = d.insert_from_host(&pairs).unwrap();
-        let ret = d.try_retrieve_from_host(&keys).unwrap().report;
+        let mut d = node(4, cfg);
+        let ins = d.put_batch(&pairs).unwrap().report;
+        let ret = d.get_batch(&keys).unwrap().report;
         assert_eq!(d.degraded_stats(), warpdrive::DegradedStats::default());
         assert!(d.quarantined().is_empty());
         (ins, ret)
@@ -286,10 +286,10 @@ fn fault_off_is_byte_identical() {
 /// environment means a disarmed plan).
 #[test]
 fn env_armed_round_trip_conserves() {
-    let d = node(4, Config::default());
+    let mut d = node(4, Config::default());
     println!("chaos smoke plan: {}", d.replay_hint());
     let pairs: Vec<(u32, u32)> = (0..2000u32).map(|i| (i * 11 + 3, i)).collect();
-    match d.insert_from_host(&pairs) {
+    match d.put_batch(&pairs) {
         Err(e) => {
             assert!(
                 d.quarantined().len() >= 3,
@@ -305,7 +305,7 @@ fn env_armed_round_trip_conserves() {
                 d.replay_hint()
             );
             let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-            if let Ok(resp) = d.try_retrieve_from_host(&keys) {
+            if let Ok(resp) = d.get_batch(&keys) {
                 for (i, p) in pairs.iter().enumerate() {
                     assert_eq!(resp.values[i], Some(p.1), "key {}; replay: {}", p.0, d.replay_hint());
                 }
@@ -330,8 +330,8 @@ fn broken_double_apply_on_retry_is_caught_by_conservation() {
         if broken {
             cfg = cfg.with_mutation(Mutation::DoubleApplyOnRetry);
         }
-        let d = node(4, cfg);
-        d.insert_from_host(&pairs).ok()?;
+        let mut d = node(4, cfg);
+        d.put_batch(&pairs).ok()?;
         Some(multiset(d.live_snapshot()))
     };
     let mut caught = None;
@@ -365,15 +365,15 @@ fn broken_forget_quarantined_partition_is_caught_by_round_trip() {
         if broken {
             cfg = cfg.with_mutation(Mutation::ForgetQuarantinedPartition);
         }
-        let d = node(4, cfg);
+        let mut d = node(4, cfg);
         // data varies with the seed so each hunted seed is a fresh case
         let base = (seed as u32) * 10_007 + 1;
         let pairs: Vec<(u32, u32)> = (0..800u32).map(|i| (base + i * 5, i)).collect();
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         d.set_fault_plan(FaultPlan::default().with_kill((seed % 4) as u32));
-        d.insert_from_host(&[(base + 999_983, 42)]).unwrap();
+        d.put_batch(&[(base + 999_983, 42)]).unwrap();
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let res = d.try_retrieve_from_host(&keys).unwrap().values;
+        let res = d.get_batch(&keys).unwrap().values;
         res.iter().filter(|r| r.is_none()).count()
     };
     let mut caught = None;
@@ -399,9 +399,9 @@ fn broken_forget_quarantined_partition_is_caught_by_round_trip() {
 
 /// A node holding `key(0..n)`, loaded before `plan` is armed.
 fn preloaded(m: usize, n: u32, plan: FaultPlan) -> (DistributedHashMap, Vec<u32>) {
-    let d = node(m, Config::default().with_fault(FaultPlan::default()));
+    let mut d = node(m, Config::default().with_fault(FaultPlan::default()));
     let pairs: Vec<(u32, u32)> = (0..n).map(|i| (i * 7 + 3, i)).collect();
-    d.insert_from_host(&pairs).unwrap();
+    d.put_batch(&pairs).unwrap();
     d.set_fault_plan(plan);
     (d, pairs.iter().map(|p| p.0).collect())
 }
@@ -417,7 +417,7 @@ fn erase_from_host_retries_dropped_host_link_transfers() {
     for seed in 0..16 {
         let plan = FaultPlan::default().with_seed(seed).with_transfer_drop(0.5);
         let (mut d, keys) = preloaded(1, 600, plan);
-        let del = match d.try_erase_from_host(&keys) {
+        let del = match d.delete_batch(&keys) {
             Ok(del) => del,
             // the only link gave up and there is no survivor to fail over to
             Err(e) => {
@@ -455,7 +455,7 @@ fn erase_from_host_retries_dropped_host_link_transfers() {
 #[test]
 fn erase_from_host_quarantines_an_exhausted_host_link() {
     let (mut d, keys) = preloaded(4, 1200, FaultPlan::default().with_kill(1));
-    let del = d.try_erase_from_host(&keys).unwrap();
+    let del = d.delete_batch(&keys).unwrap();
     assert_eq!(del.erased, 1200);
     assert!(del.hits.iter().all(|&h| h));
     assert_eq!(d.quarantined(), vec![1]);
@@ -474,9 +474,9 @@ fn erase_from_host_quarantines_an_exhausted_host_link() {
 fn erase_from_host_sends_no_pcie_bytes_to_quarantined_gpus() {
     let (mut d, keys) = preloaded(4, 1200, FaultPlan::default().with_kill(3));
     // any upload that reaches GPU 3 finds its host link dead
-    d.insert_from_host(&[(1, 1), (2, 2), (4, 4), (5, 5)]).unwrap();
+    d.put_batch(&[(1, 1), (2, 2), (4, 4), (5, 5)]).unwrap();
     assert_eq!(d.quarantined(), vec![3]);
-    let del = d.try_erase_from_host(&keys[..900]).unwrap();
+    let del = d.delete_batch(&keys[..900]).unwrap();
     assert_eq!(del.erased, 900);
     let h2d = del.report.stages[0];
     assert_eq!(h2d.stage, CascadeStage::H2D);
@@ -515,7 +515,7 @@ fn answers_come_back_in_the_callers_order_whatever_the_chunks() {
             let want: Vec<Option<u32>> = (0..n).rev().map(asked).collect();
             let case = format!("n={n} {}", d.replay_hint());
 
-            let got = d.try_retrieve_from_host(&query).unwrap();
+            let got = d.get_batch(&query).unwrap();
             assert_eq!(got.values, want, "retrieve {case}");
             if n >= 3 {
                 // GPU 1's chunk found its host link dead
@@ -526,14 +526,15 @@ fn answers_come_back_in_the_callers_order_whatever_the_chunks() {
             // the mixed round takes its reads ascending: every read key rewritten
             let reads: Vec<u32> = query.iter().rev().copied().collect();
             let puts: Vec<(u32, u32)> = reads.iter().map(|&k| (k, k)).collect();
-            let got = d.get_put_batch(&reads, &puts).unwrap();
+            let mut got = vec![None; reads.len()];
+            d.apply(&reads, &puts, &[], &mut got, &mut []).unwrap();
             let before: Vec<Option<u32>> = want.iter().rev().copied().collect();
-            assert_eq!(got.values, before, "get + put {case}");
+            assert_eq!(got, before, "get + put {case}");
 
             let (present, absent) = (&query[..n / 2], &query[n / 2..]);
-            let del = d.try_erase_from_host(present).unwrap();
+            let del = d.delete_batch(present).unwrap();
             assert!(del.hits.iter().all(|&hit| hit), "erase {case}");
-            let after = d.try_retrieve_from_host(&query).unwrap();
+            let after = d.get_batch(&query).unwrap();
             let gone = present.iter().map(|_| None);
             let want: Vec<Option<u32>> = gone.chain(absent.iter().map(|&k| Some(k))).collect();
             assert_eq!(after.values, want, "after the erase {case}");

@@ -19,7 +19,7 @@ use multisplit::{device_multisplit, device_multisplit_segments, scratch_words, S
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use warpdrive::{key_of, pack, Config, DistributedHashMap, Mutation};
+use warpdrive::{key_of, pack, Config, DistributedHashMap, MapService, Mutation};
 
 fn multiset(words: impl IntoIterator<Item = u64>) -> BTreeMap<u64, usize> {
     let mut m = BTreeMap::new();
@@ -255,9 +255,9 @@ proptest! {
         )
         .unwrap();
         let pairs: Vec<(u32, u32)> = keys.iter().map(|&k| (k, k)).collect();
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         let victims: Vec<u32> = keys.iter().step_by(erase_every).copied().collect();
-        let erased = d.try_erase_from_host(&victims).unwrap().erased;
+        let erased = d.delete_batch(&victims).unwrap().erased;
         prop_assert_eq!(erased as usize, victims.len());
 
         let mut stored: Vec<u32> = d
@@ -337,7 +337,8 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     let reads = &keys[..1501];
     let puts: Vec<(u32, u32)> = pairs[1000..].iter().map(|&(k, v)| (k, v + 1)).collect();
     let before = uploaded();
-    let round = d.get_put_batch(reads, &puts).unwrap().report;
+    let mut values = vec![None; reads.len()];
+    let round = d.apply(reads, &puts, &[], &mut values, &mut []).unwrap().report;
     let (r, p, both) = (reads.len() as u64, puts.len() as u64, 501);
     assert_eq!(
         (bytes(&round, H2D), bytes(&round, D2H)),
@@ -423,10 +424,10 @@ fn snapshot_words_round_trip_pack() {
     let devices: Vec<_> = (0..2)
         .map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 15)))
         .collect();
-    let d =
+    let mut d =
         DistributedHashMap::new(devices, 1024, Config::default(), Topology::p100_quad(2)).unwrap();
     let pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i * 7 + 1, i)).collect();
-    d.insert_from_host(&pairs).unwrap();
+    d.put_batch(&pairs).unwrap();
     let mut got: Vec<(u32, u32)> = d
         .maps()
         .iter()

@@ -20,7 +20,7 @@ use interconnect::Topology;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
-use warpdrive::{Config, DistributedHashMap, GpuHashMap};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, MapService};
 use workloads::Distribution;
 
 const N: usize = 4096;
@@ -103,11 +103,11 @@ fn run_node_pass() -> (Vec<u64>, Vec<CounterSnapshot>) {
         .map(|i| Arc::new(Device::with_words(i, 1 << 19)))
         .collect();
     let cfg = Config::default().with_schedule(Schedule::Sequential);
-    let node =
+    let mut node =
         DistributedHashMap::new(devices, 73_728, cfg, Topology::p100_quad(4)).unwrap();
-    let put = node.insert_from_host(&pairs).unwrap();
+    let put = node.put_batch(&pairs).unwrap().report;
     let keys: Vec<u32> = pairs.iter().map(|&(k, _)| k).collect();
-    let get = node.try_retrieve_from_host(&keys).unwrap();
+    let get = node.get_batch(&keys).unwrap();
     assert!(get.values.iter().all(Option::is_some));
     let times = put.stages.iter().chain(&get.report.stages);
     let counters = node.maps().iter();

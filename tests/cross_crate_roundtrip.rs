@@ -6,7 +6,7 @@ use interconnect::Topology;
 use std::collections::HashMap;
 use std::sync::Arc;
 use warpdrive::host_ops::Cut;
-use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap};
+use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap, MapService};
 use wd_apps::quad_node;
 use workloads::Distribution;
 
@@ -60,17 +60,17 @@ fn distributed_equals_single_equals_std() {
 fn host_and_device_cascades_agree() {
     let n = 4000;
     let pairs = Distribution::Uniform.generate(n, 3);
-    let dmap = DistributedHashMap::new(
+    let mut dmap = DistributedHashMap::new(
         quad_node(4096, n),
         4096,
         Config::default(),
         Topology::p100_quad(4),
     )
     .unwrap();
-    dmap.insert_from_host(&pairs).unwrap();
+    dmap.put_batch(&pairs).unwrap();
 
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain([1, 2, 3]).collect();
-    let host_res = dmap.try_retrieve_from_host(&keys).unwrap().values;
+    let host_res = dmap.get_batch(&keys).unwrap().values;
 
     // device-sided query of the same keys, spread arbitrarily
     let per = keys.len() / 4;
@@ -95,28 +95,29 @@ fn overlap_is_functionally_transparent() {
     let n = 5000;
     let pairs = Distribution::Unique.generate(n, 5);
 
-    let a = DistributedHashMap::new(
+    let mut a = DistributedHashMap::new(
         quad_node(4096, n),
         4096,
         Config::default(),
         Topology::p100_quad(4),
     )
     .unwrap();
-    a.insert_from_host(&pairs).unwrap();
+    a.put_batch(&pairs).unwrap();
 
-    let b = DistributedHashMap::new(
+    let mut b = DistributedHashMap::new(
         quad_node(4096, n),
         4096,
         Config::default(),
         Topology::p100_quad(4),
     )
     .unwrap();
-    b.insert_in_chunks(&pairs, Cut::new(700, 4)).unwrap();
+    b.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], Cut::new(700, 4)).unwrap();
 
     assert_eq!(a.len(), b.len());
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let ra = a.retrieve_in_chunks(&keys, Cut::new(999, 2)).unwrap().values;
-    let rb = b.try_retrieve_from_host(&keys).unwrap().values;
+    let mut ra = vec![None; keys.len()];
+    a.apply_in_chunks(&keys, &[], &[], &mut ra, &mut [], Cut::new(999, 2)).unwrap();
+    let rb = b.get_batch(&keys).unwrap().values;
     assert_eq!(ra, rb);
 }
 
@@ -131,14 +132,14 @@ fn partition_routing_is_exact_for_all_distributions() {
     ] {
         let n = 3000;
         let pairs = dist.generate(n, 17);
-        let dmap = DistributedHashMap::new(
+        let mut dmap = DistributedHashMap::new(
             quad_node(4096, n),
             4096,
             Config::default(),
             Topology::p100_quad(4),
         )
         .unwrap();
-        dmap.insert_from_host(&pairs).unwrap();
+        dmap.put_batch(&pairs).unwrap();
         for (g, map) in dmap.maps().iter().enumerate() {
             for (k, _) in map.snapshot() {
                 assert_eq!(

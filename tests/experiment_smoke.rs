@@ -105,7 +105,7 @@ fn fig9_shape_holds() {
 fn fig11_shape_holds() {
     let n = 8000;
     let pairs = Distribution::Unique.generate(n, 3);
-    let dmap = DistributedHashMap::new(
+    let mut dmap = DistributedHashMap::new(
         quad_node(4096, n),
         4096,
         Config::default(),
@@ -114,12 +114,15 @@ fn fig11_shape_holds() {
     .unwrap();
     // modeled scale strips the fixed launch overheads that mute overlap
     // at functional batch sizes
-    let rep = dmap.insert_in_chunks(&pairs, Cut::new(1000, 4)).unwrap();
+    let rep = dmap.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], Cut::new(1000, 4));
+    let rep = rep.unwrap().report;
     let saving = rep.overlaps[0].saving(&rep.stages, 1024.0);
     assert!(saving > 0.2, "saving {saving:.2}");
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let retrieve = |threads| {
-        let get = dmap.retrieve_in_chunks(&keys, Cut::new(1000, threads));
+    let mut values = vec![None; keys.len()];
+    let mut retrieve = |threads| {
+        let cut = Cut::new(1000, threads);
+        let get = dmap.apply_in_chunks(&keys, &[], &[], &mut values, &mut [], cut);
         get.unwrap().report
     };
     let (r2, r4) = (retrieve(2), retrieve(4));

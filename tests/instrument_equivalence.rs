@@ -30,7 +30,7 @@ use interconnect::Topology;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use warpdrive::{Config, DistributedHashMap, GpuHashMap, Layout, Mutation};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, Layout, MapService, Mutation};
 use wd_apps::mutation_seeds;
 
 /// Everything a sanitized run can tell us, normalized for comparison
@@ -273,8 +273,8 @@ fn chaos_double_apply_equivalent_across_dispatch() {
         if broken {
             cfg = cfg.with_mutation(Mutation::DoubleApplyOnRetry);
         }
-        let d = quad(cfg);
-        d.insert_from_host(&pairs).ok()?;
+        let mut d = quad(cfg);
+        d.put_batch(&pairs).ok()?;
         Some(multiset(d.live_snapshot()))
     };
     let mut caught = None;
@@ -314,14 +314,14 @@ fn chaos_forget_quarantine_equivalent_across_dispatch() {
         if broken {
             cfg = cfg.with_mutation(Mutation::ForgetQuarantinedPartition);
         }
-        let d = quad(cfg);
+        let mut d = quad(cfg);
         let base = (seed as u32) * 10_007 + 1;
         let pairs: Vec<(u32, u32)> = (0..400u32).map(|i| (base + i * 5, i)).collect();
-        d.insert_from_host(&pairs).unwrap();
+        d.put_batch(&pairs).unwrap();
         d.set_fault_plan(FaultPlan::default().with_kill((seed % 4) as u32));
-        d.insert_from_host(&[(base + 999_983, 42)]).unwrap();
+        d.put_batch(&[(base + 999_983, 42)]).unwrap();
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let res = d.try_retrieve_from_host(&keys).unwrap().values;
+        let res = d.get_batch(&keys).unwrap().values;
         res.iter().filter(|r| r.is_none()).count()
     };
     let mut caught = None;

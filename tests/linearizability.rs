@@ -84,10 +84,10 @@ fn fused_launch_histories_are_linearizable_and_an_upsert_logs_both_its_ops() {
                 map.put_batch(&[(1, 10), (2, 20), (3, 30), (4, 40)]).unwrap();
                 map.delete_batch(&[4]).unwrap();
                 // key 2 is present, key 4 erased, key 6 was never there
-                let got = map
-                    .get_put_batch(&[1, 2, 4, 5, 6], &[(2, 21), (3, 31), (4, 41), (6, 61)])
-                    .unwrap();
-                assert_eq!(got.values, vec![Some(10), Some(20), None, None, None], "{cell}");
+                let (reads, puts) = ([1, 2, 4, 5, 6], [(2, 21), (3, 31), (4, 41), (6, 61)]);
+                let mut got = [Some(0); 5];
+                map.apply(&reads, &puts, &[], &mut got, &mut []).unwrap();
+                assert_eq!(got, [Some(10), Some(20), None, None, None], "{cell}");
                 let _ = map.get_batch(&[1, 2, 3, 4, 5, 6]).unwrap();
 
                 let history = rec.events();
@@ -174,10 +174,10 @@ fn distributed_histories_are_linearizable() {
         let rec = Arc::new(HistoryRecorder::new());
         d.set_recorder(Some(Arc::clone(&rec)));
         let pairs: Vec<(u32, u32)> = (0..32u32).map(|i| (i % 8 + 1, i)).collect();
-        d.insert_from_host(&pairs).unwrap();
-        let _ = d.try_retrieve_from_host(&(1..=10).collect::<Vec<u32>>()).unwrap();
-        let _ = d.try_erase_from_host(&[1, 3, 5]);
-        let _ = d.try_retrieve_from_host(&(1..=6).collect::<Vec<u32>>()).unwrap();
+        d.put_batch(&pairs).unwrap();
+        let _ = d.get_batch(&(1..=10).collect::<Vec<u32>>()).unwrap();
+        let _ = d.delete_batch(&[1, 3, 5]);
+        let _ = d.get_batch(&(1..=6).collect::<Vec<u32>>()).unwrap();
         check_linearizable(&rec.events()).unwrap_or_else(|v| panic!("{cell}: {v}"));
     }
 }
@@ -208,12 +208,12 @@ fn distributed_histories_stay_linearizable_under_faults() {
         let rec = Arc::new(HistoryRecorder::new());
         d.set_recorder(Some(Arc::clone(&rec)));
         let pairs: Vec<(u32, u32)> = (0..48u32).map(|i| (i % 12 + 1, i)).collect();
-        if d.insert_from_host(&pairs).is_err() {
+        if d.put_batch(&pairs).is_err() {
             continue; // the whole node died under this plan — nothing to check
         }
-        if d.try_retrieve_from_host(&(1..=14).collect::<Vec<u32>>()).is_ok() {
-            let _ = d.try_erase_from_host(&[1, 3, 5]);
-            let _ = d.try_retrieve_from_host(&(1..=6).collect::<Vec<u32>>());
+        if d.get_batch(&(1..=14).collect::<Vec<u32>>()).is_ok() {
+            let _ = d.delete_batch(&[1, 3, 5]);
+            let _ = d.get_batch(&(1..=6).collect::<Vec<u32>>());
         }
         check_linearizable(&rec.events()).unwrap_or_else(|v| panic!("{cell}: {v}"));
     }
@@ -243,7 +243,7 @@ fn broken_double_apply_is_flagged_non_linearizable() {
         let mut d = DistributedHashMap::new(devices, 256, cfg, Topology::p100_quad(4)).unwrap();
         let rec = Arc::new(HistoryRecorder::new());
         d.set_recorder(Some(Arc::clone(&rec)));
-        d.insert_from_host(&pairs).ok()?;
+        d.put_batch(&pairs).ok()?;
         Some(check_linearizable(&rec.events()))
     };
     let mut caught = None;

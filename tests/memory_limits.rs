@@ -4,7 +4,7 @@
 
 use interconnect::Topology;
 use std::sync::Arc;
-use warpdrive::{BuildError, Config, DistributedHashMap, GpuHashMap};
+use warpdrive::{BuildError, Config, DistributedHashMap, GpuHashMap, MapService};
 use workloads::Distribution;
 
 /// A table that exceeds one device's VRAM fails to build …
@@ -29,7 +29,7 @@ fn distributed_map_exceeds_single_device_capacity() {
     let devices: Vec<_> = (0..4)
         .map(|i| Arc::new(gpu_sim::Device::with_words(i, per_dev_words)))
         .collect();
-    let dmap = DistributedHashMap::new(
+    let mut dmap = DistributedHashMap::new(
         devices,
         total_capacity / 4,
         Config::default(),
@@ -37,7 +37,7 @@ fn distributed_map_exceeds_single_device_capacity() {
     )
     .expect("distributed map fits");
     let pairs = Distribution::Unique.generate(4000, 1);
-    dmap.insert_from_host(&pairs).unwrap();
+    dmap.put_batch(&pairs).unwrap();
     assert_eq!(dmap.len(), 4000);
 }
 
@@ -50,7 +50,7 @@ fn repeated_host_calls_do_not_leak_vram() {
     let before = dev.mem().available_words();
     for round in 0..2000u32 {
         map.insert_pairs(&[(round + 1, round)]).unwrap();
-        let _ = map.get(round + 1);
+        map.try_retrieve(&[round + 1]).unwrap();
     }
     assert_eq!(dev.mem().available_words(), before, "scratch leaked");
 }
@@ -67,7 +67,7 @@ fn oversized_staging_fails_cleanly() {
     assert!(matches!(err, warpdrive::OpError::OutOfMemory(_)));
     // the map remains usable
     map.insert_pairs(&[(5, 50)]).unwrap();
-    assert_eq!(map.get(5), Some(50));
+    assert_eq!(map.try_retrieve(&[5]).unwrap().values, [Some(50)]);
 }
 
 /// Rebuild-after-failure: an overfilled probing sequence triggers
@@ -117,7 +117,7 @@ fn starved_query_output_scratch_is_a_typed_error() {
         .map(|i| Arc::new(gpu_sim::Device::with_words(i, words(i))))
         .collect();
     let starved = Arc::clone(&devices[1]);
-    let dmap =
+    let mut dmap =
         DistributedHashMap::new(devices, 1024, Config::default(), Topology::p100_quad(2)).unwrap();
     let free_before = starved.mem().available_words();
     // 500 queries resident on GPU 0, all owned by GPU 1: its 700 free
@@ -132,6 +132,6 @@ fn starved_query_output_scratch_is_a_typed_error() {
     assert!(matches!(err, warpdrive::OpError::OutOfMemory(_)), "{err:?}");
     assert_eq!(starved.mem().available_words(), free_before, "scratch leaked");
     // the map remains usable at a size that fits
-    dmap.insert_from_host(&[(5, 50)]).unwrap();
-    assert_eq!(dmap.get(5), Some(50));
+    dmap.put_batch(&[(5, 50)]).unwrap();
+    assert_eq!(dmap.get_batch(&[5]).unwrap().values, [Some(50)]);
 }

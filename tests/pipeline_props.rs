@@ -177,15 +177,17 @@ proptest! {
             plan
         };
         let cfg = Config::default().with_fault(plan);
-        let node = DistributedHashMap::new(quad_node(2048, 1500), 2048, cfg, Topology::p100_quad(4))
+        let devices = quad_node(2048, 1500);
+        let mut node = DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(4))
             .expect("node");
         let pairs = Distribution::Unique.generate(n, n as u64);
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
         let cut = Cut::new(batch, streams);
-        let put = node.insert_in_chunks(&pairs, cut).expect("put");
-        let get = node.retrieve_in_chunks(&keys, cut).expect("get");
-        prop_assert!(get.values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
-        for report in [&put, &get.report] {
+        let put = node.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], cut).expect("put");
+        let mut values = vec![None; keys.len()];
+        let get = node.apply_in_chunks(&keys, &[], &[], &mut values, &mut [], cut).expect("get");
+        prop_assert!(values.iter().zip(&pairs).all(|(&v, p)| v == Some(p.1)));
+        for report in [&put.report, &get.report] {
             prop_assert_eq!(report.overlaps.len(), usize::from(n > batch));
             if let Err(e) = bracketed(report) {
                 prop_assert!(false, "{} (n {n}, batch {batch}, streams {streams})", e);

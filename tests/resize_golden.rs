@@ -29,10 +29,10 @@
 //! them the file holds, for layout ∈ {AOS, SOA} × |g| ∈ {1, 4, 32} under
 //! `Schedule::Seeded(7)` — every counted `ctx` call a preemption point —
 //! a put batch with duplicate keys inside one wave of groups, a get, an
-//! erase naming each victim twice, a put over the tombstones and a
-//! `get_put_batch`, and one `GpuMultiMap` section (insert, `retrieve_all`)
-//! under the same schedule: the rows the one-probe-walk refactor of the
-//! kernels was pinned against before it was made.
+//! erase naming each victim twice, a put over the tombstones and an
+//! `apply` of gets and puts, and one `GpuMultiMap` section (insert,
+//! `retrieve_all`) under the same schedule: the rows the one-probe-walk
+//! refactor of the kernels was pinned against before it was made.
 //!
 //! A deliberate change to a modeled number regenerates the file with
 //! `UPDATE_GOLDEN=1 cargo test --test resize_golden`; review its diff.
@@ -349,7 +349,7 @@ impl Rig {
             "get across both tables",
             &keys((o..o + 40).step_by(3).chain(f..f + 4).chain(9000..9003)),
         );
-        let one = self.map.get(key(o + 7));
+        let one = self.map.try_retrieve(&[key(o + 7)]).expect("one-key get").values[0];
         self.row("get single", format!("{one:?}"));
         // keys now in the target (rewritten or new), keys possibly still
         // in the source, a key nobody stored, a key erased twice
@@ -486,8 +486,13 @@ fn racing(layout: Layout, g: u32) -> String {
     );
     // a key in both lists is one upsert group
     let (reads, puts) = (keys((0..120).step_by(2)), pairs((0..120).step_by(3), 0x500));
-    r.svc("get_put_batch", |m| m.get_put_batch(&reads, &puts), |r| match r {
-        Ok(r) => format!("ok {:?} {}", r.values, report(&r.report)),
+    let get_put = |m: &mut GpuHashMap| {
+        let mut values = vec![None; reads.len()];
+        let done = m.apply(&reads, &puts, &[], &mut values, &mut []);
+        done.map(|done| (values, done.report))
+    };
+    r.svc("get + put apply", get_put, |r| match r {
+        Ok((values, rep)) => format!("ok {values:?} {}", report(rep)),
         Err(e) => format!("error {e:?}"),
     });
     r.out

@@ -17,7 +17,8 @@ use interconnect::Topology;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use warpdrive::{
-    check_linearizable, Config, DistributedHashMap, GpuHashMap, HistoryRecorder, ResizePolicy,
+    check_linearizable, Config, DistributedHashMap, GpuHashMap, HistoryRecorder, MapService,
+    ResizePolicy,
 };
 use wd_apps::sweep_seeds;
 
@@ -104,7 +105,7 @@ fn faulted_distributed_resize_histories_stay_linearizable() {
         let rec = Arc::new(HistoryRecorder::new());
         d.set_recorder(Some(Arc::clone(&rec)));
         let pairs: Vec<(u32, u32)> = (0..96u32).map(|i| (i * 5 + 1, i)).collect();
-        if d.insert_from_host(&pairs).is_err() {
+        if d.put_batch(&pairs).is_err() {
             continue; // the whole node died under this plan — nothing to check
         }
         let cap_before = d.occupancy_split().capacity;
@@ -117,9 +118,9 @@ fn faulted_distributed_resize_histories_stay_linearizable() {
             2 * cap_before,
             "{cell}: every live GPU must double"
         );
-        if d.try_retrieve_from_host(&(1..=60).collect::<Vec<u32>>()).is_ok() {
-            let _ = d.try_erase_from_host(&[1, 6, 11]);
-            let _ = d.try_retrieve_from_host(&(1..=12).collect::<Vec<u32>>());
+        if d.get_batch(&(1..=60).collect::<Vec<u32>>()).is_ok() {
+            let _ = d.delete_batch(&[1, 6, 11]);
+            let _ = d.get_batch(&(1..=12).collect::<Vec<u32>>());
         }
         check_linearizable(&rec.events()).unwrap_or_else(|v| panic!("{cell}: {v}"));
         checked += 1;
@@ -146,14 +147,14 @@ fn resize_racing_quarantine_keeps_history_linearizable() {
     d.set_recorder(Some(Arc::clone(&rec)));
     let mut model: BTreeMap<u32, u32> = BTreeMap::new();
     let healthy: Vec<(u32, u32)> = (0..600u32).map(|i| (i * 3 + 1, i)).collect();
-    d.insert_from_host(&healthy).unwrap();
+    d.put_batch(&healthy).unwrap();
     model.extend(healthy.iter().copied());
     // kill GPU 2 mid-run: the next insert wave quarantines it and
     // migrates its partition into the survivors
     d.set_fault_plan(FaultPlan::default().with_kill(2));
     let cell = format!("resize×quarantine; replay: {}", d.replay_hint());
     let wave: Vec<(u32, u32)> = (600..800u32).map(|i| (i * 3 + 1, i)).collect();
-    d.insert_from_host(&wave).unwrap();
+    d.put_batch(&wave).unwrap();
     model.extend(wave.iter().copied());
     assert_eq!(d.quarantined(), vec![2], "{cell}: GPU 2 must be quarantined");
     // now grow the degraded node: quarantined GPU 2 is skipped, every
@@ -168,13 +169,13 @@ fn resize_racing_quarantine_keeps_history_linearizable() {
     assert_eq!(d.quarantined(), vec![2], "{cell}: grow must not resurrect GPU 2");
     // keep serving after both migrations
     let victims: Vec<u32> = model.keys().copied().step_by(9).take(40).collect();
-    let del = d.try_erase_from_host(&victims).unwrap();
+    let del = d.delete_batch(&victims).unwrap();
     for (i, k) in victims.iter().enumerate() {
         assert!(del.hits[i], "{cell}: live key {k} missed post-grow");
         model.remove(k);
     }
     let keys: Vec<u32> = model.keys().copied().collect();
-    let res = d.try_retrieve_from_host(&keys).unwrap().values;
+    let res = d.get_batch(&keys).unwrap().values;
     for (i, k) in keys.iter().enumerate() {
         assert_eq!(res[i], model.get(k).copied(), "{cell}: key {k} lost");
     }

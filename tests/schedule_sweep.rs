@@ -18,7 +18,9 @@ use gpu_sim::{AdversarialMode, CounterSnapshot, Device, GroupSize, Schedule};
 use interconnect::Topology;
 use std::collections::HashMap;
 use std::sync::Arc;
-use warpdrive::{Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Layout, MapService};
+use warpdrive::{
+    Config, DistributedHashMap, GetResponse, GpuHashMap, GpuMultiMap, Layout, MapService,
+};
 use wd_apps::{scaled, sweep_seeds};
 
 /// One deterministic workload: 24 pairs over 8 distinct keys (3-way
@@ -230,6 +232,14 @@ fn contents(map: &GpuHashMap) -> Vec<(u32, u32)> {
     pairs
 }
 
+/// `reads` and `puts` in one [`MapService::apply`]: the reads' answers
+/// and the call's report.
+fn get_put(map: &mut GpuHashMap, reads: &[u32], puts: &[(u32, u32)]) -> GetResponse {
+    let mut values = vec![None; reads.len()];
+    let report = map.apply(reads, puts, &[], &mut values, &mut []).unwrap().report;
+    GetResponse { values, report }
+}
+
 /// What the preload left under `key`.
 fn preloaded_value(key: u32) -> Option<u32> {
     ((1..=40).contains(&key) || (57..=96).contains(&key)).then_some(7 * key)
@@ -270,7 +280,7 @@ fn fused_launch_bills_the_get_launch_plus_the_put_launch() {
             let get = two.get_batch(&reads).unwrap();
             let put = two.put_batch(&puts).unwrap();
             let mut one = preloaded(layout, g, Schedule::Sequential);
-            let fused = one.get_put_batch(&reads, &puts).unwrap();
+            let fused = get_put(&mut one, &reads, &puts);
 
             assert_eq!(fused.values, get.values, "{cell}: answers");
             assert_eq!(fused.report.launches, 1, "{cell}: launches");
@@ -308,7 +318,7 @@ fn fused_launch_visits_a_key_in_both_lists_once_and_answers_its_old_value() {
             let get = two.get_batch(&reads).unwrap();
             let put = two.put_batch(&puts).unwrap();
             let mut one = preloaded(layout, g, Schedule::Sequential);
-            let fused = one.get_put_batch(&reads, &puts).unwrap();
+            let fused = get_put(&mut one, &reads, &puts);
 
             let want: Vec<Option<u32>> = reads.iter().map(|&k| preloaded_value(k)).collect();
             assert_eq!(fused.values, want, "{cell}: answers are the pre-call values");
@@ -332,7 +342,7 @@ fn fused_launch_answers_and_contents_do_not_depend_on_the_schedule() {
     let (reads, puts) = (fused_reads(), overlapping_puts());
     let run = |layout, g, schedule| {
         let mut map = preloaded(layout, g, schedule);
-        let fused = map.get_put_batch(&reads, &puts).unwrap();
+        let fused = get_put(&mut map, &reads, &puts);
         (fused.values, contents(&map), map.occupancy_split())
     };
     for layout in [Layout::Aos, Layout::Soa] {
