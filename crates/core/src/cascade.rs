@@ -82,8 +82,7 @@ use crate::service::{Applied, OpError, OpReport, PerGpuDeleteResponse, PerGpuGet
 use crate::stats::CascadeStage;
 use crate::table::check_keys;
 use gpu_sim::{
-    DevSlice, Device, FaultPlan, GroupCtx, GroupSize, KernelStats, LaunchOptions, RetryPolicy,
-    ScratchGuard,
+    DevSlice, Device, FaultPlan, GroupCtx, GroupSize, KernelStats, LaunchOptions, ScratchGuard,
 };
 use interconnect::{alltoall_time_faulted, Topology};
 use multisplit::{
@@ -576,7 +575,6 @@ impl DistributedHashMap {
         let m = self.num_gpus();
         assert!(gpus.iter().all(|&n| n == 0 || n == m), "one batch per GPU");
         assert!(gpus.contains(&m), "a round carries a segment");
-        let policy = self.retry_policy();
         self.with_failover(report, |plan, mask, report, tally| {
             // the healthy path borrows the caller's lists as they are
             let respread = (mask != 0).then(|| self.respread(input, mask));
@@ -594,7 +592,6 @@ impl DistributedHashMap {
                 origins,
                 &router,
                 plan,
-                &policy,
                 report,
                 tally,
                 placed,
@@ -611,7 +608,6 @@ impl DistributedHashMap {
         origins: Option<&[Origins; SEGMENTS]>,
         router: &Router,
         plan: &FaultPlan,
-        policy: &RetryPolicy,
         report: &mut OpReport,
         tally: &mut ChaosTally,
         placed: &mut Applied,
@@ -624,8 +620,8 @@ impl DistributedHashMap {
             .with_schedule(self.cfg().schedule)
             .with_per_op_dispatch(self.cfg().per_op_dispatch);
         let alltoall = |bytes: &dyn Fn(usize, usize) -> u64, tally: &mut ChaosTally| {
-            let phase = alltoall_time_faulted(self.topology(), bytes, plan, policy);
-            tally.settle(plan, policy, phase).map_err(Abort::Lost)
+            let phase = alltoall_time_faulted(self.topology(), bytes, plan);
+            tally.settle(plan, phase).map_err(Abort::Lost)
         };
         // key `slot` of GPU `i`'s list of segment `s`, in the caller's lists
         let origin_of =
@@ -637,7 +633,7 @@ impl DistributedHashMap {
             sent: [None; MAX_PARTITIONS],
             time: (0.0, 0.0),
         };
-        self.multisplit_phase(&mut split, input, router, opts, plan, policy, report, tally)?;
+        self.multisplit_phase(&mut split, input, router, opts, plan, report, tally)?;
         // the stage streams the bytes of every partition's split
         let bytes = split.sent().map(|sent| sent.stream_bytes);
         let (time, overhead) = split.time;
@@ -666,7 +662,7 @@ impl DistributedHashMap {
                 mem.fill(landed.answers.sub(answered, sections.erases), EMPTY);
                 let hit = |i| mem.fill(landed.answers.sub(answered + i, 1), 0);
                 let retried = tally.launch_retries;
-                let gate = tally.gate_launch(plan, policy, j, op.site());
+                let gate = tally.gate_launch(plan, j, op.site());
                 if mutation == Some(Mutation::DoubleApplyOnRetry)
                     && op.site() == launch_site::INSERT
                     && tally.launch_retries > retried
@@ -836,7 +832,6 @@ impl DistributedHashMap {
         router: &Router,
         opts: LaunchOptions,
         plan: &FaultPlan,
-        policy: &RetryPolicy,
         report: &mut OpReport,
         tally: &mut ChaosTally,
     ) -> Result<(), Abort> {
@@ -870,9 +865,7 @@ impl DistributedHashMap {
             let results = result_words(lens[..VALUED].iter().sum(), lens[VALUED]);
             let results: usize = results.iter().sum();
             if words > 0 {
-                tally
-                    .gate_launch(plan, policy, i, launch_site::MULTISPLIT)
-                    .map_err(Abort::Lost)?;
+                tally.gate_launch(plan, i, launch_site::MULTISPLIT).map_err(Abort::Lost)?;
             }
             let guard = dev
                 .alloc_scratch(words + counters + landing + results)

@@ -3,7 +3,7 @@
 //! The chaos layer (DESIGN.md §6.3) threads a deterministic
 //! [`gpu_sim::FaultPlan`] through the distributed cascades: transient
 //! kernel-launch failures and dropped transfers are retried with the
-//! exponential backoff of [`gpu_sim::RetryPolicy`]; a GPU that exhausts
+//! exponential backoff of [`gpu_sim::RETRY`]; a GPU that exhausts
 //! its retry budget is **quarantined** — its partition is re-split across
 //! the survivors via the same multisplit path healthy cascades use, and
 //! every subsequent operation routes around it through a [`Router`].
@@ -14,9 +14,9 @@
 //! it (composable with the `WD_SCHED_*` scheduler hints — see
 //! [`gpu_sim::FaultPlan::replay_hint_with`]).
 
-use gpu_sim::{FaultPlan, RetryPolicy};
+use gpu_sim::{FaultPlan, RETRY};
 use hashes::PartitionFn;
-use interconnect::{FaultedTransfer, TransferError};
+use interconnect::{FailedTransfer, FaultedTransfer};
 
 /// Launch-site tags distinguishing the fault rolls of the cascades'
 /// kernel families (transfer sites live in [`gpu_sim::fault::site`]).
@@ -141,59 +141,46 @@ impl ChaosTally {
     /// The crate's one retry gate: rolls the transient launch-failure
     /// dice for one kernel site, billing exponential backoff between
     /// retried failures. `Err(device)` once the retry budget is exhausted.
-    pub fn gate_launch(
-        &mut self,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        device: usize,
-        site: u64,
-    ) -> Result<(), usize> {
+    pub fn gate_launch(&mut self, plan: &FaultPlan, device: usize, site: u64) -> Result<(), usize> {
         let mut attempt = 0u32;
         let mut spent = 0.0f64;
         while plan.launch_fails(device, site, attempt) {
             attempt += 1;
-            if !policy.may_retry(attempt, spent) {
+            if !RETRY.may_retry(attempt, spent) {
                 self.backoff += spent;
                 return Err(device);
             }
-            spent += policy.backoff_before(attempt);
+            spent += RETRY.backoff_before(attempt);
             self.launch_retries += 1;
         }
         self.backoff += spent;
         Ok(())
     }
 
-    /// Books a fault-aware transfer phase. A budget-exhausted edge made
-    /// `attempts - 1` retries with backoff before each — that work
-    /// happened even though the phase then failed — and condemns a
-    /// device, returned as `Err`: the source if the plan has killed it,
+    /// Books a fault-aware transfer phase's retries and backoff — those
+    /// of a failed phase too: that work happened even though the phase
+    /// then failed. A failed phase condemns a device, returned as `Err`:
+    /// the source of the edge that gave up if the plan has killed it,
     /// otherwise the destination (a host-link failure has `src == dst`,
     /// so the distinction only matters for NVLink edges).
     pub fn settle(
         &mut self,
         plan: &FaultPlan,
-        policy: &RetryPolicy,
-        phase: Result<FaultedTransfer, TransferError>,
+        phase: Result<FaultedTransfer, FailedTransfer>,
     ) -> Result<FaultedTransfer, usize> {
-        match phase {
-            Ok(t) => {
-                self.transfer_retries += u64::from(t.retries);
-                self.backoff += t.backoff;
-                Ok(t)
+        let (retries, backoff) = match &phase {
+            Ok(t) => (t.retries, t.backoff),
+            Err(f) => (f.retries, f.backoff),
+        };
+        self.transfer_retries += u64::from(retries);
+        self.backoff += backoff;
+        phase.map_err(|FailedTransfer { error: e, .. }| {
+            if plan.device_lost(e.src) {
+                e.src
+            } else {
+                e.dst
             }
-            Err(e) => {
-                let retries = e.attempts.saturating_sub(1);
-                self.transfer_retries += u64::from(retries);
-                for a in 1..=retries {
-                    self.backoff += policy.backoff_before(a);
-                }
-                Err(if plan.device_lost(e.src) {
-                    e.src
-                } else {
-                    e.dst
-                })
-            }
-        }
+        })
     }
 }
 

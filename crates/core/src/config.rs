@@ -198,13 +198,15 @@ pub struct Config {
     pub per_op_dispatch: bool,
     /// Deterministic fault-injection plan for the multi-GPU cascades:
     /// link degradation, transfer drops, transient launch failures,
-    /// stragglers and killed devices. `Config::default()` honors the
-    /// `WD_FAULT` / `WD_FAULT_SEED` environment variables (see
-    /// [`gpu_sim::FaultPlan::from_env`]), so any suite can run under
-    /// chaos without code changes; the default plan is disarmed and the
-    /// fault-off path bills byte-identical counters to pre-chaos
-    /// behaviour. Override per map with
-    /// [`crate::DistributedHashMap::set_fault_plan`].
+    /// stragglers and killed devices. It is the one way to arm a plan:
+    /// `Config::default()` honors the `WD_FAULT` / `WD_FAULT_SEED`
+    /// environment variables (see [`gpu_sim::FaultPlan::from_env`]), so
+    /// any suite can run under chaos without code changes, and nothing
+    /// else reads them; the default plan is disarmed and the fault-off
+    /// path bills byte-identical counters to pre-chaos behaviour.
+    /// Override per map with [`crate::DistributedHashMap::set_fault_plan`].
+    /// A [`crate::GpuHashMap`] ignores it: a single GPU has no transfer
+    /// to drop and no peer to fail over to.
     pub fault: FaultPlan,
     /// **Test-only.** The [`Mutation`] double armed on this map, if any.
     pub mutation: Option<Mutation>,

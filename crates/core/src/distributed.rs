@@ -29,7 +29,7 @@
 //! [`DistributedHashMap::set_fault_plan`]): kernel launches may fail
 //! transiently, transfers may drop, links may be degraded and devices may
 //! straggle or die. Failures are retried idempotently with the
-//! exponential backoff of [`gpu_sim::RetryPolicy`]; a GPU that exhausts
+//! exponential backoff of [`gpu_sim::RETRY`]; a GPU that exhausts
 //! its budget is **quarantined** — its partition is re-split across the
 //! survivors (see [`crate::chaos::Router`]) and the cascade restarts,
 //! re-applying its batch. Re-application is safe because phases that
@@ -46,7 +46,7 @@ use crate::host_ops::{Cut, Scratch};
 use crate::map::GpuHashMap;
 use crate::service::{check_call, composed, one_group_per_key, Applied, OpError, HELD_SCRATCH};
 use crate::stats::DegradedStats;
-use gpu_sim::{Device, FaultPlan, RetryPolicy};
+use gpu_sim::{Device, FaultPlan};
 use hashes::PartitionFn;
 use interconnect::Topology;
 use parking_lot::RwLock;
@@ -251,12 +251,6 @@ impl DistributedHashMap {
     /// plan changes.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.chaos.write().plan = plan;
-    }
-
-    /// The retry/backoff policy governing fault recovery.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy::default()
     }
 
     /// Indices of quarantined GPUs, ascending.
@@ -800,6 +794,30 @@ mod chaos_tests {
         assert_eq!(multiset(pairs), multiset(slow.live_snapshot()));
     }
 
+    /// A straggler is billed once, by the node: on a one-GPU node the
+    /// Insert row is `t·f + s` of the disarmed row's `t`, bit for bit,
+    /// while the answers and the device's own counters and modeled time
+    /// stay as they are.
+    #[test]
+    fn a_straggler_is_billed_once() {
+        let (f, s) = (3.0, 1e-5);
+        let pairs: Vec<(u32, u32)> = (0..1000u32).map(|i| (i * 11 + 5, i)).collect();
+        let keys: Vec<u32> = pairs.iter().map(|&(k, _)| k).collect();
+        let run = |plan: FaultPlan| {
+            let cfg = Config::default().with_fault(plan);
+            let mut d = node_with(cfg.with_schedule(gpu_sim::Schedule::Sequential), 1);
+            let put = d.put_batch(&pairs).unwrap().report;
+            let insert = put.stages.iter().find(|r| r.stage == CascadeStage::Insert);
+            let values = d.get_batch(&keys).unwrap().values;
+            (insert.unwrap().time, values, d.device(0).lifetime_stats())
+        };
+        let (t, values, device) = run(FaultPlan::default());
+        let slow = run(FaultPlan::default().with_straggler(0, f, s));
+        assert_eq!(slow.0.to_bits(), (t * f + s).to_bits(), "{} vs {t}", slow.0);
+        assert_eq!(slow.1, values);
+        assert_eq!(slow.2, device);
+    }
+
     /// A round that aborts at GPU 3's launch re-runs on the survivors, and
     /// GPU 0's upserts, which landed before the abort, run again: the
     /// answers of the first run stand, not what the re-run reads back.
@@ -811,7 +829,7 @@ mod chaos_tests {
         // under which GPU 3 exhausts its retry budget at the one launch
         // and nothing else is lost — GPUs 0–2 have by then answered and
         // upserted before the round aborts
-        let attempts = RetryPolicy::default().max_attempts;
+        let attempts = gpu_sim::RETRY.max_attempts;
         let exhausts = |plan: &FaultPlan, gpu, site| {
             (0..attempts).all(|attempt| plan.launch_fails(gpu, site, attempt))
         };
@@ -864,7 +882,7 @@ mod chaos_tests {
         // in the split at GPU 2 (GPUs 0 and 1 have split by then), the
         // second at GPU 3's kernel (all four have split, GPUs 0–2 have
         // inserted); neither loses anything else
-        let attempts = RetryPolicy::default().max_attempts;
+        let attempts = gpu_sim::RETRY.max_attempts;
         let exhausts = |plan: &FaultPlan, gpu, site| {
             (0..attempts).all(|attempt| plan.launch_fails(gpu, site, attempt))
         };

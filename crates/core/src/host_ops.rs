@@ -498,7 +498,6 @@ impl DistributedHashMap {
         mut answer: impl FnMut(usize, usize, Option<u32>),
     ) -> Result<(), OpError> {
         let m = self.num_gpus();
-        let policy = self.retry_policy();
         // a take is a read and an erase, an upsert a read and a put
         let ops = |s| call.len(s) * (1 + usize::from(s == TAKES || s == UPSERTS));
         report.elements += (0..SEGMENTS).map(ops).sum::<usize>() as u64;
@@ -511,8 +510,8 @@ impl DistributedHashMap {
                 let up = |s: usize| up(call.keys[s].len(), 4) + up(call.pairs[s].len(), 8);
                 *bytes = (0..SEGMENTS).map(up).sum();
             }
-            let up = h2d_time_faulted(self.topology(), bytes, plan, &policy);
-            let up = tally.settle(plan, &policy, up).map_err(Abort::Lost)?;
+            let up = h2d_time_faulted(self.topology(), bytes, plan);
+            let up = tally.settle(plan, up).map_err(Abort::Lost)?;
             report.push(CascadeStage::H2D, up.time, up.bytes, 0.0);
             Ok(mask)
         })?;
@@ -542,8 +541,8 @@ impl DistributedHashMap {
                         _ => 0,
                     };
                 }
-                let down = d2h_time_faulted(self.topology(), bytes, plan, &policy);
-                let down = tally.settle(plan, &policy, down).map_err(Abort::Lost)?;
+                let down = d2h_time_faulted(self.topology(), bytes, plan);
+                let down = tally.settle(plan, down).map_err(Abort::Lost)?;
                 report.push(CascadeStage::D2H, down.time, down.bytes, 0.0);
                 Ok(())
             })?;

@@ -100,10 +100,6 @@ pub use gpu_sim::GroupSize;
 /// [`Config::fault`] and DESIGN.md §6.3 "Chaos testing").
 pub use gpu_sim::FaultPlan;
 
-/// Re-export of the retry/backoff policy governing fault recovery (see
-/// [`DistributedHashMap::retry_policy`]).
-pub use gpu_sim::RetryPolicy;
-
 /// Re-export of the typed transfer-failure error surfaced by the
 /// fault-aware cascades.
 pub use interconnect::TransferError;

@@ -29,7 +29,7 @@ pub enum CascadeStage {
     /// Device → host PCIe transfer.
     D2H,
     /// Exponential-backoff waits accumulated by fault-injection retries
-    /// (see [`gpu_sim::RetryPolicy`]). Absent from healthy cascades —
+    /// (see [`gpu_sim::RETRY`]). Absent from healthy cascades —
     /// the fault-off path never pushes this stage, keeping its reports
     /// byte-identical to pre-chaos behaviour.
     Backoff,

@@ -140,46 +140,6 @@ impl KernelCounters {
         &self.cells[stripe_id() & (self.cells.len() - 1)]
     }
 
-    /// Records `n` irregular 32-byte transactions (also one dependent step).
-    #[inline]
-    pub fn add_transactions(&self, n: u64) {
-        self.cell().transactions.fetch_add(n, Relaxed);
-    }
-
-    /// Records `bytes` of fully coalesced streaming traffic.
-    #[inline]
-    pub fn add_stream_bytes(&self, bytes: u64) {
-        self.cell().stream_bytes.fetch_add(bytes, Relaxed);
-    }
-
-    /// Records one CAS, with success flag.
-    #[inline]
-    pub fn add_cas(&self, success: bool) {
-        let cell = self.cell();
-        cell.cas_ops.fetch_add(1, Relaxed);
-        if !success {
-            cell.cas_failed.fetch_add(1, Relaxed);
-        }
-    }
-
-    /// Records one warm (L2-resident) non-CAS global atomic.
-    #[inline]
-    pub fn add_atomic(&self) {
-        self.cell().atomic_ops.fetch_add(1, Relaxed);
-    }
-
-    /// Records one cold non-CAS global atomic.
-    #[inline]
-    pub fn add_cold_atomic(&self) {
-        self.cell().cold_atomics.fetch_add(1, Relaxed);
-    }
-
-    /// Records `n` dependent round-trips for the issuing group.
-    #[inline]
-    pub fn add_steps(&self, n: u64) {
-        self.cell().group_steps.fetch_add(n, Relaxed);
-    }
-
     /// Records that a group ran to completion.
     #[inline]
     pub fn add_group(&self) {
@@ -430,12 +390,14 @@ mod tests {
     #[test]
     fn snapshot_reflects_increments() {
         let c = KernelCounters::new();
-        c.add_transactions(3);
-        c.add_stream_bytes(128);
-        c.add_cas(true);
-        c.add_cas(false);
-        c.add_atomic();
-        c.add_steps(5);
+        let l = LocalCounters::new();
+        l.add_transactions(3);
+        l.add_stream_bytes(128);
+        l.add_cas(true);
+        l.add_cas(false);
+        l.add_atomic();
+        l.add_steps(5);
+        l.flush_into(&c);
         c.add_group();
         let s = c.snapshot();
         assert_eq!(s.transactions, 3);
@@ -480,8 +442,10 @@ mod tests {
             let c = std::sync::Arc::clone(&c);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
-                    c.add_transactions(1);
-                    c.add_steps(2);
+                    let l = LocalCounters::new();
+                    l.add_transactions(1);
+                    l.add_steps(2);
+                    l.flush_into(&c);
                 }
             }));
         }

@@ -1,7 +1,6 @@
 //! The simulated device: memory + kernel launcher + timing.
 
 use crate::counters::{CounterSnapshot, KernelCounters, LocalCounters};
-use crate::fault::FaultPlan;
 use crate::mem::{DevSlice, DeviceMemory, OutOfMemory};
 use crate::sanitizer::{LaunchSanitizer, Policy, Report, SanitizerSet};
 use crate::sched::{self, Schedule};
@@ -29,12 +28,6 @@ pub struct LaunchOptions {
     /// sanitizing, shadow state attaches lazily with all existing memory
     /// assumed initialised.
     pub sanitize: SanitizerSet,
-    /// Fault plan for this launch's *timing* faults (straggler slowdown
-    /// and stalls). `None` falls back to the device's plan (armed via
-    /// `WD_FAULT`/`WD_FAULT_SEED` or [`Device::with_fault_plan`]).
-    /// Transient launch *failures* are decided by the orchestration layer
-    /// before any kernel runs, so `launch` itself never fails.
-    pub fault: Option<FaultPlan>,
     /// Per-op dispatch (`true`) instead of chunked dispatch (`false`,
     /// the default) for stepwise schedules on this launch. Both modes
     /// produce bit-identical interleavings, counters and reports; the
@@ -63,14 +56,6 @@ impl LaunchOptions {
     #[must_use]
     pub fn sanitize(mut self, set: SanitizerSet) -> Self {
         self.sanitize = set;
-        self
-    }
-
-    /// Selects the fault plan for this launch's timing faults (see the
-    /// field docs on [`LaunchOptions::fault`]).
-    #[must_use]
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
         self
     }
 
@@ -147,7 +132,6 @@ pub struct Device {
     pub id: usize,
     mem: DeviceMemory,
     timing: TimingModel,
-    fault: FaultPlan,
     /// Cumulative counters over all launches (see [`LifetimeStats`]).
     lifetime: std::sync::Mutex<LifetimeStats>,
 }
@@ -161,7 +145,6 @@ impl Device {
             id,
             mem: DeviceMemory::new(words),
             timing: TimingModel::new(spec),
-            fault: FaultPlan::from_env(),
             lifetime: std::sync::Mutex::new(LifetimeStats::default()),
         }
         .with_env_sanitizer()
@@ -174,7 +157,6 @@ impl Device {
             id,
             mem: DeviceMemory::new(words),
             timing: TimingModel::new(DeviceSpec::test_small((words as u64) * 8)),
-            fault: FaultPlan::from_env(),
             lifetime: std::sync::Mutex::new(LifetimeStats::default()),
         }
         .with_env_sanitizer()
@@ -192,20 +174,6 @@ impl Device {
     #[must_use]
     pub fn lifetime_stats(&self) -> LifetimeStats {
         *self.lifetime.lock().expect("lifetime stats lock")
-    }
-
-    /// Replaces the device's fault plan (default: `WD_FAULT` from the
-    /// environment, mirroring [`Device::with_env_sanitizer`]'s pattern).
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault = plan;
-        self
-    }
-
-    /// The device's fault plan.
-    #[must_use]
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.fault
     }
 
     /// Attaches the `WD_SANITIZE` detector set (fail-fast), if any. Runs
@@ -411,15 +379,6 @@ impl Device {
         // a chain of flag waits is latency no other group's work hides
         if chain > 0 {
             breakdown.latency += self.timing.chain_latency(chain);
-        }
-        // timing faults: a straggler device runs `factor`× slower plus a
-        // fixed stall — modeled as an additive stall term so the healthy
-        // breakdown stays bit-identical when the plan is disarmed
-        let plan = opts.fault.unwrap_or(self.fault);
-        let factor = plan.straggle_factor(self.id);
-        let stall = plan.launch_stall(self.id);
-        if factor > 1.0 || stall > 0.0 {
-            breakdown.stall = (factor - 1.0) * breakdown.total() + stall;
         }
         {
             let mut lt = self.lifetime.lock().expect("lifetime stats lock");
@@ -757,35 +716,5 @@ mod tests {
         let small = run(1 << 20);
         let large = run(16 << 30);
         assert!(large.breakdown.cas > small.breakdown.cas * 1.5);
-    }
-
-    #[test]
-    fn straggler_fault_scales_launch_time() {
-        let plan = FaultPlan::default().with_straggler(0, 3.0, 1e-4);
-        let run = |fault: Option<FaultPlan>| {
-            let dev = Device::with_words(0, 1024);
-            let buf = dev.alloc(512).unwrap();
-            dev.mem().fill(buf, 0);
-            let mut opts = LaunchOptions::default().with_schedule(Schedule::Sequential);
-            if let Some(p) = fault {
-                opts = opts.with_fault(p);
-            }
-            dev.launch("probe", 128, GroupSize::new(4), opts, |ctx| {
-                let _ = ctx.read_window(buf, ctx.group_id() * 4);
-            })
-        };
-        let healthy = run(None);
-        let slow = run(Some(plan));
-        // same counters, 3× the time plus the fixed stall
-        assert_eq!(healthy.counters, slow.counters);
-        let want = 3.0 * healthy.sim_time + 1e-4;
-        assert!(
-            (slow.sim_time - want).abs() < 1e-12,
-            "straggler time {} want {want}",
-            slow.sim_time
-        );
-        // a plan aimed at another device is the identity
-        let other = run(Some(FaultPlan::default().with_straggler(3, 5.0, 1.0)));
-        assert_eq!(other.sim_time.to_bits(), healthy.sim_time.to_bits());
     }
 }

@@ -11,10 +11,13 @@
 //! the `WD_FAULT`/`WD_FAULT_SEED` pair it prints, composing with the
 //! scheduler's replay hints.
 //!
-//! The plan is armed three ways, mirroring [`crate::Schedule`]:
-//! environment (`WD_FAULT=drop=0.2,launch=0.1 WD_FAULT_SEED=7`),
-//! programmatically via builders, or per launch through
-//! [`crate::LaunchOptions::fault`].
+//! A plan is a value; the multi-GPU node (`warpdrive::Config::fault`)
+//! is what holds and injects it. It is built programmatically via the
+//! builders, or from the environment (`WD_FAULT=drop=0.2,launch=0.1
+//! WD_FAULT_SEED=7`, [`FaultPlan::from_env`]), which only
+//! `warpdrive::Config::default()` reads. A [`crate::Device`] carries no
+//! plan: a launch never fails and never straggles on its own, so each
+//! fault is billed once, by the node.
 //!
 //! What each knob injects (all disabled at 0 / `None`):
 //!
@@ -357,6 +360,8 @@ impl std::fmt::Display for FaultPlan {
 
 /// Retry discipline for fault-aware operations: bounded idempotent
 /// retries with exponential backoff and a per-operation time budget.
+/// There is one, [`RETRY`], which both retrying sites read: the
+/// interconnect's transfers and the node's kernel-launch gate.
 ///
 /// Backoff is *billed, not slept* — the simulator adds it to the
 /// operation's modeled time (the `Backoff` cascade stage) while the
@@ -378,19 +383,15 @@ pub struct RetryPolicy {
     pub op_budget: f64,
 }
 
-impl Default for RetryPolicy {
-    /// The defaults documented in EXPERIMENTS.md: 4 attempts, 10 µs base
-    /// backoff doubling to a 1 ms cap, 50 ms per-operation budget.
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            base_backoff: 10e-6,
-            multiplier: 2.0,
-            max_backoff: 1e-3,
-            op_budget: 50e-3,
-        }
-    }
-}
+/// The retry policy documented in EXPERIMENTS.md: 4 attempts, 10 µs
+/// base backoff doubling to a 1 ms cap, 50 ms per-operation budget.
+pub const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_backoff: 10e-6,
+    multiplier: 2.0,
+    max_backoff: 1e-3,
+    op_budget: 50e-3,
+};
 
 impl RetryPolicy {
     /// Backoff billed before retry attempt `attempt` (attempt 0 is the
@@ -409,20 +410,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn may_retry(&self, attempts_done: u32, spent: f64) -> bool {
         attempts_done < self.max_attempts && spent < self.op_budget
-    }
-
-    /// Sets the attempt bound.
-    #[must_use]
-    pub fn with_max_attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Sets the per-operation retry-time budget.
-    #[must_use]
-    pub fn with_op_budget(mut self, seconds: f64) -> Self {
-        self.op_budget = seconds;
-        self
     }
 }
 
@@ -539,7 +526,7 @@ mod tests {
 
     #[test]
     fn retry_policy_backoff_grows_and_caps() {
-        let r = RetryPolicy::default();
+        let r = RETRY;
         assert_eq!(r.backoff_before(0), 0.0);
         assert!((r.backoff_before(1) - 10e-6).abs() < 1e-15);
         assert!((r.backoff_before(2) - 20e-6).abs() < 1e-15);

@@ -41,7 +41,7 @@ pub mod timing;
 
 pub use counters::{CounterSnapshot, KernelCounters};
 pub use device::{Device, KernelStats, LaunchOptions, LifetimeStats};
-pub use fault::{FaultPlan, RetryPolicy};
+pub use fault::{FaultPlan, RetryPolicy, RETRY};
 pub use mem::{DevSlice, DeviceMemory, OutOfMemory, ScratchGuard};
 pub use sanitizer::{Detector, Report, SanitizerSet};
 pub use sched::{AdversarialMode, Schedule, StepSched};

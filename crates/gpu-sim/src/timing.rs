@@ -56,10 +56,6 @@ pub struct TimeBreakdown {
     pub latency: f64,
     /// Fixed launch overhead, seconds.
     pub overhead: f64,
-    /// Injected fault stall (straggler slowdown + fixed stall from a
-    /// [`crate::FaultPlan`]), seconds. Zero on healthy runs, so the
-    /// fault-off total is bit-identical to the pre-chaos model.
-    pub stall: f64,
 }
 
 impl TimeBreakdown {
@@ -72,7 +68,7 @@ impl TimeBreakdown {
     /// Total simulated kernel time.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.throughput().max(self.latency) + self.overhead + self.stall
+        self.throughput().max(self.latency) + self.overhead
     }
 
     /// Name of the binding (dominant) term.
@@ -138,7 +134,6 @@ impl TimingModel {
             cold: counters.cold_atomics as f64 / s.cold_atomic_throughput,
             latency: counters.group_steps as f64 * s.mem_latency / resident_groups,
             overhead: s.launch_overhead,
-            stall: 0.0,
         }
     }
 

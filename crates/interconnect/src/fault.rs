@@ -3,14 +3,14 @@
 //!
 //! The healthy estimators (`alltoall_time`, `h2d_time`, …) stay exactly
 //! as they were; the `*_faulted` variants take a [`gpu_sim::FaultPlan`]
-//! and a [`gpu_sim::RetryPolicy`] and model what a production transfer
-//! engine does: retry dropped transfers with exponential backoff, bill
-//! the wasted attempts against the link, and give up with a typed
+//! and model what a production transfer engine does under
+//! [`gpu_sim::RETRY`]: retry dropped transfers with exponential backoff,
+//! bill the wasted attempts against the link, and give up with a typed
 //! [`TransferError`] once the retry budget is exhausted. A disarmed plan
 //! makes every `*_faulted` variant bit-identical to its healthy twin —
 //! asserted by `tests/chaos_sweep.rs`.
 
-use gpu_sim::{FaultPlan, RetryPolicy};
+use gpu_sim::{FaultPlan, RETRY};
 
 /// A transfer that exhausted its retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,15 +59,30 @@ pub struct FaultedTransfer {
     pub backoff: f64,
 }
 
+/// A fault-aware transfer phase that failed: the edge that exhausted its
+/// retry budget, and what every edge's retries cost before it did — work
+/// that happened although the phase then failed, billed as a
+/// [`FaultedTransfer`]'s is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FailedTransfer {
+    /// The edge that gave up.
+    pub error: TransferError,
+    /// Retried attempts across all links of the phase; the failing
+    /// edge's last attempt, which nothing retried, is not one.
+    pub retries: u32,
+    /// Exponential-backoff time billed across all links, seconds.
+    pub backoff: f64,
+}
+
 /// Runs one link's transfer of duration `t_once` under the plan's drop
-/// rolls: retries per `policy`, accumulating wasted time and backoff.
-/// Returns the link's serial time and updates the phase accumulators.
+/// rolls: retries per [`RETRY`], accumulating wasted time and, for each
+/// retry, a retry and its backoff into the phase accumulators. Returns
+/// the link's serial time.
 ///
 /// # Errors
 /// [`TransferError`] when the drop rolls outlast the retry budget.
 pub(crate) fn transfer_with_retry(
     plan: &FaultPlan,
-    policy: &RetryPolicy,
     (src, dst, site): (usize, usize, u64),
     t_once: f64,
     retries: &mut u32,
@@ -83,15 +98,15 @@ pub(crate) fn transfer_with_retry(
         // the attempt ran (and dropped): its time is wasted on the link
         elapsed += t_once;
         attempt += 1;
-        *retries += 1;
-        if !policy.may_retry(attempt, spent_backoff) {
+        if !RETRY.may_retry(attempt, spent_backoff) {
             return Err(TransferError {
                 src,
                 dst,
                 attempts: attempt,
             });
         }
-        let b = policy.backoff_before(attempt);
+        *retries += 1;
+        let b = RETRY.backoff_before(attempt);
         spent_backoff += b;
         *backoff += b;
     }
@@ -120,11 +135,9 @@ mod tests {
     #[test]
     fn clean_link_costs_one_attempt_and_no_backoff() {
         let plan = FaultPlan::default();
-        let policy = RetryPolicy::default();
         let (mut r, mut b) = (0, 0.0);
         let t = transfer_with_retry(
             &plan,
-            &policy,
             (0, 1, gpu_sim::fault::site::ALLTOALL),
             2.5,
             &mut r,
@@ -139,33 +152,30 @@ mod tests {
     #[test]
     fn killed_destination_exhausts_the_budget() {
         let plan = FaultPlan::default().with_kill(1);
-        let policy = RetryPolicy::default();
         let (mut r, mut b) = (0, 0.0);
         let err = transfer_with_retry(
             &plan,
-            &policy,
             (0, 1, gpu_sim::fault::site::ALLTOALL),
             1.0,
             &mut r,
             &mut b,
         )
         .unwrap_err();
-        assert_eq!(err.attempts, policy.max_attempts);
-        assert_eq!(r, policy.max_attempts);
-        // backoff before attempts 1..max_attempts-1 was billed
-        assert!(b > 0.0);
+        assert_eq!(err.attempts, RETRY.max_attempts);
+        // every attempt but the last was retried, after its backoff
+        assert_eq!(r, RETRY.max_attempts - 1);
+        let want: f64 = (1..RETRY.max_attempts).map(|a| RETRY.backoff_before(a)).sum();
+        assert_eq!(b.to_bits(), want.to_bits());
     }
 
     #[test]
     fn dropped_attempts_bill_wasted_time() {
         // find a seed whose first roll drops but a later one succeeds
-        let policy = RetryPolicy::default().with_max_attempts(16);
         for seed in 0..256u64 {
             let plan = FaultPlan::default().with_seed(seed).with_transfer_drop(0.5);
             let (mut r, mut b) = (0, 0.0);
             if let Ok(t) = transfer_with_retry(
                 &plan,
-                &policy,
                 (2, 3, gpu_sim::fault::site::ALLTOALL),
                 1.0,
                 &mut r,

@@ -6,9 +6,9 @@
 //! (84%/55% of which the host-sided insert/retrieve cascades achieve,
 //! §V-C).
 
-use crate::fault::{transfer_with_retry, FaultedTransfer, TransferError};
+use crate::fault::{transfer_with_retry, FailedTransfer, FaultedTransfer};
 use crate::topology::Topology;
-use gpu_sim::{fault::site, FaultPlan, RetryPolicy};
+use gpu_sim::{fault::site, FaultPlan};
 
 /// Time for simultaneous host→device transfers, `per_gpu_bytes[g]` bytes
 /// to each GPU `g`. GPUs on the same switch share its bandwidth
@@ -42,9 +42,8 @@ fn hostlink_faulted(
     topo: &Topology,
     per_gpu_bytes: &[u64],
     plan: &FaultPlan,
-    policy: &RetryPolicy,
     transfer_site: u64,
-) -> Result<FaultedTransfer, TransferError> {
+) -> Result<FaultedTransfer, FailedTransfer> {
     assert_eq!(per_gpu_bytes.len(), topo.num_gpus, "one byte count per GPU");
     let mut worst: f64 = 0.0;
     let mut retries = 0u32;
@@ -61,14 +60,9 @@ fn hostlink_faulted(
                 continue;
             }
             let share = per_gpu_bytes[g] as f64 / bw;
-            let spent = transfer_with_retry(
-                plan,
-                policy,
-                (g, g, transfer_site),
-                share,
-                &mut retries,
-                &mut backoff,
-            )?;
+            let spent =
+                transfer_with_retry(plan, (g, g, transfer_site), share, &mut retries, &mut backoff)
+                    .map_err(|error| FailedTransfer { error, retries, backoff })?;
             t += spent - share;
         }
         worst = worst.max(t);
@@ -86,7 +80,7 @@ fn hostlink_faulted(
 /// Bit-identical to [`h2d_time`] when the plan is disarmed.
 ///
 /// # Errors
-/// [`TransferError`] with `src == dst == g` for the first GPU `g` whose
+/// [`FailedTransfer`] with `src == dst == g` for the first GPU `g` whose
 /// host link exhausted its retries.
 ///
 /// # Panics
@@ -95,9 +89,8 @@ pub fn h2d_time_faulted(
     topo: &Topology,
     per_gpu_bytes: &[u64],
     plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<FaultedTransfer, TransferError> {
-    hostlink_faulted(topo, per_gpu_bytes, plan, policy, site::H2D)
+) -> Result<FaultedTransfer, FailedTransfer> {
+    hostlink_faulted(topo, per_gpu_bytes, plan, site::H2D)
 }
 
 /// [`d2h_time`] under a fault plan. PCIe stays full duplex, but the
@@ -105,7 +98,7 @@ pub fn h2d_time_faulted(
 /// drop does not imply a downstream one.
 ///
 /// # Errors
-/// [`TransferError`] with `src == dst == g` for the first GPU `g` whose
+/// [`FailedTransfer`] with `src == dst == g` for the first GPU `g` whose
 /// host link exhausted its retries.
 ///
 /// # Panics
@@ -114,9 +107,8 @@ pub fn d2h_time_faulted(
     topo: &Topology,
     per_gpu_bytes: &[u64],
     plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<FaultedTransfer, TransferError> {
-    hostlink_faulted(topo, per_gpu_bytes, plan, policy, site::D2H)
+) -> Result<FaultedTransfer, FailedTransfer> {
+    hostlink_faulted(topo, per_gpu_bytes, plan, site::D2H)
 }
 
 /// Convenience: `total_bytes` split evenly across all GPUs.
@@ -180,11 +172,10 @@ mod tests {
         let topo = Topology::p100_quad(4);
         let bytes = [1 << 30, 123 << 10, 0, 42];
         let plan = FaultPlan::default();
-        let policy = RetryPolicy::default();
-        let up = h2d_time_faulted(&topo, &bytes, &plan, &policy).unwrap();
+        let up = h2d_time_faulted(&topo, &bytes, &plan).unwrap();
         assert_eq!(up.time.to_bits(), h2d_time(&topo, &bytes).to_bits());
         assert_eq!((up.retries, up.backoff), (0, 0.0));
-        let down = d2h_time_faulted(&topo, &bytes, &plan, &policy).unwrap();
+        let down = d2h_time_faulted(&topo, &bytes, &plan).unwrap();
         assert_eq!(down.time.to_bits(), d2h_time(&topo, &bytes).to_bits());
     }
 
@@ -192,8 +183,7 @@ mod tests {
     fn degraded_switch_slows_only_its_gpus() {
         let topo = Topology::p100_quad(4);
         let plan = FaultPlan::default().with_seed(3).with_link_degrade(1.0, 2.0);
-        let policy = RetryPolicy::default();
-        let solo = |b: &[u64; 4]| h2d_time_faulted(&topo, b, &plan, &policy).unwrap().time;
+        let solo = |b: &[u64; 4]| h2d_time_faulted(&topo, b, &plan).unwrap().time;
         // every switch degraded 2×: both phases double exactly
         assert!(
             (solo(&[1 << 30, 0, 0, 0]) / h2d_time(&topo, &[1 << 30, 0, 0, 0]) - 2.0).abs() < 1e-9
@@ -204,11 +194,10 @@ mod tests {
     fn killed_gpu_fails_its_host_link() {
         let topo = Topology::p100_quad(4);
         let plan = FaultPlan::default().with_kill(3);
-        let err = h2d_time_faulted(&topo, &[10, 10, 10, 10], &plan, &RetryPolicy::default())
-            .unwrap_err();
+        let err = h2d_time_faulted(&topo, &[10, 10, 10, 10], &plan).unwrap_err().error;
         assert_eq!((err.src, err.dst), (3, 3));
         // a batch that skips the dead GPU sails through
-        let ok = h2d_time_faulted(&topo, &[10, 10, 10, 0], &plan, &RetryPolicy::default());
+        let ok = h2d_time_faulted(&topo, &[10, 10, 10, 0], &plan);
         assert!(ok.is_ok());
     }
 }

@@ -26,7 +26,7 @@ pub mod pipeline;
 pub mod topology;
 
 pub use alltoall::{alltoall_time, alltoall_time_faulted, AllToAllReport};
-pub use fault::{FaultedTransfer, TransferError};
+pub use fault::{FailedTransfer, FaultedTransfer, TransferError};
 pub use hostlink::{broadcast_h2d_time, d2h_time, d2h_time_faulted, h2d_time, h2d_time_faulted};
 pub use pipeline::{PipelineReport, PipelineSim, Stage};
 pub use topology::Topology;

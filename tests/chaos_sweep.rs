@@ -460,7 +460,7 @@ fn erase_from_host_quarantines_an_exhausted_host_link() {
     assert!(del.hits.iter().all(|&h| h));
     assert_eq!(d.quarantined(), vec![1]);
     let stats = d.degraded_stats();
-    assert_eq!(stats.transfer_retries, u64::from(d.retry_policy().max_attempts) - 1);
+    assert_eq!(stats.transfer_retries, u64::from(gpu_sim::RETRY.max_attempts) - 1);
     assert_eq!(stats.launch_retries, 0, "the host link failed before any launch");
     assert!(stats.migrated_keys > 0);
     // the failed upload's backoff is billed ahead of the one that went through

@@ -33,7 +33,7 @@ const SEED: u64 = 2026;
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     counters: CounterSnapshot,
-    stages: [u64; 9],
+    stages: [u64; 8],
 }
 
 impl Fingerprint {
@@ -46,7 +46,6 @@ impl Fingerprint {
             cold,
             latency,
             overhead,
-            stall,
         } = stats.breakdown;
         Self {
             counters: stats.counters,
@@ -58,7 +57,6 @@ impl Fingerprint {
                 cold.to_bits(),
                 latency.to_bits(),
                 overhead.to_bits(),
-                stall.to_bits(),
                 stats.sim_time.to_bits(),
             ],
         }
