@@ -146,7 +146,7 @@ impl ChaosTally {
         let mut spent = 0.0f64;
         while plan.launch_fails(device, site, attempt) {
             attempt += 1;
-            if !RETRY.may_retry(attempt, spent) {
+            if !RETRY.may_retry(attempt) {
                 self.backoff += spent;
                 return Err(device);
             }

@@ -8,7 +8,6 @@ use crate::simt::{GroupCtx, GroupSize};
 use crate::spec::DeviceSpec;
 use crate::timing::{TimeBreakdown, TimingModel};
 use rayon::prelude::*;
-use std::cell::Cell;
 
 /// Options for a kernel launch.
 #[derive(Debug, Clone, Copy, Default)]
@@ -16,7 +15,7 @@ pub struct LaunchOptions {
     /// Bytes of the kernel's hot working set **at modeled scale** — used
     /// for the >2 GB CAS degradation artifact. When experiments run
     /// functionally scaled down, pass the full-scale footprint here.
-    /// `None` means "use the actual footprint is unknown; no degradation".
+    /// `None` means the footprint is unknown: no degradation.
     pub modeled_working_set: Option<u64>,
     /// How groups interleave: the racing pool (default), sequential, or
     /// one of the deterministic stepwise schedules (see
@@ -286,9 +285,11 @@ impl Device {
     /// of at most 1 024 groups is one chunk, which the calling
     /// thread runs itself: it takes the sequential arm, and neither that
     /// arm nor the rest of a launch touches the heap. A larger one runs on
-    /// the rayon shim's persistent workers, against counter stripes the
-    /// launching thread keeps: it allocates nothing but what reading a set
-    /// `RAYON_NUM_THREADS` costs.
+    /// the rayon shim's persistent workers and allocates nothing but what
+    /// reading a set `RAYON_NUM_THREADS` costs. Every arm counts into one
+    /// counter set on the launch's own stack, which each chunk (each
+    /// group, under a stepwise schedule) flushes its accumulator into once
+    /// it is done.
     pub fn launch<F>(
         &self,
         name: &'static str,
@@ -318,6 +319,7 @@ impl Device {
             Some(LaunchSanitizer::new(ds, eff, name, schedule))
         };
         let san = san.as_ref();
+        let sink = KernelCounters::default();
         // Groups `lo..hi` in order against one accumulator of plain
         // cells: a whole sequential launch, or one chunk of the pool's,
         // which other threads' chunks run beside (`concurrent`).
@@ -327,9 +329,9 @@ impl Device {
                 let ctx = GroupCtx::new(&self.mem, &local, gid, group_size, san, concurrent);
                 kernel(&ctx);
             }
-            local
+            local.flush_into(&sink, (hi - lo) as u64);
         };
-        let (snapshot, chain) = match schedule {
+        match schedule {
             Schedule::Pool if num_groups > CHUNK => {
                 // Chunk groups so per-task overhead stays negligible even
                 // for millions of tiny groups (perf-book: amortize
@@ -337,23 +339,14 @@ impl Device {
                 // once — `u64` addition commutes, so totals stay
                 // bit-identical to per-op (and per-group) updates under
                 // every interleaving.
-                striped(|counters| {
-                    let chunks = num_groups.div_ceil(CHUNK);
-                    (0..chunks).into_par_iter().for_each(|chunk| {
-                        let lo = chunk * CHUNK;
-                        let hi = (lo + CHUNK).min(num_groups);
-                        run(lo, hi, true).flush_into(counters);
-                        counters.add_groups((hi - lo) as u64);
-                    });
-                })
+                let chunks = num_groups.div_ceil(CHUNK);
+                (0..chunks).into_par_iter().for_each(|chunk| {
+                    let lo = chunk * CHUNK;
+                    run(lo, (lo + CHUNK).min(num_groups), true);
+                });
             }
-            // the accumulator's totals are the launch's: nothing to
-            // stripe, box or hand to the pool
-            Schedule::Sequential | Schedule::Pool => {
-                let local = run(0, num_groups, false);
-                (local.snapshot(num_groups as u64), local.chain())
-            }
-            stepwise => striped(|counters| {
+            Schedule::Sequential | Schedule::Pool => run(0, num_groups, false),
+            stepwise => {
                 let chunked = !opts.per_op_dispatch;
                 sched::run_stepwise(stepwise, num_groups, chunked, |gid, step, lease| {
                     let local = LocalCounters::new();
@@ -363,12 +356,12 @@ impl Device {
                     kernel(&ctx);
                     let unused = ctx.retire();
                     drop(ctx);
-                    local.flush_into(counters);
-                    counters.add_group();
+                    local.flush_into(&sink, 1);
                     unused
                 });
-            }),
-        };
+            }
+        }
+        let (snapshot, chain) = sink.snapshot();
         if let Some(san) = san {
             san.finish();
         }
@@ -395,29 +388,6 @@ impl Device {
             num_groups: num_groups as u64,
         }
     }
-}
-
-/// Runs `body` against striped counters shared by several workers and
-/// snapshots them, and the deepest chain of waits, once it has joined. The
-/// stripes are the launching thread's, drained and kept for its next
-/// launch: a launch boxes none.
-fn striped(body: impl FnOnce(&KernelCounters)) -> (CounterSnapshot, u64) {
-    thread_local! {
-        /// Zeroed stripes of this thread's last launch. A launch from
-        /// inside a launch finds none and makes its own.
-        static STRIPES: Cell<Option<KernelCounters>> = const { Cell::new(None) };
-    }
-    let counters = STRIPES.take().unwrap_or_default();
-    {
-        // Mark the launch in flight for its whole execution span so a
-        // concurrent `snapshot()` (a torn multi-field read) is rejected
-        // in debug builds.
-        let _in_flight = counters.launch_guard();
-        body(&counters);
-    }
-    let drained = (counters.drain(), counters.drain_chain());
-    STRIPES.set(Some(counters));
-    drained
 }
 
 #[cfg(test)]

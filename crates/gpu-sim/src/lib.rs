@@ -14,7 +14,7 @@
 //!   horizons) is exercised for real.
 //! * **Analytical layer** — every memory access records 32-byte
 //!   transactions, streamed bytes, CAS operations and dependent probe
-//!   steps in [`counters::KernelCounters`]; [`timing::TimingModel`]
+//!   steps in its launch's [`counters::CounterSnapshot`]; [`timing::TimingModel`]
 //!   converts those into simulated seconds using constants calibrated to a
 //!   Tesla P100 ([`spec::DeviceSpec::p100`]), including the paper's
 //!   observed CAS-throughput degradation once a table spans more than
@@ -39,7 +39,7 @@ pub mod simt;
 pub mod spec;
 pub mod timing;
 
-pub use counters::{CounterSnapshot, KernelCounters};
+pub use counters::CounterSnapshot;
 pub use device::{Device, KernelStats, LaunchOptions, LifetimeStats};
 pub use fault::{FaultPlan, RetryPolicy, RETRY};
 pub use mem::{DevSlice, DeviceMemory, OutOfMemory, ScratchGuard};

@@ -8,7 +8,7 @@
 //! loads, CAS, atomics — exactly the places where CUDA groups interact),
 //! and the choice of which group runs next is a pure function of a seed.
 //! Same seed ⇒ bit-identical execution, table contents and
-//! [`crate::KernelCounters`].
+//! [`crate::CounterSnapshot`]s.
 //!
 //! Three families of schedules exist behind [`Schedule`]:
 //!

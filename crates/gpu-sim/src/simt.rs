@@ -114,8 +114,8 @@ pub struct GroupCtx<'a> {
     /// Scheduler-chunk accumulator: counted operations bump plain
     /// `Cell`s here (no atomics at all on the hot path). The launch
     /// driver owns the accumulator, shares it across every group of one
-    /// scheduler chunk, and flushes the totals into a padded per-worker
-    /// stripe of the launch's [`KernelCounters`] once per chunk — `u64`
+    /// scheduler chunk (one group under a stepwise schedule), and flushes
+    /// it into the launch's one counter set when the chunk is done — `u64`
     /// addition commutes, so totals are bit-identical to per-op updates.
     local: &'a LocalCounters,
     group_id: usize,
@@ -772,11 +772,16 @@ fn window_transactions(slice: DevSlice, start: usize, len: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::KernelCounters;
+    use crate::counters::{CounterSnapshot, KernelCounters};
     use crate::mem::DeviceMemory;
 
     fn ctx<'a>(mem: &'a DeviceMemory, local: &'a LocalCounters, g: u32) -> GroupCtx<'a> {
         GroupCtx::new(mem, local, 0, GroupSize::new(g), None, false)
+    }
+
+    /// The totals flushed into `c` so far.
+    fn totals(c: &KernelCounters) -> CounterSnapshot {
+        c.snapshot().0
     }
 
     #[test]
@@ -806,7 +811,7 @@ mod tests {
     #[test]
     fn shared_accessors_bill_like_plain_ones() {
         let mem = DeviceMemory::new(8);
-        let c = KernelCounters::new();
+        let c = KernelCounters::default();
         let l = LocalCounters::new();
         let s = mem.alloc(4).unwrap();
         mem.fill(s, 7);
@@ -814,8 +819,8 @@ mod tests {
         g.write_shared(s, 1, 9);
         assert_eq!(g.read_shared(s, 1), 9);
         drop(g);
-        l.flush_into(&c); // chunk retirement: flush the accumulator
-        let snap = c.snapshot();
+        l.flush_into(&c, 1); // the chunk is done: flush the accumulator
+        let snap = totals(&c);
         assert_eq!(snap.transactions, 2);
         assert_eq!(snap.group_steps, 1); // read pays the round-trip, write doesn't
     }
@@ -870,46 +875,46 @@ mod tests {
     #[test]
     fn window_transaction_counting_aligned() {
         let mem = DeviceMemory::new(64);
-        let c = KernelCounters::new();
+        let c = KernelCounters::default();
         let l = LocalCounters::new();
         let s = mem.alloc(64).unwrap(); // offset 0, aligned
         let g8 = ctx(&mem, &l, 8);
         let _ = g8.read_window(s, 0); // words 0..8 → segments 0,1 → 2 txns
         drop(g8);
-        l.flush_into(&c);
-        assert_eq!(c.snapshot().transactions, 2);
+        l.flush_into(&c, 1);
+        assert_eq!(totals(&c).transactions, 2);
         let g8 = ctx(&mem, &l, 8);
         let _ = g8.read_window(s, 2); // words 2..10 → segments 0,1,2 → 3 txns
         drop(g8);
-        l.flush_into(&c);
-        assert_eq!(c.snapshot().transactions, 5);
+        l.flush_into(&c, 1);
+        assert_eq!(totals(&c).transactions, 5);
     }
 
     #[test]
     fn window_transaction_counting_wrapped() {
         let mem = DeviceMemory::new(64);
-        let c = KernelCounters::new();
+        let c = KernelCounters::default();
         let l = LocalCounters::new();
         let s = mem.alloc(16).unwrap();
         let g4 = ctx(&mem, &l, 4);
         let _ = g4.read_window(s, 14); // 14,15 + 0,1 → 2 segments
         drop(g4);
-        l.flush_into(&c);
-        assert_eq!(c.snapshot().transactions, 2);
+        l.flush_into(&c, 1);
+        assert_eq!(totals(&c).transactions, 2);
     }
 
     #[test]
     fn cas_success_and_failure_paths() {
         let mem = DeviceMemory::new(8);
-        let c = KernelCounters::new();
+        let c = KernelCounters::default();
         let l = LocalCounters::new();
         let s = mem.alloc(4).unwrap();
         let g = ctx(&mem, &l, 1);
         assert!(g.cas(s, 2, 0, 42).is_ok());
         assert_eq!(g.cas(s, 2, 0, 43), Err(42));
         drop(g);
-        l.flush_into(&c);
-        let snap = c.snapshot();
+        l.flush_into(&c, 1);
+        let snap = totals(&c);
         assert_eq!(snap.cas_ops, 2);
         assert_eq!(snap.cas_failed, 1);
         assert_eq!(mem.d2h(s)[2], 42);
@@ -918,7 +923,7 @@ mod tests {
     #[test]
     fn atomic_add_returns_previous() {
         let mem = DeviceMemory::new(4);
-        let c = KernelCounters::new();
+        let c = KernelCounters::default();
         let l = LocalCounters::new();
         let s = mem.alloc(1).unwrap();
         let g = ctx(&mem, &l, 1);
@@ -926,22 +931,22 @@ mod tests {
         assert_eq!(g.atomic_add(s, 0, 7), 5);
         assert_eq!(mem.d2h(s)[0], 12);
         drop(g);
-        l.flush_into(&c);
-        assert_eq!(c.snapshot().atomic_ops, 2);
+        l.flush_into(&c, 1);
+        assert_eq!(totals(&c).atomic_ops, 2);
     }
 
     #[test]
     fn stream_accesses_count_bytes_not_transactions() {
         let mem = DeviceMemory::new(8);
-        let c = KernelCounters::new();
+        let c = KernelCounters::default();
         let l = LocalCounters::new();
         let s = mem.alloc(8).unwrap();
         let g = ctx(&mem, &l, 4);
         let _ = g.read_stream(s, 0);
         g.write_stream(s, 1, 9);
         drop(g);
-        l.flush_into(&c);
-        let snap = c.snapshot();
+        l.flush_into(&c, 1);
+        let snap = totals(&c);
         assert_eq!(snap.stream_bytes, 16);
         assert_eq!(snap.transactions, 0);
         assert_eq!(snap.group_steps, 0);
@@ -949,12 +954,12 @@ mod tests {
 
     /// Stores `halves` from one warp and returns the transactions billed.
     fn half_store_transactions(mem: &DeviceMemory, s: DevSlice, halves: &[(usize, u32)]) -> u64 {
-        let (c, l) = (KernelCounters::new(), LocalCounters::new());
+        let (c, l) = (KernelCounters::default(), LocalCounters::new());
         let g = ctx(mem, &l, 32);
         g.write_halves(s, halves);
         drop(g);
-        l.flush_into(&c);
-        let snap = c.snapshot();
+        l.flush_into(&c, 1);
+        let snap = totals(&c);
         assert_eq!((snap.group_steps, snap.stream_bytes), (0, 0));
         snap.transactions
     }

@@ -89,7 +89,6 @@ pub(crate) fn transfer_with_retry(
     backoff: &mut f64,
 ) -> Result<f64, TransferError> {
     let mut elapsed = 0.0;
-    let mut spent_backoff = 0.0;
     let mut attempt: u32 = 0;
     loop {
         if !plan.transfer_drops(src, dst, site, attempt) {
@@ -98,7 +97,7 @@ pub(crate) fn transfer_with_retry(
         // the attempt ran (and dropped): its time is wasted on the link
         elapsed += t_once;
         attempt += 1;
-        if !RETRY.may_retry(attempt, spent_backoff) {
+        if !RETRY.may_retry(attempt) {
             return Err(TransferError {
                 src,
                 dst,
@@ -106,9 +105,7 @@ pub(crate) fn transfer_with_retry(
             });
         }
         *retries += 1;
-        let b = RETRY.backoff_before(attempt);
-        spent_backoff += b;
-        *backoff += b;
+        *backoff += RETRY.backoff_before(attempt);
     }
 }
 

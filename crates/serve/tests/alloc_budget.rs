@@ -524,14 +524,45 @@ fn a_pool_launch_allocates_nothing_after_warm_up() {
     let dev = Device::with_words(0, 1 << 10);
     let opts = LaunchOptions::default().with_schedule(Schedule::Pool);
     let launch = || dev.launch("noop", 4096, GroupSize::WARP, opts, |_| {});
-    launch(); // spawns the pool's worker and the thread's counter stripes
+    launch(); // spawns the pool's worker
     let (read, _) = allocations(|| std::env::var("RAYON_NUM_THREADS"));
     let (allocs, stats) = allocations(launch);
     assert_eq!(stats.counters.groups, 4096);
     assert_eq!(
         allocs, read,
-        "a 4 096-group pool launch allocated past reading RAYON_NUM_THREADS: the counter \
-         stripes (gpu-sim device.rs `striped`) or the pool (shims/rayon `run`) regressed"
+        "a 4 096-group pool launch allocated past reading RAYON_NUM_THREADS: the launch's \
+         counter set (gpu-sim device.rs, one `KernelCounters` on the launch's stack) or the \
+         pool (shims/rayon `run`) regressed"
+    );
+}
+
+/// The pool is warm, the thread is not: a launch keeps no counters on the
+/// thread that makes it, so its first launch costs what every later one
+/// does.
+#[test]
+fn a_new_threads_first_pool_launch_allocates_nothing() {
+    if !default_environment() {
+        return;
+    }
+    two_workers();
+    let dev = Device::with_words(0, 1 << 10);
+    let opts = LaunchOptions::default().with_schedule(Schedule::Pool);
+    let launch = || dev.launch("noop", 4096, GroupSize::WARP, opts, |_| {});
+    launch(); // spawns the pool's worker
+    let (allocs, read, stats) = std::thread::scope(|scope| {
+        let fresh = scope.spawn(|| {
+            let (allocs, stats) = allocations(launch);
+            let (read, _) = allocations(|| std::env::var("RAYON_NUM_THREADS"));
+            (allocs, read, stats)
+        });
+        fresh.join().expect("fresh thread")
+    });
+    assert_eq!(stats.counters.groups, 4096);
+    assert_eq!(
+        allocs, read,
+        "the first 4 096-group pool launch of a new thread allocated past reading \
+         RAYON_NUM_THREADS: the launch's counter set went back to living on the thread \
+         (gpu-sim device.rs) or the pool (shims/rayon `run`) regressed"
     );
 }
 

@@ -677,8 +677,8 @@ mod tests {
         assert!(calls.windows(2).all(|pair| pair[0] == pair[1]));
     }
 
-    /// The bounds the scoped-thread shim cut, pinned: the counter
-    /// stripes and every test that sweeps worker counts rely on them.
+    /// The bounds the scoped-thread shim cut, pinned: every test that
+    /// sweeps worker counts relies on them.
     #[test]
     fn chunk_bounds_keep_the_scoped_thread_formula() {
         let scoped = |len: usize, min_len: usize, threads: usize| -> Vec<(usize, usize)> {

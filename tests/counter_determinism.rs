@@ -1,11 +1,11 @@
 //! Counter/billing determinism across host worker counts.
 //!
-//! The striped counter cells and the chunked accumulator flush must never
-//! let the *host* parallelism leak into modeled results: on a fixed seed,
-//! the `CounterSnapshot`s and every modeled stage time have to be
+//! A launch's one counter set and the chunked accumulator flush must
+//! never let the *host* parallelism leak into modeled results: on a fixed
+//! seed, the `CounterSnapshot`s and every modeled stage time have to be
 //! bit-equal whether the launch ran on 1, 2, or 8 workers. `u64` counter
 //! addition commutes, so any divergence is a real bug (a lost flush, a
-//! stripe torn mid-snapshot, a schedule-dependent code path). A launch of
+//! flush read in part, a schedule-dependent code path). A launch of
 //! at most 1 024 groups never reaches the pool: it runs on the caller,
 //! under `Pool` exactly as under `Sequential`.
 //!
@@ -161,8 +161,8 @@ fn assert_equal_at_every_worker_count<T: PartialEq + std::fmt::Debug>(
 fn modeled_results_are_bit_equal_across_worker_counts() {
     // Deterministic schedules: totals must not depend on the worker count
     // at all. Sequential never touches the pool; Seeded runs its own
-    // bounded wave — but both flush through the same striped cells, and a
-    // worker-count-dependent stripe assignment must never change a total.
+    // bounded wave — but both flush into the launch's one counter set, and
+    // the order the flushes land in must never change a total.
     // The Pool schedule with >1 worker genuinely races on table slots
     // (CAS outcomes may differ), so only its *read-only* retrieve pass —
     // which exercises the chunked flush across real pool workers — is
