@@ -519,6 +519,7 @@ pub fn sharding(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
          recover the monolithic degradation at 4 and 8 GiB (1.16x / 1.28x); \
          at 16 GiB each 4 GiB partition degrades again (0.99x) — more \
          partitions would be needed, the scaling the paper predicts. Retrieval pays a return trip (transposition back + \
-         result scatter, 0.13 ns per element) the monolithic map does not."
+         the scatter warps of its node launch, which wait for the targets to re-read and \
+         send their answers, 0.15 ns per element) the monolithic map does not."
     )
 }

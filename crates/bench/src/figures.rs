@@ -245,7 +245,12 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
          device rates a hair below the two-launch split's (5.22 / 5.31 G/s \
          unique at 2^28): at scale the look-back's chain of waits, a memory \
          round-trip a window of 32 runs, and its windows of descriptors cost \
-         more than the count launch they save; \
+         more than the count launch they save; device retrieve 5.05 G/s, \
+         its kernel and scatter one node launch a GPU: the launch it saves \
+         does not show at scale, while each target re-reads its answers to \
+         send them home (8 B a key streamed) and each scatter warp polls the \
+         flags of its targets, so Query and Scatter bind 4 % more than as \
+         two launches (5.17 G/s); \
          host insert ~2.5-2.7 G/s (84% PCIe), host retrieve ~2 G/s (55%) in \
          the paper, which moves an 8-byte word per key each way. Here a key \
          goes up as its 4 bytes (the device writes the index) and comes back \

@@ -11,13 +11,13 @@
 //! [`crate::get_put::Mix`] cuts a call into them. A segment's path
 //! through the round, `n` the answered and `e` the erased keys of a GPU:
 //!
-//! | segment, section | upload (host-sided) | NVLink there | return trip | D2H (host-sided) | scatter kernel (per warp) |
-//! |------------------|---------------------|--------------|-------------|------------------|---------------------------|
-//! | gets: keys read alone | 4 B / key | 8 B / query word | 8 B / key | `4n + ⌈n/8⌉` B for gets, takes and upserts together | [`result_scatter`]: 32·(8+8) B streamed, the sectors its values touch, an `atomicOr` per found-bit word |
+//! | segment, section | upload (host-sided) | NVLink there | return trip | D2H (host-sided) | scatter warps (node launch, per warp) |
+//! |------------------|---------------------|--------------|-------------|------------------|--------------------------------------|
+//! | gets: keys read alone | 4 B / key | 8 B / query word | 8 B / key | `4n + ⌈n/8⌉` B for gets, takes and upserts together | [`Scatter`]: a poll of each answering target's flag, 32·(8+8) B streamed, the sectors its values touch, an `atomicOr` per found-bit word |
 //! | takes: keys read and erased | 4 B / key | 8 B / query word | 8 B / key | (with the gets) | as a get's; its found bit is the erase's hit |
 //! | upserts: keys read and put | 8 B / pair | 8 B / pair | 8 B / pair | (with the gets) | as a get's, its position read beside its pair |
 //! | puts: keys put alone | 8 B / pair | 8 B / pair | none | none | — |
-//! | erases: keys erased alone | 4 B / key | 8 B / query word | 1 B / key | `⌈e/8⌉` B | [`result_scatter`]: 32·(8+8) B streamed, an `atomicOr` per found-bit word |
+//! | erases: keys erased alone | 4 B / key | 8 B / query word | 1 B / key | `⌈e/8⌉` B | [`Scatter`]: as a get's, without values |
 //!
 //! A get's, a take's or an upsert's answer travels back as the 8-byte
 //! pair (or `EMPTY`) its target found before the launch, to beside the
@@ -40,57 +40,73 @@
 //! the paper's `m` passes, because a small round pays for launches, §V-B),
 //! one all-to-all billed on the summed byte matrix — while each is split
 //! and transposed on its own, so a target receives segment after segment,
-//! each in source order: the input of **one** launch of the kernel, its
+//! each in source order: the input of **one** run of the kernel, its
 //! sections the segments' lengths (distinct keys race freely, §IV-A; a
 //! key both read and written is one group, which reads first; an erase
 //! restores its SOA sentinel before its tombstone shows, [`crate::slots`]).
-//! A healthy round is thus three sequential launches a GPU — split,
-//! kernel, scatter — and its report counts the launches it made, summed
-//! over the GPUs. Every launch takes the map's schedule, so under
-//! `Schedule::Sequential` a class reaches its kernel in input order
+//!
+//! Every GPU's kernel and every GPU's scatter are **one node launch**
+//! (`gpu_sim::launch_node`), `[kernel of every GPU | scatter of every
+//! GPU]`, with no global barrier between the two: a kernel group publishes
+//! its answer as its own flag, the last group of each source's run of a
+//! segment waits for the run's answers and stores them into that source's
+//! landing, one slice, then publishes a flag there, and a scatter warp
+//! waits for the flags of the targets its answers came from. A healthy
+//! round is thus two sequential launches a GPU — the split, and the node
+//! launch — and its report counts the launches it made, summed over the
+//! GPUs. The kernels' row pays the node launch's overhead; the scatter's
+//! row bills its warps net of it and, as its fixed part, the chain of two
+//! waits that ends in them. Every launch takes the map's schedule, so
+//! under `Schedule::Sequential` a class reaches its kernel in input order
 //! whatever the worker count.
 //!
-//! Words move between GPUs device to device
-//! ([`gpu_sim::DeviceMemory::peer_copy`]): the all-to-all copies each
-//! chunk from its source's split buffer into its target's, and an answer
-//! from beside its target's words to where it lands on its origin. The
-//! host reads only what it hands out — the values and found bits that
-//! come down — and a healthy round keeps its bookkeeping in arrays of
-//! fixed capacity, so it allocates nothing on the host.
+//! Words move between GPUs device to device: the all-to-all copies each
+//! chunk from its source's split buffer into its target's
+//! ([`gpu_sim::DeviceMemory::peer_copy`]), and the node launch's stores
+//! ([`gpu_sim::GroupCtx::store_peer`]) carry the answers back, counted on
+//! the links the transposition back bills. The host reads only what it
+//! hands out — the values and found bits that come down — and a healthy
+//! round keeps its bookkeeping in arrays of fixed capacity, so it
+//! allocates nothing on the host.
 //!
 //! Fault handling is woven through once. [`DistributedHashMap::with_failover`]
 //! runs a step (a device round here, a PCIe phase in [`crate::host_ops`])
 //! under a snapshot of the fault plan and quarantine mask, books what its
 //! retries cost, and on a lost device quarantines it and runs the step
 //! again — at most `m + 1` times, since every failed run removes a GPU.
-//! Re-running is safe because table mutations come last in a round and
-//! are idempotent: duplicate inserts update in place, tombstoning a
-//! tombstone is a no-op, queries are pure. Answers of targets that
-//! completed before a round aborted stand: an aborted round hands out
-//! every answer that had landed on its origin, read back from there, and
-//! bills no return trip. An erased key is a hit even though the restarted
-//! round no longer sees it (its caller ORs the hits of every round), and a
-//! key the mixed round read keeps its first answer — the re-run would
-//! upsert again and read what the aborted round already wrote.
+//! Every GPU's launch is gated before the node launch, so a gate that
+//! gives up aborts the round before any table is touched. Re-running is
+//! safe because table mutations come last in a round and are idempotent:
+//! duplicate inserts update in place, tombstoning a tombstone is a no-op,
+//! queries are pure. Once the node launch ran, its answers stand: a round
+//! that aborts after it — the transposition back gives up — hands out
+//! every answer and bills no return trip. An erased key is a hit even
+//! though the restarted round no longer sees it (its caller ORs the hits
+//! of every round), and a key the mixed round read keeps its first answer
+//! — the re-run would upsert again and read what the aborted round
+//! already wrote.
 
 use crate::chaos::{launch_site, straggled, ChaosTally, Router};
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
-use crate::entry::{key_of, value_of, EMPTY};
-use crate::get_put::Sections;
+use crate::entry::{key_of, value_of, EMPTY, TOMBSTONE};
+use crate::get_put::{Probe, Sections};
 use crate::service::{Applied, OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse};
 use crate::stats::CascadeStage;
 use crate::table::check_keys;
 use gpu_sim::{
-    DevSlice, Device, FaultPlan, GroupCtx, GroupSize, KernelStats, LaunchOptions, ScratchGuard,
+    launch_node, DevSlice, Device, FaultPlan, GroupCtx, GroupSize, LaunchOptions, NodeStats,
+    ScratchGuard, Section,
 };
 use interconnect::{alltoall_time_faulted, Topology};
 use multisplit::{
     device_multisplit_segments, scratch_words, Segment, SegmentedSplit, MAX_CLASSES, MAX_SEGMENTS,
 };
 
-// a node's partitions are the classes of its multisplit
+// a node's partitions are the classes of its multisplit and the members of
+// its node launch
 const _: () = assert!(MAX_PARTITIONS <= MAX_CLASSES);
+const _: () = assert!(MAX_PARTITIONS <= gpu_sim::node::MAX_MEMBERS);
 
 /// A round's segments, the kernel's sections in grid order, and so the
 /// order a target GPU's words lie in: keys read alone, keys read and
@@ -190,10 +206,10 @@ impl CascadeOp {
     }
 
     /// The launches a GPU that holds words of every segment makes in one
-    /// round: the split and the kernel, and the return trip's scatter if
-    /// there is one.
+    /// round: the split, and the node launch of its kernel and, if the
+    /// round answers, the return trip's scatter.
     pub(crate) fn launches(&self) -> usize {
-        2 + usize::from(self.back())
+        2
     }
 }
 
@@ -206,11 +222,23 @@ pub(crate) fn down_bytes(n: usize, e: usize) -> u64 {
     4 * n as u64 + n.div_ceil(8) as u64 + e.div_ceil(8) as u64
 }
 
-/// What [`result_scatter`] leaves for `n` answered values and `e` erases:
+/// What a [`Scatter`] leaves for `n` answered values and `e` erases:
 /// value words, two values to a word, then the values' found-bit words and
 /// the erases', 64 bits to a word.
 fn result_words(n: usize, e: usize) -> [usize; 3] {
     [n.div_ceil(2), n.div_ceil(64), e.div_ceil(64)]
+}
+
+/// What a target's answer word holds until its group publishes it: no
+/// answer is a tombstone.
+const PENDING: u64 = TOMBSTONE;
+
+/// A round's node launch: what it billed, its sections, and the kernel's
+/// groups of each target, whose counts the round reads off.
+struct NodeRun<'a, H> {
+    stats: NodeStats,
+    sections: [Section; 2 * MAX_PARTITIONS],
+    probes: [Option<Probe<'a, H>>; MAX_PARTITIONS],
 }
 
 /// Why a step stopped early.
@@ -327,8 +355,11 @@ struct Sent {
     landing: [DevSlice; SEGMENTS],
     /// Per word of the upserts' output, its position among them.
     positions: DevSlice,
-    /// What [`result_scatter`] writes ([`result_words`]).
+    /// What its scatter writes ([`result_words`]).
     results: DevSlice,
+    /// Per segment that answers and target, in [`ANSWERED`] order, the
+    /// flag that target publishes once its answers have landed.
+    flags: DevSlice,
     /// The bytes its split's launches streamed.
     stream_bytes: u64,
 }
@@ -426,56 +457,98 @@ struct Respread {
     origins: [Origins; SEGMENTS],
 }
 
-/// The return trip's scatter on an origin GPU `sent`: warp `w` of a
-/// segment that answers reads the position tags of words `32w..` of its
-/// split and the answers that landed beside them; a warp of gets, takes
-/// or upserts writes each hit's value into the half of the value words
-/// its position names — behind the values of the segments before it — and
-/// every warp sets its hits' found bits, the erases' in a bitmap of their
-/// own, with one warp-aggregated `atomicOr` per found-bit word it touches
-/// ([`result_words`]). A miss stores nothing, and the found bits start
-/// cleared. The warps come segment by segment, in [`ANSWERED`] order.
-/// Mutation doubles: `Mutation::AnswerHalvesSwapped` and
-/// `Mutation::EraseHitInWrongBit`.
-fn result_scatter(
-    dev: &Device,
-    sent: &Sent,
-    opts: LaunchOptions,
-    mutation: Option<Mutation>,
-) -> KernelStats {
+/// The return trip's scatter on an origin GPU `sent`, warps of a node
+/// launch: warp `w` of a segment that answers waits for the flags of the
+/// targets its 32 answers came from, then reads the position tags of
+/// words `32w..` of its split and the answers that landed beside them; a
+/// warp of gets, takes or upserts writes each hit's value into the half
+/// of the value words its position names — behind the values of the
+/// segments before it — and every warp sets its hits' found bits, the
+/// erases' in a bitmap of their own, with one warp-aggregated `atomicOr`
+/// per found-bit word it touches ([`result_words`]). A miss stores
+/// nothing, and the found bits start cleared. The warps come segment by
+/// segment, in [`ANSWERED`] order. Mutation doubles:
+/// `Mutation::AnswerHalvesSwapped`, `Mutation::EraseHitInWrongBit` and
+/// `Mutation::ScatterReadsBeforeFlag`.
+struct Scatter<'s> {
+    sent: &'s Sent,
+    /// Words of each segment that answers, in [`ANSWERED`] order, and the
+    /// warps over them.
+    lens: [usize; 4],
+    warps: [usize; 4],
+    values: DevSlice,
+    found: [DevSlice; 2],
+}
+
+impl<'s> Scatter<'s> {
     const G: usize = 32;
-    let lens = sent.answered();
-    let n = lens[..VALUED].iter().sum();
-    let [value_words, read_bits, erase_bits] = result_words(n, lens[VALUED]);
-    let values = sent.results.sub(0, value_words);
-    let found = [
-        sent.results.sub(value_words, read_bits),
-        sent.results.sub(value_words + read_bits, erase_bits),
-    ];
-    dev.mem().fill(sent.results.sub(value_words, read_bits + erase_bits), 0);
-    let swapped = mutation == Some(Mutation::AnswerHalvesSwapped);
-    let wrong_bit = mutation == Some(Mutation::EraseHitInWrongBit);
-    let warps = lens.map(|len| len.div_ceil(G));
-    dev.launch("result_scatter", warps.iter().sum(), GroupSize::WARP, opts, |ctx| {
+
+    /// The scatter of `sent`, its found bits cleared.
+    fn new(dev: &Device, sent: &'s Sent) -> Self {
+        let lens = sent.answered();
+        let n = lens[..VALUED].iter().sum();
+        let [value_words, read_bits, erase_bits] = result_words(n, lens[VALUED]);
+        dev.mem().fill(sent.results.sub(value_words, read_bits + erase_bits), 0);
+        Self {
+            sent,
+            lens,
+            warps: lens.map(|len| len.div_ceil(Self::G)),
+            values: sent.results.sub(0, value_words),
+            found: [
+                sent.results.sub(value_words, read_bits),
+                sent.results.sub(value_words + read_bits, erase_bits),
+            ],
+        }
+    }
+
+    /// Warps of the scatter.
+    fn groups(&self) -> usize {
+        self.warps.iter().sum()
+    }
+
+    /// Warp `w` of the scatter on a node of `m` GPUs.
+    fn warp(&self, ctx: &GroupCtx, mut w: usize, m: usize, mutation: Option<Mutation>) {
+        const G: usize = Scatter::G;
         // the segment this warp's id falls into, and its warp within
-        let (mut k, mut w) = (0, ctx.group_id());
-        while w >= warps[k] {
-            w -= warps[k];
+        let mut k = 0;
+        while w >= self.warps[k] {
+            w -= self.warps[k];
             k += 1;
         }
-        let (s, erase) = (ANSWERED[k], k == VALUED);
+        let (s, erase, sent) = (ANSWERED[k], k == VALUED, self.sent);
         let (tags, answers) = (sent.tags(s), sent.landing[s]);
         // where the segment's answers start among the values or the hits
-        let base: usize = if erase { 0 } else { lens[..k].iter().sum() };
+        let base: usize = if erase { 0 } else { self.lens[..k].iter().sum() };
         let first = w * G;
+        let lanes = (answers.len() - first).min(G);
+        // the targets that answered words `first..first + lanes` have stored
+        // them here: each published its flag after its store (depth 2: the
+        // target published after waiting for its answers)
+        let landed = || {
+            for j in 0..m {
+                let (at, n) = sent.at(s, j);
+                if n > 0 && at < first + lanes && first < at + n {
+                    ctx.poll(sent.flags, k * m + j, &mut [0], 2, |flag| flag[0] != 0);
+                }
+            }
+        };
+        // BROKEN if set (mutation double): read before the flags say so
+        let early = mutation == Some(Mutation::ScatterReadsBeforeFlag);
+        if !early {
+            landed();
+        }
         let (mut slot, mut pair) = ([0usize; G], [EMPTY; G]);
-        for r in 0..(answers.len() - first).min(G) {
+        for r in 0..lanes {
             // the position the split tagged, and what the target found
             slot[r] = base + value_of(ctx.read_stream(tags, first + r)) as usize;
             pair[r] = ctx.read_stream(answers, first + r);
         }
+        if early {
+            landed();
+        }
         let hits = ctx.ballot(|r| pair[r as usize] != EMPTY);
         if !erase {
+            let swapped = mutation == Some(Mutation::AnswerHalvesSwapped);
             let mut halves = [(0, 0); G];
             let mut stores = 0;
             for r in (0..G).filter(|&r| hits & (1 << r) != 0) {
@@ -483,13 +556,13 @@ fn result_scatter(
                 halves[stores] = (slot[r] ^ usize::from(swapped), value_of(pair[r]));
                 stores += 1;
             }
-            ctx.write_halves(values, &halves[..stores]);
-        } else if wrong_bit {
+            ctx.write_halves(self.values, &halves[..stores]);
+        } else if mutation == Some(Mutation::EraseHitInWrongBit) {
             // BROKEN (mutation double): the neighbouring position's bit
             slot.iter_mut().for_each(|slot| *slot ^= 1);
         }
         // the leader of each found-bit word ORs in the bits of its lanes
-        let found = found[usize::from(erase)];
+        let found = self.found[usize::from(erase)];
         let mut pending = hits;
         while let Some(leader) = GroupCtx::ffs(pending) {
             let word = slot[leader as usize] / 64;
@@ -501,7 +574,7 @@ fn result_scatter(
             ctx.atomic_or(found, word, bits);
             pending &= !lanes;
         }
-    })
+    }
 }
 
 fn new_report<T>(per_gpu: &[Vec<T>]) -> OpReport {
@@ -546,20 +619,21 @@ impl DistributedHashMap {
     /// on its GPU), appending its stages to `report` and what its kernels
     /// placed and tombstoned, summed over targets and rounds, to `placed`.
     ///
-    /// Each target GPU runs one launch of the kernel over the words it
-    /// received — segment after segment, the kernel's sections — and
-    /// leaves on the same GPU an answer per get, take and upsert (the
-    /// packed pair found or `EMPTY`) and a hit flag per erase.
-    /// `answer(s, (g, i), found)` receives the answer to key `i` of the
-    /// caller's GPU `g` in segment `s` once the round's scatter is done,
+    /// Each target GPU runs the kernel over the words it received —
+    /// segment after segment, the kernel's sections — as its section of
+    /// the round's node launch, answering per get, take and upsert (the
+    /// packed pair found or `EMPTY`) and per erase (a hit flag) into the
+    /// landing of the key's origin, whose scatter warps run in the same
+    /// launch. `answer(s, (g, i), found)` receives the answer to key `i`
+    /// of the caller's GPU `g` in segment `s` once the launch is done,
     /// from the value and found bit that came down: the value the key held
     /// before the launch, if any — of an erase, whether it held one. Words
     /// move between GPUs device to device; the host reads only what it
     /// hands out. Under an armed plan rounds run more than once: input
     /// addressed to quarantined GPUs re-spreads over the survivors with its
     /// origin tracked, wasted attempts stay billed, and the counts and
-    /// `answer` see every completed target of every round — an aborted
-    /// round hands out the answers that had landed on their origins.
+    /// `answer` see every node launch of every round — a round that
+    /// aborts after its launch hands out the answers it made.
     ///
     /// # Errors
     /// Probing exhaustion aggregated over the GPUs; a kernel's other
@@ -641,105 +715,89 @@ impl DistributedHashMap {
         let words = |i, j| (0..SEGMENTS).map(|s| split.bytes(i, j, s, 8)).sum::<u64>();
         let transpose = alltoall(&words, tally)?;
         let landed = self.transpose_move(&mut split).map_err(Abort::Fatal)?;
-        let landed = landed.iter().map_while(Option::as_ref);
         report.push(CascadeStage::Transpose, transpose.time, transpose.bytes, 0.0);
 
-        // bit `j`: target `j`'s answers have landed on their origins
-        let mut done = 0u64;
-        // the rest of the round: where it aborts, what landed still stands
-        let res = (|| {
-            // Phase 3: the local kernels (global barrier → the busiest device)
-            let mut kernels = Phase::new(self.topology());
-            let mut failed = 0u64;
-            for (j, landed) in landed.enumerate() {
-                if landed.words.is_empty() {
-                    continue;
+        // Phases 3-5: every GPU's kernel and scatter, one node launch. Every
+        // launch is gated first, so a gate that gives up aborts the round
+        // before any table is touched.
+        let m = self.num_gpus();
+        let targets = || (0..m).filter(|&j| landed[j].is_some_and(|l| !l.words.is_empty()));
+        for j in targets() {
+            let retried = tally.launch_retries;
+            let gate = tally.gate_launch(plan, j, op.site());
+            if mutation == Some(Mutation::DoubleApplyOnRetry)
+                && op.site() == launch_site::INSERT
+                && tally.launch_retries > retried
+            {
+                // BROKEN (mutation double): premature failover without the
+                // idempotence guard — the sub-batch is applied to its
+                // failover targets although the primary is still being
+                // retried (and will succeed), duplicating keys.
+                if let (Some(failover), Some(landed)) = (router.also_masking(j), landed[j]) {
+                    let words = self.device(j).mem().d2h_words(landed.words);
+                    let pairs = words.map(|w| (key_of(w), value_of(w)));
+                    let _ = self.insert_routed(&failover, pairs);
                 }
-                let mem = self.device(j).mem();
-                let sections = landed.sections();
-                // an erase's flag: EMPTY, then 0 where `hit` tombstoned
-                let answered = sections.answered();
-                mem.fill(landed.answers.sub(answered, sections.erases), EMPTY);
-                let hit = |i| mem.fill(landed.answers.sub(answered + i, 1), 0);
-                let retried = tally.launch_retries;
-                let gate = tally.gate_launch(plan, j, op.site());
-                if mutation == Some(Mutation::DoubleApplyOnRetry)
-                    && op.site() == launch_site::INSERT
-                    && tally.launch_retries > retried
-                {
-                    // BROKEN (mutation double): premature failover without
-                    // the idempotence guard — the sub-batch is applied to
-                    // its failover targets although the primary is still
-                    // being retried (and will succeed), duplicating keys.
-                    if let Some(failover) = router.also_masking(j) {
-                        let words = mem.d2h_words(landed.words);
-                        let pairs = words.map(|w| (key_of(w), value_of(w)));
-                        let _ = self.insert_routed(&failover, pairs);
-                    }
-                }
-                gate.map_err(Abort::Lost)?;
-                report.launches += 1;
-                let ran = self.maps()[j].launch(sections, landed.words, landed.answers, hit);
-                let Some((outcome, erased)) = unless_exhausted(ran, &mut failed)? else {
-                    continue;
-                };
-                placed.note(&outcome, erased);
-                kernels.add(j, straggled(plan, j, outcome.stats.sim_time), oh);
-                if op.back() {
-                    // the NVLink leg, billed as TransposeBack
-                    for s in ANSWERED {
-                        let answers_at = landed.answers_at(s);
-                        for (i, at, from, n) in split.by_source(j, s) {
-                            let answers = landed.answers.sub(answers_at + from, n);
-                            let sent = split.sent[i].as_ref().expect("every GPU of the node split");
-                            let landing = sent.landing[s].sub(at, n);
-                            mem.peer_copy(answers, self.device(i).mem(), landing);
-                        }
-                    }
-                }
-                done |= 1 << j;
             }
-            // a kernel row bills at least one launch's overhead
-            let push = |report: &mut OpReport, stage, phase: &Phase| {
-                let (time, overhead) = phase.max();
-                report.push(stage, time, 0, overhead.max(oh));
-            };
-            // an insertion's row is `Insert`, a round that answers `Query`
-            let stage = if op.back() { CascadeStage::Query } else { CascadeStage::Insert };
-            push(report, stage, &kernels);
-            if failed > 0 {
-                return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
-            }
-
-            // Phases 4+5: the return trip, of the segments that answer
-            if !op.back() {
-                return Ok(());
-            }
-            // the transposed cells: target `j`'s answers travel to source `i`
-            let back = |j, i| {
-                let bytes = ANSWERED.iter().zip(BACK_BYTES);
-                bytes.map(|(&s, per)| split.bytes(i, j, s, per)).sum::<u64>()
-            };
-            let transpose = alltoall(&back, tally)?;
-            report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
-            let mut scatters = Phase::new(self.topology());
-            for (i, sent) in split.sent().enumerate() {
-                if sent.answered().iter().all(|&n| n == 0) {
-                    continue;
-                }
-                let stats = result_scatter(self.device(i), sent, opts, mutation);
-                report.launches += 1;
-                scatters.add(i, straggled(plan, i, stats.sim_time), oh);
-            }
-            push(report, CascadeStage::Scatter, &scatters);
-            Ok(())
-        })();
-        if !op.back() {
-            return res;
+            gate.map_err(Abort::Lost)?;
         }
-        if res.is_ok() {
+        let mut ran = self.node_launch(&split, &landed, opts);
+        let kernels = &ran.sections[..m];
+        let mut failed = 0u64;
+        let mut phase = Phase::new(self.topology());
+        for (j, (map, kernel)) in self.maps().iter().zip(kernels).enumerate() {
+            let Some(probe) = ran.probes[j].take() else {
+                continue;
+            };
+            let stats = *ran.stats.section(j);
+            let finished = unless_exhausted(map.finish(probe, stats), &mut failed)?;
+            if let Some((outcome, erased)) = finished {
+                placed.note(&outcome, erased);
+            }
+            if kernel.groups > 0 {
+                phase.add(j, straggled(plan, j, stats.sim_time), oh);
+            }
+        }
+        report.launches += (0..m).filter(|&j| ran.stats.launched(j)).count() as u64;
+        // the kernels' row bills the launch's one overhead: an insertion's
+        // row is `Insert`, a round that answers `Query`
+        let stage = if op.back() { CascadeStage::Query } else { CascadeStage::Insert };
+        let (time, overhead) = phase.max();
+        report.push(stage, time, 0, overhead.max(oh));
+        let back = if op.back() {
+            // the transposed cells: target `j`'s answers travel to source `i`
+            let edges = |j: usize, i: usize| if i == j { 0 } else { ran.stats.edge_bytes(j, i) };
+            if mutation != Some(Mutation::AnswerSliceToWrongOrigin) {
+                let expected = |j, i| {
+                    let bytes = ANSWERED.iter().zip(BACK_BYTES);
+                    bytes.map(|(&s, per)| split.bytes(i, j, s, per)).sum::<u64>()
+                };
+                debug_assert!(
+                    (0..m).all(|j| (0..m).all(|i| edges(j, i) == expected(j, i))),
+                    "the answers' stores cross the links the transposition back bills"
+                );
+            }
+            let transpose = alltoall(&edges, tally);
+            if let Ok(transpose) = &transpose {
+                report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
+                // the scatters, net of the launch's overhead, which the
+                // kernels' row bills, and the chain of waits that ends in
+                // them: two round-trips whatever the size, the row's fixed
+                // part
+                let mut phase = Phase::new(self.topology());
+                for i in (0..m).filter(|&i| ran.stats.launched(i)) {
+                    let scatter = ran.stats.section(m + i);
+                    let net = self.device(i).spec().net_of_launches(scatter.sim_time, 1);
+                    let net = if scatter.num_groups == 0 { 0.0 } else { net };
+                    let chain = ran.stats.chain_latency(i);
+                    phase.add(i, straggled(plan, i, net + chain), chain);
+                }
+                let (time, chain) = phase.max();
+                report.push(CascadeStage::Scatter, time, 0, chain);
+            }
             // what comes down: a value per get, take and upsert, two to a
-            // word, then their found bits and the erases'
+            // word, then their found bits and the erases' — the answers
+            // landed, whatever aborts the round after the launch
             for (i, sent) in split.sent().enumerate() {
                 let mem = self.device(i).mem();
                 let lens = sent.answered();
@@ -762,23 +820,123 @@ impl DistributedHashMap {
                     answer(ERASES, origin_of(ERASES, i, slot), hit.then_some(0));
                 }
             }
+            transpose.map(|_| ())
         } else {
-            // the answers that landed before the round aborted stand
-            for j in (0..MAX_PARTITIONS).filter(|&j| done & (1 << j) != 0) {
-                for s in ANSWERED {
-                    for (i, at, _, n) in split.by_source(j, s) {
-                        let sent = split.sent[i].as_ref().expect("every GPU of the node split");
-                        let mem = self.device(i).mem();
-                        let tags = mem.d2h_words(sent.tags(s).sub(at, n));
-                        for (tag, a) in tags.zip(mem.d2h_words(sent.landing[s].sub(at, n))) {
-                            let slot = value_of(tag) as usize;
-                            answer(s, origin_of(s, i, slot), (a != EMPTY).then(|| value_of(a)));
-                        }
+            Ok(())
+        };
+        if failed > 0 {
+            return Err(Abort::Fatal(OpError::ProbingExhausted { failed }));
+        }
+        back
+    }
+
+    /// Runs every target's kernel over what `landed` holds and every
+    /// origin's scatter of what comes back as one node launch
+    /// (`gpu_sim::launch_node`): a section of the kernel per GPU, then a
+    /// section of scatter warps per GPU. A target's groups answer into its
+    /// `Landed::answers` (pending until each publishes its own); the last
+    /// group of each source's run of a segment waits for the run's answers
+    /// and stores them, one slice, into that source's `Sent::landing`,
+    /// then publishes the flag the source's scatter warps wait for.
+    fn node_launch<'s>(
+        &'s self,
+        split: &'s SplitPhase<'s>,
+        landed: &'s [Option<Landed>; MAX_PARTITIONS],
+        opts: LaunchOptions,
+    ) -> NodeRun<'s, impl Fn(&GroupCtx, usize, bool) + Sync + 's> {
+        let m = self.num_gpus();
+        let mutation = self.cfg().mutation;
+        // an erase's flag, EMPTY or 0 where it tombstoned, is its answer
+        let hit = move |answers: DevSlice, from: usize| {
+            move |ctx: &GroupCtx, i: usize, found: bool| {
+                ctx.publish_stream(answers, from + i, if found { 0 } else { EMPTY });
+            }
+        };
+        let probes: [_; MAX_PARTITIONS] = std::array::from_fn(|j| {
+            let landed = landed[j].filter(|l| j < m && !l.words.is_empty())?;
+            let sections = landed.sections();
+            self.device(j).mem().fill(landed.answers, PENDING);
+            let erases = hit(landed.answers, sections.answered());
+            Some(self.maps()[j].probe(sections, landed.words, landed.answers, erases))
+        });
+        let scatters: [Option<Scatter>; MAX_PARTITIONS] = std::array::from_fn(|i| {
+            let sent = split.sent.get(i)?.as_ref()?;
+            self.device(i).mem().fill(sent.flags, 0);
+            Some(Scatter::new(self.device(i), sent))
+        });
+        let size = GroupSize::WARP;
+        let warps = |member, groups| Section { member, groups, size, working_set: 0 };
+        let mut sections = [warps(0, 0); 2 * MAX_PARTITIONS];
+        for j in 0..m {
+            sections[j] = self.maps()[j].section(j, landed[j].map_or(0, |l| l.words.len()));
+            sections[m + j] = warps(j, scatters[j].as_ref().map_or(0, Scatter::groups));
+        }
+        let devices: [&Device; MAX_PARTITIONS] =
+            std::array::from_fn(|j| &**self.device(j.min(m - 1)));
+        let grid = &sections[..2 * m];
+        let stats = launch_node(&devices[..m], "warpdrive_round", grid, opts, |k, id, ctx| {
+            if k >= m {
+                if let Some(scatter) = &scatters[k - m] {
+                    scatter.warp(ctx, id, m, mutation);
+                }
+                return;
+            }
+            if let (Some(probe), Some(landed)) = (&probes[k], landed[k]) {
+                probe.group(ctx, id);
+                self.send_answers(ctx, split, landed, k, id);
+            }
+        });
+        NodeRun { stats, sections, probes }
+    }
+
+    /// After group `id` of target `j`'s kernel: if it is the last of a
+    /// source's run of a segment that answers, waits for the run's answers
+    /// (depth 1: each group published its own without waiting), stores
+    /// them into the source's landing — 32 words a store, each a word or
+    /// an erase's flag byte on the link — and publishes the source's flag.
+    /// Mutation double: `Mutation::AnswerSliceToWrongOrigin`.
+    fn send_answers(
+        &self,
+        ctx: &GroupCtx,
+        split: &SplitPhase,
+        landed: Landed,
+        j: usize,
+        id: usize,
+    ) {
+        let m = self.num_gpus();
+        // the segment `id` falls into, and where in it
+        for (k, &s) in ANSWERED.iter().enumerate() {
+            let at = landed.cuts[..s].iter().sum::<usize>();
+            if id < at || id >= at + landed.cuts[s] {
+                continue;
+            }
+            let local = id - at;
+            for (i, to, from, n) in split.by_source(j, s) {
+                if n == 0 || local != from + n - 1 {
+                    continue;
+                }
+                let answers = landed.answers.sub(landed.answers_at(s) + from, n);
+                // BROKEN if set (mutation double): another origin's landing
+                let wrong = self.cfg().mutation == Some(Mutation::AnswerSliceToWrongOrigin);
+                let origin = if wrong { (i + 1) % m } else { i };
+                let sent = split.sent[origin].as_ref().expect("every GPU of the node split");
+                let landing = sent.landing[s];
+                let room = landing.len().saturating_sub(to).min(n);
+                let mut words = [0; 32];
+                for first in (0..n).step_by(32) {
+                    let words = &mut words[..(n - first).min(32)];
+                    let ready = |words: &[u64]| words.iter().all(|&w| w != PENDING);
+                    ctx.poll_stream(answers, first, words, 1, ready);
+                    let fits = room.saturating_sub(first).min(words.len());
+                    if fits > 0 {
+                        ctx.store_peer(origin, landing, to + first, &words[..fits], BACK_BYTES[k]);
                     }
                 }
+                let flags = split.sent[i].as_ref().expect("every GPU of the node split").flags;
+                ctx.publish_peer(i, flags, k * m + j, &[1]);
             }
+            return;
         }
-        res
     }
 
     /// Re-spreads elements addressed to quarantined GPUs round-robin over
@@ -864,11 +1022,13 @@ impl DistributedHashMap {
             let landing: usize = lens.iter().sum();
             let results = result_words(lens[..VALUED].iter().sum(), lens[VALUED]);
             let results: usize = results.iter().sum();
+            // and the flags of the targets its answers come back from
+            let flags = if landing > 0 { ANSWERED.len() * m } else { 0 };
             if words > 0 {
                 tally.gate_launch(plan, i, launch_site::MULTISPLIT).map_err(Abort::Lost)?;
             }
             let guard = dev
-                .alloc_scratch(words + counters + landing + results)
+                .alloc_scratch(words + counters + landing + results + flags)
                 .map_err(|e| Abort::Fatal(e.into()))?;
             let buf = guard.slice();
             split.guards[i] = Some(guard);
@@ -909,6 +1069,7 @@ impl DistributedHashMap {
                 landing: std::array::from_fn(|s| take(answers(s))),
                 positions: upserted,
                 results: take(results),
+                flags: take(flags),
                 stream_bytes: 0,
             };
             for (&s, part) in ids.iter().zip(&parts) {

@@ -123,7 +123,7 @@ pub enum Mutation {
     /// stop adding up, and the split's class-conservation check exists to
     /// catch exactly this.
     LookBackReadsUnpublished,
-    /// The return trip's `result_scatter` writes a hit's value into the
+    /// The return trip's scatter warps write a hit's value into the
     /// other half of its word — the neighbouring position's — so a key
     /// reads its neighbour's value, or a stale half where the neighbour
     /// missed. Host-sided gets over chunks of odd length through the
@@ -154,11 +154,22 @@ pub enum Mutation {
     /// the key held a value. The service and wd-serve equivalence suites
     /// exist to catch exactly this.
     TakeTombstonesFirst,
-    /// The return trip's `result_scatter` sets an erase's hit in the
+    /// The return trip's scatter warps set an erase's hit in the
     /// neighbouring position's found bit, so an erased key reports a miss
     /// and its neighbour a hit. The cascade's mixed-round test on the
     /// Fig. 6 node exists to catch exactly this.
     EraseHitInWrongBit,
+    /// A scatter warp of the cascade's node launch reads the answers that
+    /// landed on its GPU before it polls the flags that say they have —
+    /// in `group_id` order every target's store came first, so a
+    /// single-thread run never shows it. Racecheck under the node launch
+    /// and an adversarial schedule exist to catch exactly this.
+    ScatterReadsBeforeFlag,
+    /// A target of the cascade's node launch stores the answers it owes
+    /// origin `i` into the landing of origin `(i + 1) % m`, so keys read
+    /// another GPU's answers, or stale words. The cascade golden and the
+    /// node's linearizability suite exist to catch exactly this.
+    AnswerSliceToWrongOrigin,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

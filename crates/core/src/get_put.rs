@@ -181,28 +181,54 @@ impl<'a> Mix<'a> {
     }
 }
 
-/// Launches the kernel over the words of `input`, one group of `g` lanes
-/// per word, section by section: the gets, the takes and the upserts
-/// answered into `out`, `hit(i)` for each key `i` of the erase section it
-/// tombstoned. Returns the insertion outcome, whose stats cover the whole
-/// launch, and the tombstoned count, the takes' included.
-pub(crate) fn kernel(
-    table: &Table,
-    g: GroupSize,
+/// The groups of one launch of the kernel over `table`, one group per
+/// word of `input`, section by section: the gets, the takes and the
+/// upserts answered into `out`, each answer a [`GroupCtx::publish_stream`]
+/// that is its own flag, and `hit(ctx, i, found)` once key `i` of the
+/// erase section is done. A launch on one GPU runs them alone
+/// ([`kernel`]); a node's round runs them as a section of its node launch.
+pub(crate) struct Probe<'a, H> {
+    table: &'a Table,
     sections: Sections,
     input: DevSlice,
     out: DevSlice,
-    recorder: Option<&HistoryRecorder>,
-    hit: impl Fn(usize) + Sync,
-) -> (InsertOutcome, u64) {
-    let (takes_from, answered) = (sections.gets, sections.answered());
-    let erases_from = sections.len() - sections.erases;
-    let tally = InsertTally::default();
-    let erased = AtomicU64::new(0);
-    let name = sections.name(table.multi());
-    let stats = table.launch(name, sections.len(), g, |ctx: &GroupCtx| {
-        let id = ctx.group_id();
-        let history = recorder.map(|rec| (rec, rec.invoke()));
+    recorder: Option<&'a HistoryRecorder>,
+    hit: H,
+    tally: InsertTally,
+    erased: AtomicU64,
+}
+
+impl<'a, H: Fn(&GroupCtx, usize, bool) + Sync> Probe<'a, H> {
+    pub(crate) fn new(
+        table: &'a Table,
+        sections: Sections,
+        (input, out): (DevSlice, DevSlice),
+        recorder: Option<&'a HistoryRecorder>,
+        hit: H,
+    ) -> Self {
+        Self {
+            table,
+            sections,
+            input,
+            out,
+            recorder,
+            hit,
+            tally: InsertTally::default(),
+            erased: AtomicU64::new(0),
+        }
+    }
+
+    /// The launch's name, from the sections it runs.
+    pub(crate) fn name(&self) -> &'static str {
+        self.sections.name(self.table.multi())
+    }
+
+    /// Runs group `id` of the grid.
+    pub(crate) fn group(&self, ctx: &GroupCtx, id: usize) {
+        let (table, sections, input, out) = (self.table, self.sections, self.input, self.out);
+        let (takes_from, answered) = (sections.gets, sections.answered());
+        let erases_from = sections.len() - sections.erases;
+        let history = self.recorder.map(|rec| (rec, rec.invoke()));
         if id < sections.gets {
             // MUTATION DOUBLE (`Mutation::WindowOverrun`): read the query
             // one group past our own — the last get of a get-only launch
@@ -212,7 +238,7 @@ pub(crate) fn kernel(
             let key = key_of(ctx.read_stream(input, at));
             let result = retrieve_one(ctx, table, key);
             record_retrieve(history, key, result);
-            ctx.write_stream(out, id, result);
+            ctx.publish_stream(out, id, result);
             return;
         }
         let word = ctx.read_stream(input, id);
@@ -224,11 +250,11 @@ pub(crate) fn kernel(
             let early = first && erase_one(ctx, table, key);
             let result = retrieve_one(ctx, table, key);
             record_retrieve(history, key, result);
-            ctx.write_stream(out, id, result);
+            ctx.publish_stream(out, id, result);
             // a hit is the answer's found bit: read first, then tombstone
             let found = early || (result != EMPTY && erase_one(ctx, table, key));
             if found {
-                erased.fetch_add(1, Relaxed);
+                self.erased.fetch_add(1, Relaxed);
             }
             if let Some((rec, invoked)) = history {
                 let response = OpResponse::Erased { hit: found };
@@ -239,9 +265,9 @@ pub(crate) fn kernel(
         if id >= erases_from {
             let found = erase_one(ctx, table, key_of(word));
             if found {
-                erased.fetch_add(1, Relaxed);
-                hit(id - erases_from);
+                self.erased.fetch_add(1, Relaxed);
             }
+            (self.hit)(ctx, id - erases_from, found);
             if let Some((rec, invoked)) = history {
                 let response = OpResponse::Erased { hit: found };
                 rec.complete(key_of(word), OpKind::Erase, response, invoked);
@@ -264,11 +290,43 @@ pub(crate) fn kernel(
             };
             // one visit, two logical ops: the lookup, then the write
             record_retrieve(history, key_of(word), answer);
-            ctx.write_stream(out, id, answer);
+            ctx.publish_stream(out, id, answer);
         }
-        tally.note(table.multi(), word, r, history);
-    });
-    (tally.outcome(stats), erased.into_inner())
+        self.tally.note(table.multi(), word, r, history);
+    }
+
+}
+
+impl<H> Probe<'_, H> {
+    /// The insertion outcome of the launch that `stats` bill, and the
+    /// tombstoned count, the takes' included.
+    pub(crate) fn finish(self, stats: KernelStats) -> (InsertOutcome, u64) {
+        (self.tally.outcome(stats), self.erased.into_inner())
+    }
+}
+
+/// Launches the kernel over the words of `input` ([`Probe`]), `hit(i)`
+/// for each key `i` of the erase section it tombstoned. Returns the
+/// insertion outcome, whose stats cover the whole launch, and the
+/// tombstoned count, the takes' included.
+pub(crate) fn kernel(
+    table: &Table,
+    g: GroupSize,
+    sections: Sections,
+    input: DevSlice,
+    out: DevSlice,
+    recorder: Option<&HistoryRecorder>,
+    hit: impl Fn(usize) + Sync,
+) -> (InsertOutcome, u64) {
+    let report = |_: &GroupCtx, i, found| {
+        if found {
+            hit(i);
+        }
+    };
+    let probe = Probe::new(table, sections, (input, out), recorder, report);
+    let group = |ctx: &GroupCtx| probe.group(ctx, ctx.group_id());
+    let stats = table.launch(probe.name(), sections.len(), g, group);
+    probe.finish(stats)
 }
 
 #[cfg(test)]

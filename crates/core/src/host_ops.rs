@@ -29,10 +29,10 @@
 //! trade of §IV-C between overlap and per-chunk overhead:
 //! - The first chunk is sized before anything ran. Every GPU takes as many
 //!   elements as its host link uploads in the time the op's launches of a
-//!   chunk pay in overhead: on the P100 node ≈ 8 k for a put (two
-//!   launches, 8-byte pairs) and ≈ 25 k for a get or an erase (three
-//!   launches, 4-byte keys). A call below twice that is one chunk, with no
-//!   overlay.
+//!   chunk pay in overhead — two launches, the split and the node launch
+//!   of kernel and scatter: on the P100 node ≈ 8 k for a put (8-byte
+//!   pairs) and ≈ 16.5 k for a get or an erase (4-byte keys). A call
+//!   below twice that is one chunk, with no overlay.
 //! - After every chunk the planner picks how many chunks the rest of the
 //!   call takes: the count whose overlay has the least makespan, the
 //!   chunks already run as they ran and the rest as copies of the latest
@@ -768,8 +768,8 @@ mod tests {
             .sum()
     }
 
-    /// A get + put call is one round — a split, the one launch and a
-    /// scatter on each GPU — that answers the values from before the call,
+    /// A get + put call is one round — a split and the node launch of
+    /// the kernel and the scatter on each GPU — that answers the values from before the call,
     /// whether a sixth of its keys are both read and written or none are.
     /// Against a get call and a put call on a twin: the same answers and
     /// contents, and the same bytes but that a key both read and written
@@ -800,9 +800,9 @@ mod tests {
             assert_eq!(resp.report.elements, (reads.len() + puts.len()) as u64);
             let rows = [H2D, Multisplit, Transpose, Query, TransposeBack, Scatter, D2H];
             assert_eq!(stages_of(&resp.report), rows, "{both} both");
-            // a multisplit launch (every segment fits one group), the
-            // kernel and a scatter on each of the 4 GPUs
-            assert_eq!(launches(&d) - before, 4 + 4 + 4, "{both} both");
+            // a multisplit launch (every segment fits one group) and the
+            // node launch of kernel and scatter on each of the 4 GPUs
+            assert_eq!(launches(&d) - before, 4 + 4, "{both} both");
             assert_eq!(resp.report.launches, launches(&d) - before);
 
             let mut two = twin.get_batch(&reads).unwrap();
@@ -1238,12 +1238,12 @@ mod tests {
     fn a_call_below_twice_the_first_chunk_is_one_chunk() {
         let d = node_paying(4, SMALL_OVERHEAD, Config::default());
         let (put, get) = (d.first_chunk(PUTS), d.first_chunk(GETS));
-        // 2 launches against 8-byte pairs, 3 against 4-byte keys
-        assert_eq!((put, get), (328, 988));
-        // and on the P100 node, ≈ 8 k and ≈ 25 k a GPU
+        // 2 launches against 8-byte pairs, as many against 4-byte keys
+        assert_eq!((put, get), (328, 656));
+        // and on the P100 node, ≈ 8 k and ≈ 16.5 k a GPU
         let p100 = node(4);
         assert_eq!(p100.first_chunk(PUTS), 4 * 8250);
-        assert_eq!(p100.first_chunk(ERASES), 4 * 24750);
+        assert_eq!(p100.first_chunk(ERASES), 4 * 16500);
         for (first, len) in [(put, 2 * put - 1), (put, 2 * put)] {
             let pairs: Vec<(u32, u32)> = (1..=len as u32).map(|k| (k, k)).collect();
             let mut d = node_paying(4, SMALL_OVERHEAD, Config::default());

@@ -3,7 +3,7 @@
 use crate::config::Config;
 use crate::delete::EraseOutcome;
 use crate::errors::BuildError;
-use crate::get_put::Sections;
+use crate::get_put::{Probe, Sections};
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::service::{
@@ -11,7 +11,7 @@ use crate::service::{
     OpReport,
 };
 use crate::table::Table;
-use gpu_sim::{DevSlice, Device, GroupSize, KernelStats};
+use gpu_sim::{DevSlice, Device, GroupCtx, GroupSize, KernelStats, Section};
 use std::sync::Arc;
 
 /// An open-addressing hash map in (simulated) GPU global memory with
@@ -154,7 +154,9 @@ impl GpuHashMap {
     /// attempts — the map should then be
     /// [rebuilt](GpuHashMap::rebuild_with_fresh_hash).
     pub fn insert_device(&self, input: DevSlice, n: usize) -> Result<InsertOutcome, OpError> {
-        Ok(self.launch(Sections::puts(n), input, input.sub(0, 0), |_| {})?.0)
+        let (g, recorder) = (self.cfg.group_size, self.recorder.as_deref());
+        let out = input.sub(0, 0);
+        placed(self.table.run(g, Sections::puts(n), input, out, recorder, |_| {}).0)
     }
 
     /// Retrieves the `n` query words of `input` into `out` (both
@@ -174,23 +176,40 @@ impl GpuHashMap {
             .erase(self.cfg.group_size, input, n, self.recorder.as_deref())
     }
 
-    /// One launch of the kernel over device-resident words of distinct
-    /// keys ([`crate::table::Table::run`]). Not public: erase sections take
-    /// `&self` here, where a [`crate::DistributedHashMap`]'s own `&mut
-    /// self` provides the §IV-A barrier for every local map.
-    ///
-    /// # Errors
-    /// [`OpError::ProbingExhausted`], as [`GpuHashMap::insert_device`].
-    pub(crate) fn launch(
+    /// The groups of one launch of the kernel over device-resident words
+    /// of distinct keys ([`Probe`]), for a node's launch to run as its
+    /// section on this map's GPU ([`GpuHashMap::section`]). Not public:
+    /// erase sections take `&self` here, where a
+    /// [`crate::DistributedHashMap`]'s own `&mut self` provides the §IV-A
+    /// barrier for every local map.
+    pub(crate) fn probe<H: Fn(&GroupCtx, usize, bool) + Sync>(
         &self,
         sections: Sections,
         input: DevSlice,
         out: DevSlice,
-        hit: impl Fn(usize) + Sync,
+        hit: H,
+    ) -> Probe<'_, H> {
+        Probe::new(&self.table, sections, (input, out), self.recorder.as_deref(), hit)
+    }
+
+    /// The section of a node launch that runs `groups` groups of this
+    /// map's kernel as member `member`.
+    pub(crate) fn section(&self, member: usize, groups: usize) -> Section {
+        let (size, working_set) = (self.cfg.group_size, self.table.working_set());
+        Section { member, groups, size, working_set }
+    }
+
+    /// Counts what `probe`'s launch, billed `stats`, did to the table.
+    ///
+    /// # Errors
+    /// [`OpError::ProbingExhausted`], as [`GpuHashMap::insert_device`].
+    pub(crate) fn finish<H>(
+        &self,
+        probe: Probe<'_, H>,
+        stats: KernelStats,
     ) -> Result<(InsertOutcome, u64), OpError> {
-        let recorder = self.recorder.as_deref();
-        let g = self.cfg.group_size;
-        let (outcome, erased) = self.table.run(g, sections, input, out, recorder, hit);
+        let (outcome, erased) = probe.finish(stats);
+        self.table.note_ran(&outcome, erased);
         Ok((placed(outcome)?, erased))
     }
 

@@ -290,13 +290,19 @@ impl Table {
         hit: impl Fn(usize) + Sync,
     ) -> (InsertOutcome, u64) {
         let (outcome, erased) = get_put::kernel(self, g, sections, input, out, recorder, hit);
+        self.note_ran(&outcome, erased);
+        (outcome, erased)
+    }
+
+    /// Counts what a launch of the kernel on this table claimed, reclaimed
+    /// and tombstoned.
+    pub(crate) fn note_ran(&self, outcome: &InsertOutcome, erased: u64) {
         // adds before subtractions: a put may reclaim a tombstone of the
         // same launch
         self.occupied.fetch_add(outcome.new_slots, Relaxed);
         self.note_tombstoned(erased);
         // claims over TOMBSTONE words shorten the pending-rebuild debt
         self.tombstones.fetch_sub(outcome.reclaimed, Relaxed);
-        (outcome, erased)
     }
 
     /// [`Table::run`] of the `n` erase keys of `input` alone, its hits in

@@ -57,7 +57,7 @@ fn apply(
 }
 
 /// A put/get/delete call, each list over keys of its own: one round of a
-/// split, a kernel and a scatter a GPU, the erases' hits down as found
+/// split and a node launch of kernel and scatter a GPU, the erases' hits down as found
 /// bits, and the answers, hits and contents of a get, a put and a delete
 /// call one after the other.
 #[test]
@@ -73,7 +73,7 @@ fn a_put_get_delete_call_is_one_round() {
     let report = &applied.report;
     let rows = [H2D, Multisplit, Transpose, Query, TransposeBack, Scatter, D2H];
     assert_eq!(stages_of(report), rows);
-    assert_eq!(launches(&d) - before, 4 + 4 + 4);
+    assert_eq!(launches(&d) - before, 4 + 4);
     assert_eq!(report.launches, launches(&d) - before);
     // a GPU's chunk of the reads brings down a value and a bit a key, of
     // the erases a bit a key
@@ -120,7 +120,7 @@ fn keys_read_and_erased_are_takes_of_the_one_launch() {
         assert_eq!(hits == present, mutation.is_none(), "{mutation:?}");
         assert_eq!(values == pre, mutation.is_none(), "{mutation:?}");
         assert!(!stages_of(&applied.report).contains(&CascadeStage::Insert));
-        assert_eq!(launches(&d) - before, 4 + 4 + 4);
+        assert_eq!(launches(&d) - before, 4 + 4);
         let gone = d.get_batch(&erases).unwrap().values;
         assert!(gone.iter().all(Option::is_none));
     }
@@ -140,12 +140,20 @@ fn upsert_positions_past_a_run_are_caught() {
         let mut d = preloaded(cfg, keys.clone());
         let before = launches(&d);
         let (values, _, _) = apply(&mut d, &reads, &puts, &[]);
-        assert_eq!(launches(&d) - before, 4 + 4 + 4);
+        assert_eq!(launches(&d) - before, 4 + 4);
         values
     };
     assert_eq!(answers(Config::default()), pre);
     let broken = Config::default().with_mutation(Mutation::SplitTagsRunOffset);
-    assert_ne!(answers(broken), pre);
+    match std::panic::catch_unwind(|| answers(broken)) {
+        Ok(values) => assert_ne!(values, pre),
+        // under `WD_SANITIZE` racecheck stops it first: two of its
+        // positions name one half, which two scatter warps store
+        Err(panic) => {
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("[racecheck] kernel=`warpdrive_round`"), "{msg}");
+        }
+    }
 }
 
 /// `Mutation::EraseHitInWrongBit`: every other key of an erase present,

@@ -3,7 +3,7 @@
 use crate::counters::{CounterSnapshot, KernelCounters, LocalCounters};
 use crate::mem::{DevSlice, DeviceMemory, OutOfMemory};
 use crate::sanitizer::{LaunchSanitizer, Policy, Report, SanitizerSet};
-use crate::sched::{self, Schedule};
+use crate::sched::{self, Schedule, StepSched};
 use crate::simt::{GroupCtx, GroupSize};
 use crate::spec::DeviceSpec;
 use crate::timing::{TimeBreakdown, TimingModel};
@@ -71,8 +71,42 @@ impl LaunchOptions {
 /// Groups of one pool task. A launch of no more is a single chunk.
 const CHUNK: usize = 1024;
 
+/// Runs the groups `0..num_groups` of a launch as its schedule says.
+/// `chunk(lo, hi, concurrent)` runs groups `lo..hi` in id order on one
+/// thread: the whole grid under `Sequential` and for a pool launch of one
+/// chunk, else one chunk of the pool's, which other threads' chunks run
+/// beside (`concurrent`). `stepped(gid, sched, lease)` runs one group
+/// under a stepwise schedule and returns its unused lease.
+pub(crate) fn run_grid(
+    opts: LaunchOptions,
+    num_groups: usize,
+    chunk: impl Fn(usize, usize, bool) + Sync,
+    stepped: impl Fn(usize, &StepSched, u64) -> u64 + Sync,
+) {
+    match opts.schedule {
+        Schedule::Pool if num_groups > CHUNK => {
+            // Chunk groups so per-task overhead stays negligible even
+            // for millions of tiny groups (perf-book: amortize
+            // par_iter tasks). Each chunk flushes its accumulator
+            // once — `u64` addition commutes, so totals stay
+            // bit-identical to per-op (and per-group) updates under
+            // every interleaving.
+            let chunks = num_groups.div_ceil(CHUNK);
+            (0..chunks).into_par_iter().for_each(|c| {
+                let lo = c * CHUNK;
+                chunk(lo, (lo + CHUNK).min(num_groups), true);
+            });
+        }
+        Schedule::Sequential | Schedule::Pool => chunk(0, num_groups, false),
+        stepwise => {
+            let chunked = !opts.per_op_dispatch;
+            sched::run_stepwise(stepwise, num_groups, chunked, stepped);
+        }
+    }
+}
+
 /// Result of a kernel launch: measured counters and modeled time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct KernelStats {
     /// Kernel name (for reports).
     pub name: &'static str,
@@ -276,6 +310,36 @@ impl Device {
         self.mem.arena_release();
     }
 
+    /// The sanitizer context of a launch named `name`: whatever is
+    /// attached to the device, plus the launch's request. A launch-only
+    /// request attaches lazily with pre-existing memory assumed
+    /// initialised (there is no history for it), mirroring attaching
+    /// compute-sanitizer to a running process.
+    pub(crate) fn launch_sanitizer<'d>(
+        &'d self,
+        name: &'d str,
+        opts: LaunchOptions,
+    ) -> Option<LaunchSanitizer<'d>> {
+        let dev_set = self
+            .mem
+            .sanitizer()
+            .map_or(SanitizerSet::NONE, |s| s.set());
+        let eff = dev_set.union(opts.sanitize);
+        (!eff.is_empty()).then(|| {
+            let ds = self.mem.attach_sanitizer(eff, Policy::Panic, true);
+            LaunchSanitizer::new(ds, eff, name, opts.schedule)
+        })
+    }
+
+    /// Books one completed launch that counted `counters` and took
+    /// `sim_time` into the lifetime totals.
+    pub(crate) fn retire_launch(&self, counters: CounterSnapshot, sim_time: f64) {
+        let mut lt = self.lifetime.lock().expect("lifetime stats lock");
+        lt.launches += 1;
+        lt.counters = lt.counters.merged(counters);
+        lt.sim_time += sim_time;
+    }
+
     /// Launches `num_groups` coalesced groups of size `group_size` running
     /// `kernel`, returning measured counters and modeled time.
     ///
@@ -301,66 +365,30 @@ impl Device {
     where
         F: Fn(&GroupCtx) + Sync,
     {
-        let schedule = opts.schedule;
-        // Launch-effective detector set: whatever is attached to the
-        // device, plus this launch's request. A launch-only request
-        // attaches lazily with pre-existing memory assumed initialised
-        // (there is no history for it), mirroring attaching
-        // compute-sanitizer to a running process.
-        let dev_set = self
-            .mem
-            .sanitizer()
-            .map_or(SanitizerSet::NONE, |s| s.set());
-        let eff = dev_set.union(opts.sanitize);
-        let san = if eff.is_empty() {
-            None
-        } else {
-            let ds = self.mem.attach_sanitizer(eff, Policy::Panic, true);
-            Some(LaunchSanitizer::new(ds, eff, name, schedule))
-        };
+        let san = self.launch_sanitizer(name, opts);
         let san = san.as_ref();
         let sink = KernelCounters::default();
-        // Groups `lo..hi` in order against one accumulator of plain
-        // cells: a whole sequential launch, or one chunk of the pool's,
-        // which other threads' chunks run beside (`concurrent`).
-        let run = |lo: usize, hi: usize, concurrent: bool| {
-            let local = LocalCounters::new();
-            for gid in lo..hi {
-                let ctx = GroupCtx::new(&self.mem, &local, gid, group_size, san, concurrent);
+        run_grid(
+            opts,
+            num_groups,
+            |lo, hi, concurrent| {
+                let local = LocalCounters::new();
+                for gid in lo..hi {
+                    kernel(&GroupCtx::new(&self.mem, &local, gid, group_size, san, concurrent));
+                }
+                local.flush_into(&sink, (hi - lo) as u64);
+            },
+            |gid, step, lease| {
+                let local = LocalCounters::new();
+                let ctx =
+                    GroupCtx::new_stepped(&self.mem, &local, gid, group_size, step, lease, san);
                 kernel(&ctx);
-            }
-            local.flush_into(&sink, (hi - lo) as u64);
-        };
-        match schedule {
-            Schedule::Pool if num_groups > CHUNK => {
-                // Chunk groups so per-task overhead stays negligible even
-                // for millions of tiny groups (perf-book: amortize
-                // par_iter tasks). Each chunk flushes its accumulator
-                // once — `u64` addition commutes, so totals stay
-                // bit-identical to per-op (and per-group) updates under
-                // every interleaving.
-                let chunks = num_groups.div_ceil(CHUNK);
-                (0..chunks).into_par_iter().for_each(|chunk| {
-                    let lo = chunk * CHUNK;
-                    run(lo, (lo + CHUNK).min(num_groups), true);
-                });
-            }
-            Schedule::Sequential | Schedule::Pool => run(0, num_groups, false),
-            stepwise => {
-                let chunked = !opts.per_op_dispatch;
-                sched::run_stepwise(stepwise, num_groups, chunked, |gid, step, lease| {
-                    let local = LocalCounters::new();
-                    let ctx = GroupCtx::new_stepped(
-                        &self.mem, &local, gid, group_size, step, lease, san,
-                    );
-                    kernel(&ctx);
-                    let unused = ctx.retire();
-                    drop(ctx);
-                    local.flush_into(&sink, 1);
-                    unused
-                });
-            }
-        }
+                let unused = ctx.retire();
+                drop(ctx);
+                local.flush_into(&sink, 1);
+                unused
+            },
+        );
         let (snapshot, chain) = sink.snapshot();
         if let Some(san) = san {
             san.finish();
@@ -373,12 +401,7 @@ impl Device {
         if chain > 0 {
             breakdown.latency += self.timing.chain_latency(chain);
         }
-        {
-            let mut lt = self.lifetime.lock().expect("lifetime stats lock");
-            lt.launches += 1;
-            lt.counters = lt.counters.merged(snapshot);
-            lt.sim_time += breakdown.total();
-        }
+        self.retire_launch(snapshot, breakdown.total());
         KernelStats {
             name,
             counters: snapshot,
@@ -476,7 +499,7 @@ mod tests {
                 let _ = ctx.read_window(buf, ctx.group_id() * 4);
             },
         );
-        let s2 = s1.clone().merged(&s1);
+        let s2 = s1.merged(&s1);
         assert_eq!(s2.counters.transactions, 2 * s1.counters.transactions);
         assert!((s2.sim_time - 2.0 * s1.sim_time).abs() < 1e-12);
         assert!(s1.ops_per_sec(128) > 0.0);

@@ -33,6 +33,7 @@ pub mod counters;
 pub mod device;
 pub mod fault;
 pub mod mem;
+pub mod node;
 pub mod sanitizer;
 pub mod sched;
 pub mod simt;
@@ -43,6 +44,7 @@ pub use counters::CounterSnapshot;
 pub use device::{Device, KernelStats, LaunchOptions, LifetimeStats};
 pub use fault::{FaultPlan, RetryPolicy, RETRY};
 pub use mem::{DevSlice, DeviceMemory, OutOfMemory, ScratchGuard};
+pub use node::{launch_node, NodeStats, Section};
 pub use sanitizer::{Detector, Report, SanitizerSet};
 pub use sched::{AdversarialMode, Schedule, StepSched};
 pub use simt::{GroupCtx, GroupSize};

@@ -509,7 +509,10 @@ impl DeviceMemory {
     /// booked as no upload — kernels bill their own traffic, and a transfer
     /// between devices is billed by the interconnect model. Initcheck
     /// validity travels with the words; from a device without a shadow
-    /// they arrive defined, as from the host.
+    /// they arrive defined, as from the host. A node's cascade moves its
+    /// forward leg this way — the split's chunks to their targets — while
+    /// the answers come back inside the round's node launch
+    /// ([`crate::GroupCtx::store_peer`]).
     ///
     /// # Panics
     /// Panics on length mismatch.

@@ -59,6 +59,7 @@ use parking_lot::Mutex;
 use racecheck::{AccessKind, GroupClock, RaceState, BOTH};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Which detectors are active — a small bitset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -340,7 +341,12 @@ pub(crate) struct LaunchSanitizer<'a> {
     /// Stepwise launches batch release publication (see [`racecheck`]);
     /// pool/sequential launches publish eagerly.
     stepwise: bool,
-    race: Option<RaceState>,
+    /// The launch's race state: its own, or the one every device of a
+    /// node launch shares, where a word's key is `race_base` on from its
+    /// device's own index, so a publish into a peer's memory and the
+    /// poll there meet in one happens-before order.
+    race: Option<Arc<RaceState>>,
+    race_base: usize,
     baseline: usize,
 }
 
@@ -357,9 +363,20 @@ impl<'a> LaunchSanitizer<'a> {
             kernel,
             schedule: format!("{schedule} [replay: {}]", schedule.replay_hint()),
             stepwise: schedule.is_stepwise(),
-            race: set.race().then(RaceState::new),
+            race: set.race().then(|| Arc::new(RaceState::new())),
+            race_base: 0,
             baseline: dev.len(),
         }
+    }
+
+    /// Checks races in `shared`, this device's words keyed from `base`
+    /// on — the race state of a node launch ([`crate::node`]).
+    pub(crate) fn sharing(mut self, shared: &Arc<RaceState>, base: usize) -> Self {
+        if self.race.is_some() {
+            self.race = Some(Arc::clone(shared));
+        }
+        self.race_base = base;
+        self
     }
 
     /// The valid-bit shadow, iff this launch checks initcheck *and* the
@@ -545,7 +562,7 @@ impl<'a> LaunchSanitizer<'a> {
     ) {
         if let (Some(rs), Some(clock)) = (self.race.as_ref(), clock) {
             let mut clock = clock.borrow_mut();
-            if let Some(prior) = rs.on_halves(abs, halves, &mut clock, kind) {
+            if let Some(prior) = rs.on_halves(self.race_base + abs, halves, &mut clock, kind) {
                 let half = match halves {
                     0b01 => " of the low half",
                     0b10 => " of the high half",
@@ -614,8 +631,8 @@ impl<'a> LaunchSanitizer<'a> {
                 if run_count == 0 {
                     continue;
                 }
-                for (off, prior) in
-                    rs.on_window_reads(slice.offset + run_start, run_count, &mut clk)
+                let at = self.race_base + slice.offset + run_start;
+                for (off, prior) in rs.on_window_reads(at, run_count, &mut clk)
                 {
                     let idx = run_start + off as usize;
                     self.report(

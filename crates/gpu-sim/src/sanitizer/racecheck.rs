@@ -100,7 +100,10 @@ const MAX_READS: usize = 32;
 /// groups' releases through that word are dropped — a word with this
 /// many distinct synchronizing groups is a contended statistics counter,
 /// not a publication protocol, so the precision loss is confined to
-/// shapes the kernels don't use.
+/// shapes the kernels don't use. A release records its own group's epoch
+/// before the epochs it acquired, so a flag published by a group that
+/// first acquired more than this many others' (a node launch's sender,
+/// which polls a run of answers) still orders its stores before a poll.
 const SYNC_CAP: usize = 64;
 
 /// Multiply-rotate hasher for the shadow maps' small-integer keys (word
@@ -392,7 +395,9 @@ impl RaceState {
         let st = &mut shard.entry(page).or_insert_with(new_page).words[word & PAGE_MASK];
         if st.sync.len() < SYNC_CAP || st.sync.contains(clock.gid) {
             let mut changed = false;
-            for (&g, &c) in clock.vc.iter().chain([(&clock.gid, &clk)]) {
+            // the releasing group's own epoch first: past the cap it is the
+            // entry a poll of this word must find
+            for (&g, &c) in std::iter::once((&clock.gid, &clk)).chain(clock.vc.iter()) {
                 if let Some(e) = st.sync.get_mut(g) {
                     if *e < c {
                         *e = c;
@@ -537,7 +542,8 @@ impl RaceState {
             } else {
                 if st.sync.len() < SYNC_CAP || st.sync.contains(clock.gid) {
                     let mut changed = false;
-                    for (&g, &c) in clock.vc.iter().chain([(&clock.gid, &clock.clk)]) {
+                    let own = std::iter::once((&clock.gid, &clock.clk));
+                    for (&g, &c) in own.chain(clock.vc.iter()) {
                         if let Some(e) = st.sync.get_mut(g) {
                             if *e < c {
                                 *e = c;
@@ -793,6 +799,34 @@ mod tests {
                 assert!(rs.on_access(0, &mut c, AccessKind::Atomic).is_none());
             }
             assert!(c.vc.len() <= SYNC_CAP, "group VC exceeded the sync cap");
+        }
+    }
+
+    /// A group that acquired more groups than the cap, then writes and
+    /// releases a flag: a later group that acquires the flag is ordered
+    /// after the write, eagerly and batched.
+    #[test]
+    fn a_release_past_the_cap_carries_its_own_epoch() {
+        for batch in [false, true] {
+            let rs = RaceState::new();
+            let fresh = |g: u32| if batch { clock(g).with_batching() } else { clock(g) };
+            let many = SYNC_CAP as u32 * 2;
+            for g in 0..many {
+                let mut c = fresh(g);
+                assert!(rs.on_access(100 + g as usize, &mut c, AccessKind::Atomic).is_none());
+                rs.flush_releases(&mut c);
+            }
+            let mut sender = fresh(many);
+            for g in 0..many {
+                let _ = rs.on_access(100 + g as usize, &mut sender, AccessKind::Atomic);
+            }
+            assert!(sender.vc.len() > SYNC_CAP);
+            assert!(rs.on_access(1, &mut sender, AccessKind::PlainWrite).is_none());
+            let _ = rs.on_access(2, &mut sender, AccessKind::Atomic);
+            rs.flush_releases(&mut sender);
+            let mut reader = fresh(many + 1);
+            let _ = rs.on_access(2, &mut reader, AccessKind::Atomic);
+            assert!(rs.on_access(1, &mut reader, AccessKind::PlainRead).is_none(), "batch {batch}");
         }
     }
 

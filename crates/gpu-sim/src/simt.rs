@@ -13,6 +13,7 @@
 
 use crate::counters::LocalCounters;
 use crate::mem::{DevSlice, DeviceMemory};
+use crate::node::Node;
 use crate::sanitizer::racecheck::{AccessKind, GroupClock};
 use crate::sanitizer::LaunchSanitizer;
 use crate::sched::StepSched;
@@ -141,6 +142,10 @@ pub struct GroupCtx<'a> {
     /// (the pool's launch of more than one chunk), so that a flag this
     /// group polls may still come while it spins.
     concurrent: bool,
+    /// The node launch this group runs in and the member whose memory it
+    /// is on, for stores into a peer's memory; `None` in a launch on one
+    /// device.
+    node: Option<(&'a Node<'a>, usize)>,
 }
 
 impl<'a> GroupCtx<'a> {
@@ -163,6 +168,7 @@ impl<'a> GroupCtx<'a> {
             lease: Cell::new(0),
             sites: Cell::new(0),
             concurrent,
+            node: None,
         }
     }
 
@@ -186,7 +192,19 @@ impl<'a> GroupCtx<'a> {
             lease: Cell::new(lease),
             sites: Cell::new(0),
             concurrent: false,
+            node: None,
         }
+    }
+
+    /// This group as member `member` of the node launch `node`.
+    pub(crate) fn in_node(mut self, node: &'a Node<'a>, member: usize) -> Self {
+        self.node = Some((node, member));
+        self
+    }
+
+    /// The node launch this group runs in, and its own member.
+    fn node(&self) -> (&'a Node<'a>, usize) {
+        self.node.expect("a store into a peer's memory needs a node launch")
     }
 
     /// Sanitizer read hook (`idx` already resolved in-bounds).
@@ -543,6 +561,28 @@ impl<'a> GroupCtx<'a> {
         self.mem.word(slice, idx).store(val, Ordering::Relaxed);
     }
 
+    /// Release streaming store: a word of a run that consecutive groups
+    /// store, coalesced and billed like [`GroupCtx::write_stream`] — the
+    /// release orders this group's earlier accesses before the word, a
+    /// fence on hardware, not traffic. The word is its own flag: a later
+    /// group's [`GroupCtx::poll`] that finds it written may use it.
+    pub fn publish_stream(&self, slice: DevSlice, idx: usize, val: u64) {
+        self.pace();
+        self.local.add_stream_bytes(8);
+        if let Some(s) = self.san {
+            if !s.stream_in_bounds("publish_stream", slice, idx, self.group_id)
+                && s.contains_oob()
+            {
+                return;
+            }
+            s.on_release(slice, idx, self.group_id, self.clock.as_ref());
+        }
+        self.mem.word(slice, idx).store(val, Ordering::Release);
+        if let Some(s) = self.sched {
+            self.lease.set(s.wake(self.group_id, self.lease.get()));
+        }
+    }
+
     /// 64-bit `atomicCAS` on a table slot (line 13 of Fig. 3).
     ///
     /// Returns `Ok(())` on success and `Err(actual)` with the word that was
@@ -634,6 +674,61 @@ impl<'a> GroupCtx<'a> {
         }
     }
 
+    /// Group store into a peer's memory in a node launch
+    /// ([`crate::node`]): `vals` into the consecutive words of `slice` of
+    /// member `peer`, from `at` on, as plain stores. The words cross the
+    /// link from this group's member to `peer` — `width` bytes each, 8 for
+    /// a word and fewer for a word that carries a flag of that many bytes —
+    /// and the node counts them on that edge, none on a store into the
+    /// group's own member; the interconnect model bills them, not either
+    /// device's memory counters.
+    ///
+    /// # Panics
+    /// Panics outside a node launch.
+    pub fn store_peer(&self, peer: usize, slice: DevSlice, at: usize, vals: &[u64], width: u64) {
+        self.pace();
+        let (node, me) = self.node();
+        let (mem, san) = (node.mem(peer), node.san(peer));
+        for (i, &val) in vals.iter().enumerate() {
+            let idx = fast_idx(at + i, slice.len());
+            if let Some(s) = san {
+                let (group, clock) = (self.group_id, self.clock.as_ref());
+                s.on_write(slice, idx, AccessKind::PlainWrite, group, None, clock);
+            }
+            mem.word(slice, idx).store(val, Ordering::Relaxed);
+        }
+        if peer != me {
+            node.count_edge(me, peer, vals.len() as u64 * width);
+        }
+    }
+
+    /// [`GroupCtx::publish`] into the memory of member `peer` of a node
+    /// launch: a flag that a group on `peer` polls, ordered after
+    /// everything this group did before, the stores into that memory
+    /// included. Billed as a publish, to this group's counters.
+    ///
+    /// # Panics
+    /// Panics outside a node launch.
+    pub fn publish_peer(&self, peer: usize, slice: DevSlice, at: usize, vals: &[u64]) {
+        self.pace();
+        debug_assert!(!vals.is_empty(), "a publish stores a flag");
+        let (node, _) = self.node();
+        let (mem, san) = (node.mem(peer), node.san(peer));
+        let start = fast_idx(at, slice.len());
+        for (i, &val) in vals.iter().enumerate() {
+            let idx = fast_idx(start + i, slice.len());
+            if let Some(s) = san {
+                s.on_release(slice, idx, self.group_id, self.clock.as_ref());
+            }
+            mem.word(slice, idx).store(val, Ordering::Release);
+        }
+        self.local
+            .add_transactions(window_transactions(slice, start, vals.len()));
+        if let Some(s) = self.sched {
+            self.lease.set(s.wake(self.group_id, self.lease.get()));
+        }
+    }
+
     /// Acquire poll: waits until `ready` holds for the `out.len()` words of
     /// `slice` from `at` on and copies them into `out`; what their
     /// publishers did before [`GroupCtx::publish`] is then ordered before
@@ -679,6 +774,43 @@ impl<'a> GroupCtx<'a> {
         depth: u64,
         ready: impl Fn(&[u64]) -> bool,
     ) {
+        let start = self.wait(slice, at, out, depth, ready);
+        self.local
+            .add_transactions(window_transactions(slice, start, out.len()));
+        self.local.add_steps(1);
+    }
+
+    /// [`GroupCtx::poll`] of a run of consecutive words that are each
+    /// their own flag ([`GroupCtx::publish_stream`]), which the group reads
+    /// as it streams them: it waits as a poll does and is billed like
+    /// [`GroupCtx::read_stream`] of each word, 8 bytes, and one dependent
+    /// step.
+    ///
+    /// # Panics
+    /// As [`GroupCtx::poll`].
+    pub fn poll_stream(
+        &self,
+        slice: DevSlice,
+        at: usize,
+        out: &mut [u64],
+        depth: u64,
+        ready: impl Fn(&[u64]) -> bool,
+    ) {
+        self.wait(slice, at, out, depth, ready);
+        self.local.add_stream_bytes(8 * out.len() as u64);
+        self.local.add_steps(1);
+    }
+
+    /// The wait of a poll, unbilled: returns where in `slice` the words
+    /// start.
+    fn wait(
+        &self,
+        slice: DevSlice,
+        at: usize,
+        out: &mut [u64],
+        depth: u64,
+        ready: impl Fn(&[u64]) -> bool,
+    ) -> usize {
         self.pace();
         let start = fast_idx(at, slice.len());
         let word = |i: usize| self.mem.word(slice, fast_idx(start + i, slice.len()));
@@ -711,9 +843,7 @@ impl<'a> GroupCtx<'a> {
             }
         }
         self.local.note_chain(depth);
-        self.local
-            .add_transactions(window_transactions(slice, start, out.len()));
-        self.local.add_steps(1);
+        start
     }
 
     /// Bills `n` irregular 32-byte transactions without touching memory —

@@ -11,7 +11,7 @@
 //! — which is also its limit: it sees what the calling thread allocates,
 //! not the pool's workers (`shims/rayon/tests/alloc.rs` counts those).
 
-use gpu_sim::{Device, GroupSize, LaunchOptions, Schedule};
+use gpu_sim::{launch_node, Device, GroupSize, LaunchOptions, Schedule, Section};
 use interconnect::Topology;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -108,6 +108,57 @@ fn a_one_chunk_launch_allocates_nothing() {
     }
 }
 
+/// A warm node launch allocates nothing either: its members, sections'
+/// counters, edge counts and bills live on its stack (gpu-sim node.rs),
+/// whether one thread runs its grid or the pool's workers do (past
+/// reading RAYON_NUM_THREADS). Each group stores a word into the next
+/// device, publishes its flag there, and a group of that device's second
+/// section waits for it.
+#[test]
+fn a_warm_node_launch_allocates_nothing() {
+    if !default_environment() {
+        return;
+    }
+    two_workers();
+    let devices: Vec<Device> = (0..4).map(|d| Device::with_words(d, 1 << 12)).collect();
+    let members: Vec<&Device> = devices.iter().collect();
+    let alloc = |d: &Device| (d.alloc(1024).unwrap(), d.alloc(1024).unwrap());
+    let bufs: Vec<_> = devices.iter().map(alloc).collect();
+    let runs = [(Schedule::Pool, 100), (Schedule::Sequential, 100), (Schedule::Pool, 1000)];
+    for (flag, run) in runs {
+        let opts = LaunchOptions::default().with_schedule(flag);
+        let size = GroupSize::WARP;
+        let section = |k: usize| Section { member: k % 4, groups: run, size, working_set: 0 };
+        let sections: Vec<Section> = (0..8).map(section).collect();
+        let launch = || {
+            for (d, (_, flags)) in devices.iter().zip(&bufs) {
+                d.mem().fill(*flags, 0);
+            }
+            launch_node(&members, "relay", &sections, opts, |k, g, ctx| {
+                let (d, next) = (k % 4, (k + 1) % 4);
+                if k < 4 {
+                    ctx.store_peer(next, bufs[next].0, g, &[g as u64], 8);
+                    ctx.publish_peer(next, bufs[next].1, g, &[1]);
+                } else {
+                    ctx.poll(bufs[d].1, g, &mut [0], 1, |flag| flag[0] != 0);
+                }
+            })
+        };
+        launch(); // warms the pool's worker
+        let (read, _) = allocations(|| std::env::var("RAYON_NUM_THREADS"));
+        let (allocs, stats) = allocations(launch);
+        assert_eq!(stats.edge_bytes(0, 1), 8 * run as u64);
+        let allowed = if 8 * run > 1024 { read } else { 0 };
+        assert_eq!(
+            allocs, allowed,
+            "a node launch of {} groups ({flag:?}) allocated: its fixed arrays (gpu-sim \
+             node.rs `Node`, `NodeStats`, the sections' `KernelCounters`) or the race state \
+             it makes only under a sanitizer went back to the heap",
+            8 * run
+        );
+    }
+}
+
 /// The benchmark's 4-GPU node, Fig. 6's topology.
 fn fig6_node() -> DistributedHashMap {
     let devices: Vec<Arc<Device>> = (0..4)
@@ -178,8 +229,8 @@ fn launches(server: &Server<DistributedHashMap>) -> u64 {
 /// of the flush's one round, their hits come home as found bits into
 /// `execute`'s hits, and the round's rows fit the report inline. Nor does
 /// it launch more: with no key both read and written, the round is a
-/// split, a kernel and a scatter on each GPU — 12 launches, what the same
-/// flush without its deletes makes.
+/// split and a node launch of kernel and scatter on each GPU — 8
+/// launches, what the same flush without its deletes makes.
 #[test]
 fn a_put_get_delete_flush_over_four_gpus_stays_within_two() {
     if !default_environment() {
@@ -209,7 +260,7 @@ fn a_put_get_delete_flush_over_four_gpus_stays_within_two() {
         (allocs, hits.count(), launches(&server) - before)
     };
     let (_, _, without) = flush(1_000, 0.0, false);
-    assert_eq!(without, 12, "a put + get flush: a split, a kernel and a scatter a GPU");
+    assert_eq!(without, 8, "a put + get flush: a split and a node launch a GPU");
     // the warm-up grows the server's buffers to the flush's size
     flush(2_000, 1e-3, true);
     let (allocs, hits, with) = flush(3_000, 2e-3, true);
@@ -218,7 +269,7 @@ fn a_put_get_delete_flush_over_four_gpus_stays_within_two() {
     assert!(
         allocs <= HANDED_OUT,
         "{allocs} allocations for a put + get + delete flush, {HANDED_OUT} before: the \
-         erases' hits (cascade.rs result_scatter's found bits), {FLUSH_SITES} went back to \
+         erases' hits (cascade.rs Scatter's found bits), {FLUSH_SITES} went back to \
          allocating"
     );
 }
@@ -226,7 +277,8 @@ fn a_put_get_delete_flush_over_four_gpus_stays_within_two() {
 /// A flush that reads the keys it writes, and one that reads the keys it
 /// deletes, are one round as a put + get flush is: a key both read and
 /// written is an upsert group of the one launch, a key read and deleted a
-/// take group — a split, a kernel and a scatter a GPU, 12 launches. Nor do
+/// take group — a split and a node launch of kernel and scatter a GPU, 8
+/// launches. Nor do
 /// they allocate more: the sections cut out of the flush's lists go into
 /// the node's own scratch.
 #[test]
@@ -268,7 +320,7 @@ fn a_flush_of_keys_read_and_written_or_deleted_stays_within_two() {
     ] {
         let why = if delete { "delete" } else { "put" };
         let (allocs, hits, launched) = flush(base, at, delete);
-        assert_eq!(launched, 12, "a get + {why} flush of the same keys");
+        assert_eq!(launched, 8, "a get + {why} flush of the same keys");
         assert_eq!(hits, if delete { 64 } else { 0 }, "the takes hit what the upserts put");
         if measured {
             assert!(

@@ -445,7 +445,7 @@ fn broken_split_tags_run_offset_is_caught_past_256_keys_per_gpu() {
             // scatter store the same half of a value word
             Err(panic) => {
                 let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
-                assert!(msg.contains("[racecheck] kernel=`result_scatter`"), "{msg}");
+                assert!(msg.contains("[racecheck] kernel=`warpdrive_round`"), "{msg}");
             }
         }
     }

@@ -102,8 +102,9 @@ fn the_nominal_trace_waits_at_most_max_delay_and_serves_in_twenty_us() {
     assert!(
         service_p50 <= 2.0e-5,
         "a flush of a few ops took {service_p50:.4e} s at the median, more than 20 us: a put/get \
-         flush is one cascade round of three launches (the one-launch multisplit in \
-         crates/multisplit/src/split.rs, the mixed round behind DistributedHashMap::apply \
-         in crates/core/src/cascade.rs and host_ops.rs)"
+         flush is one cascade round of two launches a GPU, the split and one node launch of \
+         kernel and scatter (the one-launch multisplit in crates/multisplit/src/split.rs, \
+         the mixed round behind DistributedHashMap::apply in crates/core/src/cascade.rs and \
+         host_ops.rs, gpu_sim::launch_node)"
     );
 }

@@ -27,7 +27,7 @@ use interconnect::Topology;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use warpdrive::stats::StageTiming;
-use warpdrive::{pack, Config, DistributedHashMap, MapService, Op, Response};
+use warpdrive::{pack, Config, DistributedHashMap, MapService, Mutation, Op, Response};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/cascade_golden.txt");
 const PRELOAD: u32 = 1500;
@@ -56,13 +56,19 @@ fn key(i: u32) -> u32 {
 
 /// A fresh node holding `key(0..PRELOAD)`, loaded while disarmed.
 fn node(m: usize, plan: FaultPlan) -> DistributedHashMap {
+    node_with(m, plan, None)
+}
+
+/// [`node`] with `mutation` armed.
+fn node_with(m: usize, plan: FaultPlan, mutation: Option<Mutation>) -> DistributedHashMap {
     let devices: Vec<Arc<Device>> = (0..m)
         .map(|i| Arc::new(Device::with_words(i, 1 << 16)))
         .collect();
     // every knob `Config::default()` reads from the environment is pinned
-    let cfg = Config::default()
+    let mut cfg = Config::default()
         .with_schedule(Schedule::Sequential)
         .with_fault(FaultPlan::default());
+    cfg.mutation = mutation;
     let mut d = DistributedHashMap::new(devices, 4096, cfg, Topology::p100_quad(m)).unwrap();
     let pairs: Vec<(u32, u32)> = (0..PRELOAD).map(|i| (key(i), i)).collect();
     d.put_batch(&pairs).unwrap();
@@ -269,4 +275,39 @@ fn cascades_reproduce_the_golden_reports_bit_for_bit() {
         assert_eq!(want, got, "line {} differs, in case `{header}`", n + 1);
     }
     assert_eq!(golden.lines().count(), actual.lines().count(), "row count");
+}
+
+/// `Mutation::AnswerSliceToWrongOrigin`: each target stores the answers it
+/// owes a GPU into the landing of the next one, so the disarmed 4-GPU
+/// retrieves, device- and host-sided, hand out answers whose digest is not
+/// the golden one.
+#[test]
+fn answers_landing_on_the_wrong_origin_miss_the_golden_digests() {
+    let golden = std::fs::read_to_string(FIXTURE).expect("tests/fixtures/cascade_golden.txt");
+    for side in ["device", "host"] {
+        let header = format!("m=4 plan=disarmed side={side} op=retrieve call=1:");
+        let line = |rendered: &str| {
+            let at = rendered.find(&header).expect("the case is in the fixture");
+            rendered[at..].lines().next().unwrap_or_default().to_owned()
+        };
+        let broken = Some(Mutation::AnswerSliceToWrongOrigin);
+        let ran = std::panic::catch_unwind(|| {
+            let mut out = header.clone();
+            let mut d = node_with(4, FaultPlan::default(), broken);
+            run(&mut out, &mut d, "retrieve", side == "host", PRELOAD - 600, PRELOAD + 400);
+            out
+        });
+        match ran {
+            Ok(out) => {
+                assert!(line(&out).contains("answers="), "{}", line(&out));
+                assert_ne!(line(&out), line(&golden), "{side}: the wrong origin went unnoticed");
+            }
+            // under `WD_SANITIZE` racecheck stops it first: the wrong
+            // origin's scatter reads a slice no flag it polled ordered
+            Err(panic) => {
+                let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(msg.contains("[racecheck] kernel=`warpdrive_round`"), "{msg}");
+            }
+        }
+    }
 }

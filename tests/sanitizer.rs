@@ -8,6 +8,7 @@
 //! | `Mutation::SkipFill`          | initcheck | read of unwritten VRAM  |
 //! | `Mutation::WindowOverrun`     | memcheck  | off-by-one slice read   |
 //! | `Mutation::DivergentBallot`   | synccheck | divergent collective    |
+//! | `Mutation::ScatterReadsBeforeFlag` | racecheck | read before the node launch's flag |
 //!
 //! Each test runs on a device attached with a *collecting* sanitizer, so
 //! detections land in [`gpu_sim::Report`]s we can inspect. When the whole
@@ -19,10 +20,11 @@
 //! Failure messages carry the seed: replay any cell with
 //! `WD_SCHED_MODE=seeded WD_SCHED_SEED=<seed>`.
 
-use gpu_sim::{Detector, Device, SanitizerSet, Schedule};
+use gpu_sim::{Detector, Device, FaultPlan, SanitizerSet, Schedule};
+use interconnect::Topology;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use warpdrive::{Config, GpuHashMap, Layout, Mutation};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, Layout, MapService, Mutation};
 use wd_apps::mutation_seeds;
 
 const ALL_DETECTORS: [Detector; 4] =
@@ -187,6 +189,62 @@ fn synccheck_catches_divergent_ballot() {
         // so the same-key race is what arms it
         contended_insert,
     );
+}
+
+/// The detectors that fired on the 4-GPU node built from `cfg` while it
+/// ran a put and then a get of the same keys: every device sanitized, so
+/// a node launch's peer stores and flags are checked across devices.
+fn node_detectors_fired(cfg: Config) -> Vec<Detector> {
+    let devices: Vec<Arc<Device>> = (0..4)
+        .map(|i| Arc::new(Device::with_words(i, 1 << 14).sanitized_collecting(SanitizerSet::ALL)))
+        .collect();
+    let probes = devices.clone();
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let cfg = cfg.with_fault(FaultPlan::default());
+        let mut d = DistributedHashMap::new(devices, 512, cfg, Topology::p100_quad(4)).unwrap();
+        let pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i * 13 + 5, i)).collect();
+        d.put_batch(&pairs).unwrap();
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain(9_000..9_040).collect();
+        let got = d.get_batch(&keys).unwrap().values;
+        assert!(got[..200].iter().zip(&pairs).all(|(v, p)| *v == Some(p.1)));
+        let _ = d.delete_batch(&keys[..50]).unwrap();
+    }));
+    let mut fired: Vec<Detector> = match ran {
+        Ok(()) => probes
+            .iter()
+            .flat_map(|dev| dev.take_sanitizer_reports())
+            .map(|r| r.detector)
+            .collect(),
+        // under WD_SANITIZE the env's Panic attachment owned the slots
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default();
+            ALL_DETECTORS.into_iter().filter(|d| msg.contains(d.as_str())).collect()
+        }
+    };
+    fired.sort_by_key(|d| d.as_str());
+    fired.dedup();
+    fired
+}
+
+/// `Mutation::ScatterReadsBeforeFlag`: a scatter warp of the node launch
+/// reads the answers that landed on its GPU before it polls the flags of
+/// the targets that stored them. In `group_id` order every store came
+/// first, so the answers are right; racecheck still finds the read
+/// unordered after the peer's store — on every schedule, the correct
+/// round on none.
+#[test]
+fn racecheck_catches_a_scatter_reading_before_its_flag() {
+    for schedule in [Schedule::Sequential, Schedule::Seeded(1)] {
+        let cfg = Config::default().with_schedule(schedule);
+        let clean = node_detectors_fired(cfg);
+        assert!(clean.is_empty(), "{schedule:?}: false positive on the node launch: {clean:?}");
+        let broken = node_detectors_fired(cfg.with_mutation(Mutation::ScatterReadsBeforeFlag));
+        assert!(broken.contains(&Detector::Race), "{schedule:?}: the early read went unseen");
+    }
 }
 
 /// Off-mode invariance: attaching the sanitizer must not change a single

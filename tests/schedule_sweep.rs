@@ -14,12 +14,13 @@
 //! CI failure can be replayed with `WD_SCHED_MODE=seeded
 //! WD_SCHED_SEED=<seed>`.
 
-use gpu_sim::{AdversarialMode, CounterSnapshot, Device, GroupSize, Schedule};
+use gpu_sim::{AdversarialMode, CounterSnapshot, Device, FaultPlan, GroupSize, Schedule};
 use interconnect::Topology;
 use std::collections::HashMap;
 use std::sync::Arc;
 use warpdrive::{
     Config, DistributedHashMap, GetResponse, GpuHashMap, GpuMultiMap, Layout, MapService,
+    Mutation,
 };
 use wd_apps::{scaled, sweep_seeds};
 
@@ -207,6 +208,52 @@ fn distributed_sweep_is_deterministic_and_complete() {
         assert_eq!(content, want, "{schedule}: content mismatch");
         assert_eq!((len, content), run(schedule), "{schedule}: replay diverged");
     }
+}
+
+/// The answers a 2-GPU node under `schedule` gives a get of 64 keys it
+/// holds and 8 it does not, `mutation` armed.
+fn node_answers(schedule: Schedule, mutation: Option<Mutation>) -> Vec<Option<u32>> {
+    let devices: Vec<Arc<Device>> =
+        (0..2).map(|i| Arc::new(Device::with_words(i, 1 << 14))).collect();
+    let mut cfg = Config::default().with_schedule(schedule).with_fault(FaultPlan::default());
+    cfg.mutation = mutation;
+    let mut d = DistributedHashMap::new(devices, 256, cfg, Topology::p100_quad(2)).unwrap();
+    let pairs: Vec<(u32, u32)> = (0..64u32).map(|i| (i * 5 + 1, i + 100)).collect();
+    d.put_batch(&pairs).unwrap();
+    let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain(1_000..1_008).collect();
+    d.get_batch(&keys).unwrap().values
+}
+
+/// The node launch under adversarial schedules: its scatter warps may run
+/// before the targets' kernels, and every answer is still right, since a
+/// warp waits for the flags of the targets that answer it. The mutation
+/// double `Mutation::ScatterReadsBeforeFlag`, which reads first and waits
+/// after, hands out what lay in its GPU's landing before the answers came
+/// under one of them at least.
+#[test]
+fn adversarial_schedules_order_the_node_launchs_scatter_after_its_answers() {
+    let want: Vec<Option<u32>> = (0..64).map(|i| Some(i + 100)).chain([None; 8]).collect();
+    let schedules = [
+        Schedule::Adversarial { mode: AdversarialMode::Reverse, seed: 0 },
+        Schedule::Adversarial { mode: AdversarialMode::DelayOne, seed: 3 },
+        Schedule::Adversarial { mode: AdversarialMode::RoundRobin { quantum: 7 }, seed: 2 },
+    ];
+    let mut caught = Vec::new();
+    for schedule in schedules {
+        assert_eq!(node_answers(schedule, None), want, "{schedule}");
+        let early = Some(Mutation::ScatterReadsBeforeFlag);
+        match std::panic::catch_unwind(|| node_answers(schedule, early)) {
+            Ok(answers) if answers == want => {}
+            Ok(_) => caught.push(schedule),
+            // under `WD_SANITIZE` racecheck stops the early read first
+            Err(panic) => {
+                let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(msg.contains("[racecheck] kernel=`warpdrive_round`"), "{msg}");
+                caught.push(schedule);
+            }
+        }
+    }
+    assert!(!caught.is_empty(), "no adversarial schedule caught a scatter reading early");
 }
 
 // ---- the fused get + put launch against its two-launch twin ---------------
