@@ -245,18 +245,17 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
          device rates a hair below the two-launch split's (5.22 / 5.31 G/s \
          unique at 2^28): at scale the look-back's chain of waits, a memory \
          round-trip a window of 32 runs, and its windows of descriptors cost \
-         more than the count launch they save; device retrieve 5.05 G/s, \
-         its kernel and scatter one node launch a GPU: the launch it saves \
-         does not show at scale, while each target re-reads its answers to \
-         send them home (8 B a key streamed) and each scatter warp polls the \
-         flags of its targets, so Query and Scatter bind 4 % more than as \
-         two launches (5.17 G/s); \
-         host insert ~2.5-2.7 G/s (84% PCIe), host retrieve ~2 G/s (55%) in \
-         the paper, which moves an 8-byte word per key each way. Here a key \
-         goes up as its 4 bytes (the device writes the index) and comes back \
-         as a 4-byte value and a found bit, so up and down carry about the \
-         same and overlap: host retrieve ~4.2-5.3 G/s, above host insert, \
-         which its 8-byte pairs going up bind."
+         more than the count launch they save; device retrieve ~6.1 G/s: \
+         a key crosses NVLink as its 4 bytes, its position staying on its \
+         origin, and its answer comes back as a 4-byte value and a found bit, \
+         so each transposition moves half the bytes of an 8-byte query word \
+         and answer pair (5.05 G/s) and the kernel, unchanged, binds 57 % of \
+         the round; host insert ~2.5-2.7 G/s (84% PCIe), host retrieve \
+         ~2 G/s (55%) in the paper, which moves an 8-byte word per key each \
+         way. Here a key goes up as its 4 bytes and comes back as a 4-byte \
+         value and a found bit, so up and down carry about the same and \
+         overlap: host retrieve ~4.2-5.3 G/s, above host insert, which its \
+         8-byte pairs going up bind."
     )
 }
 
@@ -365,7 +364,7 @@ pub fn fig11(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
          words both ways; here keys go up as 4 bytes and answers come down \
          as 4-byte values and a found bit, so `PCIe up` and `PCIe down` of \
          the Ret rows are about equal, half the paper's each, and Ret4 \
-         overlaps them (~64% saved, of a smaller total)."
+         overlaps them (~62% saved, of a smaller total)."
     )
 }
 

@@ -115,7 +115,7 @@ impl SingleGpuBench {
         // input generation is not part of the measured protocol
         let pairs = dist.generate(n, seed);
         let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
-        let queries: Vec<u64> = pairs.iter().map(|&(k, _)| u64::from(k) << 32).collect();
+        let keys: Vec<u32> = pairs.iter().map(|&(k, _)| k).collect();
 
         self.dev.mem().reset(); // arena survives; bump region reclaimed
         let mut cfg = Config::default()
@@ -133,9 +133,9 @@ impl SingleGpuBench {
             .unwrap_or_else(|e| panic!("insert failed at load {load}, |g| = {group_size}: {e}"));
 
         // retrieval of all inserted keys, device-sided
-        let q_slice = self.arena.sub(n, n);
+        let q_slice = self.arena.sub(n, n.div_ceil(2));
         let out_slice = self.arena.sub(2 * n, n);
-        self.dev.mem().h2d(q_slice, &queries);
+        self.dev.mem().h2d_keys(q_slice, &keys);
         let ret = map.retrieve_device(q_slice, out_slice, n);
 
         SingleGpuMeasurement {

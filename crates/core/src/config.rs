@@ -170,6 +170,13 @@ pub enum Mutation {
     /// another GPU's answers, or stale words. The cascade golden and the
     /// node's linearizability suite exist to catch exactly this.
     AnswerSliceToWrongOrigin,
+    /// A scatter warp of the cascade's node launch reads a lane's position
+    /// at its offset in the first target's run of answers rather than in
+    /// its own — a run's local index for the origin's — so the answers of
+    /// every later target's run land in other keys' places. The cascade
+    /// golden's answer digests and the node's mixed-round test exist to
+    /// catch exactly this.
+    ScatterReadsPositionOfWrongRun,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

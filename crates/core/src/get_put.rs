@@ -32,10 +32,12 @@
 //! to race, and `&mut self` on [`crate::GpuHashMap::try_erase`] remains
 //! the API's §IV-A barrier.
 //!
-//! Input: `gets + takes` query words (key in the high 32 bits),
-//! `upserts + puts` packed pairs, `erases` query words. Output:
-//! `gets + takes + upserts` words, `pack(key, value)` for a key that was
-//! present before the launch, [`EMPTY`] otherwise.
+//! Input ([`Input`]): the keys of the gets, the takes and the erases, in
+//! that order, packed two to a word as `DeviceMemory::h2d_keys` leaves
+//! them, each read as one streamed word; and the packed pairs of the
+//! upserts and the puts. Output: `gets + takes + upserts` words,
+//! `pack(key, value)` for a key that was present before the launch,
+//! [`EMPTY`] otherwise.
 
 use crate::config::Mutation;
 use crate::delete::erase_one;
@@ -81,6 +83,16 @@ impl Sections {
     /// Groups that answer: gets, takes and upserts.
     pub(crate) fn answered(self) -> usize {
         self.gets + self.takes + self.upserts
+    }
+
+    /// Groups of keys: gets, takes and erases.
+    pub(crate) fn keys(self) -> usize {
+        self.gets + self.takes + self.erases
+    }
+
+    /// Groups of pairs: upserts and puts.
+    pub(crate) fn pairs(self) -> usize {
+        self.upserts + self.puts
     }
 
     /// The launch's name, from the sections it runs; an empty launch is
@@ -181,8 +193,23 @@ impl<'a> Mix<'a> {
     }
 }
 
-/// The groups of one launch of the kernel over `table`, one group per
-/// word of `input`, section by section: the gets, the takes and the
+/// A launch's input on the device: the keys of its gets, takes and
+/// erases, two to a word in that order, and the pairs of its upserts and
+/// puts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Input {
+    pub(crate) keys: DevSlice,
+    pub(crate) pairs: DevSlice,
+}
+
+/// Key `i` of `keys`, packed two to a word: one streamed read of its
+/// word, billed as a word.
+pub(crate) fn read_key(ctx: &GroupCtx, keys: DevSlice, i: usize) -> u32 {
+    (ctx.read_stream(keys, i / 2) >> (32 * (i % 2))) as u32
+}
+
+/// The groups of one launch of the kernel over `table`, one group per key
+/// or pair of `input`, section by section: the gets, the takes and the
 /// upserts answered into `out`, each answer a [`GroupCtx::publish_stream`]
 /// that is its own flag, and `hit(ctx, i, found)` once key `i` of the
 /// erase section is done. A launch on one GPU runs them alone
@@ -190,7 +217,7 @@ impl<'a> Mix<'a> {
 pub(crate) struct Probe<'a, H> {
     table: &'a Table,
     sections: Sections,
-    input: DevSlice,
+    input: Input,
     out: DevSlice,
     recorder: Option<&'a HistoryRecorder>,
     hit: H,
@@ -202,7 +229,7 @@ impl<'a, H: Fn(&GroupCtx, usize, bool) + Sync> Probe<'a, H> {
     pub(crate) fn new(
         table: &'a Table,
         sections: Sections,
-        (input, out): (DevSlice, DevSlice),
+        (input, out): (Input, DevSlice),
         recorder: Option<&'a HistoryRecorder>,
         hit: H,
     ) -> Self {
@@ -226,24 +253,24 @@ impl<'a, H: Fn(&GroupCtx, usize, bool) + Sync> Probe<'a, H> {
     /// Runs group `id` of the grid.
     pub(crate) fn group(&self, ctx: &GroupCtx, id: usize) {
         let (table, sections, input, out) = (self.table, self.sections, self.input, self.out);
-        let (takes_from, answered) = (sections.gets, sections.answered());
+        // the key groups before the pairs, and where the erases start
+        let (reads, answered) = (sections.gets + sections.takes, sections.answered());
         let erases_from = sections.len() - sections.erases;
         let history = self.recorder.map(|rec| (rec, rec.invoke()));
         if id < sections.gets {
-            // MUTATION DOUBLE (`Mutation::WindowOverrun`): read the query
-            // one group past our own — the last get of a get-only launch
-            // runs off the end of the input buffer, which memcheck
-            // reports and contains.
-            let at = if table.mutation() == Some(Mutation::WindowOverrun) { id + 1 } else { id };
-            let key = key_of(ctx.read_stream(input, at));
+            // MUTATION DOUBLE (`Mutation::WindowOverrun`): read the key a
+            // word past our own — the last get of a get-only launch runs
+            // off the end of the input buffer, which memcheck reports and
+            // contains.
+            let at = if table.mutation() == Some(Mutation::WindowOverrun) { id + 2 } else { id };
+            let key = read_key(ctx, input.keys, at);
             let result = retrieve_one(ctx, table, key);
             record_retrieve(history, key, result);
             ctx.publish_stream(out, id, result);
             return;
         }
-        let word = ctx.read_stream(input, id);
-        if id < takes_from + sections.takes {
-            let key = key_of(word);
+        if id < reads {
+            let key = read_key(ctx, input.keys, id);
             // MUTATION DOUBLE (`Mutation::TakeTombstonesFirst`): tombstone
             // the key before reading it, so the answer is a miss
             let first = table.mutation() == Some(Mutation::TakeTombstonesFirst);
@@ -263,17 +290,19 @@ impl<'a, H: Fn(&GroupCtx, usize, bool) + Sync> Probe<'a, H> {
             return;
         }
         if id >= erases_from {
-            let found = erase_one(ctx, table, key_of(word));
+            let key = read_key(ctx, input.keys, reads + id - erases_from);
+            let found = erase_one(ctx, table, key);
             if found {
                 self.erased.fetch_add(1, Relaxed);
             }
             (self.hit)(ctx, id - erases_from, found);
             if let Some((rec, invoked)) = history {
                 let response = OpResponse::Erased { hit: found };
-                rec.complete(key_of(word), OpKind::Erase, response, invoked);
+                rec.complete(key, OpKind::Erase, response, invoked);
             }
             return;
         }
+        let word = ctx.read_stream(input.pairs, id - reads);
         let upsert = id < answered;
         let r = insert_one(ctx, table, word, upsert);
         if upsert {
@@ -313,7 +342,7 @@ pub(crate) fn kernel(
     table: &Table,
     g: GroupSize,
     sections: Sections,
-    input: DevSlice,
+    input: Input,
     out: DevSlice,
     recorder: Option<&HistoryRecorder>,
     hit: impl Fn(usize) + Sync,
@@ -351,17 +380,16 @@ mod tests {
         Table::alloc(dev, capacity, &cfg, cfg.seed).unwrap()
     }
 
-    fn query(key: u32) -> u64 {
-        u64::from(key) << 32
-    }
-
     /// What one launch did: its answers; failed, new, updated, reclaimed
     /// and tombstoned counts; erase hits.
     type Launched = (Vec<u64>, [u64; 5], Vec<bool>);
 
-    fn launch(t: &Table, g: GroupSize, s: Sections, words: &[u64]) -> Launched {
+    /// One launch of `s` over `keys` — the gets', then the erases' — and
+    /// `pairs`.
+    fn launch(t: &Table, g: GroupSize, s: Sections, keys: &[u32], pairs: &[u64]) -> Launched {
         let answered = s.gets + s.upserts;
-        let (_scratch, input, out) = t.stage(None, words.iter().copied(), answered).unwrap();
+        let (keys, pairs) = (keys.iter().copied(), pairs.iter().copied());
+        let (_scratch, input, out) = t.stage(None, keys, pairs, answered).unwrap();
         let hits: Vec<AtomicBool> = (0..s.erases).map(|_| AtomicBool::new(false)).collect();
         let (o, erased) = t.run(g, s, input, out, None, |i| hits[i].store(true, Relaxed));
         let counts = [o.failed, o.new_slots, o.updates, o.reclaimed, erased];
@@ -397,11 +425,11 @@ mod tests {
                     (BTreeSet::new(), Vec::new(), Vec::new(), Vec::new());
                 for (i, k) in prefill.iter().map(|p| p.0).chain(fresh).enumerate() {
                     if span(k) % 4 == 0 {
-                        if i % 2 == 0 { &mut erases } else { &mut gets }.push(query(k));
+                        if i % 2 == 0 { &mut erases } else { &mut gets }.push(k);
                     } else if i % 3 != 2 && spans.insert(span(k)) {
                         writes.push(pack(k, k ^ 0x5a5a));
                     } else if i % 2 == 0 {
-                        gets.push(query(k));
+                        gets.push(k);
                     }
                 }
                 let (upserts, puts) = (writes.len() / 2, writes.len() - writes.len() / 2);
@@ -412,15 +440,15 @@ mod tests {
                     erases: erases.len(),
                     ..Sections::default()
                 };
-                let (answers, counts, hits) =
-                    launch(&mixed, g, s, &[&gets[..], &writes, &erases].concat());
+                let keys = [&gets[..], &erases].concat();
+                let (answers, counts, hits) = launch(&mixed, g, s, &keys, &writes);
 
-                let keys = gets.iter().chain(&writes[..upserts]).map(|&w| w >> 32 << 32);
-                let read: Vec<u64> = keys.collect();
-                let (twin_answers, ..) = launch(&twin, g, Sections::gets(read.len()), &read);
-                let (_, put, _) = launch(&twin, g, Sections::puts(writes.len()), &writes);
+                let upserted = writes[..upserts].iter().map(|&w| key_of(w));
+                let read: Vec<u32> = gets.iter().copied().chain(upserted).collect();
+                let (twin_answers, ..) = launch(&twin, g, Sections::gets(read.len()), &read, &[]);
+                let (_, put, _) = launch(&twin, g, Sections::puts(writes.len()), &[], &writes);
                 let (_, erase, twin_hits) =
-                    launch(&twin, g, Sections::erases(erases.len()), &erases);
+                    launch(&twin, g, Sections::erases(erases.len()), &erases, &[]);
                 assert_eq!(answers, twin_answers, "{cell}: gets and upserts");
                 assert_eq!(hits, twin_hits, "{cell}: erase hits");
                 assert_eq!(counts, std::array::from_fn(|i| put[i] + erase[i]), "{cell}");
@@ -446,10 +474,10 @@ mod tests {
         let victims: Vec<(u32, u32)> = (1..=8).map(|k| (k, 100 + k)).collect();
         t.insert_pairs(GroupSize::WARP, &victims, None).unwrap();
         let puts: Vec<(u32, u32)> = (0..8).map(|i| (1_000 + i, 7 + i)).collect();
-        let victim_words = victims.iter().map(|p| query(p.0));
-        let words = puts.iter().map(|&(k, v)| pack(k, v)).chain(victim_words);
+        let victim_keys: Vec<u32> = victims.iter().map(|p| p.0).collect();
+        let words: Vec<u64> = puts.iter().map(|&(k, v)| pack(k, v)).collect();
         let s = Sections { puts: 8, erases: 8, ..Sections::default() };
-        let (_, counts, _) = launch(&t, GroupSize::WARP, s, &words.collect::<Vec<_>>());
+        let (_, counts, _) = launch(&t, GroupSize::WARP, s, &victim_keys, &words);
         assert_eq!(counts[..2], [0, 8]);
         let keys: Vec<u32> = puts.iter().chain(&victims).map(|p| p.0).collect();
         let mut found = vec![None; keys.len()];

@@ -63,11 +63,10 @@
 //! the bracket.
 
 use crate::cascade::{
-    down_bytes, Abort, CascadeOp, Input, ERASES, GETS, PUTS, SEGMENTS, TAKES, UPSERTS,
+    down_bytes, Abort, CascadeOp, Input, Pairs, ERASES, GETS, PUTS, SEGMENTS, TAKES, UPSERTS,
 };
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
-use crate::entry::{key_of, pack};
 use crate::get_put::Mix;
 use crate::service::{answer, Applied, OpError, OpReport};
 use crate::stats::{CascadeStage, StageRows, StageTiming};
@@ -334,11 +333,11 @@ fn live_chunk(len: usize, m: usize, mask: u32, g: usize) -> std::ops::Range<usiz
 
 /// A host-sided call's lists as the segments of its cascade round
 /// ([`Input`]), each in the caller's order: per segment its keys or its
-/// packed pairs, or none.
+/// pairs, or none.
 #[derive(Clone, Copy, Default)]
 struct Call<'a> {
     keys: [&'a [u32]; SEGMENTS],
-    pairs: [&'a [u64]; SEGMENTS],
+    pairs: [&'a [(u32, u32)]; SEGMENTS],
 }
 
 impl Call<'_> {
@@ -520,7 +519,7 @@ impl DistributedHashMap {
         let pairs = call.pairs.map(|list| chunks(list, m, mask));
         let input = Input {
             keys: keys.each_ref().map(|(chunks, n)| &chunks[..*n]),
-            pairs: pairs.each_ref().map(|(chunks, n)| &chunks[..*n]),
+            pairs: pairs.each_ref().map(|(chunks, n)| Pairs::Split(&chunks[..*n])),
         };
         self.cascade(input, report, placed, |s, (g, i), found| {
             answer(s, live_chunk(call.len(s), m, mask, g).start + i, found);
@@ -599,17 +598,20 @@ impl DistributedHashMap {
         let mutation = self.cfg().mutation;
         let mix = Mix::new(reads, puts, erases, mutation);
         let sections = mix.sections();
-        let (keys, words) = scratch;
+        let (keys, pairs) = scratch;
         let mixed = !reads.is_empty() && (!puts.is_empty() || !erases.is_empty());
         if mixed {
+            keys.reserve(sections.keys() + reads.len().div_ceil(32));
             keys.extend(mix.gets().chain(mix.takes()).chain(mix.erases()));
+            keys.resize(sections.keys() + reads.len().div_ceil(32), 0);
+            pairs.extend(mix.upserts().chain(mix.puts()));
         }
-        let len = puts.len() + usize::from(mixed) * reads.len().div_ceil(64);
-        words.reserve(len);
-        words.extend(mix.upserts().chain(mix.puts()).map(|(k, v)| pack(k, v)));
-        words.resize(len, 0);
-        let (pairs, answered) = words.split_at_mut(puts.len());
-        let (upserts, pairs) = pairs.split_at(sections.upserts);
+        let (keys, answered) = keys.split_at_mut(if mixed { sections.keys() } else { 0 });
+        let (upserts, pairs) = if mixed {
+            pairs.split_at(sections.upserts)
+        } else {
+            (&[][..], puts)
+        };
         let (gets, keys) = keys.split_at(if mixed { sections.gets } else { 0 });
         let (takes, erased) = keys.split_at(sections.takes);
         let (gets, erased) = if mixed { (gets, erased) } else { (reads, erases) };
@@ -631,14 +633,14 @@ impl DistributedHashMap {
                     hits[at(erases, takes[i])] |= found.is_some();
                     at(reads, takes[i])
                 }
-                UPSERTS => at(reads, key_of(upserts[i])),
+                UPSERTS => at(reads, upserts[i].0),
                 // of every round, so ORed
                 _ => return hits[place(erases, erased, i)] |= found.is_some(),
             };
             // the first answer a key gets stands: a round re-run after a
             // lost device would read what the aborted one wrote
-            if let Some(word) = answered.get_mut(r / 64) {
-                let bit = 1 << (r % 64);
+            if let Some(word) = answered.get_mut(r / 32) {
+                let bit = 1 << (r % 32);
                 if *word & bit != 0 {
                     return;
                 }
@@ -651,8 +653,8 @@ impl DistributedHashMap {
 }
 
 /// The buffers of a node's mixed call ([`DistributedHashMap::apply_into`]):
-/// its sections' keys, and their pairs and a bit per read.
-pub(crate) type Scratch = (Vec<u32>, Vec<u64>);
+/// its sections' keys and a bit per read, and their pairs.
+pub(crate) type Scratch = (Vec<u32>, Vec<(u32, u32)>);
 
 #[cfg(test)]
 mod tests {
@@ -820,13 +822,15 @@ mod tests {
             assert_eq!(up + 4 * both as u64, bytes_of(&two.report, H2D), "{both} both");
             // the gets' and upserts' chunks cross, come back and come down
             // from other GPUs than the reads' (a found bit rounds up to a
-            // byte on each), and a pair crosses where a query word and a
+            // byte on each; on a link, to a 4-byte found word a run of each
+            // of the two segments), and a pair crosses where a key and a
             // pair did
             let near = |a: u64, b: u64| a.abs_diff(b) * 50 < b;
-            for stage in [TransposeBack, D2H] {
-                let (one, apart) = (bytes_of(&resp.report, stage), bytes_of(&two.report, stage));
-                assert!(near(one, apart), "{stage:?}: {one} vs {apart}");
-            }
+            let (one, apart) = (bytes_of(&resp.report, D2H), bytes_of(&two.report, D2H));
+            assert!(near(one, apart), "D2H: {one} vs {apart}");
+            let one = bytes_of(&resp.report, TransposeBack);
+            let apart = bytes_of(&two.report, TransposeBack);
+            assert!(one.abs_diff(apart) <= 4 * 4 * 3, "TransposeBack: {one} vs {apart}");
             let one = bytes_of(&resp.report, Transpose);
             let apart = bytes_of(&two.report, Transpose);
             assert!(if both > 0 { one < apart } else { near(one, apart) }, "{one} vs {apart}");

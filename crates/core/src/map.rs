@@ -3,7 +3,7 @@
 use crate::config::Config;
 use crate::delete::EraseOutcome;
 use crate::errors::BuildError;
-use crate::get_put::{Probe, Sections};
+use crate::get_put::{Input, Probe, Sections};
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::service::{
@@ -155,37 +155,40 @@ impl GpuHashMap {
     /// [rebuilt](GpuHashMap::rebuild_with_fresh_hash).
     pub fn insert_device(&self, input: DevSlice, n: usize) -> Result<InsertOutcome, OpError> {
         let (g, recorder) = (self.cfg.group_size, self.recorder.as_deref());
-        let out = input.sub(0, 0);
+        let (input, out) = (Input { keys: input.sub(0, 0), pairs: input }, input.sub(0, 0));
         placed(self.table.run(g, Sections::puts(n), input, out, recorder, |_| {}).0)
     }
 
-    /// Retrieves the `n` query words of `input` into `out` (both
-    /// device-resident): `out[i] = pack(key, value)` on a hit, `EMPTY` on
-    /// a miss. Query words carry the key in their high 32 bits.
-    pub fn retrieve_device(&self, input: DevSlice, out: DevSlice, n: usize) -> KernelStats {
+    /// Retrieves the `n` keys of `keys` into `out` (both device-resident):
+    /// `out[i] = pack(key, value)` on a hit, `EMPTY` on a miss. The keys
+    /// lie two to a word, key `2i` the low half of word `i`, as
+    /// [`gpu_sim::DeviceMemory::h2d_keys`] leaves them.
+    pub fn retrieve_device(&self, keys: DevSlice, out: DevSlice, n: usize) -> KernelStats {
         let recorder = self.recorder.as_deref();
         let g = self.cfg.group_size;
+        let input = Input { keys, pairs: keys.sub(0, 0) };
         self.table.run(g, Sections::gets(n), input, out, recorder, |_| {}).0.stats
     }
 
-    /// Tombstones the `n` keys in `input` (device-resident query words).
-    /// Takes `&mut self`: the global barrier separating deletions from
-    /// concurrent inserts/queries (§IV-A).
-    pub fn erase_device(&mut self, input: DevSlice, n: usize) -> EraseOutcome {
+    /// Tombstones the `n` keys of `keys` (device-resident, two to a word as
+    /// for [`GpuHashMap::retrieve_device`]). Takes `&mut self`: the global
+    /// barrier separating deletions from concurrent inserts/queries
+    /// (§IV-A).
+    pub fn erase_device(&mut self, keys: DevSlice, n: usize) -> EraseOutcome {
         self.table
-            .erase(self.cfg.group_size, input, n, self.recorder.as_deref())
+            .erase(self.cfg.group_size, keys, n, self.recorder.as_deref())
     }
 
-    /// The groups of one launch of the kernel over device-resident words
-    /// of distinct keys ([`Probe`]), for a node's launch to run as its
-    /// section on this map's GPU ([`GpuHashMap::section`]). Not public:
-    /// erase sections take `&self` here, where a
+    /// The groups of one launch of the kernel over device-resident keys
+    /// and pairs of distinct keys ([`Probe`]), for a node's launch to run
+    /// as its section on this map's GPU ([`GpuHashMap::section`]). Not
+    /// public: erase sections take `&self` here, where a
     /// [`crate::DistributedHashMap`]'s own `&mut self` provides the §IV-A
     /// barrier for every local map.
     pub(crate) fn probe<H: Fn(&GroupCtx, usize, bool) + Sync>(
         &self,
         sections: Sections,
-        input: DevSlice,
+        input: Input,
         out: DevSlice,
         hit: H,
     ) -> Probe<'_, H> {

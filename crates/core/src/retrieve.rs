@@ -13,7 +13,8 @@
 //! low bits are caller payload (the distributed cascade routes origin
 //! indices through them) and are ignored here.
 
-use crate::entry::{is_empty_slot, key_of, value_of, EMPTY};
+use crate::entry::{is_empty_slot, value_of, EMPTY};
+use crate::get_put::read_key;
 use crate::history::{HistoryRecorder, OpKind, OpResponse};
 use crate::table::Table;
 use gpu_sim::{DevSlice, GroupCtx, GroupSize, KernelStats};
@@ -54,13 +55,13 @@ pub(crate) fn record_retrieve(history: Option<(&HistoryRecorder, u64)>, key: u32
     }
 }
 
-/// Launches the multi-value retrieval for the `n` query words in `input`
-/// on a multi-value table: per key, every value stored under it, in slot
+/// Launches the multi-value retrieval for the `n` keys in `keys`, packed
+/// two to a word, on a multi-value table: per key, every value stored under it, in slot
 /// order — the walk does not stop at a hit, only at an EMPTY slot.
 pub(crate) fn retrieve_all_kernel(
     table: &Table,
     g: GroupSize,
-    input: DevSlice,
+    keys: DevSlice,
     n: usize,
     recorder: Option<&HistoryRecorder>,
 ) -> (Vec<Vec<u32>>, KernelStats) {
@@ -68,7 +69,7 @@ pub(crate) fn retrieve_all_kernel(
     let results: Mutex<Vec<Vec<u32>>> = Mutex::new(vec![Vec::new(); n]);
     let stats = table.launch("multimap_retrieve_all", n, g, |ctx: &GroupCtx| {
         let invoked = recorder.map(HistoryRecorder::invoke);
-        let key = key_of(ctx.read_stream(input, ctx.group_id()));
+        let key = read_key(ctx, keys, ctx.group_id());
         // collect (slot, value) and dedupe by slot: chaotic outer
         // jumps may revisit a span, and a slot must count once
         let mut hits: Vec<(usize, u32)> = Vec::new();

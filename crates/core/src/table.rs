@@ -19,7 +19,7 @@ use crate::config::{Config, Layout, Mutation};
 use crate::delete::EraseOutcome;
 use crate::entry::{live_pair, pack, value_of, EMPTY, RESERVED_KEY};
 use crate::errors::BuildError;
-use crate::get_put::{self, Mix, Sections};
+use crate::get_put::{self, Input, Mix, Sections};
 use crate::history::HistoryRecorder;
 use crate::insert::InsertOutcome;
 use crate::probing::Prober;
@@ -36,12 +36,6 @@ use parking_lot::Mutex;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// Query word for `key`: the key in the high 32 bits (the kernels' input
-/// convention for retrieval and erase).
-fn query_word(key: u32) -> u64 {
-    u64::from(key) << 32
-}
 
 /// Rejects the key both sentinels carry: packed, it would read as a
 /// vacant slot, not as a pair.
@@ -273,8 +267,8 @@ impl Table {
 
     // ---- the one kernel, over device-resident words ------------------------
 
-    /// One launch of the kernel ([`crate::get_put`]) over the words of
-    /// `input`, section by section: the gets, takes and upserts answered
+    /// One launch of the kernel ([`crate::get_put`]) over the keys and
+    /// pairs of `input`, section by section: the gets, takes and upserts answered
     /// into `out`, `hit(i)` for each key `i` of the erase section it
     /// tombstoned, claims, reclaimed tombstones and tombstoned keys
     /// counted. Returns the insertion outcome, whose stats cover the whole
@@ -284,7 +278,7 @@ impl Table {
         &self,
         g: GroupSize,
         sections: Sections,
-        input: DevSlice,
+        input: Input,
         out: DevSlice,
         recorder: Option<&HistoryRecorder>,
         hit: impl Fn(usize) + Sync,
@@ -305,19 +299,19 @@ impl Table {
         self.tombstones.fetch_sub(outcome.reclaimed, Relaxed);
     }
 
-    /// [`Table::run`] of the `n` erase keys of `input` alone, its hits in
-    /// a host list.
+    /// [`Table::run`] of the `n` erase keys of `keys`, packed two to a
+    /// word, alone, its hits in a host list.
     pub(crate) fn erase(
         &self,
         g: GroupSize,
-        input: DevSlice,
+        keys: DevSlice,
         n: usize,
         recorder: Option<&HistoryRecorder>,
     ) -> EraseOutcome {
         let mut hits = vec![false; n];
         let sink = HitSink::new(&mut hits);
         // an erase answers through `hit`, not into `out`
-        let out = input.sub(0, 0);
+        let (input, out) = (Input { keys, pairs: keys.sub(0, 0) }, keys.sub(0, 0));
         let (outcome, erased) =
             self.run(g, Sections::erases(n), input, out, recorder, |i| sink.set(i));
         EraseOutcome {
@@ -334,28 +328,30 @@ impl Table {
 
     // ---- the same, over host-resident pairs and keys ----------------------
 
-    /// Uploads `input` into the scratch `into` that the caller holds, or
-    /// into one scratch allocation of its own, with `out` result words
-    /// behind it. One allocation per host-staged call, however many
-    /// launches it takes: it fails before the first launch or not at all.
-    /// The words are made as they are copied, with no staging copy on the
-    /// host. PCIe time is *not* billed here — the `host_ops` cascades do
-    /// that.
+    /// Uploads `keys`, two to a word, and `pairs` into the scratch `into`
+    /// that the caller holds, or into one scratch allocation of its own,
+    /// with `out` result words behind them. One allocation per host-staged
+    /// call, however many launches it takes: it fails before the first
+    /// launch or not at all. The words are made as they are copied, with
+    /// no staging copy on the host. PCIe time is *not* billed here — the
+    /// `host_ops` cascades do that.
     pub(crate) fn stage(
         &self,
         into: Option<DevSlice>,
-        input: impl ExactSizeIterator<Item = u64>,
+        keys: impl ExactSizeIterator<Item = u32>,
+        pairs: impl ExactSizeIterator<Item = u64>,
         out: usize,
-    ) -> Result<(Option<ScratchGuard<'_>>, DevSlice, DevSlice), OutOfMemory> {
-        let n = input.len();
+    ) -> Result<(Option<ScratchGuard<'_>>, Input, DevSlice), OutOfMemory> {
+        let (k, n) = (keys.len().div_ceil(2), pairs.len());
         let mut guard = None;
         let scratch = match into {
             Some(scratch) => scratch,
-            None => guard.insert(self.dev.alloc_scratch((n + out).max(1))?).slice(),
+            None => guard.insert(self.dev.alloc_scratch((k + n + out).max(1))?).slice(),
         };
-        let region = scratch.sub(0, n);
-        self.dev.mem().h2d_from(region, input);
-        Ok((guard, region, scratch.sub(n, out)))
+        let input = Input { keys: scratch.sub(0, k), pairs: scratch.sub(k, n) };
+        self.dev.mem().h2d_keys_from(input.keys, keys);
+        self.dev.mem().h2d_from(input.pairs, pairs);
+        Ok((guard, input, scratch.sub(k + n, out)))
     }
 
     /// [`Table::apply`] of host-resident pairs alone.
@@ -377,8 +373,8 @@ impl Table {
         recorder: Option<&HistoryRecorder>,
     ) -> Result<(Vec<Vec<u32>>, KernelStats), OpError> {
         check_keys(keys.iter().copied())?;
-        let (_scratch, input, _) = self.stage(None, keys.iter().map(|&k| query_word(k)), 0)?;
-        Ok(retrieve_all_kernel(self, g, input, keys.len(), recorder))
+        let (_scratch, input, _) = self.stage(None, keys.iter().copied(), [].into_iter(), 0)?;
+        Ok(retrieve_all_kernel(self, g, input.keys, keys.len(), recorder))
     }
 
     /// Looks up `reads`, applies `puts` and erases `erases` in **one**
@@ -393,7 +389,9 @@ impl Table {
     /// tombstoned count. The words go up as they are made and the answers
     /// come down as they are handed out: the host stages nothing. The
     /// words go into `scratch` when the caller holds it (see
-    /// [`Table::stage`]), of `2 · reads + puts + erases` words at least.
+    /// [`Table::stage`]), of `2 · reads + puts + erases` words at least —
+    /// more than the keys two to a word, the pairs and an answer a read
+    /// take.
     ///
     /// # Errors
     /// [`OpError::ReservedKey`], as [`check_keys`], before anything
@@ -410,13 +408,12 @@ impl Table {
         check_lists(reads, puts, erases)?;
         let mix = Mix::new(reads, puts, erases, self.mutation);
         let sections = mix.sections();
-        let packed = |(k, v)| pack(k, v);
-        let mut words = (mix.gets().chain(mix.takes()).map(query_word))
-            .chain(mix.upserts().chain(mix.puts()).map(packed))
-            .chain(mix.erases().map(query_word));
+        let mut keys = mix.gets().chain(mix.takes()).chain(mix.erases());
+        let mut pairs = mix.upserts().chain(mix.puts()).map(|(k, v)| pack(k, v));
         // as many as the sections count, which `stage` must know first
-        let words = (0..sections.len()).map(|_| words.next().unwrap_or(EMPTY));
-        let (_scratch, input, out) = self.stage(scratch, words, sections.answered())?;
+        let keys = (0..sections.keys()).map(|_| keys.next().unwrap_or(0));
+        let pairs = (0..sections.pairs()).map(|_| pairs.next().unwrap_or(EMPTY));
+        let (_scratch, input, out) = self.stage(scratch, keys, pairs, sections.answered())?;
         // the erase section's hits land behind the takes' places
         let takes = sections.takes;
         hits.fill(false);

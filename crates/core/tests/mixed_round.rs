@@ -156,6 +156,45 @@ fn upsert_positions_past_a_run_are_caught() {
     }
 }
 
+/// `Mutation::ScatterReadsPositionOfWrongRun`: a scatter lane reads its
+/// position at its offset in the first target's run, so the answers of
+/// every later target's run land in other keys' places — through a get,
+/// a get + put of keys read and written, and an erase whose every other
+/// key is present.
+#[test]
+fn a_position_read_from_the_wrong_run_is_caught() {
+    let keys: Vec<u32> = (1..=600).collect();
+    let run = |cfg: Config| {
+        let mut d = preloaded(cfg, 1..=600);
+        let get = d.get_batch(&keys).unwrap().values;
+        let puts: Vec<(u32, u32)> = keys[..300].iter().map(|&k| (k, k + 1)).collect();
+        let (upserted, _, _) = apply(&mut d, &keys[..300], &puts, &[]);
+        let every_other = keys.iter().map(|&k| if k % 2 == 0 { k + 1000 } else { k });
+        let absent: Vec<u32> = every_other.collect();
+        (get, upserted, d.delete_batch(&absent).unwrap().hits)
+    };
+    let want = (
+        keys.iter().map(|&k| Some(k)).collect::<Vec<_>>(),
+        keys[..300].iter().map(|&k| Some(k)).collect::<Vec<_>>(),
+        keys.iter().map(|k| k % 2 == 1).collect::<Vec<_>>(),
+    );
+    assert_eq!(run(Config::default()), want);
+    let broken = Config::default().with_mutation(Mutation::ScatterReadsPositionOfWrongRun);
+    match std::panic::catch_unwind(|| run(broken)) {
+        Ok((get, upserted, hits)) => {
+            assert_ne!(get, want.0, "get");
+            assert_ne!(upserted, want.1, "get + put");
+            assert_ne!(hits, want.2, "erase");
+        }
+        // under `WD_SANITIZE` racecheck stops it first: two lanes name one
+        // position, whose half two scatter warps store
+        Err(panic) => {
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("[racecheck] kernel=`warpdrive_round`"), "{msg}");
+        }
+    }
+}
+
 /// `Mutation::EraseHitInWrongBit`: every other key of an erase present,
 /// so a hit set in its neighbour's bit shows, through an erase call and a
 /// mixed one.

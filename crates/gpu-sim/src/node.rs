@@ -19,11 +19,12 @@
 //! in id order and parks a waiter until something is published. Which
 //! memory a group's flag lies in plays no part.
 //!
-//! **Billing.** Each member pays one launch overhead, each of its
-//! sections' modeled time net of that overhead
+//! **Billing.** Each device pays one launch overhead, each of its
+//! members' sections' modeled time net of that overhead
 //! ([`crate::DeviceSpec::net_of_launches`]), and the chain latency of its
-//! deepest wait; its device's lifetime counts one launch. A member whose
-//! sections hold no group launches nothing and pays nothing.
+//! deepest wait; its lifetime counts one launch. Members that share a
+//! device — the partitions of §VI's sharded table — share its launch. A
+//! device whose sections hold no group launches nothing and pays nothing.
 //!
 //! **Sanitizers.** The members' devices share one race state, each
 //! device's words keyed apart, so racecheck orders a publish into a
@@ -69,7 +70,8 @@ pub struct Section {
 /// The members of a node launch, as its groups see them.
 pub(crate) struct Node<'a> {
     devices: &'a [&'a Device],
-    /// Per member, the index of the sanitizer context of its device.
+    /// Per member, the first member on its device: the one that holds
+    /// the device's sanitizer context and its bill.
     san_of: [usize; MAX_MEMBERS],
     sans: [Option<LaunchSanitizer<'a>>; MAX_MEMBERS],
     /// Bytes stored from member `i` into member `j`.
@@ -120,8 +122,11 @@ impl<'a> Node<'a> {
 #[derive(Debug, Clone)]
 pub struct NodeStats {
     sections: [KernelStats; MAX_SECTIONS],
-    /// Per member: whether it launched, its bill and its chain latency.
+    /// Per member: whether it ran a group, and its device's bill and chain
+    /// latency.
     members: [(bool, f64, f64); MAX_MEMBERS],
+    /// Devices that launched.
+    launches: usize,
     edges: [[u64; MAX_MEMBERS]; MAX_MEMBERS],
 }
 
@@ -140,14 +145,22 @@ impl NodeStats {
         self.members[j].0
     }
 
-    /// Member `j`'s modeled seconds: one launch overhead, its sections
-    /// net of theirs, and the chain latency of its deepest wait.
+    /// Devices the launch ran a group on: the launches their lifetimes
+    /// count.
+    #[must_use]
+    pub fn launches(&self) -> usize {
+        self.launches
+    }
+
+    /// Modeled seconds of member `j`'s device: one launch overhead, the
+    /// sections of its members net of theirs, and the chain latency of
+    /// its deepest wait.
     #[must_use]
     pub fn time(&self, j: usize) -> f64 {
         self.members[j].1
     }
 
-    /// Seconds of member `j`'s deepest chain of waits.
+    /// Seconds of the deepest chain of waits on member `j`'s device.
     #[must_use]
     pub fn chain_latency(&self, j: usize) -> f64 {
         self.members[j].2
@@ -254,12 +267,15 @@ fn bill(
     let mut stats = NodeStats {
         sections: [idle(GroupSize::WARP); MAX_SECTIONS],
         members: [(false, 0.0, 0.0); MAX_MEMBERS],
+        launches: 0,
         edges: std::array::from_fn(|i| {
             std::array::from_fn(|j| node.edges[i][j].load(Ordering::Relaxed))
         }),
     };
-    // per member: what its sections counted, their net time, deepest chain
+    // per device, at its first member: what its sections counted, their
+    // net time, deepest chain
     let mut sums = [(CounterSnapshot::default(), 0.0, 0); MAX_MEMBERS];
+    let mut launched = [false; MAX_MEMBERS];
     for (k, section) in sections.iter().enumerate() {
         stats.sections[k] = idle(section.size);
         if section.groups == 0 {
@@ -276,21 +292,26 @@ fn bill(
             num_groups: section.groups as u64,
             ..stats.sections[k]
         };
-        let sum = &mut sums[section.member];
+        let device = node.san_of[section.member];
+        let sum = &mut sums[device];
         sum.0 = sum.0.merged(counters);
         sum.1 += timing.spec().net_of_launches(breakdown.total(), 1);
         sum.2 = sum.2.max(chain);
+        launched[device] = true;
         stats.members[section.member].0 = true;
     }
-    for (j, dev) in devices.iter().enumerate() {
-        if !stats.members[j].0 {
-            continue;
-        }
+    // per device, at its first member: its time and chain latency
+    let mut bills = [(0.0, 0.0); MAX_MEMBERS];
+    for (j, dev) in devices.iter().enumerate().filter(|&(j, _)| launched[j]) {
         let (counters, net, chain) = sums[j];
         let chain = dev.timing().chain_latency(chain);
         let time = dev.spec().launch_overhead + net + chain;
-        stats.members[j] = (true, time, chain);
+        bills[j] = (time, chain);
+        stats.launches += 1;
         dev.retire_launch(counters, time);
+    }
+    for (j, member) in stats.members.iter_mut().enumerate().take(devices.len()) {
+        (member.1, member.2) = bills[node.san_of[j]];
     }
     stats
 }

@@ -461,6 +461,38 @@ impl<'a> LaunchSanitizer<'a> {
         self.race_access(abs, slice, idx, kind, BOTH, group, lane, clock);
     }
 
+    /// Checks a plain read of one half of `slice[idx]` (bit 0 of `half` the
+    /// low half): initcheck asks that half alone to be written, racecheck
+    /// sees a read of the whole word.
+    pub(crate) fn on_half_read(
+        &self,
+        slice: DevSlice,
+        idx: usize,
+        half: u8,
+        group: usize,
+        clock: Option<&RefCell<GroupClock>>,
+    ) {
+        let abs = slice.offset + idx;
+        if let Some(valid) = self.valid() {
+            if self.set.init() && valid.halves(abs) & u64::from(half) == 0 {
+                valid.set_halves(abs, u64::from(half));
+                self.report(
+                    Detector::Init,
+                    group,
+                    None,
+                    Some(abs),
+                    format!(
+                        "plain read of a never-written half word (slice offset={} len={}, \
+                         idx={idx})",
+                        slice.offset, slice.len
+                    ),
+                );
+            }
+        }
+        let kind = AccessKind::PlainRead;
+        self.race_access(abs, slice, idx, kind, BOTH, group, None, clock);
+    }
+
     /// Checks a plain store of one half of `slice[idx]` (bit 0 of `half`
     /// the low half, bit 1 the high half) and marks that half initialised.
     pub(crate) fn on_half_write(

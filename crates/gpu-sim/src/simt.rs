@@ -12,7 +12,7 @@
 //! *groups* race against each other for real on a Rayon thread pool.
 
 use crate::counters::LocalCounters;
-use crate::mem::{DevSlice, DeviceMemory};
+use crate::mem::{store_half, DevSlice, DeviceMemory};
 use crate::node::Node;
 use crate::sanitizer::racecheck::{AccessKind, GroupClock};
 use crate::sanitizer::LaunchSanitizer;
@@ -513,12 +513,7 @@ impl<'a> GroupCtx<'a> {
                 let (half, lane) = (1 << high, lane as u32);
                 s.on_half_write(slice, idx, half, self.group_id, lane, self.clock.as_ref());
             }
-            let shift = 32 * high;
-            let keep = !(0xffff_ffff << shift);
-            let word = self.mem.word(slice, idx);
-            let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
-                Some((w & keep) | (u64::from(val) << shift))
-            });
+            store_half(self.mem.word(slice, idx), high, val);
             *sector = (slice.offset + idx) / WORDS_PER_SECTOR;
         }
         let sectors = &mut sectors[..halves.len()];
@@ -559,6 +554,46 @@ impl<'a> GroupCtx<'a> {
         }
         self.san_write(slice, idx, AccessKind::PlainWrite);
         self.mem.word(slice, idx).store(val, Ordering::Relaxed);
+    }
+
+    /// Streaming load of 32-bit half `h` of `slice` — the low half of word
+    /// `h / 2` for even `h`, its high half for odd — billed 4 bytes at
+    /// streaming bandwidth, like [`GroupCtx::read_stream`] of half a word.
+    /// Initcheck asks that half alone to be written; racecheck sees a read
+    /// of the whole word.
+    #[must_use]
+    pub fn read_stream_half(&self, slice: DevSlice, h: usize) -> u32 {
+        self.pace();
+        self.local.add_stream_bytes(4);
+        let (idx, high) = (h / 2, h % 2);
+        if let Some(s) = self.san {
+            if !s.stream_in_bounds("read_stream_half", slice, idx, self.group_id)
+                && s.contains_oob()
+            {
+                return 0;
+            }
+            s.on_half_read(slice, idx, 1 << high, self.group_id, self.clock.as_ref());
+        }
+        (self.mem.word(slice, idx).load(Ordering::Relaxed) >> (32 * high)) as u32
+    }
+
+    /// Streaming store of `val` into 32-bit half `h` of `slice` (as
+    /// [`GroupCtx::read_stream_half`] numbers them), billed 4 bytes at
+    /// streaming bandwidth. The other half of the word is left as it is,
+    /// so groups may store the two halves of one word.
+    pub fn write_stream_half(&self, slice: DevSlice, h: usize, val: u32) {
+        self.pace();
+        self.local.add_stream_bytes(4);
+        let (idx, high) = (h / 2, h % 2);
+        if let Some(s) = self.san {
+            if !s.stream_in_bounds("write_stream_half", slice, idx, self.group_id)
+                && s.contains_oob()
+            {
+                return;
+            }
+            s.on_half_write(slice, idx, 1 << high, self.group_id, 0, self.clock.as_ref());
+        }
+        store_half(self.mem.word(slice, idx), high, val);
     }
 
     /// Release streaming store: a word of a run that consecutive groups
@@ -699,6 +734,30 @@ impl<'a> GroupCtx<'a> {
         }
         if peer != me {
             node.count_edge(me, peer, vals.len() as u64 * width);
+        }
+    }
+
+    /// [`GroupCtx::store_peer`] of 32-bit halves: `vals` into the
+    /// consecutive halves of `slice` of member `peer` from half `at` on (as
+    /// [`GroupCtx::read_stream_half`] numbers them), 4 bytes each on the
+    /// link. The other half of a word at either end is left as it is, so
+    /// two groups may store the two halves of one word.
+    ///
+    /// # Panics
+    /// Panics outside a node launch.
+    pub fn store_peer_halves(&self, peer: usize, slice: DevSlice, at: usize, vals: &[u32]) {
+        self.pace();
+        let (node, me) = self.node();
+        let (mem, san) = (node.mem(peer), node.san(peer));
+        for (i, &val) in vals.iter().enumerate() {
+            let (idx, high) = (fast_idx((at + i) / 2, slice.len()), (at + i) % 2);
+            if let Some(s) = san {
+                s.on_half_write(slice, idx, 1 << high, self.group_id, 0, self.clock.as_ref());
+            }
+            store_half(mem.word(slice, idx), high, val);
+        }
+        if peer != me {
+            node.count_edge(me, peer, 4 * vals.len() as u64);
         }
     }
 

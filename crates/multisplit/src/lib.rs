@@ -10,8 +10,8 @@
 //! cascade runtime. On a small batch what it costs is its `m` launches
 //! (§V-B), so the cascade runs a one-launch split instead: its runs scan
 //! their class counts by decoupled look-back, one launch whatever `m`,
-//! with any number of independent **segments** — the query words and the
-//! pairs of a mixed round — in the same launch. The paper's split stays
+//! with any number of independent **segments** — the keys and the pairs
+//! of a mixed round — in the same launch. The paper's split stays
 //! as the reference the new one is tested and measured against.
 //!
 //! * [`warp_agg`] — the warp-aggregated compaction building block: one

@@ -58,11 +58,11 @@
 //! A [`Segment`] holds 64-bit words, or 32-bit **keys** packed two a
 //! word as a `&[u32]` lies in host memory ([`Segment::keys`]): a run of
 //! keys is `RUN_WORDS / 2` streamed words, and the scatter group writes
-//! each key out as the word `key << 32 | position in the segment` — the
-//! query word of a cascade that answers per key, which thus crosses PCIe
-//! as 4 bytes and is split on `2n` words of traffic, not `3n`. A segment
-//! of words can carry its positions out too, a word each beside the words
-//! ([`Segment::with_positions`]).
+//! each key out as 4 bytes, two to a word again, so a key crosses PCIe
+//! and NVLink as 4 bytes and is split on `2n` words of traffic, not `3n`.
+//! A segment can carry out each element's position in it too, 4 bytes
+//! beside where the element goes ([`Segment::with_positions`]): what a
+//! cascade that answers per key keeps on the origin to place the answers.
 //!
 //! The run is what keeps the descriptor traffic in bounds: a run's scan
 //! costs a few sector stores of `m` words and one window's load of at
@@ -89,11 +89,12 @@ pub const RUN_WORDS: usize = G * T;
 pub struct Segment {
     input: DevSlice,
     out: DevSlice,
-    /// Elements, each a word of `out`.
+    /// Elements, each a word of `out`, or half a word for keys.
     len: usize,
-    /// Whether `input` holds 32-bit keys two a word.
+    /// Whether `input` and `out` hold 32-bit keys two a word.
     keys: bool,
-    /// Where the position of each word of `out` goes, beside it.
+    /// Where the position of each element goes, beside where it goes in
+    /// `out`: 32-bit halves, two to a word.
     positions: Option<DevSlice>,
     /// BROKEN (mutation double): a key's or a word's position is its
     /// offset inside the run.
@@ -122,31 +123,33 @@ impl Segment {
         }
     }
 
-    /// The same segment, each word's position in it written to
-    /// `positions` where the word goes in `out`.
+    /// The same segment, each element's position in it written to
+    /// `positions` as 32 bits, half `i` — the low half of word `i / 2` for
+    /// even `i` — where the element goes to element `i` of `out`.
     ///
     /// # Panics
-    /// Panics if `positions` is too short.
+    /// Panics if `positions` is shorter than `len.div_ceil(2)` words or a
+    /// position does not fit 32 bits.
     #[must_use]
     pub fn with_positions(mut self, positions: DevSlice) -> Self {
-        assert!(positions.len() >= self.len, "position buffer too small");
+        assert!(positions.len() >= self.len.div_ceil(2), "position buffer too small");
+        assert!(u32::try_from(self.len).is_ok(), "positions are 32-bit");
         self.positions = Some(positions);
         self
     }
 
     /// `len` 32-bit keys packed two a word in `packed` — key `2i` the low
-    /// half of word `i`, as `DeviceMemory::h2d_keys` leaves them — each
-    /// written to `out` as `key << 32 | position in the segment`, which is
-    /// also the word `class_of` sees.
+    /// half of word `i`, as `DeviceMemory::h2d_keys` leaves them — split
+    /// into `out` packed the same way. `class_of` sees a key as the word
+    /// `key << 32`, where a packed pair holds its key.
     ///
     /// # Panics
-    /// Panics if `packed` is not `len.div_ceil(2)` words, `out` is shorter
-    /// than `len`, or a position does not fit 32 bits.
+    /// Panics if `packed` is not `len.div_ceil(2)` words or `out` is
+    /// shorter than that.
     #[must_use]
     pub fn keys(packed: DevSlice, len: usize, out: DevSlice) -> Self {
         assert_eq!(packed.len(), len.div_ceil(2), "two keys per word");
-        assert!(out.len() >= len, "output buffer too small");
-        assert!(u32::try_from(len).is_ok(), "positions are 32-bit");
+        assert!(out.len() >= len.div_ceil(2), "output buffer too small");
         Self {
             input: packed,
             out,
@@ -160,9 +163,9 @@ impl Segment {
 
     /// **Test-only** mutation double (the cascade's
     /// `Mutation::SplitTagsRunOffset`): if `broken`, the scatter group
-    /// tags a key — or a word's position — with its offset inside the
-    /// group's run instead of the segment: the same for the first
-    /// [`RUN_WORDS`] elements only.
+    /// writes an element's position as its offset inside the group's run
+    /// instead of the segment: the same for the first [`RUN_WORDS`]
+    /// elements only.
     #[must_use]
     pub fn tagging_run_offsets(mut self, broken: bool) -> Self {
         self.run_offsets = broken;
@@ -500,13 +503,11 @@ where
         // streaming read of the run into registers, a class beside each word
         let (mut vals, mut class) = ([0u64; RUN_WORDS], [0u32; RUN_WORDS]);
         if keys {
-            // two keys a word, each widened to the word it leaves as
+            // two keys a word, each where a pair holds its key
             for (w, pair) in vals.chunks_mut(2).enumerate().take(len.div_ceil(2)) {
                 let packed = ctx.read_stream(input, first / 2 + w);
-                for (half, val) in pair.iter_mut().enumerate() {
-                    let key = (packed >> (32 * half)) & 0xffff_ffff;
-                    *val = key << 32 | (base + 2 * w + half) as u64;
-                }
+                pair[0] = packed << 32;
+                pair[1] = packed >> 32 << 32;
             }
         } else {
             for (i, val) in vals.iter_mut().enumerate().take(len) {
@@ -534,9 +535,14 @@ where
         let scatter = |masks: &[u32; T], mut at: usize| {
             for (t, mask) in masks.iter().enumerate() {
                 for r in (0..G).filter(|r| mask & (1 << r) != 0) {
-                    ctx.write_stream(output, at, vals[t * G + r]);
+                    let val = vals[t * G + r];
+                    if keys {
+                        ctx.write_stream_half(output, at, (val >> 32) as u32);
+                    } else {
+                        ctx.write_stream(output, at, val);
+                    }
                     if let Some(positions) = positions {
-                        ctx.write_stream(positions, at, (base + t * G + r) as u64);
+                        ctx.write_stream_half(positions, at, (base + t * G + r) as u32);
                     }
                     at += 1;
                 }
@@ -900,8 +906,14 @@ mod tests {
         move |w| ((w >> 32) % m as u64) as u32
     }
 
-    /// A device holding `keys` packed two a word in segment 0 and each of
-    /// `pairs` in a word segment behind it.
+    /// The first `n` 32-bit halves of `words`, low half first.
+    fn halves(words: &[u64], n: usize) -> Vec<u64> {
+        words.iter().flat_map(|&w| [w & 0xffff_ffff, w >> 32]).take(n).collect()
+    }
+
+    /// A device holding `keys` packed two a word in segment 0, with room
+    /// for their positions, and each of `pairs` in a word segment behind
+    /// it.
     fn key_segments_of(
         keys: &[u32],
         pairs: &[Vec<u64>],
@@ -913,11 +925,10 @@ mod tests {
         let dev = Device::with_words(0, 3 * total + scratch_words(m, lens()) + 32);
         let packed = dev.alloc(keys.len().div_ceil(2)).unwrap();
         dev.mem().h2d_keys(packed, keys);
-        let mut segments = vec![Segment::keys(
-            packed,
-            keys.len(),
-            dev.alloc(keys.len()).unwrap(),
-        )];
+        let out = dev.alloc(keys.len().div_ceil(2)).unwrap();
+        let positions = dev.alloc(keys.len().div_ceil(2)).unwrap();
+        let mut segments =
+            vec![Segment::keys(packed, keys.len(), out).with_positions(positions)];
         for words in pairs {
             let input = dev.alloc(words.len()).unwrap();
             dev.mem().h2d(input, words);
@@ -927,11 +938,12 @@ mod tests {
         (dev, segments, scratch)
     }
 
-    /// Differential against the words the host used to build: a segment
-    /// of packed keys leaves the split as the split of `key << 32 | i`
-    /// leaves it — bit for bit in `group_id` order, class by class as a
-    /// multiset in the pool — alone and beside two segments of pairs, on
-    /// half the input stream.
+    /// Differential against the query words a host would build: a
+    /// segment of packed keys with positions leaves the split as the split
+    /// of `key << 32 | i` leaves it, the keys its high halves and the
+    /// positions its low ones — bit for bit in `group_id` order, class by
+    /// class as a multiset in the pool — alone and beside two segments of
+    /// pairs, on half the input stream.
     #[test]
     fn packed_keys_split_like_the_query_words_the_host_built() {
         let odd_runs = 3 * RUN_WORDS + 9;
@@ -974,8 +986,14 @@ mod tests {
                         for s in 0..data.len() {
                             assert_eq!(split.counts(s), want.counts(s), "{case}");
                             assert_eq!(split.offsets(s), want.offsets(s), "{case}");
-                            let got = dev.mem().d2h(segments[s].out());
+                            let mut got = dev.mem().d2h(segments[s].out());
                             let reference = ref_dev.mem().d2h(ref_segments[s].out());
+                            if s == 0 {
+                                // the key and its position, as a query word
+                                let at = dev.mem().d2h(segments[0].positions.unwrap());
+                                let (keys, at) = (halves(&got, len), halves(&at, len));
+                                got = keys.iter().zip(at).map(|(k, i)| k << 32 | i).collect();
+                            }
                             if in_order {
                                 assert_eq!(got, reference, "{case} segment {s}");
                             }
@@ -991,7 +1009,9 @@ mod tests {
                         }
                         // a run's count and scatter groups each read a key
                         // as 4 bytes of a streamed word, where they read a
-                        // query word; a lone run or class has no count group
+                        // query word, and the scatter writes it and its
+                        // position as 4 bytes each; a lone run or class has
+                        // no count group
                         let reads = 1 + u64::from(m > 1 && len > RUN_WORDS);
                         let saved = 8 * (len - len.div_ceil(2)) as u64 * reads;
                         assert_eq!(
@@ -1017,11 +1037,12 @@ mod tests {
                 for (opts, in_order) in [(sequential, true), (LaunchOptions::default(), false)] {
                     let data = [words(len, 11)];
                     let (dev, segments, scratch) = key_segments_of(&[], &data, m);
-                    let positions = dev.alloc(len).unwrap();
+                    let positions = dev.alloc(len.div_ceil(2)).unwrap();
                     let with = [segments[0], segments[1].with_positions(positions)];
                     let class = |w| (w % m as u64) as u32;
                     device_multisplit_segments(&dev, &with, scratch, m, opts, class);
-                    let (out, at) = (dev.mem().d2h(with[1].out()), dev.mem().d2h(positions));
+                    let out = dev.mem().d2h(with[1].out());
+                    let at = halves(&dev.mem().d2h(positions), len);
                     let lay: Vec<u64> = at.iter().map(|&i| data[0][i as usize]).collect();
                     assert_eq!(lay, out, "m={m} len {len}");
                     assert_eq!(sorted(at), (0..len as u64).collect::<Vec<_>>());
@@ -1034,9 +1055,9 @@ mod tests {
         }
     }
 
-    /// The mutation double tags a key with its offset inside the run, and
-    /// a word with it in its position: the first run's are right, every
-    /// later run's are not.
+    /// The mutation double writes a key's or a word's position as its
+    /// offset inside the run: the first run's are right, every later
+    /// run's are not.
     #[test]
     fn run_offset_tags_differ_from_the_second_run_on() {
         for (len, differs) in [(RUN_WORDS, false), (RUN_WORDS + 1, true)] {
@@ -1044,12 +1065,13 @@ mod tests {
             let pairs = [words(len, 3)];
             let split = |broken| {
                 let (dev, mut segments, scratch) = key_segments_of(&keys, &pairs, 1);
-                let positions = dev.alloc(len).unwrap();
+                let positions = dev.alloc(len.div_ceil(2)).unwrap();
                 segments[0] = segments[0].tagging_run_offsets(broken);
                 segments[1] = segments[1].with_positions(positions).tagging_run_offsets(broken);
                 let opts = LaunchOptions::default();
                 device_multisplit_segments(&dev, &segments, scratch, 1, opts, |_| 0);
-                [segments[0].out(), positions].map(|words| sorted(dev.mem().d2h(words)))
+                let at = [segments[0].positions.unwrap(), positions];
+                at.map(|words| sorted(halves(&dev.mem().d2h(words), len)))
             };
             let (broken, right) = (split(true), split(false));
             assert_eq!(broken[0] != right[0], differs, "keys, len {len}");

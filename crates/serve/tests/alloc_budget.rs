@@ -28,6 +28,8 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Those of them the size of `std`'s copy of [`WORKERS`].
     static WORKER_READS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for (a `realloc` its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// `RAYON_NUM_THREADS` as the tests of a large call set it: two workers,
@@ -40,9 +42,10 @@ const WORKERS: &str = "2            ";
 /// Forwards to [`System`] and counts the calling thread's calls.
 struct CountingAlloc;
 
-fn count(layout: Layout) {
+fn count(layout: Layout, bytes: usize) {
     // a thread that is tearing down its locals allocates uncounted
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
     if (layout.size(), layout.align()) == (WORKERS.len(), 1) {
         let _ = WORKER_READS.try_with(|n| n.set(n.get() + 1));
     }
@@ -53,19 +56,19 @@ fn count(layout: Layout) {
 // cell without destructor and touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout);
+        count(layout, layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout);
+        count(layout, layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(layout);
+        count(layout, new_size);
         // SAFETY: `ptr`, `layout` and `new_size` come straight from the caller.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -615,6 +618,35 @@ fn a_new_threads_first_pool_launch_allocates_nothing() {
         "the first 4 096-group pool launch of a new thread allocated past reading \
          RAYON_NUM_THREADS: the launch's counter set went back to living on the thread \
          (gpu-sim device.rs) or the pool (shims/rayon `run`) regressed"
+    );
+}
+
+/// A node's put larger than the node's held scratch borrows the caller's
+/// pairs and packs them as they upload: a put of 2^16 pairs allocates
+/// fewer bytes than the pairs occupy — its report, not a packed copy of
+/// its pairs.
+#[test]
+fn a_node_put_allocates_fewer_bytes_than_its_pairs() {
+    if !default_environment() {
+        return;
+    }
+    two_workers();
+    let devices: Vec<Arc<Device>> = (0..4)
+        .map(|i| Arc::new(Device::with_words(i, 1 << 19)))
+        .collect();
+    let mut node =
+        DistributedHashMap::new(devices, 1 << 15, Config::default(), Topology::p100_quad(4))
+            .expect("node");
+    let pairs: Vec<(u32, u32)> = (0..1 << 16).map(|i| (i * 3 + 1, i)).collect();
+    node.put_batch(&pairs[..1 << 12]).expect("healthy node"); // spawns the pool's workers
+    let before = BYTES.with(Cell::get);
+    node.put_batch(&pairs).expect("healthy node");
+    let bytes = BYTES.with(Cell::get) - before;
+    assert!(
+        bytes < std::mem::size_of_val(&pairs[..]) as u64,
+        "a put of {} pairs allocated {bytes} bytes: a packed copy of its pairs is back \
+         (host_ops.rs `apply_into`, cascade.rs `Pairs`)",
+        pairs.len()
     );
 }
 

@@ -76,14 +76,13 @@ fn run_pass(schedule: Schedule) -> (Fingerprint, Fingerprint) {
 
 /// One retrieve launch's raw stats. The fingerprint needs
 /// `KernelStats.breakdown`, which the typed `OpReport` of `try_retrieve`
-/// abstracts away, so the queries are staged by hand for the
-/// device-sided call.
+/// abstracts away, so the keys are staged by hand for the device-sided
+/// call.
 fn retrieve_stats(map: &GpuHashMap, keys: &[u32]) -> KernelStats {
-    let queries: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 32).collect();
     let staging = map.device().alloc_scratch(2 * keys.len()).unwrap();
-    let input = staging.slice().sub(0, keys.len());
+    let input = staging.slice().sub(0, keys.len().div_ceil(2));
     let out = staging.slice().sub(keys.len(), keys.len());
-    map.device().mem().h2d(input, &queries);
+    map.device().mem().h2d_keys(input, keys);
     map.retrieve_device(input, out, keys.len())
 }
 

@@ -259,17 +259,15 @@ impl Rig {
         };
         self.row("insert_device", r);
 
-        let queries: Vec<u64> = get.iter().map(|&k| u64::from(k) << 32).collect();
-        let q_in = s.sub(words.len(), get.len());
+        let q_in = s.sub(words.len(), get.len().div_ceil(2));
         let q_out = s.sub(words.len() + get.len(), get.len());
-        dev.mem().h2d(q_in, &queries);
+        dev.mem().h2d_keys(q_in, get);
         let stats = self.map.retrieve_device(q_in, q_out, get.len());
         let r = format!("{:016x} {}", digest(dev.mem().d2h(q_out)), kernel(&stats));
         self.row("retrieve_device", r);
 
-        let victims: Vec<u64> = del.iter().map(|&k| u64::from(k) << 32).collect();
-        let d_in = s.sub(words.len() + 2 * get.len(), del.len());
-        dev.mem().h2d(d_in, &victims);
+        let d_in = s.sub(words.len() + 2 * get.len(), del.len().div_ceil(2));
+        dev.mem().h2d_keys(d_in, del);
         let o = self.map.erase_device(d_in, del.len());
         let r = format!("erased={} {:?} {}", o.erased, o.hits, kernel(&o.stats));
         self.row("erase_device", r);
