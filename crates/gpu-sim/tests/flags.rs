@@ -238,3 +238,29 @@ fn a_node_launch_bills_its_sections_less_their_overheads() {
         assert_eq!(stats.edge_bytes(d, (d + 1) % 4), 0);
     }
 }
+
+/// Members that share a device — §VI's partitions of one GPU — share its
+/// node launch: the device counts one launch and bills one overhead for
+/// the sections of all of them, and each member reads the device's bill.
+#[test]
+fn members_on_one_device_share_its_launch() {
+    let dev = Device::with_words(0, 1 << 10);
+    let probe = |ctx: &gpu_sim::GroupCtx| ctx.bill_stream_bytes(64);
+    let (opts, size) = (LaunchOptions::default(), GroupSize::WARP);
+    let groups = [300, 500];
+    let apart: Vec<KernelStats> =
+        groups.iter().map(|&n| dev.launch("apart", n, size, opts, probe)).collect();
+    let sections: Vec<Section> = (0..2)
+        .map(|member| Section { member, groups: groups[member], size, working_set: 0 })
+        .collect();
+    let before = dev.lifetime_stats();
+    let stats = launch_node(&[&dev, &dev], "shared", &sections, opts, |_, _, ctx| probe(ctx));
+    let after = dev.lifetime_stats();
+    assert_eq!((stats.launches(), after.launches - before.launches), (1, 1));
+    let sum = apart[0].sim_time + apart[1].sim_time - dev.spec().launch_overhead;
+    for member in 0..2 {
+        assert!(stats.launched(member));
+        assert!((stats.time(member) - sum).abs() < 1e-15, "{} vs {sum}", stats.time(member));
+    }
+    assert!((after.sim_time - before.sim_time - sum).abs() < 1e-15);
+}
