@@ -224,13 +224,13 @@ pub fn distribution(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
 
     // strategy 1: multisplit transposition (the paper's)
     {
-        let node = NodeBench::new(M, per, LOAD, Config::default());
+        let mut node = NodeBench::new(M, per, LOAD, Config::default());
         let (ins, ret) = node.device_round(&pairs);
         assert!(ret.values.iter().flatten().all(Option::is_some));
         t.row(vec![
             "multisplit transposition (paper)".to_owned(),
             gops(ins.modeled_ops_per_sec(scale)),
-            gops(ret.report.modeled_ops_per_sec(scale)),
+            gops(ret.applied.report.modeled_ops_per_sec(scale)),
             "1 GPU each".to_owned(),
         ]);
     }
@@ -497,7 +497,7 @@ pub fn sharding(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
         let mr = mono.try_retrieve(&keys).expect("retrieve").report;
         let quarter = cfg.with_modeled_capacity((gib << 30) / PARTITIONS as u64);
         let per_partition = n.div_ceil(PARTITIONS);
-        let node = NodeBench::one_device(PARTITIONS, per_partition, load, quarter);
+        let mut node = NodeBench::one_device(PARTITIONS, per_partition, load, quarter);
         let (ni, nr) = node.device_round(&pairs);
 
         let (mono_ins, node_ins) = (rate(mi.stats.sim_time), node_rate(&ni));
@@ -507,7 +507,7 @@ pub fn sharding(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
             gops(node_ins),
             format!("{:.2}x", node_ins / mono_ins),
             gops(rate(mr.time)),
-            gops(node_rate(&nr.report)),
+            gops(node_rate(&nr.applied.report)),
         ]);
     }
     write!(out, "{t}")?;

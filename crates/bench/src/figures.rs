@@ -126,7 +126,7 @@ pub fn fig9(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     let tau = |n_model: u64, m: usize| -> (f64, f64) {
         let (ins, ret) = NodeBench::paper(m, n_func / m, n_model).device_round(&pairs);
         let scale = n_model as f64 / n_func as f64;
-        (ins.modeled_time(scale), ret.report.modeled_time(scale))
+        (ins.modeled_time(scale), ret.applied.report.modeled_time(scale))
     };
 
     let columns = |kind: &str| {
@@ -215,7 +215,7 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
             let pairs = dist.generate(n_func, opts.seed);
             let (ins, ret) = node().device_round(&pairs);
             dev_row.push(gops(ins.modeled_ops_per_sec(scale)));
-            dev_row.push(gops(ret.report.modeled_ops_per_sec(scale)));
+            dev_row.push(gops(ret.applied.report.modeled_ops_per_sec(scale)));
 
             // host-sided: the paper's peak host rates (84%/55% of PCIe) are
             // the asynchronously overlapped variants — batches of 2^24
@@ -628,13 +628,13 @@ pub fn topo_check(_opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
 pub fn stage_debug(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     let m = 2;
     let n = (opts.n / 12) * 12;
-    let node = NodeBench::new(m, n / m, NodeBench::PAPER_LOAD, Config::default());
+    let mut node = NodeBench::new(m, n / m, NodeBench::PAPER_LOAD, Config::default());
     let pairs = Distribution::Unique.generate(n, opts.seed);
     let (ins, ret) = node.device_round(&pairs);
     let scale = opts.modeled_n as f64 / n as f64;
     for (title, report) in [
         (format!("insert cascade (m={m}, modeled 2^28):"), &ins),
-        ("retrieve cascade:".to_owned(), &ret.report),
+        ("retrieve cascade:".to_owned(), &ret.applied.report),
     ] {
         writeln!(out, "{title}")?;
         for s in &report.stages {

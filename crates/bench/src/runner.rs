@@ -15,7 +15,7 @@ use crate::p100_with_words;
 use gpu_sim::{CounterSnapshot, DevSlice, Device, Schedule};
 use interconnect::Topology;
 use std::sync::Arc;
-use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap, OpReport, PerGpuGetResponse};
+use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap, OpReport, PerGpuResponse, Resident};
 use workloads::Distribution;
 
 /// One (load, group size) measurement of the Fig. 7/8 protocol.
@@ -245,22 +245,13 @@ impl NodeBench {
     /// # Panics
     /// Panics if a cascade fails — callers choose loads the scheme supports.
     #[must_use]
-    pub fn device_round(&self, pairs: &[(u32, u32)]) -> (OpReport, PerGpuGetResponse) {
+    pub fn device_round(&mut self, pairs: &[(u32, u32)]) -> (OpReport, PerGpuResponse) {
         let chunks = pairs.chunks(self.per_gpu);
-        let words: Vec<Vec<u64>> = chunks
-            .clone()
-            .map(|c| c.iter().map(|&(k, v)| pack(k, v)).collect())
-            .collect();
-        let ins = self
-            .map
-            .insert_device_sided(&words)
-            .expect("insert cascade");
+        let puts: Vec<Vec<(u32, u32)>> = chunks.clone().map(<[_]>::to_vec).collect();
+        let ins = self.map.apply_device_sided(Resident::Puts(&puts)).expect("insert cascade");
         let keys: Vec<Vec<u32>> = chunks.map(|c| c.iter().map(|p| p.0).collect()).collect();
-        let ret = self
-            .map
-            .try_retrieve_device_sided(&keys)
-            .expect("retrieve cascade");
-        (ins, ret)
+        let ret = self.map.apply_device_sided(Resident::Reads(&keys)).expect("retrieve cascade");
+        (ins.applied.report, ret)
     }
 }
 

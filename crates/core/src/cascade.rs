@@ -36,9 +36,9 @@
 //! own.
 //!
 //! A cascade's segments lie in the order of the table above, each the
-//! elements of every GPU: keys as they lie in the caller's memory, pairs
-//! packed, or packed as they upload ([`Pairs`]). A GPU's segments share
-//! the round — one upload, the one launch of one multisplit
+//! elements of every GPU, as they lie in the caller's memory: keys, or
+//! `(key, value)` pairs, packed into words as they upload. A GPU's
+//! segments share the round — one upload, the one launch of one multisplit
 //! ([`multisplit::device_multisplit_segments`], whose runs scan their
 //! class counts by decoupled look-back; none on a GPU without a word — not
 //! the paper's `m` passes, because a small round pays for launches, §V-B),
@@ -99,12 +99,12 @@ use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::{key_of, pack, value_of, EMPTY, TOMBSTONE};
 use crate::get_put::{Input as Words, Probe, Sections};
-use crate::service::{Applied, OpError, OpReport, PerGpuDeleteResponse, PerGpuGetResponse};
+use crate::service::{Applied, OpError, OpReport, PerGpuResponse};
 use crate::stats::CascadeStage;
 use crate::table::check_keys;
 use gpu_sim::{
-    launch_node, DevSlice, Device, DeviceMemory, FaultPlan, GroupCtx, GroupSize, LaunchOptions,
-    NodeStats, ScratchGuard, Section,
+    launch_node, DevSlice, Device, FaultPlan, GroupCtx, GroupSize, LaunchOptions, NodeStats,
+    ScratchGuard, Section,
 };
 use interconnect::{alltoall_time_faulted, Topology};
 use multisplit::{
@@ -169,79 +169,36 @@ fn len_of<T>(lists: &[&[T]], i: usize) -> usize {
     lists.get(i).map_or(0, |list| list.len())
 }
 
-/// A call of segment `s` alone: `list` in its place, every other empty.
-pub(crate) fn segment<T>(s: usize, list: &[T]) -> [&[T]; SEGMENTS] {
-    let mut segments = [&[][..]; SEGMENTS];
-    segments[s] = list;
-    segments
-}
-
-/// A segment's lists of pairs, one per GPU: words packed as a device-sided
-/// insert holds them, or a host call's pairs, packed as they upload.
-#[derive(Clone, Copy)]
-pub(crate) enum Pairs<'a> {
-    Packed(&'a [&'a [u64]]),
-    Split(&'a [&'a [(u32, u32)]]),
-}
-
-impl Default for Pairs<'_> {
-    fn default() -> Self {
-        Self::Packed(&[])
-    }
-}
-
-impl Pairs<'_> {
-    /// Lists: one per GPU, or none.
-    fn gpus(&self) -> usize {
-        match self {
-            Self::Packed(lists) => lists.len(),
-            Self::Split(lists) => lists.len(),
-        }
-    }
-
-    /// Pairs GPU `i` holds.
-    fn len(&self, i: usize) -> usize {
-        match self {
-            Self::Packed(lists) => len_of(lists, i),
-            Self::Split(lists) => len_of(lists, i),
-        }
-    }
-
-    /// Pair `idx` of GPU `i`, packed.
-    fn word(&self, i: usize, idx: usize) -> u64 {
-        match self {
-            Self::Packed(lists) => lists[i][idx],
-            Self::Split(lists) => pack(lists[i][idx].0, lists[i][idx].1),
-        }
-    }
-
-    /// Uploads GPU `i`'s pairs into `slice` of `mem`, packed as they go.
-    fn upload(&self, mem: &DeviceMemory, slice: DevSlice, i: usize) {
-        match self {
-            Self::Packed(lists) => mem.h2d(slice, lists[i]),
-            Self::Split(lists) => mem.h2d_from(slice, lists[i].iter().map(|&(k, v)| pack(k, v))),
-        }
-    }
+/// The lists of a device-sided call ([`DistributedHashMap::apply_device_sided`]),
+/// one per GPU, each already resident on its GPU: of one kind a call.
+#[derive(Clone, Copy, Debug)]
+pub enum Resident<'a> {
+    /// Pairs to put.
+    Puts(&'a [Vec<(u32, u32)>]),
+    /// Keys to read.
+    Reads(&'a [Vec<u32>]),
+    /// Keys to erase.
+    Erases(&'a [Vec<u32>]),
 }
 
 /// A cascade's input: per segment a list per GPU — of keys, 4 bytes each,
-/// or of pairs — or none, for a segment the call lacks. The gets, takes and
-/// erases are keys, the upserts and puts pairs.
+/// or of `(key, value)` pairs, 8 — or none, for a segment the call lacks.
+/// The gets, takes and erases are keys, the upserts and puts pairs.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Input<'a> {
     pub(crate) keys: [&'a [&'a [u32]]; SEGMENTS],
-    pub(crate) pairs: [Pairs<'a>; SEGMENTS],
+    pub(crate) pairs: [&'a [&'a [(u32, u32)]]; SEGMENTS],
 }
 
 impl Input<'_> {
     /// Lists segment `s` holds: one per GPU, or none.
     fn gpus(&self, s: usize) -> usize {
-        self.keys[s].len().max(self.pairs[s].gpus())
+        self.keys[s].len().max(self.pairs[s].len())
     }
 
     /// Elements GPU `i` holds of segment `s`.
     fn len(&self, s: usize, i: usize) -> usize {
-        len_of(self.keys[s], i) + self.pairs[s].len(i)
+        len_of(self.keys[s], i) + len_of(self.pairs[s], i)
     }
 
     /// The operation this input describes.
@@ -252,21 +209,19 @@ impl Input<'_> {
     }
 }
 
+/// The launches a GPU that holds words makes in one round, one after the
+/// other: the split, and the node launch of its kernel and, if the round
+/// answers, the return trip's scatter.
+pub(crate) const ROUND_LAUNCHES: usize = 2;
+
 /// What distinguishes one cascade from another: the segments it carries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct CascadeOp {
     /// Per segment, whether the round carries it.
     present: [bool; SEGMENTS],
 }
 
 impl CascadeOp {
-    /// A call of segment `s` alone.
-    pub(crate) fn of(s: usize) -> Self {
-        let mut op = Self::default();
-        op.present[s] = true;
-        op
-    }
-
     /// Whether the round answers per key, with a return trip.
     pub(crate) fn back(&self) -> bool {
         ANSWERED.iter().any(|&s| self.present[s])
@@ -285,13 +240,6 @@ impl CascadeOp {
         } else {
             launch_site::GET_PUT
         }
-    }
-
-    /// The launches a GPU that holds words of every segment makes in one
-    /// round: the split, and the node launch of its kernel and, if the
-    /// round answers, the return trip's scatter.
-    pub(crate) fn launches(&self) -> usize {
-        2
     }
 }
 
@@ -535,28 +483,28 @@ fn slices<T>(per_gpu: &[Vec<T>]) -> Vec<&[T]> {
     per_gpu.iter().map(Vec::as_slice).collect()
 }
 
-/// One segment re-spread: element `idx` of GPU `i` — `item(i, idx)`, one
-/// of `len(i)` — goes to GPU `to(i, idx)`.
-fn respread<T: Clone>(
-    lists: usize,
-    len: impl Fn(usize) -> usize,
-    item: impl Fn(usize, usize) -> T,
-    mut to: impl FnMut(usize, usize) -> usize,
-) -> Vec<Vec<T>> {
-    let mut effective = vec![Vec::new(); lists];
-    for i in 0..lists {
-        for idx in 0..len(i) {
-            effective[to(i, idx)].push(item(i, idx));
+/// Per GPU of segment `s` of `input`, `x` for each of its elements.
+fn per_key<T: Clone>(input: Input, s: usize, x: T) -> Vec<Vec<T>> {
+    (0..input.gpus(s)).map(|g| vec![x.clone(); input.len(s, g)]).collect()
+}
+
+/// One segment re-spread: element `idx` of GPU `i`'s list goes to GPU
+/// `to(i, idx)`.
+fn respread<T: Copy>(lists: &[&[T]], mut to: impl FnMut(usize, usize) -> usize) -> Vec<Vec<T>> {
+    let mut effective = vec![Vec::new(); lists.len()];
+    for (i, list) in lists.iter().enumerate() {
+        for (idx, &item) in list.iter().enumerate() {
+            effective[to(i, idx)].push(item);
         }
     }
     effective
 }
 
-/// An [`Input`] re-spread over the live GPUs, owned, pairs packed, with
-/// the [`Origins`] of each segment that answers.
+/// An [`Input`] re-spread over the live GPUs, owned, with the [`Origins`]
+/// of each segment that answers.
 struct Respread {
     keys: [Vec<Vec<u32>>; SEGMENTS],
-    pairs: [Vec<Vec<u64>>; SEGMENTS],
+    pairs: [Vec<Vec<(u32, u32)>>; SEGMENTS],
     origins: [Origins; SEGMENTS],
 }
 
@@ -700,10 +648,6 @@ impl<'s> Scatter<'s> {
     }
 }
 
-fn new_report<T>(per_gpu: &[Vec<T>]) -> OpReport {
-    OpReport::of_cascade(per_gpu.iter().map(|w| w.len() as u64).sum())
-}
-
 impl DistributedHashMap {
     /// Runs `step` under a snapshot of the fault plan and quarantine mask
     /// until it succeeds. Whatever its retries cost is booked whether or
@@ -780,7 +724,7 @@ impl DistributedHashMap {
             });
             let effective = lists.as_ref().map(|(keys, pairs)| Input {
                 keys: keys.each_ref().map(Vec::as_slice),
-                pairs: pairs.each_ref().map(|p| Pairs::Packed(p)),
+                pairs: pairs.each_ref().map(Vec::as_slice),
             });
             let origins = respread.as_ref().map(|r| &r.origins);
             let router = self.router_for(mask);
@@ -1098,13 +1042,10 @@ impl DistributedHashMap {
         };
         // in segment order, which the round-robin follows
         let mut keys: [Vec<Vec<u32>>; SEGMENTS] = Default::default();
-        let mut pairs: [Vec<Vec<u64>>; SEGMENTS] = Default::default();
+        let mut pairs: [Vec<Vec<(u32, u32)>>; SEGMENTS] = Default::default();
         for s in 0..SEGMENTS {
-            let (lists, list) = (input.keys[s], input.pairs[s]);
-            let to = |i, idx| spread(s, i, idx);
-            keys[s] = respread(lists.len(), |i| lists[i].len(), |i, idx| lists[i][idx], to);
-            let to = |i, idx| spread(s, i, idx);
-            pairs[s] = respread(list.gpus(), |i| list.len(i), |i, idx| list.word(i, idx), to);
+            keys[s] = respread(input.keys[s], |i, idx| spread(s, i, idx));
+            pairs[s] = respread(input.pairs[s], |i, idx| spread(s, i, idx));
         }
         Respread { keys, pairs, origins }
     }
@@ -1199,7 +1140,8 @@ impl DistributedHashMap {
                     dev.mem().h2d_keys(staged, input.keys[s][i]);
                     Segment::keys(staged, len(s), sent.out[s])
                 } else {
-                    input.pairs[s].upload(dev.mem(), staged, i);
+                    let pairs = input.pairs[s][i].iter().map(|&(k, v)| pack(k, v));
+                    dev.mem().h2d_from(staged, pairs);
                     Segment::words(staged, sent.out[s])
                 };
                 sent.positions[s] = take(positions(s));
@@ -1286,97 +1228,52 @@ impl DistributedHashMap {
         Ok(landed)
     }
 
-    // ---- the operations ---------------------------------------------------
+    // ---- the operation ----------------------------------------------------
 
-    /// Device-sided insertion cascade: `per_gpu_words[i]` are packed pairs
-    /// already resident on GPU `i` (the paper's in-toolchain case where
-    /// PCIe is bypassed). Returns the per-phase timing report.
+    /// The device-sided cascade (§V-C): one round over `lists`, one list a
+    /// GPU already resident on it — the paper's case where PCIe is
+    /// bypassed. A put answers nothing but what it placed; a read's
+    /// `values` and an erase's `hits` come back *in the original per-GPU
+    /// order*, whatever GPU answered. The round is of one kind, as the
+    /// [`Resident`] says: a round of several would need one group per key
+    /// across the GPUs' lists, which the node cannot check without reading
+    /// the lists back.
     ///
     /// Under an armed fault plan the cascade retries transient failures
     /// with backoff, quarantines GPUs that exhaust their budget (their
-    /// input re-spreads over the survivors) and restarts; wasted attempts
-    /// stay billed in the report, with backoff in its own
-    /// [`CascadeStage::Backoff`] stage.
+    /// lists re-spread over the survivors with their origin tracked) and
+    /// restarts; wasted attempts stay billed in the report, with backoff
+    /// in its own [`CascadeStage::Backoff`] stage. An erase's hit survives
+    /// a restart: a key tombstoned in an aborted round stays a hit though
+    /// the retried round no longer sees it. Takes `&mut self`, as
+    /// deletions need the global barrier of §IV-A on every local map.
     ///
     /// # Errors
     /// [`OpError::ReservedKey`], its `index` counted through the lists in
     /// GPU order, before anything is uploaded; aggregated probing
     /// exhaustion across GPUs; scratch OOM; [`OpError::DeviceLost`] once no
     /// survivor remains.
-    pub fn insert_device_sided(
-        &self,
-        per_gpu_words: &[Vec<u64>],
-    ) -> Result<OpReport, OpError> {
-        check_keys(per_gpu_words.iter().flatten().map(|&word| key_of(word)))?;
-        let mut report = new_report(per_gpu_words);
-        let lists = slices(per_gpu_words);
+    pub fn apply_device_sided(&mut self, lists: Resident<'_>) -> Result<PerGpuResponse, OpError> {
+        let (s, keys, pairs) = match lists {
+            Resident::Puts(lists) => (PUTS, Vec::new(), slices(lists)),
+            Resident::Reads(lists) => (GETS, slices(lists), Vec::new()),
+            Resident::Erases(lists) => (ERASES, slices(lists), Vec::new()),
+        };
+        let named = pairs.iter().flat_map(|list| list.iter().map(|p| p.0));
+        check_keys(keys.iter().flat_map(|list| list.iter().copied()).chain(named))?;
         let mut input = Input::default();
-        input.pairs[PUTS] = Pairs::Packed(&lists);
-        self.cascade(input, &mut report, &mut Applied::default(), |_, _, _| {})?;
-        Ok(report)
-    }
-
-    /// Device-sided retrieval with typed fault errors. `per_gpu_keys[i]`
-    /// are the queried keys resident on GPU `i`; returns the per-GPU
-    /// results *in the original per-GPU order* plus a unified
-    /// [`OpReport`]. Retrieval is pure, so fault recovery restarts the
-    /// whole cascade after quarantining the culprit; queries addressed to
-    /// quarantined GPUs re-spread over the survivors with their origin
-    /// tracked, so result order is unaffected.
-    ///
-    /// # Errors
-    /// [`OpError::ReservedKey`] as [`Self::insert_device_sided`];
-    /// [`OpError`] once every failover avenue is exhausted; scratch OOM.
-    pub fn try_retrieve_device_sided(
-        &self,
-        per_gpu_keys: &[Vec<u32>],
-    ) -> Result<PerGpuGetResponse, OpError> {
-        check_keys(per_gpu_keys.iter().flatten().copied())?;
-        let mut report = new_report(per_gpu_keys);
-        let mut values: Vec<Vec<_>> = per_gpu_keys.iter().map(|k| vec![None; k.len()]).collect();
-        let lists = slices(per_gpu_keys);
-        let input = Input { keys: segment(GETS, &lists), ..Input::default() };
-        self.cascade(input, &mut report, &mut Applied::default(), |_, (g, i), found| {
-            values[g][i] = found;
-        })?;
-        Ok(PerGpuGetResponse {
-            values,
-            report,
-        })
-    }
-
-    /// Device-sided erase with typed fault errors, returning the per-key
-    /// hit flags *in the original per-GPU order* alongside the tombstoned
-    /// count and a unified [`OpReport`].
-    ///
-    /// Takes `&mut self` — deletions require the global barrier of §IV-A
-    /// on every local map, and exclusive access makes that a compile-time
-    /// fact, exactly as in [`crate::GpuHashMap::try_erase`]. Hit flags survive
-    /// quarantine restarts: a key tombstoned in an aborted round stays
-    /// reported as a hit even though the retried round no longer observes
-    /// it.
-    ///
-    /// # Errors
-    /// [`OpError::ReservedKey`] as [`Self::insert_device_sided`];
-    /// [`OpError`] once every failover avenue is exhausted.
-    pub fn try_erase_device_sided(
-        &mut self,
-        per_gpu_keys: &[Vec<u32>],
-    ) -> Result<PerGpuDeleteResponse, OpError> {
-        check_keys(per_gpu_keys.iter().flatten().copied())?;
-        let mut report = new_report(per_gpu_keys);
-        let mut hits: Vec<Vec<bool>> = per_gpu_keys.iter().map(|k| vec![false; k.len()]).collect();
-        let lists = slices(per_gpu_keys);
-        let input = Input { keys: segment(ERASES, &lists), ..Input::default() };
-        let mut placed = Applied::default();
-        self.cascade(input, &mut report, &mut placed, |_, (g, i), found| {
+        (input.keys[s], input.pairs[s]) = (&keys, &pairs);
+        let mut values = if s == GETS { per_key(input, s, None) } else { Vec::new() };
+        let mut hits = if s == ERASES { per_key(input, s, false) } else { Vec::new() };
+        let elements = (0..input.gpus(s)).map(|g| input.len(s, g)).sum::<usize>();
+        let mut report = OpReport::of_cascade(elements as u64);
+        let mut applied = Applied::default();
+        self.cascade(input, &mut report, &mut applied, |s, (g, i), found| match s {
+            GETS => values[g][i] = found,
             // of every round, so ORed
-            hits[g][i] |= found.is_some();
+            _ => hits[g][i] |= found.is_some(),
         })?;
-        Ok(PerGpuDeleteResponse {
-            hits,
-            erased: placed.erased,
-            report,
-        })
+        applied.report = report;
+        Ok(PerGpuResponse { values, hits, applied })
     }
 }

@@ -476,7 +476,7 @@ impl crate::service::MapService for DistributedHashMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pack, CascadeStage};
+    use crate::{CascadeStage, OpReport, Resident};
 
     fn node(m: usize, words_per_dev: usize) -> DistributedHashMap {
         let devices: Vec<Arc<Device>> = (0..m)
@@ -485,26 +485,22 @@ mod tests {
         DistributedHashMap::new(devices, 1024, Config::default(), Topology::p100_quad(m)).unwrap()
     }
 
-    fn spread(pairs: &[(u32, u32)], m: usize) -> Vec<Vec<u64>> {
+    fn spread(pairs: &[(u32, u32)], m: usize) -> Vec<Vec<(u32, u32)>> {
         // unstructured distribution: equal contiguous chunks
         let per = pairs.len().div_ceil(m);
-        (0..m)
-            .map(|i| {
-                pairs
-                    .iter()
-                    .skip(i * per)
-                    .take(per)
-                    .map(|&(k, v)| pack(k, v))
-                    .collect()
-            })
-            .collect()
+        (0..m).map(|i| pairs.iter().skip(i * per).take(per).copied().collect()).collect()
+    }
+
+    /// A device-sided put of `lists`: its report.
+    fn put(d: &mut DistributedHashMap, lists: &[Vec<(u32, u32)>]) -> OpReport {
+        d.apply_device_sided(Resident::Puts(lists)).unwrap().applied.report
     }
 
     #[test]
     fn insert_routes_keys_to_their_partition() {
-        let d = node(4, 1 << 16);
+        let mut d = node(4, 1 << 16);
         let pairs: Vec<(u32, u32)> = (0..2000u32).map(|i| (i * 7 + 1, i)).collect();
-        let report = d.insert_device_sided(&spread(&pairs, 4)).unwrap();
+        let report = put(&mut d, &spread(&pairs, 4));
         assert_eq!(d.len(), 2000);
         // every key lives on the GPU its partition function names
         for (j, map) in d.maps().iter().enumerate() {
@@ -519,9 +515,9 @@ mod tests {
 
     #[test]
     fn retrieve_round_trips_in_origin_order() {
-        let d = node(4, 1 << 16);
+        let mut d = node(4, 1 << 16);
         let pairs: Vec<(u32, u32)> = (0..1500u32).map(|i| (i * 3 + 5, i + 100)).collect();
-        d.insert_device_sided(&spread(&pairs, 4)).unwrap();
+        put(&mut d, &spread(&pairs, 4));
 
         // query from a *different* unstructured spread, with misses mixed in
         let mut keys: Vec<Vec<u32>> = vec![
@@ -531,7 +527,7 @@ mod tests {
             pairs[900..].iter().map(|p| p.0).collect(),
         ];
         keys[2].push(pairs[42].0); // present key on the "miss" GPU
-        let resp = d.try_retrieve_device_sided(&keys).unwrap();
+        let resp = d.apply_device_sided(Resident::Reads(&keys)).unwrap();
 
         let lookup: std::collections::HashMap<u32, u32> = pairs.iter().copied().collect();
         for (g, gpu_keys) in keys.iter().enumerate() {
@@ -540,8 +536,9 @@ mod tests {
             }
         }
         // five phases: MST, T, Q, T back, scatter
-        assert_eq!(resp.report.stages.len(), 5);
+        assert_eq!(resp.applied.report.stages.len(), 5);
         assert!(resp
+            .applied
             .report
             .stages
             .iter()
@@ -550,9 +547,9 @@ mod tests {
 
     #[test]
     fn single_gpu_node_skips_communication_cost() {
-        let d = node(1, 1 << 16);
+        let mut d = node(1, 1 << 16);
         let pairs: Vec<(u32, u32)> = (0..500u32).map(|i| (i + 1, i)).collect();
-        let report = d.insert_device_sided(&spread(&pairs, 1)).unwrap();
+        let report = put(&mut d, &spread(&pairs, 1));
         // m = 1: the all-to-all moves zero bytes
         assert_eq!(report.time_of(CascadeStage::Transpose), 0.0);
         assert_eq!(d.len(), 500);
@@ -560,23 +557,22 @@ mod tests {
 
     #[test]
     fn duplicate_keys_update_across_gpus() {
-        let d = node(2, 1 << 16);
-        let first: Vec<Vec<u64>> = vec![vec![pack(77, 1)], vec![pack(77, 2)]];
-        d.insert_device_sided(&first).unwrap();
-        // both packed words target the same GPU and key; last writer wins
+        let mut d = node(2, 1 << 16);
+        put(&mut d, &[vec![(77, 1)], vec![(77, 2)]]);
+        // both pairs target the same GPU and key; last writer wins
         // nondeterministically — but exactly one value must be stored
         assert_eq!(d.len(), 1);
-        let resp = d.try_retrieve_device_sided(&[vec![77], vec![]]).unwrap();
+        let resp = d.apply_device_sided(Resident::Reads(&[vec![77], vec![]])).unwrap();
         let v = resp.values[0][0].unwrap();
         assert!(v == 1 || v == 2, "got {v}");
     }
 
     #[test]
     fn load_factor_aggregates() {
-        let d = node(2, 1 << 16);
+        let mut d = node(2, 1 << 16);
         assert!(d.is_empty());
         let pairs: Vec<(u32, u32)> = (0..1024u32).map(|i| (i * 11 + 3, i)).collect();
-        d.insert_device_sided(&spread(&pairs, 2)).unwrap();
+        put(&mut d, &spread(&pairs, 2));
         assert!((d.load_factor() - 0.5).abs() < 0.01);
     }
 }
@@ -653,7 +649,7 @@ mod erase_tests {
 mod chaos_tests {
     use super::*;
     use crate::service::MapService;
-    use crate::{pack, CascadeStage};
+    use crate::{CascadeStage, Resident};
     use std::collections::BTreeMap;
 
     fn node_with(cfg: Config, m: usize) -> DistributedHashMap {
@@ -677,14 +673,14 @@ mod chaos_tests {
         // default pool, so one worker runs them in order. One more and two
         // chunks race, and a lost CAS race shows in the modeled time.
         let pairs: Vec<(u32, u32)> = (0..1024u32).map(|i| (i * 7 + 1, i)).collect();
-        let spread: Vec<Vec<u64>> = vec![pairs.iter().map(|&(k, v)| pack(k, v)).collect()];
+        let spread = [pairs.clone()];
         let mk = || {
             let devices = vec![Arc::new(Device::with_words(0, 1 << 17))];
             DistributedHashMap::new(devices, 1 << 13, Config::default(), Topology::p100_quad(1))
                 .unwrap()
         };
-        let a = mk().insert_device_sided(&spread).unwrap();
-        let b = mk().insert_device_sided(&spread).unwrap();
+        let put = || mk().apply_device_sided(Resident::Puts(&spread)).unwrap().applied.report;
+        let (a, b) = (put(), put());
         assert_eq!(a.stages.len(), b.stages.len());
         for (x, y) in a.stages.iter().zip(&b.stages) {
             assert_eq!(x.time.to_bits(), y.time.to_bits(), "{:?}", x.stage);

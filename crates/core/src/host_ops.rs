@@ -58,12 +58,12 @@
 //! The node's host-sided calls are [`crate::MapService::apply`] and the
 //! trait's `put_batch`, `get_batch` and `delete_batch` over it, and
 //! [`DistributedHashMap::apply_in_chunks`] for a fixed cut: both run one
-//! body down to the one bracket. The device-sided calls of
-//! [`crate::cascade`] take per-GPU lists already on the devices and skip
-//! the bracket.
+//! body down to the one bracket. The one device-sided entry,
+//! [`DistributedHashMap::apply_device_sided`], takes per-GPU lists already
+//! on the devices and skips the bracket.
 
 use crate::cascade::{
-    down_bytes, Abort, CascadeOp, Input, Pairs, ERASES, GETS, PUTS, SEGMENTS, TAKES, UPSERTS,
+    down_bytes, Abort, Input, ERASES, GETS, PUTS, ROUND_LAUNCHES, SEGMENTS, TAKES, UPSERTS,
 };
 use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
@@ -369,13 +369,13 @@ fn chunks<T>(list: &[T], m: usize, mask: u32) -> ([&[T]; MAX_PARTITIONS], usize)
 impl DistributedHashMap {
     /// The bracket's first chunk of a call of segment `s` alone, whose
     /// elements go up as 8-byte pairs or 4-byte keys: as many elements as
-    /// the host links upload to every GPU in the time its launches of a
-    /// chunk pay in overhead.
+    /// the host links upload to every GPU in the time a round's
+    /// `ROUND_LAUNCHES` pay in overhead.
     pub(crate) fn first_chunk(&self, s: usize) -> usize {
         let m = self.num_gpus();
         let bytes = if matches!(s, UPSERTS | PUTS) { 8 } else { 4 };
         let element = h2d_time(self.topology(), &[bytes; MAX_PARTITIONS][..m]);
-        let launches = CascadeOp::of(s).launches() as f64 * self.device(0).spec().launch_overhead;
+        let launches = ROUND_LAUNCHES as f64 * self.device(0).spec().launch_overhead;
         (m * (launches / element) as usize).max(1)
     }
 
@@ -519,7 +519,7 @@ impl DistributedHashMap {
         let pairs = call.pairs.map(|list| chunks(list, m, mask));
         let input = Input {
             keys: keys.each_ref().map(|(chunks, n)| &chunks[..*n]),
-            pairs: pairs.each_ref().map(|(chunks, n)| Pairs::Split(&chunks[..*n])),
+            pairs: pairs.each_ref().map(|(chunks, n)| &chunks[..*n]),
         };
         self.cascade(input, report, placed, |s, (g, i), found| {
             answer(s, live_chunk(call.len(s), m, mask, g).start + i, found);
@@ -851,6 +851,75 @@ mod tests {
         };
         let oh = d.maps()[0].device().spec().launch_overhead;
         assert_eq!(overhead(CascadeStage::Multisplit), oh);
+    }
+
+    /// A report's rows, every number bit for bit, less those of `skip`.
+    fn rows_less(report: &OpReport, skip: &[CascadeStage]) -> Vec<(CascadeStage, u64, u64, u64)> {
+        let kept = report.stages.iter().filter(|row| !skip.contains(&row.stage));
+        kept.map(|row| (row.stage, row.time.to_bits(), row.bytes, row.overhead.to_bits())).collect()
+    }
+
+    /// A device-sided call is the host-sided call's round less its PCIe
+    /// bracket: on two identical nodes, a put, then a get, then an erase,
+    /// each under the first chunk and so one round, through the host
+    /// wrappers and through `apply_device_sided` with every GPU's list laid
+    /// out as [`live_chunk`] spreads the host's — the same rows but `H2D`
+    /// and `D2H`, bit for bit, the same launches, answers and hits. On the
+    /// Fig. 6 node and on §VI's four partitions of one device.
+    #[test]
+    fn a_device_sided_call_is_the_host_round_less_its_bracket() {
+        use crate::cascade::Resident;
+        use CascadeStage::{D2H, H2D};
+        let cfg = Config::default()
+            .with_schedule(Schedule::Sequential)
+            .with_fault(gpu_sim::FaultPlan::default());
+        let quad = || {
+            let devices = (0..4).map(|i| Arc::new(Device::with_words(i, 1 << 16))).collect();
+            DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(4)).unwrap()
+        };
+        let sharded = || {
+            let dev = Arc::new(Device::with_words(0, 4 * 2048 + (1 << 16)));
+            let topo = Topology::one_device(4, dev.spec());
+            DistributedHashMap::new(vec![dev; 4], 2048, cfg, topo).unwrap()
+        };
+        let pairs: Vec<(u32, u32)> = (0..3000u32).map(|i| (i * 13 + 7, i)).collect();
+        // every other key put, then absent ones
+        let keys: Vec<u32> = (0..1600u32).map(|i| i * 26 + 7).collect();
+        for (name, node) in [("p100_quad", &quad as &dyn Fn() -> _), ("one_device", &sharded)] {
+            let (mut host, mut device) = (node(), node());
+            let m = host.num_gpus();
+            assert!(pairs.len() < 2 * host.first_chunk(PUTS), "{name}: one chunk");
+            assert!(keys.len() < 2 * host.first_chunk(GETS), "{name}: one chunk");
+            let spread = |len: usize| (0..m).map(move |g| live_chunk(len, m, 0, g));
+            let puts: Vec<Vec<(u32, u32)>> =
+                spread(pairs.len()).map(|chunk| pairs[chunk].to_vec()).collect();
+            let lists: Vec<Vec<u32>> =
+                spread(keys.len()).map(|chunk| keys[chunk].to_vec()).collect();
+
+            let put = host.put_batch(&pairs).unwrap();
+            let on = device.apply_device_sided(Resident::Puts(&puts)).unwrap().applied;
+            assert_eq!(rows_less(&put.report, &[H2D]), rows_less(&on.report, &[]), "{name}");
+            assert_eq!(put.report.launches, on.report.launches, "{name}");
+            assert_eq!(put.report.elements, on.report.elements, "{name}");
+            let placed = |a: &Applied| (a.new_slots, a.updates, a.reclaimed);
+            assert_eq!((put.new_slots, put.updates, put.reclaimed), placed(&on), "{name}");
+
+            let get = host.get_batch(&keys).unwrap();
+            let on = device.apply_device_sided(Resident::Reads(&lists)).unwrap();
+            let report = &on.applied.report;
+            assert_eq!(rows_less(&get.report, &[H2D, D2H]), rows_less(report, &[]), "{name}");
+            assert_eq!(get.report.launches, report.launches, "{name}");
+            assert_eq!(get.values, on.values.concat(), "{name}");
+            assert_eq!(get.values.iter().flatten().count(), 1500, "{name}");
+
+            let erase = host.delete_batch(&keys).unwrap();
+            let on = device.apply_device_sided(Resident::Erases(&lists)).unwrap();
+            let (report, erased) = (&on.applied.report, on.applied.erased);
+            assert_eq!(rows_less(&erase.report, &[H2D, D2H]), rows_less(report, &[]), "{name}");
+            assert_eq!(erase.report.launches, report.launches, "{name}");
+            assert_eq!((erase.hits, erase.erased), (on.hits.concat(), erased), "{name}");
+            assert_eq!(live_sorted(&host), live_sorted(&device), "{name}");
+        }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! Every backend has one host entry, [`MapService::apply`] (reads, puts
 //! and erases in one call), with the trait's `put_batch`, `get_batch` and
 //! `delete_batch` over it; the node adds only `apply_in_chunks` for
-//! Fig. 11's fixed cuts and its device-sided cascades
-//! (`insert_device_sided`, `try_retrieve_device_sided`,
-//! `try_erase_device_sided`) for lists already on the GPUs.
+//! Fig. 11's fixed cuts and one device-sided entry,
+//! [`DistributedHashMap::apply_device_sided`], for lists already on the
+//! GPUs: puts, reads or erases ([`Resident`]), one kind a call.
 //!
 //! ## Quickstart
 //!
@@ -74,6 +74,7 @@ mod table;
 
 pub use adaptive::recommend_group_size;
 pub use cache::{CachePolicy, CacheStats, CachedMap};
+pub use cascade::Resident;
 pub use chaos::Router;
 pub use config::{Config, Layout, Mutation, ProbingScheme};
 pub use distributed::DistributedHashMap;
@@ -88,7 +89,7 @@ pub use map::GpuHashMap;
 pub use multimap::GpuMultiMap;
 pub use service::{
     lower_mixed, Applied, DeleteResponse, GetAllResponse, GetResponse, MapService, Op, OpError,
-    OpReport, PerGpuDeleteResponse, PerGpuGetResponse, PutResponse, Response,
+    OpReport, PerGpuResponse, PutResponse, Response,
 };
 pub use resize::{ResizeMode, ResizePolicy, ResizeState};
 pub use stats::{CascadeStage, DegradedStats, Occupancy, StageRows};

@@ -470,26 +470,19 @@ pub struct DeleteResponse {
     pub report: OpReport,
 }
 
-/// Typed result of a device-sided multi-GPU get: per-GPU result vectors
-/// in the original per-GPU order.
+/// Typed result of a device-sided multi-GPU call
+/// ([`crate::DistributedHashMap::apply_device_sided`]): per-GPU answers in
+/// the original per-GPU order.
 #[derive(Debug, Clone)]
-pub struct PerGpuGetResponse {
-    /// `values[g][i]` answers `per_gpu_keys[g][i]`.
+pub struct PerGpuResponse {
+    /// Of a read, `values[g][i]` answers `lists[g][i]`; empty otherwise.
     pub values: Vec<Vec<Option<u32>>>,
-    /// Cost report.
-    pub report: OpReport,
-}
-
-/// Typed result of a device-sided multi-GPU delete: per-GPU hit vectors
-/// in the original per-GPU order.
-#[derive(Debug, Clone)]
-pub struct PerGpuDeleteResponse {
-    /// `hits[g][i]` is `true` iff `per_gpu_keys[g][i]` was tombstoned.
+    /// Of an erase, `hits[g][i]` is `true` iff `lists[g][i]` was
+    /// tombstoned; empty otherwise.
     pub hits: Vec<Vec<bool>>,
-    /// Total keys found and tombstoned.
-    pub erased: u64,
-    /// Cost report.
-    pub report: OpReport,
+    /// How the call's puts were placed, how many of its erases hit, and
+    /// its cost report.
+    pub applied: Applied,
 }
 
 /// What one [`MapService::apply`] did besides answering: how its puts were

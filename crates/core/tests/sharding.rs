@@ -10,7 +10,7 @@ use gpu_sim::{Device, DeviceSpec, FaultPlan};
 use interconnect::Topology;
 use std::sync::Arc;
 use warpdrive::{
-    pack, CascadeStage, Config, DistributedHashMap, GpuHashMap, MapService, OpError, Schedule,
+    CascadeStage, Config, DistributedHashMap, GpuHashMap, MapService, OpError, Resident, Schedule,
 };
 
 /// `s` partitions of `capacity` slots on one device.
@@ -163,11 +163,12 @@ fn sharding_divides_the_modeled_working_set() {
     let pairs: Vec<(u32, u32)> = (0..4000u32).map(|i| (i * 7 + 1, i)).collect();
     let dev = Arc::new(Device::with_words(0, 1 << 16));
     let mono = GpuHashMap::new(dev, 8192, Config::default().with_modeled_capacity(8 << 30));
-    let node = sharded(4, 2048, Config::default().with_modeled_capacity(2 << 30));
+    let mut node = sharded(4, 2048, Config::default().with_modeled_capacity(2 << 30));
     let p100 = DeviceSpec::p100();
     let t_mono = mono.unwrap().insert_pairs(&pairs).unwrap().stats.sim_time;
     let t_mono = p100.net_of_launches(t_mono, 1);
-    let report = node.insert_device_sided(&spread(&pairs, 4, |(k, v)| pack(k, v))).unwrap();
+    let puts = Resident::Puts(&spread(&pairs, 4, |p| p));
+    let report = node.apply_device_sided(puts).unwrap().applied.report;
     let fixed: f64 = report.stages.iter().map(|row| row.overhead).sum();
     let t_node = report.time - fixed;
     assert!(t_node < t_mono, "CAS degradation not dodged: {t_node:.3e} vs {t_mono:.3e}");
@@ -190,22 +191,22 @@ fn stage(report: &warpdrive::OpReport, stage: CascadeStage) -> (f64, f64) {
 fn a_one_device_phase_is_the_sum_over_its_partitions() {
     use CascadeStage::{Insert, Multisplit, Query, Scatter, Transpose, TransposeBack};
     let cfg = healthy(Config::default().with_schedule(Schedule::Sequential));
-    let node = sharded(4, 2048, cfg);
+    let mut node = sharded(4, 2048, cfg);
     let devices = (0..4).map(|i| Arc::new(Device::with_words(i, 1 << 16))).collect();
-    let quad = DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(4)).unwrap();
+    let mut quad = DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(4)).unwrap();
     let pairs: Vec<(u32, u32)> = (0..6000u32).map(|i| (i * 11 + 3, i)).collect();
-    let words = spread(&pairs, 4, |(k, v)| pack(k, v));
+    let puts = spread(&pairs, 4, |p| p);
     let keys = spread(&pairs, 4, |(k, _)| k);
-    let dev = node.maps()[0].device();
+    let dev = node.maps()[0].device().clone();
     let oh = dev.spec().launch_overhead;
-    let insert = |d: &DistributedHashMap| d.insert_device_sided(&words).unwrap();
-    let get = |d: &DistributedHashMap| d.try_retrieve_device_sided(&keys).unwrap().report;
     for round in 0..2 {
         let before = dev.lifetime_stats();
-        let (report, twin, phases) = match round {
-            0 => (insert(&node), insert(&quad), &[Multisplit, Insert][..]),
-            _ => (get(&node), get(&quad), &[Multisplit, Query, Scatter][..]),
+        let (lists, phases) = match round {
+            0 => (Resident::Puts(&puts), &[Multisplit, Insert][..]),
+            _ => (Resident::Reads(&keys), &[Multisplit, Query, Scatter][..]),
         };
+        let run = |d: &mut DistributedHashMap| d.apply_device_sided(lists).unwrap().applied;
+        let (report, twin) = (run(&mut node).report, run(&mut quad).report);
         let after = dev.lifetime_stats();
         assert_eq!(report.launches, after.launches - before.launches);
         let copies = stage(&report, Transpose).0 + stage(&report, TransposeBack).0;

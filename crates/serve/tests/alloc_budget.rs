@@ -645,7 +645,7 @@ fn a_node_put_allocates_fewer_bytes_than_its_pairs() {
     assert!(
         bytes < std::mem::size_of_val(&pairs[..]) as u64,
         "a put of {} pairs allocated {bytes} bytes: a packed copy of its pairs is back \
-         (host_ops.rs `apply_into`, cascade.rs `Pairs`)",
+         (host_ops.rs `apply_into`; cascade.rs `multisplit_phase` packs pairs as they upload)",
         pairs.len()
     );
 }

@@ -27,7 +27,7 @@ use interconnect::Topology;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use warpdrive::stats::StageTiming;
-use warpdrive::{pack, Config, DistributedHashMap, MapService, Mutation, Op, Response};
+use warpdrive::{pack, Config, DistributedHashMap, MapService, Mutation, Op, Resident, Response};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/cascade_golden.txt");
 const PRELOAD: u32 = 1500;
@@ -143,8 +143,7 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
             let res = if host {
                 d.put_batch(&pairs).map(|r| r.report)
             } else {
-                let words: Vec<u64> = pairs.iter().map(|&(k, v)| pack(k, v)).collect();
-                d.insert_device_sided(&spread(&words, m))
+                d.apply_device_sided(Resident::Puts(&spread(&pairs, m))).map(|r| r.applied.report)
             };
             match res {
                 Ok(r) => {
@@ -158,8 +157,8 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
             let res = if host {
                 d.get_batch(&keys).map(|r| (r.values, r.report))
             } else {
-                d.try_retrieve_device_sided(&spread(&keys, m))
-                    .map(|r| (r.values.into_iter().flatten().collect(), r.report))
+                d.apply_device_sided(Resident::Reads(&spread(&keys, m)))
+                    .map(|r| (r.values.into_iter().flatten().collect(), r.applied.report))
             };
             match res {
                 Ok((values, r)) => {
@@ -174,8 +173,10 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
             let res = if host {
                 d.delete_batch(&keys).map(|r| (r.hits, r.erased, r.report))
             } else {
-                d.try_erase_device_sided(&spread(&keys, m))
-                    .map(|r| (r.hits.into_iter().flatten().collect(), r.erased, r.report))
+                d.apply_device_sided(Resident::Erases(&spread(&keys, m))).map(|r| {
+                    let hits = r.hits.into_iter().flatten().collect();
+                    (hits, r.applied.erased, r.applied.report)
+                })
             };
             match res {
                 Ok((hits, erased, r)) => {

@@ -19,7 +19,7 @@ use multisplit::{device_multisplit, device_multisplit_segments, scratch_words, S
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use warpdrive::{key_of, pack, Config, DistributedHashMap, MapService, Mutation};
+use warpdrive::{key_of, pack, Config, DistributedHashMap, MapService, Mutation, Resident};
 
 fn multiset(words: impl IntoIterator<Item = u64>) -> BTreeMap<u64, usize> {
     let mut m = BTreeMap::new();
@@ -198,7 +198,7 @@ proptest! {
         let devices: Vec<_> = (0..m)
             .map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 16)))
             .collect();
-        let d = DistributedHashMap::new(
+        let mut d = DistributedHashMap::new(
             devices,
             2048,
             Config::default(),
@@ -206,16 +206,16 @@ proptest! {
         )
         .unwrap();
         // arbitrary initial placement: round-robin over source GPUs
-        let per_gpu: Vec<Vec<u64>> = (0..m)
+        let per_gpu: Vec<Vec<(u32, u32)>> = (0..m)
             .map(|i| {
                 keys.iter()
                     .enumerate()
                     .filter(|(j, _)| j % m == i)
-                    .map(|(_, &k)| pack(k, k ^ 0xfeed))
+                    .map(|(_, &k)| (k, k ^ 0xfeed))
                     .collect()
             })
             .collect();
-        d.insert_device_sided(&per_gpu).unwrap();
+        d.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
 
         // union of the per-GPU tables == input key multiset
         let mut stored: Vec<u32> = Vec::new();
@@ -382,20 +382,17 @@ fn a_look_back_that_reads_unpublished_prefixes_is_caught() {
         if broken {
             cfg = cfg.with_mutation(Mutation::LookBackReadsUnpublished);
         }
-        let d = DistributedHashMap::new(devices, 4096, cfg, Topology::p100_quad(4)).unwrap();
+        let mut d = DistributedHashMap::new(devices, 4096, cfg, Topology::p100_quad(4)).unwrap();
         // 1 000 pairs a GPU: four runs each, which scan by look-back
-        let per_gpu: Vec<Vec<u64>> = (0..4u32)
-            .map(|g| (0..1000u32).map(|i| pack(4000 * g + i + 1, i)).collect())
+        let per_gpu: Vec<Vec<(u32, u32)>> = (0..4u32)
+            .map(|g| (0..1000u32).map(|i| (4000 * g + i + 1, i)).collect())
             .collect();
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.insert_device_sided(&per_gpu).unwrap();
-            let mut stored: Vec<u64> = d
-                .maps()
-                .iter()
-                .flat_map(|map| map.snapshot().into_iter().map(|(k, v)| pack(k, v)))
-                .collect();
+            d.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
+            let mut stored: Vec<(u32, u32)> =
+                d.maps().iter().flat_map(|map| map.snapshot()).collect();
             stored.sort_unstable();
-            let mut want: Vec<u64> = per_gpu.concat();
+            let mut want: Vec<(u32, u32)> = per_gpu.concat();
             want.sort_unstable();
             assert_eq!(stored, want, "the node holds what went in");
         }))

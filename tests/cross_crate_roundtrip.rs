@@ -6,7 +6,7 @@ use interconnect::Topology;
 use std::collections::HashMap;
 use std::sync::Arc;
 use warpdrive::host_ops::Cut;
-use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap, MapService};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, MapService, Resident};
 use wd_apps::quad_node;
 use workloads::Distribution;
 
@@ -26,19 +26,15 @@ fn distributed_equals_single_equals_std() {
     single.insert_pairs(&pairs).unwrap();
 
     // distributed over 4 GPUs (device-sided cascade)
-    let dmap = DistributedHashMap::new(
+    let mut dmap = DistributedHashMap::new(
         quad_node(4096, n),
         4096,
         Config::default(),
         Topology::p100_quad(4),
     )
     .unwrap();
-    let per = n / 4;
-    let per_gpu: Vec<Vec<u64>> = pairs
-        .chunks(per)
-        .map(|c| c.iter().map(|&(k, v)| pack(k, v)).collect())
-        .collect();
-    dmap.insert_device_sided(&per_gpu).unwrap();
+    let per_gpu: Vec<Vec<(u32, u32)>> = pairs.chunks(n / 4).map(<[_]>::to_vec).collect();
+    dmap.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
 
     assert_eq!(single.len() as usize, model.len());
     assert_eq!(dmap.len() as usize, model.len());
@@ -83,7 +79,7 @@ fn host_and_device_cascades_agree() {
                 .collect()
         })
         .collect();
-    let dev_res = dmap.try_retrieve_device_sided(&per_gpu).unwrap().values;
+    let dev_res = dmap.apply_device_sided(Resident::Reads(&per_gpu)).unwrap().values;
     let dev_flat: Vec<Option<u32>> = dev_res.into_iter().flatten().collect();
     assert_eq!(host_res, dev_flat);
 }

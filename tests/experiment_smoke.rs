@@ -6,7 +6,7 @@
 use interconnect::{alltoall_time, broadcast_h2d_time, Topology};
 use std::sync::Arc;
 use warpdrive::host_ops::Cut;
-use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, Resident};
 use wd_apps::quad_node;
 use workloads::Distribution;
 
@@ -81,18 +81,15 @@ fn fig9_shape_holds() {
         let devices: Vec<_> = (0..m)
             .map(|i| Arc::new(gpu_sim::Device::with_words(i, cap + 8 * per + 4096)))
             .collect();
-        let dmap = DistributedHashMap::new(devices, cap, Config::default(), Topology::p100_quad(m))
-            .unwrap();
+        let mut dmap =
+            DistributedHashMap::new(devices, cap, Config::default(), Topology::p100_quad(m))
+                .unwrap();
         let pairs = Distribution::Unique.generate(n, 2);
-        let per_gpu: Vec<Vec<u64>> = pairs
-            .chunks(per)
-            .map(|c| c.iter().map(|&(k, v)| pack(k, v)).collect())
-            .collect();
+        let per_gpu: Vec<Vec<(u32, u32)>> = pairs.chunks(per).map(<[_]>::to_vec).collect();
         // extrapolate to paper scale so fixed launch overheads (which
         // vanish at 2^28 elements) don't mask the comparison
-        dmap.insert_device_sided(&per_gpu)
-            .unwrap()
-            .modeled_time(1024.0)
+        let put = dmap.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
+        put.applied.report.modeled_time(1024.0)
     };
     let t1 = tau(1);
     let t4 = tau(4);

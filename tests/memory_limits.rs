@@ -4,7 +4,7 @@
 
 use interconnect::Topology;
 use std::sync::Arc;
-use warpdrive::{BuildError, Config, DistributedHashMap, GpuHashMap, MapService};
+use warpdrive::{BuildError, Config, DistributedHashMap, GpuHashMap, MapService, Resident};
 use workloads::Distribution;
 
 /// A table that exceeds one device's VRAM fails to build …
@@ -126,9 +126,7 @@ fn starved_query_output_scratch_is_a_typed_error() {
         .filter(|&k| dmap.partition().part(k) == 1)
         .take(500)
         .collect();
-    let err = dmap
-        .try_retrieve_device_sided(&[keys, Vec::new()])
-        .unwrap_err();
+    let err = dmap.apply_device_sided(Resident::Reads(&[keys, Vec::new()])).unwrap_err();
     assert!(matches!(err, warpdrive::OpError::OutOfMemory(_)), "{err:?}");
     assert_eq!(starved.mem().available_words(), free_before, "scratch leaked");
     // the map remains usable at a size that fits

@@ -5,7 +5,7 @@ use interconnect::Topology;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap, GpuMultiMap};
+use warpdrive::{Config, DistributedHashMap, GpuHashMap, GpuMultiMap, Resident};
 use wd_apps::quad_node;
 
 proptest! {
@@ -104,7 +104,7 @@ proptest! {
         let single = GpuHashMap::new(dev, 1024, Config::default()).unwrap();
         single.insert_pairs(&pairs).unwrap();
 
-        let dmap = DistributedHashMap::new(
+        let mut dmap = DistributedHashMap::new(
             quad_node(1024, pairs.len().max(16)),
             1024,
             Config::default(),
@@ -112,16 +112,14 @@ proptest! {
         )
         .unwrap();
         let per = pairs.len().div_ceil(4);
-        let mut per_gpu: Vec<Vec<u64>> = pairs
-            .chunks(per)
-            .map(|c| c.iter().map(|&(k, v)| pack(k, v)).collect())
-            .collect();
+        let mut per_gpu: Vec<Vec<(u32, u32)>> = pairs.chunks(per).map(<[_]>::to_vec).collect();
         per_gpu.resize(4, Vec::new());
-        dmap.insert_device_sided(&per_gpu).unwrap();
+        dmap.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
 
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
         let s_res = single.try_retrieve(&keys).unwrap().values;
-        let d_res = dmap.try_retrieve_device_sided(&[keys.clone(), vec![], vec![], vec![]]).unwrap().values;
+        let reads = [keys.clone(), vec![], vec![], vec![]];
+        let d_res = dmap.apply_device_sided(Resident::Reads(&reads)).unwrap().values;
         prop_assert_eq!(&s_res, &d_res[0]);
         prop_assert!(s_res.iter().all(Option::is_some));
     }

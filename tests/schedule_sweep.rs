@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use warpdrive::{
     Config, DistributedHashMap, GetResponse, GpuHashMap, GpuMultiMap, Layout, MapService,
-    Mutation,
+    Mutation, Resident,
 };
 use wd_apps::{scaled, sweep_seeds};
 
@@ -179,19 +179,11 @@ fn distributed_sweep_is_deterministic_and_complete() {
                 .map(|i| Arc::new(Device::with_words(i, 1 << 14)))
                 .collect();
             let cfg = Config::default().with_schedule(schedule);
-            let d =
+            let mut d =
                 DistributedHashMap::new(devices, 256, cfg, Topology::p100_quad(2)).unwrap();
-            let words: Vec<Vec<u64>> = (0..2)
-                .map(|i| {
-                    pairs
-                        .iter()
-                        .skip(i * 32)
-                        .take(32)
-                        .map(|&(k, v)| warpdrive::pack(k, v))
-                        .collect()
-                })
-                .collect();
-            d.insert_device_sided(&words).unwrap();
+            let lists: Vec<Vec<(u32, u32)>> =
+                (0..2).map(|i| pairs.iter().skip(i * 32).take(32).copied().collect()).collect();
+            d.apply_device_sided(Resident::Puts(&lists)).unwrap();
             let mut content: Vec<(u32, u32)> = d
                 .maps()
                 .iter()
