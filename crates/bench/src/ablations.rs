@@ -225,7 +225,7 @@ pub fn distribution(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     // strategy 1: multisplit transposition (the paper's)
     {
         let mut node = NodeBench::new(M, per, LOAD, Config::default());
-        let (ins, ret) = node.device_round(&pairs);
+        let (ins, ret) = node.device_round(&pairs, None);
         assert!(ret.values.iter().flatten().all(Option::is_some));
         t.row(vec![
             "multisplit transposition (paper)".to_owned(),
@@ -498,7 +498,7 @@ pub fn sharding(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
         let quarter = cfg.with_modeled_capacity((gib << 30) / PARTITIONS as u64);
         let per_partition = n.div_ceil(PARTITIONS);
         let mut node = NodeBench::one_device(PARTITIONS, per_partition, load, quarter);
-        let (ni, nr) = node.device_round(&pairs);
+        let (ni, nr) = node.device_round(&pairs, None);
 
         let (mono_ins, node_ins) = (rate(mi.stats.sim_time), node_rate(&ni));
         t.row(vec![

@@ -124,7 +124,7 @@ pub fn fig9(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     // distinct pool sizes — no shared fixture to reuse)
     let pairs = Distribution::Unique.generate(n_func, opts.seed);
     let tau = |n_model: u64, m: usize| -> (f64, f64) {
-        let (ins, ret) = NodeBench::paper(m, n_func / m, n_model).device_round(&pairs);
+        let (ins, ret) = NodeBench::paper(m, n_func / m, n_model).device_round(&pairs, None);
         let scale = n_model as f64 / n_func as f64;
         (ins.modeled_time(scale), ret.applied.report.modeled_time(scale))
     };
@@ -209,21 +209,21 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
         let n_model = 1u64 << exp;
         let scale = n_model as f64 / n_func as f64;
         let node = || NodeBench::paper(M, n_func / M, n_model);
+        // the paper's peak rates are the asynchronously overlapped variants
+        // — batches of 2^24 modeled elements, 4 pipeline threads (Fig. 5 /
+        // Fig. 11) — device-sided as host-sided
+        let batches = (n_model >> 24).clamp(2, 512) as usize;
+        let cut = Cut::new((n_func / batches).max(1), 4);
         let mut dev_row = vec![format!("2^{exp}")];
         let mut host_row = vec![format!("2^{exp}")];
         for &dist in &dists {
             let pairs = dist.generate(n_func, opts.seed);
-            let (ins, ret) = node().device_round(&pairs);
+            let (ins, ret) = node().device_round(&pairs, Some(cut));
             dev_row.push(gops(ins.modeled_ops_per_sec(scale)));
             dev_row.push(gops(ret.applied.report.modeled_ops_per_sec(scale)));
 
-            // host-sided: the paper's peak host rates (84%/55% of PCIe) are
-            // the asynchronously overlapped variants — batches of 2^24
-            // modeled elements, 4 pipeline threads (Fig. 5 / Fig. 11)
+            // host-sided, including PCIe (84%/55% of it in the paper)
             let mut hmap = node().map;
-            let batches = (n_model >> 24).clamp(2, 512) as usize;
-            let batch_func = (n_func / batches).max(1);
-            let cut = Cut::new(batch_func, 4);
             let hins = hmap.apply_in_chunks(&[], &pairs, &[], &mut [], &mut [], cut);
             let hins = hins.expect("host insert").report;
             let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
@@ -242,15 +242,16 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "\nExpect: device insert drops ~2x beyond 2^30 (>2 GB per GPU); \
-         device rates a hair below the two-launch split's (5.22 / 5.31 G/s \
-         unique at 2^28): at scale the look-back's chain of waits, a memory \
-         round-trip a window of 32 runs, and its windows of descriptors cost \
-         more than the count launch they save; device retrieve ~6.1 G/s: \
-         a key crosses NVLink as its 4 bytes, its position staying on its \
+         device calls cut as the host rows are, so that a chunk's split and \
+         transpositions on NVLink overlap the kernel and scatter of the chunk \
+         before it in video memory: device retrieve ~8 G/s (6.10 in one \
+         round, where the stages add up), device insert 6.4 G/s at 2^28 \
+         (5.14 in one round); past 2^28 a functional chunk holds 2048 to 256 \
+         keys, whose uneven spread over the targets the chunks' kernels add \
+         up. A key crosses NVLink as its 4 bytes, its position staying on its \
          origin, and its answer comes back as a 4-byte value and a found bit, \
          so each transposition moves half the bytes of an 8-byte query word \
-         and answer pair (5.05 G/s) and the kernel, unchanged, binds 57 % of \
-         the round; host insert ~2.5-2.7 G/s (84% PCIe), host retrieve \
+         and answer pair; host insert ~2.5-2.7 G/s (84% PCIe), host retrieve \
          ~2 G/s (55%) in the paper, which moves an 8-byte word per key each \
          way. Here a key goes up as its 4 bytes and comes back as a 4-byte \
          value and a found bit, so up and down carry about the same and \
@@ -630,7 +631,7 @@ pub fn stage_debug(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     let n = (opts.n / 12) * 12;
     let mut node = NodeBench::new(m, n / m, NodeBench::PAPER_LOAD, Config::default());
     let pairs = Distribution::Unique.generate(n, opts.seed);
-    let (ins, ret) = node.device_round(&pairs);
+    let (ins, ret) = node.device_round(&pairs, None);
     let scale = opts.modeled_n as f64 / n as f64;
     for (title, report) in [
         (format!("insert cascade (m={m}, modeled 2^28):"), &ins),

@@ -15,6 +15,7 @@ use crate::p100_with_words;
 use gpu_sim::{CounterSnapshot, DevSlice, Device, Schedule};
 use interconnect::Topology;
 use std::sync::Arc;
+use warpdrive::host_ops::Cut;
 use warpdrive::{pack, Config, DistributedHashMap, GpuHashMap, OpReport, PerGpuResponse, Resident};
 use workloads::Distribution;
 
@@ -240,18 +241,24 @@ impl NodeBench {
 
     /// The §V-C device-sided protocol: `pairs`, resident `per_gpu` to a
     /// GPU, go through the insert cascade and then all their keys through
-    /// the retrieve cascade.
+    /// the retrieve cascade, each call cut where `cut` says or by the
+    /// planner.
     ///
     /// # Panics
     /// Panics if a cascade fails — callers choose loads the scheme supports.
     #[must_use]
-    pub fn device_round(&mut self, pairs: &[(u32, u32)]) -> (OpReport, PerGpuResponse) {
-        let chunks = pairs.chunks(self.per_gpu);
-        let puts: Vec<Vec<(u32, u32)>> = chunks.clone().map(<[_]>::to_vec).collect();
-        let ins = self.map.apply_device_sided(Resident::Puts(&puts)).expect("insert cascade");
-        let keys: Vec<Vec<u32>> = chunks.map(|c| c.iter().map(|p| p.0).collect()).collect();
-        let ret = self.map.apply_device_sided(Resident::Reads(&keys)).expect("retrieve cascade");
-        (ins.applied.report, ret)
+    pub fn device_round(
+        &mut self,
+        pairs: &[(u32, u32)],
+        cut: Option<Cut>,
+    ) -> (OpReport, PerGpuResponse) {
+        let puts: Vec<&[(u32, u32)]> = pairs.chunks(self.per_gpu).collect();
+        let ins = self.map.apply_device_sided(Resident::Puts(&puts), cut);
+        let ins = ins.expect("insert cascade");
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+        let keys: Vec<&[u32]> = keys.chunks(self.per_gpu).collect();
+        let ret = self.map.apply_device_sided(Resident::Reads(&keys), cut);
+        (ins.applied.report, ret.expect("retrieve cascade"))
     }
 }
 

@@ -99,6 +99,7 @@ use crate::config::Mutation;
 use crate::distributed::{DistributedHashMap, MAX_PARTITIONS};
 use crate::entry::{key_of, pack, value_of, EMPTY, TOMBSTONE};
 use crate::get_put::{Input as Words, Probe, Sections};
+use crate::host_ops::Cut;
 use crate::service::{Applied, OpError, OpReport, PerGpuResponse};
 use crate::stats::CascadeStage;
 use crate::table::check_keys;
@@ -141,7 +142,7 @@ fn keyed(s: usize) -> bool {
 }
 
 /// Bytes an element of segment `s` carries to its target.
-fn up_bytes(s: usize) -> u64 {
+pub(crate) fn up_bytes(s: usize) -> u64 {
     if keyed(s) {
         4
     } else {
@@ -174,11 +175,11 @@ fn len_of<T>(lists: &[&[T]], i: usize) -> usize {
 #[derive(Clone, Copy, Debug)]
 pub enum Resident<'a> {
     /// Pairs to put.
-    Puts(&'a [Vec<(u32, u32)>]),
+    Puts(&'a [&'a [(u32, u32)]]),
     /// Keys to read.
-    Reads(&'a [Vec<u32>]),
+    Reads(&'a [&'a [u32]]),
     /// Keys to erase.
-    Erases(&'a [Vec<u32>]),
+    Erases(&'a [&'a [u32]]),
 }
 
 /// A cascade's input: per segment a list per GPU — of keys, 4 bytes each,
@@ -1230,14 +1231,20 @@ impl DistributedHashMap {
 
     // ---- the operation ----------------------------------------------------
 
-    /// The device-sided cascade (§V-C): one round over `lists`, one list a
-    /// GPU already resident on it — the paper's case where PCIe is
-    /// bypassed. A put answers nothing but what it placed; a read's
-    /// `values` and an erase's `hits` come back *in the original per-GPU
-    /// order*, whatever GPU answered. The round is of one kind, as the
-    /// [`Resident`] says: a round of several would need one group per key
-    /// across the GPUs' lists, which the node cannot check without reading
-    /// the lists back.
+    /// The device-sided cascade (§V-C) over `lists`, one list a GPU
+    /// already resident on it — the paper's case where PCIe is bypassed —
+    /// cut into chunks as the host bracket cuts a call (`in_chunks`):
+    /// where `cut` says, or where the planner picks from a first chunk of
+    /// what the all-to-all carries in a round's launch overheads
+    /// (`first_device_chunk`), below twice which the call is one round. A
+    /// chunk takes of every GPU's list its share in proportion to the
+    /// list's length, and a chunk's split and transposition overlap the
+    /// kernel and scatter of the chunk before it. A put answers nothing
+    /// but what it placed; a read's `values` and an erase's `hits` come
+    /// back *in the original per-GPU order*, whatever GPU answered. The
+    /// call is of one kind, as the [`Resident`] says: a round of several
+    /// would need one group per key across the GPUs' lists, which the node
+    /// cannot check without reading the lists back.
     ///
     /// Under an armed fault plan the cascade retries transient failures
     /// with backoff, quarantines GPUs that exhaust their budget (their
@@ -1252,28 +1259,57 @@ impl DistributedHashMap {
     /// [`OpError::ReservedKey`], its `index` counted through the lists in
     /// GPU order, before anything is uploaded; aggregated probing
     /// exhaustion across GPUs; scratch OOM; [`OpError::DeviceLost`] once no
-    /// survivor remains.
-    pub fn apply_device_sided(&mut self, lists: Resident<'_>) -> Result<PerGpuResponse, OpError> {
+    /// survivor remains. The chunks before a failed one stay applied.
+    ///
+    /// # Panics
+    /// Panics unless `lists` holds one list per GPU.
+    pub fn apply_device_sided(
+        &mut self,
+        lists: Resident<'_>,
+        cut: Option<Cut>,
+    ) -> Result<PerGpuResponse, OpError> {
         let (s, keys, pairs) = match lists {
-            Resident::Puts(lists) => (PUTS, Vec::new(), slices(lists)),
-            Resident::Reads(lists) => (GETS, slices(lists), Vec::new()),
-            Resident::Erases(lists) => (ERASES, slices(lists), Vec::new()),
+            Resident::Puts(lists) => (PUTS, &[][..], lists),
+            Resident::Reads(lists) => (GETS, lists, &[][..]),
+            Resident::Erases(lists) => (ERASES, lists, &[][..]),
         };
+        let m = self.num_gpus();
+        assert_eq!(keys.len() + pairs.len(), m, "one batch per GPU");
         let named = pairs.iter().flat_map(|list| list.iter().map(|p| p.0));
         check_keys(keys.iter().flat_map(|list| list.iter().copied()).chain(named))?;
         let mut input = Input::default();
-        (input.keys[s], input.pairs[s]) = (&keys, &pairs);
+        (input.keys[s], input.pairs[s]) = (keys, pairs);
         let mut values = if s == GETS { per_key(input, s, None) } else { Vec::new() };
         let mut hits = if s == ERASES { per_key(input, s, false) } else { Vec::new() };
-        let elements = (0..input.gpus(s)).map(|g| input.len(s, g)).sum::<usize>();
-        let mut report = OpReport::of_cascade(elements as u64);
+        let len = (0..m).map(|g| input.len(s, g)).sum::<usize>();
+        // where element `at` of the call lies in a list of `n` of its elements
+        let share = |at: usize, n: usize| (at as u128 * n as u128 / len.max(1) as u128) as usize;
         let mut applied = Applied::default();
-        self.cascade(input, &mut report, &mut applied, |s, (g, i), found| match s {
-            GETS => values[g][i] = found,
-            // of every round, so ORed
-            _ => hits[g][i] |= found.is_some(),
+        let first = self.first_device_chunk(s);
+        applied.report = self.in_chunks(first, len, cut, |range, at, report| {
+            let (mut chunk, mut from) = (input, [0; MAX_PARTITIONS]);
+            let mut sub_keys: [&[u32]; MAX_PARTITIONS] = [&[]; MAX_PARTITIONS];
+            let mut sub_pairs: [&[(u32, u32)]; MAX_PARTITIONS] = [&[]; MAX_PARTITIONS];
+            for g in 0..m {
+                let n = input.len(s, g);
+                let part = share(range.start, n)..share(range.end, n);
+                report.elements += part.len() as u64;
+                from[g] = share(at, n);
+                if let Some(list) = keys.get(g) {
+                    sub_keys[g] = &list[part.clone()];
+                }
+                if let Some(list) = pairs.get(g) {
+                    sub_pairs[g] = &list[part];
+                }
+            }
+            chunk.keys[s] = &sub_keys[..keys.len()];
+            chunk.pairs[s] = &sub_pairs[..pairs.len()];
+            self.cascade(chunk, report, &mut applied, |s, (g, i), found| match s {
+                GETS => values[g][from[g] + i] = found,
+                // of every round, so ORed
+                _ => hits[g][from[g] + i] |= found.is_some(),
+            })
         })?;
-        applied.report = report;
         Ok(PerGpuResponse { values, hits, applied })
     }
 }

@@ -485,15 +485,15 @@ mod tests {
         DistributedHashMap::new(devices, 1024, Config::default(), Topology::p100_quad(m)).unwrap()
     }
 
-    fn spread(pairs: &[(u32, u32)], m: usize) -> Vec<Vec<(u32, u32)>> {
+    fn spread(pairs: &[(u32, u32)], m: usize) -> Vec<&[(u32, u32)]> {
         // unstructured distribution: equal contiguous chunks
         let per = pairs.len().div_ceil(m);
-        (0..m).map(|i| pairs.iter().skip(i * per).take(per).copied().collect()).collect()
+        pairs.chunks(per.max(1)).chain(std::iter::repeat(&[][..])).take(m).collect()
     }
 
     /// A device-sided put of `lists`: its report.
-    fn put(d: &mut DistributedHashMap, lists: &[Vec<(u32, u32)>]) -> OpReport {
-        d.apply_device_sided(Resident::Puts(lists)).unwrap().applied.report
+    fn put(d: &mut DistributedHashMap, lists: &[&[(u32, u32)]]) -> OpReport {
+        d.apply_device_sided(Resident::Puts(lists), None).unwrap().applied.report
     }
 
     #[test]
@@ -527,7 +527,8 @@ mod tests {
             pairs[900..].iter().map(|p| p.0).collect(),
         ];
         keys[2].push(pairs[42].0); // present key on the "miss" GPU
-        let resp = d.apply_device_sided(Resident::Reads(&keys)).unwrap();
+        let lists: Vec<&[u32]> = keys.iter().map(Vec::as_slice).collect();
+        let resp = d.apply_device_sided(Resident::Reads(&lists), None).unwrap();
 
         let lookup: std::collections::HashMap<u32, u32> = pairs.iter().copied().collect();
         for (g, gpu_keys) in keys.iter().enumerate() {
@@ -558,11 +559,11 @@ mod tests {
     #[test]
     fn duplicate_keys_update_across_gpus() {
         let mut d = node(2, 1 << 16);
-        put(&mut d, &[vec![(77, 1)], vec![(77, 2)]]);
+        put(&mut d, &[&[(77, 1)], &[(77, 2)]]);
         // both pairs target the same GPU and key; last writer wins
         // nondeterministically — but exactly one value must be stored
         assert_eq!(d.len(), 1);
-        let resp = d.apply_device_sided(Resident::Reads(&[vec![77], vec![]])).unwrap();
+        let resp = d.apply_device_sided(Resident::Reads(&[&[77], &[]]), None).unwrap();
         let v = resp.values[0][0].unwrap();
         assert!(v == 1 || v == 2, "got {v}");
     }
@@ -673,13 +674,13 @@ mod chaos_tests {
         // default pool, so one worker runs them in order. One more and two
         // chunks race, and a lost CAS race shows in the modeled time.
         let pairs: Vec<(u32, u32)> = (0..1024u32).map(|i| (i * 7 + 1, i)).collect();
-        let spread = [pairs.clone()];
+        let spread: [&[(u32, u32)]; 1] = [&pairs];
         let mk = || {
             let devices = vec![Arc::new(Device::with_words(0, 1 << 17))];
             DistributedHashMap::new(devices, 1 << 13, Config::default(), Topology::p100_quad(1))
                 .unwrap()
         };
-        let put = || mk().apply_device_sided(Resident::Puts(&spread)).unwrap().applied.report;
+        let put = || mk().apply_device_sided(Resident::Puts(&spread), None).unwrap().applied.report;
         let (a, b) = (put(), put());
         assert_eq!(a.stages.len(), b.stages.len());
         for (x, y) in a.stages.iter().zip(&b.stages) {

@@ -181,13 +181,13 @@ fn apply_checks_every_list_for_the_reserved_key_before_it_runs() {
 /// A node of four GPUs holding `(1, 10)`, and the device-sided lists that
 /// name the reserved key fourth in GPU order: GPU 0 holds two words, GPU 1
 /// none, GPU 2 the bad one behind a good one.
-fn node_and_lists_naming_the_reserved_key() -> (DistributedHashMap, Vec<Vec<u32>>) {
+fn node_and_lists_naming_the_reserved_key() -> (DistributedHashMap, [&'static [u32]; 4]) {
     let devices = (0..4).map(|i| Arc::new(gpu_sim::Device::with_words(i, 1 << 14)));
     let mut node =
         DistributedHashMap::new(devices.collect(), 512, Config::default(), Topology::p100_quad(4))
             .unwrap();
     node.put_batch(&[(1, 10)]).unwrap();
-    (node, vec![vec![1, 2], vec![], vec![3, u32::MAX], vec![4]])
+    (node, [&[1, 2], &[], &[3, u32::MAX], &[4]])
 }
 
 /// What a node's devices have seen: launches and uploaded bytes.
@@ -202,7 +202,7 @@ fn device_traffic(node: &DistributedHashMap) -> Vec<(u64, u64)> {
 /// Refuses `lists` before any upload: no launch, no byte moved, nothing placed.
 fn refuses_before_any_upload(node: &mut DistributedHashMap, lists: Resident<'_>) {
     let before = device_traffic(node);
-    let refused = node.apply_device_sided(lists).unwrap_err();
+    let refused = node.apply_device_sided(lists, None).unwrap_err();
     assert_eq!(refused, OpError::ReservedKey { index: 3 }, "{lists:?}");
     assert_eq!((device_traffic(node), node.len()), (before, 1), "{lists:?}");
 }
@@ -212,6 +212,7 @@ fn insert_device_sided_refuses_the_reserved_key_before_any_upload() {
     let (mut node, keys) = node_and_lists_naming_the_reserved_key();
     let pairs: Vec<Vec<(u32, u32)>> =
         keys.iter().map(|list| list.iter().map(|&k| (k, 7)).collect()).collect();
+    let pairs: Vec<&[(u32, u32)]> = pairs.iter().map(Vec::as_slice).collect();
     refuses_before_any_upload(&mut node, Resident::Puts(&pairs));
 }
 
@@ -225,8 +226,8 @@ fn try_retrieve_device_sided_refuses_the_reserved_key_before_any_upload() {
 fn try_erase_device_sided_refuses_the_reserved_key_before_any_upload() {
     let (mut node, mut keys) = node_and_lists_naming_the_reserved_key();
     refuses_before_any_upload(&mut node, Resident::Erases(&keys));
-    keys[2].pop();
-    let erased = node.apply_device_sided(Resident::Erases(&keys)).unwrap().applied.erased;
+    keys[2] = &[3];
+    let erased = node.apply_device_sided(Resident::Erases(&keys), None).unwrap().applied.erased;
     assert_eq!(erased, 1);
 }
 
@@ -334,7 +335,7 @@ fn distributed_handles_empty_and_skewed_gpu_batches() {
     // everything on GPU 0, nothing elsewhere
     let pairs: Vec<(u32, u32)> = (0..1000u32).map(|i| (i * 3 + 1, i)).collect();
     let rep = dmap
-        .apply_device_sided(Resident::Puts(&[pairs, Vec::new(), Vec::new(), Vec::new()]))
+        .apply_device_sided(Resident::Puts(&[&pairs, &[], &[], &[]]), None)
         .unwrap()
         .applied
         .report;
@@ -343,7 +344,7 @@ fn distributed_handles_empty_and_skewed_gpu_batches() {
     // query entirely from GPU 3
     let keys: Vec<u32> = (0..1000u32).map(|i| i * 3 + 1).collect();
     let res = dmap
-        .apply_device_sided(Resident::Reads(&[Vec::new(), Vec::new(), Vec::new(), keys]))
+        .apply_device_sided(Resident::Reads(&[&[], &[], &[], &keys]), None)
         .unwrap()
         .values;
     assert!(res[3].iter().all(Option::is_some));

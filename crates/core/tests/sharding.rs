@@ -31,9 +31,8 @@ fn launches(node: &DistributedHashMap) -> u64 {
 }
 
 /// `items` in `m` contiguous chunks, one a partition.
-fn spread<T: Copy, U>(items: &[T], m: usize, f: impl Fn(T) -> U) -> Vec<Vec<U>> {
-    let chunks = items.chunks(items.len().div_ceil(m));
-    chunks.map(|c| c.iter().map(|&x| f(x)).collect()).collect()
+fn spread<T>(items: &[T], m: usize) -> Vec<&[T]> {
+    items.chunks(items.len().div_ceil(m)).collect()
 }
 
 #[test]
@@ -167,8 +166,8 @@ fn sharding_divides_the_modeled_working_set() {
     let p100 = DeviceSpec::p100();
     let t_mono = mono.unwrap().insert_pairs(&pairs).unwrap().stats.sim_time;
     let t_mono = p100.net_of_launches(t_mono, 1);
-    let puts = Resident::Puts(&spread(&pairs, 4, |p| p));
-    let report = node.apply_device_sided(puts).unwrap().applied.report;
+    let puts = Resident::Puts(&spread(&pairs, 4));
+    let report = node.apply_device_sided(puts, None).unwrap().applied.report;
     let fixed: f64 = report.stages.iter().map(|row| row.overhead).sum();
     let t_node = report.time - fixed;
     assert!(t_node < t_mono, "CAS degradation not dodged: {t_node:.3e} vs {t_mono:.3e}");
@@ -195,8 +194,9 @@ fn a_one_device_phase_is_the_sum_over_its_partitions() {
     let devices = (0..4).map(|i| Arc::new(Device::with_words(i, 1 << 16))).collect();
     let mut quad = DistributedHashMap::new(devices, 2048, cfg, Topology::p100_quad(4)).unwrap();
     let pairs: Vec<(u32, u32)> = (0..6000u32).map(|i| (i * 11 + 3, i)).collect();
-    let puts = spread(&pairs, 4, |p| p);
-    let keys = spread(&pairs, 4, |(k, _)| k);
+    let puts = spread(&pairs, 4);
+    let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+    let keys = spread(&keys, 4);
     let dev = node.maps()[0].device().clone();
     let oh = dev.spec().launch_overhead;
     for round in 0..2 {
@@ -205,7 +205,7 @@ fn a_one_device_phase_is_the_sum_over_its_partitions() {
             0 => (Resident::Puts(&puts), &[Multisplit, Insert][..]),
             _ => (Resident::Reads(&keys), &[Multisplit, Query, Scatter][..]),
         };
-        let run = |d: &mut DistributedHashMap| d.apply_device_sided(lists).unwrap().applied;
+        let run = |d: &mut DistributedHashMap| d.apply_device_sided(lists, None).unwrap().applied;
         let (report, twin) = (run(&mut node).report, run(&mut quad).report);
         let after = dev.lifetime_stats();
         assert_eq!(report.launches, after.launches - before.launches);

@@ -77,11 +77,9 @@ fn node_with(m: usize, plan: FaultPlan, mutation: Option<Mutation>) -> Distribut
 }
 
 /// Unstructured spread: equal contiguous chunks, one per GPU.
-fn spread<T: Copy>(items: &[T], m: usize) -> Vec<Vec<T>> {
-    let per = items.len().div_ceil(m);
-    (0..m)
-        .map(|g| items.iter().skip(g * per).take(per).copied().collect())
-        .collect()
+fn spread<T>(items: &[T], m: usize) -> Vec<&[T]> {
+    let per = items.len().div_ceil(m).max(1);
+    items.chunks(per).chain(std::iter::repeat(&[][..])).take(m).collect()
 }
 
 fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -143,7 +141,8 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
             let res = if host {
                 d.put_batch(&pairs).map(|r| r.report)
             } else {
-                d.apply_device_sided(Resident::Puts(&spread(&pairs, m))).map(|r| r.applied.report)
+                let puts = Resident::Puts(&spread(&pairs, m));
+                d.apply_device_sided(puts, None).map(|r| r.applied.report)
             };
             match res {
                 Ok(r) => {
@@ -157,7 +156,7 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
             let res = if host {
                 d.get_batch(&keys).map(|r| (r.values, r.report))
             } else {
-                d.apply_device_sided(Resident::Reads(&spread(&keys, m)))
+                d.apply_device_sided(Resident::Reads(&spread(&keys, m)), None)
                     .map(|r| (r.values.into_iter().flatten().collect(), r.applied.report))
             };
             match res {
@@ -173,7 +172,7 @@ fn run(out: &mut String, d: &mut DistributedHashMap, op: &str, host: bool, lo: u
             let res = if host {
                 d.delete_batch(&keys).map(|r| (r.hits, r.erased, r.report))
             } else {
-                d.apply_device_sided(Resident::Erases(&spread(&keys, m))).map(|r| {
+                d.apply_device_sided(Resident::Erases(&spread(&keys, m)), None).map(|r| {
                     let hits = r.hits.into_iter().flatten().collect();
                     (hits, r.applied.erased, r.applied.report)
                 })

@@ -215,7 +215,8 @@ proptest! {
                     .collect()
             })
             .collect();
-        d.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
+        let per_gpu: Vec<&[(u32, u32)]> = per_gpu.iter().map(Vec::as_slice).collect();
+        d.apply_device_sided(Resident::Puts(&per_gpu), None).unwrap();
 
         // union of the per-GPU tables == input key multiset
         let mut stored: Vec<u32> = Vec::new();
@@ -387,8 +388,9 @@ fn a_look_back_that_reads_unpublished_prefixes_is_caught() {
         let per_gpu: Vec<Vec<(u32, u32)>> = (0..4u32)
             .map(|g| (0..1000u32).map(|i| (4000 * g + i + 1, i)).collect())
             .collect();
+        let per_gpu: Vec<&[(u32, u32)]> = per_gpu.iter().map(Vec::as_slice).collect();
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
+            d.apply_device_sided(Resident::Puts(&per_gpu), None).unwrap();
             let mut stored: Vec<(u32, u32)> =
                 d.maps().iter().flat_map(|map| map.snapshot()).collect();
             stored.sort_unstable();

@@ -33,8 +33,8 @@ fn distributed_equals_single_equals_std() {
         Topology::p100_quad(4),
     )
     .unwrap();
-    let per_gpu: Vec<Vec<(u32, u32)>> = pairs.chunks(n / 4).map(<[_]>::to_vec).collect();
-    dmap.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
+    let per_gpu: Vec<&[(u32, u32)]> = pairs.chunks(n / 4).collect();
+    dmap.apply_device_sided(Resident::Puts(&per_gpu), None).unwrap();
 
     assert_eq!(single.len() as usize, model.len());
     assert_eq!(dmap.len() as usize, model.len());
@@ -70,16 +70,9 @@ fn host_and_device_cascades_agree() {
 
     // device-sided query of the same keys, spread arbitrarily
     let per = keys.len() / 4;
-    let per_gpu: Vec<Vec<u32>> = (0..4)
-        .map(|g| {
-            keys.iter()
-                .skip(g * per)
-                .take(if g == 3 { keys.len() - 3 * per } else { per })
-                .copied()
-                .collect()
-        })
-        .collect();
-    let dev_res = dmap.apply_device_sided(Resident::Reads(&per_gpu)).unwrap().values;
+    let per_gpu: Vec<&[u32]> =
+        (0..4).map(|g| &keys[g * per..if g == 3 { keys.len() } else { (g + 1) * per }]).collect();
+    let dev_res = dmap.apply_device_sided(Resident::Reads(&per_gpu), None).unwrap().values;
     let dev_flat: Vec<Option<u32>> = dev_res.into_iter().flatten().collect();
     assert_eq!(host_res, dev_flat);
 }

@@ -85,10 +85,10 @@ fn fig9_shape_holds() {
             DistributedHashMap::new(devices, cap, Config::default(), Topology::p100_quad(m))
                 .unwrap();
         let pairs = Distribution::Unique.generate(n, 2);
-        let per_gpu: Vec<Vec<(u32, u32)>> = pairs.chunks(per).map(<[_]>::to_vec).collect();
+        let per_gpu: Vec<&[(u32, u32)]> = pairs.chunks(per).collect();
         // extrapolate to paper scale so fixed launch overheads (which
         // vanish at 2^28 elements) don't mask the comparison
-        let put = dmap.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
+        let put = dmap.apply_device_sided(Resident::Puts(&per_gpu), None).unwrap();
         put.applied.report.modeled_time(1024.0)
     };
     let t1 = tau(1);

@@ -126,7 +126,7 @@ fn starved_query_output_scratch_is_a_typed_error() {
         .filter(|&k| dmap.partition().part(k) == 1)
         .take(500)
         .collect();
-    let err = dmap.apply_device_sided(Resident::Reads(&[keys, Vec::new()])).unwrap_err();
+    let err = dmap.apply_device_sided(Resident::Reads(&[&keys, &[]]), None).unwrap_err();
     assert!(matches!(err, warpdrive::OpError::OutOfMemory(_)), "{err:?}");
     assert_eq!(starved.mem().available_words(), free_before, "scratch leaked");
     // the map remains usable at a size that fits

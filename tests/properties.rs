@@ -112,14 +112,14 @@ proptest! {
         )
         .unwrap();
         let per = pairs.len().div_ceil(4);
-        let mut per_gpu: Vec<Vec<(u32, u32)>> = pairs.chunks(per).map(<[_]>::to_vec).collect();
-        per_gpu.resize(4, Vec::new());
-        dmap.apply_device_sided(Resident::Puts(&per_gpu)).unwrap();
+        let mut per_gpu: Vec<&[(u32, u32)]> = pairs.chunks(per).collect();
+        per_gpu.resize(4, &[]);
+        dmap.apply_device_sided(Resident::Puts(&per_gpu), None).unwrap();
 
         let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
         let s_res = single.try_retrieve(&keys).unwrap().values;
-        let reads = [keys.clone(), vec![], vec![], vec![]];
-        let d_res = dmap.apply_device_sided(Resident::Reads(&reads)).unwrap().values;
+        let reads: [&[u32]; 4] = [&keys, &[], &[], &[]];
+        let d_res = dmap.apply_device_sided(Resident::Reads(&reads), None).unwrap().values;
         prop_assert_eq!(&s_res, &d_res[0]);
         prop_assert!(s_res.iter().all(Option::is_some));
     }

@@ -181,9 +181,8 @@ fn distributed_sweep_is_deterministic_and_complete() {
             let cfg = Config::default().with_schedule(schedule);
             let mut d =
                 DistributedHashMap::new(devices, 256, cfg, Topology::p100_quad(2)).unwrap();
-            let lists: Vec<Vec<(u32, u32)>> =
-                (0..2).map(|i| pairs.iter().skip(i * 32).take(32).copied().collect()).collect();
-            d.apply_device_sided(Resident::Puts(&lists)).unwrap();
+            let lists: Vec<&[(u32, u32)]> = pairs.chunks(32).collect();
+            d.apply_device_sided(Resident::Puts(&lists), None).unwrap();
             let mut content: Vec<(u32, u32)> = d
                 .maps()
                 .iter()
