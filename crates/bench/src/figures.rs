@@ -182,7 +182,7 @@ pub fn fig9(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
 /// ops/s (55%, two transfers of 8-byte words). This reproduction uploads
 /// the 4-byte keys themselves and downloads a 4-byte value and a found bit
 /// per key, so the two directions carry about the same and its overlapped
-/// host-sided retrieval runs at ≈4.2–5.3 G ops/s.
+/// host-sided retrieval runs at ≈4.5–5.3 G ops/s.
 pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
     let n_func = (opts.n / M) * M;
     writeln!(
@@ -243,9 +243,12 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nExpect: device insert drops ~2x beyond 2^30 (>2 GB per GPU); \
          device calls cut as the host rows are, so that a chunk's split and \
-         transpositions on NVLink overlap the kernel and scatter of the chunk \
-         before it in video memory: device retrieve ~8 G/s (6.10 in one \
-         round, where the stages add up), device insert 6.4 G/s at 2^28 \
+         transpositions on NVLink overlap the node launch of the chunk \
+         before it — its kernels and its merge, one stage of video memory, \
+         the merge storing each run's answers as streams: device retrieve \
+         ~9.5 G/s at 2^28, the paper's ~9 (6.93 in one round, where the \
+         stages add up; 8.08 with the launch two stages and the answers \
+         stored at random), device insert 6.4 G/s at 2^28 \
          (5.14 in one round); past 2^28 a functional chunk holds 2048 to 256 \
          keys, whose uneven spread over the targets the chunks' kernels add \
          up. A key crosses NVLink as its 4 bytes, its position staying on its \
@@ -255,7 +258,7 @@ pub fn fig10(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
          ~2 G/s (55%) in the paper, which moves an 8-byte word per key each \
          way. Here a key goes up as its 4 bytes and comes back as a 4-byte \
          value and a found bit, so up and down carry about the same and \
-         overlap: host retrieve ~4.2-5.3 G/s, above host insert, which its \
+         overlap: host retrieve ~4.5-5.3 G/s, above host insert, which its \
          8-byte pairs going up bind."
     )
 }
@@ -365,7 +368,9 @@ pub fn fig11(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
          words both ways; here keys go up as 4 bytes and answers come down \
          as 4-byte values and a found bit, so `PCIe up` and `PCIe down` of \
          the Ret rows are about equal, half the paper's each, and Ret4 \
-         overlaps them (~62% saved, of a smaller total)."
+         overlaps them (~61% saved, of a smaller total: a batch's node \
+         launch, kernels and merge, is one stage of video memory, and the \
+         merge stores each run's answers as streams)."
     )
 }
 

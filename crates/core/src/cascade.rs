@@ -2,7 +2,7 @@
 //! operation.
 //!
 //! §IV-B's scheme is a single pipeline — multisplit → transposition →
-//! per-GPU kernel, optionally → transposition back → scatter — and so is
+//! per-GPU kernel, optionally → transposition back → merge — and so is
 //! this module. Every operation is one [`CascadeOp`], read off the
 //! segments its [`Input`] has: an insertion has puts, a retrieval gets, an
 //! erasure erases, and the mixed round of [`crate::MapService::apply`] any
@@ -11,13 +11,13 @@
 //! [`crate::get_put::Mix`] cuts a call into them. A segment's path
 //! through the round, `n` the answered and `e` the erased keys of a GPU:
 //!
-//! | segment, section | upload (host-sided) | NVLink there | return trip | D2H (host-sided) | scatter warps (node launch, per warp) |
-//! |------------------|---------------------|--------------|-------------|------------------|--------------------------------------|
-//! | gets: keys read alone | 4 B / key | 4 B / key | 4 B / key + 4 B / 32 keys | `4n + ⌈n/8⌉` B for gets, takes and upserts together | [`Scatter`]: a poll of each answering target's flag, 32·(4+4) B and the found words streamed, the sectors its values touch, an `atomicOr` per found-bit word |
+//! | segment, section | upload (host-sided) | NVLink there | return trip | D2H (host-sided) | merge warps (node launch, one a run of 256) |
+//! |------------------|---------------------|--------------|-------------|------------------|---------------------------------------------|
+//! | gets: keys read alone | 4 B / key | 4 B / key | 4 B / key + 4 B / 32 keys | `4n + ⌈n/8⌉` B for gets, takes and upserts together | [`Merge`]: where its `m` pieces start, a poll of each answering target's flag, 256·(4+4) B and the found words streamed in, 256·4 B of values and the found words streamed out, an `atomicOr` only on a found word shared with a neighbouring run or segment |
 //! | takes: keys read and erased | 4 B / key | 4 B / key | 4 B / key + 4 B / 32 keys | (with the gets) | as a get's; its found bit is the erase's hit |
 //! | upserts: keys read and put | 8 B / pair | 8 B / pair | 4 B / pair + 4 B / 32 pairs | (with the gets) | as a get's |
 //! | puts: keys put alone | 8 B / pair | 8 B / pair | none | none | — |
-//! | erases: keys erased alone | 4 B / key | 4 B / key | 4 B / 32 keys | `⌈e/8⌉` B | [`Scatter`]: as a get's, without values |
+//! | erases: keys erased alone | 4 B / key | 4 B / key | 4 B / 32 keys | `⌈e/8⌉` B | [`Merge`]: as a get's, without values |
 //!
 //! Every answered key's position stays on its origin: the multisplit
 //! writes a key out as its 4 bytes, two to a word, an upsert's pair as it
@@ -27,13 +27,16 @@
 //! the run's 4-byte values — a get's, a take's or an upsert's, what its key
 //! held before the launch — and a 32-bit found word per 32 answers, the
 //! run's found bits starting a word of their own, since runs from
-//! different targets are not aligned to 32. The origin's scatter reads a
-//! position, a value and a found bit per answer, writes the value into the
-//! half of a value word its position names and sets a found bit there:
-//! the host downloads `⌈n/2⌉` value words and `⌈n/64⌉` found-bit words,
-//! read back in the caller's order (no value is free to mean "absent"). A
-//! take's hit and an erase's are found bits, an erase's in a bitmap of its
-//! own.
+//! different targets are not aligned to 32. The split wrote each run of
+//! 256 positions out as a piece per target, in position order, and keeps
+//! where each piece starts, 4 bytes a target a run. The origin's merge
+//! takes a run at a time: it streams each piece's positions, values and
+//! found words back in, places the answers by position and streams the
+//! run's values out, two to a value word, and its found bits, 64 to a
+//! word: the host downloads `⌈n/2⌉` value words and `⌈n/64⌉` found-bit
+//! words, read back in the caller's order (no value is free to mean
+//! "absent"). A take's hit and an erase's are found bits, an erase's in a
+//! bitmap of its own.
 //!
 //! A cascade's segments lie in the order of the table above, each the
 //! elements of every GPU, as they lie in the caller's memory: keys, or
@@ -49,22 +52,23 @@
 //! key both read and written is one group, which reads first; an erase
 //! restores its SOA sentinel before its tombstone shows, [`crate::slots`]).
 //!
-//! Every GPU's kernel and every GPU's scatter are **one node launch**
-//! (`gpu_sim::launch_node`), `[kernel of every GPU | scatter of every
-//! GPU]`, with no global barrier between the two: a kernel group publishes
-//! its answer as its own flag, the last group of each source's run of a
+//! Every GPU's kernel and every GPU's merge are **one node launch**
+//! (`gpu_sim::launch_node`), `[kernel of every GPU | merge of every GPU]`,
+//! with no global barrier between the two: a kernel group publishes its
+//! answer as its own flag, the last group of each source's run of a
 //! segment waits for the run's answers and stores their values and found
 //! words into that source's landing, then publishes a flag there, and a
-//! scatter warp
-//! waits for the flags of the targets its answers came from. A healthy
-//! round is thus two sequential launches a GPU — the split, and the node
-//! launch — and its report counts the launches it made, summed over the
-//! devices (partitions that share a device share its node launch). The
-//! kernels' row pays the node launch's overhead; the scatter's row bills
-//! its warps net of it and, as its fixed part, the chain of two waits that
-//! ends in them. Every launch takes the map's schedule, so
-//! under `Schedule::Sequential` a class reaches its kernel in input order
-//! whatever the worker count.
+//! merge warp waits for the flags of the targets that hold a piece of its
+//! run. A healthy round is thus two sequential launches a GPU — the split,
+//! and the node launch — and its report counts the launches it made,
+//! summed over the devices (partitions that share a device share its node
+//! launch). The kernels' row pays the node launch's overhead; the
+//! `Scatter` row bills the merge warps net of it and, as its fixed part,
+//! the chain of two waits that ends in them. The two rows are the two
+//! sections of one launch, and the host bracket's overlay schedules them
+//! as one stage of the video memory ([`crate::host_ops`]). Every launch
+//! takes the map's schedule, so under `Schedule::Sequential` a class
+//! reaches its kernel in input order whatever the worker count.
 //!
 //! Words move between GPUs device to device: the all-to-all copies each
 //! chunk from its source's split buffer into its target's
@@ -110,6 +114,7 @@ use gpu_sim::{
 use interconnect::{alltoall_time_faulted, Topology};
 use multisplit::{
     device_multisplit_segments, scratch_words, Segment, SegmentedSplit, MAX_CLASSES, MAX_SEGMENTS,
+    RUN_WORDS,
 };
 
 // a node's partitions are the classes of its multisplit and the members of
@@ -212,7 +217,7 @@ impl Input<'_> {
 
 /// The launches a GPU that holds words makes in one round, one after the
 /// other: the split, and the node launch of its kernel and, if the round
-/// answers, the return trip's scatter.
+/// answers, the return trip's merge.
 pub(crate) const ROUND_LAUNCHES: usize = 2;
 
 /// What distinguishes one cascade from another: the segments it carries.
@@ -250,7 +255,7 @@ pub(crate) fn down_bytes(n: usize, e: usize) -> u64 {
     4 * n as u64 + n.div_ceil(8) as u64 + e.div_ceil(8) as u64
 }
 
-/// What a [`Scatter`] leaves for `n` answered values and `e` erases:
+/// What a [`Merge`] leaves for `n` answered values and `e` erases:
 /// value words, two values to a word, then the values' found-bit words and
 /// the erases', 64 bits to a word.
 fn result_words(n: usize, e: usize) -> [usize; 3] {
@@ -402,13 +407,17 @@ struct Sent {
     /// Per segment that answers, per element of its output, its position
     /// in the segment: 32-bit halves, which never leave this GPU.
     positions: [DevSlice; SEGMENTS],
+    /// Per segment that answers, where each run's piece of each target
+    /// starts in its output ([`Segment::with_pieces`]): `m` 32-bit halves a
+    /// run, which never leave this GPU either.
+    pieces: [DevSlice; SEGMENTS],
     /// Per segment that answers with a value, where the values of its
     /// answers land, 32-bit halves in the order of its output.
     values: [DevSlice; SEGMENTS],
     /// Per segment that answers, where its found words land: per target,
     /// from [`Sent::found_at`] on, a word per [`FOUND_BITS`] answers.
     found: [DevSlice; SEGMENTS],
-    /// What its scatter writes ([`result_words`]).
+    /// What its merge writes ([`result_words`]).
     results: DevSlice,
     /// Per segment that answers and target, in [`ANSWERED`] order, the
     /// flag that target publishes once its answers have landed.
@@ -509,35 +518,43 @@ struct Respread {
     origins: [Origins; SEGMENTS],
 }
 
-/// The return trip's scatter on an origin GPU `sent`, warps of a node
-/// launch: warp `w` of a segment that answers waits for the flags of the
-/// targets its 32 answers came from, then reads the positions of elements
-/// `32w..` of its split, their values that landed beside them (a get's,
-/// take's or upsert's) and their found bits from the found words of their
-/// targets' runs; a warp of gets, takes or upserts writes each hit's value
-/// into the half of the value words its position names — behind the
-/// values of the segments before it — and every warp sets its hits' found
-/// bits, the erases' in a bitmap of their own, with one warp-aggregated
-/// `atomicOr` per found-bit word it touches ([`result_words`]). A miss
-/// stores nothing, and the found bits start cleared. The warps come
-/// segment by segment, in [`ANSWERED`] order. Mutation doubles:
+/// The return trip's merge on an origin GPU `sent`, warps of a node
+/// launch: one warp a run of a segment that answers — [`RUN_WORDS`]
+/// consecutive positions of the segment, whose elements the split wrote
+/// out as a piece per target, in position order, from where
+/// [`Sent::pieces`] says. Warp `w` reads where its run's pieces start and
+/// end, waits for the flags of the targets that hold a piece of it — and
+/// of a target whose value shares a word with a piece's end, since a half
+/// is read as its word — then streams each piece back as the split
+/// streamed it out: its positions,
+/// the values that landed beside them (a get's, take's or upsert's) and
+/// the found words of its target's run. It places every answer by its
+/// position and writes its run's values — behind those of the segments
+/// before it, misses' too, whose found bit stays clear — and found words
+/// as streamed stores, the erases' into a bitmap of their own
+/// ([`result_words`]); an `atomicOr` sets only the bits of a found word
+/// it shares with a neighbouring run or segment. The warps come segment
+/// by segment, in [`ANSWERED`] order. Mutation doubles:
 /// `Mutation::AnswerHalvesSwapped`, `Mutation::EraseHitInWrongBit`,
-/// `Mutation::ScatterReadsBeforeFlag` and
-/// `Mutation::ScatterReadsPositionOfWrongRun`.
-struct Scatter<'s> {
+/// `Mutation::ScatterReadsBeforeFlag`,
+/// `Mutation::ScatterReadsPositionOfWrongRun` and
+/// `Mutation::MergeReadsPieceOfNextClass`.
+struct Merge<'s> {
     sent: &'s Sent,
     /// Elements of each segment that answers, in [`ANSWERED`] order, and
-    /// the warps over them.
+    /// the runs, a warp each, over them.
     lens: [usize; 4],
-    warps: [usize; 4],
+    runs: [usize; 4],
     values: DevSlice,
     found: [DevSlice; 2],
 }
 
-impl<'s> Scatter<'s> {
-    const G: usize = 32;
+/// Found words a run's found bits span: its [`RUN_WORDS`] bits from
+/// anywhere in a word, and the one past them a mutation double may set.
+const RUN_FOUND_WORDS: usize = RUN_WORDS / 64 + 1;
 
-    /// The scatter of `sent`, its found bits cleared.
+impl<'s> Merge<'s> {
+    /// The merge of `sent`, its found bits cleared.
     fn new(dev: &Device, sent: &'s Sent) -> Self {
         let lens = sent.answered();
         let n = lens[..VALUED].iter().sum();
@@ -546,7 +563,7 @@ impl<'s> Scatter<'s> {
         Self {
             sent,
             lens,
-            warps: lens.map(|len| len.div_ceil(Self::G)),
+            runs: lens.map(|len| len.div_ceil(RUN_WORDS)),
             values: sent.results.sub(0, value_words),
             found: [
                 sent.results.sub(value_words, read_bits),
@@ -555,34 +572,60 @@ impl<'s> Scatter<'s> {
         }
     }
 
-    /// Warps of the scatter.
+    /// Warps of the merge.
     fn groups(&self) -> usize {
-        self.warps.iter().sum()
+        self.runs.iter().sum()
     }
 
-    /// Warp `w` of the scatter on a node of `m` GPUs.
+    /// Warp `w` of the merge on a node of `m` GPUs.
     fn warp(&self, ctx: &GroupCtx, mut w: usize, m: usize, mutation: Option<Mutation>) {
-        const G: usize = Scatter::G;
-        // the segment this warp's id falls into, and its warp within
+        // the segment this warp's id falls into, and its run within
         let mut k = 0;
-        while w >= self.warps[k] {
-            w -= self.warps[k];
+        while w >= self.runs[k] {
+            w -= self.runs[k];
             k += 1;
         }
         let (s, erase, sent) = (ANSWERED[k], k == VALUED, self.sent);
-        // where the segment's answers start among the values or the hits
-        let base: usize = if erase { 0 } else { self.lens[..k].iter().sum() };
-        let first = w * G;
-        let lanes = (self.lens[k] - first).min(G);
-        // the targets that answered elements `first..first + lanes` have
-        // stored them here: each published its flag after its store (depth
-        // 2: the target published after waiting for its answers)
+        let first = w * RUN_WORDS;
+        let len = (self.lens[k] - first).min(RUN_WORDS);
+        // where each target's piece of the run starts and ends in the
+        // split's output: the next run's piece starts where it ends, the
+        // last run's at the class's end, and at m = 1 a run is one piece
+        let (mut starts, mut ends) = ([0; MAX_PARTITIONS], [0; MAX_PARTITIONS]);
+        let last = first + len == self.lens[k];
+        for j in 0..m {
+            starts[j] = ctx.read_stream_half(sent.pieces[s], w * m + j) as usize;
+            ends[j] = if m == 1 {
+                starts[j] + len
+            } else if last {
+                sent.ends[s][j]
+            } else {
+                ctx.read_stream_half(sent.pieces[s], (w + 1) * m + j) as usize
+            };
+        }
+        // the targets that answered a piece have stored it here, and so
+        // have those that answered the other half of a value word at a
+        // piece's end: each published its flag after its store (depth 2:
+        // the target published after waiting for its answers)
+        let owner = |x: usize| {
+            (0..m).find(|&t| {
+                let (at, n) = sent.at(s, t);
+                (at..at + n).contains(&x)
+            })
+        };
+        let mut targets = 0u32;
+        for j in (0..m).filter(|&j| ends[j] > starts[j]) {
+            targets |= 1 << j;
+            // the half before an odd start, and the one at an odd end
+            let (a, b) = (starts[j], ends[j]);
+            let shared = [(a % 2 == 1).then(|| a - 1), (b % 2 == 1).then_some(b)];
+            for t in shared.into_iter().flatten().filter(|_| !erase).filter_map(owner) {
+                targets |= 1 << t;
+            }
+        }
         let landed = || {
-            for j in 0..m {
-                let (at, n) = sent.at(s, j);
-                if n > 0 && at < first + lanes && first < at + n {
-                    ctx.poll(sent.flags, k * m + j, &mut [0], 2, |flag| flag[0] != 0);
-                }
+            for j in (0..m).filter(|&j| targets >> j & 1 == 1) {
+                ctx.poll(sent.flags, k * m + j, &mut [0], 2, |flag| flag[0] != 0);
             }
         };
         // BROKEN if set (mutation double): read before the flags say so
@@ -590,61 +633,70 @@ impl<'s> Scatter<'s> {
         if !early {
             landed();
         }
-        // BROKEN if set (mutation double): a lane reads the position at its
-        // offset in the first target's run, not in its own
+        // BROKEN if set (mutation double): an element's position is read
+        // at its offset in the first target's run, not in its own
         let wrong_run = mutation == Some(Mutation::ScatterReadsPositionOfWrongRun);
-        let (mut slot, mut value, mut hit) = ([0usize; G], [0u32; G], [false; G]);
-        // the target run lane `r` answers in, and its found words
-        let (mut j, mut run, mut found_at) = (0, sent.at(s, 0), 0);
-        let mut word = (usize::MAX, 0);
-        for r in 0..lanes {
-            let x = first + r;
-            while x >= run.0 + run.1 {
-                found_at += run.1.div_ceil(FOUND_BITS);
-                j += 1;
-                run = sent.at(s, j);
+        // BROKEN if set (mutation double): a piece is read from where the
+        // next class's piece of the run starts
+        let next_class = mutation == Some(Mutation::MergeReadsPieceOfNextClass);
+        // the run's answers by position
+        let (mut value, mut hit) = ([0u32; RUN_WORDS], [false; RUN_WORDS]);
+        for j in 0..m {
+            let (at, n) = sent.at(s, j);
+            let found_at = sent.found_at(s, j);
+            let piece = starts[j]..ends[j];
+            let from = if next_class {
+                starts[(j + 1) % m].min(self.lens[k] - piece.len())
+            } else {
+                piece.start
+            };
+            let mut word = (usize::MAX, 0);
+            for (x, y) in piece.clone().zip(from..) {
+                debug_assert!(x < at + n, "a piece lies in its target's run");
+                let p = ctx.read_stream_half(sent.positions[s], if wrong_run { y - at } else { y });
+                let answer = if erase { 0 } else { ctx.read_stream_half(sent.values[s], y) };
+                let (fw, bit) = (found_at + (x - at) / FOUND_BITS, (x - at) % FOUND_BITS);
+                if word.0 != fw {
+                    word = (fw, ctx.read_stream_half(sent.found[s], 2 * fw));
+                }
+                // a broken position may leave the run
+                if let Some(r) = (p as usize).checked_sub(first).filter(|&r| r < len) {
+                    value[r] = answer;
+                    hit[r] = word.1 >> bit & 1 == 1;
+                }
             }
-            let at = if wrong_run { x - run.0 } else { x };
-            slot[r] = base + ctx.read_stream_half(sent.positions[s], at) as usize;
-            if !erase {
-                value[r] = ctx.read_stream_half(sent.values[s], x);
-            }
-            let (w, bit) = (found_at + (x - run.0) / FOUND_BITS, (x - run.0) % FOUND_BITS);
-            if word.0 != w {
-                word = (w, ctx.read_stream_half(sent.found[s], 2 * w));
-            }
-            hit[r] = word.1 >> bit & 1 == 1;
         }
         if early {
             landed();
         }
-        let hits = ctx.ballot(|r| hit[r as usize]);
+        // the run's halves of the value words, behind the segments' before
+        let base: usize = if erase { 0 } else { self.lens[..k].iter().sum() };
+        let (lo, hi) = (base + first, base + first + len);
         if !erase {
-            let swapped = mutation == Some(Mutation::AnswerHalvesSwapped);
-            let mut halves = [(0, 0); G];
-            let mut stores = 0;
-            for r in (0..G).filter(|&r| hits & (1 << r) != 0) {
-                // BROKEN if `swapped` (mutation double): the other half
-                halves[stores] = (slot[r] ^ usize::from(swapped), value[r]);
-                stores += 1;
+            // BROKEN if set (mutation double): the other half of the word
+            let swapped = usize::from(mutation == Some(Mutation::AnswerHalvesSwapped));
+            for (h, &answer) in (lo..hi).zip(&value) {
+                ctx.write_stream_half(self.values, h ^ swapped, answer);
             }
-            ctx.write_halves(self.values, &halves[..stores]);
-        } else if mutation == Some(Mutation::EraseHitInWrongBit) {
-            // BROKEN (mutation double): the neighbouring position's bit
-            slot.iter_mut().for_each(|slot| *slot ^= 1);
         }
-        // the leader of each found-bit word ORs in the bits of its lanes
+        // BROKEN if set (mutation double): an erase's hit in the
+        // neighbouring position's bit
+        let wrong_bit = usize::from(erase && mutation == Some(Mutation::EraseHitInWrongBit));
+        let mut words = [0u64; RUN_FOUND_WORDS];
+        for (h, _) in (lo..hi).zip(&hit).filter(|(_, &hit)| hit) {
+            let h = h ^ wrong_bit;
+            words[h / 64 - lo / 64] |= 1 << (h % 64);
+        }
         let found = self.found[usize::from(erase)];
-        let mut pending = hits;
-        while let Some(leader) = GroupCtx::ffs(pending) {
-            let word = slot[leader as usize] / 64;
-            let same_word = |r: u32| pending & (1 << r) != 0 && slot[r as usize] / 64 == word;
-            let lanes = ctx.ballot(same_word);
-            let bits = (0..G)
-                .filter(|&r| lanes & (1 << r) != 0)
-                .fold(0, |bits, r| bits | (1 << (slot[r] % 64)));
-            ctx.atomic_or(found, word, bits);
-            pending &= !lanes;
+        let total = if erase { self.lens[VALUED] } else { self.lens[..VALUED].iter().sum() };
+        let last = ((hi - 1 + wrong_bit) / 64).min(found.len() - 1);
+        for (fw, &word) in (lo / 64..=last).zip(&words) {
+            // a word is the run's alone if no other run's bit lies in it
+            if fw * 64 >= lo && (fw * 64 + 64 <= hi || hi == total) {
+                ctx.write_stream(found, fw, word);
+            } else if word != 0 {
+                ctx.atomic_or(found, fw, word);
+            }
         }
     }
 }
@@ -691,7 +743,7 @@ impl DistributedHashMap {
     /// received — segment after segment, the kernel's sections — as its
     /// section of the round's node launch, answering per get, take and
     /// upsert (the value found, and a found bit) and per erase (a found
-    /// bit) into the landing of the key's origin, whose scatter warps run
+    /// bit) into the landing of the key's origin, whose merge warps run
     /// in the same launch. `answer(s, (g, i), found)` receives the answer to key `i`
     /// of the caller's GPU `g` in segment `s` once the launch is done,
     /// from the value and found bit that came down: the value the key held
@@ -785,7 +837,7 @@ impl DistributedHashMap {
         let landed = self.transpose_move(&mut split).map_err(Abort::Fatal)?;
         report.push(CascadeStage::Transpose, transpose.time, transpose.bytes, 0.0);
 
-        // Phases 3-5: every GPU's kernel and scatter, one node launch. Every
+        // Phases 3-5: every GPU's kernel and merge, one node launch. Every
         // launch is gated first, so a gate that gives up aborts the round
         // before any table is touched.
         let m = self.num_gpus();
@@ -848,15 +900,15 @@ impl DistributedHashMap {
             let transpose = alltoall(&edges, tally);
             if let Ok(transpose) = &transpose {
                 report.push(CascadeStage::TransposeBack, transpose.time, transpose.bytes, 0.0);
-                // the scatters, net of the launch's overhead, which the
+                // the merges, net of the launch's overhead, which the
                 // kernels' row bills, and the chain of waits that ends in
                 // them: two round-trips whatever the size, the row's fixed
                 // part, paid once a device
                 let mut phase = Phase::new(self.topology());
                 for i in (0..m).filter(|&i| ran.stats.launched(i)) {
-                    let scatter = ran.stats.section(m + i);
-                    let net = self.device(i).spec().net_of_launches(scatter.sim_time, 1);
-                    let net = if scatter.num_groups == 0 { 0.0 } else { net };
+                    let merge = ran.stats.section(m + i);
+                    let net = self.device(i).spec().net_of_launches(merge.sim_time, 1);
+                    let net = if merge.num_groups == 0 { 0.0 } else { net };
                     let chain = ran.stats.chain_latency(i);
                     phase.add_shared(i, straggled(plan, i, net + chain), chain);
                 }
@@ -899,14 +951,14 @@ impl DistributedHashMap {
     }
 
     /// Runs every target's kernel over what `landed` holds and every
-    /// origin's scatter of what comes back as one node launch
+    /// origin's merge of what comes back as one node launch
     /// (`gpu_sim::launch_node`): a section of the kernel per GPU, then a
-    /// section of scatter warps per GPU. A target's groups answer into its
+    /// section of merge warps per GPU. A target's groups answer into its
     /// `Landed::answers` (pending until each publishes its own); the last
     /// group of each source's run of a segment waits for the run's answers
     /// and stores their values and found words into that source's
     /// `Sent::values` and `Sent::found`, then publishes the flag the
-    /// source's scatter warps wait for.
+    /// source's merge warps wait for.
     fn node_launch<'s>(
         &'s self,
         split: &'s SplitPhase<'s>,
@@ -928,25 +980,25 @@ impl DistributedHashMap {
             let erases = hit(landed.answers, sections.answered());
             Some(self.maps()[j].probe(sections, landed.input, landed.answers, erases))
         });
-        let scatters: [Option<Scatter>; MAX_PARTITIONS] = std::array::from_fn(|i| {
+        let merges: [Option<Merge>; MAX_PARTITIONS] = std::array::from_fn(|i| {
             let sent = split.sent.get(i)?.as_ref()?;
             self.device(i).mem().fill(sent.flags, 0);
-            Some(Scatter::new(self.device(i), sent))
+            Some(Merge::new(self.device(i), sent))
         });
         let size = GroupSize::WARP;
         let warps = |member, groups| Section { member, groups, size, working_set: 0 };
         let mut sections = [warps(0, 0); 2 * MAX_PARTITIONS];
         for j in 0..m {
             sections[j] = self.maps()[j].section(j, landed[j].map_or(0, |l| l.sections().len()));
-            sections[m + j] = warps(j, scatters[j].as_ref().map_or(0, Scatter::groups));
+            sections[m + j] = warps(j, merges[j].as_ref().map_or(0, Merge::groups));
         }
         let devices: [&Device; MAX_PARTITIONS] =
             std::array::from_fn(|j| &**self.device(j.min(m - 1)));
         let grid = &sections[..2 * m];
         let stats = launch_node(&devices[..m], "warpdrive_round", grid, opts, |k, id, ctx| {
             if k >= m {
-                if let Some(scatter) = &scatters[k - m] {
-                    scatter.warp(ctx, id, m, mutation);
+                if let Some(merge) = &merges[k - m] {
+                    merge.warp(ctx, id, m, mutation);
                 }
                 return;
             }
@@ -1091,7 +1143,16 @@ impl DistributedHashMap {
             let words = |s: usize| if keyed(s) { len(s).div_ceil(2) } else { len(s) };
             let answered = |s: usize| ANSWERED.contains(&s);
             let positions = |s: usize| if answered(s) { len(s).div_ceil(2) } else { 0 };
-            let split_words: usize = ids.iter().map(|&s| 2 * words(s) + positions(s)).sum();
+            // and where each run's piece of each class starts
+            let pieces = |s: usize| {
+                if answered(s) {
+                    (len(s).div_ceil(RUN_WORDS) * m).div_ceil(2)
+                } else {
+                    0
+                }
+            };
+            let split_words: usize =
+                ids.iter().map(|&s| 2 * words(s) + positions(s) + pieces(s)).sum();
             // and what the split keeps its counts and prefixes in
             let counters = scratch_words(m, ids.iter().map(|&s| len(s)));
             // and at its end where the answers land — values two to a word,
@@ -1124,6 +1185,7 @@ impl DistributedHashMap {
                 lens: std::array::from_fn(len),
                 ends: [[0; MAX_PARTITIONS]; SEGMENTS],
                 positions: [take(0); SEGMENTS],
+                pieces: [take(0); SEGMENTS],
                 values: [take(0); SEGMENTS],
                 found: [take(0); SEGMENTS],
                 results: take(0),
@@ -1146,8 +1208,9 @@ impl DistributedHashMap {
                     Segment::words(staged, sent.out[s])
                 };
                 sent.positions[s] = take(positions(s));
+                sent.pieces[s] = take(pieces(s));
                 let segment = if answered(s) {
-                    segment.with_positions(sent.positions[s])
+                    segment.with_positions(sent.positions[s]).with_pieces(sent.pieces[s])
                 } else {
                     segment
                 };
@@ -1239,7 +1302,7 @@ impl DistributedHashMap {
     /// (`first_device_chunk`), below twice which the call is one round. A
     /// chunk takes of every GPU's list its share in proportion to the
     /// list's length, and a chunk's split and transposition overlap the
-    /// kernel and scatter of the chunk before it. A put answers nothing
+    /// kernel and merge of the chunk before it. A put answers nothing
     /// but what it placed; a read's `values` and an erase's `hits` come
     /// back *in the original per-GPU order*, whatever GPU answered. The
     /// call is of one kind, as the [`Resident`] says: a round of several

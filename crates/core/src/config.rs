@@ -123,11 +123,11 @@ pub enum Mutation {
     /// stop adding up, and the split's class-conservation check exists to
     /// catch exactly this.
     LookBackReadsUnpublished,
-    /// The return trip's scatter warps write a hit's value into the
+    /// The return trip's merge warps write an answer's value into the
     /// other half of its word — the neighbouring position's — so a key
-    /// reads its neighbour's value, or a stale half where the neighbour
-    /// missed. Host-sided gets over chunks of odd length through the
-    /// retrieve and the mixed round exist to catch exactly this.
+    /// reads its neighbour's value. Host-sided gets over chunks of odd
+    /// length through the retrieve and the mixed round exist to catch
+    /// exactly this.
     AnswerHalvesSwapped,
     /// An SOA erase restores the value word's sentinel *after* its CAS
     /// made the tombstone visible, so a put of another key that reclaims
@@ -154,12 +154,12 @@ pub enum Mutation {
     /// the key held a value. The service and wd-serve equivalence suites
     /// exist to catch exactly this.
     TakeTombstonesFirst,
-    /// The return trip's scatter warps set an erase's hit in the
+    /// The return trip's merge warps set an erase's hit in the
     /// neighbouring position's found bit, so an erased key reports a miss
     /// and its neighbour a hit. The cascade's mixed-round test on the
     /// Fig. 6 node exists to catch exactly this.
     EraseHitInWrongBit,
-    /// A scatter warp of the cascade's node launch reads the answers that
+    /// A merge warp of the cascade's node launch reads the answers that
     /// landed on its GPU before it polls the flags that say they have —
     /// in `group_id` order every target's store came first, so a
     /// single-thread run never shows it. Racecheck under the node launch
@@ -170,13 +170,20 @@ pub enum Mutation {
     /// another GPU's answers, or stale words. The cascade golden and the
     /// node's linearizability suite exist to catch exactly this.
     AnswerSliceToWrongOrigin,
-    /// A scatter warp of the cascade's node launch reads a lane's position
-    /// at its offset in the first target's run of answers rather than in
-    /// its own — a run's local index for the origin's — so the answers of
-    /// every later target's run land in other keys' places. The cascade
+    /// A merge warp of the cascade's node launch reads an element's
+    /// position at its offset in the first target's run of answers rather
+    /// than in its own — a run's local index for the origin's — so the
+    /// answers of every later target's run land in other keys' places. The cascade
     /// golden's answer digests and the node's mixed-round test exist to
     /// catch exactly this.
     ScatterReadsPositionOfWrongRun,
+    /// A merge warp of the cascade's node launch reads a target's piece of
+    /// its run from where the next target's piece starts — an off-by-one
+    /// in the split's per-class offsets — so its positions and values are
+    /// another target's, and answers land in other keys' places or go
+    /// missing. The cascade's merge differential exists to catch exactly
+    /// this.
+    MergeReadsPieceOfNextClass,
 }
 
 /// Configuration of a [`crate::GpuHashMap`].

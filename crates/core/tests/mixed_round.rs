@@ -148,7 +148,7 @@ fn upsert_positions_past_a_run_are_caught() {
     match std::panic::catch_unwind(|| answers(broken)) {
         Ok(values) => assert_ne!(values, pre),
         // under `WD_SANITIZE` racecheck stops it first: two of its
-        // positions name one half, which two scatter warps store
+        // positions name one half, which two merge warps store
         Err(panic) => {
             let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
             assert!(msg.contains("[racecheck] kernel=`warpdrive_round`"), "{msg}");
@@ -156,7 +156,7 @@ fn upsert_positions_past_a_run_are_caught() {
     }
 }
 
-/// `Mutation::ScatterReadsPositionOfWrongRun`: a scatter lane reads its
+/// `Mutation::ScatterReadsPositionOfWrongRun`: a merge warp reads a
 /// position at its offset in the first target's run, so the answers of
 /// every later target's run land in other keys' places — through a get,
 /// a get + put of keys read and written, and an erase whose every other
@@ -187,7 +187,7 @@ fn a_position_read_from_the_wrong_run_is_caught() {
             assert_ne!(hits, want.2, "erase");
         }
         // under `WD_SANITIZE` racecheck stops it first: two lanes name one
-        // position, whose half two scatter warps store
+        // position, whose half two merge warps store
         Err(panic) => {
             let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
             assert!(msg.contains("[racecheck] kernel=`warpdrive_round`"), "{msg}");

@@ -590,7 +590,7 @@ mod tests {
         // groups 0 and 1 store the two halves of word 0: no race, and a
         // read of the word finds both defined
         dev.launch("two_halves", 2, GroupSize::WARP, opts, |ctx| {
-            ctx.write_halves(buf, &[(ctx.group_id(), 1)]);
+            ctx.write_stream_half(buf, ctx.group_id(), 1);
         });
         dev.launch("word_read", 1, GroupSize::new(1), opts, |ctx| {
             let _ = ctx.read(buf, 0);
@@ -600,7 +600,7 @@ mod tests {
         // one writes
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             dev.launch("same_half", 2, GroupSize::WARP, opts, |ctx| {
-                ctx.write_halves(buf, &[(2, 1)]);
+                ctx.write_stream_half(buf, 2, 1);
             });
             dev.launch("half_read", 1, GroupSize::new(1), opts, |ctx| {
                 let _ = ctx.read(buf, 1);

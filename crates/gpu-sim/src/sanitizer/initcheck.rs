@@ -1,7 +1,7 @@
 //! Valid-bit shadow memory for uninitialised-read detection (initcheck).
 //!
 //! Two bits per device word — one per 32-bit half, 32 words per
-//! `AtomicU64` — so a half-word store ([`crate::GroupCtx::write_halves`])
+//! `AtomicU64` — so a half-word store ([`crate::GroupCtx::write_stream_half`])
 //! defines its half alone and a read of the word is flagged while the
 //! other half was never written. Bits are set by every defining operation
 //! — `h2d`, `fill`, `peer_copy` (copying the source's validity), kernel stores

@@ -501,12 +501,11 @@ impl<'a> LaunchSanitizer<'a> {
         idx: usize,
         half: u8,
         group: usize,
-        lane: u32,
         clock: Option<&RefCell<GroupClock>>,
     ) {
         let abs = slice.offset + idx;
         let kind = AccessKind::PlainWrite;
-        self.race_access(abs, slice, idx, kind, half, group, Some(lane), clock);
+        self.race_access(abs, slice, idx, kind, half, group, None, clock);
         if let Some(valid) = self.valid() {
             valid.set_halves(abs, u64::from(half));
         }

@@ -58,7 +58,7 @@
 //! groups concurrently RMW, which is well-defined on hardware.
 //!
 //! A word's last write is kept **per 32-bit half**: a half-word store
-//! ([`crate::GroupCtx::write_halves`]) writes one, every other write both.
+//! ([`crate::GroupCtx::write_stream_half`]) writes one, every other write both.
 //! Two groups storing the two halves of one word do not race; two storing
 //! the same half do, as does a half store against an unordered access of
 //! the whole word. Reads always read the whole word.

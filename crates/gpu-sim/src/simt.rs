@@ -493,36 +493,6 @@ impl<'a> GroupCtx<'a> {
         self.local.add_transactions(1);
     }
 
-    /// Group store of 32-bit halves, a 4-byte store per lane: for each
-    /// `(h, val)` of `halves` — at most one per lane, in lane order —
-    /// `val` goes into half `h` of `slice`, the low half of word `h / 2`
-    /// for even `h` and its high half for odd. The other half of the word
-    /// is left as it is, so groups may store the two halves of one word.
-    ///
-    /// Billed as the distinct 32-byte sectors the lanes touch, with no
-    /// dependent step, like [`GroupCtx::write`]: 32 consecutive halves
-    /// are 4 sectors, the same lanes spread over a wider range more.
-    pub fn write_halves(&self, slice: DevSlice, halves: &[(usize, u32)]) {
-        self.pace();
-        debug_assert!(halves.len() <= self.size.get() as usize, "one half per lane");
-        let mut sectors = [0usize; 32];
-        for (lane, (&(h, val), sector)) in halves.iter().zip(&mut sectors).enumerate() {
-            let h = fast_idx(h, 2 * slice.len());
-            let (idx, high) = (h / 2, h % 2);
-            if let Some(s) = self.san {
-                let (half, lane) = (1 << high, lane as u32);
-                s.on_half_write(slice, idx, half, self.group_id, lane, self.clock.as_ref());
-            }
-            store_half(self.mem.word(slice, idx), high, val);
-            *sector = (slice.offset + idx) / WORDS_PER_SECTOR;
-        }
-        let sectors = &mut sectors[..halves.len()];
-        sectors.sort_unstable();
-        let distinct = sectors.windows(2).filter(|pair| pair[0] != pair[1]).count();
-        self.local
-            .add_transactions((distinct + usize::from(!sectors.is_empty())) as u64);
-    }
-
     /// Fully coalesced streaming load (bulk inputs: keys to insert or
     /// query). Counts 8 bytes at streaming bandwidth, no dependent step —
     /// these accesses are prefetch-friendly.
@@ -591,7 +561,7 @@ impl<'a> GroupCtx<'a> {
             {
                 return;
             }
-            s.on_half_write(slice, idx, 1 << high, self.group_id, 0, self.clock.as_ref());
+            s.on_half_write(slice, idx, 1 << high, self.group_id, self.clock.as_ref());
         }
         store_half(self.mem.word(slice, idx), high, val);
     }
@@ -752,7 +722,7 @@ impl<'a> GroupCtx<'a> {
         for (i, &val) in vals.iter().enumerate() {
             let (idx, high) = (fast_idx((at + i) / 2, slice.len()), (at + i) % 2);
             if let Some(s) = san {
-                s.on_half_write(slice, idx, 1 << high, self.group_id, 0, self.clock.as_ref());
+                s.on_half_write(slice, idx, 1 << high, self.group_id, self.clock.as_ref());
             }
             store_half(mem.word(slice, idx), high, val);
         }
@@ -1139,40 +1109,6 @@ mod tests {
         assert_eq!(snap.stream_bytes, 16);
         assert_eq!(snap.transactions, 0);
         assert_eq!(snap.group_steps, 0);
-    }
-
-    /// Stores `halves` from one warp and returns the transactions billed.
-    fn half_store_transactions(mem: &DeviceMemory, s: DevSlice, halves: &[(usize, u32)]) -> u64 {
-        let (c, l) = (KernelCounters::default(), LocalCounters::new());
-        let g = ctx(mem, &l, 32);
-        g.write_halves(s, halves);
-        drop(g);
-        l.flush_into(&c, 1);
-        let snap = totals(&c);
-        assert_eq!((snap.group_steps, snap.stream_bytes), (0, 0));
-        snap.transactions
-    }
-
-    #[test]
-    fn half_stores_write_their_half_and_bill_the_sectors_they_touch() {
-        let mem = DeviceMemory::new(512);
-        let s = mem.alloc(512).unwrap();
-        mem.fill(s, u64::MAX);
-        // 32 consecutive halves: 16 words, 128 bytes, 4 sectors
-        let consecutive: Vec<(usize, u32)> = (0..32).map(|h| (h, h as u32)).collect();
-        assert_eq!(half_store_transactions(&mem, s, &consecutive), 4);
-        assert_eq!(mem.d2h(s)[0], 1 << 32);
-        assert_eq!(mem.d2h(s)[15], 31 << 32 | 30);
-        // every fourth: 64 words, 16 sectors; every sixteenth: one a sector
-        let strided = |step: usize| -> Vec<(usize, u32)> {
-            (0..32).map(|i| (step * i, 7)).collect()
-        };
-        assert_eq!(half_store_transactions(&mem, s, &strided(4)), 16);
-        assert_eq!(half_store_transactions(&mem, s, &strided(16)), 32);
-        // a store leaves the other half of its word alone
-        half_store_transactions(&mem, s, &[(301, 5)]);
-        assert_eq!(mem.d2h(s)[150], 5 << 32 | 0xffff_ffff);
-        assert_eq!(half_store_transactions(&mem, s, &[]), 0);
     }
 
     #[test]

@@ -61,8 +61,10 @@
 //! each key out as 4 bytes, two to a word again, so a key crosses PCIe
 //! and NVLink as 4 bytes and is split on `2n` words of traffic, not `3n`.
 //! A segment can carry out each element's position in it too, 4 bytes
-//! beside where the element goes ([`Segment::with_positions`]): what a
-//! cascade that answers per key keeps on the origin to place the answers.
+//! beside where the element goes ([`Segment::with_positions`]), and where
+//! each run's *piece* of each class starts in the output, 4 bytes a class
+//! a run ([`Segment::with_pieces`]): what a cascade that answers per key
+//! keeps on the origin to place the answers, a run at a time.
 //!
 //! The run is what keeps the descriptor traffic in bounds: a run's scan
 //! costs a few sector stores of `m` words and one window's load of at
@@ -96,6 +98,9 @@ pub struct Segment {
     /// Where the position of each element goes, beside where it goes in
     /// `out`: 32-bit halves, two to a word.
     positions: Option<DevSlice>,
+    /// Where each run's piece of each class starts in `out`: `m` 32-bit
+    /// halves a run, in class order.
+    pieces: Option<DevSlice>,
     /// BROKEN (mutation double): a key's or a word's position is its
     /// offset inside the run.
     run_offsets: bool,
@@ -118,6 +123,7 @@ impl Segment {
             len: input.len(),
             keys: false,
             positions: None,
+            pieces: None,
             run_offsets: false,
             peek: false,
         }
@@ -135,6 +141,22 @@ impl Segment {
         assert!(positions.len() >= self.len.div_ceil(2), "position buffer too small");
         assert!(u32::try_from(self.len).is_ok(), "positions are 32-bit");
         self.positions = Some(positions);
+        self
+    }
+
+    /// The same segment, where each run's elements of each class start in
+    /// `out` written to `pieces` as 32 bits, half `run · m + c` for class
+    /// `c` of `m` — an empty piece's too: the pieces of a class follow one
+    /// another in run order, each ending where the next one starts, the
+    /// last at the class's end, but where a run offsets its classes by an
+    /// atomic, at `m = 1`, where a run's one piece is the whole run.
+    ///
+    /// # Panics
+    /// [`device_multisplit_segments`] panics if `pieces` is shorter than
+    /// `m` halves a run.
+    #[must_use]
+    pub fn with_pieces(mut self, pieces: DevSlice) -> Self {
+        self.pieces = Some(pieces);
         self
     }
 
@@ -156,6 +178,7 @@ impl Segment {
             len,
             keys: true,
             positions: None,
+            pieces: None,
             run_offsets: false,
             peek: false,
         }
@@ -449,6 +472,10 @@ where
         scratch.len() >= scratch_words(m, segments.iter().map(|segment| segment.len)),
         "need m counter words per segment and m descriptor words per run that looks back"
     );
+    assert!(
+        segments.iter().all(|s| s.pieces.is_none_or(|p| 2 * p.len() >= s.runs() * m)),
+        "need m piece halves per run"
+    );
     let counters = scratch.sub(0, m * segments.len());
     // per segment, its first descriptor; and the count groups, one each
     let mut first = [0; MAX_SEGMENTS];
@@ -490,6 +517,7 @@ where
             len,
             keys,
             positions,
+            pieces,
             run_offsets,
             peek,
         } = segments[s];
@@ -531,6 +559,12 @@ where
             }
             let count: u64 = masks.iter().map(|mask| u64::from(mask.count_ones())).sum();
             (masks, count)
+        };
+        // the run's piece of class `c` starts at `at`
+        let piece = |c: usize, at: usize| {
+            if let Some(pieces) = pieces {
+                ctx.write_stream_half(pieces, run * m + c, at as u32);
+            }
         };
         let scatter = |masks: &[u32; T], mut at: usize| {
             for (t, mask) in masks.iter().enumerate() {
@@ -583,7 +617,9 @@ where
             let mut start = 0; // where class `c` starts in the output
             for c in 0..m {
                 let (masks, count) = ballots(c);
-                scatter(&masks, (start + (desc[c] & COUNT) - count) as usize);
+                let at = (start + (desc[c] & COUNT) - count) as usize;
+                piece(c, at);
+                scatter(&masks, at);
                 start += totals[c] & COUNT;
             }
         } else {
@@ -592,10 +628,13 @@ where
             for c in 0..m {
                 let (masks, count) = ballots(c);
                 if count == 0 {
+                    // a lone run's empty class starts where it ends
+                    piece(c, before as usize);
                     continue;
                 }
                 // the leader's one atomic for the whole run and class
                 let cursor = ctx.atomic_add(counters, s * m + c, count);
+                piece(c, (before + cursor) as usize);
                 scatter(&masks, (before + cursor) as usize);
                 before += count;
             }
@@ -1049,6 +1088,55 @@ mod tests {
                     if in_order {
                         let (ref_dev, without, _) = split_of(&data, m, opts);
                         assert_eq!(out, ref_dev.mem().d2h(without[0].out()), "m={m} len {len}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A segment with pieces writes where each run's elements of each
+    /// class start: ending where the next run's piece of the class starts,
+    /// or the last at the class's end, at `m = 1` as long as its run, a
+    /// piece holds exactly that run's elements of that class — in every
+    /// class, run and schedule.
+    #[test]
+    fn pieces_name_where_each_runs_class_starts() {
+        let sequential = LaunchOptions::default().with_schedule(gpu_sim::Schedule::Sequential);
+        for m in [1, 4] {
+            for len in [1, RUN_WORDS, RUN_WORDS + 1, 1000] {
+                for opts in [sequential, LaunchOptions::default()] {
+                    let data = [words(len, 11)];
+                    let (dev, segments, scratch) = key_segments_of(&[], &data, m);
+                    let runs = len.div_ceil(RUN_WORDS);
+                    let positions = dev.alloc(len.div_ceil(2)).unwrap();
+                    let pieces = dev.alloc((runs * m).div_ceil(2)).unwrap();
+                    let with = segments[1].with_positions(positions).with_pieces(pieces);
+                    let with = [segments[0], with];
+                    let class = |w| (w % m as u64) as u32;
+                    let split = device_multisplit_segments(&dev, &with, scratch, m, opts, class);
+                    let out = dev.mem().d2h(with[1].out());
+                    let at = halves(&dev.mem().d2h(positions), len);
+                    let starts = halves(&dev.mem().d2h(pieces), runs * m);
+                    for c in 0..m {
+                        let class_end = (split.offsets(1)[c] + split.counts(1)[c]) as usize;
+                        for run in 0..runs {
+                            let start = starts[run * m + c] as usize;
+                            let run_len = (len - run * RUN_WORDS).min(RUN_WORDS);
+                            let end = match (m, run + 1 == runs) {
+                                (1, _) => start + run_len,
+                                (_, true) => class_end,
+                                _ => starts[(run + 1) * m + c] as usize,
+                            };
+                            let mine = |i: &usize| {
+                                (run * RUN_WORDS..run * RUN_WORDS + run_len).contains(i)
+                                    && data[0][*i] % m as u64 == c as u64
+                            };
+                            let want = (0..len).filter(mine).count();
+                            let case = format!("m={m} len {len} run {run} class {c}");
+                            assert_eq!(end - start, want, "{case}");
+                            assert!(at[start..end].iter().all(|&i| mine(&(i as usize))), "{case}");
+                            assert!(out[start..end].iter().all(|&w| w % m as u64 == c as u64));
+                        }
                     }
                 }
             }

@@ -284,7 +284,9 @@ proptest! {
 /// the split scans its class counts on the device, and the all-to-all and
 /// the answers' way back move words device to device. The multisplit's
 /// bytes are what its launch streamed: a key is read as half a word by a
-/// run's count group and again by its scatter group, and written as a word.
+/// run's count group and again by its scatter group, and written as a word,
+/// and a run of keys that are answered writes where its piece of each
+/// target starts, 4 bytes a target.
 #[test]
 fn host_sided_calls_bill_the_pcie_bytes_they_move() {
     use warpdrive::CascadeStage::{Multisplit, D2H, H2D};
@@ -331,7 +333,8 @@ fn host_sided_calls_bill_the_pcie_bytes_they_move() {
         bytes(&get.report, H2D)
     );
     let halves = 3 * 750 + 750; // the odd chunk's last word is half full
-    assert_eq!(bytes(&get.report, Multisplit), 2 * 4 * halves + 8 * n);
+    let pieces = m * 750u64.div_ceil(256) * 4 * m; // 3 runs a GPU
+    assert_eq!(bytes(&get.report, Multisplit), 2 * 4 * halves + 8 * n + pieces);
 
     // the mixed round: 1 501 reads, 1 999 puts, 501 keys both, which go
     // up as their pairs alone (upserts) and come down with the 1 000 gets

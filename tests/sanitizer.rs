@@ -230,7 +230,7 @@ fn node_detectors_fired(cfg: Config) -> Vec<Detector> {
     fired
 }
 
-/// `Mutation::ScatterReadsBeforeFlag`: a scatter warp of the node launch
+/// `Mutation::ScatterReadsBeforeFlag`: a merge warp of the node launch
 /// reads the answers that landed on its GPU before it polls the flags of
 /// the targets that stored them. In `group_id` order every store came
 /// first, so the answers are right; racecheck still finds the read

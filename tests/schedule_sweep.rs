@@ -215,7 +215,7 @@ fn node_answers(schedule: Schedule, mutation: Option<Mutation>) -> Vec<Option<u3
     d.get_batch(&keys).unwrap().values
 }
 
-/// The node launch under adversarial schedules: its scatter warps may run
+/// The node launch under adversarial schedules: its merge warps may run
 /// before the targets' kernels, and every answer is still right, since a
 /// warp waits for the flags of the targets that answer it. The mutation
 /// double `Mutation::ScatterReadsBeforeFlag`, which reads first and waits
