@@ -13,7 +13,7 @@
 //!
 //! | segment, section | upload (host-sided) | NVLink there | return trip | D2H (host-sided) | merge warps (node launch, one a run of 256) |
 //! |------------------|---------------------|--------------|-------------|------------------|---------------------------------------------|
-//! | gets: keys read alone | 4 B / key | 4 B / key | 4 B / key + 4 B / 32 keys | `4n + ⌈n/8⌉` B for gets, takes and upserts together | [`Merge`]: where its `m` pieces start, a poll of each answering target's flag, 256·(4+4) B and the found words streamed in, 256·4 B of values and the found words streamed out, an `atomicOr` only on a found word shared with a neighbouring run or segment |
+//! | gets: keys read alone | 4 B / key | 4 B / key | 4 B / key + 4 B / 32 keys | `4n + ⌈n/8⌉` B for gets, takes and upserts together | [`Merge`]: where its `m` pieces start, a poll of the flag of each target holding a piece, 256·(4+4) B and the found words streamed in, 256·4 B of values and the found words streamed out, an `atomicOr` only on a found word shared with a neighbouring run or segment |
 //! | takes: keys read and erased | 4 B / key | 4 B / key | 4 B / key + 4 B / 32 keys | (with the gets) | as a get's; its found bit is the erase's hit |
 //! | upserts: keys read and put | 8 B / pair | 8 B / pair | 4 B / pair + 4 B / 32 pairs | (with the gets) | as a get's |
 //! | puts: keys put alone | 8 B / pair | 8 B / pair | none | none | — |
@@ -523,15 +523,14 @@ struct Respread {
 /// consecutive positions of the segment, whose elements the split wrote
 /// out as a piece per target, in position order, from where
 /// [`Sent::pieces`] says. Warp `w` reads where its run's pieces start and
-/// end, waits for the flags of the targets that hold a piece of it — and
-/// of a target whose value shares a word with a piece's end, since a half
-/// is read as its word — then streams each piece back as the split
-/// streamed it out: its positions,
-/// the values that landed beside them (a get's, take's or upsert's) and
-/// the found words of its target's run. It places every answer by its
-/// position and writes its run's values — behind those of the segments
-/// before it, misses' too, whose found bit stays clear — and found words
-/// as streamed stores, the erases' into a bitmap of their own
+/// end, waits for the flags of exactly the targets that hold a piece of it
+/// — a value that shares a word with another target's is read as its own
+/// half — then streams each piece back as the split streamed it out: its
+/// positions, the values that landed beside them (a get's, take's or
+/// upsert's) and the found words of its target's run. It places every
+/// answer by its position and writes its run's values — behind those of
+/// the segments before it, misses' too, whose found bit stays clear — and
+/// found words as streamed stores, the erases' into a bitmap of their own
 /// ([`result_words`]); an `atomicOr` sets only the bits of a found word
 /// it shares with a neighbouring run or segment. The warps come segment
 /// by segment, in [`ANSWERED`] order. Mutation doubles:
@@ -603,28 +602,12 @@ impl<'s> Merge<'s> {
                 ctx.read_stream_half(sent.pieces[s], (w + 1) * m + j) as usize
             };
         }
-        // the targets that answered a piece have stored it here, and so
-        // have those that answered the other half of a value word at a
-        // piece's end: each published its flag after its store (depth 2:
-        // the target published after waiting for its answers)
-        let owner = |x: usize| {
-            (0..m).find(|&t| {
-                let (at, n) = sent.at(s, t);
-                (at..at + n).contains(&x)
-            })
-        };
-        let mut targets = 0u32;
-        for j in (0..m).filter(|&j| ends[j] > starts[j]) {
-            targets |= 1 << j;
-            // the half before an odd start, and the one at an odd end
-            let (a, b) = (starts[j], ends[j]);
-            let shared = [(a % 2 == 1).then(|| a - 1), (b % 2 == 1).then_some(b)];
-            for t in shared.into_iter().flatten().filter(|_| !erase).filter_map(owner) {
-                targets |= 1 << t;
-            }
-        }
+        // the targets that answered a piece have stored it here, each
+        // publishing its flag after its store (depth 2: the target published
+        // after waiting for its answers); a value half is read on its own,
+        // so the target of the word's other half need not have stored it
         let landed = || {
-            for j in (0..m).filter(|&j| targets >> j & 1 == 1) {
+            for j in (0..m).filter(|&j| ends[j] > starts[j]) {
                 ctx.poll(sent.flags, k * m + j, &mut [0], 2, |flag| flag[0] != 0);
             }
         };

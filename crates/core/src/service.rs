@@ -154,10 +154,11 @@ pub struct OpReport {
     /// Elements processed.
     pub elements: u64,
     /// Kernel launches attributed to the operation. A cascade counts
-    /// the launches its rounds made, summed over GPUs: multisplit,
-    /// kernel, late insert and scatter — every launch made, those of a
-    /// round a fault aborted included (a quarantine's migration is not a
-    /// round and is not counted).
+    /// the launches its rounds made, summed over GPUs: a healthy round
+    /// makes two on a GPU that holds words, the multisplit and the node
+    /// launch of its kernel and merge. Every launch made counts, those of
+    /// a round a fault aborted included (a quarantine's migration is not
+    /// a round and is not counted).
     pub launches: u64,
     /// Total modeled time in seconds (see **Time** above).
     pub time: f64,

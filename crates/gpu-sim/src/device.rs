@@ -585,7 +585,8 @@ mod tests {
     fn half_stores_are_checked_half_by_half() {
         let set = SanitizerSet::RACE.union(SanitizerSet::INIT);
         let dev = Device::with_words(0, 64).sanitized_collecting(set);
-        let buf = dev.alloc(4).unwrap();
+        let (buf, full) = (dev.alloc(4).unwrap(), dev.alloc(2).unwrap());
+        dev.mem().fill(full, 0);
         let opts = LaunchOptions::default().with_schedule(Schedule::Sequential);
         // groups 0 and 1 store the two halves of word 0: no race, and a
         // read of the word finds both defined
@@ -594,6 +595,17 @@ mod tests {
         });
         dev.launch("word_read", 1, GroupSize::new(1), opts, |ctx| {
             let _ = ctx.read(buf, 0);
+        });
+        // a half read meets neither an unordered store of the other half
+        // before it (word 0) nor one after it (word 1)
+        dev.launch("other_half", 2, GroupSize::WARP, opts, |ctx| {
+            if ctx.group_id() == 0 {
+                ctx.write_stream_half(full, 0, 1);
+                let _ = ctx.read_stream_half(full, 2);
+            } else {
+                let _ = ctx.read_stream_half(full, 1);
+                ctx.write_stream_half(full, 3, 1);
+            }
         });
         assert!(dev.take_sanitizer_reports().is_empty());
         // both groups store the low half of word 1, whose high half no
@@ -605,6 +617,25 @@ mod tests {
             dev.launch("half_read", 1, GroupSize::new(1), opts, |ctx| {
                 let _ = ctx.read(buf, 1);
             });
+            // a half read meets an unordered store of its own half (word
+            // 0), and a store of the whole word meets the half read (word 1)
+            dev.launch("half_races", 2, GroupSize::WARP, opts, |ctx| {
+                if ctx.group_id() == 0 {
+                    ctx.write_stream_half(full, 0, 1);
+                    let _ = ctx.read_stream_half(full, 2);
+                } else {
+                    let _ = ctx.read_stream_half(full, 0);
+                    ctx.write_stream(full, 1, 7);
+                }
+            });
+            // the high half of word 2 is read twice but reported once, and
+            // its low half is still undefined when the word is read
+            dev.launch("unwritten_half", 2, GroupSize::WARP, opts, |ctx| {
+                let _ = ctx.read_stream_half(buf, 5);
+            });
+            dev.launch("word_after_half", 1, GroupSize::new(1), opts, |ctx| {
+                let _ = ctx.read(buf, 2);
+            });
         }));
         // an Err means the env's Panic attachment won (WD_SANITIZE was
         // set), which equally proves a finding
@@ -613,11 +644,25 @@ mod tests {
             let found: Vec<_> = reports.iter().map(|r| (r.detector, r.kernel.as_str())).collect();
             assert_eq!(
                 found,
-                [(Detector::Race, "same_half"), (Detector::Init, "half_read")],
+                [
+                    (Detector::Race, "same_half"),
+                    (Detector::Init, "half_read"),
+                    (Detector::Race, "half_races"),
+                    (Detector::Race, "half_races"),
+                    (Detector::Init, "unwritten_half"),
+                    (Detector::Init, "word_after_half"),
+                ],
                 "{reports:?}"
             );
-            assert!(reports[0].message.contains("low half"), "{}", reports[0]);
-            assert!(reports[1].message.contains("high half was never written"), "{}", reports[1]);
+            let says = |r: usize, what: &str| {
+                assert!(reports[r].message.contains(what), "{}", reports[r]);
+            };
+            says(0, "low half");
+            says(1, "high half was never written");
+            says(2, "plain read of the low half races with plain write");
+            says(3, "plain write races with plain read");
+            says(4, "high half was never written");
+            says(5, "low half was never written");
         }
     }
 

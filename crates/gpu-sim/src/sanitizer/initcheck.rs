@@ -2,8 +2,11 @@
 //!
 //! Two bits per device word — one per 32-bit half, 32 words per
 //! `AtomicU64` — so a half-word store ([`crate::GroupCtx::write_stream_half`])
-//! defines its half alone and a read of the word is flagged while the
-//! other half was never written. Bits are set by every defining operation
+//! defines its half alone, a half-word load
+//! ([`crate::GroupCtx::read_stream_half`]) asks its half alone to be
+//! defined, and a load of the word is flagged while either half was never
+//! written. A flagged load marks the halves it read, so each reports once.
+//! Bits are set by every defining operation
 //! — `h2d`, `fill`, `peer_copy` (copying the source's validity), kernel stores
 //! and atomic RMWs — and cleared whenever the word is (re)allocated:
 //! `alloc`, `alloc_scratch`, and scratch release (so a stale read through
@@ -16,10 +19,8 @@
 //! fill therefore reads "never-written" words even though they happen to
 //! be zero; that is exactly the bug class this detector exists for.
 
+use super::BOTH;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The valid bits of a word with both halves defined.
-pub(crate) const BOTH: u64 = 0b11;
 
 /// Packed per-half valid bits: bit `2i` for the low half of word `i`,
 /// bit `2i + 1` for its high half.
@@ -51,13 +52,13 @@ impl ValidBits {
     /// The defined halves of absolute word `idx`: bit 0 the low half,
     /// bit 1 the high half.
     #[inline]
-    pub(crate) fn halves(&self, idx: usize) -> u64 {
+    pub(crate) fn halves(&self, idx: usize) -> u8 {
         let (bits, shift) = self.at(idx);
-        (bits.load(Ordering::Relaxed) >> shift) & BOTH
+        (bits.load(Ordering::Relaxed) >> shift) as u8 & BOTH
     }
 
     /// Whether both halves of absolute word `idx` have been written.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn is_valid(&self, idx: usize) -> bool {
         self.halves(idx) == BOTH
     }
@@ -70,9 +71,9 @@ impl ValidBits {
 
     /// Marks `halves` of absolute word `idx` defined (bit 0 the low half).
     #[inline]
-    pub(crate) fn set_halves(&self, idx: usize, halves: u64) {
+    pub(crate) fn set_halves(&self, idx: usize, halves: u8) {
         let (bits, shift) = self.at(idx);
-        bits.fetch_or(halves << shift, Ordering::Relaxed);
+        bits.fetch_or(u64::from(halves) << shift, Ordering::Relaxed);
     }
 
     /// Marks `[offset, offset+len)` defined (bulk h2d / fill).
@@ -86,7 +87,7 @@ impl ValidBits {
     pub(crate) fn clear_range(&self, offset: usize, len: usize) {
         for idx in offset..offset + len {
             let (bits, shift) = self.at(idx);
-            bits.fetch_and(!(BOTH << shift), Ordering::Relaxed);
+            bits.fetch_and(!(u64::from(BOTH) << shift), Ordering::Relaxed);
         }
     }
 

@@ -33,6 +33,11 @@
 //!   ([`crate::GroupCtx::ballot_where`]) flag lanes of one coalesced group
 //!   reaching a group op with divergent participation masks.
 //!
+//! Every checked access goes through one hook,
+//! `LaunchSanitizer::on_access`, with the halves of its word it covers:
+//! both for a word, one for a half-word load or store. Initcheck and
+//! racecheck both see exactly those halves.
+//!
 //! Enable globally with `WD_SANITIZE=race,init,mem,sync` (or `all`), which
 //! attaches shadow state at [`crate::Device`] construction with the
 //! fail-fast [`Policy::Panic`]; or per device with
@@ -56,10 +61,13 @@ use crate::mem::DevSlice;
 use crate::sched::Schedule;
 use initcheck::ValidBits;
 use parking_lot::Mutex;
-use racecheck::{AccessKind, GroupClock, RaceState, BOTH};
+use racecheck::{AccessKind, GroupClock, RaceState};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// The halves of a whole-word access (bit 0 the low half).
+pub(crate) const BOTH: u8 = 0b11;
 
 /// Which detectors are active — a small bitset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -427,162 +435,14 @@ impl<'a> LaunchSanitizer<'a> {
         });
     }
 
-    /// Checks one read of `slice[idx]` (already resolved, in-bounds).
-    pub(crate) fn on_read(
-        &self,
-        slice: DevSlice,
-        idx: usize,
-        kind: AccessKind,
-        group: usize,
-        lane: Option<u32>,
-        clock: Option<&RefCell<GroupClock>>,
-    ) {
-        debug_assert!(kind.is_read());
-        let abs = slice.offset + idx;
-        if let Some(valid) = self.valid() {
-            if self.set.init() && !valid.is_valid(abs) {
-                let what = never_written(valid.halves(abs));
-                // mark valid so each word reports at most once
-                valid.set(abs);
-                self.report(
-                    Detector::Init,
-                    group,
-                    lane,
-                    Some(abs),
-                    format!(
-                        "{} of {what} (slice offset={} len={}, idx={idx})",
-                        kind.describe(),
-                        slice.offset,
-                        slice.len
-                    ),
-                );
-            }
-        }
-        self.race_access(abs, slice, idx, kind, BOTH, group, lane, clock);
-    }
-
-    /// Checks a plain read of one half of `slice[idx]` (bit 0 of `half` the
-    /// low half): initcheck asks that half alone to be written, racecheck
-    /// sees a read of the whole word.
-    pub(crate) fn on_half_read(
-        &self,
-        slice: DevSlice,
-        idx: usize,
-        half: u8,
-        group: usize,
-        clock: Option<&RefCell<GroupClock>>,
-    ) {
-        let abs = slice.offset + idx;
-        if let Some(valid) = self.valid() {
-            if self.set.init() && valid.halves(abs) & u64::from(half) == 0 {
-                valid.set_halves(abs, u64::from(half));
-                self.report(
-                    Detector::Init,
-                    group,
-                    None,
-                    Some(abs),
-                    format!(
-                        "plain read of a never-written half word (slice offset={} len={}, \
-                         idx={idx})",
-                        slice.offset, slice.len
-                    ),
-                );
-            }
-        }
-        let kind = AccessKind::PlainRead;
-        self.race_access(abs, slice, idx, kind, BOTH, group, None, clock);
-    }
-
-    /// Checks a plain store of one half of `slice[idx]` (bit 0 of `half`
-    /// the low half, bit 1 the high half) and marks that half initialised.
-    pub(crate) fn on_half_write(
-        &self,
-        slice: DevSlice,
-        idx: usize,
-        half: u8,
-        group: usize,
-        clock: Option<&RefCell<GroupClock>>,
-    ) {
-        let abs = slice.offset + idx;
-        let kind = AccessKind::PlainWrite;
-        self.race_access(abs, slice, idx, kind, half, group, None, clock);
-        if let Some(valid) = self.valid() {
-            valid.set_halves(abs, u64::from(half));
-        }
-    }
-
-    /// Checks one write of `slice[idx]` and marks the word initialised.
-    pub(crate) fn on_write(
-        &self,
-        slice: DevSlice,
-        idx: usize,
-        kind: AccessKind,
-        group: usize,
-        lane: Option<u32>,
-        clock: Option<&RefCell<GroupClock>>,
-    ) {
-        debug_assert!(!kind.is_read());
-        let abs = slice.offset + idx;
-        self.race_access(abs, slice, idx, kind, BOTH, group, lane, clock);
-        if let Some(valid) = self.valid() {
-            valid.set(abs);
-        }
-    }
-
-    /// Checks one atomic read-modify-write of `slice[idx]`: initcheck
-    /// treats it as read+write, racecheck as a synchronizing access.
-    pub(crate) fn on_atomic(
-        &self,
-        slice: DevSlice,
-        idx: usize,
-        group: usize,
-        clock: Option<&RefCell<GroupClock>>,
-    ) {
-        let abs = slice.offset + idx;
-        if let Some(valid) = self.valid() {
-            if self.set.init() && !valid.is_valid(abs) {
-                let what = never_written(valid.halves(abs));
-                valid.set(abs);
-                self.report(
-                    Detector::Init,
-                    group,
-                    None,
-                    Some(abs),
-                    format!(
-                        "atomic read-modify-write of {what} (slice offset={} len={}, idx={idx})",
-                        slice.offset, slice.len
-                    ),
-                );
-            } else {
-                valid.set(abs);
-            }
-        }
-        self.race_access(abs, slice, idx, AccessKind::Atomic, BOTH, group, None, clock);
-    }
-
-    /// Checks a release store of `slice[idx]` — a flag
-    /// [`crate::GroupCtx::publish`] publishes: racecheck treats it as a
-    /// synchronizing access, so the [`crate::GroupCtx::poll`] that reads
-    /// the flag is ordered after everything its publisher did before;
-    /// initcheck marks the word written.
-    pub(crate) fn on_release(
-        &self,
-        slice: DevSlice,
-        idx: usize,
-        group: usize,
-        clock: Option<&RefCell<GroupClock>>,
-    ) {
-        let abs = slice.offset + idx;
-        self.race_access(abs, slice, idx, AccessKind::Atomic, BOTH, group, None, clock);
-        if let Some(valid) = self.valid() {
-            valid.set(abs);
-        }
-    }
-
+    /// Checks one access of the `halves` of `slice[idx]` (already resolved,
+    /// in-bounds; bit 0 of `halves` the low half, bit 1 the high half):
+    /// initcheck asks the halves a read or an atomic reads to be written,
+    /// and marks them written, so each reports at most once; racecheck
+    /// orders the access against the accesses of those halves alone.
     #[allow(clippy::too_many_arguments)]
-    fn race_access(
+    pub(crate) fn on_access(
         &self,
-        abs: usize,
         slice: DevSlice,
         idx: usize,
         kind: AccessKind,
@@ -591,6 +451,28 @@ impl<'a> LaunchSanitizer<'a> {
         lane: Option<u32>,
         clock: Option<&RefCell<GroupClock>>,
     ) {
+        let abs = slice.offset + idx;
+        if let Some(valid) = self.valid() {
+            let missing = halves & !valid.halves(abs);
+            if missing != 0 {
+                valid.set_halves(abs, halves);
+                if kind.is_read() || kind == AccessKind::Atomic {
+                    self.report(
+                        Detector::Init,
+                        group,
+                        lane,
+                        Some(abs),
+                        format!(
+                            "{} of {} (slice offset={} len={}, idx={idx})",
+                            kind.describe(),
+                            never_written(missing),
+                            slice.offset,
+                            slice.len
+                        ),
+                    );
+                }
+            }
+        }
         if let (Some(rs), Some(clock)) = (self.race.as_ref(), clock) {
             let mut clock = clock.borrow_mut();
             if let Some(prior) = rs.on_halves(self.race_base + abs, halves, &mut clock, kind) {
@@ -618,11 +500,29 @@ impl<'a> LaunchSanitizer<'a> {
         }
     }
 
+    /// Checks a release store of `slice[idx]` — a flag
+    /// [`crate::GroupCtx::publish`] publishes: initcheck marks the word
+    /// written, and racecheck treats it as a synchronizing access, so the
+    /// [`crate::GroupCtx::poll`] that reads the flag is ordered after
+    /// everything its publisher did before.
+    pub(crate) fn on_release(
+        &self,
+        slice: DevSlice,
+        idx: usize,
+        group: usize,
+        clock: Option<&RefCell<GroupClock>>,
+    ) {
+        if let Some(valid) = self.valid() {
+            valid.set(slice.offset + idx);
+        }
+        self.on_access(slice, idx, AccessKind::Atomic, BOTH, group, None, clock);
+    }
+
     /// Checks a coalesced window read of `count` consecutive slots
     /// starting at `slice[start]`, wrapping at `slice.len` — the batched
     /// fast path behind [`crate::GroupCtx::read_window`]. Initcheck
     /// walks the words in lane order, exactly as per-lane
-    /// [`LaunchSanitizer::on_read`] calls would; racecheck hands each
+    /// [`LaunchSanitizer::on_access`] calls would; racecheck hands each
     /// contiguous absolute run to [`RaceState::on_window_reads`] so the
     /// whole window costs one shard lock + one page lookup instead of
     /// `count` of each. Verdicts and reports are identical to the
@@ -638,10 +538,11 @@ impl<'a> LaunchSanitizer<'a> {
         if self.valid().is_some() {
             let mut idx = start;
             for lane in 0..count {
-                self.on_read(
+                self.on_access(
                     slice,
                     idx,
                     AccessKind::RelaxedRead,
+                    BOTH,
                     group,
                     Some(lane as u32),
                     None, // racecheck handled batched below
@@ -769,11 +670,11 @@ impl<'a> LaunchSanitizer<'a> {
     }
 }
 
-/// What initcheck says a word with only `halves` defined is.
-fn never_written(halves: u64) -> &'static str {
-    match halves {
-        0b01 => "device word whose high half was never written",
-        0b10 => "device word whose low half was never written",
+/// What initcheck says a word read with its `missing` halves undefined is.
+fn never_written(missing: u8) -> &'static str {
+    match missing {
+        0b01 => "device word whose low half was never written",
+        0b10 => "device word whose high half was never written",
         _ => "never-written device word",
     }
 }

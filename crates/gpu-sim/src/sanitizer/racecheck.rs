@@ -57,16 +57,20 @@
 //! atomics: the ticket-board and cuckoo baselines read words that other
 //! groups concurrently RMW, which is well-defined on hardware.
 //!
-//! A word's last write is kept **per 32-bit half**: a half-word store
-//! ([`crate::GroupCtx::write_stream_half`]) writes one, every other write both.
-//! Two groups storing the two halves of one word do not race; two storing
-//! the same half do, as does a half store against an unordered access of
-//! the whole word. Reads always read the whole word.
+//! Every access covers **32-bit halves** of its word: a half-word load or
+//! store ([`crate::GroupCtx::read_stream_half`],
+//! [`crate::GroupCtx::write_stream_half`]) one, every other access both. A
+//! word keeps its last write per half and each read with the halves it
+//! read, and two accesses conflict only where their halves meet: two groups
+//! storing the two halves of one word do not race, nor does a half read
+//! with an unordered store of the other half; two storing the same half
+//! do, as does a half access against an unordered access of the whole word.
 //!
 //! State is per-launch (the CUDA default-stream analogy): launch
 //! boundaries are global barriers, so cross-launch accesses never
 //! conflict and the shadow map is dropped when the launch returns.
 
+use super::BOTH;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -86,9 +90,6 @@ const PAGE_WORDS: usize = 1 << PAGE_BITS;
 
 /// Mask selecting the in-page slot of a word.
 const PAGE_MASK: usize = PAGE_WORDS - 1;
-
-/// The halves of a whole-word access (bit 0 the low half).
-pub(crate) const BOTH: u8 = 0b11;
 
 /// Per-word reader records kept before the list is recycled.
 const MAX_READS: usize = 32;
@@ -196,6 +197,8 @@ pub(crate) struct Prior {
     pub clk: u32,
     /// What the access was.
     pub kind: AccessKind,
+    /// The halves it covered (bit 0 the low half).
+    pub halves: u8,
 }
 
 /// Sparse per-group vector clock.
@@ -305,10 +308,11 @@ impl ReadSet {
         *self = ReadSet::Empty;
     }
 
-    /// Records a read epoch: latest clock per group is exact for the HB
-    /// test; the "strongest" kind is kept so a plain read isn't masked
-    /// by a later relaxed one.
+    /// Records a read epoch: latest clock per group and halves is exact
+    /// for the HB test; the "strongest" kind is kept so a plain read isn't
+    /// masked by a later relaxed one.
     fn record(&mut self, epoch: Prior) {
+        let same = |r: &Prior| r.gid == epoch.gid && r.halves == epoch.halves;
         let update = |r: &mut Prior| {
             r.clk = r.clk.max(epoch.clk);
             if epoch.kind == AccessKind::PlainRead {
@@ -317,10 +321,10 @@ impl ReadSet {
         };
         match self {
             ReadSet::Empty => *self = ReadSet::One(epoch),
-            ReadSet::One(r) if r.gid == epoch.gid => update(r),
+            ReadSet::One(r) if same(r) => update(r),
             ReadSet::One(r) => *self = ReadSet::Many(vec![*r, epoch]),
             ReadSet::Many(v) => {
-                if let Some(r) = v.iter_mut().find(|r| r.gid == epoch.gid) {
+                if let Some(r) = v.iter_mut().find(|r| same(r)) {
                     update(r);
                 } else {
                     if v.len() >= MAX_READS {
@@ -429,20 +433,9 @@ impl RaceState {
         }
     }
 
-    /// [`RaceState::on_halves`] of the whole word.
-    #[cfg(test)]
-    pub(crate) fn on_access(
-        &self,
-        word: usize,
-        clock: &mut GroupClock,
-        kind: AccessKind,
-    ) -> Option<Prior> {
-        self.on_halves(word, BOTH, clock, kind)
-    }
-
     /// Records one access of the `halves` of `word` (bit 0 the low half,
-    /// bit 1 the high half; only a write may cover one) and returns the
-    /// conflicting prior access, if any (first conflict per word only).
+    /// bit 1 the high half) and returns the conflicting prior access, if
+    /// any (first conflict per word only).
     pub(crate) fn on_halves(
         &self,
         word: usize,
@@ -450,7 +443,6 @@ impl RaceState {
         clock: &mut GroupClock,
         kind: AccessKind,
     ) -> Option<Prior> {
-        debug_assert!(halves == BOTH || !kind.is_read(), "reads read the whole word");
         // A buffered release through another word must be published
         // before this access acquires (acquisition may grow our VC, and
         // the buffered publication snapshot is "VC as of the release").
@@ -503,7 +495,7 @@ impl RaceState {
                 .reads
                 .as_slice()
                 .iter()
-                .find(|r| read_conflicts(r.kind) && !clock.saw(r))
+                .find(|r| r.halves & halves != 0 && read_conflicts(r.kind) && !clock.saw(r))
                 .copied();
             if conflict.is_none() && kind == AccessKind::PlainWrite {
                 // ...including relaxed window reads of this slot, logged
@@ -567,6 +559,7 @@ impl RaceState {
             gid: clock.gid,
             clk: clock.clk,
             kind,
+            halves,
         };
         if kind.is_read() {
             st.reads.record(epoch);
@@ -618,6 +611,7 @@ impl RaceState {
             gid: clock.gid,
             clk: clock.clk,
             kind: AccessKind::RelaxedRead,
+            halves: BOTH,
         };
         let mut off = 0usize;
         while off < count {
@@ -673,8 +667,8 @@ mod tests {
         let rs = RaceState::new();
         let mut a = clock(0);
         let mut b = clock(1);
-        assert!(rs.on_access(7, &mut a, AccessKind::PlainWrite).is_none());
-        let c = rs.on_access(7, &mut b, AccessKind::PlainWrite);
+        assert!(rs.on_halves(7, BOTH, &mut a, AccessKind::PlainWrite).is_none());
+        let c = rs.on_halves(7, BOTH, &mut b, AccessKind::PlainWrite);
         assert_eq!(c.unwrap().gid, 0);
     }
 
@@ -683,8 +677,8 @@ mod tests {
         let rs = RaceState::new();
         let mut a = clock(0);
         let mut b = clock(1);
-        assert!(rs.on_access(3, &mut a, AccessKind::PlainRead).is_none());
-        let c = rs.on_access(3, &mut b, AccessKind::PlainWrite);
+        assert!(rs.on_halves(3, BOTH, &mut a, AccessKind::PlainRead).is_none());
+        let c = rs.on_halves(3, BOTH, &mut b, AccessKind::PlainWrite);
         assert_eq!(c.unwrap().kind, AccessKind::PlainRead);
     }
 
@@ -694,8 +688,8 @@ mod tests {
         let mut a = clock(0);
         let mut b = clock(1);
         for _ in 0..4 {
-            assert!(rs.on_access(0, &mut a, AccessKind::Atomic).is_none());
-            assert!(rs.on_access(0, &mut b, AccessKind::Atomic).is_none());
+            assert!(rs.on_halves(0, BOTH, &mut a, AccessKind::Atomic).is_none());
+            assert!(rs.on_halves(0, BOTH, &mut b, AccessKind::Atomic).is_none());
         }
     }
 
@@ -704,15 +698,15 @@ mod tests {
         let rs = RaceState::new();
         let mut claimer = clock(0);
         let mut prober = clock(1);
-        assert!(rs.on_access(5, &mut claimer, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(5, BOTH, &mut claimer, AccessKind::Atomic).is_none());
         assert!(rs
-            .on_access(5, &mut prober, AccessKind::RelaxedRead)
+            .on_halves(5, BOTH, &mut prober, AccessKind::RelaxedRead)
             .is_none());
         assert!(rs
-            .on_access(5, &mut claimer, AccessKind::SharedWrite)
+            .on_halves(5, BOTH, &mut claimer, AccessKind::SharedWrite)
             .is_none());
         assert!(rs
-            .on_access(5, &mut prober, AccessKind::RelaxedRead)
+            .on_halves(5, BOTH, &mut prober, AccessKind::RelaxedRead)
             .is_none());
     }
 
@@ -724,11 +718,11 @@ mod tests {
         let (w, s) = (10, 11);
         let mut a = clock(0);
         let mut b = clock(1);
-        assert!(rs.on_access(w, &mut a, AccessKind::PlainWrite).is_none());
-        assert!(rs.on_access(s, &mut a, AccessKind::Atomic).is_none());
-        assert!(rs.on_access(s, &mut b, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(w, BOTH, &mut a, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(s, BOTH, &mut a, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(s, BOTH, &mut b, AccessKind::Atomic).is_none());
         assert!(
-            rs.on_access(w, &mut b, AccessKind::PlainWrite).is_none(),
+            rs.on_halves(w, BOTH, &mut b, AccessKind::PlainWrite).is_none(),
             "acquire edge must order the second plain write after the first"
         );
     }
@@ -742,9 +736,9 @@ mod tests {
         let mut claimer = clock(0);
         let mut updater = clock(1);
         assert!(rs
-            .on_access(20, &mut claimer, AccessKind::PlainWrite)
+            .on_halves(20, BOTH, &mut claimer, AccessKind::PlainWrite)
             .is_none());
-        let c = rs.on_access(20, &mut updater, AccessKind::SharedWrite);
+        let c = rs.on_halves(20, BOTH, &mut updater, AccessKind::SharedWrite);
         assert_eq!(c.unwrap().kind, AccessKind::PlainWrite);
     }
 
@@ -754,9 +748,9 @@ mod tests {
         let rs = RaceState::new();
         let mut reader = clock(0);
         let mut rmw = clock(1);
-        assert!(rs.on_access(2, &mut rmw, AccessKind::Atomic).is_none());
-        assert!(rs.on_access(2, &mut reader, AccessKind::PlainRead).is_none());
-        assert!(rs.on_access(2, &mut rmw, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(2, BOTH, &mut rmw, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(2, BOTH, &mut reader, AccessKind::PlainRead).is_none());
+        assert!(rs.on_halves(2, BOTH, &mut rmw, AccessKind::Atomic).is_none());
     }
 
     #[test]
@@ -765,9 +759,9 @@ mod tests {
         let mut a = clock(0);
         let mut b = clock(1);
         let mut c = clock(2);
-        assert!(rs.on_access(9, &mut a, AccessKind::PlainWrite).is_none());
-        assert!(rs.on_access(9, &mut b, AccessKind::PlainWrite).is_some());
-        assert!(rs.on_access(9, &mut c, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(9, BOTH, &mut a, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(9, BOTH, &mut b, AccessKind::PlainWrite).is_some());
+        assert!(rs.on_halves(9, BOTH, &mut c, AccessKind::PlainWrite).is_none());
     }
 
     #[test]
@@ -777,13 +771,13 @@ mod tests {
         let mut a = clock(0);
         let mut b = clock(1);
         let mut c = clock(2);
-        assert!(rs.on_access(1, &mut a, AccessKind::PlainWrite).is_none());
-        assert!(rs.on_access(2, &mut a, AccessKind::Atomic).is_none());
-        assert!(rs.on_access(2, &mut b, AccessKind::Atomic).is_none());
-        assert!(rs.on_access(3, &mut b, AccessKind::Atomic).is_none());
-        assert!(rs.on_access(3, &mut c, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(1, BOTH, &mut a, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(2, BOTH, &mut a, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(2, BOTH, &mut b, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(3, BOTH, &mut b, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(3, BOTH, &mut c, AccessKind::Atomic).is_none());
         assert!(
-            rs.on_access(1, &mut c, AccessKind::PlainWrite).is_none(),
+            rs.on_halves(1, BOTH, &mut c, AccessKind::PlainWrite).is_none(),
             "A's plain write must be ordered before C's via the atomic chain"
         );
     }
@@ -796,7 +790,7 @@ mod tests {
         for g in 0..(SYNC_CAP as u32 * 4) {
             let mut c = clock(g);
             for _ in 0..4 {
-                assert!(rs.on_access(0, &mut c, AccessKind::Atomic).is_none());
+                assert!(rs.on_halves(0, BOTH, &mut c, AccessKind::Atomic).is_none());
             }
             assert!(c.vc.len() <= SYNC_CAP, "group VC exceeded the sync cap");
         }
@@ -813,26 +807,27 @@ mod tests {
             let many = SYNC_CAP as u32 * 2;
             for g in 0..many {
                 let mut c = fresh(g);
-                assert!(rs.on_access(100 + g as usize, &mut c, AccessKind::Atomic).is_none());
+                assert!(rs.on_halves(100 + g as usize, BOTH, &mut c, AccessKind::Atomic).is_none());
                 rs.flush_releases(&mut c);
             }
             let mut sender = fresh(many);
             for g in 0..many {
-                let _ = rs.on_access(100 + g as usize, &mut sender, AccessKind::Atomic);
+                let _ = rs.on_halves(100 + g as usize, BOTH, &mut sender, AccessKind::Atomic);
             }
             assert!(sender.vc.len() > SYNC_CAP);
-            assert!(rs.on_access(1, &mut sender, AccessKind::PlainWrite).is_none());
-            let _ = rs.on_access(2, &mut sender, AccessKind::Atomic);
+            assert!(rs.on_halves(1, BOTH, &mut sender, AccessKind::PlainWrite).is_none());
+            let _ = rs.on_halves(2, BOTH, &mut sender, AccessKind::Atomic);
             rs.flush_releases(&mut sender);
             let mut reader = fresh(many + 1);
-            let _ = rs.on_access(2, &mut reader, AccessKind::Atomic);
-            assert!(rs.on_access(1, &mut reader, AccessKind::PlainRead).is_none(), "batch {batch}");
+            let _ = rs.on_halves(2, BOTH, &mut reader, AccessKind::Atomic);
+            let read = rs.on_halves(1, BOTH, &mut reader, AccessKind::PlainRead);
+            assert!(read.is_none(), "batch {batch}");
         }
     }
 
     #[test]
     fn the_two_halves_of_a_word_are_written_apart() {
-        use AccessKind::PlainWrite;
+        use AccessKind::{PlainRead, PlainWrite};
         let rs = RaceState::new();
         let (mut a, mut b, mut c) = (clock(0), clock(1), clock(2));
         assert!(rs.on_halves(50, 0b01, &mut a, PlainWrite).is_none());
@@ -842,17 +837,28 @@ mod tests {
         // a whole-word access meets the writer of either half
         let mut d = clock(3);
         assert!(rs.on_halves(51, 0b01, &mut a, PlainWrite).is_none());
-        let prior = rs.on_access(51, &mut d, AccessKind::PlainRead).unwrap();
+        let prior = rs.on_halves(51, BOTH, &mut d, PlainRead).unwrap();
         assert_eq!((prior.gid, prior.kind), (0, PlainWrite));
+        // a half read meets only the writer of its own half...
+        assert!(rs.on_halves(52, 0b01, &mut a, PlainWrite).is_none());
+        assert!(rs.on_halves(52, 0b10, &mut b, PlainRead).is_none());
+        let prior = rs.on_halves(52, 0b01, &mut c, PlainRead).unwrap();
+        assert_eq!((prior.gid, prior.kind), (0, PlainWrite));
+        // ...and a later store meets it only if it covers that half
+        assert!(rs.on_halves(53, 0b01, &mut a, PlainRead).is_none());
+        assert!(rs.on_halves(53, 0b10, &mut b, PlainWrite).is_none());
+        assert!(rs.on_halves(54, 0b01, &mut a, PlainRead).is_none());
+        let prior = rs.on_halves(54, BOTH, &mut c, PlainWrite).unwrap();
+        assert_eq!((prior.gid, prior.kind), (0, PlainRead));
     }
 
     #[test]
     fn program_order_within_one_group_never_races() {
         let rs = RaceState::new();
         let mut a = clock(0);
-        assert!(rs.on_access(1, &mut a, AccessKind::PlainWrite).is_none());
-        assert!(rs.on_access(1, &mut a, AccessKind::PlainRead).is_none());
-        assert!(rs.on_access(1, &mut a, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(1, BOTH, &mut a, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(1, BOTH, &mut a, AccessKind::PlainRead).is_none());
+        assert!(rs.on_halves(1, BOTH, &mut a, AccessKind::PlainWrite).is_none());
     }
 
     #[test]
@@ -865,18 +871,18 @@ mod tests {
         let mut a = clock(0);
         let mut b = clock(1);
         // a's epoch 1: two plain writes, then the publishing release.
-        assert!(rs.on_access(30, &mut a, AccessKind::PlainWrite).is_none());
-        assert!(rs.on_access(31, &mut a, AccessKind::PlainWrite).is_none());
-        assert!(rs.on_access(32, &mut a, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(30, BOTH, &mut a, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(31, BOTH, &mut a, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(32, BOTH, &mut a, AccessKind::Atomic).is_none());
         // a's epoch 2: a write the release did NOT cover.
-        assert!(rs.on_access(33, &mut a, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(33, BOTH, &mut a, AccessKind::PlainWrite).is_none());
         // b acquires the release: both epoch-1 writes are ordered...
-        assert!(rs.on_access(32, &mut b, AccessKind::Atomic).is_none());
-        assert!(rs.on_access(30, &mut b, AccessKind::PlainWrite).is_none());
-        assert!(rs.on_access(31, &mut b, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(32, BOTH, &mut b, AccessKind::Atomic).is_none());
+        assert!(rs.on_halves(30, BOTH, &mut b, AccessKind::PlainWrite).is_none());
+        assert!(rs.on_halves(31, BOTH, &mut b, AccessKind::PlainWrite).is_none());
         // ...but the epoch-2 write is not.
         assert!(
-            rs.on_access(33, &mut b, AccessKind::PlainWrite).is_some(),
+            rs.on_halves(33, BOTH, &mut b, AccessKind::PlainWrite).is_some(),
             "a write after the release must not be covered by it"
         );
     }
@@ -889,9 +895,9 @@ mod tests {
         let mut r1 = clock(0);
         let mut r2 = clock(1);
         let mut w = clock(2);
-        assert!(rs.on_access(40, &mut r1, AccessKind::PlainRead).is_none());
-        assert!(rs.on_access(40, &mut r2, AccessKind::PlainRead).is_none());
-        let c = rs.on_access(40, &mut w, AccessKind::PlainWrite);
+        assert!(rs.on_halves(40, BOTH, &mut r1, AccessKind::PlainRead).is_none());
+        assert!(rs.on_halves(40, BOTH, &mut r2, AccessKind::PlainRead).is_none());
+        let c = rs.on_halves(40, BOTH, &mut w, AccessKind::PlainWrite);
         assert_eq!(c.unwrap().kind, AccessKind::PlainRead);
     }
 
@@ -920,8 +926,8 @@ mod tests {
         let mut batch: Vec<GroupClock> =
             (0..3).map(|g| GroupClock::new(g).with_batching()).collect();
         for &(gid, word, kind) in trace {
-            let e = eager_rs.on_access(word, &mut eager[gid as usize], kind);
-            let b = batch_rs.on_access(word, &mut batch[gid as usize], kind);
+            let e = eager_rs.on_halves(word, BOTH, &mut eager[gid as usize], kind);
+            let b = batch_rs.on_halves(word, BOTH, &mut batch[gid as usize], kind);
             assert_eq!(
                 e.map(|p| (p.gid, p.clk, p.kind)),
                 b.map(|p| (p.gid, p.clk, p.kind)),

@@ -15,7 +15,7 @@ use crate::counters::LocalCounters;
 use crate::mem::{store_half, DevSlice, DeviceMemory};
 use crate::node::Node;
 use crate::sanitizer::racecheck::{AccessKind, GroupClock};
-use crate::sanitizer::LaunchSanitizer;
+use crate::sanitizer::{LaunchSanitizer, BOTH};
 use crate::sched::StepSched;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
@@ -207,27 +207,20 @@ impl<'a> GroupCtx<'a> {
         self.node.expect("a store into a peer's memory needs a node launch")
     }
 
-    /// Sanitizer read hook (`idx` already resolved in-bounds).
+    /// Sanitizer hook of one access of the `halves` of `slice[idx]` (`idx`
+    /// already resolved in-bounds), checked by `san`: this group's own
+    /// launch, or a peer's in a node launch.
     #[inline]
-    fn san_read(&self, slice: DevSlice, idx: usize, kind: AccessKind, lane: Option<u32>) {
-        if let Some(s) = self.san {
-            s.on_read(slice, idx, kind, self.group_id, lane, self.clock.as_ref());
-        }
-    }
-
-    /// Sanitizer write hook (`idx` already resolved in-bounds).
-    #[inline]
-    fn san_write(&self, slice: DevSlice, idx: usize, kind: AccessKind) {
-        if let Some(s) = self.san {
-            s.on_write(slice, idx, kind, self.group_id, None, self.clock.as_ref());
-        }
-    }
-
-    /// Sanitizer atomic-RMW hook (`idx` already resolved in-bounds).
-    #[inline]
-    fn san_atomic(&self, slice: DevSlice, idx: usize) {
-        if let Some(s) = self.san {
-            s.on_atomic(slice, idx, self.group_id, self.clock.as_ref());
+    fn san_access(
+        &self,
+        san: Option<&LaunchSanitizer>,
+        slice: DevSlice,
+        idx: usize,
+        kind: AccessKind,
+        halves: u8,
+    ) {
+        if let Some(s) = san {
+            s.on_access(slice, idx, kind, halves, self.group_id, None, self.clock.as_ref());
         }
     }
 
@@ -449,7 +442,7 @@ impl<'a> GroupCtx<'a> {
         self.pace();
         let idx = fast_idx(idx, slice.len());
         let v = self.mem.word(slice, idx).load(Ordering::Relaxed);
-        self.san_read(slice, idx, AccessKind::PlainRead, None);
+        self.san_access(self.san, slice, idx, AccessKind::PlainRead, BOTH);
         self.local.add_transactions(1);
         self.local.add_steps(1);
         v
@@ -459,7 +452,7 @@ impl<'a> GroupCtx<'a> {
     pub fn write(&self, slice: DevSlice, idx: usize, val: u64) {
         self.pace();
         let idx = fast_idx(idx, slice.len());
-        self.san_write(slice, idx, AccessKind::PlainWrite);
+        self.san_access(self.san, slice, idx, AccessKind::PlainWrite, BOTH);
         self.mem.word(slice, idx).store(val, Ordering::Relaxed);
         self.local.add_transactions(1);
     }
@@ -474,7 +467,7 @@ impl<'a> GroupCtx<'a> {
         self.pace();
         let idx = fast_idx(idx, slice.len());
         let v = self.mem.word(slice, idx).load(Ordering::Relaxed);
-        self.san_read(slice, idx, AccessKind::SharedRead, None);
+        self.san_access(self.san, slice, idx, AccessKind::SharedRead, BOTH);
         self.local.add_transactions(1);
         self.local.add_steps(1);
         v
@@ -488,7 +481,7 @@ impl<'a> GroupCtx<'a> {
     pub fn write_shared(&self, slice: DevSlice, idx: usize, val: u64) {
         self.pace();
         let idx = fast_idx(idx, slice.len());
-        self.san_write(slice, idx, AccessKind::SharedWrite);
+        self.san_access(self.san, slice, idx, AccessKind::SharedWrite, BOTH);
         self.mem.word(slice, idx).store(val, Ordering::Relaxed);
         self.local.add_transactions(1);
     }
@@ -509,7 +502,7 @@ impl<'a> GroupCtx<'a> {
             }
         }
         let v = self.mem.word(slice, idx).load(Ordering::Relaxed);
-        self.san_read(slice, idx, AccessKind::PlainRead, None);
+        self.san_access(self.san, slice, idx, AccessKind::PlainRead, BOTH);
         v
     }
 
@@ -522,15 +515,16 @@ impl<'a> GroupCtx<'a> {
                 return;
             }
         }
-        self.san_write(slice, idx, AccessKind::PlainWrite);
+        self.san_access(self.san, slice, idx, AccessKind::PlainWrite, BOTH);
         self.mem.word(slice, idx).store(val, Ordering::Relaxed);
     }
 
     /// Streaming load of 32-bit half `h` of `slice` — the low half of word
     /// `h / 2` for even `h`, its high half for odd — billed 4 bytes at
     /// streaming bandwidth, like [`GroupCtx::read_stream`] of half a word.
-    /// Initcheck asks that half alone to be written; racecheck sees a read
-    /// of the whole word.
+    /// The sanitizer checks that half alone: initcheck asks it to be
+    /// written, and racecheck orders the load only against that half's
+    /// stores, so a group may read one half while another stores the other.
     #[must_use]
     pub fn read_stream_half(&self, slice: DevSlice, h: usize) -> u32 {
         self.pace();
@@ -542,8 +536,8 @@ impl<'a> GroupCtx<'a> {
             {
                 return 0;
             }
-            s.on_half_read(slice, idx, 1 << high, self.group_id, self.clock.as_ref());
         }
+        self.san_access(self.san, slice, idx, AccessKind::PlainRead, 1 << high);
         (self.mem.word(slice, idx).load(Ordering::Relaxed) >> (32 * high)) as u32
     }
 
@@ -561,8 +555,8 @@ impl<'a> GroupCtx<'a> {
             {
                 return;
             }
-            s.on_half_write(slice, idx, 1 << high, self.group_id, self.clock.as_ref());
         }
+        self.san_access(self.san, slice, idx, AccessKind::PlainWrite, 1 << high);
         store_half(self.mem.word(slice, idx), high, val);
     }
 
@@ -603,7 +597,7 @@ impl<'a> GroupCtx<'a> {
     pub fn cas(&self, slice: DevSlice, idx: usize, current: u64, new: u64) -> Result<(), u64> {
         self.pace();
         let idx = fast_idx(idx, slice.len());
-        self.san_atomic(slice, idx);
+        self.san_access(self.san, slice, idx, AccessKind::Atomic, BOTH);
         let r = self.mem.word(slice, idx).compare_exchange(
             current,
             new,
@@ -621,7 +615,7 @@ impl<'a> GroupCtx<'a> {
     pub fn exchange(&self, slice: DevSlice, idx: usize, new: u64) -> u64 {
         self.pace();
         let idx = fast_idx(idx, slice.len());
-        self.san_atomic(slice, idx);
+        self.san_access(self.san, slice, idx, AccessKind::Atomic, BOTH);
         let old = self.mem.word(slice, idx).swap(new, Ordering::Relaxed);
         self.local.add_cold_atomic();
         self.local.add_transactions(1); // sector fetch
@@ -634,7 +628,7 @@ impl<'a> GroupCtx<'a> {
     pub fn atomic_add(&self, slice: DevSlice, idx: usize, delta: u64) -> u64 {
         self.pace();
         let idx = fast_idx(idx, slice.len());
-        self.san_atomic(slice, idx);
+        self.san_access(self.san, slice, idx, AccessKind::Atomic, BOTH);
         let old = self.mem.word(slice, idx).fetch_add(delta, Ordering::Relaxed);
         self.local.add_atomic();
         self.local.add_steps(1);
@@ -646,7 +640,7 @@ impl<'a> GroupCtx<'a> {
     pub fn atomic_or(&self, slice: DevSlice, idx: usize, bits: u64) -> u64 {
         self.pace();
         let idx = fast_idx(idx, slice.len());
-        self.san_atomic(slice, idx);
+        self.san_access(self.san, slice, idx, AccessKind::Atomic, BOTH);
         let old = self.mem.word(slice, idx).fetch_or(bits, Ordering::Relaxed);
         self.local.add_atomic();
         self.local.add_steps(1);
@@ -696,10 +690,7 @@ impl<'a> GroupCtx<'a> {
         let (mem, san) = (node.mem(peer), node.san(peer));
         for (i, &val) in vals.iter().enumerate() {
             let idx = fast_idx(at + i, slice.len());
-            if let Some(s) = san {
-                let (group, clock) = (self.group_id, self.clock.as_ref());
-                s.on_write(slice, idx, AccessKind::PlainWrite, group, None, clock);
-            }
+            self.san_access(san, slice, idx, AccessKind::PlainWrite, BOTH);
             mem.word(slice, idx).store(val, Ordering::Relaxed);
         }
         if peer != me {
@@ -721,9 +712,7 @@ impl<'a> GroupCtx<'a> {
         let (mem, san) = (node.mem(peer), node.san(peer));
         for (i, &val) in vals.iter().enumerate() {
             let (idx, high) = (fast_idx((at + i) / 2, slice.len()), (at + i) % 2);
-            if let Some(s) = san {
-                s.on_half_write(slice, idx, 1 << high, self.group_id, self.clock.as_ref());
-            }
+            self.san_access(san, slice, idx, AccessKind::PlainWrite, 1 << high);
             store_half(mem.word(slice, idx), high, val);
         }
         if peer != me {
@@ -865,11 +854,9 @@ impl<'a> GroupCtx<'a> {
                 std::thread::yield_now();
             }
         }
-        if let Some(s) = self.san {
-            for i in 0..out.len() {
-                let idx = fast_idx(start + i, slice.len());
-                s.on_atomic(slice, idx, self.group_id, self.clock.as_ref());
-            }
+        for i in 0..out.len() {
+            let idx = fast_idx(start + i, slice.len());
+            self.san_access(self.san, slice, idx, AccessKind::Atomic, BOTH);
         }
         self.local.note_chain(depth);
         start

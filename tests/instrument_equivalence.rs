@@ -49,11 +49,36 @@ fn signatures(cfg: Config, work: impl Fn(&GpuHashMap)) -> RunSignature {
         work(&map);
         drop(map);
     }));
+    signature_of(&[probe], ran)
+}
+
+/// Builds the 4-GPU node from `cfg`, every device sanitized, runs a put and
+/// a get of the same keys, and returns the run's full report signature:
+/// the node launch's peer stores, flags and merge warps' half reads are
+/// checked across devices.
+fn node_signatures(cfg: Config) -> RunSignature {
+    let devices: Vec<Arc<Device>> = (0..4)
+        .map(|i| Arc::new(Device::with_words(i, 1 << 14).sanitized_collecting(SanitizerSet::ALL)))
+        .collect();
+    let probes = devices.clone();
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let cfg = cfg.with_fault(FaultPlan::default());
+        let mut d = DistributedHashMap::new(devices, 512, cfg, Topology::p100_quad(4)).unwrap();
+        let pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i * 13 + 5, i)).collect();
+        d.put_batch(&pairs).unwrap();
+        let keys: Vec<u32> = pairs.iter().map(|p| p.0).chain(9_000..9_040).collect();
+        let _ = d.get_batch(&keys).unwrap();
+    }));
+    signature_of(&probes, ran)
+}
+
+/// The signature of a run on `devices` that ended as `ran`.
+fn signature_of(devices: &[Arc<Device>], ran: std::thread::Result<()>) -> RunSignature {
     match ran {
         Ok(()) => {
-            let mut sigs: Vec<(Detector, String)> = probe
-                .take_sanitizer_reports()
+            let mut sigs: Vec<(Detector, String)> = devices
                 .iter()
+                .flat_map(|dev| dev.take_sanitizer_reports())
                 .map(|r| (r.detector, r.to_string()))
                 .collect();
             sigs.sort_by(|a, b| (a.0.as_str(), &a.1).cmp(&(b.0.as_str(), &b.1)));
@@ -85,15 +110,15 @@ fn clean(sig: &RunSignature) -> bool {
 fn hunt_equivalent(
     label: &str,
     want: Detector,
+    budget: u64,
     cfg: impl Fn(u64, bool) -> Config,
-    work: impl Fn(&GpuHashMap) + Copy,
+    run: impl Fn(Config) -> RunSignature,
 ) {
-    let budget = mutation_seeds();
     let mut caught = None;
     for seed in 0..budget {
         for broken in [false, true] {
-            let per_op = signatures(cfg(seed, broken).with_per_op_dispatch(true), work);
-            let chunked = signatures(cfg(seed, broken).with_per_op_dispatch(false), work);
+            let per_op = run(cfg(seed, broken).with_per_op_dispatch(true));
+            let chunked = run(cfg(seed, broken).with_per_op_dispatch(false));
             assert_eq!(
                 per_op, chunked,
                 "{label}: chunked dispatch changed the report set at seed {seed} \
@@ -133,6 +158,7 @@ fn racecheck_double_equivalent_across_dispatch() {
     hunt_equivalent(
         "publish_plain_store",
         Detector::Race,
+        mutation_seeds(),
         |seed, broken| {
             let c = Config::default()
                 .with_layout(Layout::Soa)
@@ -144,7 +170,7 @@ fn racecheck_double_equivalent_across_dispatch() {
                 c
             }
         },
-        contended_insert,
+        |c| signatures(c, contended_insert),
     );
 }
 
@@ -153,6 +179,7 @@ fn initcheck_double_equivalent_across_dispatch() {
     hunt_equivalent(
         "skip_fill",
         Detector::Init,
+        mutation_seeds(),
         |seed, broken| {
             let c = Config {
                 p_max: 4,
@@ -165,8 +192,10 @@ fn initcheck_double_equivalent_across_dispatch() {
                 c
             }
         },
-        |map| {
-            let _ = map.insert_pairs(&[(1, 10), (2, 20), (3, 30), (4, 40)]);
+        |c| {
+            signatures(c, |map| {
+                let _ = map.insert_pairs(&[(1, 10), (2, 20), (3, 30), (4, 40)]);
+            })
         },
     );
 }
@@ -176,6 +205,7 @@ fn memcheck_double_equivalent_across_dispatch() {
     hunt_equivalent(
         "window_overrun",
         Detector::Mem,
+        mutation_seeds(),
         |seed, broken| {
             let c = Config::default().with_schedule(Schedule::Seeded(seed));
             if broken {
@@ -184,9 +214,11 @@ fn memcheck_double_equivalent_across_dispatch() {
                 c
             }
         },
-        |map| {
-            let _ = map.insert_pairs(&[(1, 10), (2, 20), (3, 30)]);
-            let _ = map.try_retrieve(&[1, 2, 3]);
+        |c| {
+            signatures(c, |map| {
+                let _ = map.insert_pairs(&[(1, 10), (2, 20), (3, 30)]);
+                let _ = map.try_retrieve(&[1, 2, 3]);
+            })
         },
     );
 }
@@ -196,6 +228,7 @@ fn synccheck_double_equivalent_across_dispatch() {
     hunt_equivalent(
         "divergent_ballot",
         Detector::Sync,
+        mutation_seeds(),
         |seed, broken| {
             let c = Config::default()
                 .with_group_size(4)
@@ -206,7 +239,29 @@ fn synccheck_double_equivalent_across_dispatch() {
                 c
             }
         },
-        contended_insert,
+        |c| signatures(c, contended_insert),
+    );
+}
+
+/// `Mutation::ScatterReadsBeforeFlag` on the 4-GPU node: a merge warp
+/// reads the answers' halves before it polls the flags of the targets that
+/// stored them. Racecheck catches it with the same reports under both
+/// dispatch modes, and the correct round is clean in both.
+#[test]
+fn node_racecheck_double_equivalent_across_dispatch() {
+    hunt_equivalent(
+        "scatter_reads_before_flag",
+        Detector::Race,
+        mutation_seeds().min(4),
+        |seed, broken| {
+            let c = Config::default().with_schedule(Schedule::Seeded(seed));
+            if broken {
+                c.with_mutation(Mutation::ScatterReadsBeforeFlag)
+            } else {
+                c
+            }
+        },
+        node_signatures,
     );
 }
 
